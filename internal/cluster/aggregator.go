@@ -191,10 +191,9 @@ type aggMetrics struct {
 // surplus back to the survivors, and return their watts to the pool
 // only at decommission.
 type Aggregator struct {
-	cfg      AggregatorConfig
-	members  *Membership
-	met      *aggMetrics
-	debugTag string // soak trace label; empty outside traced soak runs
+	cfg     AggregatorConfig
+	members *Membership
+	met     *aggMetrics
 
 	// mu guards everything below: Poll (single driver) mutates under it,
 	// Status/Frame/ConvergedSince read under it.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +14,7 @@ import (
 // with zero conservation violations and no orphaned servers.
 func TestChurnSoakSingleSeed(t *testing.T) {
 	leak.Check(t)
-	rep, err := RunChurnSoak(ChurnSoakConfig{Seed: 7, Budget: 1500 * time.Millisecond})
+	rep, err := RunScenario(Scenario{Seed: 7, Shards: 4, Peak: 10, Replicas: 2, Budget: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("churn soak: %v", err)
 	}
@@ -40,11 +38,12 @@ func TestChurnSoakGrowShrink(t *testing.T) {
 		t.Skip("the 4→64→4 soak is not -short work; the corpus covers the protocol")
 	}
 	leak.Check(t)
-	rep, err := RunChurnSoak(ChurnSoakConfig{
-		Seed:   11,
-		Base:   4,
-		Peak:   64,
-		Budget: 4 * time.Second,
+	rep, err := RunScenario(Scenario{
+		Seed:     11,
+		Shards:   4,
+		Peak:     64,
+		Replicas: 2,
+		Budget:   4 * time.Second,
 		// Sixty-four real servers plus feeder and drivers want a slacker
 		// cadence than the 10-shard default on modest hosts; the lease
 		// TTL (8×period) and every latency bound scale with it.
@@ -59,8 +58,8 @@ func TestChurnSoakGrowShrink(t *testing.T) {
 	if rep.Peak != 64 {
 		t.Fatalf("peak %d, want 64", rep.Peak)
 	}
-	if rep.Joins < uint64(rep.Peak-rep.Base) {
-		t.Errorf("%d joins cannot have grown the fleet from %d to %d", rep.Joins, rep.Base, rep.Peak)
+	if rep.Joins < uint64(rep.Peak-rep.Shards) {
+		t.Errorf("%d joins cannot have grown the fleet from %d to %d", rep.Joins, rep.Shards, rep.Peak)
 	}
 	t.Log(rep.Summary())
 }
@@ -75,84 +74,32 @@ func TestChurnSoakGrowShrink(t *testing.T) {
 // leader kills.
 func TestChurnSoakCorpus(t *testing.T) {
 	leak.Check(t)
-	runs := 256
-	budget := 500 * time.Millisecond
-	if testing.Short() {
-		runs = 24
-	}
-	workers := 4
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workers = n
-	}
-	if workers > 16 {
-		workers = 16
-	}
-	if raceEnabled {
-		workers = 2
-		runs = runs / 2
-	}
 	var (
-		mu                          sync.Mutex
 		elections, demotions, kills uint64
 		applies, joins, decomms     uint64
 		cleanDrains, forcedDrains   uint64
 		opFailures, opRepairs       uint64
 		dropped, held, flushed      uint64
 		converged                   uint64
-		seedCh                      = make(chan int)
-		wg                          sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seedCh {
-				rep, err := RunChurnSoak(ChurnSoakConfig{
-					Seed:              uint64(seed),
-					Budget:            budget,
-					SkipResourceAudit: true,
-				})
-				if err != nil {
-					mu.Lock()
-					t.Errorf("seed %d: %v", seed, err)
-					mu.Unlock()
-					continue
-				}
-				if !rep.Passed() {
-					mu.Lock()
-					for _, v := range rep.Violations {
-						t.Errorf("seed %d: %s", seed, v)
-					}
-					t.Logf("seed %d: %s", seed, rep.Summary())
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				elections += rep.Elections
-				demotions += rep.Demotions
-				kills += rep.LeaderKills
-				applies += rep.CapApplies
-				joins += rep.Joins
-				decomms += rep.Decommissions
-				cleanDrains += rep.CleanDrains
-				forcedDrains += rep.ForcedDrains
-				opFailures += rep.OpFailures
-				opRepairs += rep.OpRepairs
-				dropped += rep.WANDropped
-				held += rep.WANHeld
-				flushed += rep.WANFlushed
-				if rep.Converged {
-					converged++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for seed := 0; seed < runs; seed++ {
-		seedCh <- seed
-	}
-	close(seedCh)
-	wg.Wait()
+	runs := runSoakCorpus(t, churnShape, func(rep *ScenarioReport) {
+		elections += rep.Elections
+		demotions += rep.Demotions
+		kills += rep.LeaderKills
+		applies += rep.CapApplies
+		joins += rep.Joins
+		decomms += rep.Decommissions
+		cleanDrains += rep.CleanDrains
+		forcedDrains += rep.ForcedDrains
+		opFailures += rep.OpFailures
+		opRepairs += rep.OpRepairs
+		dropped += rep.WANDropped
+		held += rep.WANHeld
+		flushed += rep.WANFlushed
+		if rep.Converged {
+			converged++
+		}
+	})
 	if t.Failed() {
 		return
 	}

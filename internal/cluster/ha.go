@@ -472,15 +472,6 @@ func (a *Aggregator) pushFenced(next []units.Watts, now time.Duration) bool {
 		}
 	}
 	order := ApplyOrder(eff, next)
-	if soakApplyTrace && a.debugTag != "" {
-		line := fmt.Sprintf("[%s] PUSH @%v fence=%d replay=%v claiming=%v blocked=%v:", a.debugTag, now, a.fence, a.replay, claiming, blocked)
-		for _, i := range order {
-			st := a.shards[i]
-			line += fmt.Sprintf(" {id=%d inc=%d ms=%d granted=%v landed=%v app=%.1f res=%.1f next=%.1f}",
-				st.id, st.inc, st.mstate, st.granted, st.capLanded, float64(a.applied[i]), float64(st.residual), float64(next[i]))
-		}
-		fmt.Println(line)
-	}
 	for _, i := range order {
 		st := a.shards[i]
 		if a.cfg.Clock() >= a.leaseUntil {

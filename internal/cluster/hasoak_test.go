@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +12,7 @@ import (
 // resource audit: two replicas, eight shards, both fault tiers live.
 func TestHASoakSingleSeed(t *testing.T) {
 	leak.Check(t)
-	rep, err := RunHASoak(HASoakConfig{Seed: 7, Budget: 1500 * time.Millisecond})
+	rep, err := RunScenario(Scenario{Seed: 7, Replicas: 2, Budget: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("ha soak: %v", err)
 	}
@@ -38,7 +36,7 @@ func TestHASoakTriReplica(t *testing.T) {
 		t.Skip("tri-replica soak is not -short work; the corpus covers the protocol")
 	}
 	leak.Check(t)
-	rep, err := RunHASoak(HASoakConfig{Seed: 64, Shards: 16, Replicas: 3, Budget: 2 * time.Second})
+	rep, err := RunScenario(Scenario{Seed: 64, Shards: 16, Replicas: 3, Budget: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("ha soak: %v", err)
 	}
@@ -60,85 +58,33 @@ func TestHASoakTriReplica(t *testing.T) {
 // leader kills must beat 2× the lease TTL.
 func TestHASoakCorpus(t *testing.T) {
 	leak.Check(t)
-	runs := 256
-	budget := 400 * time.Millisecond
-	if testing.Short() {
-		runs = 24
-	}
-	workers := 4
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workers = n
-	}
-	if workers > 16 {
-		workers = 16
-	}
-	if raceEnabled {
-		workers = 2
-		runs = runs / 2
-	}
 	var (
-		mu                              sync.Mutex
 		handoffRatios                   []float64
 		elections, demotions, kills     uint64
 		applies, rejects, retries       uint64
 		dropped, held, flushed, delayed uint64
 		shardKills, resubs, converged   uint64
-		seedCh                          = make(chan int)
-		wg                              sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seedCh {
-				rep, err := RunHASoak(HASoakConfig{
-					Seed:              uint64(seed),
-					Budget:            budget,
-					SkipResourceAudit: true,
-				})
-				if err != nil {
-					mu.Lock()
-					t.Errorf("seed %d: %v", seed, err)
-					mu.Unlock()
-					continue
-				}
-				if !rep.Passed() {
-					mu.Lock()
-					for _, v := range rep.Violations {
-						t.Errorf("seed %d: %s", seed, v)
-					}
-					t.Logf("seed %d: %s", seed, rep.Summary())
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				for _, h := range rep.Handoffs {
-					handoffRatios = append(handoffRatios, float64(h)/float64(rep.LeaseTTL))
-				}
-				elections += rep.Elections
-				demotions += rep.Demotions
-				kills += rep.LeaderKills
-				applies += rep.CapApplies
-				rejects += rep.FenceRejects
-				retries += rep.CapRetries
-				dropped += rep.WANDropped
-				delayed += rep.WANDelayed
-				held += rep.WANHeld
-				flushed += rep.WANFlushed
-				shardKills += rep.ShardKills
-				resubs += rep.Resubscribes
-				if rep.Converged {
-					converged++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for seed := 0; seed < runs; seed++ {
-		seedCh <- seed
-	}
-	close(seedCh)
-	wg.Wait()
+	runs := runSoakCorpus(t, haShape, func(rep *ScenarioReport) {
+		for _, h := range rep.Handoffs {
+			handoffRatios = append(handoffRatios, float64(h)/float64(rep.LeaseTTL))
+		}
+		elections += rep.Elections
+		demotions += rep.Demotions
+		kills += rep.LeaderKills
+		applies += rep.CapApplies
+		rejects += rep.FenceRejects
+		retries += rep.CapRetries
+		dropped += rep.WANDropped
+		delayed += rep.WANDelayed
+		held += rep.WANHeld
+		flushed += rep.WANFlushed
+		shardKills += rep.ShardKills
+		resubs += rep.Resubscribes
+		if rep.Converged {
+			converged++
+		}
+	})
 	if t.Failed() {
 		return
 	}

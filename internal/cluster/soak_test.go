@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +12,7 @@ import (
 // what broke.
 func TestFleetSoakSingleSeed(t *testing.T) {
 	leak.Check(t)
-	rep, err := RunSoak(SoakConfig{Seed: 7, Shards: 8, Budget: 1500 * time.Millisecond})
+	rep, err := RunScenario(Scenario{Seed: 7, Shards: 8, Budget: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
@@ -40,7 +37,7 @@ func TestFleetSoakN64(t *testing.T) {
 		t.Skip("N=64 soak is not -short work; the corpus covers N=16")
 	}
 	leak.Check(t)
-	rep, err := RunSoak(SoakConfig{Seed: 64, Shards: 64, Budget: 2 * time.Second})
+	rep, err := RunScenario(Scenario{Seed: 64, Shards: 64, Budget: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}
@@ -56,86 +53,37 @@ func TestFleetSoakN64(t *testing.T) {
 // TestFleetSoakCorpus fans a seeded corpus of fleet fault schedules
 // across a worker pool: every seed must conserve the budget at every
 // cap push, converge after its faults clear, and leak nothing (one leak
-// gate covers the whole corpus; per-run resource audits are off because
-// the process is shared). Collectively the corpus must exercise every
-// fault kind — shard kills, connection resets, slow-loris peers — and
-// must observe real shard restarts through the aggregator's epoch
+// gate covers the whole corpus). Collectively the corpus must exercise
+// every fault kind — shard kills, connection resets, slow-loris peers —
+// and must observe real shard restarts through the aggregator's epoch
 // detection, so the invariants are known to have been tested under fire
 // rather than vacuously.
 func TestFleetSoakCorpus(t *testing.T) {
 	leak.Check(t)
-	runs, shards := 256, 8
-	budget := 400 * time.Millisecond
+	shape := plainShape
 	if testing.Short() {
-		runs, shards = 24, 16
-	}
-	workers := 4
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workers = n
-	}
-	if workers > 16 {
-		workers = 16
-	}
-	if raceEnabled {
-		// Concurrent instrumented runs contend hard for CPU; keep the
-		// fleet schedules real-time-faithful by running fewer at once.
-		workers = 2
-		runs = runs / 2
+		shape.Shards = 16
 	}
 	var (
-		mu                         sync.Mutex
 		kills, resets, loris       uint64
 		restartsSeen, repartitions uint64
-		polls, pushes, converged   uint64
+		polls, applies, converged  uint64
 		gapResyncs, resubs         uint64
-		seedCh                     = make(chan int)
-		wg                         sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seedCh {
-				rep, err := RunSoak(SoakConfig{
-					Seed:              uint64(seed),
-					Shards:            shards,
-					Budget:            budget,
-					SkipResourceAudit: true,
-				})
-				if err != nil {
-					mu.Lock()
-					t.Errorf("seed %d: %v", seed, err)
-					mu.Unlock()
-					continue
-				}
-				if !rep.Passed() {
-					mu.Lock()
-					for _, v := range rep.Violations {
-						t.Errorf("seed %d: %s", seed, v)
-					}
-					mu.Unlock()
-					continue
-				}
-				atomic.AddUint64(&kills, rep.ShardKills)
-				atomic.AddUint64(&resets, rep.Resets)
-				atomic.AddUint64(&loris, rep.LorisConns)
-				atomic.AddUint64(&restartsSeen, rep.RestartsSeen)
-				atomic.AddUint64(&repartitions, rep.Repartitions)
-				atomic.AddUint64(&polls, rep.Polls)
-				atomic.AddUint64(&pushes, rep.CapPushes)
-				atomic.AddUint64(&gapResyncs, rep.GapResyncs)
-				atomic.AddUint64(&resubs, rep.Resubscribes)
-				if rep.Converged {
-					atomic.AddUint64(&converged, 1)
-				}
-			}
-		}()
-	}
-	for seed := 0; seed < runs; seed++ {
-		seedCh <- seed
-	}
-	close(seedCh)
-	wg.Wait()
+	runs := runSoakCorpus(t, shape, func(rep *ScenarioReport) {
+		kills += rep.ShardKills
+		resets += rep.Resets
+		loris += rep.LorisConns
+		restartsSeen += rep.RestartsSeen
+		repartitions += rep.Repartitions
+		polls += rep.Polls
+		applies += rep.CapApplies
+		gapResyncs += rep.GapResyncs
+		resubs += rep.Resubscribes
+		if rep.Converged {
+			converged++
+		}
+	})
 	if t.Failed() {
 		return
 	}
@@ -155,5 +103,5 @@ func TestFleetSoakCorpus(t *testing.T) {
 		t.Error("no stream was ever resubscribed: the failover path was never exercised")
 	}
 	t.Logf("%d runs × %d shards: %d polls, %d repartitions, %d cap-pushes, %d kills, %d resets, %d loris, %d restarts-seen, %d gap-resyncs, %d resubs, %d/%d converged",
-		runs, shards, polls, repartitions, pushes, kills, resets, loris, restartsSeen, gapResyncs, resubs, converged, runs)
+		runs, shape.Shards, polls, repartitions, applies, kills, resets, loris, restartsSeen, gapResyncs, resubs, converged, runs)
 }

@@ -16,11 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,13 +111,6 @@ func (r *Report) Summary() string {
 		r.Restarts, r.Resets, r.LorisConns, r.StalenessViolations, r.GoroutineGrowth, r.HeapGrowthBytes)
 }
 
-// hostClock adapts the host monotonic clock (measured from a run's
-// start) to the rcr.Clock interface and the resilience time base, so
-// server timestamps and client staleness checks share one timeline.
-type hostClock struct{ t0 time.Time }
-
-func (c *hostClock) Now() time.Duration { return time.Since(c.t0) }
-
 // heapGrowthBound is the accepted HeapAlloc delta across a run. A soak
 // run's steady state allocates (snapshots, conns), but growth past this
 // after a final GC indicates a real accumulation.
@@ -157,31 +147,21 @@ func Run(cfg Config) (*Report, error) {
 	sched := faults.GenerateServiceSchedule(cfg.Seed, cfg.Budget*4/5)
 	rep := &Report{Seed: cfg.Seed, Events: len(sched.Events), ClearTime: sched.ClearTime(), Subscribers: cfg.Subscribers}
 
-	var goroutinesBefore int
-	var msBefore runtime.MemStats
+	var audit *ResourceAudit
 	if !cfg.SkipResourceAudit {
-		goroutinesBefore = runtime.NumGoroutine()
-		runtime.GC()
-		runtime.ReadMemStats(&msBefore)
+		audit = BeginResourceAudit()
 	}
 
-	clock := &hostClock{t0: time.Now()}
+	clock := NewHostClock()
 	bb, err := rcr.NewBlackboard(2, 2)
 	if err != nil {
 		return nil, err
 	}
 
-	// Server manager: runs the server, and kills/restarts it across the
-	// schedule's ServerRestart windows. Reset/loris windows are injected
-	// at the listener/attacker level below.
-	mgr := &serverManager{
-		socket: socket,
-		bb:     bb,
-		clock:  clock,
-		reg:    reg,
-		sched:  sched,
-		rep:    rep,
-	}
+	// The daemon under test: killed and restarted across the schedule's
+	// ServerRestart windows, its accepted connections reset inside
+	// ConnReset windows. The blackboard outlives every incarnation.
+	srv := &Server{Socket: socket, Clock: clock, Reg: reg, Active: sched.Active, Board: bb}
 
 	// Feeder: keeps the blackboard fresh on the host cadence, standing in
 	// for the sampler (the soak subject is the service boundary, not the
@@ -208,22 +188,28 @@ func Run(cfg Config) (*Report, error) {
 					bb.SetSocket(s, rcr.MeterPower, 70, now)
 					bb.SetSocket(s, rcr.MeterMemConcurrency, 12, now)
 				}
-				mgr.tick(now)
+				srv.Feed(func(_ *rcr.Blackboard, pub *rcr.Publisher) { pub.Tick(now) })
 			}
 		}
 	}()
 
-	if err := mgr.start(); err != nil {
+	if err := srv.Start(); err != nil {
 		stopFeed <- struct{}{}
 		feedWG.Wait()
 		return nil, err
 	}
-	mgrDone := make(chan struct{})
-	go func() { defer close(mgrDone); mgr.run(cfg.Budget) }()
+	restartsDone := make(chan struct{})
+	go func() {
+		defer close(restartsDone)
+		rep.Restarts = int(srv.RunRestarts(sched.Events, cfg.Budget))
+	}()
 
 	// Slow-loris attackers: during SlowLoris windows, dial and dribble.
 	lorisDone := make(chan struct{})
-	go func() { defer close(lorisDone); runLoris(clock, socket, sched, cfg.Budget, rep) }()
+	go func() {
+		defer close(lorisDone)
+		rep.LorisConns = RunLoris(clock, []*Server{srv}, 16, cfg.Budget)
+	}()
 
 	// Clients. Breaker cooldowns scale with the budget so short corpus
 	// runs still fit probe cycles into the convergence tail.
@@ -364,9 +350,10 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	subCancel()
 	subWG.Wait()
-	<-mgrDone
+	<-restartsDone
 	<-lorisDone
-	mgr.stop()
+	srv.Stop()
+	rep.Resets = srv.Resets()
 	close(stopFeed)
 	feedWG.Wait()
 
@@ -377,21 +364,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.SubResyncs = reg.Counter("rcr_sub_resyncs_total").Value()
 	}
 
-	if !cfg.SkipResourceAudit {
-		// Leak audit: wait for teardown goroutines to drain.
-		deadline := time.Now().Add(2 * time.Second)
-		growth := runtime.NumGoroutine() - goroutinesBefore
-		for growth > 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-			growth = runtime.NumGoroutine() - goroutinesBefore
-		}
-		rep.GoroutineGrowth = growth
-
-		var msAfter runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&msAfter)
-		rep.HeapGrowthBytes = int64(msAfter.HeapAlloc) - int64(msBefore.HeapAlloc)
-	}
+	rep.GoroutineGrowth, rep.HeapGrowthBytes = audit.Finish()
 
 	rep.audit()
 	return rep, nil
@@ -427,169 +400,5 @@ func (r *Report) audit() {
 			r.Violations = append(r.Violations,
 				"no subscriber saw fresh data after the last fault window cleared")
 		}
-	}
-}
-
-// serverManager owns the server lifecycle across restart windows.
-type serverManager struct {
-	socket string
-	bb     *rcr.Blackboard
-	clock  *hostClock
-	reg    *telemetry.Registry
-	sched  faults.ServiceSchedule
-	rep    *Report
-
-	mu       sync.Mutex
-	srv      *rcr.Server
-	serveErr chan error
-}
-
-// start brings the server up on the unix socket.
-func (m *serverManager) start() error {
-	if err := os.Remove(m.socket); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	ln, err := net.Listen("unix", m.socket)
-	if err != nil {
-		return err
-	}
-	srv := rcr.NewServer(m.bb, m.clock, &chaosListener{Listener: ln, clock: m.clock, sched: m.sched, rep: m.rep})
-	srv.MaxConns = 8
-	srv.AcceptQueue = 16
-	srv.Shed = true
-	srv.DrainTimeout = 50 * time.Millisecond
-	srv.ReadTimeout = 100 * time.Millisecond
-	srv.WriteTimeout = 100 * time.Millisecond
-	srv.Pub = rcr.NewPublisher(m.bb)
-	srv.Pub.Instrument(m.reg)
-	srv.Instrument(m.reg)
-	ch := make(chan error, 1)
-	go func() { ch <- srv.Serve() }()
-	m.mu.Lock()
-	m.srv, m.serveErr = srv, ch
-	m.mu.Unlock()
-	return nil
-}
-
-// stop closes the current server and waits for Serve to return.
-func (m *serverManager) stop() {
-	m.mu.Lock()
-	srv, ch := m.srv, m.serveErr
-	m.srv, m.serveErr = nil, nil
-	m.mu.Unlock()
-	if srv == nil {
-		return
-	}
-	_ = srv.Close()
-	<-ch
-}
-
-// tick drives the current server's publisher, if one is running; during
-// a restart window there is nothing to tick.
-func (m *serverManager) tick(now time.Duration) {
-	m.mu.Lock()
-	srv := m.srv
-	m.mu.Unlock()
-	if srv != nil && srv.Pub != nil {
-		srv.Pub.Tick(now)
-	}
-}
-
-// run executes the restart windows: the daemon dies at each window's
-// start and comes back at its end.
-func (m *serverManager) run(budget time.Duration) {
-	type window struct{ start, end time.Duration }
-	var wins []window
-	for _, ev := range m.sched.Events {
-		if ev.Kind == faults.ServerRestart {
-			wins = append(wins, window{ev.Start, ev.End})
-		}
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i].start < wins[j].start })
-	for _, w := range wins {
-		if d := w.start - m.clock.Now(); d > 0 {
-			time.Sleep(d)
-		}
-		if m.clock.Now() >= budget {
-			return
-		}
-		m.stop()
-		if d := w.end - m.clock.Now(); d > 0 {
-			time.Sleep(d)
-		}
-		if err := m.start(); err != nil {
-			// The old socket path can linger briefly; one retry covers it.
-			time.Sleep(5 * time.Millisecond)
-			if err := m.start(); err != nil {
-				return
-			}
-		}
-		m.rep.Restarts++
-	}
-}
-
-// chaosListener wraps Accept to inject ConnReset windows: connections
-// accepted inside one get a wrapper whose writes abort, the
-// server-side view of a peer resetting mid-exchange.
-type chaosListener struct {
-	net.Listener
-	clock *hostClock
-	sched faults.ServiceSchedule
-	rep   *Report
-}
-
-func (l *chaosListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range l.sched.Active(l.clock.Now()) {
-		if k == faults.ConnReset {
-			atomic.AddUint64(&l.rep.Resets, 1)
-			return &resetConn{Conn: c}, nil
-		}
-	}
-	return c, nil
-}
-
-// resetConn fails every write as if the peer reset the connection.
-type resetConn struct{ net.Conn }
-
-func (c *resetConn) Write([]byte) (int, error) {
-	c.Conn.Close()
-	return 0, fmt.Errorf("write: connection reset by peer (injected)")
-}
-
-// runLoris dials slow-loris connections during SlowLoris windows: each
-// trickles one byte of a request then holds the connection, so only the
-// server's read deadlines free the occupied workers.
-func runLoris(clock *hostClock, socket string, sched faults.ServiceSchedule, budget time.Duration, rep *Report) {
-	var conns []net.Conn
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	for clock.Now() < budget {
-		active := false
-		for _, k := range sched.Active(clock.Now()) {
-			if k == faults.SlowLoris {
-				active = true
-			}
-		}
-		if active && len(conns) < 16 {
-			if c, err := net.DialTimeout("unix", socket, 20*time.Millisecond); err == nil {
-				conns = append(conns, c)
-				atomic.AddUint64(&rep.LorisConns, 1)
-				_, _ = c.Write([]byte("G")) // one byte, then silence
-			}
-		}
-		if !active && len(conns) > 0 {
-			for _, c := range conns {
-				c.Close()
-			}
-			conns = conns[:0]
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
