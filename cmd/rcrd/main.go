@@ -473,11 +473,14 @@ func serveCluster(cfg clusterServeConfig) error {
 		}
 		if cfg.aggregators > 1 {
 			// Redundant control plane: every replica writes over the
-			// fenced wire path. The lease must outrun the cap write's
-			// socket-dial tail on a loaded host — a lease shorter than the
-			// tail reads its own slow writes as a dead leader and churns
-			// elections — hence seconds here versus the soak's tens of
-			// milliseconds over in-process guards (docs/cluster.md §HA).
+			// fenced wire path. The lease must outrun the cap write's tail
+			// on a loaded host — a lease shorter than the tail reads its
+			// own slow writes as a dead leader and churns elections. The
+			// socket dial dominates that tail; kept-alive connections make
+			// it a first-write cost, but a fresh leader's first writes are
+			// exactly the ones that must land inside one lease — hence
+			// seconds here versus the soak's tens of milliseconds over
+			// in-process guards (docs/cluster.md §HA).
 			acfg.SetCap = nil
 			acfg.HA = &cluster.HAConfig{
 				ID:         uint32(i + 1),

@@ -107,7 +107,8 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 				ID: uint32(r + 1),
 				// Generous against this harness's write-path tail: two
 				// full-stack workloads contending with every fenced write's
-				// fresh dial. A lease that outruns the tail keeps the
+				// round trip, and with the dial a leader's first write to
+				// each shard pays. A lease that outruns the tail keeps the
 				// pre-kill reign stable; hand-off latency is gated by the
 				// soak, not here.
 				LeaseTTL:   1500 * time.Millisecond,

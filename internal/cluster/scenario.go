@@ -88,7 +88,7 @@ const (
 	// soakFeedPeriod is the synthetic shards' sample cadence.
 	soakFeedPeriod = 2 * time.Millisecond
 	// soakLeasePeriods sets the lease TTL in poll periods. Guard offers
-	// are in-process here, so the TTL need not absorb the socket dial
+	// are in-process here, so the TTL need not absorb the socket write
 	// tails that bound it in a real deployment (docs/cluster.md).
 	soakLeasePeriods = 8
 	// soakConvergeK is how many final polls must pass with a

@@ -185,10 +185,12 @@ func (lab *Lab) runClusterHAArm(spec ClusterSpec, apps []string) (ClusterMeasure
 			Telemetry:     reg, // shared: counters aggregate across replicas
 			HA: &cluster.HAConfig{
 				ID: uint32(i + 1),
-				// Sized against the fenced write path's dial tails under
-				// two full-stack workloads (see the fleet HA kill test):
-				// a lease that outruns the tail keeps the pre-kill reign
-				// stable, at the price of a longer measured hand-off.
+				// Sized against the fenced write path's tail under two
+				// full-stack workloads (see the fleet HA kill test) — a
+				// socket dial on a leader's first write to a shard, one
+				// kept-alive round trip after that: a lease that outruns
+				// the tail keeps the pre-kill reign stable, at the price
+				// of a longer measured hand-off.
 				LeaseTTL:   1500 * time.Millisecond,
 				Grace:      400 * time.Millisecond,
 				JitterSeed: uint64(lab.Seed) ^ uint64(i+1)<<32,

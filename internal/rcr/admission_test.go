@@ -1,6 +1,7 @@
 package rcr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -247,10 +248,9 @@ func readFullConn(conn net.Conn, buf []byte) (int, error) {
 	return total, nil
 }
 
-// BenchmarkIPCQuery measures end-to-end query throughput through the
-// admission-control path (accept → queue → worker → encode → reply) —
-// the smoke CI runs to catch admission regressions.
-func BenchmarkIPCQuery(b *testing.B) {
+// startBenchServer runs a shedding, fenced server over a 2×8 blackboard
+// on a real unix socket.
+func startBenchServer(b *testing.B) string {
 	bb, _ := NewBlackboard(2, 8)
 	now := time.Second
 	for s := 0; s < 2; s++ {
@@ -263,8 +263,10 @@ func BenchmarkIPCQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := NewServer(bb, &fakeClock{now: now}, ln)
+	clock := &fakeClock{now: now}
+	srv := NewServer(bb, clock, ln)
 	srv.Shed = true
+	srv.Fence = NewFenceGuard(clock.Now, func(float64, uint64) error { return nil })
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 	b.Cleanup(func() {
@@ -273,7 +275,15 @@ func BenchmarkIPCQuery(b *testing.B) {
 		}
 		<-done
 	})
+	return sock
+}
 
+// BenchmarkIPCQuery measures end-to-end query throughput through the
+// admission-control path (accept → queue → worker → encode → reply) —
+// the smoke CI runs to catch admission regressions.
+func BenchmarkIPCQuery(b *testing.B) {
+	sock := startBenchServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -282,4 +292,41 @@ func BenchmarkIPCQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWriteCap is one fenced cap write per iteration, client to
+// guard and back, the way an aggregator's poll issues them: serially,
+// the sequence number advancing.
+func BenchmarkWriteCap(b *testing.B) {
+	sock := startBenchServer(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := CapWrite{Fence: 1, Leader: 1, Seq: uint64(i + 1), Lease: time.Minute, HasCap: true, Cap: 80}
+		if ack, err := WriteCap(ctx, "unix", sock, w); err != nil || ack.Status != CapApplied {
+			b.Fatalf("write %d: ack %+v, err %v", i, ack, err)
+		}
+	}
+}
+
+// BenchmarkWriteMem is BenchmarkWriteCap with the membership piggyback:
+// every write commits a new epoch of a fleet-sized frame and gets the
+// stored record back in its ack.
+func BenchmarkWriteMem(b *testing.B) {
+	sock := startBenchServer(b)
+	ctx := context.Background()
+	frame := make([]byte, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := MemWrite{
+			Write: CapWrite{Fence: 1, Leader: 1, Seq: uint64(i + 1), Lease: time.Minute, HasCap: true, Cap: 80},
+			Epoch: uint64(i + 1),
+			Frame: frame,
+		}
+		if ack, err := WriteMem(ctx, "unix", sock, w); err != nil || ack.Ack.Status != CapApplied {
+			b.Fatalf("write %d: ack %+v, err %v", i, ack.Ack, err)
+		}
+	}
 }

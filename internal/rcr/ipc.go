@@ -32,6 +32,9 @@ import (
 //	                   (fence.go): a fenced cap write / lease renewal.
 //	                   Response: a uint32-length-prefixed CAPA ack.
 //	                   Requires Server.Fence; rejected otherwise.
+//	request:  "MEM\n"  then a uint32-length-prefixed MEMW payload
+//	                   (memcap.go); response: a MEMA ack. Requires
+//	                   Server.Fence; rejected otherwise.
 //
 // An overloaded server may answer any request with the 4-byte BUSY
 // header (0xFFFFFFFF) and close the connection — a cheap load-shed
@@ -39,6 +42,26 @@ import (
 // off instead of letting it hang in the listener backlog. Clients map it
 // to ErrBusy; pre-BUSY clients reject it as an implausible length, which
 // still fails fast.
+//
+// Connection reuse. GET, MET, CAP and MEM may follow one another on one
+// connection: after a complete response the server waits up to
+// ReadTimeout for the next request, and each request has its own
+// deadlines, counters, rate-limit token and size bounds. The server
+// closes on any malformed, refused or failed request, after BUSY, when
+// the wait runs out, at Close, and when every worker is taken and a new
+// connection needs one (an idle peer is shed before anyone gets BUSY).
+// The client (exchange) closes on any error, on a response outside its
+// bounds and when its context fired; otherwise it parks the connection
+// in a small idle set for the next exchange to that endpoint. A client
+// that closes after its one answer is not an error.
+//
+// Never resend. A fenced write replayed with the same (fence, seq) is
+// refused as a stale seq, so the client must not write a request twice.
+// A parked connection is therefore proven live before the first byte is
+// written — a non-blocking read must find nothing to read; EOF, stray
+// bytes or an error discard it and a fresh one is dialed — and once the
+// request is written any failure is returned to the caller as the
+// transport error it is.
 
 // maxSnapshotBytes bounds the response size a client will accept.
 const maxSnapshotBytes = 16 << 20
@@ -145,6 +168,12 @@ type Server struct {
 	closed  bool
 	conns   map[net.Conn]struct{}
 	serving sync.WaitGroup
+	// Kept-alive bookkeeping: the worker count, how many connections are
+	// queued for or held by a worker, and which of those are waiting
+	// between requests — the ones that can be dropped at no one's cost.
+	workers  int
+	inflight int
+	idle     map[net.Conn]struct{}
 }
 
 // tokenBucket is one client's request budget.
@@ -155,7 +184,8 @@ type tokenBucket struct {
 
 // NewServer creates a snapshot server; call Serve to run it.
 func NewServer(bb *Blackboard, clock Clock, ln net.Listener) *Server {
-	return &Server{bb: bb, clock: clock, ln: ln, conns: make(map[net.Conn]struct{})}
+	return &Server{bb: bb, clock: clock, ln: ln,
+		conns: make(map[net.Conn]struct{}), idle: make(map[net.Conn]struct{})}
 }
 
 // Instrument registers the server's request/error counters in reg and
@@ -210,23 +240,20 @@ func (s *Server) Serve() error {
 	if queueCap <= 0 {
 		queueCap = DefaultAcceptQueue
 	}
+	s.workers = maxConns
 	queue := make(chan net.Conn, queueCap)
 	var workers sync.WaitGroup
 	workers.Add(maxConns)
 	for i := 0; i < maxConns; i++ {
 		go func() {
 			defer workers.Done()
-			// Per-worker scratch: the snapshot copy and its encoding reuse
-			// the same backing arrays request after request, so the GET hot
-			// path allocates nothing once warm.
+			// Per-worker scratch: the snapshot copy, request bodies and
+			// responses reuse the same backing arrays request after request,
+			// so the server side of the hot paths allocates nothing once warm.
 			var scr encodeScratch
 			for conn := range queue {
 				s.queueDepth.Set(float64(len(queue)))
-				hijacked := s.handle(conn, readTO, writeTO, &scr)
-				if !hijacked {
-					s.untrack(conn)
-				}
-				s.serving.Done()
+				s.finish(conn, s.handle(conn, readTO, writeTO, &scr))
 			}
 		}()
 	}
@@ -327,8 +354,7 @@ func (s *Server) admitRate(conn net.Conn, writeTO time.Duration) bool {
 func (s *Server) shedConn(conn net.Conn, writeTO time.Duration) {
 	s.shed.Inc()
 	s.replyBusy(conn, writeTO)
-	s.untrack(conn)
-	s.serving.Done()
+	s.finish(conn, false)
 }
 
 // replyBusy writes the BUSY header under a short deadline and closes the
@@ -346,7 +372,9 @@ func (s *Server) replyBusy(conn net.Conn, writeTO time.Duration) {
 }
 
 // track registers a live connection; it reports false when the server
-// is already closed (the caller must drop the connection).
+// is already closed (the caller must drop the connection). When it is
+// one connection more than there are workers, an idle kept-alive peer
+// gives up its worker: it is the first thing shed, before any BUSY.
 func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,7 +384,49 @@ func (s *Server) track(conn net.Conn) bool {
 	s.conns[conn] = struct{}{}
 	s.serving.Add(1)
 	s.active.Set(float64(len(s.conns)))
+	if s.inflight++; s.inflight > s.workers {
+		s.expireIdleLocked(1)
+	}
 	return true
+}
+
+// finish retires a connection from the request/response pool: its
+// worker or queue slot is free again. A hijacked connection stays
+// tracked until its subscriber's exit hook untracks it.
+func (s *Server) finish(conn net.Conn, hijacked bool) {
+	if !hijacked {
+		s.untrack(conn)
+	}
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	s.serving.Done()
+}
+
+// park marks conn as waiting between requests, with readTO to send the
+// next one. It reports false — close it instead — when the server is
+// closing or a queued connection needs this worker. The deadline is set
+// under mu so that an expiry can only come after it.
+func (s *Server) park(conn net.Conn, readTO time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.inflight > s.workers || conn.SetReadDeadline(time.Now().Add(readTO)) != nil {
+		return false
+	}
+	s.idle[conn] = struct{}{}
+	return true
+}
+
+// expireIdleLocked cuts short the wait of up to n idle connections; their
+// workers see a read timeout with nothing read and close them.
+func (s *Server) expireIdleLocked(n int) {
+	for conn := range s.idle {
+		if n--; n < 0 {
+			return
+		}
+		delete(s.idle, conn)
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
+	}
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -377,14 +447,16 @@ func (s *Server) deadline(to time.Duration) time.Time {
 	return time.Now().Add(to)
 }
 
-// Close stops the server: no new connections are accepted, in-flight and
-// queued handlers get DrainTimeout to finish naturally, stragglers are
-// then hastened by expiring their deadlines, and Close returns only
-// after every handler has drained.
+// Close stops the server: no new connections are accepted, idle
+// kept-alive connections are dropped at once, in-flight and queued
+// handlers get DrainTimeout to finish naturally, stragglers are then
+// hastened by expiring their deadlines, and Close returns only after
+// every handler has drained.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	alreadyClosed := s.closed
 	s.closed = true
+	s.expireIdleLocked(len(s.idle))
 	s.mu.Unlock()
 	var err error
 	if !alreadyClosed {
@@ -420,135 +492,148 @@ func (s *Server) Close() error {
 	return err
 }
 
-// encodeScratch is a handler worker's reusable snapshot-and-buffer pair.
+// encodeScratch is a handler worker's reusable snapshot and buffers: buf
+// holds the response being built (header included, so it goes out in
+// one write), body a CAP/MEM request's payload.
 type encodeScratch struct {
 	snap Snapshot
 	buf  []byte
+	body []byte
 	req  [4]byte
 }
 
-// handle serves one connection. It reports true when the connection was
-// hijacked by the publisher ("SUB\n"): the subscriber's writer now owns
-// the conn, closes it on exit, and untracks it via its exit hook.
+// handle serves one connection, request after request, until the peer
+// leaves, a request fails or is refused, or the server wants the worker
+// back. It reports true when the connection was hijacked by the
+// publisher ("SUB\n"): the subscriber's writer now owns the conn, closes
+// it on exit, and untracks it via its exit hook.
 func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encodeScratch) (hijacked bool) {
 	defer func() {
-		if hijacked {
-			return
-		}
-		if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			// Nothing useful to do with a close error on a per-request
-			// connection; the client has the data or it doesn't.
-			_ = err
+		if !hijacked {
+			_ = conn.Close() // the client has the data or it doesn't
 		}
 	}()
-	s.requests.Inc()
 	if err := conn.SetReadDeadline(s.deadline(readTO)); err != nil {
+		s.requests.Inc()
 		s.errors.Inc()
 		return false
 	}
-	if _, err := io.ReadFull(conn, scr.req[:]); err != nil {
-		s.errors.Inc()
-		return false
-	}
-	var payload []byte
-	switch string(scr.req[:]) {
-	case "GET\n":
-		s.bb.SnapshotInto(&scr.snap, s.clock.Now())
-		scr.buf = AppendSnapshot(scr.buf[:0], scr.snap)
-		payload = scr.buf
-	case "MET\n":
-		var buf bytes.Buffer
-		if s.reg != nil {
-			if err := s.reg.WriteText(&buf); err != nil {
+	for served := 0; ; served++ {
+		if served > 0 && !s.park(conn, readTO) {
+			return false
+		}
+		n, err := io.ReadFull(conn, scr.req[:])
+		if served > 0 {
+			s.mu.Lock()
+			delete(s.idle, conn)
+			s.mu.Unlock()
+			if n == 0 && err != nil {
+				return false // the peer is done, or the wait was cut short: not a request
+			}
+		}
+		s.requests.Inc()
+		if err != nil {
+			s.errors.Inc()
+			return false
+		}
+		if served > 0 {
+			// What the accept loop did for the first request.
+			if !s.admitRate(conn, writeTO) {
+				return false
+			}
+			if err := conn.SetReadDeadline(s.deadline(readTO)); err != nil {
 				s.errors.Inc()
 				return false
 			}
 		}
-		payload = buf.Bytes()
-	case "CAP\n":
-		if s.Fence == nil {
+		scr.buf = append(scr.buf[:0], 0, 0, 0, 0) // the length header, filled in below
+		switch string(scr.req[:]) {
+		case "GET\n":
+			s.bb.SnapshotInto(&scr.snap, s.clock.Now())
+			scr.buf = AppendSnapshot(scr.buf, scr.snap)
+		case "MET\n":
+			if s.reg != nil {
+				buf := bytes.NewBuffer(scr.buf)
+				if err := s.reg.WriteText(buf); err != nil {
+					s.errors.Inc()
+					return false
+				}
+				scr.buf = buf.Bytes()
+			}
+		case "CAP\n":
+			body, ok := s.readBody(conn, scr, capWriteLen, capWriteLen)
+			if !ok {
+				return false
+			}
+			w, err := DecodeCapWrite(body)
+			if err != nil {
+				s.rejected.Inc()
+				return false
+			}
+			scr.buf = AppendCapAck(scr.buf, s.Fence.Offer(w))
+		case "MEM\n":
+			body, ok := s.readBody(conn, scr, capWriteLen+12, capWriteLen+12+MaxMemFrame)
+			if !ok {
+				return false
+			}
+			w, err := DecodeMemWrite(body)
+			if err != nil {
+				s.rejected.Inc()
+				return false
+			}
+			scr.buf = AppendMemAck(scr.buf, s.Fence.OfferMem(w))
+		case "SUB\n":
+			if s.Pub == nil {
+				s.rejected.Inc()
+				return false
+			}
+			_ = conn.SetReadDeadline(time.Time{})
+			if err := s.Pub.AttachConn(conn, func() { s.untrack(conn) }); err != nil {
+				s.errors.Inc()
+				return false
+			}
+			return true
+		default:
 			s.rejected.Inc()
 			return false
 		}
-		var lenHdr [4]byte
-		if _, err := io.ReadFull(conn, lenHdr[:]); err != nil {
+		binary.LittleEndian.PutUint32(scr.buf, uint32(len(scr.buf)-4))
+		if err := conn.SetWriteDeadline(s.deadline(writeTO)); err != nil {
 			s.errors.Inc()
 			return false
 		}
-		n := binary.LittleEndian.Uint32(lenHdr[:])
-		if n != capWriteLen {
-			s.rejected.Inc()
-			return false
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		if _, err := conn.Write(scr.buf); err != nil {
 			s.errors.Inc()
 			return false
 		}
-		w, err := DecodeCapWrite(body)
-		if err != nil {
-			s.rejected.Inc()
-			return false
-		}
-		scr.buf = AppendCapAck(scr.buf[:0], s.Fence.Offer(w))
-		payload = scr.buf
-	case "MEM\n":
-		if s.Fence == nil {
-			s.rejected.Inc()
-			return false
-		}
-		var lenHdr [4]byte
-		if _, err := io.ReadFull(conn, lenHdr[:]); err != nil {
-			s.errors.Inc()
-			return false
-		}
-		n := binary.LittleEndian.Uint32(lenHdr[:])
-		if n < uint32(capWriteLen+12) || n > uint32(capWriteLen+12+MaxMemFrame) {
-			s.rejected.Inc()
-			return false
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			s.errors.Inc()
-			return false
-		}
-		w, err := DecodeMemWrite(body)
-		if err != nil {
-			s.rejected.Inc()
-			return false
-		}
-		scr.buf = AppendMemAck(scr.buf[:0], s.Fence.OfferMem(w))
-		payload = scr.buf
-	case "SUB\n":
-		if s.Pub == nil {
-			s.rejected.Inc()
-			return false
-		}
-		_ = conn.SetReadDeadline(time.Time{})
-		if err := s.Pub.AttachConn(conn, func() { s.untrack(conn) }); err != nil {
-			s.errors.Inc()
-			return false
-		}
-		return true
-	default:
+	}
+}
+
+// readBody reads a fenced request's length-prefixed payload, min to max
+// bytes long, into the worker's scratch. The guard decides such
+// requests, so a server without one rejects them unread.
+func (s *Server) readBody(conn net.Conn, scr *encodeScratch, min, max uint32) ([]byte, bool) {
+	if s.Fence == nil {
 		s.rejected.Inc()
-		return false
+		return nil, false
 	}
-	if err := conn.SetWriteDeadline(s.deadline(writeTO)); err != nil {
+	if _, err := io.ReadFull(conn, scr.req[:]); err != nil {
 		s.errors.Inc()
-		return false
+		return nil, false
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(hdr[:]); err != nil {
+	n := binary.LittleEndian.Uint32(scr.req[:])
+	if n < min || n > max {
+		s.rejected.Inc()
+		return nil, false
+	}
+	if uint32(cap(scr.body)) < n {
+		scr.body = make([]byte, n)
+	}
+	if _, err := io.ReadFull(conn, scr.body[:n]); err != nil {
 		s.errors.Inc()
-		return false
+		return nil, false
 	}
-	if _, err := conn.Write(payload); err != nil {
-		s.errors.Inc()
-		return false
-	}
-	return false
+	return scr.body[:n], true
 }
 
 // Query connects to addr (a Unix socket path by default network
@@ -565,7 +650,7 @@ func Query(network, addr string) (Snapshot, error) {
 // response read all respect ctx's deadline and cancellation, so a dead
 // or wedged server cannot block the caller indefinitely.
 func QueryContext(ctx context.Context, network, addr string) (Snapshot, error) {
-	payload, err := roundTrip(ctx, network, addr, "GET\n")
+	payload, err := exchange(ctx, network, addr, []byte("GET\n"), 0, maxSnapshotBytes)
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -575,7 +660,7 @@ func QueryContext(ctx context.Context, network, addr string) (Snapshot, error) {
 // QueryMetrics fetches the server's telemetry in WriteText form. An
 // uninstrumented server returns "".
 func QueryMetrics(ctx context.Context, network, addr string) (string, error) {
-	payload, err := roundTrip(ctx, network, addr, "MET\n")
+	payload, err := exchange(ctx, network, addr, []byte("MET\n"), 0, maxSnapshotBytes)
 	if err != nil {
 		return "", err
 	}
@@ -587,73 +672,138 @@ func QueryMetrics(ctx context.Context, network, addr string) (string, error) {
 // fence rejection is not an error — it comes back in the ack so the
 // caller can distinguish "shard unreachable" from "you were demoted".
 func WriteCap(ctx context.Context, network, addr string, w CapWrite) (CapAck, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, addr)
-	if err != nil {
-		return CapAck{}, fmt.Errorf("rcr: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return CapAck{}, fmt.Errorf("rcr: deadline: %w", err)
-		}
-	}
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	req := make([]byte, 0, 4+4+capWriteLen)
-	req = append(req, "CAP\n"...)
-	req = binary.LittleEndian.AppendUint32(req, uint32(capWriteLen))
+	req := append(make([]byte, 0, 4+4+capWriteLen), "CAP\n"...)
+	req = binary.LittleEndian.AppendUint32(req, capWriteLen)
 	req = AppendCapWrite(req, w)
-	if _, err := conn.Write(req); err != nil {
-		return CapAck{}, fmt.Errorf("rcr: cap write: %w", err)
+	resp, err := exchange(ctx, network, addr, req, capAckLen, capAckLen)
+	if err != nil {
+		return CapAck{}, err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return CapAck{}, fmt.Errorf("rcr: cap ack header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == busyHeader {
-		return CapAck{}, ErrBusy
-	}
-	if n != capAckLen {
-		return CapAck{}, fmt.Errorf("rcr: implausible cap ack size %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return CapAck{}, fmt.Errorf("rcr: cap ack body: %w", err)
-	}
-	return DecodeCapAck(body)
+	return DecodeCapAck(resp)
 }
 
-// roundTrip performs one request/response exchange under ctx.
-func roundTrip(ctx context.Context, network, addr, req string) ([]byte, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, addr)
-	if err != nil {
+// The client parks at most maxIdlePerEndpoint connections per (network,
+// addr) — what an HA pair in one process can use — and maxIdleConns in
+// all, so a process that walks through many endpoints, or whose servers
+// went away, holds a fixed number of descriptors.
+const (
+	maxIdlePerEndpoint = 2
+	maxIdleConns       = 128
+)
+
+type idleConn struct {
+	network, addr string
+	conn          net.Conn
+	since         time.Time
+}
+
+// idleConns holds the parked connections, oldest first. No goroutine
+// reaps it: entries idle longer than DefaultIPCTimeout are dropped on
+// the next access.
+var idleConns struct {
+	sync.Mutex
+	list []idleConn
+}
+
+// pruneIdleLocked drops the oldest entries: those idle longer than
+// DefaultIPCTimeout, and as many more as leave room for `room` new ones.
+func pruneIdleLocked(now time.Time, room int) {
+	l, n := idleConns.list, 0
+	for n < len(l) && (now.Sub(l[n].since) > DefaultIPCTimeout || len(l)-n > maxIdleConns-room) {
+		l[n].conn.Close()
+		n++
+	}
+	if n > 0 {
+		idleConns.list = append(l[:0], l[n:]...)
+	}
+}
+
+// takeIdle removes and returns the endpoint's most recently parked
+// connection, or nil.
+func takeIdle(network, addr string) net.Conn {
+	idleConns.Lock()
+	defer idleConns.Unlock()
+	pruneIdleLocked(time.Now(), 0)
+	l := idleConns.list
+	for i := len(l) - 1; i >= 0; i-- {
+		if l[i].addr == addr && l[i].network == network {
+			conn := l[i].conn
+			idleConns.list = append(l[:i], l[i+1:]...)
+			return conn
+		}
+	}
+	return nil
+}
+
+// keepIdle parks conn for the endpoint's next exchange; the endpoint's
+// oldest entries beyond its share go.
+func keepIdle(network, addr string, conn net.Conn) {
+	now := time.Now()
+	idleConns.Lock()
+	defer idleConns.Unlock()
+	pruneIdleLocked(now, 1)
+	l, same := idleConns.list, 0
+	for i := len(l) - 1; i >= 0; i-- {
+		if l[i].addr == addr && l[i].network == network {
+			if same++; same >= maxIdlePerEndpoint {
+				l[i].conn.Close()
+				l = append(l[:i], l[i+1:]...)
+			}
+		}
+	}
+	idleConns.list = append(l, idleConn{network, addr, conn, now})
+}
+
+// exchange performs one request/response round trip with (network,
+// addr) under ctx, over a kept-alive connection when a live one is
+// parked, and returns the response payload, whose length must lie in
+// [minResp, maxResp]. The request is written at most once (see "Never
+// resend" above): every failure is the caller's to handle.
+func exchange(ctx context.Context, network, addr string, req []byte, minResp, maxResp uint32) (payload []byte, err error) {
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rcr: dial %s: %w", addr, err)
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
+	deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
+	conn := takeIdle(network, addr)
+	for conn != nil && (conn.SetDeadline(deadline) != nil || !connLive(conn)) {
+		conn.Close()
+		conn = takeIdle(network, addr)
+	}
+	if conn == nil {
+		var d net.Dialer
+		if conn, err = d.DialContext(ctx, network, addr); err != nil {
+			return nil, fmt.Errorf("rcr: dial %s: %w", addr, err)
+		}
 		if err := conn.SetDeadline(deadline); err != nil {
+			conn.Close()
 			return nil, fmt.Errorf("rcr: deadline: %w", err)
 		}
 	}
 	// Propagate mid-exchange cancellation by expiring the deadline.
 	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if _, err := conn.Write([]byte(req)); err != nil {
+	defer func() {
+		// Fit for reuse only after a whole, in-bounds exchange, and only if
+		// the context can no longer reach in and expire the deadline. It
+		// is parked with no deadline: an armed one keeps timers in the
+		// runtime's heap, which every scheduler pass then has to check.
+		if stop() && err == nil && conn.SetDeadline(time.Time{}) == nil {
+			keepIdle(network, addr, conn)
+		} else {
+			conn.Close()
+		}
+	}()
+	var hdr [4]byte
+	if _, err := conn.Write(req); err != nil {
 		// A shedding server answers BUSY and closes without ever reading
 		// the request (shedConn), so this write can lose the race and fail
 		// with a broken pipe while the response already sits in our
 		// receive buffer. Prefer the answer the server actually sent.
-		var hdr [4]byte
 		if _, rerr := io.ReadFull(conn, hdr[:]); rerr == nil &&
 			binary.LittleEndian.Uint32(hdr[:]) == busyHeader {
 			return nil, ErrBusy
 		}
 		return nil, fmt.Errorf("rcr: request: %w", err)
 	}
-	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, fmt.Errorf("rcr: response header: %w", err)
 	}
@@ -661,10 +811,10 @@ func roundTrip(ctx context.Context, network, addr, req string) ([]byte, error) {
 	if n == busyHeader {
 		return nil, ErrBusy
 	}
-	if n > maxSnapshotBytes {
-		return nil, fmt.Errorf("rcr: implausible snapshot size %d", n)
+	if n < minResp || n > maxResp {
+		return nil, fmt.Errorf("rcr: implausible response size %d", n)
 	}
-	payload := make([]byte, n)
+	payload = make([]byte, n)
 	if _, err := io.ReadFull(conn, payload); err != nil {
 		return nil, fmt.Errorf("rcr: response body: %w", err)
 	}

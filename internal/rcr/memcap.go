@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
-	"time"
 )
 
 // Fenced membership replication (docs/cluster.md §Membership). The HA
@@ -179,41 +176,13 @@ func (g *FenceGuard) Membership() (fence, epoch uint64, frame []byte) {
 // addr. Like WriteCap, a transport failure is an error while a fence
 // rejection comes back in the ack.
 func WriteMem(ctx context.Context, network, addr string, w MemWrite) (MemAck, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, addr)
+	n := capWriteLen + 12 + len(w.Frame)
+	req := append(make([]byte, 0, 4+4+n), "MEM\n"...)
+	req = binary.LittleEndian.AppendUint32(req, uint32(n))
+	req = AppendMemWrite(req, w)
+	resp, err := exchange(ctx, network, addr, req, capAckLen+20, capAckLen+20+MaxMemFrame)
 	if err != nil {
-		return MemAck{}, fmt.Errorf("rcr: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return MemAck{}, fmt.Errorf("rcr: deadline: %w", err)
-		}
-	}
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	body := AppendMemWrite(make([]byte, 0, capWriteLen+12+len(w.Frame)), w)
-	req := make([]byte, 0, 4+4+len(body))
-	req = append(req, "MEM\n"...)
-	req = binary.LittleEndian.AppendUint32(req, uint32(len(body)))
-	req = append(req, body...)
-	if _, err := conn.Write(req); err != nil {
-		return MemAck{}, fmt.Errorf("rcr: mem write: %w", err)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return MemAck{}, fmt.Errorf("rcr: mem ack header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == busyHeader {
-		return MemAck{}, ErrBusy
-	}
-	if n < uint32(capAckLen+20) || n > uint32(capAckLen+20+MaxMemFrame) {
-		return MemAck{}, fmt.Errorf("rcr: implausible mem ack size %d", n)
-	}
-	resp := make([]byte, n)
-	if _, err := io.ReadFull(conn, resp); err != nil {
-		return MemAck{}, fmt.Errorf("rcr: mem ack body: %w", err)
+		return MemAck{}, err
 	}
 	return DecodeMemAck(resp)
 }
