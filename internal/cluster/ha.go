@@ -172,10 +172,8 @@ func (a *Aggregator) writeFenced(st *shardState, mw rcr.MemWrite) (rcr.MemAck, e
 	ha := a.cfg.HA
 	if ha.WriteMem != nil {
 		mack, err := ha.WriteMem(st.id, mw)
-		if err == nil {
-			if mack.MemFence > st.memAckFence || (mack.MemFence == st.memAckFence && mack.MemEpoch > st.memAckEpoch) {
-				st.memAckFence, st.memAckEpoch = mack.MemFence, mack.MemEpoch
-			}
+		if err == nil && rcr.MemSupersedes(mack.MemFence, mack.MemEpoch, st.memAckFence, st.memAckEpoch) {
+			st.memAckFence, st.memAckEpoch = mack.MemFence, mack.MemEpoch
 		}
 		return mack, err
 	}
@@ -226,8 +224,7 @@ func (a *Aggregator) elect(now time.Duration) {
 		// Every reachable shard's ack carries its guard's committed
 		// membership record — grant or refusal alike: the record's
 		// authority is its (fence, epoch), not this campaign's outcome.
-		if mack.MemEpoch > 0 && (mack.MemFence > bestFence ||
-			(mack.MemFence == bestFence && mack.MemEpoch > bestEpoch)) {
+		if mack.MemEpoch > 0 && rcr.MemSupersedes(mack.MemFence, mack.MemEpoch, bestFence, bestEpoch) {
 			bestFence, bestEpoch, bestFrame = mack.MemFence, mack.MemEpoch, mack.Frame
 		}
 		if ack.HasApplied {
@@ -682,8 +679,7 @@ func (a *Aggregator) writeCapRetry(st *shardState, w rcr.CapWrite, memEpoch uint
 	attempt := func() (rcr.CapAck, uint64, error) {
 		w.Seq = a.nextSeq()
 		mw := rcr.MemWrite{Write: w}
-		if memEpoch > 0 && (st.memAckFence < a.fence ||
-			(st.memAckFence == a.fence && st.memAckEpoch < memEpoch)) {
+		if memEpoch > 0 && rcr.MemSupersedes(a.fence, memEpoch, st.memAckFence, st.memAckEpoch) {
 			mw.Epoch, mw.Frame = memEpoch, memFrame
 		}
 		mack, err := a.writeFenced(st, mw)

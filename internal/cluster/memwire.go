@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Membership wire encoding ("CLSM"): the registry's epoch-versioned
@@ -24,11 +28,9 @@ import (
 //	  alen    uint16 (endpoint address length ≤ maxMemberAddr)
 //	  addr    [alen]byte (printable ASCII)
 //
-// All integers little-endian. Decoding is strict — unknown states or
-// networks, zero epochs or incarnations, unsorted ids, over-long or
-// non-printable addresses and trailing bytes are all rejected — and
-// encoding is canonical: any frame that decodes re-encodes to the
-// identical bytes (FuzzDecodeMembership holds this as an invariant).
+// Package wire's shared rules apply; on top of them unknown states or
+// networks, zero epochs or incarnations, unsorted ids and over-long or
+// non-printable addresses are rejected (FuzzDecodeMembership).
 
 var memMagic = [4]byte{'C', 'L', 'S', 'M'}
 
@@ -41,11 +43,9 @@ const maxMembers = maxRollupShards
 // drive a giant allocation.
 const maxMemberAddr = 256
 
-// Wire codes for MemberRecord.Network.
-const (
-	memNetUnix uint8 = 0
-	memNetTCP  uint8 = 1
-)
+// memNetworks lists the encodable MemberRecord.Network values; the
+// wire code is the index.
+var memNetworks = [...]string{"unix", "tcp"}
 
 // MemberRecord is one member's line in a membership frame.
 type MemberRecord struct {
@@ -71,28 +71,6 @@ type MembershipRecord struct {
 
 const memHeaderSize = 4 + 8 + 8 + 2
 const memRecordFixed = 2 + 4 + 1 + 1 + 2
-
-func memNetCode(network string) (uint8, error) {
-	switch network {
-	case "unix":
-		return memNetUnix, nil
-	case "tcp":
-		return memNetTCP, nil
-	default:
-		return 0, fmt.Errorf("cluster: membership network %q is not encodable", network)
-	}
-}
-
-func memNetName(code uint8) (string, error) {
-	switch code {
-	case memNetUnix:
-		return "unix", nil
-	case memNetTCP:
-		return "tcp", nil
-	default:
-		return "", fmt.Errorf("cluster: membership network code %d unknown", code)
-	}
-}
 
 // addrOK accepts printable-ASCII endpoint addresses within the length
 // bound. Socket paths and host:port strings are both printable ASCII;
@@ -123,15 +101,11 @@ func AppendMembership(dst []byte, rec *MembershipRecord) ([]byte, error) {
 	for i := range rec.Members {
 		need += memRecordFixed + len(rec.Members[i].Addr)
 	}
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, need)
 	dst = append(dst, memMagic[:]...)
-	dst = appendU64(dst, uint64(int64(rec.Now)))
-	dst = appendU64(dst, rec.Epoch)
-	dst = appendU16(dst, uint16(len(rec.Members)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Now))
+	dst = binary.LittleEndian.AppendUint64(dst, rec.Epoch)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.Members)))
 	lastID := -1
 	for i := range rec.Members {
 		m := &rec.Members[i]
@@ -145,162 +119,62 @@ func AppendMembership(dst []byte, rec *MembershipRecord) ([]byte, error) {
 		if m.State >= NumMemberStates {
 			return dst, fmt.Errorf("cluster: member %d state %d unknown", m.ID, m.State)
 		}
-		net, err := memNetCode(m.Network)
-		if err != nil {
-			return dst, err
+		net := slices.Index(memNetworks[:], m.Network)
+		if net < 0 {
+			return dst, fmt.Errorf("cluster: member %d network %q is not encodable", m.ID, m.Network)
 		}
 		if !addrOK(m.Addr) {
 			return dst, fmt.Errorf("cluster: member %d address not encodable", m.ID)
 		}
-		dst = appendU16(dst, m.ID)
-		dst = appendU32(dst, m.Incarnation)
-		dst = append(dst, uint8(m.State), net)
-		dst = appendU16(dst, uint16(len(m.Addr)))
+		dst = binary.LittleEndian.AppendUint16(dst, m.ID)
+		dst = binary.LittleEndian.AppendUint32(dst, m.Incarnation)
+		dst = append(dst, uint8(m.State), uint8(net))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Addr)))
 		dst = append(dst, m.Addr...)
 	}
 	return dst, nil
 }
 
-// DecodeMembership parses a "CLSM" frame into rec (Members replaced).
-// Decoding is strict; a corrupt or crafted frame errors out rather
-// than entering a registry.
+// DecodeMembership parses a "CLSM" frame into rec, reusing rec.Members.
+// Decoding is strict; a corrupt or crafted frame errors out — and
+// leaves rec zeroed — rather than entering a registry.
 func DecodeMembership(data []byte, rec *MembershipRecord) error {
-	r := &rollupReader{data: data}
-	magic, err := r.take(4)
-	if err != nil {
-		return err
+	r := wire.NewReader("cluster: membership frame", data)
+	r.Magic(memMagic)
+	rec.Now = time.Duration(r.I64())
+	if rec.Now < 0 {
+		r.Fail("negative frame time %d", rec.Now)
 	}
-	if [4]byte(magic) != memMagic {
-		return fmt.Errorf("cluster: bad membership magic %q", magic)
-	}
-	now, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if int64(now) < 0 {
-		return fmt.Errorf("cluster: negative membership frame time %d", int64(now))
-	}
-	rec.Now = time.Duration(int64(now))
-	if rec.Epoch, err = r.u64(); err != nil {
-		return err
-	}
+	rec.Epoch = r.U64()
 	if rec.Epoch == 0 {
-		return fmt.Errorf("cluster: membership epoch 0 is reserved")
-	}
-	n, err := r.u16()
-	if err != nil {
-		return err
-	}
-	if n > maxMembers {
-		return fmt.Errorf("cluster: implausible member count %d", n)
+		r.Fail("epoch 0 is reserved")
 	}
 	rec.Members = rec.Members[:0]
 	lastID := -1
-	for i := 0; i < int(n); i++ {
-		var m MemberRecord
-		if m.ID, err = r.u16(); err != nil {
-			return err
-		}
+	for n := r.Count16(maxMembers); n > 0 && r.Err() == nil; n-- {
+		m := MemberRecord{ID: r.U16()}
 		if int(m.ID) <= lastID {
-			return fmt.Errorf("cluster: membership ids not strictly increasing (%d after %d)", m.ID, lastID)
+			r.Fail("ids not strictly increasing (%d after %d)", m.ID, lastID)
 		}
 		lastID = int(m.ID)
-		if m.Incarnation, err = r.u32(); err != nil {
-			return err
-		}
+		m.Incarnation = r.U32()
 		if m.Incarnation == 0 {
-			return fmt.Errorf("cluster: member %d incarnation 0 is reserved", m.ID)
+			r.Fail("member %d incarnation 0 is reserved", m.ID)
 		}
-		b, err := r.take(2)
-		if err != nil {
-			return err
-		}
-		m.State = MemberState(b[0])
+		m.State = MemberState(r.U8())
 		if m.State >= NumMemberStates {
-			return fmt.Errorf("cluster: member %d state %d unknown", m.ID, b[0])
+			r.Fail("member %d state %d unknown", m.ID, m.State)
 		}
-		if m.Network, err = memNetName(b[1]); err != nil {
-			return err
+		if net := int(r.U8()); net < len(memNetworks) {
+			m.Network = memNetworks[net]
+		} else {
+			r.Fail("member %d network code %d unknown", m.ID, net)
 		}
-		alen, err := r.u16()
-		if err != nil {
-			return err
-		}
-		if alen > maxMemberAddr {
-			return fmt.Errorf("cluster: member %d address length %d exceeds bound", m.ID, alen)
-		}
-		ab, err := r.take(int(alen))
-		if err != nil {
-			return err
-		}
-		m.Addr = string(ab)
+		m.Addr = string(r.Bytes(r.Count16(maxMemberAddr)))
 		if !addrOK(m.Addr) {
-			return fmt.Errorf("cluster: member %d address not printable", m.ID)
+			r.Fail("member %d address not printable", m.ID)
 		}
 		rec.Members = append(rec.Members, m)
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("cluster: %d trailing bytes after membership frame", len(data)-r.off)
-	}
-	return nil
-}
-
-// IsMembershipFrame reports whether data begins with the CLSM magic.
-func IsMembershipFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == memMagic
-}
-
-// MembershipView is the receiving side of the membership path: it folds
-// decoded records into a latest-committed view while refusing to move
-// backwards, the same replay/anti-poison posture ClusterState takes for
-// roll-up frames. Authority is ordered by (fence, epoch): fences are
-// totally ordered across leaders, so a successor's very first record —
-// whatever its epoch numbering — supersedes every record a deposed
-// leader committed, while within one fence the registry epoch orders
-// normally. Not safe for concurrent use.
-type MembershipView struct {
-	fence uint64
-	rec   MembershipRecord
-	has   bool
-
-	// Adopted counts records accepted; Stale counts replays and
-	// regressions refused.
-	Adopted uint64
-	Stale   uint64
-}
-
-// NewMembershipView returns an empty view.
-func NewMembershipView() *MembershipView { return &MembershipView{} }
-
-// Supersedes reports whether a record committed under fence at epoch
-// would replace the view's current record.
-func (v *MembershipView) Supersedes(fence, epoch uint64) bool {
-	if !v.has {
-		return true
-	}
-	if fence != v.fence {
-		return fence > v.fence
-	}
-	return epoch > v.rec.Epoch
-}
-
-// Apply folds one record committed under the given fence into the view
-// and reports whether it was adopted.
-func (v *MembershipView) Apply(fence uint64, rec MembershipRecord) bool {
-	if !v.Supersedes(fence, rec.Epoch) {
-		v.Stale++
-		return false
-	}
-	v.fence = fence
-	v.rec = rec
-	v.rec.Members = append([]MemberRecord(nil), rec.Members...)
-	v.has = true
-	v.Adopted++
-	return true
-}
-
-// Latest returns the committed record and its fence (zero values when
-// nothing has been adopted yet).
-func (v *MembershipView) Latest() (MembershipRecord, uint64, bool) {
-	return v.rec, v.fence, v.has
+	return wire.DoneInto(r, rec)
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
+	"slices"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Cluster roll-up encoding ("CLS1"): the aggregator's fleet-wide state
@@ -27,12 +30,10 @@ import (
 //	  headroom float64 (in [0,1])
 //	  cap      float64 (W, assigned share of the budget)
 //
-// All integers are little-endian. Decoding is strict — unknown flags,
-// non-finite or negative quantities, out-of-range headroom, unsorted
-// ids and trailing bytes are all rejected — so a corrupt frame fails
-// loudly instead of poisoning the receiving blackboard, and encoding is
-// canonical: any frame that decodes re-encodes to the identical bytes
-// (the fuzz harness holds this as an invariant).
+// Package wire's shared rules apply; on top of them unknown flags,
+// non-finite or negative quantities, out-of-range headroom and unsorted
+// ids are rejected, so a corrupt frame fails loudly instead of
+// poisoning the receiving blackboard (FuzzDecodeClusterFrame).
 
 var rollupMagic = [4]byte{'C', 'L', 'S', '1'}
 
@@ -64,85 +65,28 @@ type ClusterFrame struct {
 const rollupHeaderSize = 4 + 8 + 8 + 2
 const rollupRecordSize = 2 + 4 + 8 + 1 + 8 + 8 + 8
 
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
 // AppendClusterFrame serializes f onto dst (one allocation at most).
 func AppendClusterFrame(dst []byte, f *ClusterFrame) []byte {
-	need := rollupHeaderSize + rollupRecordSize*len(f.Shards)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, rollupHeaderSize+rollupRecordSize*len(f.Shards))
 	dst = append(dst, rollupMagic[:]...)
-	dst = appendU64(dst, uint64(int64(f.Now)))
-	dst = appendU64(dst, math.Float64bits(f.Budget))
-	dst = appendU16(dst, uint16(len(f.Shards)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Now))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.Budget))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Shards)))
 	for i := range f.Shards {
 		s := &f.Shards[i]
-		dst = appendU16(dst, s.ID)
-		dst = appendU32(dst, s.Epoch)
-		dst = appendU64(dst, s.Ver)
+		dst = binary.LittleEndian.AppendUint16(dst, s.ID)
+		dst = binary.LittleEndian.AppendUint32(dst, s.Epoch)
+		dst = binary.LittleEndian.AppendUint64(dst, s.Ver)
 		var flags uint8
 		if s.Healthy {
 			flags |= ShardHealthy
 		}
 		dst = append(dst, flags)
-		dst = appendU64(dst, math.Float64bits(s.Power))
-		dst = appendU64(dst, math.Float64bits(s.Headroom))
-		dst = appendU64(dst, math.Float64bits(s.Cap))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Power))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Headroom))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Cap))
 	}
 	return dst
-}
-
-type rollupReader struct {
-	data []byte
-	off  int
-}
-
-func (r *rollupReader) take(n int) ([]byte, error) {
-	if len(r.data)-r.off < n {
-		return nil, fmt.Errorf("cluster: frame truncated at byte %d (need %d more)", r.off, n)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *rollupReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
-}
-
-func (r *rollupReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-func (r *rollupReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
 }
 
 // wattOK accepts a finite, non-negative power/cap/budget quantity.
@@ -150,101 +94,48 @@ func wattOK(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
-// DecodeClusterFrame parses a "CLS1" frame into f (Shards replaced).
+// DecodeClusterFrame parses a "CLS1" frame into f, reusing f.Shards.
 // Decoding is strict: every quantity is validated so a corrupt or
-// crafted frame errors out rather than entering the blackboard.
+// crafted frame errors out — and leaves f zeroed — rather than entering
+// the blackboard.
 func DecodeClusterFrame(data []byte, f *ClusterFrame) error {
-	r := &rollupReader{data: data}
-	magic, err := r.take(4)
-	if err != nil {
-		return err
+	r := wire.NewReader("cluster: roll-up frame", data)
+	r.Magic(rollupMagic)
+	f.Now = time.Duration(r.I64())
+	if f.Now < 0 {
+		r.Fail("negative frame time %d", f.Now)
 	}
-	if [4]byte(magic) != rollupMagic {
-		return fmt.Errorf("cluster: bad roll-up magic %q", magic)
-	}
-	now, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if int64(now) < 0 {
-		return fmt.Errorf("cluster: negative frame time %d", int64(now))
-	}
-	f.Now = time.Duration(int64(now))
-	budgetBits, err := r.u64()
-	if err != nil {
-		return err
-	}
-	f.Budget = math.Float64frombits(budgetBits)
+	f.Budget = r.F64()
 	if !wattOK(f.Budget) {
-		return fmt.Errorf("cluster: implausible budget %g W", f.Budget)
-	}
-	n, err := r.u16()
-	if err != nil {
-		return err
-	}
-	if n > maxRollupShards {
-		return fmt.Errorf("cluster: implausible shard count %d", n)
+		r.Fail("implausible budget %g W", f.Budget)
 	}
 	f.Shards = f.Shards[:0]
 	lastID := -1
-	for i := 0; i < int(n); i++ {
-		var s ShardRecord
-		if s.ID, err = r.u16(); err != nil {
-			return err
-		}
+	for n := r.Count16(maxRollupShards); n > 0 && r.Err() == nil; n-- {
+		s := ShardRecord{ID: r.U16()}
 		if int(s.ID) <= lastID {
-			return fmt.Errorf("cluster: shard ids not strictly increasing (%d after %d)", s.ID, lastID)
+			r.Fail("shard ids not strictly increasing (%d after %d)", s.ID, lastID)
 		}
 		lastID = int(s.ID)
-		if s.Epoch, err = r.u32(); err != nil {
-			return err
+		s.Epoch = r.U32()
+		s.Ver = r.U64()
+		flags := r.U8()
+		if flags&^ShardHealthy != 0 {
+			r.Fail("shard %d has unknown flags %#x", s.ID, flags)
 		}
-		if s.Ver, err = r.u64(); err != nil {
-			return err
+		s.Healthy = flags&ShardHealthy != 0
+		s.Power = r.F64()
+		s.Headroom = r.F64()
+		s.Cap = r.F64()
+		if !wattOK(s.Power) || !wattOK(s.Cap) {
+			r.Fail("shard %d has implausible power %g W or cap %g W", s.ID, s.Power, s.Cap)
 		}
-		flags, err := r.take(1)
-		if err != nil {
-			return err
-		}
-		if flags[0]&^ShardHealthy != 0 {
-			return fmt.Errorf("cluster: shard %d has unknown flags %#x", s.ID, flags[0])
-		}
-		s.Healthy = flags[0]&ShardHealthy != 0
-		powerBits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		s.Power = math.Float64frombits(powerBits)
-		if !wattOK(s.Power) {
-			return fmt.Errorf("cluster: shard %d has implausible power %g W", s.ID, s.Power)
-		}
-		hrBits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		s.Headroom = math.Float64frombits(hrBits)
 		if math.IsNaN(s.Headroom) || s.Headroom < 0 || s.Headroom > 1 {
-			return fmt.Errorf("cluster: shard %d has headroom %g outside [0,1]", s.ID, s.Headroom)
-		}
-		capBits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		s.Cap = math.Float64frombits(capBits)
-		if !wattOK(s.Cap) {
-			return fmt.Errorf("cluster: shard %d has implausible cap %g W", s.ID, s.Cap)
+			r.Fail("shard %d has headroom %g outside [0,1]", s.ID, s.Headroom)
 		}
 		f.Shards = append(f.Shards, s)
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("cluster: %d trailing bytes after roll-up frame", len(data)-r.off)
-	}
-	return nil
-}
-
-// IsClusterFrame reports whether data begins with the roll-up magic.
-func IsClusterFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == rollupMagic
+	return wire.DoneInto(r, f)
 }
 
 // shardSeen is the receiver's high-water mark for one shard.

@@ -10,7 +10,9 @@
 package rcr
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"sync"
@@ -345,6 +347,15 @@ type Snapshot struct {
 	Now     time.Duration
 	System  []MeterValue
 	Sockets []DomainSnap
+}
+
+// WriteJSON emits the snapshot as indented JSON — the interop-friendly
+// alternative to the compact binary encoding, for piping rcrd queries
+// into other tooling.
+func (s Snapshot) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
 }
 
 // Snapshot copies the blackboard. Each call allocates a fresh Snapshot;

@@ -1,12 +1,16 @@
 package rcr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Incremental snapshot encoding for the pub/sub stream (pubsub.go). The
@@ -40,7 +44,7 @@ import (
 //	  changed  bitmap, ceil(nSlots/8) bytes, LSB-first
 //	  per changed slot (ascending index): float64 value, int64 updated
 //
-// All integers are little-endian.
+// Package wire's shared rules apply.
 
 var (
 	fullMagic  = [4]byte{'R', 'C', 'R', 'F'}
@@ -105,14 +109,8 @@ type FullFrame struct {
 // growBitmap returns b resized (and zeroed) to hold n bits, reusing its
 // backing array when possible.
 func growBitmap(b []byte, n int) []byte {
-	need := (n + 7) / 8
-	if cap(b) < need {
-		return make([]byte, need)
-	}
-	b = b[:need]
-	for i := range b {
-		b[i] = 0
-	}
+	b = slices.Grow(b[:0], (n+7)/8)[:(n+7)/8]
+	clear(b)
 	return b
 }
 
@@ -188,28 +186,17 @@ func deltaFrameSize(f *DeltaFrame) int {
 
 // AppendDeltaFrame serializes f onto dst (one allocation at most).
 func AppendDeltaFrame(dst []byte, f *DeltaFrame) []byte {
-	need := deltaFrameSize(f)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, deltaFrameSize(f))
 	dst = append(dst, deltaMagic[:]...)
-	dst = appendUint32(dst, f.Gen)
-	dst = appendUint64(dst, f.From)
-	dst = appendUint64(dst, f.To)
-	dst = appendInt64(dst, int64(f.Now))
+	dst = binary.LittleEndian.AppendUint32(dst, f.Gen)
+	dst = binary.LittleEndian.AppendUint64(dst, f.From)
+	dst = binary.LittleEndian.AppendUint64(dst, f.To)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Now))
 	dst = append(dst, f.Flags)
 	if f.Heartbeat() {
 		return dst
 	}
-	dst = appendUint32(dst, f.NSlots)
-	dst = append(dst, f.Bitmap...)
-	for i := range f.Vals {
-		dst = appendFloat64(dst, f.Vals[i])
-		dst = appendInt64(dst, f.Upds[i])
-	}
-	return dst
+	return appendSlotBody(dst, f.NSlots, f.Bitmap, f.Vals, f.Upds)
 }
 
 // fullFrameSize returns the exact encoded size of f.
@@ -224,72 +211,32 @@ func fullFrameSize(f *FullFrame) int {
 
 // AppendFullFrame serializes f onto dst (one allocation at most).
 func AppendFullFrame(dst []byte, f *FullFrame) []byte {
-	need := fullFrameSize(f)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, fullFrameSize(f))
 	dst = append(dst, fullMagic[:]...)
-	dst = appendUint32(dst, f.Gen)
-	dst = appendUint64(dst, f.Ver)
-	dst = appendInt64(dst, int64(f.Now))
+	dst = binary.LittleEndian.AppendUint32(dst, f.Gen)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Ver)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Now))
 	dst = append(dst, f.Flags)
-	dst = appendUint16(dst, f.Sockets)
-	dst = appendUint16(dst, f.PerSock)
-	dst = appendUint16(dst, uint16(len(f.Names)))
+	dst = binary.LittleEndian.AppendUint16(dst, f.Sockets)
+	dst = binary.LittleEndian.AppendUint16(dst, f.PerSock)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Names)))
 	for _, name := range f.Names {
-		dst = appendUint16(dst, uint16(len(name)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
 		dst = append(dst, name...)
 	}
-	dst = appendUint32(dst, f.NSlots)
-	dst = append(dst, f.Bitmap...)
-	for i := range f.Vals {
-		dst = appendFloat64(dst, f.Vals[i])
-		dst = appendInt64(dst, f.Upds[i])
+	return appendSlotBody(dst, f.NSlots, f.Bitmap, f.Vals, f.Upds)
+}
+
+// appendSlotBody appends the shared tail of both frame kinds: nSlots,
+// bitmap, and the (value, updated) pair per set bit.
+func appendSlotBody(dst []byte, nSlots uint32, bitmap []byte, vals []float64, upds []int64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, nSlots)
+	dst = append(dst, bitmap...)
+	for i := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vals[i]))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(upds[i]))
 	}
 	return dst
-}
-
-// frameReader is a minimal cursor over a frame's bytes; unlike
-// bytes.Reader it can reuse caller slices without interface escapes.
-type frameReader struct {
-	data []byte
-	off  int
-}
-
-func (r *frameReader) take(n int) ([]byte, error) {
-	if len(r.data)-r.off < n {
-		return nil, fmt.Errorf("rcr: frame truncated at byte %d (need %d more)", r.off, n)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *frameReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
-}
-
-func (r *frameReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-func (r *frameReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
 }
 
 // popcount counts set bits in a bitmap.
@@ -301,169 +248,79 @@ func popcount(bm []byte) int {
 	return n
 }
 
-// readSlotBody parses the shared tail of both frame kinds: nSlots,
-// bitmap, and the (value, updated) pair per set bit.
-func readSlotBody(r *frameReader) (nSlots uint32, bitmap []byte, vals []float64, upds []int64, err error) {
-	if nSlots, err = r.u32(); err != nil {
-		return
-	}
-	if nSlots > maxFrameSlots {
-		err = fmt.Errorf("rcr: implausible frame slot count %d", nSlots)
-		return
-	}
-	raw, err := r.take(int(nSlots+7) / 8)
-	if err != nil {
-		return
-	}
-	bitmap = append([]byte(nil), raw...)
+// readSlotBody parses that tail into the caller's slices, which it
+// reuses: a warm frame decodes without allocating.
+func readSlotBody(r *wire.Reader, bitmap []byte, vals []float64, upds []int64) (uint32, []byte, []float64, []int64) {
+	nSlots := r.Count32(maxFrameSlots)
+	bitmap = append(bitmap[:0], r.Bytes((nSlots+7)/8)...)
 	// Set bits past nSlots would smuggle extra values; reject them.
-	for i := int(nSlots); i < 8*len(bitmap); i++ {
+	for i := nSlots; i < 8*len(bitmap); i++ {
 		if bitmap[i>>3]&(1<<(i&7)) != 0 {
-			err = fmt.Errorf("rcr: frame bitmap bit %d set beyond %d slots", i, nSlots)
-			return
+			r.Fail("bitmap bit %d set beyond %d slots", i, nSlots)
 		}
 	}
-	n := popcount(bitmap)
-	vals = make([]float64, n)
-	upds = make([]int64, n)
-	for i := 0; i < n; i++ {
-		var vb, ub uint64
-		if vb, err = r.u64(); err != nil {
-			return
-		}
-		if ub, err = r.u64(); err != nil {
-			return
-		}
-		vals[i] = math.Float64frombits(vb)
-		upds[i] = int64(ub)
+	vals, upds = vals[:0], upds[:0]
+	for n := popcount(bitmap); n > 0 && r.Err() == nil; n-- {
+		vals = append(vals, r.F64())
+		upds = append(upds, r.I64())
 	}
-	return
+	return uint32(nSlots), bitmap, vals, upds
 }
 
 // IsDeltaFrame reports whether data begins with the delta-frame magic —
 // how a subscriber distinguishes pushed frame kinds.
-func IsDeltaFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == deltaMagic
-}
+func IsDeltaFrame(data []byte) bool { return wire.HasMagic(data, deltaMagic) }
 
 // IsFullFrame reports whether data begins with the full-frame magic.
-func IsFullFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == fullMagic
-}
+func IsFullFrame(data []byte) bool { return wire.HasMagic(data, fullMagic) }
 
-// DecodeDeltaFrame parses an "RCRD" frame into f (slices replaced).
+// DecodeDeltaFrame parses an "RCRD" frame into f, reusing f's slices. A
+// frame that fails to decode leaves f zeroed.
 func DecodeDeltaFrame(data []byte, f *DeltaFrame) error {
-	r := &frameReader{data: data}
-	magic, err := r.take(4)
-	if err != nil {
-		return err
-	}
-	if [4]byte(magic) != deltaMagic {
-		return fmt.Errorf("rcr: bad delta magic %q", magic)
-	}
-	if f.Gen, err = r.u32(); err != nil {
-		return err
-	}
-	if f.From, err = r.u64(); err != nil {
-		return err
-	}
-	if f.To, err = r.u64(); err != nil {
-		return err
-	}
-	now, err := r.u64()
-	if err != nil {
-		return err
-	}
-	f.Now = time.Duration(int64(now))
-	flags, err := r.take(1)
-	if err != nil {
-		return err
-	}
-	f.Flags = flags[0]
+	r := wire.NewReader("rcr: delta frame", data)
+	r.Magic(deltaMagic)
+	f.Gen = r.U32()
+	f.From = r.U64()
+	f.To = r.U64()
+	f.Now = time.Duration(r.I64())
+	f.Flags = r.U8()
 	if f.To < f.From {
-		return fmt.Errorf("rcr: delta frame runs backwards (%d -> %d)", f.From, f.To)
+		r.Fail("runs backwards (%d -> %d)", f.From, f.To)
 	}
 	if f.Heartbeat() {
-		f.NSlots, f.Bitmap, f.Vals, f.Upds = 0, nil, nil, nil
+		f.NSlots, f.Bitmap, f.Vals, f.Upds = 0, f.Bitmap[:0], f.Vals[:0], f.Upds[:0]
 	} else {
-		if f.NSlots, f.Bitmap, f.Vals, f.Upds, err = readSlotBody(r); err != nil {
-			return err
-		}
+		f.NSlots, f.Bitmap, f.Vals, f.Upds = readSlotBody(r, f.Bitmap, f.Vals, f.Upds)
 		if len(f.Vals) == 0 {
-			return fmt.Errorf("rcr: delta frame advances %d -> %d with no changed slots", f.From, f.To)
+			r.Fail("advances %d -> %d with no changed slots", f.From, f.To)
 		}
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("rcr: %d trailing bytes after delta frame", len(data)-r.off)
-	}
-	return nil
+	return wire.DoneInto(r, f)
 }
 
-// DecodeFullFrame parses an "RCRF" frame into f (slices replaced).
+// DecodeFullFrame parses an "RCRF" frame into f, reusing f's slices. A
+// frame that fails to decode leaves f zeroed.
 func DecodeFullFrame(data []byte, f *FullFrame) error {
-	r := &frameReader{data: data}
-	magic, err := r.take(4)
-	if err != nil {
-		return err
-	}
-	if [4]byte(magic) != fullMagic {
-		return fmt.Errorf("rcr: bad full-frame magic %q", magic)
-	}
-	if f.Gen, err = r.u32(); err != nil {
-		return err
-	}
-	if f.Ver, err = r.u64(); err != nil {
-		return err
-	}
-	now, err := r.u64()
-	if err != nil {
-		return err
-	}
-	f.Now = time.Duration(int64(now))
-	flags, err := r.take(1)
-	if err != nil {
-		return err
-	}
-	f.Flags = flags[0]
-	if f.Sockets, err = r.u16(); err != nil {
-		return err
-	}
-	if f.PerSock, err = r.u16(); err != nil {
-		return err
-	}
-	nNames, err := r.u16()
-	if err != nil {
-		return err
-	}
-	if nNames > maxMeters {
-		return fmt.Errorf("rcr: implausible name count %d", nNames)
-	}
+	r := wire.NewReader("rcr: full frame", data)
+	r.Magic(fullMagic)
+	f.Gen = r.U32()
+	f.Ver = r.U64()
+	f.Now = time.Duration(r.I64())
+	f.Flags = r.U8()
+	f.Sockets = r.U16()
+	f.PerSock = r.U16()
 	f.Names = f.Names[:0]
-	for i := 0; i < int(nNames); i++ {
-		nameLen, err := r.u16()
-		if err != nil {
-			return err
-		}
-		raw, err := r.take(int(nameLen))
-		if err != nil {
-			return err
-		}
-		f.Names = append(f.Names, string(raw))
+	for n := r.Count16(maxMeters); n > 0 && r.Err() == nil; n-- {
+		f.Names = append(f.Names, string(r.Bytes(int(r.U16()))))
 	}
-	if f.NSlots, f.Bitmap, f.Vals, f.Upds, err = readSlotBody(r); err != nil {
-		return err
-	}
+	f.NSlots, f.Bitmap, f.Vals, f.Upds = readSlotBody(r, f.Bitmap, f.Vals, f.Upds)
 	// The slot count must match the declared topology and name table:
 	// slot index arithmetic depends on it.
 	nScopes := 1 + int(f.Sockets) + int(f.Sockets)*int(f.PerSock)
 	if int(f.NSlots) != len(f.Names)*nScopes {
-		return fmt.Errorf("rcr: full frame slot count %d != %d names × %d scopes",
-			f.NSlots, len(f.Names), nScopes)
+		r.Fail("slot count %d != %d names × %d scopes", f.NSlots, len(f.Names), nScopes)
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("rcr: %d trailing bytes after full frame", len(data)-r.off)
-	}
-	return nil
+	return wire.DoneInto(r, f)
 }
 
 // SubState is a subscriber's materialized copy of the blackboard, built

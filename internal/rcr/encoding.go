@@ -1,13 +1,12 @@
 package rcr
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
+	"slices"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Binary snapshot encoding. The format is self-describing (meter names
@@ -23,9 +22,10 @@ import (
 //	meterList: uint16 count, then per meter:
 //	  uint16 name length, name bytes, float64 value, int64 updated (ns)
 //
-// All integers are little-endian. Snapshot meters are name-sorted (the
-// order is fixed at blackboard registration time), so two snapshots of
-// identical state encode byte-identically.
+// Byte order, strictness and canonical form are package wire's shared
+// rules. Snapshot meters are name-sorted (the order is fixed at
+// blackboard registration time), so two snapshots of identical state
+// encode byte-identically.
 //
 // delta.go defines the companion incremental formats ("RCRF" full frame,
 // "RCRD" delta frame) used by the pub/sub stream, where an unchanged
@@ -66,19 +66,14 @@ func meterListSize(ms []MeterValue) int {
 // happens (none when dst has capacity) — this is the hot-path form used
 // by the IPC server's per-connection scratch buffers.
 func AppendSnapshot(dst []byte, s Snapshot) []byte {
-	need := snapshotSize(s)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, snapshotSize(s))
 	dst = append(dst, snapshotMagic[:]...)
-	dst = appendInt64(dst, int64(s.Now))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Now))
 	dst = appendMeters(dst, s.System)
-	dst = appendUint16(dst, uint16(len(s.Sockets)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s.Sockets)))
 	for _, sock := range s.Sockets {
 		dst = appendMeters(dst, sock.Meters)
-		dst = appendUint16(dst, uint16(len(sock.Cores)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(sock.Cores)))
 		for _, core := range sock.Cores {
 			dst = appendMeters(dst, core)
 		}
@@ -94,147 +89,38 @@ func EncodeSnapshot(s Snapshot) []byte {
 
 // DecodeSnapshot parses a snapshot previously produced by EncodeSnapshot.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
-	r := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return Snapshot{}, fmt.Errorf("rcr: decoding magic: %w", err)
-	}
-	if magic != snapshotMagic {
-		return Snapshot{}, fmt.Errorf("rcr: bad magic %q", magic[:])
-	}
-	now, err := readInt64(r)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	s := Snapshot{Now: time.Duration(now)}
-	if s.System, err = readMeters(r); err != nil {
-		return Snapshot{}, err
-	}
-	nSock, err := readUint16(r)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if nSock > maxMeters {
-		return Snapshot{}, fmt.Errorf("rcr: implausible socket count %d", nSock)
-	}
-	s.Sockets = make([]DomainSnap, nSock)
+	r := wire.NewReader("rcr: snapshot", data)
+	r.Magic(snapshotMagic)
+	s := Snapshot{Now: time.Duration(r.I64())}
+	s.System = readMeters(r)
+	s.Sockets = make([]DomainSnap, r.Count16(maxMeters))
 	for i := range s.Sockets {
-		if s.Sockets[i].Meters, err = readMeters(r); err != nil {
-			return Snapshot{}, err
-		}
-		nCore, err := readUint16(r)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if nCore > maxMeters {
-			return Snapshot{}, fmt.Errorf("rcr: implausible core count %d", nCore)
-		}
-		s.Sockets[i].Cores = make([][]MeterValue, nCore)
+		s.Sockets[i].Meters = readMeters(r)
+		s.Sockets[i].Cores = make([][]MeterValue, r.Count16(maxMeters))
 		for c := range s.Sockets[i].Cores {
-			if s.Sockets[i].Cores[c], err = readMeters(r); err != nil {
-				return Snapshot{}, err
-			}
+			s.Sockets[i].Cores[c] = readMeters(r)
 		}
 	}
-	if r.Len() != 0 {
-		return Snapshot{}, fmt.Errorf("rcr: %d trailing bytes after snapshot", r.Len())
-	}
-	return s, nil
+	return wire.Done(r, s)
 }
 
 func appendMeters(dst []byte, ms []MeterValue) []byte {
-	dst = appendUint16(dst, uint16(len(ms)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ms)))
 	for _, m := range ms {
-		dst = appendUint16(dst, uint16(len(m.Name)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Name)))
 		dst = append(dst, m.Name...)
-		dst = appendFloat64(dst, m.Value)
-		dst = appendInt64(dst, int64(m.Updated))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Value))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Updated))
 	}
 	return dst
 }
 
-func readMeters(r *bytes.Reader) ([]MeterValue, error) {
-	n, err := readUint16(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxMeters {
-		return nil, fmt.Errorf("rcr: implausible meter count %d", n)
-	}
-	ms := make([]MeterValue, n)
+func readMeters(r *wire.Reader) []MeterValue {
+	ms := make([]MeterValue, r.Count16(maxMeters))
 	for i := range ms {
-		nameLen, err := readUint16(r)
-		if err != nil {
-			return nil, err
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("rcr: decoding meter name: %w", err)
-		}
-		ms[i].Name = string(name)
-		if ms[i].Value, err = readFloat64(r); err != nil {
-			return nil, err
-		}
-		upd, err := readInt64(r)
-		if err != nil {
-			return nil, err
-		}
-		ms[i].Updated = time.Duration(upd)
+		ms[i].Name = string(r.Bytes(int(r.U16())))
+		ms[i].Value = r.F64()
+		ms[i].Updated = time.Duration(r.I64())
 	}
-	return ms, nil
-}
-
-func appendUint16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-func appendUint32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendUint64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendInt64(dst []byte, v int64) []byte {
-	return appendUint64(dst, uint64(v))
-}
-
-func appendFloat64(dst []byte, v float64) []byte {
-	return appendUint64(dst, math.Float64bits(v))
-}
-
-func readUint16(r *bytes.Reader) (uint16, error) {
-	var buf [2]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("rcr: decoding uint16: %w", err)
-	}
-	return binary.LittleEndian.Uint16(buf[:]), nil
-}
-
-func readInt64(r *bytes.Reader) (int64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("rcr: decoding int64: %w", err)
-	}
-	return int64(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func readFloat64(r *bytes.Reader) (float64, error) {
-	v, err := readInt64(r)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(uint64(v)), nil
-}
-
-// WriteJSON emits the snapshot as indented JSON — the interop-friendly
-// alternative to the compact binary encoding, for piping rcrd queries
-// into other tooling.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	return ms
 }

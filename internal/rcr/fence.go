@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Fenced cap writes (docs/cluster.md §HA). The cluster tier's cap-write
@@ -22,8 +23,7 @@ import (
 // subscribes to. No extra coordination service exists: the shard fleet
 // itself is the quorum.
 //
-// Wire formats (both little-endian, strict decode with bit-exact
-// re-encode — FuzzDecodeCapWrite):
+// Wire formats (package wire's shared rules; FuzzDecodeCapWrite):
 //
 //	CAPW: magic "CAPW", flags u8 (bit0 cap present, bit1 release),
 //	      fence u64, leader u32, lease u64 (ns), seq u64, cap f64 bits
@@ -67,6 +67,11 @@ const (
 	capwFlagHasCap  = 1 << 0
 	capwFlagRelease = 1 << 1
 	capaFlagApplied = 1 << 0
+)
+
+var (
+	capwMagic = [4]byte{'C', 'A', 'P', 'W'}
+	capaMagic = [4]byte{'C', 'A', 'P', 'A'}
 )
 
 // CapWrite is one fenced cap-write / lease-renewal request.
@@ -125,7 +130,7 @@ func AppendCapWrite(dst []byte, w CapWrite) []byte {
 	if w.Release {
 		flags |= capwFlagRelease
 	}
-	dst = append(dst, 'C', 'A', 'P', 'W', flags)
+	dst = append(append(dst, capwMagic[:]...), flags)
 	dst = binary.LittleEndian.AppendUint64(dst, w.Fence)
 	dst = binary.LittleEndian.AppendUint32(dst, w.Leader)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Lease))
@@ -142,49 +147,42 @@ func AppendCapWrite(dst []byte, w CapWrite) []byte {
 // positive lease exactly when the write is not a release. Every decoded
 // write re-encodes bit-exactly.
 func DecodeCapWrite(p []byte) (CapWrite, error) {
-	var w CapWrite
-	if len(p) != capWriteLen {
-		return w, fmt.Errorf("rcr: cap write length %d, want %d", len(p), capWriteLen)
-	}
-	if string(p[:4]) != "CAPW" {
-		return w, fmt.Errorf("rcr: cap write magic %q", p[:4])
-	}
-	flags := p[4]
+	r := wire.NewReader("rcr: cap write", p)
+	return wire.Done(r, readCapWrite(r))
+}
+
+// readCapWrite reads the CAPW fields; MEMW opens with the same ones.
+func readCapWrite(r *wire.Reader) CapWrite {
+	r.Magic(capwMagic)
+	flags := r.U8()
 	if flags&^uint8(capwFlagHasCap|capwFlagRelease) != 0 {
-		return w, fmt.Errorf("rcr: cap write unknown flags %#x", flags)
+		r.Fail("unknown flags %#x", flags)
 	}
-	w.HasCap = flags&capwFlagHasCap != 0
-	w.Release = flags&capwFlagRelease != 0
-	w.Fence = binary.LittleEndian.Uint64(p[5:])
-	w.Leader = binary.LittleEndian.Uint32(p[13:])
-	w.Lease = time.Duration(binary.LittleEndian.Uint64(p[17:]))
-	w.Seq = binary.LittleEndian.Uint64(p[25:])
-	capBits := binary.LittleEndian.Uint64(p[33:])
-	if w.Leader == 0 {
-		return w, fmt.Errorf("rcr: cap write leader 0 is reserved")
-	}
-	if w.Fence == 0 {
-		return w, fmt.Errorf("rcr: cap write fence 0 is reserved")
-	}
-	if w.Seq == 0 {
-		return w, fmt.Errorf("rcr: cap write seq 0 is reserved")
+	w := CapWrite{HasCap: flags&capwFlagHasCap != 0, Release: flags&capwFlagRelease != 0}
+	w.Fence = r.U64()
+	w.Leader = r.U32()
+	w.Lease = time.Duration(r.I64())
+	w.Seq = r.U64()
+	capBits := r.U64()
+	if w.Leader == 0 || w.Fence == 0 || w.Seq == 0 {
+		r.Fail("leader %d, fence %d, seq %d: 0 is reserved", w.Leader, w.Fence, w.Seq)
 	}
 	if w.Release {
 		if w.HasCap || w.Lease != 0 {
-			return w, fmt.Errorf("rcr: cap write release must carry no cap and no lease")
+			r.Fail("release must carry no cap and no lease")
 		}
 	} else if w.Lease <= 0 {
-		return w, fmt.Errorf("rcr: cap write lease %d must be positive", w.Lease)
+		r.Fail("lease %d must be positive", w.Lease)
 	}
 	if w.HasCap {
 		w.Cap = math.Float64frombits(capBits)
 		if math.IsNaN(w.Cap) || math.IsInf(w.Cap, 0) || w.Cap <= 0 {
-			return w, fmt.Errorf("rcr: cap write cap %v must be positive and finite", w.Cap)
+			r.Fail("cap %v must be positive and finite", w.Cap)
 		}
 	} else if capBits != 0 {
-		return w, fmt.Errorf("rcr: cap write carries cap bits without the cap flag")
+		r.Fail("carries cap bits without the cap flag")
 	}
-	return w, nil
+	return w
 }
 
 // AppendCapAck appends a's strict CAPA encoding to dst.
@@ -193,7 +191,7 @@ func AppendCapAck(dst []byte, a CapAck) []byte {
 	if a.HasApplied {
 		flags |= capaFlagApplied
 	}
-	dst = append(dst, 'C', 'A', 'P', 'A', a.Status, flags)
+	dst = append(append(dst, capaMagic[:]...), a.Status, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, a.Fence)
 	dst = binary.LittleEndian.AppendUint32(dst, a.Holder)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Expiry))
@@ -206,35 +204,35 @@ func AppendCapAck(dst []byte, a CapAck) []byte {
 
 // DecodeCapAck strictly decodes a CAPA payload.
 func DecodeCapAck(p []byte) (CapAck, error) {
-	var a CapAck
-	if len(p) != capAckLen {
-		return a, fmt.Errorf("rcr: cap ack length %d, want %d", len(p), capAckLen)
-	}
-	if string(p[:4]) != "CAPA" {
-		return a, fmt.Errorf("rcr: cap ack magic %q", p[:4])
-	}
-	a.Status = p[4]
+	r := wire.NewReader("rcr: cap ack", p)
+	return wire.Done(r, readCapAck(r))
+}
+
+// readCapAck reads the CAPA fields; MEMA opens with the same ones.
+func readCapAck(r *wire.Reader) CapAck {
+	r.Magic(capaMagic)
+	a := CapAck{Status: r.U8()}
 	if a.Status > CapApplyFailed {
-		return a, fmt.Errorf("rcr: cap ack status %d", a.Status)
+		r.Fail("status %d", a.Status)
 	}
-	flags := p[5]
+	flags := r.U8()
 	if flags&^uint8(capaFlagApplied) != 0 {
-		return a, fmt.Errorf("rcr: cap ack unknown flags %#x", flags)
+		r.Fail("unknown flags %#x", flags)
 	}
 	a.HasApplied = flags&capaFlagApplied != 0
-	a.Fence = binary.LittleEndian.Uint64(p[6:])
-	a.Holder = binary.LittleEndian.Uint32(p[14:])
-	a.Expiry = time.Duration(binary.LittleEndian.Uint64(p[18:]))
-	bits := binary.LittleEndian.Uint64(p[26:])
+	a.Fence = r.U64()
+	a.Holder = r.U32()
+	a.Expiry = time.Duration(r.I64())
+	bits := r.U64()
 	if a.HasApplied {
 		a.Applied = math.Float64frombits(bits)
 		if math.IsNaN(a.Applied) || math.IsInf(a.Applied, 0) {
-			return a, fmt.Errorf("rcr: cap ack applied %v must be finite", a.Applied)
+			r.Fail("applied %v must be finite", a.Applied)
 		}
 	} else if bits != 0 {
-		return a, fmt.Errorf("rcr: cap ack carries applied bits without the flag")
+		r.Fail("carries applied bits without the flag")
 	}
-	return a, nil
+	return a
 }
 
 // FenceGuard is a shard's fencing state machine: the single authority
@@ -261,11 +259,8 @@ type FenceGuard struct {
 	hasApplied bool
 
 	// Committed membership (opaque to the guard: the cluster tier owns
-	// the frame format). Authority is ordered by (memFence, memEpoch):
-	// fences are totally ordered across leaders, so a successor's first
-	// commit supersedes everything a deposed leader stored, while one
-	// leader's own commits order by registry epoch. Like the fence
-	// high-water mark it survives server incarnations.
+	// the frame format), replaced only by a record that MemSupersedes
+	// it. Like the fence high-water mark it survives server incarnations.
 	memFence uint64
 	memEpoch uint64
 	memFrame []byte

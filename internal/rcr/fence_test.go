@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire/wiretest"
 )
 
 func TestCapWriteRoundTrip(t *testing.T) {
@@ -250,24 +251,45 @@ func TestWriteCapOverWire(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCapWrite hammers the fenced cap-write decoder with the
-// bit-exact re-encode property, then checks that any accepted write is
-// safe to offer to a guard.
+// FuzzDecodeCapWrite holds the four fenced-write decoders — CAPW, CAPA
+// and their membership carriers MEMW, MEMA, all parsed straight off a
+// socket — to the canonical-codec property on arbitrary payloads, then
+// checks that any accepted cap write is safe to offer to a guard.
 func FuzzDecodeCapWrite(f *testing.F) {
+	leaseOnly := CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Second}
+	capped := CapWrite{Fence: 2, Leader: 3, Seq: 7, Lease: time.Millisecond, HasCap: true, Cap: 60}
 	f.Add([]byte{})
 	f.Add([]byte("CAPW"))
-	f.Add(AppendCapWrite(nil, CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Second}))
-	f.Add(AppendCapWrite(nil, CapWrite{Fence: 2, Leader: 3, Seq: 7, Lease: time.Millisecond, HasCap: true, Cap: 60}))
+	f.Add(AppendCapWrite(nil, leaseOnly))
+	f.Add(AppendCapWrite(nil, capped))
 	f.Add(AppendCapWrite(nil, CapWrite{Fence: 9, Leader: 2, Seq: 3, Release: true}))
+	ack := CapAck{Status: CapFenceRejected, Fence: 9, Holder: 3, Expiry: time.Second, HasApplied: true, Applied: 55}
+	f.Add(AppendCapAck(nil, CapAck{Status: CapApplied, Fence: 2, Holder: 1}))
+	f.Add(AppendCapAck(nil, ack))
+	f.Add(AppendMemWrite(nil, MemWrite{Write: leaseOnly}))
+	f.Add(AppendMemWrite(nil, MemWrite{Write: capped, Epoch: 4, Frame: []byte("CLSM-opaque")}))
+	f.Add(AppendMemAck(nil, MemAck{Ack: CapAck{Status: CapApplied, Fence: 2, Holder: 1}}))
+	f.Add(AppendMemAck(nil, MemAck{Ack: ack, MemFence: 9, MemEpoch: 4, Frame: []byte("stored")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := DecodeCapWrite(data)
-		if err != nil {
+		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
+			a, err := DecodeCapAck(b)
+			return AppendCapAck(nil, a), err
+		})
+		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
+			w, err := DecodeMemWrite(b)
+			return AppendMemWrite(nil, w), err
+		})
+		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
+			a, err := DecodeMemAck(b)
+			return AppendMemAck(nil, a), err
+		})
+		if !wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
+			w, err := DecodeCapWrite(b)
+			return AppendCapWrite(nil, w), err
+		}) {
 			return
 		}
-		re := AppendCapWrite(nil, w)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted payload does not re-encode to itself:\n in %x\nout %x", data, re)
-		}
+		w, _ := DecodeCapWrite(data)
 		// Any decoded write must round-trip through a guard without
 		// panicking, and the ack must itself round-trip on the wire.
 		clk := &fenceTestClock{}

@@ -3,7 +3,8 @@ package rcr
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Fenced membership replication (docs/cluster.md §Membership). The HA
@@ -20,7 +21,7 @@ import (
 // promoted leader adopts the most authoritative one (highest fence,
 // then epoch) exactly as it adopts the cap assignment.
 //
-// Wire formats (little-endian, strict decode):
+// Wire formats (package wire's shared rules):
 //
 //	MEMW: CAPW bytes, epoch u64, flen u32, frame [flen]byte
 //	MEMA: CAPA bytes, memfence u64, memepoch u64, flen u32, frame
@@ -71,33 +72,22 @@ func AppendMemWrite(dst []byte, w MemWrite) []byte {
 // DecodeMemWrite strictly decodes a MEMW payload: a valid CAPW prefix,
 // a bounded frame whose presence matches the epoch, no trailing bytes.
 func DecodeMemWrite(p []byte) (MemWrite, error) {
-	var w MemWrite
-	if len(p) < capWriteLen+12 {
-		return w, fmt.Errorf("rcr: mem write length %d, want at least %d", len(p), capWriteLen+12)
+	r := wire.NewReader("rcr: mem write", p)
+	w := MemWrite{Write: readCapWrite(r)}
+	w.Epoch = r.U64()
+	w.Frame = readMemFrame(r, w.Epoch)
+	return wire.Done(r, w)
+}
+
+// readMemFrame reads the length-prefixed membership frame that ends
+// MEMW and MEMA — at most MaxMemFrame bytes, present exactly when epoch
+// is non-zero — and returns a copy, nil when absent.
+func readMemFrame(r *wire.Reader, epoch uint64) []byte {
+	n := r.Count32(MaxMemFrame)
+	if (epoch == 0) != (n == 0) {
+		r.Fail("epoch %d with a %d-byte frame", epoch, n)
 	}
-	var err error
-	if w.Write, err = DecodeCapWrite(p[:capWriteLen]); err != nil {
-		return w, err
-	}
-	w.Epoch = binary.LittleEndian.Uint64(p[capWriteLen:])
-	flen := binary.LittleEndian.Uint32(p[capWriteLen+8:])
-	if flen > MaxMemFrame {
-		return w, fmt.Errorf("rcr: mem write frame length %d exceeds bound", flen)
-	}
-	body := p[capWriteLen+12:]
-	if uint32(len(body)) != flen {
-		return w, fmt.Errorf("rcr: mem write frame is %d bytes, header claims %d", len(body), flen)
-	}
-	if w.Epoch == 0 && flen != 0 {
-		return w, fmt.Errorf("rcr: mem write carries a frame without an epoch")
-	}
-	if w.Epoch != 0 && flen == 0 {
-		return w, fmt.Errorf("rcr: mem write epoch %d carries no frame", w.Epoch)
-	}
-	if flen > 0 {
-		w.Frame = append([]byte(nil), body...)
-	}
-	return w, nil
+	return append([]byte(nil), r.Bytes(n)...)
 }
 
 // AppendMemAck appends a's strict MEMA encoding to dst.
@@ -111,34 +101,26 @@ func AppendMemAck(dst []byte, a MemAck) []byte {
 
 // DecodeMemAck strictly decodes a MEMA payload.
 func DecodeMemAck(p []byte) (MemAck, error) {
-	var a MemAck
-	if len(p) < capAckLen+20 {
-		return a, fmt.Errorf("rcr: mem ack length %d, want at least %d", len(p), capAckLen+20)
+	r := wire.NewReader("rcr: mem ack", p)
+	a := MemAck{Ack: readCapAck(r)}
+	a.MemFence = r.U64()
+	a.MemEpoch = r.U64()
+	a.Frame = readMemFrame(r, a.MemEpoch)
+	if a.MemEpoch == 0 && a.MemFence != 0 {
+		r.Fail("fence %d without an epoch", a.MemFence)
 	}
-	var err error
-	if a.Ack, err = DecodeCapAck(p[:capAckLen]); err != nil {
-		return a, err
-	}
-	a.MemFence = binary.LittleEndian.Uint64(p[capAckLen:])
-	a.MemEpoch = binary.LittleEndian.Uint64(p[capAckLen+8:])
-	flen := binary.LittleEndian.Uint32(p[capAckLen+16:])
-	if flen > MaxMemFrame {
-		return a, fmt.Errorf("rcr: mem ack frame length %d exceeds bound", flen)
-	}
-	body := p[capAckLen+20:]
-	if uint32(len(body)) != flen {
-		return a, fmt.Errorf("rcr: mem ack frame is %d bytes, header claims %d", len(body), flen)
-	}
-	if a.MemEpoch == 0 && (flen != 0 || a.MemFence != 0) {
-		return a, fmt.Errorf("rcr: mem ack carries membership without an epoch")
-	}
-	if a.MemEpoch != 0 && flen == 0 {
-		return a, fmt.Errorf("rcr: mem ack epoch %d carries no frame", a.MemEpoch)
-	}
-	if flen > 0 {
-		a.Frame = append([]byte(nil), body...)
-	}
-	return a, nil
+	return wire.Done(r, a)
+}
+
+// MemSupersedes is the authority order of membership records, stated
+// once: a record committed under fence at epoch replaces one held under
+// (heldFence, heldEpoch) when its fence is higher — fences are totally
+// ordered across leaders, so a successor's first commit supersedes
+// everything a deposed leader stored, whatever its epoch numbering — or,
+// under the same fence, when its registry epoch is. An equal pair is a
+// replay and does not supersede.
+func MemSupersedes(fence, epoch, heldFence, heldEpoch uint64) bool {
+	return fence > heldFence || (fence == heldFence && epoch > heldEpoch)
 }
 
 // OfferMem decides one membership commit: the carrier CapWrite goes
@@ -153,7 +135,7 @@ func (g *FenceGuard) OfferMem(w MemWrite) MemAck {
 	defer g.mu.Unlock()
 	ack := g.offerLocked(w.Write, now)
 	if ack.Status != CapFenceRejected && w.Epoch > 0 && len(w.Frame) <= MaxMemFrame {
-		if w.Write.Fence > g.memFence || (w.Write.Fence == g.memFence && w.Epoch > g.memEpoch) {
+		if MemSupersedes(w.Write.Fence, w.Epoch, g.memFence, g.memEpoch) {
 			g.memFence, g.memEpoch = w.Write.Fence, w.Epoch
 			g.memFrame = append(g.memFrame[:0], w.Frame...)
 			g.mirrorLocked()

@@ -64,6 +64,29 @@ func TestMemWireRejects(t *testing.T) {
 	}
 }
 
+// TestMemSupersedes: membership records order by (fence, epoch) — a
+// successor's first commit supersedes a deposed leader's higher epochs,
+// and a replay never supersedes.
+func TestMemSupersedes(t *testing.T) {
+	for _, c := range []struct {
+		name                               string
+		fence, epoch, heldFence, heldEpoch uint64
+		want                               bool
+	}{
+		{"first record over nothing", 2, 10, 0, 0, true},
+		{"replay of the held pair", 2, 10, 2, 10, false},
+		{"same fence, next epoch", 2, 11, 2, 10, true},
+		{"same fence, older epoch", 2, 9, 2, 10, false},
+		{"deposed leader's higher epoch under a lower fence", 1, 99, 2, 10, false},
+		{"successor's lower epoch under a higher fence", 3, 2, 2, 10, true},
+	} {
+		if got := MemSupersedes(c.fence, c.epoch, c.heldFence, c.heldEpoch); got != c.want {
+			t.Errorf("%s: MemSupersedes(%d, %d, %d, %d) = %v, want %v",
+				c.name, c.fence, c.epoch, c.heldFence, c.heldEpoch, got, c.want)
+		}
+	}
+}
+
 // TestOfferMemStoresUnderFenceRules: an accepted carrier stores the
 // frame; a fence-rejected one stores nothing; (fence, epoch) ordering
 // refuses a deposed leader's stale record even on an accepted renewal;

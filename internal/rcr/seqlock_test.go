@@ -3,6 +3,7 @@ package rcr
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,47 @@ func TestDeltaEncodeAllocs(t *testing.T) {
 		since = f.To
 	}); n != 0 {
 		t.Errorf("delta collect+encode allocates %.1f/op on warm scratch, want 0", n)
+	}
+}
+
+// TestDeltaDecodeAllocs: the subscriber side of the same tick — decode a
+// pushed delta into the subscription's frame — must not allocate once
+// that frame is warm, whichever of a large change, a small one and a
+// heartbeat comes next, and what a reused frame holds must be what a
+// fresh one would.
+func TestDeltaDecodeAllocs(t *testing.T) {
+	bb, _ := NewBlackboard(2, 8)
+	var out DeltaFrame
+	populate(bb, time.Second)
+	bb.CollectDelta(0, &out)
+	large := AppendDeltaFrame(nil, &out)
+	bb.SetSocket(0, MeterPower, 71, 2*time.Second)
+	bb.CollectDelta(out.To, &out)
+	small := AppendDeltaFrame(nil, &out)
+	bb.CollectDelta(out.To, &out)
+	heartbeat := AppendDeltaFrame(nil, &out)
+
+	var f DeltaFrame
+	if n := testing.AllocsPerRun(1000, func() {
+		for _, frame := range [][]byte{large, small, heartbeat, large} {
+			if err := DecodeDeltaFrame(frame, &f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("DecodeDeltaFrame allocates %.1f/op into a warm frame, want 0", n)
+	}
+	for _, frame := range [][]byte{small, large} {
+		var fresh DeltaFrame
+		if err := DecodeDeltaFrame(frame, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeDeltaFrame(frame, &f); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f, fresh) {
+			t.Errorf("reused frame decoded %+v, a fresh one %+v", f, fresh)
+		}
 	}
 }
 
