@@ -52,8 +52,45 @@ func (a *Alignment) Name() string {
 	return compiler.AppAlignmentFor
 }
 
-// Prepare generates sequences, computes the reference score sum, and
-// calibrates charges.
+// alignInput is the sequence set, its pair list and the serial score
+// sum. Runs only read it.
+type alignInput struct {
+	seqs  [][]byte
+	pairs [][2]int
+	want  int64
+}
+
+// alignInputs is shared by the -for and -single variants: the sequences
+// depend on the seed alone.
+var alignInputs workloads.Memo[int64, alignInput]
+
+// buildAlignInput generates the sequences for a seed and aligns every
+// pair serially.
+func buildAlignInput(seed int64) alignInput {
+	rng := rand.New(rand.NewSource(seed))
+	const alphabet = "ARNDCQEGHILKMFPSTWYV"
+	var in alignInput
+	in.seqs = make([][]byte, alignSeqs)
+	for i := range in.seqs {
+		s := make([]byte, alignSeqLen)
+		for j := range s {
+			s[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		in.seqs[i] = s
+	}
+	for i := 0; i < len(in.seqs); i++ {
+		for j := i + 1; j < len(in.seqs); j++ {
+			in.pairs = append(in.pairs, [2]int{i, j})
+		}
+	}
+	for _, pr := range in.pairs {
+		in.want += int64(smithWaterman(in.seqs[pr[0]], in.seqs[pr[1]]))
+	}
+	return in
+}
+
+// Prepare generates sequences and computes the reference score sum (once
+// per seed), and calibrates charges.
 func (a *Alignment) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(a.Name(), p.Target)
@@ -62,26 +99,8 @@ func (a *Alignment) Prepare(p workloads.Params) error {
 	}
 	a.p, a.cg = p, cg
 
-	rng := rand.New(rand.NewSource(p.Seed))
-	const alphabet = "ARNDCQEGHILKMFPSTWYV"
-	a.seqs = make([][]byte, alignSeqs)
-	for i := range a.seqs {
-		s := make([]byte, alignSeqLen)
-		for j := range s {
-			s[j] = alphabet[rng.Intn(len(alphabet))]
-		}
-		a.seqs[i] = s
-	}
-	a.pairs = a.pairs[:0]
-	for i := 0; i < len(a.seqs); i++ {
-		for j := i + 1; j < len(a.seqs); j++ {
-			a.pairs = append(a.pairs, [2]int{i, j})
-		}
-	}
-	a.want = 0
-	for _, pr := range a.pairs {
-		a.want += int64(smithWaterman(a.seqs[pr[0]], a.seqs[pr[1]]))
-	}
+	in := alignInputs.Get(p.Seed, buildAlignInput)
+	a.seqs, a.pairs, a.want = in.seqs, in.pairs, in.want
 
 	total, act, err := computeCalib(p.MachineConfig, a.Name(), p.Target, p.Scale)
 	if err != nil {

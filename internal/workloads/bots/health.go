@@ -2,7 +2,8 @@ package bots
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 
 	"repro/internal/compiler"
 	"repro/internal/qthreads"
@@ -54,10 +55,19 @@ type village struct {
 	referred int64
 }
 
-// Health tree shape: 4 levels of branching 4 (85 villages) simulated for
-// 26 steps gives ~2.2k tasks; mechanism constants per DESIGN.md: the
-// socket saturates at ~3.35 village-processing threads and overlaps
-// about half of its stalls.
+// Health tree shape: buildTree branches while level < healthLevels, so
+// the root plus 4 levels of branching 4 is 341 villages, and 26 steps
+// give 8,866 village tasks a run — the count Table VI and the 6.7× knee
+// are calibrated on. Mechanism constants per DESIGN.md: the socket
+// saturates at ~3.35 village-processing threads and overlaps about half
+// of its stalls.
+//
+// Every (village, step) draws from a private stream seeded from (Seed,
+// village, step): that is what makes the totals independent of the
+// schedule and lets the serial reference replay the identical draws. It
+// also means a stream is seeded 8,866 times a run and as often again
+// for the reference, so the generator must cost nothing to seed — a PCG
+// value on the stack, not math/rand's 607-word lagged-Fibonacci source.
 const (
 	healthLevels   = 4
 	healthBranch   = 4
@@ -131,18 +141,26 @@ func (h *Health) resetState() {
 	}
 }
 
+// below draws from [0, n) by multiply-shift. Its bias is under n/2⁶⁴,
+// and the simulation needs the draws repeatable, not exactly uniform.
+func below(rng *rand.PCG, n uint64) uint64 {
+	hi, _ := bits.Mul64(rng.Uint64(), n)
+	return hi
+}
+
 // stepVillage advances one village by one timestep using its private,
 // schedule-independent RNG stream.
 func (h *Health) stepVillage(v *village, step int) {
-	rng := rand.New(rand.NewSource(h.p.Seed ^ int64(v.id)<<20 ^ int64(step)))
+	var rng rand.PCG
+	rng.Seed(uint64(h.p.Seed), uint64(v.id)<<32|uint64(step))
 	v.patients += v.inbox
 	v.inbox = 0
 	// New illness among the population.
-	newSick := rng.Int63n(v.patients/4 + 1)
+	newSick := int64(below(&rng, uint64(v.patients/4+1)))
 	v.sick += newSick
 	// Treat some; refer the hard cases up the hierarchy.
 	for i := int64(0); i < v.sick; i++ {
-		switch rng.Intn(10) {
+		switch below(&rng, 10) {
 		case 0, 1, 2, 3, 4, 5:
 			v.treated++
 			v.sick--

@@ -42,7 +42,23 @@ func NewNQueens() *NQueens { return &NQueens{} }
 // Name returns the canonical app name.
 func (q *NQueens) Name() string { return compiler.AppNQueensCutoff }
 
-// Prepare counts the reference serially and calibrates charges.
+// nqueensRef is the serial reference of one board size: the solution
+// count and the search nodes visited finding it.
+type nqueensRef struct{ count, nodes int64 }
+
+// nqueensRefs is keyed by board size, the only thing the count depends
+// on.
+var nqueensRefs workloads.Memo[int, nqueensRef]
+
+// countNQueens searches the whole n×n board serially.
+func countNQueens(n int) nqueensRef {
+	var r nqueensRef
+	r.count = countBoard(n, 0, 0, 0, 0, &r.nodes)
+	return r
+}
+
+// Prepare counts the reference serially (once per board size) and
+// calibrates charges.
 func (q *NQueens) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(q.Name(), p.Target)
@@ -53,9 +69,8 @@ func (q *NQueens) Prepare(p workloads.Params) error {
 	q.n = botsNQueensN
 	q.cutoff = botsNQueensCutoff
 
-	var nodes int64
-	q.wantCount = countBoard(q.n, 0, 0, 0, 0, &nodes)
-	q.wantNodes = nodes
+	ref := nqueensRefs.Get(q.n, countNQueens)
+	q.wantCount, q.wantNodes = ref.count, ref.nodes
 
 	total, act, err := computeCalib(p.MachineConfig, q.Name(), p.Target, p.Scale)
 	if err != nil {

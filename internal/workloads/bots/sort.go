@@ -3,7 +3,7 @@ package bots
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/compiler"
 	"repro/internal/qthreads"
@@ -45,7 +45,35 @@ func NewSort() *Sort { return &Sort{} }
 // Name returns the canonical app name.
 func (s *Sort) Name() string { return compiler.AppSortCutoff }
 
-// Prepare generates data and calibrates charges.
+// sortInput is the unsorted array and its checksum. Runs copy data
+// before sorting and never write it.
+type sortInput struct {
+	data    []int32
+	wantSum int64
+}
+
+// sortKey is what the array depends on: the seed and the element count
+// Scale works out to.
+type sortKey struct {
+	seed int64
+	n    int
+}
+
+var sortInputs workloads.Memo[sortKey, sortInput]
+
+// buildSortInput draws the array for a seed and size and sums it.
+func buildSortInput(k sortKey) sortInput {
+	rng := rand.New(rand.NewSource(k.seed))
+	in := sortInput{data: make([]int32, k.n)}
+	for i := range in.data {
+		in.data[i] = int32(rng.Uint32())
+		in.wantSum += int64(in.data[i])
+	}
+	return in
+}
+
+// Prepare generates data (once per seed and size) and calibrates
+// charges.
 func (s *Sort) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(s.Name(), p.Target)
@@ -58,13 +86,8 @@ func (s *Sort) Prepare(p workloads.Params) error {
 	if n < sortBlocks*2 {
 		n = sortBlocks * 2
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	s.data = make([]int32, n)
-	s.wantSum = 0
-	for i := range s.data {
-		s.data[i] = int32(rng.Uint32())
-		s.wantSum += int64(s.data[i])
-	}
+	in := sortInputs.Get(sortKey{p.Seed, n}, buildSortInput)
+	s.data, s.wantSum = in.data, in.wantSum
 	s.buf = make([]int32, n)
 
 	prof, err := bwCalib(p.MachineConfig, s.Name(), p.Target, p.Scale, sortSatShare, sortOverlap)
@@ -103,7 +126,7 @@ func (s *Sort) Root() qthreads.Task {
 			bd := bd
 			g.Spawn(tc, func(tc *qthreads.TC) {
 				block := work[bd[0]:bd[1]]
-				sort.Slice(block, func(i, j int) bool { return block[i] < block[j] })
+				slices.Sort(block)
 				tc.Execute(s.prof.work(s.cyclesPerElem * float64(len(block))))
 			})
 		}

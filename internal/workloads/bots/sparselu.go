@@ -57,18 +57,25 @@ func (l *SparseLU) Name() string {
 	return compiler.AppSparseLUFor
 }
 
-// Prepare generates the matrix, factorizes it serially for the
-// reference, and calibrates charges.
-func (l *SparseLU) Prepare(p workloads.Params) error {
-	p = p.WithDefaults()
-	cg, err := workloads.Lookup(l.Name(), p.Target)
-	if err != nil {
-		return err
-	}
-	l.p, l.cg = p, cg
-	l.nb, l.bs = sluNB, sluBS
+// sluInput is the generated blocked matrix (nil = zero block), its
+// serial factorization and the flops that took. Runs clone orig and only
+// read want.
+type sluInput struct {
+	orig  [][]float64
+	want  [][]float64
+	flops float64
+}
 
-	rng := rand.New(rand.NewSource(p.Seed))
+// sluInputs is shared by the -for and -single variants: the matrix
+// depends on the seed alone.
+var sluInputs workloads.Memo[int64, sluInput]
+
+// buildSLUInput generates the matrix for a seed and factorizes it
+// serially, counting flops for calibration as it goes.
+func buildSLUInput(seed int64) sluInput {
+	// A throwaway instance carries the shape for factorize.
+	l := &SparseLU{nb: sluNB, bs: sluBS}
+	rng := rand.New(rand.NewSource(seed))
 	l.orig = make([][]float64, l.nb*l.nb)
 	for i := 0; i < l.nb; i++ {
 		for j := 0; j < l.nb; j++ {
@@ -89,16 +96,30 @@ func (l *SparseLU) Prepare(p workloads.Params) error {
 			}
 		}
 	}
+	in := sluInput{orig: l.orig}
+	in.want = l.factorize(nil, &in.flops)
+	return in
+}
 
-	// Serial reference (counts flops for calibration as it goes).
-	var flops float64
-	l.want = l.factorize(nil, &flops)
+// Prepare generates the matrix and factorizes it serially for the
+// reference (once per seed), and calibrates charges.
+func (l *SparseLU) Prepare(p workloads.Params) error {
+	p = p.WithDefaults()
+	cg, err := workloads.Lookup(l.Name(), p.Target)
+	if err != nil {
+		return err
+	}
+	l.p, l.cg = p, cg
+	l.nb, l.bs = sluNB, sluBS
+
+	in := sluInputs.Get(p.Seed, buildSLUInput)
+	l.orig, l.want = in.orig, in.want
 
 	total, act, err := computeCalib(p.MachineConfig, l.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	l.cyclesPerFlop = total / flops
+	l.cyclesPerFlop = total / in.flops
 	l.activity = act
 	return nil
 }

@@ -51,8 +51,22 @@ func NewStrassen() *Strassen { return &Strassen{} }
 // Name returns the canonical app name.
 func (w *Strassen) Name() string { return compiler.AppStrassen }
 
-// Prepare generates matrices, computes the classical reference product,
-// and calibrates charges.
+// strassenInput is the two operand matrices and their classical product.
+// Runs only read all three (quad and addM copy out of the operands).
+type strassenInput struct{ a, b, want []float64 }
+
+var strassenInputs workloads.Memo[int64, strassenInput]
+
+// buildStrassenInput draws the operands for a seed and multiplies them
+// classically.
+func buildStrassenInput(seed int64) strassenInput {
+	rng := rand.New(rand.NewSource(seed))
+	a, b := randomMatrix(rng, strassenN), randomMatrix(rng, strassenN)
+	return strassenInput{a, b, classicalMultiply(a, b, strassenN)}
+}
+
+// Prepare generates matrices and computes the classical reference
+// product (once per seed), and calibrates charges.
 func (w *Strassen) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(w.Name(), p.Target)
@@ -63,10 +77,8 @@ func (w *Strassen) Prepare(p workloads.Params) error {
 	w.n = strassenN
 	w.cutoff = strassenCutoff
 
-	rng := rand.New(rand.NewSource(p.Seed))
-	w.a = randomMatrix(rng, w.n)
-	w.b = randomMatrix(rng, w.n)
-	w.want = classicalMultiply(w.a, w.b, w.n)
+	in := strassenInputs.Get(p.Seed, buildStrassenInput)
+	w.a, w.b, w.want = in.a, in.b, in.want
 
 	prof, err := bwCalib(p.MachineConfig, w.Name(), p.Target, p.Scale, strassenSatShare, strassenOverlap)
 	if err != nil {

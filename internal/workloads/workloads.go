@@ -14,6 +14,16 @@
 // why that program scales the way it does; the thread-scaling curves and
 // all throttling behaviour then emerge from the machine model rather
 // than being scripted.
+//
+// Prepare does two things of different cost. The input and its serial
+// reference are a pure function of what the input depends on (the seed,
+// for sort also the element count) and may be expensive: a real
+// factorization, a real 13-queens count. The BOTS programs build them
+// once per distinct input through a Memo and share the result read-only
+// between instances; every run copies its working state out of it and is
+// still validated against it. The calibration (Lookup plus the charge
+// model) depends on the target and the machine, is cheap, and is done by
+// every Prepare for its own instance.
 package workloads
 
 import (
@@ -57,8 +67,9 @@ func (p Params) WithDefaults() Params {
 type Workload interface {
 	// Name returns the canonical application name (compiler.App*).
 	Name() string
-	// Prepare generates inputs and calibrates the charge model. It must
-	// be called before Root.
+	// Prepare generates the input with its serial reference and
+	// calibrates the charge model for p's target. It must be called
+	// before Root.
 	Prepare(p Params) error
 	// Root returns the task to hand to qthreads.Runtime.Run. Root may be
 	// run multiple times after one Prepare; each run recomputes from the
