@@ -176,6 +176,7 @@ func (x *CoreCtx) SetDutyLevel(level int) {
 		panic(err)
 	}
 	x.c.duty = d
+	m.planValid = false
 }
 
 // FullDuty restores the core to full speed.
@@ -210,6 +211,7 @@ func (x *CoreCtx) Release() {
 	}
 	x.c.duty = 1
 	x.c.state = coreUnowned
+	m.planValid = false
 	m.running--
 	m.engCond.Signal()
 }

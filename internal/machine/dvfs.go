@@ -64,8 +64,9 @@ func (m *Machine) FrequencyScale(socket int) float64 {
 // called by the engine before planning each step.
 func (m *Machine) applyFrequencyRequestsLocked() {
 	for s := range m.freqScale {
-		if bits := m.freqScaleReq[s].Load(); bits != 0 {
+		if bits := m.freqScaleReq[s].Load(); bits != 0 && bits != math.Float64bits(m.freqScale[s]) {
 			m.freqScale[s] = math.Float64frombits(bits)
+			m.planValid = false
 		}
 	}
 }

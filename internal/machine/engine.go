@@ -47,6 +47,11 @@ func (m *Machine) engine() {
 		m.applyFrequencyRequestsLocked()
 		dt, tickerOnly, ok := m.planStepLocked()
 		if !ok {
+			if m.stopped {
+				// Planning found a core that can never progress and
+				// aborted the machine; nobody is left to signal a wait.
+				return
+			}
 			// Only condition waits remain (no demand, no deadlines, no
 			// tickers): time cannot meaningfully advance. Sleep until a
 			// host-side Kick or a state change.
@@ -74,7 +79,9 @@ func (m *Machine) engine() {
 				// continue itself. Leaving it set would livelock the
 				// ticker-only path (plan, sleep, see the stale kick,
 				// discard the plan, forever).
-				if m.running > 0 || m.stopped || m.kicked || m.held > 0 {
+				// A core that enrolled and blocked within the sleep leaves
+				// running at zero but the plan invalid.
+				if m.running > 0 || m.stopped || m.kicked || m.held > 0 || !m.planValid {
 					m.kicked = false
 					continue
 				}
@@ -123,70 +130,31 @@ func (m *Machine) wakeLocked(c *core, msg wakeMsg) {
 	c.wake <- msg
 }
 
-// planStepLocked computes per-core progress rates for the next step and
-// the step length: the time to the earliest work completion, ticker
-// deadline or wait deadline, capped by MaxStep while demand exists. It
-// returns ok=false when nothing can advance time (pure condition waits);
-// tickerOnly=true when the step exists solely to reach a ticker deadline.
-// It reads only the incremental indexes (busy lists, line groups, event
-// heaps) — never the full core array.
+// planStepLocked returns the length of the next step: the time to the
+// earliest work completion, ticker deadline or wait deadline, capped by
+// MaxStep while demand exists. It returns ok=false when nothing can
+// advance time (pure condition waits); tickerOnly=true when the step
+// exists solely to reach a ticker deadline.
+//
+// Only the horizons are computed here, every step, from live values
+// (remaining work, the heap fronts, the clock). The rates they divide by
+// belong to the plan, which replanLocked recomputes only when m.planValid
+// says something it depends on changed (docs/engine.md §Plan reuse).
 func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
+	if !m.planValid && !m.replanLocked() {
+		return 0, false, false
+	}
 	earliest := never
 	hasDemand := m.totBusy > 0 || m.totAtomic > 0
 	hasDeadline := len(m.dlHeap) > 0
 
-	// Per-socket Turbo boost from current occupancy (busy + atomic
-	// cores); constant across the step because occupancy only changes at
-	// completions, which bound the step.
 	for sock := range m.socks {
-		m.stepBoost[sock] = m.cfg.Turbo.boostFor(m.socks[sock].occupied(), m.cfg.CoresPerSocket)
-	}
-
-	// Memory-contended busy cores, socket by socket. The busy lists are
-	// id-ordered, so demand vectors match the order the old full scans
-	// produced and the allocator's arithmetic is unchanged.
-	for sock := range m.socks {
-		busy := m.socks[sock].busy
-		if len(busy) == 0 {
-			m.stepRefs[sock] = 0
-			m.stepUtil[sock] = 0
-			continue
-		}
-		demands := m.demandScratch[:0]
-		for _, c := range busy {
-			demands = append(demands, c.bwDemand(m.cfg, m.freqScale[sock]*m.stepBoost[sock]))
-		}
-		m.demandScratch = demands[:0]
-		grants, refs, util := m.cfg.Mem.allocateInto(demands, &m.allocScratch)
-		m.stepRefs[sock] = refs
-		m.stepUtil[sock] = util
-		for i, c := range busy {
-			cycleRate := float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock] * m.stepBoost[sock]
-			var opsRate, bytesRate float64
-			switch {
-			case c.work.Ops > 0 && c.work.Bytes > 0:
-				bytesPerOp := c.work.Bytes / c.work.Ops
-				opsRate = cycleRate
-				if g := grants[i] / bytesPerOp; g < opsRate {
-					opsRate = g
-				}
-				bytesRate = opsRate * bytesPerOp
-			case c.work.Ops > 0:
-				opsRate = cycleRate
-			default:
-				bytesRate = grants[i]
-			}
-			c.stepOpsRate, c.stepBytesRate = opsRate, bytesRate
-			if cycleRate > 0 {
-				c.stepActiveFrac = opsRate / cycleRate
-			} else {
-				c.stepActiveFrac = 0
-			}
+		for _, c := range m.socks[sock].busy {
 			t := never
-			if c.remOps > 0 && opsRate > 0 {
-				t = secondsToDuration(c.remOps / opsRate)
-			} else if c.remBytes > 0 && bytesRate > 0 {
-				t = secondsToDuration(c.remBytes / bytesRate)
+			if c.remOps > 0 && c.stepOpsRate > 0 {
+				t = secondsToDuration(c.remOps / c.stepOpsRate)
+			} else if c.remBytes > 0 && c.stepBytesRate > 0 {
+				t = secondsToDuration(c.remBytes / c.stepBytesRate)
 			}
 			if t == never {
 				// A busy core that can make no progress is a model bug
@@ -199,23 +167,12 @@ func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
 			}
 		}
 	}
-
-	// Atomic (contended cache line) cores, grouped by line. Service is
-	// serialized across the group and each operation's cost grows with
-	// the number of contenders (coherence ping-pong). The groups are
-	// maintained incrementally at state transitions.
-	for line, g := range m.lineGroups {
-		k := float64(len(g.members))
-		mult := 1 + line.pingpong*(k-1)
-		for _, c := range g.members {
-			rate := float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket] / (line.costCycles * mult * k)
-			c.stepOpsRate = rate
-			if rate <= 0 {
-				m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
-				return 0, false, false
-			}
-			if t := secondsToDuration(c.remAtomics / rate); t < earliest {
-				earliest = t
+	if m.totAtomic > 0 { // spare the common all-busy step a map iteration
+		for _, g := range m.lineGroups {
+			for _, c := range g.members {
+				if t := secondsToDuration(c.remAtomics / c.stepOpsRate); t < earliest {
+					earliest = t
+				}
 			}
 		}
 	}
@@ -252,30 +209,138 @@ func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
 	return earliest, !hasDemand && !hasDeadline, true
 }
 
-// advanceLocked moves virtual time forward by dt: integrates energy and
-// temperature with the rates computed by planStepLocked, progresses work,
-// and wakes cores whose work completed.
-func (m *Machine) advanceLocked(dt time.Duration) {
-	secs := dt.Seconds()
+// replanLocked recomputes the plan: everything a step needs that is a
+// pure function of core states, work items, duty cycles, line groups and
+// DVFS scales — the per-socket Turbo boost, every busy core's bandwidth
+// grant and progress rates, every atomic core's contended service rate,
+// each progressing core's cycle rate and the list of those cores, and per
+// socket the power sum before leakage and the granted-bandwidth total. It
+// sets m.planValid; the choke points that change any of those inputs
+// clear it. It reports false after aborting the machine on a zero atomic
+// rate.
+//
+// It reads the incremental indexes (busy lists, line groups) for the
+// rates and walks each socket's cores once for the power sum, as the
+// per-step integration used to.
+func (m *Machine) replanLocked() bool {
+	// Per-socket Turbo boost from current occupancy (busy + atomic
+	// cores); constant until occupancy changes.
+	for sock := range m.socks {
+		m.stepBoost[sock] = m.cfg.Turbo.boostFor(m.socks[sock].occupied(), m.cfg.CoresPerSocket)
+	}
 
-	// Energy and thermal integration per socket, using pre-progress
-	// states (rates are constant across the step by construction). Every
-	// core contributes power whatever its state, so this walks each
-	// socket's contiguous core range once (in id order — the same
-	// summation order as ever).
-	for sock := 0; sock < m.cfg.Sockets; sock++ {
+	// Memory-contended busy cores, socket by socket. The busy lists are
+	// id-ordered, so demand vectors match the order the old full scans
+	// produced and the allocator's arithmetic is unchanged.
+	for sock := range m.socks {
+		busy := m.socks[sock].busy
+		m.stepBandwidth[sock] = 0
+		if len(busy) == 0 {
+			m.stepRefs[sock] = 0
+			m.stepUtil[sock] = 0
+			continue
+		}
+		demands := m.demandScratch[:0]
+		for _, c := range busy {
+			demands = append(demands, c.bwDemand(m.cfg, m.freqScale[sock]*m.stepBoost[sock]))
+		}
+		m.demandScratch = demands[:0]
+		grants, refs, util := m.cfg.Mem.allocateInto(demands, &m.allocScratch)
+		m.stepRefs[sock] = refs
+		m.stepUtil[sock] = util
+		for i, c := range busy {
+			cycleRate := float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock] * m.stepBoost[sock]
+			var opsRate, bytesRate float64
+			switch {
+			case c.work.Ops > 0 && c.work.Bytes > 0:
+				bytesPerOp := c.work.Bytes / c.work.Ops
+				opsRate = cycleRate
+				if g := grants[i] / bytesPerOp; g < opsRate {
+					opsRate = g
+				}
+				bytesRate = opsRate * bytesPerOp
+			case c.work.Ops > 0:
+				opsRate = cycleRate
+			default:
+				bytesRate = grants[i]
+			}
+			c.stepOpsRate, c.stepBytesRate, c.stepCycleRate = opsRate, bytesRate, cycleRate
+			if cycleRate > 0 {
+				c.stepActiveFrac = opsRate / cycleRate
+			} else {
+				c.stepActiveFrac = 0
+			}
+			m.stepBandwidth[sock] += bytesRate
+		}
+	}
+
+	// Atomic (contended cache line) cores, grouped by line. Service is
+	// serialized across the group and each operation's cost grows with
+	// the number of contenders (coherence ping-pong). The groups are
+	// maintained incrementally at state transitions.
+	for line, g := range m.lineGroups {
+		k := float64(len(g.members))
+		mult := 1 + line.pingpong*(k-1)
+		for _, c := range g.members {
+			c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket]
+			c.stepOpsRate = c.stepCycleRate / (line.costCycles * mult * k)
+			if c.stepOpsRate <= 0 {
+				m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
+				return false
+			}
+		}
+	}
+
+	// Socket power before the leakage factor. Every core contributes
+	// power whatever its state, so this walks each socket's contiguous
+	// core range once (in id order — the same summation order as ever).
+	// Spinners progress nothing but their cycle counter, at the unboosted
+	// clock.
+	m.stepProgress = m.stepProgress[:0]
+	for sock := range m.socks {
+		fs := m.freqScale[sock] * m.stepBoost[sock]
 		p := m.cfg.Power.UncoreBase
 		for _, c := range m.coresOf(sock) {
-			p += m.cfg.Power.corePower(c.state, c.duty, m.freqScale[sock]*m.stepBoost[sock], c.effActiveFrac())
+			p += m.cfg.Power.corePower(c.state, c.duty, fs, c.effActiveFrac())
+			switch c.state {
+			case coreSpinWait:
+				c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock]
+				fallthrough
+			case coreBusy, coreAtomic:
+				m.stepProgress = append(m.stepProgress, c)
+			}
 		}
 		p += m.cfg.Power.BandwidthMax * units.Watts(m.stepUtil[sock])
-		p = units.Watts(float64(p) * m.cfg.Thermal.leakageFactor(m.temp[sock]))
+		m.stepBasePower[sock] = p
+	}
+	m.planValid = true
+	return true
+}
+
+// advanceLocked moves virtual time forward by dt: integrates energy and
+// temperature with the plan's power and rates (constant across the step
+// by construction), progresses work, and wakes cores whose work
+// completed. What depends on live state — the leakage factor of the
+// current temperature, the energy and RAPL counters, every core's
+// remaining work — is computed here, every step.
+func (m *Machine) advanceLocked(dt time.Duration) {
+	secs := dt.Seconds()
+	decay := m.maxStepDecay
+	if dt != m.cfg.MaxStep {
+		if dt != m.decayDt {
+			m.decayDt, m.decay = dt, m.cfg.Thermal.decay(dt)
+		}
+		decay = m.decay
+	}
+
+	for sock := 0; sock < m.cfg.Sockets; sock++ {
+		p := units.Watts(float64(m.stepBasePower[sock]) * m.cfg.Thermal.leakageFactor(m.temp[sock]))
 		e := float64(p) * secs
 		m.energy[sock] += e
 		if err := m.msrFile.AddPackageEnergy(sock, units.Joules(e)); err != nil {
 			panic(err) // socket indices are internally consistent
 		}
-		m.temp[sock] = m.cfg.Thermal.step(m.temp[sock], p, dt)
+		m.temp[sock] = m.cfg.Thermal.relax(m.temp[sock], p, decay)
 		m.stepPower[sock] = p
 	}
 	// Mirror temperatures into IA32_THERM_STATUS once cumulative drift
@@ -288,25 +353,30 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 	}
 
 	// Progress work and cycle counters; wake completed cores. This walks
-	// the stable core array (not the mutable busy lists) because
+	// the plan's own list (not the mutable busy lists) because
 	// completions unindex cores mid-loop.
-	for _, c := range m.cores {
+	for _, c := range m.stepProgress {
 		switch c.state {
 		case coreBusy:
+			hadBytes := c.remBytes > 0
 			c.remOps -= c.stepOpsRate * secs
 			c.remBytes -= c.stepBytesRate * secs
-			c.cycles += float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket] * secs
+			c.cycles += c.stepCycleRate * secs
 			if c.remOps <= 0.5 && c.remBytes <= 0.5 {
 				m.completeLocked(c)
+			} else if hadBytes && c.remBytes <= 0 {
+				// The traffic ran out before the cycles did: the core's
+				// bandwidth demand drops to zero, so the plan is stale.
+				m.planValid = false
 			}
 		case coreAtomic:
 			c.remAtomics -= c.stepOpsRate * secs
-			c.cycles += float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket] * secs
+			c.cycles += c.stepCycleRate * secs
 			if c.remAtomics <= 1e-6 {
 				m.completeLocked(c)
 			}
 		case coreSpinWait:
-			c.cycles += float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * secs
+			c.cycles += c.stepCycleRate * secs
 		}
 	}
 
@@ -391,16 +461,22 @@ func (m *Machine) updateSnapLocked() {
 	}
 	m.lastSnap.Now = m.now
 	for sock := 0; sock < m.cfg.Sockets; sock++ {
-		grantTotal := 0.0
-		for _, c := range m.socks[sock].busy {
-			grantTotal += c.stepBytesRate
+		if !m.planValid {
+			// A busy list changed since the plan totalled the grants
+			// (typically a completion in the step just taken): total
+			// again over the cores still busy.
+			grantTotal := 0.0
+			for _, c := range m.socks[sock].busy {
+				grantTotal += c.stepBytesRate
+			}
+			m.stepBandwidth[sock] = grantTotal
 		}
 		m.lastSnap.Sockets[sock] = SocketSnapshot{
 			Power:                m.stepPower[sock],
 			Energy:               units.Joules(m.energy[sock]),
 			Temperature:          m.temp[sock],
 			OutstandingRefs:      m.stepRefs[sock],
-			Bandwidth:            units.BytesPerSecond(grantTotal),
+			Bandwidth:            units.BytesPerSecond(m.stepBandwidth[sock]),
 			BandwidthUtilization: m.stepUtil[sock],
 		}
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,38 +54,80 @@ func steadyStateLoad(tb testing.TB, m *Machine) (stop func()) {
 }
 
 // TestEngineStepAllocs is the zero-allocation regression gate for the
-// engine's steady state: with a busy/atomic/spin mix in flight and a
-// ticker firing, charging a long work item (hundreds of MaxStep quanta)
-// must not allocate. The old scan-per-step engine allocated several slices
-// per quantum, i.e. thousands per run measured here.
+// engine's steady state, on both of its paths: with a ticker firing,
+// charging a long work item (hundreds of MaxStep quanta) must not
+// allocate, whether a busy/atomic/spin mix beside it changes some core's
+// state every step (every step replans) or three long items beside it
+// change nothing (every step reuses the plan). The old scan-per-step
+// engine allocated several slices per quantum, i.e. thousands per run
+// measured here.
 func TestEngineStepAllocs(t *testing.T) {
-	m := newTestMachine(t)
-	if _, err := m.AddTicker(100*time.Microsecond, func(time.Duration, *Snapshot) {}); err != nil {
-		t.Fatal(err)
-	}
-	stop := steadyStateLoad(t, m)
-	defer stop()
+	// ~1e9 ops at 2.7 GHz is ~370 ms of virtual time = ~370 MaxStep quanta
+	// (plus as many ticker fires and, on the replanning path, background
+	// wake/sleep cycles) per measured call. AllocsPerRun's warm-up call
+	// grows every scratch buffer, heap and pool to its steady-state size.
+	const steps, runs = 370.0, 5
+	for _, path := range []struct {
+		name string
+		load func(testing.TB, *Machine) (stop func())
+	}{
+		{"replanning", steadyStateLoad},
+		{"reusing", func(tb testing.TB, m *Machine) func() {
+			quiescentLoad(tb, m, 3, (runs+1)*steps)
+			return func() {} // ends with the machine
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			m := newTestMachine(t)
+			if _, err := m.AddTicker(100*time.Microsecond, func(time.Duration, *Snapshot) {}); err != nil {
+				t.Fatal(err)
+			}
+			fg, err := m.Enroll(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The foreground core enrolls first (so the load cannot run
+			// ahead of it) and releases first (so the load can wind down).
+			defer path.load(t, m)()
+			defer fg.Release()
 
+			allocs := testing.AllocsPerRun(runs, func() {
+				fg.Execute(Work{Ops: 1e9})
+			})
+			// Tolerate a handful of runtime-internal allocations (sudog
+			// cache refills and the like); the engine's own per-step
+			// allocations would show up as hundreds per run.
+			if allocs > 10 {
+				t.Errorf("engine steady state allocates: %.0f allocs per run (%.3f per step), want 0",
+					allocs, allocs/steps)
+			}
+		})
+	}
+}
+
+// TestPlanReusedAcrossQuiescentSteps pins the point of the plan cache,
+// which no bit-exact comparison can see: a step in which no core changed
+// state must leave the plan valid, so the next one reuses it. One hundred
+// MaxStep quanta of work beside three longer items may invalidate the
+// plan at its own completion and nowhere else.
+func TestPlanReusedAcrossQuiescentSteps(t *testing.T) {
+	m := newTestMachine(t)
+	var steps, valid int
+	m.SetStepHook(func(StepRecord) { // engine goroutine, lock held
+		steps++
+		if m.planValid {
+			valid++
+		}
+	})
 	fg, err := m.Enroll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fg.Release()
-
-	// ~1e9 ops at 2.7 GHz is ~370 ms of virtual time = ~370 MaxStep quanta
-	// (plus as many ticker fires and background wake/sleep cycles) per
-	// measured call. AllocsPerRun's warm-up call grows every scratch
-	// buffer, heap and pool to its steady-state size.
-	const steps = 370.0
-	allocs := testing.AllocsPerRun(5, func() {
-		fg.Execute(Work{Ops: 1e9})
-	})
-	// Tolerate a handful of runtime-internal allocations (sudog cache
-	// refills and the like); the engine's own per-step allocations would
-	// show up as hundreds per run.
-	if allocs > 10 {
-		t.Errorf("engine steady state allocates: %.0f allocs per run (%.3f per step), want 0",
-			allocs, allocs/steps)
+	quiescentLoad(t, m, 3, 100)
+	fg.Execute(Work{Ops: 100 * 2.7e6})
+	m.Stop()
+	if steps != 100 || valid != 99 {
+		t.Errorf("%d steps, %d of which left the plan valid; want 100 and 99", steps, valid)
 	}
 }
 
@@ -177,6 +220,62 @@ func BenchmarkEngineStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	fg.Execute(Work{Ops: opsPerStep * float64(b.N)})
+}
+
+// quiescentLoad enrolls cores 1..n, each charging one mixed
+// compute/memory work item longer than steps MaxStep quanta — enough of
+// them contend for bandwidth — so that nothing but a foreground item can
+// complete meanwhile: every step taken beside it reuses the plan. The
+// items end when the machine stops.
+func quiescentLoad(tb testing.TB, m *Machine, n int, steps float64) {
+	tb.Helper()
+	cfg := m.Config()
+	ops := 4 * steps * float64(cfg.BaseFreq) * cfg.MaxStep.Seconds()
+	for id := 1; id <= n; id++ {
+		ctx, err := m.Enroll(id)
+		if err != nil {
+			tb.Fatalf("Enroll(%d): %v", id, err)
+		}
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(Abort); !ok {
+						panic(r)
+					}
+				}
+			}()
+			ctx.Execute(Work{Ops: ops, Bytes: 4 * ops, Overlap: 0.5})
+		}()
+	}
+}
+
+// BenchmarkEngineQuiescentStep measures one engine quantum in which no
+// core changes state — the MaxStep-capped middle of a long work item,
+// which is most of what a low-thread-count baseline run is made of: one
+// foreground Execute of b.N MaxSteps beside busy−1 longer ones.
+// BenchmarkEngineStep cannot show this: its background mix completes
+// something every step.
+func BenchmarkEngineQuiescentStep(b *testing.B) {
+	for _, busy := range []int{1, 16} {
+		b.Run(fmt.Sprintf("busy=%d", busy), func(b *testing.B) {
+			cfg := M620()
+			cfg.VirtualTimeLimit = 0
+			m, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Stop()
+			fg, err := m.Enroll(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			quiescentLoad(b, m, busy-1, float64(b.N))
+			opsPerStep := float64(cfg.BaseFreq) * cfg.MaxStep.Seconds()
+			b.ReportAllocs()
+			b.ResetTimer()
+			fg.Execute(Work{Ops: opsPerStep * float64(b.N)})
+		})
+	}
 }
 
 // BenchmarkChargingCall measures the round-trip of a minimal charging

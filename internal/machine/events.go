@@ -56,6 +56,7 @@ func removeCore(list []*core, c *core) []*core {
 // indexBlockedLocked registers a core that just left coreRunning through a
 // charging call. It must run after the core's state fields are set.
 func (m *Machine) indexBlockedLocked(c *core) {
+	m.planValid = false
 	switch c.state {
 	case coreBusy:
 		si := &m.socks[c.socket]
@@ -79,6 +80,7 @@ func (m *Machine) indexBlockedLocked(c *core) {
 // must run before the core's state fields are cleared (it keys off state,
 // line, cond and deadline).
 func (m *Machine) unindexBlockedLocked(c *core) {
+	m.planValid = false
 	switch c.state {
 	case coreBusy:
 		si := &m.socks[c.socket]

@@ -73,10 +73,9 @@ type core struct {
 	// Busy state.
 	work             Work
 	remOps, remBytes float64
-	stepOpsRate      float64 // cycles/s granted this step
-	stepBytesRate    float64 // bytes/s granted this step
-	stepActiveFrac   float64 // compute fraction for power this step
-	stepDemand       float64 // bytes/s demanded this step
+	stepOpsRate      float64 // cycles/s granted by the current plan
+	stepBytesRate    float64 // bytes/s granted by the current plan
+	stepActiveFrac   float64 // compute fraction for power in the current plan
 	// Atomic state.
 	line       *Line
 	remAtomics float64
@@ -91,6 +90,10 @@ type core struct {
 	wake chan wakeMsg
 
 	cycles float64 // accumulated TSC cycles not yet flushed to the MSR file
+	// stepCycleRate is the core's clock in the current plan (cycles/s):
+	// duty × DVFS scale × Turbo boost for busy and atomic cores, duty ×
+	// DVFS scale for spinners.
+	stepCycleRate float64
 }
 
 type wakeMsg struct {
@@ -182,11 +185,30 @@ type Machine struct {
 	flushedTemp []units.Celsius // last temperature mirrored to the MSR file
 	lastSnap    Snapshot
 
-	// Per-socket values computed by the most recent engine step; reused
-	// across steps to avoid allocation.
-	stepRefs  []float64
-	stepUtil  []float64
+	// planValid says the plan replanLocked last computed still holds: no
+	// core changed state, duty or demand and no DVFS scale changed since.
+	// It is cleared at the choke points every such change passes through
+	// (docs/engine.md §Plan reuse) and set only by replanLocked. The plan
+	// is the per-core step* rates, the list of cores that progress during
+	// a step (busy, atomic and spinning, ascending id) and, per socket,
+	// stepBoost, stepRefs, stepUtil, stepBasePower (the power sum before
+	// leakage) and stepBandwidth (the granted-bandwidth total of the busy
+	// list).
+	planValid     bool
+	stepProgress  []*core
+	stepRefs      []float64
+	stepUtil      []float64
+	stepBasePower []units.Watts
+	stepBandwidth []float64
+	// stepPower is the socket power the most recent step integrated.
 	stepPower []units.Watts
+	// Thermal.decay depends on nothing but the step length, so it is
+	// kept for MaxStep (every capped step) and for the last other length
+	// (a run of ticker-bounded steps): only a step of a new length
+	// evaluates an exponential.
+	maxStepDecay float64
+	decayDt      time.Duration
+	decay        float64
 
 	// Scratch buffers owned by the engine goroutine, reused every step so
 	// the steady-state hot path performs zero allocations (pinned by
@@ -200,7 +222,7 @@ type Machine struct {
 	// lock-free request slots (see dvfs.go).
 	freqScale    []float64
 	freqScaleReq []atomic.Uint64
-	// Per-socket Turbo boost computed by the most recent step.
+	// Per-socket Turbo boost of the current plan.
 	stepBoost []float64
 
 	engineDone chan struct{}
@@ -212,17 +234,20 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:         cfg,
-		msrFile:     msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
-		tickers:     make(map[int]*ticker),
-		energy:      make([]float64, cfg.Sockets),
-		temp:        make([]units.Celsius, cfg.Sockets),
-		flushedTemp: make([]units.Celsius, cfg.Sockets),
-		stepRefs:    make([]float64, cfg.Sockets),
-		stepUtil:    make([]float64, cfg.Sockets),
-		stepPower:   make([]units.Watts, cfg.Sockets),
-		stepBoost:   make([]float64, cfg.Sockets),
-		engineDone:  make(chan struct{}),
+		cfg:           cfg,
+		msrFile:       msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
+		tickers:       make(map[int]*ticker),
+		energy:        make([]float64, cfg.Sockets),
+		temp:          make([]units.Celsius, cfg.Sockets),
+		flushedTemp:   make([]units.Celsius, cfg.Sockets),
+		stepRefs:      make([]float64, cfg.Sockets),
+		stepUtil:      make([]float64, cfg.Sockets),
+		stepBasePower: make([]units.Watts, cfg.Sockets),
+		stepBandwidth: make([]float64, cfg.Sockets),
+		stepPower:     make([]units.Watts, cfg.Sockets),
+		stepBoost:     make([]float64, cfg.Sockets),
+		maxStepDecay:  cfg.Thermal.decay(cfg.MaxStep),
+		engineDone:    make(chan struct{}),
 	}
 	for s := range m.stepBoost {
 		m.stepBoost[s] = 1
@@ -244,6 +269,7 @@ func New(cfg Config) (*Machine, error) {
 	for s := range m.socks {
 		m.socks[s].busy = make([]*core, 0, cfg.CoresPerSocket)
 	}
+	m.stepProgress = make([]*core, 0, cfg.Cores())
 	m.condWaiters = make([]*core, 0, cfg.Cores())
 	m.dlHeap = make([]*core, 0, cfg.Cores())
 	m.lineGroups = make(map[*Line]*lineGroup)
@@ -489,6 +515,7 @@ func (m *Machine) Enroll(coreID int) (*CoreCtx, error) {
 	}
 	c.state = coreRunning
 	c.duty = 1
+	m.planValid = false
 	if err := m.msrFile.SetCoreDuty(coreID, false, 0); err != nil {
 		panic(err) // core id validated above
 	}

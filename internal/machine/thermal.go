@@ -11,12 +11,26 @@ import (
 // the exact solution of the first-order model
 //
 //	τ dT/dt = T_ss − T,  T_ss = Ambient + Resistance × P.
+//
+// The engine calls the two halves, decay and relax, itself, so that it
+// can keep decay across steps of equal length.
 func (tp ThermalParams) step(T units.Celsius, P units.Watts, dt time.Duration) units.Celsius {
 	if dt <= 0 || tp.TimeConstant <= 0 {
 		return T
 	}
+	return tp.relax(T, P, tp.decay(dt))
+}
+
+// decay returns exp(−dt/τ), the fraction of a temperature's distance to
+// steady state that survives dt. It depends on nothing but dt.
+func (tp ThermalParams) decay(dt time.Duration) float64 {
+	return math.Exp(-dt.Seconds() / tp.TimeConstant.Seconds())
+}
+
+// relax moves T towards the steady state of power P, keeping the
+// fraction k = decay(dt) of its distance.
+func (tp ThermalParams) relax(T units.Celsius, P units.Watts, k float64) units.Celsius {
 	tss := tp.SteadyState(P)
-	k := math.Exp(-dt.Seconds() / tp.TimeConstant.Seconds())
 	return tss + (T-tss)*units.Celsius(k)
 }
 

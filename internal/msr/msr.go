@@ -56,22 +56,6 @@ const (
 	raplESUEncoded    uint64 = 0x10 << 8 // energy-status unit field, 2^-16 J nominal
 )
 
-// scope distinguishes package-level from core-level registers.
-type scope int
-
-const (
-	scopePackage scope = iota
-	scopeCore
-)
-
-var registerScopes = map[uint32]scope{
-	IA32TimeStampCounter: scopeCore,
-	IA32ClockModulation:  scopeCore,
-	IA32ThermStatus:      scopeCore,
-	MSRRAPLPowerUnit:     scopePackage,
-	MSRPkgEnergyStatus:   scopePackage,
-}
-
 // AddrError reports an access to an unimplemented or wrongly-scoped
 // register, mirroring the #GP fault a real rdmsr would raise.
 type AddrError struct {
@@ -94,21 +78,58 @@ func (e *RangeError) Error() string {
 	return fmt.Sprintf("msr: %s index %d out of range [0,%d)", e.Kind, e.Index, e.Limit)
 }
 
+// pkgRegs is the register set of one package, coreRegs of one core. The
+// implemented set is fixed (see the package comment), so each register is
+// a field and a File is two flat arrays: the engine's per-step energy
+// accumulation and per-completion cycle flush are an indexed add.
+type pkgRegs struct {
+	raplPowerUnit   uint64
+	pkgEnergyStatus uint64
+	// energyRem is the sub-count energy remainder, carried so that
+	// quantization to 15.3 µJ units never loses energy across calls.
+	energyRem float64
+}
+
+type coreRegs struct {
+	timeStampCounter uint64
+	clockModulation  uint64
+	thermStatus      uint64
+}
+
+// reg resolves a package-scoped register address, nil when the address
+// is unimplemented or core-scoped.
+func (p *pkgRegs) reg(addr uint32) *uint64 {
+	switch addr {
+	case MSRRAPLPowerUnit:
+		return &p.raplPowerUnit
+	case MSRPkgEnergyStatus:
+		return &p.pkgEnergyStatus
+	}
+	return nil
+}
+
+// reg resolves a core-scoped register address, nil when the address is
+// unimplemented or package-scoped.
+func (c *coreRegs) reg(addr uint32) *uint64 {
+	switch addr {
+	case IA32TimeStampCounter:
+		return &c.timeStampCounter
+	case IA32ClockModulation:
+		return &c.clockModulation
+	case IA32ThermStatus:
+		return &c.thermStatus
+	}
+	return nil
+}
+
 // File is the register file of one simulated node. The zero value is not
 // usable; construct with NewFile.
 type File struct {
-	sockets int
-	cores   int // total cores across all sockets
-
 	hooks // fault-injection read/write hooks (see hook.go)
 
-	mu sync.Mutex
-	// Raw register storage.
-	pkgRegs  []map[uint32]uint64
-	coreRegs []map[uint32]uint64
-	// Sub-count energy remainders so quantization to 15.3 µJ units never
-	// loses energy across calls.
-	energyRem []float64
+	mu    sync.Mutex
+	pkgs  []pkgRegs  // by socket
+	cores []coreRegs // by node-wide core index
 }
 
 // NewFile creates a register file for a node with the given topology.
@@ -119,59 +140,48 @@ func NewFile(sockets, coresPerSocket int) *File {
 		panic("msr: NewFile requires positive sockets and coresPerSocket")
 	}
 	f := &File{
-		sockets:   sockets,
-		cores:     sockets * coresPerSocket,
-		energyRem: make([]float64, sockets),
+		pkgs:  make([]pkgRegs, sockets),
+		cores: make([]coreRegs, sockets*coresPerSocket),
 	}
-	f.pkgRegs = make([]map[uint32]uint64, sockets)
-	for i := range f.pkgRegs {
-		f.pkgRegs[i] = map[uint32]uint64{
-			MSRRAPLPowerUnit:   raplESUEncoded,
-			MSRPkgEnergyStatus: 0,
-		}
+	for i := range f.pkgs {
+		f.pkgs[i].raplPowerUnit = raplESUEncoded
 	}
-	f.coreRegs = make([]map[uint32]uint64, f.cores)
-	for i := range f.coreRegs {
-		f.coreRegs[i] = map[uint32]uint64{
-			IA32TimeStampCounter: 0,
-			IA32ClockModulation:  0,
-			IA32ThermStatus:      EncodeThermStatus(40), // cool at power-on
-		}
+	for i := range f.cores {
+		f.cores[i].thermStatus = EncodeThermStatus(40) // cool at power-on
 	}
 	return f
 }
 
 // Sockets returns the number of packages in the file.
-func (f *File) Sockets() int { return f.sockets }
+func (f *File) Sockets() int { return len(f.pkgs) }
 
 // Cores returns the total number of cores in the file.
-func (f *File) Cores() int { return f.cores }
+func (f *File) Cores() int { return len(f.cores) }
 
 // ReadPackage reads a package-scoped register of the given socket. An
 // installed read hook sees the value last and may substitute a fault.
 func (f *File) ReadPackage(socket int, addr uint32) (uint64, error) {
-	if socket < 0 || socket >= f.sockets {
-		return 0, &RangeError{Kind: "socket", Index: socket, Limit: f.sockets}
+	if socket < 0 || socket >= len(f.pkgs) {
+		return 0, &RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)}
 	}
-	if registerScopes[addr] != scopePackage {
+	r := f.pkgs[socket].reg(addr)
+	if r == nil {
 		return 0, &AddrError{Addr: addr, Op: "read"}
 	}
 	f.mu.Lock()
-	v, ok := f.pkgRegs[socket][addr]
+	v := *r
 	f.mu.Unlock()
-	if !ok {
-		return 0, &AddrError{Addr: addr, Op: "read"}
-	}
 	return f.hookRead(Access{Index: socket, Addr: addr, Value: v})
 }
 
 // WritePackage writes a package-scoped register of the given socket. An
 // installed write hook sees the value first and may rewrite or drop it.
 func (f *File) WritePackage(socket int, addr uint32, v uint64) error {
-	if socket < 0 || socket >= f.sockets {
-		return &RangeError{Kind: "socket", Index: socket, Limit: f.sockets}
+	if socket < 0 || socket >= len(f.pkgs) {
+		return &RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)}
 	}
-	if registerScopes[addr] != scopePackage {
+	r := f.pkgs[socket].reg(addr)
+	if r == nil {
 		return &AddrError{Addr: addr, Op: "write"}
 	}
 	v, store := f.hookWrite(Access{Index: socket, Addr: addr, Value: v})
@@ -179,8 +189,8 @@ func (f *File) WritePackage(socket int, addr uint32, v uint64) error {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pkgRegs[socket][addr] = v
+	*r = v
+	f.mu.Unlock()
 	return nil
 }
 
@@ -188,28 +198,27 @@ func (f *File) WritePackage(socket int, addr uint32, v uint64) error {
 // index). An installed read hook sees the value last and may substitute
 // a fault.
 func (f *File) ReadCore(core int, addr uint32) (uint64, error) {
-	if core < 0 || core >= f.cores {
-		return 0, &RangeError{Kind: "core", Index: core, Limit: f.cores}
+	if core < 0 || core >= len(f.cores) {
+		return 0, &RangeError{Kind: "core", Index: core, Limit: len(f.cores)}
 	}
-	if registerScopes[addr] != scopeCore {
+	r := f.cores[core].reg(addr)
+	if r == nil {
 		return 0, &AddrError{Addr: addr, Op: "read"}
 	}
 	f.mu.Lock()
-	v, ok := f.coreRegs[core][addr]
+	v := *r
 	f.mu.Unlock()
-	if !ok {
-		return 0, &AddrError{Addr: addr, Op: "read"}
-	}
 	return f.hookRead(Access{Core: true, Index: core, Addr: addr, Value: v})
 }
 
 // WriteCore writes a core-scoped register of the given core. An
 // installed write hook sees the value first and may rewrite or drop it.
 func (f *File) WriteCore(core int, addr uint32, v uint64) error {
-	if core < 0 || core >= f.cores {
-		return &RangeError{Kind: "core", Index: core, Limit: f.cores}
+	if core < 0 || core >= len(f.cores) {
+		return &RangeError{Kind: "core", Index: core, Limit: len(f.cores)}
 	}
-	if registerScopes[addr] != scopeCore {
+	r := f.cores[core].reg(addr)
+	if r == nil {
 		return &AddrError{Addr: addr, Op: "write"}
 	}
 	v, store := f.hookWrite(Access{Core: true, Index: core, Addr: addr, Value: v})
@@ -217,8 +226,8 @@ func (f *File) WriteCore(core int, addr uint32, v uint64) error {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.coreRegs[core][addr] = v
+	*r = v
+	f.mu.Unlock()
 	return nil
 }
 
@@ -227,19 +236,19 @@ func (f *File) WriteCore(core int, addr uint32, v uint64) error {
 // sub-unit remainder so no energy is ever lost, and wrapping modulo 2^32
 // exactly like the hardware counter. Negative energy is ignored.
 func (f *File) AddPackageEnergy(socket int, e units.Joules) error {
-	if socket < 0 || socket >= f.sockets {
-		return &RangeError{Kind: "socket", Index: socket, Limit: f.sockets}
+	if socket < 0 || socket >= len(f.pkgs) {
+		return &RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)}
 	}
 	if e <= 0 {
 		return nil
 	}
+	p := &f.pkgs[socket]
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.energyRem[socket] += float64(e) / float64(units.RAPLUnit)
-	whole := uint64(f.energyRem[socket])
-	f.energyRem[socket] -= float64(whole)
-	cur := f.pkgRegs[socket][MSRPkgEnergyStatus]
-	f.pkgRegs[socket][MSRPkgEnergyStatus] = (cur + whole) % units.RAPLCounterMod
+	p.energyRem += float64(e) / float64(units.RAPLUnit)
+	whole := uint64(p.energyRem)
+	p.energyRem -= float64(whole)
+	p.pkgEnergyStatus = (p.pkgEnergyStatus + whole) % units.RAPLCounterMod
+	f.mu.Unlock()
 	return nil
 }
 
@@ -249,25 +258,26 @@ func (f *File) AddPackageEnergy(socket int, e units.Joules) error {
 // read hook: it is the simulation engine's own diagnostic view of the
 // counter, which injected sensor faults must never corrupt.
 func (f *File) PackageEnergyCounter(socket int) uint32 {
-	if socket < 0 || socket >= f.sockets {
-		panic(&RangeError{Kind: "socket", Index: socket, Limit: f.sockets})
+	if socket < 0 || socket >= len(f.pkgs) {
+		panic(&RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)})
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return uint32(f.pkgRegs[socket][MSRPkgEnergyStatus])
+	v := f.pkgs[socket].pkgEnergyStatus
+	f.mu.Unlock()
+	return uint32(v)
 }
 
 // AddCoreCycles advances a core's time-stamp counter.
 func (f *File) AddCoreCycles(core int, cycles float64) error {
-	if core < 0 || core >= f.cores {
-		return &RangeError{Kind: "core", Index: core, Limit: f.cores}
+	if core < 0 || core >= len(f.cores) {
+		return &RangeError{Kind: "core", Index: core, Limit: len(f.cores)}
 	}
 	if cycles <= 0 {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.coreRegs[core][IA32TimeStampCounter] += uint64(cycles)
+	f.cores[core].timeStampCounter += uint64(cycles)
+	f.mu.Unlock()
 	return nil
 }
 

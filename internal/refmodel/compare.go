@@ -128,19 +128,27 @@ func compareU64(what string, g, w []uint64) error {
 // them bit-for-bit. This is the whole oracle in one call; the fuzz
 // target and the seeded differential tests are thin wrappers around it.
 func Differential(sc Scenario) error {
+	_, err := DifferentialTrajectory(sc)
+	return err
+}
+
+// DifferentialTrajectory is Differential that also returns the machine
+// engine's trajectory, for callers that go on to measure what the
+// scenario exercised.
+func DifferentialTrajectory(sc Scenario) (*Result, error) {
 	got, err := PlayMachine(sc)
 	if err != nil {
-		return fmt.Errorf("machine engine: %w", err)
+		return nil, fmt.Errorf("machine engine: %w", err)
 	}
 	want, err := Run(sc)
 	if err != nil {
-		return fmt.Errorf("reference engine: %w", err)
+		return nil, fmt.Errorf("reference engine: %w", err)
 	}
 	if err := Audit(sc, got); err != nil {
-		return fmt.Errorf("machine engine audit: %w", err)
+		return nil, fmt.Errorf("machine engine audit: %w", err)
 	}
 	if err := Audit(sc, want); err != nil {
-		return fmt.Errorf("reference engine audit: %w", err)
+		return nil, fmt.Errorf("reference engine audit: %w", err)
 	}
-	return Compare(got, want)
+	return got, Compare(got, want)
 }

@@ -22,6 +22,10 @@ type Mergesort struct {
 	data   []int32
 	out    []int32
 	sorted bool
+	// Working storage of a run, allocated once in Prepare: the copy of
+	// data the halves are sorted in, and the merge sort's scratch. The
+	// two sections each use their own half of both.
+	work, scratch []int32
 
 	// Charge model: each half-sort streams bytesHalf at opsHalf compute
 	// cycles (memory-bound); the final merge is charged on the root.
@@ -66,6 +70,8 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 		s.data[i] = int32(rng.Uint32())
 	}
 	s.out = make([]int32, n)
+	s.work = make([]int32, n)
+	s.scratch = make([]int32, n)
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
@@ -116,20 +122,18 @@ func maxf(a, b float64) float64 {
 func (s *Mergesort) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
 		s.sorted = false
-		n := len(s.data)
-		mid := n / 2
-		left := make([]int32, mid)
-		right := make([]int32, n-mid)
+		mid := len(s.data) / 2
+		left, right := s.work[:mid], s.work[mid:]
 		// The two "sections": each really sorts its half.
 		tc.Spawn(func(tc *qthreads.TC) {
 			copy(left, s.data[:mid])
-			serialMergesort(left)
+			serialMergesort(left, s.scratch[:mid])
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 		})
 		tc.Spawn(func(tc *qthreads.TC) {
 			copy(right, s.data[mid:])
-			serialMergesort(right)
+			serialMergesort(right, s.scratch[mid:])
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 		})
@@ -141,10 +145,14 @@ func (s *Mergesort) Root() qthreads.Task {
 	}
 }
 
-// serialMergesort is a real bottom-up merge sort.
-func serialMergesort(a []int32) {
+// serialMergesort is a real bottom-up merge sort of a, with buf
+// (len(buf) == len(a)) as its scratch. Each pass merges from one buffer
+// into the other and the two swap roles, so nothing is copied back until
+// the end, and then only if the last pass left the result in buf.
+func serialMergesort(a, buf []int32) {
 	n := len(a)
-	buf := make([]int32, n)
+	src, dst := a, buf
+	inBuf := false
 	for width := 1; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
 			mid := lo + width
@@ -155,24 +163,33 @@ func serialMergesort(a []int32) {
 			if hi > n {
 				hi = n
 			}
-			mergeInto(buf[lo:hi], a[lo:mid], a[mid:hi])
+			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
 		}
-		copy(a, buf)
+		src, dst = dst, src
+		inBuf = !inBuf
+	}
+	if inBuf {
+		copy(a, src)
 	}
 }
 
 // mergeInto merges two sorted slices into dst (len(dst) == len(a)+len(b)).
+// On random keys the comparison is a coin flip, so the loop advances its
+// two cursors by arithmetic on the outcome instead of branching on it:
+// the element select compiles to a conditional move and nothing is left
+// for the branch predictor to miss.
 func mergeInto(dst, a, b []int32) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
+		x, y := a[i], b[j]
+		v, fromA := y, 0
+		if x <= y {
+			v, fromA = x, 1
 		}
+		dst[k] = v
 		k++
+		i += fromA
+		j += 1 - fromA
 	}
 	copy(dst[k:], a[i:])
 	copy(dst[k+len(a)-i:], b[j:])

@@ -2,6 +2,8 @@ package micro
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -288,5 +290,43 @@ func TestBTValidatesAcrossThreadCounts(t *testing.T) {
 	}
 	if err := fresh.Validate(); err == nil {
 		t.Error("Validate passed without a run")
+	}
+}
+
+// TestSerialMergesort checks the ping-pong merge sort against the
+// standard library on every length around the pass-count parities (an
+// odd number of passes leaves the result in the scratch buffer).
+func TestSerialMergesort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 70; n++ {
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = int32(rng.Intn(50))
+		}
+		want := slices.Clone(a)
+		slices.Sort(want)
+		serialMergesort(a, make([]int32, n))
+		if !slices.Equal(a, want) {
+			t.Fatalf("n=%d: got %v, want %v", n, a, want)
+		}
+	}
+}
+
+// BenchmarkSerialMergesort sorts one million random elements, the size
+// of one Mergesort section at full scale; refilling the array from the
+// unsorted master is part of the run, as it is in Mergesort.Root.
+func BenchmarkSerialMergesort(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(1))
+	master := make([]int32, n)
+	for i := range master {
+		master[i] = int32(rng.Uint32())
+	}
+	a, buf := make([]int32, n), make([]int32, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(a, master)
+		serialMergesort(a, buf)
 	}
 }
