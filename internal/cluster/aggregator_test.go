@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/rcr"
 	"repro/internal/resilience"
 	"repro/internal/resilience/leak"
+	"repro/internal/resilience/soak"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
@@ -23,7 +25,7 @@ type scriptEvent struct {
 
 // scriptStream is a scripted SubStream: the test pushes events, the
 // client's Subscribe loop consumes them — the same seam the resilience
-// client tests use, here driving a whole aggregator.
+// client tests use, here under the driver (TestAggregatorGapResyncObservable).
 type scriptStream struct {
 	ch   chan scriptEvent
 	snap rcr.Snapshot
@@ -64,16 +66,29 @@ func shardSnap(beat, power, conc float64, now time.Duration) rcr.Snapshot {
 	}
 }
 
-// aggHarness wires an aggregator to scripted per-shard streams and a
-// recording SetCap seam.
+// pushedSources is the in-package harnesses' open hook: a slot's source
+// serves whatever snapshot the test last put in snaps[id], and
+// errNoSnapshot until there is one.
+func pushedSources(snaps []*rcr.Snapshot) func(Member) (snapshotSource, error) {
+	return func(mb Member) (snapshotSource, error) {
+		return func() (rcr.Snapshot, error) {
+			if snaps[mb.ID] == nil {
+				return rcr.Snapshot{}, errNoSnapshot
+			}
+			return *snaps[mb.ID], nil
+		}, nil
+	}
+}
+
+// aggHarness steps a control core synchronously: push sets the snapshot
+// a shard's source serves from then on, and the test polls the core an
+// exact number of times — no stream, no goroutine, no wall clock.
 type aggHarness struct {
-	agg     *Aggregator
-	streams []*scriptStream
+	agg     *controlCore
+	snaps   []*rcr.Snapshot // nil until the first push
 	clock   *fakeClock
 	reg     *telemetry.Registry
 	journal *telemetry.Journal
-	cancel  context.CancelFunc
-	done    chan struct{}
 }
 
 func newAggHarness(t *testing.T, shards int, global units.Watts) *aggHarness {
@@ -82,75 +97,32 @@ func newAggHarness(t *testing.T, shards int, global units.Watts) *aggHarness {
 		clock:   &fakeClock{},
 		reg:     telemetry.NewRegistry(),
 		journal: telemetry.NewJournal(1024, 1),
-		streams: make([]*scriptStream, shards),
-		done:    make(chan struct{}),
+		snaps:   make([]*rcr.Snapshot, shards),
 	}
 	endpoints := make([]ShardEndpoint, shards)
 	for i := range endpoints {
 		endpoints[i] = ShardEndpoint{ID: i, Network: "unix", Addr: fmt.Sprintf("shard-%d", i)}
-		h.streams[i] = &scriptStream{ch: make(chan scriptEvent)}
 	}
-	agg, err := NewAggregator(AggregatorConfig{
+	agg, err := newControlCore(AggregatorConfig{
 		Shards:        endpoints,
 		Global:        global,
 		Floor:         10,
 		Max:           200,
-		Period:        time.Hour, // Run's ticker never fires; tests drive Poll directly
 		HealthHorizon: 100 * time.Millisecond,
 		Clock:         h.clock.now,
 		SetCap:        func(int, units.Watts) error { return nil },
 		Telemetry:     h.reg,
 		Journal:       h.journal,
-		Tune: func(shard int, cfg *resilience.ClientConfig) {
-			cfg.Subscribe = func(context.Context, string, string) (resilience.SubStream, error) {
-				return h.streams[shard], nil
-			}
-		},
-	})
+	}, pushedSources(h.snaps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.agg = agg
-	ctx, cancel := context.WithCancel(context.Background())
-	h.cancel = cancel
-	go func() { defer close(h.done); _ = agg.Run(ctx) }()
-	t.Cleanup(func() {
-		h.cancel()
-		<-h.done
-	})
 	return h
 }
 
-// push feeds one snapshot to a shard's stream and returns once the
-// subscribe goroutine has consumed it.
-func (h *aggHarness) push(shard int, snap rcr.Snapshot) {
-	h.streams[shard].ch <- scriptEvent{snap: snap}
-}
-
-// pollUntil drives Poll until cond holds or a wall deadline passes (the
-// subscribe goroutines apply pushed frames asynchronously).
-func (h *aggHarness) pollUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		h.agg.Poll()
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("condition never held: %s", what)
-}
-
-func (h *aggHarness) journalCount(kind string) int {
-	n := 0
-	for _, d := range h.journal.Entries() {
-		if d.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
+// push makes snap the shard's freshest snapshot.
+func (h *aggHarness) push(shard int, snap rcr.Snapshot) { h.snaps[shard] = &snap }
 
 // TestAggregatorPartitionsTowardHeadroom: a memory-bound shard (memconc
 // at the knee) and a compute-bound shard (far below it) under a binding
@@ -161,11 +133,11 @@ func TestAggregatorPartitionsTowardHeadroom(t *testing.T) {
 	h := newAggHarness(t, 2, 100)
 	h.push(0, shardSnap(1, 90, 26, h.clock.now())) // memory-bound
 	h.push(1, shardSnap(1, 140, 4, h.clock.now())) // compute-bound
-	h.pollUntil(t, "both shards healthy with caps assigned", func() bool {
-		st := h.agg.Status()
-		return st.Healthy == 2 && st.CapsSum > 0
-	})
+	h.agg.Poll()
 	st := h.agg.Status()
+	if st.Healthy != 2 || st.CapsSum <= 0 {
+		t.Fatalf("one poll over two pushed shards: %d healthy, Σcaps %.1f W", st.Healthy, float64(st.CapsSum))
+	}
 	if float64(st.CapsSum) > 100+sumEps {
 		t.Fatalf("Σcaps %.3f exceeds the 100 W budget", float64(st.CapsSum))
 	}
@@ -177,10 +149,10 @@ func TestAggregatorPartitionsTowardHeadroom(t *testing.T) {
 		t.Errorf("floor violated: %v", st.Caps)
 	}
 	// The cluster blackboard mirrors the roll-up.
-	if m, ok := h.agg.Board().System(MeterBudget); !ok || m.Value != 100 {
+	if m, ok := h.agg.board.System(MeterBudget); !ok || m.Value != 100 {
 		t.Errorf("budget meter = %+v", m)
 	}
-	if m, ok := h.agg.Board().Socket(1, MeterCap); !ok || m.Value != float64(st.Caps[1]) {
+	if m, ok := h.agg.board.Socket(1, MeterCap); !ok || m.Value != float64(st.Caps[1]) {
 		t.Errorf("cap meter = %+v, want %.1f", m, float64(st.Caps[1]))
 	}
 }
@@ -193,15 +165,21 @@ func TestAggregatorLendsAndRecovers(t *testing.T) {
 	h := newAggHarness(t, 2, 100)
 	h.push(0, shardSnap(1, 60, 12, h.clock.now()))
 	h.push(1, shardSnap(1, 60, 12, h.clock.now()))
-	h.pollUntil(t, "both healthy", func() bool { return h.agg.Status().Healthy == 2 })
+	h.agg.Poll()
+	if n := h.agg.Status().Healthy; n != 2 {
+		t.Fatalf("%d healthy after the first poll, want 2", n)
+	}
 	capsBefore := h.agg.Status().Caps
 
 	// Shard 1 goes dark: clock runs past the horizon while only shard 0
 	// keeps beating.
 	h.clock.advance(150 * time.Millisecond)
 	h.push(0, shardSnap(2, 60, 12, h.clock.now()))
-	h.pollUntil(t, "shard 1 lost", func() bool { return h.agg.Status().Healthy == 1 })
+	h.agg.Poll()
 	st := h.agg.Status()
+	if st.Healthy != 1 {
+		t.Fatalf("%d healthy one poll past the horizon, want 1 (shard 1 lost)", st.Healthy)
+	}
 	if st.Caps[1] != 10 {
 		t.Errorf("lost shard holds %.1f W, want its 10 W floor", float64(st.Caps[1]))
 	}
@@ -211,18 +189,21 @@ func TestAggregatorLendsAndRecovers(t *testing.T) {
 	if float64(st.CapsSum) > 100+sumEps {
 		t.Fatalf("Σcaps %.3f exceeds budget during outage", float64(st.CapsSum))
 	}
-	if h.journalCount(telemetry.KindShardLost) == 0 {
+	if journalHas(h.journal, telemetry.KindShardLost) == 0 {
 		t.Error("shard loss not journaled")
 	}
 
 	// Recovery: the heartbeat moves again.
 	h.push(1, shardSnap(2, 60, 12, h.clock.now()))
-	h.pollUntil(t, "shard 1 recovered", func() bool { return h.agg.Status().Healthy == 2 })
+	h.agg.Poll()
 	st = h.agg.Status()
+	if st.Healthy != 2 {
+		t.Fatalf("%d healthy one poll after the heartbeat moved, want 2 (shard 1 recovered)", st.Healthy)
+	}
 	if st.Caps[1] <= 10 {
 		t.Errorf("recovered shard still at %.1f W", float64(st.Caps[1]))
 	}
-	if h.journalCount(telemetry.KindShardRecovered) == 0 {
+	if journalHas(h.journal, telemetry.KindShardRecovered) == 0 {
 		t.Error("shard recovery not journaled")
 	}
 }
@@ -233,15 +214,18 @@ func TestAggregatorDetectsRestart(t *testing.T) {
 	leak.Check(t)
 	h := newAggHarness(t, 1, 100)
 	h.push(0, shardSnap(50, 80, 10, h.clock.now()))
-	h.pollUntil(t, "shard seen", func() bool { return h.agg.Status().Healthy == 1 })
+	h.agg.Poll()
 	if f := h.agg.Frame(); f.Shards[0].Epoch != 0 || f.Shards[0].Ver != 50 {
 		t.Fatalf("initial frame %+v", f.Shards[0])
 	}
 
 	h.push(0, shardSnap(2, 80, 10, h.clock.now())) // fresh blackboard: beat restarted
-	h.pollUntil(t, "restart detected", func() bool { return h.agg.Status().ShardRestarts == 1 })
-	if h.journalCount(telemetry.KindShardRestarted) != 1 {
-		t.Errorf("%d restart records, want 1", h.journalCount(telemetry.KindShardRestarted))
+	h.agg.Poll()
+	if n := h.agg.Status().ShardRestarts; n != 1 {
+		t.Fatalf("%d restarts detected one poll after the beat ran backwards, want 1", n)
+	}
+	if journalHas(h.journal, telemetry.KindShardRestarted) != 1 {
+		t.Errorf("%d restart records, want 1", journalHas(h.journal, telemetry.KindShardRestarted))
 	}
 	f := h.agg.Frame()
 	if f.Shards[0].Epoch != 1 || f.Shards[0].Ver != 2 {
@@ -272,43 +256,207 @@ func TestAggregatorDetectsRestart(t *testing.T) {
 // a stale merge.
 func TestAggregatorGapResyncObservable(t *testing.T) {
 	leak.Check(t)
-	h := newAggHarness(t, 1, 100)
-	gapCounter := h.reg.Counter("resilience_client_gap_resyncs_total")
+	// The subject is the driver's client, so this one runs the driver: a
+	// scripted stream under Run, frames applied by the subscription
+	// goroutine, hence polls until a wall deadline.
+	clock, reg, journal := &fakeClock{}, telemetry.NewRegistry(), telemetry.NewJournal(1024, 1)
+	stream := &scriptStream{ch: make(chan scriptEvent)}
+	agg, err := NewAggregator(AggregatorConfig{
+		Shards:        []ShardEndpoint{{ID: 0, Network: "unix", Addr: "shard-0"}},
+		Global:        100,
+		Period:        time.Hour, // Run's ticker never fires; the test drives Poll
+		HealthHorizon: 100 * time.Millisecond,
+		Clock:         clock.now,
+		SetCap:        func(int, units.Watts) error { return nil },
+		Telemetry:     reg,
+		Journal:       journal,
+		Tune: func(_ int, cfg *resilience.ClientConfig) {
+			cfg.Subscribe = func(context.Context, string, string) (resilience.SubStream, error) { return stream, nil }
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = agg.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	push := func(snap rcr.Snapshot) { stream.ch <- scriptEvent{snap: snap} }
+	pollUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if agg.Poll(); cond() {
+				return
+			}
+		}
+		t.Fatalf("condition never held: %s", what)
+	}
+	gapCounter := reg.Counter("resilience_client_gap_resyncs_total")
 
-	h.push(0, shardSnap(10, 80, 10, h.clock.now()))
-	h.pollUntil(t, "pre-gap frame applied", func() bool { return h.agg.Frame().Shards[0].Ver == 10 })
+	push(shardSnap(10, 80, 10, clock.now()))
+	pollUntil("pre-gap frame applied", func() bool { return agg.Frame().Shards[0].Ver == 10 })
 
 	// Episode 1: three consecutive gapped deltas, then the server's
 	// full-frame resync. Mid-episode the aggregator must still be acting
 	// on the pre-gap state, not a partial merge.
 	for i := 0; i < 3; i++ {
-		h.streams[0].ch <- scriptEvent{err: rcr.ErrDeltaGap}
+		stream.ch <- scriptEvent{err: rcr.ErrDeltaGap}
 	}
-	h.pollUntil(t, "gap episode journaled", func() bool { return gapCounter.Value() == 1 })
-	if v := h.agg.Frame().Shards[0].Ver; v != 10 {
+	pollUntil("gap episode journaled", func() bool { return gapCounter.Value() == 1 })
+	if v := agg.Frame().Shards[0].Ver; v != 10 {
 		t.Errorf("mid-gap shard ver %d, want the pre-gap 10 (stale merge?)", v)
 	}
-	h.push(0, shardSnap(14, 82, 10, h.clock.now()))
-	h.pollUntil(t, "resync frame applied", func() bool { return h.agg.Frame().Shards[0].Ver == 14 })
-	if got := h.journalCount(telemetry.KindSubGapResync); got != 1 {
+	push(shardSnap(14, 82, 10, clock.now()))
+	pollUntil("resync frame applied", func() bool { return agg.Frame().Shards[0].Ver == 14 })
+	if got := journalHas(journal, telemetry.KindSubGapResync); got != 1 {
 		t.Errorf("%d sub_gap_resync records after one episode, want 1", got)
 	}
 
 	// Episode 2 proves per-episode (not per-frame) accounting.
-	h.streams[0].ch <- scriptEvent{err: rcr.ErrDeltaGap}
-	h.pollUntil(t, "second episode counted", func() bool { return gapCounter.Value() == 2 })
-	h.push(0, shardSnap(15, 82, 10, h.clock.now()))
-	h.pollUntil(t, "second resync applied", func() bool { return h.agg.Frame().Shards[0].Ver == 15 })
-	if got := h.journalCount(telemetry.KindSubGapResync); got != 2 {
+	stream.ch <- scriptEvent{err: rcr.ErrDeltaGap}
+	pollUntil("second episode counted", func() bool { return gapCounter.Value() == 2 })
+	push(shardSnap(15, 82, 10, clock.now()))
+	pollUntil("second resync applied", func() bool { return agg.Frame().Shards[0].Ver == 15 })
+	if got := journalHas(journal, telemetry.KindSubGapResync); got != 2 {
 		t.Errorf("%d sub_gap_resync records after two episodes, want 2", got)
 	}
 	// A ridden-out gap is not an outage: no loss/resume records, no
 	// resubscribe.
-	if h.journalCount(telemetry.KindSubLost) != 0 || h.journalCount(telemetry.KindSubResumed) != 0 {
+	if journalHas(journal, telemetry.KindSubLost) != 0 || journalHas(journal, telemetry.KindSubResumed) != 0 {
 		t.Error("gap episodes journaled as outages")
 	}
-	if v := h.reg.Counter("resilience_client_resubscribes_total").Value(); v != 0 {
+	if v := reg.Counter("resilience_client_resubscribes_total").Value(); v != 0 {
 		t.Errorf("%d resubscribes during in-stream gaps, want 0", v)
+	}
+}
+
+// countedStream counts live subscription streams: +1 when the driver's
+// client opens one, −1 when the client's Subscribe loop closes it on its
+// way out.
+type countedStream struct {
+	resilience.SubStream
+	open *atomic.Int64
+}
+
+func (s countedStream) Close() error { s.open.Add(-1); return s.SubStream.Close() }
+
+// TestAggregatorDriverOverSockets is the driver's smoke test — what the
+// socket-backed scenario corpora used to check about Aggregator's own
+// plumbing, once, on host time: four soak.Server shards on unix sockets
+// under Run; a shard killed and restarted (lost → recovered in the
+// journal, the restart detected, the stream resubscribed); a fifth
+// member joined at runtime and decommissioned again (its subscription
+// opened by the poll that admitted it and closed by the poll that
+// retired it, while Run is still live); cancel, and nothing leaks.
+func TestAggregatorDriverOverSockets(t *testing.T) {
+	leak.Check(t)
+	dir, clock, reg, journal := t.TempDir(), soak.NewHostClock(), telemetry.NewRegistry(), telemetry.NewJournal(1024, 1)
+	servers := make([]*soak.Server, 5)
+	endpoints := make([]ShardEndpoint, len(servers))
+	for i := range servers {
+		servers[i] = &soak.Server{Socket: filepath.Join(dir, fmt.Sprintf("shard-%d.sock", i)), Clock: clock, Reg: reg}
+		endpoints[i] = ShardEndpoint{ID: i, Network: "unix", Addr: servers[i].Socket}
+		defer servers[i].Stop()
+	}
+	for _, srv := range servers[:4] {
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var streams atomic.Int64
+	agg, err := NewAggregator(AggregatorConfig{
+		Shards:        endpoints[:4],
+		Global:        240,
+		Period:        5 * time.Millisecond,
+		HealthHorizon: 40 * time.Millisecond,
+		Clock:         clock.Now,
+		SetCap:        func(int, units.Watts) error { return nil },
+		Telemetry:     reg,
+		Journal:       journal,
+		Tune: func(_ int, cfg *resilience.ClientConfig) {
+			cfg.Backoff = resilience.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Seed: 1}
+			cfg.Subscribe = func(ctx context.Context, network, addr string) (resilience.SubStream, error) {
+				s, err := rcr.Subscribe(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				streams.Add(1)
+				return countedStream{s, &streams}, nil
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- agg.Run(ctx) }()
+	// Feeder: every up server's heartbeat moves each millisecond; the
+	// beat count is per incarnation, so a restart runs it backwards.
+	feedDone := make(chan struct{})
+	go func() {
+		defer close(feedDone)
+		beats := make(map[*rcr.Blackboard]float64)
+		for tick := time.NewTicker(time.Millisecond); ctx.Err() == nil; <-tick.C {
+			for _, srv := range servers {
+				srv.Feed(func(bb *rcr.Blackboard, pub *rcr.Publisher) {
+					beats[bb]++
+					now := clock.Now()
+					bb.SetSystem(rcr.MeterHeartbeat, beats[bb], now)
+					bb.SetSocket(0, rcr.MeterPower, 50, now)
+					pub.Tick(now)
+				})
+			}
+		}
+	}()
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never happened: %s (status %+v, %d streams)", what, agg.Status(), streams.Load())
+			}
+		}
+	}
+	await("four shards healthy with caps", func() bool { st := agg.Status(); return st.Healthy == 4 && st.CapsSum > 0 })
+
+	// Kill one shard, let it be lost, bring a fresh incarnation back.
+	time.Sleep(20 * time.Millisecond) // let the doomed incarnation's beat climb past any successor's first
+	servers[1].Stop()
+	await("shard 1 lost", func() bool { return journalHas(journal, telemetry.KindShardLost) >= 1 })
+	if err := servers[1].Start(); err != nil {
+		t.Fatal(err)
+	}
+	await("shard 1 recovered, restart seen, stream resubscribed", func() bool {
+		return journalHas(journal, telemetry.KindShardRecovered) >= 1 && agg.Status().ShardRestarts >= 1 &&
+			reg.Counter("resilience_client_resubscribes_total").Value() >= 1
+	})
+
+	// Join a fifth member at runtime, then decommission it.
+	if err := servers[4].Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Members().Join(endpoints[4]); err != nil {
+		t.Fatal(err)
+	}
+	await("the joiner subscribed, heard from and activated", func() bool {
+		st := agg.Status()
+		return st.Shards == 5 && st.Healthy == 5 && st.Joining == 0 && streams.Load() == 5
+	})
+	if err := agg.Members().Decommission(4); err != nil {
+		t.Fatal(err)
+	}
+	await("the leaver's slot retired and its subscription closed under a live Run", func() bool {
+		return agg.Status().Shards == 4 && streams.Load() == 4
+	})
+
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("Run returned %v", err)
+	}
+	<-feedDone
+	if n := streams.Load(); n != 0 {
+		t.Errorf("%d subscription streams still open after Run returned", n)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/resilience/leak"
 )
 
-// TestChurnSoakSingleSeed runs one full-length churn soak with the
-// strict resource audit: the fleet grows from its base through join
+// TestChurnSoakSingleSeed runs one full-length churn soak: the fleet
+// grows from its base through join
 // storms, churns through crashes, drains and re-joins while the WAN
 // tier kills leaders, and must converge to the schedule's final fleet
 // with zero conservation violations and no orphaned servers.
@@ -32,7 +32,7 @@ func TestChurnSoakSingleSeed(t *testing.T) {
 
 // TestChurnSoakGrowShrink is the headline elasticity shape from the
 // robustness plan: N=4 → 64 → 4 under the full fault stack. Not -short
-// work — it runs sixty-plus real servers on real sockets.
+// work: the corpus covers the protocol there.
 func TestChurnSoakGrowShrink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the 4→64→4 soak is not -short work; the corpus covers the protocol")
@@ -44,8 +44,7 @@ func TestChurnSoakGrowShrink(t *testing.T) {
 		Peak:     64,
 		Replicas: 2,
 		Budget:   4 * time.Second,
-		// Sixty-four real servers plus feeder and drivers want a slacker
-		// cadence than the 10-shard default on modest hosts; the lease
+		// The slacker cadence this shape has always run at; the lease
 		// TTL (8×period) and every latency bound scale with it.
 		Period: 20 * time.Millisecond,
 	})
@@ -82,7 +81,7 @@ func TestChurnSoakCorpus(t *testing.T) {
 		dropped, held, flushed      uint64
 		converged                   uint64
 	)
-	runs := runSoakCorpus(t, churnShape, func(rep *ScenarioReport) {
+	runs := runSoakCorpus(t, "churn", func(rep *ScenarioReport) {
 		elections += rep.Elections
 		demotions += rep.Demotions
 		kills += rep.LeaderKills

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/rcr"
@@ -85,14 +85,14 @@ type HAConfig struct {
 	WriteMem func(shard int, mw rcr.MemWrite) (rcr.MemAck, error)
 }
 
-func (a *Aggregator) leaseTTL() time.Duration {
+func (a *controlCore) leaseTTL() time.Duration {
 	if ttl := a.cfg.HA.LeaseTTL; ttl > 0 {
 		return ttl
 	}
 	return 6 * a.cfg.Period
 }
 
-func (a *Aggregator) electionGrace() time.Duration {
+func (a *controlCore) electionGrace() time.Duration {
 	if g := a.cfg.HA.Grace; g > 0 {
 		return g
 	}
@@ -101,7 +101,7 @@ func (a *Aggregator) electionGrace() time.Duration {
 
 // electionJitter advances the replica's deterministic jitter stream and
 // returns a delay in [0, grace).
-func (a *Aggregator) electionJitter() time.Duration {
+func (a *controlCore) electionJitter() time.Duration {
 	a.jitterState = splitmix64ha(a.jitterState)
 	grace := a.electionGrace()
 	if grace <= 0 {
@@ -119,9 +119,9 @@ func splitmix64ha(x uint64) uint64 {
 
 // haStep is the HA replica's per-poll leadership step: fold observed
 // lease state, then act as leader (renew + push) or standby (watch +
-// campaign). Called from Poll with a.mu held, after observe/health.
-// Reports whether any cap changed.
-func (a *Aggregator) haStep(now time.Duration) bool {
+// campaign). Called from Poll after observe/health. Reports whether any
+// cap changed.
+func (a *controlCore) haStep(now time.Duration) bool {
 	// Fold the lease state the shards mirror through their streams.
 	for _, st := range a.shards {
 		if st.obsFence > a.knownFence {
@@ -150,7 +150,7 @@ func (a *Aggregator) haStep(now time.Duration) bool {
 
 // standbyStep watches the lease and campaigns once it has demonstrably
 // lapsed. May promote the replica (a.leader) so the same poll can push.
-func (a *Aggregator) standbyStep(now time.Duration) {
+func (a *controlCore) standbyStep(now time.Duration) {
 	if now <= a.obsExpiry+a.electionGrace() {
 		a.candidateAt = 0
 		return
@@ -168,7 +168,7 @@ func (a *Aggregator) standbyStep(now time.Duration) {
 // writeFenced performs one fenced write against a shard, routing
 // through the membership op when the seam is configured. The frame, if
 // any, is attached by the caller via mw.
-func (a *Aggregator) writeFenced(st *shardState, mw rcr.MemWrite) (rcr.MemAck, error) {
+func (a *controlCore) writeFenced(st *shardState, mw rcr.MemWrite) (rcr.MemAck, error) {
 	ha := a.cfg.HA
 	if ha.WriteMem != nil {
 		mack, err := ha.WriteMem(st.id, mw)
@@ -186,7 +186,7 @@ func (a *Aggregator) writeFenced(st *shardState, mw rcr.MemWrite) (rcr.MemAck, e
 // committed membership record its grants returned, and schedules a
 // replay of the fleet's committed assignment; on a minority it releases
 // what it won.
-func (a *Aggregator) elect(now time.Duration) {
+func (a *controlCore) elect(now time.Duration) {
 	ha := a.cfg.HA
 	ttl := a.leaseTTL()
 	fence := a.knownFence + 1
@@ -325,7 +325,7 @@ func (a *Aggregator) elect(now time.Duration) {
 // demote surrenders leadership. The fence stays where it was — a
 // demoted replica never reuses it — and any scheduled candidacy is
 // cleared so the standby path re-evaluates from scratch.
-func (a *Aggregator) demote(reason string) {
+func (a *controlCore) demote(reason string) {
 	a.leader = false
 	a.replay = false
 	a.candidateAt = 0
@@ -341,7 +341,7 @@ func (a *Aggregator) demote(reason string) {
 // leaderStep renews the lease and pushes the assignment: the adopted
 // committed assignment first (replay, right after promotion), the
 // freshly partitioned one otherwise.
-func (a *Aggregator) leaderStep(now time.Duration) bool {
+func (a *controlCore) leaderStep(now time.Duration) bool {
 	if a.knownFence > a.fence {
 		a.demote(fmt.Sprintf("superseded by fence %d", a.knownFence))
 		return false
@@ -366,7 +366,7 @@ func (a *Aggregator) leaderStep(now time.Duration) bool {
 
 // membershipFrameLocked returns the registry's current record encoded
 // as a CLSM frame, re-encoding only when the epoch has moved.
-func (a *Aggregator) membershipFrameLocked() ([]byte, uint64) {
+func (a *controlCore) membershipFrameLocked() ([]byte, uint64) {
 	epoch := a.members.Epoch()
 	if epoch != a.memFrameEpoch || a.memFrame == nil {
 		rec := a.members.Record()
@@ -423,7 +423,7 @@ func (a *Aggregator) membershipFrameLocked() ([]byte, uint64) {
 // current membership record to any shard whose acked record is behind,
 // so the committed membership is durable on a majority within one
 // renewal round of the epoch moving.
-func (a *Aggregator) pushFenced(next []units.Watts, now time.Duration) bool {
+func (a *controlCore) pushFenced(next []units.Watts, now time.Duration) bool {
 	ha := a.cfg.HA
 	ttl := a.leaseTTL()
 	changed := false
@@ -461,15 +461,15 @@ func (a *Aggregator) pushFenced(next []units.Watts, now time.Duration) bool {
 	// entry (the floor) would let ApplyOrder raise the survivors before
 	// that residue has been stepped down — a real, wattmeter-visible
 	// overshoot even though the book never exceeds the budget.
-	eff := make([]units.Watts, len(a.applied))
+	eff := append(a.eff[:0], a.applied...)
 	for i, st := range a.shards {
-		eff[i] = a.applied[i]
 		if st.residual > eff[i] {
 			eff[i] = st.residual
 		}
 	}
-	order := ApplyOrder(eff, next)
-	for _, i := range order {
+	a.eff = eff
+	a.order = ApplyOrder(eff, next, a.order)
+	for _, i := range a.order {
 		st := a.shards[i]
 		if a.cfg.Clock() >= a.leaseUntil {
 			// The lease ran out mid-push: every further write would be a
@@ -628,8 +628,8 @@ func (a *Aggregator) pushFenced(next []units.Watts, now time.Duration) bool {
 // quorum of the current book's guards have durably acked — the
 // quorum-th largest of the per-shard acked epochs. Epochs from
 // different registry lineages compare soundly because Adopt renumbers
-// monotonically above anything it absorbs. Caller holds a.mu.
-func (a *Aggregator) memQuorumEpochLocked() uint64 {
+// monotonically above anything it absorbs.
+func (a *controlCore) memQuorumEpochLocked() uint64 {
 	n := len(a.shards)
 	if n == 0 {
 		return 0
@@ -641,7 +641,7 @@ func (a *Aggregator) memQuorumEpochLocked() uint64 {
 	for i, st := range a.shards {
 		es[i] = st.memAckEpoch
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
+	slices.Sort(es)
 	return es[n-(n/2+1)]
 }
 
@@ -652,9 +652,7 @@ func (a *Aggregator) memQuorumEpochLocked() uint64 {
 // (join/drain/decommission) should wait for this before treating an
 // operation as complete. Always true without the WriteMem seam, where
 // membership is not replicated at all.
-func (a *Aggregator) MembershipDurable() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *controlCore) MembershipDurable() bool {
 	if a.cfg.HA == nil || a.cfg.HA.WriteMem == nil || a.members == nil {
 		return true
 	}
@@ -664,7 +662,7 @@ func (a *Aggregator) MembershipDurable() bool {
 // nextSeq advances the per-fence write-sequence counter. Every write
 // gets its own seq — retries included — so the shard guards can order
 // delayed deliveries against fresher writes.
-func (a *Aggregator) nextSeq() uint64 {
+func (a *controlCore) nextSeq() uint64 {
 	a.seq++
 	return a.seq
 }
@@ -675,7 +673,7 @@ func (a *Aggregator) nextSeq() uint64 {
 // the last one used, so the caller can track what may still be in
 // flight. The membership frame rides along to any shard whose acked
 // record is behind the registry's current (fence, epoch).
-func (a *Aggregator) writeCapRetry(st *shardState, w rcr.CapWrite, memEpoch uint64, memFrame []byte) (rcr.CapAck, uint64, error) {
+func (a *controlCore) writeCapRetry(st *shardState, w rcr.CapWrite, memEpoch uint64, memFrame []byte) (rcr.CapAck, uint64, error) {
 	attempt := func() (rcr.CapAck, uint64, error) {
 		w.Seq = a.nextSeq()
 		mw := rcr.MemWrite{Write: w}

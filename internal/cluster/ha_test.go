@@ -1,16 +1,12 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/rcr"
-	"repro/internal/resilience"
 	"repro/internal/resilience/leak"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -28,7 +24,6 @@ type haApply struct {
 // apply log for hand-off and fencing analysis.
 type haAudit struct {
 	budget float64
-	mu     sync.Mutex
 	caps   []float64
 	log    []haApply
 	bad    int
@@ -36,8 +31,6 @@ type haAudit struct {
 
 func (au *haAudit) applyFn(shard int) func(cap float64, fence uint64) error {
 	return func(cap float64, fence uint64) error {
-		au.mu.Lock()
-		defer au.mu.Unlock()
 		au.caps[shard] = cap
 		au.log = append(au.log, haApply{shard: shard, fence: fence, cap: cap})
 		sum := 0.0
@@ -51,32 +44,17 @@ func (au *haAudit) applyFn(shard int) func(cap float64, fence uint64) error {
 	}
 }
 
-func (au *haAudit) snapshotLog() []haApply {
-	au.mu.Lock()
-	defer au.mu.Unlock()
-	return append([]haApply(nil), au.log...)
-}
-
-func (au *haAudit) violations() int {
-	au.mu.Lock()
-	defer au.mu.Unlock()
-	return au.bad
-}
-
-// haReplica is one aggregator replica wired to scripted delta streams
-// and the shared guard fleet, with a blockable / holdable write path.
+// haReplica is one replica's control core, stepped synchronously over
+// pushed snapshots and the shared guard fleet, with a blockable /
+// holdable write path.
 type haReplica struct {
-	agg     *Aggregator
-	streams []*scriptStream
+	agg     *controlCore
+	snaps   []*rcr.Snapshot // per shard; nil until the first feed
 	journal *telemetry.Journal
 
-	blocked atomic.Bool // partition: every write fails
-	holding atomic.Bool // split-brain: writes queue for late delivery
-	heldMu  sync.Mutex
+	blocked bool // partition: every write fails
+	holding bool // split-brain: writes queue for late delivery
 	held    []heldCapWrite
-
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 type heldCapWrite struct {
@@ -87,10 +65,8 @@ type heldCapWrite struct {
 // flushHeld delivers the replica's queued writes (the split-brain
 // window closing) and returns the acks.
 func (r *haReplica) flushHeld(guards []*rcr.FenceGuard) []rcr.CapAck {
-	r.heldMu.Lock()
 	held := r.held
 	r.held = nil
-	r.heldMu.Unlock()
 	acks := make([]rcr.CapAck, 0, len(held))
 	for _, hw := range held {
 		acks = append(acks, guards[hw.shard].Offer(hw.w))
@@ -98,7 +74,8 @@ func (r *haReplica) flushHeld(guards []*rcr.FenceGuard) []rcr.CapAck {
 	return acks
 }
 
-// haHarness wires N replicas over one shared fleet of fence guards.
+// haHarness wires N replica cores over one shared fleet of fence guards
+// on a manual clock: no stream, no goroutine, every poll the test's own.
 type haHarness struct {
 	clock  *fakeClock
 	reg    *telemetry.Registry
@@ -126,20 +103,12 @@ func newHAHarness(t *testing.T, replicas, shards int, global units.Watts) *haHar
 		endpoints[i] = ShardEndpoint{ID: i, Network: "unix", Addr: fmt.Sprintf("shard-%d", i)}
 	}
 	for r := 0; r < replicas; r++ {
-		rep := &haReplica{
-			journal: telemetry.NewJournal(1024, 1),
-			streams: make([]*scriptStream, shards),
-			done:    make(chan struct{}),
-		}
-		for i := range rep.streams {
-			rep.streams[i] = &scriptStream{ch: make(chan scriptEvent)}
-		}
-		agg, err := NewAggregator(AggregatorConfig{
+		rep := &haReplica{journal: telemetry.NewJournal(1024, 1), snaps: make([]*rcr.Snapshot, shards)}
+		agg, err := newControlCore(AggregatorConfig{
 			Shards:        endpoints,
 			Global:        global,
 			Floor:         10,
 			Max:           200,
-			Period:        time.Hour, // tests drive Poll directly
 			HealthHorizon: time.Hour, // health churn is not under test here
 			Clock:         h.clock.now,
 			Telemetry:     h.reg,
@@ -150,70 +119,90 @@ func newHAHarness(t *testing.T, replicas, shards int, global units.Watts) *haHar
 				Grace:      250 * time.Millisecond,
 				JitterSeed: uint64(1000 * (r + 1)),
 				WriteCap: func(shard int, w rcr.CapWrite) (rcr.CapAck, error) {
-					if rep.blocked.Load() {
+					if rep.blocked {
 						return rcr.CapAck{}, errors.New("injected partition")
 					}
-					if rep.holding.Load() {
-						rep.heldMu.Lock()
+					if rep.holding {
 						rep.held = append(rep.held, heldCapWrite{shard: shard, w: w})
-						rep.heldMu.Unlock()
 						return rcr.CapAck{}, errors.New("injected timeout (write held)")
 					}
 					return h.guards[shard].Offer(w), nil
 				},
 			},
-			Tune: func(shard int, cfg *resilience.ClientConfig) {
-				cfg.Subscribe = func(context.Context, string, string) (resilience.SubStream, error) {
-					return rep.streams[shard], nil
-				}
-			},
-		})
+		}, pushedSources(rep.snaps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.agg = agg
-		ctx, cancel := context.WithCancel(context.Background())
-		rep.cancel = cancel
-		go func() { defer close(rep.done); _ = agg.Run(ctx) }()
-		t.Cleanup(func() {
-			rep.cancel()
-			<-rep.done
-		})
 		h.reps = append(h.reps, rep)
 	}
 	return h
 }
 
-// feedAll pushes one moving-heartbeat snapshot per shard to every
-// replica's streams and polls until every replica sees a full fleet.
-func (h *haHarness) feedAll(t *testing.T, beat float64) {
-	t.Helper()
+// feedAll hands every replica one moving-heartbeat snapshot per shard.
+func (h *haHarness) feedAll(beat float64) {
 	now := h.clock.now()
 	for _, rep := range h.reps {
-		for i := range rep.streams {
+		for i := range rep.snaps {
 			conc := 4.0
 			if i%2 == 0 {
 				conc = 26
 			}
-			rep.streams[i].ch <- scriptEvent{snap: shardSnap(beat, 80, conc, now)}
+			snap := shardSnap(beat, 80, conc, now)
+			rep.snaps[i] = &snap
 		}
 	}
 }
 
-// pollAllUntil drives every replica's Poll until cond holds.
-func (h *haHarness) pollAllUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, rep := range h.reps {
-			rep.agg.Poll()
-		}
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// pollAll steps every replica once, in replica order.
+func (h *haHarness) pollAll() {
+	for _, rep := range h.reps {
+		rep.agg.Poll()
 	}
-	t.Fatalf("condition never held: %s", what)
+}
+
+// electFirst walks a virgin fleet to its first leader in exactly four
+// rounds of polls — observe the fleet, pass the grace (candidacies get
+// scheduled), pass every possible jitter (jitter < grace: whoever
+// campaigns first wins, the rival is rejected by the live lease), then
+// one more round in which the winner, its replay done, partitions — and
+// returns the leader's index.
+func (h *haHarness) electFirst(t *testing.T) int {
+	t.Helper()
+	h.feedAll(1)
+	h.pollAll()
+	for r, rep := range h.reps {
+		if n := rep.agg.Status().Healthy; n != h.shards {
+			t.Fatalf("replica %d sees %d/%d shards after one poll", r, n, h.shards)
+		}
+	}
+	h.clock.advance(300 * time.Millisecond) // > grace
+	h.pollAll()
+	h.clock.advance(260 * time.Millisecond) // > max jitter
+	h.pollAll()
+	if n := len(h.leaders()); n != 1 {
+		t.Fatalf("%d leaders after the campaign round, want 1", n)
+	}
+	first := h.leaders()[0]
+	h.pollAll()
+	if sum := h.reps[first].agg.Status().CapsSum; sum <= 0 {
+		t.Fatalf("leader assigned Σ%.1f W one poll after its replay", float64(sum))
+	}
+	return first
+}
+
+// campaign walks one standby through a whole candidacy in exactly two
+// polls: the first past the lease expiry it observed plus grace, which
+// schedules the candidacy; the second at the scheduled instant, which
+// runs it.
+func (h *haHarness) campaign(rep *haReplica) {
+	c := rep.agg
+	if due := c.obsExpiry + c.electionGrace() + time.Millisecond; due > h.clock.now() {
+		h.clock.advance(due - h.clock.now())
+	}
+	c.Poll()
+	h.clock.advance(c.candidateAt - h.clock.now())
+	c.Poll()
 }
 
 func (h *haHarness) leaders() []int {
@@ -242,29 +231,12 @@ func journalHas(j *telemetry.Journal, kind string) int {
 func TestHAElectionSingleWinner(t *testing.T) {
 	leak.Check(t)
 	h := newHAHarness(t, 2, 3, 150)
-	h.feedAll(t, 1)
-	h.pollAllUntil(t, "fleet observed", func() bool {
-		for _, rep := range h.reps {
-			if rep.agg.Status().Healthy != h.shards {
-				return false
-			}
-		}
-		return true
-	})
-
-	// Past grace, past every possible jitter (jitter < grace): whoever
-	// campaigns first wins; the rival is rejected by the live lease.
-	h.clock.advance(300 * time.Millisecond) // > grace
-	h.pollAllUntil(t, "candidacies scheduled", func() bool { return true })
-	h.clock.advance(260 * time.Millisecond) // > max jitter
-	h.pollAllUntil(t, "a leader elected", func() bool { return len(h.leaders()) == 1 })
+	h.electFirst(t)
 
 	// Keep polling: leadership must stay single.
 	for k := 0; k < 5; k++ {
 		h.clock.advance(50 * time.Millisecond)
-		for _, rep := range h.reps {
-			rep.agg.Poll()
-		}
+		h.pollAll()
 		if n := len(h.leaders()); n != 1 {
 			t.Fatalf("%d leaders after settle poll %d", n, k)
 		}
@@ -280,8 +252,8 @@ func TestHAElectionSingleWinner(t *testing.T) {
 	if st.CapsSum <= 0 || float64(st.CapsSum) > 150+sumEps {
 		t.Errorf("leader caps sum %.1f W", float64(st.CapsSum))
 	}
-	if h.audit.violations() != 0 {
-		t.Errorf("%d conservation violations", h.audit.violations())
+	if h.audit.bad != 0 {
+		t.Errorf("%d conservation violations", h.audit.bad)
 	}
 	// The compute-bound shard (odd index) outranks the memory-bound ones.
 	if st.Caps[1] <= st.Caps[0] {
@@ -296,56 +268,30 @@ func TestHAElectionSingleWinner(t *testing.T) {
 func TestHAHandoffReplaysCommittedAssignment(t *testing.T) {
 	leak.Check(t)
 	h := newHAHarness(t, 2, 3, 150)
-	h.feedAll(t, 1)
-	h.pollAllUntil(t, "fleet observed", func() bool {
-		for _, rep := range h.reps {
-			if rep.agg.Status().Healthy != h.shards {
-				return false
-			}
-		}
-		return true
-	})
-	h.clock.advance(300 * time.Millisecond)
-	h.pollAllUntil(t, "schedule", func() bool { return true })
-	h.clock.advance(260 * time.Millisecond)
-	h.pollAllUntil(t, "leader elected", func() bool { return len(h.leaders()) == 1 })
-	first := h.leaders()[0]
+	first := h.electFirst(t)
 	standby := 1 - first
-	h.pollAllUntil(t, "caps assigned", func() bool {
-		return h.reps[first].agg.Status().CapsSum > 0
-	})
 	committed := make([]float64, h.shards)
 	copy(committed, h.audit.caps)
 
 	// The leader dies: its write path is severed and it stops polling.
-	h.reps[first].blocked.Store(true)
+	h.reps[first].blocked = true
 	fenceBefore := h.reps[first].agg.Status().Fence
-	preHandoffApplies := len(h.audit.snapshotLog())
+	preHandoffApplies := len(h.audit.log)
 
 	// Let the lease lapse, then drive only the standby.
 	h.clock.advance(1100 * time.Millisecond) // > TTL: shard leases expire
-	drive := func(cond func() bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			h.reps[standby].agg.Poll()
-			if cond() {
-				return
-			}
-			h.clock.advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("condition never held: %s", what)
-	}
-	drive(func() bool { return h.reps[standby].agg.Status().Leader }, "standby promoted")
+	h.campaign(h.reps[standby])
 
 	st := h.reps[standby].agg.Status()
+	if !st.Leader {
+		t.Fatal("standby not promoted by its campaign over a lapsed lease")
+	}
 	if st.Fence <= fenceBefore {
 		t.Fatalf("promoted fence %d not above the dead leader's %d", st.Fence, fenceBefore)
 	}
 	// The first cap-carrying applies under the new fence must re-assert
 	// the committed assignment exactly — replay before repartition.
-	log := h.audit.snapshotLog()[preHandoffApplies:]
+	log := h.audit.log[preHandoffApplies:]
 	replayed := map[int]bool{}
 	for _, ap := range log {
 		if ap.fence != st.Fence {
@@ -362,8 +308,8 @@ func TestHAHandoffReplaysCommittedAssignment(t *testing.T) {
 	if len(replayed) != h.shards {
 		t.Fatalf("replay reached %d/%d shards", len(replayed), h.shards)
 	}
-	if h.audit.violations() != 0 {
-		t.Errorf("%d conservation violations across hand-off", h.audit.violations())
+	if h.audit.bad != 0 {
+		t.Errorf("%d conservation violations across hand-off", h.audit.bad)
 	}
 	if journalHas(h.reps[standby].journal, telemetry.KindLeaderElected) != 1 {
 		t.Error("promotion not journaled")
@@ -378,27 +324,11 @@ func TestHAHandoffReplaysCommittedAssignment(t *testing.T) {
 func TestHASplitBrainFencedOut(t *testing.T) {
 	leak.Check(t)
 	h := newHAHarness(t, 2, 3, 150)
-	h.feedAll(t, 1)
-	h.pollAllUntil(t, "fleet observed", func() bool {
-		for _, rep := range h.reps {
-			if rep.agg.Status().Healthy != h.shards {
-				return false
-			}
-		}
-		return true
-	})
-	h.clock.advance(300 * time.Millisecond)
-	h.pollAllUntil(t, "schedule", func() bool { return true })
-	h.clock.advance(260 * time.Millisecond)
-	h.pollAllUntil(t, "leader elected", func() bool { return len(h.leaders()) == 1 })
-	first := h.leaders()[0]
+	first := h.electFirst(t)
 	standby := 1 - first
-	h.pollAllUntil(t, "caps assigned", func() bool {
-		return h.reps[first].agg.Status().CapsSum > 0
-	})
 
 	// Split-brain window opens: the leader's writes are held in flight.
-	h.reps[first].holding.Store(true)
+	h.reps[first].holding = true
 	// The isolated leader keeps polling inside its lease — it still
 	// believes it leads and keeps issuing (held) writes.
 	h.clock.advance(200 * time.Millisecond)
@@ -417,25 +347,15 @@ func TestHASplitBrainFencedOut(t *testing.T) {
 	}
 
 	// The standby takes over.
-	drive := func(cond func() bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			h.reps[standby].agg.Poll()
-			if cond() {
-				return
-			}
-			h.clock.advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("condition never held: %s", what)
+	h.campaign(h.reps[standby])
+	if !h.reps[standby].agg.Status().Leader {
+		t.Fatal("standby not promoted by its campaign over a lapsed lease")
 	}
-	drive(func() bool { return h.reps[standby].agg.Status().Leader }, "standby promoted")
 	newFence := h.reps[standby].agg.Status().Fence
 
 	// The window closes: the old leader's stale writes finally arrive.
 	rejectsBefore := h.reg.Counter("cluster_fence_rejects_total").Value()
-	appliesBefore := len(h.audit.snapshotLog())
+	appliesBefore := len(h.audit.log)
 	acks := h.reps[first].flushHeld(h.guards)
 	if len(acks) == 0 {
 		t.Fatal("split-brain window held no writes")
@@ -451,11 +371,11 @@ func TestHASplitBrainFencedOut(t *testing.T) {
 	if got := h.reg.Counter("cluster_fence_rejects_total").Value(); got != rejectsBefore+uint64(len(acks)) {
 		t.Errorf("fence rejects %d, want %d", got, rejectsBefore+uint64(len(acks)))
 	}
-	if got := len(h.audit.snapshotLog()); got != appliesBefore {
+	if got := len(h.audit.log); got != appliesBefore {
 		t.Fatalf("%d caps applied by the demoted leader's stale writes", got-appliesBefore)
 	}
-	if h.audit.violations() != 0 {
-		t.Errorf("%d conservation violations", h.audit.violations())
+	if h.audit.bad != 0 {
+		t.Errorf("%d conservation violations", h.audit.bad)
 	}
 }
 
@@ -478,10 +398,14 @@ func TestHAStandbyObservesLeaseThroughMeters(t *testing.T) {
 		return s
 	}
 	// Another replica (id 99) holds the lease until t=10s.
-	for i := range rep.streams {
-		rep.streams[i].ch <- scriptEvent{snap: leaseSnap(1, 7, 10*time.Second, h.clock.now())}
+	for i := range rep.snaps {
+		snap := leaseSnap(1, 7, 10*time.Second, h.clock.now())
+		rep.snaps[i] = &snap
 	}
-	h.pollAllUntil(t, "lease observed", func() bool { return rep.agg.Status().Healthy == 2 })
+	rep.agg.Poll()
+	if n := rep.agg.Status().Healthy; n != 2 {
+		t.Fatalf("%d/2 shards observed after one poll", n)
+	}
 	for k := 0; k < 6; k++ {
 		h.clock.advance(time.Second) // far past grace — but the lease is live
 		rep.agg.Poll()
@@ -491,12 +415,7 @@ func TestHAStandbyObservesLeaseThroughMeters(t *testing.T) {
 	}
 	// t=6s now; the mirrored lease runs to 10s. Walk past it plus grace.
 	h.clock.advance(4500 * time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for !rep.agg.Status().Leader && time.Now().Before(deadline) {
-		rep.agg.Poll()
-		h.clock.advance(50 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
+	h.campaign(rep)
 	st := rep.agg.Status()
 	if !st.Leader {
 		t.Fatal("standby never campaigned after the mirrored lease lapsed")
@@ -506,7 +425,7 @@ func TestHAStandbyObservesLeaseThroughMeters(t *testing.T) {
 	}
 	// It adopted the mirrored committed cap as its baseline: the replay
 	// re-asserts 50 W per shard.
-	log := h.audit.snapshotLog()
+	log := h.audit.log
 	if len(log) == 0 || log[0].cap != 50 {
 		t.Fatalf("replay did not re-assert the mirrored 50 W committed cap: %+v", log)
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/resilience/leak"
 )
 
-// TestHASoakSingleSeed runs one full-length HA soak with the strict
-// resource audit: two replicas, eight shards, both fault tiers live.
+// TestHASoakSingleSeed runs one full-length HA soak: two replicas,
+// eight shards, both fault tiers live.
 func TestHASoakSingleSeed(t *testing.T) {
 	leak.Check(t)
 	rep, err := RunScenario(Scenario{Seed: 7, Replicas: 2, Budget: 1500 * time.Millisecond})
@@ -63,9 +63,9 @@ func TestHASoakCorpus(t *testing.T) {
 		elections, demotions, kills     uint64
 		applies, rejects, retries       uint64
 		dropped, held, flushed, delayed uint64
-		shardKills, resubs, converged   uint64
+		shardKills, converged           uint64
 	)
-	runs := runSoakCorpus(t, haShape, func(rep *ScenarioReport) {
+	runs := runSoakCorpus(t, "ha", func(rep *ScenarioReport) {
 		for _, h := range rep.Handoffs {
 			handoffRatios = append(handoffRatios, float64(h)/float64(rep.LeaseTTL))
 		}
@@ -80,7 +80,6 @@ func TestHASoakCorpus(t *testing.T) {
 		held += rep.WANHeld
 		flushed += rep.WANFlushed
 		shardKills += rep.ShardKills
-		resubs += rep.Resubscribes
 		if rep.Converged {
 			converged++
 		}
@@ -119,8 +118,8 @@ func TestHASoakCorpus(t *testing.T) {
 	if median >= 2.0 {
 		t.Errorf("median hand-off %.2f× lease TTL, want < 2×", median)
 	}
-	t.Logf("%d runs: %d elections, %d demotions, %d leader-kills, %d applies, %d rejects, %d retries, wan %d dropped/%d delayed/%d held/%d flushed, %d shard-kills, %d resubs, %d hand-offs (median %.2f× TTL, p95 %.2f×), %d/%d converged",
+	t.Logf("%d runs: %d elections, %d demotions, %d leader-kills, %d applies, %d rejects, %d retries, wan %d dropped/%d delayed/%d held/%d flushed, %d shard-kills, %d hand-offs (median %.2f× TTL, p95 %.2f×), %d/%d converged",
 		runs, elections, demotions, kills, applies, rejects, retries,
-		dropped, delayed, held, flushed, shardKills, resubs,
+		dropped, delayed, held, flushed, shardKills,
 		len(handoffRatios), median, handoffRatios[len(handoffRatios)*95/100], converged, runs)
 }

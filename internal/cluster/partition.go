@@ -210,13 +210,15 @@ func Sum(caps []units.Watts) units.Watts {
 // first the running sum only falls from Σold; once the increases start,
 // every shard it has touched already holds its next value, so the
 // running sum is bounded by Σnext. The result is a permutation of the
-// indices; old and next must be the same length (ApplyOrder panics
-// otherwise, since a mismatched re-partition is a programming error).
-func ApplyOrder(old, next []units.Watts) []int {
+// indices, written into out's storage when it has the capacity (pass
+// the previous result back to repartition without allocating); old and
+// next must be the same length (ApplyOrder panics otherwise, since a
+// mismatched re-partition is a programming error).
+func ApplyOrder(old, next []units.Watts, out []int) []int {
 	if len(old) != len(next) {
 		panic("cluster: ApplyOrder length mismatch")
 	}
-	order := make([]int, 0, len(old))
+	order := out[:0]
 	for i := range next {
 		if next[i] <= old[i] {
 			order = append(order, i)

@@ -132,7 +132,7 @@ func TestPartitionChurnEnvelope(t *testing.T) {
 			if s := float64(Sum(next)); s > envelope {
 				envelope = s
 			}
-			order := ApplyOrder(caps, next)
+			order := ApplyOrder(caps, next, nil)
 			running := append([]units.Watts(nil), caps...)
 			for _, i := range order {
 				running[i] = next[i]
@@ -182,7 +182,7 @@ func TestPartitionChurnDepartedStaysZero(t *testing.T) {
 			// The zeroing write must sort with the decreases: by the time
 			// any slot's assignment grows, every departed slot has already
 			// been stepped to zero.
-			order := ApplyOrder(caps, next)
+			order := ApplyOrder(caps, next, nil)
 			running := append([]units.Watts(nil), caps...)
 			for _, i := range order {
 				if next[i] > running[i] {

@@ -318,7 +318,7 @@ func TestApplyOrderConservation(t *testing.T) {
 		}
 		next := Partition(global, nodes, nil)
 
-		order := ApplyOrder(old, next)
+		order := ApplyOrder(old, next, nil)
 		if len(order) != len(old) {
 			t.Fatalf("seed %d: order has %d entries for %d shards", seed, len(order), len(old))
 		}
@@ -341,7 +341,7 @@ func TestApplyOrderConservation(t *testing.T) {
 func TestApplyOrderDecreasesFirst(t *testing.T) {
 	old := []units.Watts{50, 30, 40}
 	next := []units.Watts{20, 60, 40}
-	order := ApplyOrder(old, next)
+	order := ApplyOrder(old, next, nil)
 	want := []int{0, 2, 1} // decreases/equal in index order, then increases
 	for i := range want {
 		if order[i] != want[i] {
@@ -353,5 +353,5 @@ func TestApplyOrderDecreasesFirst(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	ApplyOrder(old, next[:2])
+	ApplyOrder(old, next[:2], nil)
 }

@@ -1,60 +1,87 @@
 package cluster
 
 import (
+	"flag"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// runSoakCorpus fans seeds 0..runs-1 of one scenario shape across a
-// worker pool — 256 seeds, 24 under -short, halved under -race — and
-// hands every passing report to fold (serialized). A failing seed's
-// violations fail the test. Per-run resource audits are off because the
-// process is shared; the caller's leak gate covers the whole corpus.
-func runSoakCorpus(t *testing.T, shape Scenario, fold func(rep *ScenarioReport)) (runs int) {
+// knownFindings pins every corpus seed that does not pass, by tier, to
+// the one violation it reports (docs/robustness.md §Known liveness
+// findings has the mechanisms). A run is a pure function of its seed,
+// so this is exact: a listed seed that passes, or fails any other way,
+// fails the corpus until the table is corrected — it flips when the
+// finding is fixed. None is a safety violation: in each the takeover
+// collides with two or more WAN windows (the successor's writes, held
+// by a split-brain window, land late and grant a lease nobody renews),
+// or — the "decommissioned" ones — operator power-offs in a leaderless
+// window cost the election quorum until the settle phase, so no
+// departure the schedule asked for ever had a committed member to
+// remove. The parent's host-time runner measured 4.1–4.9× TTL on the
+// same churn seeds and passed them under the 6× bound, now 4×.
+var knownFindings = map[string]map[int]string{
+	"ha": {1690: "hand-off median"},
+	"churn": {
+		383: "hand-off median", 435: "hand-off median", 659: "hand-off median", 1019: "hand-off median",
+		1603: "hand-off median", 2022: "hand-off median",
+		825: "no member was ever decommissioned", 1538: "no member was ever decommissioned",
+	},
+}
+
+// runSoakCorpus fans seeds 0..runs-1 of one scenario shape across
+// GOMAXPROCS workers — 2,048 seeds, 256 under -short, the same with and
+// without -race — and hands every report to fold (serialized). A run is
+// a pure function of its seed, so a failing seed is a finding, never
+// noise: unless knownFindings pins exactly that failure, its violations
+// fail the test and the log carries the command that replays that seed
+// alone.
+func runSoakCorpus(t *testing.T, tier string, fold func(rep *ScenarioReport)) (runs int) {
 	t.Helper()
-	runs = 256
+	runs = 2048
 	if testing.Short() {
-		runs = 24
+		runs = 256
 	}
-	workers := 4
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workers = n
-	}
-	if workers > 16 {
-		workers = 16
-	}
-	if raceEnabled {
-		// Concurrent instrumented runs contend hard for CPU; keep the
-		// fault schedules real-time-faithful by running fewer at once.
-		workers = 2
-		runs = runs / 2
-	}
-	shape.SkipResourceAudit = true
 	var (
 		mu     sync.Mutex
 		seedCh = make(chan int)
 		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for seed := range seedCh {
-				cfg := shape
+				cfg := soakShape(tier)
 				cfg.Seed = uint64(seed)
 				rep, err := RunScenario(cfg)
+				known := knownFindings[tier][seed]
 				mu.Lock()
 				switch {
 				case err != nil:
 					t.Errorf("seed %d: %v", seed, err)
+				case known != "" && len(rep.Violations) == 1 && strings.Contains(rep.Violations[0], known):
+					fold(rep)
+				case known != "":
+					t.Errorf("seed %d is pinned in knownFindings as %q but reports %q: if it is fixed, drop it from the table", seed, known, rep.Violations)
 				case !rep.Passed():
 					for _, v := range rep.Violations {
 						t.Errorf("seed %d: %s", seed, v)
 					}
-					t.Logf("seed %d: %s", seed, rep.Summary())
+					short := ""
+					if testing.Short() {
+						short = " -short"
+					}
+					t.Logf("seed %d: %s\nreplay: go test ./internal/cluster -v%s -run 'TestScenarioSeed/%s/%d$'", seed, rep.Summary(), short, tier, seed)
 				default:
 					fold(rep)
 				}
@@ -75,7 +102,124 @@ var (
 	plainShape = Scenario{Shards: 8, Budget: 400 * time.Millisecond}
 	haShape    = Scenario{Shards: 8, Replicas: 2, Budget: 400 * time.Millisecond}
 	churnShape = Scenario{Shards: 4, Peak: 10, Replicas: 2, Budget: 500 * time.Millisecond}
+	soakTiers  = []string{"plain", "ha", "churn"}
 )
+
+// soakShape returns a tier's corpus shape as this test binary runs it:
+// -short widens the plain fleet to 16 shards, because it skips N=64.
+func soakShape(tier string) Scenario {
+	switch tier {
+	case "ha":
+		return haShape
+	case "churn":
+		return churnShape
+	}
+	shape := plainShape
+	if testing.Short() {
+		shape.Shards = 16
+	}
+	return shape
+}
+
+// TestScenarioSeed replays one seed of one corpus shape alone, with its
+// summary and whole journal in the log — the command a failing corpus
+// seed prints:
+//
+//	go test ./internal/cluster -v -run 'TestScenarioSeed/ha/1234$'
+//
+// The shape and seed are read off the -run pattern (subtests must exist
+// to be selected, and 3 × 2⁶⁴ of them cannot); run without one, it
+// replays seed 0 of each shape.
+func TestScenarioSeed(t *testing.T) {
+	picked := regexp.MustCompile(`TestScenarioSeed/(\w+)/(\d+)`).FindStringSubmatch(flag.Lookup("test.run").Value.String())
+	for _, tier := range soakTiers {
+		cfg := soakShape(tier)
+		if picked != nil {
+			if picked[1] != tier {
+				continue
+			}
+			cfg.Seed, _ = strconv.ParseUint(picked[2], 10, 64) // \d+ parses; out of range saturates
+		}
+		t.Run(fmt.Sprintf("%s/%d", tier, cfg.Seed), func(t *testing.T) {
+			r, err := runScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range r.rep.Violations {
+				t.Errorf("violation: %s", v)
+			}
+			var journal strings.Builder
+			_ = r.journal.WriteJSONL(&journal)
+			t.Logf("%s\n%s", r.rep.Summary(), journal.String())
+		})
+	}
+}
+
+// TestScenarioReplay: a run is a pure function of its Scenario. Seeds
+// 0–31 of each corpus shape run twice at GOMAXPROCS 1 and twice at the
+// default; all four reports must be deeply equal — every counter, every
+// hand-off duration, and the digest of the journal's JSONL bytes.
+func TestScenarioReplay(t *testing.T) {
+	seeds := uint64(32)
+	if testing.Short() {
+		seeds = 8
+	}
+	for _, tier := range soakTiers {
+		shape := soakShape(tier)
+		for seed := uint64(0); seed < seeds; seed++ {
+			shape.Seed = seed
+			var first *ScenarioReport
+			for _, procs := range []int{1, 1, 0, 0} {
+				prev := runtime.GOMAXPROCS(procs) // 0 only reads
+				rep, err := RunScenario(shape)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", tier, seed, err)
+				}
+				if rep.JournalDigest == "" {
+					t.Fatalf("%s seed %d: report carries no journal digest", tier, seed)
+				}
+				if first == nil {
+					first = rep
+				} else if !reflect.DeepEqual(first, rep) {
+					t.Fatalf("%s seed %d diverged between runs (GOMAXPROCS %d):\n%+v\n%+v", tier, seed, procs, first, rep)
+				}
+			}
+		}
+	}
+}
+
+// TestControlCoreImports holds the core to its contract by parsing it:
+// core.go and ha.go may import only what a pure step function needs,
+// and may not start a goroutine or read the host clock.
+func TestControlCoreImports(t *testing.T) {
+	allowed := map[string]bool{
+		`"errors"`: true, `"fmt"`: true, `"slices"`: true, `"time"`: true,
+		`"repro/internal/rcr"`: true, `"repro/internal/telemetry"`: true, `"repro/internal/units"`: true,
+	}
+	for _, file := range []string{"core.go", "ha.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if !allowed[imp.Path.Value] {
+				t.Errorf("%s imports %s: the control core takes no lock, opens nothing and owns no goroutine", file, imp.Path.Value)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s has a go statement", file)
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "time" && strings.Contains(" Now Since Sleep After AfterFunc Tick NewTicker NewTimer ", " "+n.Sel.Name+" ") {
+					t.Errorf("%s calls time.%s: the core reads time only through cfg.Clock", file, n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
 
 // TestScenarioPlanEquivalence pins what the runner plans for seeds 0–7
 // of each tier shape to the values the three copy-grown harnesses it
@@ -84,9 +228,6 @@ var (
 // the shard pool and the replayed final fleet. A seed therefore drives
 // the same fleet, WAN and membership schedules as before.
 func TestScenarioPlanEquivalence(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the pinned instants are for the unstretched timebase")
-	}
 	type want struct {
 		events, wan, mem int
 		clear            time.Duration

@@ -262,11 +262,11 @@ var ErrHeld = errors.New("faults: split-brain: write held in flight")
 
 // WANInjector evaluates a WANSchedule against live traffic. The harness
 // wraps each replica's cap-write path in GateWrite and its subscription
-// dialer in SubBlocked; Flush delivers writes a closed SplitBrain
-// window held. All methods are safe for concurrent use.
+// path in SubBlocked; Flush delivers writes a closed SplitBrain window
+// held. All methods are safe for concurrent use.
 type WANInjector struct {
 	sched WANSchedule
-	sleep func(time.Duration) // test seam; nil = time.Sleep
+	sleep func(time.Duration) // how a delayed writer waits, on the harness's clock
 
 	mu       sync.Mutex
 	held     []heldWrite
@@ -281,9 +281,10 @@ type heldWrite struct {
 	do  func() error
 }
 
-// NewWANInjector builds an injector for one schedule.
-func NewWANInjector(sched WANSchedule) *WANInjector {
-	return &WANInjector{sched: sched}
+// NewWANInjector builds an injector for one schedule. sleep is called
+// with the delay of a write that crosses a NetLatency window.
+func NewWANInjector(sched WANSchedule, sleep func(time.Duration)) *WANInjector {
+	return &WANInjector{sched: sched, sleep: sleep}
 }
 
 // GateWrite passes a cap write destined for shard from aggregator agg
@@ -331,11 +332,7 @@ func (inj *WANInjector) GateWrite(agg, shard int, now time.Duration, do func() e
 		inj.mu.Lock()
 		inj.delayed++
 		inj.mu.Unlock()
-		if inj.sleep != nil {
-			inj.sleep(delay)
-		} else {
-			time.Sleep(delay)
-		}
+		inj.sleep(delay)
 	}
 	return do()
 }

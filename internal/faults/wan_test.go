@@ -94,9 +94,8 @@ func TestWANInjectorGateWrite(t *testing.T) {
 			{Agg: 0, Shard: 3, Kind: NetLatency, Delay: 5 * time.Millisecond, Start: 0, End: 100 * time.Millisecond},
 		},
 	}
-	inj := NewWANInjector(sched)
 	var slept time.Duration
-	inj.sleep = func(d time.Duration) { slept += d }
+	inj := NewWANInjector(sched, func(d time.Duration) { slept += d })
 
 	ran := 0
 	do := func() error { ran++; return nil }
@@ -163,7 +162,7 @@ func TestWANInjectorPrecedence(t *testing.T) {
 			{Agg: 0, Shard: 0, Kind: NetPartition, Dir: DirBoth, Start: 0, End: time.Second},
 			{Agg: 0, Shard: 0, Kind: SplitBrain, Start: 0, End: time.Second},
 		},
-	})
+	}, nil)
 	err := inj.GateWrite(0, 0, time.Millisecond, func() error { return nil })
 	if !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("err %v, want ErrPartitioned", err)
