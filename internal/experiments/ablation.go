@@ -73,6 +73,9 @@ func policyAblationSpec(app string, variant int) RunSpec {
 func (lab *Lab) PolicyAblation() ([]PolicyAblationRow, error) {
 	apps := policyAblationApps()
 	rows := make([]PolicyAblationRow, len(apps))
+	for i, app := range apps {
+		rows[i].App = app
+	}
 	// Independent runs per app; every cell fills its own field of the
 	// app's row, deltas are derived once all cells are in.
 	err := lab.runCells(len(apps)*policyAblationVariants, func(i int) error {
@@ -82,7 +85,6 @@ func (lab *Lab) PolicyAblation() ([]PolicyAblationRow, error) {
 			return err
 		}
 		row := &rows[i/policyAblationVariants]
-		row.App = app
 		switch variant {
 		case 0:
 			row.Baseline = meas
@@ -143,6 +145,9 @@ func (lab *Lab) MechanismAblation() ([]MechanismAblationRow, error) {
 		{compiler.AppLULESH, 0.6},
 	}
 	rows := make([]MechanismAblationRow, len(cases))
+	for i, c := range cases {
+		rows[i].App, rows[i].Gear = c.app, c.gear
+	}
 	err := lab.runCells(len(cases)*3, func(i int) error {
 		c, variant := cases[i/3], i%3
 		spec := RunSpec{App: c.app, Target: target, Workers: FullThreads, Scale: throttleScale(c.app), SpinOnlyIdle: true}
@@ -158,7 +163,6 @@ func (lab *Lab) MechanismAblation() ([]MechanismAblationRow, error) {
 			return err
 		}
 		row := &rows[i/3]
-		row.App, row.Gear = c.app, c.gear
 		switch variant {
 		case 0:
 			row.Baseline = meas

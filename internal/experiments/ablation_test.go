@@ -218,18 +218,15 @@ func TestPolicyAblationArmFairness(t *testing.T) {
 		}
 	}
 
-	// Run-level determinism: with a single worker there is no work
-	// stealing, so two independent runs of the same cell — fresh machine,
-	// fresh runtime, fresh workload each time — must agree to the last
-	// bit. This is what would break if any cell drew from a shared RNG,
-	// or if the measurement boundaries raced the engine's paced steps
-	// (Machine.Hold pins both; see RunOnRuntimeHeld). Multi-worker cells
-	// are exempt by design: work-stealing order is genuinely scheduling-
-	// dependent.
+	// Run-level determinism: two independent runs of the same cell, at
+	// the ablation's own worker count — fresh machine, fresh runtime,
+	// fresh workload each time — must agree to the last bit. This is
+	// what would break if any cell drew from a shared RNG, or if the
+	// measurement boundaries raced the engine's paced steps
+	// (Machine.Hold pins both; see RunOnRuntimeHeld).
 	for _, app := range []string{compiler.AppHealth, compiler.AppDijkstra} {
 		for v := 0; v < policyAblationVariants; v++ {
 			spec := policyAblationSpec(app, v)
-			spec.Workers = 1
 			var prev Measurement
 			for run := 0; run < 2; run++ {
 				m, err := NewLab().Measure(spec)

@@ -24,6 +24,12 @@ import (
 // and over-provisions the memory-bound shards that the paper shows can
 // be throttled almost for free.
 
+// The per-shard cap bounds both aggregator arms partition within.
+const (
+	clusterCapFloor units.Watts = 10
+	clusterCapMax   units.Watts = 300
+)
+
 // ClusterSpec sizes the cluster ablation.
 type ClusterSpec struct {
 	// Shards is the node count; zero selects 4.
@@ -175,8 +181,8 @@ func (lab *Lab) runClusterHAArm(spec ClusterSpec, apps []string) (ClusterMeasure
 		agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
 			Shards: fleet.Endpoints(),
 			Global: spec.Global,
-			Floor:  10,
-			Max:    300,
+			Floor:  clusterCapFloor,
+			Max:    clusterCapMax,
 			Period: 20 * time.Millisecond,
 			// Generous for the same reason as the single-aggregator arm:
 			// a false "lost" verdict would corrupt the measurement.
@@ -365,8 +371,8 @@ func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, hierarchical bool
 		agg, err = cluster.NewAggregator(cluster.AggregatorConfig{
 			Shards: fleet.Endpoints(),
 			Global: spec.Global,
-			Floor:  10,
-			Max:    300,
+			Floor:  clusterCapFloor,
+			Max:    clusterCapMax,
 			Period: 5 * time.Millisecond,
 			// No shard dies in this experiment, so the horizon only needs
 			// to keep healthy shards healthy. It is deliberately generous:

@@ -107,6 +107,9 @@ func (lab *Lab) ThrottleOverhead() ([]OverheadRow, error) {
 	target := compiler.Target{Compiler: compiler.GCC, Opt: compiler.O3}
 	apps := WellScalingApps()
 	rows := make([]OverheadRow, len(apps))
+	for i, app := range apps {
+		rows[i].App = app
+	}
 	// Fixed and dynamic runs of each app are independent cells; the
 	// percentages are derived once both of a row's cells are in.
 	err := lab.runCells(len(apps)*2, func(i int) error {
@@ -120,7 +123,6 @@ func (lab *Lab) ThrottleOverhead() ([]OverheadRow, error) {
 			return err
 		}
 		row := &rows[i/2]
-		row.App = app
 		if dynamic {
 			row.DynamicSec = meas.Seconds
 			row.Activations = meas.Daemon.Activations

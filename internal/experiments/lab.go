@@ -120,7 +120,7 @@ func (lab *Lab) Measure(spec RunSpec) (Measurement, error) {
 	}
 	best := Measurement{}
 	for r := 0; r < repeats; r++ {
-		m, err := lab.runOnceSeeded(spec, lab.Seed+int64(r))
+		m, err := lab.runOnceSeeded(spec, lab.Seed+int64(r), nil)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -147,7 +147,7 @@ func (lab *Lab) MeasureSeries(spec RunSpec, n int) ([]Measurement, SeriesSummary
 	}
 	out := make([]Measurement, n)
 	if err := lab.runCells(n, func(r int) error {
-		m, err := lab.runOnceSeeded(spec, lab.Seed+int64(r))
+		m, err := lab.runOnceSeeded(spec, lab.Seed+int64(r), nil)
 		if err != nil {
 			return err
 		}
@@ -173,8 +173,9 @@ func (lab *Lab) MeasureSeries(spec RunSpec, n int) ([]Measurement, SeriesSummary
 
 // runOnceSeeded builds the full stack — machine, RAPL reader, RCR
 // sampler, runtime, optional MAESTRO daemon or power cap — runs the
-// workload once with the given input seed, and tears everything down.
-func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64) (Measurement, error) {
+// workload once with the given input seed, and tears everything down. A
+// non-nil tracer observes the runtime's scheduler events.
+func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) (Measurement, error) {
 	if spec.Workers <= 0 {
 		return Measurement{}, fmt.Errorf("experiments: %s: Workers must be positive", spec.App)
 	}
@@ -238,6 +239,7 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64) (Measurement, error) {
 	qcfg.Workers = spec.Workers
 	qcfg.SpinOnlyIdle = spec.SpinOnlyIdle
 	qcfg.Telemetry = reg
+	qcfg.Tracer = tracer
 	rt, err := qthreads.New(m, qcfg)
 	if err != nil {
 		return Measurement{}, err

@@ -125,11 +125,8 @@ func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 
 // TestParallelSweepMatchesSerial is the determinism gate for the parallel
 // Lab: every cell runs on its own machine with a seed derived from the
-// spec alone, so a fanned-out sweep must reproduce the serial one — same
-// structure and ordering exactly, measurements within the run-to-run
-// scheduling noise multi-worker simulations already have (the machine is
-// repeatable "modulo Go scheduling of work stealing"; observed noise is
-// ~1e-4 relative, far under every experiment tolerance).
+// spec alone, and a cell is a pure function of its seed, so a fanned-out
+// sweep must reproduce the serial one to the bit.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	target := compiler.Target{Compiler: compiler.GCC, Opt: compiler.O2}
 	threads := []int{1, 2, 4}
@@ -146,24 +143,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.App != parallel.App || serial.Target != parallel.Target ||
-		!reflect.DeepEqual(serial.Threads, parallel.Threads) {
-		t.Fatalf("parallel sweep structure differs:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("parallel sweep differs:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	close := func(name string, a, b []float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d points serial vs %d parallel", name, len(a), len(b))
-		}
-		for i := range a {
-			if diff := (a[i] - b[i]) / a[i]; diff > 5e-3 || diff < -5e-3 {
-				t.Errorf("%s[%d]: serial %g vs parallel %g", name, i, a[i], b[i])
-			}
-		}
-	}
-	close("Seconds", serial.Seconds, parallel.Seconds)
-	close("Joules", serial.Joules, parallel.Joules)
-	close("Watts", serial.Watts, parallel.Watts)
-	close("Speedup", serial.Speedup, parallel.Speedup)
-	close("NormEnergy", serial.NormEnergy, parallel.NormEnergy)
 }

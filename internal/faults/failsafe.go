@@ -8,9 +8,9 @@ import (
 // in its sensors trips it, and throttling components observe it and
 // release to full concurrency while it is engaged. It is the host-side
 // counterpart of the MAESTRO daemon's internal watchdog latch — the
-// simulator's daemon carries its own, while wall-clock throttlers
-// (gomax.Throttler) accept one of these so an external supervisor, or
-// their own consecutive-error tracking, can force them open.
+// simulator's daemon carries its own, while a wall-clock throttler
+// accepts one of these so an external supervisor, or its own
+// consecutive-error tracking, can force it open.
 //
 // All methods are lock-free and safe from any goroutine.
 type FailSafe struct {

@@ -7,9 +7,10 @@
 // schedules against the full simulated pipeline and checks the
 // fail-safe invariants of docs/robustness.md.
 //
-// Everything is reproducible: the same seed yields the same schedule,
-// the same injected garbage values, and (modulo Go scheduling of work
-// stealing) the same trajectory.
+// Everything is reproducible: the same seed yields the same schedule and
+// the same injected garbage values. The trajectory repeats up to the
+// phase at which the run starts against the supervisor's ticks, which
+// RunChaos leaves to the host (it takes no Machine.Hold).
 package faults
 
 import (

@@ -1,22 +1,15 @@
-// Recovery property tests live in faults_test (external test package):
-// gomax imports faults for the FailSafe latch, so importing gomax from
-// an internal test would cycle.
+// Recovery property tests live in faults_test, the external test package.
 package faults_test
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/faults"
-	"repro/internal/gomax"
 	"repro/internal/machine"
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
-	"repro/internal/rapl"
 	"repro/internal/rcr"
-	"repro/internal/units"
 )
 
 // eventually polls cond until it holds or the deadline passes.
@@ -32,98 +25,7 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("condition never held: %s", what)
 }
 
-// TestGomaxFailsafeRecovery: the property of ISSUE satellite #3 for the
-// wall-clock throttler — however the fail-safe latch trips (externally
-// or by the throttler's own consecutive-error tracking), the pool
-// always returns to its unthrottled limit while the latch is engaged,
-// and classification resumes after it clears, all under a concurrent
-// task-churn load.
-func TestGomaxFailsafeRecovery(t *testing.T) {
-	const workers = 8
-	p, err := gomax.NewPool(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	fake := rapl.NewFake(1)
-	var fs faults.FailSafe
-	th, err := gomax.StartThrottler(p, fake, gomax.ThrottlerConfig{
-		Period:         time.Millisecond,
-		LowPower:       10,
-		HighPower:      100,
-		ThrottledLimit: 3,
-		FailSafe:       &fs,
-		FailSafeAfter:  3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Stop()
-
-	// Concurrent churn: a steady task stream keeps the pool's worker
-	// gate hot while the latch flips underneath it.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = p.Submit(func() { time.Sleep(20 * time.Microsecond) })
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	defer func() { close(stop); wg.Wait() }()
-
-	// Feed high power until the throttler engages.
-	feed := func() {
-		fake.Add(0, units.Joules(5))
-	}
-	feedUntil := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			feed()
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("condition never held: %s", what)
-	}
-
-	for round := 0; round < 3; round++ {
-		feedUntil("throttler engages on high power", func() bool { return p.Limit() == 3 })
-
-		// External trip: the pool must open back up to full concurrency
-		// even though power still classifies High.
-		fs.Trip("test: external trip")
-		feedUntil("pool released while latch engaged", func() bool { return p.Limit() == workers })
-		fs.Clear()
-
-		feedUntil("throttler re-engages after clear", func() bool { return p.Limit() == 3 })
-
-		// Self trip: a dead sensor must open the pool, and recovery must
-		// clear the latch the throttler itself tripped.
-		fake.SetError(errors.New("injected: rdmsr failed"))
-		eventually(t, 10*time.Second, "self-trip opens the pool", func() bool {
-			return fs.Engaged() && p.Limit() == workers
-		})
-		fake.SetError(nil)
-		feedUntil("self-tripped latch clears on recovery", func() bool { return !fs.Engaged() })
-	}
-	if trips := fs.Trips(); trips < 6 {
-		t.Errorf("latch tripped %d times across 3 rounds, want >= 6", trips)
-	}
-}
-
-// TestQthreadsFailsafeRecovery: the same property on the simulator side
-// — when the MAESTRO daemon's staleness watchdog fires, the qthreads
+// TestQthreadsFailsafeRecovery: when the MAESTRO daemon's staleness watchdog fires, the qthreads
 // runtime's throttle flag must drop to unthrottled even when every
 // normal actuation is being dropped by an injected fault (the release
 // takes the direct lock-free bypass), and normal operation must resume

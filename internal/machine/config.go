@@ -13,8 +13,15 @@
 // variable-size steps. A step never crosses a work-item completion or a
 // ticker deadline, so piecewise-constant rate assumptions are exact. The
 // engine only advances when every enrolled core is parked in one of the
-// blocking calls, which makes the simulation independent of the host's
-// core count and (modulo Go scheduling of work stealing) repeatable.
+// blocking calls, and the owners an instant wakes — every completed item,
+// true condition and due deadline — are resumed one at a time in ascending
+// core id, the next only after the previous has blocked again. So the host
+// code of a node is one sequential program ordered by virtual state, and
+// the simulation is independent of the host's core count, scheduler and
+// collector: a run is a pure function of its inputs. Enroll itself orders
+// nothing (a new core runs at once); owners that share host state Yield
+// first, and a goroutine that owns no core changes such state through
+// WhenQuiescent. docs/engine.md §Execution model has the rule in full.
 //
 // Host-side execution between charging calls costs zero virtual time by
 // design: the simulated machine accounts only for modeled work.

@@ -27,9 +27,10 @@ func (x *CoreCtx) Socket() int { return x.c.socket }
 // Machine returns the machine this core belongs to.
 func (x *CoreCtx) Machine() *Machine { return x.m }
 
-// block performs the standard transition into a blocked state: setup runs
+// block performs the standard transition out of host code: setup runs
 // under the machine lock with the core still in coreRunning, then the
-// engine is released and the call waits for its wakeup.
+// engine is released and the call waits until the engine resumes this
+// owner — woken and at the front of the run queue.
 func (x *CoreCtx) block(setup func(c *core)) wakeMsg {
 	m := x.m
 	m.mu.Lock()
@@ -45,13 +46,26 @@ func (x *CoreCtx) block(setup func(c *core)) wakeMsg {
 	setup(x.c)
 	m.indexBlockedLocked(x.c)
 	m.running--
-	m.engCond.Signal()
+	m.engCond.Broadcast()
 	m.mu.Unlock()
 	msg := <-x.c.wake
 	if msg.abort != nil {
 		panic(Abort{Err: msg.abort})
 	}
 	return msg
+}
+
+// Yield charges nothing: the core stays running, but its owner goes to the
+// baton queue and resumes, at the same virtual instant, after every queued
+// owner of a lower core id has run and blocked. Enroll orders nothing —
+// a newly enrolled core runs at once, beside whoever else is running — so
+// a runtime whose owners share host state has each of them yield before
+// it first touches that state.
+func (x *CoreCtx) Yield() {
+	x.block(func(c *core) {
+		c.msg = wakeMsg{}
+		x.m.runQ = insertCore(x.m.runQ, c)
+	})
 }
 
 // Execute charges one work item to the core and blocks until the machine
@@ -213,5 +227,5 @@ func (x *CoreCtx) Release() {
 	x.c.state = coreUnowned
 	m.planValid = false
 	m.running--
-	m.engCond.Signal()
+	m.engCond.Broadcast()
 }

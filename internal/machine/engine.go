@@ -31,6 +31,12 @@ func (m *Machine) engine() {
 			m.engCond.Wait()
 			continue
 		}
+		// Nothing runs: pass the baton to the lowest-numbered woken owner
+		// and wait for it to block again before resuming the next.
+		if len(m.runQ) > 0 {
+			m.resumeNextLocked()
+			continue
+		}
 		// Every enrolled core is blocked in a charging call. First wake
 		// any waiter whose condition is already satisfied.
 		if m.wakeReadyLocked() {
@@ -120,14 +126,27 @@ func (m *Machine) wakeReadyLocked() bool {
 	return woke
 }
 
-// wakeLocked transitions a blocked core back to host execution.
+// wakeLocked ends a blocked core's charging call: the core is marked
+// running and queued, with the message its owner will resume on, behind
+// every woken core of a lower id. The engine resumes the queue one owner
+// at a time (resumeNextLocked), so however many cores an instant wakes,
+// their host code runs as one sequential program in core-id order.
 func (m *Machine) wakeLocked(c *core, msg wakeMsg) {
 	m.unindexBlockedLocked(c)
 	c.state = coreRunning
 	c.cond = nil
 	c.deadline = 0
+	c.msg = msg
+	m.runQ = insertCore(m.runQ, c)
+}
+
+// resumeNextLocked hands the baton to the front of the run queue. The
+// wake channel's buffer of one is free: a queued owner is parked on it.
+func (m *Machine) resumeNextLocked() {
+	c := m.runQ[0]
+	m.runQ = removeCore(m.runQ, c)
 	m.running++
-	c.wake <- msg
+	c.wake <- c.msg
 }
 
 // planStepLocked returns the length of the next step: the time to the

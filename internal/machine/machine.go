@@ -86,8 +86,10 @@ type core struct {
 	// dlIdx is the core's position in the engine's deadline heap, -1 when
 	// absent (see events.go).
 	dlIdx int
-	// Wakeup channel; buffered so the engine never blocks sending.
+	// Wakeup channel; buffered so the engine never blocks sending. msg is
+	// the message a core queued in Machine.runQ will be resumed with.
 	wake chan wakeMsg
+	msg  wakeMsg
 
 	cycles float64 // accumulated TSC cycles not yet flushed to the MSR file
 	// stepCycleRate is the core's clock in the current plan (cycles/s):
@@ -150,10 +152,17 @@ type Machine struct {
 	cfg     Config
 	msrFile *msr.File
 
-	mu      sync.Mutex
-	engCond *sync.Cond // engine waits here; workers/Kick signal
+	mu sync.Mutex
+	// The engine and WhenQuiescent wait on engCond; every change of
+	// running, runQ, kicked, held or stopped broadcasts.
+	engCond *sync.Cond
 	cores   []*core
-	running int // cores in coreRunning: engine may not advance while > 0
+	running int // owners executing host code: engine may not advance while > 0
+	// runQ holds the cores that are coreRunning but not yet resumed —
+	// woken by the engine or yielding — in ascending id. The engine
+	// resumes its front only while running == 0, so of all the owners a
+	// wake-up made runnable exactly one executes at a time.
+	runQ    []*core
 	now     time.Duration
 	stopped bool
 	err     error
@@ -271,6 +280,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.stepProgress = make([]*core, 0, cfg.Cores())
 	m.condWaiters = make([]*core, 0, cfg.Cores())
+	m.runQ = make([]*core, 0, cfg.Cores())
 	m.dlHeap = make([]*core, 0, cfg.Cores())
 	m.lineGroups = make(map[*Line]*lineGroup)
 	m.demandScratch = make([]float64, 0, cfg.CoresPerSocket)
@@ -404,7 +414,7 @@ func (m *Machine) AddTicker(period time.Duration, fn TickerFunc) (int, error) {
 	// computed before this ticker existed; without the kick it would
 	// advance past the new ticker's first deadlines (see fireTickersLocked).
 	m.kicked = true
-	m.engCond.Signal()
+	m.engCond.Broadcast()
 	return id, nil
 }
 
@@ -443,7 +453,7 @@ func (m *Machine) Hold() func() {
 			// Force a re-plan, exactly as AddTicker does: the engine may
 			// never have planned a step for state built under the hold.
 			m.kicked = true
-			m.engCond.Signal()
+			m.engCond.Broadcast()
 			m.mu.Unlock()
 		})
 	}
@@ -455,13 +465,35 @@ func (m *Machine) Hold() func() {
 func (m *Machine) Kick() {
 	m.mu.Lock()
 	m.kicked = true
-	m.engCond.Signal()
+	m.engCond.Broadcast()
 	m.mu.Unlock()
 }
 
-// Stop shuts the engine down. Cores still blocked in charging calls are
-// aborted (their calls panic with Abort); cores in host code are left to
-// discover the stop at their next charging call. Stop is idempotent.
+// WhenQuiescent is how a goroutine that owns no core changes state the
+// owners' host code reads (a runtime's task queue, its shutdown flag): it
+// waits until no owner is running or queued — every enrolled core is
+// blocked in a charging call — runs fn, and kicks the engine to re-poll
+// wait conditions. The owners therefore see the change at a boundary
+// between engine steps, all of them at the same one, instead of wherever
+// the host scheduler put the caller relative to their host code. fn runs
+// under the machine lock: like a wait condition it must be fast and must
+// not call Machine or CoreCtx methods. On a stopped machine fn runs at
+// once. The caller must not own a core that is in host code.
+func (m *Machine) WhenQuiescent(fn func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.stopped && (m.running > 0 || len(m.runQ) > 0) {
+		m.engCond.Wait()
+	}
+	fn()
+	m.kicked = true
+	m.engCond.Broadcast()
+}
+
+// Stop shuts the engine down. Cores still blocked in charging calls or
+// queued for the baton are aborted (their calls panic with Abort); cores
+// in host code are left to discover the stop at their next charging call.
+// Stop is idempotent.
 func (m *Machine) Stop() {
 	m.mu.Lock()
 	if m.stopped {
@@ -493,7 +525,15 @@ func (m *Machine) abortLocked(cause error) {
 			c.wake <- wakeMsg{abort: cause}
 		}
 	}
-	m.engCond.Signal()
+	// Owners queued for the baton are parked on their wake channels too,
+	// and the engine that would have resumed them is about to exit. Abort
+	// unwinds rather than schedules, so they are all released at once.
+	for _, c := range m.runQ {
+		m.running++
+		c.wake <- wakeMsg{abort: cause}
+	}
+	m.runQ = m.runQ[:0]
+	m.engCond.Broadcast()
 }
 
 // Enroll claims a core for the calling goroutine and returns its context.

@@ -209,7 +209,7 @@ func (rt *Runtime) Run(fn Task) error {
 // ticker-only steps:
 //
 //   - release is invoked as soon as the root task is enqueued, so the
-//     engine's next pass wakes a parked worker on the queued-work
+//     engine's next pass wakes the idle workers on the queued-work
 //     condition — before any paced step can advance time — and the run
 //     starts at exactly the held instant (the release cannot live inside
 //     the task: fetching the task already charges DequeueCost, which
@@ -239,14 +239,19 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		// Implicit join: the root does not return to the scheduler until
 		// everything it transitively spawned has finished.
 		tc.waitAllSpawned()
+		rt.epoch.Add(1) // application completion is a phase boundary
 		if release != nil {
 			endHold = rt.m.Hold()
 		}
 		done.Store(true) // not reached if the machine aborts the task
 	}}
-	rt.shepherds[0].push(root)
-	rt.queued.Add(1)
-	rt.m.Kick() // host-side enqueue: wake parked workers
+	// Host-side enqueue. It lands while every worker is blocked, so which
+	// of them dequeues the root is the engine's id-ordered choice among
+	// the woken, not a race against a worker still in a scheduler pass.
+	rt.m.WhenQuiescent(func() {
+		rt.shepherds[0].push(root)
+		rt.queued.Add(1)
+	})
 	if release != nil {
 		release()
 	}
@@ -257,7 +262,6 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	rt.epoch.Add(1) // application completion is a phase boundary
 	if rt.aborted.Load() {
 		return endHold, ErrAborted
 	}
@@ -312,13 +316,11 @@ func (rt *Runtime) ActiveWorkers() []int {
 }
 
 // Shutdown stops all workers and releases their cores. It must be called
-// before machine.Stop for a clean teardown; calling it twice is safe.
+// before machine.Stop for a clean teardown; calling it twice is safe. The
+// flag lands at an instant every worker is blocked (a worker in the middle
+// of a work item finishes it first), so all of them see it at once.
 func (rt *Runtime) Shutdown() {
-	if rt.shutdown.Swap(true) {
-		rt.wg.Wait()
-		return
-	}
-	rt.m.Kick()
+	rt.m.WhenQuiescent(func() { rt.shutdown.Store(true) })
 	rt.wg.Wait()
 }
 

@@ -3,6 +3,7 @@ package qthreads
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -624,4 +625,69 @@ func TestThrottleLimitFloor(t *testing.T) {
 		t.Errorf("ran %d under limit 1", n.Load())
 	}
 	rt.SetThrottle(false, 8)
+}
+
+// TestRootAlwaysDequeuedBySameWorker builds the stack afresh twenty times
+// and runs the same spawning root on it: the root lands while all sixteen
+// workers are blocked, every one of them is woken, and the baton's core-id
+// order — not whichever goroutine the host scheduled first — decides that
+// worker 0 takes it. The per-worker counters, which record every pop and
+// steal that followed, must then repeat exactly as well.
+func TestRootAlwaysDequeuedBySameWorker(t *testing.T) {
+	var first []WorkerStats
+	for run := 0; run < 20; run++ {
+		_, rt := newStack(t, 16)
+		rootWorker := -1
+		err := rt.Run(func(tc *TC) {
+			rootWorker = tc.WorkerID()
+			for i := 0; i < 64; i++ {
+				tc.Spawn(func(tc *TC) { tc.Compute(2.7e5) })
+			}
+			tc.Sync()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rootWorker != 0 {
+			t.Fatalf("run %d: root dequeued by worker %d, want 0", run, rootWorker)
+		}
+		rt.Shutdown() // the root's own worker is still counting it as executed
+		stats := rt.Stats()
+		if first == nil {
+			first = stats
+		} else if !slices.Equal(stats, first) {
+			t.Fatalf("run %d: worker counters\n%+v, first run\n%+v", run, stats, first)
+		}
+	}
+}
+
+// TestShutdownDuringRunReturns shuts the runtime down from outside while
+// a run has every worker busy: the flag lands at the next instant all of
+// them are blocked, they drain out, and both Shutdown and Run return.
+func TestShutdownDuringRunReturns(t *testing.T) {
+	_, rt := newStack(t, 16)
+	started := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- rt.Run(func(tc *TC) {
+			close(started)
+			for i := 0; i < 4096; i++ {
+				tc.Spawn(func(tc *TC) { tc.Compute(2.7e7) })
+			}
+			tc.Sync()
+		})
+	}()
+	<-started
+	down := make(chan struct{})
+	go func() { rt.Shutdown(); close(down) }()
+	select {
+	case <-down:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Shutdown did not return")
+	}
+	select {
+	case <-runDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after Shutdown")
+	}
 }

@@ -36,6 +36,9 @@ func (w *worker) run() {
 		}
 	}()
 	rt := w.rt
+	// New enrolled this core running beside its siblings; queue for the
+	// baton so the first scheduler passes happen one worker at a time.
+	w.ctx.Yield()
 	for {
 		if rt.shutdown.Load() {
 			return

@@ -44,9 +44,16 @@ func RunOnRuntime(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, 
 // the virtual timeline (release on enqueue, re-hold at the implicit
 // join), so the region closes at exactly the last task's completion
 // rather than wherever the engine paced to while the main goroutine woke
-// up. Together with per-run seeding this makes single-worker
-// measurements bit-for-bit reproducible; multi-worker runs stay subject
-// to work-stealing order only. A nil release means the caller took no
+// up. Together with per-run seeding and the machine's one-owner-at-a-time
+// execution this makes a measurement a pure function of its seed, at any
+// worker count.
+//
+// The clock is handed back the way it was received: parked. The re-hold
+// is kept, so what the caller does next — read a daemon's counters, shut
+// the runtime down, stop the machine — happens at the completion instant
+// and leaves no host-timed tail on the timeline or in a scheduler trace.
+// A caller that means to keep the machine running uses Runtime.RunHeld
+// and its end function instead. A nil release means the caller took no
 // hold: the run degrades to plain RunOnRuntime semantics with no pinned
 // boundaries.
 func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Workload, release func()) (rcr.RegionReport, error) {
@@ -57,10 +64,7 @@ func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboa
 		}
 		return rcr.RegionReport{}, err
 	}
-	end, runErr := rt.RunHeld(wl.Root(), release)
-	if end != nil {
-		defer end()
-	}
+	_, runErr := rt.RunHeld(wl.Root(), release)
 	if runErr != nil {
 		return rcr.RegionReport{}, fmt.Errorf("workloads: running %s: %w", wl.Name(), runErr)
 	}
