@@ -13,7 +13,7 @@
 //
 // Experiments: table1 table2 table3 fig1 fig2 fig3 fig4 table4 table5
 // table6 table7 coldstart overhead dutycycle ablation-policy
-// ablation-mechanism powercap all.
+// ablation-mechanism powercap cluster elasticity all.
 //
 // -phase-replay bypasses the experiments entirely: it decodes a text
 // sample stream (one "power bw conc" triple per line, # comments
@@ -247,6 +247,29 @@ func run(lab *experiments.Lab, experiment, csvPath string) error {
 		fmt.Printf("Power capping (%s): uncapped %.1f W / %.2f s -> capped@%.0f W %.1f W / %.2f s (tightenings %d, min limit %d)\n\n",
 			res.App, res.Uncapped.Watts, res.Uncapped.Seconds, float64(res.Cap),
 			res.Capped.Watts, res.Capped.Seconds, res.CapStats.Tightenings, res.CapStats.MinLimit)
+	}
+
+	if all || experiment == "cluster" {
+		matched = true
+		res, err := lab.ClusterCapAblation(experiments.ClusterSpec{HAReplicas: 2})
+		if err != nil {
+			return err
+		}
+		if err := res.Render(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
+	}
+	if all || experiment == "elasticity" {
+		matched = true
+		res, err := lab.ElasticityAblation(experiments.ElasticitySpec{})
+		if err != nil {
+			return err
+		}
+		if err := res.Render(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
 	}
 
 	if !matched {

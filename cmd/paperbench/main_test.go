@@ -29,6 +29,13 @@ func TestRunColdStart(t *testing.T) {
 	}
 }
 
+func TestRunElasticity(t *testing.T) {
+	lab := experiments.NewLab()
+	if err := run(lab, "elasticity", ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunTableWithCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table sweep in -short mode")

@@ -53,11 +53,11 @@ type AggregatorConfig struct {
 	// ShardEndpoint). Floor zero selects 10 W; Max zero selects 200 W.
 	Floor units.Watts
 	Max   units.Watts
-	// Period is the host-time cadence of the poll/repartition loop.
-	// Zero selects 50 ms.
+	// Period is the cadence of the poll/repartition loop on the owner's
+	// clock. Zero selects 50 ms.
 	Period time.Duration
-	// HealthHorizon is how long a shard's heartbeat may sit still (in
-	// host time) before the shard is declared lost and its surplus is
+	// HealthHorizon is how long a shard's heartbeat may sit still (on the
+	// owner's clock) before the shard is declared lost and its surplus is
 	// redistributed. Zero selects 4×Period.
 	HealthHorizon time.Duration
 	// WarmupGrace is how long a Joining member may stay silent after
@@ -71,11 +71,12 @@ type AggregatorConfig struct {
 	// is nearly free, extra power nearly useless), a shard far below it
 	// is compute-bound. Zero selects 28, the M620 preset's knee.
 	KneeRef float64
-	// Clock supplies host time. Required. The shards' own snapshots run
-	// on their private virtual clocks, which advance at unrelated rates —
-	// the aggregator therefore judges staleness by heartbeat *movement*
-	// against this clock, never by comparing snapshot timestamps across
-	// timebases.
+	// Clock is the owner's clock: host time under Run, the scenario
+	// runner's or the lockstep fleet's virtual time when the owner steps
+	// Poll itself. Required. Shard snapshots may be stamped on clocks of
+	// their own that advance at unrelated rates, so the aggregator judges
+	// staleness by heartbeat *movement* against this clock, never by
+	// comparing snapshot timestamps across timebases.
 	Clock func() time.Duration
 	// SetCap pushes an assignment down into one shard's enforcement
 	// loop (maestro.PowerCap.SetCap behind the fleet seam). Required
@@ -144,11 +145,26 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	return a, nil
 }
 
+// NewSteppedAggregator is NewAggregator for an owner that brings its own
+// transport and its own clock: open is the core's slot hook — called
+// when a member's slot is created, it returns the source that slot's
+// observations are read from at every Poll — so no resilience.Client is
+// dialled and cfg.Tune is never consulted. The owner steps Poll itself
+// (Run has nothing to subscribe to and is not called); Status, Members
+// and the other readers work as on any Aggregator.
+func NewSteppedAggregator(cfg AggregatorConfig, open func(Member) (SnapshotSource, error)) (*Aggregator, error) {
+	core, err := newControlCore(cfg, open, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Aggregator{cfg: cfg, core: core}, nil
+}
+
 // openSlotLocked is the core's open hook: a fresh resilient client for
 // a fresh slot, subscribed at once when Run is active, its cache the
 // slot's observation source. Called with a.mu held (or, by the core's
 // first reconcile, from NewAggregator).
-func (a *Aggregator) openSlotLocked(mb Member) (snapshotSource, error) {
+func (a *Aggregator) openSlotLocked(mb Member) (SnapshotSource, error) {
 	ccfg := resilience.ClientConfig{
 		Network: mb.Endpoint.Network,
 		Addrs:   []string{mb.Endpoint.Addr},

@@ -69,8 +69,8 @@ func shardSnap(beat, power, conc float64, now time.Duration) rcr.Snapshot {
 // pushedSources is the in-package harnesses' open hook: a slot's source
 // serves whatever snapshot the test last put in snaps[id], and
 // errNoSnapshot until there is one.
-func pushedSources(snaps []*rcr.Snapshot) func(Member) (snapshotSource, error) {
-	return func(mb Member) (snapshotSource, error) {
+func pushedSources(snaps []*rcr.Snapshot) func(Member) (SnapshotSource, error) {
+	return func(mb Member) (SnapshotSource, error) {
 		return func() (rcr.Snapshot, error) {
 			if snaps[mb.ID] == nil {
 				return rcr.Snapshot{}, errNoSnapshot

@@ -10,16 +10,16 @@ import (
 	"repro/internal/units"
 )
 
-// snapshotSource serves one slot's freshest shard snapshot, or an error
+// SnapshotSource serves one slot's freshest shard snapshot, or an error
 // while there is none to act on. It must not block.
-type snapshotSource func() (rcr.Snapshot, error)
+type SnapshotSource func() (rcr.Snapshot, error)
 
 // shardState is the core's per-shard bookkeeping. Slots are created and
 // retired by reconcile as the membership registry changes; a slot is
 // identified by (id, incarnation), so a member replaced under its prior
 // identity gets a fresh slot with nothing carried over.
 type shardState struct {
-	latest snapshotSource // handed over by the core's owner when the slot is created
+	latest SnapshotSource // handed over by the core's owner when the slot is created
 
 	id         int
 	inc        uint32        // membership incarnation this slot serves
@@ -111,7 +111,7 @@ type controlCore struct {
 	cfg     AggregatorConfig
 	members *Membership
 	met     *aggMetrics
-	open    func(Member) (snapshotSource, error)
+	open    func(Member) (SnapshotSource, error)
 	retire  func(id int)
 
 	board        *rcr.Blackboard
@@ -154,7 +154,7 @@ type controlCore struct {
 // newControlCore validates cfg and builds the core around its owner's
 // slot hooks (retire may be nil). Caps start unassigned; the first Poll
 // partitions and pushes them.
-func newControlCore(cfg AggregatorConfig, open func(Member) (snapshotSource, error), retire func(id int)) (*controlCore, error) {
+func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, error), retire func(id int)) (*controlCore, error) {
 	if cfg.Members == nil && len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: aggregator requires at least one shard or a membership registry")
 	}

@@ -24,10 +24,13 @@ import (
 // budget shares flow back down through SetCap into each node's
 // maestro.PowerCap.
 //
-// Shards run on their own virtual clocks (time advances as their
-// workloads execute), so cross-shard coordination — the aggregator —
-// lives in host time and judges shard liveness by heartbeat movement,
-// never by comparing virtual timestamps across nodes.
+// In this socket fleet the shards run on their own virtual clocks (time
+// advances as their workloads execute), so cross-shard coordination — the
+// aggregator — lives in host time and judges shard liveness by heartbeat
+// movement, never by comparing virtual timestamps across nodes. It is
+// what `rcrd -cluster` serves and what the wire-path tests drive;
+// LockstepFleet (lockstep.go) is the same nodes on one clock, and what
+// the experiments measure on.
 type Fleet struct {
 	dir    string
 	ownDir bool
@@ -35,11 +38,17 @@ type Fleet struct {
 	shards []*fleetShard
 }
 
-// fleetShard is one full-stack node plus its daemon endpoint.
+// fleetNode is one full-stack node and its fencing authority: what the
+// socket fleet serves and the lockstep fleet steps.
+type fleetNode struct {
+	sys   *core.System
+	fence *rcr.FenceGuard
+}
+
+// fleetShard is a node plus its daemon endpoint.
 type fleetShard struct {
-	sys      *core.System
+	*fleetNode
 	srv      *rcr.Server
-	fence    *rcr.FenceGuard
 	socket   string
 	serveErr chan error
 }
@@ -96,8 +105,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*fleetShard, error) {
-	sys, err := core.New(core.Options{
+// newFleetNode assembles one node with its clock parked: the full stack
+// under a power-cap controller, and the guard through which fenced cap
+// writes land in that controller. clock is the guard's lease timebase;
+// applied, when non-nil, sees every fenced cap the controller accepted.
+// The caller starts the clock with release once whatever else belongs on
+// the node's first instant is in place.
+func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap float64, fence uint64)) (n *fleetNode, release func(), err error) {
+	sys, release, err := core.NewHeld(core.Options{
 		Machine:      cfg.Machine,
 		Workers:      cfg.Workers,
 		SamplePeriod: cfg.SamplePeriod,
@@ -106,8 +121,32 @@ func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*flee
 		Telemetry:    true,
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	// The node's fencing authority: fenced cap writes land in the node's
+	// own controller through the fence ratchet, and the lease state
+	// mirrors into the blackboard so standby aggregators track it
+	// passively through whatever carries the blackboard to them.
+	pc := sys.PowerCapController()
+	guard := rcr.NewFenceGuard(clock, func(cap float64, fence uint64) error {
+		err := pc.SetCapFenced(units.Watts(cap), fence)
+		if err == nil && applied != nil {
+			applied(cap, fence)
+		}
+		return err
+	})
+	guard.Instrument(sys.Telemetry())
+	guard.Bind(sys.Blackboard())
+	return &fleetNode{sys: sys, fence: guard}, release, nil
+}
+
+func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*fleetShard, error) {
+	node, release, err := newFleetNode(cfg, func() time.Duration { return time.Since(base) }, nil)
+	if err != nil {
 		return nil, err
 	}
+	defer release()
+	sys := node.sys
 	socket := filepath.Join(dir, fmt.Sprintf("shard-%d.sock", id))
 	if err := os.Remove(socket); err != nil && !os.IsNotExist(err) {
 		sys.Close()
@@ -123,21 +162,8 @@ func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*flee
 	srv.Pub = rcr.NewPublisher(sys.Blackboard())
 	srv.Pub.Instrument(sys.Telemetry())
 	sys.AttachPublisher(srv.Pub)
-	// The shard's fencing authority: fenced cap writes land in the
-	// node's own controller through the fence ratchet, and the lease
-	// state mirrors into the blackboard so standby aggregators track it
-	// passively through their delta subscriptions.
-	pc := sys.PowerCapController()
-	guard := rcr.NewFenceGuard(
-		func() time.Duration { return time.Since(base) },
-		func(cap float64, fence uint64) error {
-			return pc.SetCapFenced(units.Watts(cap), fence)
-		},
-	)
-	guard.Instrument(sys.Telemetry())
-	guard.Bind(sys.Blackboard())
-	srv.Fence = guard
-	sh := &fleetShard{sys: sys, srv: srv, fence: guard, socket: socket, serveErr: make(chan error, 1)}
+	srv.Fence = node.fence
+	sh := &fleetShard{fleetNode: node, srv: srv, socket: socket, serveErr: make(chan error, 1)}
 	go func() { sh.serveErr <- srv.Serve() }()
 	return sh, nil
 }

@@ -544,7 +544,7 @@ var errNoSnapshot = errors.New("cluster: no snapshot delivered yet")
 // replica idx: at poll time the shard's current snapshot is delivered
 // unless the shard is down or a fault window suppresses the delivery,
 // in which case the slot keeps serving the last one delivered.
-func (r *scenarioRun) source(idx int, sh *scenarioShard) snapshotSource {
+func (r *scenarioRun) source(idx int, sh *scenarioShard) SnapshotSource {
 	var last rcr.Snapshot
 	delivered := false
 	return func() (rcr.Snapshot, error) {
@@ -624,7 +624,7 @@ func (r *scenarioRun) buildReplica(idx, gen int) *replicaSlot {
 	} else if r.ha {
 		acfg.HA.WriteCap = gatedWrite(r, idx, (*rcr.FenceGuard).Offer)
 	}
-	core, err := newControlCore(acfg, func(mb Member) (snapshotSource, error) {
+	core, err := newControlCore(acfg, func(mb Member) (SnapshotSource, error) {
 		return r.source(idx, r.shards[mb.ID]), nil
 	}, nil)
 	if err != nil {

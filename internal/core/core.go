@@ -96,18 +96,40 @@ type System struct {
 
 // New builds and starts a System.
 func New(opts Options) (*System, error) {
+	sys, _, err := assemble(opts, false)
+	return sys, err
+}
+
+// NewHeld is New with the machine's clock parked (machine.Hold) from
+// before the first ticker registers: the whole stack is assembled at
+// virtual time zero whatever the host scheduler does meanwhile, and
+// whatever the caller adds before calling release — more tickers, a
+// fence guard, a first Runtime.RunHeld, which takes release as its
+// argument — starts on the same instant. A run that begins this way is a
+// pure function of its inputs from its first sample on.
+func NewHeld(opts Options) (sys *System, release func(), err error) {
+	return assemble(opts, true)
+}
+
+// assemble builds the stack; with held set the clock is parked throughout
+// and the returned release starts it (otherwise release does nothing).
+func assemble(opts Options, held bool) (*System, func(), error) {
 	mcfg := opts.Machine
 	if mcfg.Sockets == 0 {
 		mcfg = machine.M620()
 	}
 	m, err := machine.New(mcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	release := func() {}
+	if held {
+		release = m.Hold()
 	}
 	sys := &System{m: m}
-	fail := func(err error) (*System, error) {
+	fail := func(err error) (*System, func(), error) {
 		sys.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.Warm {
 		m.WarmAll(workloads.WarmTemp)
@@ -187,7 +209,7 @@ func New(opts Options) (*System, error) {
 			return fail(err)
 		}
 	}
-	return sys, nil
+	return sys, release, nil
 }
 
 // Machine returns the underlying simulated node.

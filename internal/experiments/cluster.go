@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -24,10 +24,25 @@ import (
 // and over-provisions the memory-bound shards that the paper shows can
 // be throttled almost for free.
 
-// The per-shard cap bounds both aggregator arms partition within.
+// All arms run on a cluster.LockstepFleet: every node and the control
+// plane share one virtual clock, so an arm is a pure function of the spec
+// and the Lab seed (docs/cluster.md §Lockstep fleet).
+
 const (
+	// The per-shard cap bounds both aggregator arms partition within.
 	clusterCapFloor units.Watts = 10
 	clusterCapMax   units.Watts = 300
+	// clusterPollPeriod is the control plane's poll period and the
+	// fleet's barrier — the aggregator's default cadence.
+	clusterPollPeriod = 50 * time.Millisecond
+	// clusterLeasePeriods is the HA arm's lease TTL in poll periods.
+	// Guard offers are in-process, so as in the scenario runner the TTL
+	// need not absorb a socket write's tail.
+	clusterLeasePeriods = 8
+	// clusterReign is how long the HA arm's first leader rules the whole
+	// fleet before it is killed: long enough for its partition to have
+	// settled, early enough that most of the run is the successor's.
+	clusterReign = 20 * time.Second
 )
 
 // ClusterSpec sizes the cluster ablation.
@@ -38,11 +53,12 @@ type ClusterSpec struct {
 	// skewed lulesh/nqueens alternation.
 	Apps []string
 	// Global is the fleet-wide power budget; zero selects 50 W per
-	// shard. That equal share is binding for the compute-bound shards
-	// and roughly double what the memory-bound shards can usefully burn
-	// — the regime where moving watts matters. (Much tighter budgets
-	// converge the two policies: when even the floor assignments bind
-	// everyone, there is nothing left to move.)
+	// shard. That equal share is below the 55 W an idle node draws, so
+	// it binds every shard all the time: each node's controller sits at
+	// its tightest throttle in both arms, and what the hierarchical arm
+	// moves between shards changes little (EXPERIMENTS.md divergence 3
+	// has the numbers, and those of budgets a node can actually meet,
+	// where the headroom policy loses).
 	Global units.Watts
 	// Iters is how many times each shard runs its workload; zero
 	// selects 2.
@@ -52,10 +68,10 @@ type ClusterSpec struct {
 	Workers int
 	// HAReplicas, when ≥ 2, adds a third arm: the same hierarchical
 	// controller behind that many redundant aggregators (the HA control
-	// plane in internal/cluster, writing over the fenced wire path) with
-	// the elected leader killed mid-run — so the result quantifies the
-	// hand-off cost in joules against the single-aggregator arm. Zero
-	// skips the arm.
+	// plane in internal/cluster, writing through the nodes' fence
+	// guards) with the elected leader killed mid-run — so the result
+	// quantifies the hand-off cost in joules against the
+	// single-aggregator arm. Zero skips the arm.
 	HAReplicas int
 }
 
@@ -66,10 +82,19 @@ type ClusterMeasurement struct {
 	ShardSeconds []float64 // per-shard busy time (virtual), summed over iterations
 	TotalJoules  float64
 	MakespanSec  float64 // max shard busy time
+	Polls        uint64  // control-plane polls, all replicas (0 for the naive arm)
 	Repartitions uint64  // cap re-partitions applied (0 for the naive arm)
 	Elections    uint64  // leader elections (HA arm only)
 	LeaderKills  uint64  // injected leader kills (HA arm only)
-	FinalCaps    []units.Watts
+	// HandoffMs is the leader kill → first cap under a higher fence, in
+	// virtual milliseconds (HA arm only; 0 if no successor ever wrote).
+	HandoffMs float64
+	// ApplyViolations counts cap applies that broke an invariant at the
+	// fleet's audited seam — Σ applied caps over the budget, a fence
+	// regressing, two fences actuating at once — plus, for the single
+	// aggregator, its own conservation self-check. Must be 0.
+	ApplyViolations uint64
+	FinalCaps       []units.Watts
 }
 
 // ClusterResult is the two-arm comparison.
@@ -96,7 +121,7 @@ type ClusterResult struct {
 	HAMakespanDeltaPct float64
 }
 
-// ClusterCapAblation runs both arms on fresh fleets and compares them.
+// ClusterCapAblation runs each arm on a fresh fleet and compares them.
 func (lab *Lab) ClusterCapAblation(spec ClusterSpec) (ClusterResult, error) {
 	if spec.Shards <= 0 {
 		spec.Shards = 4
@@ -117,289 +142,112 @@ func (lab *Lab) ClusterCapAblation(spec ClusterSpec) (ClusterResult, error) {
 	for i := range apps {
 		apps[i] = spec.Apps[i%len(spec.Apps)]
 	}
-	res := ClusterResult{Shards: spec.Shards, Apps: apps, Global: spec.Global}
-	var err error
-	if res.Naive, err = lab.runClusterArm(spec, apps, false); err != nil {
-		return ClusterResult{}, fmt.Errorf("experiments: naive arm: %w", err)
-	}
-	if res.Hierarchical, err = lab.runClusterArm(spec, apps, true); err != nil {
-		return ClusterResult{}, fmt.Errorf("experiments: hierarchical arm: %w", err)
-	}
-	res.EnergyDeltaPct = (res.Hierarchical.TotalJoules - res.Naive.TotalJoules) / res.Naive.TotalJoules * 100
-	res.MakespanDeltaPct = (res.Hierarchical.MakespanSec - res.Naive.MakespanSec) / res.Naive.MakespanSec * 100
+	// An arm is its control plane's size: none (the naive split), one
+	// unfenced aggregator, or HAReplicas fenced ones.
+	planes := []int{0, 1}
 	if spec.HAReplicas >= 2 {
-		ha, err := lab.runClusterHAArm(spec, apps)
-		if err != nil {
-			return ClusterResult{}, fmt.Errorf("experiments: ha arm: %w", err)
-		}
-		res.HA = &ha
-		res.HAEnergyDeltaPct = (ha.TotalJoules - res.Hierarchical.TotalJoules) / res.Hierarchical.TotalJoules * 100
-		res.HAMakespanDeltaPct = (ha.MakespanSec - res.Hierarchical.MakespanSec) / res.Hierarchical.MakespanSec * 100
+		planes = append(planes, spec.HAReplicas)
+	}
+	out := make([]ClusterMeasurement, len(planes))
+	if err := lab.runCells(len(planes), func(i int) (err error) {
+		out[i], err = lab.runClusterArm(spec, apps, planes[i])
+		return err
+	}); err != nil {
+		return ClusterResult{}, err
+	}
+	res := ClusterResult{Shards: spec.Shards, Apps: apps, Global: spec.Global, Naive: out[0], Hierarchical: out[1]}
+	pct := func(arm, base float64) float64 { return (arm - base) / base * 100 }
+	res.EnergyDeltaPct = pct(res.Hierarchical.TotalJoules, res.Naive.TotalJoules)
+	res.MakespanDeltaPct = pct(res.Hierarchical.MakespanSec, res.Naive.MakespanSec)
+	if len(out) > 2 {
+		res.HA = &out[2]
+		res.HAEnergyDeltaPct = pct(res.HA.TotalJoules, res.Hierarchical.TotalJoules)
+		res.HAMakespanDeltaPct = pct(res.HA.MakespanSec, res.Hierarchical.MakespanSec)
 	}
 	return res, nil
 }
 
-// runClusterHAArm is the redundant-control-plane arm: the hierarchical
-// policy behind spec.HAReplicas aggregators over the fleet's real
-// fenced wire path (Fleet.WriteCap → CAP op → FenceGuard → node
-// controller). Once the elected leader has the whole fleet capped and
-// its reign has settled, it is killed; the surviving standbys elect a
-// successor that replays the committed assignment and carries on. The
-// arm's energy against the single-aggregator arm is the measured
-// hand-off cost.
-func (lab *Lab) runClusterHAArm(spec ClusterSpec, apps []string) (ClusterMeasurement, error) {
-	meas := ClusterMeasurement{
-		Policy:       fmt.Sprintf("ha-%d-replicas", spec.HAReplicas),
-		ShardJoules:  make([]float64, spec.Shards),
-		ShardSeconds: make([]float64, spec.Shards),
-		FinalCaps:    make([]units.Watts, spec.Shards),
-	}
-	fleet, err := cluster.NewFleet(cluster.FleetConfig{
-		Shards:  spec.Shards,
-		Machine: lab.Machine,
-		Workers: spec.Workers,
-	})
-	if err != nil {
-		return ClusterMeasurement{}, err
-	}
-	defer fleet.Close()
-
-	reg := telemetry.NewRegistry()
-	t0 := time.Now()
-	type haReplica struct {
-		agg    *cluster.Aggregator
-		cancel context.CancelFunc
-		done   chan error
-	}
-	var repMu sync.Mutex
-	reps := make([]*haReplica, spec.HAReplicas)
-	stopReplica := func(r *haReplica) {
-		r.cancel()
-		<-r.done
-	}
-	for i := range reps {
-		agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
-			Shards: fleet.Endpoints(),
-			Global: spec.Global,
-			Floor:  clusterCapFloor,
-			Max:    clusterCapMax,
-			Period: 20 * time.Millisecond,
-			// Generous for the same reason as the single-aggregator arm:
-			// a false "lost" verdict would corrupt the measurement.
-			HealthHorizon: 2 * time.Second,
-			Clock:         func() time.Duration { return time.Since(t0) },
-			Telemetry:     reg, // shared: counters aggregate across replicas
-			HA: &cluster.HAConfig{
-				ID: uint32(i + 1),
-				// Sized against the fenced write path's tail under two
-				// full-stack workloads (see the fleet HA kill test) — a
-				// socket dial on a leader's first write to a shard, one
-				// kept-alive round trip after that: a lease that outruns
-				// the tail keeps the pre-kill reign stable, at the price
-				// of a longer measured hand-off.
-				LeaseTTL:   1500 * time.Millisecond,
-				Grace:      400 * time.Millisecond,
-				JitterSeed: uint64(lab.Seed) ^ uint64(i+1)<<32,
-				WriteCap:   fleet.WriteCap,
-			},
-		})
-		if err != nil {
-			repMu.Lock()
-			for j := 0; j < i; j++ {
-				stopReplica(reps[j])
-			}
-			repMu.Unlock()
-			return ClusterMeasurement{}, err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		r := &haReplica{agg: agg, cancel: cancel, done: make(chan error, 1)}
-		go func() { r.done <- agg.Run(ctx) }()
-		reps[i] = r
-	}
-	defer func() {
-		repMu.Lock()
-		defer repMu.Unlock()
-		for _, r := range reps {
-			if r != nil {
-				stopReplica(r)
-			}
-		}
-	}()
-
-	// The killer: wait for a leader with the whole fleet capped, let the
-	// reign settle, then kill it mid-run.
-	workDone := make(chan struct{})
-	killDone := make(chan struct{})
-	go func() {
-		defer close(killDone)
-		for {
-			select {
-			case <-workDone:
-				return
-			default:
-			}
-			victim := -1
-			repMu.Lock()
-			for i, r := range reps {
-				if r == nil {
-					continue
-				}
-				st := r.agg.Status()
-				ruling := st.Leader && st.LastChange > 0 && len(st.Caps) == spec.Shards
-				for _, c := range st.Caps {
-					if c <= 0 {
-						ruling = false
-					}
-				}
-				if ruling {
-					victim = i
-				}
-			}
-			repMu.Unlock()
-			if victim < 0 {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			time.Sleep(200 * time.Millisecond)
-			repMu.Lock()
-			r := reps[victim]
-			reps[victim] = nil
-			repMu.Unlock()
-			stopReplica(r)
-			meas.LeaderKills++ // joined via killDone before anyone reads it
-			return
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Shards)
-	for i := 0; i < spec.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := 0; r < spec.Iters; r++ {
-				wl, err := suite.New(apps[i])
-				if err == nil {
-					err = wl.Prepare(workloads.Params{
-						MachineConfig: fleet.System(i).Machine().Config(),
-						Seed:          lab.Seed + int64(r),
-					})
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rep, err := fleet.System(i).RunWorkload(wl)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				meas.ShardJoules[i] += float64(rep.Energy)
-				meas.ShardSeconds[i] += rep.Elapsed.Seconds()
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(workDone)
-	<-killDone
-	for i, err := range errs {
-		if err != nil {
-			return ClusterMeasurement{}, fmt.Errorf("shard %d (%s): %w", i, apps[i], err)
-		}
-	}
-	// The energy numbers are fixed once the workloads stop; give the
-	// survivors a bounded window to finish the takeover so the election
-	// counters always record the hand-off this arm exists to measure.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		elected := false
-		repMu.Lock()
-		for _, r := range reps {
-			if r != nil && r.agg.Status().Leader {
-				elected = true
-			}
-		}
-		repMu.Unlock()
-		if elected {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	meas.Repartitions = reg.Counter("cluster_repartitions_total").Value()
-	meas.Elections = reg.Counter("cluster_leader_elections_total").Value()
-	for i := 0; i < spec.Shards; i++ {
-		meas.FinalCaps[i] = fleet.System(i).PowerCapController().Cap()
-		meas.TotalJoules += meas.ShardJoules[i]
-		if meas.ShardSeconds[i] > meas.MakespanSec {
-			meas.MakespanSec = meas.ShardSeconds[i]
-		}
-	}
-	return meas, nil
-}
-
-// runClusterArm stands up one fleet, applies the policy, runs the mix
-// and tears everything down.
-func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, hierarchical bool) (ClusterMeasurement, error) {
+// runClusterArm stands up one lockstep fleet under a control plane of
+// the given size, runs the mix to completion and tears everything down.
+// With no replica the policy is the naive one — an equal share each,
+// assigned once. One replica is the hierarchical controller writing caps
+// unfenced. Two or more are the HA plane: the replicas are polled in ID
+// order at every boundary, write through the nodes' fence guards, and
+// the first leader to have the whole fleet capped is dropped from the
+// poll list clusterReign later — killed where it stands, its lease left
+// to run out — so the arm pays exactly one hand-off, at a fixed virtual
+// instant.
+func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, replicas int) (_ ClusterMeasurement, err error) {
 	meas := ClusterMeasurement{
 		Policy:       "naive-equal-split",
 		ShardJoules:  make([]float64, spec.Shards),
 		ShardSeconds: make([]float64, spec.Shards),
 		FinalCaps:    make([]units.Watts, spec.Shards),
 	}
-	if hierarchical {
+	if replicas == 1 {
 		meas.Policy = "hierarchical"
+	} else if replicas >= 2 {
+		meas.Policy = fmt.Sprintf("ha-%d-replicas", replicas)
 	}
-	fleet, err := cluster.NewFleet(cluster.FleetConfig{
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("experiments: %s arm: %w", meas.Policy, err)
+		}
+	}()
+	fleet, err := cluster.NewLockstepFleet(cluster.FleetConfig{
 		Shards:  spec.Shards,
 		Machine: lab.Machine,
 		Workers: spec.Workers,
-	})
+	}, clusterPollPeriod, spec.Global)
 	if err != nil {
 		return ClusterMeasurement{}, err
 	}
 	defer fleet.Close()
 
-	var (
-		reg     *telemetry.Registry
-		cancel  context.CancelFunc
-		aggDone chan error
-		agg     *cluster.Aggregator
-	)
-	if hierarchical {
-		reg = telemetry.NewRegistry()
-		t0 := time.Now()
-		agg, err = cluster.NewAggregator(cluster.AggregatorConfig{
-			Shards: fleet.Endpoints(),
-			Global: spec.Global,
-			Floor:  clusterCapFloor,
-			Max:    clusterCapMax,
-			Period: 5 * time.Millisecond,
-			// No shard dies in this experiment, so the horizon only needs
-			// to keep healthy shards healthy. It is deliberately generous:
-			// shard heartbeats stall during host-side workload Prepare, and
-			// on a loaded 1-CPU host those gaps can stretch well past the
-			// 300 ms a live deployment would use. A false "lost" verdict
-			// here would pin a shard to the floor and corrupt the ablation.
-			HealthHorizon: 2 * time.Second,
-			Clock:         func() time.Duration { return time.Since(t0) },
-			SetCap:        fleet.SetCap,
-			Telemetry:     reg,
-		})
-		if err != nil {
+	jobs := make([][]workloads.Workload, spec.Shards)
+	for i := range jobs {
+		for r := 0; r < spec.Iters; r++ {
+			wl, err := suite.New(apps[i])
+			if err == nil {
+				err = wl.Prepare(workloads.Params{
+					MachineConfig: fleet.System(i).Machine().Config(),
+					Seed:          lab.Seed + int64(r),
+				})
+			}
+			if err != nil {
+				return ClusterMeasurement{}, fmt.Errorf("shard %d (%s): %w", i, apps[i], err)
+			}
+			jobs[i] = append(jobs[i], wl)
+		}
+	}
+
+	reg := telemetry.NewRegistry() // shared: counters aggregate across replicas
+	plane := make([]*cluster.Aggregator, replicas)
+	for i := range plane {
+		acfg := cluster.AggregatorConfig{
+			Shards:    fleet.Endpoints(),
+			Global:    spec.Global,
+			Floor:     clusterCapFloor,
+			Max:       clusterCapMax,
+			Period:    clusterPollPeriod,
+			Clock:     fleet.Now,
+			Telemetry: reg,
+		}
+		if replicas == 1 {
+			acfg.SetCap = fleet.SetCap
+		} else {
+			acfg.HA = &cluster.HAConfig{
+				ID:         uint32(i + 1),
+				LeaseTTL:   clusterLeasePeriods * clusterPollPeriod,
+				JitterSeed: uint64(lab.Seed) ^ uint64(i+1)<<32,
+				WriteCap:   fleet.WriteCap,
+			}
+		}
+		if plane[i], err = cluster.NewSteppedAggregator(acfg, fleet.Source); err != nil {
 			return ClusterMeasurement{}, err
 		}
-		var ctx context.Context
-		ctx, cancel = context.WithCancel(context.Background())
-		aggDone = make(chan error, 1)
-		go func() { aggDone <- agg.Run(ctx) }()
-		defer func() {
-			if cancel != nil {
-				cancel()
-				<-aggDone
-			}
-		}()
-	} else {
-		// The whole policy: an equal share each, assigned once.
+	}
+	if replicas == 0 {
 		share := units.Watts(float64(spec.Global) / float64(spec.Shards))
 		for i := 0; i < spec.Shards; i++ {
 			if err := fleet.SetCap(i, share); err != nil {
@@ -408,89 +256,76 @@ func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, hierarchical bool
 		}
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Shards)
-	for i := 0; i < spec.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := 0; r < spec.Iters; r++ {
-				wl, err := suite.New(apps[i])
-				if err == nil {
-					err = wl.Prepare(workloads.Params{
-						MachineConfig: fleet.System(i).Machine().Config(),
-						Seed:          lab.Seed + int64(r),
-					})
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rep, err := fleet.System(i).RunWorkload(wl)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				meas.ShardJoules[i] += float64(rep.Energy)
-				meas.ShardSeconds[i] += rep.Elapsed.Seconds()
-			}
-		}(i)
+	if err := fleet.Start(jobs); err != nil {
+		return ClusterMeasurement{}, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return ClusterMeasurement{}, fmt.Errorf("shard %d (%s): %w", i, apps[i], err)
+	killAt := time.Duration(-1) // when the ruling leader dies; unset until one rules
+	for !fleet.Done() {
+		if err := fleet.Step(); err != nil {
+			return ClusterMeasurement{}, err
+		}
+		for _, agg := range plane {
+			agg.Poll()
+		}
+		if replicas < 2 || meas.LeaderKills > 0 {
+			continue
+		}
+		for i, agg := range plane {
+			st := agg.Status()
+			if !st.Leader || len(st.Caps) != spec.Shards || slices.Min(st.Caps) <= 0 {
+				continue
+			}
+			if killAt < 0 {
+				killAt = fleet.Now() + clusterReign
+			}
+			if fleet.Now() >= killAt {
+				fleet.MarkKill()
+				plane = slices.Delete(plane, i, i+1)
+				meas.LeaderKills++
+			}
+			break
 		}
 	}
-	if hierarchical {
-		cancel()
-		<-aggDone
-		cancel = nil
-		meas.Repartitions = reg.Counter("cluster_repartitions_total").Value()
+
+	violations, handoffs := fleet.Audit()
+	meas.Polls = reg.Counter("cluster_polls_total").Value()
+	meas.Repartitions = reg.Counter("cluster_repartitions_total").Value()
+	meas.Elections = reg.Counter("cluster_leader_elections_total").Value()
+	meas.ApplyViolations = violations
+	if replicas == 1 {
+		// Its book is what the fleet enforces; a standby's is an observation.
+		meas.ApplyViolations += reg.Counter("cluster_conservation_violations_total").Value()
+	}
+	if len(handoffs) > 0 {
+		meas.HandoffMs = float64(handoffs[0]) / float64(time.Millisecond)
 	}
 	for i := 0; i < spec.Shards; i++ {
+		joules, busy := fleet.Usage(i)
+		meas.ShardJoules[i], meas.ShardSeconds[i] = float64(joules), busy.Seconds()
 		meas.FinalCaps[i] = fleet.System(i).PowerCapController().Cap()
 		meas.TotalJoules += meas.ShardJoules[i]
-		if meas.ShardSeconds[i] > meas.MakespanSec {
-			meas.MakespanSec = meas.ShardSeconds[i]
-		}
+		meas.MakespanSec = max(meas.MakespanSec, meas.ShardSeconds[i])
 	}
 	return meas, nil
 }
 
-// Render writes the two-arm comparison as an aligned text table.
+// Render writes the comparison as an aligned text table.
 func (r ClusterResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Global power cap ablation: %d shards, %.0f W budget (mix:", r.Shards, float64(r.Global)); err != nil {
-		return err
-	}
-	for _, a := range r.Apps {
-		if _, err := fmt.Fprintf(w, " %s", a); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w, ")"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-20s %12s %12s %14s\n", "policy", "energy (J)", "makespan (s)", "repartitions"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Global power cap ablation: %d shards, %.0f W budget (mix: %s)\n", r.Shards, float64(r.Global), strings.Join(r.Apps, " "))
+	fmt.Fprintf(&b, "%-20s %12s %12s %14s\n", "policy", "energy (J)", "makespan (s)", "repartitions")
 	arms := []ClusterMeasurement{r.Naive, r.Hierarchical}
 	if r.HA != nil {
 		arms = append(arms, *r.HA)
 	}
 	for _, m := range arms {
-		if _, err := fmt.Fprintf(w, "%-20s %12.1f %12.3f %14d\n", m.Policy, m.TotalJoules, m.MakespanSec, m.Repartitions); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-20s %12.1f %12.3f %14d\n", m.Policy, m.TotalJoules, m.MakespanSec, m.Repartitions)
 	}
-	if _, err := fmt.Fprintf(w, "hierarchical vs naive: energy %+.1f%%, makespan %+.1f%%\n", r.EnergyDeltaPct, r.MakespanDeltaPct); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "hierarchical vs naive: energy %+.1f%%, makespan %+.1f%%\n", r.EnergyDeltaPct, r.MakespanDeltaPct)
 	if r.HA != nil {
-		if _, err := fmt.Fprintf(w, "ha hand-off cost vs single aggregator: energy %+.1f%%, makespan %+.1f%% (%d elections, %d leader kill(s))\n",
-			r.HAEnergyDeltaPct, r.HAMakespanDeltaPct, r.HA.Elections, r.HA.LeaderKills); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "ha hand-off cost vs single aggregator: energy %+.1f%%, makespan %+.1f%% (%d elections, %d leader kill(s), hand-off %.0f ms)\n",
+			r.HAEnergyDeltaPct, r.HAMakespanDeltaPct, r.HA.Elections, r.HA.LeaderKills, r.HA.HandoffMs)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

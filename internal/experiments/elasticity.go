@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/rcr"
-	"repro/internal/resilience"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -22,10 +19,11 @@ import (
 // those watts budgeted until the operator decommissions it. Both rules
 // buy conservation (Σcaps never exceeds the budget, even mid-churn) at
 // the price of watts parked where no work happens. This experiment
-// drives a real Aggregator through a steady → grow → drain → shrink
-// cycle over scripted shard streams and a manual clock, and integrates
-// that price: polls to converge and floor-watt-seconds stranded on
-// members in transition.
+// steps an Aggregator through a steady → grow → drain → shrink cycle
+// over scripted in-memory shards on a manual clock — one loop, so the
+// cycle is a pure function of the spec — and integrates that price:
+// polls to converge and floor-watt-seconds stranded on members in
+// transition.
 
 // ElasticitySpec sizes the elasticity ablation.
 type ElasticitySpec struct {
@@ -37,8 +35,8 @@ type ElasticitySpec struct {
 	// Global is the fleet-wide budget; zero selects 40 W per (full)
 	// shard so the band stays binding through every phase.
 	Global units.Watts
-	// Tick is the modeled host time advanced per poll; zero selects
-	// 10 ms (the controller cadence the cluster docs recommend).
+	// Tick is the modeled time advanced per poll; zero selects 10 ms
+	// (the controller cadence the cluster docs recommend).
 	Tick time.Duration
 }
 
@@ -68,35 +66,9 @@ type ElasticityResult struct {
 	FinalEpoch uint64
 }
 
-// synthStream is a scripted resilience.SubStream: the harness drops
-// snapshots into a buffered channel; the aggregator's subscribe loop
-// consumes them. Sends never block — a full buffer drops the frame,
-// which is safe because heartbeat values only ever increase, so any
-// consumed subset still shows movement.
-type synthStream struct {
-	ch   chan rcr.Snapshot
-	snap rcr.Snapshot
-}
-
-func (s *synthStream) Next(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case snap := <-s.ch:
-		s.snap = snap
-		return nil
-	}
-}
-
-func (s *synthStream) Snapshot() rcr.Snapshot { return s.snap }
-func (s *synthStream) Close() error           { return nil }
-
-func (s *synthStream) offer(snap rcr.Snapshot) {
-	select {
-	case s.ch <- snap:
-	default:
-	}
-}
+// elasticityPollBound is how many polls a phase may take to converge;
+// every phase of every fleet the spec can describe needs a few dozen.
+const elasticityPollBound = 1000
 
 // ElasticityAblation runs the steady → grow → drain → shrink cycle on
 // a scripted fleet and returns the per-phase convergence and stranded
@@ -120,49 +92,34 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 	if spec.Tick <= 0 {
 		spec.Tick = 10 * time.Millisecond
 	}
-	const floor = units.Watts(10)
 
+	// The scripted fleet: snaps[i] is what shard i's slot reads at a poll.
 	endpoints := make([]cluster.ShardEndpoint, spec.Shards)
-	streams := make([]*synthStream, spec.Shards)
+	snaps := make([]rcr.Snapshot, spec.Shards)
 	for i := range endpoints {
 		endpoints[i] = cluster.ShardEndpoint{ID: i, Network: "unix", Addr: fmt.Sprintf("elastic-%d", i)}
-		streams[i] = &synthStream{ch: make(chan rcr.Snapshot, 64)}
 	}
-
-	var clockNS atomic.Int64
-	clock := func() time.Duration { return time.Duration(clockNS.Load()) }
+	var now time.Duration
+	clock := func() time.Duration { return now }
 	members, err := cluster.NewMembership(endpoints[:spec.Initial], clock)
 	if err != nil {
 		return ElasticityResult{}, err
 	}
-	reg := telemetry.NewRegistry()
-	members.Instrument(reg)
-	agg, err := cluster.NewAggregator(cluster.AggregatorConfig{
+	agg, err := cluster.NewSteppedAggregator(cluster.AggregatorConfig{
 		Members:       members,
 		Global:        spec.Global,
-		Floor:         floor,
-		Max:           300,
-		Period:        time.Hour, // Run's ticker never fires; the loop drives Poll
+		Floor:         clusterCapFloor,
+		Max:           clusterCapMax,
+		Period:        spec.Tick,
 		HealthHorizon: 10 * spec.Tick,
 		Clock:         clock,
 		SetCap:        func(int, units.Watts) error { return nil },
-		Telemetry:     reg,
-		Tune: func(shard int, ccfg *resilience.ClientConfig) {
-			ccfg.Subscribe = func(context.Context, string, string) (resilience.SubStream, error) {
-				return streams[shard], nil
-			}
-		},
+	}, func(mb cluster.Member) (cluster.SnapshotSource, error) {
+		return func() (rcr.Snapshot, error) { return snaps[mb.ID], nil }, nil
 	})
 	if err != nil {
 		return ElasticityResult{}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- agg.Run(ctx) }()
-	defer func() {
-		cancel()
-		<-done
-	}()
 
 	res := ElasticityResult{Shards: spec.Shards, Initial: spec.Initial, Global: spec.Global}
 	beat := 0.0
@@ -172,20 +129,19 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 	}
 	tickSec := spec.Tick.Seconds()
 
-	// runPhase polls until cond holds, pushing fresh heartbeats to every
-	// live shard each tick and integrating the idle and stranded watts.
+	// runPhase polls until cond holds, giving every live shard a fresh
+	// heartbeat each tick and integrating the idle and stranded watts.
 	// The mix alternates memory-bound (concurrency at the knee) and
 	// compute-bound shards, so the water-fill has real skew to resolve.
 	runPhase := func(name string, cond func(cluster.AggregatorStatus) bool) error {
 		ph := ElasticityPhase{Name: name}
-		deadline := time.Now().Add(20 * time.Second)
-		for {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("experiments: elasticity phase %q did not converge after %d polls", name, ph.Polls)
+		for converged := false; !converged; {
+			if ph.Polls == elasticityPollBound {
+				return fmt.Errorf("experiments: elasticity phase %q did not converge within %d polls", name, elasticityPollBound)
 			}
-			clockNS.Add(int64(spec.Tick))
+			now += spec.Tick
 			beat++
-			for i, s := range streams {
+			for i := range snaps {
 				if !live[i] {
 					continue
 				}
@@ -193,7 +149,7 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 				if i%2 == 0 {
 					conc = 26
 				}
-				s.offer(shardSnapAt(beat, 60, conc, clock()))
+				snaps[i] = shardSnapAt(beat, 60, conc, now)
 			}
 			agg.Poll()
 			ph.Polls++
@@ -201,13 +157,8 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 			if gap := float64(spec.Global) - float64(st.CapsSum); gap > 0 {
 				ph.IdleJoules += gap * tickSec
 			}
-			ph.StrandedJoules += float64(floor) * float64(st.Joining+st.Draining+st.Drained) * tickSec
-			if cond(st) {
-				break
-			}
-			// Yield so the subscribe goroutines can apply the offered
-			// frames before the next poll reads the shard states.
-			time.Sleep(100 * time.Microsecond)
+			ph.StrandedJoules += float64(clusterCapFloor) * float64(st.Joining+st.Draining+st.Drained) * tickSec
+			converged = cond(st)
 		}
 		ph.Seconds = float64(ph.Polls) * tickSec
 		res.Phases = append(res.Phases, ph)
@@ -283,25 +234,16 @@ func shardSnapAt(beat, power, conc float64, now time.Duration) rcr.Snapshot {
 
 // Render writes the per-phase accounting as an aligned text table.
 func (r ElasticityResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Elasticity ablation: %d→%d→%d shards, %.0f W budget\n",
-		r.Initial, r.Shards, r.Shards-1, float64(r.Global)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %8s %10s %10s %12s\n", "phase", "polls", "time (s)", "idle (J)", "stranded (J)"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Elasticity ablation: %d→%d→%d shards, %.0f W budget\n", r.Initial, r.Shards, r.Shards-1, float64(r.Global))
+	fmt.Fprintf(&b, "%-10s %8s %10s %10s %12s\n", "phase", "polls", "time (s)", "idle (J)", "stranded (J)")
 	var idle, stranded float64
 	for _, ph := range r.Phases {
-		if _, err := fmt.Fprintf(w, "%-10s %8d %10.3f %10.2f %12.2f\n",
-			ph.Name, ph.Polls, ph.Seconds, ph.IdleJoules, ph.StrandedJoules); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-10s %8d %10.3f %10.2f %12.2f\n", ph.Name, ph.Polls, ph.Seconds, ph.IdleJoules, ph.StrandedJoules)
 		idle += ph.IdleJoules
 		stranded += ph.StrandedJoules
 	}
-	if _, err := fmt.Fprintf(w, "total transition cost: %.2f J idle + %.2f J stranded at floors (epoch %d)\n",
-		idle, stranded, r.FinalEpoch); err != nil {
-		return err
-	}
-	return nil
+	fmt.Fprintf(&b, "total transition cost: %.2f J idle + %.2f J stranded at floors (epoch %d)\n", idle, stranded, r.FinalEpoch)
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,13 +13,29 @@ import (
 // cycle on a scripted fleet and checks the accounting invariants: every
 // phase converges, conservation holds at the end, the join and drain
 // transitions strand floor watts (the protocol's stated price), and the
-// epoch reflects the whole history.
+// epoch reflects the whole history. The cycle is one loop on a manual
+// clock, so a second run and a run on a single P reproduce every phase —
+// polls included — exactly, and no goroutine is ever started.
 func TestElasticityAblation(t *testing.T) {
 	leak.Check(t)
 	lab := NewLab()
-	res, err := lab.ElasticityAblation(ElasticitySpec{Shards: 3, Initial: 2, Global: 120})
+	spec := ElasticitySpec{Shards: 3, Initial: 2, Global: 120}
+	res, err := lab.ElasticityAblation(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := lab.ElasticityAblation(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := runtime.GOMAXPROCS(1)
+	single, err := lab.ElasticityAblation(spec)
+	runtime.GOMAXPROCS(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) || !reflect.DeepEqual(res, single) {
+		t.Errorf("runs differ:\n%+v\nagain %+v\nGOMAXPROCS=1 %+v", res, again, single)
 	}
 	if len(res.Phases) != 4 {
 		t.Fatalf("phases = %d, want 4 (%+v)", len(res.Phases), res.Phases)

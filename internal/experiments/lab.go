@@ -270,7 +270,7 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 	// The hold is handed to the runner: it is released the instant the
 	// root task is enqueued, pinning the run's start to the parked clock
 	// (see RunOnRuntimeHeld / Runtime.RunHeld).
-	rep, err := workloads.RunOnRuntimeHeld(rt, reader, bb, wl, release)
+	rep, _, err := workloads.RunOnRuntimeHeld(rt, reader, bb, wl, release)
 	if err != nil {
 		return Measurement{}, err
 	}

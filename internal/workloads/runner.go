@@ -35,7 +35,8 @@ func RunOnce(m *machine.Machine, wl Workload, workers int) (rcr.RegionReport, er
 // daemon lifecycles, which lets throttling experiments wrap the run with
 // a MAESTRO daemon.
 func RunOnRuntime(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Workload) (rcr.RegionReport, error) {
-	return RunOnRuntimeHeld(rt, reader, bb, wl, nil)
+	rep, _, err := RunOnRuntimeHeld(rt, reader, bb, wl, nil)
+	return rep, err
 }
 
 // RunOnRuntimeHeld is RunOnRuntime for a machine whose clock the caller
@@ -48,32 +49,34 @@ func RunOnRuntime(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, 
 // execution this makes a measurement a pure function of its seed, at any
 // worker count.
 //
-// The clock is handed back the way it was received: parked. The re-hold
-// is kept, so what the caller does next — read a daemon's counters, shut
-// the runtime down, stop the machine — happens at the completion instant
-// and leaves no host-timed tail on the timeline or in a scheduler trace.
-// A caller that means to keep the machine running uses Runtime.RunHeld
-// and its end function instead. A nil release means the caller took no
-// hold: the run degrades to plain RunOnRuntime semantics with no pinned
-// boundaries.
-func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Workload, release func()) (rcr.RegionReport, error) {
+// The clock is handed back the way it was received: parked. What the
+// caller does next — read a daemon's counters, shut the runtime down,
+// stop the machine — happens at the completion instant and leaves no
+// host-timed tail on the timeline or in a scheduler trace. A caller that
+// means to keep the machine running calls end, which releases the
+// re-hold, or passes it as the next run's release: runs chained that way
+// follow each other on the virtual timeline with the host-side work
+// between them (closing this region, validating, opening the next)
+// costing no virtual time. end is nil when release was (the caller took
+// no hold: the run degrades to plain RunOnRuntime semantics with no
+// pinned boundaries) or when the run aborted before the join.
+func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Workload, release func()) (rep rcr.RegionReport, end func(), err error) {
 	region, err := rcr.StartRegion(wl.Name(), rt.Machine(), reader, bb)
 	if err != nil {
 		if release != nil {
 			release()
 		}
-		return rcr.RegionReport{}, err
+		return rcr.RegionReport{}, nil, err
 	}
-	_, runErr := rt.RunHeld(wl.Root(), release)
+	end, runErr := rt.RunHeld(wl.Root(), release)
 	if runErr != nil {
-		return rcr.RegionReport{}, fmt.Errorf("workloads: running %s: %w", wl.Name(), runErr)
+		return rcr.RegionReport{}, end, fmt.Errorf("workloads: running %s: %w", wl.Name(), runErr)
 	}
-	rep, err := region.End()
-	if err != nil {
-		return rcr.RegionReport{}, err
+	if rep, err = region.End(); err != nil {
+		return rcr.RegionReport{}, end, err
 	}
 	if err := wl.Validate(); err != nil {
-		return rcr.RegionReport{}, fmt.Errorf("workloads: %s produced a wrong answer: %w", wl.Name(), err)
+		return rcr.RegionReport{}, end, fmt.Errorf("workloads: %s produced a wrong answer: %w", wl.Name(), err)
 	}
-	return rep, nil
+	return rep, end, nil
 }
