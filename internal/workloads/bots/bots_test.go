@@ -145,6 +145,26 @@ func TestSortSpeedupKnee(t *testing.T) {
 	}
 }
 
+// TestSortUnequalLeafBlocks runs Sort at an element count that is not a
+// multiple of its 64 leaf blocks, so the blocks (and the ranges of buf
+// their radix sorts use as scratch) differ in length, and validates the
+// result at one worker and at sixteen.
+func TestSortUnequalLeafBlocks(t *testing.T) {
+	wl := NewSort()
+	if err := wl.Prepare(workloads.Params{Scale: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(wl.data); n%sortBlocks == 0 {
+		t.Fatalf("%d elements split evenly into %d blocks", n, sortBlocks)
+	}
+	m := newMachine(t)
+	for _, workers := range []int{1, 16} {
+		if _, err := workloads.RunOnce(m, wl, workers); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+	}
+}
+
 func TestStrassenSpeedupKnee(t *testing.T) {
 	wl := NewStrassen()
 	if err := wl.Prepare(workloads.Params{}); err != nil {

@@ -3,7 +3,6 @@ package bots
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/compiler"
 	"repro/internal/qthreads"
@@ -16,6 +15,13 @@ import (
 // threads (paper Figures 3/4) — high memory concurrency, but its power
 // stays in the Medium band, so the MAESTRO daemon correctly leaves it
 // alone (§IV-B: only four programs throttle).
+//
+// On the host each leaf radix-sorts its block (workloads.SortInt32) and
+// each merge task runs the branch-free workloads.MergeInt32, where BOTS
+// itself uses quicksort leaves and a branchy merge. The model cannot
+// tell: a task is charged per element it touches (one leaf pass plus
+// one per merge level), never per comparison, so the host algorithm
+// changes the regeneration's CPU and no simulated number.
 type Sort struct {
 	p  workloads.Params
 	cg compiler.CodeGen
@@ -114,7 +120,9 @@ func (s *Sort) Root() qthreads.Task {
 		work := make([]int32, n)
 		copy(work, s.data)
 
-		// Leaf phase: sort each block in its own task.
+		// Leaf phase: sort each block in its own task. A leaf's radix
+		// scratch is its own range of s.buf: the ranges are disjoint, and
+		// nothing else uses s.buf until the first merge level writes it.
 		bounds := make([][2]int, 0, s.leafBlocks)
 		for b := 0; b < s.leafBlocks; b++ {
 			lo := b * n / s.leafBlocks
@@ -126,7 +134,7 @@ func (s *Sort) Root() qthreads.Task {
 			bd := bd
 			g.Spawn(tc, func(tc *qthreads.TC) {
 				block := work[bd[0]:bd[1]]
-				slices.Sort(block)
+				workloads.SortInt32(block, s.buf[bd[0]:bd[1]])
 				tc.Execute(s.prof.work(s.cyclesPerElem * float64(len(block))))
 			})
 		}
@@ -168,7 +176,7 @@ func (s *Sort) Root() qthreads.Task {
 func (s *Sort) parMerge(tc *qthreads.TC, g *qthreads.Group, dst, a, b []int32, grain int) {
 	if len(a)+len(b) <= grain || len(a) == 0 || len(b) == 0 {
 		g.Spawn(tc, func(tc *qthreads.TC) {
-			mergeInt32(dst, a, b)
+			workloads.MergeInt32(dst, a, b)
 			tc.Execute(s.prof.work(s.cyclesPerElem * float64(len(a)+len(b))))
 		})
 		return
@@ -191,23 +199,6 @@ func (s *Sort) parMerge(tc *qthreads.TC, g *qthreads.Group, dst, a, b []int32, g
 	cut := lo
 	s.parMerge(tc, g, dst[:mid+cut], a[:mid], b[:cut], grain)
 	s.parMerge(tc, g, dst[mid+cut:], a[mid:], b[cut:], grain)
-}
-
-// mergeInt32 merges two sorted slices into dst.
-func mergeInt32(dst, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
 }
 
 // Validate checks sortedness and the element checksum.

@@ -15,6 +15,12 @@ import (
 // sections sorting one half each, then a sequential merge). It therefore
 // scales to exactly 2 threads (paper §II-C.4) and, being memory-bound
 // with most threads parked, draws the study's lowest power (~60 W).
+//
+// The host really sorts: each section runs serialMergesort on its half
+// and the root merges the halves with workloads.MergeInt32. What is
+// simulated is the shape — two sections, then a serial merge — charged
+// from the element count alone (opsHalf/bytesHalf, opsMerge/bytesMerge),
+// so the model cannot see which algorithm the host uses to sort.
 type Mergesort struct {
 	p  workloads.Params
 	cg compiler.CodeGen
@@ -139,31 +145,42 @@ func (s *Mergesort) Root() qthreads.Task {
 		})
 		tc.Sync()
 		// Sequential final merge on the root.
-		mergeInto(s.out, left, right)
+		workloads.MergeInt32(s.out, left, right)
 		tc.Execute(machine.Work{Ops: s.opsMerge, Bytes: s.bytesMerge, Activity: s.activity})
 		s.sorted = true
 	}
 }
 
-// serialMergesort is a real bottom-up merge sort of a, with buf
-// (len(buf) == len(a)) as its scratch. Each pass merges from one buffer
-// into the other and the two swap roles, so nothing is copied back until
-// the end, and then only if the last pass left the result in buf.
+// mergesortBaseRun is the length of the runs serialMergesort radix-sorts
+// before its first merge pass: a run and its scratch are 32 KiB together,
+// small enough for any core's L1d/L2 while the radix passes scatter
+// between them. Longer runs sort faster still on a host with a large L2,
+// but each doubling removes a merge pass, and merge passes are what
+// makes this the merge sort the workload models.
+const mergesortBaseRun = 4096
+
+// serialMergesort sorts a, with buf (len(buf) == len(a)) as its scratch:
+// a real bottom-up merge sort whose base runs of mergesortBaseRun
+// elements are radix-sorted (workloads.SortInt32, each run's scratch its
+// own range of buf) instead of being merged up from width 1. Each merge
+// pass then merges from one buffer into the other and the two swap
+// roles, so nothing is copied back until the end, and then only if the
+// last pass left the result in buf. The charges in Mergesort.Root are a
+// function of the element count alone, so how the host sorts changes
+// its CPU and no simulated number.
 func serialMergesort(a, buf []int32) {
 	n := len(a)
+	for lo := 0; lo < n; lo += mergesortBaseRun {
+		hi := min(lo+mergesortBaseRun, n)
+		workloads.SortInt32(a[lo:hi], buf[lo:hi])
+	}
 	src, dst := a, buf
 	inBuf := false
-	for width := 1; width < n; width *= 2 {
+	for width := mergesortBaseRun; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+			mid := min(lo+width, n)
+			hi := min(lo+2*width, n)
+			workloads.MergeInt32(dst[lo:hi], src[lo:mid], src[mid:hi])
 		}
 		src, dst = dst, src
 		inBuf = !inBuf
@@ -171,28 +188,6 @@ func serialMergesort(a, buf []int32) {
 	if inBuf {
 		copy(a, src)
 	}
-}
-
-// mergeInto merges two sorted slices into dst (len(dst) == len(a)+len(b)).
-// On random keys the comparison is a coin flip, so the loop advances its
-// two cursors by arithmetic on the outcome instead of branching on it:
-// the element select compiles to a conditional move and nothing is left
-// for the branch predictor to miss.
-func mergeInto(dst, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		v, fromA := y, 0
-		if x <= y {
-			v, fromA = x, 1
-		}
-		dst[k] = v
-		k++
-		i += fromA
-		j += 1 - fromA
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
 }
 
 // Validate checks the output is a sorted permutation of the input.

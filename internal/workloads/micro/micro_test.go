@@ -293,21 +293,32 @@ func TestBTValidatesAcrossThreadCounts(t *testing.T) {
 	}
 }
 
-// TestSerialMergesort checks the ping-pong merge sort against the
-// standard library on every length around the pass-count parities (an
-// odd number of passes leaves the result in the scratch buffer).
+// TestSerialMergesort checks the base-run radix sort plus ping-pong merge
+// passes against the standard library: every short length (one partial
+// base run, no merge pass), and lengths on both sides of 1, 2, 3 and 5
+// base runs — 1 to 6 runs, so 0 to 3 merge passes, and both parities (an
+// odd number of passes leaves the result in the scratch buffer and it is
+// copied back).
 func TestSerialMergesort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var lengths []int
 	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, runs := range []int{1, 2, 3, 5} {
+		n := runs * mergesortBaseRun
+		lengths = append(lengths, n-1, n, n+1)
+	}
+	for _, n := range lengths {
 		a := make([]int32, n)
 		for i := range a {
-			a[i] = int32(rng.Intn(50))
+			a[i] = int32(rng.Intn(50) - 25)
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)
 		serialMergesort(a, make([]int32, n))
 		if !slices.Equal(a, want) {
-			t.Fatalf("n=%d: got %v, want %v", n, a, want)
+			t.Fatalf("n=%d: result differs from slices.Sort", n)
 		}
 	}
 }
