@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/qthreads"
 	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
@@ -71,20 +70,18 @@ func run(app, comp string, opt, threads int, scale float64, throttle, spin bool,
 	if err != nil {
 		return err
 	}
-	mcfg := machine.M620()
-	if err := wl.Prepare(workloads.Params{MachineConfig: mcfg, Target: target, Scale: scale}); err != nil {
+	// The zero machine configuration is the M620 to Prepare and core.New alike.
+	if err := wl.Prepare(workloads.Params{Target: target, Scale: scale}); err != nil {
 		return err
 	}
 
-	qcfg := qthreads.DefaultConfig()
-	qcfg.SpinOnlyIdle = spin || throttle
+	qcfg := qthreads.Config{SpinOnlyIdle: spin || throttle}
 	var rec *qthreads.Recorder
 	if traceCSV != "" {
 		rec = qthreads.NewRecorder(0)
 		qcfg.Tracer = rec
 	}
 	sys, err := core.New(core.Options{
-		Machine:            mcfg,
 		Workers:            threads,
 		Qthreads:           qcfg,
 		AdaptiveThrottling: throttle,

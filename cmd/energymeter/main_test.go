@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/replaytest"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -44,6 +47,36 @@ func TestRunWritesTraceAndHistory(t *testing.T) {
 		}
 		if len(data) < 20 {
 			t.Errorf("%s suspiciously small (%d bytes)", p, len(data))
+		}
+	}
+}
+
+// TestTraceAndHistoryReplay is the replay gate of the command: a
+// throttled run with -trace and -history, once per replaytest.Hosts
+// setting, must write byte-identical CSVs — the history's last sample
+// included, which is taken at the run's completion and not wherever the
+// host got to before exit.
+func TestTraceAndHistoryReplay(t *testing.T) {
+	dir := t.TempDir()
+	var first [2][]byte
+	for i, h := range replaytest.Hosts {
+		paths := [2]string{filepath.Join(dir, "trace.csv"), filepath.Join(dir, "hist.csv")}
+		restore := h.Set()
+		err := run("bots-health-cutoff", "gcc", 3, 16, 1, true, false, paths[0], paths[1])
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", h.Name, err)
+		}
+		for k, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first[k] = data
+			} else if !bytes.Equal(data, first[k]) {
+				t.Errorf("%s: %s differs from the first run's (%d bytes, first %d)", h.Name, filepath.Base(p), len(data), len(first[k]))
+			}
 		}
 	}
 }

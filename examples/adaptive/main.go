@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/qthreads"
 	"repro/internal/workloads"
 	"repro/internal/workloads/lulesh"
@@ -34,16 +33,12 @@ func main() {
 	fmt.Println("LULESH under the MAESTRO runtime (cf. paper Table IV):")
 	for _, c := range configs {
 		wl := lulesh.New()
-		mcfg := machine.M620()
-		if err := wl.Prepare(workloads.Params{MachineConfig: mcfg, Target: target}); err != nil {
+		if err := wl.Prepare(workloads.Params{Target: target}); err != nil {
 			log.Fatal(err)
 		}
-		qcfg := qthreads.DefaultConfig()
-		qcfg.SpinOnlyIdle = true // the paper's runtime spins rather than parks
 		sys, err := core.New(core.Options{
-			Machine:            mcfg,
 			Workers:            c.workers,
-			Qthreads:           qcfg,
+			Qthreads:           qthreads.Config{SpinOnlyIdle: true}, // the paper's runtime spins rather than parks
 			AdaptiveThrottling: c.throttle,
 			Warm:               true,
 		})

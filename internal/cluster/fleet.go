@@ -109,10 +109,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // under a power-cap controller, and the guard through which fenced cap
 // writes land in that controller. clock is the guard's lease timebase;
 // applied, when non-nil, sees every fenced cap the controller accepted.
-// The caller starts the clock with release once whatever else belongs on
-// the node's first instant is in place.
-func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap float64, fence uint64)) (n *fleetNode, release func(), err error) {
-	sys, release, err := core.NewHeld(core.Options{
+// The node's clock moves only while a job runs on it (or Idle lets it).
+func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap float64, fence uint64)) (*fleetNode, error) {
+	sys, err := core.New(core.Options{
 		Machine:      cfg.Machine,
 		Workers:      cfg.Workers,
 		SamplePeriod: cfg.SamplePeriod,
@@ -121,7 +120,7 @@ func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap 
 		Telemetry:    true,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The node's fencing authority: fenced cap writes land in the node's
 	// own controller through the fence ratchet, and the lease state
@@ -137,15 +136,14 @@ func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap 
 	})
 	guard.Instrument(sys.Telemetry())
 	guard.Bind(sys.Blackboard())
-	return &fleetNode{sys: sys, fence: guard}, release, nil
+	return &fleetNode{sys: sys, fence: guard}, nil
 }
 
 func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*fleetShard, error) {
-	node, release, err := newFleetNode(cfg, func() time.Duration { return time.Since(base) }, nil)
+	node, err := newFleetNode(cfg, func() time.Duration { return time.Since(base) }, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	sys := node.sys
 	socket := filepath.Join(dir, fmt.Sprintf("shard-%d.sock", id))
 	if err := os.Remove(socket); err != nil && !os.IsNotExist(err) {

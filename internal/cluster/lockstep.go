@@ -26,11 +26,10 @@ import (
 //
 // A node whose goroutine holds its clock between two jobs has simply not
 // reached its barrier: Step waits for it and no other node runs ahead.
-// A node whose jobs are done idles on — sampler ticking, heartbeat
-// moving — until the owner stops stepping. IdlePace is off: the barrier
-// bounds how far a ticker-only node gets ahead, which is all the pacing
-// sleep was for. The scenario runner's applyAuditor sits on the seam
-// where caps land.
+// A node whose jobs are done idles on (core.System.Idle) — sampler
+// ticking, heartbeat moving — until the owner stops stepping; the
+// barrier is what keeps its ticker-only clock from running ahead. The
+// scenario runner's applyAuditor sits on the seam where caps land.
 type LockstepFleet struct {
 	period  time.Duration
 	k       int64 // boundaries reached
@@ -46,7 +45,6 @@ type LockstepFleet struct {
 
 type lockstepNode struct {
 	*fleetNode
-	start  func()        // releases the assembly hold; the first job consumes it
 	resume chan struct{} // Step → barrier
 	parked bool          // on the barrier, as far as Step has been told
 
@@ -73,10 +71,6 @@ func NewLockstepFleet(cfg FleetConfig, period time.Duration, budget units.Watts)
 	if cfg.InitialCap <= 0 {
 		cfg.InitialCap = 1000
 	}
-	if cfg.Machine.Sockets == 0 {
-		cfg.Machine = machine.M620()
-	}
-	cfg.Machine.IdlePace = -1
 	f := &LockstepFleet{
 		period: period,
 		arrive: make(chan arrival, 2*cfg.Shards), // a barrier and a failure per node at most
@@ -91,9 +85,9 @@ func NewLockstepFleet(cfg FleetConfig, period time.Duration, budget units.Watts)
 		firstSeen: make(map[uint64]time.Duration),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		node, start, err := newFleetNode(cfg, f.Now, func(capW float64, fence uint64) { f.auditor.apply(i, capW, fence) })
+		node, err := newFleetNode(cfg, f.Now, func(capW float64, fence uint64) { f.auditor.apply(i, capW, fence) })
 		if err == nil {
-			n := &lockstepNode{fleetNode: node, start: start, resume: make(chan struct{})}
+			n := &lockstepNode{fleetNode: node, resume: make(chan struct{})}
 			f.nodes = append(f.nodes, n)
 			_, err = node.sys.Machine().AddTicker(period, func(time.Duration, *machine.Snapshot) { f.barrier(i, n) })
 		}
@@ -146,21 +140,19 @@ func (f *LockstepFleet) Start(jobs [][]workloads.Workload) error {
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
-			hold := n.start
 			for _, wl := range jobs[i] {
-				rep, end, err := workloads.RunOnRuntimeHeld(n.sys.Runtime(), n.sys.Reader(), n.sys.Blackboard(), wl, hold)
+				rep, err := n.sys.RunWorkload(wl)
 				if err != nil {
-					// Whatever hold the failure left stays: the clock keeps
-					// the instant of the failure until Close.
+					// The clock stays parked at the instant of the failure
+					// until Close.
 					f.report(arrival{i, err})
 					return
 				}
 				n.joules += rep.Energy
 				n.busy += rep.Elapsed
-				hold = end
 			}
 			n.finished = true
-			hold()
+			_ = n.sys.Idle(0) // fails only on a closed System, and Close waits for this goroutine first
 		}()
 	}
 	return nil
@@ -291,7 +283,7 @@ func (f *LockstepFleet) Close() {
 		close(f.quit)
 	}
 	// Stopping the machine first aborts a job in flight (its workers
-	// unwind, RunHeld returns); only then can the runtime shut down.
+	// unwind, RunWorkload returns); only then can the runtime shut down.
 	for _, n := range f.nodes {
 		n.sys.Machine().Stop()
 	}

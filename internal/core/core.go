@@ -12,6 +12,15 @@
 //	    tc.ParallelFor(n, 0, func(tc *qthreads.TC, lo, hi int) { ... })
 //	})
 //	fmt.Println(report) // elapsed, Joules, Watts, per-socket temps
+//
+// The System owns its machine's clock. New assembles the stack with the
+// clock parked at virtual time zero; every Run and RunWorkload starts at
+// the instant the clock is parked on and returns with it parked at the
+// run's completion, so runs chain back to back and whatever the host
+// does between them — closing a region, writing a CSV, preparing the
+// next input — costs no virtual time. Only Idle lets the clock run with
+// nothing scheduled. A run is therefore a pure function of its options
+// and inputs, samples and all.
 package core
 
 import (
@@ -77,7 +86,9 @@ type Options struct {
 	Telemetry bool
 }
 
-// System is a ready-to-run instance of the paper's full stack.
+// System is a ready-to-run instance of the paper's full stack. Run,
+// RunWorkload and Idle move its one clock, so they are called one at a
+// time.
 type System struct {
 	m       *machine.Machine
 	reader  rapl.Reader
@@ -92,44 +103,30 @@ type System struct {
 	reg     *telemetry.Registry
 	journal *telemetry.Journal
 	closed  bool
+	// release lets the parked clock go: the hold New took, or the one the
+	// last Run or Idle re-took at its end; a no-op while Idle(0) has the
+	// clock running.
+	release func()
 }
 
-// New builds and starts a System.
+// New builds the stack with its clock parked at virtual time zero
+// (machine.Hold) from before the first ticker registers: whatever the
+// host scheduler does meanwhile, and whatever the caller adds before the
+// first Run — more tickers, a fence guard, a publisher — starts on the
+// same instant.
 func New(opts Options) (*System, error) {
-	sys, _, err := assemble(opts, false)
-	return sys, err
-}
-
-// NewHeld is New with the machine's clock parked (machine.Hold) from
-// before the first ticker registers: the whole stack is assembled at
-// virtual time zero whatever the host scheduler does meanwhile, and
-// whatever the caller adds before calling release — more tickers, a
-// fence guard, a first Runtime.RunHeld, which takes release as its
-// argument — starts on the same instant. A run that begins this way is a
-// pure function of its inputs from its first sample on.
-func NewHeld(opts Options) (sys *System, release func(), err error) {
-	return assemble(opts, true)
-}
-
-// assemble builds the stack; with held set the clock is parked throughout
-// and the returned release starts it (otherwise release does nothing).
-func assemble(opts Options, held bool) (*System, func(), error) {
 	mcfg := opts.Machine
 	if mcfg.Sockets == 0 {
 		mcfg = machine.M620()
 	}
 	m, err := machine.New(mcfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	release := func() {}
-	if held {
-		release = m.Hold()
-	}
-	sys := &System{m: m}
-	fail := func(err error) (*System, func(), error) {
+	sys := &System{m: m, release: m.Hold()}
+	fail := func(err error) (*System, error) {
 		sys.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if opts.Warm {
 		m.WarmAll(workloads.WarmTemp)
@@ -177,12 +174,8 @@ func assemble(opts Options, held bool) (*System, func(), error) {
 	}
 	qcfg := opts.Qthreads
 	if qcfg.SpawnCost == 0 && qcfg.DequeueCost == 0 && qcfg.StealCost == 0 {
-		base := qthreads.DefaultConfig()
-		base.Workers = qcfg.Workers
-		base.SpinOnlyIdle = qcfg.SpinOnlyIdle
-		base.Pinning = qcfg.Pinning
-		base.Telemetry = qcfg.Telemetry
-		qcfg = base
+		def := qthreads.DefaultConfig()
+		qcfg.SpawnCost, qcfg.DequeueCost, qcfg.StealCost = def.SpawnCost, def.DequeueCost, def.StealCost
 	}
 	if opts.Workers != 0 {
 		qcfg.Workers = opts.Workers
@@ -209,7 +202,7 @@ func assemble(opts Options, held bool) (*System, func(), error) {
 			return fail(err)
 		}
 	}
-	return sys, release, nil
+	return sys, nil
 }
 
 // Machine returns the underlying simulated node.
@@ -220,10 +213,6 @@ func (s *System) Runtime() *qthreads.Runtime { return s.rt }
 
 // Blackboard returns the RCR measurement blackboard.
 func (s *System) Blackboard() *rcr.Blackboard { return s.bb }
-
-// Reader returns the RAPL energy reader the stack measures through —
-// the fault-containment Guard when FaultTolerant is set.
-func (s *System) Reader() rapl.Reader { return s.reader }
 
 // Guard returns the RAPL fault-containment wrapper, or nil when
 // FaultTolerant was not set.
@@ -316,26 +305,66 @@ func (s *System) RestoreCheckpoint(st resilience.DaemonState) {
 // Run executes task as a root task on the runtime, measured as an RCR
 // region.
 func (s *System) Run(name string, task qthreads.Task) (rcr.RegionReport, error) {
-	if s.closed {
-		return rcr.RegionReport{}, errors.New("core: system is closed")
-	}
-	region, err := rcr.StartRegion(name, s.m, s.reader, s.bb)
-	if err != nil {
-		return rcr.RegionReport{}, err
-	}
-	if err := s.rt.Run(task); err != nil {
-		return rcr.RegionReport{}, fmt.Errorf("core: running %q: %w", name, err)
-	}
-	return region.End()
+	return s.RunWorkload(rootTask{name, task})
 }
 
 // RunWorkload prepares nothing — the workload must already be Prepared —
-// and runs it measured and validated.
+// and runs it measured and validated. The run starts at the instant the
+// clock is parked on and returns with the clock parked at its
+// completion.
 func (s *System) RunWorkload(wl workloads.Workload) (rcr.RegionReport, error) {
 	if s.closed {
 		return rcr.RegionReport{}, errors.New("core: system is closed")
 	}
-	return workloads.RunOnRuntime(s.rt, s.reader, s.bb, wl)
+	rep, end, err := workloads.RunOnRuntimeHeld(s.rt, s.reader, s.bb, wl, s.release)
+	s.release = end
+	return rep, err
+}
+
+// rootTask is a bare root task as a workload: nothing to prepare or
+// validate.
+type rootTask struct {
+	name string
+	fn   qthreads.Task
+}
+
+func (r rootTask) Name() string                 { return r.name }
+func (rootTask) Prepare(workloads.Params) error { return nil }
+func (r rootTask) Root() qthreads.Task          { return r.fn }
+func (rootTask) Validate() error                { return nil }
+
+// Idle lets the parked clock run with nothing scheduled: the workers stay
+// idle while the sampler, the daemon or cap controller and the history
+// keep ticking. With d > 0 it returns once d of virtual time has passed,
+// with the clock parked there again; the machine must not be stopped
+// meanwhile, and a d that would pass Machine.VirtualTimeLimit is an
+// error. With d <= 0 it returns at once and leaves the clock running,
+// as fast as the host steps it, until the next Run or Idle parks it —
+// wherever it has got to by then.
+func (s *System) Idle(d time.Duration) error {
+	if s.closed {
+		return errors.New("core: system is closed")
+	}
+	if d <= 0 {
+		s.release()
+		s.release = func() {}
+		return nil
+	}
+	if limit := s.m.Config().VirtualTimeLimit; limit > 0 && s.m.Now()+d > limit {
+		// The watchdog would stop the machine before the clock got there.
+		return fmt.Errorf("core: idling %v would pass the virtual time limit %v", d, limit)
+	}
+	// The first fire parks the clock, so the ticker cannot fire again
+	// before it is removed.
+	parked := make(chan func(), 1)
+	id, err := s.m.AddTicker(d, func(time.Duration, *machine.Snapshot) { parked <- s.m.Hold() })
+	if err != nil {
+		return err
+	}
+	s.release()
+	s.release = <-parked
+	s.m.RemoveTicker(id)
+	return nil
 }
 
 // Power returns the most recently sampled node power.

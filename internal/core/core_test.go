@@ -1,13 +1,17 @@
 package core
 
 import (
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
 	"repro/internal/qthreads"
+	"repro/internal/rcr"
+	"repro/internal/replaytest"
 	"repro/internal/workloads"
 	"repro/internal/workloads/micro"
 )
@@ -121,7 +125,12 @@ func TestPowerMeter(t *testing.T) {
 	if math.Abs(midRun-want)/want > 0.15 {
 		t.Errorf("mid-run Power() = %.1f W, want ~%.1f W", midRun, want)
 	}
-	// After the run the workers are parked and the meter reflects idle.
+	// The clock is parked at the run's completion; a few sample periods
+	// of idle clock later the workers are parked and the meter reflects
+	// it.
+	if err := sys.Idle(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	idle := float64(sys.Power())
 	if idle >= midRun {
 		t.Errorf("post-run Power() = %.1f W, want below mid-run %.1f W", idle, midRun)
@@ -271,7 +280,7 @@ func TestFaultTolerantOption(t *testing.T) {
 	if sys.Guard() == nil || sys.Supervisor() == nil {
 		t.Fatal("FaultTolerant system missing guard or supervisor")
 	}
-	if sys.Reader() != sys.Guard() {
+	if sys.reader != sys.Guard() {
 		t.Error("system does not measure through the guard")
 	}
 	rep, err := sys.Run("kernel", func(tc *qthreads.TC) {
@@ -307,5 +316,132 @@ func TestFaultTolerantOffByDefault(t *testing.T) {
 	sys := newSystem(t, Options{})
 	if sys.Guard() != nil || sys.Supervisor() != nil {
 		t.Error("zero-value options grew a guard or supervisor")
+	}
+}
+
+// TestQthreadsOptionsSurviveDefaultCosts: leaving the scheduler costs at
+// zero fills in the default costs and nothing else — a tracer, idle-spin
+// period and throttle duty level the caller set reach the runtime.
+func TestQthreadsOptionsSurviveDefaultCosts(t *testing.T) {
+	rec := qthreads.NewRecorder(0)
+	sys := newSystem(t, Options{Workers: 4, Qthreads: qthreads.Config{
+		Tracer:            rec,
+		IdleSpinPeriod:    time.Millisecond,
+		ThrottleDutyLevel: 4,
+	}})
+	if _, err := sys.Run("tasks", func(tc *qthreads.TC) {
+		tc.ParallelFor(64, 4, func(tc *qthreads.TC, lo, hi int) { tc.Compute(1e5) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counts()[qthreads.EvTaskStart] == 0 {
+		t.Error("the tracer recorded no task: Options.Qthreads.Tracer was dropped")
+	}
+	got, def := sys.Runtime().Config(), qthreads.DefaultConfig()
+	if got.IdleSpinPeriod != time.Millisecond || got.ThrottleDutyLevel != 4 {
+		t.Errorf("idle spin %v, duty level %d: want the caller's 1ms and 4", got.IdleSpinPeriod, got.ThrottleDutyLevel)
+	}
+	if got.SpawnCost != def.SpawnCost || got.DequeueCost != def.DequeueCost || got.StealCost != def.StealCost {
+		t.Errorf("costs %v/%v/%v, want the defaults", got.SpawnCost, got.DequeueCost, got.StealCost)
+	}
+}
+
+// TestClockContract: New parks the clock at zero, a run starts where the
+// clock is parked and returns it parked at the run's completion, host
+// work between runs costs no virtual time, and Idle moves the clock by
+// exactly what it is asked while the tickers keep firing.
+func TestClockContract(t *testing.T) {
+	sys := newSystem(t, Options{Warm: true, RecordHistory: true})
+	m := sys.Machine()
+	if now := m.Now(); now != 0 {
+		t.Fatalf("clock at %v after New, want parked at 0", now)
+	}
+	burn := func(tc *qthreads.TC) { tc.Compute(2.7e7) } // 10 ms on one core
+	var at time.Duration
+	for i := 0; i < 2; i++ {
+		rep, err := sys.Run("burn", burn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := m.Now(); now != at+rep.Elapsed {
+			t.Fatalf("run %d: clock at %v, want parked at its completion %v", i, now, at+rep.Elapsed)
+		}
+		if err := sys.History().WriteCSV(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		at = m.Now()
+	}
+	samples := sys.History().Len()
+	if err := sys.Idle(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if now := m.Now(); now != at+30*time.Millisecond {
+		t.Errorf("Idle(30ms) from %v parked the clock at %v", at, now)
+	}
+	if got := sys.History().Len() - samples; got != 3 {
+		t.Errorf("%d history samples over 30 ms of idle at 10 ms, want 3", got)
+	}
+	if err := sys.Idle(time.Hour); err == nil {
+		t.Error("Idle past the machine's 30 min watchdog succeeded")
+	}
+	// Idle(0) leaves the clock running; the next run parks it again.
+	if err := sys.Idle(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run("burn", burn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSystemReplay is the replay gate of the library path — core.New and
+// RunWorkload, which cmd/energymeter, cmd/rcrd and the examples use: two
+// workloads chained on one System under the MAESTRO daemon must agree to
+// the bit on both region reports and on every byte of the history CSV
+// under every replaytest.Hosts setting.
+func TestSystemReplay(t *testing.T) {
+	type replay struct {
+		reports []rcr.RegionReport
+		history string
+	}
+	run := func() (r replay, err error) {
+		sys, err := New(Options{
+			Qthreads:           qthreads.Config{SpinOnlyIdle: true},
+			AdaptiveThrottling: true,
+			RecordHistory:      true,
+			Warm:               true,
+		})
+		if err != nil {
+			return r, err
+		}
+		defer sys.Close()
+		for _, wl := range []workloads.Workload{micro.NewDijkstra(), micro.NewReduction()} {
+			if err := wl.Prepare(workloads.Params{Scale: 0.2}); err != nil {
+				return r, err
+			}
+			rep, err := sys.RunWorkload(wl)
+			if err != nil {
+				return r, err
+			}
+			r.reports = append(r.reports, rep)
+		}
+		var csv strings.Builder
+		err = sys.History().WriteCSV(&csv)
+		r.history = csv.String()
+		return r, err
+	}
+	var first replay
+	for i, h := range replaytest.Hosts {
+		restore := h.Set()
+		got, err := run()
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", h.Name, err)
+		}
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Errorf("run %q differs from the first:\n%+v\n%d history bytes\nfirst:\n%+v\n%d history bytes",
+				h.Name, got.reports, len(got.history), first.reports, len(first.history))
+		}
 	}
 }

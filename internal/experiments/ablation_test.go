@@ -222,8 +222,9 @@ func TestPolicyAblationArmFairness(t *testing.T) {
 	// the ablation's own worker count — fresh machine, fresh runtime,
 	// fresh workload each time — must agree to the last bit. This is
 	// what would break if any cell drew from a shared RNG, or if the
-	// measurement boundaries raced the engine's paced steps
-	// (Machine.Hold pins both; see RunOnRuntimeHeld).
+	// measurement boundaries moved with the host (the cell's core.System
+	// opens its region on the parked clock and parks it again at the
+	// last task's completion).
 	for _, app := range []string{compiler.AppHealth, compiler.AppDijkstra} {
 		for v := 0; v < policyAblationVariants; v++ {
 			spec := policyAblationSpec(app, v)

@@ -11,11 +11,10 @@ import (
 	"fmt"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
-	"repro/internal/rapl"
-	"repro/internal/rcr"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -171,10 +170,13 @@ func (lab *Lab) MeasureSeries(spec RunSpec, n int) ([]Measurement, SeriesSummary
 	}, nil
 }
 
-// runOnceSeeded builds the full stack — machine, RAPL reader, RCR
-// sampler, runtime, optional MAESTRO daemon or power cap — runs the
-// workload once with the given input seed, and tears everything down. A
-// non-nil tracer observes the runtime's scheduler events.
+// runOnceSeeded runs the workload once with the given input seed on a
+// fresh, warm full stack — core.New: machine, RAPL reader, RCR sampler,
+// runtime, optional MAESTRO daemon or power cap — and tears it down. The
+// stack is assembled with its clock parked and the run starts on that
+// instant, so every ticker phase the daemon sees is the same from run to
+// run and arm to arm. A non-nil tracer observes the runtime's scheduler
+// events.
 func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) (Measurement, error) {
 	if spec.Workers <= 0 {
 		return Measurement{}, fmt.Errorf("experiments: %s: Workers must be positive", spec.App)
@@ -183,12 +185,9 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 	if err != nil {
 		return Measurement{}, err
 	}
-	mcfg := lab.Machine
-	if mcfg.Sockets == 0 {
-		mcfg = machine.M620()
-	}
+	// A zero lab.Machine is the M620 to Prepare and core.New alike.
 	if err := wl.Prepare(workloads.Params{
-		MachineConfig: mcfg,
+		MachineConfig: lab.Machine,
 		Target:        spec.Target,
 		Scale:         spec.Scale,
 		Seed:          seed,
@@ -196,81 +195,23 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 		return Measurement{}, err
 	}
 
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return Measurement{}, err
-	}
-	defer m.Stop()
-	// Park the clock while the stack is assembled: without the hold the
-	// engine starts pacing virtual time as soon as the sampler's ticker
-	// registers, so the workload's start time — and with it every ticker
-	// phase the daemon sees — would vary with host scheduling from run
-	// to run and arm to arm.
-	release := m.Hold()
-	defer release()
-	m.WarmAll(workloads.WarmTemp)
-
-	reader, err := rapl.NewMSRReader(m.MSR())
-	if err != nil {
-		return Measurement{}, err
-	}
-	bb, err := rcr.NewBlackboard(mcfg.Sockets, mcfg.CoresPerSocket)
-	if err != nil {
-		return Measurement{}, err
-	}
-	sampler, err := rcr.StartSampler(m, reader, bb, 0)
-	if err != nil {
-		return Measurement{}, err
-	}
-	defer sampler.Stop()
-
 	// Each cell gets a private registry and journal so parallel cells
 	// never share instruments; the sink receives them after the run.
-	var reg *telemetry.Registry
-	var journal *telemetry.Journal
-	if lab.Telemetry != nil {
-		reg = telemetry.NewRegistry()
-		journal = telemetry.NewJournal(0, mcfg.Sockets)
-		bb.Instrument(reg)
-		sampler.Instrument(reg)
-	}
-
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = spec.Workers
-	qcfg.SpinOnlyIdle = spec.SpinOnlyIdle
-	qcfg.Telemetry = reg
-	qcfg.Tracer = tracer
-	rt, err := qthreads.New(m, qcfg)
+	sys, err := core.New(core.Options{
+		Machine:            lab.Machine,
+		Workers:            spec.Workers,
+		Qthreads:           qthreads.Config{SpinOnlyIdle: spec.SpinOnlyIdle, Tracer: tracer},
+		AdaptiveThrottling: spec.Throttle == ThrottleDynamic,
+		Maestro:            spec.Maestro,
+		PowerCap:           spec.PowerCap,
+		Warm:               true,
+		Telemetry:          lab.Telemetry != nil,
+	})
 	if err != nil {
 		return Measurement{}, err
 	}
-	defer rt.Shutdown()
-
-	var daemon *maestro.Daemon
-	if spec.Throttle == ThrottleDynamic {
-		mcfgDaemon := spec.Maestro
-		mcfgDaemon.Telemetry = reg
-		mcfgDaemon.Journal = journal
-		daemon, err = maestro.Start(rt, bb, mcfgDaemon)
-		if err != nil {
-			return Measurement{}, err
-		}
-		defer daemon.Stop()
-	}
-	var cap *maestro.PowerCap
-	if spec.PowerCap > 0 {
-		cap, err = maestro.StartPowerCap(rt, bb, spec.PowerCap, 0)
-		if err != nil {
-			return Measurement{}, err
-		}
-		defer cap.Stop()
-		cap.Instrument(reg) // no-op when reg is nil
-	}
-
-	// The hold is handed to the runner: it is released the instant the
-	// root task is enqueued, pinning the run's start to the parked clock
-	// (see RunOnRuntimeHeld / Runtime.RunHeld).
-	rep, _, err := workloads.RunOnRuntimeHeld(rt, reader, bb, wl, release)
+	defer sys.Close()
+	rep, err := sys.RunWorkload(wl)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -282,23 +223,15 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 		Joules:  float64(rep.Energy),
 		Watts:   float64(rep.AvgPower),
 	}
-	if daemon != nil {
-		meas.Daemon = daemon.Stats()
-	}
-	if cap != nil {
-		meas.Cap = cap.Stats()
-	}
+	meas.Daemon, _ = sys.Throttling()
+	meas.Cap, _ = sys.Capping()
 	if lab.Telemetry != nil {
-		var entries []telemetry.Decision
-		if journal != nil {
-			entries = journal.Entries()
-		}
 		lab.Telemetry(RunTelemetry{
 			App:     spec.App,
 			Workers: spec.Workers,
 			Seed:    seed,
-			Metrics: reg.Snapshot(),
-			Journal: entries,
+			Metrics: sys.Telemetry().Snapshot(),
+			Journal: sys.Journal().Entries(),
 		})
 	}
 	return meas, nil

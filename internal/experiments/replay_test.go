@@ -5,33 +5,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
+	"repro/internal/replaytest"
 )
-
-// replayHosts are the host settings a replay gate runs under — twice as
-// the host is, once on a single P and once with the collector running
-// twice as often. set returns the function that restores the setting.
-var replayHosts = []struct {
-	name string
-	set  func() (restore func())
-}{
-	{"default", func() func() { return func() {} }},
-	{"default again", func() func() { return func() {} }},
-	{"GOMAXPROCS=1", func() func() {
-		old := runtime.GOMAXPROCS(1)
-		return func() { runtime.GOMAXPROCS(old) }
-	}},
-	{"GOGC=50", func() func() {
-		old := debug.SetGCPercent(50)
-		return func() { debug.SetGCPercent(old) }
-	}},
-}
 
 // cellReplay is everything a cell run leaves behind that a second run of
 // the same cell must reproduce to the bit.
@@ -44,10 +24,10 @@ type cellReplay struct {
 // TestRunReplay is the replay gate: a cell is a pure function of its
 // seed. Every program with a gcc -O2 build runs at 1, 12 and 16 workers,
 // fixed with parking idlers and under the MAESTRO daemon with spinning
-// ones (only the 16-worker third under -short), once per replayHosts
-// setting, and the four runs must agree on the bits of seconds and
-// joules, the daemon's statistics and every byte of the scheduler trace. Nothing about the host's scheduling
-// or collection may reach the virtual timeline.
+// ones (only the 16-worker third under -short), once per
+// replaytest.Hosts setting, and the four runs must agree on the bits of
+// seconds and joules, the daemon's statistics and every byte of the
+// scheduler trace.
 func TestRunReplay(t *testing.T) {
 	lab := NewLab()
 	var specs []RunSpec
@@ -66,16 +46,16 @@ func TestRunReplay(t *testing.T) {
 		}
 	}
 	var first []cellReplay
-	for _, h := range replayHosts {
+	for _, h := range replaytest.Hosts {
 		got := make([]cellReplay, len(specs))
-		restore := h.set()
+		restore := h.Set()
 		err := lab.runCells(len(specs), func(i int) (err error) {
 			got[i], err = replayCell(lab, specs[i])
 			return err
 		})
 		restore()
 		if err != nil {
-			t.Fatalf("%s: %v", h.name, err)
+			t.Fatalf("%s: %v", h.Name, err)
 		}
 		if first == nil {
 			first = got
@@ -84,7 +64,7 @@ func TestRunReplay(t *testing.T) {
 		for i, spec := range specs {
 			if a, b := first[i], got[i]; a != b {
 				t.Errorf("%s/%d dynamic=%v: run %q differs from the first: %.9f s %.6f J %+v (trace equal: %v), first %.9f s %.6f J %+v",
-					spec.App, spec.Workers, spec.Throttle == ThrottleDynamic, h.name,
+					spec.App, spec.Workers, spec.Throttle == ThrottleDynamic, h.Name,
 					math.Float64frombits(b.seconds), math.Float64frombits(b.joules), b.daemon, a.trace == b.trace,
 					math.Float64frombits(a.seconds), math.Float64frombits(a.joules), a.daemon)
 			}
@@ -114,7 +94,7 @@ func replayCell(lab *Lab, spec RunSpec) (cellReplay, error) {
 // experiments are pure functions of their spec and the Lab seed. A
 // two-shard cap ablation with all three arms (naive, hierarchical, two HA
 // replicas with a leader kill) and the elasticity cycle run once per
-// replayHosts setting and must agree on every field of their results —
+// replaytest.Hosts setting and must agree on every field of their results —
 // energies and makespans to the float bit, polls, repartitions,
 // elections, hand-off, final caps. (TestClusterCapAblation replays the
 // default four-shard spec back to back.) Under -short each shard runs
@@ -131,25 +111,25 @@ func TestRunReplayFleet(t *testing.T) {
 		elastic ElasticityResult
 	}
 	var first fleetReplay
-	for i, h := range replayHosts {
+	for i, h := range replaytest.Hosts {
 		var got fleetReplay
-		restore := h.set()
+		restore := h.Set()
 		var err error
 		if got.cluster, err = lab.ClusterCapAblation(spec); err == nil {
 			got.elastic, err = lab.ElasticityAblation(ElasticitySpec{})
 		}
 		restore()
 		if err != nil {
-			t.Fatalf("%s: %v", h.name, err)
+			t.Fatalf("%s: %v", h.Name, err)
 		}
 		if got.cluster.HA == nil || got.cluster.HA.LeaderKills != 1 {
-			t.Fatalf("%s: the HA arm paid no hand-off: %+v", h.name, got.cluster.HA)
+			t.Fatalf("%s: the HA arm paid no hand-off: %+v", h.Name, got.cluster.HA)
 		}
 		if i == 0 {
 			first = got
 		} else if !reflect.DeepEqual(first, got) {
 			t.Errorf("run %q differs from the first:\n%+v\n%+v\nfirst:\n%+v\n%+v",
-				h.name, got.cluster, got.elastic, first.cluster, first.elastic)
+				h.Name, got.cluster, got.elastic, first.cluster, first.elastic)
 		}
 	}
 }

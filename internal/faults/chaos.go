@@ -133,6 +133,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 	defer m.Stop()
+	// The stack assembles on a parked clock and the run starts on it; the
+	// checks below read the state at the run's completion instant.
+	release := m.Hold()
 
 	// The step hook doubles as the injector's lock-free clock feed: it
 	// runs under the machine lock, where machine.Now would deadlock.
@@ -244,7 +247,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// outstanding references past the concurrency threshold, active
 	// enough to cross the power one.
 	work := machine.Work{Ops: 400e3, Bytes: 4e6, Overlap: 0.5}
-	runErr := rt.Run(func(tc *qthreads.TC) {
+	_, runErr := rt.RunHeld(func(tc *qthreads.TC) {
 		for tc.Machine().Now() < end {
 			tc.ParallelFor(2*mcfg.Cores(), 0, func(tc *qthreads.TC, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -252,7 +255,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				}
 			})
 		}
-	})
+	}, release)
 
 	// ---- Invariant checks ----
 

@@ -40,6 +40,7 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
+	hold := m.Hold() // parked until the churn below runs it
 	bb, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,9 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 	}
 	defer daemon.Stop()
 
-	// Concurrent churn on the runtime while the daemon flips state.
+	// Concurrent churn on the runtime while the daemon flips state. The
+	// runs are chained on the parked clock, so virtual time moves only
+	// while they execute.
 	stopChurn := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -98,13 +101,13 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 				return
 			default:
 			}
-			_ = rt.Run(func(tc *qthreads.TC) {
+			hold, _ = rt.RunHeld(func(tc *qthreads.TC) {
 				tc.ParallelFor(4, 0, func(tc *qthreads.TC, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						tc.Execute(machine.Work{Ops: 50e3, Bytes: 1e5})
+						tc.Execute(machine.Work{Ops: 5e5, Bytes: 1e6})
 					}
 				})
-			})
+			}, hold)
 		}
 	}()
 	defer func() { close(stopChurn); wg.Wait() }()

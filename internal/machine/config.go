@@ -135,13 +135,6 @@ type Config struct {
 	// VirtualTimeLimit aborts the simulation if virtual time exceeds it,
 	// catching scheduling deadlocks in tests. Zero means no limit.
 	VirtualTimeLimit time.Duration
-	// IdlePace is a host-time sleep applied per engine step while the
-	// only thing driving virtual time is a periodic ticker (every core is
-	// parked on a condition with no deadline and no work is in flight).
-	// Without it, daemons such as the RCR sampler would let virtual time
-	// race unboundedly ahead of host-side actions between runs. Zero
-	// selects the default; negative disables pacing.
-	IdlePace time.Duration
 
 	Mem     MemParams
 	Power   PowerParams
@@ -193,7 +186,6 @@ func M620() Config {
 		CoresPerSocket: 8,
 		BaseFreq:       2.7 * units.GHz,
 		MaxStep:        time.Millisecond,
-		IdlePace:       defaultIdlePace,
 		Mem: MemParams{
 			// ~2/3 of the E5-2680's theoretical 51.2 GB/s per socket,
 			// a realistic achievable stream bandwidth.

@@ -96,7 +96,7 @@ func TestConcurrentCoreCtxMisusePanics(t *testing.T) {
 }
 
 func TestRemoveTickerWhileRunning(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	fired := 0
 	var id int
 	var err error
@@ -160,43 +160,5 @@ func TestEnergyCounterWrapMidRun(t *testing.T) {
 	exact := m.TotalEnergy() - exactBefore
 	if d := float64(counted - exact); d > 0.01 || d < -0.01 {
 		t.Errorf("wrap-crossing delta: counters %v vs exact %v", counted, exact)
-	}
-}
-
-func TestIdlePaceDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.IdlePace = -1 // disable pacing entirely
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	// A ticker-only machine with pacing off must still make progress
-	// (and, with the watchdog, must not hang).
-	fired := make(chan struct{}, 1)
-	if _, err := m.AddTicker(time.Millisecond, func(time.Duration, *Snapshot) {
-		select {
-		case fired <- struct{}{}:
-		default:
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Enroll a parked core so the engine has someone to advance past.
-	ctx, err := m.Enroll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer ctx.Release()
-		ctx.Sleep(10 * time.Millisecond)
-	}()
-	<-done
-	select {
-	case <-fired:
-	default:
-		t.Error("ticker never fired with pacing disabled")
 	}
 }

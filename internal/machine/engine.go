@@ -11,13 +11,11 @@ import (
 // never is a sentinel "no deadline" duration.
 const never = time.Duration(math.MaxInt64)
 
-// defaultIdlePace is the host sleep per ticker-only engine step (see
-// Config.IdlePace).
-const defaultIdlePace = 200 * time.Microsecond
-
 // engine is the single goroutine that advances virtual time. It runs until
 // the machine is stopped. See the package comment and docs/engine.md for
-// the execution model.
+// the execution model. It never sleeps in host time: a clock that only
+// tickers drive runs as fast as the host steps it, so whoever wants it to
+// wait parks it with Hold.
 func (m *Machine) engine() {
 	defer close(m.engineDone)
 	m.mu.Lock()
@@ -51,7 +49,7 @@ func (m *Machine) engine() {
 			continue
 		}
 		m.applyFrequencyRequestsLocked()
-		dt, tickerOnly, ok := m.planStepLocked()
+		dt, ok := m.planStepLocked()
 		if !ok {
 			if m.stopped {
 				// Planning found a core that can never progress and
@@ -59,41 +57,13 @@ func (m *Machine) engine() {
 				return
 			}
 			// Only condition waits remain (no demand, no deadlines, no
-			// tickers): time cannot meaningfully advance. Sleep until a
-			// host-side Kick or a state change.
-			if m.kicked {
-				m.kicked = false
-				continue // re-poll conditions once after a kick
-			}
+			// tickers): time cannot meaningfully advance. Wait for a
+			// host-side Kick or a state change. The lock has been held
+			// since the conditions were last polled, so no Kick can have
+			// slipped in between.
 			m.engCond.Wait()
 			continue
 		}
-		if tickerOnly {
-			// Only a periodic ticker is driving time: pace the advance in
-			// host time so virtual time cannot race unboundedly ahead of
-			// host-side actions (see Config.IdlePace).
-			pace := m.cfg.IdlePace
-			if pace == 0 {
-				pace = defaultIdlePace
-			}
-			if pace > 0 {
-				m.mu.Unlock()
-				time.Sleep(pace)
-				m.mu.Lock()
-				// State may have changed during the sleep; recompute. The
-				// kick is consumed here: the re-plan it asked for is the
-				// continue itself. Leaving it set would livelock the
-				// ticker-only path (plan, sleep, see the stale kick,
-				// discard the plan, forever).
-				// A core that enrolled and blocked within the sleep leaves
-				// running at zero but the plan invalid.
-				if m.running > 0 || m.stopped || m.kicked || m.held > 0 || !m.planValid {
-					m.kicked = false
-					continue
-				}
-			}
-		}
-		m.kicked = false
 		m.advanceLocked(dt)
 		m.fireTickersLocked()
 		m.wakeReadyLocked()
@@ -152,20 +122,18 @@ func (m *Machine) resumeNextLocked() {
 // planStepLocked returns the length of the next step: the time to the
 // earliest work completion, ticker deadline or wait deadline, capped by
 // MaxStep while demand exists. It returns ok=false when nothing can
-// advance time (pure condition waits); tickerOnly=true when the step
-// exists solely to reach a ticker deadline.
+// advance time (pure condition waits).
 //
 // Only the horizons are computed here, every step, from live values
 // (remaining work, the heap fronts, the clock). The rates they divide by
 // belong to the plan, which replanLocked recomputes only when m.planValid
 // says something it depends on changed (docs/engine.md §Plan reuse).
-func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
+func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 	if !m.planValid && !m.replanLocked() {
-		return 0, false, false
+		return 0, false
 	}
 	earliest := never
 	hasDemand := m.totBusy > 0 || m.totAtomic > 0
-	hasDeadline := len(m.dlHeap) > 0
 
 	for sock := range m.socks {
 		for _, c := range m.socks[sock].busy {
@@ -179,7 +147,7 @@ func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
 				// A busy core that can make no progress is a model bug
 				// (capacity is validated positive).
 				m.abortLocked(fmt.Errorf("machine: core %d stalled with no progress possible", c.id))
-				return 0, false, false
+				return 0, false
 			}
 			if t < earliest {
 				earliest = t
@@ -203,14 +171,14 @@ func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
 			earliest = d
 		}
 	}
-	if hasDeadline {
+	if len(m.dlHeap) > 0 {
 		if d := m.dlHeap[0].deadline - m.now; d < earliest {
 			earliest = d
 		}
 	}
 
 	if earliest == never {
-		return 0, false, false
+		return 0, false
 	}
 	if hasDemand && earliest > m.cfg.MaxStep {
 		earliest = m.cfg.MaxStep
@@ -225,7 +193,7 @@ func (m *Machine) planStepLocked() (dt time.Duration, tickerOnly, ok bool) {
 	if earliest < time.Nanosecond {
 		earliest = time.Nanosecond
 	}
-	return earliest, !hasDemand && !hasDeadline, true
+	return earliest, true
 }
 
 // replanLocked recomputes the plan: everything a step needs that is a

@@ -136,7 +136,7 @@ func TestPlanReusedAcrossQuiescentSteps(t *testing.T) {
 // ticker, the ticker fires once, the skipped deadlines are counted in
 // tk.coalesced, and the next deadline is re-armed strictly in the future.
 func TestTickerCoalescesOvershoot(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	fires := 0
 	id, err := m.AddTicker(10*time.Microsecond, func(time.Duration, *Snapshot) { fires++ })
 	if err != nil {
@@ -164,7 +164,7 @@ func TestTickerCoalescesOvershoot(t *testing.T) {
 // every fire sees a strictly later virtual time and no deadline is ever
 // skipped while work is in flight.
 func TestTickerFiresAdvanceMonotonically(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	var mu sync.Mutex
 	var fires []time.Duration
 	id, err := m.AddTicker(50*time.Microsecond, func(now time.Duration, _ *Snapshot) {

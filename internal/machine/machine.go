@@ -154,7 +154,7 @@ type Machine struct {
 
 	mu sync.Mutex
 	// The engine and WhenQuiescent wait on engCond; every change of
-	// running, runQ, kicked, held or stopped broadcasts.
+	// running, runQ, held or stopped, and every Kick, broadcasts.
 	engCond *sync.Cond
 	cores   []*core
 	running int // owners executing host code: engine may not advance while > 0
@@ -169,7 +169,6 @@ type Machine struct {
 
 	tickers      map[int]*ticker
 	nextTickerID int
-	kicked       bool
 	held         int // outstanding Hold()s; >0 freezes virtual time
 
 	// stepHook, when non-nil, observes every engine step (see trace.go).
@@ -410,10 +409,9 @@ func (m *Machine) AddTicker(period time.Duration, fn TickerFunc) (int, error) {
 	tk := &ticker{period: period, next: m.now + period, fn: fn}
 	m.tickers[id] = tk
 	m.tkPushLocked(tk)
-	// Force a re-plan: the engine may be mid pace-sleep with a step length
-	// computed before this ticker existed; without the kick it would
-	// advance past the new ticker's first deadlines (see fireTickersLocked).
-	m.kicked = true
+	// An engine waiting with nothing to plan has a deadline now. One that
+	// is stepping plans its next step after this lock is released, from
+	// the heap front, so it cannot pass the new ticker's first deadline.
 	m.engCond.Broadcast()
 	return id, nil
 }
@@ -439,8 +437,9 @@ func (m *Machine) RemoveTicker(id int) {
 // experiment stack (runtime, sampler, daemon) with the clock parked at
 // a known instant, so every run starts with identical ticker phases
 // regardless of how the host scheduler interleaves construction with
-// the engine's paced ticker-only steps. Holds nest; the release
-// function is idempotent.
+// the engine, and it is the only way to keep a ticker-driven clock from
+// running ahead while the host does something else. Holds nest; the
+// release function is idempotent.
 func (m *Machine) Hold() func() {
 	m.mu.Lock()
 	m.held++
@@ -450,9 +449,6 @@ func (m *Machine) Hold() func() {
 		once.Do(func() {
 			m.mu.Lock()
 			m.held--
-			// Force a re-plan, exactly as AddTicker does: the engine may
-			// never have planned a step for state built under the hold.
-			m.kicked = true
 			m.engCond.Broadcast()
 			m.mu.Unlock()
 		})
@@ -464,7 +460,6 @@ func (m *Machine) Hold() func() {
 // some core is spinning or parked on.
 func (m *Machine) Kick() {
 	m.mu.Lock()
-	m.kicked = true
 	m.engCond.Broadcast()
 	m.mu.Unlock()
 }
@@ -486,7 +481,6 @@ func (m *Machine) WhenQuiescent(fn func()) {
 		m.engCond.Wait()
 	}
 	fn()
-	m.kicked = true
 	m.engCond.Broadcast()
 }
 

@@ -30,10 +30,35 @@ func newTestMachine(t *testing.T) *Machine {
 	return m
 }
 
+// parked holds the clocks of machines from newParkedMachine between
+// runOn calls. A clock that only tickers drive runs as fast as the host
+// steps it, so a test that reads what its tickers saw parks it.
+var parked sync.Map // *Machine → release func()
+
+// newParkedMachine is newTestMachine with the clock parked at zero: it
+// moves only inside runOn.
+func newParkedMachine(t *testing.T) *Machine {
+	t.Helper()
+	m := newTestMachine(t)
+	parked.Store(m, m.Hold())
+	return m
+}
+
 // runOn enrolls a goroutine on each listed core, runs its body, releases,
-// and waits for all to finish (with a host-time timeout).
+// and waits for all to finish (with a host-time timeout). The bodies
+// start on one instant, however the host schedules the enrolments: the
+// clock is held until every goroutine is started. On a machine from
+// newParkedMachine it then runs for exactly as long as the bodies take:
+// the last one to finish parks it again before its core goes.
 func runOn(t *testing.T, m *Machine, bodies map[int]func(*CoreCtx)) {
 	t.Helper()
+	r, held := parked.LoadAndDelete(m)
+	release, _ := r.(func())
+	if !held {
+		release = m.Hold()
+	}
+	var left atomic.Int32
+	left.Store(int32(len(bodies)))
 	var wg sync.WaitGroup
 	for id, body := range bodies {
 		ctx, err := m.Enroll(id)
@@ -53,8 +78,12 @@ func runOn(t *testing.T, m *Machine, bodies map[int]func(*CoreCtx)) {
 			}()
 			defer ctx.Release()
 			body(ctx)
+			if held && left.Add(-1) == 0 {
+				parked.Store(m, m.Hold())
+			}
 		}(ctx, body)
 	}
+	release()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -374,7 +403,7 @@ func TestIdleUntilDrawsLessThanSpin(t *testing.T) {
 }
 
 func TestTickerFires(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	var fires atomic.Int64
 	var lastNow atomic.Int64
 	id, err := m.AddTicker(10*time.Millisecond, func(now time.Duration, s *Snapshot) {
@@ -604,7 +633,7 @@ func TestTSCAdvances(t *testing.T) {
 }
 
 func TestSnapshotDuringLoad(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	var snap Snapshot
 	if _, err := m.AddTicker(10*time.Millisecond, func(now time.Duration, s *Snapshot) {
 		snap = *s

@@ -23,7 +23,6 @@ import (
 // temperature, and with it leakage, moves inside a stretch.
 func edgeConfig() machine.Config {
 	cfg := machine.M620()
-	cfg.IdlePace = -1
 	cfg.VirtualTimeLimit = time.Minute
 	cfg.Turbo = machine.DefaultTurbo()
 	cfg.Thermal.TimeConstant = 200 * time.Millisecond

@@ -6,55 +6,51 @@ import (
 	"time"
 )
 
-// TestAddTickerDuringIdlePaceSleepKicksReplan registers a fast ticker
-// while the engine is parked in an idle-pace host sleep toward a far
-// slower ticker's deadline. The AddTicker kick must make the engine
-// abandon that in-flight plan and re-plan, so the new ticker's first
-// fire lands at exactly one period of virtual time — not coalesced into
-// the old plan's distant step.
-func TestAddTickerDuringIdlePaceSleepKicksReplan(t *testing.T) {
-	cfg := testConfig()
-	// A long pace makes "during the sleep" easy to hit: the engine sits
-	// in a 100 ms host sleep before its first (1 s virtual) advance.
-	cfg.IdlePace = 100 * time.Millisecond
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-
-	var slowFires atomic.Int32
-	if _, err := m.AddTicker(time.Second, func(time.Duration, *Snapshot) {
-		slowFires.Add(1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Let the engine plan the 1 s step and enter its pace sleep, then add
-	// the fast ticker mid-sleep.
-	time.Sleep(5 * time.Millisecond)
-	fastFire := make(chan time.Duration, 1)
-	fastID, err := m.AddTicker(500*time.Microsecond, func(now time.Duration, _ *Snapshot) {
+// TestAddTickerWhileHeldFiresOnePeriodAfterRelease registers a fast
+// ticker while the clock is parked short of a far slower ticker's
+// deadline: after the release the new ticker's first fire lands exactly
+// one period after the parked instant, and the slow deadline is not
+// reached first.
+func TestAddTickerWhileHeldFiresOnePeriodAfterRelease(t *testing.T) {
+	m := newTestMachine(t)
+	// parkAfter adds a ticker whose first fire parks the clock, releases
+	// the clock and returns the fire instant and the parking hold.
+	parkAfter := func(d time.Duration, release func()) (time.Duration, func()) {
+		t.Helper()
+		type parking struct {
+			at   time.Duration
+			hold func()
+		}
+		parked := make(chan parking, 1)
+		id, err := m.AddTicker(d, func(now time.Duration, _ *Snapshot) { parked <- parking{now, m.Hold()} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
 		select {
-		case fastFire <- now:
-		default:
+		case p := <-parked:
+			m.RemoveTicker(id)
+			return p.at, p.hold
+		case <-time.After(5 * time.Second):
+			t.Fatal("ticker never fired")
+			return 0, nil
 		}
-	})
-	if err != nil {
+	}
+
+	release := m.Hold()
+	var slowFires atomic.Int32
+	if _, err := m.AddTicker(time.Second, func(time.Duration, *Snapshot) { slowFires.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	defer m.RemoveTicker(fastID)
-
-	select {
-	case now := <-fastFire:
-		if now != 500*time.Microsecond {
-			t.Errorf("first fast fire at %v, want exactly 500µs: engine did not re-plan after the kick", now)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fast ticker never fired; engine stayed on the stale plan")
+	// Park at 3 ms, short of the slow ticker's 1 s deadline.
+	heldAt, hold := parkAfter(3*time.Millisecond, release)
+	firedAt, hold := parkAfter(500*time.Microsecond, hold)
+	defer hold()
+	if want := heldAt + 500*time.Microsecond; firedAt != want {
+		t.Errorf("first fast fire at %v, want exactly %v: one period after the release", firedAt, want)
 	}
 	if n := slowFires.Load(); n != 0 {
-		t.Errorf("slow ticker fired %d times before the fast ticker; the stale 1s step was taken", n)
+		t.Errorf("slow ticker fired %d times before the fast ticker", n)
 	}
 }
 
@@ -73,7 +69,7 @@ func TestAddTickerRejectsNonPositivePeriod(t *testing.T) {
 // callback. The callback runs with the engine lock released, so this
 // must neither deadlock nor re-arm the ticker: it fires exactly once.
 func TestRemoveTickerFromOwnCallback(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	var fires atomic.Int32
 	idCh := make(chan int, 1)
 	if id, err := m.AddTicker(100*time.Microsecond, func(time.Duration, *Snapshot) {
@@ -102,7 +98,7 @@ func TestRemoveTickerFromOwnCallback(t *testing.T) {
 // A's callback while both are due at the same instant: B must not fire
 // after its removal, and the sweep must survive the heap mutation.
 func TestRemoveTickerFromOtherCallback(t *testing.T) {
-	m := newTestMachine(t)
+	m := newParkedMachine(t)
 	var bFires atomic.Int32
 	bID, err := m.AddTicker(200*time.Microsecond, func(time.Duration, *Snapshot) {
 		bFires.Add(1)

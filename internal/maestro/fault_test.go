@@ -15,9 +15,12 @@ import (
 // faultStack builds machine + blackboard + runtime with a controllable
 // meter feeder instead of a real sampler: a 2 ms ticker publishes fresh
 // High/High rows while healthy and goes silent (meters age) otherwise.
-// Churn on the runtime keeps virtual time moving fast.
-func faultStack(t *testing.T, dcfg Config) (*Daemon, func(bool)) {
+// The clock stays parked outside await, which moves it one feeder period
+// at a time until a condition holds, so a run is a pure function of the
+// test's own actions.
+func faultStack(t *testing.T, dcfg Config) (d *Daemon, setHealthy func(bool), await func(what string, cond func() bool)) {
 	t.Helper()
+	const feed = 2 * time.Millisecond
 	mcfg := machine.M620()
 	mcfg.Sockets = 1
 	mcfg.CoresPerSocket = 2
@@ -28,6 +31,7 @@ func faultStack(t *testing.T, dcfg Config) (*Daemon, func(bool)) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	release := m.Hold()
 	bb, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +46,8 @@ func faultStack(t *testing.T, dcfg Config) (*Daemon, func(bool)) {
 
 	var mu sync.Mutex
 	healthy := true
-	setHealthy := func(v bool) { mu.Lock(); healthy = v; mu.Unlock() }
-	if _, err := m.AddTicker(2*time.Millisecond, func(now time.Duration, _ *machine.Snapshot) {
+	setHealthy = func(v bool) { mu.Lock(); healthy = v; mu.Unlock() }
+	if _, err := m.AddTicker(feed, func(now time.Duration, _ *machine.Snapshot) {
 		mu.Lock()
 		ok := healthy
 		mu.Unlock()
@@ -57,47 +61,22 @@ func faultStack(t *testing.T, dcfg Config) (*Daemon, func(bool)) {
 		t.Fatal(err)
 	}
 
-	d, err := Start(rt, bb, dcfg)
-	if err != nil {
+	if d, err = Start(rt, bb, dcfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Stop)
 
-	stopChurn := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stopChurn:
+	await = func(what string, cond func() bool) {
+		t.Helper()
+		for n := 0; n < int(10*time.Second/feed); n++ {
+			if cond() {
 				return
-			default:
 			}
-			_ = rt.Run(func(tc *qthreads.TC) {
-				tc.ParallelFor(4, 0, func(tc *qthreads.TC, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						tc.Execute(machine.Work{Ops: 50e3, Bytes: 1e5})
-					}
-				})
-			})
+			release = idleFor(t, m, release, feed)
 		}
-	}()
-	t.Cleanup(func() { close(stopChurn); wg.Wait() })
-	return d, setHealthy
-}
-
-// await polls cond for up to 10 s of host time.
-func await(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+		t.Fatalf("condition never held within 10 s of virtual time: %s", what)
 	}
-	t.Fatalf("condition never held: %s", what)
+	return d, setHealthy, await
 }
 
 // TestDaemonFailsafeJournalAndCounters walks one full
@@ -108,7 +87,7 @@ func TestDaemonFailsafeJournalAndCounters(t *testing.T) {
 	leak.Check(t)
 	reg := telemetry.NewRegistry()
 	jnl := telemetry.NewJournal(4096, 1)
-	d, setHealthy := faultStack(t, Config{
+	d, setHealthy, await := faultStack(t, Config{
 		Period:           5 * time.Millisecond,
 		StalenessHorizon: 10 * time.Millisecond,
 		RecoveryPolls:    2,
@@ -116,14 +95,14 @@ func TestDaemonFailsafeJournalAndCounters(t *testing.T) {
 		Journal:          jnl,
 	})
 
-	await(t, "daemon engages on High/High", func() bool { return d.Stats().Activations > 0 })
+	await("daemon engages on High/High", func() bool { return d.Stats().Activations > 0 })
 	setHealthy(false)
-	await(t, "watchdog enters fail-safe", d.Failsafe)
+	await("watchdog enters fail-safe", d.Failsafe)
 	if v := reg.Gauge("maestro_failsafe").Value(); v != 1 {
 		t.Errorf("maestro_failsafe gauge = %v during outage, want 1", v)
 	}
 	setHealthy(true)
-	await(t, "daemon recovers", func() bool { return !d.Failsafe() })
+	await("daemon recovers", func() bool { return !d.Failsafe() })
 
 	st := d.Stats()
 	if st.FaultsSeen == 0 || st.FailsafeEntries != 1 || st.Recoveries != 1 {
@@ -178,7 +157,7 @@ func TestDaemonCadenceUnderActuationDelay(t *testing.T) {
 	jnl := telemetry.NewJournal(8192, 1)
 	var mu sync.Mutex
 	delayed := 0
-	d, _ := faultStack(t, Config{
+	d, _, await := faultStack(t, Config{
 		Period:           period,
 		StalenessHorizon: -1, // watchdog off: this test is about cadence
 		ActuationHook: func(now time.Duration, engage bool) (time.Duration, bool) {
@@ -193,10 +172,10 @@ func TestDaemonCadenceUnderActuationDelay(t *testing.T) {
 
 	// The engage actuation is deferred 2.5 periods: the polls inside the
 	// busy window must be missed (counted), not shifted.
-	await(t, "first activation", func() bool { return d.Stats().Activations > 0 })
-	await(t, "delayed actuation applies", func() bool { return d.rt.Throttled() })
-	await(t, "missed polls accumulate", func() bool { return d.Stats().MissedPolls > 0 })
-	await(t, "several more polls land", func() bool { return d.Stats().Samples > 40 })
+	await("first activation", func() bool { return d.Stats().Activations > 0 })
+	await("delayed actuation applies", func() bool { return d.rt.Throttled() })
+	await("missed polls accumulate", func() bool { return d.Stats().MissedPolls > 0 })
+	await("several more polls land", func() bool { return d.Stats().Samples > 40 })
 
 	mu.Lock()
 	nDelayed := delayed

@@ -254,20 +254,33 @@ func TestDaemonDeactivatesWhenLoadDrops(t *testing.T) {
 	if d.Stats().Activations == 0 {
 		t.Skip("throttle never engaged; nothing to deactivate")
 	}
-	// With the load gone, both metrics fall to Low; the engine advances
-	// (host-paced) through sampler and daemon ticks while everyone is
-	// parked. Give the daemon host time to observe the idle and release.
-	deadline := time.Now().Add(10 * time.Second)
-	for rt.Throttled() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	// With the load gone, both metrics fall to Low. A second of idle
+	// clock — ten polls over parked workers — must see the daemon release.
+	release := idleFor(t, m, m.Hold(), time.Second)
+	defer release()
 	if rt.Throttled() {
 		t.Error("throttle still on after load dropped")
 	}
 	if d.Stats().Deactivations == 0 {
 		t.Errorf("no deactivations recorded: %+v", d.Stats())
 	}
-	_ = m
+}
+
+// idleFor takes the clock that release holds parked, lets it run for d
+// of virtual time with nothing scheduled, and returns the release of the
+// hold that parks it there. A clock that only tickers drive runs as fast
+// as the host steps it, so tests bound idle time in virtual time rather
+// than wait for it in host time.
+func idleFor(t *testing.T, m *machine.Machine, release func(), d time.Duration) func() {
+	t.Helper()
+	parked := make(chan func(), 1)
+	id, err := m.AddTicker(d, func(time.Duration, *machine.Snapshot) { parked <- m.Hold() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	defer m.RemoveTicker(id)
+	return <-parked
 }
 
 func TestDaemonDefaultConfig(t *testing.T) {

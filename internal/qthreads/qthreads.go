@@ -197,40 +197,36 @@ var ErrAborted = errors.New("qthreads: machine aborted during run")
 // Run executes fn as the root task and blocks until it and all tasks it
 // transitively spawned have completed. Calls are serialized; each Run is
 // one "application" execution, and its completion is a parallel-phase
-// boundary for throttled workers.
+// boundary for throttled workers. Run is RunHeld on a clock the caller
+// did not park: the run starts wherever the clock stands, and the clock
+// is let go again on return.
 func (rt *Runtime) Run(fn Task) error {
-	_, err := rt.RunHeld(fn, nil)
+	end, err := rt.RunHeld(fn, func() {})
+	end()
 	return err
 }
 
 // RunHeld is Run for a machine whose clock the caller parked with
-// Machine.Hold while assembling the stack. It pins both ends of the run
-// to the virtual timeline instead of racing the engine's paced
-// ticker-only steps:
+// Machine.Hold. It pins both ends of the run to the virtual timeline:
 //
 //   - release is invoked as soon as the root task is enqueued, so the
 //     engine's next pass wakes the idle workers on the queued-work
-//     condition — before any paced step can advance time — and the run
-//     starts at exactly the held instant (the release cannot live inside
-//     the task: fetching the task already charges DequeueCost, which
-//     needs the clock running);
+//     condition and the run starts at exactly the held instant (the
+//     release cannot live inside the task: fetching the task already
+//     charges DequeueCost, which needs the clock running);
 //   - the completing worker re-parks the clock immediately after the
 //     implicit join, before the host-side wait can observe completion,
 //     so the caller reads end-of-run state at exactly the last task's
 //     completion time.
 //
-// The returned end function releases the final hold; it is nil when
-// release is nil (plain Run semantics, no holds taken) or when the run
-// aborted before the join. RunHeld always consumes release: it is called
-// exactly once even on early error returns.
+// The returned end releases the clock again. It is never nil: when the
+// runtime is already shut down it is release itself, unconsumed, and
+// when the machine aborted before the join it does nothing.
 func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
 	if rt.shutdown.Load() {
-		if release != nil {
-			release()
-		}
-		return nil, errors.New("qthreads: runtime is shut down")
+		return release, errors.New("qthreads: runtime is shut down")
 	}
 	var done atomic.Bool
 	var endHold func() // written before done.Store, read after done.Load
@@ -240,9 +236,7 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		// everything it transitively spawned has finished.
 		tc.waitAllSpawned()
 		rt.epoch.Add(1) // application completion is a phase boundary
-		if release != nil {
-			endHold = rt.m.Hold()
-		}
+		endHold = rt.m.Hold()
 		done.Store(true) // not reached if the machine aborts the task
 	}}
 	// Host-side enqueue. It lands while every worker is blocked, so which
@@ -252,13 +246,11 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		rt.shepherds[0].push(root)
 		rt.queued.Add(1)
 	})
-	if release != nil {
-		release()
-	}
+	release()
 	// Wait host-side for completion; the machine engine drives progress.
 	for !done.Load() {
 		if rt.aborted.Load() {
-			return nil, ErrAborted
+			return func() {}, ErrAborted
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,16 +12,31 @@ import (
 	"repro/internal/rapl"
 )
 
-// startSimStack builds machine + MSR RAPL reader + blackboard + sampler.
-func startSimStack(t *testing.T, period time.Duration) (*machine.Machine, *Sampler) {
+// parked keeps each test machine's clock parked between loads: a
+// machine from newParkedMachine starts parked, and load lets it run for
+// exactly as long as its load takes. Without a hold a clock that only
+// tickers drive runs ahead as fast as the host steps it.
+var parked sync.Map // *machine.Machine → release func()
+
+// newParkedMachine starts a machine with its clock parked at zero and
+// stops it when the test ends.
+func newParkedMachine(t *testing.T, cfg machine.Config) *machine.Machine {
 	t.Helper()
-	cfg := machine.M620()
-	cfg.VirtualTimeLimit = 5 * time.Minute
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	parked.Store(m, m.Hold())
+	return m
+}
+
+// startSimStack builds machine + MSR RAPL reader + blackboard + sampler.
+func startSimStack(t *testing.T, period time.Duration) (*machine.Machine, *Sampler) {
+	t.Helper()
+	cfg := machine.M620()
+	cfg.VirtualTimeLimit = 5 * time.Minute
+	m := newParkedMachine(t, cfg)
 	reader, err := rapl.NewMSRReader(m.MSR())
 	if err != nil {
 		t.Fatal(err)
@@ -37,31 +53,48 @@ func startSimStack(t *testing.T, period time.Duration) (*machine.Machine, *Sampl
 	return m, s
 }
 
-// burn runs a full-compute load of the given virtual duration on the
-// listed cores.
-func burn(t *testing.T, m *machine.Machine, cores []int, d time.Duration) {
+// load runs body on each listed core with the clock released for exactly
+// as long as the bodies take: the last one to finish parks it again
+// before its core goes, so what the test reads next is the state at the
+// load's end.
+func load(t *testing.T, m *machine.Machine, cores []int, body func(*machine.CoreCtx)) {
 	t.Helper()
-	cycles := float64(m.Config().BaseFreq) * d.Seconds()
 	var wg sync.WaitGroup
+	var left atomic.Int32
+	left.Store(int32(len(cores)))
 	for _, id := range cores {
 		ctx, err := m.Enroll(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ctx *machine.CoreCtx) {
+		go func() {
 			defer wg.Done()
 			defer ctx.Release()
-			ctx.Compute(cycles)
-		}(ctx)
+			body(ctx)
+			if left.Add(-1) == 0 {
+				parked.Store(m, m.Hold())
+			}
+		}()
+	}
+	if release, ok := parked.LoadAndDelete(m); ok {
+		release.(func())()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("burn did not finish")
+		t.Fatal("load did not finish")
 	}
+}
+
+// burn runs a full-compute load of the given virtual duration on the
+// listed cores.
+func burn(t *testing.T, m *machine.Machine, cores []int, d time.Duration) {
+	t.Helper()
+	cycles := float64(m.Config().BaseFreq) * d.Seconds()
+	load(t, m, cores, func(ctx *machine.CoreCtx) { ctx.Compute(cycles) })
 }
 
 func TestSamplerWritesEnergyAndPower(t *testing.T) {
@@ -98,20 +131,7 @@ func TestSamplerTracksTemperatureAndConcurrency(t *testing.T) {
 	m.WarmAll(66)
 	// Memory-heavy load on socket 0.
 	bytes := float64(m.Config().Mem.MaxCoreBandwidth())
-	var wg sync.WaitGroup
-	for id := 0; id < 4; id++ {
-		ctx, err := m.Enroll(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(ctx *machine.CoreCtx) {
-			defer wg.Done()
-			defer ctx.Release()
-			ctx.Stream(bytes / 2)
-		}(ctx)
-	}
-	wg.Wait()
+	load(t, m, []int{0, 1, 2, 3}, func(ctx *machine.CoreCtx) { ctx.Stream(bytes / 2) })
 
 	bb := s.Blackboard()
 	temp, ok := bb.Socket(0, MeterTemperature)
@@ -135,17 +155,7 @@ func TestSamplerTracksTemperatureAndConcurrency(t *testing.T) {
 func TestSamplerIdlePowerLow(t *testing.T) {
 	m, s := startSimStack(t, 10*time.Millisecond)
 	// Drive time with a single tiny-power parked core.
-	ctx, err := m.Enroll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer ctx.Release()
-		ctx.Sleep(100 * time.Millisecond)
-	}()
-	<-done
+	load(t, m, []int{0}, func(ctx *machine.CoreCtx) { ctx.Sleep(100 * time.Millisecond) })
 	p, ok := s.Blackboard().Socket(1, MeterPower)
 	if !ok {
 		t.Fatal("socket 1 power missing")
@@ -188,11 +198,7 @@ func TestStartSamplerValidation(t *testing.T) {
 func TestSamplerSurvivesReaderErrors(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 5 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
+	m := newParkedMachine(t, cfg)
 	fake := rapl.NewFake(2)
 	bb, err := NewBlackboard(cfg.Sockets, cfg.CoresPerSocket)
 	if err != nil {

@@ -20,11 +20,7 @@ func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 	leak.Check(t)
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 5 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	m := newParkedMachine(t, cfg)
 	reader, err := rapl.NewMSRReader(m.MSR())
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +90,7 @@ func TestSupervisorResyncsBaselineAcrossOutage(t *testing.T) {
 	leak.Check(t)
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 5 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	m := newParkedMachine(t, cfg)
 	reader, err := rapl.NewMSRReader(m.MSR())
 	if err != nil {
 		t.Fatal(err)

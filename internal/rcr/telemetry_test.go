@@ -299,11 +299,7 @@ func TestSamplerInstrumented(t *testing.T) {
 func TestSamplerPerDomainResync(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 5 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
+	m := newParkedMachine(t, cfg)
 	fake := rapl.NewFake(2)
 	bb, err := NewBlackboard(cfg.Sockets, cfg.CoresPerSocket)
 	if err != nil {

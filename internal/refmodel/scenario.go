@@ -202,7 +202,6 @@ func generateConfig(rng *rand.Rand) machine.Config {
 	cfg.Sockets = 1 + rng.Intn(2)
 	cfg.CoresPerSocket = 2 + rng.Intn(3)
 	cfg.MaxStep = time.Millisecond
-	cfg.IdlePace = -1 // never host-pace: scenarios are deadline-driven
 	cfg.VirtualTimeLimit = 10 * time.Minute
 	if rng.Intn(2) == 0 {
 		cfg.Turbo = machine.DefaultTurbo()

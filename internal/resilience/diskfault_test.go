@@ -190,14 +190,16 @@ func TestKeeperDiskFaultBackoff(t *testing.T) {
 	}
 
 	// ~40 keeper periods of virtual time while the disk is full. The
-	// virtual clock only advances while a core computes, so feed it one
-	// period at a time with a host-side pause between: the writer
-	// goroutine gets to drain each tick's kick before the next fires,
-	// instead of 40 ticks coalescing into one save attempt.
+	// virtual clock only advances while this core computes — it stays
+	// enrolled until the keeper stops — so feed it one period at a time
+	// with a host-side pause between: the writer goroutine gets to drain
+	// each tick's kick before the next fires, instead of 40 ticks
+	// coalescing into one save attempt.
 	ctx, err := m.Enroll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctx.Release()
 	for i := 0; i < 40; i++ {
 		ctx.Compute(float64(m.Config().BaseFreq) * 0.02) // 20 ms of virtual time
 		time.Sleep(2 * time.Millisecond)
@@ -240,7 +242,6 @@ func TestKeeperDiskFaultBackoff(t *testing.T) {
 		ctx.Compute(float64(m.Config().BaseFreq) * 0.02)
 		time.Sleep(2 * time.Millisecond)
 	}
-	ctx.Release()
 	if k.Saves() == 0 {
 		t.Fatal("keeper never recovered after the disk healed")
 	}

@@ -42,6 +42,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	hold := m.Hold() // parked until the churn below runs it
 	remote, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,9 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Churn keeps virtual time moving.
+	// Churn moves virtual time, and only churn: the runs are chained on
+	// the parked clock, so between two of them the tickers cannot race
+	// ahead of the host-time mirror below.
 	stopChurn := make(chan struct{})
 	var churnWG sync.WaitGroup
 	churnWG.Add(1)
@@ -80,13 +83,13 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 				return
 			default:
 			}
-			_ = rt.Run(func(tc *qthreads.TC) {
+			hold, _ = rt.RunHeld(func(tc *qthreads.TC) {
 				tc.ParallelFor(4, 0, func(tc *qthreads.TC, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						tc.Execute(machine.Work{Ops: 50e3, Bytes: 1e5})
+						tc.Execute(machine.Work{Ops: 5e5, Bytes: 1e6})
 					}
 				})
-			})
+			}, hold)
 		}
 	}()
 	t.Cleanup(func() { close(stopChurn); churnWG.Wait() })

@@ -186,13 +186,16 @@ func TestKeeperPeriodicAndFinal(t *testing.T) {
 	}
 	// Drive virtual time past several keeper periods by computing on a
 	// core; the write goroutine is host-asynchronous, so poll briefly
-	// for the first save to land.
+	// for the first save to land. The core stays enrolled in host code
+	// until the keeper stops, which keeps the clock where the compute
+	// left it: a keeper-only clock would otherwise run ahead as fast as
+	// the host steps it.
 	ctx, err := m.Enroll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctx.Release()
 	ctx.Compute(float64(m.Config().BaseFreq) * 0.3) // 300ms of virtual time
-	ctx.Release()
 	deadline := time.Now().Add(5 * time.Second)
 	for k.Saves() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

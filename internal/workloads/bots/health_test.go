@@ -59,7 +59,9 @@ func TestHealthTotalsGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer rt.Shutdown()
-				if _, err := workloads.RunOnRuntime(rt, reader, nil, h); err != nil {
+				_, end, err := workloads.RunOnRuntimeHeld(rt, reader, nil, h, m.Hold())
+				defer end()
+				if err != nil {
 					t.Fatal(err)
 				}
 				if h.got != healthGolden {
