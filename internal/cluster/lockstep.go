@@ -99,9 +99,11 @@ func NewLockstepFleet(cfg FleetConfig, period time.Duration, budget units.Watts)
 	return f, nil
 }
 
-// barrier runs on node i's engine goroutine at every multiple of the
-// period: virtual time cannot move while it is parked here. Once the
-// fleet is closing it neither reports nor parks.
+// barrier runs on node i's stepper (machine.TickerFunc) at every multiple
+// of the period: virtual time cannot move while it is parked here. It is
+// the one ticker callback that blocks, on purpose — nothing it waits for
+// needs that stepper. Once the fleet is closing it neither reports nor
+// parks.
 func (f *LockstepFleet) barrier(i int, n *lockstepNode) {
 	if f.report(arrival{node: i}) {
 		select {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,15 @@ func own(t *testing.T, m *Machine, id int, body func(*CoreCtx)) <-chan struct{} 
 		body(ctx)
 	}()
 	return done
+}
+
+// awaitBlocked returns once core id has entered a charging call.
+func awaitBlocked(m *Machine, id int) {
+	for blocked := false; !blocked; runtime.Gosched() {
+		m.mu.Lock()
+		blocked = m.cores[id].state != coreRunning
+		m.mu.Unlock()
+	}
 }
 
 // TestWokenOwnersRunOneAtATimeInIDOrder wakes all sixteen cores at one
@@ -197,5 +207,108 @@ func TestWhenQuiescentRunsBetweenOwners(t *testing.T) {
 	waitOrFatal(t, done, "core 0 woken by the outsider's change")
 	if <-ran {
 		t.Error("WhenQuiescent ran while an owner was in host code")
+	}
+}
+
+// TestWhenQuiescentWhileOwnerStepsInline has an outsider wait in
+// WhenQuiescent while the only owner is in host code, then lets that owner
+// charge work in a loop until the outsider's fn tells it to stop. Every
+// charging call blocks the last running core and steps the clock inline,
+// resuming the same owner with the lock held throughout: the outsider gets
+// in only because the stepper stops for it at quiescence. A stepper that
+// did not would run the loop until the watchdog aborted the machine.
+func TestWhenQuiescentWhileOwnerStepsInline(t *testing.T) {
+	m := newTestMachine(t)
+	var stop atomic.Bool
+	var aborted error
+	proceed := make(chan struct{})
+	done := own(t, m, 0, func(c *CoreCtx) {
+		defer func() {
+			if a, ok := recover().(Abort); ok {
+				aborted = a
+			}
+		}()
+		<-proceed
+		for !stop.Load() {
+			c.Compute(2.7e5) // 100 µs
+		}
+	})
+	returned := make(chan struct{})
+	go func() {
+		m.WhenQuiescent(func() { stop.Store(true) })
+		close(returned)
+	}()
+	for waiting := false; !waiting; runtime.Gosched() {
+		m.mu.Lock()
+		waiting = m.outsiders == 1 // before core 0 charges anything
+		m.mu.Unlock()
+	}
+	close(proceed)
+	waitOrFatal(t, returned, "WhenQuiescent while core 0 steps inline")
+	waitOrFatal(t, done, "core 0 seeing the outsider's change")
+	if aborted != nil || m.Err() != nil {
+		t.Errorf("core 0 ended by %v (machine error %v), want the outsider's flag", aborted, m.Err())
+	}
+}
+
+// TestOneStepperAtATime counts the goroutines inside a ticker callback or
+// the step hook at once; it must never exceed one. The callback enrolls a
+// core — allowed, the lock is released around it — whose owner charges
+// work and so blocks the last running core while the callback is still in
+// flight. Only the stepping claim, held across the callback, keeps that
+// owner from starting a second stepping loop beside the first. The clock
+// is driven both ways: by the engine goroutine after a Hold release, and
+// by an owner stepping inline.
+func TestOneStepperAtATime(t *testing.T) {
+	for _, drive := range []string{"engine", "inline"} {
+		t.Run(drive, func(t *testing.T) {
+			m := newTestMachine(t)
+			var inflight, peak atomic.Int32
+			enter := func() {
+				n := inflight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+			}
+			m.SetStepHook(func(StepRecord) { enter(); inflight.Add(-1) })
+			var fired atomic.Bool
+			late := make(chan struct{})
+			if _, err := m.AddTicker(100*time.Microsecond, func(time.Duration, *Snapshot) {
+				enter()
+				defer inflight.Add(-1)
+				if fired.Swap(true) {
+					return
+				}
+				ctx, err := m.Enroll(1)
+				if err != nil {
+					t.Error(err)
+					close(late)
+					return
+				}
+				go func() {
+					defer close(late)
+					defer ctx.Release()
+					ctx.Compute(2.7e5)
+				}()
+				awaitBlocked(m, 1) // still in flight when core 1 blocks
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var release func()
+			if drive == "engine" {
+				release = m.Hold()
+			}
+			done := own(t, m, 0, func(c *CoreCtx) { c.Compute(2.7e6) }) // 1 ms
+			if release != nil {
+				// Core 0's call stops at the hold; the engine goroutine
+				// steps from the release on.
+				awaitBlocked(m, 0)
+				release()
+			}
+			waitOrFatal(t, late, "the late owner finishing")
+			waitOrFatal(t, done, "core 0 finishing")
+			if !fired.Load() || peak.Load() != 1 {
+				t.Errorf("ticker fired: %v; peak of %d goroutines stepping at once, want 1", fired.Load(), peak.Load())
+			}
+		})
 	}
 }

@@ -9,10 +9,11 @@
 //
 // Time is virtual. Worker goroutines enroll on simulated cores and charge
 // work to them (Execute, Atomic, SpinUntil, IdleUntil); the charging call
-// blocks while a single engine goroutine advances virtual time in
-// variable-size steps. A step never crosses a work-item completion or a
-// ticker deadline, so piecewise-constant rate assumptions are exact. The
-// engine only advances when every enrolled core is parked in one of the
+// blocks while one stepper at a time — the owner whose call blocked the
+// last running core, or else the engine goroutine — advances virtual time
+// in variable-size steps. A step never crosses a work-item completion or a
+// ticker deadline, so piecewise-constant rate assumptions are exact. Time
+// only advances when every enrolled core is parked in one of the
 // blocking calls, and the owners an instant wakes — every completed item,
 // true condition and due deadline — are resumed one at a time in ascending
 // core id, the next only after the previous has blocked again. So the host

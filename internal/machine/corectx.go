@@ -28,9 +28,11 @@ func (x *CoreCtx) Socket() int { return x.c.socket }
 func (x *CoreCtx) Machine() *Machine { return x.m }
 
 // block performs the standard transition out of host code: setup runs
-// under the machine lock with the core still in coreRunning, then the
-// engine is released and the call waits until the engine resumes this
-// owner — woken and at the front of the run queue.
+// under the machine lock with the core still in coreRunning, then the call
+// waits until this owner is resumed — woken and at the front of the run
+// queue. The owner that lets the last running core go, with no other
+// stepper active, steps the clock itself until it resumes an owner; when
+// that owner is itself the call returns without a goroutine switch.
 func (x *CoreCtx) block(setup func(c *core)) wakeMsg {
 	m := x.m
 	m.mu.Lock()
@@ -46,7 +48,11 @@ func (x *CoreCtx) block(setup func(c *core)) wakeMsg {
 	setup(x.c)
 	m.indexBlockedLocked(x.c)
 	m.running--
-	m.engCond.Broadcast()
+	if m.running == 0 && !m.stepping && m.stepAsLocked(x.c) {
+		msg := x.c.msg // never an abort: those go down the wake channel
+		m.mu.Unlock()
+		return msg
+	}
 	m.mu.Unlock()
 	msg := <-x.c.wake
 	if msg.abort != nil {

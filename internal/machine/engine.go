@@ -11,58 +11,79 @@ import (
 // never is a sentinel "no deadline" duration.
 const never = time.Duration(math.MaxInt64)
 
-// engine is the single goroutine that advances virtual time. It runs until
-// the machine is stopped. See the package comment and docs/engine.md for
-// the execution model. It never sleeps in host time: a clock that only
+// engine steps a clock no blocking owner steps (CoreCtx.block steps
+// inline): after a Hold release, a Kick, a Release, an AddTicker or a
+// WhenQuiescent. It waits otherwise, and exits once the machine is stopped
+// and no stepper is left. It never sleeps in host time: a clock only
 // tickers drive runs as fast as the host steps it, so whoever wants it to
-// wait parks it with Hold.
+// wait parks it with Hold. docs/engine.md has the execution model.
 func (m *Machine) engine() {
 	defer close(m.engineDone)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if m.stopped {
+		if !m.stopped && m.running == 0 && !m.stepping {
+			m.stepAsLocked(nil)
+		}
+		if m.stopped && !m.stepping {
 			return
 		}
-		if m.running > 0 {
-			// Some owner is executing host code; virtual time is frozen.
-			m.engCond.Wait()
-			continue
-		}
-		// Nothing runs: pass the baton to the lowest-numbered woken owner
-		// and wait for it to block again before resuming the next.
+		m.engCond.Wait()
+	}
+}
+
+// stepAsLocked runs the stepping loop as self (nil: the engine goroutine)
+// under the stepping claim, which the caller found free, and reports
+// whether self was resumed. A loop that stopped with nobody resumed, or on
+// a stopped machine, broadcasts for WhenQuiescent, Stop and the engine.
+func (m *Machine) stepAsLocked(self *core) bool {
+	m.stepping = true
+	resumed := m.stepLocked(self)
+	m.stepping = false
+	if m.running == 0 || m.stopped {
+		m.engCond.Broadcast()
+	}
+	return resumed
+}
+
+// stepLocked is the stepping loop: while nothing runs it passes the baton
+// to the lowest-numbered woken owner, or else wakes the waiters that are
+// due, or else advances virtual time one step. It returns once it has
+// resumed an owner — true when that owner is self, whose charging call
+// then returns without touching its wake channel — or once time cannot
+// advance. The lock is dropped only inside ticker callbacks; the stepping
+// claim keeps a core enrolled meanwhile from starting a second loop.
+func (m *Machine) stepLocked(self *core) bool {
+	for !m.stopped && m.running == 0 {
 		if len(m.runQ) > 0 {
-			m.resumeNextLocked()
-			continue
+			c := m.runQ[0]
+			m.runQ = removeCore(m.runQ, c)
+			m.running++
+			if c == self {
+				return true
+			}
+			c.wake <- c.msg // the buffer of one is free: c's owner is parked on it, or about to be
+			return false
 		}
 		// Every enrolled core is blocked in a charging call. First wake
 		// any waiter whose condition is already satisfied.
 		if m.wakeReadyLocked() {
 			continue
 		}
-		if m.held > 0 {
-			// A Hold has the clock parked: zero-time activity (wakes on
-			// already-satisfied conditions, enrolment, task pickup) still
-			// proceeds above, but time never advances and tickers never
-			// fire until the hold is released.
-			m.engCond.Wait()
-			continue
+		// Quiescent. A Hold parks the clock here — zero-time activity
+		// (wakes on satisfied conditions, enrolment, task pickup) still
+		// proceeds above, but time never advances and tickers never fire
+		// until the hold is released — and an outsider waiting in
+		// WhenQuiescent gets its turn before time moves on.
+		if m.held > 0 || m.outsiders > 0 {
+			return false
 		}
 		m.applyFrequencyRequestsLocked()
 		dt, ok := m.planStepLocked()
 		if !ok {
-			if m.stopped {
-				// Planning found a core that can never progress and
-				// aborted the machine; nobody is left to signal a wait.
-				return
-			}
-			// Only condition waits remain (no demand, no deadlines, no
-			// tickers): time cannot meaningfully advance. Wait for a
-			// host-side Kick or a state change. The lock has been held
-			// since the conditions were last polled, so no Kick can have
-			// slipped in between.
-			m.engCond.Wait()
-			continue
+			// Only condition waits remain, or planning aborted the
+			// machine: wait for a Kick or a state change.
+			return false
 		}
 		m.advanceLocked(dt)
 		m.fireTickersLocked()
@@ -71,6 +92,7 @@ func (m *Machine) engine() {
 			m.abortLocked(fmt.Errorf("machine: virtual time %v exceeded watchdog limit %v", m.now, m.cfg.VirtualTimeLimit))
 		}
 	}
+	return false
 }
 
 // wakeReadyLocked wakes every waiting core whose condition is true or
@@ -98,9 +120,9 @@ func (m *Machine) wakeReadyLocked() bool {
 
 // wakeLocked ends a blocked core's charging call: the core is marked
 // running and queued, with the message its owner will resume on, behind
-// every woken core of a lower id. The engine resumes the queue one owner
-// at a time (resumeNextLocked), so however many cores an instant wakes,
-// their host code runs as one sequential program in core-id order.
+// every woken core of a lower id. The stepper resumes the queue one owner
+// at a time (stepLocked), so however many cores an instant wakes, their
+// host code runs as one sequential program in core-id order.
 func (m *Machine) wakeLocked(c *core, msg wakeMsg) {
 	m.unindexBlockedLocked(c)
 	c.state = coreRunning
@@ -108,15 +130,6 @@ func (m *Machine) wakeLocked(c *core, msg wakeMsg) {
 	c.deadline = 0
 	c.msg = msg
 	m.runQ = insertCore(m.runQ, c)
-}
-
-// resumeNextLocked hands the baton to the front of the run queue. The
-// wake channel's buffer of one is free: a queued owner is parked on it.
-func (m *Machine) resumeNextLocked() {
-	c := m.runQ[0]
-	m.runQ = removeCore(m.runQ, c)
-	m.running++
-	c.wake <- c.msg
 }
 
 // planStepLocked returns the length of the next step: the time to the
@@ -404,9 +417,9 @@ func (m *Machine) completeLocked(c *core) {
 //
 // Callbacks run with the machine lock released so they may call
 // non-blocking Machine methods — in particular RemoveTicker, including on
-// themselves. Virtual time cannot move meanwhile (the engine goroutine is
-// the one here), so the snapshot stays consistent for the duration of the
-// fire. After each callback the loop revalidates against the heap: the
+// themselves. Virtual time cannot move meanwhile (the stepper is the one
+// here, and its claim keeps any other from starting), so the snapshot
+// stays consistent for the duration of the fire. After each callback the loop revalidates against the heap: the
 // fired ticker is re-armed only if it is still registered (heapIdx >= 0),
 // and the sweep stops if the machine was stopped.
 func (m *Machine) fireTickersLocked() {

@@ -113,7 +113,7 @@ func TestEngineStepAllocs(t *testing.T) {
 func TestPlanReusedAcrossQuiescentSteps(t *testing.T) {
 	m := newTestMachine(t)
 	var steps, valid int
-	m.SetStepHook(func(StepRecord) { // engine goroutine, lock held
+	m.SetStepHook(func(StepRecord) { // the stepper, lock held
 		steps++
 		if m.planValid {
 			valid++
@@ -279,7 +279,9 @@ func BenchmarkEngineQuiescentStep(b *testing.B) {
 }
 
 // BenchmarkChargingCall measures the round-trip of a minimal charging
-// call: block, one engine step, wake.
+// call by a lone owner: it blocks, steps the clock inline once and
+// resumes itself, with no goroutine switch. BenchmarkBatonPass is the
+// other hand-off path.
 func BenchmarkChargingCall(b *testing.B) {
 	cfg := testConfig()
 	cfg.VirtualTimeLimit = 0
@@ -298,6 +300,46 @@ func BenchmarkChargingCall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fg.Compute(1)
 	}
+}
+
+// BenchmarkBatonPass measures a minimal charging call when every resume
+// crosses goroutines: two owners charge equal items, so each step
+// completes both, and each owner's call blocks to resume the other. One
+// op is one call by the foreground owner: two hand-offs and one step.
+func BenchmarkBatonPass(b *testing.B) {
+	cfg := testConfig()
+	cfg.VirtualTimeLimit = 0
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Stop()
+	fg, err := m.Enroll(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bg, err := m.Enroll(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var done atomic.Bool
+	bgDone := make(chan struct{})
+	go func() {
+		defer close(bgDone)
+		defer bg.Release()
+		for !done.Load() {
+			bg.Compute(1)
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fg.Compute(1)
+	}
+	b.StopTimer()
+	done.Store(true)
+	fg.Release()
+	<-bgDone
 }
 
 // BenchmarkMembwAllocate measures one socket's bandwidth allocation for a

@@ -119,15 +119,17 @@ type ticker struct {
 	coalesced uint64
 }
 
-// TickerFunc is called by the engine at each ticker deadline with the
-// current virtual time and a metrics snapshot. It runs on the engine
-// goroutine with the machine lock released: it must be fast and may call
-// non-blocking Machine methods (AddTicker, RemoveTicker — including on
-// itself — Snapshot, RequestFrequencyScale, reading the MSR file), but
-// must not make blocking CoreCtx charging calls and must not call Stop
-// (Stop waits for the engine goroutine, which is running the callback).
-// The snapshot is only valid for the duration of the call — the engine
-// reuses its buffer across fires; use Snapshot.Clone to retain it.
+// TickerFunc is called at each ticker deadline with the current virtual
+// time and a metrics snapshot. It runs on the stepper — the goroutine of
+// the owner that blocked last, or the engine goroutine — with the machine
+// lock released, one callback at a time and never beside an owner's host
+// code. It must be fast and may call non-blocking Machine methods
+// (AddTicker, RemoveTicker — including on itself — Snapshot,
+// RequestFrequencyScale, reading the MSR file), but must not block, make
+// CoreCtx charging calls or call Stop or WhenQuiescent (both wait for the
+// stepper, which is running the callback). The snapshot is only valid for
+// the duration of the call — the buffer is reused across fires; use
+// Snapshot.Clone to retain it.
 type TickerFunc func(now time.Duration, s *Snapshot)
 
 // SocketSnapshot is the instantaneous state of one socket.
@@ -153,15 +155,24 @@ type Machine struct {
 	msrFile *msr.File
 
 	mu sync.Mutex
-	// The engine and WhenQuiescent wait on engCond; every change of
-	// running, runQ, held or stopped, and every Kick, broadcasts.
+	// The engine goroutine, WhenQuiescent and Stop wait on engCond. It is
+	// broadcast by Kick, a Hold release, Release, AddTicker, an abort and
+	// a stepper that stops with nothing running — not by the charging
+	// calls, whose owner steps the clock itself.
 	engCond *sync.Cond
 	cores   []*core
-	running int // owners executing host code: engine may not advance while > 0
+	running int // owners executing host code: time may not advance while > 0
+	// stepping is the stepping claim: one goroutine at a time — the owner
+	// that blocked last, or the engine goroutine — runs stepLocked, and
+	// holds the claim even while a ticker callback has the lock released.
+	stepping bool
+	// outsiders counts the WhenQuiescent calls waiting for their turn; a
+	// stepper that reaches quiescence stops for them.
+	outsiders int
 	// runQ holds the cores that are coreRunning but not yet resumed —
-	// woken by the engine or yielding — in ascending id. The engine
-	// resumes its front only while running == 0, so of all the owners a
-	// wake-up made runnable exactly one executes at a time.
+	// woken by a step or yielding — in ascending id. The stepper resumes
+	// its front only while running == 0, so of all the owners a wake-up
+	// made runnable exactly one executes at a time.
 	runQ    []*core
 	now     time.Duration
 	stopped bool
@@ -218,10 +229,10 @@ type Machine struct {
 	decayDt      time.Duration
 	decay        float64
 
-	// Scratch buffers owned by the engine goroutine, reused every step so
-	// the steady-state hot path performs zero allocations (pinned by
-	// TestEngineStepAllocs): bandwidth demands, the allocator's working
-	// slices, and the snapshot buffer handed to ticker callbacks.
+	// Scratch buffers owned by the holder of the stepping claim, reused
+	// every step so the steady-state hot path performs zero allocations
+	// (pinned by TestEngineStepAllocs): bandwidth demands, the allocator's
+	// working slices, and the snapshot buffer handed to ticker callbacks.
 	demandScratch []float64
 	allocScratch  allocScratch
 	tickSnap      Snapshot
@@ -409,9 +420,10 @@ func (m *Machine) AddTicker(period time.Duration, fn TickerFunc) (int, error) {
 	tk := &ticker{period: period, next: m.now + period, fn: fn}
 	m.tickers[id] = tk
 	m.tkPushLocked(tk)
-	// An engine waiting with nothing to plan has a deadline now. One that
-	// is stepping plans its next step after this lock is released, from
-	// the heap front, so it cannot pass the new ticker's first deadline.
+	// A clock that stopped with nothing to plan has a deadline now. A
+	// stepper mid-pass plans its next step after this lock is released,
+	// from the heap front, so it cannot pass the new ticker's first
+	// deadline.
 	m.engCond.Broadcast()
 	return id, nil
 }
@@ -466,20 +478,24 @@ func (m *Machine) Kick() {
 
 // WhenQuiescent is how a goroutine that owns no core changes state the
 // owners' host code reads (a runtime's task queue, its shutdown flag): it
-// waits until no owner is running or queued — every enrolled core is
-// blocked in a charging call — runs fn, and kicks the engine to re-poll
-// wait conditions. The owners therefore see the change at a boundary
-// between engine steps, all of them at the same one, instead of wherever
-// the host scheduler put the caller relative to their host code. fn runs
-// under the machine lock: like a wait condition it must be fast and must
-// not call Machine or CoreCtx methods. On a stopped machine fn runs at
-// once. The caller must not own a core that is in host code.
+// waits until no owner is running or queued and no step is under way —
+// every enrolled core is blocked in a charging call, and a stepper that
+// was running stopped for it before advancing time — runs fn, and kicks
+// the engine to re-poll wait conditions. The owners therefore see the
+// change at a boundary between engine steps, all of them at the same one,
+// instead of wherever the host scheduler put the caller relative to their
+// host code. fn runs under the machine lock: like a wait condition it
+// must be fast and must not call Machine or CoreCtx methods. On a stopped
+// machine fn runs at once. The caller must not own a core that is in host
+// code.
 func (m *Machine) WhenQuiescent(fn func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for !m.stopped && (m.running > 0 || len(m.runQ) > 0) {
+	m.outsiders++
+	for !m.stopped && (m.running > 0 || len(m.runQ) > 0 || m.stepping) {
 		m.engCond.Wait()
 	}
+	m.outsiders--
 	fn()
 	m.engCond.Broadcast()
 }
@@ -487,7 +503,7 @@ func (m *Machine) WhenQuiescent(fn func()) {
 // Stop shuts the engine down. Cores still blocked in charging calls or
 // queued for the baton are aborted (their calls panic with Abort); cores
 // in host code are left to discover the stop at their next charging call.
-// Stop is idempotent.
+// It returns once no stepper is left. Stop is idempotent.
 func (m *Machine) Stop() {
 	m.mu.Lock()
 	if m.stopped {
@@ -520,8 +536,8 @@ func (m *Machine) abortLocked(cause error) {
 		}
 	}
 	// Owners queued for the baton are parked on their wake channels too,
-	// and the engine that would have resumed them is about to exit. Abort
-	// unwinds rather than schedules, so they are all released at once.
+	// and no stepper will resume them any more. Abort unwinds rather than
+	// schedules, so they are all released at once.
 	for _, c := range m.runQ {
 		m.running++
 		c.wake <- wakeMsg{abort: cause}

@@ -115,7 +115,8 @@ func (m MemParams) outstandingRefs(demands []float64) float64 {
 
 // allocScratch holds the per-call working slices of allocateInto so the
 // engine's per-step allocations can reuse one buffer set. Owned by the
-// engine goroutine; see docs/engine.md for the ownership rules.
+// stepper (the holder of the stepping claim); see docs/engine.md for the
+// ownership rules.
 type allocScratch struct {
 	capped    []float64
 	grants    []float64

@@ -38,9 +38,11 @@ type StepRecord struct {
 	Sockets []SocketStep
 }
 
-// StepHook observes every engine step. It runs on the engine goroutine
-// with the machine lock held: it must be fast, must not block, and must
-// not call Machine or CoreCtx methods. It owns the record it receives.
+// StepHook observes every engine step. It runs on the stepper — the
+// goroutine of the owner that blocked last, or the engine goroutine — with
+// the machine lock held, one step at a time and never beside an owner's
+// host code: it must be fast, must not block, and must not call Machine or
+// CoreCtx methods. It owns the record it receives.
 type StepHook func(StepRecord)
 
 // SetStepHook installs (or, with nil, removes) the machine's step hook.

@@ -359,7 +359,7 @@ type Daemon struct {
 	missedPolls     atomic.Uint64
 
 	// met and journal are fixed at Start. The scratch slices below are
-	// reused every poll (engine goroutine only) so classification and
+	// reused every poll (the machine's stepper only) so classification and
 	// journaling never allocate on the hot path.
 	met     *daemonMetrics
 	journal *telemetry.Journal
@@ -534,9 +534,10 @@ func (d *Daemon) Failsafe() bool { return d.failsafeA.Load() }
 // read is safe from any goroutine.
 func (d *Daemon) Horizon() time.Duration { return d.horizon }
 
-// poll runs on the machine's engine goroutine every Period. It reads the
-// blackboard (never the machine) and flips the runtime's throttle flag
-// through atomics only.
+// poll runs on the machine's stepper every Period (machine.TickerFunc):
+// one at a time, never beside an owner; it must not block, charge or
+// Stop. It reads the blackboard (never the machine) and flips the
+// runtime's throttle flag through atomics only.
 //
 // The machine re-arms tickers against absolute deadlines (next += period,
 // never now + period), so however long a poll or an injected actuation
@@ -944,8 +945,8 @@ func (d *Daemon) reconcile(now time.Duration) {
 }
 
 // firePending is the one-shot completion of a delayed actuation. It runs
-// on the engine goroutine, like poll, so no extra synchronization is
-// needed.
+// on the machine's stepper, like poll and never beside it, so no extra
+// synchronization is needed.
 func (d *Daemon) firePending(time.Duration, *machine.Snapshot) {
 	// Make the periodic ticker one-shot before anything else; removing a
 	// ticker from inside its own callback is supported.

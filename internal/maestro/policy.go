@@ -49,7 +49,8 @@ type PolicyInput struct {
 // Decider is the policy seam behind Config.Policy: the daemon consults
 // it once per healthy poll and actuates whatever point it returns
 // (clamped to hardware bounds). Implementations run on the machine's
-// engine goroutine and must not block or touch the machine directly.
+// stepper inside the poll (machine.TickerFunc) — one at a time, never
+// beside an owner — and must not block or touch the machine directly.
 //
 // The daemon keeps the safety machinery for every Decider: the
 // staleness watchdog and fail-safe latch gate the polls (a Decider

@@ -27,7 +27,7 @@ type PowerCap struct {
 	capBits  atomic.Uint64 // the bound, as math.Float64bits — SetCap retunes it live
 	tickerID int
 
-	limit       int // current per-shepherd limit (engine goroutine only)
+	limit       int // current per-shepherd limit (the machine's stepper only)
 	maxLimit    int
 	fenceHW     atomic.Uint64 // highest fence token ever accepted by SetCapFenced
 	fenceRej    atomic.Uint64
@@ -155,7 +155,8 @@ func (pc *PowerCap) Stop() {
 	pc.rt.SetThrottle(false, pc.maxLimit)
 }
 
-// poll runs on the engine goroutine each period.
+// poll runs on the machine's stepper each period (machine.TickerFunc): one
+// at a time, never beside an owner; it must not block, charge or Stop.
 func (pc *PowerCap) poll(_ time.Duration, _ *machine.Snapshot) {
 	pc.samples.Add(1)
 	met := pc.met.Load()

@@ -113,11 +113,12 @@ type Runtime struct {
 	workers   []*worker
 	wg        sync.WaitGroup
 
-	queued   atomic.Int64  // tasks currently sitting in queues
-	pending  atomic.Int64  // spawned tasks not yet completed
-	epoch    atomic.Uint64 // bumped at parallel-phase boundaries
-	shutdown atomic.Bool
-	aborted  atomic.Bool
+	queued    atomic.Int64  // tasks currently sitting in queues
+	pending   atomic.Int64  // spawned tasks not yet completed
+	epoch     atomic.Uint64 // bumped at parallel-phase boundaries
+	shutdown  atomic.Bool
+	aborted   chan struct{} // closed once, by the first worker to catch machine.Abort
+	abortOnce sync.Once
 
 	throttleOn    atomic.Bool
 	throttleLimit atomic.Int32 // active workers allowed per shepherd
@@ -146,7 +147,7 @@ func New(m *machine.Machine, cfg Config) (*Runtime, error) {
 	if cfg.ThrottleDutyLevel < 1 || cfg.ThrottleDutyLevel > 32 {
 		cfg.ThrottleDutyLevel = 1
 	}
-	rt := &Runtime{m: m, cfg: cfg}
+	rt := &Runtime{m: m, cfg: cfg, aborted: make(chan struct{})}
 	rt.throttleLimit.Store(int32(m.Config().CoresPerSocket))
 
 	nShep := m.Config().Sockets
@@ -215,21 +216,22 @@ func (rt *Runtime) Run(fn Task) error {
 //     release cannot live inside the task: fetching the task already
 //     charges DequeueCost, which needs the clock running);
 //   - the completing worker re-parks the clock immediately after the
-//     implicit join, before the host-side wait can observe completion,
-//     so the caller reads end-of-run state at exactly the last task's
-//     completion time.
+//     implicit join and wakes the caller, which returns once that
+//     worker's trailing host code has blocked too, so the caller reads
+//     end-of-run state at exactly the last task's completion time.
 //
-// The returned end releases the clock again. It is never nil: when the
-// runtime is already shut down it is release itself, unconsumed, and
-// when the machine aborted before the join it does nothing.
+// The caller waits, without polling, for the join or an abort, whichever
+// comes first. The returned end releases the clock again. It is never
+// nil: when the runtime is already shut down it is release itself,
+// unconsumed, and when the machine aborted it does nothing.
 func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
 	if rt.shutdown.Load() {
 		return release, errors.New("qthreads: runtime is shut down")
 	}
-	var done atomic.Bool
-	var endHold func() // written before done.Store, read after done.Load
+	done := make(chan struct{})
+	var endHold func() // written before done is closed
 	root := &taskItem{fn: func(tc *TC) {
 		fn(tc)
 		// Implicit join: the root does not return to the scheduler until
@@ -237,7 +239,7 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		tc.waitAllSpawned()
 		rt.epoch.Add(1) // application completion is a phase boundary
 		endHold = rt.m.Hold()
-		done.Store(true) // not reached if the machine aborts the task
+		close(done) // not reached if the machine aborts the task
 	}}
 	// Host-side enqueue. It lands while every worker is blocked, so which
 	// of them dequeues the root is the engine's id-ordered choice among
@@ -247,16 +249,12 @@ func (rt *Runtime) RunHeld(fn Task, release func()) (end func(), err error) {
 		rt.queued.Add(1)
 	})
 	release()
-	// Wait host-side for completion; the machine engine drives progress.
-	for !done.Load() {
-		if rt.aborted.Load() {
-			return func() {}, ErrAborted
-		}
-		time.Sleep(200 * time.Microsecond)
+	select {
+	case <-done:
+	case <-rt.aborted:
+		return func() {}, ErrAborted
 	}
-	if rt.aborted.Load() {
-		return endHold, ErrAborted
-	}
+	rt.m.WhenQuiescent(func() {})
 	return endHold, nil
 }
 

@@ -29,7 +29,7 @@ func (w *worker) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(machine.Abort); ok {
-				w.rt.aborted.Store(true)
+				w.rt.abortOnce.Do(func() { close(w.rt.aborted) })
 				return
 			}
 			panic(r)

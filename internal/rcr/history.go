@@ -83,9 +83,11 @@ func copyPoint(dst *HistoryPoint, src HistoryPoint) {
 	dst.Temperature = append(dst.Temperature[:0], src.Temperature...)
 }
 
-// record runs on the engine goroutine each period. It refills the next
-// ring slot in place — meter reads are seqlock loads and the slot's
-// arrays are reused — so steady-state recording allocates nothing.
+// record runs on the machine's stepper each period (machine.TickerFunc:
+// one at a time, never beside an owner; it must not block, charge or
+// Stop). It refills the next ring slot in place — meter reads are seqlock
+// loads and the slot's arrays are reused — so steady-state recording
+// allocates nothing.
 func (h *History) record(now time.Duration, _ *machine.Snapshot) {
 	nSock := h.bb.Sockets()
 	h.mu.Lock()

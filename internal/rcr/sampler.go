@@ -48,7 +48,8 @@ const (
 // (false suppresses it, modeling a torn row). Both are fault-injection
 // seams (internal/faults); the signatures are primitive so this package
 // carries no dependency on the injector. Gates run on the machine's
-// engine goroutine and must not block or call into the machine.
+// stepper inside the sample tick (machine.TickerFunc) and must not block
+// or call into the machine.
 type (
 	TickGate  func(now time.Duration) TickAction
 	MeterGate func(now time.Duration, socket int, meter string) bool
@@ -165,7 +166,7 @@ func (s *Sampler) SetFaultGates(tick TickGate, meter MeterGate) {
 // completed sample tick, so subscribers receive exactly one frame per
 // sampler window — the pub/sub cadence the paper's shared-memory pollers
 // observe. Tick never blocks (bounded queues, non-blocking enqueues), so
-// this is safe from the engine goroutine. Pass nil to detach.
+// this is safe from the machine's stepper. Pass nil to detach.
 func (s *Sampler) AttachPublisher(p *Publisher) { s.pub.Store(p) }
 
 // Alive reports whether the sampler is still ticking (false after an
@@ -184,7 +185,8 @@ func (s *Sampler) Period() time.Duration { return s.period }
 // Stop unregisters the sampler's ticker.
 func (s *Sampler) Stop() { s.m.RemoveTicker(s.tickerID) }
 
-// sample runs on the machine's engine goroutine at each period.
+// sample runs on the machine's stepper at each period (machine.TickerFunc):
+// one at a time, never beside an owner; it must not block, charge or Stop.
 func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 	met := s.met.Load()
 	gates := s.gates.Load()

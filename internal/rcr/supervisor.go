@@ -133,9 +133,10 @@ func (sup *Supervisor) Stop() {
 	sup.sampler.Stop()
 }
 
-// check runs on the engine goroutine every CheckPeriod: a sampler that
-// reports dead, or whose heartbeat has not moved for StaleAfter, is
-// replaced.
+// check runs on the machine's stepper every CheckPeriod
+// (machine.TickerFunc: one at a time, never beside an owner; it must not
+// block, charge or Stop): a sampler that reports dead, or whose heartbeat
+// has not moved for StaleAfter, is replaced.
 func (sup *Supervisor) check(now time.Duration, _ *machine.Snapshot) {
 	if sup.met != nil {
 		sup.met.checks.Inc()

@@ -183,7 +183,7 @@ func snapFire(now time.Duration, s *machine.Snapshot) TickerFire {
 }
 
 // collectFinal reads the end-of-run architectural state. Called after
-// Stop, so the engine goroutine has exited and all writes are visible.
+// Stop, which returns once no stepper is left, so all writes are visible.
 func collectFinal(m *machine.Machine, sc Scenario, res *Result) {
 	file := m.MSR()
 	for s := 0; s < sc.Cfg.Sockets; s++ {

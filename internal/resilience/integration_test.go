@@ -71,7 +71,11 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 
 	// Churn moves virtual time, and only churn: the runs are chained on
 	// the parked clock, so between two of them the tickers cannot race
-	// ahead of the host-time mirror below.
+	// ahead of the host-time mirror below. A run returns as soon as its
+	// last task completes, so the mirror paces them — one run (well under
+	// a millisecond of virtual time) per mirror poll — and the mirrored
+	// meters age only while the server is down, however fast the host.
+	paced := make(chan struct{}, 1)
 	stopChurn := make(chan struct{})
 	var churnWG sync.WaitGroup
 	churnWG.Add(1)
@@ -81,7 +85,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 			select {
 			case <-stopChurn:
 				return
-			default:
+			case <-paced:
 			}
 			hold, _ = rt.RunHeld(func(tc *qthreads.TC) {
 				tc.ParallelFor(4, 0, func(tc *qthreads.TC, lo, hi int) {
@@ -168,6 +172,10 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 			case <-stopMirror:
 				return
 			case <-tick.C:
+			}
+			select {
+			case paced <- struct{}{}:
+			default:
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			snap, err := cli.Query(ctx)
