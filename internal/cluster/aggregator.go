@@ -219,7 +219,7 @@ func (a *Aggregator) startSubLocked(sub *shardSub) {
 }
 
 // Members returns the aggregator's membership registry — the handle
-// admin operations (Join, Drain, Decommission, Replace) go through.
+// admin operations (Join, Drain, Decommission) go through.
 func (a *Aggregator) Members() *Membership { return a.core.members }
 
 // Run subscribes to every shard and re-partitions each period until ctx
@@ -272,9 +272,6 @@ func withCore[T any](a *Aggregator, read func(*controlCore) T) T {
 
 // Status snapshots the aggregator's bookkeeping.
 func (a *Aggregator) Status() AggregatorStatus { return withCore(a, (*controlCore).Status) }
-
-// Frame exports the fleet as a CLS1 roll-up frame for the next tier up.
-func (a *Aggregator) Frame() ClusterFrame { return withCore(a, (*controlCore).Frame) }
 
 // MembershipDurable reports whether the registry's current epoch is
 // acked by a quorum of the fleet's guards; admin flows should wait for

@@ -208,15 +208,21 @@ func TestAggregatorLendsAndRecovers(t *testing.T) {
 	}
 }
 
+// shardBeat reads shard i's incarnation epoch and last heartbeat off the
+// core: what a restart bumps and what an applied frame moves.
+func (a *controlCore) shardBeat(i int) (epoch uint32, beat float64) {
+	return a.shards[i].epoch, a.shards[i].lastBeat
+}
+
 // TestAggregatorDetectsRestart: a heartbeat running backwards is a new
-// shard incarnation — counted, journaled, and exported as a new epoch.
+// shard incarnation — counted, journaled, and tracked as a new epoch.
 func TestAggregatorDetectsRestart(t *testing.T) {
 	leak.Check(t)
 	h := newAggHarness(t, 1, 100)
 	h.push(0, shardSnap(50, 80, 10, h.clock.now()))
 	h.agg.Poll()
-	if f := h.agg.Frame(); f.Shards[0].Epoch != 0 || f.Shards[0].Ver != 50 {
-		t.Fatalf("initial frame %+v", f.Shards[0])
+	if epoch, beat := h.agg.shardBeat(0); epoch != 0 || beat != 50 {
+		t.Fatalf("initial shard at epoch %d beat %.0f, want epoch 0 beat 50", epoch, beat)
 	}
 
 	h.push(0, shardSnap(2, 80, 10, h.clock.now())) // fresh blackboard: beat restarted
@@ -227,23 +233,8 @@ func TestAggregatorDetectsRestart(t *testing.T) {
 	if journalHas(h.journal, telemetry.KindShardRestarted) != 1 {
 		t.Errorf("%d restart records, want 1", journalHas(h.journal, telemetry.KindShardRestarted))
 	}
-	f := h.agg.Frame()
-	if f.Shards[0].Epoch != 1 || f.Shards[0].Ver != 2 {
-		t.Errorf("post-restart frame %+v, want epoch 1 ver 2", f.Shards[0])
-	}
-
-	// The exported frame survives the wire and replay protection: an
-	// old-epoch frame captured before the restart cannot poison a
-	// receiver that already folded the new incarnation in.
-	preRestart := ClusterFrame{Budget: 100, Shards: []ShardRecord{{ID: 0, Epoch: 0, Ver: 50, Healthy: true, Power: 80, Headroom: 0.5, Cap: 90}}}
-	var decoded ClusterFrame
-	if err := DecodeClusterFrame(AppendClusterFrame(nil, &f), &decoded); err != nil {
-		t.Fatalf("exported frame does not decode: %v", err)
-	}
-	cs := NewClusterState()
-	cs.Apply(&decoded)
-	if got := cs.Apply(&preRestart); got != 0 {
-		t.Errorf("pre-restart replay applied %d records", got)
+	if epoch, beat := h.agg.shardBeat(0); epoch != 1 || beat != 2 {
+		t.Errorf("post-restart shard at epoch %d beat %.0f, want epoch 1 beat 2", epoch, beat)
 	}
 }
 
@@ -292,9 +283,12 @@ func TestAggregatorGapResyncObservable(t *testing.T) {
 		t.Fatalf("condition never held: %s", what)
 	}
 	gapCounter := reg.Counter("resilience_client_gap_resyncs_total")
+	beat := func() float64 {
+		return withCore(agg, func(c *controlCore) float64 { _, b := c.shardBeat(0); return b })
+	}
 
 	push(shardSnap(10, 80, 10, clock.now()))
-	pollUntil("pre-gap frame applied", func() bool { return agg.Frame().Shards[0].Ver == 10 })
+	pollUntil("pre-gap frame applied", func() bool { return beat() == 10 })
 
 	// Episode 1: three consecutive gapped deltas, then the server's
 	// full-frame resync. Mid-episode the aggregator must still be acting
@@ -303,11 +297,11 @@ func TestAggregatorGapResyncObservable(t *testing.T) {
 		stream.ch <- scriptEvent{err: rcr.ErrDeltaGap}
 	}
 	pollUntil("gap episode journaled", func() bool { return gapCounter.Value() == 1 })
-	if v := agg.Frame().Shards[0].Ver; v != 10 {
-		t.Errorf("mid-gap shard ver %d, want the pre-gap 10 (stale merge?)", v)
+	if b := beat(); b != 10 {
+		t.Errorf("mid-gap shard beat %.0f, want the pre-gap 10 (stale merge?)", b)
 	}
 	push(shardSnap(14, 82, 10, clock.now()))
-	pollUntil("resync frame applied", func() bool { return agg.Frame().Shards[0].Ver == 14 })
+	pollUntil("resync frame applied", func() bool { return beat() == 14 })
 	if got := journalHas(journal, telemetry.KindSubGapResync); got != 1 {
 		t.Errorf("%d sub_gap_resync records after one episode, want 1", got)
 	}
@@ -316,7 +310,7 @@ func TestAggregatorGapResyncObservable(t *testing.T) {
 	stream.ch <- scriptEvent{err: rcr.ErrDeltaGap}
 	pollUntil("second episode counted", func() bool { return gapCounter.Value() == 2 })
 	push(shardSnap(15, 82, 10, clock.now()))
-	pollUntil("second resync applied", func() bool { return agg.Frame().Shards[0].Ver == 15 })
+	pollUntil("second resync applied", func() bool { return beat() == 15 })
 	if got := journalHas(journal, telemetry.KindSubGapResync); got != 2 {
 		t.Errorf("%d sub_gap_resync records after two episodes, want 2", got)
 	}

@@ -654,26 +654,3 @@ func (a *controlCore) Status() AggregatorStatus {
 func (a *controlCore) ConvergedSince(k uint64) bool {
 	return a.allExpected && a.polls >= a.lastChange+k
 }
-
-// Frame exports the fleet as a CLS1 roll-up frame for the next tier up:
-// shard epochs come from restart detection, versions from the heartbeat
-// tick count (monotone within an epoch).
-func (a *controlCore) Frame() ClusterFrame {
-	f := ClusterFrame{
-		Now:    a.cfg.Clock(),
-		Budget: float64(a.cfg.Global),
-		Shards: make([]ShardRecord, len(a.shards)),
-	}
-	for i, st := range a.shards {
-		f.Shards[i] = ShardRecord{
-			ID:       uint16(st.id),
-			Epoch:    st.epoch,
-			Ver:      uint64(st.lastBeat),
-			Healthy:  st.healthy,
-			Power:    st.power,
-			Headroom: st.headroom,
-			Cap:      float64(a.applied[i]),
-		}
-	}
-	return f
-}

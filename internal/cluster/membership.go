@@ -114,7 +114,6 @@ type memMetrics struct {
 	joins     *telemetry.Counter
 	drains    *telemetry.Counter
 	decomms   *telemetry.Counter
-	replaces  *telemetry.Counter
 	members   *telemetry.Gauge
 	epochG    *telemetry.Gauge
 	drainingG *telemetry.Gauge
@@ -157,7 +156,6 @@ func (m *Membership) Instrument(reg *telemetry.Registry) {
 		joins:     reg.Counter("cluster_member_joins_total"),
 		drains:    reg.Counter("cluster_member_drains_total"),
 		decomms:   reg.Counter("cluster_member_decommissions_total"),
-		replaces:  reg.Counter("cluster_member_replaces_total"),
 		members:   reg.Gauge("cluster_members"),
 		epochG:    reg.Gauge("cluster_membership_epoch"),
 		drainingG: reg.Gauge("cluster_members_draining"),
@@ -333,32 +331,6 @@ func (m *Membership) Decommission(id int) error {
 	m.gaugesLocked()
 	m.record(telemetry.KindMemberDecommissioned,
 		fmt.Sprintf("member %d incarnation %d removed (epoch %d)", id, mb.Incarnation, m.epoch))
-	return nil
-}
-
-// Replace atomically decommissions a member and re-admits its ID at a
-// new endpoint with a fresh incarnation — the crashed-host replacement
-// path, one epoch bump so no intermediate record exists in which the
-// ID is absent.
-func (m *Membership) Replace(ep ShardEndpoint) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[ep.ID]
-	if !ok || mb.State == MemberLeft {
-		return fmt.Errorf("cluster: member %d is not in the fleet", ep.ID)
-	}
-	inc := mb.Incarnation + 1
-	m.members[ep.ID] = &Member{
-		ID: ep.ID, Incarnation: inc, State: MemberJoining,
-		Endpoint: ep, AdmittedAt: m.clock(),
-	}
-	m.epoch++
-	if m.met != nil {
-		m.met.replaces.Inc()
-	}
-	m.gaugesLocked()
-	m.record(telemetry.KindMemberJoined,
-		fmt.Sprintf("member %d replaced: incarnation %d at %s (epoch %d)", ep.ID, inc, ep.Addr, m.epoch))
 	return nil
 }
 

@@ -96,29 +96,6 @@ func TestMembershipLifecycle(t *testing.T) {
 	}
 }
 
-// TestMembershipReplace: one epoch bump swaps in the new incarnation —
-// no intermediate record ever lacks the ID.
-func TestMembershipReplace(t *testing.T) {
-	m, err := NewMembership(testEndpoints(2), func() time.Duration { return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Epoch()
-	if err := m.Replace(ShardEndpoint{ID: 1, Network: "unix", Addr: "/tmp/new-1.sock"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Epoch(); got != before+1 {
-		t.Fatalf("replace bumped epoch %d→%d, want exactly one bump", before, got)
-	}
-	mb, ok := m.Get(1)
-	if !ok || mb.Incarnation != 2 || mb.State != MemberJoining || mb.Endpoint.Addr != "/tmp/new-1.sock" {
-		t.Fatalf("after replace: %+v", mb)
-	}
-	if err := m.Replace(ShardEndpoint{ID: 9}); err == nil {
-		t.Fatal("replacing an absent member must error")
-	}
-}
-
 // TestMembershipRecordAdopt: Record→Adopt round-trips the registry
 // content (tombstones included, preserving incarnation high-water), the
 // adopted epoch never regresses, and an adopted Joining member's

@@ -11,9 +11,9 @@ import (
 
 // Membership wire encoding ("CLSM"): the registry's epoch-versioned
 // record as one frame, replicated from the HA leader to the shard
-// fence guards (and exported to operators) exactly like the CLS1
-// roll-up — explicit identity and versioning in-band so a receiver can
-// reject replays no matter how the frame was transported:
+// fence guards (and exported to operators), with explicit identity and
+// versioning in-band so a receiver can reject replays no matter how the
+// frame was transported:
 //
 //	header:
 //	  magic   [4]byte "CLSM"
@@ -34,9 +34,9 @@ import (
 
 var memMagic = [4]byte{'C', 'L', 'S', 'M'}
 
-// maxMembers bounds the decoded member count; matches the roll-up
-// frame's fleet bound.
-const maxMembers = maxRollupShards
+// maxMembers bounds the decoded member count; 4096 nodes is an order of
+// magnitude beyond the fleet sizes this tier simulates.
+const maxMembers = 4096
 
 // maxMemberAddr bounds an endpoint address — longer than any sane
 // socket path or host:port, short enough that a crafted frame cannot

@@ -15,7 +15,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workloads"
@@ -128,46 +127,6 @@ func (lab *Lab) Measure(spec RunSpec) (Measurement, error) {
 		}
 	}
 	return best, nil
-}
-
-// SeriesSummary summarizes a repeated measurement.
-type SeriesSummary struct {
-	Seconds stats.Summary
-	Joules  stats.Summary
-	Watts   stats.Summary
-}
-
-// MeasureSeries runs a spec n times with per-run seed jitter and returns
-// every measurement plus distribution summaries — the full repeat-run
-// protocol behind the paper's best-of-10 numbers.
-func (lab *Lab) MeasureSeries(spec RunSpec, n int) ([]Measurement, SeriesSummary, error) {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]Measurement, n)
-	if err := lab.runCells(n, func(r int) error {
-		m, err := lab.runOnceSeeded(spec, lab.Seed+int64(r), nil)
-		if err != nil {
-			return err
-		}
-		out[r] = m
-		return nil
-	}); err != nil {
-		return nil, SeriesSummary{}, err
-	}
-	secs := make([]float64, 0, n)
-	joules := make([]float64, 0, n)
-	watts := make([]float64, 0, n)
-	for _, m := range out {
-		secs = append(secs, m.Seconds)
-		joules = append(joules, m.Joules)
-		watts = append(watts, m.Watts)
-	}
-	return out, SeriesSummary{
-		Seconds: stats.Summarize(secs),
-		Joules:  stats.Summarize(joules),
-		Watts:   stats.Summarize(watts),
-	}, nil
 }
 
 // runOnceSeeded runs the workload once with the given input seed on a

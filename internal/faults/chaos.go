@@ -38,13 +38,12 @@ type ChaosConfig struct {
 	// WallBudget aborts a wedged run after this much host time — the
 	// no-deadlock invariant is checked against it. Zero selects 30 s.
 	WallBudget time.Duration
-	// Policy selects the daemon policy by registry name
-	// (maestro.RegisteredPolicies); empty keeps the daemon default
-	// (dual-condition). Every registered policy — adaptive included —
-	// is held to the same invariants: the staleness watchdog gates its
+	// Policy selects the daemon policy; the zero value is the daemon
+	// default (dual-condition). Every policy — adaptive included — is
+	// held to the same invariants: the staleness watchdog gates its
 	// inputs, so zero stale-horizon decisions must hold regardless of
 	// what the policy's internal model does.
-	Policy string
+	Policy maestro.Policy
 	// Telemetry, when non-nil, receives the whole stack's instruments;
 	// nil creates a private registry (the report reads it either way).
 	Telemetry *telemetry.Registry
@@ -53,8 +52,8 @@ type ChaosConfig struct {
 // ChaosReport is the outcome of one chaos run.
 type ChaosReport struct {
 	Seed           uint64
-	Policy         string // daemon policy the run exercised
-	Sockets, Cores int    // cores per socket
+	Policy         maestro.Policy // daemon policy the run exercised
+	Sockets, Cores int            // cores per socket
 	Events         int
 	ClearTime      time.Duration
 
@@ -218,14 +217,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		},
 		StalenessHorizon: 2 * pollPeriod,
 		RecoveryPolls:    2,
+		Policy:           cfg.Policy,
 		ActuationHook:    inj.Actuation(),
 		Telemetry:        reg,
 		Journal:          journal,
-	}
-	if cfg.Policy != "" {
-		if dcfg, err = maestro.ConfigForPolicy(cfg.Policy, dcfg); err != nil {
-			return nil, err
-		}
 	}
 	daemon, err := maestro.Start(rt, bb, dcfg)
 	if err != nil {

@@ -262,8 +262,7 @@ type Config struct {
 	// classifier. The staleness watchdog, fail-safe latch and
 	// actuation reconciliation stay daemon-owned: no Decider can act
 	// on stale data or keep the machine throttled through an outage.
-	// Most callers set Policy instead; this seam exists for registered
-	// third-party policies (see RegisterPolicy).
+	// Most callers set Policy instead.
 	Decider DeciderFactory
 	// FrequencyGear is the DVFS scale applied while ScaleFrequency is
 	// engaged; zero selects 0.6.

@@ -1,9 +1,6 @@
 package maestro
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -61,7 +58,7 @@ type PolicyInput struct {
 // A Decider may additionally implement interface{ Phase() int } to
 // expose its current phase id in the decision journal.
 type Decider interface {
-	// Name identifies the policy in logs and registries.
+	// Name identifies the policy in logs.
 	Name() string
 	// Decide maps one poll's readings to the desired operating point.
 	Decide(in PolicyInput) OperatingPoint
@@ -93,70 +90,3 @@ type PolicyEnv struct {
 
 // DeciderFactory builds a Decider for a daemon at Start time.
 type DeciderFactory func(env PolicyEnv) (Decider, error)
-
-// The policy registry maps names to Config transforms so harnesses
-// (chaos corpus, experiments) can enumerate and run every known
-// policy — including third-party ones — without importing them. A
-// transform rewrites a base daemon Config to select its policy,
-// typically by setting Policy or Decider.
-var (
-	policyMu  sync.RWMutex
-	policyReg = map[string]func(Config) Config{}
-)
-
-// RegisterPolicy adds a named policy to the registry. Registering a
-// name twice (or an empty name or nil transform) panics: the registry
-// is assembled from package init functions, where a collision is a
-// programming error worth failing loudly on.
-func RegisterPolicy(name string, apply func(Config) Config) {
-	if name == "" || apply == nil {
-		panic("maestro: RegisterPolicy needs a name and a transform")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyReg[name]; dup {
-		panic(fmt.Sprintf("maestro: policy %q registered twice", name))
-	}
-	policyReg[name] = apply
-}
-
-// ConfigForPolicy rewrites base to select the named registered policy.
-func ConfigForPolicy(name string, base Config) (Config, error) {
-	policyMu.RLock()
-	apply, ok := policyReg[name]
-	policyMu.RUnlock()
-	if !ok {
-		return Config{}, fmt.Errorf("maestro: unknown policy %q", name)
-	}
-	return apply(base), nil
-}
-
-// RegisteredPolicies returns the sorted names of every registered
-// policy. Harnesses iterate this to subject third-party policies to
-// the same invariants as the built-ins (chaos corpus, zero
-// stale-horizon decisions).
-func RegisteredPolicies() []string {
-	policyMu.RLock()
-	names := make([]string, 0, len(policyReg))
-	for name := range policyReg {
-		names = append(names, name)
-	}
-	policyMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterPolicy(DualCondition.String(), func(c Config) Config {
-		c.Policy, c.Decider = DualCondition, nil
-		return c
-	})
-	RegisterPolicy(PowerOnly.String(), func(c Config) Config {
-		c.Policy, c.Decider = PowerOnly, nil
-		return c
-	})
-	RegisterPolicy(Adaptive.String(), func(c Config) Config {
-		c.Policy, c.Decider = Adaptive, nil
-		return c
-	})
-}

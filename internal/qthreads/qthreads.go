@@ -295,16 +295,6 @@ func (rt *Runtime) Stats() []WorkerStats {
 	return out
 }
 
-// ActiveWorkers returns the number of workers currently executing tasks
-// in each shepherd.
-func (rt *Runtime) ActiveWorkers() []int {
-	out := make([]int, len(rt.shepherds))
-	for i, sh := range rt.shepherds {
-		out[i] = int(sh.active.Load())
-	}
-	return out
-}
-
 // Shutdown stops all workers and releases their cores. It must be called
 // before machine.Stop for a clean teardown; calling it twice is safe. The
 // flag lands at an instant every worker is blocked (a worker in the middle

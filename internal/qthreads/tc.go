@@ -30,9 +30,6 @@ func (tc *TC) Machine() *machine.Machine { return tc.w.rt.m }
 // WorkerID returns the executing worker's id (== its core id).
 func (tc *TC) WorkerID() int { return tc.w.id }
 
-// ShepherdID returns the executing worker's shepherd (socket).
-func (tc *TC) ShepherdID() int { return tc.w.shepherd.id }
-
 // Compute charges pure compute cycles to the executing core.
 func (tc *TC) Compute(ops float64) { tc.w.ctx.Compute(ops) }
 

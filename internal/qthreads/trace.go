@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -147,69 +146,4 @@ func (w *worker) trace(kind EventKind) {
 		return
 	}
 	tr.Observe(Event{Time: w.rt.m.Now(), Worker: w.id, Kind: kind})
-}
-
-// Utilization summarizes a recorded trace per worker: the fraction of
-// traced time each worker spent inside tasks, plus steal and throttle
-// counts — the per-thread view behind the paper's active-worker
-// accounting.
-type Utilization struct {
-	Worker        int
-	BusyFraction  float64
-	Tasks         int
-	Steals        int
-	ThrottleStops int
-}
-
-// Utilizations derives per-worker summaries from the recorder's current
-// contents. Busy time is measured between matched task-start/task-end
-// pairs; a truncated ring (missing starts) undercounts conservatively.
-func (r *Recorder) Utilizations() []Utilization {
-	events := r.Events()
-	if len(events) == 0 {
-		return nil
-	}
-	span := events[len(events)-1].Time - events[0].Time
-	type state struct {
-		busy    time.Duration
-		started time.Duration
-		inTask  bool
-		util    Utilization
-	}
-	byWorker := map[int]*state{}
-	get := func(w int) *state {
-		s, ok := byWorker[w]
-		if !ok {
-			s = &state{util: Utilization{Worker: w}}
-			byWorker[w] = s
-		}
-		return s
-	}
-	for _, e := range events {
-		s := get(e.Worker)
-		switch e.Kind {
-		case EvTaskStart:
-			s.inTask = true
-			s.started = e.Time
-			s.util.Tasks++
-		case EvTaskEnd:
-			if s.inTask {
-				s.busy += e.Time - s.started
-				s.inTask = false
-			}
-		case EvSteal:
-			s.util.Steals++
-		case EvThrottleEnter:
-			s.util.ThrottleStops++
-		}
-	}
-	out := make([]Utilization, 0, len(byWorker))
-	for _, s := range byWorker {
-		if span > 0 {
-			s.util.BusyFraction = s.busy.Seconds() / span.Seconds()
-		}
-		out = append(out, s.util)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
-	return out
 }

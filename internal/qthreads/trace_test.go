@@ -175,50 +175,3 @@ func TestTracingOffByDefault(t *testing.T) {
 		t.Errorf("ran %d tasks", n.Load())
 	}
 }
-
-func TestUtilizations(t *testing.T) {
-	rec := NewRecorder(0)
-	_, rt := newTracedStack(t, rec, 8, false)
-	err := rt.Run(func(tc *TC) {
-		g := tc.NewGroup()
-		for i := 0; i < 80; i++ {
-			g.Spawn(tc, func(tc *TC) { tc.Compute(2e6) })
-		}
-		g.Wait(tc)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	utils := rec.Utilizations()
-	if len(utils) == 0 {
-		t.Fatal("no utilization rows")
-	}
-	totalTasks := 0
-	for _, u := range utils {
-		totalTasks += u.Tasks
-		if u.BusyFraction < 0 || u.BusyFraction > 1.01 {
-			t.Errorf("worker %d busy fraction %g out of range", u.Worker, u.BusyFraction)
-		}
-	}
-	if totalTasks != 81 { // 80 + root
-		t.Errorf("utilization counted %d tasks, want 81", totalTasks)
-	}
-	// Uniform load over 8 workers: everyone should be mostly busy.
-	for _, u := range utils {
-		if u.Tasks > 5 && u.BusyFraction < 0.3 {
-			t.Errorf("worker %d ran %d tasks at only %.0f%% busy", u.Worker, u.Tasks, u.BusyFraction*100)
-		}
-	}
-	// Workers must be sorted by id.
-	for i := 1; i < len(utils); i++ {
-		if utils[i].Worker <= utils[i-1].Worker {
-			t.Fatal("utilizations not sorted by worker")
-		}
-	}
-}
-
-func TestUtilizationsEmpty(t *testing.T) {
-	if got := NewRecorder(4).Utilizations(); got != nil {
-		t.Errorf("empty recorder utilizations = %v", got)
-	}
-}

@@ -39,11 +39,11 @@ type SubscribeFunc func(ctx context.Context, network, addr string) (SubStream, e
 
 // ClientConfig tunes a Client.
 type ClientConfig struct {
-	// Network and Addrs locate the daemon: Addrs is the initial ordered
-	// replica list, primary first; a query that fails on one address
-	// fails over to the next within the same attempt. At least one
-	// address is required. Network zero selects "unix". SetReplicas
-	// swaps the list at runtime as the fleet's membership changes.
+	// Network and Addrs locate the daemon: Addrs is the ordered replica
+	// list, primary first; a query that fails on one address fails over
+	// to the next within the same attempt. At least one address is
+	// required; the client keeps its own copy. Network zero selects
+	// "unix".
 	Network string
 	Addrs   []string
 	// Attempts is how many full sweeps of the replica list one Query
@@ -100,13 +100,6 @@ type Client struct {
 	breaker *Breaker
 	met     *clientMetrics
 
-	// addrMu guards addrs, the live replica list. It starts as
-	// cfg.Addrs and is swapped atomically by SetReplicas when the
-	// fleet's membership changes; the stored slice is never mutated in
-	// place, so readers may hold a snapshot of it without the lock.
-	addrMu sync.RWMutex
-	addrs  []string
-
 	cacheMu   sync.Mutex
 	cache     rcr.Snapshot
 	cacheAt   time.Duration
@@ -156,7 +149,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, breaker: br, addrs: append([]string(nil), cfg.Addrs...)}
+	cfg.Addrs = append([]string(nil), cfg.Addrs...)
+	c := &Client{cfg: cfg, breaker: br}
 	if reg := cfg.Telemetry; reg != nil {
 		c.met = &clientMetrics{
 			queries:    reg.Counter("resilience_client_queries_total"),
@@ -175,40 +169,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Breaker exposes the client's circuit breaker for inspection.
 func (c *Client) Breaker() *Breaker { return c.breaker }
-
-// SetReplicas atomically replaces the replica list, primary first. The
-// fleet's membership is a runtime variable — replicas join, drain and
-// decommission — and a client frozen on its construction-time list
-// would keep hammering departed daemons and never fail over to a
-// just-added one. At least one address is required; the list is copied
-// so the caller may reuse its slice. In-flight Query sweeps finish
-// against the list they started with; the next sweep, and Subscribe's
-// next (re)connect attempt, use the new list.
-func (c *Client) SetReplicas(addrs []string) error {
-	if len(addrs) == 0 {
-		return errors.New("resilience: client requires at least one address")
-	}
-	fresh := append([]string(nil), addrs...)
-	c.addrMu.Lock()
-	c.addrs = fresh
-	c.addrMu.Unlock()
-	return nil
-}
-
-// Replicas returns the current replica list (a copy).
-func (c *Client) Replicas() []string {
-	c.addrMu.RLock()
-	defer c.addrMu.RUnlock()
-	return append([]string(nil), c.addrs...)
-}
-
-// replicas returns the live list for iteration; the slice is
-// immutable by contract, so no copy is needed.
-func (c *Client) replicas() []string {
-	c.addrMu.RLock()
-	defer c.addrMu.RUnlock()
-	return c.addrs
-}
 
 // Query fetches a snapshot. Live success refreshes the cache and the
 // breaker; total failure (or an open breaker) is bridged by the cache
@@ -234,7 +194,7 @@ sweeps:
 			}
 			c.cfg.Sleep(c.cfg.Backoff.Delay(sweep - 1))
 		}
-		for i, addr := range c.replicas() {
+		for i, addr := range c.cfg.Addrs {
 			if ctx.Err() != nil {
 				lastErr = ctx.Err()
 				break sweeps
@@ -314,8 +274,7 @@ func (c *Client) Subscribe(ctx context.Context) error {
 		if streak > 0 {
 			c.cfg.Sleep(c.cfg.Backoff.Delay(streak - 1))
 		}
-		addrs := c.replicas()
-		addr := addrs[streak%len(addrs)]
+		addr := c.cfg.Addrs[streak%len(c.cfg.Addrs)]
 		stream, err := c.cfg.Subscribe(ctx, c.cfg.Network, addr)
 		if err != nil {
 			c.subLost(&down, fmt.Sprintf("subscribe %s: %v", addr, err))
