@@ -7,7 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/wire"
@@ -311,7 +311,7 @@ func DecodeFullFrame(data []byte, f *FullFrame) error {
 	f.PerSock = r.U16()
 	f.Names = f.Names[:0]
 	for n := r.Count16(maxMeters); n > 0 && r.Err() == nil; n-- {
-		f.Names = append(f.Names, string(r.Bytes(int(r.U16()))))
+		f.Names = append(f.Names, meterName(r.Bytes(int(r.U16()))))
 	}
 	f.NSlots, f.Bitmap, f.Vals, f.Upds = readSlotBody(r, f.Bitmap, f.Vals, f.Upds)
 	// The slot count must match the declared topology and name table:
@@ -335,6 +335,7 @@ type SubState struct {
 	Names   []string
 
 	nScopes int
+	sorted  []int // Names' indices in name order, fixed at ApplyFull
 	present []bool
 	vals    []float64
 	upds    []int64
@@ -356,6 +357,11 @@ func (st *SubState) ApplyFull(f *FullFrame) error {
 	st.Sockets = int(f.Sockets)
 	st.PerSock = int(f.PerSock)
 	st.Names = append(st.Names[:0], f.Names...)
+	st.sorted = st.sorted[:0]
+	for i := range st.Names {
+		st.sorted = append(st.sorted, i)
+	}
+	slices.SortFunc(st.sorted, func(a, b int) int { return strings.Compare(st.Names[a], st.Names[b]) })
 	st.nScopes = nScopes
 	n := int(f.NSlots)
 	if cap(st.present) < n {
@@ -431,38 +437,44 @@ func (st *SubState) ApplyDelta(f *DeltaFrame) error {
 }
 
 // Snapshot converts the state to the legacy deep-copy form, meters
-// name-sorted exactly as Blackboard.Snapshot produces them.
+// name-sorted exactly as Blackboard.Snapshot produces them. Like
+// DecodeSnapshot it takes every meter list from one backing array and
+// every core list from another.
 func (st *SubState) Snapshot() Snapshot {
 	s := Snapshot{Now: st.Now, System: []MeterValue{}}
 	if !st.ready {
 		return s
 	}
-	sorted := make([]int, len(st.Names))
-	for i := range sorted {
-		sorted[i] = i
+	n := 0
+	for _, p := range st.present {
+		if p {
+			n++
+		}
 	}
-	sort.Slice(sorted, func(a, b int) bool { return st.Names[sorted[a]] < st.Names[sorted[b]] })
-	scope := func(dst []MeterValue, sc int) []MeterValue {
-		for _, id := range sorted {
+	arena := make([]MeterValue, 0, n)
+	scope := func(sc int) []MeterValue {
+		start := len(arena)
+		for _, id := range st.sorted {
 			idx := id*st.nScopes + sc
 			if idx < len(st.present) && st.present[idx] {
-				dst = append(dst, MeterValue{
+				arena = append(arena, MeterValue{
 					Name:    st.Names[id],
 					Value:   st.vals[idx],
 					Updated: time.Duration(st.upds[idx]),
 				})
 			}
 		}
-		return dst
+		return arena[start:len(arena):len(arena)]
 	}
-	s.System = scope(s.System, 0)
+	s.System = scope(0)
 	s.Sockets = make([]DomainSnap, st.Sockets)
+	cores := make([][]MeterValue, st.Sockets*st.PerSock)
 	for i := range s.Sockets {
 		ds := &s.Sockets[i]
-		ds.Meters = scope([]MeterValue{}, 1+i)
-		ds.Cores = make([][]MeterValue, st.PerSock)
+		ds.Meters = scope(1 + i)
+		ds.Cores = cores[i*st.PerSock : (i+1)*st.PerSock : (i+1)*st.PerSock]
 		for c := range ds.Cores {
-			ds.Cores[c] = scope([]MeterValue{}, 1+st.Sockets+i*st.PerSock+c)
+			ds.Cores[c] = scope(1 + st.Sockets + i*st.PerSock + c)
 		}
 	}
 	return s

@@ -87,18 +87,26 @@ func EncodeSnapshot(s Snapshot) []byte {
 	return AppendSnapshot(make([]byte, 0, snapshotSize(s)), s)
 }
 
+// minMeterBytes is the smallest encoded meter: an empty name, a value
+// and a stamp. A payload of n bytes holds at most n/minMeterBytes meters.
+const minMeterBytes = 2 + 8 + 8
+
 // DecodeSnapshot parses a snapshot previously produced by EncodeSnapshot.
+// Every meter list is a window of one backing array sized from the
+// payload, capped so that appending to one list cannot overwrite the
+// next.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	r := wire.NewReader("rcr: snapshot", data)
 	r.Magic(snapshotMagic)
+	arena := make([]MeterValue, 0, len(data)/minMeterBytes)
 	s := Snapshot{Now: time.Duration(r.I64())}
-	s.System = readMeters(r)
+	s.System, arena = readMeters(r, arena)
 	s.Sockets = make([]DomainSnap, r.Count16(maxMeters))
 	for i := range s.Sockets {
-		s.Sockets[i].Meters = readMeters(r)
+		s.Sockets[i].Meters, arena = readMeters(r, arena)
 		s.Sockets[i].Cores = make([][]MeterValue, r.Count16(maxMeters))
 		for c := range s.Sockets[i].Cores {
-			s.Sockets[i].Cores[c] = readMeters(r)
+			s.Sockets[i].Cores[c], arena = readMeters(r, arena)
 		}
 	}
 	return wire.Done(r, s)
@@ -115,12 +123,29 @@ func appendMeters(dst []byte, ms []MeterValue) []byte {
 	return dst
 }
 
-func readMeters(r *wire.Reader) []MeterValue {
-	ms := make([]MeterValue, r.Count16(maxMeters))
-	for i := range ms {
-		ms[i].Name = string(r.Bytes(int(r.U16())))
-		ms[i].Value = r.F64()
-		ms[i].Updated = time.Duration(r.I64())
+// readMeters appends one meter list to arena and returns it, never nil,
+// with the grown arena.
+func readMeters(r *wire.Reader, arena []MeterValue) ([]MeterValue, []MeterValue) {
+	start := len(arena)
+	for n := r.Count16(maxMeters); n > 0 && r.Err() == nil; n-- {
+		name := meterName(r.Bytes(int(r.U16())))
+		arena = append(arena, MeterValue{Name: name, Value: r.F64(), Updated: time.Duration(r.I64())})
 	}
-	return ms
+	return arena[start:len(arena):len(arena)], arena
+}
+
+// standardMeters are the names the sampler and the fence guard write.
+var standardMeters = [...]string{MeterEnergy, MeterPower, MeterMemBandwidth, MeterMemConcurrency,
+	MeterTemperature, MeterDutyCycle, MeterHeartbeat, MeterFence, MeterLeaseHolder,
+	MeterLeaseExpiry, MeterFencedCap, MeterMemberEpoch}
+
+// meterName returns the package's constant for a standard meter name
+// and a copy of anything else, so decoding allocates no string for them.
+func meterName(b []byte) string {
+	for _, name := range standardMeters {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
 }

@@ -1,6 +1,7 @@
 package rcr
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -54,6 +55,14 @@ import (
 // bounds and when its context fired; otherwise it parks the connection
 // in a small idle set for the next exchange to that endpoint. A client
 // that closes after its one answer is not an error.
+//
+// Framing. The server reads requests through a per-connection buffered
+// reader, so a request written in one write costs it one read whatever
+// its fields. The client reads a response in one read when it fits the
+// connection's buffer (ipcReadBuf). Bytes past a response are a
+// protocol error and the connection is closed: by the client after any
+// response, by the server after SUB, whose connection the publisher
+// takes bare.
 //
 // Never resend. A fenced write replayed with the same (fence, seq) is
 // refused as a stale seq, so the client must not write a request twice.
@@ -247,7 +256,7 @@ func (s *Server) Serve() error {
 	for i := 0; i < maxConns; i++ {
 		go func() {
 			defer workers.Done()
-			// Per-worker scratch: the snapshot copy, request bodies and
+			// Per-worker scratch: the snapshot copy, the request reader and
 			// responses reuse the same backing arrays request after request,
 			// so the server side of the hot paths allocates nothing once warm.
 			var scr encodeScratch
@@ -492,11 +501,13 @@ func (s *Server) Close() error {
 	return err
 }
 
-// encodeScratch is a handler worker's reusable snapshot and buffers: buf
-// holds the response being built (header included, so it goes out in
-// one write), body a CAP/MEM request's payload.
+// encodeScratch is a handler worker's reusable snapshot and buffers: in
+// reads the connection's requests, buf holds the response being built
+// (header included, so it goes out in one write), body a CAP/MEM
+// request's payload.
 type encodeScratch struct {
 	snap Snapshot
+	in   *bufio.Reader
 	buf  []byte
 	body []byte
 	req  [4]byte
@@ -518,11 +529,15 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 		s.errors.Inc()
 		return false
 	}
+	if scr.in == nil { // at the first connection: most workers never see one
+		scr.in = bufio.NewReaderSize(nil, ipcReadBuf)
+	}
+	scr.in.Reset(conn)
 	for served := 0; ; served++ {
 		if served > 0 && !s.park(conn, readTO) {
 			return false
 		}
-		n, err := io.ReadFull(conn, scr.req[:])
+		n, err := io.ReadFull(scr.in, scr.req[:])
 		if served > 0 {
 			s.mu.Lock()
 			delete(s.idle, conn)
@@ -561,7 +576,7 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 				scr.buf = buf.Bytes()
 			}
 		case "CAP\n":
-			body, ok := s.readBody(conn, scr, capWriteLen, capWriteLen)
+			body, ok := s.readBody(scr, capWriteLen, capWriteLen)
 			if !ok {
 				return false
 			}
@@ -572,7 +587,7 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 			}
 			scr.buf = AppendCapAck(scr.buf, s.Fence.Offer(w))
 		case "MEM\n":
-			body, ok := s.readBody(conn, scr, capWriteLen+12, capWriteLen+12+MaxMemFrame)
+			body, ok := s.readBody(scr, capWriteLen+12, capWriteLen+12+MaxMemFrame)
 			if !ok {
 				return false
 			}
@@ -583,7 +598,8 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 			}
 			scr.buf = AppendMemAck(scr.buf, s.Fence.OfferMem(w))
 		case "SUB\n":
-			if s.Pub == nil {
+			// Bytes behind SUB would be lost with the reader (Framing).
+			if s.Pub == nil || scr.in.Buffered() > 0 {
 				s.rejected.Inc()
 				return false
 			}
@@ -612,12 +628,12 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 // readBody reads a fenced request's length-prefixed payload, min to max
 // bytes long, into the worker's scratch. The guard decides such
 // requests, so a server without one rejects them unread.
-func (s *Server) readBody(conn net.Conn, scr *encodeScratch, min, max uint32) ([]byte, bool) {
+func (s *Server) readBody(scr *encodeScratch, min, max uint32) ([]byte, bool) {
 	if s.Fence == nil {
 		s.rejected.Inc()
 		return nil, false
 	}
-	if _, err := io.ReadFull(conn, scr.req[:]); err != nil {
+	if _, err := io.ReadFull(scr.in, scr.req[:]); err != nil {
 		s.errors.Inc()
 		return nil, false
 	}
@@ -629,7 +645,7 @@ func (s *Server) readBody(conn net.Conn, scr *encodeScratch, min, max uint32) ([
 	if uint32(cap(scr.body)) < n {
 		scr.body = make([]byte, n)
 	}
-	if _, err := io.ReadFull(conn, scr.body[:n]); err != nil {
+	if _, err := io.ReadFull(scr.in, scr.body[:n]); err != nil {
 		s.errors.Inc()
 		return nil, false
 	}
@@ -650,21 +666,14 @@ func Query(network, addr string) (Snapshot, error) {
 // response read all respect ctx's deadline and cancellation, so a dead
 // or wedged server cannot block the caller indefinitely.
 func QueryContext(ctx context.Context, network, addr string) (Snapshot, error) {
-	payload, err := exchange(ctx, network, addr, []byte("GET\n"), 0, maxSnapshotBytes)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return DecodeSnapshot(payload)
+	return exchange(ctx, network, addr, "GET\n", nil, 0, maxSnapshotBytes, DecodeSnapshot)
 }
 
 // QueryMetrics fetches the server's telemetry in WriteText form. An
 // uninstrumented server returns "".
 func QueryMetrics(ctx context.Context, network, addr string) (string, error) {
-	payload, err := exchange(ctx, network, addr, []byte("MET\n"), 0, maxSnapshotBytes)
-	if err != nil {
-		return "", err
-	}
-	return string(payload), nil
+	return exchange(ctx, network, addr, "MET\n", nil, 0, maxSnapshotBytes,
+		func(p []byte) (string, error) { return string(p), nil })
 }
 
 // WriteCap performs one fenced cap write ("CAP\n" op) against addr and
@@ -672,15 +681,14 @@ func QueryMetrics(ctx context.Context, network, addr string) (string, error) {
 // fence rejection is not an error — it comes back in the ack so the
 // caller can distinguish "shard unreachable" from "you were demoted".
 func WriteCap(ctx context.Context, network, addr string, w CapWrite) (CapAck, error) {
-	req := append(make([]byte, 0, 4+4+capWriteLen), "CAP\n"...)
-	req = binary.LittleEndian.AppendUint32(req, capWriteLen)
-	req = AppendCapWrite(req, w)
-	resp, err := exchange(ctx, network, addr, req, capAckLen, capAckLen)
-	if err != nil {
-		return CapAck{}, err
-	}
-	return DecodeCapAck(resp)
+	return exchange(ctx, network, addr, "CAP\n", func(b []byte) []byte { return AppendCapWrite(b, w) },
+		capAckLen, capAckLen, DecodeCapAck)
 }
+
+// ipcReadBuf sizes the server's per-worker request reader and each
+// client connection's response buffer: every request and response of
+// the steady-state ops fits, so each costs its receiver one read.
+const ipcReadBuf = 4 << 10
 
 // The client parks at most maxIdlePerEndpoint connections per (network,
 // addr) — what an HA pair in one process can use — and maxIdleConns in
@@ -691,9 +699,12 @@ const (
 	maxIdleConns       = 128
 )
 
+// idleConn is a parked connection with the buffer its exchanges build
+// requests and read responses in, allocated at dial.
 type idleConn struct {
 	network, addr string
 	conn          net.Conn
+	buf           []byte
 	since         time.Time
 }
 
@@ -719,25 +730,25 @@ func pruneIdleLocked(now time.Time, room int) {
 }
 
 // takeIdle removes and returns the endpoint's most recently parked
-// connection, or nil.
-func takeIdle(network, addr string) net.Conn {
+// connection and its buffer, or nil.
+func takeIdle(network, addr string) (net.Conn, []byte) {
 	idleConns.Lock()
 	defer idleConns.Unlock()
 	pruneIdleLocked(time.Now(), 0)
 	l := idleConns.list
 	for i := len(l) - 1; i >= 0; i-- {
 		if l[i].addr == addr && l[i].network == network {
-			conn := l[i].conn
+			ic := l[i]
 			idleConns.list = append(l[:i], l[i+1:]...)
-			return conn
+			return ic.conn, ic.buf
 		}
 	}
-	return nil
+	return nil, nil
 }
 
-// keepIdle parks conn for the endpoint's next exchange; the endpoint's
-// oldest entries beyond its share go.
-func keepIdle(network, addr string, conn net.Conn) {
+// keepIdle parks conn and its buffer for the endpoint's next exchange;
+// the endpoint's oldest entries beyond its share go.
+func keepIdle(network, addr string, conn net.Conn, buf []byte) {
 	now := time.Now()
 	idleConns.Lock()
 	defer idleConns.Unlock()
@@ -751,33 +762,37 @@ func keepIdle(network, addr string, conn net.Conn) {
 			}
 		}
 	}
-	idleConns.list = append(l, idleConn{network, addr, conn, now})
+	idleConns.list = append(l, idleConn{network, addr, conn, buf, now})
 }
 
 // exchange performs one request/response round trip with (network,
 // addr) under ctx, over a kept-alive connection when a live one is
-// parked, and returns the response payload, whose length must lie in
-// [minResp, maxResp]. The request is written at most once (see "Never
-// resend" above): every failure is the caller's to handle.
-func exchange(ctx context.Context, network, addr string, req []byte, minResp, maxResp uint32) (payload []byte, err error) {
+// parked. The request is op, then — when body is non-nil — a uint32
+// length and what body appends. The response payload, whose length must
+// lie in [minResp, maxResp], is handed to decode, which must copy what
+// it keeps: the buffer goes back to the idle set with the connection.
+// The request is written at most once (see "Never resend" above): every
+// failure is the caller's to handle.
+func exchange[T any](ctx context.Context, network, addr, op string, body func([]byte) []byte, minResp, maxResp uint32, decode func([]byte) (T, error)) (v T, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("rcr: dial %s: %w", addr, err)
+		return v, fmt.Errorf("rcr: dial %s: %w", addr, err)
 	}
 	deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
-	conn := takeIdle(network, addr)
+	conn, buf := takeIdle(network, addr)
 	for conn != nil && (conn.SetDeadline(deadline) != nil || !connLive(conn)) {
 		conn.Close()
-		conn = takeIdle(network, addr)
+		conn, buf = takeIdle(network, addr)
 	}
 	if conn == nil {
 		var d net.Dialer
 		if conn, err = d.DialContext(ctx, network, addr); err != nil {
-			return nil, fmt.Errorf("rcr: dial %s: %w", addr, err)
+			return v, fmt.Errorf("rcr: dial %s: %w", addr, err)
 		}
 		if err := conn.SetDeadline(deadline); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("rcr: deadline: %w", err)
+			return v, fmt.Errorf("rcr: deadline: %w", err)
 		}
+		buf = make([]byte, ipcReadBuf)
 	}
 	// Propagate mid-exchange cancellation by expiring the deadline.
 	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
@@ -787,36 +802,49 @@ func exchange(ctx context.Context, network, addr string, req []byte, minResp, ma
 		// is parked with no deadline: an armed one keeps timers in the
 		// runtime's heap, which every scheduler pass then has to check.
 		if stop() && err == nil && conn.SetDeadline(time.Time{}) == nil {
-			keepIdle(network, addr, conn)
+			keepIdle(network, addr, conn, buf)
 		} else {
 			conn.Close()
 		}
 	}()
-	var hdr [4]byte
+	req := append(buf[:0], op...)
+	if body != nil {
+		req = body(append(req, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(req[len(op):], uint32(len(req)-len(op)-4))
+	}
 	if _, err := conn.Write(req); err != nil {
 		// A shedding server answers BUSY and closes without ever reading
 		// the request (shedConn), so this write can lose the race and fail
 		// with a broken pipe while the response already sits in our
 		// receive buffer. Prefer the answer the server actually sent.
-		if _, rerr := io.ReadFull(conn, hdr[:]); rerr == nil &&
-			binary.LittleEndian.Uint32(hdr[:]) == busyHeader {
-			return nil, ErrBusy
+		if _, rerr := io.ReadFull(conn, buf[:4]); rerr == nil &&
+			binary.LittleEndian.Uint32(buf) == busyHeader {
+			return v, ErrBusy
 		}
-		return nil, fmt.Errorf("rcr: request: %w", err)
+		return v, fmt.Errorf("rcr: request: %w", err)
 	}
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, fmt.Errorf("rcr: response header: %w", err)
+	got, err := io.ReadAtLeast(conn, buf, 4)
+	if err != nil {
+		return v, fmt.Errorf("rcr: response header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n == busyHeader {
-		return nil, ErrBusy
+		return v, ErrBusy
 	}
 	if n < minResp || n > maxResp {
-		return nil, fmt.Errorf("rcr: implausible response size %d", n)
+		return v, fmt.Errorf("rcr: implausible response size %d", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return nil, fmt.Errorf("rcr: response body: %w", err)
+	end := 4 + int(n)
+	if got > end {
+		return v, fmt.Errorf("rcr: %d bytes past the response", got-end)
 	}
-	return payload, nil
+	resp := buf
+	if end > len(buf) {
+		resp = make([]byte, end) // this exchange's alone; buf is what parks
+		copy(resp, buf[:got])
+	}
+	if _, err := io.ReadFull(conn, resp[got:end]); err != nil {
+		return v, fmt.Errorf("rcr: response body: %w", err)
+	}
+	return decode(resp[4:end])
 }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The kept-alive transport's contract (ipc.go, "Connection reuse" and
-// "Never resend"), tested at the socket.
+// The kept-alive transport's contract (ipc.go, "Connection reuse",
+// "Framing" and "Never resend"), tested at the socket.
 
 // flushIdle empties the client's idle set, so a test starts from a
 // known state whatever ran before it.
@@ -171,11 +171,12 @@ func TestFencedWritesAcrossServerRestart(t *testing.T) {
 type reply int
 
 const (
-	replyOK    reply = iota // an empty snapshot
-	replyStall              // read the request, never answer
-	replyHuge               // a length beyond the client's bound
-	replyBusy               // the BUSY header
-	replyShort              // a header promising more than is sent, then close
+	replyOK       reply = iota // an empty snapshot
+	replyStall                 // read the request, never answer
+	replyHuge                  // a length beyond the client's bound
+	replyBusy                  // the BUSY header
+	replyShort                 // a header promising more than is sent, then close
+	replyTrailing              // a whole response with stray bytes after it, in one write
 )
 
 type scriptedPeer struct {
@@ -247,6 +248,9 @@ func startScriptedPeer(t *testing.T, script [][]reply) *scriptedPeer {
 						binary.LittleEndian.PutUint32(hdr[:], 64)
 						conn.Write(append(hdr[:], "short"...))
 						return
+					case replyTrailing:
+						binary.LittleEndian.PutUint32(hdr[:], uint32(len(okBody)))
+						conn.Write(append(append(hdr[:], okBody...), "stray"...))
 					}
 					break
 				}
@@ -262,8 +266,8 @@ func startScriptedPeer(t *testing.T, script [][]reply) *scriptedPeer {
 
 // TestExchangeDiscardsConnectionOnFailure: a reused connection on which
 // an exchange fails — the context fired mid-exchange, the response was
-// out of bounds, BUSY, or cut short — is closed, never parked; the next
-// call dials.
+// out of bounds, BUSY, cut short, or followed by bytes nobody asked
+// for — is closed, never parked; the next call dials.
 func TestExchangeDiscardsConnectionOnFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -282,6 +286,7 @@ func TestExchangeDiscardsConnectionOnFailure(t *testing.T) {
 		{name: "huge", bad: replyHuge},
 		{name: "busy", bad: replyBusy, wantErr: ErrBusy},
 		{name: "short", bad: replyShort},
+		{name: "trailing", bad: replyTrailing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leak.Check(t)
@@ -487,6 +492,80 @@ func TestRateLimitPerRequest(t *testing.T) {
 	}
 }
 
+// TestServerRequestFraming: the server reads requests through a
+// per-connection buffered reader, however the peer splits them. A CAP
+// request written a byte at a time is answered; a body that stalls past
+// ReadTimeout is cut and counted as an error; SUB with bytes behind it
+// is refused as a bad request — the publisher's writer takes the bare
+// connection, and those bytes would be left behind in the reader.
+func TestServerRequestFraming(t *testing.T) {
+	capReq := binary.LittleEndian.AppendUint32([]byte("CAP\n"), capWriteLen)
+	capReq = AppendCapWrite(capReq, CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Minute, HasCap: true, Cap: 80})
+	for _, tc := range []struct {
+		name     string
+		readTO   time.Duration
+		send     []byte
+		bytewise bool
+		counter  string // the one counter that must read 1, "" when answered
+	}{
+		{name: "bytewise", readTO: DefaultIPCTimeout, send: capReq, bytewise: true},
+		{name: "stalled body", readTO: 100 * time.Millisecond, send: capReq[:20], counter: "rcr_ipc_errors_total"},
+		{name: "sub with stray bytes", readTO: DefaultIPCTimeout, send: []byte("SUB\nGET\n"), counter: "rcr_ipc_bad_requests_total"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leak.Check(t)
+			sock := filepath.Join(t.TempDir(), "rcrd.sock")
+			reg := telemetry.NewRegistry()
+			srv, _ := serveAt(t, sock, func(s *Server) {
+				s.ReadTimeout = tc.readTO
+				s.Fence = NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
+				s.Pub = NewPublisher(s.bb)
+				s.Instrument(reg)
+			})
+			conn, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for rest := tc.send; len(rest) > 0; {
+				n := len(rest)
+				if tc.bytewise {
+					n = 1
+					time.Sleep(time.Millisecond) // each byte its own read
+				}
+				if _, err := conn.Write(rest[:n]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[n:]
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if tc.counter == "" {
+				resp := make([]byte, 4+capAckLen)
+				if _, err := io.ReadFull(conn, resp); err != nil || binary.LittleEndian.Uint32(resp) != capAckLen {
+					t.Fatalf("response %x, err %v, want one CAPA", resp, err)
+				}
+				if ack, err := DecodeCapAck(resp[4:]); err != nil || ack.Status != CapApplied {
+					t.Fatalf("ack %+v, err %v", ack, err)
+				}
+			} else if resp, err := io.ReadAll(conn); err != nil || len(resp) != 0 {
+				t.Errorf("server answered %x (err %v), want it to close", resp, err)
+			}
+			for _, name := range []string{"rcr_ipc_errors_total", "rcr_ipc_bad_requests_total"} {
+				want := uint64(0)
+				if name == tc.counter {
+					want = 1
+				}
+				if got := reg.Counter(name).Value(); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if n := srv.Pub.Subscribers(); n != 0 {
+				t.Errorf("%d subscribers attached", n)
+			}
+		})
+	}
+}
+
 func openDescriptors(t *testing.T) int {
 	ents, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
@@ -536,9 +615,9 @@ func TestIdleConnsExpire(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	idleConns.Lock()
-	idleConns.list = append(idleConns.list, idleConn{"unix", "old", a, time.Now().Add(-DefaultIPCTimeout - time.Second)})
+	idleConns.list = append(idleConns.list, idleConn{"unix", "old", a, nil, time.Now().Add(-DefaultIPCTimeout - time.Second)})
 	idleConns.Unlock()
-	if conn := takeIdle("unix", "other"); conn != nil {
+	if conn, _ := takeIdle("unix", "other"); conn != nil {
 		t.Fatal("took a connection for an endpoint that has none")
 	}
 	if idleFor("old") != 0 {

@@ -156,15 +156,9 @@ func (g *FenceGuard) Membership() (fence, epoch uint64, frame []byte) {
 
 // WriteMem performs one fenced membership write ("MEM\n" op) against
 // addr. Like WriteCap, a transport failure is an error while a fence
-// rejection comes back in the ack.
+// rejection comes back in the ack. The ack's Frame is a copy
+// (readMemFrame): the response buffer is the connection's, reused.
 func WriteMem(ctx context.Context, network, addr string, w MemWrite) (MemAck, error) {
-	n := capWriteLen + 12 + len(w.Frame)
-	req := append(make([]byte, 0, 4+4+n), "MEM\n"...)
-	req = binary.LittleEndian.AppendUint32(req, uint32(n))
-	req = AppendMemWrite(req, w)
-	resp, err := exchange(ctx, network, addr, req, capAckLen+20, capAckLen+20+MaxMemFrame)
-	if err != nil {
-		return MemAck{}, err
-	}
-	return DecodeMemAck(resp)
+	return exchange(ctx, network, addr, "MEM\n", func(b []byte) []byte { return AppendMemWrite(b, w) },
+		capAckLen+20, capAckLen+20+MaxMemFrame, DecodeMemAck)
 }

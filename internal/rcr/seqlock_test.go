@@ -135,6 +135,76 @@ func TestDeltaDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestSnapshotMaterializeAllocs: the two client-side ways to a Snapshot
+// — decoding a GET response and materializing a subscription's state —
+// allocate per snapshot, not per meter: one backing array for the
+// meters, the socket list and the core lists, and no name strings for
+// the standard meters. A 2×8 board with the sampler's meter set holds
+// 29 meters.
+func TestSnapshotMaterializeAllocs(t *testing.T) {
+	bb, _ := NewBlackboard(2, 8)
+	populate(bb, time.Second)
+	want := bb.Snapshot(time.Second)
+	enc := EncodeSnapshot(want)
+	var got Snapshot
+	if n := testing.AllocsPerRun(1000, func() {
+		got, _ = DecodeSnapshot(enc)
+	}); n > 4 {
+		t.Errorf("DecodeSnapshot allocates %.1f/op, want <= 4", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, encoded %+v", got, want)
+	}
+
+	var full FullFrame
+	bb.CollectFull(&full)
+	full.Now = time.Second
+	var st SubState
+	if err := st.ApplyFull(&full); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		got = st.Snapshot()
+	}); n > 4 {
+		t.Errorf("SubState.Snapshot allocates %.1f/op, want <= 4", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("materialized %+v, board %+v", got, want)
+	}
+}
+
+// TestSnapshotListsCapped: the meter lists share one backing array, so
+// each is capped at its own length — a caller appending to one list
+// reallocates it instead of overwriting the next.
+func TestSnapshotListsCapped(t *testing.T) {
+	bb, _ := NewBlackboard(2, 2)
+	populate(bb, time.Second)
+	var full FullFrame
+	bb.CollectFull(&full)
+	var st SubState
+	if err := st.ApplyFull(&full); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(EncodeSnapshot(bb.Snapshot(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Snapshot{"decoded": decoded, "materialized": st.Snapshot()} {
+		want := bb.Snapshot(s.Now)
+		_ = append(s.System, MeterValue{Name: "x"})
+		for i := range s.Sockets {
+			_ = append(s.Sockets[i].Meters, MeterValue{Name: "x"})
+			_ = append(s.Sockets[i].Cores, []MeterValue{{Name: "x"}})
+			for c := range s.Sockets[i].Cores {
+				_ = append(s.Sockets[i].Cores[c], MeterValue{Name: "x"})
+			}
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: appending to its lists changed the snapshot:\n got %+v\nwant %+v", name, s, want)
+		}
+	}
+}
+
 // TestSnapshotEncodeDeterministic (golden): two boards reaching the same
 // state through different write orders — and hence different slot
 // registration orders — must encode byte-identically, and re-encoding
