@@ -291,7 +291,7 @@ func replayPhases(path string) error {
 	if err != nil {
 		return err
 	}
-	marks := phase.Replay(samples, phase.Config{})
+	marks := phase.Replay(samples)
 	fmt.Printf("%s: %d samples, %d change point(s)\n", path, len(samples), len(marks))
 	for _, i := range marks {
 		s := samples[i]

@@ -58,19 +58,12 @@ type AggregatorConfig struct {
 	Period time.Duration
 	// HealthHorizon is how long a shard's heartbeat may sit still (on the
 	// owner's clock) before the shard is declared lost and its surplus is
-	// redistributed. Zero selects 4×Period.
+	// redistributed. Zero selects 4×Period. A Joining member may stay
+	// silent for twice as long after admission before it counts against
+	// the fleet's health gauges: a joiner is budgeted its floor from
+	// admission but has not booted its sampler yet — silence inside that
+	// warm-up grace is expected, not an outage.
 	HealthHorizon time.Duration
-	// WarmupGrace is how long a Joining member may stay silent after
-	// admission before it counts against the fleet's health gauges. A
-	// joiner is budgeted its floor from admission but has not booted its
-	// sampler yet — silence inside the grace is expected, not an outage.
-	// Zero selects 2×HealthHorizon.
-	WarmupGrace time.Duration
-	// KneeRef is the per-socket memory-concurrency knee used to derive
-	// headroom: a shard saturating the knee is memory-bound (throttling
-	// is nearly free, extra power nearly useless), a shard far below it
-	// is compute-bound. Zero selects 28, the M620 preset's knee.
-	KneeRef float64
 	// Clock is the owner's clock: host time under Run, the scenario
 	// runner's or the lockstep fleet's virtual time when the owner steps
 	// Poll itself. Required. Shard snapshots may be stamped on clocks of

@@ -193,12 +193,6 @@ func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, err
 	if cfg.HealthHorizon <= 0 {
 		cfg.HealthHorizon = 4 * cfg.Period
 	}
-	if cfg.WarmupGrace <= 0 {
-		cfg.WarmupGrace = 2 * cfg.HealthHorizon
-	}
-	if cfg.KneeRef <= 0 {
-		cfg.KneeRef = 28
-	}
 	members := cfg.Members
 	if members == nil {
 		var err error
@@ -386,7 +380,7 @@ func (a *controlCore) Poll() {
 				st.stateEpoch = a.members.Epoch()
 			}
 		}
-		inGrace := st.mstate == MemberJoining && now-st.admittedAt <= a.cfg.WarmupGrace
+		inGrace := st.mstate == MemberJoining && now-st.admittedAt <= 2*a.cfg.HealthHorizon
 		if inGrace && !st.healthy {
 			warming++
 		}
@@ -538,8 +532,14 @@ func (a *controlCore) observe(st *shardState, snap *rcr.Snapshot, now time.Durat
 	if n := len(snap.Sockets); n > 0 {
 		conc /= float64(n)
 	}
-	st.headroom = clampHeadroom(1 - conc/a.cfg.KneeRef)
+	st.headroom = clampHeadroom(1 - conc/kneeRef)
 }
+
+// kneeRef is the per-socket memory-concurrency knee headroom is measured
+// against: a shard saturating the knee is memory-bound (throttling is
+// nearly free, extra power nearly useless), a shard far below it is
+// compute-bound. 28 outstanding references is the M620's knee.
+const kneeRef = 28
 
 // push applies a new cap assignment through the SetCap seam in
 // conservation-safe order and reports whether anything changed. A shard

@@ -3,9 +3,30 @@ package maestro
 import (
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/maestro/phase"
 	"repro/internal/telemetry"
 )
+
+// PolicyInput is one healthy poll's view of the machine, handed to the
+// adaptive controller. The slices alias the daemon's per-poll scratch
+// buffers: they are valid only for the duration of the call.
+type PolicyInput struct {
+	// Now is the virtual timestamp of the poll.
+	Now time.Duration
+	// Power (W), Conc (outstanding memory references) and Membw
+	// (bytes/s) are the per-socket blackboard readings.
+	Power, Conc, Membw []float64
+	// Verdict is the dual-condition rule's reading of the poll
+	// (Thresholds.decide): Enable — some socket High on power and
+	// concurrency — is the engagement gate, Disable — every socket Low
+	// on both — the release condition.
+	Verdict Decision
+	// Staleness is the age of the oldest reading behind this poll. It
+	// is always within the daemon's horizon — stale polls never reach
+	// the controller.
+	Staleness time.Duration
+}
 
 // The Adaptive policy goes beyond the paper's static High/Med/Low gate
 // (ROADMAP item 3, after Conoci et al. and Cuttlefish): it segments the
@@ -19,8 +40,8 @@ import (
 // poll with fresh data only (the daemon's staleness watchdog and
 // fail-safe gate every input):
 //
-//	monitor  — machine released. The static dual condition (any socket
-//	           High power AND High concurrency, debounced) is the
+//	monitor  — machine released. The dual-condition rule's verdict
+//	           (any socket High power AND High concurrency) is the
 //	           engagement gate, so well-scaling apps are never touched
 //	           and the ≤0.6% overhead bound holds by construction.
 //	explore  — hill-climb. Candidate points are held for a dwell window
@@ -39,24 +60,23 @@ import (
 //	           fitted model, or the workload goes all-Low (release).
 //
 // Fail-safe interplay (docs/robustness.md): when the daemon enters
-// fail-safe it has already released the machine; Reset discards the
+// fail-safe it has already released the machine; reset discards the
 // detector state and any half-finished climb, so recovery re-enters
 // through monitor with a clean model rather than resuming a climb fed
 // by pre-outage sensors. Phase ids survive resets — they are a
 // monotonic journal key, not model state.
 type adaptive struct {
-	env AdaptiveConfig
-	pe  PolicyEnv
-	det *phase.Detector
-	met *adaptiveMetrics
+	mcfg    machine.Config
+	journal *telemetry.Journal
+	det     *phase.Detector
+	met     *adaptiveMetrics
 
 	mode    adaptiveMode
 	want    OperatingPoint // point the controller is asking for
-	full    OperatingPoint // released state
+	full    OperatingPoint // released state, at the daemon's ThrottleLimit
 	phaseID int
 
-	// Engagement / release debounce (monitor and locked modes).
-	hotPolls  int
+	// Release debounce (explore and locked modes).
 	coldPolls int
 
 	// Dwell-window accumulators (explore and locked modes).
@@ -97,122 +117,61 @@ const (
 	stageGear
 )
 
-// AdaptiveConfig tunes the Adaptive policy. The zero value selects the
-// defaults below; most callers just set Config.Policy = Adaptive.
-type AdaptiveConfig struct {
-	// Detector tunes the change-point detector (see phase.Config).
-	Detector phase.Config
-	// EngagePolls is how many consecutive High/High polls engage
-	// exploration. Default 1 — the same single-poll trigger as the
-	// static dual-condition policy, so the two arms engage on the
-	// identical poll and their energy deltas are attributable to the
-	// chosen operating point, not to reaction latency.
-	EngagePolls int
-	// ReleasePolls is how many consecutive all-Low polls release the
-	// machine back to full. Default 2.
-	ReleasePolls int
-	// DwellPolls is the measurement window per candidate operating
-	// point, in polls. Default 3 (0.3 s at the paper's period).
-	DwellPolls int
-	// Margin is the minimum relative efficiency improvement a
-	// candidate must show to displace the incumbent — the hill-climb's
-	// hysteresis. Default 0.02 (2%).
-	Margin float64
-	// Gears are the DVFS scales probed (descending) once a phase has
-	// held its locked thread limit for GearLagDwells windows and the
-	// node is bandwidth-saturated. Default {0.9, 0.8, 0.7, 0.6}.
-	Gears []float64
-	// GearLagDwells is how many stable locked windows precede the gear
+// Adaptive policy tuning.
+const (
+	// releasePolls is how many consecutive all-Low polls release the
+	// machine back to full.
+	releasePolls = 2
+	// dwellPolls is the measurement window per candidate operating
+	// point, in polls (0.3 s at the paper's period).
+	dwellPolls = 3
+	// margin is the minimum relative efficiency improvement a candidate
+	// must show to displace the incumbent — the hill-climb's hysteresis.
+	margin = 0.02
+	// gearLagDwells is how many stable locked windows precede the gear
 	// sweep. DVFS probes slow every core, so a mispredicted gear costs
-	// real time; deferring the sweep means short-lived phases (and
-	// short programs) only ever pay for the cheap thread-limit climb.
-	// Default 3.
-	GearLagDwells int
-	// GearBwFrac is the fraction of the machine's aggregate plateau
+	// real time; deferring the sweep means short-lived phases (and short
+	// programs) only ever pay for the cheap thread-limit climb.
+	gearLagDwells = 3
+	// gearBwFrac is the fraction of the machine's aggregate plateau
 	// bandwidth a phase must sustain for the gear sweep to run at all:
 	// lowering the clock is close to free only when the cores are
-	// waiting on memory. Default 0.5.
-	GearBwFrac float64
-	// RefitDrift is the relative deviation of a locked phase's window
+	// waiting on memory.
+	gearBwFrac = 0.5
+	// refitDrift is the relative deviation of a locked phase's window
 	// efficiency from the fitted value that counts as model drift.
-	// Default 0.30.
-	RefitDrift float64
-	// RefitDwells is how many consecutive drifted windows trigger a
-	// refit. Default 2.
-	RefitDwells int
-	// MinLimit floors the per-shepherd thread limit the climb may
-	// reach. Default 1.
-	MinLimit int
+	refitDrift = 0.30
+	// refitDwells is how many consecutive drifted windows trigger a
+	// refit.
+	refitDwells = 2
+)
+
+// gears are the DVFS scales probed, descending, once a phase has held
+// its locked thread limit for gearLagDwells windows and the node is
+// bandwidth-saturated.
+var gears = [...]float64{0.9, 0.8, 0.7, 0.6}
+
+// newAdaptive returns the controller for a daemon on mcfg whose
+// released state is at throttleLimit.
+func newAdaptive(mcfg machine.Config, throttleLimit int, reg *telemetry.Registry, journal *telemetry.Journal) *adaptive {
+	a := &adaptive{
+		mcfg:    mcfg,
+		journal: journal,
+		det:     phase.New(),
+		met:     newAdaptiveMetrics(reg),
+		full:    OperatingPoint{Throttled: false, Limit: throttleLimit, FreqScale: 1},
+	}
+	a.want = a.full
+	return a
 }
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.EngagePolls <= 0 {
-		c.EngagePolls = 1
-	}
-	if c.ReleasePolls <= 0 {
-		c.ReleasePolls = 2
-	}
-	if c.DwellPolls <= 0 {
-		c.DwellPolls = 3
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.02
-	}
-	if len(c.Gears) == 0 {
-		c.Gears = []float64{0.9, 0.8, 0.7, 0.6}
-	}
-	if c.GearLagDwells <= 0 {
-		c.GearLagDwells = 3
-	}
-	if c.GearBwFrac <= 0 {
-		c.GearBwFrac = 0.5
-	}
-	if c.RefitDrift <= 0 {
-		c.RefitDrift = 0.30
-	}
-	if c.RefitDwells <= 0 {
-		c.RefitDwells = 2
-	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 1
-	}
-	return c
-}
-
-// NewAdaptiveDecider returns the factory Config.Decider form of the
-// Adaptive policy — what Policy = Adaptive installs implicitly, exposed
-// so callers can tune AdaptiveConfig.
-func NewAdaptiveDecider(cfg AdaptiveConfig) DeciderFactory {
-	return func(env PolicyEnv) (Decider, error) {
-		cfg := cfg.withDefaults()
-		a := &adaptive{
-			env: cfg,
-			pe:  env,
-			det: phase.New(cfg.Detector),
-			met: newAdaptiveMetrics(env.Telemetry),
-			full: OperatingPoint{
-				Throttled: false,
-				Limit:     env.ThrottleLimit,
-				FreqScale: 1,
-			},
-		}
-		a.want = a.full
-		return a, nil
-	}
-}
-
-func (a *adaptive) Name() string { return "adaptive" }
-
-// Phase exposes the current phase id to the daemon's decision journal.
-func (a *adaptive) Phase() int { return a.phaseID }
-
-// Reset implements the fail-safe contract: drop everything learned
+// reset implements the fail-safe contract: drop everything learned
 // from recent (now suspect) readings and re-enter through monitor.
-func (a *adaptive) Reset(time.Duration) {
+func (a *adaptive) reset() {
 	a.det.Reset()
 	a.mode = modeMonitor
 	a.want = a.full
-	a.hotPolls, a.coldPolls = 0, 0
+	a.coldPolls = 0
 	a.resetWindow()
 	a.driftDwells = 0
 	if a.met != nil {
@@ -224,8 +183,9 @@ func (a *adaptive) resetWindow() {
 	a.dwell, a.accPower, a.accBw = 0, 0, 0
 }
 
-// Decide runs the controller one poll forward.
-func (a *adaptive) Decide(in PolicyInput) OperatingPoint {
+// step runs the controller one poll forward and returns the point it
+// asks for.
+func (a *adaptive) step(in PolicyInput) OperatingPoint {
 	power, bw, conc := totals(in)
 
 	// The detector watches the workload, not the controller: any
@@ -261,28 +221,6 @@ func totals(in PolicyInput) (power, bw, conc float64) {
 	return power, bw, conc
 }
 
-// hot reports the static engagement condition: some socket classifies
-// High on both power and memory concurrency.
-func hot(in PolicyInput) bool {
-	for i := range in.PowerLv {
-		if Level(in.PowerLv[i]) == High && i < len(in.ConcLv) && Level(in.ConcLv[i]) == High {
-			return true
-		}
-	}
-	return false
-}
-
-// cold reports the static release condition: every socket classifies
-// Low on both axes.
-func cold(in PolicyInput) bool {
-	for i := range in.PowerLv {
-		if Level(in.PowerLv[i]) != Low || i >= len(in.ConcLv) || Level(in.ConcLv[i]) != Low {
-			return false
-		}
-	}
-	return len(in.PowerLv) > 0
-}
-
 // onPhaseChange handles a detector fire: journal it and, if a model
 // was fitted or a climb was running, start over for the new phase.
 func (a *adaptive) onPhaseChange(in PolicyInput) {
@@ -291,26 +229,22 @@ func (a *adaptive) onPhaseChange(in PolicyInput) {
 		a.met.detected.Inc()
 		a.met.phaseG.Set(float64(a.phaseID))
 	}
-	a.journal(in.Now, telemetry.KindPhaseDetected, "change_point", in)
+	a.record(telemetry.KindPhaseDetected, "change_point", in)
 	switch a.mode {
 	case modeExplore, modeLocked:
 		// The model belongs to the previous phase; refit for this one
 		// by restarting the climb from the seed.
-		a.startExplore(in, "phase_change")
+		a.startExplore(in)
 	}
 }
 
-// monitor waits for a sustained High/High signal before spending any
-// exploration effort.
+// monitor starts exploring on the first poll the dual-condition rule
+// calls hot — the same single-poll trigger as the static policy, so the
+// two arms engage on the identical poll and their energy deltas are
+// attributable to the chosen operating point, not to reaction latency.
 func (a *adaptive) monitor(in PolicyInput) {
-	if hot(in) {
-		a.hotPolls++
-	} else {
-		a.hotPolls = 0
-	}
-	if a.hotPolls >= a.env.EngagePolls {
-		a.hotPolls = 0
-		a.startExplore(in, "engage")
+	if in.Verdict == Enable {
+		a.startExplore(in)
 	}
 }
 
@@ -326,12 +260,12 @@ func (a *adaptive) monitor(in PolicyInput) {
 // and half that limit floors it from below, leaving the bidirectional
 // climb (see nextCandidate) to cover the rest of the range.
 func (a *adaptive) seedLimit(in PolicyInput) int {
-	cores := a.pe.Machine.CoresPerSocket
+	cores := a.mcfg.CoresPerSocket
 	if cores < 1 {
 		cores = 1
 	}
-	knee := float64(a.pe.Machine.Mem.KneeRefs)
-	limit := a.pe.ThrottleLimit
+	knee := float64(a.mcfg.Mem.KneeRefs)
+	limit := a.full.Limit
 	if knee > 0 && len(in.Conc) > 0 {
 		maxConc := 0.0
 		for _, c := range in.Conc {
@@ -345,11 +279,8 @@ func (a *adaptive) seedLimit(in PolicyInput) int {
 			}
 		}
 	}
-	if floor := (a.pe.ThrottleLimit + 1) / 2; limit < floor {
+	if floor := (a.full.Limit + 1) / 2; limit < floor {
 		limit = floor
-	}
-	if limit < a.env.MinLimit {
-		limit = a.env.MinLimit
 	}
 	if limit > cores {
 		limit = cores
@@ -358,7 +289,7 @@ func (a *adaptive) seedLimit(in PolicyInput) int {
 }
 
 // startExplore (re)starts the hill-climb from the knee-derived seed.
-func (a *adaptive) startExplore(in PolicyInput, why string) {
+func (a *adaptive) startExplore(in PolicyInput) {
 	a.mode = modeExplore
 	a.stage = stageLimit
 	// Ascend first: an upward probe is at worst mildly wasteful (it
@@ -373,14 +304,14 @@ func (a *adaptive) startExplore(in PolicyInput, why string) {
 	a.driftDwells = 0
 	a.bestPoint = OperatingPoint{Throttled: true, Limit: a.seedLimit(in), FreqScale: 1}
 	a.seedPt = a.bestPoint
-	a.move(in, a.bestPoint, why)
+	a.move(a.bestPoint)
 	if a.met != nil {
 		a.met.lockedG.Set(0)
 	}
 }
 
 // move actuates a new candidate point and opens a fresh dwell window.
-func (a *adaptive) move(in PolicyInput, pt OperatingPoint, why string) {
+func (a *adaptive) move(pt OperatingPoint) {
 	a.probing = pt
 	a.want = pt
 	a.resetWindow()
@@ -391,7 +322,6 @@ func (a *adaptive) move(in PolicyInput, pt OperatingPoint, why string) {
 	if a.met != nil {
 		a.met.steps.Inc()
 	}
-	_ = why
 }
 
 // windowDone accumulates one poll into the dwell window and reports
@@ -407,7 +337,7 @@ func (a *adaptive) windowDone(power, bw float64) (eff float64, done bool) {
 	}
 	a.accPower += power
 	a.accBw += bw
-	if a.dwell < a.env.DwellPolls+1 {
+	if a.dwell < dwellPolls+1 {
 		return 0, false
 	}
 	if a.accPower <= 0 {
@@ -418,20 +348,14 @@ func (a *adaptive) windowDone(power, bw float64) (eff float64, done bool) {
 
 // explore advances the hill-climb by one poll.
 func (a *adaptive) explore(in PolicyInput, power, bw float64) {
-	if cold(in) {
-		a.coldPolls++
-		if a.coldPolls >= a.env.ReleasePolls {
-			a.release(in, "cold")
-			return
-		}
-	} else {
-		a.coldPolls = 0
+	if a.released(in) {
+		return
 	}
 	eff, done := a.windowDone(power, bw)
 	if !done {
 		return
 	}
-	improved := eff > a.bestEff*(1+a.env.Margin)
+	improved := eff > a.bestEff*(1+margin)
 	if a.bestEff == 0 {
 		improved = eff > 0
 	}
@@ -439,7 +363,7 @@ func (a *adaptive) explore(in PolicyInput, power, bw float64) {
 		a.bestEff = eff
 		a.bestPoint = a.probing
 		if next, ok := a.nextCandidate(); ok {
-			a.move(in, next, "climb")
+			a.move(next)
 			return
 		}
 	} else if a.stage == stageLimit && a.climbUp && a.bestPoint == a.seedPt {
@@ -449,7 +373,7 @@ func (a *adaptive) explore(in PolicyInput, power, bw float64) {
 		// starting guess.
 		a.climbUp = false
 		if next, ok := a.nextCandidate(); ok {
-			a.move(in, next, "climb")
+			a.move(next)
 			return
 		}
 	}
@@ -467,22 +391,22 @@ func (a *adaptive) nextCandidate() (OperatingPoint, bool) {
 	switch a.stage {
 	case stageLimit:
 		if a.climbUp {
-			if max := a.pe.Machine.CoresPerSocket; a.bestPoint.Limit < max {
+			if max := a.mcfg.CoresPerSocket; a.bestPoint.Limit < max {
 				pt := a.bestPoint
 				pt.Limit++
 				return pt, true
 			}
 			return OperatingPoint{}, false
 		}
-		if a.bestPoint.Limit > a.env.MinLimit {
+		if a.bestPoint.Limit > 1 { // the climb may descend to one worker per shepherd
 			pt := a.bestPoint
 			pt.Limit--
 			return pt, true
 		}
 		return OperatingPoint{}, false
 	default:
-		for a.gearIdx < len(a.env.Gears) {
-			gear := a.env.Gears[a.gearIdx]
+		for a.gearIdx < len(gears) {
+			gear := gears[a.gearIdx]
 			a.gearIdx++
 			if gear > 0 && gear < a.bestPoint.FreqScale {
 				pt := a.bestPoint
@@ -501,7 +425,7 @@ func (a *adaptive) lock(in PolicyInput) {
 	a.driftDwells = 0
 	a.stableDwells = 0
 	if a.want != a.bestPoint {
-		a.move(in, a.bestPoint, "converged")
+		a.move(a.bestPoint)
 	} else {
 		a.resetWindow()
 	}
@@ -509,26 +433,20 @@ func (a *adaptive) lock(in PolicyInput) {
 		a.met.refits.Inc()
 		a.met.lockedG.Set(1)
 	}
-	a.journal(in.Now, telemetry.KindModelRefit, "converged", in)
+	a.record(telemetry.KindModelRefit, "converged", in)
 }
 
 // locked holds the fitted point, watching for release, drift and phase
 // changes (the detector handles the latter via onPhaseChange).
 func (a *adaptive) locked(in PolicyInput, power, bw float64) {
-	if cold(in) {
-		a.coldPolls++
-		if a.coldPolls >= a.env.ReleasePolls {
-			a.release(in, "cold")
-			return
-		}
-	} else {
-		a.coldPolls = 0
+	if a.released(in) {
+		return
 	}
 	eff, done := a.windowDone(power, bw)
 	if !done {
 		return
 	}
-	windowBw := a.accBw / float64(a.env.DwellPolls)
+	windowBw := a.accBw / dwellPolls
 	a.resetWindow()
 	if a.lockedEff <= 0 {
 		return
@@ -537,14 +455,14 @@ func (a *adaptive) locked(in PolicyInput, power, bw float64) {
 	if drift < 0 {
 		drift = -drift
 	}
-	if drift > a.env.RefitDrift {
+	if drift > refitDrift {
 		a.driftDwells++
 		a.stableDwells = 0
-		if a.driftDwells >= a.env.RefitDwells {
+		if a.driftDwells >= refitDwells {
 			// The phase changed shape under the model (or the detector
 			// missed a transition): refit.
-			a.startExplore(in, "drift")
-			a.journal(in.Now, telemetry.KindModelRefit, "drift", in)
+			a.startExplore(in)
+			a.record(telemetry.KindModelRefit, "drift", in)
 		}
 		return
 	}
@@ -554,45 +472,55 @@ func (a *adaptive) locked(in PolicyInput, power, bw float64) {
 	// stable and the phase is genuinely bandwidth-bound, probe DVFS
 	// gears on top of it. Long phases amortize the probe; short ones
 	// end before reaching here and never pay for it.
-	if !a.gearsDone && a.stableDwells >= a.env.GearLagDwells && a.bandwidthSaturated(windowBw) {
+	if !a.gearsDone && a.stableDwells >= gearLagDwells && a.bandwidthSaturated(windowBw) {
 		a.gearsDone = true
 		a.mode = modeExplore
 		a.stage = stageGear
 		a.gearIdx = 0
 		a.bestEff = eff // measure gears against the current lock, freshly
 		if next, ok := a.nextCandidate(); ok {
-			a.move(in, next, "gear_sweep")
+			a.move(next)
 			return
 		}
 		a.mode = modeLocked
 	}
 }
 
-// bandwidthSaturated reports whether the node moved at least GearBwFrac
+// bandwidthSaturated reports whether the node moved at least gearBwFrac
 // of its aggregate plateau bandwidth over the last window — the regime
 // where lowering the clock is nearly free.
 func (a *adaptive) bandwidthSaturated(windowBw float64) bool {
-	capacity := float64(a.pe.Machine.Mem.BandwidthPerSocket) * float64(a.pe.Machine.Sockets)
-	return capacity > 0 && windowBw >= a.env.GearBwFrac*capacity
+	capacity := float64(a.mcfg.Mem.BandwidthPerSocket) * float64(a.mcfg.Sockets)
+	return capacity > 0 && windowBw >= gearBwFrac*capacity
 }
 
-// release returns the machine to full speed and re-arms the monitor.
-func (a *adaptive) release(in PolicyInput, why string) {
+// released counts the polls the dual-condition rule calls cold and,
+// after releasePolls in a row, returns the machine to full speed and
+// re-arms the monitor.
+func (a *adaptive) released(in PolicyInput) bool {
+	if in.Verdict != Disable {
+		a.coldPolls = 0
+		return false
+	}
+	if a.coldPolls++; a.coldPolls < releasePolls {
+		return false
+	}
 	a.mode = modeMonitor
-	a.hotPolls, a.coldPolls = 0, 0
-	a.move(in, a.full, why)
+	a.coldPolls = 0
+	a.move(a.full)
 	if a.met != nil {
 		a.met.lockedG.Set(0)
 	}
+	return true
 }
 
-// journal emits one phase-lifecycle record through the daemon's sink.
-func (a *adaptive) journal(now time.Duration, kind, detail string, in PolicyInput) {
-	if a.pe.Journal == nil {
+// record emits one phase-lifecycle record through the daemon's sink.
+func (a *adaptive) record(kind, detail string, in PolicyInput) {
+	if a.journal == nil {
 		return
 	}
-	a.pe.Journal.Record(telemetry.Decision{
-		T:         now,
+	a.journal.Record(telemetry.Decision{
+		T:         in.Now,
 		Kind:      kind,
 		Detail:    detail,
 		Engaged:   a.want != a.full,

@@ -7,15 +7,14 @@ import (
 	"repro/internal/machine"
 )
 
-// adaptiveHarness drives an adaptive Decider against a synthetic
+// adaptiveHarness drives the adaptive controller against a synthetic
 // efficiency landscape: each poll's power/bandwidth readings are derived
 // from the operating point the controller most recently asked for, which
 // is exactly the feedback loop the daemon provides (one poll of sampler
 // lag is modelled by windowDone's skipped first dwell poll).
 type adaptiveHarness struct {
 	t   *testing.T
-	a   Decider
-	env PolicyEnv
+	a   *adaptive
 	now time.Duration
 	// eff maps an operating point to bandwidth-per-watt; the harness
 	// fixes bandwidth and derives power so windows measure exactly eff.
@@ -26,25 +25,14 @@ type adaptiveHarness struct {
 
 func newAdaptiveHarness(t *testing.T, eff func(OperatingPoint) float64, bw float64) *adaptiveHarness {
 	t.Helper()
-	env := PolicyEnv{
-		Machine:       machine.M620(),
-		Period:        DefaultPeriod,
-		ThrottleLimit: 6,
-		FrequencyGear: 0.8,
-	}
-	env.Thresholds = DefaultThresholds(env.Machine.Mem)
-	dec, err := NewAdaptiveDecider(AdaptiveConfig{})(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &adaptiveHarness{t: t, a: dec, env: env, eff: eff, bw: bw}
-	h.pt = OperatingPoint{Throttled: false, Limit: env.ThrottleLimit, FreqScale: 1}
-	return h
+	a := newAdaptive(machine.M620(), 6, nil, nil)
+	return &adaptiveHarness{t: t, a: a, eff: eff, bw: bw, pt: a.full}
 }
 
-// poll advances one daemon poll. hot=true feeds High/High levels on
-// every socket; hot=false feeds all-Low. scale multiplies the workload
-// signature (to provoke the change-point detector).
+// poll advances one daemon poll. hot=true feeds the rule's Enable
+// verdict (High/High on some socket); hot=false feeds Disable (all-Low).
+// scale multiplies the workload signature (to provoke the change-point
+// detector).
 func (h *adaptiveHarness) poll(hot bool, scale float64) OperatingPoint {
 	h.t.Helper()
 	e := h.eff(h.pt)
@@ -53,21 +41,18 @@ func (h *adaptiveHarness) poll(hot bool, scale float64) OperatingPoint {
 	}
 	bw := h.bw * scale
 	power := bw / e
-	lv := Low
+	verdict := Disable
 	if hot {
-		lv = High
+		verdict = Enable
 	}
-	in := PolicyInput{
+	h.pt = h.a.step(PolicyInput{
 		Now:     h.now,
 		Power:   []float64{power / 2, power / 2},
 		Conc:    []float64{56, 56}, // knee 28 over 8 cores/socket seeds the climb at limit 4
 		Membw:   []float64{bw / 2, bw / 2},
-		PowerLv: []int8{int8(lv), int8(lv)},
-		ConcLv:  []int8{int8(lv), int8(lv)},
-		Current: h.pt,
-	}
-	h.pt = h.a.Decide(in)
-	h.now += h.env.Period
+		Verdict: verdict,
+	})
+	h.now += DefaultPeriod
 	return h.pt
 }
 
@@ -127,7 +112,7 @@ func TestAdaptiveReleasesWhenCold(t *testing.T) {
 	h := newAdaptiveHarness(t, limitLandscape, 1e9)
 	h.settle(12, 400)
 	var pt OperatingPoint
-	for i := 0; i < 4; i++ { // ReleasePolls defaults to 2
+	for i := 0; i < 2*releasePolls; i++ {
 		pt = h.poll(false, 1)
 	}
 	if pt.Throttled || pt.FreqScale != 1 {
@@ -166,8 +151,8 @@ func TestAdaptiveResetReentersMonitor(t *testing.T) {
 	if !h.pt.Throttled {
 		t.Fatalf("hot poll did not engage: %+v", h.pt)
 	}
-	h.a.Reset(h.now)
-	// A Reset means fail-safe fired: the next decision must ask for the
+	h.a.reset()
+	// A reset means fail-safe fired: the next decision must ask for the
 	// released state, and learned climb state must be gone.
 	if pt := h.poll(false, 1); pt.Throttled || pt.FreqScale != 1 {
 		t.Fatalf("post-reset decision still engaged: %+v", pt)
@@ -181,24 +166,20 @@ func TestAdaptiveResetReentersMonitor(t *testing.T) {
 func TestAdaptivePhaseChangeRestartsClimb(t *testing.T) {
 	h := newAdaptiveHarness(t, limitLandscape, 1e9)
 	h.settle(12, 400)
-	ph, ok := h.a.(interface{ Phase() int })
-	if !ok {
-		t.Fatal("adaptive decider does not expose Phase()")
-	}
-	before := ph.Phase()
+	before := h.a.phaseID
 	// The workload triples its signature while the operating point holds
 	// still: a genuine phase transition the detector must catch, after
 	// which the climb restarts (FreqScale back to 1, exploring limits).
 	restarted := false
 	for i := 0; i < 40; i++ {
 		h.poll(true, 3)
-		if ph.Phase() > before {
+		if h.a.phaseID > before {
 			restarted = true
 			break
 		}
 	}
 	if !restarted {
-		t.Fatalf("detector never reported the regime shift (phase still %d)", ph.Phase())
+		t.Fatalf("detector never reported the regime shift (phase still %d)", h.a.phaseID)
 	}
 	if !h.pt.Throttled || h.pt.FreqScale != 1 {
 		t.Fatalf("climb not restarted from seed after phase change: %+v", h.pt)

@@ -128,7 +128,7 @@ func (th Thresholds) Validate() error {
 	return nil
 }
 
-// Decision is the daemon's per-sample output.
+// Decision is the dual-condition rule's verdict on one poll.
 type Decision int
 
 // Decisions.
@@ -152,28 +152,30 @@ func (d Decision) String() string {
 	}
 }
 
-// Decide applies the dual-condition policy to per-socket readings: Enable
-// if any socket has both power and concurrency High; Disable if every
-// socket has both Low; Hold otherwise.
-func (th Thresholds) Decide(power []units.Watts, conc []float64) Decision {
+// decide is the dual-condition rule (§IV-A), the one place it is
+// written. It classifies each socket's power and memory concurrency,
+// appending the levels to powerLv and concLv, and returns Enable if some
+// socket has both High, Disable if every socket has both Low, and Hold
+// otherwise. Readings that do not pair up, or none at all, Hold.
+func (th Thresholds) decide(power, conc []float64, powerLv, concLv []int8) (Decision, []int8, []int8) {
 	if len(power) == 0 || len(power) != len(conc) {
-		return Hold
+		return Hold, powerLv, concLv
 	}
-	allLow := true
+	hot, cold := false, true
 	for i := range power {
-		p := Classify(float64(power[i]), float64(th.LowPower), float64(th.HighPower))
+		p := Classify(power[i], float64(th.LowPower), float64(th.HighPower))
 		c := Classify(conc[i], th.LowConcurrency, th.HighConcurrency)
-		if p == High && c == High {
-			return Enable
-		}
-		if p != Low || c != Low {
-			allLow = false
-		}
+		powerLv, concLv = append(powerLv, int8(p)), append(concLv, int8(c))
+		hot = hot || p == High && c == High
+		cold = cold && p == Low && c == Low
 	}
-	if allLow {
-		return Disable
+	switch {
+	case hot:
+		return Enable, powerLv, concLv
+	case cold:
+		return Disable, powerLv, concLv
 	}
-	return Hold
+	return Hold, powerLv, concLv
 }
 
 // Mechanism selects how the daemon reduces power when its policy says
@@ -219,7 +221,8 @@ const (
 	// Adaptive goes beyond the static classifier: an online phase
 	// detector plus a per-phase hill-climbed speedup/power model picks
 	// the energy-optimal operating point (thread count × DVFS gear) per
-	// workload phase. See adaptive.go and docs/DESIGN.md §Adaptive.
+	// workload phase, engaging and releasing on the dual-condition
+	// rule's verdict. See adaptive.go and DESIGN.md §Adaptive.
 	Adaptive
 )
 
@@ -254,16 +257,10 @@ type Config struct {
 	// choice) or socket-wide frequency scaling.
 	Mechanism Mechanism
 	// Policy selects the gating condition (default: the paper's dual
-	// condition). Adaptive routes decisions through a Decider (the
-	// default adaptive controller unless Decider overrides it).
+	// condition). Adaptive hands every healthy poll to the adaptive
+	// controller; the staleness watchdog, fail-safe latch and actuation
+	// reconciliation stay daemon-owned under every policy.
 	Policy Policy
-	// Decider, when non-nil, supplies a custom policy implementation
-	// consulted on every healthy poll in place of the static
-	// classifier. The staleness watchdog, fail-safe latch and
-	// actuation reconciliation stay daemon-owned: no Decider can act
-	// on stale data or keep the machine throttled through an outage.
-	// Most callers set Policy instead.
-	Decider DeciderFactory
 	// FrequencyGear is the DVFS scale applied while ScaleFrequency is
 	// engaged; zero selects 0.6.
 	FrequencyGear float64
@@ -303,6 +300,20 @@ type Config struct {
 // DefaultPeriod is the paper's daemon wake interval.
 const DefaultPeriod = 100 * time.Millisecond
 
+// OperatingPoint is the full actuation state a policy can ask for: the
+// paper's concurrency throttle (park workers beyond Limit per shepherd)
+// and the DVFS gear, combinable per Cuttlefish. The released state is
+// {Throttled: false, FreqScale: 1}.
+type OperatingPoint struct {
+	// Throttled parks workers beyond Limit on every shepherd.
+	Throttled bool
+	// Limit is the per-shepherd active-worker bound while Throttled.
+	Limit int
+	// FreqScale is the socket-wide DVFS gear in (0, 1]; 1 is full
+	// clock.
+	FreqScale float64
+}
+
 // Daemon is a running throttling controller. Create with Start; it polls
 // until Stop.
 type Daemon struct {
@@ -326,12 +337,9 @@ type Daemon struct {
 	// throttled state (the Adaptive policy picks its own points).
 	fullPoint    OperatingPoint
 	engagedPoint OperatingPoint
-	// decider is non-nil for Adaptive/custom policies; phaseFn exposes
-	// its current phase id when it has one.
-	decider Decider
-	phaseFn func() int
-	// maxLimit is the hardware bound on a per-shepherd worker limit.
-	maxLimit int
+	// adaptive is the Adaptive policy's controller (nil for the static
+	// policies).
+	adaptive *adaptive
 	// failsafe is the watchdog latch: while set, classification is
 	// suspended and the throttle is released. freshPolls counts
 	// consecutive healthy polls toward recovery.
@@ -362,11 +370,9 @@ type Daemon struct {
 	// journaling never allocate on the hot path.
 	met     *daemonMetrics
 	journal *telemetry.Journal
-	power   []units.Watts
+	power   []float64
 	conc    []float64
-	powerF  []float64
-	concF   []float64
-	membwF  []float64
+	membw   []float64
 	powerLv []int8
 	concLv  []int8
 
@@ -405,14 +411,7 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 	if cfg.RecoveryPolls <= 0 {
 		cfg.RecoveryPolls = 2
 	}
-	if cfg.Decider == nil && cfg.Policy == Adaptive {
-		cfg.Decider = NewAdaptiveDecider(AdaptiveConfig{})
-	}
 	d := &Daemon{rt: rt, bb: bb, cfg: cfg, journal: cfg.Journal, pendingID: -1}
-	d.maxLimit = mcfg.CoresPerSocket
-	if d.maxLimit < 1 {
-		d.maxLimit = 1
-	}
 	d.fullPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: 1}
 	if cfg.Mechanism == ScaleFrequency {
 		d.engagedPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: cfg.FrequencyGear}
@@ -420,26 +419,8 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 		d.engagedPoint = OperatingPoint{Throttled: true, Limit: cfg.ThrottleLimit, FreqScale: 1}
 	}
 	d.desired, d.applied = d.fullPoint, d.fullPoint
-	if cfg.Decider != nil {
-		dec, err := cfg.Decider(PolicyEnv{
-			Machine:       mcfg,
-			Thresholds:    cfg.Thresholds,
-			Period:        cfg.Period,
-			ThrottleLimit: cfg.ThrottleLimit,
-			FrequencyGear: cfg.FrequencyGear,
-			Telemetry:     cfg.Telemetry,
-			Journal:       cfg.Journal,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if dec == nil {
-			return nil, errors.New("maestro: Decider factory returned nil")
-		}
-		d.decider = dec
-		if p, ok := dec.(interface{ Phase() int }); ok {
-			d.phaseFn = p.Phase
-		}
+	if cfg.Policy == Adaptive {
+		d.adaptive = newAdaptive(mcfg, cfg.ThrottleLimit, cfg.Telemetry, cfg.Journal)
 	}
 	switch {
 	case cfg.StalenessHorizon == 0:
@@ -451,11 +432,9 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 		d.met = newDaemonMetrics(cfg.Telemetry)
 	}
 	nSock := bb.Sockets()
-	d.power = make([]units.Watts, 0, nSock)
+	d.power = make([]float64, 0, nSock)
 	d.conc = make([]float64, 0, nSock)
-	d.powerF = make([]float64, 0, nSock)
-	d.concF = make([]float64, 0, nSock)
-	d.membwF = make([]float64, 0, nSock)
+	d.membw = make([]float64, 0, nSock)
 	d.powerLv = make([]int8, 0, nSock)
 	d.concLv = make([]int8, 0, nSock)
 	id, err := rt.Machine().AddTicker(cfg.Period, d.poll)
@@ -473,10 +452,10 @@ func (d *Daemon) Stop() {
 	d.stopped.Store(true)
 	d.rt.Machine().RemoveTicker(d.tickerID)
 	d.rt.SetThrottle(false, d.cfg.ThrottleLimit)
-	// decider is written once before Start returns, so this read is
-	// safe from the stopping goroutine. A Decider may have engaged
-	// either mechanism, so both are released.
-	if d.cfg.Mechanism == ScaleFrequency || d.decider != nil {
+	// adaptive is written once before Start returns, so this read is
+	// safe from the stopping goroutine. The Adaptive policy may have
+	// engaged either mechanism, so both are released.
+	if d.cfg.Mechanism == ScaleFrequency || d.adaptive != nil {
 		d.setFrequency(1)
 	}
 }
@@ -489,7 +468,7 @@ type Stats struct {
 	Samples       uint64
 	Activations   uint64
 	Deactivations uint64
-	// OpChanges counts every desired operating-point move a Decider
+	// OpChanges counts every desired operating-point move the Adaptive
 	// policy made, including retunes between two throttled points that
 	// the activation/deactivation counters cannot see.
 	OpChanges     uint64
@@ -585,7 +564,7 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		if age := now - c.Updated; age > staleness {
 			staleness = age
 		}
-		d.power = append(d.power, units.Watts(p.Value))
+		d.power = append(d.power, p.Value)
 		if d.cfg.Policy == PowerOnly {
 			// Power-only ablation: pretend concurrency is always High so
 			// only the power classification gates the decision.
@@ -619,62 +598,43 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		d.recordEvent(now, telemetry.KindRecovered, "fresh", staleness)
 		// This poll's data is fresh; fall through and classify it.
 	}
-	// Classify once per socket and derive the decision from the levels —
-	// the same dual-condition rule as Thresholds.Decide, with the levels
-	// retained for counters and the decision journal.
+	// The rule's levels feed the counters and the journal; its verdict
+	// moves the static policies' point, or the adaptive controller.
 	th := d.cfg.Thresholds
-	d.powerLv, d.concLv = d.powerLv[:0], d.concLv[:0]
-	anyBothHigh, allLow := false, true
-	for i := range d.power {
-		pl := Classify(float64(d.power[i]), float64(th.LowPower), float64(th.HighPower))
-		cl := Classify(d.conc[i], th.LowConcurrency, th.HighConcurrency)
-		d.powerLv = append(d.powerLv, int8(pl))
-		d.concLv = append(d.concLv, int8(cl))
-		if met != nil {
-			met.powerLevel[pl].Inc()
-			met.concLevel[cl].Inc()
-		}
-		if pl == High && cl == High {
-			anyBothHigh = true
-		}
-		if pl != Low || cl != Low {
-			allLow = false
+	var verdict Decision
+	verdict, d.powerLv, d.concLv = th.decide(d.power, d.conc, d.powerLv[:0], d.concLv[:0])
+	if d.adaptive != nil || d.journal != nil {
+		d.membw = d.membw[:0]
+		for s := 0; s < nSock; s++ {
+			bw, _ := d.bb.Socket(s, rcr.MeterMemBandwidth)
+			d.membw = append(d.membw, bw.Value)
 		}
 	}
-	var outcome string
-	if d.decider != nil {
-		outcome = d.decideAdaptive(now, staleness, nSock)
-	} else {
-		dec := Hold
-		switch {
-		case anyBothHigh:
-			dec = Enable
-		case allLow:
-			dec = Disable
-		}
-		outcome = "hold"
-		switch dec {
-		case Enable:
-			outcome = "enable"
-			if met != nil {
-				met.decEnable.Inc()
-			}
-			d.setDesired(now, d.engagedPoint, staleness)
-		case Disable:
-			outcome = "disable"
-			if met != nil {
-				met.decDisable.Inc()
-			}
-			d.setDesired(now, d.fullPoint, staleness)
-		default:
-			// Hysteresis band: leave the mechanism as-is.
-			if met != nil {
-				met.decHold.Inc()
-			}
-		}
+	outcome := "hold" // hysteresis band: leave the mechanism as-is
+	switch {
+	case d.adaptive != nil:
+		outcome = d.stepAdaptive(now, verdict, staleness)
+	case verdict == Enable:
+		outcome = "enable"
+		d.setDesired(now, d.engagedPoint, staleness)
+	case verdict == Disable:
+		outcome = "disable"
+		d.setDesired(now, d.fullPoint, staleness)
 	}
 	d.reconcile(now)
 	if met != nil {
+		for i := range d.powerLv {
+			met.powerLevel[d.powerLv[i]].Inc()
+			met.concLevel[d.concLv[i]].Inc()
+		}
+		switch outcome {
+		case "hold":
+			met.decHold.Inc()
+		case "enable":
+			met.decEnable.Inc()
+		case "disable":
+			met.decDisable.Inc()
+		}
 		if d.engaged {
 			met.engaged.Set(1)
 		} else {
@@ -686,18 +646,11 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		met.staleness.Observe(float64(staleness))
 	}
 	if d.journal != nil {
-		d.powerF, d.concF, d.membwF = d.powerF[:0], d.concF[:0], d.membwF[:0]
-		for s := 0; s < nSock; s++ {
-			bw, _ := d.bb.Socket(s, rcr.MeterMemBandwidth)
-			d.membwF = append(d.membwF, bw.Value)
-			d.powerF = append(d.powerF, float64(d.power[s]))
-			d.concF = append(d.concF, d.conc[s])
-		}
 		d.journal.Record(telemetry.Decision{
 			T:       now,
-			Power:   d.powerF,
-			Conc:    d.concF,
-			Membw:   d.membwF,
+			Power:   d.power,
+			Conc:    d.conc,
+			Membw:   d.membw,
 			PowerLv: d.powerLv,
 			ConcLv:  d.concLv,
 			Thresholds: [4]float64{
@@ -715,10 +668,10 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 }
 
 // setDesired records a new desired operating point, maintaining the
-// engaged view and (for Decider policies) the operating_point_changed
-// journal trail. Static policies move only between fullPoint and
-// engagedPoint, so their journal output is unchanged from before the
-// Decider seam existed.
+// engaged view and, under the Adaptive policy, the op-change count and
+// the operating_point_changed journal trail. Static policies move only
+// between fullPoint and engagedPoint, which the activation and
+// deactivation counters already tell apart.
 func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time.Duration) {
 	if pt == d.desired {
 		return
@@ -736,7 +689,7 @@ func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time
 			d.met.transitions.Inc()
 		}
 	}
-	if d.decider == nil {
+	if d.adaptive == nil {
 		return
 	}
 	d.opChanges.Add(1)
@@ -756,78 +709,37 @@ func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time
 	}
 }
 
-// decideAdaptive routes one healthy poll's readings through the
-// Decider. The daemon still owns clamping (a Decider cannot exceed the
-// hardware's limits or emit NaN gears), the engaged bookkeeping, and
-// actuation; the Decider only picks the point.
-func (d *Daemon) decideAdaptive(now, staleness time.Duration, nSock int) string {
-	d.powerF, d.concF, d.membwF = d.powerF[:0], d.concF[:0], d.membwF[:0]
-	for s := 0; s < nSock; s++ {
-		bw, _ := d.bb.Socket(s, rcr.MeterMemBandwidth)
-		d.membwF = append(d.membwF, bw.Value)
-		d.powerF = append(d.powerF, float64(d.power[s]))
-		d.concF = append(d.concF, d.conc[s])
-	}
-	pt := d.clampPoint(d.decider.Decide(PolicyInput{
+// stepAdaptive hands one healthy poll to the adaptive controller and
+// makes the point it asks for the desired one. The daemon still owns
+// the engaged bookkeeping and actuation; the controller only picks the
+// point.
+func (d *Daemon) stepAdaptive(now time.Duration, verdict Decision, staleness time.Duration) string {
+	pt := d.adaptive.step(PolicyInput{
 		Now:       now,
-		Power:     d.powerF,
-		Conc:      d.concF,
-		Membw:     d.membwF,
-		PowerLv:   d.powerLv,
-		ConcLv:    d.concLv,
-		Current:   d.desired,
+		Power:     d.power,
+		Conc:      d.conc,
+		Membw:     d.membw,
+		Verdict:   verdict,
 		Staleness: staleness,
-	}))
-	outcome := "hold"
+	})
+	outcome := "retune" // a move between two throttled points
 	switch {
 	case pt == d.desired:
-		if d.met != nil {
-			d.met.decHold.Inc()
-		}
+		outcome = "hold"
 	case pt == d.fullPoint:
 		outcome = "disable"
-		if d.met != nil {
-			d.met.decDisable.Inc()
-		}
 	case d.desired == d.fullPoint:
 		outcome = "enable"
-		if d.met != nil {
-			d.met.decEnable.Inc()
-		}
-	default:
-		// A move between two throttled points.
-		outcome = "retune"
 	}
 	d.setDesired(now, pt, staleness)
 	return outcome
 }
 
-// clampPoint bounds a Decider's output to what the hardware can do.
-// Non-finite or out-of-range gears fall back to full clock (fail toward
-// speed, never toward an unbounded throttle).
-func (d *Daemon) clampPoint(pt OperatingPoint) OperatingPoint {
-	if !(pt.FreqScale > 0 && pt.FreqScale <= 1) { // NaN lands here too
-		pt.FreqScale = 1
-	}
-	if pt.Throttled {
-		if pt.Limit < 1 {
-			pt.Limit = 1
-		}
-		if pt.Limit > d.maxLimit {
-			pt.Limit = d.maxLimit
-		}
-	} else {
-		// Released points are normalized so there is exactly one
-		// representation of "not throttled" to compare against.
-		pt.Limit = d.cfg.ThrottleLimit
-	}
-	return pt
-}
-
-// phase is the Decider's current phase id (0 for static policies).
+// phase is the adaptive controller's current phase id (0 for the static
+// policies).
 func (d *Daemon) phase() int {
-	if d.phaseFn != nil {
-		return d.phaseFn()
+	if d.adaptive != nil {
+		return d.adaptive.phaseID
 	}
 	return 0
 }
@@ -868,12 +780,12 @@ func (d *Daemon) noteFault(now, staleness time.Duration, missing bool) {
 		}
 		d.cancelPending()
 		d.forceRelease()
-		if d.decider != nil {
-			// The Decider's model was fed by the sensors that just went
-			// dark; whatever it learned during the outage window is not
-			// trustworthy. Reset so recovery restarts exploration from
+		if d.adaptive != nil {
+			// The controller's model was fed by the sensors that just
+			// went dark; whatever it learned during the outage window is
+			// not trustworthy. Reset so recovery restarts exploration from
 			// scratch rather than resuming a possibly-poisoned climb.
-			d.decider.Reset(now)
+			d.adaptive.reset()
 		}
 		d.recordEvent(now, telemetry.KindFailsafeEntered, detail, staleness)
 		return
@@ -993,7 +905,7 @@ func (d *Daemon) applyNow(pt OperatingPoint) {
 func (d *Daemon) forceRelease() {
 	d.applied = d.fullPoint
 	switch {
-	case d.decider != nil:
+	case d.adaptive != nil:
 		d.rt.SetThrottle(false, d.cfg.ThrottleLimit)
 		d.setFrequency(1)
 	case d.cfg.Mechanism == ScaleFrequency:

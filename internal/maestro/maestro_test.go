@@ -2,6 +2,7 @@ package maestro
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,26 +104,28 @@ func TestThresholdsValidate(t *testing.T) {
 
 func TestDecideDualCondition(t *testing.T) {
 	th := Thresholds{HighPower: 75, LowPower: 50, HighConcurrency: 21, LowConcurrency: 7}
+	const L, M, H = int8(Low), int8(Medium), int8(High)
 	cases := []struct {
-		name  string
-		power []units.Watts
-		conc  []float64
-		want  Decision
+		name            string
+		power, conc     []float64
+		want            Decision
+		powerLv, concLv []int8
 	}{
-		{"both high one socket", []units.Watts{80, 30}, []float64{25, 1}, Enable},
-		{"both high other socket", []units.Watts{30, 80}, []float64{1, 25}, Enable},
-		{"power high only", []units.Watts{80, 80}, []float64{10, 10}, Hold},
-		{"conc high only", []units.Watts{60, 60}, []float64{25, 25}, Hold},
-		{"high power low conc", []units.Watts{80, 80}, []float64{1, 1}, Hold},
-		{"all low", []units.Watts{30, 40}, []float64{2, 3}, Disable},
-		{"medium band holds", []units.Watts{60, 40}, []float64{3, 3}, Hold},
-		{"one low one medium", []units.Watts{30, 60}, []float64{2, 2}, Hold},
-		{"empty", nil, nil, Hold},
-		{"mismatched", []units.Watts{80}, []float64{25, 25}, Hold},
+		{"both high one socket", []float64{80, 30}, []float64{25, 1}, Enable, []int8{H, L}, []int8{H, L}},
+		{"both high other socket", []float64{30, 80}, []float64{1, 25}, Enable, []int8{L, H}, []int8{L, H}},
+		{"power high only", []float64{80, 80}, []float64{10, 10}, Hold, []int8{H, H}, []int8{M, M}},
+		{"conc high only", []float64{60, 60}, []float64{25, 25}, Hold, []int8{M, M}, []int8{H, H}},
+		{"high power low conc", []float64{80, 80}, []float64{1, 1}, Hold, []int8{H, H}, []int8{L, L}},
+		{"all low", []float64{30, 40}, []float64{2, 3}, Disable, []int8{L, L}, []int8{L, L}},
+		{"medium band holds", []float64{60, 40}, []float64{3, 3}, Hold, []int8{M, L}, []int8{L, L}},
+		{"one low one medium", []float64{30, 60}, []float64{2, 2}, Hold, []int8{L, M}, []int8{L, L}},
+		{"empty", nil, nil, Hold, nil, nil},
+		{"mismatched", []float64{80}, []float64{25, 25}, Hold, nil, nil},
 	}
 	for _, c := range cases {
-		if got := th.Decide(c.power, c.conc); got != c.want {
-			t.Errorf("%s: Decide = %v, want %v", c.name, got, c.want)
+		got, pl, cl := th.decide(c.power, c.conc, nil, nil)
+		if got != c.want || !slices.Equal(pl, c.powerLv) || !slices.Equal(cl, c.concLv) {
+			t.Errorf("%s: decide = %v %v %v, want %v %v %v", c.name, got, pl, cl, c.want, c.powerLv, c.concLv)
 		}
 	}
 }

@@ -78,8 +78,8 @@ func DecodeSamples(r io.Reader) ([]Sample, error) {
 // Replay runs a decoded sample stream through a fresh detector and
 // returns the indexes (0-based) of the samples on which a change point
 // fired. It is the offline counterpart of the live control loop.
-func Replay(samples []Sample, cfg Config) []int {
-	d := New(cfg)
+func Replay(samples []Sample) []int {
+	d := New()
 	var marks []int
 	for i, s := range samples {
 		if d.Observe(s) {

@@ -7,7 +7,7 @@
 //
 // Detection is a dual-EWMA scheme: for each signal a fast and a slow
 // exponential moving average track the stream, and a change point fires
-// when the two diverge by more than a relative threshold for MinRun
+// when the two diverge by more than a relative threshold for minRun
 // consecutive samples. The slow average is the phase baseline, the fast
 // one the current behaviour; sustained divergence means the workload
 // moved to a new regime rather than jittering inside the old one. A
@@ -25,69 +25,45 @@ type Sample struct {
 	Conc  float64
 }
 
-// Config tunes a Detector. The zero value selects the defaults below.
-type Config struct {
-	// FastAlpha / SlowAlpha are the EWMA smoothing factors of the fast
+// Detector tuning.
+const (
+	// fastAlpha and slowAlpha are the EWMA smoothing factors of the fast
 	// and slow trackers (0 < alpha <= 1; larger is more reactive).
-	// Defaults: 0.5 and 0.08.
-	FastAlpha, SlowAlpha float64
-	// Threshold is the relative divergence |fast-slow|/max(|slow|,eps)
-	// that arms a change point. Default: 0.25.
-	Threshold float64
-	// MinRun is how many consecutive divergent samples must be seen
+	fastAlpha, slowAlpha = 0.5, 0.08
+	// threshold is the relative divergence |fast-slow|/max(|slow|,eps)
+	// that arms a change point.
+	threshold = 0.25
+	// minRun is how many consecutive divergent samples must be seen
 	// before a change point fires (debounce against single-sample
-	// spikes). Default: 2.
-	MinRun int
-	// Cooldown is how many samples after a fire the detector stays
+	// spikes).
+	minRun = 2
+	// cooldown is how many samples after a fire the detector stays
 	// disarmed, letting the trackers converge on the new phase.
-	// Default: 4.
-	Cooldown int
-	// Warmup is how many samples the detector absorbs before it may
-	// fire at all (the first phase is not a "change"). Default: 3.
-	Warmup int
-}
-
-func (c Config) withDefaults() Config {
-	if c.FastAlpha <= 0 || c.FastAlpha > 1 {
-		c.FastAlpha = 0.5
-	}
-	if c.SlowAlpha <= 0 || c.SlowAlpha > 1 {
-		c.SlowAlpha = 0.08
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.25
-	}
-	if c.MinRun <= 0 {
-		c.MinRun = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 4
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 3
-	}
-	return c
-}
+	cooldown = 4
+	// warmup is how many samples the detector absorbs before it may fire
+	// at all (the first phase is not a "change").
+	warmup = 3
+)
 
 // track is one signal's dual-EWMA pair.
 type track struct {
 	fast, slow float64
 }
 
-func (tr *track) observe(v, fa, sa float64, primed bool) {
+func (tr *track) observe(v float64, primed bool) {
 	if !primed {
 		tr.fast, tr.slow = v, v
 		return
 	}
-	tr.fast += fa * (v - tr.fast)
-	tr.slow += sa * (v - tr.slow)
+	tr.fast += fastAlpha * (v - tr.fast)
+	tr.slow += slowAlpha * (v - tr.slow)
 }
 
 // divergence is the relative gap between a raw sample and the slow
 // baseline, with a per-signal floor so near-zero baselines don't turn
 // noise into infinite relative change. Testing the raw sample (not the
 // fast tracker) keeps a single spike from smearing across several
-// samples through the fast EWMA's decay and defeating MinRun.
+// samples through the fast EWMA's decay and defeating minRun.
 func (tr *track) divergence(v, floor float64) float64 {
 	base := math.Abs(tr.slow)
 	if base < floor {
@@ -100,7 +76,6 @@ func (tr *track) divergence(v, floor float64) float64 {
 // ready; create with New. Observe is not safe for concurrent use — the
 // intended caller is a single control loop.
 type Detector struct {
-	cfg    Config
 	power  track
 	bw     track
 	conc   track
@@ -110,13 +85,8 @@ type Detector struct {
 	phases int
 }
 
-// New returns a Detector with cfg's defaults applied.
-func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
-}
-
-// Config returns the detector configuration with defaults applied.
-func (d *Detector) Config() Config { return d.cfg }
+// New returns a Detector.
+func New() *Detector { return &Detector{} }
 
 // Phases returns how many change points have fired so far.
 func (d *Detector) Phases() int { return d.phases }
@@ -138,13 +108,13 @@ func (d *Detector) Observe(s Sample) bool {
 		return false
 	}
 	primed := d.seen > 0
-	d.power.observe(s.Power, d.cfg.FastAlpha, d.cfg.SlowAlpha, primed)
-	d.bw.observe(s.Bw, d.cfg.FastAlpha, d.cfg.SlowAlpha, primed)
+	d.power.observe(s.Power, primed)
+	d.bw.observe(s.Bw, primed)
 	// Concurrency gets its own tracker: its scale (tens of outstanding
 	// refs) would vanish inside the bandwidth signal (GB/s).
-	d.conc.observe(s.Conc, d.cfg.FastAlpha, d.cfg.SlowAlpha, primed)
+	d.conc.observe(s.Conc, primed)
 	d.seen++
-	if d.seen <= d.cfg.Warmup {
+	if d.seen <= warmup {
 		return false
 	}
 	if d.cool > 0 {
@@ -157,16 +127,16 @@ func (d *Detector) Observe(s Sample) bool {
 	}
 	// Floors: 1 W of power, 0.1 GB/s of bandwidth, 1 outstanding ref —
 	// below these the signal is idle noise, not a phase.
-	if d.power.divergence(s.Power, 1) > d.cfg.Threshold ||
-		d.bw.divergence(s.Bw, 1e8) > d.cfg.Threshold ||
-		d.conc.divergence(s.Conc, 1) > d.cfg.Threshold {
+	if d.power.divergence(s.Power, 1) > threshold ||
+		d.bw.divergence(s.Bw, 1e8) > threshold ||
+		d.conc.divergence(s.Conc, 1) > threshold {
 		d.run++
 	} else {
 		d.run = 0
 	}
-	if d.run >= d.cfg.MinRun {
+	if d.run >= minRun {
 		d.run = 0
-		d.cool = d.cfg.Cooldown
+		d.cool = cooldown
 		d.phases++
 		// Snap the slow trackers onto the new regime so the next
 		// divergence is measured against the new phase's baseline.

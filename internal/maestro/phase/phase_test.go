@@ -16,7 +16,7 @@ func feed(d *Detector, n int, s Sample) (fires int) {
 }
 
 func TestDetectorStablePhaseNeverFires(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	if got := feed(d, 500, Sample{Power: 120, Bw: 30e9, Conc: 25}); got != 0 {
 		t.Fatalf("stable stream fired %d change points, want 0", got)
 	}
@@ -26,7 +26,7 @@ func TestDetectorStablePhaseNeverFires(t *testing.T) {
 }
 
 func TestDetectorFiresOnRegimeShift(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	feed(d, 50, Sample{Power: 120, Bw: 30e9, Conc: 25})
 	if got := feed(d, 20, Sample{Power: 60, Bw: 5e9, Conc: 3}); got != 1 {
 		t.Fatalf("regime shift fired %d change points, want exactly 1", got)
@@ -41,7 +41,7 @@ func TestDetectorFiresOnRegimeShift(t *testing.T) {
 }
 
 func TestDetectorSingleSpikeDebounced(t *testing.T) {
-	d := New(Config{MinRun: 2})
+	d := New()
 	feed(d, 50, Sample{Power: 120, Bw: 30e9, Conc: 25})
 	if d.Observe(Sample{Power: 500, Bw: 90e9, Conc: 80}) {
 		t.Fatal("single-sample spike fired a change point")
@@ -52,7 +52,7 @@ func TestDetectorSingleSpikeDebounced(t *testing.T) {
 }
 
 func TestDetectorIgnoresNonFinite(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	feed(d, 50, Sample{Power: 120, Bw: 30e9, Conc: 25})
 	bad := []Sample{
 		{Power: math.NaN(), Bw: 30e9, Conc: 25},
@@ -71,7 +71,7 @@ func TestDetectorIgnoresNonFinite(t *testing.T) {
 }
 
 func TestDetectorResetPreservesPhaseCount(t *testing.T) {
-	d := New(Config{})
+	d := New()
 	feed(d, 50, Sample{Power: 120, Bw: 30e9, Conc: 25})
 	feed(d, 20, Sample{Power: 60, Bw: 5e9, Conc: 3})
 	if d.Phases() != 1 {
@@ -93,12 +93,11 @@ func TestDetectorResetPreservesPhaseCount(t *testing.T) {
 }
 
 func TestDetectorDefaults(t *testing.T) {
-	cfg := New(Config{}).Config()
-	if cfg.FastAlpha <= cfg.SlowAlpha {
-		t.Fatalf("fast alpha %v must exceed slow alpha %v", cfg.FastAlpha, cfg.SlowAlpha)
+	if !(0 < slowAlpha && slowAlpha < fastAlpha && fastAlpha <= 1) {
+		t.Fatalf("alphas %v/%v: want 0 < slow < fast <= 1", slowAlpha, fastAlpha)
 	}
-	if cfg.Threshold <= 0 || cfg.MinRun <= 0 || cfg.Cooldown <= 0 || cfg.Warmup <= 0 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	if threshold <= 0 || minRun <= 0 || cooldown <= 0 || warmup <= 0 {
+		t.Fatal("every detector constant must be positive")
 	}
 }
 
@@ -156,7 +155,7 @@ func TestReplayMarksShift(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		samples = append(samples, Sample{Power: 60, Bw: 5e9, Conc: 3})
 	}
-	marks := Replay(samples, Config{})
+	marks := Replay(samples)
 	if len(marks) != 1 {
 		t.Fatalf("Replay marked %d change points %v, want 1", len(marks), marks)
 	}
@@ -187,6 +186,6 @@ func FuzzDecodeSamples(f *testing.F) {
 				}
 			}
 		}
-		Replay(samples, Config{})
+		Replay(samples)
 	})
 }

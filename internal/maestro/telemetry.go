@@ -30,7 +30,7 @@ type daemonMetrics struct {
 	actDropped      *telemetry.Counter // actuations lost by the hook
 	failsafeG       *telemetry.Gauge   // 1 while the fail-safe latch holds
 
-	// Decider-policy instruments (static policies never touch them).
+	// Adaptive-policy instruments (static policies never touch them).
 	phaseOpChanges *telemetry.Counter // desired operating-point moves
 }
 

@@ -138,33 +138,6 @@ func TestServerShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestServerRateLimit: over-budget clients get BUSY. All Unix-socket
-// peers share one anonymous address, hence one bucket, which is exactly
-// what the test uses.
-func TestServerRateLimit(t *testing.T) {
-	leak.Check(t)
-	bb, _ := NewBlackboard(1, 1)
-	bb.SetSystem(MeterEnergy, 1, 0)
-	reg := telemetry.NewRegistry()
-	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
-		s.RateLimit = 0.001 // effectively no refill during the test
-		s.RateBurst = 2
-		s.Instrument(reg)
-	})
-
-	for i := 0; i < 2; i++ {
-		if _, err := Query("unix", sock); err != nil {
-			t.Fatalf("query %d inside burst budget: %v", i, err)
-		}
-	}
-	if _, err := Query("unix", sock); !errors.Is(err, ErrBusy) {
-		t.Errorf("over-budget query returned %v, want ErrBusy", err)
-	}
-	if got := reg.Counter("rcr_ipc_ratelimited_total").Value(); got == 0 {
-		t.Error("ratelimited counter did not move")
-	}
-}
-
 // TestServerGracefulDrain: with a DrainTimeout, Close lets an in-flight
 // slow request finish and deliver its payload instead of expiring it.
 func TestServerGracefulDrain(t *testing.T) {

@@ -105,11 +105,6 @@ const (
 	acceptBackoffMax = time.Second
 )
 
-// maxRateBuckets bounds the per-client token-bucket table; past it the
-// table is reset rather than grown without bound (an attacker cycling
-// source addresses buys amnesia, not memory).
-const maxRateBuckets = 4096
-
 // Server serves blackboard snapshots over a listener. Configure the
 // exported fields (if desired) and Instrument before calling Serve.
 type Server struct {
@@ -134,15 +129,6 @@ type Server struct {
 	// the accept loop, letting clients pile up in the listener backlog
 	// (the legacy behavior).
 	Shed bool
-	// RateLimit, when positive, applies a token-bucket limit of this
-	// many requests per second per client address (RateBurst deep,
-	// default 2× the rate). Clients over their budget get the BUSY
-	// response. Unix-socket peers usually share one anonymous address —
-	// and thus one bucket — so this is chiefly for TCP listeners.
-	RateLimit float64
-	// RateBurst is the token-bucket depth when RateLimit is set. Zero
-	// selects 2× RateLimit (minimum 1).
-	RateBurst int
 	// DrainTimeout is how long Close lets in-flight and queued handlers
 	// finish naturally before expiring their deadlines. Zero expires
 	// immediately (fastest shutdown; handlers unwind via I/O errors).
@@ -163,15 +149,11 @@ type Server struct {
 	errors      *telemetry.Counter
 	rejected    *telemetry.Counter
 	shed        *telemetry.Counter
-	ratelimited *telemetry.Counter
 	acceptRetry *telemetry.Counter
 	active      *telemetry.Gauge
 	queueDepth  *telemetry.Gauge
 
 	aborting atomic.Bool // Close is past its drain window: expire everything
-
-	rateMu  sync.Mutex
-	buckets map[string]*tokenBucket
 
 	mu      sync.Mutex
 	closed  bool
@@ -183,12 +165,6 @@ type Server struct {
 	workers  int
 	inflight int
 	idle     map[net.Conn]struct{}
-}
-
-// tokenBucket is one client's request budget.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
 }
 
 // NewServer creates a snapshot server; call Serve to run it.
@@ -206,7 +182,6 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.errors = reg.Counter("rcr_ipc_errors_total")
 	s.rejected = reg.Counter("rcr_ipc_bad_requests_total")
 	s.shed = reg.Counter("rcr_ipc_shed_total")
-	s.ratelimited = reg.Counter("rcr_ipc_ratelimited_total")
 	s.acceptRetry = reg.Counter("rcr_ipc_accept_retries_total")
 	s.active = reg.Gauge("rcr_ipc_active_conns")
 	s.queueDepth = reg.Gauge("rcr_ipc_queue_depth")
@@ -295,9 +270,6 @@ func (s *Server) Serve() error {
 			return fmt.Errorf("rcr: accept: %w", err)
 		}
 		backoff = acceptBackoffMin
-		if !s.admitRate(conn, writeTO) {
-			continue // over the client's token budget; BUSY already sent
-		}
 		if !s.track(conn) {
 			// Closed while accepting: drop the straggler.
 			conn.Close()
@@ -316,47 +288,6 @@ func (s *Server) Serve() error {
 			s.queueDepth.Set(float64(len(queue)))
 		}
 	}
-}
-
-// admitRate enforces the per-client token bucket. A client over budget
-// gets the BUSY response and false.
-func (s *Server) admitRate(conn net.Conn, writeTO time.Duration) bool {
-	if s.RateLimit <= 0 {
-		return true
-	}
-	burst := float64(s.RateBurst)
-	if burst < 1 {
-		burst = 2 * s.RateLimit
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	key := conn.RemoteAddr().String()
-	now := time.Now()
-	s.rateMu.Lock()
-	if s.buckets == nil || len(s.buckets) > maxRateBuckets {
-		s.buckets = make(map[string]*tokenBucket)
-	}
-	b := s.buckets[key]
-	if b == nil {
-		b = &tokenBucket{tokens: burst, last: now}
-		s.buckets[key] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * s.RateLimit
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	b.last = now
-	ok := b.tokens >= 1
-	if ok {
-		b.tokens--
-	}
-	s.rateMu.Unlock()
-	if !ok {
-		s.ratelimited.Inc()
-		s.replyBusy(conn, writeTO)
-	}
-	return ok
 }
 
 // shedConn answers an over-capacity connection with BUSY and closes it.
@@ -552,10 +483,7 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 			return false
 		}
 		if served > 0 {
-			// What the accept loop did for the first request.
-			if !s.admitRate(conn, writeTO) {
-				return false
-			}
+			// The read deadline the first request got above.
 			if err := conn.SetReadDeadline(s.deadline(readTO)); err != nil {
 				s.errors.Inc()
 				return false

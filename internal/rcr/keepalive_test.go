@@ -457,41 +457,6 @@ func TestServerCloseDropsIdleConns(t *testing.T) {
 	}
 }
 
-// TestRateLimitPerRequest: requests on a reused connection draw from
-// the client's token bucket one by one, like connections used to.
-func TestRateLimitPerRequest(t *testing.T) {
-	leak.Check(t)
-	sock := filepath.Join(t.TempDir(), "rcrd.sock")
-	reg := telemetry.NewRegistry()
-	serveAt(t, sock, func(s *Server) {
-		s.RateLimit = 0.001 // effectively no refill during the test
-		s.RateBurst = 3
-		s.Instrument(reg)
-	})
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for i := 0; i < 3; i++ {
-		if err := rawGet(conn); err != nil {
-			t.Fatalf("request %d inside the burst: %v", i, err)
-		}
-	}
-	if err := rawGet(conn); !errors.Is(err, ErrBusy) {
-		t.Fatalf("over-budget request returned %v, want ErrBusy", err)
-	}
-	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
-		t.Errorf("after BUSY: read n=%d err=%v, want the connection closed", n, err)
-	}
-	if got := reg.Counter("rcr_ipc_ratelimited_total").Value(); got != 1 {
-		t.Errorf("ratelimited counter = %d, want 1", got)
-	}
-	if got := reg.Counter("rcr_ipc_requests_total").Value(); got != 4 {
-		t.Errorf("requests counter = %d, want 4", got)
-	}
-}
-
 // TestServerRequestFraming: the server reads requests through a
 // per-connection buffered reader, however the peer splits them. A CAP
 // request written a byte at a time is answered; a body that stalls past

@@ -43,9 +43,6 @@ type Publisher struct {
 	// selects DefaultSubQueueDepth. When a queue is full the oldest frame
 	// is dropped and the subscriber resyncs from a full frame.
 	QueueDepth int
-	// WriteTimeout bounds each frame write to a subscriber; zero selects
-	// DefaultIPCTimeout.
-	WriteTimeout time.Duration
 
 	pool sync.Pool // *frameBuf
 
@@ -153,13 +150,6 @@ func (p *Publisher) queueDepth() int {
 	return DefaultSubQueueDepth
 }
 
-func (p *Publisher) writeTimeout() time.Duration {
-	if p.WriteTimeout > 0 {
-		return p.WriteTimeout
-	}
-	return DefaultIPCTimeout
-}
-
 // maxWriteBatch bounds how many queued bytes a subscriber writer
 // coalesces into one syscall.
 const maxWriteBatch = 32 << 10
@@ -194,7 +184,7 @@ func (p *Publisher) writer(sub *subscriber) {
 				break coalesce
 			}
 		}
-		_ = sub.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout()))
+		_ = sub.conn.SetWriteDeadline(time.Now().Add(DefaultIPCTimeout))
 		if _, err := sub.conn.Write(batch); err != nil {
 			sub.dead.Store(true)
 			p.disconnects.Inc()

@@ -49,9 +49,6 @@ type BreakerConfig struct {
 	// doubles it up to OpenForMax. Zero selects 100 ms (one maestro poll
 	// period); OpenForMax zero selects 8× OpenFor.
 	OpenFor, OpenForMax time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes close a
-	// half-open breaker. Zero selects 1.
-	HalfOpenSuccesses int
 	// Journal, when non-nil, receives a record for every state
 	// transition (KindBreakerOpen / KindBreakerHalfOpen /
 	// KindBreakerClosed), which is how soak and acceptance tests assert
@@ -71,7 +68,6 @@ type Breaker struct {
 	mu        sync.Mutex
 	state     BreakerState
 	failures  int           // consecutive failures while closed
-	successes int           // consecutive probe successes while half-open
 	cooldown  time.Duration // current open cooldown (doubles per re-open)
 	openUntil time.Duration
 
@@ -92,9 +88,6 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	}
 	if cfg.OpenForMax <= 0 {
 		cfg.OpenForMax = 8 * cfg.OpenFor
-	}
-	if cfg.HalfOpenSuccesses <= 0 {
-		cfg.HalfOpenSuccesses = 1
 	}
 	b := &Breaker{cfg: cfg, cooldown: cfg.OpenFor}
 	if reg := cfg.Telemetry; reg != nil {
@@ -130,7 +123,7 @@ func (b *Breaker) Allow() error {
 }
 
 // Success reports a successful call. Closed: clears the failure run.
-// Half-open: counts toward re-closing.
+// Half-open: the first successful probe closes the breaker.
 func (b *Breaker) Success() {
 	now := b.cfg.Clock()
 	b.mu.Lock()
@@ -140,12 +133,9 @@ func (b *Breaker) Success() {
 	case BreakerClosed:
 		b.failures = 0
 	case BreakerHalfOpen:
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenSuccesses {
-			b.transitionLocked(now, BreakerClosed, "probes_ok")
-			b.failures = 0
-			b.cooldown = b.cfg.OpenFor
-		}
+		b.transitionLocked(now, BreakerClosed, "probes_ok")
+		b.failures = 0
+		b.cooldown = b.cfg.OpenFor
 	}
 }
 
@@ -179,7 +169,6 @@ func (b *Breaker) Failure() {
 func (b *Breaker) advanceLocked(now time.Duration) {
 	if b.state == BreakerOpen && now >= b.openUntil {
 		b.transitionLocked(now, BreakerHalfOpen, "cooldown_elapsed")
-		b.successes = 0
 	}
 }
 

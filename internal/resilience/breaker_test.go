@@ -81,7 +81,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state %v after cooldown, want half-open", b.State())
 	}
-	// Successful probe closes it (HalfOpenSuccesses defaulted to 1).
+	// The first successful probe closes it.
 	b.Success()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after probe success, want closed", b.State())

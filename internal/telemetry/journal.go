@@ -2,11 +2,9 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -115,20 +113,6 @@ const (
 	KindOperatingPointChanged = "operating_point_changed"
 )
 
-// LevelName returns the human name of a recorded level.
-func LevelName(l int8) string {
-	switch l {
-	case LevelLow:
-		return "Low"
-	case LevelMedium:
-		return "Medium"
-	case LevelHigh:
-		return "High"
-	default:
-		return fmt.Sprintf("Level(%d)", l)
-	}
-}
-
 // Decision is one classification epoch of the throttle daemon: the
 // sampled inputs, the thresholds they were classified against, the
 // per-axis levels, and the outcome. Slice fields are indexed by socket.
@@ -185,7 +169,6 @@ type Journal struct {
 	entries []Decision
 	next    int
 	filled  bool
-	sockets int
 }
 
 // DefaultJournalCapacity holds ~27 minutes of decisions at the paper's
@@ -193,7 +176,9 @@ type Journal struct {
 const DefaultJournalCapacity = 1 << 14
 
 // NewJournal creates a journal for capacity decisions over a node with
-// the given socket count. capacity <= 0 selects DefaultJournalCapacity.
+// the given socket count, which sizes the per-socket slices every slot
+// preallocates so that Record does not allocate. capacity <= 0 selects
+// DefaultJournalCapacity.
 func NewJournal(capacity, sockets int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
@@ -201,7 +186,7 @@ func NewJournal(capacity, sockets int) *Journal {
 	if sockets < 1 {
 		sockets = 1
 	}
-	j := &Journal{entries: make([]Decision, capacity), sockets: sockets}
+	j := &Journal{entries: make([]Decision, capacity)}
 	for i := range j.entries {
 		j.entries[i].Power = make([]float64, 0, sockets)
 		j.entries[i].Conc = make([]float64, 0, sockets)
@@ -249,14 +234,6 @@ func (j *Journal) Len() int {
 		return len(j.entries)
 	}
 	return j.next
-}
-
-// Sockets returns the per-socket width the journal was built for.
-func (j *Journal) Sockets() int {
-	if j == nil {
-		return 0
-	}
-	return j.sockets
 }
 
 // Entries returns a deep copy of the stored decisions, oldest first.
@@ -318,73 +295,4 @@ func ReadJSONL(r io.Reader) ([]Decision, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// csvFreq normalizes the legacy zero value (records written before
-// operating points existed) to full clock for plotting.
-func csvFreq(f float64) float64 {
-	if f == 0 {
-		return 1
-	}
-	return f
-}
-
-// WriteCSV writes the journal in long form for spreadsheet plotting:
-// one row per decision with per-socket columns.
-func (j *Journal) WriteCSV(w io.Writer) error {
-	entries := j.Entries()
-	cw := csv.NewWriter(w)
-	header := []string{"t_seconds", "kind", "outcome", "engaged", "limit", "freq", "phase", "staleness_ms"}
-	for s := 0; s < j.Sockets(); s++ {
-		header = append(header,
-			fmt.Sprintf("pkg%d_watts", s),
-			fmt.Sprintf("pkg%d_memconc", s),
-			fmt.Sprintf("pkg%d_membw", s),
-			fmt.Sprintf("pkg%d_power_level", s),
-			fmt.Sprintf("pkg%d_conc_level", s))
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	at := func(v []float64, i int) float64 {
-		if i < len(v) {
-			return v[i]
-		}
-		return 0
-	}
-	lvAt := func(v []int8, i int) string {
-		if i < len(v) {
-			return LevelName(v[i])
-		}
-		return ""
-	}
-	for _, d := range entries {
-		kind := d.Kind
-		if kind == KindDecision {
-			kind = "decision"
-		}
-		rec := []string{
-			strconv.FormatFloat(d.T.Seconds(), 'f', 6, 64),
-			kind,
-			d.Outcome,
-			strconv.FormatBool(d.Engaged),
-			strconv.Itoa(d.Limit),
-			strconv.FormatFloat(csvFreq(d.Freq), 'f', 2, 64),
-			strconv.Itoa(d.Phase),
-			strconv.FormatFloat(float64(d.Staleness)/1e6, 'f', 3, 64),
-		}
-		for s := 0; s < j.Sockets(); s++ {
-			rec = append(rec,
-				strconv.FormatFloat(at(d.Power, s), 'f', 3, 64),
-				strconv.FormatFloat(at(d.Conc, s), 'f', 3, 64),
-				strconv.FormatFloat(at(d.Membw, s), 'f', 0, 64),
-				lvAt(d.PowerLv, s),
-				lvAt(d.ConcLv, s))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

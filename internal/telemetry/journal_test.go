@@ -76,26 +76,6 @@ func TestJournalEntriesAreCopies(t *testing.T) {
 	}
 }
 
-func TestJournalWriteCSV(t *testing.T) {
-	j := NewJournal(8, 2)
-	j.Record(decisionAt(0))
-	j.Record(decisionAt(1))
-	var buf bytes.Buffer
-	if err := j.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "t_seconds,kind,outcome,engaged,limit,freq,phase,staleness_ms,pkg0_watts") {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "decision") || !strings.Contains(lines[1], "enable") || !strings.Contains(lines[1], "High") {
-		t.Errorf("CSV row = %q", lines[1])
-	}
-}
-
 // TestJournalKindRoundTrip: fail-safe records (fault_detected /
 // failsafe_entered / recovered) keep their kind and detail through the
 // ring and the JSONL sidecar, and normal decisions omit the fields.

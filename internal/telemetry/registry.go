@@ -21,7 +21,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -352,14 +351,4 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the snapshot as a JSON array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = []Metric{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
 }
