@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/rcr"
 	"repro/internal/resilience"
 	"repro/internal/resilience/leak"
-	"repro/internal/resilience/soak"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
@@ -334,22 +335,80 @@ type countedStream struct {
 
 func (s countedStream) Close() error { s.open.Add(-1); return s.SubStream.Close() }
 
+// hostClock is an rcr.Clock reading host time since the test began.
+type hostClock func() time.Duration
+
+func (c hostClock) Now() time.Duration { return c() }
+
+// shardServer is a restartable rcrd on a unix socket. Every Start brings
+// up a fresh incarnation — a new 2×2 blackboard behind a delta publisher
+// — so a restarted shard's heartbeat starts over, as after a node crash.
+type shardServer struct {
+	socket string
+	clock  hostClock
+
+	mu   sync.Mutex // guards the incarnation: Feed never races Start or Stop
+	bb   *rcr.Blackboard
+	srv  *rcr.Server
+	done chan error
+}
+
+func (s *shardServer) Start() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ln, err := net.Listen("unix", s.socket)
+	if err != nil {
+		return err
+	}
+	s.bb, _ = rcr.NewBlackboard(2, 2) // a fixed, valid topology
+	s.srv, s.done = rcr.NewServer(s.bb, s.clock, ln), make(chan error, 1)
+	s.srv.Pub = rcr.NewPublisher(s.bb)
+	go func(srv *rcr.Server, done chan<- error) { done <- srv.Serve() }(s.srv, s.done)
+	return nil
+}
+
+// Stop closes the incarnation and waits for Serve to return; stopping a
+// stopped server is a no-op.
+func (s *shardServer) Stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.srv == nil {
+		return
+	}
+	_ = s.srv.Close()
+	<-s.done
+	s.bb, s.srv = nil, nil
+}
+
+// Feed runs fn on the live incarnation's board and publisher; while the
+// shard is down there is nothing to feed.
+func (s *shardServer) Feed(fn func(*rcr.Blackboard, *rcr.Publisher)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.srv != nil {
+		fn(s.bb, s.srv.Pub)
+	}
+}
+
 // TestAggregatorDriverOverSockets is the driver's smoke test — what the
 // socket-backed scenario corpora used to check about Aggregator's own
-// plumbing, once, on host time: four soak.Server shards on unix sockets
-// under Run; a shard killed and restarted (lost → recovered in the
-// journal, the restart detected, the stream resubscribed); a fifth
+// plumbing, once, on host time: four restartable rcrd shards on unix
+// sockets under Run; a shard killed and restarted (lost → recovered in
+// the journal, the restart detected, the stream resubscribed); a fifth
 // member joined at runtime and decommissioned again (its subscription
 // opened by the poll that admitted it and closed by the poll that
-// retired it, while Run is still live); cancel, and nothing leaks.
+// retired it, while Run is still live) and its server stopped, after
+// which its socket refuses a dial; cancel, and nothing leaks.
 func TestAggregatorDriverOverSockets(t *testing.T) {
 	leak.Check(t)
-	dir, clock, reg, journal := t.TempDir(), soak.NewHostClock(), telemetry.NewRegistry(), telemetry.NewJournal(1024, 1)
-	servers := make([]*soak.Server, 5)
+	t0 := time.Now()
+	clock := hostClock(func() time.Duration { return time.Since(t0) })
+	dir, reg, journal := t.TempDir(), telemetry.NewRegistry(), telemetry.NewJournal(1024, 1)
+	servers := make([]*shardServer, 5)
 	endpoints := make([]ShardEndpoint, len(servers))
 	for i := range servers {
-		servers[i] = &soak.Server{Socket: filepath.Join(dir, fmt.Sprintf("shard-%d.sock", i)), Clock: clock, Reg: reg}
-		endpoints[i] = ShardEndpoint{ID: i, Network: "unix", Addr: servers[i].Socket}
+		servers[i] = &shardServer{socket: filepath.Join(dir, fmt.Sprintf("shard-%d.sock", i)), clock: clock}
+		endpoints[i] = ShardEndpoint{ID: i, Network: "unix", Addr: servers[i].socket}
 		defer servers[i].Stop()
 	}
 	for _, srv := range servers[:4] {
@@ -363,7 +422,7 @@ func TestAggregatorDriverOverSockets(t *testing.T) {
 		Global:        240,
 		Period:        5 * time.Millisecond,
 		HealthHorizon: 40 * time.Millisecond,
-		Clock:         clock.Now,
+		Clock:         clock,
 		SetCap:        func(int, units.Watts) error { return nil },
 		Telemetry:     reg,
 		Journal:       journal,
@@ -443,6 +502,12 @@ func TestAggregatorDriverOverSockets(t *testing.T) {
 	await("the leaver's slot retired and its subscription closed under a live Run", func() bool {
 		return agg.Status().Shards == 4 && streams.Load() == 4
 	})
+	// The departed member's server goes down with it, and its socket is dead.
+	servers[4].Stop()
+	if c, err := net.DialTimeout("unix", servers[4].socket, 50*time.Millisecond); err == nil {
+		c.Close()
+		t.Error("the departed member's socket still accepts after Stop")
+	}
 
 	cancel()
 	if err := <-done; err != context.Canceled {

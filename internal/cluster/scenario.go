@@ -25,9 +25,9 @@ import (
 // run itself) is a task of one cooperative scheduler (vsched.go), so a
 // run is a pure function of its Scenario: the same seed gives the same
 // report and the same journal bytes on any host under any load.
-// (fleet.go is the full-stack host-time counterpart; sockets under
-// faults are the resilience soak's subject, the driver's plumbing
-// TestAggregatorDriverOverSockets'.)
+// (fleet.go is the full-stack host-time counterpart; the client under
+// faults is resilience.TestClientCorpus's subject, the socket boundary
+// rcr's named tests', the driver's plumbing TestAggregatorDriverOverSockets'.)
 //
 // The Scenario's shape selects the tiers:
 //
@@ -56,7 +56,7 @@ import (
 //     incarnation whose beat restarts at 1; the guard persists.
 //   - ConnReset: deliveries from that shard suppressed for the window.
 //   - SlowLoris: nothing. It attacks rcr.Server admission, which
-//     the resilience soak and rcr's admission tests cover; the generator
+//     rcr's named socket tests cover; the generator
 //     still draws it (plans are pinned) and the runner ignores it.
 //   - NetPartition DirSub/DirBoth: that (replica, shard) delivery
 //     suppressed for the whole window (stricter than over a socket,

@@ -57,8 +57,9 @@ func TestFleetSoakN64(t *testing.T) {
 // shard kills, and real shard restarts observed through the
 // aggregator's epoch detection — so the invariants are known to have
 // been tested under fire rather than vacuously. (Resets, slow-loris
-// peers, gap resyncs and resubscribes are socket behaviour:
-// resilience/soak's corpus and TestAggregatorDriverOverSockets.)
+// peers, gap resyncs and resubscribes are the client's and the socket's
+// behaviour: resilience.TestClientCorpus, rcr's admission tests and
+// TestAggregatorDriverOverSockets.)
 func TestFleetSoakCorpus(t *testing.T) {
 	leak.Check(t)
 	var (

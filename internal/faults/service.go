@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// ServiceKind enumerates the service-level fault classes the soak
-// harness (internal/resilience/soak) injects between rcrd clients and
-// the server — network and process faults, as opposed to the sensor and
-// actuation faults of Kind.
+// ServiceKind enumerates the service-level fault classes between rcrd
+// clients and the server — network and process faults, as opposed to the
+// sensor and actuation faults of Kind. The resilience client corpus and
+// the cluster scenario runner both inject them.
 type ServiceKind int
 
 // Service fault kinds.
@@ -43,16 +43,16 @@ func (k ServiceKind) String() string {
 	}
 }
 
-// ServiceEvent is one service fault window, active for host times in
-// [Start, End) measured from the soak run's beginning. Service faults
-// run on the host clock, not virtual time: the IPC path under test is
-// real sockets between real goroutines.
+// ServiceEvent is one service fault window, active for elapsed times in
+// [Start, End) measured from the run's beginning. The schedule is
+// clock-agnostic: a virtual-time corpus and a host-time run read the
+// same windows.
 type ServiceEvent struct {
 	Kind       ServiceKind
 	Start, End time.Duration
 }
 
-// Covers reports whether the event is active at elapsed host time now.
+// Covers reports whether the event is active at elapsed time now.
 func (e *ServiceEvent) Covers(now time.Duration) bool {
 	return now >= e.Start && now < e.End
 }
@@ -90,7 +90,7 @@ func (s ServiceSchedule) Active(now time.Duration) []ServiceKind {
 // GenerateServiceSchedule derives a deterministic service fault schedule
 // from a seed, mirroring GenerateSchedule's envelope: 2–5 events, each
 // starting in the first 60% of horizon and closed by 80% of it, so every
-// soak run ends with a convergence window in which queries must succeed
+// run ends with a convergence window in which queries must succeed
 // again. ServerRestart windows are kept short (≤ horizon/5) so a restart
 // always has time to come back.
 func GenerateServiceSchedule(seed uint64, horizon time.Duration) ServiceSchedule {

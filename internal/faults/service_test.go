@@ -14,6 +14,9 @@ func TestGenerateServiceScheduleShape(t *testing.T) {
 			t.Fatalf("seed %d: %d events outside [2,5]", seed, len(s.Events))
 		}
 		for i, ev := range s.Events {
+			if ev.Kind < 0 || ev.Kind >= NumServiceKinds {
+				t.Fatalf("seed %d event %d: bad kind %d", seed, i, ev.Kind)
+			}
 			if ev.Start < 0 || ev.End <= ev.Start {
 				t.Fatalf("seed %d event %d: bad window [%v, %v)", seed, i, ev.Start, ev.End)
 			}
@@ -24,6 +27,10 @@ func TestGenerateServiceScheduleShape(t *testing.T) {
 		if s.ClearTime() > horizon*4/5 {
 			t.Fatalf("seed %d: clear time %v leaves no convergence window", seed, s.ClearTime())
 		}
+	}
+	// Same seed, same schedule: what makes a failing corpus seed replayable.
+	if !reflect.DeepEqual(GenerateServiceSchedule(42, horizon), GenerateServiceSchedule(42, horizon)) {
+		t.Fatal("same seed produced different service schedules")
 	}
 }
 

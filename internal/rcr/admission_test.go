@@ -185,6 +185,41 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesPeerResetMidResponse: a peer that sends GET and
+// closes before reading makes the server's response write fail. The
+// server counts the failure in rcr_ipc_errors_total, frees its only
+// worker and serves the next client.
+func TestServerSurvivesPeerResetMidResponse(t *testing.T) {
+	leak.Check(t)
+	bb, _ := NewBlackboard(1, 1)
+	bb.SetSystem(MeterEnergy, 5, 0)
+	reg := telemetry.NewRegistry()
+	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
+		s.MaxConns = 1
+		s.Instrument(reg)
+		// Before Serve: the request waits in the backlog and its peer is
+		// gone before the server accepts it, so the reply can only fail.
+		peer, err := net.Dial("unix", s.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		if _, err := peer.Write([]byte("GET\n")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	snap, err := Query("unix", sock)
+	if err != nil {
+		t.Fatalf("query after a peer reset mid-response: %v", err)
+	}
+	if len(snap.System) != 1 || snap.System[0].Value != 5 {
+		t.Errorf("query returned %+v", snap.System)
+	}
+	if got := reg.Counter("rcr_ipc_errors_total").Value(); got != 1 {
+		t.Errorf("rcr_ipc_errors_total = %d, want 1 for the failed response write", got)
+	}
+}
+
 // readSnapshotFrom reads one length-prefixed snapshot response from an
 // open connection.
 func readSnapshotFrom(conn net.Conn) (Snapshot, error) {

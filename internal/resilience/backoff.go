@@ -1,9 +1,8 @@
 // Package resilience hardens the rcrd service path: a self-healing IPC
 // client (retry with deterministic jitter, a three-state circuit
-// breaker, a bounded last-known-good cache, replica failover), crash-safe
-// daemon state (versioned, checksummed snapshot files written by atomic
-// rename), and the soak harness that drives the client/server pair
-// through fault schedules. docs/robustness.md §Service resilience is the
+// breaker, a bounded last-known-good cache, replica failover) and
+// crash-safe daemon state (versioned, checksummed snapshot files written
+// by atomic rename). docs/robustness.md §Service resilience is the
 // narrative companion.
 package resilience
 
@@ -12,8 +11,8 @@ import "time"
 // Backoff computes retry delays: exponential growth from Base doubling
 // per attempt up to Max, each delay jittered deterministically from Seed
 // into [delay/2, delay]. Determinism matters here the same way it does
-// for fault schedules (internal/faults): a failing soak run names its
-// seed, and replaying that seed replays the exact retry timeline.
+// for fault schedules (internal/faults): a failing corpus run names
+// its seed, and replaying that seed replays the exact retry timeline.
 type Backoff struct {
 	// Base is the attempt-0 delay; zero selects 10 ms.
 	Base time.Duration

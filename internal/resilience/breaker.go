@@ -51,8 +51,8 @@ type BreakerConfig struct {
 	OpenFor, OpenForMax time.Duration
 	// Journal, when non-nil, receives a record for every state
 	// transition (KindBreakerOpen / KindBreakerHalfOpen /
-	// KindBreakerClosed), which is how soak and acceptance tests assert
-	// the breaker actually cycled.
+	// KindBreakerClosed), which is how the client corpus and acceptance
+	// tests assert the breaker actually cycled.
 	Journal *telemetry.Journal
 	// Telemetry, when non-nil, receives the breaker's trip counter and
 	// state gauge (docs/observability.md).
