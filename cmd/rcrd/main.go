@@ -473,7 +473,8 @@ func serveCluster(cfg clusterServeConfig) error {
 		}
 		if cfg.aggregators > 1 {
 			// Redundant control plane: every replica writes over the
-			// fenced wire path. The lease must outrun the cap write's tail
+			// fenced wire path (the MEM op, which also carries the
+			// leader's membership record to the guards). The lease must outrun the cap write's tail
 			// on a loaded host — a lease shorter than the tail reads its
 			// own slow writes as a dead leader and churns elections. The
 			// socket dial dominates that tail; kept-alive connections make
@@ -487,7 +488,7 @@ func serveCluster(cfg clusterServeConfig) error {
 				LeaseTTL:   2 * time.Second,
 				Grace:      500 * time.Millisecond,
 				JitterSeed: uint64(t0.UnixNano()) ^ uint64(i+1)<<40,
-				WriteCap:   fleet.WriteCap,
+				WriteMem:   fleet.WriteMem,
 			}
 		}
 		agg, err := cluster.NewAggregator(acfg)

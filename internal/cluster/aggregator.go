@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rcr"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -18,20 +17,6 @@ type ShardEndpoint struct {
 	Network string // "unix" or "tcp"
 	Addr    string
 }
-
-// Meter names the aggregator writes into the cluster blackboard, one
-// socket domain per shard (docs/cluster.md). Shard power reuses
-// rcr.MeterPower so existing tooling reads it unchanged.
-const (
-	// MeterHeadroom is a shard's derived scaling headroom in [0,1].
-	MeterHeadroom = "headroom"
-	// MeterCap is a shard's currently applied power cap in Watts.
-	MeterCap = "cap"
-	// MeterBudget is the global watt budget (system scope).
-	MeterBudget = "budget"
-	// MeterHealthy is a shard's liveness as 0/1.
-	MeterHealthy = "healthy"
-)
 
 // AggregatorConfig tunes an Aggregator.
 type AggregatorConfig struct {
@@ -74,7 +59,7 @@ type AggregatorConfig struct {
 	// SetCap pushes an assignment down into one shard's enforcement
 	// loop (maestro.PowerCap.SetCap behind the fleet seam). Required
 	// unless HA is set — the HA control plane writes caps through the
-	// fenced HA.WriteCap seam instead.
+	// fenced HA.WriteMem seam instead.
 	SetCap func(shard int, cap units.Watts) error
 	// HA, when non-nil, runs this aggregator as one replica of a
 	// redundant control plane (ha.go): it only pushes caps while holding
@@ -104,7 +89,7 @@ type Aggregator struct {
 	cfg AggregatorConfig // as given; the core keeps the defaulted copy
 
 	// mu serializes the core: Poll (single driver) steps it under mu,
-	// Status/Frame/ConvergedSince read it under mu. It also guards the
+	// Status reads it under mu. It also guards the
 	// subscription state below.
 	mu   sync.Mutex
 	core *controlCore
@@ -246,43 +231,19 @@ func (a *Aggregator) Run(ctx context.Context) error {
 	}
 }
 
-// Poll runs one reconcile → observe → roll-up → partition → push
-// cycle. It is the deterministic unit Run drives on a ticker; tests
-// and the experiment harness call it directly. Poll is the fleet's
-// single driver — it must not be called concurrently with itself.
+// Poll runs one reconcile → observe → partition → push cycle. It is
+// the deterministic unit Run drives on a ticker; tests and the
+// experiment harness call it directly. Poll is the fleet's single
+// driver — it must not be called concurrently with itself.
 func (a *Aggregator) Poll() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.core.Poll()
 }
 
-// withCore reads the core under the driver's mutex.
-func withCore[T any](a *Aggregator, read func(*controlCore) T) T {
+// Status snapshots the aggregator's bookkeeping.
+func (a *Aggregator) Status() AggregatorStatus {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return read(a.core)
-}
-
-// Status snapshots the aggregator's bookkeeping.
-func (a *Aggregator) Status() AggregatorStatus { return withCore(a, (*controlCore).Status) }
-
-// MembershipDurable reports whether the registry's current epoch is
-// acked by a quorum of the fleet's guards; admin flows should wait for
-// it before treating a join, drain or decommission as complete.
-func (a *Aggregator) MembershipDurable() bool { return withCore(a, (*controlCore).MembershipDurable) }
-
-// ConvergedSince reports whether every member expected to be alive is
-// healthy and no cap change has landed during the last k polls.
-func (a *Aggregator) ConvergedSince(k uint64) bool {
-	return withCore(a, func(c *controlCore) bool { return c.ConvergedSince(k) })
-}
-
-// Board exposes the cluster blackboard: one socket domain per shard
-// (power, headroom, cap, healthy), budget and total power at system
-// scope. Readers use the ordinary seqlock accessors. The board is
-// rebuilt when the fleet grows past its socket count, so long-lived
-// readers should re-fetch it rather than cache the pointer across
-// membership changes.
-func (a *Aggregator) Board() *rcr.Blackboard {
-	return withCore(a, func(c *controlCore) *rcr.Blackboard { return c.board })
+	return a.core.Status()
 }

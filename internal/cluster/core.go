@@ -87,11 +87,11 @@ type aggMetrics struct {
 }
 
 // controlCore is the cluster control plane as a steppable state machine
-// (docs/cluster.md §Core and driver): it rolls the fleet up into a
-// cluster blackboard and re-partitions the global power budget once per
-// Poll. Its job is to notice a shard has gone quiet, lend its share to
-// the rest of the fleet, and give it back on recovery — all without ever
-// letting the sum of applied caps exceed the budget.
+// (docs/cluster.md §Core and driver): it observes every shard and
+// re-partitions the global power budget once per Poll. Its job is to
+// notice a shard has gone quiet, lend its share to the rest of the
+// fleet, and give it back on recovery — all without ever letting the
+// sum of applied caps exceed the budget.
 //
 // The fleet's composition is a runtime variable: every poll starts by
 // reconciling the book against the membership registry, so members
@@ -103,7 +103,7 @@ type aggMetrics struct {
 // time only through cfg.Clock. A slot's observations come from the
 // source its owner hands over when the slot is created (open; retire
 // tells the owner the slot is gone), and the core acts only through its
-// seams: SetCap, HA.WriteCap/WriteMem, the registry, the journal, the
+// seams: SetCap, HA.WriteMem, the registry, the journal, the
 // instruments. The owner serializes every call — Aggregator with its
 // mutex, the scenario runner and the in-package harnesses by running one
 // task at a time — which is all a helper's "Locked" suffix means here.
@@ -114,18 +114,16 @@ type controlCore struct {
 	open    func(Member) (SnapshotSource, error)
 	retire  func(id int)
 
-	board        *rcr.Blackboard
-	boardSockets int
-	shards       []*shardState
-	applied      []units.Watts
-	reports      []NodeReport
-	nextCaps     []units.Watts
-	polls        uint64
-	lastChange   uint64 // poll index of the last applied cap change
-	restarts     uint64
-	healthyN     int
-	allExpected  bool   // every member expected alive was healthy last poll
-	memEpoch     uint64 // registry epoch the book was last reconciled to
+	shards      []*shardState
+	applied     []units.Watts
+	reports     []NodeReport
+	nextCaps    []units.Watts
+	polls       uint64
+	lastChange  uint64 // poll index of the last applied cap change
+	restarts    uint64
+	healthyN    int
+	allExpected bool   // every member expected alive was healthy last poll
+	memEpoch    uint64 // registry epoch the book was last reconciled to
 
 	// Scratch reused across polls: apply order, and the guards' physical
 	// caps the fenced push orders by (ha.go).
@@ -168,8 +166,8 @@ func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, err
 		if cfg.HA.ID == 0 {
 			return nil, errors.New("cluster: HA replica ID 0 is reserved")
 		}
-		if cfg.HA.WriteCap == nil && cfg.HA.WriteMem == nil {
-			return nil, errors.New("cluster: HA requires a fenced WriteCap or WriteMem seam")
+		if cfg.HA.WriteMem == nil {
+			return nil, errors.New("cluster: HA requires a fenced WriteMem seam")
 		}
 	} else if cfg.SetCap == nil {
 		return nil, errors.New("cluster: aggregator requires a SetCap seam")
@@ -231,7 +229,7 @@ func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, err
 		a.jitterState = cfg.HA.JitterSeed ^ uint64(cfg.HA.ID)*0x9e3779b97f4a7c15
 	}
 	// First reconcile builds the initial book.
-	if err := a.reconcileLocked(cfg.Clock()); err != nil {
+	if err := a.reconcileLocked(); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -243,7 +241,7 @@ func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, err
 // incarnation or brand-new member gets a fresh slot with a fresh
 // source, and a decommissioned member's slot is retired — its owner
 // told, its watts back in the pool the moment the next partition runs.
-func (a *controlCore) reconcileLocked(now time.Duration) error {
+func (a *controlCore) reconcileLocked() error {
 	epoch := a.members.Epoch()
 	if epoch == a.memEpoch && a.shards != nil {
 		return nil
@@ -301,47 +299,18 @@ func (a *controlCore) reconcileLocked(now time.Duration) error {
 	a.applied = applied
 	a.reports = make([]NodeReport, len(shards))
 	a.nextCaps = a.nextCaps[:0]
-	if len(shards) > a.boardSockets {
-		n := len(shards)
-		board, err := rcr.NewBlackboard(n, 1)
-		if err != nil {
-			return err
-		}
-		a.board = board
-		a.boardSockets = n
-	} else if a.board != nil {
-		// The board keeps its high-water socket count; orphaned slots are
-		// zeroed so a reader never mistakes a departed member for a live
-		// one.
-		for i := len(shards); i < a.boardSockets; i++ {
-			a.board.SetSocket(i, rcr.MeterPower, 0, now)
-			a.board.SetSocket(i, MeterHeadroom, 0, now)
-			a.board.SetSocket(i, MeterCap, 0, now)
-			a.board.SetSocket(i, MeterHealthy, 0, now)
-		}
-	}
-	if a.board == nil {
-		// Empty fleet: keep a one-socket board so system-scope meters
-		// (budget, total power) stay readable.
-		board, err := rcr.NewBlackboard(1, 1)
-		if err != nil {
-			return err
-		}
-		a.board = board
-		a.boardSockets = 1
-	}
 	a.memEpoch = epoch
 	return nil
 }
 
-// Poll runs one reconcile → observe → roll-up → partition → push
-// cycle: the deterministic unit its owner steps.
+// Poll runs one reconcile → observe → partition → push cycle: the
+// deterministic unit its owner steps.
 func (a *controlCore) Poll() {
 	now := a.cfg.Clock()
 	if a.met != nil {
 		a.met.polls.Inc()
 	}
-	if err := a.reconcileLocked(now); err != nil {
+	if err := a.reconcileLocked(); err != nil {
 		// A failed slot open leaves the book on the previous epoch; the
 		// next poll retries.
 		a.journal(telemetry.KindCapRetry, fmt.Sprintf("membership reconcile: %v", err))
@@ -442,21 +411,6 @@ func (a *controlCore) Poll() {
 	a.healthyN = healthy
 	a.allExpected = allExpected
 	capsSum := float64(Sum(a.applied))
-
-	// Roll the fleet up into the cluster blackboard.
-	for i, st := range a.shards {
-		hv := 0.0
-		if st.healthy {
-			hv = 1
-		}
-		a.board.SetSocket(i, rcr.MeterPower, st.power, now)
-		a.board.SetSocket(i, MeterHeadroom, st.headroom, now)
-		a.board.SetSocket(i, MeterCap, float64(a.applied[i]), now)
-		a.board.SetSocket(i, MeterHealthy, hv, now)
-	}
-	a.board.SetSystem(MeterBudget, float64(a.cfg.Global), now)
-	a.board.SetSystem(rcr.MeterPower, totalPower, now)
-	a.board.SetSystem(rcr.MeterHeartbeat, float64(a.polls), now)
 
 	if a.met != nil {
 		a.met.capsSumW.Set(capsSum)

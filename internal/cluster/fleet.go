@@ -65,24 +65,19 @@ type FleetConfig struct {
 	// Workers is each node's task-runtime worker count; zero means all
 	// cores.
 	Workers int
-	// SamplePeriod is each node's blackboard refresh interval (virtual
-	// time); zero selects the sampler default.
-	SamplePeriod time.Duration
-	// InitialCap is each node's starting power bound. It must be
-	// positive: the cap controller is the aggregator's actuator, so every
-	// shard needs one running. Zero selects a bound high enough (1 kW) to
-	// be non-binding until the aggregator assigns a real share.
-	InitialCap units.Watts
 }
+
+// initialCap is each node's starting power bound. The cap controller is
+// the aggregator's actuator, so every node runs one from the start; the
+// bound is high enough to be non-binding until the aggregator assigns a
+// real share.
+const initialCap units.Watts = 1000
 
 // NewFleet builds and starts every shard; on any failure the shards
 // already started are torn down.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
-	}
-	if cfg.InitialCap <= 0 {
-		cfg.InitialCap = 1000
 	}
 	f := &Fleet{dir: cfg.Dir, base: time.Now()}
 	if f.dir == "" {
@@ -112,12 +107,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // The node's clock moves only while a job runs on it (or Idle lets it).
 func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap float64, fence uint64)) (*fleetNode, error) {
 	sys, err := core.New(core.Options{
-		Machine:      cfg.Machine,
-		Workers:      cfg.Workers,
-		SamplePeriod: cfg.SamplePeriod,
-		PowerCap:     cfg.InitialCap,
-		Warm:         true,
-		Telemetry:    true,
+		Machine:   cfg.Machine,
+		Workers:   cfg.Workers,
+		PowerCap:  initialCap,
+		Warm:      true,
+		Telemetry: true,
 	})
 	if err != nil {
 		return nil, err
@@ -191,17 +185,17 @@ func (f *Fleet) SetCap(i int, cap units.Watts) error {
 	return f.shards[i].sys.PowerCapController().SetCap(cap)
 }
 
-// WriteCap sends a fenced cap write to shard i over its real daemon
-// socket — the seam handed to HAConfig.WriteCap so redundant
-// aggregators exercise the full wire path (CAP op, fence guard, node
-// controller) rather than an in-process shortcut.
-func (f *Fleet) WriteCap(i int, w rcr.CapWrite) (rcr.CapAck, error) {
+// WriteMem sends a fenced write to shard i over its real daemon socket
+// — the seam handed to HAConfig.WriteMem so redundant aggregators
+// exercise the full wire path (MEM op, fence guard, membership record,
+// node controller) rather than an in-process shortcut.
+func (f *Fleet) WriteMem(i int, w rcr.MemWrite) (rcr.MemAck, error) {
 	if i < 0 || i >= len(f.shards) {
-		return rcr.CapAck{}, fmt.Errorf("cluster: no shard %d", i)
+		return rcr.MemAck{}, fmt.Errorf("cluster: no shard %d", i)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	return rcr.WriteCap(ctx, "unix", f.shards[i].socket, w)
+	return rcr.WriteMem(ctx, "unix", f.shards[i].socket, w)
 }
 
 // Close tears the fleet down in two phases: first every shard server

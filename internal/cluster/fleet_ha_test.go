@@ -14,11 +14,12 @@ import (
 	"repro/internal/workloads/suite"
 )
 
-// TestFleetWriteCapWire drives the fenced cap path end to end over a
-// real shard socket: the CAP op reaches the shard's fence guard, the
-// guard actuates the node's own PowerCap controller, and a stale fence
-// bounces without touching the bound.
-func TestFleetWriteCapWire(t *testing.T) {
+// TestFleetWriteMemWire drives the fenced write path end to end over a
+// real shard socket: the MEM op reaches the shard's fence guard, the
+// guard actuates the node's own PowerCap controller, a stale fence
+// bounces without touching the bound, and a committed membership frame
+// is stored and returned to a later probe.
+func TestFleetWriteMemWire(t *testing.T) {
 	leak.Check(t)
 	fleet, err := NewFleet(FleetConfig{Shards: 1})
 	if err != nil {
@@ -26,25 +27,26 @@ func TestFleetWriteCapWire(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	ack, err := fleet.WriteCap(0, rcr.CapWrite{
+	mack, err := fleet.WriteMem(0, rcr.MemWrite{Write: rcr.CapWrite{
 		Fence: 5, Leader: 1, Seq: 1, Lease: time.Second, HasCap: true, Cap: 140,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Status != rcr.CapApplied {
+	if ack := mack.Ack; ack.Status != rcr.CapApplied {
 		t.Fatalf("ack %+v", ack)
 	}
 	if got := fleet.System(0).PowerCapController().Cap(); got != 140 {
 		t.Fatalf("node controller holds %.1f W, want the fenced 140", float64(got))
 	}
 	// Stale fence: rejected at the guard, bound untouched.
-	ack, err = fleet.WriteCap(0, rcr.CapWrite{
+	mack, err = fleet.WriteMem(0, rcr.MemWrite{Write: rcr.CapWrite{
 		Fence: 4, Leader: 2, Seq: 1, Lease: time.Second, HasCap: true, Cap: 50,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ack := mack.Ack
 	if ack.Status != rcr.CapFenceRejected {
 		t.Fatalf("stale fence ack %+v", ack)
 	}
@@ -54,8 +56,32 @@ func TestFleetWriteCapWire(t *testing.T) {
 	if ack.Fence != 5 || !ack.HasApplied || ack.Applied != 140 {
 		t.Fatalf("reject ack does not report the authoritative state: %+v", ack)
 	}
-	if _, err := fleet.WriteCap(7, rcr.CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Second}); err == nil {
+	if _, err := fleet.WriteMem(7, rcr.MemWrite{Write: rcr.CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Second}}); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+
+	// A write carrying a frame stores it; an epoch-0 probe over the same
+	// socket returns it.
+	rec := MembershipRecord{Epoch: 3, Members: []MemberRecord{
+		{ID: 0, Incarnation: 1, State: MemberActive, Network: "unix", Addr: "shard-0.sock"},
+	}}
+	frame, err := AppendMembership(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.WriteMem(0, rcr.MemWrite{
+		Write: rcr.CapWrite{Fence: 5, Leader: 1, Seq: 2, Lease: time.Second},
+		Epoch: rec.Epoch, Frame: frame,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mack, err = fleet.WriteMem(0, rcr.MemWrite{Write: rcr.CapWrite{Fence: 5, Leader: 1, Seq: 3, Lease: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mack.MemFence != 5 || mack.MemEpoch != rec.Epoch || string(mack.Frame) != string(frame) {
+		t.Fatalf("probe returned record (fence %d, epoch %d, %d bytes), want (5, %d, the %d-byte frame)",
+			mack.MemFence, mack.MemEpoch, len(mack.Frame), rec.Epoch, len(frame))
 	}
 }
 
@@ -114,7 +140,7 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 				LeaseTTL:   1500 * time.Millisecond,
 				Grace:      400 * time.Millisecond,
 				JitterSeed: uint64(77 * (r + 1)),
-				WriteCap:   fleet.WriteCap,
+				WriteMem:   fleet.WriteMem,
 			},
 		})
 		if err != nil {

@@ -40,14 +40,14 @@ import (
 //     fence before computing any new partition, so the conservation
 //     invariant Σ(applied) ≤ budget holds across the hand-off: the new
 //     leader's baseline is what the shards actually hold, not a guess.
-//   - With the WriteMem seam, the leader also replicates the fleet's
-//     committed membership record under its fence (rcr.MemWrite), and
-//     a promoted standby adopts the most authoritative record its
-//     campaign acks return — ordered by (fence, epoch), because fences
-//     are totally ordered across leaders while epochs are only ordered
-//     within one registry's history. A deposed leader's stale
-//     membership view therefore can never reintroduce a departed shard
-//     and double-spend its watts: its commits carry a dead fence.
+//   - The leader also replicates the fleet's committed membership
+//     record under its fence (rcr.MemWrite), and a promoted standby
+//     adopts the most authoritative record its campaign acks return —
+//     ordered by (fence, epoch), because fences are totally ordered
+//     across leaders while epochs are only ordered within one
+//     registry's history. A deposed leader's stale membership view
+//     therefore can never reintroduce a departed shard and double-spend
+//     its watts: its commits carry a dead fence.
 //
 // Shards enforce the fence (rcr.FenceGuard): a write from a demoted
 // leader — lower fence, or equal fence after a takeover — is rejected
@@ -70,18 +70,13 @@ type HAConfig struct {
 	// JitterSeed seeds the deterministic election jitter (0..Grace)
 	// that separates replicas' candidacies.
 	JitterSeed uint64
-	// WriteCap performs one fenced cap write against a shard:
-	// rcr.WriteCap over the shard's socket in production, the fault
-	// injector's gated seam in the soak. Required unless WriteMem is
-	// set, in which case every fenced write rides the membership op.
-	WriteCap func(shard int, w rcr.CapWrite) (rcr.CapAck, error)
-	// WriteMem, when set, routes every fenced write through the
-	// membership piggyback op (rcr.WriteMem over "MEM\n"): campaign
-	// probes fetch each shard's committed membership record in the ack,
-	// and the leader attaches the registry's current record to writes
-	// against shards whose acked record is behind. Optional; a nil
-	// WriteMem runs the control plane membership-blind, exactly as
-	// before.
+	// WriteMem performs one fenced write against a shard through the
+	// membership piggyback op: rcr.WriteMem over the shard's socket in
+	// production, the guard's OfferMem behind the fault injector in the
+	// scenario runner. Campaign probes fetch each shard's committed
+	// membership record in the ack, and the leader attaches the
+	// registry's current record to writes against shards whose acked
+	// record is behind. Required.
 	WriteMem func(shard int, mw rcr.MemWrite) (rcr.MemAck, error)
 }
 
@@ -165,20 +160,15 @@ func (a *controlCore) standbyStep(now time.Duration) {
 	a.elect(now)
 }
 
-// writeFenced performs one fenced write against a shard, routing
-// through the membership op when the seam is configured. The frame, if
-// any, is attached by the caller via mw.
+// writeFenced performs one fenced write against a shard and records
+// the membership record its ack reports. The frame, if any, is attached
+// by the caller via mw.
 func (a *controlCore) writeFenced(st *shardState, mw rcr.MemWrite) (rcr.MemAck, error) {
-	ha := a.cfg.HA
-	if ha.WriteMem != nil {
-		mack, err := ha.WriteMem(st.id, mw)
-		if err == nil && rcr.MemSupersedes(mack.MemFence, mack.MemEpoch, st.memAckFence, st.memAckEpoch) {
-			st.memAckFence, st.memAckEpoch = mack.MemFence, mack.MemEpoch
-		}
-		return mack, err
+	mack, err := a.cfg.HA.WriteMem(st.id, mw)
+	if err == nil && rcr.MemSupersedes(mack.MemFence, mack.MemEpoch, st.memAckFence, st.memAckEpoch) {
+		st.memAckFence, st.memAckEpoch = mack.MemFence, mack.MemEpoch
 	}
-	ack, err := ha.WriteCap(st.id, mw.Write)
-	return rcr.MemAck{Ack: ack}, err
+	return mack, err
 }
 
 // elect campaigns for the fleet lease with a fresh fence. On a majority
@@ -260,7 +250,7 @@ func (a *controlCore) elect(now time.Duration) {
 		var rec MembershipRecord
 		if err := DecodeMembership(bestFrame, &rec); err == nil {
 			a.members.Adopt(rec)
-			if err := a.reconcileLocked(now); err != nil {
+			if err := a.reconcileLocked(); err != nil {
 				a.journal(telemetry.KindCapRetry, fmt.Sprintf("membership reconcile: %v", err))
 			}
 		}
@@ -419,10 +409,10 @@ func (a *controlCore) membershipFrameLocked() ([]byte, uint64) {
 // actuation of the whole fleet indefinitely. Individually, a shard
 // that has not granted is never sent a cap, whatever its state.
 //
-// With the WriteMem seam, each write also carries the registry's
-// current membership record to any shard whose acked record is behind,
-// so the committed membership is durable on a majority within one
-// renewal round of the epoch moving.
+// Each write also carries the registry's current membership record to
+// any shard whose acked record is behind, so the committed membership
+// is durable on a majority within one renewal round of the epoch
+// moving.
 func (a *controlCore) pushFenced(next []units.Watts, now time.Duration) bool {
 	ha := a.cfg.HA
 	ttl := a.leaseTTL()
@@ -445,15 +435,8 @@ func (a *controlCore) pushFenced(next []units.Watts, now time.Duration) bool {
 			break
 		}
 	}
-	var memFrame []byte
-	var memEpoch uint64
-	memCommitted := ^uint64(0)
-	if ha.WriteMem != nil {
-		memFrame, memEpoch = a.membershipFrameLocked()
-		if a.members != nil {
-			memCommitted = a.memQuorumEpochLocked()
-		}
-	}
+	memFrame, memEpoch := a.membershipFrameLocked()
+	memCommitted := a.memQuorumEpochLocked()
 	renewed := 0
 	// Order and pessimism run over the guards' PHYSICAL caps, not the
 	// book: a re-joining member's guard still enforces its previous
@@ -650,10 +633,10 @@ func (a *controlCore) memQuorumEpochLocked() uint64 {
 // membership change made so far would survive this replica's failure
 // and be adopted by any successor elected from a quorum. Admin flows
 // (join/drain/decommission) should wait for this before treating an
-// operation as complete. Always true without the WriteMem seam, where
-// membership is not replicated at all.
+// operation as complete. Always true without HA, where membership is
+// not replicated at all.
 func (a *controlCore) MembershipDurable() bool {
-	if a.cfg.HA == nil || a.cfg.HA.WriteMem == nil || a.members == nil {
+	if a.cfg.HA == nil {
 		return true
 	}
 	return a.memQuorumEpochLocked() >= a.members.Epoch()

@@ -54,12 +54,12 @@ type haReplica struct {
 
 	blocked bool // partition: every write fails
 	holding bool // split-brain: writes queue for late delivery
-	held    []heldCapWrite
+	held    []heldMemWrite
 }
 
-type heldCapWrite struct {
+type heldMemWrite struct {
 	shard int
-	w     rcr.CapWrite
+	w     rcr.MemWrite
 }
 
 // flushHeld delivers the replica's queued writes (the split-brain
@@ -69,7 +69,7 @@ func (r *haReplica) flushHeld(guards []*rcr.FenceGuard) []rcr.CapAck {
 	r.held = nil
 	acks := make([]rcr.CapAck, 0, len(held))
 	for _, hw := range held {
-		acks = append(acks, guards[hw.shard].Offer(hw.w))
+		acks = append(acks, guards[hw.shard].OfferMem(hw.w).Ack)
 	}
 	return acks
 }
@@ -85,7 +85,7 @@ type haHarness struct {
 	shards int
 }
 
-func newHAHarness(t *testing.T, replicas, shards int, global units.Watts) *haHarness {
+func newHAHarness(t testing.TB, replicas, shards int, global units.Watts) *haHarness {
 	t.Helper()
 	h := &haHarness{
 		clock:  &fakeClock{},
@@ -118,15 +118,15 @@ func newHAHarness(t *testing.T, replicas, shards int, global units.Watts) *haHar
 				LeaseTTL:   time.Second,
 				Grace:      250 * time.Millisecond,
 				JitterSeed: uint64(1000 * (r + 1)),
-				WriteCap: func(shard int, w rcr.CapWrite) (rcr.CapAck, error) {
+				WriteMem: func(shard int, w rcr.MemWrite) (rcr.MemAck, error) {
 					if rep.blocked {
-						return rcr.CapAck{}, errors.New("injected partition")
+						return rcr.MemAck{}, errors.New("injected partition")
 					}
 					if rep.holding {
-						rep.held = append(rep.held, heldCapWrite{shard: shard, w: w})
-						return rcr.CapAck{}, errors.New("injected timeout (write held)")
+						rep.held = append(rep.held, heldMemWrite{shard: shard, w: w})
+						return rcr.MemAck{}, errors.New("injected timeout (write held)")
 					}
-					return h.guards[shard].Offer(w), nil
+					return h.guards[shard].OfferMem(w), nil
 				},
 			},
 		}, pushedSources(rep.snaps), nil)
@@ -167,7 +167,7 @@ func (h *haHarness) pollAll() {
 // campaigns first wins, the rival is rejected by the live lease), then
 // one more round in which the winner, its replay done, partitions — and
 // returns the leader's index.
-func (h *haHarness) electFirst(t *testing.T) int {
+func (h *haHarness) electFirst(t testing.TB) int {
 	t.Helper()
 	h.feedAll(1)
 	h.pollAll()
@@ -397,11 +397,22 @@ func TestHAStandbyObservesLeaseThroughMeters(t *testing.T) {
 		)
 		return s
 	}
-	// Another replica (id 99) holds the lease until t=10s.
-	for i := range rep.snaps {
+	// Another replica (id 99) holds the lease until t=10s. Its writes
+	// committed 50 W and this fleet's membership record on every guard.
+	rec := rep.agg.members.Record()
+	frame, err := AppendMembership(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range h.guards {
+		g.OfferMem(rcr.MemWrite{
+			Write: rcr.CapWrite{Fence: 7, Leader: 99, Lease: 10 * time.Second, Seq: 1, HasCap: true, Cap: 50},
+			Epoch: rec.Epoch, Frame: frame,
+		})
 		snap := leaseSnap(1, 7, 10*time.Second, h.clock.now())
 		rep.snaps[i] = &snap
 	}
+	h.audit.log = nil
 	rep.agg.Poll()
 	if n := rep.agg.Status().Healthy; n != 2 {
 		t.Fatalf("%d/2 shards observed after one poll", n)
@@ -435,18 +446,18 @@ func TestHAStandbyObservesLeaseThroughMeters(t *testing.T) {
 func TestHAValidation(t *testing.T) {
 	ep := []ShardEndpoint{{ID: 0, Network: "unix", Addr: "x"}}
 	clock := func() time.Duration { return 0 }
-	wc := func(int, rcr.CapWrite) (rcr.CapAck, error) { return rcr.CapAck{}, nil }
+	wm := func(int, rcr.MemWrite) (rcr.MemAck, error) { return rcr.MemAck{}, nil }
 	if _, err := NewAggregator(AggregatorConfig{Shards: ep, Global: 100, Clock: clock,
-		HA: &HAConfig{ID: 0, WriteCap: wc}}); err == nil {
+		HA: &HAConfig{ID: 0, WriteMem: wm}}); err == nil {
 		t.Error("replica ID 0 accepted")
 	}
 	if _, err := NewAggregator(AggregatorConfig{Shards: ep, Global: 100, Clock: clock,
 		HA: &HAConfig{ID: 1}}); err == nil {
-		t.Error("HA without WriteCap accepted")
+		t.Error("HA without WriteMem accepted")
 	}
 	// With HA, SetCap is not required.
 	if _, err := NewAggregator(AggregatorConfig{Shards: ep, Global: 100, Clock: clock,
-		HA: &HAConfig{ID: 1, WriteCap: wc}}); err != nil {
+		HA: &HAConfig{ID: 1, WriteMem: wm}}); err != nil {
 		t.Errorf("valid HA config rejected: %v", err)
 	}
 }

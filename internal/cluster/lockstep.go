@@ -20,7 +20,7 @@ import (
 // next barrier and returns with all of them parked there, at exactly
 // k × period. The owner then polls the control plane — aggregators from
 // NewSteppedAggregator over Source, actuating through SetCap or
-// WriteCap, with Now as their clock — and steps again. Between two
+// WriteMem, with Now as their clock — and steps again. Between two
 // boundaries the nodes share nothing and at a boundary only the owner
 // runs, so a run is a pure function of its inputs.
 //
@@ -67,9 +67,6 @@ type arrival struct {
 func NewLockstepFleet(cfg FleetConfig, period time.Duration, budget units.Watts) (*LockstepFleet, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
-	}
-	if cfg.InitialCap <= 0 {
-		cfg.InitialCap = 1000
 	}
 	f := &LockstepFleet{
 		period: period,
@@ -249,11 +246,11 @@ func (f *LockstepFleet) SetCap(i int, cap units.Watts) error {
 	return err
 }
 
-// WriteCap is the fenced actuation seam (HAConfig.WriteCap): the write
-// is offered to node i's guard in process, which is all Fleet.WriteCap's
+// WriteMem is the fenced actuation seam (HAConfig.WriteMem): the write
+// is offered to node i's guard in process, which is all Fleet.WriteMem's
 // socket round trip amounts to once host time is out of the picture.
-func (f *LockstepFleet) WriteCap(i int, w rcr.CapWrite) (rcr.CapAck, error) {
-	return f.nodes[i].fence.Offer(w), nil
+func (f *LockstepFleet) WriteMem(i int, w rcr.MemWrite) (rcr.MemAck, error) {
+	return f.nodes[i].fence.OfferMem(w), nil
 }
 
 // MarkKill tells the auditor the fleet's leader was killed now; the

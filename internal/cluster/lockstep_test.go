@@ -278,7 +278,7 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 	}
 	if ha {
 		acfg.SetCap = nil
-		acfg.HA = &HAConfig{ID: 1, LeaseTTL: 8 * testPeriod, WriteCap: f.WriteCap}
+		acfg.HA = &HAConfig{ID: 1, LeaseTTL: 8 * testPeriod, WriteMem: f.WriteMem}
 	}
 	agg, err := NewSteppedAggregator(acfg, f.Source)
 	if err != nil {
@@ -306,6 +306,20 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 		out.Usage = append(out.Usage, j)
 		if got, want := out.Caps[i], agg.Status().Caps[i]; got != want {
 			t.Errorf("node %d PowerCap holds %.1f W, aggregator applied %.1f W", i, float64(got), float64(want))
+		}
+	}
+	if ha {
+		// The leader replicated its membership record to every guard.
+		want := agg.Members().Record().Members
+		for i, n := range f.nodes {
+			_, epoch, frame := n.fence.Membership()
+			var rec MembershipRecord
+			if err := DecodeMembership(frame, &rec); epoch < 1 || err != nil {
+				t.Fatalf("node %d guard holds membership epoch %d (%v)", i, epoch, err)
+			}
+			if !reflect.DeepEqual(rec.Members, want) {
+				t.Errorf("node %d guard holds members %+v, want the aggregator's %+v", i, rec.Members, want)
+			}
 		}
 	}
 	var violations uint64

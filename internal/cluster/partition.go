@@ -1,9 +1,9 @@
 // Package cluster scales the single-node rcrd stack out to a simulated
 // fleet. N independent core.System instances (shards) each run their own
 // sampler, blackboard and rcrd server; an aggregator tier subscribes to
-// every shard's delta stream, rolls the shard snapshots up into a
-// cluster blackboard, and divides a global power budget across the
-// shards — the multi-node power-clamping environment the paper's §VI
+// every shard's delta stream, derives each shard's health and scaling
+// headroom from its snapshots, and divides a global power budget across
+// the shards — the multi-node power-clamping environment the paper's §VI
 // outlook sketches around Rountree et al.'s hierarchical power
 // allocation. Per-node enforcement stays where it already lives: each
 // shard's maestro.PowerCap receives its share via SetCap and walks its

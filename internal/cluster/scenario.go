@@ -569,14 +569,14 @@ func (r *scenarioRun) source(idx int, sh *scenarioShard) SnapshotSource {
 // a killed, restarting or departed shard cannot ack, exactly like a dead
 // daemon — a transport error to the leader, whose lease renewal on this
 // shard fails; late split-brain deliveries to a departed member bounce.
-func gatedWrite[W, A any](r *scenarioRun, idx int, offer func(*rcr.FenceGuard, W) A) func(int, W) (A, error) {
-	return func(shard int, w W) (A, error) {
-		var ack A
+func gatedWrite(r *scenarioRun, idx int) func(int, rcr.MemWrite) (rcr.MemAck, error) {
+	return func(shard int, w rcr.MemWrite) (rcr.MemAck, error) {
+		var ack rcr.MemAck
 		err := r.inj.GateWrite(idx, shard, r.now, func() error {
 			if !r.shards[shard].up {
 				return fmt.Errorf("shard %d: down (injected)", shard)
 			}
-			ack = offer(r.shards[shard].fence, w)
+			ack = r.shards[shard].fence.OfferMem(w)
 			return nil
 		})
 		return ack, err
@@ -605,24 +605,20 @@ func (r *scenarioRun) buildReplica(idx, gen int) *replicaSlot {
 		Journal:       r.journal,
 	}
 	if r.ha {
+		// Every fenced write rides the membership op, so the committed
+		// record is replicated and fetched through the same gated,
+		// fault-injected path as the caps.
 		acfg.HA = &HAConfig{
 			ID:         uint32(idx + 1),
 			LeaseTTL:   r.ttl,
 			JitterSeed: r.cfg.Seed ^ uint64(idx+1)<<40 ^ uint64(gen)<<8,
+			WriteMem:   gatedWrite(r, idx),
 		}
 	} else {
 		acfg.SetCap = func(shard int, cap units.Watts) error {
 			r.auditor.apply(shard, float64(cap), 0)
 			return nil
 		}
-	}
-	if r.churn {
-		// Every fenced write rides the membership op, so the committed
-		// record is replicated and fetched through the same gated,
-		// fault-injected path as the caps.
-		acfg.HA.WriteMem = gatedWrite(r, idx, (*rcr.FenceGuard).OfferMem)
-	} else if r.ha {
-		acfg.HA.WriteCap = gatedWrite(r, idx, (*rcr.FenceGuard).Offer)
 	}
 	core, err := newControlCore(acfg, func(mb Member) (SnapshotSource, error) {
 		return r.source(idx, r.shards[mb.ID]), nil

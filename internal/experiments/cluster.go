@@ -240,7 +240,7 @@ func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, replicas int) (_ 
 				ID:         uint32(i + 1),
 				LeaseTTL:   clusterLeasePeriods * clusterPollPeriod,
 				JitterSeed: uint64(lab.Seed) ^ uint64(i+1)<<32,
-				WriteCap:   fleet.WriteCap,
+				WriteMem:   fleet.WriteMem,
 			}
 		}
 		if plane[i], err = cluster.NewSteppedAggregator(acfg, fleet.Source); err != nil {

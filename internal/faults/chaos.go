@@ -24,20 +24,6 @@ type ChaosConfig struct {
 	// Seed determines the topology, the fault schedule and the injected
 	// garbage values.
 	Seed uint64
-	// Horizon is the virtual-time window during which faults may fire
-	// (the schedule closes all windows by 80% of it). Zero selects
-	// 400 ms.
-	Horizon time.Duration
-	// Tail extends the run past Horizon so the pipeline has room to
-	// converge after the last fault clears. Zero selects 300 ms.
-	Tail time.Duration
-	// ConvergeQuanta bounds recovery: after the last fault window
-	// closes, the daemon must have left fail-safe within this many poll
-	// periods. Zero selects 25.
-	ConvergeQuanta int
-	// WallBudget aborts a wedged run after this much host time — the
-	// no-deadlock invariant is checked against it. Zero selects 30 s.
-	WallBudget time.Duration
 	// Policy selects the daemon policy; the zero value is the daemon
 	// default (dual-condition). Every policy — adaptive included — is
 	// held to the same invariants: the staleness watchdog gates its
@@ -75,6 +61,23 @@ type ChaosReport struct {
 	Violations []string
 }
 
+// The shape of every chaos run.
+const (
+	// chaosHorizon is the virtual-time window during which faults may
+	// fire (the schedule closes all windows by 80% of it).
+	chaosHorizon = 400 * time.Millisecond
+	// chaosTail extends the run past chaosHorizon so the pipeline has
+	// room to converge after the last fault clears.
+	chaosTail = 300 * time.Millisecond
+	// chaosConvergeQuanta bounds recovery: after the last fault window
+	// closes, the daemon must have left fail-safe within this many poll
+	// periods.
+	chaosConvergeQuanta = 25
+	// chaosWallBudget aborts a wedged run after this much host time —
+	// the no-deadlock invariant is checked against it.
+	chaosWallBudget = 30 * time.Second
+)
+
 // Passed reports whether the run satisfied every invariant.
 func (r *ChaosReport) Passed() bool { return len(r.Violations) == 0 }
 
@@ -94,21 +97,9 @@ func (r *ChaosReport) violate(format string, args ...any) {
 //   - the daemon never records a throttle decision on data older than
 //     its staleness horizon;
 //   - once the last fault window closes, the pipeline converges: the
-//     daemon leaves fail-safe within ConvergeQuanta polls, the sampler
-//     is alive, and no RAPL domain is left quarantined.
+//     daemon leaves fail-safe within chaosConvergeQuanta polls, the
+//     sampler is alive, and no RAPL domain is left quarantined.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 400 * time.Millisecond
-	}
-	if cfg.Tail <= 0 {
-		cfg.Tail = 300 * time.Millisecond
-	}
-	if cfg.ConvergeQuanta <= 0 {
-		cfg.ConvergeQuanta = 25
-	}
-	if cfg.WallBudget <= 0 {
-		cfg.WallBudget = 30 * time.Second
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -122,7 +113,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	mcfg.Sockets = 1 + int(r0%2)
 	mcfg.CoresPerSocket = 2 + int((r0>>8)%2)
 	mcfg.MaxStep = 500 * time.Microsecond
-	end := cfg.Horizon + cfg.Tail
+	end := chaosHorizon + chaosTail
 	mcfg.VirtualTimeLimit = 10 * end
 
 	rep := &ChaosReport{Seed: cfg.Seed, Policy: cfg.Policy, Sockets: mcfg.Sockets, Cores: mcfg.CoresPerSocket}
@@ -146,7 +137,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	})
 	clock := func() time.Duration { return time.Duration(nowA.Load()) }
 
-	sched := GenerateSchedule(cfg.Seed, cfg.Horizon, mcfg.Sockets)
+	sched := GenerateSchedule(cfg.Seed, chaosHorizon, mcfg.Sockets)
 	inj := NewInjector(sched, clock)
 	rep.Events = len(inj.Schedule().Events)
 	rep.ClearTime = inj.Schedule().ClearTime()
@@ -232,7 +223,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// failing) is broken out of by stopping the machine, which aborts
 	// every blocked worker.
 	var wedged atomic.Bool
-	watchdog := time.AfterFunc(cfg.WallBudget, func() {
+	watchdog := time.AfterFunc(chaosWallBudget, func() {
 		wedged.Store(true)
 		m.Stop()
 	})
@@ -255,13 +246,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// ---- Invariant checks ----
 
 	if wedged.Load() {
-		rep.violate("wall-clock watchdog fired after %v: pipeline wedged (possible deadlock)", cfg.WallBudget)
+		rep.violate("wall-clock watchdog fired after %v: pipeline wedged (possible deadlock)", chaosWallBudget)
 	}
 	if runErr != nil && !wedged.Load() {
 		rep.violate("workload aborted: %v (machine: %v)", runErr, m.Err())
 	}
 
-	// Convergence: all fault windows are closed, the Tail has passed —
+	// Convergence: all fault windows are closed, the tail has passed —
 	// the stack must be back to normal operation.
 	if daemon.Failsafe() {
 		rep.violate("daemon still in fail-safe at end of run (clear was t=%v)", rep.ClearTime)
@@ -285,7 +276,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// the staleness horizon, and if fail-safe was entered it must have
 	// been left within the convergence budget.
 	horizon := daemon.Config().StalenessHorizon
-	deadline := rep.ClearTime + time.Duration(cfg.ConvergeQuanta)*pollPeriod
+	deadline := rep.ClearTime + chaosConvergeQuanta*pollPeriod
 	var lastRecovery time.Duration
 	for _, e := range journal.Entries() {
 		switch e.Kind {
@@ -306,7 +297,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			rep.violate("fail-safe entered %d time(s) but never recovered", rep.Daemon.FailsafeEntries)
 		} else if lastRecovery > deadline {
 			rep.violate("last fail-safe recovery at t=%v, after the convergence deadline %v (clear %v + %d polls)",
-				lastRecovery, deadline, rep.ClearTime, cfg.ConvergeQuanta)
+				lastRecovery, deadline, rep.ClearTime, chaosConvergeQuanta)
 		}
 	}
 

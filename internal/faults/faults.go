@@ -2,10 +2,9 @@
 // measurement-and-throttling stack: seeded schedules of sensor,
 // sampler and actuation faults, an Injector that turns a schedule into
 // the hook/gate functions the other layers expose (msr read hooks,
-// rcr sampler gates, maestro actuation hooks), a FailSafe latch shared
-// by real-host throttlers, and a chaos harness (RunChaos) that replays
-// schedules against the full simulated pipeline and checks the
-// fail-safe invariants of docs/robustness.md.
+// rcr sampler gates, maestro actuation hooks), and a chaos harness
+// (RunChaos) that replays schedules against the full simulated pipeline
+// and checks the fail-safe invariants of docs/robustness.md.
 //
 // Everything is reproducible: the same seed yields the same schedule and
 // the same injected garbage values. The trajectory repeats up to the

@@ -144,29 +144,6 @@ func TestActuationHook(t *testing.T) {
 	}
 }
 
-func TestFailSafeLatch(t *testing.T) {
-	var fs FailSafe
-	if fs.Engaged() || fs.Reason() != "" || fs.Trips() != 0 {
-		t.Fatal("zero-value latch not clear")
-	}
-	fs.Trip("sensors dead")
-	if !fs.Engaged() || fs.Reason() != "sensors dead" || fs.Trips() != 1 {
-		t.Errorf("after Trip: engaged=%v reason=%q trips=%d", fs.Engaged(), fs.Reason(), fs.Trips())
-	}
-	fs.Trip("still dead") // re-trip updates reason, not the count
-	if fs.Trips() != 1 || fs.Reason() != "still dead" {
-		t.Errorf("re-trip: trips=%d reason=%q", fs.Trips(), fs.Reason())
-	}
-	fs.Clear()
-	if fs.Engaged() || fs.Clears() != 1 {
-		t.Errorf("after Clear: engaged=%v clears=%d", fs.Engaged(), fs.Clears())
-	}
-	fs.Clear() // idempotent
-	if fs.Clears() != 1 {
-		t.Errorf("double Clear counted: %d", fs.Clears())
-	}
-}
-
 // FuzzFaultSchedule throws arbitrary (possibly hostile) schedules at the
 // injector's hooks: normalization must keep every hook total — no
 // panics, garbage confined to 32 bits, delays bounded.

@@ -73,15 +73,6 @@ func (in *Injector) Injected(k Kind) uint64 {
 	return in.counts[k].Load()
 }
 
-// TotalInjected sums all fired injections.
-func (in *Injector) TotalInjected() uint64 {
-	var t uint64
-	for k := range in.counts {
-		t += in.counts[k].Load()
-	}
-	return t
-}
-
 // MSRReadHook returns the register-file read hook: it corrupts reads of
 // MSR_PKG_ENERGY_STATUS while an MSR fault window covers the socket.
 // All other registers pass through untouched.

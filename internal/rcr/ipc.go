@@ -112,11 +112,11 @@ type Server struct {
 	clock Clock
 	ln    net.Listener
 
-	// ReadTimeout and WriteTimeout bound each connection's request read
-	// and response write. Zero selects DefaultIPCTimeout; a stalled or
-	// malicious client can hold a handler (and one connection slot) no
-	// longer than their sum.
-	ReadTimeout, WriteTimeout time.Duration
+	// ReadTimeout bounds each connection's request read, and
+	// DefaultIPCTimeout its response write. Zero selects
+	// DefaultIPCTimeout; a stalled or malicious client can hold a handler
+	// (and one connection slot) no longer than their sum.
+	ReadTimeout time.Duration
 	// MaxConns caps concurrently served connections (the handler worker
 	// pool size). Zero selects DefaultMaxConns.
 	MaxConns int
@@ -209,12 +209,9 @@ func transientAcceptError(err error) bool {
 // Accept errors back off exponentially and continue — they never kill
 // the daemon.
 func (s *Server) Serve() error {
-	readTO, writeTO := s.ReadTimeout, s.WriteTimeout
+	readTO := s.ReadTimeout
 	if readTO <= 0 {
 		readTO = DefaultIPCTimeout
-	}
-	if writeTO <= 0 {
-		writeTO = DefaultIPCTimeout
 	}
 	maxConns := s.MaxConns
 	if maxConns <= 0 {
@@ -237,7 +234,7 @@ func (s *Server) Serve() error {
 			var scr encodeScratch
 			for conn := range queue {
 				s.queueDepth.Set(float64(len(queue)))
-				s.finish(conn, s.handle(conn, readTO, writeTO, &scr))
+				s.finish(conn, s.handle(conn, readTO, &scr))
 			}
 		}()
 	}
@@ -281,7 +278,7 @@ func (s *Server) Serve() error {
 		default:
 			if s.Shed {
 				// Queue full: answer cheaply instead of hanging the client.
-				s.shedConn(conn, writeTO)
+				s.shedConn(conn)
 				continue
 			}
 			queue <- conn // legacy policy: block; backlog absorbs the burst
@@ -291,20 +288,17 @@ func (s *Server) Serve() error {
 }
 
 // shedConn answers an over-capacity connection with BUSY and closes it.
-func (s *Server) shedConn(conn net.Conn, writeTO time.Duration) {
+func (s *Server) shedConn(conn net.Conn) {
 	s.shed.Inc()
-	s.replyBusy(conn, writeTO)
+	s.replyBusy(conn)
 	s.finish(conn, false)
 }
 
 // replyBusy writes the BUSY header under a short deadline and closes the
 // connection. Failures are ignored — the client learns of the overload
 // either way.
-func (s *Server) replyBusy(conn net.Conn, writeTO time.Duration) {
-	if writeTO > 100*time.Millisecond {
-		writeTO = 100 * time.Millisecond
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTO))
+func (s *Server) replyBusy(conn net.Conn) {
+	_ = conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], busyHeader)
 	_, _ = conn.Write(hdr[:])
@@ -449,7 +443,7 @@ type encodeScratch struct {
 // back. It reports true when the connection was hijacked by the
 // publisher ("SUB\n"): the subscriber's writer now owns the conn, closes
 // it on exit, and untracks it via its exit hook.
-func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encodeScratch) (hijacked bool) {
+func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch) (hijacked bool) {
 	defer func() {
 		if !hijacked {
 			_ = conn.Close() // the client has the data or it doesn't
@@ -542,7 +536,7 @@ func (s *Server) handle(conn net.Conn, readTO, writeTO time.Duration, scr *encod
 			return false
 		}
 		binary.LittleEndian.PutUint32(scr.buf, uint32(len(scr.buf)-4))
-		if err := conn.SetWriteDeadline(s.deadline(writeTO)); err != nil {
+		if err := conn.SetWriteDeadline(s.deadline(DefaultIPCTimeout)); err != nil {
 			s.errors.Inc()
 			return false
 		}
