@@ -135,9 +135,9 @@ type Server struct {
 	DrainTimeout time.Duration
 	// Pub, when non-nil, enables the "SUB\n" op: subscribing connections
 	// are hijacked out of the request/response worker pool and handed to
-	// the publisher's per-subscriber writer. Drive Pub.Tick from the
-	// sampler (Sampler.AttachPublisher) or Pub.Run. Close detaches all
-	// subscribers. Set before Serve.
+	// the publisher. Drive Pub.Tick from the sampler
+	// (Sampler.AttachPublisher). Close detaches all subscribers. Set
+	// before Serve.
 	Pub *Publisher
 	// Fence, when non-nil, enables the "CAP\n" op: fenced cap writes and
 	// lease renewals from the cluster tier's aggregator replicas are

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/telemetry"
@@ -24,6 +26,16 @@ import (
 // frames, so fan-out cost is writes, not serializations — the closest
 // IPC analogue of the paper's many-readers shared-memory region.
 //
+// Delivery has two paths. A publisher with exactly one subscriber, and
+// nothing queued or being written for it, writes the frame itself from
+// the ticking goroutine with one non-blocking write(2): the usual daemon
+// has one reader (MAESTRO, or a shard's aggregator), and it should not
+// pay two goroutine hand-offs for a fan-out it does not have. Whatever
+// the socket does not accept, and every frame while anything is pending,
+// goes to the subscriber's writer goroutine, which coalesces queued
+// frames into one write. With two or more subscribers every frame takes
+// that path, so the tick never pays one syscall per subscriber.
+//
 // Slow subscribers never stall the tick: each has a bounded queue; on
 // overflow the oldest queued frame is dropped and the subscriber is
 // marked for resync, receiving a fresh full frame (FlagResync) on the
@@ -34,8 +46,7 @@ const DefaultSubQueueDepth = 8
 
 // Publisher fans blackboard deltas out to subscribers on every Tick.
 // Attach subscribers via the Server's SUB op (or AttachConn directly);
-// drive ticks from the sampler (Sampler.AttachPublisher) or a host-time
-// loop (Run).
+// drive ticks from the sampler (Sampler.AttachPublisher).
 type Publisher struct {
 	bb *Blackboard
 
@@ -91,6 +102,23 @@ type subscriber struct {
 	dead     atomic.Bool // writer hit an error; drain without writing
 	detached bool        // guarded by Publisher.mu; q already closed
 	onExit   func()
+
+	// Write-through state (writeThrough). raw and writeFn are set at
+	// attach; written is the writer's; the rest is Tick's, guarded by
+	// Publisher.mu. queued counts frames handed to q and not dropped by
+	// Tick; written counts those the writer has finished.
+	// While they differ a frame is queued or in the writer's hands, and
+	// only the writer may write conn. tail, when non-zero, numbers the
+	// queued rest of a frame whose start is already on the wire: until
+	// written reaches it no drop may take the head of q.
+	raw     syscall.RawConn // nil: no non-blocking write; always queue
+	queued  uint64
+	written atomic.Uint64
+	tail    uint64
+	out     []byte                // what writeFn writes
+	wrote   int                   // writeFn's result
+	werr    error                 // writeFn's result
+	writeFn func(fd uintptr) bool // built once, so Tick allocates nothing
 }
 
 // NewPublisher creates a publisher over bb.
@@ -123,6 +151,16 @@ func (p *Publisher) Subscribers() int {
 // exits — the Server uses it to untrack hijacked connections. The
 // subscriber receives a FlagInitial full frame on the next tick.
 func (p *Publisher) AttachConn(conn net.Conn, onExit func()) error {
+	sub, err := p.attach(conn, onExit)
+	if err != nil {
+		return err
+	}
+	go p.writer(sub)
+	return nil
+}
+
+// attach registers conn as a subscriber whose writer the caller starts.
+func (p *Publisher) attach(conn net.Conn, onExit func()) (*subscriber, error) {
 	sub := &subscriber{
 		conn:   conn,
 		q:      make(chan *frameBuf, p.queueDepth()),
@@ -130,17 +168,21 @@ func (p *Publisher) AttachConn(conn net.Conn, onExit func()) error {
 	}
 	sub.needFull.Store(true)
 	sub.initial = true
+	if sub.raw = rawConn(conn); sub.raw != nil {
+		sub.writeFn = func(fd uintptr) bool {
+			sub.wrote, sub.werr = writeNow(fd, sub.out)
+			return true // one try; never wait for the socket
+		}
+	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return errors.New("rcr: publisher closed")
+		return nil, errors.New("rcr: publisher closed")
 	}
 	p.subs[sub] = struct{}{}
 	p.subscribers.Set(float64(len(p.subs)))
 	p.wg.Add(1)
-	p.mu.Unlock()
-	go p.writer(sub)
-	return nil
+	return sub, nil
 }
 
 func (p *Publisher) queueDepth() int {
@@ -154,9 +196,11 @@ func (p *Publisher) queueDepth() int {
 // coalesces into one syscall.
 const maxWriteBatch = 32 << 10
 
-// writer owns sub.conn: it drains the queue, coalescing whatever frames
-// are already waiting into a single write (frames are length-prefixed,
-// so concatenation is the wire format), and detaches on the first error.
+// writer drains sub's queue, coalescing whatever frames are already
+// waiting into a single write (frames are length-prefixed, so
+// concatenation is the wire format), and detaches on the first error.
+// It counts a batch in written only once its write has returned, so
+// Tick writes through only after the writer's bytes are on the wire.
 // It always fully drains the (closed) queue so shared frame refcounts
 // balance.
 func (p *Publisher) writer(sub *subscriber) {
@@ -165,6 +209,7 @@ func (p *Publisher) writer(sub *subscriber) {
 	for fb := range sub.q {
 		if sub.dead.Load() {
 			fb.release()
+			sub.written.Add(1)
 			continue
 		}
 		nFrames := uint64(1)
@@ -185,8 +230,12 @@ func (p *Publisher) writer(sub *subscriber) {
 			}
 		}
 		_ = sub.conn.SetWriteDeadline(time.Now().Add(DefaultIPCTimeout))
-		if _, err := sub.conn.Write(batch); err != nil {
-			sub.dead.Store(true)
+		_, err := sub.conn.Write(batch)
+		if err != nil {
+			sub.dead.Store(true) // before written: Tick must not try conn
+		}
+		sub.written.Add(nFrames)
+		if err != nil {
 			p.disconnects.Inc()
 			p.detach(sub)
 		} else {
@@ -205,6 +254,10 @@ func (p *Publisher) writer(sub *subscriber) {
 func (p *Publisher) detach(sub *subscriber) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.detachLocked(sub)
+}
+
+func (p *Publisher) detachLocked(sub *subscriber) {
 	if sub.detached {
 		return
 	}
@@ -256,11 +309,17 @@ func (p *Publisher) Tick(now time.Duration) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	sole := len(p.subs) == 1
 	for sub := range p.subs {
 		if schemaChanged {
 			sub.needFull.Store(true)
 		}
 		if sub.needFull.Load() {
+			if sub.tailOutstanding() {
+				// Draining now could drop the rest of a frame already
+				// begun on the wire; resync once the writer has it.
+				continue
+			}
 			if fullFB == nil {
 				p.bb.CollectFull(&p.full)
 				p.full.Now = now
@@ -295,11 +354,11 @@ func (p *Publisher) Tick(now time.Duration) {
 				fb.buf = append(fb.buf, fullFB.buf...)
 				fb.buf[4+4+4+8+8] = flags
 				fb.refs.Add(1)
-				p.enqueue(sub, fb)
+				p.deliver(sub, fb, sole)
 				fb.release() // creation reference
 			} else {
 				fullFB.refs.Add(1)
-				p.enqueue(sub, fullFB)
+				p.deliver(sub, fullFB, sole)
 			}
 			sub.needFull.Store(false)
 			sub.initial = false
@@ -312,7 +371,7 @@ func (p *Publisher) Tick(now time.Duration) {
 			binary.LittleEndian.PutUint32(deltaFB.buf[:4], uint32(len(deltaFB.buf)-4))
 		}
 		deltaFB.refs.Add(1)
-		if !p.enqueue(sub, deltaFB) {
+		if !p.deliver(sub, deltaFB, sole) {
 			// Overflow: the chain to this subscriber is broken anyway, so
 			// drop the oldest queued frame and resync from a full frame
 			// next tick rather than queueing a delta it cannot apply.
@@ -322,24 +381,99 @@ func (p *Publisher) Tick(now time.Duration) {
 	}
 }
 
+// deliver hands fb (whose reference the caller has already added) to
+// sub: written through when sub is the sole subscriber and the socket
+// takes it, queued otherwise. It reports false on a queue overflow.
+func (p *Publisher) deliver(sub *subscriber, fb *frameBuf, sole bool) bool {
+	if sole && p.writeThrough(sub, fb) {
+		return true
+	}
+	return p.enqueue(sub, fb)
+}
+
+// writeThrough writes fb to sub's socket with one non-blocking write,
+// provided nothing is queued or being written for sub. It reports false
+// when it did not try. Otherwise it has consumed fb's reference: the
+// whole frame went out, or the rest of it is queued for the writer
+// (behind nothing, so it cannot overflow), or the write failed and sub
+// is detached. Called from Tick with p.mu held.
+func (p *Publisher) writeThrough(sub *subscriber, fb *frameBuf) bool {
+	if sub.raw == nil || sub.dead.Load() || sub.written.Load() != sub.queued {
+		return false
+	}
+	sub.out = fb.buf
+	err := sub.raw.Write(sub.writeFn)
+	if errors.Is(err, os.ErrDeadlineExceeded) && !sub.dead.Load() {
+		// A write deadline set earlier (by the writer, or by the request
+		// path before SUB) has passed, so the write was never tried. The
+		// writer sets a fresh one before each write: clear it and retry.
+		_ = sub.conn.SetWriteDeadline(time.Time{})
+		err = sub.raw.Write(sub.writeFn)
+	}
+	sub.out = nil
+	if err == nil {
+		err = sub.werr
+	}
+	n := sub.wrote
+	switch {
+	case err != nil:
+		fb.release()
+		sub.dead.Store(true)
+		p.disconnects.Inc()
+		p.detachLocked(sub)
+	case n == len(fb.buf):
+		fb.release()
+		p.frames.Inc()
+		p.bytesOut.Add(uint64(n))
+	case n == 0:
+		p.enqueue(sub, fb)
+	default:
+		// The writer counts the frame when it writes the rest.
+		p.bytesOut.Add(uint64(n))
+		rest := p.acquire()
+		rest.buf = append(rest.buf, fb.buf[n:]...)
+		fb.release()
+		p.enqueue(sub, rest)
+		sub.tail = sub.queued
+	}
+	return true
+}
+
+// tailOutstanding reports whether the rest of a partly written frame
+// may still be queued, where a drop could take it.
+func (sub *subscriber) tailOutstanding() bool {
+	if sub.tail != 0 && sub.written.Load() >= sub.tail {
+		sub.tail = 0
+	}
+	return sub.tail != 0
+}
+
 // enqueue offers fb (whose reference the caller has already added) to
-// sub without blocking. On overflow it drops the oldest queued frame,
-// releases fb's reference, and reports false.
+// sub without blocking. On overflow it drops the oldest queued frame —
+// or fb itself while the head is the rest of a frame begun on the wire
+// — releases fb's reference, and reports false.
 func (p *Publisher) enqueue(sub *subscriber, fb *frameBuf) bool {
 	if sub.detached {
 		fb.release()
 		return false
 	}
+	sub.queued++
 	select {
 	case sub.q <- fb:
 		return true
 	default:
 	}
-	select {
-	case old := <-sub.q:
-		old.release()
+	sub.queued--
+	if sub.tailOutstanding() {
 		p.dropped.Inc()
-	default:
+	} else {
+		select {
+		case old := <-sub.q:
+			old.release()
+			sub.queued--
+			p.dropped.Inc()
+		default:
+		}
 	}
 	fb.release()
 	return false
@@ -351,25 +485,10 @@ func (p *Publisher) drainQueue(sub *subscriber) {
 		select {
 		case fb := <-sub.q:
 			fb.release()
+			sub.queued--
 			p.dropped.Inc()
 		default:
 			return
-		}
-	}
-}
-
-// Run drives Tick from a host-time loop — for servers whose sampler
-// runs on a real clock, and for soak harnesses. It returns when ctx is
-// done.
-func (p *Publisher) Run(ctx context.Context, period time.Duration, clock Clock) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			p.Tick(clock.Now())
 		}
 	}
 }
