@@ -50,9 +50,6 @@ type Options struct {
 	// Qthreads tunes the runtime beyond the worker count; zero values
 	// take the runtime defaults. Workers above overrides Qthreads.Workers.
 	Qthreads qthreads.Config
-	// SamplePeriod is the RCR blackboard refresh interval; zero selects
-	// the default (10 ms of virtual time).
-	SamplePeriod time.Duration
 	// FaultTolerant hardens the measurement path (docs/robustness.md):
 	// the RAPL reader is wrapped in a rapl.Guard (per-domain retry,
 	// bounded-backoff quarantine, plausibility clamp), and the sampler
@@ -158,13 +155,12 @@ func New(opts Options) (*System, error) {
 	}
 	if opts.FaultTolerant {
 		if sys.sup, err = rcr.StartSupervisor(m, sys.reader, sys.bb, rcr.SupervisorConfig{
-			SamplePeriod: opts.SamplePeriod,
-			Telemetry:    sys.reg,
+			Telemetry: sys.reg,
 		}); err != nil {
 			return fail(err)
 		}
 	} else {
-		if sys.sampler, err = rcr.StartSampler(m, sys.reader, sys.bb, opts.SamplePeriod); err != nil {
+		if sys.sampler, err = rcr.StartSampler(m, sys.reader, sys.bb, 0); err != nil {
 			return fail(err)
 		}
 		sys.sampler.Instrument(sys.reg) // no-op when reg is nil
@@ -198,7 +194,7 @@ func New(opts Options) (*System, error) {
 		sys.cap.Instrument(sys.reg) // no-op when reg is nil
 	}
 	if opts.RecordHistory {
-		if sys.history, err = rcr.StartHistory(m, sys.bb, opts.SamplePeriod, 0); err != nil {
+		if sys.history, err = rcr.StartHistory(m, sys.bb, 0, 0); err != nil {
 			return fail(err)
 		}
 	}

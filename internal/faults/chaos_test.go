@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,8 +131,25 @@ func TestChaosEveryPolicy(t *testing.T) {
 
 // TestChaosDeterministic: the same seed must produce the same schedule,
 // the same topology and the same step count — the reproducibility that
-// makes a failing seed debuggable.
+// makes a failing seed debuggable. RunChaos holds the machine's clock, so
+// its whole report repeats at any GOMAXPROCS.
 func TestChaosDeterministic(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		var reps [2]*ChaosReport
+		for i, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			prev := runtime.GOMAXPROCS(procs)
+			rep, err := RunChaos(ChaosConfig{Seed: seed})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("seed %d, GOMAXPROCS %d: RunChaos: %v", seed, procs, err)
+			}
+			reps[i] = rep
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Errorf("seed %d: reports differ between GOMAXPROCS 1 and %d:\n %+v\n %+v",
+				seed, runtime.GOMAXPROCS(0), reps[0], reps[1])
+		}
+	}
 	a := GenerateSchedule(42, 400*time.Millisecond, 2)
 	b := GenerateSchedule(42, 400*time.Millisecond, 2)
 	if len(a.Events) != len(b.Events) {

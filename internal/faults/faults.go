@@ -7,9 +7,9 @@
 // and checks the fail-safe invariants of docs/robustness.md.
 //
 // Everything is reproducible: the same seed yields the same schedule and
-// the same injected garbage values. The trajectory repeats up to the
-// phase at which the run starts against the supervisor's ticks, which
-// RunChaos leaves to the host (it takes no Machine.Hold).
+// the same injected garbage values. RunChaos assembles the stack on a
+// held clock (Machine.Hold), so a whole run, and its ChaosReport, repeats
+// exactly at any GOMAXPROCS.
 package faults
 
 import (

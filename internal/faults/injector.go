@@ -14,11 +14,10 @@ import (
 // the stack's fault seams accept. One Injector serves every layer of a
 // run; its per-kind counters report how many injections actually fired.
 //
-// The clock decides which windows are active. Hooks run from paths that
-// may hold the simulated machine's internal lock (msr write hooks fire
-// under it), so the clock MUST be lock-free — never machine.Now. The
-// chaos harness feeds an atomic from the machine's step hook; a real
-// host would use a monotonic wall clock.
+// The clock decides which windows are active. The chaos harness feeds
+// it an atomic from the machine's step hook, which runs under the
+// machine's lock where machine.Now would deadlock; a real host would use
+// a monotonic wall clock.
 type Injector struct {
 	sched Schedule
 	clock func() time.Duration

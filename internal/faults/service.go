@@ -76,17 +76,6 @@ func (s ServiceSchedule) ClearTime() time.Duration {
 	return t
 }
 
-// Active returns the kinds active at elapsed time now.
-func (s ServiceSchedule) Active(now time.Duration) []ServiceKind {
-	var out []ServiceKind
-	for i := range s.Events {
-		if s.Events[i].Covers(now) {
-			out = append(out, s.Events[i].Kind)
-		}
-	}
-	return out
-}
-
 // GenerateServiceSchedule derives a deterministic service fault schedule
 // from a seed, mirroring GenerateSchedule's envelope: 2–5 events, each
 // starting in the first 60% of horizon and closed by 80% of it, so every

@@ -2,10 +2,9 @@ package msr
 
 import "sync/atomic"
 
-// Access describes one register access as presented to a hook: which
+// Access describes one register read as presented to a hook: which
 // scope it targets (core or package), the socket or node-wide core
-// index, the register address, and the value involved — the value about
-// to be returned for reads, the value about to be stored for writes.
+// index, the register address, and the value about to be returned.
 type Access struct {
 	Core  bool // core-scoped register (false: package-scoped)
 	Index int  // socket index, or node-wide core index when Core
@@ -25,12 +24,6 @@ type Access struct {
 // into the machine's physics.
 type ReadHook func(a Access) (uint64, error)
 
-// WriteHook intercepts register writes before they land. It returns the
-// value to store and false to drop the write entirely (a lost duty-cycle
-// actuation). Hooks run outside the register file's lock and must not
-// call back into the File.
-type WriteHook func(a Access) (uint64, bool)
-
 // SetReadHook installs (or, with nil, removes) the file's read hook.
 // Safe to call while reads are in flight.
 func (f *File) SetReadHook(h ReadHook) {
@@ -41,16 +34,6 @@ func (f *File) SetReadHook(h ReadHook) {
 	f.readHook.Store(&h)
 }
 
-// SetWriteHook installs (or, with nil, removes) the file's write hook.
-// Safe to call while writes are in flight.
-func (f *File) SetWriteHook(h WriteHook) {
-	if h == nil {
-		f.writeHook.Store(nil)
-		return
-	}
-	f.writeHook.Store(&h)
-}
-
 // hookRead applies the read hook, if any, to a completed read.
 func (f *File) hookRead(a Access) (uint64, error) {
 	if hp := f.readHook.Load(); hp != nil {
@@ -59,17 +42,7 @@ func (f *File) hookRead(a Access) (uint64, error) {
 	return a.Value, nil
 }
 
-// hookWrite applies the write hook, if any, to a pending write. The
-// second result reports whether the write should proceed.
-func (f *File) hookWrite(a Access) (uint64, bool) {
-	if hp := f.writeHook.Load(); hp != nil {
-		return (*hp)(a)
-	}
-	return a.Value, true
-}
-
 // hooks is the atomic hook storage embedded in File.
 type hooks struct {
-	readHook  atomic.Pointer[ReadHook]
-	writeHook atomic.Pointer[WriteHook]
+	readHook atomic.Pointer[ReadHook]
 }

@@ -55,31 +55,6 @@ func TestReadHookInterceptsArchitecturalReads(t *testing.T) {
 	}
 }
 
-// TestWriteHookCanRewriteAndDropWrites: a write hook may rewrite the
-// stored value or veto the write entirely (a lost actuation).
-func TestWriteHookCanRewriteAndDropWrites(t *testing.T) {
-	f := NewFile(1, 1)
-	f.SetWriteHook(func(a Access) (uint64, bool) {
-		return a.Value * 2, true
-	})
-	if err := f.WritePackage(0, MSRPkgEnergyStatus, 21); err != nil {
-		t.Fatal(err)
-	}
-	f.SetWriteHook(nil)
-	if v, _ := f.ReadPackage(0, MSRPkgEnergyStatus); v != 42 {
-		t.Errorf("rewritten value = %d, want 42", v)
-	}
-
-	f.SetWriteHook(func(Access) (uint64, bool) { return 0, false })
-	if err := f.WritePackage(0, MSRPkgEnergyStatus, 7); err != nil {
-		t.Fatal(err)
-	}
-	f.SetWriteHook(nil)
-	if v, _ := f.ReadPackage(0, MSRPkgEnergyStatus); v != 42 {
-		t.Errorf("dropped write landed: %d, want 42", v)
-	}
-}
-
 // TestDiagnosticAccessorsBypassHooks: PackageEnergyCounter — the raw
 // accessor the simulation engine and the physics audit read — must never
 // see injected values; faults corrupt the observation path, not the

@@ -125,7 +125,7 @@ func (c *coreRegs) reg(addr uint32) *uint64 {
 // File is the register file of one simulated node. The zero value is not
 // usable; construct with NewFile.
 type File struct {
-	hooks // fault-injection read/write hooks (see hook.go)
+	hooks // fault-injection read hook (see hook.go)
 
 	mu    sync.Mutex
 	pkgs  []pkgRegs  // by socket
@@ -174,8 +174,7 @@ func (f *File) ReadPackage(socket int, addr uint32) (uint64, error) {
 	return f.hookRead(Access{Index: socket, Addr: addr, Value: v})
 }
 
-// WritePackage writes a package-scoped register of the given socket. An
-// installed write hook sees the value first and may rewrite or drop it.
+// WritePackage writes a package-scoped register of the given socket.
 func (f *File) WritePackage(socket int, addr uint32, v uint64) error {
 	if socket < 0 || socket >= len(f.pkgs) {
 		return &RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)}
@@ -183,10 +182,6 @@ func (f *File) WritePackage(socket int, addr uint32, v uint64) error {
 	r := f.pkgs[socket].reg(addr)
 	if r == nil {
 		return &AddrError{Addr: addr, Op: "write"}
-	}
-	v, store := f.hookWrite(Access{Index: socket, Addr: addr, Value: v})
-	if !store {
-		return nil
 	}
 	f.mu.Lock()
 	*r = v
@@ -211,8 +206,7 @@ func (f *File) ReadCore(core int, addr uint32) (uint64, error) {
 	return f.hookRead(Access{Core: true, Index: core, Addr: addr, Value: v})
 }
 
-// WriteCore writes a core-scoped register of the given core. An
-// installed write hook sees the value first and may rewrite or drop it.
+// WriteCore writes a core-scoped register of the given core.
 func (f *File) WriteCore(core int, addr uint32, v uint64) error {
 	if core < 0 || core >= len(f.cores) {
 		return &RangeError{Kind: "core", Index: core, Limit: len(f.cores)}
@@ -220,10 +214,6 @@ func (f *File) WriteCore(core int, addr uint32, v uint64) error {
 	r := f.cores[core].reg(addr)
 	if r == nil {
 		return &AddrError{Addr: addr, Op: "write"}
-	}
-	v, store := f.hookWrite(Access{Core: true, Index: core, Addr: addr, Value: v})
-	if !store {
-		return nil
 	}
 	f.mu.Lock()
 	*r = v

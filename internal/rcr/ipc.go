@@ -47,9 +47,9 @@ import (
 // Connection reuse. GET, MET, CAP and MEM may follow one another on one
 // connection: after a complete response the server waits up to
 // ReadTimeout for the next request, and each request has its own
-// deadlines, counters, rate-limit token and size bounds. The server
-// closes on any malformed, refused or failed request, after BUSY, when
-// the wait runs out, at Close, and when every worker is taken and a new
+// deadlines, counters and size bounds. The server closes on any
+// malformed, refused or failed request, after BUSY, when the wait runs
+// out, at Close, and when every worker is taken and a new
 // connection needs one (an idle peer is shed before anyone gets BUSY).
 // The client (exchange) closes on any error, on a response outside its
 // bounds and when its context fired; otherwise it parks the connection

@@ -21,28 +21,35 @@ import (
 // per query), a client sends "SUB\n" once and the server pushes one
 // length-prefixed frame per sampler tick — a full frame ("RCRF") to open
 // or resync the stream, then delta frames ("RCRD") carrying only the
-// slots that moved. The server encodes each tick's delta exactly once
-// and shares the buffer across every subscriber through refcounted
-// frames, so fan-out cost is writes, not serializations — the closest
-// IPC analogue of the paper's many-readers shared-memory region.
+// slots that moved. The server encodes each tick's delta exactly once,
+// into a buffer the publisher owns, so fan-out cost is copies and
+// writes, not serializations — the closest IPC analogue of the paper's
+// many-readers shared-memory region.
 //
-// Delivery has two paths. A publisher with exactly one subscriber, and
-// nothing queued or being written for it, writes the frame itself from
-// the ticking goroutine with one non-blocking write(2): the usual daemon
-// has one reader (MAESTRO, or a shard's aggregator), and it should not
-// pay two goroutine hand-offs for a fan-out it does not have. Whatever
-// the socket does not accept, and every frame while anything is pending,
-// goes to the subscriber's writer goroutine, which coalesces queued
-// frames into one write. With two or more subscribers every frame takes
-// that path, so the tick never pays one syscall per subscriber.
+// Delivery has two paths. A publisher with exactly one subscriber, whose
+// backlog is empty and whose writer is idle, writes the frame itself
+// from the ticking goroutine with one non-blocking write(2): the usual
+// daemon has one reader (MAESTRO, or a shard's aggregator), and it
+// should not pay two goroutine hand-offs for a fan-out it does not have.
+// Every other frame, and whatever of a frame the socket does not accept,
+// is copied onto the subscriber's byte backlog. Its writer goroutine
+// takes the whole backlog in one critical section and writes it in one
+// call (frames are length-prefixed, so concatenation is the wire
+// format). With two or more subscribers every frame takes that path, so
+// the tick never pays one syscall per subscriber.
 //
-// Slow subscribers never stall the tick: each has a bounded queue; on
-// overflow the oldest queued frame is dropped and the subscriber is
-// marked for resync, receiving a fresh full frame (FlagResync) on the
-// next tick instead of a broken delta chain.
+// Slow subscribers never stall the tick: each backlog holds at most
+// QueueDepth frames; on overflow the oldest is dropped and the
+// subscriber is marked for resync, receiving a fresh full frame
+// (FlagResync) on the next tick instead of a broken delta chain. A frame
+// whose start is already on the wire is never dropped.
 
 // DefaultSubQueueDepth is the per-subscriber frame queue bound.
 const DefaultSubQueueDepth = 8
+
+// fullFlagsAt is the offset of a length-prefixed full frame's flags
+// byte: prefix, magic, gen, ver, now.
+const fullFlagsAt = 4 + 4 + 4 + 8 + 8
 
 // Publisher fans blackboard deltas out to subscribers on every Tick.
 // Attach subscribers via the Server's SUB op (or AttachConn directly);
@@ -55,14 +62,14 @@ type Publisher struct {
 	// is dropped and the subscriber resyncs from a full frame.
 	QueueDepth int
 
-	pool sync.Pool // *frameBuf
-
-	tmu     sync.Mutex // serializes Tick with itself
-	delta   DeltaFrame // tick scratch
-	full    FullFrame  // tick scratch
-	lastVer uint64
-	lastGen uint32
-	started bool
+	tmu      sync.Mutex // serializes Tick with itself; guards the tick scratch
+	delta    DeltaFrame
+	full     FullFrame
+	deltaBuf []byte // this tick's encoded delta frame; empty until needed
+	fullBuf  []byte // this tick's encoded full frame; empty until needed
+	lastVer  uint64
+	lastGen  uint32
+	started  bool
 
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
@@ -79,42 +86,24 @@ type Publisher struct {
 	bytesOut    *telemetry.Counter
 }
 
-// frameBuf is one encoded frame shared by every subscriber queue it sits
-// in; the last release returns it to the pool.
-type frameBuf struct {
-	buf  []byte
-	refs atomic.Int32
-	pool *sync.Pool
-}
-
-func (fb *frameBuf) release() {
-	if fb.refs.Add(-1) == 0 {
-		fb.pool.Put(fb)
-	}
-}
-
 // subscriber is one attached connection.
 type subscriber struct {
 	conn     net.Conn
-	q        chan *frameBuf
-	needFull atomic.Bool // next tick must send a full frame
-	initial  bool        // never sent anything yet (FlagInitial)
-	dead     atomic.Bool // writer hit an error; drain without writing
-	detached bool        // guarded by Publisher.mu; q already closed
+	wake     chan struct{} // the backlog may hold frames; closed at detach
+	busy     atomic.Bool   // the writer holds a batch it has not finished writing
+	detached bool          // guarded by Publisher.mu; wake already closed
 	onExit   func()
 
-	// Write-through state (writeThrough). raw and writeFn are set at
-	// attach; written is the writer's; the rest is Tick's, guarded by
-	// Publisher.mu. queued counts frames handed to q and not dropped by
-	// Tick; written counts those the writer has finished.
-	// While they differ a frame is queued or in the writer's hands, and
-	// only the writer may write conn. tail, when non-zero, numbers the
-	// queued rest of a frame whose start is already on the wire: until
-	// written reaches it no drop may take the head of q.
-	raw     syscall.RawConn // nil: no non-blocking write; always queue
-	queued  uint64
-	written atomic.Uint64
-	tail    uint64
+	mu       sync.Mutex
+	backlog  []byte // frames waiting for the writer, concatenated
+	ends     []int  // end offset in backlog of each frame
+	begun    bool   // backlog's first frame is the rest of one begun on the wire
+	needFull bool   // next tick must send a full frame
+	initial  bool   // never sent anything yet (FlagInitial)
+	dead     bool   // a write failed or DetachAll ran; write no more
+
+	// Write-through (deliver). Set at attach, then used only by Tick.
+	raw     syscall.RawConn       // nil: no non-blocking write; always queue
 	out     []byte                // what writeFn writes
 	wrote   int                   // writeFn's result
 	werr    error                 // writeFn's result
@@ -162,12 +151,12 @@ func (p *Publisher) AttachConn(conn net.Conn, onExit func()) error {
 // attach registers conn as a subscriber whose writer the caller starts.
 func (p *Publisher) attach(conn net.Conn, onExit func()) (*subscriber, error) {
 	sub := &subscriber{
-		conn:   conn,
-		q:      make(chan *frameBuf, p.queueDepth()),
-		onExit: onExit,
+		conn:     conn,
+		wake:     make(chan struct{}, 1),
+		onExit:   onExit,
+		needFull: true,
+		initial:  true,
 	}
-	sub.needFull.Store(true)
-	sub.initial = true
 	if sub.raw = rawConn(conn); sub.raw != nil {
 		sub.writeFn = func(fd uintptr) bool {
 			sub.wrote, sub.werr = writeNow(fd, sub.out)
@@ -192,56 +181,38 @@ func (p *Publisher) queueDepth() int {
 	return DefaultSubQueueDepth
 }
 
-// maxWriteBatch bounds how many queued bytes a subscriber writer
-// coalesces into one syscall.
-const maxWriteBatch = 32 << 10
-
-// writer drains sub's queue, coalescing whatever frames are already
-// waiting into a single write (frames are length-prefixed, so
-// concatenation is the wire format), and detaches on the first error.
-// It counts a batch in written only once its write has returned, so
-// Tick writes through only after the writer's bytes are on the wire.
-// It always fully drains the (closed) queue so shared frame refcounts
-// balance.
+// writer writes sub's backlog until sub is detached, and detaches it on
+// the first error. Each wake-up swaps the whole backlog out under the
+// lock, so the tick keeps appending to the other buffer during the
+// write. It clears busy only once the write has returned, so Tick
+// writes through only after the writer's bytes are on the wire.
 func (p *Publisher) writer(sub *subscriber) {
 	defer p.wg.Done()
 	var batch []byte
-	for fb := range sub.q {
-		if sub.dead.Load() {
-			fb.release()
-			sub.written.Add(1)
+	for range sub.wake {
+		sub.mu.Lock()
+		batch, sub.backlog = sub.backlog, batch[:0]
+		n := len(sub.ends)
+		sub.ends = sub.ends[:0]
+		sub.begun = false
+		write := n > 0 && !sub.dead
+		sub.busy.Store(write)
+		sub.mu.Unlock()
+		if !write {
 			continue
 		}
-		nFrames := uint64(1)
-		batch = append(batch[:0], fb.buf...)
-		fb.release()
-	coalesce:
-		for len(batch) < maxWriteBatch {
-			select {
-			case more, ok := <-sub.q:
-				if !ok {
-					break coalesce // closed; the outer range exits after this write
-				}
-				batch = append(batch, more.buf...)
-				more.release()
-				nFrames++
-			default:
-				break coalesce
-			}
-		}
 		_ = sub.conn.SetWriteDeadline(time.Now().Add(DefaultIPCTimeout))
-		_, err := sub.conn.Write(batch)
-		if err != nil {
-			sub.dead.Store(true) // before written: Tick must not try conn
-		}
-		sub.written.Add(nFrames)
-		if err != nil {
+		if _, err := sub.conn.Write(batch); err != nil {
+			sub.mu.Lock()
+			sub.dead = true // before busy clears: Tick must not try conn
+			sub.mu.Unlock()
 			p.disconnects.Inc()
 			p.detach(sub)
 		} else {
-			p.frames.Add(nFrames)
+			p.frames.Add(uint64(n))
 			p.bytesOut.Add(uint64(len(batch)))
 		}
+		sub.busy.Store(false)
 	}
 	_ = sub.conn.Close()
 	if sub.onExit != nil {
@@ -249,8 +220,8 @@ func (p *Publisher) writer(sub *subscriber) {
 	}
 }
 
-// detach removes sub and closes its queue (idempotent). The writer keeps
-// draining the closed queue, then exits.
+// detach removes sub and closes its wake channel (idempotent); the
+// writer then exits.
 func (p *Publisher) detach(sub *subscriber) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -264,18 +235,7 @@ func (p *Publisher) detachLocked(sub *subscriber) {
 	sub.detached = true
 	delete(p.subs, sub)
 	p.subscribers.Set(float64(len(p.subs)))
-	close(sub.q)
-}
-
-// acquire returns a pooled frame buffer holding one publisher reference.
-func (p *Publisher) acquire() *frameBuf {
-	fb, _ := p.pool.Get().(*frameBuf)
-	if fb == nil {
-		fb = &frameBuf{pool: &p.pool}
-	}
-	fb.buf = fb.buf[:0]
-	fb.refs.Store(1)
-	return fb
+	close(sub.wake)
 }
 
 // Tick collects and fans out one frame generation: at most one delta
@@ -295,118 +255,136 @@ func (p *Publisher) Tick(now time.Duration) {
 	p.delta.Now = now
 	p.lastVer = p.delta.To
 	p.lastGen = p.delta.Gen
-
-	var deltaFB *frameBuf
-	var fullFB *frameBuf
-	defer func() {
-		if deltaFB != nil {
-			deltaFB.release()
-		}
-		if fullFB != nil {
-			fullFB.release()
-		}
-	}()
+	p.deltaBuf, p.fullBuf = p.deltaBuf[:0], p.fullBuf[:0]
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sole := len(p.subs) == 1
 	for sub := range p.subs {
-		if schemaChanged {
-			sub.needFull.Store(true)
+		sub.mu.Lock()
+		if !sub.dead {
+			p.tickSub(sub, now, schemaChanged, sole)
 		}
-		if sub.needFull.Load() {
-			if sub.tailOutstanding() {
-				// Draining now could drop the rest of a frame already
-				// begun on the wire; resync once the writer has it.
-				continue
-			}
-			if fullFB == nil {
-				p.bb.CollectFull(&p.full)
-				p.full.Now = now
-				p.full.Flags = 0
-				if schemaChanged {
-					p.full.Flags |= FlagSchemaChange
-				}
-				fullFB = p.acquire()
-				fullFB.buf = append(fullFB.buf, 0, 0, 0, 0)
-				fullFB.buf = AppendFullFrame(fullFB.buf, &p.full)
-				binary.LittleEndian.PutUint32(fullFB.buf[:4], uint32(len(fullFB.buf)-4))
-				// A full frame's version may exceed the delta basis (its
-				// scan ran later); SubState's overlap rules absorb that.
-				p.fullFrames.Inc()
-			}
-			// The full frame supersedes everything queued: drain first so
-			// it cannot be the frame a later overflow drops.
-			p.drainQueue(sub)
-			flags := p.full.Flags
-			if sub.initial {
-				flags |= FlagInitial
-			} else {
-				flags |= FlagResync
-			}
-			// Flags live at a fixed offset (4-byte length prefix + magic +
-			// gen + ver + now); patching them in place would race on the
-			// shared buffer, so per-subscriber flag variants get their own
-			// copy. Full frames are the rare resync path, so the copy is
-			// cheap where it matters.
-			if flags != p.full.Flags {
-				fb := p.acquire()
-				fb.buf = append(fb.buf, fullFB.buf...)
-				fb.buf[4+4+4+8+8] = flags
-				fb.refs.Add(1)
-				p.deliver(sub, fb, sole)
-				fb.release() // creation reference
-			} else {
-				fullFB.refs.Add(1)
-				p.deliver(sub, fullFB, sole)
-			}
-			sub.needFull.Store(false)
-			sub.initial = false
-			continue
-		}
-		if deltaFB == nil {
-			deltaFB = p.acquire()
-			deltaFB.buf = append(deltaFB.buf, 0, 0, 0, 0)
-			deltaFB.buf = AppendDeltaFrame(deltaFB.buf, &p.delta)
-			binary.LittleEndian.PutUint32(deltaFB.buf[:4], uint32(len(deltaFB.buf)-4))
-		}
-		deltaFB.refs.Add(1)
-		if !p.deliver(sub, deltaFB, sole) {
-			// Overflow: the chain to this subscriber is broken anyway, so
-			// drop the oldest queued frame and resync from a full frame
-			// next tick rather than queueing a delta it cannot apply.
-			sub.needFull.Store(true)
-			p.resyncs.Inc()
-		}
+		sub.mu.Unlock()
 	}
 }
 
-// deliver hands fb (whose reference the caller has already added) to
-// sub: written through when sub is the sole subscriber and the socket
-// takes it, queued otherwise. It reports false on a queue overflow.
-func (p *Publisher) deliver(sub *subscriber, fb *frameBuf, sole bool) bool {
-	if sole && p.writeThrough(sub, fb) {
-		return true
+// tickSub delivers this tick's frame to sub, with p.mu and sub.mu held.
+func (p *Publisher) tickSub(sub *subscriber, now time.Duration, schemaChanged, sole bool) {
+	var frame []byte
+	if schemaChanged {
+		sub.needFull = true
 	}
-	return p.enqueue(sub, fb)
+	if sub.needFull {
+		if len(p.fullBuf) == 0 {
+			p.bb.CollectFull(&p.full)
+			p.full.Now = now
+			p.full.Flags = 0
+			if schemaChanged {
+				p.full.Flags = FlagSchemaChange
+			}
+			p.fullBuf = lengthPrefix(AppendFullFrame(append(p.fullBuf, 0, 0, 0, 0), &p.full))
+			// A full frame's version may exceed the delta basis (its
+			// scan ran later); SubState's overlap rules absorb that.
+			p.fullFrames.Inc()
+		}
+		// Delivery copies the frame before the next subscriber's patch.
+		if sub.initial {
+			p.fullBuf[fullFlagsAt] = p.full.Flags | FlagInitial
+		} else {
+			p.fullBuf[fullFlagsAt] = p.full.Flags | FlagResync
+		}
+		frame = p.fullBuf
+		// The full frame supersedes the whole backlog but the rest of a
+		// frame begun on the wire.
+		keep, size := 0, 0
+		if sub.begun {
+			keep, size = 1, sub.ends[0]
+		}
+		p.dropped.Add(uint64(len(sub.ends) - keep))
+		sub.ends, sub.backlog = sub.ends[:keep], sub.backlog[:size]
+	} else {
+		if len(p.deltaBuf) == 0 {
+			p.deltaBuf = lengthPrefix(AppendDeltaFrame(append(p.deltaBuf, 0, 0, 0, 0), &p.delta))
+		}
+		frame = p.deltaBuf
+	}
+	switch {
+	case !p.deliver(sub, frame, sole):
+		// Overflow: the chain to this subscriber is broken anyway, so
+		// resync from a full frame next tick rather than queueing a
+		// delta it cannot apply.
+		sub.needFull = true
+		p.resyncs.Inc()
+	case sub.needFull:
+		sub.needFull, sub.initial = false, false
+	}
 }
 
-// writeThrough writes fb to sub's socket with one non-blocking write,
-// provided nothing is queued or being written for sub. It reports false
-// when it did not try. Otherwise it has consumed fb's reference: the
-// whole frame went out, or the rest of it is queued for the writer
-// (behind nothing, so it cannot overflow), or the write failed and sub
-// is detached. Called from Tick with p.mu held.
-func (p *Publisher) writeThrough(sub *subscriber, fb *frameBuf) bool {
-	if sub.raw == nil || sub.dead.Load() || sub.written.Load() != sub.queued {
+// lengthPrefix fills in the 4-byte length prefix of an encoded frame.
+func lengthPrefix(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// deliver hands frame to sub, whose lock the caller holds: it writes
+// the frame through when sub is the sole subscriber, its backlog is
+// empty and its writer idle, and appends it, or whatever of it the
+// socket did not take, to the backlog otherwise. It reports false on a
+// backlog overflow.
+func (p *Publisher) deliver(sub *subscriber, frame []byte, sole bool) bool {
+	if sole && sub.raw != nil && len(sub.ends) == 0 && !sub.busy.Load() {
+		n, err := sub.writeThrough(frame)
+		switch {
+		case err != nil:
+			sub.dead = true
+			p.disconnects.Inc()
+			p.detachLocked(sub)
+			return true
+		case n == len(frame):
+			p.frames.Inc()
+			p.bytesOut.Add(uint64(n))
+			return true
+		case n > 0:
+			// The writer counts the frame when it writes the rest.
+			p.bytesOut.Add(uint64(n))
+			sub.begun = true
+			frame = frame[n:]
+		}
+	}
+	if len(sub.ends) >= p.queueDepth() {
+		// Drop the oldest frame, or this one while the oldest is the
+		// rest of a frame begun on the wire.
+		p.dropped.Inc()
+		if !sub.begun {
+			cut := sub.ends[0]
+			sub.backlog = append(sub.backlog[:0], sub.backlog[cut:]...)
+			sub.ends = append(sub.ends[:0], sub.ends[1:]...)
+			for i := range sub.ends {
+				sub.ends[i] -= cut
+			}
+		}
 		return false
 	}
-	sub.out = fb.buf
+	sub.backlog = append(sub.backlog, frame...)
+	sub.ends = append(sub.ends, len(sub.backlog))
+	select {
+	case sub.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return true
+}
+
+// writeThrough writes frame to the socket with one non-blocking write
+// and reports how much of it the socket took.
+func (sub *subscriber) writeThrough(frame []byte) (int, error) {
+	sub.out = frame
 	err := sub.raw.Write(sub.writeFn)
-	if errors.Is(err, os.ErrDeadlineExceeded) && !sub.dead.Load() {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		// A write deadline set earlier (by the writer, or by the request
 		// path before SUB) has passed, so the write was never tried. The
 		// writer sets a fresh one before each write: clear it and retry.
+		// DetachAll's deadline is not this one: it marks sub dead first.
 		_ = sub.conn.SetWriteDeadline(time.Time{})
 		err = sub.raw.Write(sub.writeFn)
 	}
@@ -414,83 +392,7 @@ func (p *Publisher) writeThrough(sub *subscriber, fb *frameBuf) bool {
 	if err == nil {
 		err = sub.werr
 	}
-	n := sub.wrote
-	switch {
-	case err != nil:
-		fb.release()
-		sub.dead.Store(true)
-		p.disconnects.Inc()
-		p.detachLocked(sub)
-	case n == len(fb.buf):
-		fb.release()
-		p.frames.Inc()
-		p.bytesOut.Add(uint64(n))
-	case n == 0:
-		p.enqueue(sub, fb)
-	default:
-		// The writer counts the frame when it writes the rest.
-		p.bytesOut.Add(uint64(n))
-		rest := p.acquire()
-		rest.buf = append(rest.buf, fb.buf[n:]...)
-		fb.release()
-		p.enqueue(sub, rest)
-		sub.tail = sub.queued
-	}
-	return true
-}
-
-// tailOutstanding reports whether the rest of a partly written frame
-// may still be queued, where a drop could take it.
-func (sub *subscriber) tailOutstanding() bool {
-	if sub.tail != 0 && sub.written.Load() >= sub.tail {
-		sub.tail = 0
-	}
-	return sub.tail != 0
-}
-
-// enqueue offers fb (whose reference the caller has already added) to
-// sub without blocking. On overflow it drops the oldest queued frame —
-// or fb itself while the head is the rest of a frame begun on the wire
-// — releases fb's reference, and reports false.
-func (p *Publisher) enqueue(sub *subscriber, fb *frameBuf) bool {
-	if sub.detached {
-		fb.release()
-		return false
-	}
-	sub.queued++
-	select {
-	case sub.q <- fb:
-		return true
-	default:
-	}
-	sub.queued--
-	if sub.tailOutstanding() {
-		p.dropped.Inc()
-	} else {
-		select {
-		case old := <-sub.q:
-			old.release()
-			sub.queued--
-			p.dropped.Inc()
-		default:
-		}
-	}
-	fb.release()
-	return false
-}
-
-// drainQueue empties sub's queue, releasing every dropped frame.
-func (p *Publisher) drainQueue(sub *subscriber) {
-	for {
-		select {
-		case fb := <-sub.q:
-			fb.release()
-			sub.queued--
-			p.dropped.Inc()
-		default:
-			return
-		}
-	}
+	return sub.wrote, err
 }
 
 // DetachAll disconnects every subscriber and waits for their writers to
@@ -506,7 +408,9 @@ func (p *Publisher) DetachAll() {
 	p.mu.Unlock()
 	past := time.Unix(1, 0)
 	for _, sub := range subs {
-		sub.dead.Store(true)
+		sub.mu.Lock()
+		sub.dead = true
+		sub.mu.Unlock()
 		_ = sub.conn.SetDeadline(past) // unwedge a writer blocked in Write
 		p.detach(sub)
 	}
