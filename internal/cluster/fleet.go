@@ -116,13 +116,13 @@ func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap 
 	if err != nil {
 		return nil, err
 	}
-	// The node's fencing authority: fenced cap writes land in the node's
-	// own controller through the fence ratchet, and the lease state
+	// The node's fencing authority: the guard lands the writes its fence
+	// rules accept in the node's own controller, and the lease state
 	// mirrors into the blackboard so standby aggregators track it
 	// passively through whatever carries the blackboard to them.
 	pc := sys.PowerCapController()
 	guard := rcr.NewFenceGuard(clock, func(cap float64, fence uint64) error {
-		err := pc.SetCapFenced(units.Watts(cap), fence)
+		err := pc.SetCap(units.Watts(cap))
 		if err == nil && applied != nil {
 			applied(cap, fence)
 		}

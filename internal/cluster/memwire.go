@@ -56,11 +56,6 @@ type MemberRecord struct {
 	Addr        string
 }
 
-// Endpoint converts the record back to a shard endpoint.
-func (r MemberRecord) Endpoint() ShardEndpoint {
-	return ShardEndpoint{ID: int(r.ID), Network: r.Network, Addr: r.Addr}
-}
-
 // MembershipRecord is the decoded form of a "CLSM" frame: the whole
 // registry at one epoch, tombstones included.
 type MembershipRecord struct {

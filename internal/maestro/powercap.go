@@ -29,8 +29,6 @@ type PowerCap struct {
 
 	limit       int // current per-shepherd limit (the machine's stepper only)
 	maxLimit    int
-	fenceHW     atomic.Uint64 // highest fence token ever accepted by SetCapFenced
-	fenceRej    atomic.Uint64
 	tightenings atomic.Uint64
 	relaxations atomic.Uint64
 	overBudget  atomic.Uint64 // samples observed above the cap
@@ -99,35 +97,6 @@ func (pc *PowerCap) SetCap(cap units.Watts) error {
 	}
 	return nil
 }
-
-// ErrFenceRejected reports a fenced cap write that lost to a higher
-// fence already accepted by this controller: the writer was demoted
-// between issuing the write and its arrival.
-var ErrFenceRejected = errors.New("maestro: cap write fence is stale")
-
-// SetCapFenced is SetCap under a fencing epoch (docs/cluster.md §HA):
-// the write is applied only if fence is at least the highest fence this
-// controller has ever accepted, so a demoted aggregator's delayed write
-// cannot roll the bound back behind its successor's. The high-water
-// mark ratchets monotonically and survives any number of SetCap churn —
-// the unfenced SetCap remains available for single-aggregator
-// deployments and never consults the fence.
-func (pc *PowerCap) SetCapFenced(cap units.Watts, fence uint64) error {
-	for {
-		hw := pc.fenceHW.Load()
-		if fence < hw {
-			pc.fenceRej.Add(1)
-			return ErrFenceRejected
-		}
-		if pc.fenceHW.CompareAndSwap(hw, fence) {
-			break
-		}
-	}
-	return pc.SetCap(cap)
-}
-
-// FenceRejects returns how many fenced writes were refused as stale.
-func (pc *PowerCap) FenceRejects() uint64 { return pc.fenceRej.Load() }
 
 // CapStats describe the controller's activity.
 type CapStats struct {

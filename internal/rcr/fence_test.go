@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"path/filepath"
 	"testing"
@@ -309,4 +310,84 @@ func FuzzDecodeCapWrite(f *testing.F) {
 			t.Fatalf("ack round trip: got %+v want %+v", back, ack)
 		}
 	})
+}
+
+// TestFenceGuardAppliedFencesNeverDecrease drives one guard through
+// seeded schedules of every kind of write it can meet — stale fences,
+// an equal-fence rival, takeovers while the lease is live and after it
+// expired, releases, stale-seq replays, membership commits, power
+// cycles — and checks that the fences it hands to apply never
+// decrease. That is what lets a cap controller apply a guard's writes
+// without a fence check of its own.
+func TestFenceGuardAppliedFencesNeverDecrease(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	kinds := []string{"stale fence", "equal-fence rival", "takeover", "renewal", "stale seq", "release", "membership", "power cycle"}
+	covered := map[string]int{}
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := &fenceTestClock{}
+		var applied []uint64
+		g := NewFenceGuard(clk.Now, func(_ float64, fence uint64) error {
+			applied = append(applied, fence)
+			return nil
+		})
+		var seq, epoch uint64
+		for step := 0; step < 200; step++ {
+			clk.now += time.Duration(rng.Intn(40)) * time.Millisecond
+			st := g.State()
+			seq++
+			rival := st.Holder%3 + 1 // a leader other than the holder
+			w := CapWrite{Fence: st.Fence, Leader: st.Holder, Seq: seq, Lease: ttl, HasCap: true, Cap: float64(50 + rng.Intn(100))}
+			if w.Fence == 0 { // a virgin guard: the first write opens fence 1
+				w.Fence, w.Leader = 1, 1
+			}
+			kind := kinds[rng.Intn(len(kinds))]
+			switch kind {
+			case "stale fence":
+				if st.Fence < 2 {
+					kind = "renewal"
+					break
+				}
+				w.Fence = 1 + uint64(rng.Int63n(int64(st.Fence-1)))
+				w.Leader = uint32(1 + rng.Intn(3))
+			case "equal-fence rival":
+				w.Leader = rival
+			case "takeover":
+				w.Fence = st.Fence + 1 + uint64(rng.Intn(3))
+				w.Leader = rival
+				if clk.now < st.Expiry {
+					kind = "takeover, lease live"
+				} else {
+					kind = "takeover, lease expired"
+				}
+			case "stale seq":
+				w.Seq = 1
+			case "release":
+				w.Release, w.HasCap, w.Lease = true, false, 0
+			case "membership":
+				epoch++
+				g.OfferMem(MemWrite{Write: w, Epoch: epoch, Frame: []byte{byte(epoch)}})
+			case "power cycle":
+				g.PowerCycle()
+			}
+			if kind != "membership" && kind != "power cycle" {
+				if g.Offer(w).Status == CapApplied {
+					kind += ", applied"
+				}
+			}
+			covered[kind]++
+			if n := len(applied); n > 1 && applied[n-1] < applied[n-2] {
+				t.Fatalf("seed %d step %d (%s): applied fence %d after %d", seed, step, kind, applied[n-1], applied[n-2])
+			}
+		}
+	}
+	for _, kind := range []string{
+		"stale fence", "equal-fence rival", "takeover, lease live",
+		"takeover, lease expired, applied", "renewal, applied", "stale seq",
+		"release, applied", "membership", "power cycle",
+	} {
+		if covered[kind] == 0 {
+			t.Errorf("no schedule exercised %q; covered: %v", kind, covered)
+		}
+	}
 }

@@ -176,9 +176,6 @@ func (s *Sampler) Alive() bool { return !s.dead.Load() }
 // Blackboard returns the blackboard this sampler writes.
 func (s *Sampler) Blackboard() *Blackboard { return s.bb }
 
-// Reader returns the RAPL reader this sampler polls.
-func (s *Sampler) Reader() rapl.Reader { return s.reader }
-
 // Period returns the sampling period.
 func (s *Sampler) Period() time.Duration { return s.period }
 

@@ -20,9 +20,6 @@ import (
 type Alignment struct {
 	single bool
 
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	seqs     [][]byte
 	pairs    [][2]int
 	want     int64
@@ -93,19 +90,12 @@ func buildAlignInput(seed int64) alignInput {
 // per seed), and calibrates charges.
 func (a *Alignment) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(a.Name(), p.Target)
+	total, act, err := workloads.ComputeCalib(p.MachineConfig, a.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	a.p, a.cg = p, cg
-
 	in := alignInputs.Get(p.Seed, buildAlignInput)
 	a.seqs, a.pairs, a.want = in.seqs, in.pairs, in.want
-
-	total, act, err := computeCalib(p.MachineConfig, a.Name(), p.Target, p.Scale)
-	if err != nil {
-		return err
-	}
 	a.perPair = total / float64(len(a.pairs))
 	a.activity = act
 	return nil

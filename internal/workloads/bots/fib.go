@@ -16,17 +16,11 @@ import (
 // sharply in power (GCC ~96 W — stall-heavy task code — versus ICC
 // ~157 W dense compute, Tables II/III).
 type Fib struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
-	n      int
-	cutoff int
-	want   uint64
-	got    uint64
+	want uint64
+	got  uint64
 
 	perLeaf  float64
 	activity float64
-	numLeafs int
 }
 
 // BOTS-like parameters: fib(30) with a manual cutoff 9 levels down gives
@@ -45,26 +39,18 @@ func (w *Fib) Name() string { return compiler.AppFibCutoff }
 // Prepare calibrates the charge model.
 func (w *Fib) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(w.Name(), p.Target)
+	total, act, err := workloads.ComputeCalib(p.MachineConfig, w.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	w.p, w.cg = p, cg
-	w.n = botsFibN
-	w.cutoff = botsFibCutoff
-	w.want = fibIter(w.n)
-	w.numLeafs = 1 << uint(w.cutoff)
-
-	total, act, err := computeCalib(p.MachineConfig, w.Name(), p.Target, p.Scale)
-	if err != nil {
-		return err
-	}
-	w.perLeaf = total / float64(w.numLeafs)
+	w.want = FibValue(botsFibN)
+	w.perLeaf = total / float64(1<<botsFibCutoff)
 	w.activity = act
 	return nil
 }
 
-func fibIter(n int) uint64 {
+// FibValue is the reference: fib(n), computed iteratively.
+func FibValue(n int) uint64 {
 	a, b := uint64(0), uint64(1)
 	for i := 0; i < n; i++ {
 		a, b = b, a+b
@@ -79,30 +65,35 @@ func fibRec(n int) uint64 {
 	return fibRec(n-1) + fibRec(n-2)
 }
 
-// Root returns the benchmark body.
-func (w *Fib) Root() qthreads.Task {
-	return func(tc *qthreads.TC) {
-		w.got = w.run(tc, w.n, w.cutoff)
-	}
-}
-
-func (w *Fib) run(tc *qthreads.TC, n, depth int) uint64 {
+// FibTree computes fib(n) as a task tree: it spawns the recursion down
+// to depth levels, computes each leaf's subtree serially on the host,
+// and calls leaf once in every leaf task to charge it.
+func FibTree(tc *qthreads.TC, n, depth int, leaf qthreads.Task) uint64 {
 	if depth == 0 || n < 2 {
 		v := fibRec(n)
-		tc.Execute(machine.Work{Ops: w.perLeaf, Activity: w.activity})
+		leaf(tc)
 		return v
 	}
 	var a uint64
-	tc.Spawn(func(tc *qthreads.TC) { a = w.run(tc, n-1, depth-1) })
-	b := w.run(tc, n-2, depth-1)
+	tc.Spawn(func(tc *qthreads.TC) { a = FibTree(tc, n-1, depth-1, leaf) })
+	b := FibTree(tc, n-2, depth-1, leaf)
 	tc.Sync()
 	return a + b
+}
+
+// Root returns the benchmark body.
+func (w *Fib) Root() qthreads.Task {
+	return func(tc *qthreads.TC) {
+		w.got = FibTree(tc, botsFibN, botsFibCutoff, func(tc *qthreads.TC) {
+			tc.Execute(machine.Work{Ops: w.perLeaf, Activity: w.activity})
+		})
+	}
 }
 
 // Validate checks the Fibonacci value.
 func (w *Fib) Validate() error {
 	if w.got != w.want {
-		return fmt.Errorf("bots-fib: fib(%d) = %d, want %d", w.n, w.got, w.want)
+		return fmt.Errorf("bots-fib: fib(%d) = %d, want %d", botsFibN, w.got, w.want)
 	}
 	return nil
 }

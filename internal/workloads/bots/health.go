@@ -19,8 +19,7 @@ import (
 // ~6.7 effective threads (paper Figures 3/4), which together with its
 // high power makes it one of the four throttling candidates (Table VI).
 type Health struct {
-	p  workloads.Params
-	cg compiler.CodeGen
+	p workloads.Params
 
 	villages []*village
 	root     int
@@ -29,7 +28,7 @@ type Health struct {
 	got      healthTotals
 	ran      bool
 
-	prof    bwProfile
+	prof    workloads.BWProfile
 	perTask float64
 }
 
@@ -86,22 +85,16 @@ func (h *Health) Name() string { return compiler.AppHealth }
 // calibrates charges.
 func (h *Health) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(h.Name(), p.Target)
+	prof, err := workloads.BandwidthCalib(p.MachineConfig, h.Name(), p.Target, p.Scale, healthSatShare, healthOverlap)
 	if err != nil {
 		return err
 	}
-	h.p, h.cg = p, cg
-
+	h.p = p
 	h.villages = h.villages[:0]
 	h.root = h.buildTree(-1, 0)
 	h.steps = healthSteps
-
-	prof, err := bwCalib(p.MachineConfig, h.Name(), p.Target, p.Scale, healthSatShare, healthOverlap)
-	if err != nil {
-		return err
-	}
 	h.prof = prof
-	h.perTask = prof.totalCycles / float64(h.steps*len(h.villages))
+	h.perTask = prof.TotalCycles / float64(h.steps*len(h.villages))
 
 	// Serial reference with the identical per-(village, step) RNG
 	// streams.
@@ -227,7 +220,7 @@ func (h *Health) simVillage(tc *qthreads.TC, id, step int) {
 		tc.Spawn(func(tc *qthreads.TC) { h.simVillage(tc, c, step) })
 	}
 	h.stepVillage(v, step)
-	tc.Execute(h.prof.work(h.perTask))
+	tc.Execute(h.prof.Work(h.perTask))
 	tc.Sync()
 }
 

@@ -54,6 +54,19 @@ var memoCases = []memoCase{
 		calib: func(w workloads.Workload) float64 { return w.(*NQueens).cyclesPerNode },
 	},
 	{
+		// The micro-benchmark's 12-queens board (micro.NewNQueens) and
+		// BOTS' 13-queens board share nqueensRefs' one entry.
+		name:    "nqueens-boards",
+		a:       func() workloads.Workload { return NewNQueensBoard(compiler.AppNQueens, 12, 2) },
+		b:       func() workloads.Workload { return NewNQueens() },
+		targets: [2]compiler.Target{compiler.Baseline, gccO0},
+		ref: func(w workloads.Workload) any {
+			q := w.(*NQueens)
+			return [2]int64{q.wantCount, q.wantNodes}
+		},
+		calib: func(w workloads.Workload) float64 { return w.(*NQueens).cyclesPerNode },
+	},
+	{
 		name:    "sparselu",
 		a:       func() workloads.Workload { return NewSparseLUFor() },
 		b:       func() workloads.Workload { return NewSparseLUSingle() },
@@ -206,5 +219,19 @@ func TestMemoTargetsShareReferenceNotCalibration(t *testing.T) {
 				t.Errorf("calibration %g shared across targets %v and %v", c.calib(x), c.targets[0], c.targets[1])
 			}
 		})
+	}
+}
+
+// TestMemoAlternatesBoards prepares the micro and the BOTS n-queens in
+// turn: each rebuilds the one entry the other displaced, and each must
+// get its own board's reference.
+func TestMemoAlternatesBoards(t *testing.T) {
+	p := memoParams(compiler.Baseline)
+	for i := 0; i < 3; i++ {
+		micro := mustPrepare(t, NewNQueensBoard(compiler.AppNQueens, 12, 2), p).(*NQueens)
+		bots := mustPrepare(t, NewNQueens(), p).(*NQueens)
+		if micro.wantCount != 14200 || bots.wantCount != 73712 {
+			t.Fatalf("round %d: 12 queens %d solutions, 13 queens %d; want 14200 and 73712", i, micro.wantCount, bots.wantCount)
+		}
 	}
 }

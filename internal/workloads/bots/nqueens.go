@@ -1,3 +1,13 @@
+// Package bots implements the Barcelona OpenMP Task Suite benchmarks the
+// paper evaluates (§II, reference [4]): protein alignment (-for and
+// -single variants), Fibonacci with cutoff, the health system simulation,
+// n-queens with cutoff, sort with cutoff, sparse LU decomposition (-for
+// and -single), and Strassen matrix multiplication. Each is a real
+// algorithm with BOTS' task-generation pattern and cutoff structure,
+// charging calibrated costs to the simulated machine (see package
+// workloads). The micro-benchmarks' n-queens and Fibonacci are the same
+// algorithms without the tuning, so they run the kernels here:
+// NewNQueensBoard and FibTree.
 package bots
 
 import (
@@ -10,16 +20,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// NQueens is BOTS n-queens *with cutoff*: tasks are spawned for board
-// prefixes down to a cutoff depth and the remaining search runs serially
+// NQueens is n-queens *with cutoff*: tasks are spawned for board
+// prefixes down to a spawn depth and the remaining search runs serially
 // inside each task. Compute-bound, near-linear scaling (paper Figures
 // 3/4).
 type NQueens struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
-	n      int
-	cutoff int
+	app        string
+	n          int
+	spawnDepth int
 
 	wantCount int64
 	wantNodes int64
@@ -29,18 +37,19 @@ type NQueens struct {
 	activity      float64
 }
 
-// BOTS-like parameters: a 13-queens board with the task cutoff 3 rows
-// deep (~1,700 coarse tasks; 73,712 solutions).
-const (
-	botsNQueensN      = 13
-	botsNQueensCutoff = 3
-)
+// NewNQueens creates BOTS n-queens: a 13-queens board with the task
+// cutoff 3 rows deep (~1,700 coarse tasks; 73,712 solutions).
+func NewNQueens() *NQueens { return NewNQueensBoard(compiler.AppNQueensCutoff, 13, 3) }
 
-// NewNQueens creates the workload.
-func NewNQueens() *NQueens { return &NQueens{} }
+// NewNQueensBoard creates the search of an n×n board, calibrated as the
+// named app, that spawns a task per partial placement of the first
+// spawnDepth rows.
+func NewNQueensBoard(app string, n, spawnDepth int) *NQueens {
+	return &NQueens{app: app, n: n, spawnDepth: spawnDepth}
+}
 
 // Name returns the canonical app name.
-func (q *NQueens) Name() string { return compiler.AppNQueensCutoff }
+func (q *NQueens) Name() string { return q.app }
 
 // nqueensRef is the serial reference of one board size: the solution
 // count and the search nodes visited finding it.
@@ -58,24 +67,16 @@ func countNQueens(n int) nqueensRef {
 }
 
 // Prepare counts the reference serially (once per board size) and
-// calibrates charges.
+// calibrates charges: the run's cycles spread over the real search
+// nodes.
 func (q *NQueens) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(q.Name(), p.Target)
+	total, act, err := workloads.ComputeCalib(p.MachineConfig, q.app, p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	q.p, q.cg = p, cg
-	q.n = botsNQueensN
-	q.cutoff = botsNQueensCutoff
-
 	ref := nqueensRefs.Get(q.n, countNQueens)
 	q.wantCount, q.wantNodes = ref.count, ref.nodes
-
-	total, act, err := computeCalib(p.MachineConfig, q.Name(), p.Target, p.Scale)
-	if err != nil {
-		return err
-	}
 	q.cyclesPerNode = total / float64(q.wantNodes)
 	q.activity = act
 	return nil
@@ -107,8 +108,10 @@ func (q *NQueens) Root() qthreads.Task {
 	}
 }
 
+// explore spawns subtree tasks down to spawnDepth, then searches serially
+// and charges the simulated cost of the real nodes it visited.
 func (q *NQueens) explore(tc *qthreads.TC, row int, cols, diag1, diag2 uint32) {
-	if row >= q.cutoff {
+	if row >= q.spawnDepth {
 		var nodes int64
 		q.gotCount.Add(countBoard(q.n, row, cols, diag1, diag2, &nodes))
 		tc.Execute(machine.Work{Ops: float64(nodes) * q.cyclesPerNode, Activity: q.activity})
@@ -127,7 +130,7 @@ func (q *NQueens) explore(tc *qthreads.TC, row int, cols, diag1, diag2 uint32) {
 // Validate checks the solution count.
 func (q *NQueens) Validate() error {
 	if got := q.gotCount.Load(); got != q.wantCount {
-		return fmt.Errorf("bots-nqueens: %d solutions, want %d", got, q.wantCount)
+		return fmt.Errorf("%s: %d solutions, want %d", q.app, got, q.wantCount)
 	}
 	return nil
 }

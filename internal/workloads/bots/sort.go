@@ -23,15 +23,12 @@ import (
 // one per merge level), never per comparison, so the host algorithm
 // changes the regeneration's CPU and no simulated number.
 type Sort struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	data    []int32
 	buf     []int32
 	wantSum int64
 	ran     bool
 
-	prof          bwProfile
+	prof          workloads.BWProfile
 	cyclesPerElem float64
 	leafBlocks    int
 }
@@ -82,12 +79,10 @@ func buildSortInput(k sortKey) sortInput {
 // charges.
 func (s *Sort) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(s.Name(), p.Target)
+	prof, err := workloads.BandwidthCalib(p.MachineConfig, s.Name(), p.Target, p.Scale, sortSatShare, sortOverlap)
 	if err != nil {
 		return err
 	}
-	s.p, s.cg = p, cg
-
 	n := int(sortElems * p.Scale)
 	if n < sortBlocks*2 {
 		n = sortBlocks * 2
@@ -95,11 +90,6 @@ func (s *Sort) Prepare(p workloads.Params) error {
 	in := sortInputs.Get(sortKey{p.Seed, n}, buildSortInput)
 	s.data, s.wantSum = in.data, in.wantSum
 	s.buf = make([]int32, n)
-
-	prof, err := bwCalib(p.MachineConfig, s.Name(), p.Target, p.Scale, sortSatShare, sortOverlap)
-	if err != nil {
-		return err
-	}
 	s.prof = prof
 	// Work is spread over every element touch: one in the leaf sort pass
 	// plus one per merge level.
@@ -107,7 +97,7 @@ func (s *Sort) Prepare(p workloads.Params) error {
 	for b := sortBlocks; b > 1; b /= 2 {
 		levels++
 	}
-	s.cyclesPerElem = prof.totalCycles / float64(n*(1+levels))
+	s.cyclesPerElem = prof.TotalCycles / float64(n*(1+levels))
 	s.leafBlocks = sortBlocks
 	return nil
 }
@@ -135,7 +125,7 @@ func (s *Sort) Root() qthreads.Task {
 			g.Spawn(tc, func(tc *qthreads.TC) {
 				block := work[bd[0]:bd[1]]
 				workloads.SortInt32(block, s.buf[bd[0]:bd[1]])
-				tc.Execute(s.prof.work(s.cyclesPerElem * float64(len(block))))
+				tc.Execute(s.prof.Work(s.cyclesPerElem * float64(len(block))))
 			})
 		}
 		g.Wait(tc)
@@ -177,7 +167,7 @@ func (s *Sort) parMerge(tc *qthreads.TC, g *qthreads.Group, dst, a, b []int32, g
 	if len(a)+len(b) <= grain || len(a) == 0 || len(b) == 0 {
 		g.Spawn(tc, func(tc *qthreads.TC) {
 			workloads.MergeInt32(dst, a, b)
-			tc.Execute(s.prof.work(s.cyclesPerElem * float64(len(a)+len(b))))
+			tc.Execute(s.prof.Work(s.cyclesPerElem * float64(len(a)+len(b))))
 		})
 		return
 	}

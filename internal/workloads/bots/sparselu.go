@@ -21,9 +21,6 @@ import (
 type SparseLU struct {
 	single bool
 
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	nb int // blocks per dimension
 	bs int // block size
 
@@ -105,20 +102,13 @@ func buildSLUInput(seed int64) sluInput {
 // reference (once per seed), and calibrates charges.
 func (l *SparseLU) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(l.Name(), p.Target)
+	total, act, err := workloads.ComputeCalib(p.MachineConfig, l.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	l.p, l.cg = p, cg
 	l.nb, l.bs = sluNB, sluBS
-
 	in := sluInputs.Get(p.Seed, buildSLUInput)
 	l.orig, l.want = in.orig, in.want
-
-	total, act, err := computeCalib(p.MachineConfig, l.Name(), p.Target, p.Scale)
-	if err != nil {
-		return err
-	}
 	l.cyclesPerFlop = total / in.flops
 	l.activity = act
 	return nil

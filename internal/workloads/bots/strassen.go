@@ -20,16 +20,13 @@ import (
 // memory traffic costs peak power). High power plus high memory
 // concurrency makes it a throttling candidate (Table VII).
 type Strassen struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	n      int
 	cutoff int
 	a, b   []float64
 	want   []float64
 	got    []float64
 
-	prof    bwProfile
+	prof    workloads.BWProfile
 	perLeaf float64
 	leaves  int
 }
@@ -69,27 +66,21 @@ func buildStrassenInput(seed int64) strassenInput {
 // product (once per seed), and calibrates charges.
 func (w *Strassen) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(w.Name(), p.Target)
+	prof, err := workloads.BandwidthCalib(p.MachineConfig, w.Name(), p.Target, p.Scale, strassenSatShare, strassenOverlap)
 	if err != nil {
 		return err
 	}
-	w.p, w.cg = p, cg
 	w.n = strassenN
 	w.cutoff = strassenCutoff
 
 	in := strassenInputs.Get(p.Seed, buildStrassenInput)
 	w.a, w.b, w.want = in.a, in.b, in.want
-
-	prof, err := bwCalib(p.MachineConfig, w.Name(), p.Target, p.Scale, strassenSatShare, strassenOverlap)
-	if err != nil {
-		return err
-	}
 	w.prof = prof
 	w.leaves = 1
 	for s := w.n; s > w.cutoff; s /= 2 {
 		w.leaves *= 7
 	}
-	w.perLeaf = prof.totalCycles / float64(w.leaves)
+	w.perLeaf = prof.TotalCycles / float64(w.leaves)
 	return nil
 }
 
@@ -171,7 +162,7 @@ func (w *Strassen) Root() qthreads.Task {
 func (w *Strassen) multiply(tc *qthreads.TC, a, b []float64, n int) []float64 {
 	if n <= w.cutoff {
 		c := classicalMultiply(a, b, n)
-		tc.Execute(w.prof.work(w.perLeaf))
+		tc.Execute(w.prof.Work(w.perLeaf))
 		return c
 	}
 	a11, a12 := quad(a, n, 0, 0), quad(a, n, 0, 1)

@@ -35,9 +35,6 @@ const (
 
 // LULESH is the workload.
 type LULESH struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	n     int // elements per edge
 	elems int
 	steps int
@@ -46,7 +43,6 @@ type LULESH struct {
 	gotE  []float64
 
 	// Charge model.
-	demand        float64
 	bytesPerCycle float64
 	activity      float64
 	parPerChunk   float64 // cycles per parallel chunk per stage
@@ -65,38 +61,17 @@ func (l *LULESH) Name() string { return compiler.AppLULESH }
 // charges.
 func (l *LULESH) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(l.Name(), p.Target)
+	seconds, watts, err := workloads.Anchor(l.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	l.p, l.cg = p, cg
 	l.n = meshEdge
 	l.elems = l.n * l.n * l.n
 	l.steps = timesteps
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
-	base, _ := compiler.PaperEntry(l.Name(), compiler.Baseline)
-	seconds := base.Seconds * cg.TimeFactor * p.Scale
-
-	// Bandwidth equilibrium (same fixed point as the BOTS calibrations).
-	mem := cfg.Mem
-	coreCap := float64(mem.MaxCoreBandwidth())
-	demand := float64(mem.BandwidthPerSocket) / satShare
-	var ceff float64
-	for i := 0; i < 40; i++ {
-		refsPerCore := math.Min(demand/float64(mem.PerRefBandwidth()), float64(mem.MaxRefsPerCore))
-		ceff = mem.EffectiveCapacity(refsPerCore * float64(cfg.CoresPerSocket))
-		demand = ceff / satShare
-		if demand > coreCap {
-			demand = coreCap
-		}
-	}
-	afBW := ceff / float64(cfg.CoresPerSocket) / demand
-	if afBW > 1 {
-		afBW = 1
-	}
-	l.demand = demand
+	demand, afBW, util := workloads.Knee(cfg, satShare)
 	l.bytesPerCycle = demand / f
 
 	parSeconds := seconds * (1 - serialShare)
@@ -110,8 +85,7 @@ func (l *LULESH) Prepare(p workloads.Params) error {
 	l.parPerChunk = parCycles / float64(l.steps*2*l.nChunks)
 	l.serialCycles = seconds * serialShare * f / float64(l.steps)
 
-	util := ceff / float64(mem.BandwidthPerSocket)
-	l.activity = workloads.SolveActivity(cfg, cg.TargetWatts,
+	l.activity = workloads.SolveActivity(cfg, watts,
 		cfg.CoresPerSocket, 0, 0, afBW, overlap, util)
 
 	// Serial reference.

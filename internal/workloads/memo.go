@@ -6,12 +6,14 @@ import "sync"
 // so the cells of a sweep that share an input (every thread count of a
 // figure, every arm of a throttle table) build it once. It holds one
 // entry and the latest key wins: memory stays bounded at one input per
-// program (which then stays live for the life of the process: 7.7 MB
-// over the five BOTS types at Scale 1), and a different seed or size
-// simply rebuilds. The value is
-// shared between instances on concurrent machines, so it must be
-// immutable once built: a run copies its working state out of it and
-// writes nothing reachable from it. The zero Memo is ready to use.
+// type (which then stays live for the life of the process: 7.7 MB over
+// the five memoized bots types at Scale 1), and a different seed or size
+// simply rebuilds. The n-queens type serves both the BOTS and the micro
+// program, on different boards, so cells interleaving the two rebuild
+// its entry (a 12- or 13-queens count). The value is shared between
+// instances on concurrent machines, so it must be immutable once built:
+// a run copies its working state out of it and writes nothing reachable
+// from it. The zero Memo is ready to use.
 type Memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	key   K

@@ -21,8 +21,6 @@ import (
 // BT is not part of the paper's Tables I–III, so it is not in the suite
 // registry; the cold-start experiment constructs it directly.
 type BT struct {
-	p workloads.Params
-
 	n     int // grid edge
 	iters int
 	grid  []float64 // n³ cells × 5 components
@@ -53,7 +51,6 @@ func (b *BT) Name() string { return "nas-bt" }
 // charges.
 func (b *BT) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	b.p = p
 	b.n = btGridEdge
 	b.iters = btIters
 

@@ -3,7 +3,6 @@ package micro
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -22,9 +21,6 @@ import (
 // than at 12, which is what makes it a throttling candidate (paper
 // Table V).
 type Dijkstra struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	vertices int
 	adj      [][]edge
 	source   int
@@ -64,12 +60,10 @@ func (d *Dijkstra) Name() string { return compiler.AppDijkstra }
 // Prepare builds the graph, solves it serially, and calibrates charges.
 func (d *Dijkstra) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(d.Name(), p.Target)
+	seconds, watts, err := workloads.Anchor(d.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
-	d.p, d.cg = p, cg
-
 	d.vertices = dijkstraVerts
 	rng := rand.New(rand.NewSource(p.Seed))
 	d.adj = make([][]edge, d.vertices)
@@ -86,23 +80,12 @@ func (d *Dijkstra) Prepare(p workloads.Params) error {
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
-	entry, ok := compiler.PaperEntry(d.Name(), compiler.Baseline)
-	if !ok {
-		return fmt.Errorf("micro: dijkstra missing baseline entry")
-	}
 	// Total progress cycles at 16 threads running at afBW = 0.5.
-	total := entry.Seconds * cg.TimeFactor * p.Scale *
-		float64(cfg.Cores()) * f * dijkstraAFBW16
-	// Self-consistent per-thread bandwidth demand: exactly
-	// dijkstraSatShare threads per socket saturate the (oversubscription-
-	// degraded) capacity, so 8 threads run at full speed and 16 at ~half.
-	mem := cfg.Mem
-	demand := float64(mem.BandwidthPerSocket) / dijkstraSatShare
-	for i := 0; i < 40; i++ {
-		refsPerCore := math.Min(demand/float64(mem.PerRefBandwidth()), float64(mem.MaxRefsPerCore))
-		ceff := mem.EffectiveCapacity(refsPerCore * float64(cfg.CoresPerSocket))
-		demand = ceff / dijkstraSatShare
-	}
+	total := seconds * float64(cfg.Cores()) * f * dijkstraAFBW16
+	// Per-thread bandwidth demand: exactly dijkstraSatShare threads per
+	// socket saturate the (oversubscription-degraded) capacity, so 8
+	// threads run at full speed and 16 at ~half.
+	demand, _, _ := workloads.Knee(cfg, dijkstraSatShare)
 	bytesPerCycle := demand / f
 
 	// Synchronous Bellman-Ford needs a graph-dependent number of rounds;
@@ -122,7 +105,7 @@ func (d *Dijkstra) Prepare(p workloads.Params) error {
 	d.byteChunk = perChunk * bytesPerCycle
 	d.overlap = dijkstraOverlap
 	util := 1.0
-	d.activity = workloads.SolveActivity(cfg, cg.TargetWatts,
+	d.activity = workloads.SolveActivity(cfg, watts,
 		cfg.CoresPerSocket, 0, 0, dijkstraAFBW16, d.overlap, util)
 	return nil
 }

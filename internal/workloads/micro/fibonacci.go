@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/qthreads"
 	"repro/internal/workloads"
+	"repro/internal/workloads/bots"
 )
 
 // Fibonacci is the untuned recursive Fibonacci micro-benchmark: a task
@@ -21,18 +22,12 @@ import (
 //   - ICC: the inliner collapses the recursion into coarse compute-bound
 //     work; 13.5 s at ~143 W regardless of optimization level.
 type Fibonacci struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
-	n        int
-	depth    int
-	want     uint64
-	got      uint64
-	numLeafs int
+	p    workloads.Params
+	want uint64
+	got  uint64
 
 	// GCC mechanism: contended allocator line.
 	virtPerLeaf  float64
-	lineCost     float64
 	pingpong     float64
 	lineActivity float64
 	bodyPerLeaf  float64
@@ -62,15 +57,9 @@ func (w *Fibonacci) Name() string { return compiler.AppFibonacci }
 // Prepare calibrates the mechanism for the selected compiler.
 func (w *Fibonacci) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
-	cg, err := workloads.Lookup(w.Name(), p.Target)
-	if err != nil {
-		return err
-	}
-	w.p, w.cg = p, cg
-	w.n = fibN
-	w.depth = fibSpawnDepth
-	w.want = fibValue(w.n)
-	w.numLeafs = 1 << uint(w.depth)
+	w.p = p
+	w.want = bots.FibValue(fibN)
+	numLeafs := float64(int(1) << fibSpawnDepth)
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
@@ -85,9 +74,8 @@ func (w *Fibonacci) Prepare(p workloads.Params) error {
 		gccBase, _ := compiler.PaperEntry(w.Name(), compiler.Target{Compiler: compiler.GCC, Opt: compiler.O3})
 		serial := fibGCCSerialSec * (entry.Seconds / gccBase.Seconds) * p.Scale
 		nv := serial * f / (fibLineCost + fibBodyCycles)
-		w.virtPerLeaf = nv / float64(w.numLeafs)
+		w.virtPerLeaf = nv / numLeafs
 		w.bodyPerLeaf = w.virtPerLeaf * fibBodyCycles
-		w.lineCost = fibLineCost
 		// Fit ping-pong to this build's 16-thread time:
 		// T16 ≈ Nv×cost×(1+15λ)/f + Nv×body/(16f).
 		atomicShare := entry.Seconds*p.Scale - nv*fibBodyCycles/(16*f)
@@ -101,65 +89,35 @@ func (w *Fibonacci) Prepare(p workloads.Params) error {
 	} else {
 		// ICC: compute-bound coarse tasks.
 		total := entry.Seconds * p.Scale * float64(cfg.Cores()) * f
-		w.opsPerLeaf = total / float64(w.numLeafs)
+		w.opsPerLeaf = total / numLeafs
 		w.activity = workloads.SolveActivity(cfg, entry.Watts,
 			cfg.CoresPerSocket, 0, 0, 1, 0, 0)
 	}
 	return nil
 }
 
-// fibValue computes Fibonacci numbers iteratively for the reference.
-func fibValue(n int) uint64 {
-	a, b := uint64(0), uint64(1)
-	for i := 0; i < n; i++ {
-		a, b = b, a+b
-	}
-	return a
-}
-
-// fibSerial is the real recursion run inside leaf tasks.
-func fibSerial(n int) uint64 {
-	if n < 2 {
-		return uint64(n)
-	}
-	return fibSerial(n-1) + fibSerial(n-2)
-}
-
-// Root returns the benchmark body.
+// Root returns the benchmark body: BOTS' Fibonacci task tree, with the
+// leaves charging this build's mechanism.
 func (w *Fibonacci) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
-		var line *machine.Line
-		if w.p.Target.Compiler == compiler.GCC {
-			line = tc.Machine().NewLine(w.lineCost, w.pingpong, w.lineActivity)
-		}
-		w.got = w.fib(tc, w.n, w.depth, line)
-	}
-}
-
-// fib spawns the real task recursion down to the given depth; leaves
-// compute their subtree for real and charge the mechanism costs.
-func (w *Fibonacci) fib(tc *qthreads.TC, n, depth int, line *machine.Line) uint64 {
-	if depth == 0 || n < 2 {
-		v := fibSerial(n)
-		if line != nil {
-			tc.Atomic(line, w.virtPerLeaf)
-			tc.Compute(w.bodyPerLeaf)
-		} else {
+		leaf := func(tc *qthreads.TC) {
 			tc.Execute(machine.Work{Ops: w.opsPerLeaf, Activity: w.activity})
 		}
-		return v
+		if w.p.Target.Compiler == compiler.GCC {
+			line := tc.Machine().NewLine(fibLineCost, w.pingpong, w.lineActivity)
+			leaf = func(tc *qthreads.TC) {
+				tc.Atomic(line, w.virtPerLeaf)
+				tc.Compute(w.bodyPerLeaf)
+			}
+		}
+		w.got = bots.FibTree(tc, fibN, fibSpawnDepth, leaf)
 	}
-	var a uint64
-	tc.Spawn(func(tc *qthreads.TC) { a = w.fib(tc, n-1, depth-1, line) })
-	b := w.fib(tc, n-2, depth-1, line)
-	tc.Sync()
-	return a + b
 }
 
 // Validate checks the Fibonacci value.
 func (w *Fibonacci) Validate() error {
 	if w.got != w.want {
-		return fmt.Errorf("fibonacci: fib(%d) = %d, want %d", w.n, w.got, w.want)
+		return fmt.Errorf("fibonacci: fib(%d) = %d, want %d", fibN, w.got, w.want)
 	}
 	return nil
 }

@@ -22,9 +22,6 @@ import (
 // from the element count alone (opsHalf/bytesHalf, opsMerge/bytesMerge),
 // so the model cannot see which algorithm the host uses to sort.
 type Mergesort struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	data   []int32
 	out    []int32
 	sorted bool
@@ -64,8 +61,6 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 	if err != nil {
 		return err
 	}
-	s.p, s.cg = p, cg
-
 	n := int(mergesortElems * p.Scale)
 	if n < 4 {
 		n = 4
@@ -97,8 +92,8 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 		return fmt.Errorf("micro: mergesort has no %v entry", p.Target)
 	}
 	predict := func(sc float64) float64 {
-		half := maxf(opsHalfBase*sc/f, bytesHalf/coreCap)
-		merge := maxf(opsMergeBase*sc/f, bytesMerge/coreCap)
+		half := max(opsHalfBase*sc/f, bytesHalf/coreCap)
+		merge := max(opsMergeBase*sc/f, bytesMerge/coreCap)
 		return half + merge
 	}
 	sc := workloads.SolveScale(predict, target.Seconds*p.Scale, 0.01, 1000)
@@ -109,19 +104,12 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 	// Power at the calibration point (16 threads): one busy core per
 	// socket (the two halves), the rest parked, streaming at the core
 	// cap.
-	halfTime := maxf(s.opsHalf/f, bytesHalf/coreCap)
+	halfTime := max(s.opsHalf/f, bytesHalf/coreCap)
 	afBW := (s.opsHalf / f) / halfTime
 	util := (bytesHalf / halfTime) / float64(cfg.Mem.BandwidthPerSocket)
 	s.activity = workloads.SolveActivity(cfg, cg.TargetWatts,
 		1, cfg.CoresPerSocket-1, 0, afBW, 0, util)
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Root returns the benchmark body.

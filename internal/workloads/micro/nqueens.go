@@ -1,124 +1,14 @@
 package micro
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"repro/internal/compiler"
-	"repro/internal/machine"
-	"repro/internal/qthreads"
-	"repro/internal/workloads"
+	"repro/internal/workloads/bots"
 )
 
-// NQueens is the untuned micro-benchmark n-queens solver: a real
-// backtracking search that spawns one task per partial placement at a
-// shallow depth and explores serially below. It is compute-bound with a
-// branchy, modest-IPC instruction stream (the paper measures only 118 W
-// at 16 threads) and scales to the full 16 threads (§II-C.4).
-type NQueens struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
-	n          int
-	spawnDepth int
-	wantCount  int64
-	wantNodes  int64
-	gotCount   atomic.Int64
-
-	cyclesPerNode float64
-	activity      float64
-}
-
-// nqueensN is the board size: 12 queens has 14200 solutions over ~857k
-// search nodes — real work at laptop scale.
-const nqueensN = 12
-
-// NewNQueens creates the workload.
-func NewNQueens() *NQueens { return &NQueens{} }
-
-// Name returns the canonical app name.
-func (q *NQueens) Name() string { return compiler.AppNQueens }
-
-// Prepare counts the reference solution serially and calibrates charges.
-func (q *NQueens) Prepare(p workloads.Params) error {
-	p = p.WithDefaults()
-	cg, err := workloads.Lookup(q.Name(), p.Target)
-	if err != nil {
-		return err
-	}
-	q.p, q.cg = p, cg
-	q.n = nqueensN
-	q.spawnDepth = 2
-
-	var nodes int64
-	q.wantCount = countQueens(q.n, 0, 0, 0, 0, &nodes)
-	q.wantNodes = nodes
-
-	cfg := p.MachineConfig
-	base, ok := compiler.PaperEntry(q.Name(), compiler.Baseline)
-	if !ok {
-		return fmt.Errorf("micro: nqueens missing baseline entry")
-	}
-	// Compute-bound: 16 threads × f × T16 cycles spread over the real
-	// node count; Scale stretches the per-node work (a larger board's
-	// nodes are individually costlier to model than to search).
-	totalCycles := base.Seconds * cg.TimeFactor * p.Scale *
-		float64(cfg.Cores()) * float64(cfg.BaseFreq)
-	q.cyclesPerNode = totalCycles / float64(q.wantNodes)
-	q.activity = workloads.SolveActivity(cfg, cg.TargetWatts,
-		cfg.CoresPerSocket, 0, 0, 1, 0, 0)
-	return nil
-}
-
-// countQueens is the bitboard backtracking search; it counts placements
-// and explored nodes.
-func countQueens(n, row int, cols, diag1, diag2 uint32, nodes *int64) int64 {
-	*nodes++
-	if row == n {
-		return 1
-	}
-	var count int64
-	free := ^(cols | diag1 | diag2) & (1<<uint(n) - 1)
-	for free != 0 {
-		bit := free & (-free)
-		free ^= bit
-		count += countQueens(n, row+1, cols|bit, (diag1|bit)<<1, (diag2|bit)>>1, nodes)
-	}
-	return count
-}
-
-// Root returns the benchmark body.
-func (q *NQueens) Root() qthreads.Task {
-	return func(tc *qthreads.TC) {
-		q.gotCount.Store(0)
-		q.explore(tc, 0, 0, 0, 0)
-		tc.Sync()
-	}
-}
-
-// explore spawns subtree tasks down to spawnDepth, then searches serially
-// and charges the simulated cost of the real nodes it visited.
-func (q *NQueens) explore(tc *qthreads.TC, row int, cols, diag1, diag2 uint32) {
-	if row >= q.spawnDepth {
-		var nodes int64
-		q.gotCount.Add(countQueens(q.n, row, cols, diag1, diag2, &nodes))
-		tc.Execute(machine.Work{Ops: float64(nodes) * q.cyclesPerNode, Activity: q.activity})
-		return
-	}
-	free := ^(cols | diag1 | diag2) & (1<<uint(q.n) - 1)
-	for free != 0 {
-		bit := free & (-free)
-		free ^= bit
-		c, d1, d2 := cols|bit, (diag1|bit)<<1, (diag2|bit)>>1
-		tc.Spawn(func(tc *qthreads.TC) { q.explore(tc, row+1, c, d1, d2) })
-	}
-	tc.Sync()
-}
-
-// Validate checks the solution count.
-func (q *NQueens) Validate() error {
-	if got := q.gotCount.Load(); got != q.wantCount {
-		return fmt.Errorf("nqueens: %d solutions, want %d", got, q.wantCount)
-	}
-	return nil
-}
+// NewNQueens creates the untuned micro-benchmark n-queens solver: BOTS'
+// search on a 12-queens board (14,200 solutions over ~857k search
+// nodes) with a task per placement of the first two rows only. It is
+// compute-bound with a branchy, modest-IPC instruction stream (the
+// paper measures only 118 W at 16 threads) and scales to the full 16
+// threads (§II-C.4).
+func NewNQueens() *bots.NQueens { return bots.NewNQueensBoard(compiler.AppNQueens, 12, 2) }

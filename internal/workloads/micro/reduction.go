@@ -1,7 +1,10 @@
 // Package micro implements the paper's locally-written micro-benchmarks
 // (§II: "simple programs implementing fundamental algorithms... not tuned
 // and represent default implementations of generic algorithms"):
-// reduction, nqueens, mergesort, fibonacci and dijkstra.
+// reduction, nqueens, mergesort, fibonacci and dijkstra. Two of them are
+// the BOTS algorithms without BOTS' tuning and run package bots' code:
+// nqueens is bots.NQueens on a smaller board with a shallower spawn
+// depth, and fibonacci runs bots.FibTree with its own leaf charges.
 package micro
 
 import (
@@ -23,9 +26,6 @@ import (
 // *slow the program down*: the paper measures 16 threads at 3.2× the
 // serial time with energy rising monotonically (§II-C.4, Figures 1/2).
 type Reduction struct {
-	p  workloads.Params
-	cg compiler.CodeGen
-
 	data []float64
 	want float64
 	got  uint64 // float64 bits, updated via CAS
@@ -60,8 +60,6 @@ func (r *Reduction) Prepare(p workloads.Params) error {
 	if err != nil {
 		return err
 	}
-	r.p, r.cg = p, cg
-
 	n := int(reductionElems * p.Scale)
 	if n < 1 {
 		n = 1

@@ -2,7 +2,11 @@
 // locally-written micro-benchmarks (sub-package micro), the Barcelona
 // OpenMP Task Suite programs (sub-package bots), and the LULESH
 // hydrodynamics mini-app (sub-package lulesh), plus the calibration
-// helpers they share.
+// helpers they share. Each algorithm and each calibration formula is
+// written once: the micro-benchmarks' n-queens and Fibonacci run the
+// bots kernels, and calib.go holds the paper anchor (Anchor), the
+// compute-bound and bandwidth-knee calibrations and the knee's fixed
+// point (Knee) that lulesh and the dijkstra micro-benchmark solve too.
 //
 // Every workload is a real algorithm — it sorts real arrays, counts real
 // n-queens solutions, factorizes real matrices — run at laptop scale.
@@ -18,12 +22,12 @@
 // Prepare does two things of different cost. The input and its serial
 // reference are a pure function of what the input depends on (the seed,
 // for sort also the element count) and may be expensive: a real
-// factorization, a real 13-queens count. The BOTS programs build them
-// once per distinct input through a Memo and share the result read-only
-// between instances; every run copies its working state out of it and is
-// still validated against it. The calibration (Lookup plus the charge
-// model) depends on the target and the machine, is cheap, and is done by
-// every Prepare for its own instance.
+// factorization, a real 13-queens count. The BOTS programs and the micro
+// n-queens build them once per distinct input through a Memo and share
+// the result read-only between instances; every run copies its working
+// state out of it and is still validated against it. The calibration
+// (the paper anchor plus the charge model) depends on the target and the
+// machine, is cheap, and is done by every Prepare for its own instance.
 package workloads
 
 import (
