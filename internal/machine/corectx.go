@@ -80,18 +80,7 @@ func (x *CoreCtx) Execute(w Work) {
 	if w.Ops <= 0 && w.Bytes <= 0 {
 		return
 	}
-	if w.Ops < 0 {
-		w.Ops = 0
-	}
-	if w.Bytes < 0 {
-		w.Bytes = 0
-	}
-	if w.Overlap < 0 {
-		w.Overlap = 0
-	}
-	if w.Overlap > 1 {
-		w.Overlap = 1
-	}
+	w = w.Clamped()
 	x.block(func(c *core) {
 		c.state = coreBusy
 		c.work = w

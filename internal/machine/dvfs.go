@@ -40,14 +40,20 @@ func (m *Machine) RequestFrequencyScale(socket int, scale float64) error {
 	if socket < 0 || socket >= m.cfg.Sockets {
 		return fmt.Errorf("machine: socket %d out of range [0,%d)", socket, m.cfg.Sockets)
 	}
+	m.freqScaleReq[socket].Store(math.Float64bits(ClampFrequencyScale(scale)))
+	return nil
+}
+
+// ClampFrequencyScale clamps a requested DVFS scale to
+// [MinFrequencyScale, 1], as RequestFrequencyScale applies it.
+func ClampFrequencyScale(scale float64) float64 {
 	if scale < MinFrequencyScale {
-		scale = MinFrequencyScale
+		return MinFrequencyScale
 	}
 	if scale > 1 {
-		scale = 1
+		return 1
 	}
-	m.freqScaleReq[socket].Store(math.Float64bits(scale))
-	return nil
+	return scale
 }
 
 // FrequencyScale returns a socket's currently applied DVFS scale.
@@ -71,9 +77,9 @@ func (m *Machine) applyFrequencyRequestsLocked() {
 	}
 }
 
-// dvfsPowerFactor is the multiplier on a core's dynamic power at
+// DVFSPowerFactor is the multiplier on a core's dynamic power at
 // frequency scale fs: f · V(f)².
-func dvfsPowerFactor(fs float64) float64 {
+func DVFSPowerFactor(fs float64) float64 {
 	v := vFloor + (1-vFloor)*fs
 	return fs * v * v
 }

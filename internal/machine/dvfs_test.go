@@ -84,17 +84,17 @@ func TestFrequencyScaleClamps(t *testing.T) {
 }
 
 func TestDVFSPowerFactor(t *testing.T) {
-	if got := dvfsPowerFactor(1); math.Abs(got-1) > 1e-12 {
+	if got := DVFSPowerFactor(1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("factor at full speed = %g, want 1", got)
 	}
 	// Cubic-ish: at half frequency, power falls well below half.
-	if got := dvfsPowerFactor(0.5); got >= 0.5 || got < 0.2 {
+	if got := DVFSPowerFactor(0.5); got >= 0.5 || got < 0.2 {
 		t.Errorf("factor at half speed = %g, want in [0.2, 0.5)", got)
 	}
 	// Monotone increasing.
 	prev := 0.0
 	for fs := MinFrequencyScale; fs <= 1.0; fs += 0.05 {
-		f := dvfsPowerFactor(fs)
+		f := DVFSPowerFactor(fs)
 		if f <= prev {
 			t.Fatalf("factor not monotone at %g", fs)
 		}

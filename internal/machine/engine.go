@@ -152,9 +152,9 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 		for _, c := range m.socks[sock].busy {
 			t := never
 			if c.remOps > 0 && c.stepOpsRate > 0 {
-				t = secondsToDuration(c.remOps / c.stepOpsRate)
+				t = SecondsToDuration(c.remOps / c.stepOpsRate)
 			} else if c.remBytes > 0 && c.stepBytesRate > 0 {
-				t = secondsToDuration(c.remBytes / c.stepBytesRate)
+				t = SecondsToDuration(c.remBytes / c.stepBytesRate)
 			}
 			if t == never {
 				// A busy core that can make no progress is a model bug
@@ -170,7 +170,7 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 	if m.totAtomic > 0 { // spare the common all-busy step a map iteration
 		for _, g := range m.lineGroups {
 			for _, c := range g.members {
-				if t := secondsToDuration(c.remAtomics / c.stepOpsRate); t < earliest {
+				if t := SecondsToDuration(c.remAtomics / c.stepOpsRate); t < earliest {
 					earliest = t
 				}
 			}
@@ -226,7 +226,7 @@ func (m *Machine) replanLocked() bool {
 	// Per-socket Turbo boost from current occupancy (busy + atomic
 	// cores); constant until occupancy changes.
 	for sock := range m.socks {
-		m.stepBoost[sock] = m.cfg.Turbo.boostFor(m.socks[sock].occupied(), m.cfg.CoresPerSocket)
+		m.stepBoost[sock] = m.cfg.Turbo.BoostFor(m.socks[sock].occupied(), m.cfg.CoresPerSocket)
 	}
 
 	// Memory-contended busy cores, socket by socket. The busy lists are
@@ -249,28 +249,9 @@ func (m *Machine) replanLocked() bool {
 		m.stepRefs[sock] = refs
 		m.stepUtil[sock] = util
 		for i, c := range busy {
-			cycleRate := float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock] * m.stepBoost[sock]
-			var opsRate, bytesRate float64
-			switch {
-			case c.work.Ops > 0 && c.work.Bytes > 0:
-				bytesPerOp := c.work.Bytes / c.work.Ops
-				opsRate = cycleRate
-				if g := grants[i] / bytesPerOp; g < opsRate {
-					opsRate = g
-				}
-				bytesRate = opsRate * bytesPerOp
-			case c.work.Ops > 0:
-				opsRate = cycleRate
-			default:
-				bytesRate = grants[i]
-			}
-			c.stepOpsRate, c.stepBytesRate, c.stepCycleRate = opsRate, bytesRate, cycleRate
-			if cycleRate > 0 {
-				c.stepActiveFrac = opsRate / cycleRate
-			} else {
-				c.stepActiveFrac = 0
-			}
-			m.stepBandwidth[sock] += bytesRate
+			c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock] * m.stepBoost[sock]
+			c.stepOpsRate, c.stepBytesRate, c.stepActiveFrac = c.work.Rates(c.stepCycleRate, grants[i])
+			m.stepBandwidth[sock] += c.stepBytesRate
 		}
 	}
 
@@ -280,10 +261,9 @@ func (m *Machine) replanLocked() bool {
 	// maintained incrementally at state transitions.
 	for line, g := range m.lineGroups {
 		k := float64(len(g.members))
-		mult := 1 + line.pingpong*(k-1)
 		for _, c := range g.members {
 			c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket]
-			c.stepOpsRate = c.stepCycleRate / (line.costCycles * mult * k)
+			c.stepOpsRate = AtomicRate(c.stepCycleRate, line.costCycles, line.pingpong, k)
 			if c.stepOpsRate <= 0 {
 				m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
 				return false
@@ -334,7 +314,7 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 	}
 
 	for sock := 0; sock < m.cfg.Sockets; sock++ {
-		p := units.Watts(float64(m.stepBasePower[sock]) * m.cfg.Thermal.leakageFactor(m.temp[sock]))
+		p := units.Watts(float64(m.stepBasePower[sock]) * m.cfg.Thermal.LeakageFactorAt(m.temp[sock]))
 		e := float64(p) * secs
 		m.energy[sock] += e
 		if err := m.msrFile.AddPackageEnergy(sock, units.Joules(e)); err != nil {
@@ -482,8 +462,9 @@ func (m *Machine) updateSnapLocked() {
 	}
 }
 
-// secondsToDuration converts seconds to a duration, saturating at never.
-func secondsToDuration(s float64) time.Duration {
+// SecondsToDuration converts seconds to a duration, saturating at the
+// largest one, the engine's "no deadline".
+func SecondsToDuration(s float64) time.Duration {
 	if s <= 0 {
 		return 0
 	}

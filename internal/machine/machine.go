@@ -41,15 +41,74 @@ type Work struct {
 	Activity float64
 }
 
-// activity returns the Activity field with the zero-value defaulting to 1.
-func (w Work) activity() float64 {
-	if w.Activity <= 0 {
-		return 1
+// Clamped returns w as Execute charges it: negative Ops and Bytes count
+// as zero and Overlap is clamped to [0, 1].
+func (w Work) Clamped() Work {
+	if w.Ops < 0 {
+		w.Ops = 0
 	}
-	if w.Activity > 1 {
-		return 1
+	if w.Bytes < 0 {
+		w.Bytes = 0
 	}
-	return w.Activity
+	if w.Overlap < 0 {
+		w.Overlap = 0
+	}
+	if w.Overlap > 1 {
+		w.Overlap = 1
+	}
+	return w
+}
+
+// Rates splits the progress of a core busy on w, clocked at cycleRate
+// cycles/s and granted grant bytes/s: mixed work runs at the slower of
+// its clock and its grant, pure compute at its clock, a pure stream at
+// its grant. activeFrac is the fraction of cycles that retire ops.
+func (w Work) Rates(cycleRate, grant float64) (opsRate, bytesRate, activeFrac float64) {
+	switch {
+	case w.Ops > 0 && w.Bytes > 0:
+		bytesPerOp := w.Bytes / w.Ops
+		opsRate = cycleRate
+		if g := grant / bytesPerOp; g < opsRate {
+			opsRate = g
+		}
+		bytesRate = opsRate * bytesPerOp
+	case w.Ops > 0:
+		opsRate = cycleRate
+	default:
+		bytesRate = grant
+	}
+	if cycleRate > 0 {
+		activeFrac = opsRate / cycleRate
+	}
+	return opsRate, bytesRate, activeFrac
+}
+
+// PowerActivity is the power-relevant activity of a core busy on w with
+// activeFrac of its cycles retiring ops: Activity (zero meaning 1) over
+// those cycles plus the Overlap credit over the stalled rest.
+func (w Work) PowerActivity(activeFrac float64) float64 {
+	a := w.Activity
+	if a <= 0 || a > 1 {
+		a = 1
+	}
+	return a*activeFrac + (1-activeFrac)*w.Overlap
+}
+
+// BandwidthDemand is the bandwidth (bytes/s) a core busy on w asks for at
+// cycleRate cycles/s: its bytes per op at that clock, or the per-core cap
+// for a pure stream.
+func (w Work) BandwidthDemand(cycleRate float64, mem MemParams) float64 {
+	if w.Ops <= 0 {
+		return float64(mem.MaxCoreBandwidth())
+	}
+	return w.Bytes / w.Ops * cycleRate
+}
+
+// AtomicRate is the service rate (ops/s) of each of k cores contending for
+// one line at cycleRate cycles/s: service is serialized across the k, and
+// each op costs costCycles, grown by pingPong per extra contender.
+func AtomicRate(cycleRate, costCycles, pingPong, k float64) float64 {
+	return cycleRate / (costCycles * (1 + pingPong*(k-1)) * k)
 }
 
 // Abort is the panic value raised out of blocking CoreCtx calls when the
@@ -303,7 +362,7 @@ func New(cfg Config) (*Machine, error) {
 	// before the first step are sensible.
 	idle := cfg.Power.UncoreBase + units.Watts(cfg.CoresPerSocket)*cfg.Power.CoreUnowned
 	for s := range m.stepPower {
-		m.stepPower[s] = units.Watts(float64(idle) * cfg.Thermal.leakageFactor(m.temp[s]))
+		m.stepPower[s] = units.Watts(float64(idle) * cfg.Thermal.LeakageFactorAt(m.temp[s]))
 	}
 	m.flushThermLocked()
 	m.updateSnapLocked()
@@ -610,8 +669,7 @@ func (c *core) effActiveFrac() float64 {
 	if c.state != coreBusy {
 		return 0
 	}
-	af := c.stepActiveFrac
-	return c.work.activity()*af + (1-af)*c.work.Overlap
+	return c.work.PowerActivity(c.stepActiveFrac)
 }
 
 // bwDemand returns the bandwidth (bytes/s) this busy core wants at its
@@ -620,11 +678,5 @@ func (c *core) bwDemand(cfg Config, fs float64) float64 {
 	if c.state != coreBusy || c.remBytes <= 0 {
 		return 0
 	}
-	rate := float64(cfg.BaseFreq) * c.duty * fs
-	if c.work.Ops <= 0 {
-		// Pure memory stream: limited only by the per-core cap.
-		return float64(cfg.Mem.MaxCoreBandwidth())
-	}
-	bytesPerOp := c.work.Bytes / c.work.Ops
-	return bytesPerOp * rate
+	return c.work.BandwidthDemand(float64(cfg.BaseFreq)*c.duty*fs, cfg.Mem)
 }

@@ -90,10 +90,10 @@ func (m MemParams) EffectiveCapacity(outstandingRefs float64) float64 {
 	return c / (1 + m.OversubPenalty*over)
 }
 
-// outstandingRefs converts a set of bandwidth demands into the number of
+// OutstandingRefs converts a set of bandwidth demands into the number of
 // reference streams they represent, with each core capped at
 // MaxRefsPerCore.
-func (m MemParams) outstandingRefs(demands []float64) float64 {
+func (m MemParams) OutstandingRefs(demands []float64) float64 {
 	perRef := float64(m.PerRefBandwidth())
 	if perRef <= 0 {
 		return 0
@@ -162,7 +162,7 @@ func (m MemParams) allocateInto(demands []float64, s *allocScratch) (grants []fl
 		}
 		s.capped[i] = d
 	}
-	refs = m.outstandingRefs(s.capped)
+	refs = m.OutstandingRefs(s.capped)
 	maxMinFairInto(s.capped, s.grants, s.satisfied, m.EffectiveCapacity(refs))
 	grants = s.grants
 	total := 0.0

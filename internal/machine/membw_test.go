@@ -143,7 +143,7 @@ func TestOutstandingRefsCapsPerCore(t *testing.T) {
 	m := M620().Mem
 	perRef := float64(m.PerRefBandwidth())
 	// One core demanding 100x its cap still counts only MaxRefsPerCore.
-	refs := m.outstandingRefs([]float64{perRef * float64(m.MaxRefsPerCore) * 100})
+	refs := m.OutstandingRefs([]float64{perRef * float64(m.MaxRefsPerCore) * 100})
 	if math.Abs(refs-float64(m.MaxRefsPerCore)) > 1e-9 {
 		t.Errorf("refs = %g, want %d", refs, m.MaxRefsPerCore)
 	}
@@ -152,7 +152,7 @@ func TestOutstandingRefsCapsPerCore(t *testing.T) {
 func TestOutstandingRefsAdds(t *testing.T) {
 	m := M620().Mem
 	perRef := float64(m.PerRefBandwidth())
-	refs := m.outstandingRefs([]float64{perRef, 2 * perRef, 0, -3})
+	refs := m.OutstandingRefs([]float64{perRef, 2 * perRef, 0, -3})
 	if math.Abs(refs-3) > 1e-9 {
 		t.Errorf("refs = %g, want 3", refs)
 	}

@@ -23,15 +23,9 @@ func (p PowerParams) corePower(st coreState, duty, fs, activeFrac float64) units
 	case coreIdleWait:
 		return p.CoreParked
 	case coreSpinWait:
-		return p.CoreSpinFloor + (p.CoreSpin-p.CoreSpinFloor)*units.Watts(duty*dvfsPowerFactor(fs))
+		return p.SpinPower(duty, fs)
 	case coreBusy, coreAtomic:
-		if activeFrac < 0 {
-			activeFrac = 0
-		}
-		if activeFrac > 1 {
-			activeFrac = 1
-		}
-		return p.CoreStall + (p.CoreActive-p.CoreStall)*units.Watts(duty*activeFrac*dvfsPowerFactor(fs))
+		return p.BusyPower(duty, fs, activeFrac)
 	case coreRunning:
 		// Host-side execution is instantaneous in virtual time; a core in
 		// this state never accumulates energy, but give it a sensible
@@ -40,6 +34,23 @@ func (p PowerParams) corePower(st coreState, duty, fs, activeFrac float64) units
 	default:
 		return p.CoreUnowned
 	}
+}
+
+// SpinPower is the draw of a spinning core (see corePower).
+func (p PowerParams) SpinPower(duty, fs float64) units.Watts {
+	return p.CoreSpinFloor + (p.CoreSpin-p.CoreSpinFloor)*units.Watts(duty*DVFSPowerFactor(fs))
+}
+
+// BusyPower is the draw of a busy or atomic core (see corePower), with
+// activeFrac clamped to [0, 1].
+func (p PowerParams) BusyPower(duty, fs, activeFrac float64) units.Watts {
+	if activeFrac < 0 {
+		activeFrac = 0
+	}
+	if activeFrac > 1 {
+		activeFrac = 1
+	}
+	return p.CoreStall + (p.CoreActive-p.CoreStall)*units.Watts(duty*activeFrac*DVFSPowerFactor(fs))
 }
 
 // PredictSocketPower computes the steady-state power of one socket from an

@@ -7,14 +7,14 @@ import (
 	"repro/internal/units"
 )
 
-// step advances a socket temperature by dt under constant power P, using
+// Step advances a socket temperature by dt under constant power P, using
 // the exact solution of the first-order model
 //
 //	τ dT/dt = T_ss − T,  T_ss = Ambient + Resistance × P.
 //
 // The engine calls the two halves, decay and relax, itself, so that it
 // can keep decay across steps of equal length.
-func (tp ThermalParams) step(T units.Celsius, P units.Watts, dt time.Duration) units.Celsius {
+func (tp ThermalParams) Step(T units.Celsius, P units.Watts, dt time.Duration) units.Celsius {
 	if dt <= 0 || tp.TimeConstant <= 0 {
 		return T
 	}
@@ -40,17 +40,11 @@ func (tp ThermalParams) SteadyState(P units.Watts) units.Celsius {
 	return tp.Ambient + units.Celsius(tp.Resistance*float64(P))
 }
 
-// LeakageFactorAt exposes the leakage correction for calibration code
-// that inverts the power model at an assumed die temperature.
-func (tp ThermalParams) LeakageFactorAt(T units.Celsius) float64 {
-	return tp.leakageFactor(T)
-}
-
-// leakageFactor returns the multiplicative power correction at temperature
-// T: 1 at LeakageRef, growing by LeakageCoef per °C above it. It never
-// returns less than a floor of 0.9, keeping the model sane for
+// LeakageFactorAt returns the multiplicative power correction at
+// temperature T: 1 at LeakageRef, growing by LeakageCoef per °C above it.
+// It never returns less than a floor of 0.9, keeping the model sane for
 // temperatures far below the reference.
-func (tp ThermalParams) leakageFactor(T units.Celsius) float64 {
+func (tp ThermalParams) LeakageFactorAt(T units.Celsius) float64 {
 	f := 1 + tp.LeakageCoef*float64(T-tp.LeakageRef)
 	if f < 0.9 {
 		return 0.9

@@ -19,7 +19,7 @@ func TestThermalStepConvergesToSteadyState(t *testing.T) {
 	tp := M620().Thermal
 	T := tp.Ambient
 	for i := 0; i < 600; i++ { // 10 minutes in 1 s steps
-		T = tp.step(T, 75, time.Second)
+		T = tp.Step(T, 75, time.Second)
 	}
 	ss := tp.SteadyState(75)
 	if math.Abs(float64(T-ss)) > 0.5 {
@@ -32,7 +32,7 @@ func TestThermalStepMonotone(t *testing.T) {
 	T := tp.Ambient
 	prev := T
 	for i := 0; i < 100; i++ {
-		T = tp.step(T, 75, time.Second)
+		T = tp.Step(T, 75, time.Second)
 		if T < prev {
 			t.Fatalf("heating not monotone: %v after %v", T, prev)
 		}
@@ -42,7 +42,7 @@ func TestThermalStepMonotone(t *testing.T) {
 	T = tp.SteadyState(75) + 30
 	prev = T
 	for i := 0; i < 100; i++ {
-		T = tp.step(T, 75, time.Second)
+		T = tp.Step(T, 75, time.Second)
 		if T > prev {
 			t.Fatalf("cooling not monotone: %v after %v", T, prev)
 		}
@@ -55,7 +55,7 @@ func TestThermalStepTimeConstant(t *testing.T) {
 	T0 := tp.Ambient
 	ss := tp.SteadyState(100)
 	// After exactly one time constant, the gap closes to 1/e.
-	T := tp.step(T0, 100, tp.TimeConstant)
+	T := tp.Step(T0, 100, tp.TimeConstant)
 	wantGap := float64(ss-T0) / math.E
 	gotGap := float64(ss - T)
 	if math.Abs(gotGap-wantGap) > 0.01*wantGap {
@@ -66,8 +66,8 @@ func TestThermalStepTimeConstant(t *testing.T) {
 func TestThermalStepExactSplit(t *testing.T) {
 	// Stepping 2 s must equal stepping 1 s twice (exact exponential).
 	tp := M620().Thermal
-	one := tp.step(tp.step(30, 120, time.Second), 120, time.Second)
-	two := tp.step(30, 120, 2*time.Second)
+	one := tp.Step(tp.Step(30, 120, time.Second), 120, time.Second)
+	two := tp.Step(30, 120, 2*time.Second)
 	if math.Abs(float64(one-two)) > 1e-9 {
 		t.Errorf("1s+1s = %v, 2s = %v: integration not exact", one, two)
 	}
@@ -75,26 +75,26 @@ func TestThermalStepExactSplit(t *testing.T) {
 
 func TestThermalStepZeroDuration(t *testing.T) {
 	tp := M620().Thermal
-	if got := tp.step(55, 100, 0); got != 55 {
+	if got := tp.Step(55, 100, 0); got != 55 {
 		t.Errorf("step(55, 100, 0) = %v, want 55", got)
 	}
-	if got := tp.step(55, 100, -time.Second); got != 55 {
+	if got := tp.Step(55, 100, -time.Second); got != 55 {
 		t.Errorf("negative duration step = %v, want unchanged", got)
 	}
 }
 
 func TestLeakageFactor(t *testing.T) {
 	tp := M620().Thermal
-	if got := tp.leakageFactor(tp.LeakageRef); got != 1 {
+	if got := tp.LeakageFactorAt(tp.LeakageRef); got != 1 {
 		t.Errorf("leakage at reference = %g, want 1", got)
 	}
 	// A hot chip draws a few percent more (paper fn.2: ~3% cold effect).
-	hot := tp.leakageFactor(tp.LeakageRef + 30)
+	hot := tp.LeakageFactorAt(tp.LeakageRef + 30)
 	if hot < 1.02 || hot > 1.06 {
 		t.Errorf("leakage at +30°C = %g, want 1.02..1.06", hot)
 	}
 	// Never below the floor.
-	if got := tp.leakageFactor(-300); got != 0.9 {
+	if got := tp.LeakageFactorAt(-300); got != 0.9 {
 		t.Errorf("leakage floor = %g, want 0.9", got)
 	}
 }

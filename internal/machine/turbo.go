@@ -30,9 +30,9 @@ func DefaultTurbo() TurboParams {
 	return TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
 }
 
-// boostFor returns the frequency multiplier for a socket with the given
+// BoostFor returns the frequency multiplier for a socket with the given
 // number of busy cores (of coresPerSocket).
-func (tp TurboParams) boostFor(busy, coresPerSocket int) float64 {
+func (tp TurboParams) BoostFor(busy, coresPerSocket int) float64 {
 	if !tp.Enabled || tp.MaxBoost <= 1 || busy == 0 {
 		return 1
 	}

@@ -8,24 +8,24 @@ import (
 
 func TestBoostForCurve(t *testing.T) {
 	tp := DefaultTurbo()
-	if got := tp.boostFor(0, 8); got != 1 {
+	if got := tp.BoostFor(0, 8); got != 1 {
 		t.Errorf("boost with 0 busy = %g, want 1", got)
 	}
 	for busy := 1; busy <= 4; busy++ {
-		if got := tp.boostFor(busy, 8); got != 1.15 {
+		if got := tp.BoostFor(busy, 8); got != 1.15 {
 			t.Errorf("boost with %d busy = %g, want full 1.15", busy, got)
 		}
 	}
-	if got := tp.boostFor(8, 8); got != 1 {
+	if got := tp.BoostFor(8, 8); got != 1 {
 		t.Errorf("boost with all busy = %g, want 1", got)
 	}
-	mid := tp.boostFor(6, 8)
+	mid := tp.BoostFor(6, 8)
 	if mid <= 1 || mid >= 1.15 {
 		t.Errorf("boost with 6 busy = %g, want between 1 and 1.15", mid)
 	}
 	// Disabled model never boosts.
 	off := TurboParams{}
-	if got := off.boostFor(2, 8); got != 1 {
+	if got := off.BoostFor(2, 8); got != 1 {
 		t.Errorf("disabled boost = %g, want 1", got)
 	}
 }

@@ -101,10 +101,7 @@ func (r *DevMSRReader) Energy(domain int) (units.Joules, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := uint32(v)
-	delta := uint64(cur) - uint64(r.last[domain])
-	if cur < r.last[domain] {
-		delta = units.RAPLCounterMod - uint64(r.last[domain]) + uint64(cur)
-	}
+	delta := units.RAPLCountDelta(r.last[domain], cur)
 	r.last[domain] = cur
 	r.acc[domain] += float64(delta) * float64(r.unit[domain])
 	return units.Joules(r.acc[domain]), nil

@@ -10,9 +10,10 @@ import (
 
 // TestMSRReaderWrapBoundaries drives the raw MSR_PKG_ENERGY_STATUS
 // register through exact 32-bit wrap boundaries and checks the reader's
-// wrap-corrected accumulation count by count. Counter values are written
-// directly (not via AddPackageEnergy) so expectations are exact integers
-// with no float quantization in the way.
+// wrap-corrected accumulation count by count, and the same sums of
+// units.RAPLCountDelta. Counter values are written directly (not via
+// AddPackageEnergy) so expectations are exact integers with no float
+// quantization in the way.
 func TestMSRReaderWrapBoundaries(t *testing.T) {
 	mod := units.RAPLCounterMod
 	cases := []struct {
@@ -45,13 +46,19 @@ func TestMSRReaderWrapBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got units.Joules
+			prev, counts := uint32(tc.start), uint64(0)
 			for _, raw := range tc.samples {
+				counts += units.RAPLCountDelta(prev, uint32(raw))
+				prev = uint32(raw)
 				if err := file.WritePackage(0, msr.MSRPkgEnergyStatus, raw); err != nil {
 					t.Fatal(err)
 				}
 				if got, err = r.Energy(0); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if counts != tc.want {
+				t.Errorf("RAPLCountDelta summed to %d counts, want %d", counts, tc.want)
 			}
 			want := units.FromRAPLCounts(tc.want)
 			if got != want {

@@ -91,7 +91,7 @@ func Audit(sc Scenario, res *Result) error {
 			// carry bounds the divergence to under two counts. A counter
 			// that ever moved backwards (modulo wrap) shows up here as a
 			// near-2^32-count delta.
-			delta := float64(raplDelta(prevCounter[s], ss.RAPLCounter))
+			delta := float64(units.RAPLCountDelta(prevCounter[s], ss.RAPLCounter))
 			counts := (ss.Energy - prevEnergy[s]) / float64(units.RAPLUnit)
 			if math.Abs(delta-counts) > 2 {
 				return fmt.Errorf("step %d socket %d: RAPL counter moved %v counts, step energy is %v counts",
@@ -160,12 +160,4 @@ func auditSocketStep(ss *machine.SocketStep, maxPower, maxTemp, ambient, maxBoos
 		return fmt.Errorf("frequency scale %v outside [%v, 1]", ss.FreqScale, machine.MinFrequencyScale)
 	}
 	return nil
-}
-
-// raplDelta is the wrap-aware 32-bit counter difference.
-func raplDelta(prev, cur uint32) uint64 {
-	if cur >= prev {
-		return uint64(cur - prev)
-	}
-	return units.RAPLCounterMod - uint64(prev) + uint64(cur)
 }

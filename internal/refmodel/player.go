@@ -73,7 +73,11 @@ func PlayMachine(sc Scenario) (res *Result, err error) {
 			if merr := m.Err(); merr != nil {
 				err = fmt.Errorf("refmodel: machine error: %w", merr)
 			} else {
-				collectFinal(m, sc, res)
+				energy := make([]float64, sc.Cfg.Sockets)
+				for s := range energy {
+					energy[s] = float64(m.SocketEnergy(s))
+				}
+				collectFinal(m.MSR(), energy, res)
 			}
 		}
 	}()
@@ -182,15 +186,16 @@ func snapFire(now time.Duration, s *machine.Snapshot) TickerFire {
 	return f
 }
 
-// collectFinal reads the end-of-run architectural state. Called after
-// Stop, which returns once no stepper is left, so all writes are visible.
-func collectFinal(m *machine.Machine, sc Scenario, res *Result) {
-	file := m.MSR()
-	for s := 0; s < sc.Cfg.Sockets; s++ {
-		res.Energy = append(res.Energy, float64(m.SocketEnergy(s)))
+// collectFinal records an engine's end-of-run architectural state: its
+// exact per-socket energy and its register file. PlayMachine calls it
+// after Stop, which returns once no stepper is left, so all writes are
+// visible.
+func collectFinal(file *msr.File, energy []float64, res *Result) {
+	res.Energy = energy
+	for s := range energy {
 		res.Counters = append(res.Counters, file.PackageEnergyCounter(s))
 	}
-	for c := 0; c < sc.Cfg.Cores(); c++ {
+	for c := 0; c < file.Cores(); c++ {
 		tsc, err := file.ReadCore(c, msr.IA32TimeStampCounter)
 		if err != nil {
 			panic(err)

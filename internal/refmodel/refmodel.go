@@ -7,15 +7,17 @@
 // The optimized engine's incremental indexes keep every core list in
 // ascending id order precisely so that floating-point accumulation
 // happens in the order full scans would use (docs/engine.md). This
-// package exploits that contract from the other side: it evaluates the
-// same physics — power, thermal, DVFS, turbo, memory-bandwidth
-// contention, duty-cycle modulation, RAPL quantization and wrap — with
-// plain scans in the same arithmetic order, so both engines must agree
-// bit-for-bit on every step of every scenario. Formula transcriptions
-// are deliberate near-copies of internal/machine (engine.go, power.go,
-// membw.go, thermal.go, turbo.go, dvfs.go); if either side changes, the
-// differential harness (internal/machine's Differential tests and
-// FuzzDifferential) fails on the first diverging quantum.
+// package exploits that contract from the other side. Both engines call
+// the same point formulas — machine's power, leakage, thermal, DVFS,
+// turbo, bandwidth and progress-rate functions and its msr.File for RAPL
+// quantization and wrap — so what differs is what the oracle checks: the
+// engine's busy lists, line groups, deadline and ticker heaps, plan
+// reuse, baton order and summation order against plain scans, every
+// quantum recomputed from scratch. Both must agree bit-for-bit on every
+// step of every scenario; the differential harness (internal/machine's
+// Differential tests and FuzzDifferential) fails on the first diverging
+// quantum. A change to a shared formula moves both engines together:
+// the formulas' unit tests, Audit and the paperbench golden catch it.
 package refmodel
 
 import (
@@ -30,9 +32,6 @@ import (
 
 // never mirrors the engine's "no deadline" sentinel.
 const never = time.Duration(math.MaxInt64)
-
-// vfloor mirrors machine's vFloor voltage floor (dvfs.go).
-const vfloor = 0.6
 
 // maxSteps is a runaway guard: generated scenarios take a few hundred
 // steps, so hitting this means the interpreter failed to converge.
@@ -102,12 +101,9 @@ type sim struct {
 	stepPower []float64
 
 	energy      []float64
-	temp        []float64
-	flushedTemp []float64
-	counters    []uint64 // raw MSR_PKG_ENERGY_STATUS
-	energyRem   []float64
-	tsc         []uint64
-	therm       []uint64
+	temp        []units.Celsius
+	flushedTemp []units.Celsius
+	file        *msr.File // RAPL counters, TSCs and therm status
 
 	tickers []*rtick
 	ctl     []ctlOp
@@ -142,7 +138,7 @@ func Run(sc Scenario) (*Result, error) {
 			return nil, fmt.Errorf("refmodel: scenario exceeded %d steps at t=%v", maxSteps, s.now)
 		}
 	}
-	s.collect()
+	collectFinal(s.file, s.energy, s.res)
 	return s.res, nil
 }
 
@@ -158,20 +154,17 @@ func newSim(sc Scenario) *sim {
 		stepUtil:    make([]float64, cfg.Sockets),
 		stepPower:   make([]float64, cfg.Sockets),
 		energy:      make([]float64, cfg.Sockets),
-		temp:        make([]float64, cfg.Sockets),
-		flushedTemp: make([]float64, cfg.Sockets),
-		counters:    make([]uint64, cfg.Sockets),
-		energyRem:   make([]float64, cfg.Sockets),
-		tsc:         make([]uint64, cfg.Cores()),
-		therm:       make([]uint64, cfg.Cores()),
+		temp:        make([]units.Celsius, cfg.Sockets),
+		flushedTemp: make([]units.Celsius, cfg.Sockets),
+		file:        msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
 		res:         &Result{Tickers: make([][]TickerFire, sc.TickerSlots)},
 	}
 	for i := range s.freqScale {
 		s.freqScale[i] = 1
 		s.reqScale[i] = 1
 		s.stepBoost[i] = 1
-		s.temp[i] = float64(cfg.Thermal.Ambient) + 15 // machine.New: powered on but cool
-		s.counters[i] = uint64(sc.CounterStart)
+		s.temp[i] = cfg.Thermal.Ambient + 15 // machine.New: powered on but cool
+		must(s.file.WritePackage(i, msr.MSRPkgEnergyStatus, uint64(sc.CounterStart)))
 	}
 	s.cores = make([]*rcore, cfg.Cores())
 	for i := range s.cores {
@@ -206,9 +199,7 @@ func (s *sim) startController() {
 
 // release mirrors CoreCtx.Release: flush cycles, reset duty, unown.
 func (s *sim) release(c *rcore) {
-	if c.cycles > 0 {
-		s.tsc[c.id] += uint64(c.cycles)
-	}
+	must(s.file.AddCoreCycles(c.id, c.cycles))
 	c.cycles = 0
 	c.duty = 1
 	c.state = stUnowned
@@ -267,14 +258,7 @@ func (s *sim) runGlobal(g *GlobalOp) {
 	switch g.Kind {
 	case GlobalDVFS:
 		// RequestFrequencyScale clamps at request time.
-		scale := g.Scale
-		if scale < machine.MinFrequencyScale {
-			scale = machine.MinFrequencyScale
-		}
-		if scale > 1 {
-			scale = 1
-		}
-		s.reqScale[g.Socket] = scale
+		s.reqScale[g.Socket] = machine.ClampFrequencyScale(g.Scale)
 	case GlobalAddTicker:
 		s.tickers = append(s.tickers, &rtick{slot: g.Ticker, period: g.Period, next: s.now + g.Period})
 	case GlobalRemoveTicker:
@@ -308,26 +292,12 @@ func (s *sim) runWorker(c *rcore) {
 		c.pc++
 		switch op.Kind {
 		case OpExecute:
-			w := op.Work
-			if w.Ops <= 0 && w.Bytes <= 0 {
+			if op.Work.Ops <= 0 && op.Work.Bytes <= 0 {
 				continue
 			}
-			if w.Ops < 0 {
-				w.Ops = 0
-			}
-			if w.Bytes < 0 {
-				w.Bytes = 0
-			}
-			if w.Overlap < 0 {
-				w.Overlap = 0
-			}
-			if w.Overlap > 1 {
-				w.Overlap = 1
-			}
 			c.state = stBusy
-			c.work = w
-			c.remOps = w.Ops
-			c.remBytes = w.Bytes
+			c.work = op.Work.Clamped()
+			c.remOps, c.remBytes = c.work.Ops, c.work.Bytes
 			return
 		case OpAtomic:
 			if op.N <= 0 {
@@ -402,7 +372,7 @@ func (s *sim) plan() (time.Duration, error) {
 				occupied++
 			}
 		}
-		s.stepBoost[sock] = boostFor(s.cfg.Turbo, occupied, s.cfg.CoresPerSocket)
+		s.stepBoost[sock] = s.cfg.Turbo.BoostFor(occupied, s.cfg.CoresPerSocket)
 	}
 
 	for sock := 0; sock < s.cfg.Sockets; sock++ {
@@ -417,40 +387,24 @@ func (s *sim) plan() (time.Duration, error) {
 			s.stepUtil[sock] = 0
 			continue
 		}
-		demands := make([]float64, 0, len(busy))
-		for _, c := range busy {
-			demands = append(demands, s.bwDemand(c, s.freqScale[sock]*s.stepBoost[sock]))
+		fs := s.freqScale[sock] * s.stepBoost[sock] // one factor, as core.bwDemand takes it
+		demands := make([]float64, len(busy))
+		for i, c := range busy {
+			if c.remBytes > 0 {
+				demands[i] = c.work.BandwidthDemand(float64(s.cfg.BaseFreq)*c.duty*fs, s.cfg.Mem)
+			}
 		}
 		grants, refs, util := s.allocate(demands)
 		s.stepRefs[sock] = refs
 		s.stepUtil[sock] = util
 		for i, c := range busy {
 			cycleRate := float64(s.cfg.BaseFreq) * c.duty * s.freqScale[sock] * s.stepBoost[sock]
-			var opsRate, bytesRate float64
-			switch {
-			case c.work.Ops > 0 && c.work.Bytes > 0:
-				bytesPerOp := c.work.Bytes / c.work.Ops
-				opsRate = cycleRate
-				if g := grants[i] / bytesPerOp; g < opsRate {
-					opsRate = g
-				}
-				bytesRate = opsRate * bytesPerOp
-			case c.work.Ops > 0:
-				opsRate = cycleRate
-			default:
-				bytesRate = grants[i]
-			}
-			c.stepOpsRate, c.stepBytesRate = opsRate, bytesRate
-			if cycleRate > 0 {
-				c.stepActiveFrac = opsRate / cycleRate
-			} else {
-				c.stepActiveFrac = 0
-			}
+			c.stepOpsRate, c.stepBytesRate, c.stepActiveFrac = c.work.Rates(cycleRate, grants[i])
 			t := never
-			if c.remOps > 0 && opsRate > 0 {
-				t = secondsToDuration(c.remOps / opsRate)
-			} else if c.remBytes > 0 && bytesRate > 0 {
-				t = secondsToDuration(c.remBytes / bytesRate)
+			if c.remOps > 0 && c.stepOpsRate > 0 {
+				t = machine.SecondsToDuration(c.remOps / c.stepOpsRate)
+			} else if c.remBytes > 0 && c.stepBytesRate > 0 {
+				t = machine.SecondsToDuration(c.remBytes / c.stepBytesRate)
 			}
 			if t == never {
 				return 0, fmt.Errorf("refmodel: core %d stalled with no progress possible", c.id)
@@ -474,15 +428,14 @@ func (s *sim) plan() (time.Duration, error) {
 			continue
 		}
 		line := s.sc.Lines[li]
-		k := float64(len(members))
-		mult := 1 + line.PingPong*(k-1)
 		for _, c := range members {
-			rate := float64(s.cfg.BaseFreq) * c.duty * s.freqScale[c.socket] * s.stepBoost[c.socket] / (line.CostCycles * mult * k)
+			rate := machine.AtomicRate(float64(s.cfg.BaseFreq)*c.duty*s.freqScale[c.socket]*s.stepBoost[c.socket],
+				line.CostCycles, line.PingPong, float64(len(members)))
 			c.stepOpsRate = rate
 			if rate <= 0 {
 				return 0, fmt.Errorf("refmodel: core %d atomic rate is zero", c.id)
 			}
-			if t := secondsToDuration(c.remAtomics / rate); t < earliest {
+			if t := machine.SecondsToDuration(c.remAtomics / rate); t < earliest {
 				earliest = t
 			}
 		}
@@ -518,22 +471,9 @@ func (s *sim) plan() (time.Duration, error) {
 	return earliest, nil
 }
 
-// bwDemand mirrors core.bwDemand.
-func (s *sim) bwDemand(c *rcore, fs float64) float64 {
-	if c.state != stBusy || c.remBytes <= 0 {
-		return 0
-	}
-	rate := float64(s.cfg.BaseFreq) * c.duty * fs
-	if c.work.Ops <= 0 {
-		return float64(s.cfg.Mem.MaxCoreBandwidth())
-	}
-	bytesPerOp := c.work.Bytes / c.work.Ops
-	return bytesPerOp * rate
-}
-
 // allocate mirrors MemParams.allocateInto without scratch buffers: cap
-// demands per core, derive outstanding references, degrade capacity when
-// oversubscribed, water-fill, report plateau utilization.
+// demands per core, derive outstanding references and the oversubscribed
+// capacity, water-fill, report plateau utilization.
 func (s *sim) allocate(demands []float64) (grants []float64, refs, util float64) {
 	mem := s.cfg.Mem
 	coreCap := float64(mem.MaxCoreBandwidth())
@@ -547,26 +487,8 @@ func (s *sim) allocate(demands []float64) (grants []float64, refs, util float64)
 		}
 		capped[i] = d
 	}
-	perRef := float64(mem.PerRefBandwidth())
-	if perRef > 0 {
-		maxRefs := float64(mem.MaxRefsPerCore)
-		for _, d := range capped {
-			if d <= 0 {
-				continue
-			}
-			r := d / perRef
-			if r > maxRefs {
-				r = maxRefs
-			}
-			refs += r
-		}
-	}
-	capacity := float64(mem.BandwidthPerSocket)
-	if knee := float64(mem.KneeRefs); refs > knee && knee > 0 {
-		over := refs/knee - 1
-		capacity = capacity / (1 + mem.OversubPenalty*over)
-	}
-	grants = waterFill(capped, capacity)
+	refs = mem.OutstandingRefs(capped)
+	grants = waterFill(capped, mem.EffectiveCapacity(refs))
 	total := 0.0
 	for _, g := range grants {
 		total += g
@@ -636,15 +558,15 @@ func (s *sim) advance(dt time.Duration) {
 			p += s.corePower(c, s.freqScale[sock]*s.stepBoost[sock])
 		}
 		p += float64(s.cfg.Power.BandwidthMax) * s.stepUtil[sock]
-		p = p * leakageFactor(s.cfg.Thermal, s.temp[sock])
+		p = p * s.cfg.Thermal.LeakageFactorAt(s.temp[sock])
 		e := p * secs
 		s.energy[sock] += e
-		s.addPackageEnergy(sock, e)
-		s.temp[sock] = thermalStep(s.cfg.Thermal, s.temp[sock], p, dt)
+		must(s.file.AddPackageEnergy(sock, units.Joules(e)))
+		s.temp[sock] = s.cfg.Thermal.Step(s.temp[sock], units.Watts(p), dt)
 		s.stepPower[sock] = p
 	}
 	for sock := range s.temp {
-		if math.Abs(s.temp[sock]-s.flushedTemp[sock]) > 0.25 {
+		if math.Abs(float64(s.temp[sock]-s.flushedTemp[sock])) > 0.25 {
 			s.flushTherm()
 			break
 		}
@@ -680,25 +602,11 @@ func (s *sim) advance(dt time.Duration) {
 // TSC, wake the owner.
 func (s *sim) complete(c *rcore) {
 	c.remOps, c.remBytes, c.remAtomics = 0, 0, 0
-	if c.cycles > 0 { // msr.AddCoreCycles ignores non-positive
-		s.tsc[c.id] += uint64(c.cycles)
-	}
+	must(s.file.AddCoreCycles(c.id, c.cycles))
 	c.cycles = 0
 	c.state = stAwake
 	c.deadline = 0
 	c.line = -1
-}
-
-// addPackageEnergy mirrors msr.File.AddPackageEnergy: quantize to RAPL
-// units with a carried sub-unit remainder, wrap modulo 2^32.
-func (s *sim) addPackageEnergy(sock int, e float64) {
-	if e <= 0 {
-		return
-	}
-	s.energyRem[sock] += e / float64(units.RAPLUnit)
-	whole := uint64(s.energyRem[sock])
-	s.energyRem[sock] -= float64(whole)
-	s.counters[sock] = (s.counters[sock] + whole) % units.RAPLCounterMod
 }
 
 // corePower mirrors PowerParams.corePower.
@@ -710,16 +618,9 @@ func (s *sim) corePower(c *rcore, fs float64) float64 {
 	case stIdleWait:
 		return float64(pw.CoreParked)
 	case stSpinWait:
-		return float64(pw.CoreSpinFloor) + float64(pw.CoreSpin-pw.CoreSpinFloor)*(c.duty*dvfsPowerFactor(fs))
+		return float64(pw.SpinPower(c.duty, fs))
 	case stBusy, stAtomic:
-		af := s.effActiveFrac(c)
-		if af < 0 {
-			af = 0
-		}
-		if af > 1 {
-			af = 1
-		}
-		return float64(pw.CoreStall) + float64(pw.CoreActive-pw.CoreStall)*(c.duty*af*dvfsPowerFactor(fs))
+		return float64(pw.BusyPower(c.duty, fs, s.effActiveFrac(c)))
 	case stAwake:
 		return float64(pw.CoreStall)
 	default:
@@ -738,66 +639,13 @@ func (s *sim) effActiveFrac(c *rcore) float64 {
 	if c.state != stBusy {
 		return 0
 	}
-	af := c.stepActiveFrac
-	return workActivity(c.work)*af + (1-af)*c.work.Overlap
-}
-
-// workActivity mirrors Work.activity.
-func workActivity(w machine.Work) float64 {
-	if w.Activity <= 0 {
-		return 1
-	}
-	if w.Activity > 1 {
-		return 1
-	}
-	return w.Activity
-}
-
-// dvfsPowerFactor mirrors machine's f·V(f)² dynamic-power multiplier.
-func dvfsPowerFactor(fs float64) float64 {
-	v := vfloor + (1-vfloor)*fs
-	return fs * v * v
-}
-
-// leakageFactor mirrors ThermalParams.leakageFactor.
-func leakageFactor(tp machine.ThermalParams, T float64) float64 {
-	f := 1 + tp.LeakageCoef*(T-float64(tp.LeakageRef))
-	if f < 0.9 {
-		return 0.9
-	}
-	return f
-}
-
-// thermalStep mirrors ThermalParams.step.
-func thermalStep(tp machine.ThermalParams, T, P float64, dt time.Duration) float64 {
-	if dt <= 0 || tp.TimeConstant <= 0 {
-		return T
-	}
-	tss := float64(tp.Ambient) + tp.Resistance*P
-	k := math.Exp(-dt.Seconds() / tp.TimeConstant.Seconds())
-	return tss + (T-tss)*k
-}
-
-// boostFor mirrors TurboParams.boostFor.
-func boostFor(tp machine.TurboParams, busy, coresPerSocket int) float64 {
-	if !tp.Enabled || tp.MaxBoost <= 1 || busy == 0 {
-		return 1
-	}
-	if busy <= tp.FullBoostCores {
-		return tp.MaxBoost
-	}
-	if busy >= coresPerSocket {
-		return 1
-	}
-	span := float64(coresPerSocket - tp.FullBoostCores)
-	frac := float64(busy-tp.FullBoostCores) / span
-	return tp.MaxBoost - (tp.MaxBoost-1)*frac
+	return c.work.PowerActivity(c.stepActiveFrac)
 }
 
 // flushTherm mirrors flushThermLocked.
 func (s *sim) flushTherm() {
 	for _, c := range s.cores {
-		s.therm[c.id] = msr.EncodeThermStatus(units.Celsius(s.temp[c.socket]))
+		must(s.file.SetCoreTemperature(c.id, s.temp[c.socket]))
 	}
 	copy(s.flushedTemp, s.temp)
 }
@@ -817,13 +665,13 @@ func (s *sim) record(dt time.Duration) {
 		rec.Sockets[sock] = machine.SocketStep{
 			Energy:      s.energy[sock],
 			Power:       s.stepPower[sock],
-			Temperature: s.temp[sock],
+			Temperature: float64(s.temp[sock]),
 			Refs:        s.stepRefs[sock],
 			Util:        s.stepUtil[sock],
 			Bandwidth:   bw,
 			Boost:       s.stepBoost[sock],
 			FreqScale:   s.freqScale[sock],
-			RAPLCounter: uint32(s.counters[sock]),
+			RAPLCounter: s.file.PackageEnergyCounter(sock),
 		}
 	}
 	s.res.Steps = append(s.res.Steps, rec)
@@ -859,23 +707,10 @@ func (s *sim) fireTickers() {
 	}
 }
 
-// collect gathers the final architectural state.
-func (s *sim) collect() {
-	for sock := 0; sock < s.cfg.Sockets; sock++ {
-		s.res.Energy = append(s.res.Energy, s.energy[sock])
-		s.res.Counters = append(s.res.Counters, uint32(s.counters[sock]))
+// must panics on a register-file error, which only an index bug in the
+// reference engine itself can cause.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
-	s.res.TSC = append(s.res.TSC, s.tsc...)
-	s.res.Therm = append(s.res.Therm, s.therm...)
-}
-
-// secondsToDuration mirrors the engine's saturating conversion.
-func secondsToDuration(t float64) time.Duration {
-	if t <= 0 {
-		return 0
-	}
-	if t >= float64(never)/float64(time.Second) {
-		return never
-	}
-	return time.Duration(t * float64(time.Second))
 }

@@ -106,11 +106,16 @@ func FromRAPLCounts(c uint64) Joules {
 // must sample often enough that at most one wrap can occur between reads
 // (paper §II-A: "the measurement tools monitor the number of wraps").
 func RAPLDelta(old, new uint32) Joules {
-	d := uint64(new) - uint64(old)
+	return FromRAPLCounts(RAPLCountDelta(old, new))
+}
+
+// RAPLCountDelta is RAPLDelta in raw counts, for callers that scale by
+// their own unit.
+func RAPLCountDelta(old, new uint32) uint64 {
 	if new < old {
-		d = RAPLCounterMod - uint64(old) + uint64(new)
+		return RAPLCounterMod - uint64(old) + uint64(new)
 	}
-	return FromRAPLCounts(d)
+	return uint64(new - old)
 }
 
 // String formats the energy with an adaptive unit (µJ, mJ, J, kJ).
