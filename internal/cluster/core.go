@@ -197,34 +197,30 @@ func newControlCore(cfg AggregatorConfig, open func(Member) (SnapshotSource, err
 		if members, err = NewMembership(cfg.Shards, cfg.Clock); err != nil {
 			return nil, err
 		}
-		if cfg.Telemetry != nil {
-			members.Instrument(cfg.Telemetry)
-		}
+		members.Instrument(cfg.Telemetry)
 		members.Journal(cfg.Journal)
 	}
 	if retire == nil {
 		retire = func(int) {}
 	}
-	a := &controlCore{cfg: cfg, members: members, open: open, retire: retire}
-	if reg := cfg.Telemetry; reg != nil {
-		a.met = &aggMetrics{
-			polls:         reg.Counter("cluster_polls_total"),
-			repartitions:  reg.Counter("cluster_repartitions_total"),
-			violations:    reg.Counter("cluster_conservation_violations_total"),
-			shardRestarts: reg.Counter("cluster_shard_restarts_total"),
-			capErrors:     reg.Counter("cluster_cap_push_errors_total"),
-			capRetries:    reg.Counter("cluster_cap_retries_total"),
-			elections:     reg.Counter("cluster_leader_elections_total"),
-			demotions:     reg.Counter("cluster_leader_demotions_total"),
-			budgetW:       reg.Gauge("cluster_budget_watts"),
-			capsSumW:      reg.Gauge("cluster_caps_sum_watts"),
-			powerW:        reg.Gauge("cluster_power_watts"),
-			unhealthy:     reg.Gauge("cluster_unhealthy_shards"),
-			warmingUp:     reg.Gauge("cluster_members_warming_up"),
-			isLeader:      reg.Gauge("cluster_leader"),
-		}
-		a.met.budgetW.Set(float64(cfg.Global))
-	}
+	reg := cfg.Telemetry
+	a := &controlCore{cfg: cfg, members: members, open: open, retire: retire, met: &aggMetrics{
+		polls:         reg.Counter("cluster_polls_total"),
+		repartitions:  reg.Counter("cluster_repartitions_total"),
+		violations:    reg.Counter("cluster_conservation_violations_total"),
+		shardRestarts: reg.Counter("cluster_shard_restarts_total"),
+		capErrors:     reg.Counter("cluster_cap_push_errors_total"),
+		capRetries:    reg.Counter("cluster_cap_retries_total"),
+		elections:     reg.Counter("cluster_leader_elections_total"),
+		demotions:     reg.Counter("cluster_leader_demotions_total"),
+		budgetW:       reg.Gauge("cluster_budget_watts"),
+		capsSumW:      reg.Gauge("cluster_caps_sum_watts"),
+		powerW:        reg.Gauge("cluster_power_watts"),
+		unhealthy:     reg.Gauge("cluster_unhealthy_shards"),
+		warmingUp:     reg.Gauge("cluster_members_warming_up"),
+		isLeader:      reg.Gauge("cluster_leader"),
+	}}
+	a.met.budgetW.Set(float64(cfg.Global))
 	if cfg.HA != nil {
 		a.jitterState = cfg.HA.JitterSeed ^ uint64(cfg.HA.ID)*0x9e3779b97f4a7c15
 	}
@@ -307,9 +303,7 @@ func (a *controlCore) reconcileLocked() error {
 // deterministic unit its owner steps.
 func (a *controlCore) Poll() {
 	now := a.cfg.Clock()
-	if a.met != nil {
-		a.met.polls.Inc()
-	}
+	a.met.polls.Inc()
 	if err := a.reconcileLocked(); err != nil {
 		// A failed slot open leaves the book on the previous epoch; the
 		// next poll retries.
@@ -412,14 +406,12 @@ func (a *controlCore) Poll() {
 	a.allExpected = allExpected
 	capsSum := float64(Sum(a.applied))
 
-	if a.met != nil {
-		a.met.capsSumW.Set(capsSum)
-		a.met.powerW.Set(totalPower)
-		a.met.unhealthy.Set(float64(len(a.shards) - healthy - warming))
-		a.met.warmingUp.Set(float64(warming))
-		if capsSum > float64(a.cfg.Global)+sumEps {
-			a.met.violations.Inc()
-		}
+	a.met.capsSumW.Set(capsSum)
+	a.met.powerW.Set(totalPower)
+	a.met.unhealthy.Set(float64(len(a.shards) - healthy - warming))
+	a.met.warmingUp.Set(float64(warming))
+	if capsSum > float64(a.cfg.Global)+sumEps {
+		a.met.violations.Inc()
 	}
 }
 
@@ -458,9 +450,7 @@ func (a *controlCore) observe(st *shardState, snap *rcr.Snapshot, now time.Durat
 		// incarnation of the shard. Version space restarts with it.
 		st.epoch++
 		a.restarts++
-		if a.met != nil {
-			a.met.shardRestarts.Inc()
-		}
+		a.met.shardRestarts.Inc()
 		a.journal(telemetry.KindShardRestarted,
 			fmt.Sprintf("shard %d epoch %d, heartbeat %.0f -> %.0f", st.id, st.epoch, st.lastBeat, beat.Value))
 		st.lastMove = now
@@ -514,16 +504,12 @@ func (a *controlCore) push(next []units.Watts) bool {
 			// One bounded immediate retry: a transient drop on a decrease
 			// would otherwise stall the whole decrease-before-increase
 			// sequence for a full poll period.
-			if a.met != nil {
-				a.met.capRetries.Inc()
-			}
+			a.met.capRetries.Inc()
 			a.journal(telemetry.KindCapRetry,
 				fmt.Sprintf("shard %d cap %.1f W: %v", a.shards[i].id, float64(next[i]), err))
 			err = a.cfg.SetCap(a.shards[i].id, next[i])
 			if err != nil {
-				if a.met != nil {
-					a.met.capErrors.Inc()
-				}
+				a.met.capErrors.Inc()
 				if next[i] < a.applied[i] {
 					blocked = true
 				}
@@ -535,9 +521,7 @@ func (a *controlCore) push(next []units.Watts) bool {
 		changed = true
 	}
 	if changed {
-		if a.met != nil {
-			a.met.repartitions.Inc()
-		}
+		a.met.repartitions.Inc()
 		a.journal(telemetry.KindRepartition,
 			fmt.Sprintf("caps sum %.1f W of %.1f W budget", float64(Sum(a.applied)), float64(a.cfg.Global)))
 	}

@@ -303,10 +303,8 @@ func (a *controlCore) elect(now time.Duration) {
 	a.leaseUntil = now + ttl
 	a.replay = true
 	a.elections++
-	if a.met != nil {
-		a.met.elections.Inc()
-		a.met.isLeader.Set(1)
-	}
+	a.met.elections.Inc()
+	a.met.isLeader.Set(1)
 	a.journal(telemetry.KindLeaderElected,
 		fmt.Sprintf("replica %d fence %d: %d/%d grants, adopted %.1f W committed",
 			ha.ID, fence, len(granted), fleet, float64(Sum(a.applied))))
@@ -320,10 +318,8 @@ func (a *controlCore) demote(reason string) {
 	a.replay = false
 	a.candidateAt = 0
 	a.demotions++
-	if a.met != nil {
-		a.met.demotions.Inc()
-		a.met.isLeader.Set(0)
-	}
+	a.met.demotions.Inc()
+	a.met.isLeader.Set(0)
 	a.journal(telemetry.KindLeaderDemoted,
 		fmt.Sprintf("replica %d fence %d: %s", a.cfg.HA.ID, a.fence, reason))
 }
@@ -515,9 +511,7 @@ func (a *controlCore) pushFenced(next []units.Watts, now time.Duration) bool {
 		}
 		ack, usedSeq, err := a.writeCapRetry(st, w, memEpoch, memFrame)
 		if err != nil {
-			if a.met != nil {
-				a.met.capErrors.Inc()
-			}
+			a.met.capErrors.Inc()
 			if w.HasCap {
 				// The write may be held in flight, not lost: remember the
 				// largest cap that might still land and the last seq it
@@ -598,9 +592,7 @@ func (a *controlCore) pushFenced(next []units.Watts, now time.Duration) bool {
 		}
 	}
 	if changed {
-		if a.met != nil {
-			a.met.repartitions.Inc()
-		}
+		a.met.repartitions.Inc()
 		a.journal(telemetry.KindRepartition,
 			fmt.Sprintf("fence %d caps sum %.1f W of %.1f W budget", a.fence, float64(Sum(a.applied)), float64(a.cfg.Global)))
 	}
@@ -670,9 +662,7 @@ func (a *controlCore) writeCapRetry(st *shardState, w rcr.CapWrite, memEpoch uin
 	if err == nil {
 		return ack, seq, nil
 	}
-	if a.met != nil {
-		a.met.capRetries.Inc()
-	}
+	a.met.capRetries.Inc()
 	a.journal(telemetry.KindCapRetry,
 		fmt.Sprintf("shard %d fence %d: %v", st.id, w.Fence, err))
 	return attempt()

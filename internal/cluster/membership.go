@@ -109,7 +109,7 @@ type Member struct {
 	AdmittedAt time.Duration
 }
 
-// memMetrics is the registry's instrument set.
+// memMetrics is the registry's instrument set: empty until Instrument.
 type memMetrics struct {
 	joins     *telemetry.Counter
 	drains    *telemetry.Counter
@@ -140,7 +140,7 @@ func NewMembership(seed []ShardEndpoint, clock func() time.Duration) (*Membershi
 	if clock == nil {
 		return nil, fmt.Errorf("cluster: membership requires a clock")
 	}
-	m := &Membership{clock: clock, epoch: 1, members: make(map[int]*Member)}
+	m := &Membership{clock: clock, met: &memMetrics{}, epoch: 1, members: make(map[int]*Member)}
 	for _, ep := range seed {
 		if _, dup := m.members[ep.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate member id %d in seed", ep.ID)
@@ -174,9 +174,6 @@ func (m *Membership) record(kind, detail string) {
 
 // gaugesLocked refreshes the membership gauges. Called with mu held.
 func (m *Membership) gaugesLocked() {
-	if m.met == nil {
-		return
-	}
 	inFleet, draining := 0, 0
 	for _, mb := range m.members {
 		if mb.State.InFleet() {
@@ -244,9 +241,7 @@ func (m *Membership) Join(ep ShardEndpoint) error {
 		Endpoint: ep, AdmittedAt: m.clock(),
 	}
 	m.epoch++
-	if m.met != nil {
-		m.met.joins.Inc()
-	}
+	m.met.joins.Inc()
 	m.gaugesLocked()
 	m.record(telemetry.KindMemberJoined,
 		fmt.Sprintf("member %d incarnation %d at %s (epoch %d)", ep.ID, inc, ep.Addr, m.epoch))
@@ -285,9 +280,7 @@ func (m *Membership) Drain(id int) error {
 	}
 	mb.State = MemberDraining
 	m.epoch++
-	if m.met != nil {
-		m.met.drains.Inc()
-	}
+	m.met.drains.Inc()
 	m.gaugesLocked()
 	m.record(telemetry.KindMemberDrained,
 		fmt.Sprintf("member %d drain requested (epoch %d)", id, m.epoch))
@@ -325,9 +318,7 @@ func (m *Membership) Decommission(id int) error {
 	}
 	mb.State = MemberLeft
 	m.epoch++
-	if m.met != nil {
-		m.met.decomms.Inc()
-	}
+	m.met.decomms.Inc()
 	m.gaugesLocked()
 	m.record(telemetry.KindMemberDecommissioned,
 		fmt.Sprintf("member %d incarnation %d removed (epoch %d)", id, mb.Incarnation, m.epoch))

@@ -163,11 +163,9 @@ func New(opts Options) (*System, error) {
 		if sys.sampler, err = rcr.StartSampler(m, sys.reader, sys.bb, 0); err != nil {
 			return fail(err)
 		}
-		sys.sampler.Instrument(sys.reg) // no-op when reg is nil
+		sys.sampler.Instrument(sys.reg)
 	}
-	if sys.reg != nil {
-		sys.bb.Instrument(sys.reg)
-	}
+	sys.bb.Instrument(sys.reg)
 	qcfg := opts.Qthreads
 	if qcfg.SpawnCost == 0 && qcfg.DequeueCost == 0 && qcfg.StealCost == 0 {
 		def := qthreads.DefaultConfig()
@@ -191,7 +189,7 @@ func New(opts Options) (*System, error) {
 		if sys.cap, err = maestro.StartPowerCap(sys.rt, sys.bb, opts.PowerCap, 0); err != nil {
 			return fail(err)
 		}
-		sys.cap.Instrument(sys.reg) // no-op when reg is nil
+		sys.cap.Instrument(sys.reg)
 	}
 	if opts.RecordHistory {
 		if sys.history, err = rcr.StartHistory(m, sys.bb, 0, 0); err != nil {

@@ -80,9 +80,8 @@ type Lab struct {
 	// Parallel bounds how many experiment cells (independent simulated
 	// runs) execute concurrently: each cell gets its own machine, so
 	// tables, figures and ablations fan out without affecting results.
-	// Zero means GOMAXPROCS; 1 disables parallelism and restores the
-	// strictly serial execution (including fail-fast on the first cell
-	// error) the Lab has always had.
+	// Zero means GOMAXPROCS. With 1 the cells run one at a time in
+	// index order, and none starts after the first cell error.
 	Parallel int
 	// Telemetry, when non-nil, instruments every cell's stack (sampler,
 	// blackboard, runtime, daemon/cap) and receives one RunTelemetry per

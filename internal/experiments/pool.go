@@ -7,9 +7,7 @@ import (
 )
 
 // workers resolves the Lab's parallelism: Parallel when positive,
-// GOMAXPROCS when zero. A result of 1 selects the serial path, so a
-// single-CPU host (or Parallel = 1) behaves exactly as the serial Lab
-// always has.
+// GOMAXPROCS when zero.
 func (lab *Lab) workers() int {
 	n := lab.Parallel
 	if n == 0 {
@@ -25,25 +23,17 @@ func (lab *Lab) workers() int {
 // on a bounded worker pool. Cells must write their results into
 // index-addressed slots so the output order never depends on scheduling.
 //
-// With one worker the cells run in order and the first error returns
-// immediately, exactly like the loops this replaces. With more workers
-// the lowest-index error is returned, so the reported failure is
+// The lowest-index error is returned, so the reported failure is
 // scheduling-independent; cells above the lowest failed index so far are
 // cancelled (skipped before they start) because no error they could
 // produce can win, while every cell below it still runs to completion —
-// a later, lower-index failure must still take precedence.
+// a later, lower-index failure must still take precedence. With one
+// worker the cells therefore run in index order and none starts after
+// the first failure.
 func (lab *Lab) runCells(n int, fn func(i int) error) error {
 	workers := lab.workers()
 	if workers > n {
 		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	errs := make([]error, n)
 	var next atomic.Int64

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,45 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/telemetry"
 )
+
+// TestTelemetryOnlyObserves: instrumenting a cell must not change what
+// it measures. Telemetry on records through live instruments, off
+// through nil ones; either way the run's seconds, joules, daemon and
+// cap statistics agree bit for bit.
+func TestTelemetryOnlyObserves(t *testing.T) {
+	throttled := RunSpec{Workers: FullThreads, SpinOnlyIdle: true, Throttle: ThrottleDynamic}
+	health, lulesh := throttled, throttled
+	health.App, lulesh.App = compiler.AppHealth, compiler.AppLULESH
+	capped := RunSpec{App: compiler.AppHealth, Workers: FullThreads, SpinOnlyIdle: true, PowerCap: 120}
+	for _, spec := range []RunSpec{health, lulesh, capped} {
+		off, err := NewLab().Measure(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab := NewLab()
+		records := 0
+		lab.Telemetry = func(RunTelemetry) { records++ }
+		on, err := lab.Measure(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records != 1 {
+			t.Fatalf("%s: telemetry sink got %d records, want 1", spec.App, records)
+		}
+		if math.Float64bits(on.Seconds) != math.Float64bits(off.Seconds) ||
+			math.Float64bits(on.Joules) != math.Float64bits(off.Joules) {
+			t.Errorf("%s (cap %v): telemetry on %v s / %v J, off %v s / %v J",
+				spec.App, spec.PowerCap, on.Seconds, on.Joules, off.Seconds, off.Joules)
+		}
+		if off.Daemon.Samples+off.Cap.Samples == 0 {
+			t.Errorf("%s (cap %v): no daemon or cap poll ran", spec.App, spec.PowerCap)
+		}
+		if on.Daemon != off.Daemon || on.Cap != off.Cap {
+			t.Errorf("%s (cap %v): telemetry on %+v / %+v, off %+v / %+v",
+				spec.App, spec.PowerCap, on.Daemon, on.Cap, off.Daemon, off.Cap)
+		}
+	}
+}
 
 // TestLabTelemetrySidecar is the acceptance run for the observability
 // layer: one throttled health execution must produce a sidecar record

@@ -174,9 +174,7 @@ func (a *adaptive) reset() {
 	a.coldPolls = 0
 	a.resetWindow()
 	a.driftDwells = 0
-	if a.met != nil {
-		a.met.lockedG.Set(0)
-	}
+	a.met.lockedG.Set(0)
 }
 
 func (a *adaptive) resetWindow() {
@@ -225,10 +223,8 @@ func totals(in PolicyInput) (power, bw, conc float64) {
 // was fitted or a climb was running, start over for the new phase.
 func (a *adaptive) onPhaseChange(in PolicyInput) {
 	a.phaseID++
-	if a.met != nil {
-		a.met.detected.Inc()
-		a.met.phaseG.Set(float64(a.phaseID))
-	}
+	a.met.detected.Inc()
+	a.met.phaseG.Set(float64(a.phaseID))
 	a.record(telemetry.KindPhaseDetected, "change_point", in)
 	switch a.mode {
 	case modeExplore, modeLocked:
@@ -305,9 +301,7 @@ func (a *adaptive) startExplore(in PolicyInput) {
 	a.bestPoint = OperatingPoint{Throttled: true, Limit: a.seedLimit(in), FreqScale: 1}
 	a.seedPt = a.bestPoint
 	a.move(a.bestPoint)
-	if a.met != nil {
-		a.met.lockedG.Set(0)
-	}
+	a.met.lockedG.Set(0)
 }
 
 // move actuates a new candidate point and opens a fresh dwell window.
@@ -319,9 +313,7 @@ func (a *adaptive) move(pt OperatingPoint) {
 	// watches; clear its history so it doesn't mistake us for the
 	// workload.
 	a.det.Reset()
-	if a.met != nil {
-		a.met.steps.Inc()
-	}
+	a.met.steps.Inc()
 }
 
 // windowDone accumulates one poll into the dwell window and reports
@@ -429,10 +421,8 @@ func (a *adaptive) lock(in PolicyInput) {
 	} else {
 		a.resetWindow()
 	}
-	if a.met != nil {
-		a.met.refits.Inc()
-		a.met.lockedG.Set(1)
-	}
+	a.met.refits.Inc()
+	a.met.lockedG.Set(1)
 	a.record(telemetry.KindModelRefit, "converged", in)
 }
 
@@ -508,9 +498,7 @@ func (a *adaptive) released(in PolicyInput) bool {
 	a.mode = modeMonitor
 	a.coldPolls = 0
 	a.move(a.full)
-	if a.met != nil {
-		a.met.lockedG.Set(0)
-	}
+	a.met.lockedG.Set(0)
 	return true
 }
 

@@ -428,9 +428,7 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 	case cfg.StalenessHorizon > 0:
 		d.horizon = cfg.StalenessHorizon
 	}
-	if cfg.Telemetry != nil {
-		d.met = newDaemonMetrics(cfg.Telemetry)
-	}
+	d.met = newDaemonMetrics(cfg.Telemetry)
 	nSock := bb.Sockets()
 	d.power = make([]float64, 0, nSock)
 	d.conc = make([]float64, 0, nSock)
@@ -527,18 +525,14 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 	}
 	d.samples.Add(1)
 	met := d.met
-	if met != nil {
-		met.polls.Inc()
-	}
+	met.polls.Inc()
 	if prev := d.lastSample.Swap(int64(now)); prev != 0 && d.engaged {
 		d.throttledTime.Add(int64(now) - prev)
 	}
 	if now < d.busyUntil {
 		// The control thread is still inside a delayed actuation.
 		d.missedPolls.Add(1)
-		if met != nil {
-			met.missedPolls.Inc()
-		}
+		met.missedPolls.Inc()
 		return
 	}
 	// Per-socket reads are lock-free seqlock loads: the poll never
@@ -552,9 +546,7 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		p, okP := d.bb.Socket(s, rcr.MeterPower)
 		c, okC := d.bb.Socket(s, rcr.MeterMemConcurrency)
 		if !okP || !okC {
-			if met != nil {
-				met.incomplete.Inc()
-			}
+			met.incomplete.Inc()
 			missing = true
 			break
 		}
@@ -591,10 +583,8 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		d.failsafe = false
 		d.failsafeA.Store(false)
 		d.recoveries.Add(1)
-		if met != nil {
-			met.recovered.Inc()
-			met.failsafeG.Set(0)
-		}
+		met.recovered.Inc()
+		met.failsafeG.Set(0)
 		d.recordEvent(now, telemetry.KindRecovered, "fresh", staleness)
 		// This poll's data is fresh; fall through and classify it.
 	}
@@ -622,29 +612,27 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 		d.setDesired(now, d.fullPoint, staleness)
 	}
 	d.reconcile(now)
-	if met != nil {
-		for i := range d.powerLv {
-			met.powerLevel[d.powerLv[i]].Inc()
-			met.concLevel[d.concLv[i]].Inc()
-		}
-		switch outcome {
-		case "hold":
-			met.decHold.Inc()
-		case "enable":
-			met.decEnable.Inc()
-		case "disable":
-			met.decDisable.Inc()
-		}
-		if d.engaged {
-			met.engaged.Set(1)
-		} else {
-			met.engaged.Set(0)
-		}
-		if now > 0 {
-			met.duty.Set(float64(d.throttledTime.Load()) / float64(now))
-		}
-		met.staleness.Observe(float64(staleness))
+	for i := range d.powerLv {
+		met.powerLevel[d.powerLv[i]].Inc()
+		met.concLevel[d.concLv[i]].Inc()
 	}
+	switch outcome {
+	case "hold":
+		met.decHold.Inc()
+	case "enable":
+		met.decEnable.Inc()
+	case "disable":
+		met.decDisable.Inc()
+	}
+	if d.engaged {
+		met.engaged.Set(1)
+	} else {
+		met.engaged.Set(0)
+	}
+	if now > 0 {
+		met.duty.Set(float64(d.throttledTime.Load()) / float64(now))
+	}
+	met.staleness.Observe(float64(staleness))
 	if d.journal != nil {
 		d.journal.Record(telemetry.Decision{
 			T:       now,
@@ -685,17 +673,13 @@ func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time
 		} else {
 			d.deactivations.Add(1)
 		}
-		if d.met != nil {
-			d.met.transitions.Inc()
-		}
+		d.met.transitions.Inc()
 	}
 	if d.adaptive == nil {
 		return
 	}
 	d.opChanges.Add(1)
-	if d.met != nil {
-		d.met.phaseOpChanges.Inc()
-	}
+	d.met.phaseOpChanges.Inc()
 	if d.journal != nil {
 		d.journal.Record(telemetry.Decision{
 			T:         now,
@@ -753,10 +737,8 @@ func (d *Daemon) noteFault(now, staleness time.Duration, missing bool) {
 	d.faultsSeen.Add(1)
 	d.freshPolls = 0
 	met := d.met
-	if met != nil {
-		met.faultDetected.Inc()
-		met.stalePolls.Inc()
-	}
+	met.faultDetected.Inc()
+	met.stalePolls.Inc()
 	detail := "stale"
 	if missing {
 		detail = "missing"
@@ -766,17 +748,13 @@ func (d *Daemon) noteFault(now, staleness time.Duration, missing bool) {
 		d.failsafe = true
 		d.failsafeA.Store(true)
 		d.failsafeEntries.Add(1)
-		if met != nil {
-			met.failsafeEntered.Inc()
-			met.failsafeG.Set(1)
-		}
+		met.failsafeEntered.Inc()
+		met.failsafeG.Set(1)
 		d.desired = d.fullPoint
 		if d.engaged {
 			d.engaged = false
 			d.deactivations.Add(1)
-			if met != nil {
-				met.transitions.Inc()
-			}
+			met.transitions.Inc()
 		}
 		d.cancelPending()
 		d.forceRelease()
@@ -836,15 +814,11 @@ func (d *Daemon) reconcile(now time.Duration) {
 	if h := d.cfg.ActuationHook; h != nil {
 		delay, drop := h(now, engage)
 		if drop {
-			if d.met != nil {
-				d.met.actDropped.Inc()
-			}
+			d.met.actDropped.Inc()
 			return
 		}
 		if delay > 0 {
-			if d.met != nil {
-				d.met.actDelayed.Inc()
-			}
+			d.met.actDelayed.Inc()
 			d.busyUntil = now + delay
 			if id, err := d.rt.Machine().AddTicker(delay, d.firePending); err == nil {
 				d.pendingID = id

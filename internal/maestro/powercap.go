@@ -60,6 +60,7 @@ func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts, pe
 		bb:       bb,
 		maxLimit: rt.Machine().Config().CoresPerSocket,
 	}
+	pc.met.Store(&capMetrics{})
 	pc.capBits.Store(math.Float64bits(float64(cap)))
 	pc.limit = pc.maxLimit
 	pc.minLimit.Store(int64(pc.maxLimit))
@@ -92,9 +93,7 @@ func (pc *PowerCap) SetCap(cap units.Watts) error {
 		return fmt.Errorf("maestro: power cap %v must be positive", cap)
 	}
 	pc.capBits.Store(math.Float64bits(float64(cap)))
-	if met := pc.met.Load(); met != nil {
-		met.capW.Set(float64(cap))
-	}
+	pc.met.Load().capW.Set(float64(cap))
 	return nil
 }
 
@@ -129,16 +128,12 @@ func (pc *PowerCap) Stop() {
 func (pc *PowerCap) poll(_ time.Duration, _ *machine.Snapshot) {
 	pc.samples.Add(1)
 	met := pc.met.Load()
-	if met != nil {
-		met.samples.Inc()
-	}
+	met.samples.Inc()
 	node := 0.0
 	for s := 0; s < pc.bb.Sockets(); s++ {
 		m, ok := pc.bb.Socket(s, rcr.MeterPower)
 		if !ok {
-			if met != nil {
-				met.incomplete.Inc()
-			}
+			met.incomplete.Inc()
 			return // no data yet
 		}
 		node += m.Value
@@ -147,15 +142,11 @@ func (pc *PowerCap) poll(_ time.Duration, _ *machine.Snapshot) {
 	switch {
 	case node > cap:
 		pc.overBudget.Add(1)
-		if met != nil {
-			met.overBudget.Inc()
-		}
+		met.overBudget.Inc()
 		if pc.limit > 1 {
 			pc.limit--
 			pc.tightenings.Add(1)
-			if met != nil {
-				met.tightenings.Inc()
-			}
+			met.tightenings.Inc()
 			if int64(pc.limit) < pc.minLimit.Load() {
 				pc.minLimit.Store(int64(pc.limit))
 			}
@@ -164,16 +155,12 @@ func (pc *PowerCap) poll(_ time.Duration, _ *machine.Snapshot) {
 	case node < cap*(1-capMargin) && pc.limit < pc.maxLimit:
 		pc.limit++
 		pc.relaxations.Add(1)
-		if met != nil {
-			met.relaxations.Inc()
-		}
+		met.relaxations.Inc()
 		if pc.limit >= pc.maxLimit {
 			pc.rt.SetThrottle(false, pc.maxLimit)
 		} else {
 			pc.rt.SetThrottle(true, pc.limit)
 		}
 	}
-	if met != nil {
-		met.limit.Set(float64(pc.limit))
-	}
+	met.limit.Set(float64(pc.limit))
 }

@@ -83,9 +83,6 @@ type adaptiveMetrics struct {
 }
 
 func newAdaptiveMetrics(reg *telemetry.Registry) *adaptiveMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &adaptiveMetrics{
 		detected: reg.Counter("maestro_phase_detected_total"),
 		refits:   reg.Counter("maestro_phase_refits_total"),
@@ -97,6 +94,7 @@ func newAdaptiveMetrics(reg *telemetry.Registry) *adaptiveMetrics {
 
 // capMetrics is the PowerCap controller's instrument set, installed
 // atomically by Instrument so it can be attached after StartPowerCap.
+// StartPowerCap seeds an empty set, so a loaded set is never nil.
 type capMetrics struct {
 	samples     *telemetry.Counter
 	incomplete  *telemetry.Counter
@@ -110,9 +108,6 @@ type capMetrics struct {
 // Instrument registers the controller's counters in reg. Safe to call
 // while the controller is polling.
 func (pc *PowerCap) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	m := &capMetrics{
 		samples:     reg.Counter("maestro_powercap_samples_total"),
 		incomplete:  reg.Counter("maestro_powercap_incomplete_reads_total"),

@@ -123,7 +123,7 @@ type Runtime struct {
 	throttleOn    atomic.Bool
 	throttleLimit atomic.Int32 // active workers allowed per shepherd
 
-	met *qtMetrics // fixed at New; nil when Config.Telemetry is nil
+	met *qtMetrics // fixed at New; its instruments are nil when Config.Telemetry is nil
 
 	runMu sync.Mutex // serializes Run calls
 }
@@ -151,9 +151,7 @@ func New(m *machine.Machine, cfg Config) (*Runtime, error) {
 	rt.throttleLimit.Store(int32(m.Config().CoresPerSocket))
 
 	nShep := m.Config().Sockets
-	if cfg.Telemetry != nil {
-		rt.met = newQTMetrics(cfg.Telemetry, nShep)
-	}
+	rt.met = newQTMetrics(cfg.Telemetry, nShep)
 	rt.shepherds = make([]*shepherd, nShep)
 	for i := range rt.shepherds {
 		rt.shepherds[i] = &shepherd{id: i}

@@ -94,13 +94,12 @@ func (w *worker) acquireSlot() bool {
 			continue // lost the race; retry
 		}
 		w.throttleStops.Add(1)
-		if met := rt.met; met != nil {
-			met.throttleStops.Inc()
-		}
+		met := rt.met
+		met.throttleStops.Inc()
 		w.trace(EvThrottleEnter)
 		entryEpoch := rt.epoch.Load()
 		var parkStart time.Duration
-		if rt.met != nil {
+		if met.throttleParkNS != nil {
 			parkStart = rt.m.Now()
 		}
 		w.ctx.SetDutyLevel(rt.cfg.ThrottleDutyLevel)
@@ -111,7 +110,7 @@ func (w *worker) acquireSlot() bool {
 				w.shepherd.active.Load() < rt.throttleLimit.Load()
 		})
 		w.ctx.FullDuty()
-		if met := rt.met; met != nil {
+		if met.throttleParkNS != nil {
 			// Virtual time parked at 1/32 duty — the mechanism's footprint.
 			parked := uint64(rt.m.Now() - parkStart)
 			met.throttleParkNS.Add(parked)
@@ -134,9 +133,7 @@ func (w *worker) findWork() *taskItem {
 	if t := w.shepherd.pop(); t != nil {
 		rt.queued.Add(-1)
 		w.localPops.Add(1)
-		if met != nil {
-			met.localPops.Inc()
-		}
+		met.localPops.Inc()
 		w.chargeSched(rt.cfg.DequeueCost)
 		return t
 	}
@@ -146,17 +143,13 @@ func (w *worker) findWork() *taskItem {
 		if t := sh.stealFrom(); t != nil {
 			rt.queued.Add(-1)
 			w.steals.Add(1)
-			if met != nil {
-				met.steals.Inc()
-			}
+			met.steals.Inc()
 			w.trace(EvSteal)
 			w.chargeSched(rt.cfg.StealCost)
 			return t
 		}
 		w.stealMisses.Add(1)
-		if met != nil {
-			met.stealMisses.Inc()
-		}
+		met.stealMisses.Inc()
 	}
 	return nil
 }
@@ -174,9 +167,7 @@ func (w *worker) execute(t *taskItem) {
 		w.rt.pending.Add(-1)
 	}
 	w.tasksExecuted.Add(1)
-	if met := w.rt.met; met != nil {
-		met.tasks.Inc()
-	}
+	w.rt.met.tasks.Inc()
 	w.trace(EvTaskEnd)
 }
 

@@ -160,22 +160,20 @@ func NewGuard(reader Reader, cfg GuardConfig) (*Guard, error) {
 	if cfg.StuckAfter == 0 {
 		cfg.StuckAfter = 8
 	}
-	g := &Guard{
+	reg := cfg.Telemetry
+	return &Guard{
 		inner: reader,
 		cfg:   cfg,
 		doms:  make([]guardDomain, reader.Domains()),
-	}
-	if reg := cfg.Telemetry; reg != nil {
-		g.met = &guardMetrics{
+		met: &guardMetrics{
 			faults:      reg.Counter("rapl_guard_faults_total"),
 			implausible: reg.Counter("rapl_guard_implausible_total"),
 			stuck:       reg.Counter("rapl_guard_stuck_total"),
 			quarantines: reg.Counter("rapl_guard_quarantines_total"),
 			recoveries:  reg.Counter("rapl_guard_recoveries_total"),
 			quarantined: reg.Gauge("rapl_guard_quarantined"),
-		}
-	}
-	return g, nil
+		},
+	}, nil
 }
 
 // Domains returns the wrapped reader's domain count.
@@ -225,9 +223,7 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 	e, err := g.inner.Energy(domain)
 	if err != nil {
 		g.faultLocked(d, now)
-		if g.met != nil {
-			g.met.faults.Inc()
-		}
+		g.met.faults.Inc()
 		return 0, err
 	}
 	cur := float64(e)
@@ -238,15 +234,13 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 			// A restored checkpoint (Restore clears the baseline) can put a
 			// faulted domain here: this successful read both seeds the
 			// baseline and completes the recovery transition.
-			if d.state == GuardQuarantined && g.met != nil {
+			if d.state == GuardQuarantined {
 				g.met.quarantined.Add(-1)
 			}
 			d.state = GuardRecovered
 			d.faults = 0
 			d.zeroRuns = 0
-			if g.met != nil {
-				g.met.recoveries.Inc()
-			}
+			g.met.recoveries.Inc()
 		}
 		return units.Joules(d.acc), nil
 	}
@@ -255,16 +249,14 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		// First success after a fault window: resynchronize the baseline
 		// without booking the cross-outage delta (see MSRReader.Energy
 		// for why trusting it risks a phantom counter lap).
-		if d.state == GuardQuarantined && g.met != nil {
+		if d.state == GuardQuarantined {
 			g.met.quarantined.Add(-1)
 		}
 		d.state = GuardRecovered
 		d.faults = 0
 		d.zeroRuns = 0
 		d.last = cur
-		if g.met != nil {
-			g.met.recoveries.Inc()
-		}
+		g.met.recoveries.Inc()
 		return units.Joules(d.acc), nil
 	}
 	if delta < 0 || delta > g.cfg.MaxWindowJoules {
@@ -274,10 +266,8 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		// report the window as faulty.
 		d.last = cur
 		g.faultLocked(d, now)
-		if g.met != nil {
-			g.met.faults.Inc()
-			g.met.implausible.Inc()
-		}
+		g.met.faults.Inc()
+		g.met.implausible.Inc()
 		return 0, &ImplausibleError{Domain: domain, Delta: units.Joules(delta)}
 	}
 	if g.cfg.StuckAfter > 0 && delta == 0 {
@@ -285,10 +275,8 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		if d.zeroRuns >= g.cfg.StuckAfter {
 			// Frozen counter: fresh-looking zero-power windows forever.
 			g.faultLocked(d, now)
-			if g.met != nil {
-				g.met.faults.Inc()
-				g.met.stuck.Inc()
-			}
+			g.met.faults.Inc()
+			g.met.stuck.Inc()
 			return 0, fmt.Errorf("rapl: domain %d counter stuck for %d windows", domain, d.zeroRuns)
 		}
 	} else {
@@ -394,15 +382,13 @@ func (g *Guard) Restore(doms []DomainCheckpoint) {
 			d.retryAt = 0
 		}
 	}
-	if g.met != nil {
-		q := 0
-		for i := range g.doms {
-			if g.doms[i].state == GuardQuarantined {
-				q++
-			}
+	q := 0
+	for i := range g.doms {
+		if g.doms[i].state == GuardQuarantined {
+			q++
 		}
-		g.met.quarantined.Set(float64(q))
 	}
+	g.met.quarantined.Set(float64(q))
 }
 
 // faultLocked advances the state machine on a fault at time now.
@@ -421,10 +407,8 @@ func (g *Guard) faultLocked(d *guardDomain, now time.Duration) {
 			d.state = GuardQuarantined
 			d.backoff = g.cfg.Backoff
 			d.retryAt = now + d.backoff
-			if g.met != nil {
-				g.met.quarantines.Inc()
-				g.met.quarantined.Add(1)
-			}
+			g.met.quarantines.Inc()
+			g.met.quarantined.Add(1)
 		} else {
 			d.state = GuardSuspect
 		}

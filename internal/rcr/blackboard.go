@@ -141,7 +141,8 @@ func (sl *slot) store(bits uint64, upd int64, ver uint64) {
 	sl.seq.Add(1) // even: stable
 }
 
-// bbMetrics counts blackboard traffic; installed by Instrument.
+// bbMetrics counts blackboard traffic; installed by Instrument over the
+// empty set NewBlackboard seeds.
 type bbMetrics struct {
 	writes *telemetry.Counter
 	reads  *telemetry.Counter
@@ -160,6 +161,7 @@ func NewBlackboard(sockets, coresPerSocket int) (*Blackboard, error) {
 	bb.schema.Store(&bbSchema{ids: map[string]int{}})
 	empty := []*slot{}
 	bb.slots.Store(&empty)
+	bb.met.Store(&bbMetrics{})
 	return bb, nil
 }
 
@@ -167,26 +169,15 @@ func NewBlackboard(sockets, coresPerSocket int) (*Blackboard, error) {
 // the traffic rates behind "how hot is the measurement path". Safe to
 // call while samplers and daemons are running.
 func (bb *Blackboard) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	bb.met.Store(&bbMetrics{
 		writes: reg.Counter("rcr_blackboard_writes_total"),
 		reads:  reg.Counter("rcr_blackboard_reads_total"),
 	})
 }
 
-func (bb *Blackboard) countWrite() {
-	if m := bb.met.Load(); m != nil {
-		m.writes.Inc()
-	}
-}
+func (bb *Blackboard) countWrite() { bb.met.Load().writes.Inc() }
 
-func (bb *Blackboard) countRead() {
-	if m := bb.met.Load(); m != nil {
-		m.reads.Inc()
-	}
-}
+func (bb *Blackboard) countRead() { bb.met.Load().reads.Inc() }
 
 // Sockets returns the number of socket domains.
 func (bb *Blackboard) Sockets() int { return bb.nSock }

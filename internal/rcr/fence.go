@@ -366,9 +366,7 @@ func (g *FenceGuard) Offer(w CapWrite) CapAck {
 // g.mu held.
 func (g *FenceGuard) offerLocked(w CapWrite, now time.Duration) CapAck {
 	reject := func(why string) CapAck {
-		if g.rejects != nil {
-			g.rejects.Inc()
-		}
+		g.rejects.Inc()
 		if g.journal != nil {
 			g.journal.Record(telemetry.Decision{T: now, Kind: telemetry.KindFenceRejected,
 				Detail: fmt.Sprintf("fence %d from replica %d rejected (%s): holder %d fence %d", w.Fence, w.Leader, why, g.holder, g.fence)})
@@ -406,9 +404,7 @@ func (g *FenceGuard) offerLocked(w CapWrite, now time.Duration) CapAck {
 			g.applied, g.hasApplied = w.Cap, true
 		}
 	}
-	if g.grants != nil {
-		g.grants.Inc()
-	}
+	g.grants.Inc()
 	g.mirrorLocked()
 	return CapAck{Status: status, Fence: g.fence, Holder: g.holder,
 		Expiry: g.expiry, HasApplied: g.hasApplied, Applied: g.applied}

@@ -18,6 +18,7 @@ const DefaultSamplePeriod = 10 * time.Millisecond
 
 // samplerMetrics is the sampler's instrument set, installed atomically
 // by Instrument so publishing can begin while ticks are in flight.
+// StartSampler seeds an empty set, so a loaded set is never nil.
 type samplerMetrics struct {
 	ticks      *telemetry.Counter
 	readErrors *telemetry.Counter
@@ -115,6 +116,7 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period
 		lastTime:   make([]time.Duration, reader.Domains()),
 		haveBase:   make([]bool, reader.Domains()),
 	}
+	s.met.Store(&samplerMetrics{})
 	// Seed per-domain baselines; a domain whose read fails here starts
 	// publishing power one window later, exactly as before.
 	start := m.Now()
@@ -138,9 +140,6 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period
 // Instrument registers the sampler's tick/error counters and tick
 // latency histogram in reg. Safe to call while sampling is in flight.
 func (s *Sampler) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	s.met.Store(&samplerMetrics{
 		ticks:      reg.Counter("rcr_sampler_ticks_total"),
 		readErrors: reg.Counter("rcr_sampler_read_errors_total"),
@@ -190,25 +189,21 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 	if gates != nil && gates.tick != nil {
 		switch gates.tick(now) {
 		case TickSkip:
-			if met != nil {
-				met.missed.Inc()
-			}
+			met.missed.Inc()
 			return
 		case TickDie:
 			s.dead.Store(true)
 			// Removing our own ticker from inside its callback is legal;
 			// the engine skips the re-arm of a ticker removed mid-fire.
 			s.m.RemoveTicker(s.tickerID)
-			if met != nil {
-				met.deaths.Inc()
-			}
+			met.deaths.Inc()
 			return
 		}
 	}
+	met.ticks.Inc()
 	var t0 time.Time
-	if met != nil {
+	if met.tickNS != nil {
 		t0 = time.Now()
-		met.ticks.Inc()
 	}
 	totalE, totalP := 0.0, 0.0
 	havePower := false
@@ -217,9 +212,7 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 		if err != nil {
 			// Counter read failures are recorded as a stale meter rather
 			// than tearing down the daemon.
-			if met != nil {
-				met.readErrors.Inc()
-			}
+			met.readErrors.Inc()
 			continue
 		}
 		s.putSocket(gates, met, d, MeterEnergy, float64(e), now)
@@ -247,7 +240,7 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 	if p := s.pub.Load(); p != nil {
 		p.Tick(now)
 	}
-	if met != nil {
+	if met.tickNS != nil {
 		met.tickNS.Observe(float64(time.Since(t0)))
 	}
 }
@@ -257,9 +250,7 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 // stamp).
 func (s *Sampler) putSocket(gates *samplerGates, met *samplerMetrics, socket int, meter string, v float64, now time.Duration) {
 	if gates != nil && gates.meter != nil && !gates.meter(now, socket, meter) {
-		if met != nil {
-			met.drops.Inc()
-		}
+		met.drops.Inc()
 		return
 	}
 	s.bb.SetSocket(socket, meter, v, now)

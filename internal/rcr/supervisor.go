@@ -70,14 +70,12 @@ func StartSupervisor(m *machine.Machine, reader rapl.Reader, bb *Blackboard, cfg
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 2 * cfg.CheckPeriod
 	}
-	sup := &Supervisor{m: m, reader: reader, bb: bb, cfg: cfg}
-	if reg := cfg.Telemetry; reg != nil {
-		sup.met = &supervisorMetrics{
-			checks:   reg.Counter("rcr_supervisor_checks_total"),
-			restarts: reg.Counter("rcr_supervisor_restarts_total"),
-			failures: reg.Counter("rcr_supervisor_restart_failures_total"),
-		}
-	}
+	reg := cfg.Telemetry
+	sup := &Supervisor{m: m, reader: reader, bb: bb, cfg: cfg, met: &supervisorMetrics{
+		checks:   reg.Counter("rcr_supervisor_checks_total"),
+		restarts: reg.Counter("rcr_supervisor_restarts_total"),
+		failures: reg.Counter("rcr_supervisor_restart_failures_total"),
+	}}
 	s, err := StartSampler(m, reader, bb, cfg.SamplePeriod)
 	if err != nil {
 		return nil, err
@@ -138,9 +136,7 @@ func (sup *Supervisor) Stop() {
 // block, charge or Stop): a sampler that reports dead, or whose heartbeat
 // has not moved for StaleAfter, is replaced.
 func (sup *Supervisor) check(now time.Duration, _ *machine.Snapshot) {
-	if sup.met != nil {
-		sup.met.checks.Inc()
-	}
+	sup.met.checks.Inc()
 	sup.mu.Lock()
 	defer sup.mu.Unlock()
 	if sup.stopped {
@@ -165,9 +161,7 @@ func (sup *Supervisor) check(now time.Duration, _ *machine.Snapshot) {
 	if err != nil {
 		// Retry at the next check; the dead sampler stays in place so
 		// accessors keep working.
-		if sup.met != nil {
-			sup.met.failures.Inc()
-		}
+		sup.met.failures.Inc()
 		return
 	}
 	s.Instrument(sup.cfg.Telemetry)
@@ -177,7 +171,5 @@ func (sup *Supervisor) check(now time.Duration, _ *machine.Snapshot) {
 	}
 	sup.sampler = s
 	sup.restarts.Add(1)
-	if sup.met != nil {
-		sup.met.restarts.Inc()
-	}
+	sup.met.restarts.Inc()
 }

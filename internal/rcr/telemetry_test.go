@@ -382,6 +382,7 @@ func benchSampler(tb testing.TB, sockets int) (*Sampler, *machine.Snapshot) {
 		lastTime:   make([]time.Duration, sockets),
 		haveBase:   make([]bool, sockets),
 	}
+	s.met.Store(&samplerMetrics{}) // as StartSampler seeds it
 	snap := &machine.Snapshot{Sockets: make([]machine.SocketSnapshot, sockets)}
 	for i := range snap.Sockets {
 		snap.Sockets[i] = machine.SocketSnapshot{Temperature: 55, OutstandingRefs: 12, Bandwidth: 2e10}

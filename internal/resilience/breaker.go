@@ -89,12 +89,12 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	if cfg.OpenForMax <= 0 {
 		cfg.OpenForMax = 8 * cfg.OpenFor
 	}
-	b := &Breaker{cfg: cfg, cooldown: cfg.OpenFor}
-	if reg := cfg.Telemetry; reg != nil {
-		b.trips = reg.Counter("resilience_breaker_trips_total")
-		b.gauge = reg.Gauge("resilience_breaker_state")
-	}
-	return b, nil
+	return &Breaker{
+		cfg:      cfg,
+		cooldown: cfg.OpenFor,
+		trips:    cfg.Telemetry.Counter("resilience_breaker_trips_total"),
+		gauge:    cfg.Telemetry.Gauge("resilience_breaker_state"),
+	}, nil
 }
 
 // State returns the breaker's current position, advancing an expired
@@ -176,17 +176,13 @@ func (b *Breaker) advanceLocked(now time.Duration) {
 func (b *Breaker) openLocked(now time.Duration, why string) {
 	b.openUntil = now + b.cooldown
 	b.transitionLocked(now, BreakerOpen, why)
-	if b.trips != nil {
-		b.trips.Inc()
-	}
+	b.trips.Inc()
 }
 
 // transitionLocked performs a state change and journals it.
 func (b *Breaker) transitionLocked(now time.Duration, to BreakerState, why string) {
 	b.state = to
-	if b.gauge != nil {
-		b.gauge.Set(float64(to))
-	}
+	b.gauge.Set(float64(to))
 	kind := telemetry.KindBreakerClosed
 	switch to {
 	case BreakerOpen:

@@ -150,21 +150,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	cfg.Addrs = append([]string(nil), cfg.Addrs...)
-	c := &Client{cfg: cfg, breaker: br}
-	if reg := cfg.Telemetry; reg != nil {
-		c.met = &clientMetrics{
-			queries:    reg.Counter("resilience_client_queries_total"),
-			retries:    reg.Counter("resilience_client_retries_total"),
-			failovers:  reg.Counter("resilience_client_failovers_total"),
-			cacheHits:  reg.Counter("resilience_client_cache_served_total"),
-			staleErrs:  reg.Counter("resilience_client_stale_errors_total"),
-			rejected:   reg.Counter("resilience_client_breaker_rejects_total"),
-			subFrames:  reg.Counter("resilience_client_sub_frames_total"),
-			resubs:     reg.Counter("resilience_client_resubscribes_total"),
-			gapResyncs: reg.Counter("resilience_client_gap_resyncs_total"),
-		}
-	}
-	return c, nil
+	reg := cfg.Telemetry
+	return &Client{cfg: cfg, breaker: br, met: &clientMetrics{
+		queries:    reg.Counter("resilience_client_queries_total"),
+		retries:    reg.Counter("resilience_client_retries_total"),
+		failovers:  reg.Counter("resilience_client_failovers_total"),
+		cacheHits:  reg.Counter("resilience_client_cache_served_total"),
+		staleErrs:  reg.Counter("resilience_client_stale_errors_total"),
+		rejected:   reg.Counter("resilience_client_breaker_rejects_total"),
+		subFrames:  reg.Counter("resilience_client_sub_frames_total"),
+		resubs:     reg.Counter("resilience_client_resubscribes_total"),
+		gapResyncs: reg.Counter("resilience_client_gap_resyncs_total"),
+	}}, nil
 }
 
 // Breaker exposes the client's circuit breaker for inspection.
@@ -176,22 +173,16 @@ func (c *Client) Breaker() *Breaker { return c.breaker }
 // returned error wraps both the decision (ErrBreakerOpen / ErrStaleCache)
 // and the last transport failure, so errors.Is works on either.
 func (c *Client) Query(ctx context.Context) (rcr.Snapshot, error) {
-	if c.met != nil {
-		c.met.queries.Inc()
-	}
+	c.met.queries.Inc()
 	if err := c.breaker.Allow(); err != nil {
-		if c.met != nil {
-			c.met.rejected.Inc()
-		}
+		c.met.rejected.Inc()
 		return c.fromCache(err)
 	}
 	var lastErr error
 sweeps:
 	for sweep := 0; sweep < c.cfg.Attempts; sweep++ {
 		if sweep > 0 {
-			if c.met != nil {
-				c.met.retries.Inc()
-			}
+			c.met.retries.Inc()
 			c.cfg.Sleep(c.cfg.Backoff.Delay(sweep - 1))
 		}
 		for i, addr := range c.cfg.Addrs {
@@ -201,7 +192,7 @@ sweeps:
 			}
 			snap, err := c.cfg.Query(ctx, c.cfg.Network, addr)
 			if err == nil {
-				if i > 0 && c.met != nil {
+				if i > 0 {
 					c.met.failovers.Inc()
 				}
 				c.breaker.Success()
@@ -239,14 +230,10 @@ func (c *Client) fromCache(cause error) (rcr.Snapshot, error) {
 	snap, at, have := c.cache, c.cacheAt, c.haveCache
 	c.cacheMu.Unlock()
 	if have && c.cfg.StalenessHorizon >= 0 && now-at <= c.cfg.StalenessHorizon {
-		if c.met != nil {
-			c.met.cacheHits.Inc()
-		}
+		c.met.cacheHits.Inc()
 		return snap, nil
 	}
-	if c.met != nil {
-		c.met.staleErrs.Inc()
-	}
+	c.met.staleErrs.Inc()
 	if cause == nil {
 		return rcr.Snapshot{}, ErrStaleCache
 	}
@@ -283,9 +270,7 @@ func (c *Client) Subscribe(ctx context.Context) error {
 		}
 		streak = 0
 		if hadStream {
-			if c.met != nil {
-				c.met.resubs.Inc()
-			}
+			c.met.resubs.Inc()
 		}
 		hadStream = true
 		inGap := false // a delta-gap episode is in progress (journaled once)
@@ -299,9 +284,7 @@ func (c *Client) Subscribe(ctx context.Context) error {
 					// once so the record matches resync frames 1:1.
 					if !inGap {
 						inGap = true
-						if c.met != nil {
-							c.met.gapResyncs.Inc()
-						}
+						c.met.gapResyncs.Inc()
 						c.journalSub(telemetry.KindSubGapResync, addr)
 					}
 					continue
@@ -313,9 +296,7 @@ func (c *Client) Subscribe(ctx context.Context) error {
 				down = false
 				c.journalSub(telemetry.KindSubResumed, addr)
 			}
-			if c.met != nil {
-				c.met.subFrames.Inc()
-			}
+			c.met.subFrames.Inc()
 			c.store(stream.Snapshot())
 		}
 		stream.Close()

@@ -79,10 +79,8 @@ func StartKeeper(m *machine.Machine, path string, period time.Duration, capture 
 		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	if reg != nil {
-		k.saves = reg.Counter("resilience_keeper_saves_total")
-		k.errsCt = reg.Counter("resilience_keeper_errors_total")
+		saves:   reg.Counter("resilience_keeper_saves_total"),
+		errsCt:  reg.Counter("resilience_keeper_errors_total"),
 	}
 	go k.run()
 	id, err := m.AddTicker(period, func(time.Duration, *machine.Snapshot) {
