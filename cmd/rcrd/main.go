@@ -63,7 +63,6 @@ type serveConfig struct {
 	statePath    string
 	drainTimeout time.Duration
 	maxConns     int
-	shed         bool
 }
 
 func main() {
@@ -78,7 +77,6 @@ func main() {
 		state      = flag.String("state", "", "crash-safe state file: restored on start (if fresh), checkpointed while serving, written on shutdown")
 		drainTO    = flag.Duration("drain-timeout", time.Second, "how long shutdown lets in-flight queries finish before cutting them off")
 		maxConns   = flag.Int("max-conns", 0, "cap on concurrently served connections (0 = server default)")
-		shed       = flag.Bool("shed", true, "answer overload with a cheap BUSY response instead of queueing clients")
 		clusterN   = flag.Int("cluster", 0, "run an N-shard fleet under a hierarchical global power cap instead of a single daemon")
 		globalCap  = flag.Float64("global-cap", 0, "fleet-wide power budget in watts (cluster mode; 0 = 50 W per shard)")
 		clusterDir = flag.String("cluster-dir", "", "directory for the fleet's shard sockets (cluster mode; empty = a temp dir)")
@@ -152,7 +150,6 @@ func main() {
 		statePath:    *state,
 		drainTimeout: *drainTO,
 		maxConns:     *maxConns,
-		shed:         *shed,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "rcrd:", err)
 		os.Exit(1)
@@ -287,13 +284,11 @@ func serve(cfg serveConfig) error {
 	if err := os.Remove(cfg.socket); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	// A long-lived daemon runs fault-tolerant: guarded RAPL reads and a
-	// supervised sampler (docs/robustness.md). With a state file it also
-	// records history, so restarts resume the time series.
+	// With a state file the daemon also records history, so restarts
+	// resume the time series.
 	sys, err := core.New(core.Options{
 		Warm:          true,
 		Telemetry:     true,
-		FaultTolerant: true,
 		RecordHistory: cfg.statePath != "",
 	})
 	if err != nil {
@@ -320,11 +315,10 @@ func serve(cfg serveConfig) error {
 	}
 	srv := rcr.NewServer(sys.Blackboard(), sys.Machine(), ln)
 	srv.MaxConns = cfg.maxConns
-	srv.Shed = cfg.shed
 	srv.DrainTimeout = cfg.drainTimeout
 	srv.Instrument(sys.Telemetry())
 	// Delta publisher: SUB clients get coalesced frames on the sampler
-	// tick cadence; the attachment survives supervised sampler restarts.
+	// tick cadence; the attachment survives sampler restarts.
 	srv.Pub = rcr.NewPublisher(sys.Blackboard())
 	srv.Pub.Instrument(sys.Telemetry())
 	sys.AttachPublisher(srv.Pub)

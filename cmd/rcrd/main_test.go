@@ -85,7 +85,7 @@ func TestServeAndQuery(t *testing.T) {
 // with a pristine guard. Each outcome must land in the journal.
 func TestRestoreStateOutcomes(t *testing.T) {
 	newSys := func() *core.System {
-		sys, err := core.New(core.Options{Telemetry: true, FaultTolerant: true, RecordHistory: true})
+		sys, err := core.New(core.Options{Telemetry: true, RecordHistory: true})
 		if err != nil {
 			t.Fatal(err)
 		}

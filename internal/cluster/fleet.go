@@ -223,7 +223,6 @@ func (f *Fleet) Close() {
 		sh.srv = nil
 		sh.sys.Close()
 	}
-	f.shards = nil
 	if f.ownDir && f.dir != "" {
 		os.RemoveAll(f.dir)
 		f.dir = ""

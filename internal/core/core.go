@@ -2,7 +2,9 @@
 // stack of the paper's system — simulated Sandybridge node (or any
 // machine.Config), RAPL energy counters, the RCR measurement daemon, the
 // Qthreads-style task runtime, and optionally the MAESTRO adaptive
-// concurrency-throttling daemon — behind one System type.
+// concurrency-throttling daemon — behind one System type. Every System
+// is the hardened node rcrd serves: RAPL reads go through a rapl.Guard
+// and the sampler restarts itself when it dies or wedges.
 //
 // Typical use:
 //
@@ -47,16 +49,9 @@ type Options struct {
 	Machine machine.Config
 	// Workers is the task-runtime worker count; zero means all cores.
 	Workers int
-	// Qthreads tunes the runtime beyond the worker count; zero values
-	// take the runtime defaults. Workers above overrides Qthreads.Workers.
+	// Qthreads tunes the runtime beyond the worker count. Workers above
+	// overrides Qthreads.Workers.
 	Qthreads qthreads.Config
-	// FaultTolerant hardens the measurement path (docs/robustness.md):
-	// the RAPL reader is wrapped in a rapl.Guard (per-domain retry,
-	// bounded-backoff quarantine, plausibility clamp), and the sampler
-	// runs under an rcr.Supervisor that restarts it if it dies or wedges.
-	// The MAESTRO staleness watchdog is always on regardless (it defaults
-	// to 3× the poll period); this option adds the sensing-side armor.
-	FaultTolerant bool
 	// AdaptiveThrottling starts the MAESTRO daemon (paper §IV).
 	AdaptiveThrottling bool
 	// Maestro tunes the daemon when AdaptiveThrottling is set.
@@ -88,11 +83,9 @@ type Options struct {
 // time.
 type System struct {
 	m       *machine.Machine
-	reader  rapl.Reader
 	guard   *rapl.Guard
 	bb      *rcr.Blackboard
 	sampler *rcr.Sampler
-	sup     *rcr.Supervisor
 	rt      *qthreads.Runtime
 	daemon  *maestro.Daemon
 	cap     *maestro.PowerCap
@@ -141,36 +134,20 @@ func New(opts Options) (*System, error) {
 	if err != nil {
 		return fail(err)
 	}
-	sys.reader = msrReader
-	if opts.FaultTolerant {
-		// The sampler calls the guard with the machine lock released, so
-		// virtual time is a safe backoff clock here.
-		if sys.guard, err = rapl.NewGuard(msrReader, rapl.GuardConfig{Clock: m.Now, Telemetry: sys.reg}); err != nil {
-			return fail(err)
-		}
-		sys.reader = sys.guard
+	// The sampler calls the guard with the machine lock released, so
+	// virtual time is a safe backoff clock here.
+	if sys.guard, err = rapl.NewGuard(msrReader, rapl.GuardConfig{Clock: m.Now, Telemetry: sys.reg}); err != nil {
+		return fail(err)
 	}
 	if sys.bb, err = rcr.NewBlackboard(mcfg.Sockets, mcfg.CoresPerSocket); err != nil {
 		return fail(err)
 	}
-	if opts.FaultTolerant {
-		if sys.sup, err = rcr.StartSupervisor(m, sys.reader, sys.bb, rcr.SupervisorConfig{
-			Telemetry: sys.reg,
-		}); err != nil {
-			return fail(err)
-		}
-	} else {
-		if sys.sampler, err = rcr.StartSampler(m, sys.reader, sys.bb, 0); err != nil {
-			return fail(err)
-		}
-		sys.sampler.Instrument(sys.reg)
+	if sys.sampler, err = rcr.StartSampler(m, sys.guard, sys.bb, 0); err != nil {
+		return fail(err)
 	}
+	sys.sampler.Instrument(sys.reg)
 	sys.bb.Instrument(sys.reg)
 	qcfg := opts.Qthreads
-	if qcfg.SpawnCost == 0 && qcfg.DequeueCost == 0 && qcfg.StealCost == 0 {
-		def := qthreads.DefaultConfig()
-		qcfg.SpawnCost, qcfg.DequeueCost, qcfg.StealCost = def.SpawnCost, def.DequeueCost, def.StealCost
-	}
 	if opts.Workers != 0 {
 		qcfg.Workers = opts.Workers
 	}
@@ -208,13 +185,9 @@ func (s *System) Runtime() *qthreads.Runtime { return s.rt }
 // Blackboard returns the RCR measurement blackboard.
 func (s *System) Blackboard() *rcr.Blackboard { return s.bb }
 
-// Guard returns the RAPL fault-containment wrapper, or nil when
-// FaultTolerant was not set.
+// Guard returns the RAPL fault-containment wrapper every measurement
+// reads through.
 func (s *System) Guard() *rapl.Guard { return s.guard }
-
-// Supervisor returns the sampler supervisor, or nil when FaultTolerant
-// was not set.
-func (s *System) Supervisor() *rcr.Supervisor { return s.sup }
 
 // Throttling reports whether adaptive throttling is installed and its
 // statistics so far.
@@ -244,18 +217,9 @@ func (s *System) Capping() (maestro.CapStats, bool) {
 func (s *System) History() *rcr.History { return s.history }
 
 // AttachPublisher wires a delta publisher into the sampling path so
-// every sampler tick also fans frames out to subscribers. Under
-// FaultTolerant the attachment goes through the supervisor and survives
-// sampler restarts.
-func (s *System) AttachPublisher(p *rcr.Publisher) {
-	if s.sup != nil {
-		s.sup.AttachPublisher(p)
-		return
-	}
-	if s.sampler != nil {
-		s.sampler.AttachPublisher(p)
-	}
-}
+// every sampler tick also fans frames out to subscribers. The attachment
+// survives sampler restarts.
+func (s *System) AttachPublisher(p *rcr.Publisher) { s.sampler.AttachPublisher(p) }
 
 // Telemetry returns the stack-wide metrics registry, or nil when
 // Options.Telemetry was not set.
@@ -271,10 +235,7 @@ func (s *System) Journal() *telemetry.Journal { return s.journal }
 // the RAPL guard's fail-safe machine and the recorded history timeline.
 // The keeper stamps the wall-clock save instant itself.
 func (s *System) Checkpoint() resilience.DaemonState {
-	st := resilience.DaemonState{VirtualNow: s.m.Now()}
-	if s.guard != nil {
-		st.Guard = s.guard.Checkpoint()
-	}
+	st := resilience.DaemonState{VirtualNow: s.m.Now(), Guard: s.guard.Checkpoint()}
 	if s.history != nil {
 		st.History = s.history.Points()
 	}
@@ -283,12 +244,12 @@ func (s *System) Checkpoint() resilience.DaemonState {
 
 // RestoreCheckpoint installs a previously saved daemon state: quarantined
 // RAPL domains stay quarantined (a restart is not evidence the hardware
-// healed) and the history ring resumes its timeline. Components the
-// system was built without (no guard, no history) silently skip their
-// part, so a state file from a differently-configured run degrades
-// instead of failing.
+// healed) and the history ring resumes its timeline. A system built
+// without history, or a state without a part, skips that part, so a
+// state file from a differently-configured run degrades instead of
+// failing.
 func (s *System) RestoreCheckpoint(st resilience.DaemonState) {
-	if s.guard != nil && len(st.Guard) > 0 {
+	if len(st.Guard) > 0 {
 		s.guard.Restore(st.Guard)
 	}
 	if s.history != nil && len(st.History) > 0 {
@@ -310,7 +271,7 @@ func (s *System) RunWorkload(wl workloads.Workload) (rcr.RegionReport, error) {
 	if s.closed {
 		return rcr.RegionReport{}, errors.New("core: system is closed")
 	}
-	rep, end, err := workloads.RunOnRuntimeHeld(s.rt, s.reader, s.bb, wl, s.release)
+	rep, end, err := workloads.RunOnRuntimeHeld(s.rt, s.guard, s.bb, wl, s.release)
 	s.release = end
 	return rep, err
 }
@@ -389,9 +350,6 @@ func (s *System) Close() {
 	}
 	if s.rt != nil {
 		s.rt.Shutdown()
-	}
-	if s.sup != nil {
-		s.sup.Stop()
 	}
 	if s.sampler != nil {
 		s.sampler.Stop()

@@ -275,14 +275,11 @@ func TestTelemetryOffByDefault(t *testing.T) {
 	}
 }
 
-func TestFaultTolerantOption(t *testing.T) {
-	sys := newSystem(t, Options{FaultTolerant: true, Telemetry: true})
-	if sys.Guard() == nil || sys.Supervisor() == nil {
-		t.Fatal("FaultTolerant system missing guard or supervisor")
-	}
-	if sys.reader != sys.Guard() {
-		t.Error("system does not measure through the guard")
-	}
+// TestSystemMeasuresThroughGuard: every System measures through a RAPL
+// guard, instrumented into the shared registry, and its self-restarting
+// sampler leaves a healthy run alone.
+func TestSystemMeasuresThroughGuard(t *testing.T) {
+	sys := newSystem(t, Options{Telemetry: true})
 	rep, err := sys.Run("kernel", func(tc *qthreads.TC) {
 		tc.ParallelFor(320, 20, func(tc *qthreads.TC, lo, hi int) {
 			tc.Compute(float64(hi-lo) * 1e6)
@@ -297,8 +294,8 @@ func TestFaultTolerantOption(t *testing.T) {
 	if got := sys.Guard().Quarantined(); got != 0 {
 		t.Errorf("%d domains quarantined on a healthy run", got)
 	}
-	if sys.Supervisor().Restarts() != 0 {
-		t.Error("supervisor restarted a healthy sampler")
+	if sys.sampler.Restarts() != 0 {
+		t.Error("the sampler's watchdog restarted a healthy sampler")
 	}
 	// The guard's instruments are in the shared registry.
 	found := false
@@ -312,23 +309,11 @@ func TestFaultTolerantOption(t *testing.T) {
 	}
 }
 
-func TestFaultTolerantOffByDefault(t *testing.T) {
-	sys := newSystem(t, Options{})
-	if sys.Guard() != nil || sys.Supervisor() != nil {
-		t.Error("zero-value options grew a guard or supervisor")
-	}
-}
-
-// TestQthreadsOptionsSurviveDefaultCosts: leaving the scheduler costs at
-// zero fills in the default costs and nothing else — a tracer, idle-spin
-// period and throttle duty level the caller set reach the runtime.
+// TestQthreadsOptionsSurviveDefaultCosts: the runtime options the caller
+// sets, a tracer here, reach the runtime.
 func TestQthreadsOptionsSurviveDefaultCosts(t *testing.T) {
 	rec := qthreads.NewRecorder(0)
-	sys := newSystem(t, Options{Workers: 4, Qthreads: qthreads.Config{
-		Tracer:            rec,
-		IdleSpinPeriod:    time.Millisecond,
-		ThrottleDutyLevel: 4,
-	}})
+	sys := newSystem(t, Options{Workers: 4, Qthreads: qthreads.Config{Tracer: rec}})
 	if _, err := sys.Run("tasks", func(tc *qthreads.TC) {
 		tc.ParallelFor(64, 4, func(tc *qthreads.TC, lo, hi int) { tc.Compute(1e5) })
 	}); err != nil {
@@ -336,13 +321,6 @@ func TestQthreadsOptionsSurviveDefaultCosts(t *testing.T) {
 	}
 	if rec.Counts()[qthreads.EvTaskStart] == 0 {
 		t.Error("the tracer recorded no task: Options.Qthreads.Tracer was dropped")
-	}
-	got, def := sys.Runtime().Config(), qthreads.DefaultConfig()
-	if got.IdleSpinPeriod != time.Millisecond || got.ThrottleDutyLevel != 4 {
-		t.Errorf("idle spin %v, duty level %d: want the caller's 1ms and 4", got.IdleSpinPeriod, got.ThrottleDutyLevel)
-	}
-	if got.SpawnCost != def.SpawnCost || got.DequeueCost != def.DequeueCost || got.StealCost != def.StealCost {
-		t.Errorf("costs %v/%v/%v, want the defaults", got.SpawnCost, got.DequeueCost, got.StealCost)
 	}
 }
 

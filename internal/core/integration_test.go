@@ -24,9 +24,7 @@ func TestFullStackIntegration(t *testing.T) {
 	mcfg.VirtualTimeLimit = 30 * time.Minute
 
 	rec := qthreads.NewRecorder(0)
-	qcfg := qthreads.DefaultConfig()
-	qcfg.SpinOnlyIdle = true
-	qcfg.Tracer = rec
+	qcfg := qthreads.Config{SpinOnlyIdle: true, Tracer: rec}
 
 	sys, err := New(Options{
 		Machine:            mcfg,

@@ -30,10 +30,7 @@ func measureCompactDijkstra(t *testing.T, scale float64) float64 {
 	if err := wl.Prepare(workloads.Params{MachineConfig: mcfg, Scale: scale}); err != nil {
 		t.Fatal(err)
 	}
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = 8
-	qcfg.Pinning = qthreads.Compact
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 8, Pinning: qthreads.Compact})
 	if err != nil {
 		t.Fatal(err)
 	}

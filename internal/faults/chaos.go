@@ -168,22 +168,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 	bb.Instrument(reg)
-	sup, err := rcr.StartSupervisor(m, guard, bb, rcr.SupervisorConfig{
-		SamplePeriod: samplePeriod,
-		CheckPeriod:  3 * samplePeriod,
-		StaleAfter:   6 * samplePeriod,
-		Telemetry:    reg,
-	})
+	sampler, err := rcr.StartSampler(m, guard, bb, samplePeriod)
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
-	sup.SetFaultGates(inj.SamplerTick(), inj.MeterGate())
+	defer sampler.Stop()
+	sampler.Instrument(reg)
+	sampler.SetFaultGates(inj.SamplerTick(), inj.MeterGate())
 
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = mcfg.Cores()
-	qcfg.Telemetry = reg
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: mcfg.Cores(), Telemetry: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -257,15 +250,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if daemon.Failsafe() {
 		rep.violate("daemon still in fail-safe at end of run (clear was t=%v)", rep.ClearTime)
 	}
-	if !sup.Sampler().Alive() {
-		rep.violate("sampler dead at end of run despite supervisor")
+	if !sampler.Alive() {
+		rep.violate("sampler dead at end of run despite its watchdog")
 	}
 	if q := guard.Quarantined(); q != 0 {
 		rep.violate("%d RAPL domain(s) still quarantined at end of run", q)
 	}
 
 	rep.Daemon = daemon.Stats()
-	rep.SamplerRestarts = sup.Restarts()
+	rep.SamplerRestarts = sampler.Restarts()
 	rep.Quarantines = reg.Counter("rapl_guard_quarantines_total").Value()
 	rep.GuardRecoveries = reg.Counter("rapl_guard_recoveries_total").Value()
 	for k := Kind(0); k < NumKinds; k++ {
@@ -304,7 +297,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Teardown before the physics audit: the step trace must be
 	// complete and the engine stopped before final state is read.
 	daemon.Stop()
-	sup.Stop()
+	sampler.Stop()
 	rt.Shutdown()
 	watchdog.Stop()
 	m.Stop()

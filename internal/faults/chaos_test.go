@@ -89,7 +89,7 @@ func TestChaosCorpus(t *testing.T) {
 		t.Error("no run ever entered fail-safe: the corpus never exercised the watchdog")
 	}
 	if restarts == 0 {
-		t.Error("no run ever restarted the sampler: the corpus never exercised the supervisor")
+		t.Error("no run ever restarted the sampler: the corpus never exercised the sampler watchdog")
 	}
 	if quarantines == 0 {
 		t.Error("no run ever quarantined a domain: the corpus never exercised the guard")

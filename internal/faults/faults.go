@@ -35,7 +35,7 @@ const (
 	// meters age in place.
 	SamplerStall
 	// SamplerCrash kills the sampler outright (the rcrd process dying);
-	// only a supervisor restart resumes measurement.
+	// only the sampler watchdog's restart resumes measurement.
 	SamplerCrash
 	// MeterDrop suppresses individual socket-meter publishes, tearing
 	// blackboard rows (some meters of a socket update, others go stale).

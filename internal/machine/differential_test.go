@@ -158,3 +158,22 @@ func FuzzDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestDifferentialSameInstantTickers plays the one tie the seeded corpus
+// never produces: A (30 ms), B (10 ms) and C (30 ms) are all due at
+// 30 ms, after B's earlier fires have moved it around the engine's heap.
+// Both engines must fire them in registration order.
+func TestDifferentialSameInstantTickers(t *testing.T) {
+	sc := refmodel.Scenario{Cfg: machine.M620(), TickerSlots: 3}
+	sc.Cfg.MaxStep = time.Millisecond
+	add := func(slot int, period time.Duration) refmodel.GlobalOp {
+		return refmodel.GlobalOp{Kind: refmodel.GlobalAddTicker, Ticker: slot, Period: period}
+	}
+	sc.Phases = []refmodel.Phase{{
+		Ops:   []refmodel.GlobalOp{add(0, 30*time.Millisecond), add(1, 10*time.Millisecond), add(2, 30*time.Millisecond)},
+		Sleep: 35 * time.Millisecond,
+	}}
+	if err := refmodel.Differential(sc); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -189,7 +189,9 @@ func (m *Machine) dlSwap(i, j int) {
 }
 
 // Ticker heap: a min-heap over registered tickers keyed by their next
-// virtual-time deadline. tk.heapIdx tracks position for RemoveTicker.
+// virtual-time deadline, ties broken by registration id so same-instant
+// tickers fire in the order they were added (docs/engine.md §Tickers).
+// tk.heapIdx tracks position for RemoveTicker.
 
 func (m *Machine) tkPushLocked(tk *ticker) {
 	tk.heapIdx = len(m.tickerHeap)
@@ -218,7 +220,7 @@ func (m *Machine) tkFixLocked(i int) { m.tkDown(i); m.tkUp(i) }
 func (m *Machine) tkUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if m.tickerHeap[p].next <= m.tickerHeap[i].next {
+		if !m.tkLess(i, p) {
 			break
 		}
 		m.tkSwap(p, i)
@@ -230,10 +232,10 @@ func (m *Machine) tkDown(i int) {
 	n := len(m.tickerHeap)
 	for {
 		l, r, min := 2*i+1, 2*i+2, i
-		if l < n && m.tickerHeap[l].next < m.tickerHeap[min].next {
+		if l < n && m.tkLess(l, min) {
 			min = l
 		}
-		if r < n && m.tickerHeap[r].next < m.tickerHeap[min].next {
+		if r < n && m.tkLess(r, min) {
 			min = r
 		}
 		if min == i {
@@ -242,6 +244,11 @@ func (m *Machine) tkDown(i int) {
 		m.tkSwap(min, i)
 		i = min
 	}
+}
+
+func (m *Machine) tkLess(i, j int) bool {
+	a, b := m.tickerHeap[i], m.tickerHeap[j]
+	return a.next < b.next || a.next == b.next && a.id < b.id
 }
 
 func (m *Machine) tkSwap(i, j int) {

@@ -164,6 +164,7 @@ type wakeMsg struct {
 
 // ticker is a registered periodic callback in virtual time.
 type ticker struct {
+	id     int // AddTicker's registration number: the same-instant order
 	period time.Duration
 	next   time.Duration
 	fn     TickerFunc
@@ -476,7 +477,7 @@ func (m *Machine) AddTicker(period time.Duration, fn TickerFunc) (int, error) {
 	defer m.mu.Unlock()
 	id := m.nextTickerID
 	m.nextTickerID++
-	tk := &ticker{period: period, next: m.now + period, fn: fn}
+	tk := &ticker{id: id, period: period, next: m.now + period, fn: fn}
 	m.tickers[id] = tk
 	m.tkPushLocked(tk)
 	// A clock that stopped with nothing to plan has a deadline now. A

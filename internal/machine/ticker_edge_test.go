@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,14 +119,39 @@ func TestRemoveTickerFromOtherCallback(t *testing.T) {
 	runOn(t, m, map[int]func(*CoreCtx){
 		0: func(ctx *CoreCtx) { ctx.Compute(2.7e6) },
 	})
-	// At 200µs, A fires first (registered later but earlier period means
-	// its heap position is settled by deadline; both orders are legal for
-	// equal deadlines) — so B may legitimately fire once at 200 µs, but
-	// never again afterwards.
-	if n := bFires.Load(); n > 1 {
-		t.Errorf("removed ticker fired %d times, want at most 1", n)
+	// At 200 µs B, registered first, fires before A removes it, and never
+	// again afterwards.
+	if n := bFires.Load(); n != 1 {
+		t.Errorf("removed ticker fired %d times, want exactly 1", n)
 	}
 	if err := m.Err(); err != nil {
 		t.Errorf("machine error after cross-removal: %v", err)
+	}
+}
+
+// TestSameInstantTickersFireInRegistrationOrder registers A (30 ms), B
+// (10 ms) and C (30 ms): at 30 ms all three are due, and they fire in the
+// order they were added, whatever fires (B's at 10 and 20 ms) moved them
+// around the heap before.
+func TestSameInstantTickersFireInRegistrationOrder(t *testing.T) {
+	m := newParkedMachine(t)
+	var at30 []string
+	for _, tk := range []struct {
+		name   string
+		period time.Duration
+	}{{"A", 30 * time.Millisecond}, {"B", 10 * time.Millisecond}, {"C", 30 * time.Millisecond}} {
+		if _, err := m.AddTicker(tk.period, func(now time.Duration, _ *Snapshot) {
+			if now == 30*time.Millisecond {
+				at30 = append(at30, tk.name)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runOn(t, m, map[int]func(*CoreCtx){
+		0: func(ctx *CoreCtx) { ctx.Sleep(35 * time.Millisecond) },
+	})
+	if want := []string{"A", "B", "C"}; !reflect.DeepEqual(at30, want) {
+		t.Errorf("fires at 30 ms: %v, want %v (registration order)", at30, want)
 	}
 }

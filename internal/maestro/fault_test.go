@@ -36,9 +36,7 @@ func faultStack(t *testing.T, dcfg Config) (d *Daemon, setHealthy func(bool), aw
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = 2
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +236,7 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = 2
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

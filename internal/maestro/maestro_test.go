@@ -147,9 +147,7 @@ func stackOn(t *testing.T, m *machine.Machine, workers int) (*rcr.Blackboard, *q
 		t.Fatal(err)
 	}
 	t.Cleanup(sampler.Stop)
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = workers
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestRandomTaskDAGsComputeCorrectSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	rt, err := New(m, Config{Workers: 16, SpawnCost: 50, DequeueCost: 20, StealCost: 80})
+	rt, err := New(m, Config{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestParallelForRandomShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	rt, err := New(m, DefaultConfig())
+	rt, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	rt, err := New(m, DefaultConfig())
+	rt, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestEpochWakesThrottledSpinners(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	rt, err := New(m, DefaultConfig())
+	rt, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,53 +29,45 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Scheduler costs and timings. The costs are cycles in the
+// hundreds-of-cycles range measured for lightweight tasking runtimes.
+const (
+	// spawnCost is charged to the spawning core per task enqueue
+	// (allocation, queue push).
+	spawnCost = 220
+	// dequeueCost is charged per successful local pop.
+	dequeueCost = 120
+	// stealCost is charged per steal attempt (hit or miss).
+	stealCost = 550
+	// idleSpinPeriod is how long an idle worker spins before parking
+	// (spin-then-park, like OMP_WAIT_POLICY / GOMP_SPINCOUNT).
+	idleSpinPeriod = 100 * time.Microsecond
+	// throttleDutyLevel is the clock-modulation level (of 32) used for
+	// throttled spin loops. The paper uses the minimum, 1/32.
+	throttleDutyLevel = 1
+)
+
 // Config tunes the runtime.
 type Config struct {
 	// Workers is the number of worker threads; worker i is pinned to
 	// machine core i. Defaults to all cores.
 	Workers int
-	// SpawnCost is the cycles charged to the spawning core per task
-	// enqueue (allocation, queue push).
-	SpawnCost float64
-	// DequeueCost is the cycles charged per successful local pop.
-	DequeueCost float64
-	// StealCost is the cycles charged per steal attempt (hit or miss).
-	StealCost float64
-	// IdleSpinPeriod is how long an idle worker spins before parking
-	// (spin-then-park, like OMP_WAIT_POLICY / GOMP_SPINCOUNT).
-	IdleSpinPeriod time.Duration
 	// Pinning selects how workers map to cores when fewer workers than
 	// cores are requested.
 	Pinning Pinning
 	// SpinOnlyIdle keeps idle and waiting workers spinning instead of
-	// parking after IdleSpinPeriod. The paper's Qthreads/MAESTRO runtime
+	// parking after idleSpinPeriod. The paper's Qthreads/MAESTRO runtime
 	// behaves this way — its fixed-16 runs draw ~10 W more than the same
 	// binaries under a parking OpenMP runtime (compare Table IV's
 	// 155.9 W against Table II's 145.8 W for LULESH) — so the
 	// throttling experiments enable it.
 	SpinOnlyIdle bool
-	// ThrottleDutyLevel is the clock-modulation level (of 32) used for
-	// throttled spin loops. The paper uses the minimum, 1/32.
-	ThrottleDutyLevel int
 	// Tracer, when non-nil, observes scheduler events (see trace.go).
 	Tracer Tracer
 	// Telemetry, when non-nil, receives the runtime's qthreads_* counters
 	// (aggregate scheduler activity plus per-shepherd throttled-park
 	// time); see docs/observability.md. Recording is atomic-only.
 	Telemetry *telemetry.Registry
-}
-
-// DefaultConfig returns the runtime defaults used throughout the
-// experiments. Spawn/dequeue/steal costs are in the hundreds-of-cycles
-// range measured for lightweight tasking runtimes.
-func DefaultConfig() Config {
-	return Config{
-		SpawnCost:         220,
-		DequeueCost:       120,
-		StealCost:         550,
-		IdleSpinPeriod:    100 * time.Microsecond,
-		ThrottleDutyLevel: 1,
-	}
 }
 
 // Pinning is a worker→core placement policy.
@@ -137,15 +129,6 @@ func New(m *machine.Machine, cfg Config) (*Runtime, error) {
 	}
 	if cfg.Workers < 1 || cfg.Workers > m.Config().Cores() {
 		return nil, fmt.Errorf("qthreads: Workers = %d, must be in [1, %d]", cfg.Workers, m.Config().Cores())
-	}
-	if cfg.SpawnCost < 0 || cfg.DequeueCost < 0 || cfg.StealCost < 0 {
-		return nil, errors.New("qthreads: scheduler costs must be non-negative")
-	}
-	if cfg.IdleSpinPeriod <= 0 {
-		cfg.IdleSpinPeriod = DefaultConfig().IdleSpinPeriod
-	}
-	if cfg.ThrottleDutyLevel < 1 || cfg.ThrottleDutyLevel > 32 {
-		cfg.ThrottleDutyLevel = 1
 	}
 	rt := &Runtime{m: m, cfg: cfg, aborted: make(chan struct{})}
 	rt.throttleLimit.Store(int32(m.Config().CoresPerSocket))
@@ -212,7 +195,7 @@ func (rt *Runtime) Run(fn Task) error {
 //     engine's next pass wakes the idle workers on the queued-work
 //     condition and the run starts at exactly the held instant (the
 //     release cannot live inside the task: fetching the task already
-//     charges DequeueCost, which needs the clock running);
+//     charges dequeueCost, which needs the clock running);
 //   - the completing worker re-parks the clock immediately after the
 //     implicit join and wakes the caller, which returns once that
 //     worker's trailing host code has blocked too, so the caller reads

@@ -21,9 +21,7 @@ func newStack(t *testing.T, workers int) (*machine.Machine, *Runtime) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	qcfg := DefaultConfig()
-	qcfg.Workers = workers
-	rt, err := New(m, qcfg)
+	rt, err := New(m, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +254,12 @@ func TestWorkerCountValidation(t *testing.T) {
 	}
 	defer m.Stop()
 	for _, bad := range []int{-1, 17} {
-		qcfg := DefaultConfig()
-		qcfg.Workers = bad
-		if _, err := New(m, qcfg); err == nil {
+		if _, err := New(m, Config{Workers: bad}); err == nil {
 			t.Errorf("New with %d workers succeeded", bad)
 		}
 	}
 	// Default fills the machine.
-	rt, err := New(m, DefaultConfig())
+	rt, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,10 +484,7 @@ func TestIdleRuntimeParksCheaply(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	qcfg := DefaultConfig()
-	qcfg.Workers = 8
-	qcfg.Pinning = Compact // workers on socket 0 only
-	rt, err := New(m, qcfg)
+	rt, err := New(m, Config{Workers: 8, Pinning: Compact}) // workers on socket 0 only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,18 +581,6 @@ func TestFEBWriteFOverFull(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNegativeCostConfigRejected(t *testing.T) {
-	cfg := machine.M620()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	if _, err := New(m, Config{Workers: 2, SpawnCost: -1}); err == nil {
-		t.Error("negative SpawnCost accepted")
 	}
 }
 

@@ -53,7 +53,7 @@ func (tc *TC) Spawn(fn Task) {
 	rt.pending.Add(1)
 	tc.w.shepherd.push(&taskItem{fn: fn, group: tc.children, counted: true})
 	rt.queued.Add(1)
-	tc.w.chargeSched(rt.cfg.SpawnCost)
+	tc.w.chargeSched(spawnCost)
 }
 
 // NewGroup creates an explicit task group (OpenMP `taskgroup`).
@@ -66,7 +66,7 @@ func (g *Group) Spawn(tc *TC, fn Task) {
 	rt.pending.Add(1)
 	tc.w.shepherd.push(&taskItem{fn: fn, group: g, counted: true})
 	rt.queued.Add(1)
-	tc.w.chargeSched(rt.cfg.SpawnCost)
+	tc.w.chargeSched(spawnCost)
 }
 
 // Pending returns the number of unfinished tasks in the group.
@@ -105,7 +105,7 @@ func (tc *TC) waitGroup(g *Group) {
 		}
 		if rt.cfg.SpinOnlyIdle {
 			tc.w.ctx.SpinUntil(cond)
-		} else if !tc.w.ctx.SpinFor(cond, rt.cfg.IdleSpinPeriod) {
+		} else if !tc.w.ctx.SpinFor(cond, idleSpinPeriod) {
 			tc.w.ctx.IdleUntil(cond)
 		}
 		if rt.shutdown.Load() && g.n.Load() > 0 {
@@ -130,7 +130,7 @@ func (tc *TC) waitAllSpawned() {
 		}
 		if rt.cfg.SpinOnlyIdle {
 			tc.w.ctx.SpinUntil(cond)
-		} else if !tc.w.ctx.SpinFor(cond, rt.cfg.IdleSpinPeriod) {
+		} else if !tc.w.ctx.SpinFor(cond, idleSpinPeriod) {
 			tc.w.ctx.IdleUntil(cond)
 		}
 		if rt.shutdown.Load() && rt.pending.Load() > 0 {
@@ -175,7 +175,7 @@ func (tc *TC) ParallelFor(n, chunk int, body func(tc *TC, lo, hi int)) {
 		nChunks++
 	}
 	// Loop setup overhead, charged in bulk.
-	tc.w.chargeSched(rt.cfg.SpawnCost * float64(nChunks))
+	tc.w.chargeSched(spawnCost * float64(nChunks))
 	tc.waitGroup(g)
 	rt.BumpEpoch()
 }

@@ -19,10 +19,7 @@ func newTracedStack(t *testing.T, rec *Recorder, workers int, throttle bool) (*m
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	qcfg := DefaultConfig()
-	qcfg.Workers = workers
-	qcfg.Tracer = rec
-	rt, err := New(m, qcfg)
+	rt, err := New(m, Config{Workers: workers, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +152,7 @@ func TestTracingOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	rt, err := New(m, DefaultConfig())
+	rt, err := New(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func (w *worker) run() {
 			// spinning at full power instead.
 			if rt.cfg.SpinOnlyIdle {
 				w.ctx.SpinUntil(rt.workAvailable)
-			} else if !w.ctx.SpinFor(rt.workAvailable, rt.cfg.IdleSpinPeriod) {
+			} else if !w.ctx.SpinFor(rt.workAvailable, idleSpinPeriod) {
 				w.trace(EvPark)
 				w.ctx.IdleUntil(rt.workAvailable)
 				w.trace(EvUnpark)
@@ -102,7 +102,7 @@ func (w *worker) acquireSlot() bool {
 		if met.throttleParkNS != nil {
 			parkStart = rt.m.Now()
 		}
-		w.ctx.SetDutyLevel(rt.cfg.ThrottleDutyLevel)
+		w.ctx.SetDutyLevel(throttleDutyLevel)
 		w.ctx.SpinUntil(func() bool {
 			return rt.shutdown.Load() ||
 				!rt.throttleOn.Load() ||
@@ -134,7 +134,7 @@ func (w *worker) findWork() *taskItem {
 		rt.queued.Add(-1)
 		w.localPops.Add(1)
 		met.localPops.Inc()
-		w.chargeSched(rt.cfg.DequeueCost)
+		w.chargeSched(dequeueCost)
 		return t
 	}
 	n := len(rt.shepherds)
@@ -145,7 +145,7 @@ func (w *worker) findWork() *taskItem {
 			w.steals.Add(1)
 			met.steals.Inc()
 			w.trace(EvSteal)
-			w.chargeSched(rt.cfg.StealCost)
+			w.chargeSched(stealCost)
 			return t
 		}
 		w.stealMisses.Add(1)

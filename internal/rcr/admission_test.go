@@ -115,7 +115,6 @@ func TestServerShedsWhenSaturated(t *testing.T) {
 	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
 		s.MaxConns = 1
 		s.AcceptQueue = 1
-		s.Shed = true
 		s.ReadTimeout = 2 * time.Second
 		s.Instrument(reg)
 	})
@@ -273,7 +272,6 @@ func startBenchServer(b *testing.B) string {
 	}
 	clock := &fakeClock{now: now}
 	srv := NewServer(bb, clock, ln)
-	srv.Shed = true
 	srv.Fence = NewFenceGuard(clock.Now, func(float64, uint64) error { return nil })
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()

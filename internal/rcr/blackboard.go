@@ -35,7 +35,7 @@ const (
 	// MeterHeartbeat is the sampler's liveness beacon (system scope): its
 	// value counts completed sample ticks, and — more importantly — its
 	// Updated stamp is the last instant the sampler was alive. The
-	// supervisor restarts a sampler whose heartbeat goes stale.
+	// sampler's watchdog restarts it when its heartbeat goes stale.
 	MeterHeartbeat = "heartbeat"
 )
 

@@ -121,14 +121,10 @@ type Server struct {
 	// pool size). Zero selects DefaultMaxConns.
 	MaxConns int
 	// AcceptQueue bounds how many accepted connections may wait for a
-	// free handler. Zero selects DefaultAcceptQueue.
+	// free handler. Zero selects DefaultAcceptQueue. Once it is full,
+	// further clients get a cheap BUSY response and are closed (load
+	// shedding — clients fail fast and retry).
 	AcceptQueue int
-	// Shed selects the overload policy once the accept queue is full:
-	// true answers further clients with a cheap BUSY response and closes
-	// them (load shedding — clients fail fast and retry); false blocks
-	// the accept loop, letting clients pile up in the listener backlog
-	// (the legacy behavior).
-	Shed bool
 	// DrainTimeout is how long Close lets in-flight and queued handlers
 	// finish naturally before expiring their deadlines. Zero expires
 	// immediately (fastest shutdown; handlers unwind via I/O errors).
@@ -204,10 +200,9 @@ func transientAcceptError(err error) bool {
 //
 // Admission control: accepted connections are handed to a fixed pool of
 // MaxConns handler workers through a bounded queue of AcceptQueue; when
-// both are full the server either sheds (BUSY response, Shed=true) or
-// lets the listener backlog absorb the burst (Shed=false). Transient
-// Accept errors back off exponentially and continue — they never kill
-// the daemon.
+// both are full the server sheds (BUSY response). Transient Accept
+// errors back off exponentially and continue — they never kill the
+// daemon.
 func (s *Server) Serve() error {
 	readTO := s.ReadTimeout
 	if readTO <= 0 {
@@ -276,13 +271,8 @@ func (s *Server) Serve() error {
 		case queue <- conn:
 			s.queueDepth.Set(float64(len(queue)))
 		default:
-			if s.Shed {
-				// Queue full: answer cheaply instead of hanging the client.
-				s.shedConn(conn)
-				continue
-			}
-			queue <- conn // legacy policy: block; backlog absorbs the burst
-			s.queueDepth.Set(float64(len(queue)))
+			// Queue full: answer cheaply instead of hanging the client.
+			s.shedConn(conn)
 		}
 	}
 }

@@ -344,7 +344,7 @@ func TestShedWriteReportsBusy(t *testing.T) {
 	guard := NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
 	reg := telemetry.NewRegistry()
 	serveAt(t, sock, func(s *Server) {
-		s.MaxConns, s.AcceptQueue, s.Shed = 1, 1, true
+		s.MaxConns, s.AcceptQueue = 1, 1
 		s.ReadTimeout = 10 * time.Second
 		s.Fence = guard
 		s.Instrument(reg)

@@ -342,6 +342,11 @@ func subscribeWide(t *testing.T, depth int) (*Blackboard, *Publisher, *Subscript
 // through a partial write, to the writer goroutine. Read back, every
 // frame must apply in order, none may be dropped, and each must be
 // counted exactly once.
+//
+// The reader starts once the writer holds the stream and reads beside
+// the remaining ticks: the writer's blocked write then never outlives
+// its write deadline (DefaultIPCTimeout) however slowly the host runs
+// the ticks, which would detach the subscriber.
 func TestWriteThroughHandOverOrder(t *testing.T) {
 	leak.Check(t)
 	const ticks = 200
@@ -349,27 +354,41 @@ func TestWriteThroughHandOverOrder(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	s := soleSub(t, pub)
+	read := make(chan error, 1)
+	handedOver := false
 	for i := 1; i <= ticks; i++ {
 		now := time.Second + time.Duration(i)*time.Millisecond
 		for c := 0; c < bb.Cores(); c++ {
 			bb.SetCore(c, MeterDutyCycle, float64(i)/ticks, now)
 		}
 		pub.Tick(now)
+		if handedOver {
+			continue
+		}
+		s.mu.Lock()
+		handedOver = len(s.ends) > 0 || s.busy.Load()
+		s.mu.Unlock()
+		if handedOver {
+			go func() {
+				for k := 1; k <= ticks; k++ {
+					if err := sub.Next(ctx); err != nil {
+						read <- fmt.Errorf("frame %d/%d: %w", k, ticks, err)
+						return
+					}
+				}
+				read <- nil
+			}()
+		}
 	}
-	s := soleSub(t, pub)
-	s.mu.Lock()
-	pending := len(s.ends) > 0 || s.busy.Load()
-	s.mu.Unlock()
-	if !pending {
+	if !handedOver {
 		t.Fatal("every frame fit the socket buffer; the writer never took over")
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
 	}
 
 	frames := reg.Counter("rcr_sub_frames_total")
-	for i := 1; i <= ticks; i++ {
-		if err := sub.Next(ctx); err != nil {
-			t.Fatalf("frame %d/%d: %v", i, ticks, err)
-		}
-	}
 	if n := reg.Counter("rcr_sub_dropped_frames_total").Value(); n != 0 {
 		t.Errorf("%d frames dropped with a queue as deep as the run", n)
 	}

@@ -2,6 +2,7 @@ package rcr
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,6 +27,9 @@ type samplerMetrics struct {
 	drops      *telemetry.Counter   // meter publishes suppressed (torn rows)
 	deaths     *telemetry.Counter   // injected sampler crashes
 	tickNS     *telemetry.Histogram // host nanoseconds per sample tick
+	checks     *telemetry.Counter   // watchdog heartbeat inspections
+	restarts   *telemetry.Counter   // dead or wedged incarnations replaced
+	failures   *telemetry.Counter   // replacements whose ticker failed to register
 }
 
 // TickAction tells the sampler what to do with one of its ticks; it is
@@ -39,8 +43,8 @@ const (
 	// TickSkip misses this window: nothing is published, meters age.
 	TickSkip
 	// TickDie crashes the sampler: it unregisters its ticker and goes
-	// permanently dead, as if the measurement daemon segfaulted. Only a
-	// supervisor restart (StartSupervisor) brings sampling back.
+	// dead, as if the measurement daemon segfaulted. Only the sampler's
+	// watchdog, which replaces the dead incarnation, brings sampling back.
 	TickDie
 )
 
@@ -65,31 +69,55 @@ type samplerGates struct {
 // Sampler periodically reads the RAPL counters and the machine's uncore
 // metrics into a blackboard. It is driven by the simulated machine's
 // virtual-time ticker, so samples land at exact virtual instants.
+//
+// A watchdog ticker, standing in for the init system that keeps the real
+// rcrd running, replaces the sampling incarnation when it has crashed or
+// wedged (docs/robustness.md). A new incarnation restarts the heartbeat
+// count, reseeds the energy baselines from the counters, so it does not
+// book the outage's energy into its first window, and gets a new sample
+// ticker. Gates, publisher and instruments belong to the Sampler and
+// carry over to every incarnation.
 type Sampler struct {
-	m        *machine.Machine
-	reader   rapl.Reader
-	bb       *Blackboard
-	period   time.Duration
+	m       *machine.Machine
+	reader  rapl.Reader
+	bb      *Blackboard
+	period  time.Duration
+	watchID int
+
+	met      atomic.Pointer[samplerMetrics]
+	gates    atomic.Pointer[samplerGates]
+	pub      atomic.Pointer[Publisher]
+	restarts atomic.Uint64
+
+	// mu guards the current incarnation's ticker between the watchdog,
+	// a dying sample tick and Stop.
+	mu       sync.Mutex
 	tickerID int
+	stopped  bool
 
-	met   atomic.Pointer[samplerMetrics]
-	gates atomic.Pointer[samplerGates]
-	pub   atomic.Pointer[Publisher]
-	dead  atomic.Bool
-	ticks atomic.Uint64 // completed (non-skipped) sample ticks
-
-	// Engine-goroutine state (only touched inside the ticker callback,
-	// except for the baseline seeding in StartSampler, which completes
-	// before the ticker is registered). Baselines are per-domain so a
-	// domain whose counter read fails resynchronizes over its own
-	// window instead of borrowing a neighbour's.
+	// The current incarnation. dead is read from any goroutine; ticks
+	// and the baselines are touched only on the stepper, or in
+	// StartSampler before the first ticker is registered. Baselines are
+	// per-domain so a domain whose counter read fails resynchronizes
+	// over its own window instead of borrowing a neighbour's.
+	dead       atomic.Bool
+	ticks      atomic.Uint64 // completed (non-skipped) sample ticks
 	lastEnergy []float64
 	lastTime   []time.Duration
 	haveBase   []bool
 }
 
-// StartSampler registers a sampler on the machine and returns it. The
-// blackboard is updated every period of virtual time until Stop.
+// Watchdog multiples of the sample period: the check cadence, and the
+// heartbeat age (or, before the first heartbeat, the time since zero)
+// past which an incarnation counts as wedged.
+const (
+	watchPeriods = 3
+	stalePeriods = 6
+)
+
+// StartSampler registers a sampler and its watchdog on the machine and
+// returns it. The blackboard is updated every period of virtual time
+// until Stop.
 //
 // The energy baseline is seeded from the counters before the first tick,
 // so the first sample window already publishes a power meter: consumers
@@ -117,28 +145,44 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period
 		haveBase:   make([]bool, reader.Domains()),
 	}
 	s.met.Store(&samplerMetrics{})
-	// Seed per-domain baselines; a domain whose read fails here starts
-	// publishing power one window later, exactly as before.
-	start := m.Now()
-	for d := 0; d < reader.Domains(); d++ {
-		e, err := reader.Energy(d)
-		if err != nil {
-			continue
-		}
-		s.lastEnergy[d] = float64(e)
-		s.lastTime[d] = start
-		s.haveBase[d] = true
-	}
-	id, err := m.AddTicker(period, s.sample)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	s.tickerID = id
+	id, err := m.AddTicker(watchPeriods*period, s.watch)
+	if err != nil {
+		m.RemoveTicker(s.tickerID)
+		return nil, err
+	}
+	s.watchID = id
 	return s, nil
 }
 
-// Instrument registers the sampler's tick/error counters and tick
-// latency histogram in reg. Safe to call while sampling is in flight.
+// begin starts a sampling incarnation: a fresh heartbeat count, baselines
+// seeded from the counters and a new sample ticker. s.mu must be held.
+func (s *Sampler) begin() error {
+	s.ticks.Store(0)
+	// Seed per-domain baselines; a domain whose read fails here starts
+	// publishing power one window later.
+	start := s.m.Now()
+	for d := range s.haveBase {
+		e, err := s.reader.Energy(d)
+		s.lastEnergy[d], s.lastTime[d], s.haveBase[d] = float64(e), start, err == nil
+	}
+	id, err := s.m.AddTicker(s.period, s.sample)
+	if err != nil {
+		s.dead.Store(true)
+		return err
+	}
+	s.tickerID = id
+	s.dead.Store(false)
+	return nil
+}
+
+// Instrument registers the sampler's tick/error counters, tick latency
+// histogram and watchdog counters in reg. Safe to call while sampling is
+// in flight.
 func (s *Sampler) Instrument(reg *telemetry.Registry) {
 	s.met.Store(&samplerMetrics{
 		ticks:      reg.Counter("rcr_sampler_ticks_total"),
@@ -147,12 +191,17 @@ func (s *Sampler) Instrument(reg *telemetry.Registry) {
 		drops:      reg.Counter("rcr_sampler_dropped_publishes_total"),
 		deaths:     reg.Counter("rcr_sampler_deaths_total"),
 		// Host-side cost of one sample tick: 250 ns to 1 ms.
-		tickNS: reg.Histogram("rcr_sampler_tick_ns", 250, 1000, 4000, 16000, 64000, 250000, 1e6),
+		tickNS:   reg.Histogram("rcr_sampler_tick_ns", 250, 1000, 4000, 16000, 64000, 250000, 1e6),
+		checks:   reg.Counter("rcr_supervisor_checks_total"),
+		restarts: reg.Counter("rcr_supervisor_restarts_total"),
+		failures: reg.Counter("rcr_supervisor_restart_failures_total"),
 	})
 }
 
 // SetFaultGates installs (or, with nils, removes) the sampler's fault
-// gates. Safe to call while sampling is in flight.
+// gates. Safe to call while sampling is in flight. A replacement
+// incarnation stays inside the same fault schedule, so a crash window
+// that is still open kills it again.
 func (s *Sampler) SetFaultGates(tick TickGate, meter MeterGate) {
 	if tick == nil && meter == nil {
 		s.gates.Store(nil)
@@ -168,9 +217,13 @@ func (s *Sampler) SetFaultGates(tick TickGate, meter MeterGate) {
 // this is safe from the machine's stepper. Pass nil to detach.
 func (s *Sampler) AttachPublisher(p *Publisher) { s.pub.Store(p) }
 
-// Alive reports whether the sampler is still ticking (false after an
-// injected crash).
+// Alive reports whether the current incarnation is still ticking (false
+// after an injected crash, until the watchdog replaces it).
 func (s *Sampler) Alive() bool { return !s.dead.Load() }
+
+// Restarts returns how many times the watchdog has replaced the sampling
+// incarnation.
+func (s *Sampler) Restarts() uint64 { return s.restarts.Load() }
 
 // Blackboard returns the blackboard this sampler writes.
 func (s *Sampler) Blackboard() *Blackboard { return s.bb }
@@ -178,8 +231,39 @@ func (s *Sampler) Blackboard() *Blackboard { return s.bb }
 // Period returns the sampling period.
 func (s *Sampler) Period() time.Duration { return s.period }
 
-// Stop unregisters the sampler's ticker.
-func (s *Sampler) Stop() { s.m.RemoveTicker(s.tickerID) }
+// Stop unregisters the watchdog and the sampler's ticker.
+func (s *Sampler) Stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stopped = true
+	s.m.RemoveTicker(s.watchID)
+	s.m.RemoveTicker(s.tickerID)
+}
+
+// watch runs on the machine's stepper every watchPeriods sample periods
+// (machine.TickerFunc: one at a time, never beside an owner; it must not
+// block, charge or Stop): an incarnation that is dead, or whose heartbeat
+// is older than stalePeriods (before the first heartbeat: more than
+// stalePeriods since time zero), is replaced. A replacement that fails to
+// register is retried at the next check.
+func (s *Sampler) watch(now time.Duration, _ *machine.Snapshot) {
+	met := s.met.Load()
+	met.checks.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stale := stalePeriods * s.period
+	hb, ok := s.bb.System(MeterHeartbeat)
+	if s.stopped || s.Alive() && (ok && now-hb.Updated <= stale || !ok && now <= stale) {
+		return
+	}
+	s.m.RemoveTicker(s.tickerID)
+	if err := s.begin(); err != nil {
+		met.failures.Inc()
+		return
+	}
+	s.restarts.Add(1)
+	met.restarts.Inc()
+}
 
 // sample runs on the machine's stepper at each period (machine.TickerFunc):
 // one at a time, never beside an owner; it must not block, charge or Stop.
@@ -195,7 +279,9 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 			s.dead.Store(true)
 			// Removing our own ticker from inside its callback is legal;
 			// the engine skips the re-arm of a ticker removed mid-fire.
+			s.mu.Lock()
 			s.m.RemoveTicker(s.tickerID)
+			s.mu.Unlock()
 			met.deaths.Inc()
 			return
 		}

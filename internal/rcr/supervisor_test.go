@@ -12,9 +12,9 @@ import (
 )
 
 // TestSupervisorRestartsCrashedSampler injects a sampler crash window
-// that spans several restart attempts: the supervisor must keep
-// replacing the sampler (fault gates persist onto every incarnation, so
-// a still-open crash window kills the replacement too) and end with a
+// that spans several restart attempts: the watchdog must keep replacing
+// the sampling incarnation (fault gates persist onto every incarnation,
+// so a still-open crash window kills the replacement too) and end with a
 // live sampler and a fresh heartbeat once the window closes.
 func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 	leak.Check(t)
@@ -30,21 +30,16 @@ func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sup, err := StartSupervisor(m, reader, bb, SupervisorConfig{
-		SamplePeriod: 5 * time.Millisecond,
-		CheckPeriod:  10 * time.Millisecond,
-		StaleAfter:   20 * time.Millisecond,
-		Telemetry:    reg,
-	})
+	s, err := StartSampler(m, reader, bb, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
-	first := sup.Sampler()
+	defer s.Stop()
+	s.Instrument(reg)
 
 	// Crash window [30 ms, 75 ms): long enough that at least one
 	// restarted incarnation dies inside it again.
-	sup.SetFaultGates(func(now time.Duration) TickAction {
+	s.SetFaultGates(func(now time.Duration) TickAction {
 		if now >= 30*time.Millisecond && now < 75*time.Millisecond {
 			return TickDie
 		}
@@ -53,14 +48,10 @@ func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 
 	burn(t, m, []int{0, 1}, 300*time.Millisecond)
 
-	if sup.Restarts() < 2 {
-		t.Errorf("Restarts() = %d, want >= 2 (crash window spans restarts)", sup.Restarts())
+	if s.Restarts() < 2 {
+		t.Errorf("Restarts() = %d, want >= 2 (crash window spans restarts)", s.Restarts())
 	}
-	cur := sup.Sampler()
-	if cur == first {
-		t.Error("supervisor never replaced the crashed sampler")
-	}
-	if !cur.Alive() {
+	if !s.Alive() {
 		t.Error("final sampler incarnation is dead")
 	}
 	hb, ok := bb.System(MeterHeartbeat)
@@ -70,14 +61,14 @@ func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 	if age := m.Now() - hb.Updated; age > 20*time.Millisecond {
 		t.Errorf("heartbeat is %v old at shutdown, want fresh", age)
 	}
-	if v := reg.Counter("rcr_supervisor_restarts_total").Value(); v != sup.Restarts() {
-		t.Errorf("restart counter %v != Restarts() %d", v, sup.Restarts())
+	if v := reg.Counter("rcr_supervisor_restarts_total").Value(); v != s.Restarts() {
+		t.Errorf("restart counter %v != Restarts() %d", v, s.Restarts())
 	}
 	if v := reg.Counter("rcr_sampler_deaths_total").Value(); v < 2 {
 		t.Errorf("deaths counter = %v, want >= 2", v)
 	}
 	if v := reg.Counter("rcr_supervisor_checks_total").Value(); v == 0 {
-		t.Error("supervisor never ran a check")
+		t.Error("the watchdog never ran a check")
 	}
 }
 
@@ -99,20 +90,17 @@ func TestSupervisorResyncsBaselineAcrossOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := StartSupervisor(m, reader, bb, SupervisorConfig{
-		SamplePeriod: 5 * time.Millisecond,
-		CheckPeriod:  10 * time.Millisecond,
-		StaleAfter:   20 * time.Millisecond,
-	})
+	s, err := StartSampler(m, reader, bb, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
+	defer s.Stop()
 
-	// One fatal crash at 30 ms; the supervisor restarts ~50-60 ms, so
-	// roughly 25 ms of full-load energy accumulates unobserved.
-	sup.SetFaultGates(func(now time.Duration) TickAction {
-		if now >= 30*time.Millisecond && now < 35*time.Millisecond {
+	// One fatal crash at 35 ms; the watchdog's next check restarts the
+	// sampler at 45 ms, so 10 ms of full-load energy accumulates
+	// unobserved.
+	s.SetFaultGates(func(now time.Duration) TickAction {
+		if now >= 35*time.Millisecond && now < 40*time.Millisecond {
 			return TickDie
 		}
 		return TickRun
@@ -140,7 +128,7 @@ func TestSupervisorResyncsBaselineAcrossOutage(t *testing.T) {
 
 	burn(t, m, []int{0, 1, 2, 3}, 200*time.Millisecond)
 
-	if sup.Restarts() == 0 {
+	if s.Restarts() == 0 {
 		t.Fatal("sampler was never restarted; the outage never happened")
 	}
 	mu.Lock()

@@ -3,15 +3,16 @@ package refmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/machine"
 )
 
 // Compare checks two trajectories for bit-identity: every step record,
-// every ticker fire, and the final architectural state. Floats are
-// compared by their IEEE-754 bit patterns, so even a last-ulp divergence
-// (a reordered accumulation, a fused multiply) is an error. got is the
-// optimized engine's trajectory, want the reference engine's.
+// every ticker fire and the fire order, and the final architectural
+// state. Floats are compared by their IEEE-754 bit patterns, so even a
+// last-ulp divergence (a reordered accumulation, a fused multiply) is an
+// error. got is the optimized engine's trajectory, want the reference's.
 func Compare(got, want *Result) error {
 	if len(got.Steps) != len(want.Steps) {
 		return fmt.Errorf("step count: engine took %d steps, reference %d", len(got.Steps), len(want.Steps))
@@ -37,6 +38,9 @@ func Compare(got, want *Result) error {
 				return fmt.Errorf("ticker slot %d fire %d: %w", slot, k, err)
 			}
 		}
+	}
+	if !slices.Equal(got.Order, want.Order) {
+		return fmt.Errorf("ticker fire order (slots): engine %v, reference %v", got.Order, want.Order)
 	}
 	if err := compareFloats("final energy", got.Energy, want.Energy); err != nil {
 		return err

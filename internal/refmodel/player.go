@@ -26,6 +26,8 @@ type Result struct {
 	// Tickers[slot] lists the fires of the ticker registered into that
 	// scenario slot, in fire order.
 	Tickers [][]TickerFire
+	// Order lists the slot of every fire, across slots, in fire order.
+	Order []int
 	// Final machine state: exact per-socket energy, raw RAPL counters,
 	// per-core TSC and IA32_THERM_STATUS values.
 	Energy   []float64
@@ -105,9 +107,10 @@ func PlayMachine(sc Scenario) (res *Result, err error) {
 					return fail(err)
 				}
 			case GlobalAddTicker:
-				fires := &res.Tickers[op.Ticker]
+				slot, fires := op.Ticker, &res.Tickers[op.Ticker]
 				id, err := m.AddTicker(op.Period, func(now time.Duration, s *machine.Snapshot) {
 					*fires = append(*fires, snapFire(now, s))
+					res.Order = append(res.Order, slot)
 				})
 				if err != nil {
 					return fail(err)

@@ -677,8 +677,8 @@ func (s *sim) record(dt time.Duration) {
 	s.res.Steps = append(s.res.Steps, rec)
 }
 
-// fireTickers mirrors fireTickersLocked: every due ticker fires once
-// against the post-step state, then re-arms one period ahead (coalescing
+// fireTickers mirrors fireTickersLocked: every due ticker fires once, in
+// registration order, against the post-step state, then re-arms one period ahead (coalescing
 // overshot deadlines). One pass suffices: re-armed deadlines are always
 // past now.
 func (s *sim) fireTickers() {
@@ -699,6 +699,7 @@ func (s *sim) fireTickers() {
 			}
 		}
 		s.res.Tickers[tk.slot] = append(s.res.Tickers[tk.slot], f)
+		s.res.Order = append(s.res.Order, tk.slot)
 		tk.next += tk.period
 		if tk.next <= s.now {
 			n := (s.now-tk.next)/tk.period + 1

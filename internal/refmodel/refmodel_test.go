@@ -158,6 +158,7 @@ func deepCopy(res *Result) *Result {
 		Counters: append([]uint32{}, res.Counters...),
 		TSC:      append([]uint64{}, res.TSC...),
 		Therm:    append([]uint64{}, res.Therm...),
+		Order:    append([]int{}, res.Order...),
 	}
 	for i := range cp.Steps {
 		cp.Steps[i].Sockets = append(cp.Steps[i].Sockets[:0:0], res.Steps[i].Sockets...)
@@ -244,6 +245,11 @@ func TestCompareCatchesDivergence(t *testing.T) {
 				mutate func(r *Result)
 				want   bool
 			}{"ticker fire dropped", func(r *Result) { r.Tickers[tickSlot] = r.Tickers[tickSlot][:0] }, true},
+			struct {
+				name   string
+				mutate func(r *Result)
+				want   bool
+			}{"ticker fire order", func(r *Result) { r.Order[0]++ }, true},
 		)
 	}
 	for _, m := range mutations {

@@ -51,9 +51,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = 2
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

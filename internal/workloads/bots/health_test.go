@@ -51,10 +51,7 @@ func TestHealthTotalsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				qcfg := qthreads.DefaultConfig()
-				qcfg.Workers = workers
-				qcfg.SpinOnlyIdle = spin
-				rt, err := qthreads.New(m, qcfg)
+				rt, err := qthreads.New(m, qthreads.Config{Workers: workers, SpinOnlyIdle: spin})
 				if err != nil {
 					t.Fatal(err)
 				}

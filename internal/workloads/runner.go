@@ -23,9 +23,7 @@ func RunOnce(m *machine.Machine, wl Workload, workers int) (rcr.RegionReport, er
 	if err != nil {
 		return rcr.RegionReport{}, err
 	}
-	qcfg := qthreads.DefaultConfig()
-	qcfg.Workers = workers
-	rt, err := qthreads.New(m, qcfg)
+	rt, err := qthreads.New(m, qthreads.Config{Workers: workers})
 	if err != nil {
 		return rcr.RegionReport{}, err
 	}
