@@ -142,7 +142,7 @@ func New(opts Options) (*System, error) {
 	if sys.bb, err = rcr.NewBlackboard(mcfg.Sockets, mcfg.CoresPerSocket); err != nil {
 		return fail(err)
 	}
-	if sys.sampler, err = rcr.StartSampler(m, sys.guard, sys.bb, 0); err != nil {
+	if sys.sampler, err = rcr.StartSampler(m, sys.guard, sys.bb); err != nil {
 		return fail(err)
 	}
 	sys.sampler.Instrument(sys.reg)
@@ -163,13 +163,13 @@ func New(opts Options) (*System, error) {
 		}
 	}
 	if opts.PowerCap > 0 {
-		if sys.cap, err = maestro.StartPowerCap(sys.rt, sys.bb, opts.PowerCap, 0); err != nil {
+		if sys.cap, err = maestro.StartPowerCap(sys.rt, sys.bb, opts.PowerCap); err != nil {
 			return fail(err)
 		}
 		sys.cap.Instrument(sys.reg)
 	}
 	if opts.RecordHistory {
-		if sys.history, err = rcr.StartHistory(m, sys.bb, 0, 0); err != nil {
+		if sys.history, err = rcr.StartHistory(m, sys.bb); err != nil {
 			return fail(err)
 		}
 	}
@@ -188,6 +188,13 @@ func (s *System) Blackboard() *rcr.Blackboard { return s.bb }
 // Guard returns the RAPL fault-containment wrapper every measurement
 // reads through.
 func (s *System) Guard() *rapl.Guard { return s.guard }
+
+// Sampler returns the RCR sampler that fills the blackboard.
+func (s *System) Sampler() *rcr.Sampler { return s.sampler }
+
+// Daemon returns the MAESTRO daemon, or nil when AdaptiveThrottling was
+// not set.
+func (s *System) Daemon() *maestro.Daemon { return s.daemon }
 
 // Throttling reports whether adaptive throttling is installed and its
 // statistics so far.

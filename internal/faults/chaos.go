@@ -5,21 +5,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/maestro"
 	"repro/internal/msr"
 	"repro/internal/qthreads"
-	"repro/internal/rapl"
-	"repro/internal/rcr"
 	"repro/internal/refmodel"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
-// ChaosConfig tunes one chaos run: the full RAPL → RCR → MAESTRO →
-// qthreads stack on a small simulated node, with a seeded fault
-// schedule injected at every seam, checked against the differential
-// oracle's physics audit and the fail-safe invariants.
+// ChaosConfig tunes one chaos run: the node core.New builds, on a small
+// seed-derived topology, with a seeded fault schedule injected at every
+// seam, checked against the differential oracle's physics audit and the
+// fail-safe invariants.
 type ChaosConfig struct {
 	// Seed determines the topology, the fault schedule and the injected
 	// garbage values.
@@ -30,9 +29,6 @@ type ChaosConfig struct {
 	// inputs, so zero stale-horizon decisions must hold regardless of
 	// what the policy's internal model does.
 	Policy maestro.Policy
-	// Telemetry, when non-nil, receives the whole stack's instruments;
-	// nil creates a private registry (the report reads it either way).
-	Telemetry *telemetry.Registry
 }
 
 // ChaosReport is the outcome of one chaos run.
@@ -69,6 +65,9 @@ const (
 	// chaosTail extends the run past chaosHorizon so the pipeline has
 	// room to converge after the last fault clears.
 	chaosTail = 300 * time.Millisecond
+	// chaosPollPeriod is the daemon's poll period: a tenth of the
+	// paper's 0.1 s, so a run of chaosHorizon+chaosTail sees 70 polls.
+	chaosPollPeriod = 10 * time.Millisecond
 	// chaosConvergeQuanta bounds recovery: after the last fault window
 	// closes, the daemon must have left fail-safe within this many poll
 	// periods.
@@ -85,8 +84,8 @@ func (r *ChaosReport) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// RunChaos assembles the full stack on a seed-derived small topology,
-// injects the seed's fault schedule at every layer, drives a
+// RunChaos builds the shipped node (core.New) on a seed-derived small
+// topology, injects the seed's fault schedule at every layer, drives a
 // memory-and-compute workload through the task runtime, and checks:
 //
 //   - the physics audit (refmodel.Audit) holds on the step trace and
@@ -100,11 +99,6 @@ func (r *ChaosReport) violate(format string, args ...any) {
 //     daemon leaves fail-safe within chaosConvergeQuanta polls, the
 //     sampler is alive, and no RAPL domain is left quarantined.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-
 	// Seed-derived small topology: 1–2 sockets × 2–3 cores keeps a
 	// chaos corpus of hundreds of runs cheap while still exercising the
 	// multi-socket paths half the time.
@@ -118,69 +112,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	rep := &ChaosReport{Seed: cfg.Seed, Policy: cfg.Policy, Sockets: mcfg.Sockets, Cores: mcfg.CoresPerSocket}
 
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Stop()
-	// The stack assembles on a parked clock and the run starts on it; the
-	// checks below read the state at the run's completion instant.
-	release := m.Hold()
-
 	// The step hook doubles as the injector's lock-free clock feed: it
 	// runs under the machine lock, where machine.Now would deadlock.
-	var steps []machine.StepRecord
 	var nowA atomic.Int64
-	m.SetStepHook(func(r machine.StepRecord) {
-		steps = append(steps, r)
-		nowA.Store(int64(r.Now))
-	})
 	clock := func() time.Duration { return time.Duration(nowA.Load()) }
-
 	sched := GenerateSchedule(cfg.Seed, chaosHorizon, mcfg.Sockets)
 	inj := NewInjector(sched, clock)
 	rep.Events = len(inj.Schedule().Events)
 	rep.ClearTime = inj.Schedule().ClearTime()
-	m.MSR().SetReadHook(inj.MSRReadHook())
-
-	// Sensor chain: raw MSR reader, wrapped in a Guard tuned to the
-	// 2 ms sample period so quarantine backoff resolves within a few
-	// sample windows.
-	const samplePeriod = 2 * time.Millisecond
-	reader, err := rapl.NewMSRReader(m.MSR())
-	if err != nil {
-		return nil, err
-	}
-	guard, err := rapl.NewGuard(reader, rapl.GuardConfig{
-		Clock:           clock,
-		SuspectAfter:    2,
-		Backoff:         samplePeriod,
-		BackoffMax:      4 * samplePeriod,
-		MaxWindowJoules: 500,
-		StuckAfter:      4,
-		Telemetry:       reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	bb, err := rcr.NewBlackboard(mcfg.Sockets, mcfg.CoresPerSocket)
-	if err != nil {
-		return nil, err
-	}
-	bb.Instrument(reg)
-	sampler, err := rcr.StartSampler(m, guard, bb, samplePeriod)
-	if err != nil {
-		return nil, err
-	}
-	defer sampler.Stop()
-	sampler.Instrument(reg)
-	sampler.SetFaultGates(inj.SamplerTick(), inj.MeterGate())
-
-	rt, err := qthreads.New(m, qthreads.Config{Workers: mcfg.Cores(), Telemetry: reg})
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Shutdown()
 
 	// Thresholds scaled to what this topology can actually draw, so
 	// the workload below crosses them and the throttle path (and its
@@ -189,28 +128,36 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// outstanding references.
 	est := float64(mcfg.Power.UncoreBase) + float64(mcfg.CoresPerSocket)*float64(mcfg.Power.CoreActive)
 	knee := float64(mcfg.Mem.KneeRefs)
-	const pollPeriod = 10 * time.Millisecond
-	journal := telemetry.NewJournal(4096, mcfg.Sockets)
-	dcfg := maestro.Config{
-		Period: pollPeriod,
-		Thresholds: maestro.Thresholds{
-			HighPower:       units.Watts(0.50 * est),
-			LowPower:        units.Watts(0.25 * est),
-			HighConcurrency: 0.15 * knee,
-			LowConcurrency:  0.02 * knee,
+	sys, err := core.New(core.Options{
+		Machine:            mcfg,
+		AdaptiveThrottling: true,
+		Maestro: maestro.Config{
+			Period: chaosPollPeriod,
+			Thresholds: maestro.Thresholds{
+				HighPower:       units.Watts(0.50 * est),
+				LowPower:        units.Watts(0.25 * est),
+				HighConcurrency: 0.15 * knee,
+				LowConcurrency:  0.02 * knee,
+			},
+			Policy:        cfg.Policy,
+			ActuationHook: inj.Actuation(),
 		},
-		StalenessHorizon: 2 * pollPeriod,
-		RecoveryPolls:    2,
-		Policy:           cfg.Policy,
-		ActuationHook:    inj.Actuation(),
-		Telemetry:        reg,
-		Journal:          journal,
-	}
-	daemon, err := maestro.Start(rt, bb, dcfg)
+		Telemetry: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer daemon.Stop()
+	defer sys.Close()
+	// core.New parks the clock, so the hooks and gates are in place
+	// before the first step.
+	m := sys.Machine()
+	var steps []machine.StepRecord
+	m.SetStepHook(func(r machine.StepRecord) {
+		steps = append(steps, r)
+		nowA.Store(int64(r.Now))
+	})
+	m.MSR().SetReadHook(inj.MSRReadHook())
+	sys.Sampler().SetFaultGates(inj.SamplerTick(), inj.MeterGate())
 
 	// Wall-clock watchdog: a wedged pipeline (the no-deadlock invariant
 	// failing) is broken out of by stopping the machine, which aborts
@@ -226,7 +173,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// outstanding references past the concurrency threshold, active
 	// enough to cross the power one.
 	work := machine.Work{Ops: 400e3, Bytes: 4e6, Overlap: 0.5}
-	_, runErr := rt.RunHeld(func(tc *qthreads.TC) {
+	_, runErr := sys.Run("chaos", func(tc *qthreads.TC) {
 		for tc.Machine().Now() < end {
 			tc.ParallelFor(2*mcfg.Cores(), 0, func(tc *qthreads.TC, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -234,7 +181,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				}
 			})
 		}
-	}, release)
+	})
 
 	// ---- Invariant checks ----
 
@@ -247,18 +194,20 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Convergence: all fault windows are closed, the tail has passed —
 	// the stack must be back to normal operation.
+	daemon, sampler := sys.Daemon(), sys.Sampler()
 	if daemon.Failsafe() {
 		rep.violate("daemon still in fail-safe at end of run (clear was t=%v)", rep.ClearTime)
 	}
 	if !sampler.Alive() {
 		rep.violate("sampler dead at end of run despite its watchdog")
 	}
-	if q := guard.Quarantined(); q != 0 {
+	if q := sys.Guard().Quarantined(); q != 0 {
 		rep.violate("%d RAPL domain(s) still quarantined at end of run", q)
 	}
 
 	rep.Daemon = daemon.Stats()
 	rep.SamplerRestarts = sampler.Restarts()
+	reg := sys.Telemetry()
 	rep.Quarantines = reg.Counter("rapl_guard_quarantines_total").Value()
 	rep.GuardRecoveries = reg.Counter("rapl_guard_recoveries_total").Value()
 	for k := Kind(0); k < NumKinds; k++ {
@@ -268,10 +217,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Journal scan: no throttle decision may rest on data older than
 	// the staleness horizon, and if fail-safe was entered it must have
 	// been left within the convergence budget.
-	horizon := daemon.Config().StalenessHorizon
-	deadline := rep.ClearTime + chaosConvergeQuanta*pollPeriod
+	horizon := daemon.Horizon()
+	deadline := rep.ClearTime + chaosConvergeQuanta*chaosPollPeriod
 	var lastRecovery time.Duration
-	for _, e := range journal.Entries() {
+	for _, e := range sys.Journal().Entries() {
 		switch e.Kind {
 		case telemetry.KindDecision:
 			if e.Staleness > horizon {
@@ -296,11 +245,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Teardown before the physics audit: the step trace must be
 	// complete and the engine stopped before final state is read.
-	daemon.Stop()
-	sampler.Stop()
-	rt.Shutdown()
+	sys.Close()
 	watchdog.Stop()
-	m.Stop()
 	m.MSR().SetReadHook(nil) // final-state reads below must be raw
 	if merr := m.Err(); merr != nil && runErr == nil {
 		rep.violate("machine error: %v", merr)

@@ -3,13 +3,14 @@
 // sampler and actuation faults, an Injector that turns a schedule into
 // the hook/gate functions the other layers expose (msr read hooks,
 // rcr sampler gates, maestro actuation hooks), and a chaos harness
-// (RunChaos) that replays schedules against the full simulated pipeline
-// and checks the fail-safe invariants of docs/robustness.md.
+// (RunChaos) that replays schedules against the node core.New builds,
+// at its shipped tuning, and checks the fail-safe invariants of
+// docs/robustness.md.
 //
 // Everything is reproducible: the same seed yields the same schedule and
-// the same injected garbage values. RunChaos assembles the stack on a
-// held clock (Machine.Hold), so a whole run, and its ChaosReport, repeats
-// exactly at any GOMAXPROCS.
+// the same injected garbage values. core.New parks the node's clock and
+// RunChaos installs its hooks before the first step, so a whole run, and
+// its ChaosReport, repeats exactly at any GOMAXPROCS.
 package faults
 
 import (

@@ -71,9 +71,7 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 	}
 
 	daemon, err := maestro.Start(rt, bb, maestro.Config{
-		Period:           5 * time.Millisecond,
-		StalenessHorizon: 10 * time.Millisecond,
-		RecoveryPolls:    2,
+		Period: 5 * time.Millisecond,
 		// Worst-case actuation fault: every normal release is dropped.
 		// Only the fail-safe bypass can open the runtime back up.
 		ActuationHook: func(now time.Duration, engage bool) (time.Duration, bool) {

@@ -86,11 +86,9 @@ func TestDaemonFailsafeJournalAndCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	jnl := telemetry.NewJournal(4096, 1)
 	d, setHealthy, await := faultStack(t, Config{
-		Period:           5 * time.Millisecond,
-		StalenessHorizon: 10 * time.Millisecond,
-		RecoveryPolls:    2,
-		Telemetry:        reg,
-		Journal:          jnl,
+		Period:    5 * time.Millisecond,
+		Telemetry: reg,
+		Journal:   jnl,
 	})
 
 	await("daemon engages on High/High", func() bool { return d.Stats().Activations > 0 })
@@ -156,8 +154,7 @@ func TestDaemonCadenceUnderActuationDelay(t *testing.T) {
 	var mu sync.Mutex
 	delayed := 0
 	d, _, await := faultStack(t, Config{
-		Period:           period,
-		StalenessHorizon: -1, // watchdog off: this test is about cadence
+		Period: period,
 		ActuationHook: func(now time.Duration, engage bool) (time.Duration, bool) {
 			mu.Lock()
 			delayed++
@@ -246,8 +243,7 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 	d, err := Start(rt, bb, Config{
 		// The daemon's own ticker never fires: the engine is stopped and
 		// this test calls poll/firePending directly, single-threaded.
-		Period:           time.Hour,
-		StalenessHorizon: -1,
+		Period: time.Hour,
 		ActuationHook: func(now time.Duration, engage bool) (time.Duration, bool) {
 			hooks++
 			return 250 * time.Millisecond, false // 2.5 polling periods

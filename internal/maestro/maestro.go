@@ -11,6 +11,11 @@
 // When throttling is active, the qthreads scheduler parks workers beyond
 // a shepherd-local limit in a duty-cycle-throttled spin loop; see
 // package qthreads.
+//
+// A staleness watchdog gates every poll: inputs older than three poll
+// periods put the daemon in fail-safe (throttle released, classification
+// suspended) until two consecutive fresh polls. Both numbers are fixed;
+// only the period is configurable.
 package maestro
 
 import (
@@ -264,17 +269,6 @@ type Config struct {
 	// FrequencyGear is the DVFS scale applied while ScaleFrequency is
 	// engaged; zero selects 0.6.
 	FrequencyGear float64
-	// StalenessHorizon bounds how old the blackboard inputs behind a
-	// decision may be. When any input meter is older (or missing), the
-	// daemon refuses to classify, releases any active throttle, and
-	// enters fail-safe until the sensors look healthy again — it never
-	// leaves threads parked on the word of a dead or frozen sampler.
-	// Zero selects 3× Period; negative disables the watchdog.
-	StalenessHorizon time.Duration
-	// RecoveryPolls is how many consecutive fresh polls the daemon
-	// requires before leaving fail-safe and classifying again (debounce
-	// against a sampler that flaps). Zero selects 2.
-	RecoveryPolls int
 	// ActuationHook, when non-nil, intercepts mechanism actuation: it
 	// may return a delay to defer the actuation by (the daemon's control
 	// thread is busy for that long and misses overlapped polls, though
@@ -299,6 +293,18 @@ type Config struct {
 
 // DefaultPeriod is the paper's daemon wake interval.
 const DefaultPeriod = 100 * time.Millisecond
+
+// The staleness watchdog. When any input meter behind a decision is
+// older than horizonPeriods × Period (or missing), the daemon refuses to
+// classify, releases any active throttle, and enters fail-safe until the
+// sensors look healthy again — it never leaves threads parked on the
+// word of a dead or frozen sampler. It leaves fail-safe after
+// recoveryPolls consecutive fresh polls (debounce against a sampler that
+// flaps).
+const (
+	horizonPeriods = 3
+	recoveryPolls  = 2
+)
 
 // OperatingPoint is the full actuation state a policy can ask for: the
 // paper's concurrency throttle (park workers beyond Limit per shepherd)
@@ -345,7 +351,7 @@ type Daemon struct {
 	// consecutive healthy polls toward recovery.
 	failsafe   bool
 	freshPolls int
-	// horizon is the resolved staleness bound (0 = watchdog disabled).
+	// horizon is the staleness bound, horizonPeriods × Period.
 	horizon time.Duration
 	// busyUntil marks the end of an in-flight delayed actuation; polls
 	// landing inside the window are missed (the control thread is busy),
@@ -408,10 +414,7 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 	if cfg.FrequencyGear <= 0 || cfg.FrequencyGear > 1 {
 		cfg.FrequencyGear = 0.6
 	}
-	if cfg.RecoveryPolls <= 0 {
-		cfg.RecoveryPolls = 2
-	}
-	d := &Daemon{rt: rt, bb: bb, cfg: cfg, journal: cfg.Journal, pendingID: -1}
+	d := &Daemon{rt: rt, bb: bb, cfg: cfg, journal: cfg.Journal, pendingID: -1, horizon: horizonPeriods * cfg.Period}
 	d.fullPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: 1}
 	if cfg.Mechanism == ScaleFrequency {
 		d.engagedPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: cfg.FrequencyGear}
@@ -421,12 +424,6 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 	d.desired, d.applied = d.fullPoint, d.fullPoint
 	if cfg.Policy == Adaptive {
 		d.adaptive = newAdaptive(mcfg, cfg.ThrottleLimit, cfg.Telemetry, cfg.Journal)
-	}
-	switch {
-	case cfg.StalenessHorizon == 0:
-		d.horizon = 3 * cfg.Period
-	case cfg.StalenessHorizon > 0:
-		d.horizon = cfg.StalenessHorizon
 	}
 	d.met = newDaemonMetrics(cfg.Telemetry)
 	nSock := bb.Sockets()
@@ -457,9 +454,6 @@ func (d *Daemon) Stop() {
 		d.setFrequency(1)
 	}
 }
-
-// Config returns the daemon configuration (with defaults applied).
-func (d *Daemon) Config() Config { return d.cfg }
 
 // Stats describe the daemon's activity so far.
 type Stats struct {
@@ -502,8 +496,8 @@ func (d *Daemon) Stats() Stats {
 // daemon in fail-safe (throttle released, classification suspended).
 func (d *Daemon) Failsafe() bool { return d.failsafeA.Load() }
 
-// Horizon returns the resolved staleness bound of the watchdog (0 when
-// it is disabled). External feeders — a resilience.Client mirroring a
+// Horizon returns the staleness bound of the watchdog, horizonPeriods ×
+// Period. External feeders — a resilience.Client mirroring a
 // remote daemon's meters into the local blackboard — size their own
 // cache horizons off this, so the two staleness policies cannot drift
 // apart. The field is set once at Start and never written again, so the
@@ -565,19 +559,16 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 			d.conc = append(d.conc, c.Value)
 		}
 	}
-	if d.horizon > 0 && (missing || staleness > d.horizon) {
+	if missing || staleness > d.horizon {
 		// Watchdog: the sensors are dead, frozen or lagging beyond the
 		// horizon. Never classify — and never stay throttled — on their
 		// word.
 		d.noteFault(now, staleness, missing)
 		return
 	}
-	if missing {
-		return // watchdog disabled: hold, as before
-	}
 	if d.failsafe {
 		d.freshPolls++
-		if d.freshPolls < d.cfg.RecoveryPolls {
+		if d.freshPolls < recoveryPolls {
 			return // still debouncing; keep fail-safe
 		}
 		d.failsafe = false

@@ -142,7 +142,7 @@ func stackOn(t *testing.T, m *machine.Machine, workers int) (*rcr.Blackboard, *q
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler, err := rcr.StartSampler(m, reader, bb, 10*time.Millisecond)
+	sampler, err := rcr.StartSampler(m, reader, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func idleFor(t *testing.T, m *machine.Machine, release func(), d time.Duration) 
 
 func TestDaemonDefaultConfig(t *testing.T) {
 	_, _, d := fullStack(t, 16, Config{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.Period != DefaultPeriod {
 		t.Errorf("Period = %v, want %v", cfg.Period, DefaultPeriod)
 	}

@@ -99,7 +99,7 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 	bb, rt := stackOn(t, m, 16)
 
 	const cap = units.Watts(120)
-	pc, err := StartPowerCap(rt, bb, cap, 20*time.Millisecond)
+	pc, err := StartPowerCap(rt, bb, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +149,16 @@ func TestPowerCapValidation(t *testing.T) {
 	}
 	defer m.Stop()
 	bb, rt := stackOn(t, m, 4)
-	if _, err := StartPowerCap(nil, bb, 100, 0); err == nil {
+	if _, err := StartPowerCap(nil, bb, 100); err == nil {
 		t.Error("nil runtime accepted")
 	}
-	if _, err := StartPowerCap(rt, nil, 100, 0); err == nil {
+	if _, err := StartPowerCap(rt, nil, 100); err == nil {
 		t.Error("nil blackboard accepted")
 	}
-	if _, err := StartPowerCap(rt, bb, 0, 0); err == nil {
+	if _, err := StartPowerCap(rt, bb, 0); err == nil {
 		t.Error("zero cap accepted")
 	}
-	pc, err := StartPowerCap(rt, bb, 140, 0)
+	pc, err := StartPowerCap(rt, bb, 140)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPowerCapSetCap(t *testing.T) {
 	m.WarmAll(68)
 	bb, rt := stackOn(t, m, 16)
 
-	pc, err := StartPowerCap(rt, bb, 200, 20*time.Millisecond)
+	pc, err := StartPowerCap(rt, bb, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,17 +43,14 @@ type PowerCap struct {
 // the next decision.
 const DefaultCapPeriod = 100 * time.Millisecond
 
-// StartPowerCap launches a controller holding node power at or below cap.
-// period zero selects DefaultCapPeriod.
-func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts, period time.Duration) (*PowerCap, error) {
+// StartPowerCap launches a controller holding node power at or below cap,
+// adjusting every DefaultCapPeriod.
+func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts) (*PowerCap, error) {
 	if rt == nil || bb == nil {
 		return nil, errors.New("maestro: runtime and blackboard are required")
 	}
 	if cap <= 0 {
 		return nil, fmt.Errorf("maestro: power cap %v must be positive", cap)
-	}
-	if period <= 0 {
-		period = DefaultCapPeriod
 	}
 	pc := &PowerCap{
 		rt:       rt,
@@ -64,7 +61,7 @@ func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts, pe
 	pc.capBits.Store(math.Float64bits(float64(cap)))
 	pc.limit = pc.maxLimit
 	pc.minLimit.Store(int64(pc.maxLimit))
-	id, err := rt.Machine().AddTicker(period, pc.poll)
+	id, err := rt.Machine().AddTicker(DefaultCapPeriod, pc.poll)
 	if err != nil {
 		return nil, err
 	}

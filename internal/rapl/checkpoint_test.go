@@ -13,13 +13,7 @@ import (
 func quarantinedGuard(t *testing.T, clk *settableClock, reg *telemetry.Registry) (*Guard, *Fake) {
 	t.Helper()
 	fake := NewFake(2)
-	g, err := NewGuard(fake, GuardConfig{
-		Clock:        clk.now,
-		SuspectAfter: 2,
-		Backoff:      10 * time.Millisecond,
-		BackoffMax:   40 * time.Millisecond,
-		Telemetry:    reg,
-	})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +28,7 @@ func quarantinedGuard(t *testing.T, clk *settableClock, reg *telemetry.Registry)
 	// Fault domain 0 into quarantine. The fake's error is global, so
 	// domain 1 is simply not read during the outage.
 	fake.SetError(errors.New("injected"))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < guardSuspectAfter; i++ {
 		if _, err := g.Energy(0); err == nil {
 			t.Fatal("injected fault not propagated")
 		}
@@ -73,12 +67,7 @@ func TestGuardCheckpointRestore(t *testing.T) {
 	fake2.Add(0, 7777)
 	fake2.Add(1, 8888)
 	reg := telemetry.NewRegistry()
-	g2, err := NewGuard(fake2, GuardConfig{
-		Clock:      clk2.now,
-		Backoff:    10 * time.Millisecond,
-		BackoffMax: 40 * time.Millisecond,
-		Telemetry:  reg,
-	})
+	g2, err := NewGuard(fake2, GuardConfig{Clock: clk2.now, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +117,7 @@ func TestGuardCheckpointRestore(t *testing.T) {
 func TestGuardRestoreRejectsGarbage(t *testing.T) {
 	clk := &settableClock{}
 	fake := NewFake(1)
-	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, BackoffMax: 40 * time.Millisecond})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +137,12 @@ func TestGuardRestoreRejectsGarbage(t *testing.T) {
 }
 
 // TestGuardRestoreClampsRetry: a checkpoint claiming a longer quarantine
-// than BackoffMax is clamped — a corrupt file cannot park a domain
+// than the maximum backoff is clamped — a corrupt file cannot park a domain
 // forever.
 func TestGuardRestoreClampsRetry(t *testing.T) {
 	clk := &settableClock{}
 	fake := NewFake(1)
-	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, Backoff: 10 * time.Millisecond, BackoffMax: 40 * time.Millisecond})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +151,7 @@ func TestGuardRestoreClampsRetry(t *testing.T) {
 	if _, err := g.Energy(0); !errors.As(err, &qe) {
 		t.Fatalf("restored quarantine not enforced: %v", err)
 	}
-	if qe.RetryAt > 40*time.Millisecond {
-		t.Errorf("restored retry deadline %v escaped the 40ms BackoffMax clamp", qe.RetryAt)
+	if qe.RetryAt > 80*time.Millisecond {
+		t.Errorf("restored retry deadline %v escaped the 80ms backoff clamp", qe.RetryAt)
 	}
 }

@@ -58,8 +58,8 @@ func (e *QuarantineError) Error() string {
 }
 
 // ImplausibleError reports a reading rejected by the plausibility clamp:
-// the cumulative energy moved by more than the configured per-window
-// bound, the signature of a garbage counter value or a phantom 2^32 lap.
+// the cumulative energy moved by more than the per-window bound, the
+// signature of a garbage counter value or a phantom 2^32 lap.
 type ImplausibleError struct {
 	Domain int
 	Delta  units.Joules
@@ -75,29 +75,32 @@ type GuardConfig struct {
 	// time (machine.Now) in the simulator, wall time on a real host.
 	// Required.
 	Clock func() time.Duration
-	// SuspectAfter is how many consecutive faults move a domain from
-	// suspect to quarantined. Zero selects 3.
-	SuspectAfter int
-	// Backoff is the initial quarantine retry interval; it doubles per
-	// failed retry up to BackoffMax. Zero selects 10 ms (one RCR sample
-	// period); BackoffMax zero selects 8× Backoff.
-	Backoff, BackoffMax time.Duration
-	// MaxWindowJoules bounds the cumulative-energy delta accepted
-	// between two reads; larger moves are rejected as garbage. Zero
-	// selects 2000 J — far above any real per-window energy at node
-	// scale, far below the ~65.7 kJ of a phantom 32-bit counter lap.
-	MaxWindowJoules float64
-	// StuckAfter is how many consecutive exactly-zero deltas mark a
-	// frozen counter as faulty. An active package always draws uncore
-	// base power, so a healthy counter moves every window; an exact
-	// repeat N times in a row is a stuck sensor, which would otherwise
-	// masquerade as fresh zero-power data. Zero selects 8; negative
-	// disables the check.
-	StuckAfter int
 	// Telemetry, when non-nil, receives the guard's rapl_guard_*
 	// counters and quarantined-domain gauge (docs/observability.md).
 	Telemetry *telemetry.Registry
 }
+
+// The guard's fail-safe tuning, sized to the RCR sampler's 10 ms period.
+const (
+	// guardSuspectAfter is how many consecutive faults move a domain
+	// from suspect to quarantined.
+	guardSuspectAfter = 3
+	// guardBackoff is the initial quarantine retry interval, one sample
+	// period; it doubles per failed retry up to guardBackoffMax.
+	guardBackoff    = 10 * time.Millisecond
+	guardBackoffMax = 8 * guardBackoff
+	// guardMaxWindowJoules bounds the cumulative-energy delta accepted
+	// between two reads; larger moves are rejected as garbage. It is far
+	// above any real per-window energy at node scale, far below the
+	// ~65.7 kJ of a phantom 32-bit counter lap.
+	guardMaxWindowJoules = 2000
+	// guardStuckAfter is how many consecutive exactly-zero deltas mark a
+	// frozen counter as faulty. An active package always draws uncore
+	// base power, so a healthy counter moves every window; an exact
+	// repeat this many times in a row is a stuck sensor, which would
+	// otherwise masquerade as fresh zero-power data.
+	guardStuckAfter = 8
+)
 
 // guardMetrics is the Guard's instrument set, fixed at construction.
 type guardMetrics struct {
@@ -129,7 +132,7 @@ type guardDomain struct {
 // accumulating only accepted deltas, and implements Reader itself.
 type Guard struct {
 	inner Reader
-	cfg   GuardConfig
+	clock func() time.Duration
 
 	mu   sync.Mutex
 	doms []guardDomain
@@ -145,25 +148,10 @@ func NewGuard(reader Reader, cfg GuardConfig) (*Guard, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("rapl: guard requires a clock")
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 10 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 8 * cfg.Backoff
-	}
-	if cfg.MaxWindowJoules <= 0 {
-		cfg.MaxWindowJoules = 2000
-	}
-	if cfg.StuckAfter == 0 {
-		cfg.StuckAfter = 8
-	}
 	reg := cfg.Telemetry
 	return &Guard{
 		inner: reader,
-		cfg:   cfg,
+		clock: cfg.Clock,
 		doms:  make([]guardDomain, reader.Domains()),
 		met: &guardMetrics{
 			faults:      reg.Counter("rapl_guard_faults_total"),
@@ -213,7 +201,7 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 	if domain < 0 || domain >= len(g.doms) {
 		return 0, domainError(domain, len(g.doms))
 	}
-	now := g.cfg.Clock()
+	now := g.clock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	d := &g.doms[domain]
@@ -259,7 +247,7 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		g.met.recoveries.Inc()
 		return units.Joules(d.acc), nil
 	}
-	if delta < 0 || delta > g.cfg.MaxWindowJoules {
+	if delta < 0 || delta > guardMaxWindowJoules {
 		// Garbage: the inner reader's accumulator moved implausibly far
 		// (a mis-read counter booked as a wrap). Absorb it — resync the
 		// baseline so the phantom energy never reaches the caller — and
@@ -270,9 +258,9 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		g.met.implausible.Inc()
 		return 0, &ImplausibleError{Domain: domain, Delta: units.Joules(delta)}
 	}
-	if g.cfg.StuckAfter > 0 && delta == 0 {
+	if delta == 0 {
 		d.zeroRuns++
-		if d.zeroRuns >= g.cfg.StuckAfter {
+		if d.zeroRuns >= guardStuckAfter {
 			// Frozen counter: fresh-looking zero-power windows forever.
 			g.faultLocked(d, now)
 			g.met.faults.Inc()
@@ -308,7 +296,7 @@ type DomainCheckpoint struct {
 // deadlines are stored as remaining durations so they survive a clock
 // restart (the restoring process re-anchors them to its own clock).
 func (g *Guard) Checkpoint() []DomainCheckpoint {
-	now := g.cfg.Clock()
+	now := g.clock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]DomainCheckpoint, len(g.doms))
@@ -340,7 +328,7 @@ func (g *Guard) Checkpoint() []DomainCheckpoint {
 // values are clamped, so a corrupt-but-decodable checkpoint degrades to
 // a cold start rather than poisoning the state machine.
 func (g *Guard) Restore(doms []DomainCheckpoint) {
-	now := g.cfg.Clock()
+	now := g.clock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := len(doms)
@@ -363,19 +351,19 @@ func (g *Guard) Restore(doms []DomainCheckpoint) {
 		if d.backoff < 0 {
 			d.backoff = 0
 		}
-		if d.backoff > g.cfg.BackoffMax {
-			d.backoff = g.cfg.BackoffMax
+		if d.backoff > guardBackoffMax {
+			d.backoff = guardBackoffMax
 		}
 		if d.state == GuardQuarantined {
 			if d.backoff <= 0 {
-				d.backoff = g.cfg.Backoff
+				d.backoff = guardBackoff
 			}
 			retry := cp.RetryIn
 			if retry < 0 {
 				retry = 0
 			}
-			if retry > g.cfg.BackoffMax {
-				retry = g.cfg.BackoffMax
+			if retry > guardBackoffMax {
+				retry = guardBackoffMax
 			}
 			d.retryAt = now + retry
 		} else {
@@ -398,14 +386,14 @@ func (g *Guard) faultLocked(d *guardDomain, now time.Duration) {
 	case GuardQuarantined:
 		// Failed retry: double the backoff, bounded.
 		d.backoff *= 2
-		if d.backoff > g.cfg.BackoffMax {
-			d.backoff = g.cfg.BackoffMax
+		if d.backoff > guardBackoffMax {
+			d.backoff = guardBackoffMax
 		}
 		d.retryAt = now + d.backoff
 	default:
-		if d.faults >= g.cfg.SuspectAfter {
+		if d.faults >= guardSuspectAfter {
 			d.state = GuardQuarantined
-			d.backoff = g.cfg.Backoff
+			d.backoff = guardBackoff
 			d.retryAt = now + d.backoff
 			g.met.quarantines.Inc()
 			g.met.quarantined.Add(1)

@@ -121,13 +121,7 @@ func TestGuardStateMachine(t *testing.T) {
 	fake := NewFake(1)
 	clk := &settableClock{}
 	reg := telemetry.NewRegistry()
-	g, err := NewGuard(fake, GuardConfig{
-		Clock:        clk.now,
-		SuspectAfter: 2,
-		Backoff:      10 * time.Millisecond,
-		BackoffMax:   40 * time.Millisecond,
-		Telemetry:    reg,
-	})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +149,20 @@ func TestGuardStateMachine(t *testing.T) {
 		t.Fatalf("state after 1 fault: %v, want suspect", s)
 	}
 
-	// Second fault: quarantined with the initial backoff.
+	// Second fault: still suspect.
 	if _, err := g.Energy(0); !errors.Is(err, injected) {
 		t.Fatalf("second fault: %v", err)
 	}
+	if s := g.State(0); s != GuardSuspect {
+		t.Fatalf("state after 2 faults: %v, want suspect", s)
+	}
+
+	// Third fault: quarantined with the initial backoff.
+	if _, err := g.Energy(0); !errors.Is(err, injected) {
+		t.Fatalf("third fault: %v", err)
+	}
 	if s := g.State(0); s != GuardQuarantined {
-		t.Fatalf("state after 2 faults: %v, want quarantined", s)
+		t.Fatalf("state after 3 faults: %v, want quarantined", s)
 	}
 	if g.Quarantined() != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", g.Quarantined())
@@ -177,8 +179,8 @@ func TestGuardStateMachine(t *testing.T) {
 		t.Fatalf("retry deadline %v, want 10ms", qe.RetryAt)
 	}
 
-	// Failed retries double the backoff, bounded at BackoffMax.
-	wantRetry := []time.Duration{30, 70, 110, 150} // +20ms, +40ms, +40ms (capped), +40ms
+	// Failed retries double the backoff, bounded at 80 ms.
+	wantRetry := []time.Duration{30, 70, 150, 230, 310} // +20ms, +40ms, +80ms, +80ms (capped), +80ms
 	for i, want := range wantRetry {
 		clk.at = qe.RetryAt
 		if _, err := g.Energy(0); !errors.Is(err, injected) {
@@ -234,7 +236,7 @@ func TestGuardStateMachine(t *testing.T) {
 func TestGuardPlausibilityClamp(t *testing.T) {
 	fake := NewFake(1)
 	clk := &settableClock{}
-	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, MaxWindowJoules: 500})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +284,12 @@ func TestGuardPlausibilityClamp(t *testing.T) {
 }
 
 // TestGuardStuckCounter: a frozen counter produces fresh-looking
-// zero-power windows; after StuckAfter exact repeats the guard must flag
+// zero-power windows; after guardStuckAfter exact repeats the guard must flag
 // the domain instead of reporting idle forever.
 func TestGuardStuckCounter(t *testing.T) {
 	fake := NewFake(1)
 	clk := &settableClock{}
-	g, err := NewGuard(fake, GuardConfig{Clock: clk.now, StuckAfter: 3, SuspectAfter: 100})
+	g, err := NewGuard(fake, GuardConfig{Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +300,8 @@ func TestGuardStuckCounter(t *testing.T) {
 	if _, err := g.Energy(0); err != nil {
 		t.Fatal(err)
 	}
-	// Two zero deltas pass; the third trips the stuck detector.
-	for i := 0; i < 2; i++ {
+	// Seven zero deltas pass; the eighth trips the stuck detector.
+	for i := 0; i < guardStuckAfter-1; i++ {
 		if _, err := g.Energy(0); err != nil {
 			t.Fatalf("zero delta %d flagged early: %v", i, err)
 		}

@@ -11,6 +11,12 @@
 //     (/sys/class/powercap/intel-rapl*) on a real host.
 //   - Fake: a settable reader for tests.
 //
+// Guard wraps any Reader in the fail-safe state machine of
+// docs/robustness.md. Its tuning is fixed and sized to the RCR sampler's
+// 10 ms period: three consecutive faults quarantine a domain, retries
+// back off from 10 ms to at most 80 ms, a window moving more than 2000 J
+// is garbage, and eight identical windows are a stuck counter.
+//
 // Readers return cumulative, monotonically non-decreasing energy per
 // domain (one domain per package/socket). Wrap correction requires the
 // caller to poll more often than the counter wrap interval; at 200 W a

@@ -15,7 +15,7 @@ import (
 // path carries a monotone fence token so a demoted aggregator — one
 // whose lease a standby has since taken over — cannot roll a shard back
 // to a stale assignment. The shard side is a FenceGuard attached to its
-// rcrd server ("CAP\n" op): it accepts a write only if the fence is
+// rcrd server ("MEM\n" op): it accepts a write only if the fence is
 // fresh, renews the holder's lease on every accepted write, and mirrors
 // the lease state into the shard blackboard as ordinary system meters —
 // which means every aggregator replica learns who leads, under which
@@ -23,7 +23,9 @@ import (
 // subscribes to. No extra coordination service exists: the shard fleet
 // itself is the quorum.
 //
-// Wire formats (package wire's shared rules; FuzzDecodeCapWrite):
+// Wire formats (package wire's shared rules; FuzzDecodeCapWrite). A cap
+// write travels as the prefix of a MEMW request and its ack as the prefix
+// of a MEMA response (memcap.go):
 //
 //	CAPW: magic "CAPW", flags u8 (bit0 cap present, bit1 release),
 //	      fence u64, leader u32, lease u64 (ns), seq u64, cap f64 bits
@@ -142,16 +144,9 @@ func AppendCapWrite(dst []byte, w CapWrite) []byte {
 	return binary.LittleEndian.AppendUint64(dst, capBits)
 }
 
-// DecodeCapWrite strictly decodes a CAPW payload: exact length, known
-// flags only, a positive finite cap exactly when the cap flag is set, a
-// positive lease exactly when the write is not a release. Every decoded
-// write re-encodes bit-exactly.
-func DecodeCapWrite(p []byte) (CapWrite, error) {
-	r := wire.NewReader("rcr: cap write", p)
-	return wire.Done(r, readCapWrite(r))
-}
-
-// readCapWrite reads the CAPW fields; MEMW opens with the same ones.
+// readCapWrite reads the CAPW fields that open MEMW: known flags only, a
+// positive finite cap exactly when the cap flag is set, a positive lease
+// exactly when the write is not a release.
 func readCapWrite(r *wire.Reader) CapWrite {
 	r.Magic(capwMagic)
 	flags := r.U8()
@@ -202,13 +197,7 @@ func AppendCapAck(dst []byte, a CapAck) []byte {
 	return binary.LittleEndian.AppendUint64(dst, bits)
 }
 
-// DecodeCapAck strictly decodes a CAPA payload.
-func DecodeCapAck(p []byte) (CapAck, error) {
-	r := wire.NewReader("rcr: cap ack", p)
-	return wire.Done(r, readCapAck(r))
-}
-
-// readCapAck reads the CAPA fields; MEMA opens with the same ones.
+// readCapAck reads the CAPA fields that open MEMA.
 func readCapAck(r *wire.Reader) CapAck {
 	r.Magic(capaMagic)
 	a := CapAck{Status: r.U8()}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,23 +21,24 @@ func TestCapWriteRoundTrip(t *testing.T) {
 		{Fence: 7, Leader: 2, Seq: 9000, Lease: 50 * time.Millisecond, HasCap: true, Cap: 62.5},
 		{Fence: 1<<53 - 1, Leader: 4, Seq: 1 << 40, Release: true},
 	}
+	// A cap write travels as an epoch-0 MEMW.
 	for _, w := range cases {
-		enc := AppendCapWrite(nil, w)
-		got, err := DecodeCapWrite(enc)
+		enc := AppendMemWrite(nil, MemWrite{Write: w})
+		got, err := DecodeMemWrite(enc)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", w, err)
 		}
-		if got != w {
+		if got.Write != w || got.Epoch != 0 || got.Frame != nil {
 			t.Fatalf("round trip: got %+v want %+v", got, w)
 		}
-		if re := AppendCapWrite(nil, got); !bytes.Equal(re, enc) {
+		if re := AppendMemWrite(nil, got); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode differs:\n in %x\nout %x", enc, re)
 		}
 	}
 }
 
 func TestCapWriteDecodeRejects(t *testing.T) {
-	good := AppendCapWrite(nil, CapWrite{Fence: 3, Leader: 1, Seq: 2, Lease: time.Second, HasCap: true, Cap: 80})
+	good := AppendMemWrite(nil, MemWrite{Write: CapWrite{Fence: 3, Leader: 1, Seq: 2, Lease: time.Second, HasCap: true, Cap: 80}})
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
@@ -57,7 +59,7 @@ func TestCapWriteDecodeRejects(t *testing.T) {
 		"negative lease": mutate(func(b []byte) { b[24] = 0x80 }),
 	}
 	for name, payload := range bad {
-		if _, err := DecodeCapWrite(payload); err == nil {
+		if _, err := DecodeMemWrite(payload); err == nil {
 			t.Errorf("%s: decode accepted %x", name, payload)
 		}
 	}
@@ -69,17 +71,18 @@ func TestCapAckRoundTrip(t *testing.T) {
 		{Status: CapFenceRejected, Fence: 9, Holder: 3, Expiry: 2 * time.Second, HasApplied: true, Applied: 55},
 		{Status: CapApplyFailed, Fence: 1, Holder: 2},
 	}
+	// A cap ack travels as the prefix of an epoch-0 MEMA.
 	for _, a := range cases {
-		enc := AppendCapAck(nil, a)
-		got, err := DecodeCapAck(enc)
+		enc := AppendMemAck(nil, MemAck{Ack: a})
+		got, err := DecodeMemAck(enc)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", a, err)
 		}
-		if got != a {
+		if got.Ack != a || got.MemFence != 0 || got.MemEpoch != 0 || got.Frame != nil {
 			t.Fatalf("round trip: got %+v want %+v", got, a)
 		}
 	}
-	if _, err := DecodeCapAck(AppendCapAck(nil, CapAck{Status: 3})); err == nil {
+	if _, err := DecodeMemAck(AppendMemAck(nil, MemAck{Ack: CapAck{Status: 3}})); err == nil {
 		t.Fatal("unknown status accepted")
 	}
 }
@@ -198,8 +201,8 @@ func TestFenceGuardMirrorsLeaseMeters(t *testing.T) {
 	}
 }
 
-// TestWriteCapOverWire drives the CAP op end-to-end: client → server →
-// guard → ack.
+// TestWriteCapOverWire drives a cap write end-to-end over the MEM op:
+// client → server → guard → ack.
 func TestWriteCapOverWire(t *testing.T) {
 	dir := t.TempDir()
 	socket := filepath.Join(dir, "rcrd.sock")
@@ -252,45 +255,39 @@ func TestWriteCapOverWire(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCapWrite holds the four fenced-write decoders — CAPW, CAPA
-// and their membership carriers MEMW, MEMA, all parsed straight off a
-// socket — to the canonical-codec property on arbitrary payloads, then
-// checks that any accepted cap write is safe to offer to a guard.
+// FuzzDecodeCapWrite holds the two fenced-write decoders — MEMW and
+// MEMA, whose epoch-0 forms carry every cap write and its ack, parsed
+// straight off a socket — to the canonical-codec property on arbitrary
+// payloads, then checks that any accepted write is safe to offer to a
+// guard.
 func FuzzDecodeCapWrite(f *testing.F) {
 	leaseOnly := CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Second}
 	capped := CapWrite{Fence: 2, Leader: 3, Seq: 7, Lease: time.Millisecond, HasCap: true, Cap: 60}
 	f.Add([]byte{})
 	f.Add([]byte("CAPW"))
-	f.Add(AppendCapWrite(nil, leaseOnly))
-	f.Add(AppendCapWrite(nil, capped))
-	f.Add(AppendCapWrite(nil, CapWrite{Fence: 9, Leader: 2, Seq: 3, Release: true}))
-	ack := CapAck{Status: CapFenceRejected, Fence: 9, Holder: 3, Expiry: time.Second, HasApplied: true, Applied: 55}
-	f.Add(AppendCapAck(nil, CapAck{Status: CapApplied, Fence: 2, Holder: 1}))
-	f.Add(AppendCapAck(nil, ack))
 	f.Add(AppendMemWrite(nil, MemWrite{Write: leaseOnly}))
+	f.Add(AppendMemWrite(nil, MemWrite{Write: capped}))
+	f.Add(AppendMemWrite(nil, MemWrite{Write: CapWrite{Fence: 9, Leader: 2, Seq: 3, Release: true}}))
 	f.Add(AppendMemWrite(nil, MemWrite{Write: capped, Epoch: 4, Frame: []byte("CLSM-opaque")}))
+	ack := CapAck{Status: CapFenceRejected, Fence: 9, Holder: 3, Expiry: time.Second, HasApplied: true, Applied: 55}
 	f.Add(AppendMemAck(nil, MemAck{Ack: CapAck{Status: CapApplied, Fence: 2, Holder: 1}}))
+	f.Add(AppendMemAck(nil, MemAck{Ack: ack}))
 	f.Add(AppendMemAck(nil, MemAck{Ack: ack, MemFence: 9, MemEpoch: 4, Frame: []byte("stored")}))
+	// A bare CAPW or CAPA is a MEMW or MEMA cut before its tail.
+	f.Add(AppendCapWrite(nil, capped))
+	f.Add(AppendCapAck(nil, ack))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
-			a, err := DecodeCapAck(b)
-			return AppendCapAck(nil, a), err
-		})
-		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
-			w, err := DecodeMemWrite(b)
-			return AppendMemWrite(nil, w), err
-		})
 		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
 			a, err := DecodeMemAck(b)
 			return AppendMemAck(nil, a), err
 		})
 		if !wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
-			w, err := DecodeCapWrite(b)
-			return AppendCapWrite(nil, w), err
+			w, err := DecodeMemWrite(b)
+			return AppendMemWrite(nil, w), err
 		}) {
 			return
 		}
-		w, _ := DecodeCapWrite(data)
+		w, _ := DecodeMemWrite(data)
 		// Any decoded write must round-trip through a guard without
 		// panicking, and the ack must itself round-trip on the wire.
 		clk := &fenceTestClock{}
@@ -300,13 +297,13 @@ func FuzzDecodeCapWrite(f *testing.F) {
 			}
 			return nil
 		})
-		ack := g.Offer(w)
-		enc := AppendCapAck(nil, ack)
-		back, err := DecodeCapAck(enc)
+		ack := g.OfferMem(w)
+		enc := AppendMemAck(nil, ack)
+		back, err := DecodeMemAck(enc)
 		if err != nil {
 			t.Fatalf("ack %+v does not decode: %v", ack, err)
 		}
-		if back != ack {
+		if !reflect.DeepEqual(back, ack) {
 			t.Fatalf("ack round trip: got %+v want %+v", back, ack)
 		}
 	})

@@ -53,23 +53,21 @@ func TestGoldenFrames(t *testing.T) {
 	capped := CapWrite{Fence: 7, Leader: 2, Seq: 9000, Lease: 50 * time.Millisecond, HasCap: true, Cap: 62.5}
 	leaseOnly := CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: sec}
 	release := CapWrite{Fence: 1<<53 - 1, Leader: 4, Seq: 1 << 40, Release: true}
-	for name, w := range map[string]CapWrite{"capw-cap": capped, "capw-lease-only": leaseOnly, "capw-release": release} {
-		wiretest.Frame(t, g, name, w, AppendCapWrite(nil, w), DecodeCapWrite)
-	}
+	// A cap write and its ack travel as epoch-0 MEMW and MEMA frames.
 	applied := CapAck{Status: CapFenceRejected, Fence: 9, Holder: 3, Expiry: 2 * sec, HasApplied: true, Applied: 55}
 	bare := CapAck{Status: CapApplied, Fence: 2, Holder: 1, Expiry: sec}
-	for name, a := range map[string]CapAck{"capa-applied": applied, "capa-bare": bare} {
-		wiretest.Frame(t, g, name, a, AppendCapAck(nil, a), DecodeCapAck)
-	}
 	for name, w := range map[string]MemWrite{
-		"memw-epoch0": {Write: leaseOnly},
-		"memw-frame":  {Write: capped, Epoch: 9, Frame: []byte("CLSM-opaque-frame-bytes")},
+		"memw-epoch0":         {Write: leaseOnly},
+		"memw-epoch0-cap":     {Write: capped},
+		"memw-epoch0-release": {Write: release},
+		"memw-frame":          {Write: capped, Epoch: 9, Frame: []byte("CLSM-opaque-frame-bytes")},
 	} {
 		wiretest.Frame(t, g, name, w, AppendMemWrite(nil, w), DecodeMemWrite)
 	}
 	for name, a := range map[string]MemAck{
-		"mema-empty":  {Ack: bare},
-		"mema-stored": {Ack: applied, MemFence: 3, MemEpoch: 9, Frame: []byte("stored")},
+		"mema-empty":          {Ack: bare},
+		"mema-epoch0-applied": {Ack: applied},
+		"mema-stored":         {Ack: applied, MemFence: 3, MemEpoch: 9, Frame: []byte("stored")},
 	} {
 		wiretest.Frame(t, g, name, a, AppendMemAck(nil, a), DecodeMemAck)
 	}

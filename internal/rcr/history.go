@@ -41,18 +41,11 @@ type HistoryPoint struct {
 // sampling period this is 40 s of virtual time).
 const DefaultHistoryCapacity = 4000
 
-// StartHistory begins recording the blackboard every period of virtual
-// time. capacity <= 0 selects DefaultHistoryCapacity; period <= 0 selects
-// the sampler default.
-func StartHistory(m *machine.Machine, bb *Blackboard, period time.Duration, capacity int) (*History, error) {
-	if capacity <= 0 {
-		capacity = DefaultHistoryCapacity
-	}
-	if period <= 0 {
-		period = DefaultSamplePeriod
-	}
-	h := &History{m: m, bb: bb, points: make([]HistoryPoint, capacity)}
-	id, err := m.AddTicker(period, h.record)
+// StartHistory begins recording the blackboard every DefaultSamplePeriod
+// of virtual time into a ring of DefaultHistoryCapacity points.
+func StartHistory(m *machine.Machine, bb *Blackboard) (*History, error) {
+	h := &History{m: m, bb: bb, points: make([]HistoryPoint, DefaultHistoryCapacity)}
+	id, err := m.AddTicker(DefaultSamplePeriod, h.record)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 func TestHistoryRecordsSeries(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
-	h, err := StartHistory(m, s.Blackboard(), 10*time.Millisecond, 0)
+	m, s := startSimStack(t)
+	h, err := StartHistory(m, s.Blackboard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,14 @@ func TestHistoryRecordsSeries(t *testing.T) {
 }
 
 func TestHistoryRingWraps(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
-	h, err := StartHistory(m, s.Blackboard(), 10*time.Millisecond, 8)
+	m, s := startSimStack(t)
+	h, err := StartHistory(m, s.Blackboard())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Stop()
+	// A small ring; the clock is parked, so nothing records before burn.
+	h.points = make([]HistoryPoint, 8)
 	burn(t, m, []int{0}, 300*time.Millisecond) // ~30 samples into 8 slots
 	pts := h.Points()
 	if len(pts) != 8 {
@@ -67,8 +69,8 @@ func TestHistoryRingWraps(t *testing.T) {
 }
 
 func TestHistoryWriteCSV(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
-	h, err := StartHistory(m, s.Blackboard(), 10*time.Millisecond, 0)
+	m, s := startSimStack(t)
+	h, err := StartHistory(m, s.Blackboard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +160,8 @@ func TestHistoryRestoreDeepCopy(t *testing.T) {
 }
 
 func TestHistoryConcurrentReaders(t *testing.T) {
-	m, s := startSimStack(t, 5*time.Millisecond)
-	h, err := StartHistory(m, s.Blackboard(), 5*time.Millisecond, 32)
+	m, s := startSimStack(t)
+	h, err := StartHistory(m, s.Blackboard())
 	if err != nil {
 		t.Fatal(err)
 	}

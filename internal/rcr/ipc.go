@@ -29,13 +29,11 @@ import (
 //	                   ("RCRF") first, then delta frames ("RCRD"); see
 //	                   delta.go for the wire format and pubsub.go for the
 //	                   fan-out. Requires Server.Pub; rejected otherwise.
-//	request:  "CAP\n"  then a uint32-length-prefixed CAPW payload
-//	                   (fence.go): a fenced cap write / lease renewal.
-//	                   Response: a uint32-length-prefixed CAPA ack.
-//	                   Requires Server.Fence; rejected otherwise.
 //	request:  "MEM\n"  then a uint32-length-prefixed MEMW payload
-//	                   (memcap.go); response: a MEMA ack. Requires
-//	                   Server.Fence; rejected otherwise.
+//	                   (memcap.go): a fenced cap write, lease renewal or
+//	                   membership commit. Response: a uint32-length-
+//	                   prefixed MEMA ack. Requires Server.Fence;
+//	                   rejected otherwise.
 //
 // An overloaded server may answer any request with the 4-byte BUSY
 // header (0xFFFFFFFF) and close the connection — a cheap load-shed
@@ -44,7 +42,7 @@ import (
 // to ErrBusy; pre-BUSY clients reject it as an implausible length, which
 // still fails fast.
 //
-// Connection reuse. GET, MET, CAP and MEM may follow one another on one
+// Connection reuse. GET, MET and MEM may follow one another on one
 // connection: after a complete response the server waits up to
 // ReadTimeout for the next request, and each request has its own
 // deadlines, counters and size bounds. The server closes on any
@@ -135,9 +133,10 @@ type Server struct {
 	// (Sampler.AttachPublisher). Close detaches all subscribers. Set
 	// before Serve.
 	Pub *Publisher
-	// Fence, when non-nil, enables the "CAP\n" op: fenced cap writes and
-	// lease renewals from the cluster tier's aggregator replicas are
-	// decided by this guard (fence.go). Set before Serve.
+	// Fence, when non-nil, enables the "MEM\n" op: fenced cap writes,
+	// lease renewals and membership commits from the cluster tier's
+	// aggregator replicas are decided by this guard (fence.go,
+	// memcap.go). Set before Serve.
 	Fence *FenceGuard
 
 	reg         *telemetry.Registry
@@ -418,8 +417,8 @@ func (s *Server) Close() error {
 
 // encodeScratch is a handler worker's reusable snapshot and buffers: in
 // reads the connection's requests, buf holds the response being built
-// (header included, so it goes out in one write), body a CAP/MEM
-// request's payload.
+// (header included, so it goes out in one write), body a MEM request's
+// payload.
 type encodeScratch struct {
 	snap Snapshot
 	in   *bufio.Reader
@@ -487,17 +486,6 @@ func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch)
 				}
 				scr.buf = buf.Bytes()
 			}
-		case "CAP\n":
-			body, ok := s.readBody(scr, capWriteLen, capWriteLen)
-			if !ok {
-				return false
-			}
-			w, err := DecodeCapWrite(body)
-			if err != nil {
-				s.rejected.Inc()
-				return false
-			}
-			scr.buf = AppendCapAck(scr.buf, s.Fence.Offer(w))
 		case "MEM\n":
 			body, ok := s.readBody(scr, capWriteLen+12, capWriteLen+12+MaxMemFrame)
 			if !ok {
@@ -588,13 +576,15 @@ func QueryMetrics(ctx context.Context, network, addr string) (string, error) {
 		func(p []byte) (string, error) { return string(p), nil })
 }
 
-// WriteCap performs one fenced cap write ("CAP\n" op) against addr and
-// returns the shard's ack. A transport failure returns an error; a
-// fence rejection is not an error — it comes back in the ack so the
-// caller can distinguish "shard unreachable" from "you were demoted".
+// WriteCap performs one fenced cap write against addr — an epoch-0
+// WriteMem, which the guard decides by Offer's fence rules and which
+// stores no membership — and returns the shard's ack. A transport
+// failure returns an error; a fence rejection is not an error — it
+// comes back in the ack so the caller can distinguish "shard
+// unreachable" from "you were demoted".
 func WriteCap(ctx context.Context, network, addr string, w CapWrite) (CapAck, error) {
-	return exchange(ctx, network, addr, "CAP\n", func(b []byte) []byte { return AppendCapWrite(b, w) },
-		capAckLen, capAckLen, DecodeCapAck)
+	a, err := WriteMem(ctx, network, addr, MemWrite{Write: w})
+	return a.Ack, err
 }
 
 // ipcReadBuf sizes the server's per-worker request reader and each

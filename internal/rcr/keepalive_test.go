@@ -458,14 +458,14 @@ func TestServerCloseDropsIdleConns(t *testing.T) {
 }
 
 // TestServerRequestFraming: the server reads requests through a
-// per-connection buffered reader, however the peer splits them. A CAP
+// per-connection buffered reader, however the peer splits them. A MEM
 // request written a byte at a time is answered; a body that stalls past
 // ReadTimeout is cut and counted as an error; SUB with bytes behind it
 // is refused as a bad request — the publisher's writer takes the bare
 // connection, and those bytes would be left behind in the reader.
 func TestServerRequestFraming(t *testing.T) {
-	capReq := binary.LittleEndian.AppendUint32([]byte("CAP\n"), capWriteLen)
-	capReq = AppendCapWrite(capReq, CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Minute, HasCap: true, Cap: 80})
+	capReq := binary.LittleEndian.AppendUint32([]byte("MEM\n"), capWriteLen+12)
+	capReq = AppendMemWrite(capReq, MemWrite{Write: CapWrite{Fence: 1, Leader: 1, Seq: 1, Lease: time.Minute, HasCap: true, Cap: 80}})
 	for _, tc := range []struct {
 		name     string
 		readTO   time.Duration
@@ -505,11 +505,11 @@ func TestServerRequestFraming(t *testing.T) {
 			}
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			if tc.counter == "" {
-				resp := make([]byte, 4+capAckLen)
-				if _, err := io.ReadFull(conn, resp); err != nil || binary.LittleEndian.Uint32(resp) != capAckLen {
-					t.Fatalf("response %x, err %v, want one CAPA", resp, err)
+				resp := make([]byte, 4+capAckLen+20)
+				if _, err := io.ReadFull(conn, resp); err != nil || binary.LittleEndian.Uint32(resp) != capAckLen+20 {
+					t.Fatalf("response %x, err %v, want one epoch-0 MEMA", resp, err)
 				}
-				if ack, err := DecodeCapAck(resp[4:]); err != nil || ack.Status != CapApplied {
+				if ack, err := DecodeMemAck(resp[4:]); err != nil || ack.Ack.Status != CapApplied {
 					t.Fatalf("ack %+v, err %v", ack, err)
 				}
 			} else if resp, err := io.ReadAll(conn); err != nil || len(resp) != 0 {

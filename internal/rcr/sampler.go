@@ -81,7 +81,6 @@ type Sampler struct {
 	m       *machine.Machine
 	reader  rapl.Reader
 	bb      *Blackboard
-	period  time.Duration
 	watchID int
 
 	met      atomic.Pointer[samplerMetrics]
@@ -116,18 +115,15 @@ const (
 )
 
 // StartSampler registers a sampler and its watchdog on the machine and
-// returns it. The blackboard is updated every period of virtual time
-// until Stop.
+// returns it. The blackboard is updated every DefaultSamplePeriod of
+// virtual time until Stop.
 //
 // The energy baseline is seeded from the counters before the first tick,
 // so the first sample window already publishes a power meter: consumers
 // polling the blackboard during the first period see real data instead
 // of a zero-valued "idle" node (they previously had to wait out two
 // periods for the first derivative).
-func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period time.Duration) (*Sampler, error) {
-	if period <= 0 {
-		period = DefaultSamplePeriod
-	}
+func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard) (*Sampler, error) {
 	if reader.Domains() != m.Config().Sockets {
 		return nil, fmt.Errorf("rcr: reader has %d domains, machine has %d sockets", reader.Domains(), m.Config().Sockets)
 	}
@@ -139,7 +135,6 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period
 		m:          m,
 		reader:     reader,
 		bb:         bb,
-		period:     period,
 		lastEnergy: make([]float64, reader.Domains()),
 		lastTime:   make([]time.Duration, reader.Domains()),
 		haveBase:   make([]bool, reader.Domains()),
@@ -150,7 +145,7 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard, period
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	id, err := m.AddTicker(watchPeriods*period, s.watch)
+	id, err := m.AddTicker(watchPeriods*DefaultSamplePeriod, s.watch)
 	if err != nil {
 		m.RemoveTicker(s.tickerID)
 		return nil, err
@@ -170,7 +165,7 @@ func (s *Sampler) begin() error {
 		e, err := s.reader.Energy(d)
 		s.lastEnergy[d], s.lastTime[d], s.haveBase[d] = float64(e), start, err == nil
 	}
-	id, err := s.m.AddTicker(s.period, s.sample)
+	id, err := s.m.AddTicker(DefaultSamplePeriod, s.sample)
 	if err != nil {
 		s.dead.Store(true)
 		return err
@@ -228,9 +223,6 @@ func (s *Sampler) Restarts() uint64 { return s.restarts.Load() }
 // Blackboard returns the blackboard this sampler writes.
 func (s *Sampler) Blackboard() *Blackboard { return s.bb }
 
-// Period returns the sampling period.
-func (s *Sampler) Period() time.Duration { return s.period }
-
 // Stop unregisters the watchdog and the sampler's ticker.
 func (s *Sampler) Stop() {
 	s.mu.Lock()
@@ -251,7 +243,7 @@ func (s *Sampler) watch(now time.Duration, _ *machine.Snapshot) {
 	met.checks.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stale := stalePeriods * s.period
+	const stale = stalePeriods * DefaultSamplePeriod
 	hb, ok := s.bb.System(MeterHeartbeat)
 	if s.stopped || s.Alive() && (ok && now-hb.Updated <= stale || !ok && now <= stale) {
 		return

@@ -32,7 +32,7 @@ func newParkedMachine(t *testing.T, cfg machine.Config) *machine.Machine {
 }
 
 // startSimStack builds machine + MSR RAPL reader + blackboard + sampler.
-func startSimStack(t *testing.T, period time.Duration) (*machine.Machine, *Sampler) {
+func startSimStack(t *testing.T) (*machine.Machine, *Sampler) {
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 5 * time.Minute
@@ -45,7 +45,7 @@ func startSimStack(t *testing.T, period time.Duration) (*machine.Machine, *Sampl
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := StartSampler(m, reader, bb, period)
+	s, err := StartSampler(m, reader, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func burn(t *testing.T, m *machine.Machine, cores []int, d time.Duration) {
 }
 
 func TestSamplerWritesEnergyAndPower(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
+	m, s := startSimStack(t)
 	burn(t, m, []int{0, 1, 2, 3, 4, 5, 6, 7}, 200*time.Millisecond)
 
 	bb := s.Blackboard()
@@ -127,7 +127,7 @@ func TestSamplerWritesEnergyAndPower(t *testing.T) {
 }
 
 func TestSamplerTracksTemperatureAndConcurrency(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
+	m, s := startSimStack(t)
 	m.WarmAll(66)
 	// Memory-heavy load on socket 0.
 	bytes := float64(m.Config().Mem.MaxCoreBandwidth())
@@ -153,7 +153,7 @@ func TestSamplerTracksTemperatureAndConcurrency(t *testing.T) {
 }
 
 func TestSamplerIdlePowerLow(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
+	m, s := startSimStack(t)
 	// Drive time with a single tiny-power parked core.
 	load(t, m, []int{0}, func(ctx *machine.CoreCtx) { ctx.Sleep(100 * time.Millisecond) })
 	p, ok := s.Blackboard().Socket(1, MeterPower)
@@ -175,24 +175,21 @@ func TestStartSamplerValidation(t *testing.T) {
 	defer m.Stop()
 	bb, _ := NewBlackboard(cfg.Sockets, cfg.CoresPerSocket)
 	// Wrong domain count.
-	if _, err := StartSampler(m, rapl.NewFake(3), bb, 0); err == nil {
+	if _, err := StartSampler(m, rapl.NewFake(3), bb); err == nil {
 		t.Error("StartSampler accepted mismatched reader")
 	}
 	// Wrong blackboard topology.
 	bad, _ := NewBlackboard(1, 1)
 	reader, _ := rapl.NewMSRReader(m.MSR())
-	if _, err := StartSampler(m, reader, bad, 0); err == nil {
+	if _, err := StartSampler(m, reader, bad); err == nil {
 		t.Error("StartSampler accepted mismatched blackboard")
 	}
-	// Default period applies.
-	s, err := StartSampler(m, reader, bb, 0)
+	// A matching reader and blackboard start.
+	s, err := StartSampler(m, reader, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
-	if s.Period() != DefaultSamplePeriod {
-		t.Errorf("Period = %v, want default %v", s.Period(), DefaultSamplePeriod)
-	}
+	s.Stop()
 }
 
 func TestSamplerSurvivesReaderErrors(t *testing.T) {
@@ -204,7 +201,7 @@ func TestSamplerSurvivesReaderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := StartSampler(m, fake, bb, 10*time.Millisecond)
+	s, err := StartSampler(m, fake, bb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestSupervisorRestartsCrashedSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	s, err := StartSampler(m, reader, bb, 5*time.Millisecond)
+	s, err := StartSampler(m, reader, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +90,17 @@ func TestSupervisorResyncsBaselineAcrossOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := StartSampler(m, reader, bb, 5*time.Millisecond)
+	s, err := StartSampler(m, reader, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 
-	// One fatal crash at 35 ms; the watchdog's next check restarts the
-	// sampler at 45 ms, so 10 ms of full-load energy accumulates
+	// One fatal crash at 40 ms; the watchdog's next check restarts the
+	// sampler at 60 ms, so 20 ms of full-load energy accumulates
 	// unobserved.
 	s.SetFaultGates(func(now time.Duration) TickAction {
-		if now >= 35*time.Millisecond && now < 40*time.Millisecond {
+		if now >= 40*time.Millisecond && now < 50*time.Millisecond {
 			return TickDie
 		}
 		return TickRun

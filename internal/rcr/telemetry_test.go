@@ -254,7 +254,7 @@ func TestQueryMetricsUninstrumented(t *testing.T) {
 // sample window must already publish a power meter, so a consumer
 // polling inside the first period never mistakes the node for idle.
 func TestSamplerFirstWindowPublishesPower(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
+	m, s := startSimStack(t)
 	// Run just past ONE sampling period; the old sampler needed two.
 	burn(t, m, []int{0, 1, 2, 3}, 12*time.Millisecond)
 	p, ok := s.Blackboard().Socket(0, MeterPower)
@@ -275,7 +275,7 @@ func TestSamplerFirstWindowPublishesPower(t *testing.T) {
 // TestSamplerInstrumented checks the sampler's counters and that the
 // instrumented tick path records its own latency.
 func TestSamplerInstrumented(t *testing.T) {
-	m, s := startSimStack(t, 10*time.Millisecond)
+	m, s := startSimStack(t)
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
 	s.Blackboard().Instrument(reg)
@@ -305,7 +305,7 @@ func TestSamplerPerDomainResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := StartSampler(m, fake, bb, 10*time.Millisecond)
+	s, err := StartSampler(m, fake, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,6 @@ func benchSampler(tb testing.TB, sockets int) (*Sampler, *machine.Snapshot) {
 	s := &Sampler{
 		reader:     fake,
 		bb:         bb,
-		period:     10 * time.Millisecond,
 		lastEnergy: make([]float64, sockets),
 		lastTime:   make([]time.Duration, sockets),
 		haveBase:   make([]bool, sockets),

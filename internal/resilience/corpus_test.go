@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"context"
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/rcr"
+	"repro/internal/resilience"
 	"repro/internal/resilience/leak"
 	"repro/internal/telemetry"
 )
@@ -173,11 +174,11 @@ func runClientCorpusSeed(seed uint64) (*corpusReport, *telemetry.Journal) {
 }
 
 // client builds client id over the modeled replicas, on clk.
-func (r *corpusRun) client(id int, addrs []string, clk *vclock) *Client {
-	cl, err := NewClient(ClientConfig{
+func (r *corpusRun) client(id int, addrs []string, clk *vclock) *resilience.Client {
+	cl, err := resilience.NewClient(resilience.ClientConfig{
 		Addrs:            addrs,
 		Attempts:         2,
-		Backoff:          Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Seed: r.seed ^ uint64(id)<<16},
+		Backoff:          resilience.Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Seed: r.seed ^ uint64(id)<<16},
 		StalenessHorizon: corpusHorizon,
 		Clock:            clk.now,
 		Sleep:            clk.sleep,
@@ -189,7 +190,7 @@ func (r *corpusRun) client(id int, addrs []string, clk *vclock) *Client {
 			r.served = true
 			return d.snapshot(clk.at), nil
 		},
-		Subscribe: func(_ context.Context, _, addr string) (SubStream, error) {
+		Subscribe: func(_ context.Context, _, addr string) (resilience.SubStream, error) {
 			d := r.replicas[addr]
 			if err := r.exchange(d, clk); err != nil {
 				return nil, err
@@ -198,7 +199,7 @@ func (r *corpusRun) client(id int, addrs []string, clk *vclock) *Client {
 		},
 		Journal:   r.journal,
 		Telemetry: r.reg,
-		Breaker:   BreakerConfig{FailureThreshold: 3, OpenFor: corpusBudget / 40, OpenForMax: corpusBudget / 10},
+		Breaker:   resilience.BreakerConfig{FailureThreshold: 3, OpenFor: corpusBudget / 40, OpenForMax: corpusBudget / 10},
 	})
 	if err != nil {
 		panic(err) // a clock and an address are always given
@@ -238,7 +239,7 @@ func (r *corpusRun) poller(id int, addrs []string) {
 		switch {
 		case err != nil:
 			r.out.Failed++
-			if everLive && errors.Is(err, ErrStaleCache) {
+			if everLive && errors.Is(err, resilience.ErrStaleCache) {
 				r.out.Expired++
 			}
 		case clk.at-snap.Now > corpusHorizon+corpusFeed:

@@ -21,7 +21,7 @@ import (
 // a resilience.Client polls a remote rcrd server and mirrors the
 // snapshot's meters into the local blackboard — must degrade to
 // fail-safe when the daemon process dies, stay there for the whole
-// outage, and recover within RecoveryPolls of the restart.
+// outage, and recover within the daemon's two recovery polls of the restart.
 //
 // The mirror writes meter values with the *remote* Updated stamps (both
 // sides share one virtual clock), so the client's last-known-good cache
@@ -124,10 +124,8 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 
 	jnl := telemetry.NewJournal(8192, 1)
 	d, err := maestro.Start(rt, local, maestro.Config{
-		Period:           5 * time.Millisecond,
-		StalenessHorizon: 10 * time.Millisecond,
-		RecoveryPolls:    2,
-		Journal:          jnl,
+		Period:  5 * time.Millisecond,
+		Journal: jnl,
 	})
 	if err != nil {
 		t.Fatal(err)

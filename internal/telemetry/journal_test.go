@@ -132,19 +132,23 @@ func TestJournalConcurrentReaders(t *testing.T) {
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
+	// The readers start once the first record is in: a writer the
+	// scheduler starts late cannot leave them an empty journal.
+	recorded := make(chan struct{})
 	go func() {
 		defer writer.Done()
-		i := 0
-		for {
+		j.Record(decisionAt(0))
+		close(recorded)
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 				j.Record(decisionAt(i))
-				i++
 			}
 		}
 	}()
+	<-recorded
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {

@@ -1,6 +1,6 @@
 // Package wire is the one decoding layer under every binary frame in this
-// repository: RCR1, RCRF, RCRD, CAPW, CAPA, MEMW and MEMA in internal/rcr,
-// CLSM in internal/cluster.
+// repository: RCR1, RCRF, RCRD, MEMW and MEMA (which open with the CAPW
+// and CAPA cap-write fields) in internal/rcr, CLSM in internal/cluster.
 //
 // Shared rules, which the formats' own comments do not repeat. All
 // integers are little-endian; floats travel as their IEEE 754 bits.
