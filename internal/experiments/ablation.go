@@ -66,7 +66,7 @@ func policyAblationSpec(app string, variant int) RunSpec {
 // average power is used to determine throttling, it often limits thread
 // count for programs running at high efficiency and increased overall
 // energy consumption" — and extends it with the Adaptive arm (ROADMAP
-// item 3): the paper's dual-condition classifier always throttles to
+// items 3(c) and 10): the paper's dual-condition classifier always throttles to
 // the one configured limit, while the adaptive policy hill-climbs to
 // the energy-optimal operating point per workload phase and should beat
 // it on every poorly-scaling app without touching sparselu.

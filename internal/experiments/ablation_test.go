@@ -156,7 +156,7 @@ func TestThrottlingPreservesCorrectness(t *testing.T) {
 }
 
 // TestPolicyAblationAdaptiveArm pins the Adaptive policy's acceptance
-// envelope (ROADMAP item 3): it must beat the paper's dual-condition
+// envelope (ROADMAP items 3(c) and 10): it must beat the paper's dual-condition
 // classifier on total energy for every poorly-scaling app — by at least
 // 3% on at least one — while leaving the well-scaling sparselu within
 // the 0.6% overhead bound.

@@ -29,10 +29,10 @@ type PolicyInput struct {
 }
 
 // The Adaptive policy goes beyond the paper's static High/Med/Low gate
-// (ROADMAP item 3, after Conoci et al. and Cuttlefish): it segments the
-// telemetry stream into workload phases with a change-point detector
-// (package phase) and, for each memory-bound phase, hill-climbs a
-// per-phase efficiency model over thread count × DVFS gear to find the
+// (ROADMAP items 3(c) and 10, after Conoci et al. and Cuttlefish): it
+// segments the telemetry stream into workload phases with a change-point
+// detector (package phase) and, for each memory-bound phase, hill-climbs
+// a per-phase efficiency model over thread count × DVFS gear to find the
 // energy-optimal operating point instead of always jumping to the one
 // configured ThrottleLimit.
 //

@@ -38,13 +38,13 @@ type PowerCap struct {
 	met atomic.Pointer[capMetrics]
 }
 
-// DefaultCapPeriod is the controller's adjustment interval. It must be
-// long enough for a limit change to show up in the power samples before
-// the next decision.
-const DefaultCapPeriod = 100 * time.Millisecond
+// CapPeriod is the controller's adjustment interval. It must be long
+// enough for a limit change to show up in the power samples before the
+// next decision.
+const CapPeriod = 100 * time.Millisecond
 
 // StartPowerCap launches a controller holding node power at or below cap,
-// adjusting every DefaultCapPeriod.
+// adjusting every CapPeriod.
 func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts) (*PowerCap, error) {
 	if rt == nil || bb == nil {
 		return nil, errors.New("maestro: runtime and blackboard are required")
@@ -61,7 +61,7 @@ func StartPowerCap(rt *qthreads.Runtime, bb *rcr.Blackboard, cap units.Watts) (*
 	pc.capBits.Store(math.Float64bits(float64(cap)))
 	pc.limit = pc.maxLimit
 	pc.minLimit.Store(int64(pc.maxLimit))
-	id, err := rt.Machine().AddTicker(DefaultCapPeriod, pc.poll)
+	id, err := rt.Machine().AddTicker(CapPeriod, pc.poll)
 	if err != nil {
 		return nil, err
 	}

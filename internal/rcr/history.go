@@ -37,15 +37,15 @@ type HistoryPoint struct {
 	Temperature []float64
 }
 
-// DefaultHistoryCapacity bounds the ring buffer (at the default 10 ms
-// sampling period this is 40 s of virtual time).
-const DefaultHistoryCapacity = 4000
+// HistoryCapacity bounds the ring buffer (40 s of virtual time at one
+// point per SamplePeriod).
+const HistoryCapacity = 4000
 
-// StartHistory begins recording the blackboard every DefaultSamplePeriod
-// of virtual time into a ring of DefaultHistoryCapacity points.
+// StartHistory begins recording the blackboard every SamplePeriod of
+// virtual time into a ring of HistoryCapacity points.
 func StartHistory(m *machine.Machine, bb *Blackboard) (*History, error) {
-	h := &History{m: m, bb: bb, points: make([]HistoryPoint, DefaultHistoryCapacity)}
-	id, err := m.AddTicker(DefaultSamplePeriod, h.record)
+	h := &History{m: m, bb: bb, points: make([]HistoryPoint, HistoryCapacity)}
+	id, err := m.AddTicker(SamplePeriod, h.record)
 	if err != nil {
 		return nil, err
 	}

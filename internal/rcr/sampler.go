@@ -11,11 +11,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultSamplePeriod is how often the sampler refreshes the blackboard.
+// SamplePeriod is how often the sampler refreshes the blackboard.
 // The real RCRdaemon updates its shared-memory region at a similar rate;
 // consumers like the MAESTRO throttle daemon poll less often (0.1 s) to
 // smooth jitter (paper §IV).
-const DefaultSamplePeriod = 10 * time.Millisecond
+const SamplePeriod = 10 * time.Millisecond
 
 // samplerMetrics is the sampler's instrument set, installed atomically
 // by Instrument so publishing can begin while ticks are in flight.
@@ -115,7 +115,7 @@ const (
 )
 
 // StartSampler registers a sampler and its watchdog on the machine and
-// returns it. The blackboard is updated every DefaultSamplePeriod of
+// returns it. The blackboard is updated every SamplePeriod of
 // virtual time until Stop.
 //
 // The energy baseline is seeded from the counters before the first tick,
@@ -145,7 +145,7 @@ func StartSampler(m *machine.Machine, reader rapl.Reader, bb *Blackboard) (*Samp
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
-	id, err := m.AddTicker(watchPeriods*DefaultSamplePeriod, s.watch)
+	id, err := m.AddTicker(watchPeriods*SamplePeriod, s.watch)
 	if err != nil {
 		m.RemoveTicker(s.tickerID)
 		return nil, err
@@ -165,7 +165,7 @@ func (s *Sampler) begin() error {
 		e, err := s.reader.Energy(d)
 		s.lastEnergy[d], s.lastTime[d], s.haveBase[d] = float64(e), start, err == nil
 	}
-	id, err := s.m.AddTicker(DefaultSamplePeriod, s.sample)
+	id, err := s.m.AddTicker(SamplePeriod, s.sample)
 	if err != nil {
 		s.dead.Store(true)
 		return err
@@ -243,7 +243,7 @@ func (s *Sampler) watch(now time.Duration, _ *machine.Snapshot) {
 	met.checks.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	const stale = stalePeriods * DefaultSamplePeriod
+	const stale = stalePeriods * SamplePeriod
 	hb, ok := s.bb.System(MeterHeartbeat)
 	if s.stopped || s.Alive() && (ok && now-hb.Updated <= stale || !ok && now <= stale) {
 		return

@@ -186,13 +186,23 @@ func NewJournal(capacity, sockets int) *Journal {
 	if sockets < 1 {
 		sockets = 1
 	}
+	// One backing array per field, each slot's slice a sockets-wide
+	// window of it: five allocations instead of five per slot. The full
+	// slice expression caps each window, so a Record with more sockets
+	// than the journal was built for reallocates instead of writing into
+	// the next slot.
+	n := capacity * sockets
+	power, conc, membw := make([]float64, n), make([]float64, n), make([]float64, n)
+	plv, clv := make([]int8, n), make([]int8, n)
 	j := &Journal{entries: make([]Decision, capacity)}
 	for i := range j.entries {
-		j.entries[i].Power = make([]float64, 0, sockets)
-		j.entries[i].Conc = make([]float64, 0, sockets)
-		j.entries[i].Membw = make([]float64, 0, sockets)
-		j.entries[i].PowerLv = make([]int8, 0, sockets)
-		j.entries[i].ConcLv = make([]int8, 0, sockets)
+		lo, hi := i*sockets, (i+1)*sockets
+		e := &j.entries[i]
+		e.Power = power[lo:lo:hi]
+		e.Conc = conc[lo:lo:hi]
+		e.Membw = membw[lo:lo:hi]
+		e.PowerLv = plv[lo:lo:hi]
+		e.ConcLv = clv[lo:lo:hi]
 	}
 	return j
 }

@@ -124,6 +124,29 @@ func TestJournalRecordAllocs(t *testing.T) {
 	}
 }
 
+// TestNewJournalAllocs: the slots' per-socket slices are windows of one
+// backing array per field, so building a journal costs a fixed number of
+// allocations whatever its capacity.
+func TestNewJournalAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() { NewJournal(1024, 2) })
+	if allocs > 7 {
+		t.Errorf("NewJournal(1024, 2) makes %.0f allocations, want at most 7 (journal, slots, five field arrays)", allocs)
+	}
+}
+
+// TestJournalWideRecordKeepsNeighbours: a decision with more sockets than
+// the journal was built for must not write into the next slot's window.
+func TestJournalWideRecordKeepsNeighbours(t *testing.T) {
+	j := NewJournal(4, 1)
+	first, second := decisionAt(0), decisionAt(1)
+	second.Power = []float64{70, 80}
+	j.Record(first)
+	j.Record(second)
+	if e := j.Entries(); !reflect.DeepEqual(e[0], first) || !reflect.DeepEqual(e[1], second) {
+		t.Errorf("entries after two 2-socket records into a 1-socket journal:\ngot  %+v\nwant %+v", e, []Decision{first, second})
+	}
+}
+
 // TestJournalConcurrentReaders mirrors TestHistoryConcurrentReaders: one
 // writer racing snapshot/export readers, for CI's race-enabled job.
 func TestJournalConcurrentReaders(t *testing.T) {

@@ -63,6 +63,30 @@ func TestAlignmentICC(t *testing.T) {
 	checkTarget(t, NewAlignmentFor(), compiler.Target{Compiler: compiler.ICC, Opt: compiler.O2}, 0.12, 0.08)
 }
 
+// TestAlignmentValidateCountsPairs: a run that lost one pair task, or
+// ran one twice, fails Validate, also when the pair's score would leave
+// the sum as it was.
+func TestAlignmentValidateCountsPairs(t *testing.T) {
+	for _, a := range []*Alignment{NewAlignmentFor(), NewAlignmentSingle()} {
+		mustPrepare(t, a, workloads.Params{Scale: 0.1})
+		mustRun(t, a)
+		for _, times := range []int64{-1, 1} { // lost, repeated
+			for _, score := range []int64{int64(a.scores[0]), 0} {
+				a.got.Add(times * score)
+				a.done.Add(times)
+				if err := a.Validate(); err == nil {
+					t.Errorf("%s: a run with a pair of score %d counted %+d times extra validates", a.Name(), score, times)
+				}
+				a.got.Add(-times * score)
+				a.done.Add(-times)
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Errorf("%s: restored run: %v", a.Name(), err)
+		}
+	}
+}
+
 func TestFibCutoffBaselineGCC(t *testing.T) {
 	checkTarget(t, NewFib(), compiler.Baseline, 0.12, 0.08)
 }

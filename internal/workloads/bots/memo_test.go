@@ -47,22 +47,23 @@ var memoCases = []memoCase{
 		a:       func() workloads.Workload { return NewNQueens() },
 		b:       func() workloads.Workload { return NewNQueens() },
 		targets: [2]compiler.Target{compiler.Baseline, gccO0},
+		shared:  func(w workloads.Workload) any { return w.(*NQueens).ref },
 		ref: func(w workloads.Workload) any {
-			q := w.(*NQueens)
-			return [2]int64{q.wantCount, q.wantNodes}
+			r := w.(*NQueens).ref
+			return [3]int64{r.count, r.nodes, int64(len(r.leaves))}
 		},
 		calib: func(w workloads.Workload) float64 { return w.(*NQueens).cyclesPerNode },
 	},
 	{
 		// The micro-benchmark's 12-queens board (micro.NewNQueens) and
-		// BOTS' 13-queens board share nqueensRefs' one entry.
+		// BOTS' 13-queens board, run side by side.
 		name:    "nqueens-boards",
 		a:       func() workloads.Workload { return NewNQueensBoard(compiler.AppNQueens, 12, 2) },
 		b:       func() workloads.Workload { return NewNQueens() },
 		targets: [2]compiler.Target{compiler.Baseline, gccO0},
 		ref: func(w workloads.Workload) any {
-			q := w.(*NQueens)
-			return [2]int64{q.wantCount, q.wantNodes}
+			r := w.(*NQueens).ref
+			return [3]int64{r.count, r.nodes, int64(len(r.leaves))}
 		},
 		calib: func(w workloads.Workload) float64 { return w.(*NQueens).cyclesPerNode },
 	},
@@ -91,13 +92,10 @@ var memoCases = []memoCase{
 		a:       func() workloads.Workload { return NewAlignmentFor() },
 		b:       func() workloads.Workload { return NewAlignmentSingle() },
 		targets: [2]compiler.Target{compiler.Baseline, gccO0},
-		shared:  func(w workloads.Workload) any { return &w.(*Alignment).seqs[0][0] },
-		ref: func(w workloads.Workload) any {
-			a := w.(*Alignment)
-			return string(a.seqs[0])
-		},
-		calib:  func(w workloads.Workload) float64 { return w.(*Alignment).perPair },
-		rekeys: []func(workloads.Params) workloads.Params{reseed},
+		shared:  func(w workloads.Workload) any { return &w.(*Alignment).scores[0] },
+		ref:     func(w workloads.Workload) any { return w.(*Alignment).want },
+		calib:   func(w workloads.Workload) float64 { return w.(*Alignment).perPair },
+		rekeys:  []func(workloads.Params) workloads.Params{reseed},
 	},
 	{
 		name:    "sort",
@@ -223,15 +221,21 @@ func TestMemoTargetsShareReferenceNotCalibration(t *testing.T) {
 }
 
 // TestMemoAlternatesBoards prepares the micro and the BOTS n-queens in
-// turn: each rebuilds the one entry the other displaced, and each must
-// get its own board's reference.
+// turn: each board keeps its own entry, so neither displaces the other
+// and each reference is built once.
 func TestMemoAlternatesBoards(t *testing.T) {
 	p := memoParams(compiler.Baseline)
+	var first [2]*nqueensRef
 	for i := 0; i < 3; i++ {
 		micro := mustPrepare(t, NewNQueensBoard(compiler.AppNQueens, 12, 2), p).(*NQueens)
 		bots := mustPrepare(t, NewNQueens(), p).(*NQueens)
-		if micro.wantCount != 14200 || bots.wantCount != 73712 {
-			t.Fatalf("round %d: 12 queens %d solutions, 13 queens %d; want 14200 and 73712", i, micro.wantCount, bots.wantCount)
+		if micro.ref.count != 14200 || bots.ref.count != 73712 {
+			t.Fatalf("round %d: 12 queens %d solutions, 13 queens %d; want 14200 and 73712", i, micro.ref.count, bots.ref.count)
+		}
+		if i == 0 {
+			first = [2]*nqueensRef{micro.ref, bots.ref}
+		} else if micro.ref != first[0] || bots.ref != first[1] {
+			t.Fatalf("round %d rebuilt a board's reference", i)
 		}
 	}
 }

@@ -22,9 +22,10 @@ import (
 // from the element count alone (opsHalf/bytesHalf, opsMerge/bytesMerge),
 // so the model cannot see which algorithm the host uses to sort.
 type Mergesort struct {
-	data   []int32
-	out    []int32
-	sorted bool
+	data    []int32 // shared with other instances: read only
+	wantSum int64
+	out     []int32
+	sorted  bool
 	// Working storage of a run, allocated once in Prepare: the copy of
 	// data the halves are sorted in, and the merge sort's scratch. The
 	// two sections each use their own half of both.
@@ -54,7 +55,28 @@ func NewMergesort() *Mergesort { return &Mergesort{} }
 // Name returns the canonical app name.
 func (s *Mergesort) Name() string { return compiler.AppMergesort }
 
-// Prepare generates data and calibrates the charge model.
+// mergesortInput is the unsorted array and its checksum. Runs copy data
+// before sorting and never write it.
+type mergesortInput struct {
+	data    []int32
+	wantSum int64
+}
+
+var mergesortInputs workloads.Memo[inputKey, mergesortInput]
+
+// buildMergesortInput draws the array for a seed and size and sums it.
+func buildMergesortInput(k inputKey) mergesortInput {
+	rng := rand.New(rand.NewSource(k.seed))
+	in := mergesortInput{data: make([]int32, k.n)}
+	for i := range in.data {
+		in.data[i] = int32(rng.Uint32())
+		in.wantSum += int64(in.data[i])
+	}
+	return in
+}
+
+// Prepare generates data (once per seed and size) and calibrates the
+// charge model.
 func (s *Mergesort) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(s.Name(), p.Target)
@@ -65,11 +87,8 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 	if n < 4 {
 		n = 4
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	s.data = make([]int32, n)
-	for i := range s.data {
-		s.data[i] = int32(rng.Uint32())
-	}
+	in := mergesortInputs.Get(inputKey{p.Seed, n}, buildMergesortInput)
+	s.data, s.wantSum = in.data, in.wantSum
 	s.out = make([]int32, n)
 	s.work = make([]int32, n)
 	s.scratch = make([]int32, n)
@@ -183,18 +202,15 @@ func (s *Mergesort) Validate() error {
 	if !s.sorted {
 		return fmt.Errorf("mergesort: run did not complete")
 	}
-	var sumIn, sumOut int64
-	for _, v := range s.data {
-		sumIn += int64(v)
-	}
+	var sumOut int64
 	for i, v := range s.out {
 		sumOut += int64(v)
 		if i > 0 && s.out[i-1] > v {
 			return fmt.Errorf("mergesort: out[%d]=%d > out[%d]=%d", i-1, s.out[i-1], i, v)
 		}
 	}
-	if sumIn != sumOut {
-		return fmt.Errorf("mergesort: element checksum mismatch (%d vs %d)", sumIn, sumOut)
+	if sumOut != s.wantSum {
+		return fmt.Errorf("mergesort: element checksum mismatch (%d vs %d)", s.wantSum, sumOut)
 	}
 	return nil
 }

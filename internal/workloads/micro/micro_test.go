@@ -225,6 +225,51 @@ func TestMicroValidationCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestMicroInputsMemoized: two reduction or mergesort instances prepared
+// for one seed and size share one read-only input, a run of one leaves
+// the other valid, and another seed or size gets its own input.
+func TestMicroInputsMemoized(t *testing.T) {
+	cases := []struct {
+		name string
+		make func() workloads.Workload
+		data func(workloads.Workload) any // the input's first element's address
+	}{
+		{"reduction", func() workloads.Workload { return NewReduction() },
+			func(w workloads.Workload) any { return &w.(*Reduction).data[0] }},
+		{"mergesort", func() workloads.Workload { return NewMergesort() },
+			func(w workloads.Workload) any { return &w.(*Mergesort).data[0] }},
+	}
+	p := workloads.Params{Scale: 0.01}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prepare := func(p workloads.Params) workloads.Workload {
+				wl := c.make()
+				if err := wl.Prepare(p); err != nil {
+					t.Fatal(err)
+				}
+				return wl
+			}
+			a, b := prepare(p), prepare(p)
+			if c.data(a) != c.data(b) {
+				t.Fatal("two instances prepared from one seed and size do not share the input")
+			}
+			for _, wl := range []workloads.Workload{a, b, a} {
+				if _, err := workloads.RunOnce(newMachine(t), wl, 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Validate(); err != nil {
+				t.Errorf("a's second run invalidated b: %v", err)
+			}
+			for _, other := range []workloads.Params{{Scale: 0.01, Seed: 7}, {Scale: 0.02}} {
+				if c.data(prepare(other)) == c.data(a) {
+					t.Errorf("%+v hit the entry of %+v", other, p)
+				}
+			}
+		})
+	}
+}
+
 func TestMicroOptLevelOrdering(t *testing.T) {
 	// -O0 must be substantially slower than -O2 for nqueens (14.5 vs
 	// 5.5 s in Table II).

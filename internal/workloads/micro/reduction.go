@@ -53,7 +53,35 @@ func NewReduction() *Reduction { return &Reduction{} }
 // Name returns the canonical app name.
 func (r *Reduction) Name() string { return compiler.AppReduction }
 
-// Prepare generates the input and calibrates the charge model.
+// inputKey is what a micro-benchmark's input array depends on: the seed
+// and the element count Scale works out to.
+type inputKey struct {
+	seed int64
+	n    int
+}
+
+// reductionInput is the array to sum and its serial sum. Runs only read
+// it.
+type reductionInput struct {
+	data []float64
+	want float64
+}
+
+var reductionInputs workloads.Memo[inputKey, reductionInput]
+
+// buildReductionInput draws the array for a seed and size and sums it.
+func buildReductionInput(k inputKey) reductionInput {
+	rng := rand.New(rand.NewSource(k.seed))
+	in := reductionInput{data: make([]float64, k.n)}
+	for i := range in.data {
+		in.data[i] = rng.Float64()
+		in.want += in.data[i]
+	}
+	return in
+}
+
+// Prepare generates the input with its serial sum (once per seed and
+// size) and calibrates the charge model.
 func (r *Reduction) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	cg, err := workloads.Lookup(r.Name(), p.Target)
@@ -64,14 +92,8 @@ func (r *Reduction) Prepare(p workloads.Params) error {
 	if n < 1 {
 		n = 1
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	r.data = make([]float64, n)
-	sum := 0.0
-	for i := range r.data {
-		r.data[i] = rng.Float64()
-		sum += r.data[i]
-	}
-	r.want = sum
+	in := reductionInputs.Get(inputKey{p.Seed, n}, buildReductionInput)
+	r.data, r.want = in.data, in.want
 
 	// Timing: T(k) = Nv × cost × (1 + λ(k−1)) / f, anchored at the
 	// paper's 16-thread time.

@@ -21,13 +21,27 @@
 //
 // Prepare does two things of different cost. The input and its serial
 // reference are a pure function of what the input depends on (the seed,
-// for sort also the element count) and may be expensive: a real
-// factorization, a real 13-queens count. The BOTS programs and the micro
-// n-queens build them once per distinct input through a Memo and share
-// the result read-only between instances; every run copies its working
-// state out of it and is still validated against it. The calibration
-// (the paper anchor plus the charge model) depends on the target and the
-// machine, is cheap, and is done by every Prepare for its own instance.
+// for the sorts and the reduction also the element count) and may be
+// expensive: a real factorization, a real 13-queens count. The BOTS
+// programs and the micro n-queens, reduction and mergesort build them
+// once per distinct input through a Memo and share the result read-only
+// between instances; every run copies its working state out of it and
+// is still validated against it. The calibration (the paper anchor plus
+// the charge model) depends on the target and the machine, is cheap, and
+// is done by every Prepare for its own instance.
+//
+// Two kernels' per-task results are part of the reference: n-queens
+// keeps each leaf task's search (solutions and nodes, keyed by the
+// leaf's board state) and alignment each pair's score. Their tasks are
+// pure functions of their own arguments, so a run that computed them
+// again would compare a function against itself: all such a check could
+// catch is a task tree that lost or repeated a task. Those tasks
+// therefore read their result from the reference and still charge their
+// simulated cost, and Validate counts what the tasks did (search nodes,
+// pairs) besides summing their answers, which catches a lost or repeated
+// task even when its answer is zero. Kernels whose tasks read other
+// tasks' output (the sorts, sparselu, strassen, health, lulesh) keep
+// computing on the host: their Validate is what checks Sync ordering.
 package workloads
 
 import (
