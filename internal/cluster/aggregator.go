@@ -79,9 +79,9 @@ type AggregatorConfig struct {
 
 // Aggregator drives a controlCore over real shard daemons on host time:
 // it subscribes to every shard's delta stream, hands the core each
-// slot's resilience.Client cache as its observation source, and steps
+// slot's resilience.Client Latest as its observation source, and steps
 // the core once per period. Shard outages are ridden out by the client
-// (failover, resubscribe, last-known-good cache); everything the control
+// (resubscribe, last applied frame); everything the control
 // plane decides is the core's (core.go, ha.go). The driver owns what the
 // core must not: the mutex, the clients and their subscription
 // goroutines, Run's context and the ticker.
@@ -139,22 +139,16 @@ func NewSteppedAggregator(cfg AggregatorConfig, open func(Member) (SnapshotSourc
 }
 
 // openSlotLocked is the core's open hook: a fresh resilient client for
-// a fresh slot, subscribed at once when Run is active, its cache the
+// a fresh slot, subscribed at once when Run is active, its Latest the
 // slot's observation source. Called with a.mu held (or, by the core's
 // first reconcile, from NewAggregator).
 func (a *Aggregator) openSlotLocked(mb Member) (SnapshotSource, error) {
 	ccfg := resilience.ClientConfig{
-		Network: mb.Endpoint.Network,
-		Addrs:   []string{mb.Endpoint.Addr},
-		// Shard snapshots are stamped in the shard's *virtual* time,
-		// which has no relation to the aggregator's host clock, so
-		// age-based staleness is meaningless here: liveness is judged
-		// by heartbeat movement in Poll instead. The horizon is set
-		// far beyond any run length to keep Latest serving.
-		StalenessHorizon: 365 * 24 * time.Hour,
-		Clock:            a.cfg.Clock,
-		Journal:          a.cfg.Journal,
-		Telemetry:        a.cfg.Telemetry,
+		Network:   mb.Endpoint.Network,
+		Addrs:     []string{mb.Endpoint.Addr},
+		Clock:     a.cfg.Clock,
+		Journal:   a.cfg.Journal,
+		Telemetry: a.cfg.Telemetry,
 	}
 	if a.cfg.Tune != nil {
 		a.cfg.Tune(mb.ID, &ccfg)
@@ -202,8 +196,8 @@ func (a *Aggregator) Members() *Membership { return a.core.members }
 
 // Run subscribes to every shard and re-partitions each period until ctx
 // is cancelled; it returns ctx.Err() after all of its goroutines have
-// drained. The subscription streams keep the shard clients' caches
-// fresh in the background while the poll loop runs on its own ticker;
+// drained. The subscription streams keep the shard clients' latest
+// snapshots fresh in the background while the poll loop runs on its own ticker;
 // members joining later get their streams started as their slots open.
 func (a *Aggregator) Run(ctx context.Context) error {
 	a.mu.Lock()

@@ -1,9 +1,9 @@
 // Package resilience hardens the rcrd service path: a self-healing IPC
-// client (retry with deterministic jitter, a three-state circuit
-// breaker, a bounded last-known-good cache, replica failover) and
-// crash-safe daemon state (versioned, checksummed snapshot files written
-// by atomic rename). docs/robustness.md §Service resilience is the
-// narrative companion.
+// client (queries retried with deterministic jitter and replica
+// failover, a push-stream follower that resubscribes after every loss)
+// and crash-safe daemon state (versioned, checksummed snapshot files
+// written by atomic rename). docs/robustness.md §Service resilience is
+// the narrative companion.
 package resilience
 
 import "time"

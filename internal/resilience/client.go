@@ -11,12 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrStaleCache reports a query that could not be served live and whose
-// last-known-good snapshot was older than the staleness horizon. The
-// client never silently returns stale data — past the horizon the caller
-// gets this error (wrapping the live failure) and must degrade itself,
-// exactly as the maestro watchdog does on stale meters.
-var ErrStaleCache = errors.New("resilience: cached snapshot beyond staleness horizon")
+// ErrNoSnapshot reports a Latest read before Subscribe has applied its
+// first frame.
+var ErrNoSnapshot = errors.New("resilience: no snapshot yet")
+
+// querySweeps is how many full sweeps of the replica list one Query
+// makes before giving up. Between sweeps the client waits
+// Backoff.Delay(sweep).
+const querySweeps = 3
 
 // QueryFunc is the transport seam: rcr.QueryContext in production, a
 // scripted fake in tests and fault harnesses.
@@ -41,36 +43,26 @@ type SubscribeFunc func(ctx context.Context, network, addr string) (SubStream, e
 type ClientConfig struct {
 	// Network and Addrs locate the daemon: Addrs is the ordered replica
 	// list, primary first; a query that fails on one address fails over
-	// to the next within the same attempt. At least one address is
+	// to the next within the same sweep. At least one address is
 	// required; the client keeps its own copy. Network zero selects
 	// "unix".
 	Network string
 	Addrs   []string
-	// Attempts is how many full sweeps of the replica list one Query
-	// makes before giving up; zero selects 3. Between sweeps the client
-	// sleeps Backoff.Delay(sweep).
-	Attempts int
-	// Backoff shapes the inter-attempt delay (deterministic jitter).
+	// Backoff shapes the delay between query sweeps and between
+	// resubscribe attempts (deterministic jitter).
 	Backoff Backoff
-	// Breaker tunes the circuit breaker; its Clock/Journal/Telemetry
-	// default to the client's.
-	Breaker BreakerConfig
-	// StalenessHorizon bounds how old a cached snapshot may be and still
-	// be served when live queries fail. Zero selects 1 s; negative
-	// disables the cache entirely.
-	StalenessHorizon time.Duration
-	// Clock supplies the time base for cache age and breaker cooldowns.
-	// Required.
+	// Clock stamps the client's journal records. Required.
 	Clock func() time.Duration
-	// Sleep, when non-nil, replaces time.Sleep for inter-attempt delays —
-	// the test seam that keeps retry tests instant.
-	Sleep func(time.Duration)
+	// Sleep, when non-nil, replaces the backoff wait — the test seam
+	// that keeps retry tests instant. It should return early once ctx
+	// is done; the client checks ctx after every wait either way.
+	Sleep func(ctx context.Context, d time.Duration)
 	// Query replaces the transport; nil selects rcr.QueryContext.
 	Query QueryFunc
 	// Subscribe replaces the push-stream transport used by the
 	// Subscribe method; nil selects rcr.Subscribe.
 	Subscribe SubscribeFunc
-	// Journal receives breaker-transition records.
+	// Journal receives the push stream's sub_* records.
 	Journal *telemetry.Journal
 	// Telemetry receives the client's resilience_client_* instruments.
 	Telemetry *telemetry.Registry
@@ -81,29 +73,23 @@ type clientMetrics struct {
 	queries    *telemetry.Counter
 	retries    *telemetry.Counter
 	failovers  *telemetry.Counter
-	cacheHits  *telemetry.Counter
-	staleErrs  *telemetry.Counter
-	rejected   *telemetry.Counter // refused by the open breaker
 	subFrames  *telemetry.Counter // frames applied in subscription mode
 	resubs     *telemetry.Counter // streams re-opened after a loss
 	gapResyncs *telemetry.Counter // in-stream delta-gap episodes ridden out
 }
 
-// Client is a self-healing rcrd client: every Query retries with
+// Client is a self-healing rcrd client. Query retries with
 // deterministic-jitter exponential backoff across an ordered replica
-// list, a circuit breaker stops hammering a dead daemon, and a bounded
-// last-known-good cache bridges short outages — but only within
-// StalenessHorizon, past which the failure is surfaced. All methods are
-// safe for concurrent use.
+// list; Subscribe follows the daemon's push stream, resubscribing after
+// every loss, and Latest serves the newest frame it applied. All
+// methods are safe for concurrent use.
 type Client struct {
-	cfg     ClientConfig
-	breaker *Breaker
-	met     *clientMetrics
+	cfg ClientConfig
+	met *clientMetrics
 
-	cacheMu   sync.Mutex
-	cache     rcr.Snapshot
-	cacheAt   time.Duration
-	haveCache bool
+	mu     sync.Mutex
+	latest rcr.Snapshot
+	have   bool
 }
 
 // NewClient builds a client; ClientConfig.Clock and at least one address
@@ -118,14 +104,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Network == "" {
 		cfg.Network = "unix"
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
-	if cfg.StalenessHorizon == 0 {
-		cfg.StalenessHorizon = time.Second
-	}
 	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+		cfg.Sleep = sleep
 	}
 	if cfg.Query == nil {
 		cfg.Query = rcr.QueryContext
@@ -135,131 +115,76 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			return rcr.Subscribe(ctx, network, addr)
 		}
 	}
-	bcfg := cfg.Breaker
-	if bcfg.Clock == nil {
-		bcfg.Clock = cfg.Clock
-	}
-	if bcfg.Journal == nil {
-		bcfg.Journal = cfg.Journal
-	}
-	if bcfg.Telemetry == nil {
-		bcfg.Telemetry = cfg.Telemetry
-	}
-	br, err := NewBreaker(bcfg)
-	if err != nil {
-		return nil, err
-	}
 	cfg.Addrs = append([]string(nil), cfg.Addrs...)
 	reg := cfg.Telemetry
-	return &Client{cfg: cfg, breaker: br, met: &clientMetrics{
+	return &Client{cfg: cfg, met: &clientMetrics{
 		queries:    reg.Counter("resilience_client_queries_total"),
 		retries:    reg.Counter("resilience_client_retries_total"),
 		failovers:  reg.Counter("resilience_client_failovers_total"),
-		cacheHits:  reg.Counter("resilience_client_cache_served_total"),
-		staleErrs:  reg.Counter("resilience_client_stale_errors_total"),
-		rejected:   reg.Counter("resilience_client_breaker_rejects_total"),
 		subFrames:  reg.Counter("resilience_client_sub_frames_total"),
 		resubs:     reg.Counter("resilience_client_resubscribes_total"),
 		gapResyncs: reg.Counter("resilience_client_gap_resyncs_total"),
 	}}, nil
 }
 
-// Breaker exposes the client's circuit breaker for inspection.
-func (c *Client) Breaker() *Breaker { return c.breaker }
+// sleep is the default backoff wait: d, or until ctx is done.
+func sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
 
-// Query fetches a snapshot. Live success refreshes the cache and the
-// breaker; total failure (or an open breaker) is bridged by the cache
-// when it is fresh enough, and surfaced as an error otherwise. The
-// returned error wraps both the decision (ErrBreakerOpen / ErrStaleCache)
-// and the last transport failure, so errors.Is works on either.
+// Query fetches a live snapshot. A query that fails on every address in
+// every sweep returns the last transport error; a cancelled ctx returns
+// ctx.Err().
 func (c *Client) Query(ctx context.Context) (rcr.Snapshot, error) {
 	c.met.queries.Inc()
-	if err := c.breaker.Allow(); err != nil {
-		c.met.rejected.Inc()
-		return c.fromCache(err)
-	}
 	var lastErr error
-sweeps:
-	for sweep := 0; sweep < c.cfg.Attempts; sweep++ {
+	for sweep := 0; sweep < querySweeps; sweep++ {
 		if sweep > 0 {
 			c.met.retries.Inc()
-			c.cfg.Sleep(c.cfg.Backoff.Delay(sweep - 1))
+			c.cfg.Sleep(ctx, c.cfg.Backoff.Delay(sweep-1))
 		}
 		for i, addr := range c.cfg.Addrs {
-			if ctx.Err() != nil {
-				lastErr = ctx.Err()
-				break sweeps
+			if err := ctx.Err(); err != nil {
+				return rcr.Snapshot{}, err
 			}
 			snap, err := c.cfg.Query(ctx, c.cfg.Network, addr)
 			if err == nil {
 				if i > 0 {
 					c.met.failovers.Inc()
 				}
-				c.breaker.Success()
-				c.store(snap)
 				return snap, nil
 			}
 			lastErr = err
 		}
 	}
-	// The whole Query failed: one breaker failure per Query, so the
-	// FailureThreshold counts outages in poll units, not per-dial.
-	c.breaker.Failure()
-	return c.fromCache(lastErr)
-}
-
-// store refreshes the last-known-good cache.
-func (c *Client) store(snap rcr.Snapshot) {
-	if c.cfg.StalenessHorizon < 0 {
-		return
-	}
-	now := c.cfg.Clock()
-	c.cacheMu.Lock()
-	c.cache = snap
-	c.cacheAt = now
-	c.haveCache = true
-	c.cacheMu.Unlock()
-}
-
-// fromCache serves the last-known-good snapshot if it is within the
-// staleness horizon, and otherwise surfaces cause wrapped in
-// ErrStaleCache.
-func (c *Client) fromCache(cause error) (rcr.Snapshot, error) {
-	now := c.cfg.Clock()
-	c.cacheMu.Lock()
-	snap, at, have := c.cache, c.cacheAt, c.haveCache
-	c.cacheMu.Unlock()
-	if have && c.cfg.StalenessHorizon >= 0 && now-at <= c.cfg.StalenessHorizon {
-		c.met.cacheHits.Inc()
-		return snap, nil
-	}
-	c.met.staleErrs.Inc()
-	if cause == nil {
-		return rcr.Snapshot{}, ErrStaleCache
-	}
-	return rcr.Snapshot{}, fmt.Errorf("%w (last failure: %w)", ErrStaleCache, cause)
+	return rcr.Snapshot{}, lastErr
 }
 
 // Subscribe runs the client in push mode until ctx is cancelled: it
-// holds one subscription to the daemon's delta publisher and feeds
-// every pushed frame — including heartbeats, which prove liveness —
-// into the last-known-good cache, so Latest serves current data with no
-// per-read round trip. A lost stream is journaled (KindSubLost) and
-// replaced with replica failover and the client's backoff; the replaced
-// stream resumes from a full frame, and the recovery is journaled
-// (KindSubResumed). During an outage Latest keeps serving the cache
-// until the staleness horizon passes, exactly like Query's degraded
-// path. Returns ctx.Err() once cancelled.
+// holds one subscription to the daemon's delta publisher and keeps
+// every pushed frame — including heartbeats, which prove liveness — as
+// the snapshot Latest serves, with no per-read round trip. A lost
+// stream is journaled (KindSubLost) and replaced with replica failover
+// and the client's backoff; the replaced stream resumes from a full
+// frame, and the recovery is journaled (KindSubResumed). During an
+// outage Latest keeps serving the last applied frame; its heartbeat
+// stops moving, which is how the reader tells. Returns ctx.Err() once
+// cancelled, including from a backoff wait.
 func (c *Client) Subscribe(ctx context.Context) error {
 	down := false // an outage is in progress (journaled once)
 	streak := 0   // consecutive failed (re)subscribe attempts
 	hadStream := false
 	for {
+		if streak > 0 {
+			c.cfg.Sleep(ctx, c.cfg.Backoff.Delay(streak-1))
+		}
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if streak > 0 {
-			c.cfg.Sleep(c.cfg.Backoff.Delay(streak - 1))
 		}
 		addr := c.cfg.Addrs[streak%len(c.cfg.Addrs)]
 		stream, err := c.cfg.Subscribe(ctx, c.cfg.Network, addr)
@@ -297,7 +222,10 @@ func (c *Client) Subscribe(ctx context.Context) error {
 				c.journalSub(telemetry.KindSubResumed, addr)
 			}
 			c.met.subFrames.Inc()
-			c.store(stream.Snapshot())
+			snap := stream.Snapshot()
+			c.mu.Lock()
+			c.latest, c.have = snap, true
+			c.mu.Unlock()
 		}
 		stream.Close()
 		if ctx.Err() != nil {
@@ -308,11 +236,15 @@ func (c *Client) Subscribe(ctx context.Context) error {
 	}
 }
 
-// Latest serves the newest snapshot pushed by Subscribe (or cached by
-// Query) when it is within the staleness horizon, and ErrStaleCache
-// otherwise. It never blocks and never touches the network.
+// Latest serves the newest snapshot Subscribe applied, and ErrNoSnapshot
+// before the first. It never blocks and never touches the network.
 func (c *Client) Latest() (rcr.Snapshot, error) {
-	return c.fromCache(nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.have {
+		return rcr.Snapshot{}, ErrNoSnapshot
+	}
+	return c.latest, nil
 }
 
 // subLost journals the start of an outage exactly once.

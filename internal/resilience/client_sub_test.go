@@ -102,8 +102,8 @@ func TestClientSubscribeFeedsCache(t *testing.T) {
 		cfg.Subscribe = tr.subscribe
 	})
 
-	if _, err := c.Latest(); !errors.Is(err, ErrStaleCache) {
-		t.Fatalf("Latest before any frame: %v, want ErrStaleCache", err)
+	if _, err := c.Latest(); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("Latest before any frame: %v, want ErrNoSnapshot", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,6 +179,46 @@ func TestClientSubscribeResubscribes(t *testing.T) {
 	d := tr.dials()
 	if len(d) != 2 || d[0] != "primary" || d[1] != "replica" {
 		t.Errorf("dial sequence %v", d)
+	}
+}
+
+// TestClientSubscribeBackoffHonorsCancel: a cancel during the backoff
+// wait between resubscribe attempts ends Subscribe at once, not after
+// the delay — a decommissioned member's follower, or a cancelled
+// aggregator Run, drains while its shard is down.
+func TestClientSubscribeBackoffHonorsCancel(t *testing.T) {
+	leak.Check(t)
+	clk := &fakeClock{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	refused := make(chan struct{}, 1)
+	c, _, _ := newTestClient(t, clk, &scriptedTransport{now: clk.now}, func(cfg *ClientConfig) {
+		cfg.Addrs = []string{"primary"}
+		cfg.Backoff = Backoff{Base: time.Second}
+		cfg.Sleep = nil // select the default wait
+		cfg.Subscribe = func(context.Context, string, string) (SubStream, error) {
+			select {
+			case refused <- struct{}{}:
+			default:
+			}
+			return nil, errors.New("dial: connection refused")
+		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- c.Subscribe(ctx) }()
+	<-refused
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Subscribe returned %v, want context.Canceled", err)
+		}
+		if waited := time.Since(start); waited > 250*time.Millisecond {
+			t.Errorf("Subscribe returned %v after the cancel; the backoff wait is at least 500 ms", waited)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Subscribe never returned after the cancel")
 	}
 }
 

@@ -10,6 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
+// fakeClock is a settable time source shared by the package's tests.
+type fakeClock struct{ at time.Duration }
+
+func (c *fakeClock) now() time.Duration { return c.at }
+
 // scriptedTransport is a QueryFunc whose health is toggled per address.
 type scriptedTransport struct {
 	down  map[string]bool
@@ -30,19 +35,13 @@ func newTestClient(t *testing.T, clk *fakeClock, tr *scriptedTransport, tune fun
 	reg := telemetry.NewRegistry()
 	j := telemetry.NewJournal(64, 1)
 	cfg := ClientConfig{
-		Addrs:            []string{"primary", "replica"},
-		Attempts:         3,
-		Backoff:          Backoff{Base: 10 * time.Millisecond, Seed: 1},
-		StalenessHorizon: 300 * time.Millisecond,
-		Clock:            clk.now,
-		Sleep:            func(time.Duration) {},
-		Query:            tr.query,
-		Journal:          j,
-		Telemetry:        reg,
-		Breaker: BreakerConfig{
-			FailureThreshold: 3,
-			OpenFor:          100 * time.Millisecond,
-		},
+		Addrs:     []string{"primary", "replica"},
+		Backoff:   Backoff{Base: 10 * time.Millisecond, Seed: 1},
+		Clock:     clk.now,
+		Sleep:     func(context.Context, time.Duration) {},
+		Query:     tr.query,
+		Journal:   j,
+		Telemetry: reg,
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -90,9 +89,6 @@ func TestClientFailover(t *testing.T) {
 	if n := reg.Counter("resilience_client_failovers_total").Value(); n != 1 {
 		t.Errorf("failovers = %d, want 1", n)
 	}
-	if c.Breaker().State() != BreakerClosed {
-		t.Errorf("breaker %v after a served-by-replica query", c.Breaker().State())
-	}
 }
 
 // TestClientRetrySweeps: both replicas down for the first two sweeps,
@@ -104,7 +100,7 @@ func TestClientRetrySweeps(t *testing.T) {
 	sweep := 0
 	tr := &scriptedTransport{down: map[string]bool{"primary": true, "replica": true}, now: clk.now}
 	c, reg, _ := newTestClient(t, clk, tr, func(cfg *ClientConfig) {
-		cfg.Sleep = func(d time.Duration) {
+		cfg.Sleep = func(_ context.Context, d time.Duration) {
 			slept = append(slept, d)
 			sweep++
 			if sweep == 2 {
@@ -127,116 +123,40 @@ func TestClientRetrySweeps(t *testing.T) {
 	}
 }
 
-// TestClientOutageBreakerAndCache walks a full outage: fresh cache
-// bridges the first failures, the breaker opens after three failed
-// polls, the cache expires past the horizon, and recovery closes the
-// loop — with the breaker transitions journaled throughout.
-func TestClientOutageBreakerAndCache(t *testing.T) {
+// TestClientOutageReturnsLastError: a query that fails on every
+// address in every sweep surfaces the last transport failure — never a
+// zero-value or stale snapshot — and a later query reaches the healed
+// daemon live.
+func TestClientOutageReturnsLastError(t *testing.T) {
 	clk := &fakeClock{}
+	errLast := errors.New("dial replica: connection refused")
 	tr := &scriptedTransport{down: map[string]bool{}, now: clk.now}
-	c, reg, j := newTestClient(t, clk, tr, nil)
-
-	// Healthy poll seeds the cache.
+	c, _, _ := newTestClient(t, clk, tr, func(cfg *ClientConfig) {
+		cfg.Query = func(ctx context.Context, network, addr string) (rcr.Snapshot, error) {
+			snap, err := tr.query(ctx, network, addr)
+			if err != nil && addr == "replica" {
+				err = errLast
+			}
+			return snap, err
+		}
+	})
 	if _, err := c.Query(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	// Total outage. Three failed polls: each served from cache (fresh),
-	// each counting one breaker failure.
 	tr.down["primary"], tr.down["replica"] = true, true
-	for poll := 1; poll <= 3; poll++ {
-		clk.at = time.Duration(poll) * 50 * time.Millisecond
-		snap, err := c.Query(context.Background())
-		if err != nil {
-			t.Fatalf("poll %d not bridged by fresh cache: %v", poll, err)
-		}
-		if snap.Now != 0 {
-			t.Fatalf("poll %d returned %v, want the cached snapshot from t=0", poll, snap.Now)
-		}
-	}
-	if c.Breaker().State() != BreakerOpen {
-		t.Fatalf("breaker %v after 3 failed polls, want open", c.Breaker().State())
-	}
-	if n := reg.Counter("resilience_client_cache_served_total").Value(); n != 3 {
-		t.Errorf("cache serves = %d, want 3", n)
-	}
-
-	// Breaker open + cache still fresh: served without dialing.
-	dials := len(tr.calls)
-	clk.at = 200 * time.Millisecond
-	if _, err := c.Query(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.calls) != dials {
-		t.Error("open breaker still dialed the daemon")
-	}
-	if n := reg.Counter("resilience_client_breaker_rejects_total").Value(); n != 1 {
-		t.Errorf("breaker rejects = %d, want 1", n)
-	}
-
-	// Past the horizon (cache from t=0, horizon 300ms) and past the
-	// cooldown: the half-open probe fails, the breaker re-opens, and the
-	// caller gets an explicit error — never a silent stale answer.
-	clk.at = 350 * time.Millisecond
-	_, err := c.Query(context.Background())
-	if !errors.Is(err, ErrStaleCache) {
-		t.Fatalf("stale cache served silently: %v", err)
-	}
-	if c.Breaker().State() != BreakerOpen {
-		t.Fatalf("breaker %v after failed probe, want re-opened", c.Breaker().State())
-	}
-	if n := reg.Counter("resilience_client_stale_errors_total").Value(); n == 0 {
-		t.Error("stale error not counted")
-	}
-
-	// While re-opened with a stale cache, the refusal wraps both causes.
-	clk.at = 360 * time.Millisecond
-	_, err = c.Query(context.Background())
-	if !errors.Is(err, ErrStaleCache) || !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("error %v does not surface both stale-cache and breaker causes", err)
-	}
-
-	// Daemon heals; once the doubled 200ms cooldown (re-opened at 350ms)
-	// elapses, the half-open probe succeeds and the breaker closes.
-	tr.down["primary"], tr.down["replica"] = false, false
-	clk.at = 600 * time.Millisecond
+	tr.calls = nil
+	clk.at = 50 * time.Millisecond
 	snap, err := c.Query(context.Background())
-	if err != nil {
-		t.Fatalf("recovery query failed: %v", err)
+	if !errors.Is(err, errLast) {
+		t.Fatalf("outage returned (%+v, %v), want the last transport error", snap, err)
 	}
-	if snap.Now != 600*time.Millisecond {
-		t.Errorf("recovery served %v, want a live snapshot", snap.Now)
+	if len(tr.calls) != 2*querySweeps {
+		t.Errorf("dialed %d times, want every address in each of %d sweeps", len(tr.calls), querySweeps)
 	}
-	if c.Breaker().State() != BreakerClosed {
-		t.Errorf("breaker %v after recovery, want closed", c.Breaker().State())
-	}
-
-	want := []string{
-		telemetry.KindBreakerOpen,     // outage trips it
-		telemetry.KindBreakerHalfOpen, // 350ms: cooldown elapsed
-		telemetry.KindBreakerOpen,     // 350ms: probe failed
-		telemetry.KindBreakerHalfOpen, // 600ms: doubled cooldown elapsed
-		telemetry.KindBreakerClosed,   // 600ms: probe succeeded
-	}
-	got := kinds(j)
-	if len(got) != len(want) {
-		t.Fatalf("journal kinds %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("journal kinds %v, want %v", got, want)
-		}
-	}
-}
-
-// TestClientNoCacheNoSilentZero: with no successful poll ever, an outage
-// yields an error, not a zero-value snapshot.
-func TestClientNoCacheNoSilentZero(t *testing.T) {
-	clk := &fakeClock{}
-	tr := &scriptedTransport{down: map[string]bool{"primary": true, "replica": true}, now: clk.now}
-	c, _, _ := newTestClient(t, clk, tr, nil)
-	if _, err := c.Query(context.Background()); !errors.Is(err, ErrStaleCache) {
-		t.Fatalf("cold-cache outage returned %v, want ErrStaleCache", err)
+	tr.down["primary"], tr.down["replica"] = false, false
+	clk.at = 100 * time.Millisecond
+	if snap, err = c.Query(context.Background()); err != nil || snap.Now != clk.at {
+		t.Fatalf("recovery query = (%v, %v), want a live snapshot at %v", snap.Now, err, clk.at)
 	}
 }
 
@@ -247,10 +167,10 @@ func TestClientContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	tr := &scriptedTransport{down: map[string]bool{"primary": true, "replica": true}, now: clk.now}
 	c, _, _ := newTestClient(t, clk, tr, func(cfg *ClientConfig) {
-		cfg.Sleep = func(time.Duration) { cancel() }
+		cfg.Sleep = func(context.Context, time.Duration) { cancel() }
 	})
-	if _, err := c.Query(ctx); err == nil {
-		t.Fatal("cancelled query succeeded")
+	if _, err := c.Query(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query returned %v, want context.Canceled", err)
 	}
 	// One full sweep (2 addrs) before the sleep cancelled; nothing after.
 	if len(tr.calls) != 2 {

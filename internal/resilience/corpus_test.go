@@ -40,15 +40,18 @@ import (
 //     ended), then a fresh incarnation whose heartbeat restarts.
 //   - ConnReset: every exchange fails and every open stream is killed.
 //   - SlowLoris: loris peers hold every worker until the server's read
-//     deadline frees one, so each exchange waits that long first.
+//     deadline frees one, so each exchange waits that long first. A live
+//     stream is throttled to a crawl: its backlog overflows, the
+//     publisher drops the oldest deltas, and every frame in the window
+//     arrives as a delta gap until the first one after it resyncs.
 const (
 	corpusSeeds     = 2048
 	corpusSchedule  = 240 * time.Millisecond // schedule horizon: every window closes by 192 ms
 	corpusBudget    = 300 * time.Millisecond // each client's run, leaving a ≥ 108 ms convergence tail
-	corpusHorizon   = 80 * time.Millisecond  // the clients' StalenessHorizon
 	corpusFeed      = 2 * time.Millisecond   // the daemon's feed and publisher tick
 	corpusPoll      = 2 * time.Millisecond   // a poller's cadence
 	corpusReadLimit = 100 * time.Millisecond // the daemon's rcr.Server.ReadTimeout
+	corpusJournal   = 256                    // records a seed's journal holds
 )
 
 var (
@@ -114,14 +117,13 @@ func (d vdaemon) snapshot(now time.Duration) rcr.Snapshot {
 
 // corpusCounts is one seed's tallies, or the corpus's sums of them.
 type corpusCounts struct {
-	Queries, Live, Cached, Failed, Converged uint64
-	Expired                                  uint64 // failures after a live answer: the cache aged past the horizon
-	SubLive, SubConverged                    uint64 // fresh Latest reads by subscribers, and those after ClearTime
-	Incarnations                             uint64 // fresh Latest reads whose heartbeat ran backwards
-	Restarts, Resets, Loris                  uint64 // exchanges and streams each fault kind hit
-	StalenessViolations                      uint64
+	Queries, Live, Failed, Converged uint64 // Converged: live answers after ClearTime
+	SubMoved, SubConverged           uint64 // Latest reads whose heartbeat moved, and those after ClearTime
+	Incarnations                     uint64 // Latest reads whose heartbeat ran backwards
+	Restarts, Resets, Loris          uint64 // exchanges and stream frames each fault kind hit
+	StreamsLost, GapEpisodes         uint64 // streams a fault killed; gapped runs of frames on one stream
 	// From the seed's registry.
-	SubFrames, Resubscribes, Failovers, Retries, Trips uint64
+	SubFrames, Resubscribes, GapResyncs, Failovers, Retries uint64
 }
 
 func (c *corpusCounts) add(o corpusCounts) {
@@ -133,7 +135,8 @@ func (c *corpusCounts) add(o corpusCounts) {
 
 // corpusRun is one seed: its replicas, the journal and registry its
 // clients share, its tallies and violations. served records whether the
-// running client's transport answered its last exchange.
+// running client's transport answered its last exchange, and lastErr
+// the last failure it returned.
 type corpusRun struct {
 	seed       uint64
 	replicas   map[string]vdaemon
@@ -141,6 +144,7 @@ type corpusRun struct {
 	journal    *telemetry.Journal
 	reg        *telemetry.Registry
 	served     bool
+	lastErr    error
 	out        corpusCounts
 	violations []string
 }
@@ -160,7 +164,7 @@ func runClientCorpusSeed(seed uint64) (*corpusReport, *telemetry.Journal) {
 			"primary": {faults.GenerateServiceSchedule(seed, corpusSchedule)},
 			"replica": {faults.GenerateServiceSchedule(^seed, corpusSchedule)},
 		},
-		journal: telemetry.NewJournal(128, 1),
+		journal: telemetry.NewJournal(corpusJournal, 1),
 		reg:     telemetry.NewRegistry(),
 	}
 	for _, d := range r.replicas {
@@ -176,12 +180,10 @@ func runClientCorpusSeed(seed uint64) (*corpusReport, *telemetry.Journal) {
 // client builds client id over the modeled replicas, on clk.
 func (r *corpusRun) client(id int, addrs []string, clk *vclock) *resilience.Client {
 	cl, err := resilience.NewClient(resilience.ClientConfig{
-		Addrs:            addrs,
-		Attempts:         2,
-		Backoff:          resilience.Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Seed: r.seed ^ uint64(id)<<16},
-		StalenessHorizon: corpusHorizon,
-		Clock:            clk.now,
-		Sleep:            clk.sleep,
+		Addrs:   addrs,
+		Backoff: resilience.Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Seed: r.seed ^ uint64(id)<<16},
+		Clock:   clk.now,
+		Sleep:   func(_ context.Context, d time.Duration) { clk.sleep(d) },
 		Query: func(_ context.Context, _, addr string) (rcr.Snapshot, error) {
 			d := r.replicas[addr]
 			if err := r.exchange(d, clk); err != nil {
@@ -199,7 +201,6 @@ func (r *corpusRun) client(id int, addrs []string, clk *vclock) *resilience.Clie
 		},
 		Journal:   r.journal,
 		Telemetry: r.reg,
-		Breaker:   resilience.BreakerConfig{FailureThreshold: 3, OpenFor: corpusBudget / 40, OpenForMax: corpusBudget / 10},
 	})
 	if err != nil {
 		panic(err) // a clock and an address are always given
@@ -217,48 +218,47 @@ func (r *corpusRun) exchange(d vdaemon, clk *vclock) error {
 	switch {
 	case !d.up(clk.at):
 		r.out.Restarts++
-		return errRefused
+		r.lastErr = errRefused
 	case d.active(clk.at, faults.ConnReset):
 		r.out.Resets++
-		return errReset
+		r.lastErr = errReset
+	default:
+		return nil
 	}
-	return nil
+	return r.lastErr
 }
 
 // poller queries every corpusPoll until the budget and audits each
-// answer: a served snapshot is never older than the horizon plus one
-// feed tick; past it the client must return an error instead.
+// answer: a snapshot is one the daemon served in this query, and a
+// failed query returns the last transport error the daemon gave.
 func (r *corpusRun) poller(id int, addrs []string) {
 	clk := &vclock{}
 	cl := r.client(id, addrs, clk)
-	everLive := false
 	for clk.at < corpusBudget {
-		r.served = false
-		snap, err := cl.Query(context.Background())
+		r.served, r.lastErr = false, nil
+		_, err := cl.Query(context.Background())
 		r.out.Queries++
 		switch {
 		case err != nil:
 			r.out.Failed++
-			if everLive && errors.Is(err, resilience.ErrStaleCache) {
-				r.out.Expired++
+			if err != r.lastErr {
+				r.violations = append(r.violations, fmt.Sprintf("client %d at %v: Query returned %v, want the last transport error %v", id, clk.at, err, r.lastErr))
 			}
-		case clk.at-snap.Now > corpusHorizon+corpusFeed:
-			r.out.StalenessViolations++
-		case r.served:
-			everLive = true
+		case !r.served:
+			r.violations = append(r.violations, fmt.Sprintf("client %d at %v: Query answered without an exchange", id, clk.at))
+		default:
 			r.out.Live++
 			if clk.at > r.clear {
 				r.out.Converged++
 			}
-		default:
-			r.out.Cached++
 		}
 		clk.sleep(corpusPoll)
 	}
 }
 
 // subscriber holds a push subscription until the budget and audits
-// Latest at every feed tick, under the same staleness bound.
+// Latest at every feed tick: before the first frame it reports
+// ErrNoSnapshot, after it the heartbeat of the newest frame applied.
 func (r *corpusRun) subscriber(id int, addrs []string) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -274,21 +274,20 @@ func (r *corpusRun) subscriber(id int, addrs []string) {
 	cl := r.client(id, addrs, clk)
 	lastBeat := -1.0
 	clk.onTick = func() {
-		if snap, err := cl.Latest(); err == nil {
-			age := clk.at - snap.Now
-			if age > corpusHorizon+corpusFeed {
-				r.out.StalenessViolations++
-			}
-			if age <= 2*corpusFeed {
-				r.out.SubLive++
+		switch snap, err := cl.Latest(); {
+		case err == nil:
+			if beat := snap.System[0].Value; beat != lastBeat {
+				r.out.SubMoved++
 				if clk.at > r.clear {
 					r.out.SubConverged++
 				}
-				if beat := snap.System[0].Value; beat < lastBeat {
+				if beat < lastBeat {
 					r.out.Incarnations++
 				}
-				lastBeat = snap.System[0].Value
+				lastBeat = beat
 			}
+		case lastBeat >= 0 || !errors.Is(err, resilience.ErrNoSnapshot):
+			r.violations = append(r.violations, fmt.Sprintf("client %d at %v: Latest returned %v", id, clk.at, err))
 		}
 		if clk.at >= corpusBudget {
 			cancel()
@@ -301,16 +300,18 @@ func (r *corpusRun) subscriber(id int, addrs []string) {
 
 // vstream is a push stream from one incarnation of a replica: a frame
 // at every feed tick until that incarnation dies, a ConnReset window
-// kills the stream or the run ends. Its first error is its last: a
-// client that reads on would spin on a dead stream forever, so Next
-// panics with errReread, which subscriber reports as a violation.
+// kills the stream or the run ends, and a delta gap instead of each
+// frame in a SlowLoris window. Its first error other than a gap is its
+// last: a client that reads on would spin on a dead stream forever, so
+// Next panics with errReread, which subscriber reports as a violation.
 type vstream struct {
-	r    *corpusRun
-	d    vdaemon
-	clk  *vclock
-	boot time.Duration
-	dead error
-	cur  rcr.Snapshot
+	r       *corpusRun
+	d       vdaemon
+	clk     *vclock
+	boot    time.Duration
+	dead    error
+	gapping bool // the last frame was a gap
+	cur     rcr.Snapshot
 }
 
 func (s *vstream) Next(ctx context.Context) error {
@@ -324,11 +325,21 @@ func (s *vstream) Next(ctx context.Context) error {
 		s.dead = ctx.Err()
 	case !s.d.up(now) || s.d.boot(now) != s.boot:
 		s.r.out.Restarts++
+		s.r.out.StreamsLost++
 		s.dead = io.EOF
 	case s.d.active(now, faults.ConnReset):
 		s.r.out.Resets++
+		s.r.out.StreamsLost++
 		s.dead = errReset
+	case s.d.active(now, faults.SlowLoris):
+		s.r.out.Loris++
+		if !s.gapping {
+			s.gapping = true
+			s.r.out.GapEpisodes++
+		}
+		return rcr.ErrDeltaGap
 	default:
+		s.gapping = false
 		s.cur = s.d.snapshot(now)
 	}
 	return s.dead
@@ -344,9 +355,15 @@ func (r *corpusRun) report() *corpusReport {
 	rep := &corpusReport{corpusCounts: r.out, Violations: r.violations}
 	rep.SubFrames = count("resilience_client_sub_frames_total")
 	rep.Resubscribes = count("resilience_client_resubscribes_total")
+	rep.GapResyncs = count("resilience_client_gap_resyncs_total")
 	rep.Failovers = count("resilience_client_failovers_total")
 	rep.Retries = count("resilience_client_retries_total")
-	rep.Trips = count("resilience_breaker_trips_total")
+	var gapRecords uint64
+	for _, e := range r.journal.Entries() {
+		if e.Kind == telemetry.KindSubGapResync {
+			gapRecords++
+		}
+	}
 	h := sha256.New()
 	_ = r.journal.WriteJSONL(h) // a hash never fails a write
 	_ = r.reg.WriteText(h)
@@ -358,11 +375,14 @@ func (r *corpusRun) report() *corpusReport {
 			rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
 		}
 	}
-	gate(rep.StalenessViolations > 0, "%d snapshots served beyond the staleness horizon", rep.StalenessViolations)
 	gate(rep.Queries == 0, "no queries issued")
 	gate(rep.Converged == 0, "no live answer after the last fault window cleared at %v", r.clear)
 	gate(rep.SubFrames == 0, "no pushed frame ever reached a subscriber")
-	gate(rep.SubConverged == 0, "no subscriber read fresh data after the last fault window cleared at %v", r.clear)
+	gate(rep.SubConverged == 0, "no subscriber's Latest heartbeat moved after the last fault window cleared at %v", r.clear)
+	gate(rep.Resubscribes != rep.StreamsLost, "%d resubscribes for %d lost streams", rep.Resubscribes, rep.StreamsLost)
+	gate(rep.GapResyncs != rep.GapEpisodes, "%d gap resyncs counted for %d gap episodes", rep.GapResyncs, rep.GapEpisodes)
+	gate(r.journal.Len() == corpusJournal, "the journal filled its %d records; its sub_gap_resync count is partial", corpusJournal)
+	gate(gapRecords != rep.GapEpisodes, "%d sub_gap_resync records for %d gap episodes", gapRecords, rep.GapEpisodes)
 	return rep
 }
 
@@ -423,12 +443,10 @@ func TestClientCorpus(t *testing.T) {
 	need(total.Resets, "no exchange or stream was ever reset")
 	need(total.Loris, "no exchange ever waited behind slow-loris peers")
 	need(total.Failed, "no query ever failed")
-	need(total.Cached, "no query was ever bridged by the cache")
-	need(total.Expired, "no cache ever aged past the horizon into ErrStaleCache")
 	need(total.Retries, "no query ever retried")
 	need(total.Failovers, "no query ever failed over to the replica")
-	need(total.Trips, "the breaker never tripped")
 	need(total.Resubscribes, "no stream was ever resubscribed")
+	need(total.GapEpisodes, "no stream ever rode out a delta gap")
 	need(total.Incarnations, "no subscriber ever read a restarted incarnation")
 	t.Logf("%d seeds: %+v", corpusSeeds, total)
 }

@@ -17,19 +17,18 @@ import (
 )
 
 // TestClientBridgesMaestroThroughOutage is the end-to-end resilience
-// scenario of the ISSUE: a maestro daemon whose meters arrive over IPC —
-// a resilience.Client polls a remote rcrd server and mirrors the
+// scenario: a maestro daemon whose meters arrive over IPC — a
+// resilience.Client polls a remote rcrd server and mirrors the
 // snapshot's meters into the local blackboard — must degrade to
 // fail-safe when the daemon process dies, stay there for the whole
-// outage, and recover within the daemon's two recovery polls of the restart.
+// outage, and recover within the daemon's two recovery polls of the
+// restart, the client carrying the mirror from the last answer before
+// the outage to the first after it.
 //
 // The mirror writes meter values with the *remote* Updated stamps (both
-// sides share one virtual clock), so the client's last-known-good cache
-// can bridge transport blips without ever hiding staleness from the
-// maestro watchdog: cached meters keep their old timestamps and age
-// honestly. The journal must carry both state machines' records —
-// breaker open → half-open → closed, and fault_detected →
-// failsafe_entered → recovered.
+// sides share one virtual clock), and a failed query writes nothing, so
+// the local meters age honestly under the maestro watchdog. The journal
+// must carry fault_detected → failsafe_entered → recovered.
 func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	leak.Check(t)
 	mcfg := machine.M620()
@@ -132,22 +131,14 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	}
 	t.Cleanup(d.Stop)
 
-	// The self-healing client: its cache horizon is sized off the
-	// daemon's watchdog horizon (Daemon.Horizon) so the two staleness
-	// policies agree, and its breaker shares the daemon's journal. One
-	// failed mirror poll is one breaker failure, so FailureThreshold 3
-	// trips the breaker on the third dead poll — the "3-poll outage".
+	// The self-healing client. Its sweeps do not wait between each
+	// other: the mirror's own ticker paces the retries, one query per
+	// poll, and so the churn that moves virtual time.
 	cli, err := NewClient(ClientConfig{
-		Addrs:            []string{sock},
-		Attempts:         1,
-		StalenessHorizon: d.Horizon(),
-		Clock:            m.Now,
-		Journal:          jnl,
-		Breaker: BreakerConfig{
-			FailureThreshold: 3,
-			OpenFor:          20 * time.Millisecond,
-			OpenForMax:       80 * time.Millisecond,
-		},
+		Addrs:   []string{sock},
+		Clock:   m.Now,
+		Journal: jnl,
+		Sleep:   func(context.Context, time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,22 +194,20 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	// Healthy: meters flow end to end and the daemon engages.
 	await("daemon engages on mirrored High/High meters", func() bool { return d.Stats().Activations > 0 })
 
-	// Outage: kill the server. Queries fail, the breaker opens, the
-	// mirrored meters age past the horizon, and the daemon must ride out
-	// at least a 3-poll outage in fail-safe.
+	// Outage: kill the server. Queries fail, the mirrored meters age
+	// past the horizon, and the daemon must ride out at least a 3-poll
+	// outage in fail-safe.
 	stopServer()
 	await("watchdog enters fail-safe", d.Failsafe)
 	await("outage spans three stale polls", func() bool { return d.Stats().FaultsSeen >= 3 })
-	await("breaker opens", func() bool { return cli.Breaker().State() != BreakerClosed })
 	if rt.Throttled() {
 		t.Error("throttle still applied during fail-safe")
 	}
 
-	// Restart: the breaker probes half-open, closes, fresh meters flow,
-	// and the daemon leaves fail-safe.
+	// Restart: the next query answers live, fresh meters flow, and the
+	// daemon leaves fail-safe.
 	startServer()
 	await("daemon recovers", func() bool { return !d.Failsafe() })
-	await("breaker closes", func() bool { return cli.Breaker().State() == BreakerClosed })
 	await("daemon re-engages after recovery", func() bool { return d.Stats().Activations > 1 })
 
 	st := d.Stats()
@@ -226,37 +215,15 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 		t.Errorf("stats %+v: want exactly one fail-safe entry and one recovery", st)
 	}
 
-	// The shared journal tells the whole story: each state machine's
-	// records appear in causal order.
-	var breakerKinds, failsafeKinds []string
+	// The journal tells the story in causal order. The fail-safe cycle
+	// ran exactly once, so its order is exact.
+	var failsafeKinds []string
 	for _, e := range jnl.Entries() {
 		switch e.Kind {
-		case telemetry.KindBreakerOpen, telemetry.KindBreakerHalfOpen, telemetry.KindBreakerClosed:
-			breakerKinds = append(breakerKinds, e.Kind)
 		case telemetry.KindFaultDetected, telemetry.KindFailsafeEntered, telemetry.KindRecovered:
 			failsafeKinds = append(failsafeKinds, e.Kind)
 		}
 	}
-	// The breaker may cycle open → half-open → open several times while
-	// the outage lasts (each failed probe re-opens with a doubled
-	// cooldown), so assert the endpoints and the probe, not one exact
-	// path: it opened first, probed at least once, and ended closed.
-	if len(breakerKinds) < 3 || breakerKinds[0] != telemetry.KindBreakerOpen {
-		t.Fatalf("breaker journal records %v, want to start with %q", breakerKinds, telemetry.KindBreakerOpen)
-	}
-	if last := breakerKinds[len(breakerKinds)-1]; last != telemetry.KindBreakerClosed {
-		t.Fatalf("breaker journal records %v, want to end with %q", breakerKinds, telemetry.KindBreakerClosed)
-	}
-	sawHalfOpen := false
-	for _, k := range breakerKinds {
-		if k == telemetry.KindBreakerHalfOpen {
-			sawHalfOpen = true
-		}
-	}
-	if !sawHalfOpen {
-		t.Fatalf("breaker journal records %v never probed half-open", breakerKinds)
-	}
-	// The fail-safe cycle ran exactly once, so its order is exact.
 	want := []string{telemetry.KindFaultDetected, telemetry.KindFailsafeEntered, telemetry.KindRecovered}
 	if len(failsafeKinds) < len(want) {
 		t.Fatalf("failsafe journal records %v, want prefix %v", failsafeKinds, want)

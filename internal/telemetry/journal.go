@@ -30,16 +30,12 @@ const (
 	KindRecovered       = "recovered"
 )
 
-// Record kinds written by the resilient rcrd client and the crash-safe
-// state machinery (internal/resilience, docs/robustness.md §Service
-// resilience): every circuit-breaker transition is journaled, as is
-// every accepted or rejected state-snapshot restore.
+// Record kinds written by the crash-safe state machinery
+// (internal/resilience, docs/robustness.md §Service resilience): every
+// accepted or rejected state-snapshot restore is journaled.
 const (
-	KindBreakerClosed   = "breaker_closed"
-	KindBreakerOpen     = "breaker_open"
-	KindBreakerHalfOpen = "breaker_half_open"
-	KindStateRestored   = "state_restored"
-	KindStateRejected   = "state_rejected"
+	KindStateRestored = "state_restored"
+	KindStateRejected = "state_rejected"
 )
 
 // Record kinds written by the client's push-subscription mode
