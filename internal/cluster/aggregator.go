@@ -190,10 +190,6 @@ func (a *Aggregator) startSubLocked(sub *shardSub) {
 	}()
 }
 
-// Members returns the aggregator's membership registry — the handle
-// admin operations (Join, Drain, Decommission) go through.
-func (a *Aggregator) Members() *Membership { return a.core.members }
-
 // Run subscribes to every shard and re-partitions each period until ctx
 // is cancelled; it returns ctx.Err() after all of its goroutines have
 // drained. The subscription streams keep the shard clients' latest

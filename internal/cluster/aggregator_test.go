@@ -485,14 +485,14 @@ func TestAggregatorDriverOverSockets(t *testing.T) {
 	if err := servers[4].Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Members().Join(endpoints[4]); err != nil {
+	if err := agg.core.members.Join(endpoints[4]); err != nil {
 		t.Fatal(err)
 	}
 	await("the joiner subscribed, heard from and activated", func() bool {
 		st := agg.Status()
 		return st.Shards == 5 && st.Healthy == 5 && st.Joining == 0 && streams.Load() == 5
 	})
-	if err := agg.Members().Decommission(4); err != nil {
+	if err := agg.core.members.Decommission(4); err != nil {
 		t.Fatal(err)
 	}
 	await("the leaver's slot retired and its subscription closed under a live Run", func() bool {

@@ -117,9 +117,10 @@ func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap 
 		return nil, err
 	}
 	// The node's fencing authority: the guard lands the writes its fence
-	// rules accept in the node's own controller, and the lease state
-	// mirrors into the blackboard so standby aggregators track it
-	// passively through whatever carries the blackboard to them.
+	// rules accept in the node's own controller, journals the ones it
+	// refuses, and mirrors the lease state into the blackboard so standby
+	// aggregators track it passively through whatever carries the
+	// blackboard to them.
 	pc := sys.PowerCapController()
 	guard := rcr.NewFenceGuard(clock, func(cap float64, fence uint64) error {
 		err := pc.SetCap(units.Watts(cap))
@@ -129,6 +130,7 @@ func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap 
 		return err
 	})
 	guard.Instrument(sys.Telemetry())
+	guard.Journal(sys.Journal())
 	guard.Bind(sys.Blackboard())
 	return &fleetNode{sys: sys, fence: guard}, nil
 }
@@ -159,9 +161,6 @@ func startFleetShard(id int, dir string, cfg FleetConfig, base time.Time) (*flee
 	go func() { sh.serveErr <- srv.Serve() }()
 	return sh, nil
 }
-
-// Len returns the shard count.
-func (f *Fleet) Len() int { return len(f.shards) }
 
 // System returns shard i's full stack (to run workloads on it).
 func (f *Fleet) System(i int) *core.System { return f.shards[i].sys }

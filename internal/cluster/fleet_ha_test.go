@@ -161,8 +161,8 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 	apps := []string{"lulesh", "nqueens"}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	runErr := make([]error, fleet.Len())
-	for i := 0; i < fleet.Len(); i++ {
+	runErr := make([]error, len(fleet.shards))
+	for i := 0; i < len(fleet.shards); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -238,7 +238,7 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 	// state (sampling before the stop would race its final writes).
 	stopReplica(reps[leaderIdx])
 	killedStatus := reps[leaderIdx].agg.Status()
-	preKill := make([]units.Watts, fleet.Len())
+	preKill := make([]units.Watts, len(fleet.shards))
 	for i := range preKill {
 		preKill[i] = fleet.System(i).PowerCapController().Cap()
 	}
@@ -249,9 +249,9 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 	var promoted bool
 	deadline = time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		caps := make([]units.Watts, fleet.Len())
+		caps := make([]units.Watts, len(fleet.shards))
 		sum := units.Watts(0)
-		for i := 0; i < fleet.Len(); i++ {
+		for i := 0; i < len(fleet.shards); i++ {
 			caps[i] = fleet.System(i).PowerCapController().Cap()
 			sum += caps[i]
 		}
@@ -294,7 +294,7 @@ func TestFleetHALeaderKillMidRepartition(t *testing.T) {
 	// The standby's assignment really landed in the node controllers.
 	stopReplica(standby)
 	settled := standby.agg.Status()
-	for i := 0; i < fleet.Len(); i++ {
+	for i := 0; i < len(fleet.shards); i++ {
 		if got := fleet.System(i).PowerCapController().Cap(); got != settled.Caps[i] {
 			t.Errorf("shard %d controller holds %.1f W, promoted leader applied %.1f W",
 				i, float64(got), float64(settled.Caps[i]))
@@ -318,7 +318,7 @@ func TestFleetCloseWithLiveSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := fleet.Len()
+	shards := len(fleet.shards)
 	closed := false
 	defer func() {
 		if !closed {

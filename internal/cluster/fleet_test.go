@@ -53,8 +53,8 @@ func TestFleetClosedLoop(t *testing.T) {
 	apps := []string{"lulesh", "nqueens"}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	runErr := make([]error, fleet.Len())
-	for i := 0; i < fleet.Len(); i++ {
+	runErr := make([]error, len(fleet.shards))
+	for i := 0; i < len(fleet.shards); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -117,7 +117,7 @@ func TestFleetClosedLoop(t *testing.T) {
 	// controllers must agree exactly. (The mid-run snapshot st cannot be
 	// compared — the aggregator kept repartitioning after it was taken.)
 	final := agg.Status()
-	for i := 0; i < fleet.Len(); i++ {
+	for i := 0; i < len(fleet.shards); i++ {
 		if got := fleet.System(i).PowerCapController().Cap(); got != final.Caps[i] {
 			t.Errorf("shard %d PowerCap holds %.1f W, aggregator applied %.1f W",
 				i, float64(got), float64(final.Caps[i]))

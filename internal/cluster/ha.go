@@ -623,10 +623,10 @@ func (a *controlCore) memQuorumEpochLocked() uint64 {
 // MembershipDurable reports whether the registry's current epoch is
 // acked by a quorum of the fleet's guards — i.e. whether every
 // membership change made so far would survive this replica's failure
-// and be adopted by any successor elected from a quorum. Admin flows
-// (join/drain/decommission) should wait for this before treating an
-// operation as complete. Always true without HA, where membership is
-// not replicated at all.
+// and be adopted by any successor elected from a quorum. Always true
+// without HA, where membership is not replicated at all. Only the
+// scenario runner's membership driver calls it: it waits on it before
+// it counts a join, drain or decommission as done. No program does.
 func (a *controlCore) MembershipDurable() bool {
 	if a.cfg.HA == nil {
 		return true

@@ -255,6 +255,28 @@ func TestLockstepCloseParked(t *testing.T) {
 	f.Close()
 }
 
+// TestLockstepNodeJournalsFenceRejection: a fleet node's guard writes a
+// fence_rejected record into the node's own journal when it refuses a
+// write, so the refusal is visible where the node's decisions are.
+func TestLockstepNodeJournalsFenceRejection(t *testing.T) {
+	f := newTestLockstep(t, FleetConfig{Shards: 1}, 100)
+	for _, fence := range []uint64{2, 1} {
+		if _, err := f.WriteMem(0, rcr.MemWrite{Write: rcr.CapWrite{
+			Fence: fence, Leader: 1, Seq: 1, Lease: time.Second}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected := 0
+	for _, d := range f.System(0).Journal().Entries() {
+		if d.Kind == telemetry.KindFenceRejected {
+			rejected++
+		}
+	}
+	if rejected != 1 {
+		t.Errorf("node journal holds %d fence_rejected records, want 1", rejected)
+	}
+}
+
 // lockstepRun is one closed-loop run: a memory-bound and a compute-bound
 // node under a stepped aggregator (fenced through the guards when ha),
 // polled at every boundary.
@@ -310,7 +332,7 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 	}
 	if ha {
 		// The leader replicated its membership record to every guard.
-		want := agg.Members().Record().Members
+		want := agg.core.members.Record().Members
 		for i, n := range f.nodes {
 			_, epoch, frame := n.fence.Membership()
 			var rec MembershipRecord

@@ -274,7 +274,7 @@ func (s *System) Run(name string, task qthreads.Task) (rcr.RegionReport, error) 
 // and runs it measured and validated. The run starts at the instant the
 // clock is parked on and returns with the clock parked at its
 // completion.
-func (s *System) RunWorkload(wl workloads.Workload) (rcr.RegionReport, error) {
+func (s *System) RunWorkload(wl workloads.Prepared) (rcr.RegionReport, error) {
 	if s.closed {
 		return rcr.RegionReport{}, errors.New("core: system is closed")
 	}
@@ -283,17 +283,16 @@ func (s *System) RunWorkload(wl workloads.Workload) (rcr.RegionReport, error) {
 	return rep, err
 }
 
-// rootTask is a bare root task as a workload: nothing to prepare or
+// rootTask is a bare root task as a prepared workload: nothing to
 // validate.
 type rootTask struct {
 	name string
 	fn   qthreads.Task
 }
 
-func (r rootTask) Name() string                 { return r.name }
-func (rootTask) Prepare(workloads.Params) error { return nil }
-func (r rootTask) Root() qthreads.Task          { return r.fn }
-func (rootTask) Validate() error                { return nil }
+func (r rootTask) Name() string        { return r.name }
+func (r rootTask) Root() qthreads.Task { return r.fn }
+func (rootTask) Validate() error       { return nil }
 
 // Idle lets the parked clock run with nothing scheduled: the workers stay
 // idle while the sampler, the daemon or cap controller and the history

@@ -32,6 +32,9 @@ const (
 	// The per-shard cap bounds both aggregator arms partition within.
 	clusterCapFloor units.Watts = 10
 	clusterCapMax   units.Watts = 300
+	// clusterWorkers is each node's worker count: half the M620, which
+	// keeps the 4-node fleet affordable to simulate.
+	clusterWorkers = 8
 	// clusterPollPeriod is the control plane's poll period and the
 	// fleet's barrier — the aggregator's default cadence.
 	clusterPollPeriod = 50 * time.Millisecond
@@ -45,13 +48,14 @@ const (
 	clusterReign = 20 * time.Second
 )
 
+// clusterApps is the workload mix, cycled across shards: the skewed
+// alternation of memory-bound lulesh and compute-bound nqueens.
+var clusterApps = [...]string{"lulesh", "nqueens"}
+
 // ClusterSpec sizes the cluster ablation.
 type ClusterSpec struct {
 	// Shards is the node count; zero selects 4.
 	Shards int
-	// Apps is the workload mix, cycled across shards; empty selects the
-	// skewed lulesh/nqueens alternation.
-	Apps []string
 	// Global is the fleet-wide power budget; zero selects 50 W per
 	// shard. That equal share is below the 55 W an idle node draws, so
 	// it binds every shard all the time: each node's controller sits at
@@ -63,9 +67,6 @@ type ClusterSpec struct {
 	// Iters is how many times each shard runs its workload; zero
 	// selects 2.
 	Iters int
-	// Workers is each node's worker count; zero selects 8 (half the
-	// M620, keeping the 4-node fleet affordable to simulate).
-	Workers int
 	// HAReplicas, when ≥ 2, adds a third arm: the same hierarchical
 	// controller behind that many redundant aggregators (the HA control
 	// plane in internal/cluster, writing through the nodes' fence
@@ -126,21 +127,15 @@ func (lab *Lab) ClusterCapAblation(spec ClusterSpec) (ClusterResult, error) {
 	if spec.Shards <= 0 {
 		spec.Shards = 4
 	}
-	if len(spec.Apps) == 0 {
-		spec.Apps = []string{"lulesh", "nqueens"}
-	}
 	if spec.Global <= 0 {
 		spec.Global = units.Watts(50 * float64(spec.Shards))
 	}
 	if spec.Iters <= 0 {
 		spec.Iters = 2
 	}
-	if spec.Workers <= 0 {
-		spec.Workers = 8
-	}
 	apps := make([]string, spec.Shards)
 	for i := range apps {
-		apps[i] = spec.Apps[i%len(spec.Apps)]
+		apps[i] = clusterApps[i%len(clusterApps)]
 	}
 	// An arm is its control plane's size: none (the naive split), one
 	// unfenced aggregator, or HAReplicas fenced ones.
@@ -197,7 +192,7 @@ func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, replicas int) (_ 
 	fleet, err := cluster.NewLockstepFleet(cluster.FleetConfig{
 		Shards:  spec.Shards,
 		Machine: lab.Machine,
-		Workers: spec.Workers,
+		Workers: clusterWorkers,
 	}, clusterPollPeriod, spec.Global)
 	if err != nil {
 		return ClusterMeasurement{}, err

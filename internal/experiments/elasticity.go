@@ -35,16 +35,13 @@ type ElasticitySpec struct {
 	// Global is the fleet-wide budget; zero selects 40 W per (full)
 	// shard so the band stays binding through every phase.
 	Global units.Watts
-	// Tick is the modeled time advanced per poll; zero selects 10 ms
-	// (the controller cadence the cluster docs recommend).
-	Tick time.Duration
 }
 
 // ElasticityPhase is one transition's measured cost.
 type ElasticityPhase struct {
 	Name    string
 	Polls   int     // control polls until the phase's convergence condition held
-	Seconds float64 // modeled time (Polls × Tick)
+	Seconds float64 // modeled time (Polls × elasticityTick)
 	// IdleJoules integrates budget watts assigned to nobody — the gap
 	// between the global budget and Σcaps — over the phase.
 	IdleJoules float64
@@ -66,9 +63,15 @@ type ElasticityResult struct {
 	FinalEpoch uint64
 }
 
-// elasticityPollBound is how many polls a phase may take to converge;
-// every phase of every fleet the spec can describe needs a few dozen.
-const elasticityPollBound = 1000
+const (
+	// elasticityPollBound is how many polls a phase may take to
+	// converge; every phase of every fleet the spec can describe needs
+	// a few dozen.
+	elasticityPollBound = 1000
+	// elasticityTick is the modeled time advanced per poll: the
+	// controller cadence the cluster docs recommend.
+	elasticityTick = 10 * time.Millisecond
+)
 
 // ElasticityAblation runs the steady → grow → drain → shrink cycle on
 // a scripted fleet and returns the per-phase convergence and stranded
@@ -89,9 +92,6 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 	if spec.Global <= 0 {
 		spec.Global = units.Watts(40 * float64(spec.Shards))
 	}
-	if spec.Tick <= 0 {
-		spec.Tick = 10 * time.Millisecond
-	}
 
 	// The scripted fleet: snaps[i] is what shard i's slot reads at a poll.
 	endpoints := make([]cluster.ShardEndpoint, spec.Shards)
@@ -110,8 +110,8 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 		Global:        spec.Global,
 		Floor:         clusterCapFloor,
 		Max:           clusterCapMax,
-		Period:        spec.Tick,
-		HealthHorizon: 10 * spec.Tick,
+		Period:        elasticityTick,
+		HealthHorizon: 10 * elasticityTick,
 		Clock:         clock,
 		SetCap:        func(int, units.Watts) error { return nil },
 	}, func(mb cluster.Member) (cluster.SnapshotSource, error) {
@@ -127,7 +127,7 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 	for i := 0; i < spec.Initial; i++ {
 		live[i] = true
 	}
-	tickSec := spec.Tick.Seconds()
+	tickSec := elasticityTick.Seconds()
 
 	// runPhase polls until cond holds, giving every live shard a fresh
 	// heartbeat each tick and integrating the idle and stranded watts.
@@ -139,7 +139,7 @@ func (lab *Lab) ElasticityAblation(spec ElasticitySpec) (ElasticityResult, error
 			if ph.Polls == elasticityPollBound {
 				return fmt.Errorf("experiments: elasticity phase %q did not converge within %d polls", name, elasticityPollBound)
 			}
-			now += spec.Tick
+			now += elasticityTick
 			beat++
 			for i := range snaps {
 				if !live[i] {

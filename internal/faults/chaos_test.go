@@ -58,7 +58,7 @@ func TestChaosCorpus(t *testing.T) {
 		}
 		if !rep.Passed() {
 			for _, v := range rep.Violations {
-				t.Errorf("seed %d (policy %s): %s", seed, cfg.Policy, v)
+				t.Errorf("seed %d (policy %d): %s", seed, cfg.Policy, v)
 			}
 			continue
 		}
@@ -117,13 +117,13 @@ func TestChaosEveryPolicy(t *testing.T) {
 		for _, seed := range seeds {
 			rep, err := RunChaos(ChaosConfig{Seed: seed, Policy: policy})
 			if err != nil {
-				t.Fatalf("policy %s seed %d: RunChaos: %v", policy, seed, err)
+				t.Fatalf("policy %d seed %d: RunChaos: %v", policy, seed, err)
 			}
 			if rep.StaleDecisions != 0 {
-				t.Errorf("policy %s seed %d: %d decision(s) on stale-horizon data", policy, seed, rep.StaleDecisions)
+				t.Errorf("policy %d seed %d: %d decision(s) on stale-horizon data", policy, seed, rep.StaleDecisions)
 			}
 			for _, v := range rep.Violations {
-				t.Errorf("policy %s seed %d: %s", policy, seed, v)
+				t.Errorf("policy %d seed %d: %s", policy, seed, v)
 			}
 		}
 	}

@@ -63,18 +63,18 @@ func TestWokenOwnersRunOneAtATimeInIDOrder(t *testing.T) {
 		// Enroll orders nothing: until the first charging call the
 		// sixteen owners run side by side, so none touches the slice.
 		c.Sleep(time.Millisecond)
-		order = append(order, c.ID())
+		order = append(order, c.c.id)
 		c.Compute(2.7e6)
-		order = append(order, c.ID())
-		if c.ID() == 0 {
+		order = append(order, c.c.id)
+		if c.c.id == 0 {
 			c.Sleep(time.Millisecond)
 			flag.Store(true)
-			order = append(order, c.ID())
+			order = append(order, c.c.id)
 			c.Sleep(time.Millisecond)
 			return
 		}
 		c.SpinUntil(flag.Load)
-		order = append(order, c.ID())
+		order = append(order, c.c.id)
 	}
 	// The clock is parked until all sixteen are enrolled, so their first
 	// sleeps share one deadline however slowly the goroutines start.
@@ -131,7 +131,7 @@ func TestStopAbortsQueuedOwners(t *testing.T) {
 				}
 			}()
 			c.Sleep(time.Millisecond) // all due at once; core 0 resumes first
-			if c.ID() == 0 {
+			if c.c.id == 0 {
 				close(holding)
 				<-proceed
 			}

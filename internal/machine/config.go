@@ -214,24 +214,3 @@ func M620() Config {
 		},
 	}
 }
-
-// Laptop returns a small single-socket configuration (4 cores, 2.4 GHz,
-// one memory channel's worth of bandwidth) for users who want the
-// library's measurement and throttling stack on a modest simulated
-// machine rather than the paper's blade.
-func Laptop() Config {
-	cfg := M620()
-	cfg.Sockets = 1
-	cfg.CoresPerSocket = 4
-	cfg.BaseFreq = 2.4 * units.GHz
-	cfg.Mem.BandwidthPerSocket = 17e9
-	cfg.Mem.KneeRefs = 14
-	cfg.Power.UncoreBase = 6
-	cfg.Power.CoreActive = 5.5
-	cfg.Power.CoreSpin = 5.2
-	cfg.Power.CoreSpinFloor = 2.6
-	cfg.Thermal.Resistance = 1.8
-	cfg.Thermal.TimeConstant = 15 * time.Second
-	cfg.Turbo = DefaultTurbo()
-	return cfg
-}

@@ -18,14 +18,8 @@ type CoreCtx struct {
 	c *core
 }
 
-// ID returns the node-wide core index.
-func (x *CoreCtx) ID() int { return x.c.id }
-
 // Socket returns the socket that owns this core.
 func (x *CoreCtx) Socket() int { return x.c.socket }
-
-// Machine returns the machine this core belongs to.
-func (x *CoreCtx) Machine() *Machine { return x.m }
 
 // block performs the standard transition out of host code: setup runs
 // under the machine lock with the core still in coreRunning, then the call
@@ -190,13 +184,6 @@ func (x *CoreCtx) SetDutyLevel(level int) {
 
 // FullDuty restores the core to full speed.
 func (x *CoreCtx) FullDuty() { x.SetDutyLevel(msr.DutyLevels) }
-
-// DutyCycle returns the core's current effective duty cycle.
-func (x *CoreCtx) DutyCycle() float64 {
-	x.m.mu.Lock()
-	defer x.m.mu.Unlock()
-	return x.c.duty
-}
 
 // Release returns the core to the unowned (deep C-state) pool. The CoreCtx
 // must not be used afterwards. Releasing on a stopped machine is a no-op.

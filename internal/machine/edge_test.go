@@ -140,7 +140,8 @@ func TestEnergyCounterWrapMidRun(t *testing.T) {
 	// Preload both package counters within a few joules of the wrap and
 	// run long enough to cross it: total accounting must stay exact.
 	m := newTestMachine(t)
-	near := units.RAPLCounterMod - units.RAPLCounts(3) // 3 J of headroom
+	headroom := units.Joules(3)
+	near := units.RAPLCounterMod - uint64(headroom/units.RAPLUnit)
 	for s := 0; s < 2; s++ {
 		if err := m.MSR().WritePackage(s, 0x611, near); err != nil {
 			t.Fatal(err)

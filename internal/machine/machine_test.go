@@ -158,8 +158,11 @@ func TestDutyCycleReflectedInMSR(t *testing.T) {
 			if math.Abs(d-0.25) > 1e-12 {
 				t.Errorf("MSR duty = %g, want 0.25", d)
 			}
-			if math.Abs(c.DutyCycle()-0.25) > 1e-12 {
-				t.Errorf("ctx duty = %g, want 0.25", c.DutyCycle())
+			c.m.mu.Lock()
+			duty := c.c.duty
+			c.m.mu.Unlock()
+			if math.Abs(duty-0.25) > 1e-12 {
+				t.Errorf("core duty = %g, want 0.25", duty)
 			}
 		},
 	})
@@ -573,12 +576,8 @@ func TestTemperatureRisesUnderLoad(t *testing.T) {
 		t.Errorf("socket 0 temperature %v -> %v, want a clear rise", t0, t1)
 	}
 	// Thermal status registers follow.
-	reg, err := m.MSR().CoreTemperature(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(reg-t1)) > 1.5 {
-		t.Errorf("MSR temperature %v, machine says %v", reg, t1)
+	if reg, err := m.MSR().ReadCore(0, msr.IA32ThermStatus); err != nil || reg != msr.EncodeThermStatus(t1) {
+		t.Errorf("MSR thermal status %#x (%v), machine says %v", reg, err, t1)
 	}
 }
 
@@ -590,12 +589,8 @@ func TestWarmAllSetsTemperature(t *testing.T) {
 			t.Errorf("socket %d temperature = %v, want 70", s, got)
 		}
 	}
-	reg, err := m.MSR().CoreTemperature(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(reg-70)) > 1.5 {
-		t.Errorf("core 9 MSR temperature = %v, want ~70", reg)
+	if reg, err := m.MSR().ReadCore(9, msr.IA32ThermStatus); err != nil || reg != msr.EncodeThermStatus(70) {
+		t.Errorf("core 9 MSR thermal status = %#x (%v), want %#x", reg, err, msr.EncodeThermStatus(70))
 	}
 }
 

@@ -136,16 +136,6 @@ func (s *allocScratch) grow(n int) {
 	s.satisfied = s.satisfied[:n]
 }
 
-// allocate runs the full per-socket allocation: cap each demand at the
-// per-core limit, derive outstanding references, degrade capacity if
-// oversubscribed, and split max-min fairly. It returns the grants, the
-// outstanding-reference count, and the utilization of the plateau
-// bandwidth in [0, 1].
-func (m MemParams) allocate(demands []float64) (grants []float64, refs float64, utilization float64) {
-	var s allocScratch
-	return m.allocateInto(demands, &s)
-}
-
 // allocateInto is allocate writing into reusable scratch buffers: the
 // engine's zero-allocation hot path. The returned grants slice aliases
 // the scratch and is only valid until the next call with the same

@@ -162,12 +162,12 @@ func TestAllocateUtilization(t *testing.T) {
 	m := M620().Mem
 	// Demand well below capacity: utilization is total/capacity.
 	d := float64(m.BandwidthPerSocket) / 4
-	_, _, util := m.allocate([]float64{d})
+	_, _, util := m.allocateInto([]float64{d}, &allocScratch{})
 	if math.Abs(util-0.25) > 0.01 {
 		t.Errorf("utilization = %g, want 0.25", util)
 	}
 	// Saturated: utilization clamps to <= 1.
-	grants, _, util := m.allocate([]float64{1e18, 1e18, 1e18, 1e18})
+	grants, _, util := m.allocateInto([]float64{1e18, 1e18, 1e18, 1e18}, &allocScratch{})
 	if util > 1 {
 		t.Errorf("utilization = %g, want <= 1", util)
 	}
@@ -182,7 +182,7 @@ func TestAllocateUtilization(t *testing.T) {
 
 func TestAllocateGrantsRespectCoreCap(t *testing.T) {
 	m := M620().Mem
-	grants, _, _ := m.allocate([]float64{1e18})
+	grants, _, _ := m.allocateInto([]float64{1e18}, &allocScratch{})
 	if grants[0] > float64(m.MaxCoreBandwidth())+1 {
 		t.Errorf("single-core grant %g exceeds core cap %g", grants[0], float64(m.MaxCoreBandwidth()))
 	}

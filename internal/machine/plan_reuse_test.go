@@ -24,7 +24,7 @@ import (
 func edgeConfig() machine.Config {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = time.Minute
-	cfg.Turbo = machine.DefaultTurbo()
+	cfg.Turbo = machine.TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
 	cfg.Thermal.TimeConstant = 200 * time.Millisecond
 	return cfg
 }

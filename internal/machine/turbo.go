@@ -23,13 +23,6 @@ type TurboParams struct {
 	FullBoostCores int
 }
 
-// DefaultTurbo returns E5-2680-like boost parameters (3.5 GHz single
-// core to 3.1 GHz all-but-idle on a 2.7 GHz base is roughly +15% in the
-// regime we model).
-func DefaultTurbo() TurboParams {
-	return TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
-}
-
 // BoostFor returns the frequency multiplier for a socket with the given
 // number of busy cores (of coresPerSocket).
 func (tp TurboParams) BoostFor(busy, coresPerSocket int) float64 {

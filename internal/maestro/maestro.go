@@ -42,20 +42,6 @@ const (
 	High
 )
 
-// String returns the level name.
-func (l Level) String() string {
-	switch l {
-	case Low:
-		return "Low"
-	case Medium:
-		return "Medium"
-	case High:
-		return "High"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
 // Classify buckets a value against a low and high threshold: Low on the
 // closed interval (-inf, low], High on the closed interval [high, +inf),
 // Medium strictly between. The Medium band is the hysteresis guard of
@@ -143,20 +129,6 @@ const (
 	Disable
 )
 
-// String returns the decision name.
-func (d Decision) String() string {
-	switch d {
-	case Hold:
-		return "Hold"
-	case Enable:
-		return "Enable"
-	case Disable:
-		return "Disable"
-	default:
-		return fmt.Sprintf("Decision(%d)", int(d))
-	}
-}
-
 // decide is the dual-condition rule (§IV-A), the one place it is
 // written. It classifies each socket's power and memory concurrency,
 // appending the levels to powerLv and concLv, and returns Enable if some
@@ -199,18 +171,6 @@ const (
 	ScaleFrequency
 )
 
-// String returns the mechanism name.
-func (mech Mechanism) String() string {
-	switch mech {
-	case ThrottleConcurrency:
-		return "throttle-concurrency"
-	case ScaleFrequency:
-		return "scale-frequency"
-	default:
-		return fmt.Sprintf("Mechanism(%d)", int(mech))
-	}
-}
-
 // Policy selects which metrics gate the mechanism.
 type Policy int
 
@@ -230,20 +190,6 @@ const (
 	// rule's verdict. See adaptive.go and DESIGN.md §Adaptive.
 	Adaptive
 )
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case DualCondition:
-		return "dual-condition"
-	case PowerOnly:
-		return "power-only"
-	case Adaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // Config tunes the daemon.
 type Config struct {
@@ -497,11 +443,9 @@ func (d *Daemon) Stats() Stats {
 func (d *Daemon) Failsafe() bool { return d.failsafeA.Load() }
 
 // Horizon returns the staleness bound of the watchdog, horizonPeriods ×
-// Period. External feeders — a resilience.Client mirroring a
-// remote daemon's meters into the local blackboard — size their own
-// cache horizons off this, so the two staleness policies cannot drift
-// apart. The field is set once at Start and never written again, so the
-// read is safe from any goroutine.
+// Period. faults.RunChaos, its only caller, counts the journal's
+// decisions on data older than this. The field is set once at Start and
+// never written again, so the read is safe from any goroutine.
 func (d *Daemon) Horizon() time.Duration { return d.horizon }
 
 // poll runs on the machine's stepper every Period (machine.TickerFunc):

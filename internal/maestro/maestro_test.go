@@ -55,18 +55,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestLevelDecisionStrings(t *testing.T) {
-	if Low.String() != "Low" || Medium.String() != "Medium" || High.String() != "High" {
-		t.Error("level names wrong")
-	}
-	if Hold.String() != "Hold" || Enable.String() != "Enable" || Disable.String() != "Disable" {
-		t.Error("decision names wrong")
-	}
-	if Level(9).String() == "" || Decision(9).String() == "" {
-		t.Error("unknown values need a representation")
-	}
-}
-
 func TestDefaultThresholds(t *testing.T) {
 	th := DefaultThresholds(machine.M620().Mem)
 	if th.HighPower != 65 || th.LowPower != 45 {

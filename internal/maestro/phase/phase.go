@@ -76,24 +76,19 @@ func (tr *track) divergence(v, floor float64) float64 {
 // ready; create with New. Observe is not safe for concurrent use — the
 // intended caller is a single control loop.
 type Detector struct {
-	power  track
-	bw     track
-	conc   track
-	seen   int
-	run    int
-	cool   int
-	phases int
+	power track
+	bw    track
+	conc  track
+	seen  int
+	run   int
+	cool  int
 }
 
 // New returns a Detector.
 func New() *Detector { return &Detector{} }
 
-// Phases returns how many change points have fired so far.
-func (d *Detector) Phases() int { return d.phases }
-
 // Reset clears the trackers (fail-safe entry: whatever the sensors said
-// during the outage is not trustworthy history). The phase counter is
-// preserved — phases already seen stay seen.
+// during the outage is not trustworthy history).
 func (d *Detector) Reset() {
 	d.power, d.bw, d.conc = track{}, track{}, track{}
 	d.seen, d.run, d.cool = 0, 0, 0
@@ -137,7 +132,6 @@ func (d *Detector) Observe(s Sample) bool {
 	if d.run >= minRun {
 		d.run = 0
 		d.cool = cooldown
-		d.phases++
 		// Snap the slow trackers onto the new regime so the next
 		// divergence is measured against the new phase's baseline.
 		d.snap()

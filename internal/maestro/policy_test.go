@@ -9,18 +9,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestMechanismPolicyStrings(t *testing.T) {
-	if ThrottleConcurrency.String() != "throttle-concurrency" || ScaleFrequency.String() != "scale-frequency" {
-		t.Error("mechanism names wrong")
-	}
-	if DualCondition.String() != "dual-condition" || PowerOnly.String() != "power-only" {
-		t.Error("policy names wrong")
-	}
-	if Mechanism(9).String() == "" || Policy(9).String() == "" {
-		t.Error("unknown values need a representation")
-	}
-}
-
 func TestScaleFrequencyMechanismEngages(t *testing.T) {
 	m, rt, _ := fullStack(t, 16, Config{Mechanism: ScaleFrequency, FrequencyGear: 0.5})
 	if err := hotMemoryLoad(rt, 1200*time.Millisecond); err != nil {

@@ -284,29 +284,9 @@ func EncodeThermStatus(t units.Celsius) uint64 {
 	return thermReadingValid | (uint64(below) << thermReadoutShift)
 }
 
-// DecodeThermStatus extracts the temperature from an IA32_THERM_STATUS
-// value. The second result reports whether the reading is valid.
-func DecodeThermStatus(v uint64) (units.Celsius, bool) {
-	below := (v & thermReadoutMask) >> thermReadoutShift
-	return TjMax - units.Celsius(below), v&thermReadingValid != 0
-}
-
 // SetCoreTemperature updates a core's thermal status register.
 func (f *File) SetCoreTemperature(core int, t units.Celsius) error {
 	return f.WriteCore(core, IA32ThermStatus, EncodeThermStatus(t))
-}
-
-// CoreTemperature reads a core's thermal status register and decodes it.
-func (f *File) CoreTemperature(core int) (units.Celsius, error) {
-	v, err := f.ReadCore(core, IA32ThermStatus)
-	if err != nil {
-		return 0, err
-	}
-	t, ok := DecodeThermStatus(v)
-	if !ok {
-		return 0, fmt.Errorf("msr: core %d thermal reading not valid", core)
-	}
-	return t, nil
 }
 
 // EncodeClockModulation builds an IA32_CLOCK_MODULATION value. When enable

@@ -172,10 +172,10 @@ func TestRAPLPowerUnitRegister(t *testing.T) {
 func TestThermStatusRoundTrip(t *testing.T) {
 	for _, temp := range []units.Celsius{25, 40, 71.9, 98} {
 		v := EncodeThermStatus(temp)
-		got, ok := DecodeThermStatus(v)
-		if !ok {
+		if v&thermReadingValid == 0 {
 			t.Fatalf("reading for %v not valid", temp)
 		}
+		got := TjMax - units.Celsius((v&thermReadoutMask)>>thermReadoutShift)
 		if math.Abs(float64(got-temp)) > 1 { // 1 °C quantization
 			t.Errorf("therm round trip %v -> %v", temp, got)
 		}
@@ -183,13 +183,13 @@ func TestThermStatusRoundTrip(t *testing.T) {
 }
 
 func TestThermStatusClamps(t *testing.T) {
-	// Above TjMax clamps to TjMax.
-	if got, _ := DecodeThermStatus(EncodeThermStatus(150)); got != TjMax {
-		t.Errorf("therm above TjMax decodes to %v, want %v", got, TjMax)
+	// Above TjMax clamps to a readout of 0 degrees below TjMax.
+	if got := EncodeThermStatus(150); got != thermReadingValid {
+		t.Errorf("therm above TjMax encodes to %#x, want %#x", got, thermReadingValid)
 	}
 	// Far below clamps to TjMax-127.
-	if got, _ := DecodeThermStatus(EncodeThermStatus(-100)); got != TjMax-127 {
-		t.Errorf("therm far below decodes to %v, want %v", got, TjMax-127)
+	if got, want := EncodeThermStatus(-100), thermReadingValid|thermReadoutMask; got != want {
+		t.Errorf("therm far below encodes to %#x, want %#x", got, want)
 	}
 }
 
@@ -198,20 +198,12 @@ func TestSetCoreTemperature(t *testing.T) {
 	if err := f.SetCoreTemperature(3, 72); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.CoreTemperature(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(got-72)) > 1 {
-		t.Errorf("CoreTemperature = %v, want ~72", got)
+	if got, err := f.ReadCore(3, IA32ThermStatus); err != nil || got != EncodeThermStatus(72) {
+		t.Errorf("core 3 thermal status = %#x, %v; want %#x", got, err, EncodeThermStatus(72))
 	}
 	// Other cores keep the power-on value.
-	got, err = f.CoreTemperature(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(got-40)) > 1 {
-		t.Errorf("untouched core temperature = %v, want ~40", got)
+	if got, err := f.ReadCore(4, IA32ThermStatus); err != nil || got != EncodeThermStatus(40) {
+		t.Errorf("untouched core thermal status = %#x, %v; want %#x", got, err, EncodeThermStatus(40))
 	}
 }
 

@@ -163,14 +163,8 @@ func New(m *machine.Machine, cfg Config) (*Runtime, error) {
 // Machine returns the machine the runtime schedules onto.
 func (rt *Runtime) Machine() *machine.Machine { return rt.m }
 
-// Config returns the runtime configuration (with defaults applied).
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // Workers returns the number of worker threads.
 func (rt *Runtime) Workers() int { return len(rt.workers) }
-
-// Shepherds returns the number of shepherds (one per socket).
-func (rt *Runtime) Shepherds() int { return len(rt.shepherds) }
 
 // ErrAborted is returned by Run when the machine aborted (stopped or hit
 // its watchdog) while the root task was in flight.
@@ -253,9 +247,6 @@ func (rt *Runtime) SetThrottle(enabled bool, perShepherdLimit int) {
 
 // Throttled reports whether concurrency throttling is currently active.
 func (rt *Runtime) Throttled() bool { return rt.throttleOn.Load() }
-
-// ThrottleLimit returns the per-shepherd active-worker limit.
-func (rt *Runtime) ThrottleLimit() int { return int(rt.throttleLimit.Load()) }
 
 // BumpEpoch marks a parallel-phase boundary, releasing throttled spinners
 // so they can re-evaluate. ParallelFor and Group.Wait call it internally.

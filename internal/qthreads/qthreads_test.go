@@ -178,8 +178,8 @@ func TestGroupWait(t *testing.T) {
 		if got := sum.Load(); got != 5050 {
 			t.Errorf("sum after Wait = %d, want 5050", got)
 		}
-		if g.Pending() != 0 {
-			t.Errorf("Pending after Wait = %d", g.Pending())
+		if n := g.n.Load(); n != 0 {
+			t.Errorf("pending after Wait = %d", n)
 		}
 	})
 	if err != nil {
@@ -267,8 +267,8 @@ func TestWorkerCountValidation(t *testing.T) {
 	if rt.Workers() != 16 {
 		t.Errorf("default Workers = %d, want 16", rt.Workers())
 	}
-	if rt.Shepherds() != 2 {
-		t.Errorf("Shepherds = %d, want 2", rt.Shepherds())
+	if len(rt.shepherds) != 2 {
+		t.Errorf("shepherds = %d, want 2", len(rt.shepherds))
 	}
 }
 
@@ -587,8 +587,8 @@ func TestFEBWriteFOverFull(t *testing.T) {
 func TestThrottleLimitFloor(t *testing.T) {
 	_, rt := newStack(t, 4)
 	rt.SetThrottle(true, 0) // clamps to 1
-	if rt.ThrottleLimit() != 1 {
-		t.Errorf("limit = %d, want floor 1", rt.ThrottleLimit())
+	if limit := rt.throttleLimit.Load(); limit != 1 {
+		t.Errorf("limit = %d, want floor 1", limit)
 	}
 	// Work must still complete with the tightest limit.
 	var n atomic.Int64
@@ -620,7 +620,7 @@ func TestRootAlwaysDequeuedBySameWorker(t *testing.T) {
 		_, rt := newStack(t, 16)
 		rootWorker := -1
 		err := rt.Run(func(tc *TC) {
-			rootWorker = tc.WorkerID()
+			rootWorker = tc.w.id
 			for i := 0; i < 64; i++ {
 				tc.Spawn(func(tc *TC) { tc.Compute(2.7e5) })
 			}

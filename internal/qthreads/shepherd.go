@@ -63,10 +63,3 @@ func (sh *shepherd) stealFrom() *taskItem {
 	sh.queue = sh.queue[1:]
 	return t
 }
-
-// size reports the queue length (for tests and stats).
-func (sh *shepherd) size() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.queue)
-}

@@ -27,9 +27,6 @@ func (tc *TC) Runtime() *Runtime { return tc.w.rt }
 // Machine returns the underlying simulated machine.
 func (tc *TC) Machine() *machine.Machine { return tc.w.rt.m }
 
-// WorkerID returns the executing worker's id (== its core id).
-func (tc *TC) WorkerID() int { return tc.w.id }
-
 // Compute charges pure compute cycles to the executing core.
 func (tc *TC) Compute(ops float64) { tc.w.ctx.Compute(ops) }
 
@@ -68,9 +65,6 @@ func (g *Group) Spawn(tc *TC, fn Task) {
 	rt.queued.Add(1)
 	tc.w.chargeSched(spawnCost)
 }
-
-// Pending returns the number of unfinished tasks in the group.
-func (g *Group) Pending() int64 { return g.n.Load() }
 
 // Sync waits for all tasks spawned by the current task (OpenMP
 // `taskwait`). While waiting, the worker helps by executing queued tasks;

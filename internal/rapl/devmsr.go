@@ -85,9 +85,6 @@ func readMSR(f *os.File, addr uint32) (uint64, error) {
 // Domains returns the number of packages.
 func (r *DevMSRReader) Domains() int { return len(r.files) }
 
-// Name returns "package-N".
-func (r *DevMSRReader) Name(domain int) string { return fmt.Sprintf("package-%d", domain) }
-
 // Energy returns the wrap-corrected cumulative energy of a package since
 // the reader was created.
 func (r *DevMSRReader) Energy(domain int) (units.Joules, error) {

@@ -67,9 +67,6 @@ func TestDevMSRReader(t *testing.T) {
 	if r.Domains() != 2 {
 		t.Fatalf("Domains = %d", r.Domains())
 	}
-	if r.Name(1) != "package-1" {
-		t.Errorf("Name(1) = %q", r.Name(1))
-	}
 	// Zeroed at creation.
 	for dom := 0; dom < 2; dom++ {
 		e, err := r.Energy(dom)

@@ -40,11 +40,6 @@ func (f *Fake) Domains() int {
 	return len(f.energy)
 }
 
-// Name returns "fake-N".
-func (f *Fake) Name(domain int) string {
-	return "fake-" + string(rune('0'+domain))
-}
-
 // Energy returns the domain's current value.
 func (f *Fake) Energy(domain int) (units.Joules, error) {
 	f.mu.Lock()

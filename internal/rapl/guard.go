@@ -167,9 +167,6 @@ func NewGuard(reader Reader, cfg GuardConfig) (*Guard, error) {
 // Domains returns the wrapped reader's domain count.
 func (g *Guard) Domains() int { return g.inner.Domains() }
 
-// Name returns the wrapped reader's domain name.
-func (g *Guard) Name(domain int) string { return g.inner.Name(domain) }
-
 // State returns a domain's current health state.
 func (g *Guard) State(domain int) GuardState {
 	g.mu.Lock()

@@ -47,9 +47,6 @@ func NewMSRReader(file *msr.File) (*MSRReader, error) {
 // Domains returns the number of packages.
 func (r *MSRReader) Domains() int { return r.file.Sockets() }
 
-// Name returns "package-N".
-func (r *MSRReader) Name(domain int) string { return fmt.Sprintf("package-%d", domain) }
-
 // Energy returns the wrap-corrected cumulative energy of a package since
 // the reader was created.
 //

@@ -33,24 +33,9 @@ import (
 type Reader interface {
 	// Domains returns the number of energy domains (packages).
 	Domains() int
-	// Name returns a human-readable domain name, e.g. "package-0".
-	Name(domain int) string
 	// Energy returns the cumulative energy of the domain since the reader
 	// was created. It is monotonically non-decreasing and wrap-corrected.
 	Energy(domain int) (units.Joules, error)
-}
-
-// Total reads and sums all domains of a reader.
-func Total(r Reader) (units.Joules, error) {
-	var t units.Joules
-	for d := 0; d < r.Domains(); d++ {
-		e, err := r.Energy(d)
-		if err != nil {
-			return 0, fmt.Errorf("rapl: domain %d: %w", d, err)
-		}
-		t += e
-	}
-	return t, nil
 }
 
 // domainError reports an out-of-range domain index.

@@ -185,18 +185,9 @@ func (bb *Blackboard) Sockets() int { return bb.nSock }
 // Cores returns the total number of core domains.
 func (bb *Blackboard) Cores() int { return bb.nSock * bb.perSock }
 
-// Version returns the monotonic publish version: it advances on every
-// meter write, so an unchanged version means an unchanged board. The
-// delta encoder and the pub/sub publisher key off it.
-func (bb *Blackboard) Version() uint64 { return bb.pub.Load() }
-
 // SchemaGen returns the schema generation, bumped whenever a new meter
 // name registers a slot. Delta subscribers resync on a change.
 func (bb *Blackboard) SchemaGen() uint32 { return bb.schema.Load().gen }
-
-// NumSlots returns the current slot count (registered names × scopes) —
-// the width of a delta frame's changed-slot bitmap.
-func (bb *Blackboard) NumSlots() int { return len(*bb.slots.Load()) }
 
 // Scope indices: slot index = meterID*nScopes + scope.
 func (bb *Blackboard) systemScope() int           { return 0 }
@@ -308,15 +299,6 @@ func (bb *Blackboard) Socket(socket int, name string) (Meter, bool) {
 		return Meter{}, false
 	}
 	return bb.get(bb.socketScope(socket), name)
-}
-
-// Core reads a core-level meter.
-func (bb *Blackboard) Core(core int, name string) (Meter, bool) {
-	bb.countRead()
-	if core < 0 || core >= bb.Cores() {
-		return Meter{}, false
-	}
-	return bb.get(bb.coreScope(core), name)
 }
 
 // MeterValue is one named meter inside a snapshot.

@@ -342,9 +342,6 @@ type SubState struct {
 	ready   bool
 }
 
-// Ready reports whether a full frame has been applied yet.
-func (st *SubState) Ready() bool { return st.ready }
-
 // ApplyFull replaces the state with a full frame.
 func (st *SubState) ApplyFull(f *FullFrame) error {
 	nScopes := 1 + int(f.Sockets) + int(f.Sockets)*int(f.PerSock)

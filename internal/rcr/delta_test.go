@@ -15,7 +15,7 @@ func TestDeltaHeartbeatIsFixedSize(t *testing.T) {
 	bb, _ := NewBlackboard(4, 16)
 	populate(bb, time.Second)
 	var f DeltaFrame
-	bb.CollectDelta(bb.Version(), &f)
+	bb.CollectDelta(bb.pub.Load(), &f)
 	if !f.Heartbeat() {
 		t.Fatal("delta since current version is not a heartbeat")
 	}
@@ -30,7 +30,7 @@ func TestDeltaHeartbeatIsFixedSize(t *testing.T) {
 func TestDeltaCostProportionalToChanges(t *testing.T) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
-	basis := bb.Version()
+	basis := bb.pub.Load()
 	bb.SetSocket(0, MeterPower, 72, 2*time.Second)
 	bb.SetSocket(1, MeterPower, 69, 2*time.Second)
 	var f DeltaFrame
@@ -38,7 +38,7 @@ func TestDeltaCostProportionalToChanges(t *testing.T) {
 	if got := len(f.Vals); got != 2 {
 		t.Fatalf("delta carries %d slots, want 2", got)
 	}
-	want := 33 + 4 + (bb.NumSlots()+7)/8 + 2*16
+	want := 33 + 4 + (len(*bb.slots.Load())+7)/8 + 2*16
 	if enc := AppendDeltaFrame(nil, &f); len(enc) != want {
 		t.Errorf("2-change delta is %d bytes, want %d", len(enc), want)
 	}
@@ -66,7 +66,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Error("full frame re-encode is not bit-exact")
 	}
 
-	basis := bb.Version()
+	basis := bb.pub.Load()
 	bb.SetCore(1, MeterDutyCycle, 0.75, 2*time.Second)
 	var delta DeltaFrame
 	bb.CollectDelta(basis, &delta)
@@ -262,8 +262,8 @@ func TestCollectDeltaNeverLosesClaimedWrites(t *testing.T) {
 	bb.SetSocket(0, MeterPower, 70, time.Second)
 	var f DeltaFrame
 	bb.CollectDelta(0, &f)
-	if f.To != bb.Version() {
-		t.Fatalf("To = %d, version = %d", f.To, bb.Version())
+	if f.To != bb.pub.Load() {
+		t.Fatalf("To = %d, version = %d", f.To, bb.pub.Load())
 	}
 	// Write after the collection: the next delta from f.To must carry it.
 	bb.SetSocket(0, MeterPower, 71, 2*time.Second)

@@ -81,17 +81,11 @@ func AppendSnapshot(dst []byte, s Snapshot) []byte {
 	return dst
 }
 
-// EncodeSnapshot serializes a snapshot into a fresh, exactly-sized
-// buffer (a single allocation).
-func EncodeSnapshot(s Snapshot) []byte {
-	return AppendSnapshot(make([]byte, 0, snapshotSize(s)), s)
-}
-
 // minMeterBytes is the smallest encoded meter: an empty name, a value
 // and a stamp. A payload of n bytes holds at most n/minMeterBytes meters.
 const minMeterBytes = 2 + 8 + 8
 
-// DecodeSnapshot parses a snapshot previously produced by EncodeSnapshot.
+// DecodeSnapshot parses a snapshot previously produced by AppendSnapshot.
 // Every meter list is a window of one backing array sized from the
 // payload, capped so that appending to one list cannot overwrite the
 // next.

@@ -26,7 +26,7 @@ func encTestSnapshot() Snapshot {
 // TestDecodeSnapshotTruncatedNeverPanics: every proper prefix of a valid
 // encoding must error cleanly — no panic, no partial success.
 func TestDecodeSnapshotTruncatedNeverPanics(t *testing.T) {
-	full := EncodeSnapshot(encTestSnapshot())
+	full := AppendSnapshot(nil, encTestSnapshot())
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeSnapshot(full[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded successfully", n, len(full))
@@ -97,7 +97,7 @@ func TestDecodeSnapshotOversizedCounts(t *testing.T) {
 // a different but structurally valid snapshot — so only cleanliness is
 // asserted, plus re-encode stability when decoding succeeds.)
 func TestDecodeSnapshotBitFlips(t *testing.T) {
-	full := EncodeSnapshot(encTestSnapshot())
+	full := AppendSnapshot(nil, encTestSnapshot())
 	buf := make([]byte, len(full))
 	for i := 0; i < len(full); i++ {
 		for bit := 0; bit < 8; bit++ {
@@ -108,7 +108,7 @@ func TestDecodeSnapshotBitFlips(t *testing.T) {
 				continue
 			}
 			// Structurally valid: it must round-trip exactly.
-			again, err := DecodeSnapshot(EncodeSnapshot(s))
+			again, err := DecodeSnapshot(AppendSnapshot(nil, s))
 			if err != nil {
 				t.Fatalf("re-encode of bit-flipped decode failed at byte %d bit %d: %v", i, bit, err)
 			}
@@ -128,9 +128,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(snapshotMagic[:])
 	f.Add(fullMagic[:])
 	f.Add(deltaMagic[:])
-	f.Add(EncodeSnapshot(Snapshot{}))
-	f.Add(EncodeSnapshot(encTestSnapshot()))
-	trunc := EncodeSnapshot(encTestSnapshot())
+	f.Add(AppendSnapshot(nil, Snapshot{}))
+	f.Add(AppendSnapshot(nil, encTestSnapshot()))
+	trunc := AppendSnapshot(nil, encTestSnapshot())
 	f.Add(trunc[:len(trunc)/2])
 	bb, _ := NewBlackboard(2, 2)
 	bb.SetSystem(MeterPower, 141.7, 3*time.Second)
@@ -148,12 +148,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(encD)
 	f.Add(encD[:len(encD)/2])
 	var hb DeltaFrame
-	bb.CollectDelta(bb.Version(), &hb)
+	bb.CollectDelta(bb.pub.Load(), &hb)
 	f.Add(AppendDeltaFrame(nil, &hb))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.Canonical(t, data, func(b []byte) ([]byte, error) {
 			s, err := DecodeSnapshot(b)
-			return EncodeSnapshot(s), err
+			return AppendSnapshot(nil, s), err
 		})
 		var full FullFrame
 		if err := DecodeFullFrame(encF, &full); err != nil {

@@ -20,7 +20,7 @@ import (
 // region: a client connects to a Unix socket, sends a one-line request,
 // and receives a length-prefixed binary payload.
 //
-//	request:  "GET\n"  response: uint32 little-endian length, then EncodeSnapshot bytes
+//	request:  "GET\n"  response: uint32 little-endian length, then AppendSnapshot bytes
 //	request:  "MET\n"  response: uint32 little-endian length, then metrics text
 //	                   (telemetry.Registry.WriteText form; empty when the
 //	                   server is not instrumented)

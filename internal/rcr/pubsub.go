@@ -454,7 +454,7 @@ func Subscribe(ctx context.Context, network, addr string) (*Subscription, error)
 }
 
 // State exposes the materialized blackboard copy. Valid after the first
-// successful Next; check State().Ready().
+// successful Next.
 func (s *Subscription) State() *SubState { return &s.state }
 
 // Snapshot converts the current state to the legacy deep-copy form.

@@ -81,7 +81,7 @@ func TestSubscribeStream(t *testing.T) {
 	if err := sub.Next(ctx); err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
-	if !sub.State().Ready() {
+	if !sub.State().ready {
 		t.Fatal("state not ready after first frame")
 	}
 	if got, want := sub.Snapshot(), bb.Snapshot(time.Second); !reflect.DeepEqual(got, want) {
@@ -195,7 +195,7 @@ func TestSlowSubscriberResync(t *testing.T) {
 		if err := sub.Next(ctx); err != nil && !errors.Is(err, ErrDeltaGap) {
 			t.Fatalf("drain: %v", err)
 		}
-		if sub.State().Ready() && sub.State().Ver == bb.Version() {
+		if sub.State().ready && sub.State().Ver == bb.pub.Load() {
 			break
 		}
 		pub.Tick(now) // resyncs any subscriber marked by the overflow
@@ -246,7 +246,7 @@ func TestSubscribersSlowBesideFast(t *testing.T) {
 		if full := IsFullFrame(fast.buf); full != (i == 1) {
 			t.Fatalf("fast subscriber, tick %d: full frame = %v", i, full)
 		}
-		if got, want := fast.State().Ver, bb.Version(); got != want {
+		if got, want := fast.State().Ver, bb.pub.Load(); got != want {
 			t.Fatalf("fast subscriber, tick %d: state at version %d, board at %d", i, got, want)
 		}
 	}
@@ -277,7 +277,7 @@ func TestSubscribersSlowBesideFast(t *testing.T) {
 		if err := stalled.Next(ctx); err != nil && !errors.Is(err, ErrDeltaGap) {
 			t.Fatalf("drain: %v", err)
 		}
-		if stalled.State().Ready() && stalled.State().Ver == bb.Version() {
+		if stalled.State().ready && stalled.State().Ver == bb.pub.Load() {
 			break
 		}
 		if i > maxTicks {
@@ -392,7 +392,7 @@ func TestWriteThroughHandOverOrder(t *testing.T) {
 	if n := reg.Counter("rcr_sub_dropped_frames_total").Value(); n != 0 {
 		t.Errorf("%d frames dropped with a queue as deep as the run", n)
 	}
-	if got, want := sub.State().Ver, bb.Version(); got != want {
+	if got, want := sub.State().Ver, bb.pub.Load(); got != want {
 		t.Errorf("state at version %d, board at %d", got, want)
 	}
 	// The writer counts a batch after its write returns, which may be
@@ -440,7 +440,7 @@ func TestWriteThroughReaderKeepsPace(t *testing.T) {
 	if n := reg.Counter("rcr_sub_dropped_frames_total").Value(); n != 0 {
 		t.Errorf("%d frames dropped with a queue as deep as the run", n)
 	}
-	if got, want := sub.State().Ver, bb.Version(); got != want {
+	if got, want := sub.State().Ver, bb.pub.Load(); got != want {
 		t.Errorf("state at version %d, board at %d", got, want)
 	}
 }
@@ -516,7 +516,7 @@ func TestWriteThroughPartialFrameSurvivesOverflow(t *testing.T) {
 		if err := sub.Next(ctx); err != nil && !errors.Is(err, ErrDeltaGap) {
 			t.Fatalf("drain: %v", err)
 		}
-		if sub.State().Ready() && sub.State().Ver == bb.Version() {
+		if sub.State().ready && sub.State().Ver == bb.pub.Load() {
 			break
 		}
 		pub.Tick(now)

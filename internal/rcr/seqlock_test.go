@@ -39,7 +39,6 @@ func TestSeqlockReadAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		sink, _ = bb.System(MeterPower)
 		sink, _ = bb.Socket(1, MeterMemConcurrency)
-		sink, _ = bb.Core(3, MeterDutyCycle)
 	}); n != 0 {
 		t.Errorf("meter reads allocate %.1f/op, want 0", n)
 	}
@@ -66,8 +65,8 @@ func TestAppendSnapshotAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("AppendSnapshot allocates %.1f/op on a warm buffer, want 0", n)
 	}
-	if !bytes.Equal(buf, EncodeSnapshot(snap)) {
-		t.Error("AppendSnapshot and EncodeSnapshot disagree")
+	if !bytes.Equal(buf, AppendSnapshot(nil, snap)) {
+		t.Error("AppendSnapshot into a warm buffer and into nil disagree")
 	}
 }
 
@@ -145,7 +144,7 @@ func TestSnapshotMaterializeAllocs(t *testing.T) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
 	want := bb.Snapshot(time.Second)
-	enc := EncodeSnapshot(want)
+	enc := AppendSnapshot(nil, want)
 	var got Snapshot
 	if n := testing.AllocsPerRun(1000, func() {
 		got, _ = DecodeSnapshot(enc)
@@ -185,7 +184,7 @@ func TestSnapshotListsCapped(t *testing.T) {
 	if err := st.ApplyFull(&full); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(EncodeSnapshot(bb.Snapshot(0)))
+	decoded, err := DecodeSnapshot(AppendSnapshot(nil, bb.Snapshot(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +229,12 @@ func TestSnapshotEncodeDeterministic(t *testing.T) {
 	for i := len(writes) - 1; i >= 0; i-- {
 		writes[i].set(backward)
 	}
-	a := EncodeSnapshot(forward.Snapshot(3 * time.Second))
-	b := EncodeSnapshot(backward.Snapshot(3 * time.Second))
+	a := AppendSnapshot(nil, forward.Snapshot(3*time.Second))
+	b := AppendSnapshot(nil, backward.Snapshot(3*time.Second))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("write order changed the encoding:\n fwd %x\n rev %x", a, b)
 	}
-	if again := EncodeSnapshot(forward.Snapshot(3 * time.Second)); !bytes.Equal(a, again) {
+	if again := AppendSnapshot(nil, forward.Snapshot(3*time.Second)); !bytes.Equal(a, again) {
 		t.Fatal("re-encoding identical state is not bit-stable")
 	}
 }
@@ -245,16 +244,16 @@ func TestSnapshotEncodeDeterministic(t *testing.T) {
 // (an unchanged tick is a heartbeat) is built on.
 func TestBlackboardVersion(t *testing.T) {
 	bb, _ := NewBlackboard(1, 2)
-	if v := bb.Version(); v != 0 {
+	if v := bb.pub.Load(); v != 0 {
 		t.Fatalf("fresh board version = %d, want 0", v)
 	}
 	bb.SetSystem(MeterPower, 1, time.Second)
 	bb.SetSocket(0, MeterPower, 2, time.Second)
-	if v := bb.Version(); v != 2 {
+	if v := bb.pub.Load(); v != 2 {
 		t.Fatalf("version after 2 writes = %d, want 2", v)
 	}
 	var f DeltaFrame
-	bb.CollectDelta(bb.Version(), &f)
+	bb.CollectDelta(bb.pub.Load(), &f)
 	if !f.Heartbeat() {
 		t.Error("delta since current version is not a heartbeat")
 	}

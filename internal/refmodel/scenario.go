@@ -204,7 +204,7 @@ func generateConfig(rng *rand.Rand) machine.Config {
 	cfg.MaxStep = time.Millisecond
 	cfg.VirtualTimeLimit = 10 * time.Minute
 	if rng.Intn(2) == 0 {
-		cfg.Turbo = machine.DefaultTurbo()
+		cfg.Turbo = machine.TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Mem.BandwidthPerSocket = 17e9

@@ -216,7 +216,10 @@ func TestKeeperDiskFaultBackoff(t *testing.T) {
 	if k.LastErr() == nil {
 		t.Error("keeper reports no error while the disk is full")
 	}
-	if k.FailStreak() == 0 {
+	k.mu.Lock()
+	streak := k.failStreak
+	k.mu.Unlock()
+	if streak == 0 {
 		t.Error("keeper reports no failure streak while the disk is full")
 	}
 	requireIntact(t, path, prev)
@@ -238,18 +241,18 @@ func TestKeeperDiskFaultBackoff(t *testing.T) {
 	// resets, and fresh snapshots flow again.
 	broken.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
-	for k.Saves() == 0 && time.Now().Before(deadline) {
+	for k.saves.Value() == 0 && time.Now().Before(deadline) {
 		ctx.Compute(float64(m.Config().BaseFreq) * 0.02)
 		time.Sleep(2 * time.Millisecond)
 	}
-	if k.Saves() == 0 {
+	if k.saves.Value() == 0 {
 		t.Fatal("keeper never recovered after the disk healed")
 	}
 	if err := k.Stop(); err != nil {
 		t.Fatalf("final save failed on a healed disk: %v", err)
 	}
-	if k.FailStreak() != 0 {
-		t.Errorf("failure streak %d after recovery, want 0", k.FailStreak())
+	if k.failStreak != 0 {
+		t.Errorf("failure streak %d after recovery, want 0", k.failStreak)
 	}
 	st, err := LoadState(path, 0, time.Time{})
 	if err != nil {

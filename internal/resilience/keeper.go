@@ -47,7 +47,6 @@ type Keeper struct {
 
 	mu         sync.Mutex
 	lastErr    error
-	saved      int
 	failStreak int
 	skip       int // ticks left to sit out before the next attempt
 
@@ -135,7 +134,6 @@ func (k *Keeper) save() {
 	k.lastErr = err
 	var backoff int
 	if err == nil {
-		k.saved++
 		k.failStreak, k.skip = 0, 0
 	} else {
 		k.failStreak++
@@ -179,18 +177,4 @@ func (k *Keeper) LastErr() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.lastErr
-}
-
-// Saves reports how many checkpoints have been written successfully.
-func (k *Keeper) Saves() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.saved
-}
-
-// FailStreak reports the current run of consecutive failed saves.
-func (k *Keeper) FailStreak() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.failStreak
 }

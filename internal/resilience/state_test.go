@@ -197,24 +197,21 @@ func TestKeeperPeriodicAndFinal(t *testing.T) {
 	defer ctx.Release()
 	ctx.Compute(float64(m.Config().BaseFreq) * 0.3) // 300ms of virtual time
 	deadline := time.Now().Add(5 * time.Second)
-	for k.Saves() == 0 && time.Now().Before(deadline) {
+	for k.saves.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if k.Saves() == 0 {
+	if k.saves.Value() == 0 {
 		t.Fatal("keeper never saved")
 	}
 	if err := k.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	finals := k.Saves()
+	finals := k.saves.Value()
 	if err := k.Stop(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if k.Saves() != finals {
+	if k.saves.Value() != finals {
 		t.Error("second Stop saved again")
-	}
-	if got := reg.Counter("resilience_keeper_saves_total").Value(); got != uint64(finals) {
-		t.Errorf("saves counter %d, want %d", got, finals)
 	}
 	st, err := LoadState(path, time.Hour, time.Now())
 	if err != nil {

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -270,7 +268,7 @@ func (j *Journal) Entries() []Decision {
 }
 
 // WriteJSONL writes the journal as one JSON object per line, oldest
-// first — the sidecar format ReadJSONL parses back.
+// first.
 func (j *Journal) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, d := range j.Entries() {
@@ -279,26 +277,4 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL parses a WriteJSONL stream. Blank lines are skipped.
-func ReadJSONL(r io.Reader) ([]Decision, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Decision
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var d Decision
-		if err := json.Unmarshal(line, &d); err != nil {
-			return nil, fmt.Errorf("telemetry: journal line %d: %w", len(out)+1, err)
-		}
-		out = append(out, d)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

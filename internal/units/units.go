@@ -4,7 +4,7 @@
 // the RAPL fixed-point energy unit used by MSR_PKG_ENERGY_STATUS.
 //
 // All quantities are float64 wrappers. Arithmetic between them is done by
-// explicit conversion helpers (PowerOver, EnergyOver, ...) so that unit
+// explicit conversion helpers (PowerOver, FromRAPLCounts, ...) so that unit
 // errors surface at compile time rather than as silently wrong numbers.
 //
 // Virtual time in the simulator is represented by time.Duration: one
@@ -59,41 +59,6 @@ func PowerOver(e Joules, d time.Duration) Watts {
 		return 0
 	}
 	return Watts(float64(e) / d.Seconds())
-}
-
-// EnergyOver returns the energy used by drawing w for duration d.
-func EnergyOver(w Watts, d time.Duration) Joules {
-	if d <= 0 {
-		return 0
-	}
-	return Joules(float64(w) * d.Seconds())
-}
-
-// CyclesOver returns the number of clock cycles elapsed at frequency h over
-// duration d.
-func CyclesOver(h Hertz, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(h) * d.Seconds()
-}
-
-// DurationOfCycles returns the time needed for n cycles at frequency h.
-// It returns 0 for non-positive frequencies.
-func DurationOfCycles(n float64, h Hertz) time.Duration {
-	if h <= 0 || n <= 0 {
-		return 0
-	}
-	return time.Duration(n / float64(h) * float64(time.Second))
-}
-
-// RAPLCounts quantizes an energy to whole RAPL counter increments,
-// truncating toward zero. Negative energies quantize to zero.
-func RAPLCounts(e Joules) uint64 {
-	if e <= 0 {
-		return 0
-	}
-	return uint64(float64(e) / float64(RAPLUnit))
 }
 
 // FromRAPLCounts converts a raw count delta back to energy.

@@ -56,7 +56,7 @@ func RunOnce(m *machine.Machine, wl Workload, workers int) (rcr.RegionReport, er
 // other on the virtual timeline with the host-side work between them
 // (closing this region, validating, opening the next) costing no virtual
 // time. end is never nil (see Runtime.RunHeld).
-func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Workload, release func()) (rep rcr.RegionReport, end func(), err error) {
+func RunOnRuntimeHeld(rt *qthreads.Runtime, reader rapl.Reader, bb *rcr.Blackboard, wl Prepared, release func()) (rep rcr.RegionReport, end func(), err error) {
 	region, err := rcr.StartRegion(wl.Name(), rt.Machine(), reader, bb)
 	if err != nil {
 		return rcr.RegionReport{}, release, err

@@ -69,16 +69,3 @@ func Names() []string {
 	}
 	return names
 }
-
-// All creates one fresh instance of every workload.
-func All() []workloads.Workload {
-	out := make([]workloads.Workload, 0, len(constructors))
-	for _, n := range Names() {
-		w, err := New(n)
-		if err != nil {
-			panic(err) // Names() already validated the registry
-		}
-		out = append(out, w)
-	}
-	return out
-}

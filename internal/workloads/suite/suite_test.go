@@ -48,9 +48,12 @@ func TestNewReturnsFreshInstances(t *testing.T) {
 func TestEveryWorkloadRunsAndValidates(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 60 * time.Minute
-	for _, wl := range All() {
-		wl := wl
-		t.Run(wl.Name(), func(t *testing.T) {
+	for _, name := range Names() {
+		wl, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			target := compiler.Baseline
 			if !compiler.Supported(wl.Name(), compiler.GCC) {
 				target = compiler.Target{Compiler: compiler.ICC, Opt: compiler.O2}

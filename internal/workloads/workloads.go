@@ -83,12 +83,17 @@ func (p Params) WithDefaults() Params {
 
 // Workload is one benchmark program.
 type Workload interface {
-	// Name returns the canonical application name (compiler.App*).
-	Name() string
 	// Prepare generates the input with its serial reference and
 	// calibrates the charge model for p's target. It must be called
 	// before Root.
 	Prepare(p Params) error
+	Prepared
+}
+
+// Prepared is what a measured run calls of a workload that is ready.
+type Prepared interface {
+	// Name returns the canonical application name (compiler.App*).
+	Name() string
 	// Root returns the task to hand to qthreads.Runtime.Run. Root may be
 	// run multiple times after one Prepare; each run recomputes from the
 	// prepared input.
