@@ -97,7 +97,7 @@ func (a *controlCore) electionGrace() time.Duration {
 // electionJitter advances the replica's deterministic jitter stream and
 // returns a delay in [0, grace).
 func (a *controlCore) electionJitter() time.Duration {
-	a.jitterState = splitmix64ha(a.jitterState)
+	a.jitterState = splitmix64(a.jitterState)
 	grace := a.electionGrace()
 	if grace <= 0 {
 		return 0
@@ -105,7 +105,9 @@ func (a *controlCore) electionJitter() time.Duration {
 	return time.Duration(a.jitterState % uint64(grace))
 }
 
-func splitmix64ha(x uint64) uint64 {
+// splitmix64 is the stateless SplitMix64 step: the replicas' election
+// jitter and the package's property corpora draw from it.
+func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

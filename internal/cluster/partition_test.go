@@ -8,16 +8,9 @@ import (
 	"repro/internal/units"
 )
 
-// splitmix64 mirrors the faults package's stateless PRNG so the property
-// corpus here is seeded the same way as every other deterministic corpus
-// in the repo.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// prng steps splitmix64 (ha.go), the faults package's stateless PRNG, so
+// the property corpus here is seeded the same way as every other
+// deterministic corpus in the repo.
 type prng struct{ state uint64 }
 
 func (r *prng) next() uint64 {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/maestro"
-	"repro/internal/msr"
 	"repro/internal/qthreads"
 	"repro/internal/refmodel"
 	"repro/internal/telemetry"
@@ -247,29 +246,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// complete and the engine stopped before final state is read.
 	sys.Close()
 	watchdog.Stop()
-	m.MSR().SetReadHook(nil) // final-state reads below must be raw
 	if merr := m.Err(); merr != nil && runErr == nil {
 		rep.violate("machine error: %v", merr)
 	}
 
 	rep.Steps = len(steps)
 	res := &refmodel.Result{Steps: steps}
-	file := m.MSR()
 	for s := 0; s < mcfg.Sockets; s++ {
 		res.Energy = append(res.Energy, float64(m.SocketEnergy(s)))
-		res.Counters = append(res.Counters, file.PackageEnergyCounter(s))
-	}
-	for c := 0; c < mcfg.Cores(); c++ {
-		tsc, err := file.ReadCore(c, msr.IA32TimeStampCounter)
-		if err != nil {
-			return nil, err
-		}
-		res.TSC = append(res.TSC, tsc)
-		th, err := file.ReadCore(c, msr.IA32ThermStatus)
-		if err != nil {
-			return nil, err
-		}
-		res.Therm = append(res.Therm, th)
+		res.Counters = append(res.Counters, m.MSR().PackageEnergyCounter(s))
 	}
 	if err := refmodel.Audit(refmodel.Scenario{Cfg: mcfg}, res); err != nil {
 		rep.violate("physics audit failed: %v", err)

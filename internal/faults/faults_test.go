@@ -74,7 +74,7 @@ func TestMSRReadHookFaults(t *testing.T) {
 		t.Errorf("wrong domain: got %d, %v", v, err)
 	}
 	// Non-energy registers are never touched.
-	if v, err := in.MSRReadHook()(msr.Access{Core: true, Index: 1, Addr: msr.IA32TimeStampCounter, Value: 9}); err != nil || v != 9 {
+	if v, err := in.MSRReadHook()(msr.Access{Core: true, Index: 1, Addr: msr.IA32ClockModulation, Value: 9}); err != nil || v != 9 {
 		t.Errorf("core register intercepted: got %d, %v", v, err)
 	}
 

@@ -126,8 +126,8 @@ type ThermalParams struct {
 type Config struct {
 	Sockets        int
 	CoresPerSocket int
-	// BaseFreq is the nominal core clock (Turbo disabled, as in the
-	// paper's BIOS setup).
+	// BaseFreq is the nominal core clock. No core runs above it: the
+	// paper's BIOS disables opportunistic boost (§II).
 	BaseFreq units.Hertz
 	// MaxStep caps one engine step of virtual time; spin phases and
 	// long homogeneous work advance in at most MaxStep increments
@@ -140,9 +140,6 @@ type Config struct {
 	Mem     MemParams
 	Power   PowerParams
 	Thermal ThermalParams
-	// Turbo configures opportunistic frequency boost; the zero value
-	// disables it, matching the paper's BIOS setting (§II).
-	Turbo TurboParams
 }
 
 // Cores returns the total core count of the node.
@@ -180,7 +177,7 @@ func (c Config) Validate() error {
 
 // M620 returns the configuration of the paper's test platform: a Dell
 // M620 blade with two Xeon E5-2680 packages (8 cores each) at 2.7 GHz
-// with Turbo Boost disabled, calibrated per DESIGN.md §5.
+// with opportunistic boost disabled, calibrated per DESIGN.md §5.
 func M620() Config {
 	return Config{
 		Sockets:        2,

@@ -198,10 +198,6 @@ func (x *CoreCtx) Release() {
 		// Can only happen on misuse from a second goroutine.
 		panic(fmt.Sprintf("machine: Release of core %d in state %d", x.c.id, x.c.state))
 	}
-	if err := m.msrFile.AddCoreCycles(x.c.id, x.c.cycles); err != nil {
-		panic(err)
-	}
-	x.c.cycles = 0
 	if err := m.msrFile.SetCoreDuty(x.c.id, false, 0); err != nil {
 		panic(err)
 	}

@@ -2,8 +2,8 @@
 // played on the real machine and interpreted by internal/refmodel's
 // naive scan-everything reference engine, and the two trajectories must
 // match bit-for-bit at every quantum — energy, power, temperature,
-// bandwidth, turbo boost, DVFS scale, RAPL counters (including 32-bit
-// wrap), TSC and therm-status registers, and every ticker fire.
+// bandwidth, DVFS scale, RAPL counters (including 32-bit wrap), and
+// every ticker fire.
 //
 // This file is an external test package (machine_test) because refmodel
 // imports machine.
@@ -108,7 +108,7 @@ func TestDifferentialLongStretch(t *testing.T) {
 }
 
 // quiescentSteps counts the MaxStep-long steps whose plan-determined
-// fields (boost, DVFS scale, outstanding references, utilization, granted
+// fields (DVFS scale, outstanding references, utilization, granted
 // bandwidth) equal the previous step's on every socket — steps before
 // which no core changed state, which a plan-reusing engine serves from
 // its cache — and the longest run of them.
@@ -118,7 +118,7 @@ func quiescentSteps(steps []machine.StepRecord, maxStep time.Duration) (n, longe
 		same := steps[k].Dt == maxStep
 		for s := range steps[k].Sockets {
 			a, b := steps[k-1].Sockets[s], steps[k].Sockets[s]
-			same = same && a.Boost == b.Boost && a.FreqScale == b.FreqScale &&
+			same = same && a.FreqScale == b.FreqScale &&
 				a.Refs == b.Refs && a.Util == b.Util && a.Bandwidth == b.Bandwidth
 		}
 		if !same {
@@ -135,8 +135,7 @@ func quiescentSteps(steps []machine.StepRecord, maxStep time.Duration) (n, longe
 
 // FuzzDifferential lets the fuzzer hunt for scenario seeds where the
 // engines disagree or an invariant breaks. The corpus covers all
-// generator branches of both scenario shapes (topology, turbo, memory
-// shape, RAPL preload, ticker churn; short items that replan every step
+// generator branches of both scenario shapes (topology, memory shape, RAPL preload, ticker churn; short items that replan every step
 // and long stretches that reuse the plan); the fuzzer then mutates the
 // seed and the shape freely. Run locally with:
 //

@@ -211,11 +211,10 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 
 // replanLocked recomputes the plan: everything a step needs that is a
 // pure function of core states, work items, duty cycles, line groups and
-// DVFS scales — the per-socket Turbo boost, every busy core's bandwidth
-// grant and progress rates, every atomic core's contended service rate,
-// each progressing core's cycle rate and the list of those cores, and per
-// socket the power sum before leakage and the granted-bandwidth total. It
-// sets m.planValid; the choke points that change any of those inputs
+// DVFS scales — every busy core's bandwidth grant and progress rates,
+// every atomic core's contended service rate, the list of the cores that
+// progress, and per socket the power sum before leakage and the
+// granted-bandwidth total. It sets m.planValid; the choke points that change any of those inputs
 // clear it. It reports false after aborting the machine on a zero atomic
 // rate.
 //
@@ -223,12 +222,6 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 // rates and walks each socket's cores once for the power sum, as the
 // per-step integration used to.
 func (m *Machine) replanLocked() bool {
-	// Per-socket Turbo boost from current occupancy (busy + atomic
-	// cores); constant until occupancy changes.
-	for sock := range m.socks {
-		m.stepBoost[sock] = m.cfg.Turbo.BoostFor(m.socks[sock].occupied(), m.cfg.CoresPerSocket)
-	}
-
 	// Memory-contended busy cores, socket by socket. The busy lists are
 	// id-ordered, so demand vectors match the order the old full scans
 	// produced and the allocator's arithmetic is unchanged.
@@ -242,15 +235,15 @@ func (m *Machine) replanLocked() bool {
 		}
 		demands := m.demandScratch[:0]
 		for _, c := range busy {
-			demands = append(demands, c.bwDemand(m.cfg, m.freqScale[sock]*m.stepBoost[sock]))
+			demands = append(demands, c.bwDemand(m.cfg, m.freqScale[sock]))
 		}
 		m.demandScratch = demands[:0]
 		grants, refs, util := m.cfg.Mem.allocateInto(demands, &m.allocScratch)
 		m.stepRefs[sock] = refs
 		m.stepUtil[sock] = util
 		for i, c := range busy {
-			c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock] * m.stepBoost[sock]
-			c.stepOpsRate, c.stepBytesRate, c.stepActiveFrac = c.work.Rates(c.stepCycleRate, grants[i])
+			cycleRate := float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock]
+			c.stepOpsRate, c.stepBytesRate, c.stepActiveFrac = c.work.Rates(cycleRate, grants[i])
 			m.stepBandwidth[sock] += c.stepBytesRate
 		}
 	}
@@ -262,8 +255,7 @@ func (m *Machine) replanLocked() bool {
 	for line, g := range m.lineGroups {
 		k := float64(len(g.members))
 		for _, c := range g.members {
-			c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[c.socket] * m.stepBoost[c.socket]
-			c.stepOpsRate = AtomicRate(c.stepCycleRate, line.costCycles, line.pingpong, k)
+			c.stepOpsRate = AtomicRate(float64(m.cfg.BaseFreq)*c.duty*m.freqScale[c.socket], line.costCycles, line.pingpong, k)
 			if c.stepOpsRate <= 0 {
 				m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
 				return false
@@ -274,19 +266,13 @@ func (m *Machine) replanLocked() bool {
 	// Socket power before the leakage factor. Every core contributes
 	// power whatever its state, so this walks each socket's contiguous
 	// core range once (in id order — the same summation order as ever).
-	// Spinners progress nothing but their cycle counter, at the unboosted
-	// clock.
 	m.stepProgress = m.stepProgress[:0]
 	for sock := range m.socks {
-		fs := m.freqScale[sock] * m.stepBoost[sock]
+		fs := m.freqScale[sock]
 		p := m.cfg.Power.UncoreBase
 		for _, c := range m.coresOf(sock) {
 			p += m.cfg.Power.corePower(c.state, c.duty, fs, c.effActiveFrac())
-			switch c.state {
-			case coreSpinWait:
-				c.stepCycleRate = float64(m.cfg.BaseFreq) * c.duty * m.freqScale[sock]
-				fallthrough
-			case coreBusy, coreAtomic:
+			if c.state == coreBusy || c.state == coreAtomic {
 				m.stepProgress = append(m.stepProgress, c)
 			}
 		}
@@ -323,25 +309,16 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 		m.temp[sock] = m.cfg.Thermal.relax(m.temp[sock], p, decay)
 		m.stepPower[sock] = p
 	}
-	// Mirror temperatures into IA32_THERM_STATUS once cumulative drift
-	// since the last flush exceeds the register's useful resolution.
-	for sock := range m.temp {
-		if math.Abs(float64(m.temp[sock]-m.flushedTemp[sock])) > 0.25 {
-			m.flushThermLocked()
-			break
-		}
-	}
 
-	// Progress work and cycle counters; wake completed cores. This walks
-	// the plan's own list (not the mutable busy lists) because
-	// completions unindex cores mid-loop.
+	// Progress work; wake completed cores. This walks the plan's own list
+	// (not the mutable busy lists) because completions unindex cores
+	// mid-loop.
 	for _, c := range m.stepProgress {
 		switch c.state {
 		case coreBusy:
 			hadBytes := c.remBytes > 0
 			c.remOps -= c.stepOpsRate * secs
 			c.remBytes -= c.stepBytesRate * secs
-			c.cycles += c.stepCycleRate * secs
 			if c.remOps <= 0.5 && c.remBytes <= 0.5 {
 				m.completeLocked(c)
 			} else if hadBytes && c.remBytes <= 0 {
@@ -351,12 +328,9 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 			}
 		case coreAtomic:
 			c.remAtomics -= c.stepOpsRate * secs
-			c.cycles += c.stepCycleRate * secs
 			if c.remAtomics <= 1e-6 {
 				m.completeLocked(c)
 			}
-		case coreSpinWait:
-			c.cycles += c.stepCycleRate * secs
 		}
 	}
 
@@ -377,10 +351,6 @@ func (m *Machine) coresOf(sock int) []*core {
 // owner.
 func (m *Machine) completeLocked(c *core) {
 	c.remOps, c.remBytes, c.remAtomics = 0, 0, 0
-	if err := m.msrFile.AddCoreCycles(c.id, c.cycles); err != nil {
-		panic(err) // core ids are internally consistent
-	}
-	c.cycles = 0
 	m.wakeLocked(c, wakeMsg{}) // unindexes first, so c.line must still be set
 	c.line = nil
 }

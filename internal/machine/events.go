@@ -16,12 +16,8 @@ import "fmt"
 
 // socketIndex is the engine's incremental view of one socket.
 type socketIndex struct {
-	busy    []*core // coreBusy cores, ascending id
-	nAtomic int     // cores in coreAtomic on this socket
+	busy []*core // coreBusy cores, ascending id
 }
-
-// occupied returns the Turbo-relevant occupancy (busy + atomic cores).
-func (si *socketIndex) occupied() int { return len(si.busy) + si.nAtomic }
 
 // lineGroup is the set of cores currently in coreAtomic on one Line.
 // Groups are pooled when they empty so contention churn never allocates.
@@ -64,7 +60,6 @@ func (m *Machine) indexBlockedLocked(c *core) {
 		m.totBusy++
 	case coreAtomic:
 		m.groupAddLocked(c)
-		m.socks[c.socket].nAtomic++
 		m.totAtomic++
 	case coreSpinWait, coreIdleWait:
 		if c.cond != nil {
@@ -88,7 +83,6 @@ func (m *Machine) unindexBlockedLocked(c *core) {
 		m.totBusy--
 	case coreAtomic:
 		m.groupRemoveLocked(c)
-		m.socks[c.socket].nAtomic--
 		m.totAtomic--
 	case coreSpinWait, coreIdleWait:
 		if c.cond != nil {

@@ -149,12 +149,6 @@ type core struct {
 	// the message a core queued in Machine.runQ will be resumed with.
 	wake chan wakeMsg
 	msg  wakeMsg
-
-	cycles float64 // accumulated TSC cycles not yet flushed to the MSR file
-	// stepCycleRate is the core's clock in the current plan (cycles/s):
-	// duty × DVFS scale × Turbo boost for busy and atomic cores, duty ×
-	// DVFS scale for spinners.
-	stepCycleRate float64
 }
 
 type wakeMsg struct {
@@ -259,20 +253,18 @@ type Machine struct {
 	lineGroups  map[*Line]*lineGroup
 	groupPool   []*lineGroup
 
-	energy      []float64 // exact joules per socket
-	temp        []units.Celsius
-	flushedTemp []units.Celsius // last temperature mirrored to the MSR file
-	lastSnap    Snapshot
+	energy   []float64 // exact joules per socket
+	temp     []units.Celsius
+	lastSnap Snapshot
 
 	// planValid says the plan replanLocked last computed still holds: no
 	// core changed state, duty or demand and no DVFS scale changed since.
 	// It is cleared at the choke points every such change passes through
 	// (docs/engine.md §Plan reuse) and set only by replanLocked. The plan
 	// is the per-core step* rates, the list of cores that progress during
-	// a step (busy, atomic and spinning, ascending id) and, per socket,
-	// stepBoost, stepRefs, stepUtil, stepBasePower (the power sum before
-	// leakage) and stepBandwidth (the granted-bandwidth total of the busy
-	// list).
+	// a step (busy and atomic, ascending id) and, per socket, stepRefs,
+	// stepUtil, stepBasePower (the power sum before leakage) and
+	// stepBandwidth (the granted-bandwidth total of the busy list).
 	planValid     bool
 	stepProgress  []*core
 	stepRefs      []float64
@@ -301,8 +293,6 @@ type Machine struct {
 	// lock-free request slots (see dvfs.go).
 	freqScale    []float64
 	freqScaleReq []atomic.Uint64
-	// Per-socket Turbo boost of the current plan.
-	stepBoost []float64
 
 	engineDone chan struct{}
 }
@@ -318,18 +308,13 @@ func New(cfg Config) (*Machine, error) {
 		tickers:       make(map[int]*ticker),
 		energy:        make([]float64, cfg.Sockets),
 		temp:          make([]units.Celsius, cfg.Sockets),
-		flushedTemp:   make([]units.Celsius, cfg.Sockets),
 		stepRefs:      make([]float64, cfg.Sockets),
 		stepUtil:      make([]float64, cfg.Sockets),
 		stepBasePower: make([]units.Watts, cfg.Sockets),
 		stepBandwidth: make([]float64, cfg.Sockets),
 		stepPower:     make([]units.Watts, cfg.Sockets),
-		stepBoost:     make([]float64, cfg.Sockets),
 		maxStepDecay:  cfg.Thermal.decay(cfg.MaxStep),
 		engineDone:    make(chan struct{}),
-	}
-	for s := range m.stepBoost {
-		m.stepBoost[s] = 1
 	}
 	m.engCond = sync.NewCond(&m.mu)
 	m.initDVFS()
@@ -365,7 +350,6 @@ func New(cfg Config) (*Machine, error) {
 	for s := range m.stepPower {
 		m.stepPower[s] = units.Watts(float64(idle) * cfg.Thermal.LeakageFactorAt(m.temp[s]))
 	}
-	m.flushThermLocked()
 	m.updateSnapLocked()
 	go m.engine()
 	return m, nil
@@ -440,7 +424,6 @@ func (m *Machine) SetTemperature(socket int, t units.Celsius) error {
 		return fmt.Errorf("machine: socket %d out of range", socket)
 	}
 	m.temp[socket] = t
-	m.flushThermLocked()
 	m.updateSnapLocked()
 	return nil
 }
@@ -644,17 +627,6 @@ func (m *Machine) EnrolledCount() int {
 		}
 	}
 	return n
-}
-
-// flushThermLocked mirrors socket temperatures into each core's
-// IA32_THERM_STATUS register.
-func (m *Machine) flushThermLocked() {
-	for _, c := range m.cores {
-		if err := m.msrFile.SetCoreTemperature(c.id, m.temp[c.socket]); err != nil {
-			panic(err) // core ids are internally consistent
-		}
-	}
-	copy(m.flushedTemp, m.temp)
 }
 
 // effActiveFrac returns the power-relevant activity fraction of a core:

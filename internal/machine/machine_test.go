@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/msr"
 	"repro/internal/units"
 )
 
@@ -575,10 +574,6 @@ func TestTemperatureRisesUnderLoad(t *testing.T) {
 	if t1 <= t0+5 {
 		t.Errorf("socket 0 temperature %v -> %v, want a clear rise", t0, t1)
 	}
-	// Thermal status registers follow.
-	if reg, err := m.MSR().ReadCore(0, msr.IA32ThermStatus); err != nil || reg != msr.EncodeThermStatus(t1) {
-		t.Errorf("MSR thermal status %#x (%v), machine says %v", reg, err, t1)
-	}
 }
 
 func TestWarmAllSetsTemperature(t *testing.T) {
@@ -588,9 +583,6 @@ func TestWarmAllSetsTemperature(t *testing.T) {
 		if got := m.Temperature(s); got != 70 {
 			t.Errorf("socket %d temperature = %v, want 70", s, got)
 		}
-	}
-	if reg, err := m.MSR().ReadCore(9, msr.IA32ThermStatus); err != nil || reg != msr.EncodeThermStatus(70) {
-		t.Errorf("core 9 MSR thermal status = %#x (%v), want %#x", reg, err, msr.EncodeThermStatus(70))
 	}
 }
 
@@ -610,20 +602,6 @@ func TestHotMachineUsesMoreEnergy(t *testing.T) {
 	rel := (hot - cold) / hot
 	if rel < 0.01 || rel > 0.08 {
 		t.Errorf("hot-vs-cold energy delta = %.1f%%, want a few percent", rel*100)
-	}
-}
-
-func TestTSCAdvances(t *testing.T) {
-	m := newTestMachine(t)
-	runOn(t, m, map[int]func(*CoreCtx){
-		2: func(c *CoreCtx) { c.Compute(1e8) },
-	})
-	v, err := m.MSR().ReadCore(2, msr.IA32TimeStampCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v < 9e7 || v > 1.1e8 {
-		t.Errorf("TSC = %d, want ~1e8", v)
 	}
 }
 

@@ -18,13 +18,11 @@ import (
 	"repro/internal/units"
 )
 
-// edgeConfig is an M620 with Turbo on (so occupancy changes move every
-// rate on the socket) and a thermal time constant short enough that the
-// temperature, and with it leakage, moves inside a stretch.
+// edgeConfig is an M620 with a thermal time constant short enough that
+// the temperature, and with it leakage, moves inside a stretch.
 func edgeConfig() machine.Config {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = time.Minute
-	cfg.Turbo = machine.TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
 	cfg.Thermal.TimeConstant = 200 * time.Millisecond
 	return cfg
 }
@@ -167,7 +165,6 @@ func TestPlanReuseTrafficRunsOutFirst(t *testing.T) {
 			Sleep: 10 * ms,
 		}},
 	}
-	sc.Cfg.Turbo = machine.TurboParams{} // nominal clock: 2.7e6 cycles a quantum
 	const stalled = "core 1 stalled with no progress possible"
 	if _, err := refmodel.Run(sc); err == nil || !strings.Contains(err.Error(), stalled) {
 		t.Fatalf("reference engine: err = %v, want %q", err, stalled)

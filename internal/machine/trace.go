@@ -19,8 +19,6 @@ type SocketStep struct {
 	// Bandwidth is the total granted bandwidth (bytes/s) of cores still
 	// busy after the step, matching Snapshot.Bandwidth.
 	Bandwidth float64
-	// Boost is the Turbo frequency multiplier applied this step.
-	Boost float64
 	// FreqScale is the DVFS scale applied this step.
 	FreqScale float64
 	// RAPLCounter is the raw MSR_PKG_ENERGY_STATUS value after the step
@@ -70,7 +68,6 @@ func (m *Machine) stepRecordLocked(dt time.Duration) StepRecord {
 			Refs:        ls.OutstandingRefs,
 			Util:        ls.BandwidthUtilization,
 			Bandwidth:   float64(ls.Bandwidth),
-			Boost:       m.stepBoost[sock],
 			FreqScale:   m.freqScale[sock],
 			RAPLCounter: m.msrFile.PackageEnergyCounter(sock),
 		}

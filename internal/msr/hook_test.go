@@ -28,7 +28,7 @@ func TestReadHookInterceptsArchitecturalReads(t *testing.T) {
 	if v != 1500 {
 		t.Errorf("hooked package read = %d, want 1500 (true 500 + 1000)", v)
 	}
-	if _, err := f.ReadCore(3, IA32TimeStampCounter); err != nil {
+	if _, err := f.ReadCore(3, IA32ClockModulation); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 {
@@ -37,7 +37,7 @@ func TestReadHookInterceptsArchitecturalReads(t *testing.T) {
 	if seen[0].Core || seen[0].Index != 1 || seen[0].Addr != MSRPkgEnergyStatus || seen[0].Value != 500 {
 		t.Errorf("package access = %+v", seen[0])
 	}
-	if !seen[1].Core || seen[1].Index != 3 || seen[1].Addr != IA32TimeStampCounter {
+	if !seen[1].Core || seen[1].Index != 3 || seen[1].Addr != IA32ClockModulation {
 		t.Errorf("core access = %+v", seen[1])
 	}
 

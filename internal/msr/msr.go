@@ -3,14 +3,10 @@
 //
 //   - MSR_PKG_ENERGY_STATUS (0x611): per-package 32-bit energy counter in
 //     15.3 µJ units, wrapping modulo 2^32 (paper §II-A).
-//   - IA32_THERM_STATUS (0x19C): per-core thermal status with the digital
-//     temperature readout relative to TjMax (paper §II-B reads the most
-//     recent chip temperature from it).
 //   - IA32_CLOCK_MODULATION (0x19A): per-core duty-cycle control. On real
 //     Sandybridge the encoding is 1/16 steps with an extended half-step
 //     bit; the paper reports an effective minimum of 1/32 of nominal
 //     frequency, so this emulation uses a 5-bit level field in 1/32 steps.
-//   - IA32_TIME_STAMP_COUNTER (0x10): per-core cycle counter.
 //   - MSR_RAPL_POWER_UNIT (0x606): unit register; the energy-status unit
 //     is fixed at units.RAPLUnit.
 //
@@ -18,6 +14,12 @@
 // safe for concurrent use. The simulated machine writes it; the RAPL
 // reader and RCR daemon read it, exercising the same wrap-handling code
 // paths that real hardware requires.
+//
+// No program reads a core's temperature or cycle count through a
+// register, so IA32_THERM_STATUS and the time-stamp counter are not
+// emulated: the RCR sampler takes die temperature from the machine's
+// snapshot, and a read of either address faults like any unimplemented
+// register.
 package msr
 
 import (
@@ -30,16 +32,10 @@ import (
 // Register addresses, matching the Intel SDM numbering so that code reads
 // like its hardware counterpart.
 const (
-	IA32TimeStampCounter uint32 = 0x10
-	IA32ClockModulation  uint32 = 0x19A
-	IA32ThermStatus      uint32 = 0x19C
-	MSRRAPLPowerUnit     uint32 = 0x606
-	MSRPkgEnergyStatus   uint32 = 0x611
+	IA32ClockModulation uint32 = 0x19A
+	MSRRAPLPowerUnit    uint32 = 0x606
+	MSRPkgEnergyStatus  uint32 = 0x611
 )
-
-// TjMax is the junction temperature against which IA32_THERM_STATUS
-// reports its digital readout. 98 °C is typical for Xeon E5-2600 parts.
-const TjMax units.Celsius = 98
 
 // DutyLevels is the number of duty-cycle steps: level L runs the core at
 // L/DutyLevels of nominal frequency. Level 0 is reserved and treated as 1.
@@ -50,9 +46,6 @@ const DutyLevels = 32
 const (
 	clockModEnableBit uint64 = 1 << 5
 	clockModLevelMask uint64 = 0x1F
-	thermReadoutShift        = 16
-	thermReadoutMask  uint64 = 0x7F << thermReadoutShift
-	thermReadingValid uint64 = 1 << 31
 	raplESUEncoded    uint64 = 0x10 << 8 // energy-status unit field, 2^-16 J nominal
 )
 
@@ -81,7 +74,7 @@ func (e *RangeError) Error() string {
 // pkgRegs is the register set of one package, coreRegs of one core. The
 // implemented set is fixed (see the package comment), so each register is
 // a field and a File is two flat arrays: the engine's per-step energy
-// accumulation and per-completion cycle flush are an indexed add.
+// accumulation is an indexed add.
 type pkgRegs struct {
 	raplPowerUnit   uint64
 	pkgEnergyStatus uint64
@@ -91,9 +84,7 @@ type pkgRegs struct {
 }
 
 type coreRegs struct {
-	timeStampCounter uint64
-	clockModulation  uint64
-	thermStatus      uint64
+	clockModulation uint64
 }
 
 // reg resolves a package-scoped register address, nil when the address
@@ -111,13 +102,8 @@ func (p *pkgRegs) reg(addr uint32) *uint64 {
 // reg resolves a core-scoped register address, nil when the address is
 // unimplemented or package-scoped.
 func (c *coreRegs) reg(addr uint32) *uint64 {
-	switch addr {
-	case IA32TimeStampCounter:
-		return &c.timeStampCounter
-	case IA32ClockModulation:
+	if addr == IA32ClockModulation {
 		return &c.clockModulation
-	case IA32ThermStatus:
-		return &c.thermStatus
 	}
 	return nil
 }
@@ -145,9 +131,6 @@ func NewFile(sockets, coresPerSocket int) *File {
 	}
 	for i := range f.pkgs {
 		f.pkgs[i].raplPowerUnit = raplESUEncoded
-	}
-	for i := range f.cores {
-		f.cores[i].thermStatus = EncodeThermStatus(40) // cool at power-on
 	}
 	return f
 }
@@ -255,38 +238,6 @@ func (f *File) PackageEnergyCounter(socket int) uint32 {
 	v := f.pkgs[socket].pkgEnergyStatus
 	f.mu.Unlock()
 	return uint32(v)
-}
-
-// AddCoreCycles advances a core's time-stamp counter.
-func (f *File) AddCoreCycles(core int, cycles float64) error {
-	if core < 0 || core >= len(f.cores) {
-		return &RangeError{Kind: "core", Index: core, Limit: len(f.cores)}
-	}
-	if cycles <= 0 {
-		return nil
-	}
-	f.mu.Lock()
-	f.cores[core].timeStampCounter += uint64(cycles)
-	f.mu.Unlock()
-	return nil
-}
-
-// EncodeThermStatus builds an IA32_THERM_STATUS value whose digital
-// readout encodes temperature t (clamped to [TjMax-127, TjMax]).
-func EncodeThermStatus(t units.Celsius) uint64 {
-	below := float64(TjMax - t)
-	if below < 0 {
-		below = 0
-	}
-	if below > 127 {
-		below = 127
-	}
-	return thermReadingValid | (uint64(below) << thermReadoutShift)
-}
-
-// SetCoreTemperature updates a core's thermal status register.
-func (f *File) SetCoreTemperature(core int, t units.Celsius) error {
-	return f.WriteCore(core, IA32ThermStatus, EncodeThermStatus(t))
 }
 
 // EncodeClockModulation builds an IA32_CLOCK_MODULATION value. When enable

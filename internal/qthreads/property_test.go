@@ -116,60 +116,6 @@ func TestParallelForRandomShapes(t *testing.T) {
 	}
 }
 
-// TestFEBMultiProducerConsumer stresses the cell with several producers
-// and consumers; the multiset of consumed values must equal the produced
-// one.
-func TestFEBMultiProducerConsumer(t *testing.T) {
-	cfg := machine.M620()
-	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-
-	const producers = 3
-	const perProducer = 15
-	cell := NewFEB()
-	var consumed [producers * perProducer]atomic.Int32
-	err = rt.Run(func(tc *TC) {
-		for p := 0; p < producers; p++ {
-			p := p
-			tc.Spawn(func(tc *TC) {
-				for i := 0; i < perProducer; i++ {
-					tc.Compute(1000)
-					cell.WriteEF(tc, uint64(p*perProducer+i))
-				}
-			})
-		}
-		for c := 0; c < producers; c++ {
-			tc.Spawn(func(tc *TC) {
-				for i := 0; i < perProducer; i++ {
-					v := cell.ReadFE(tc)
-					consumed[v].Add(1)
-				}
-			})
-		}
-		tc.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range consumed {
-		if got := consumed[v].Load(); got != 1 {
-			t.Errorf("value %d consumed %d times", v, got)
-		}
-	}
-	if cell.Full() {
-		t.Error("cell left full after balanced produce/consume")
-	}
-}
-
 // TestStatsAccounting checks that every executed task is attributed to
 // exactly one worker.
 func TestStatsAccounting(t *testing.T) {

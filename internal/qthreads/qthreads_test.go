@@ -397,63 +397,6 @@ func TestThrottleDisabledNoStops(t *testing.T) {
 	}
 }
 
-func TestFEBProducerConsumer(t *testing.T) {
-	_, rt := newStack(t, 4)
-	cell := NewFEB()
-	const rounds = 20
-	var received []uint64
-	err := rt.Run(func(tc *TC) {
-		tc.Spawn(func(tc *TC) { // producer
-			for i := 0; i < rounds; i++ {
-				tc.Compute(1e4)
-				cell.WriteEF(tc, uint64(i))
-			}
-		})
-		// Consumer (root).
-		for i := 0; i < rounds; i++ {
-			received = append(received, cell.ReadFE(tc))
-		}
-		tc.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(received) != rounds {
-		t.Fatalf("received %d values", len(received))
-	}
-	for i, v := range received {
-		if v != uint64(i) {
-			t.Errorf("received[%d] = %d (FEB ordering broken)", i, v)
-		}
-	}
-	if cell.Full() {
-		t.Error("cell full after drain")
-	}
-}
-
-func TestFEBReadFFDoesNotDrain(t *testing.T) {
-	_, rt := newStack(t, 2)
-	cell := NewFEB()
-	err := rt.Run(func(tc *TC) {
-		cell.WriteF(tc, 42)
-		if v := cell.ReadFF(tc); v != 42 {
-			t.Errorf("ReadFF = %d", v)
-		}
-		if !cell.Full() {
-			t.Error("ReadFF drained the cell")
-		}
-		if v := cell.ReadFE(tc); v != 42 {
-			t.Errorf("ReadFE = %d", v)
-		}
-		if cell.Full() {
-			t.Error("ReadFE left the cell full")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunAbortedByWatchdog(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 20 * time.Millisecond
@@ -566,21 +509,6 @@ func TestZeroCostConfig(t *testing.T) {
 	}
 	if n.Load() != 100 {
 		t.Errorf("ran %d", n.Load())
-	}
-}
-
-func TestFEBWriteFOverFull(t *testing.T) {
-	_, rt := newStack(t, 2)
-	cell := NewFEB()
-	err := rt.Run(func(tc *TC) {
-		cell.WriteF(tc, 1)
-		cell.WriteF(tc, 2) // overwrite without waiting for empty
-		if v := cell.ReadFE(tc); v != 2 {
-			t.Errorf("ReadFE = %d, want the overwrite", v)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestSupervisorResyncsBaselineAcrossOutage(t *testing.T) {
 	}, nil)
 
 	// Physical ceiling of the node: every core active plus uncore and
-	// peak bandwidth power, with headroom for boost and leakage. Any
+	// peak bandwidth power, with headroom for leakage. Any
 	// published power above this is accounting error, not physics.
 	p := cfg.Power
 	maxNode := 3 * float64(cfg.Sockets) * (float64(p.UncoreBase) + float64(p.BandwidthMax) +

@@ -11,7 +11,7 @@ import (
 
 // TickerFire records one ticker callback: the virtual fire time and the
 // snapshot handed to the callback, widened to SocketStep (the fields a
-// ticker snapshot does not carry — Boost, FreqScale, RAPLCounter — stay
+// ticker snapshot does not carry — FreqScale, RAPLCounter — stay
 // zero on both engines).
 type TickerFire struct {
 	Now     time.Duration
@@ -28,12 +28,9 @@ type Result struct {
 	Tickers [][]TickerFire
 	// Order lists the slot of every fire, across slots, in fire order.
 	Order []int
-	// Final machine state: exact per-socket energy, raw RAPL counters,
-	// per-core TSC and IA32_THERM_STATUS values.
+	// Final machine state: exact per-socket energy and raw RAPL counters.
 	Energy   []float64
 	Counters []uint32
-	TSC      []uint64
-	Therm    []uint64
 }
 
 // PlayMachine runs a scenario on the optimized machine engine and records
@@ -190,24 +187,12 @@ func snapFire(now time.Duration, s *machine.Snapshot) TickerFire {
 }
 
 // collectFinal records an engine's end-of-run architectural state: its
-// exact per-socket energy and its register file. PlayMachine calls it
+// exact per-socket energy and RAPL counters. PlayMachine calls it
 // after Stop, which returns once no stepper is left, so all writes are
 // visible.
 func collectFinal(file *msr.File, energy []float64, res *Result) {
 	res.Energy = energy
 	for s := range energy {
 		res.Counters = append(res.Counters, file.PackageEnergyCounter(s))
-	}
-	for c := 0; c < file.Cores(); c++ {
-		tsc, err := file.ReadCore(c, msr.IA32TimeStampCounter)
-		if err != nil {
-			panic(err)
-		}
-		res.TSC = append(res.TSC, tsc)
-		th, err := file.ReadCore(c, msr.IA32ThermStatus)
-		if err != nil {
-			panic(err)
-		}
-		res.Therm = append(res.Therm, th)
 	}
 }

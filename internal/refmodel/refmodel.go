@@ -9,7 +9,7 @@
 // happens in the order full scans would use (docs/engine.md). This
 // package exploits that contract from the other side. Both engines call
 // the same point formulas — machine's power, leakage, thermal, DVFS,
-// turbo, bandwidth and progress-rate functions and its msr.File for RAPL
+// bandwidth and progress-rate functions and its msr.File for RAPL
 // quantization and wrap — so what differs is what the oracle checks: the
 // engine's busy lists, line groups, deadline and ticker heaps, plan
 // reuse, baton order and summation order against plain scans, every
@@ -65,7 +65,6 @@ type rcore struct {
 	remAtomics float64
 
 	deadline time.Duration // 0 when none
-	cycles   float64       // TSC cycles not yet flushed
 
 	worker int // index into Scenario.Workers, -1 for the controller
 	pc     int
@@ -95,15 +94,13 @@ type sim struct {
 
 	freqScale []float64 // applied scale per socket
 	reqScale  []float64 // pending request per socket (always re-applied)
-	stepBoost []float64
 	stepRefs  []float64
 	stepUtil  []float64
 	stepPower []float64
 
-	energy      []float64
-	temp        []units.Celsius
-	flushedTemp []units.Celsius
-	file        *msr.File // RAPL counters, TSCs and therm status
+	energy []float64
+	temp   []units.Celsius
+	file   *msr.File // RAPL counters
 
 	tickers []*rtick
 	ctl     []ctlOp
@@ -145,24 +142,21 @@ func Run(sc Scenario) (*Result, error) {
 func newSim(sc Scenario) *sim {
 	cfg := sc.Cfg
 	s := &sim{
-		sc:          sc,
-		cfg:         cfg,
-		freqScale:   make([]float64, cfg.Sockets),
-		reqScale:    make([]float64, cfg.Sockets),
-		stepBoost:   make([]float64, cfg.Sockets),
-		stepRefs:    make([]float64, cfg.Sockets),
-		stepUtil:    make([]float64, cfg.Sockets),
-		stepPower:   make([]float64, cfg.Sockets),
-		energy:      make([]float64, cfg.Sockets),
-		temp:        make([]units.Celsius, cfg.Sockets),
-		flushedTemp: make([]units.Celsius, cfg.Sockets),
-		file:        msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
-		res:         &Result{Tickers: make([][]TickerFire, sc.TickerSlots)},
+		sc:        sc,
+		cfg:       cfg,
+		freqScale: make([]float64, cfg.Sockets),
+		reqScale:  make([]float64, cfg.Sockets),
+		stepRefs:  make([]float64, cfg.Sockets),
+		stepUtil:  make([]float64, cfg.Sockets),
+		stepPower: make([]float64, cfg.Sockets),
+		energy:    make([]float64, cfg.Sockets),
+		temp:      make([]units.Celsius, cfg.Sockets),
+		file:      msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
+		res:       &Result{Tickers: make([][]TickerFire, sc.TickerSlots)},
 	}
 	for i := range s.freqScale {
 		s.freqScale[i] = 1
 		s.reqScale[i] = 1
-		s.stepBoost[i] = 1
 		s.temp[i] = cfg.Thermal.Ambient + 15 // machine.New: powered on but cool
 		must(s.file.WritePackage(i, msr.MSRPkgEnergyStatus, uint64(sc.CounterStart)))
 	}
@@ -170,7 +164,6 @@ func newSim(sc Scenario) *sim {
 	for i := range s.cores {
 		s.cores[i] = &rcore{id: i, socket: cfg.SocketOf(i), duty: 1, line: -1, worker: -1}
 	}
-	s.flushTherm()
 	// Compile the controller program: phase ops, phase sleeps, then the
 	// end-of-run ticker cleanup (PlayMachine's epilogue).
 	for p := range sc.Phases {
@@ -197,10 +190,8 @@ func (s *sim) startController() {
 	s.enrolled++
 }
 
-// release mirrors CoreCtx.Release: flush cycles, reset duty, unown.
+// release mirrors CoreCtx.Release: reset duty, unown.
 func (s *sim) release(c *rcore) {
-	must(s.file.AddCoreCycles(c.id, c.cycles))
-	c.cycles = 0
 	c.duty = 1
 	c.state = stUnowned
 	s.enrolled--
@@ -348,9 +339,8 @@ func (s *sim) applyDVFS() {
 	copy(s.freqScale, s.reqScale)
 }
 
-// plan mirrors planStepLocked with full scans instead of indexes: turbo
-// boost from occupancy, bandwidth contention per socket, atomic-line
-// service rates, and the minimum over completions, ticker deadlines and
+// plan mirrors planStepLocked with full scans instead of indexes:
+// bandwidth contention per socket, atomic-line service rates, and the minimum over completions, ticker deadlines and
 // wait deadlines, capped by MaxStep while demand exists.
 func (s *sim) plan() (time.Duration, error) {
 	earliest := never
@@ -366,16 +356,6 @@ func (s *sim) plan() (time.Duration, error) {
 	hasDemand := totBusy > 0 || totAtomic > 0
 
 	for sock := 0; sock < s.cfg.Sockets; sock++ {
-		occupied := 0
-		for _, c := range s.coresOf(sock) {
-			if c.state == stBusy || c.state == stAtomic {
-				occupied++
-			}
-		}
-		s.stepBoost[sock] = s.cfg.Turbo.BoostFor(occupied, s.cfg.CoresPerSocket)
-	}
-
-	for sock := 0; sock < s.cfg.Sockets; sock++ {
 		var busy []*rcore
 		for _, c := range s.coresOf(sock) { // id order = demand-vector order
 			if c.state == stBusy {
@@ -387,7 +367,7 @@ func (s *sim) plan() (time.Duration, error) {
 			s.stepUtil[sock] = 0
 			continue
 		}
-		fs := s.freqScale[sock] * s.stepBoost[sock] // one factor, as core.bwDemand takes it
+		fs := s.freqScale[sock]
 		demands := make([]float64, len(busy))
 		for i, c := range busy {
 			if c.remBytes > 0 {
@@ -398,7 +378,7 @@ func (s *sim) plan() (time.Duration, error) {
 		s.stepRefs[sock] = refs
 		s.stepUtil[sock] = util
 		for i, c := range busy {
-			cycleRate := float64(s.cfg.BaseFreq) * c.duty * s.freqScale[sock] * s.stepBoost[sock]
+			cycleRate := float64(s.cfg.BaseFreq) * c.duty * fs
 			c.stepOpsRate, c.stepBytesRate, c.stepActiveFrac = c.work.Rates(cycleRate, grants[i])
 			t := never
 			if c.remOps > 0 && c.stepOpsRate > 0 {
@@ -429,7 +409,7 @@ func (s *sim) plan() (time.Duration, error) {
 		}
 		line := s.sc.Lines[li]
 		for _, c := range members {
-			rate := machine.AtomicRate(float64(s.cfg.BaseFreq)*c.duty*s.freqScale[c.socket]*s.stepBoost[c.socket],
+			rate := machine.AtomicRate(float64(s.cfg.BaseFreq)*c.duty*s.freqScale[c.socket],
 				line.CostCycles, line.PingPong, float64(len(members)))
 			c.stepOpsRate = rate
 			if rate <= 0 {
@@ -547,15 +527,14 @@ func waterFill(demands []float64, capacity float64) []float64 {
 }
 
 // advance mirrors advanceLocked: integrate energy and temperature per
-// socket with pre-progress states, mirror temperatures to the therm
-// registers past the drift threshold, progress work, complete finished
+// socket with pre-progress states, progress work, complete finished
 // items, then record the step.
 func (s *sim) advance(dt time.Duration) {
 	secs := dt.Seconds()
 	for sock := 0; sock < s.cfg.Sockets; sock++ {
 		p := float64(s.cfg.Power.UncoreBase)
 		for _, c := range s.coresOf(sock) {
-			p += s.corePower(c, s.freqScale[sock]*s.stepBoost[sock])
+			p += s.corePower(c, s.freqScale[sock])
 		}
 		p += float64(s.cfg.Power.BandwidthMax) * s.stepUtil[sock]
 		p = p * s.cfg.Thermal.LeakageFactorAt(s.temp[sock])
@@ -565,32 +544,19 @@ func (s *sim) advance(dt time.Duration) {
 		s.temp[sock] = s.cfg.Thermal.Step(s.temp[sock], units.Watts(p), dt)
 		s.stepPower[sock] = p
 	}
-	for sock := range s.temp {
-		if math.Abs(float64(s.temp[sock]-s.flushedTemp[sock])) > 0.25 {
-			s.flushTherm()
-			break
-		}
-	}
-
 	for _, c := range s.cores {
 		switch c.state {
 		case stBusy:
 			c.remOps -= c.stepOpsRate * secs
 			c.remBytes -= c.stepBytesRate * secs
-			c.cycles += float64(s.cfg.BaseFreq) * c.duty * s.freqScale[c.socket] * s.stepBoost[c.socket] * secs
 			if c.remOps <= 0.5 && c.remBytes <= 0.5 {
 				s.complete(c)
 			}
 		case stAtomic:
 			c.remAtomics -= c.stepOpsRate * secs
-			c.cycles += float64(s.cfg.BaseFreq) * c.duty * s.freqScale[c.socket] * s.stepBoost[c.socket] * secs
 			if c.remAtomics <= 1e-6 {
 				s.complete(c)
 			}
-		case stSpinWait:
-			// Spin cycles accrue at the unboosted clock (engine.go quirk:
-			// spin progress never includes the turbo boost).
-			c.cycles += float64(s.cfg.BaseFreq) * c.duty * s.freqScale[c.socket] * secs
 		}
 	}
 
@@ -598,12 +564,9 @@ func (s *sim) advance(dt time.Duration) {
 	s.record(dt)
 }
 
-// complete mirrors completeLocked: zero the work, flush cycles to the
-// TSC, wake the owner.
+// complete mirrors completeLocked: zero the work, wake the owner.
 func (s *sim) complete(c *rcore) {
 	c.remOps, c.remBytes, c.remAtomics = 0, 0, 0
-	must(s.file.AddCoreCycles(c.id, c.cycles))
-	c.cycles = 0
 	c.state = stAwake
 	c.deadline = 0
 	c.line = -1
@@ -642,14 +605,6 @@ func (s *sim) effActiveFrac(c *rcore) float64 {
 	return c.work.PowerActivity(c.stepActiveFrac)
 }
 
-// flushTherm mirrors flushThermLocked.
-func (s *sim) flushTherm() {
-	for _, c := range s.cores {
-		must(s.file.SetCoreTemperature(c.id, s.temp[c.socket]))
-	}
-	copy(s.flushedTemp, s.temp)
-}
-
 // record appends the post-step StepRecord, mirroring stepRecordLocked
 // (the bandwidth total walks busy cores post-progress, in id order, like
 // updateSnapLocked).
@@ -669,7 +624,6 @@ func (s *sim) record(dt time.Duration) {
 			Refs:        s.stepRefs[sock],
 			Util:        s.stepUtil[sock],
 			Bandwidth:   bw,
-			Boost:       s.stepBoost[sock],
 			FreqScale:   s.freqScale[sock],
 			RAPLCounter: s.file.PackageEnergyCounter(sock),
 		}

@@ -194,18 +194,15 @@ func (sc *Scenario) flipDVFSAndSleep(rng *rand.Rand, min, spread time.Duration) 
 }
 
 // generateConfig varies the node topology and the model knobs that gate
-// distinct engine code paths: Turbo on/off, memory-subsystem shape, and a
-// thermal time constant short enough that temperatures (and therefore
-// leakage and the MSR therm-flush path) move within a run.
+// distinct engine code paths: memory-subsystem shape, and a thermal time
+// constant short enough that temperatures (and therefore leakage) move
+// within a run.
 func generateConfig(rng *rand.Rand) machine.Config {
 	cfg := machine.M620()
 	cfg.Sockets = 1 + rng.Intn(2)
 	cfg.CoresPerSocket = 2 + rng.Intn(3)
 	cfg.MaxStep = time.Millisecond
 	cfg.VirtualTimeLimit = 10 * time.Minute
-	if rng.Intn(2) == 0 {
-		cfg.Turbo = machine.TurboParams{Enabled: true, MaxBoost: 1.15, FullBoostCores: 4}
-	}
 	if rng.Intn(2) == 0 {
 		cfg.Mem.BandwidthPerSocket = 17e9
 		cfg.Mem.KneeRefs = 14
@@ -272,7 +269,7 @@ func GenerateLongStretch(seed int64) Scenario {
 	sc.Cfg = generateConfig(rng)
 	sc.Cfg.CoresPerSocket = 2 + rng.Intn(7) // up to 2×8 cores
 	// Slow enough to outlast a stretch, fast enough that leakage moves
-	// (and the therm registers flush) inside one.
+	// inside one.
 	sc.Cfg.Thermal.TimeConstant = time.Duration(20+rng.Intn(480)) * time.Millisecond
 	if rng.Intn(4) == 0 {
 		// A few hundred ms burn on the order of 10^6 RAPL counts.
