@@ -29,11 +29,12 @@ func own(t *testing.T, m *Machine, id int, body func(*CoreCtx)) <-chan struct{} 
 	if err != nil {
 		t.Fatalf("Enroll(%d): %v", id, err)
 	}
+	var wg sync.WaitGroup
+	Charge(t, &wg, ctx, body)
 	done := make(chan struct{})
 	go func() {
-		defer close(done)
-		defer ctx.Release()
-		body(ctx)
+		wg.Wait()
+		close(done)
 	}()
 	return done
 }
@@ -284,10 +285,11 @@ func TestOneStepperAtATime(t *testing.T) {
 					close(late)
 					return
 				}
+				var wg sync.WaitGroup
+				Charge(t, &wg, ctx, func(c *CoreCtx) { c.Compute(2.7e5) })
 				go func() {
-					defer close(late)
-					defer ctx.Release()
-					ctx.Compute(2.7e5)
+					wg.Wait()
+					close(late)
 				}()
 				awaitBlocked(m, 1) // still in flight when core 1 blocks
 			}); err != nil {

@@ -40,10 +40,7 @@ func TestEnergyEqualsPowerIntegral(t *testing.T) {
 			kind := rng.Intn(3)
 			ops := 1e6 * float64(1+rng.Intn(200))
 			bytes := 1e5 * float64(rng.Intn(2000))
-			wg.Add(1)
-			go func(ctx *CoreCtx, kind int, ops, bytes float64) {
-				defer wg.Done()
-				defer ctx.Release()
+			Charge(t, &wg, ctx, func(ctx *CoreCtx) {
 				switch kind {
 				case 0:
 					ctx.Compute(ops)
@@ -52,7 +49,7 @@ func TestEnergyEqualsPowerIntegral(t *testing.T) {
 				default:
 					ctx.Sleep(time.Duration(ops/2.7e9*1e9) * time.Nanosecond)
 				}
-			}(ctx, kind, ops, bytes)
+			})
 		}
 		wg.Wait()
 

@@ -22,21 +22,11 @@ func steadyStateLoad(tb testing.TB, m *Machine) (stop func()) {
 		if err != nil {
 			tb.Fatalf("Enroll(%d): %v", id, err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(Abort); !ok {
-						panic(r)
-					}
-				}
-			}()
-			defer ctx.Release()
+		Charge(tb, &wg, ctx, func(c *CoreCtx) {
 			for !done.Load() {
-				body(ctx)
+				body(c)
 			}
-		}()
+		})
 	}
 	// The spin condition is hoisted out of the loop: a fresh closure per
 	// SpinFor call escapes into the core and would count as a (worker-side)
@@ -231,21 +221,13 @@ func quiescentLoad(tb testing.TB, m *Machine, n int, steps float64) {
 	tb.Helper()
 	cfg := m.Config()
 	ops := 4 * steps * float64(cfg.BaseFreq) * cfg.MaxStep.Seconds()
+	var unwaited sync.WaitGroup // the items end with the machine
 	for id := 1; id <= n; id++ {
 		ctx, err := m.Enroll(id)
 		if err != nil {
 			tb.Fatalf("Enroll(%d): %v", id, err)
 		}
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(Abort); !ok {
-						panic(r)
-					}
-				}
-			}()
-			ctx.Execute(Work{Ops: ops, Bytes: 4 * ops, Overlap: 0.5})
-		}()
+		Charge(tb, &unwaited, ctx, func(c *CoreCtx) { c.Execute(Work{Ops: ops, Bytes: 4 * ops, Overlap: 0.5}) })
 	}
 }
 
@@ -323,14 +305,12 @@ func BenchmarkBatonPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	var done atomic.Bool
-	bgDone := make(chan struct{})
-	go func() {
-		defer close(bgDone)
-		defer bg.Release()
+	var bgDone sync.WaitGroup
+	Charge(b, &bgDone, bg, func(c *CoreCtx) {
 		for !done.Load() {
-			bg.Compute(1)
+			c.Compute(1)
 		}
-	}()
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -339,7 +319,7 @@ func BenchmarkBatonPass(b *testing.B) {
 	b.StopTimer()
 	done.Store(true)
 	fg.Release()
-	<-bgDone
+	bgDone.Wait()
 }
 
 // BenchmarkMembwAllocate measures one socket's bandwidth allocation for a

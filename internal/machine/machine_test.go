@@ -64,23 +64,12 @@ func runOn(t *testing.T, m *Machine, bodies map[int]func(*CoreCtx)) {
 		if err != nil {
 			t.Fatalf("Enroll(%d): %v", id, err)
 		}
-		wg.Add(1)
-		go func(ctx *CoreCtx, body func(*CoreCtx)) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(Abort); ok {
-						return // machine stopped under us; fine for tests
-					}
-					panic(r)
-				}
-			}()
-			defer ctx.Release()
-			body(ctx)
+		Charge(t, &wg, ctx, func(c *CoreCtx) {
+			body(c)
 			if held && left.Add(-1) == 0 {
 				parked.Store(m, m.Hold())
 			}
-		}(ctx, body)
+		})
 	}
 	release()
 	done := make(chan struct{})

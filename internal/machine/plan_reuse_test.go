@@ -224,12 +224,7 @@ func TestPlanReuseMachineOnlyEdges(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer ctx.Release()
-					ctx.Execute(msOfWork(10))
-				}()
+				machine.Charge(t, wg, ctx, func(c *machine.CoreCtx) { c.Execute(msOfWork(10)) })
 			},
 			check: func(t *testing.T, recs []machine.StepRecord) {
 				if r, base := after(recs), after(plain); r.Sockets[0].Power <= base.Sockets[0].Power {
@@ -355,16 +350,14 @@ func playHaulers(t *testing.T, edgeAt time.Duration, edge func(*machine.Machine,
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
 		hauling.Add(1)
-		go func(w machine.Work) {
-			defer wg.Done()
-			defer ctx.Release()
-			ctx.Execute(w)
+		w := msOfWork(length)
+		machine.Charge(t, &wg, ctx, func(c *machine.CoreCtx) {
+			c.Execute(w)
 			if hauling.Add(-1) == 0 {
 				m.RemoveTicker(ticker)
 			}
-		}(msOfWork(length))
+		})
 	}
 	release()
 	wg.Wait()

@@ -255,16 +255,13 @@ func readFullConn(conn net.Conn, buf []byte) (int, error) {
 	return total, nil
 }
 
-// startBenchServer runs a shedding, fenced server over a 2×8 blackboard
+// startBenchServer runs a shedding, fenced server over a monitor-shaped
+// 2×8 blackboard (populate: five socket meters, a duty meter per core)
 // on a real unix socket.
 func startBenchServer(b *testing.B) string {
 	bb, _ := NewBlackboard(2, 8)
 	now := time.Second
-	for s := 0; s < 2; s++ {
-		bb.SetSocket(s, MeterPower, 70, now)
-		bb.SetSocket(s, MeterEnergy, 1000, now)
-		bb.SetSocket(s, MeterMemConcurrency, 12, now)
-	}
+	populate(bb, now)
 	sock := filepath.Join(b.TempDir(), "rcrd.sock")
 	ln, err := net.Listen("unix", sock)
 	if err != nil {
@@ -300,17 +297,40 @@ func BenchmarkIPCQuery(b *testing.B) {
 	})
 }
 
+// Every caller of the round trip — the benchmark's monitor, the cluster
+// fleet, the resilience client — bounds each one by a fresh
+// context.WithTimeout, so the benchmarks below do too.
+const benchTimeout = 2 * time.Second
+
+// BenchmarkQuery is one GET of the monitor-shaped board per iteration,
+// serially, the way a polling client issues them.
+func BenchmarkQuery(b *testing.B) {
+	sock := startBenchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), benchTimeout)
+		_, err := QueryContext(ctx, "unix", sock)
+		cancel()
+		if err != nil {
+			b.Fatalf("query %d: %v", i, err)
+		}
+	}
+}
+
 // BenchmarkWriteCap is one fenced cap write per iteration, client to
 // guard and back, the way an aggregator's poll issues them: serially,
 // the sequence number advancing.
 func BenchmarkWriteCap(b *testing.B) {
 	sock := startBenchServer(b)
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := CapWrite{Fence: 1, Leader: 1, Seq: uint64(i + 1), Lease: time.Minute, HasCap: true, Cap: 80}
-		if ack, err := WriteCap(ctx, "unix", sock, w); err != nil || ack.Status != CapApplied {
+		ctx, cancel := context.WithTimeout(context.Background(), benchTimeout)
+		ack, err := WriteCap(ctx, "unix", sock, w)
+		cancel()
+		if err != nil || ack.Status != CapApplied {
 			b.Fatalf("write %d: ack %+v, err %v", i, ack, err)
 		}
 	}
@@ -321,7 +341,6 @@ func BenchmarkWriteCap(b *testing.B) {
 // stored record back in its ack.
 func BenchmarkWriteMem(b *testing.B) {
 	sock := startBenchServer(b)
-	ctx := context.Background()
 	frame := make([]byte, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -331,8 +350,81 @@ func BenchmarkWriteMem(b *testing.B) {
 			Epoch: uint64(i + 1),
 			Frame: frame,
 		}
-		if ack, err := WriteMem(ctx, "unix", sock, w); err != nil || ack.Ack.Status != CapApplied {
+		ctx, cancel := context.WithTimeout(context.Background(), benchTimeout)
+		ack, err := WriteMem(ctx, "unix", sock, w)
+		cancel()
+		if err != nil || ack.Ack.Status != CapApplied {
 			b.Fatalf("write %d: ack %+v, err %v", i, ack.Ack, err)
+		}
+	}
+}
+
+// BenchmarkDecodeSnapshot decodes the monitor-shaped board's GET reply.
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	bb, _ := NewBlackboard(2, 8)
+	populate(bb, time.Second)
+	p := AppendSnapshot(nil, bb.Snapshot(time.Second))
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSnapshot(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRoundTripAllocs pins the program's share of a round trip's
+// allocations on the client, under the per-call context.WithTimeout that
+// every caller passes: a fenced write allocates nothing beyond the
+// context machinery (the caller's context and exchange's one
+// AfterFunc), and a GET only what DecodeSnapshot returns. The server
+// side, in the same process, allocates nothing once warm.
+func TestRoundTripAllocs(t *testing.T) {
+	flushIdle()
+	defer flushIdle()
+	sock := filepath.Join(t.TempDir(), "rcrd.sock")
+	serveAt(t, sock, func(s *Server) {
+		s.Fence = NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
+	})
+	snap, err := QueryContext(testCtx(t), "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := AppendSnapshot(nil, snap)
+	decodeAllocs := testing.AllocsPerRun(100, func() { _, _ = DecodeSnapshot(enc) })
+	contextAllocs := testing.AllocsPerRun(1000, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		stop := context.AfterFunc(ctx, func() {})
+		stop()
+		cancel()
+	})
+	var seq uint64
+	for _, tc := range []struct {
+		name string
+		want float64
+		call func(context.Context) error
+	}{
+		{"WriteCap", 0, func(ctx context.Context) error {
+			seq++
+			_, err := WriteCap(ctx, "unix", sock, CapWrite{Fence: 1, Leader: 1, Seq: seq, Lease: time.Minute, HasCap: true, Cap: 80})
+			return err
+		}},
+		{"GET", decodeAllocs, func(ctx context.Context) error {
+			_, err := QueryContext(ctx, "unix", sock)
+			return err
+		}},
+	} {
+		call := func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := tc.call(ctx); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		call() // dial and warm the server's scratch
+		if got := testing.AllocsPerRun(1000, call) - contextAllocs; got != tc.want {
+			t.Errorf("%s allocates %.0f/op beyond its context, want %.0f", tc.name, got, tc.want)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // always queue for the subscriber's writer.
 func rawConn(net.Conn) syscall.RawConn { return nil }
 
-// connLive has no non-blocking probe here, so no parked connection is
-// ever trusted and every exchange dials.
-func connLive(net.Conn) bool { return false }
+// probeLive is never reached: rawConn returns nil, so no parked
+// connection is ever trusted and every exchange dials.
+func (cc *clientConn) probeLive(uintptr) bool { return true }
 
 // writeNow is never reached: rawConn returns nil.
 func writeNow(uintptr, []byte) (int, error) { return 0, nil }

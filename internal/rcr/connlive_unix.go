@@ -21,23 +21,14 @@ func rawConn(conn net.Conn) syscall.RawConn {
 	return rc
 }
 
-// connLive reports whether a parked connection can carry another
-// exchange: a non-blocking read must find nothing to read (EAGAIN). EOF
-// means the server closed it, bytes that it is out of step; either way,
-// or on any error, it must not be written to.
-func connLive(conn net.Conn) bool {
-	rc := rawConn(conn)
-	if rc == nil {
-		return false
-	}
-	live := false
-	err := rc.Read(func(fd uintptr) bool {
-		var b [1]byte
-		_, rerr := syscall.Read(int(fd), b[:])
-		live = rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK
-		return true // one look; never wait for readiness
-	})
-	return err == nil && live
+// probeLive is a parked connection's liveness probe, run by its
+// RawConn's Read: one non-blocking read must find nothing to read
+// (EAGAIN). EOF means the server closed it, bytes that it is out of
+// step; either way, or on any error, it must not be written to.
+func (cc *clientConn) probeLive(fd uintptr) bool {
+	_, err := syscall.Read(int(fd), cc.peek[:])
+	cc.live = err == syscall.EAGAIN || err == syscall.EWOULDBLOCK
+	return true // one look; never wait for readiness
 }
 
 // writeNow issues one write(2) of b on a non-blocking fd. A socket with

@@ -114,41 +114,52 @@ func growBitmap(b []byte, n int) []byte {
 	return b
 }
 
+// completed returns a publish version every write at or below which has
+// stored its slot: under wmu no write is between claiming its version
+// and storing it.
+func (bb *Blackboard) completed() uint64 {
+	bb.wmu.Lock()
+	defer bb.wmu.Unlock()
+	return bb.pub.Load()
+}
+
 // CollectDelta scans the blackboard for slots written after sinceVer and
 // fills f with them. f's slices are reused. The frame's To is the
-// highest version actually observed in the scan — never the board's
-// version counter, which may have been claimed by a write still in
-// flight; such a write is simply picked up by the next collection.
+// version completed before the scan began, so every write at or below
+// it is in this frame or an earlier one. A write that lands during the
+// scan is above To and goes out again in the next delta, whether or not
+// this scan saw it: the highest version observed would not do, because
+// a write can land on a slot the scan has passed while a newer one on a
+// later slot is seen. When nothing completed after sinceVer the frame is
+// a heartbeat, and whatever the scan saw waits for the next one.
 func (bb *Blackboard) CollectDelta(sinceVer uint64, f *DeltaFrame) {
+	to := max(bb.completed(), sinceVer)
 	sc := bb.schema.Load()
 	slots := *bb.slots.Load()
 	f.Gen = sc.gen
 	f.From = sinceVer
+	f.To = to
 	f.Flags = 0
 	f.NSlots = uint32(len(slots))
 	f.Bitmap = growBitmap(f.Bitmap, len(slots))
 	f.Vals = f.Vals[:0]
 	f.Upds = f.Upds[:0]
-	maxVer := sinceVer
 	for i, sl := range slots {
 		b, u, v := sl.load()
 		if v > sinceVer {
 			f.Bitmap[i>>3] |= 1 << (i & 7)
 			f.Vals = append(f.Vals, math.Float64frombits(b))
 			f.Upds = append(f.Upds, u)
-			if v > maxVer {
-				maxVer = v
-			}
 		}
 	}
-	f.To = maxVer
 }
 
 // CollectFull fills f with the board's complete state and schema. Like
-// CollectDelta, Ver is the highest version observed in the scan, so a
-// delta collected later with From = an earlier collection's To never
-// skips a write this frame missed.
+// CollectDelta's To, Ver is the version completed before the scan, so a
+// delta collected later with From = Ver never skips a write this frame
+// missed.
 func (bb *Blackboard) CollectFull(f *FullFrame) {
+	f.Ver = bb.completed()
 	sc := bb.schema.Load()
 	slots := *bb.slots.Load()
 	f.Gen = sc.gen
@@ -160,19 +171,14 @@ func (bb *Blackboard) CollectFull(f *FullFrame) {
 	f.Bitmap = growBitmap(f.Bitmap, len(slots))
 	f.Vals = f.Vals[:0]
 	f.Upds = f.Upds[:0]
-	var maxVer uint64
 	for i, sl := range slots {
 		b, u, v := sl.load()
 		if v != 0 {
 			f.Bitmap[i>>3] |= 1 << (i & 7)
 			f.Vals = append(f.Vals, math.Float64frombits(b))
 			f.Upds = append(f.Upds, u)
-			if v > maxVer {
-				maxVer = v
-			}
 		}
 	}
-	f.Ver = maxVer
 }
 
 // deltaFrameSize returns the exact encoded size of f.

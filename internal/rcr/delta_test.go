@@ -253,10 +253,11 @@ func TestSubStateFullDeltaOverlap(t *testing.T) {
 	}
 }
 
-// TestCollectDeltaNeverLosesClaimedWrites: To must come from observed
-// slot versions, not the board's version counter — a write whose version
-// was claimed but not yet published must land in the NEXT delta, not be
-// skipped forever. Simulated here by collecting before the write.
+// TestCollectDeltaNeverLosesClaimedWrites: To is the version that had
+// completed before the scan. Under the writers' lock no write sits between
+// claiming a version and storing it, so a write that lands after the
+// collection is above To and goes out in the next delta, not skipped
+// forever. Simulated here by collecting before the write.
 func TestCollectDeltaNeverLosesClaimedWrites(t *testing.T) {
 	bb, _ := NewBlackboard(1, 1)
 	bb.SetSocket(0, MeterPower, 70, time.Second)
@@ -271,5 +272,53 @@ func TestCollectDeltaNeverLosesClaimedWrites(t *testing.T) {
 	bb.CollectDelta(f.To, &next)
 	if next.Heartbeat() || len(next.Vals) != 1 || next.Vals[0] != 71 {
 		t.Errorf("follow-up delta = %+v, want one slot with 71", next)
+	}
+}
+
+// TestCollectDeltaKeepsWritesBehindTheScan: a write that lands on a slot
+// the scan has already passed, while a newer write on a later slot is
+// seen, must still reach the subscriber. A To taken from the highest
+// version observed sits above the passed write, and no later delta from
+// that To carries it. The scan is held at the middle slot by leaving its
+// seqlock odd, as a store in progress does.
+func TestCollectDeltaKeepsWritesBehindTheScan(t *testing.T) {
+	bb, _ := NewBlackboard(2, 8)
+	populate(bb, time.Second)
+	var full FullFrame
+	var st SubState
+	bb.CollectFull(&full)
+	if err := st.ApplyFull(&full); err != nil {
+		t.Fatal(err)
+	}
+	slots := *bb.slots.Load()
+	first, last := 0, len(slots)-1
+	for !st.present[last] {
+		last--
+	}
+	held := slots[(first+last)/2]
+	held.seq.Add(1)
+	var f DeltaFrame
+	scanned := make(chan struct{})
+	go func() {
+		bb.CollectDelta(st.Ver, &f)
+		close(scanned)
+	}()
+	time.Sleep(20 * time.Millisecond) // the scan is past the first slot, spinning on the held one
+	setSlot := func(i int, v float64) {
+		bb.set(i%bb.nScopes, bb.schema.Load().names[i/bb.nScopes], v, 2*time.Second)
+	}
+	setSlot(first, -1)
+	setSlot(last, -2)
+	held.seq.Add(1)
+	<-scanned
+	if err := st.ApplyDelta(&f); err != nil {
+		t.Fatal(err)
+	}
+	bb.CollectDelta(st.Ver, &f)
+	if err := st.ApplyDelta(&f); err != nil {
+		t.Fatal(err)
+	}
+	if st.vals[first] != -1 || st.vals[last] != -2 {
+		t.Errorf("subscriber holds %v and %v after two deltas, want -1 and -2", st.vals[first], st.vals[last])
 	}
 }

@@ -87,8 +87,8 @@ const minMeterBytes = 2 + 8 + 8
 
 // DecodeSnapshot parses a snapshot previously produced by AppendSnapshot.
 // Every meter list is a window of one backing array sized from the
-// payload, capped so that appending to one list cannot overwrite the
-// next.
+// payload, and every core list one of another, each capped so that
+// appending to one list cannot overwrite the next.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	r := wire.NewReader("rcr: snapshot", data)
 	r.Magic(snapshotMagic)
@@ -96,12 +96,22 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	s := Snapshot{Now: time.Duration(r.I64())}
 	s.System, arena = readMeters(r, arena)
 	s.Sockets = make([]DomainSnap, r.Count16(maxMeters))
+	var cores [][]MeterValue
 	for i := range s.Sockets {
-		s.Sockets[i].Meters, arena = readMeters(r, arena)
-		s.Sockets[i].Cores = make([][]MeterValue, r.Count16(maxMeters))
-		for c := range s.Sockets[i].Cores {
-			s.Sockets[i].Cores[c], arena = readMeters(r, arena)
+		ds := &s.Sockets[i]
+		ds.Meters, arena = readMeters(r, arena)
+		n := r.Count16(maxMeters)
+		if cores == nil {
+			// Sized for sockets alike; a list costs at least its count.
+			cores = make([][]MeterValue, 0, min(n*len(s.Sockets), len(data)/2))
 		}
+		start := len(cores)
+		for ; n > 0 && r.Err() == nil; n-- {
+			var list []MeterValue
+			list, arena = readMeters(r, arena)
+			cores = append(cores, list)
+		}
+		ds.Cores = cores[start:len(cores):len(cores)]
 	}
 	return wire.Done(r, s)
 }
@@ -118,28 +128,53 @@ func appendMeters(dst []byte, ms []MeterValue) []byte {
 }
 
 // readMeters appends one meter list to arena and returns it, never nil,
-// with the grown arena.
+// with the grown arena. A meter's name, value and stamp are one read.
 func readMeters(r *wire.Reader, arena []MeterValue) ([]MeterValue, []MeterValue) {
 	start := len(arena)
-	for n := r.Count16(maxMeters); n > 0 && r.Err() == nil; n-- {
-		name := meterName(r.Bytes(int(r.U16())))
-		arena = append(arena, MeterValue{Name: name, Value: r.F64(), Updated: time.Duration(r.I64())})
+	for n := r.Count16(maxMeters); n > 0; n-- {
+		nameLen := int(r.U16())
+		b := r.Bytes(nameLen + 16)
+		if b == nil {
+			break
+		}
+		arena = append(arena, MeterValue{
+			Name:    meterName(b[:nameLen]),
+			Value:   math.Float64frombits(binary.LittleEndian.Uint64(b[nameLen:])),
+			Updated: time.Duration(binary.LittleEndian.Uint64(b[nameLen+8:])),
+		})
 	}
 	return arena[start:len(arena):len(arena)], arena
 }
 
-// standardMeters are the names the sampler and the fence guard write.
-var standardMeters = [...]string{MeterEnergy, MeterPower, MeterMemBandwidth, MeterMemConcurrency,
-	MeterTemperature, MeterDutyCycle, MeterHeartbeat, MeterFence, MeterLeaseHolder,
-	MeterLeaseExpiry, MeterFencedCap, MeterMemberEpoch}
-
-// meterName returns the package's constant for a standard meter name
-// and a copy of anything else, so decoding allocates no string for them.
+// meterName returns the package's constant for a standard meter name —
+// one the sampler or the fence guard writes — and a copy of anything
+// else, so decoding allocates no string for them.
 func meterName(b []byte) string {
-	for _, name := range standardMeters {
-		if string(b) == name {
-			return name
-		}
+	switch string(b) {
+	case MeterEnergy:
+		return MeterEnergy
+	case MeterPower:
+		return MeterPower
+	case MeterMemBandwidth:
+		return MeterMemBandwidth
+	case MeterMemConcurrency:
+		return MeterMemConcurrency
+	case MeterTemperature:
+		return MeterTemperature
+	case MeterDutyCycle:
+		return MeterDutyCycle
+	case MeterHeartbeat:
+		return MeterHeartbeat
+	case MeterFence:
+		return MeterFence
+	case MeterLeaseHolder:
+		return MeterLeaseHolder
+	case MeterLeaseExpiry:
+		return MeterLeaseExpiry
+	case MeterFencedCap:
+		return MeterFencedCap
+	case MeterMemberEpoch:
+		return MeterMemberEpoch
 	}
 	return string(b)
 }

@@ -173,3 +173,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		})
 	})
 }
+
+// TestDecodeSnapshotAllocs: a decoded snapshot is three allocations
+// whatever its size — the meter arena, the socket list and the core
+// lists — and the standard meter names cost none.
+func TestDecodeSnapshotAllocs(t *testing.T) {
+	bb, _ := NewBlackboard(2, 8)
+	populate(bb, time.Second)
+	p := AppendSnapshot(nil, bb.Snapshot(time.Second))
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeSnapshot(p) }); n != 3 {
+		t.Errorf("DecodeSnapshot of a 2×8 board allocates %.0f/op, want 3", n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/telemetry"
@@ -43,11 +44,15 @@ import (
 // still fails fast.
 //
 // Connection reuse. GET, MET and MEM may follow one another on one
-// connection: after a complete response the server waits up to
-// ReadTimeout for the next request, and each request has its own
-// deadlines, counters and size bounds. The server closes on any
-// malformed, refused or failed request, after BUSY, when the wait runs
-// out, at Close, and when every worker is taken and a new
+// connection, each request with its own counters and size bounds. The
+// server arms two deadlines per request, each one SetDeadline: when the
+// connection parks (and before the first request), ReadTimeout for the
+// wait and the whole request read; once the request is read,
+// DefaultIPCTimeout for the response write. The client arms none: the
+// exchange's context reaches the connection only through one AfterFunc
+// that expires it, so a parked connection carries no timer. The server
+// closes on any malformed, refused or failed request, after BUSY, when
+// the wait runs out, at Close, and when every worker is taken and a new
 // connection needs one (an idle peer is shed before anyone gets BUSY).
 // The client (exchange) closes on any error, on a response outside its
 // bounds and when its context fired; otherwise it parks the connection
@@ -65,10 +70,10 @@ import (
 // Never resend. A fenced write replayed with the same (fence, seq) is
 // refused as a stale seq, so the client must not write a request twice.
 // A parked connection is therefore proven live before the first byte is
-// written — a non-blocking read must find nothing to read; EOF, stray
-// bytes or an error discard it and a fresh one is dialed — and once the
-// request is written any failure is returned to the caller as the
-// transport error it is.
+// written — a non-blocking read through the RawConn taken at dial must
+// find nothing to read; EOF, stray bytes or an error discard it and a
+// fresh one is dialed — and once the request is written any failure is
+// returned to the caller as the transport error it is.
 
 // maxSnapshotBytes bounds the response size a client will accept.
 const maxSnapshotBytes = 16 << 20
@@ -110,7 +115,7 @@ type Server struct {
 	clock Clock
 	ln    net.Listener
 
-	// ReadTimeout bounds each connection's request read, and
+	// ReadTimeout bounds the wait for and the read of each request, and
 	// DefaultIPCTimeout its response write. Zero selects
 	// DefaultIPCTimeout; a stalled or malicious client can hold a handler
 	// (and one connection slot) no longer than their sum.
@@ -327,13 +332,13 @@ func (s *Server) finish(conn net.Conn, hijacked bool) {
 }
 
 // park marks conn as waiting between requests, with readTO to send the
-// next one. It reports false — close it instead — when the server is
-// closing or a queued connection needs this worker. The deadline is set
-// under mu so that an expiry can only come after it.
+// whole of the next one. It reports false — close it instead — when the
+// server is closing or a queued connection needs this worker. The
+// deadline is set under mu so that an expiry can only come after it.
 func (s *Server) park(conn net.Conn, readTO time.Duration) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.inflight > s.workers || conn.SetReadDeadline(time.Now().Add(readTO)) != nil {
+	if s.closed || s.inflight > s.workers || conn.SetDeadline(time.Now().Add(readTO)) != nil {
 		return false
 	}
 	s.idle[conn] = struct{}{}
@@ -438,7 +443,8 @@ func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch)
 			_ = conn.Close() // the client has the data or it doesn't
 		}
 	}()
-	if err := conn.SetReadDeadline(s.deadline(readTO)); err != nil {
+	// The first request's park-time arm (see "Connection reuse").
+	if err := conn.SetDeadline(s.deadline(readTO)); err != nil {
 		s.requests.Inc()
 		s.errors.Inc()
 		return false
@@ -464,13 +470,6 @@ func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch)
 		if err != nil {
 			s.errors.Inc()
 			return false
-		}
-		if served > 0 {
-			// The read deadline the first request got above.
-			if err := conn.SetReadDeadline(s.deadline(readTO)); err != nil {
-				s.errors.Inc()
-				return false
-			}
 		}
 		scr.buf = append(scr.buf[:0], 0, 0, 0, 0) // the length header, filled in below
 		switch string(scr.req[:]) {
@@ -503,7 +502,7 @@ func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch)
 				s.rejected.Inc()
 				return false
 			}
-			_ = conn.SetReadDeadline(time.Time{})
+			_ = conn.SetDeadline(time.Time{})
 			if err := s.Pub.AttachConn(conn, func() { s.untrack(conn) }); err != nil {
 				s.errors.Inc()
 				return false
@@ -514,7 +513,7 @@ func (s *Server) handle(conn net.Conn, readTO time.Duration, scr *encodeScratch)
 			return false
 		}
 		binary.LittleEndian.PutUint32(scr.buf, uint32(len(scr.buf)-4))
-		if err := conn.SetWriteDeadline(s.deadline(DefaultIPCTimeout)); err != nil {
+		if err := conn.SetDeadline(s.deadline(DefaultIPCTimeout)); err != nil {
 			s.errors.Inc()
 			return false
 		}
@@ -601,13 +600,47 @@ const (
 	maxIdleConns       = 128
 )
 
-// idleConn is a parked connection with the buffer its exchanges build
-// requests and read responses in, allocated at dial.
+// clientConn is a client connection with what its exchanges reuse, all
+// built at dial: the buffer requests are built and responses read in,
+// the descriptor the liveness probe reads, and the probe and expiry
+// callbacks, so an exchange over a parked connection allocates none of
+// them.
+type clientConn struct {
+	conn   net.Conn
+	buf    []byte
+	raw    syscall.RawConn       // nil: no probe, so never reused
+	live   bool                  // probeLive's result
+	peek   [1]byte               // probeLive's read buffer: a local escapes under -race
+	probe  func(fd uintptr) bool // cc.probeLive
+	expire func()                // cc.expireNow
+}
+
+// newClientConn builds conn's reusable parts.
+func newClientConn(conn net.Conn) *clientConn {
+	cc := &clientConn{conn: conn, buf: make([]byte, ipcReadBuf), raw: rawConn(conn)}
+	cc.probe, cc.expire = cc.probeLive, cc.expireNow
+	return cc
+}
+
+// reusable reports whether a parked connection can carry another
+// exchange: the probe must find nothing to read (see "Never resend").
+func (cc *clientConn) reusable() bool {
+	if cc.raw == nil {
+		return false
+	}
+	cc.live = false
+	return cc.raw.Read(cc.probe) == nil && cc.live
+}
+
+// expireNow cuts short whatever I/O the connection is blocked in; the
+// exchange then fails and closes it.
+func (cc *clientConn) expireNow() { _ = cc.conn.SetDeadline(time.Unix(1, 0)) }
+
+// idleConn is a parked connection.
 type idleConn struct {
 	network, addr string
-	conn          net.Conn
-	buf           []byte
-	since         time.Time
+	*clientConn
+	since time.Time
 }
 
 // idleConns holds the parked connections, oldest first. No goroutine
@@ -632,25 +665,25 @@ func pruneIdleLocked(now time.Time, room int) {
 }
 
 // takeIdle removes and returns the endpoint's most recently parked
-// connection and its buffer, or nil.
-func takeIdle(network, addr string) (net.Conn, []byte) {
+// connection, or nil.
+func takeIdle(network, addr string) *clientConn {
 	idleConns.Lock()
 	defer idleConns.Unlock()
 	pruneIdleLocked(time.Now(), 0)
 	l := idleConns.list
 	for i := len(l) - 1; i >= 0; i-- {
 		if l[i].addr == addr && l[i].network == network {
-			ic := l[i]
+			cc := l[i].clientConn
 			idleConns.list = append(l[:i], l[i+1:]...)
-			return ic.conn, ic.buf
+			return cc
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// keepIdle parks conn and its buffer for the endpoint's next exchange;
-// the endpoint's oldest entries beyond its share go.
-func keepIdle(network, addr string, conn net.Conn, buf []byte) {
+// keepIdle parks cc for the endpoint's next exchange; the endpoint's
+// oldest entries beyond its share go.
+func keepIdle(network, addr string, cc *clientConn) {
 	now := time.Now()
 	idleConns.Lock()
 	defer idleConns.Unlock()
@@ -664,54 +697,52 @@ func keepIdle(network, addr string, conn net.Conn, buf []byte) {
 			}
 		}
 	}
-	idleConns.list = append(l, idleConn{network, addr, conn, buf, now})
+	idleConns.list = append(l, idleConn{network, addr, cc, now})
 }
 
 // exchange performs one request/response round trip with (network,
 // addr) under ctx, over a kept-alive connection when a live one is
 // parked. The request is op, then — when body is non-nil — a uint32
-// length and what body appends. The response payload, whose length must
-// lie in [minResp, maxResp], is handed to decode, which must copy what
-// it keeps: the buffer goes back to the idle set with the connection.
-// The request is written at most once (see "Never resend" above): every
-// failure is the caller's to handle.
-func exchange[T any](ctx context.Context, network, addr, op string, body func([]byte) []byte, minResp, maxResp uint32, decode func([]byte) (T, error)) (v T, err error) {
+// length and body's MEMW encoding. The response payload, whose length
+// must lie in [minResp, maxResp], is handed to decode, which must copy
+// what it keeps: the buffer goes back to the idle set with the
+// connection. The request is written at most once (see "Never resend"
+// above): every failure is the caller's to handle.
+func exchange[T any](ctx context.Context, network, addr, op string, body *MemWrite, minResp, maxResp uint32, decode func([]byte) (T, error)) (v T, err error) {
 	if err := ctx.Err(); err != nil {
 		return v, fmt.Errorf("rcr: dial %s: %w", addr, err)
 	}
-	deadline, _ := ctx.Deadline() // the zero time, no deadline, when ctx has none
-	conn, buf := takeIdle(network, addr)
-	for conn != nil && (conn.SetDeadline(deadline) != nil || !connLive(conn)) {
-		conn.Close()
-		conn, buf = takeIdle(network, addr)
+	cc := takeIdle(network, addr)
+	for cc != nil && !cc.reusable() {
+		cc.conn.Close()
+		cc = takeIdle(network, addr)
 	}
-	if conn == nil {
+	if cc == nil {
 		var d net.Dialer
-		if conn, err = d.DialContext(ctx, network, addr); err != nil {
+		conn, err := d.DialContext(ctx, network, addr)
+		if err != nil {
 			return v, fmt.Errorf("rcr: dial %s: %w", addr, err)
 		}
-		if err := conn.SetDeadline(deadline); err != nil {
-			conn.Close()
-			return v, fmt.Errorf("rcr: deadline: %w", err)
-		}
-		buf = make([]byte, ipcReadBuf)
+		cc = newClientConn(conn)
 	}
-	// Propagate mid-exchange cancellation by expiring the deadline.
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	// Past the dial, ctx reaches the connection only through this
+	// callback: its deadline passing or its cancellation expires the
+	// connection mid-exchange. No deadline is armed otherwise, so a
+	// parked connection carries no timer (see "Connection reuse").
+	stop := context.AfterFunc(ctx, cc.expire)
 	defer func() {
 		// Fit for reuse only after a whole, in-bounds exchange, and only if
-		// the context can no longer reach in and expire the deadline. It
-		// is parked with no deadline: an armed one keeps timers in the
-		// runtime's heap, which every scheduler pass then has to check.
-		if stop() && err == nil && conn.SetDeadline(time.Time{}) == nil {
-			keepIdle(network, addr, conn, buf)
+		// the context can no longer reach in and expire the connection.
+		if stop() && err == nil {
+			keepIdle(network, addr, cc)
 		} else {
-			conn.Close()
+			cc.conn.Close()
 		}
 	}()
+	conn, buf := cc.conn, cc.buf
 	req := append(buf[:0], op...)
 	if body != nil {
-		req = body(append(req, 0, 0, 0, 0))
+		req = AppendMemWrite(append(req, 0, 0, 0, 0), *body)
 		binary.LittleEndian.PutUint32(req[len(op):], uint32(len(req)-len(op)-4))
 	}
 	if _, err := conn.Write(req); err != nil {

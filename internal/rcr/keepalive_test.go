@@ -580,9 +580,9 @@ func TestIdleConnsExpire(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	idleConns.Lock()
-	idleConns.list = append(idleConns.list, idleConn{"unix", "old", a, nil, time.Now().Add(-DefaultIPCTimeout - time.Second)})
+	idleConns.list = append(idleConns.list, idleConn{"unix", "old", &clientConn{conn: a}, time.Now().Add(-DefaultIPCTimeout - time.Second)})
 	idleConns.Unlock()
-	if conn, _ := takeIdle("unix", "other"); conn != nil {
+	if cc := takeIdle("unix", "other"); cc != nil {
 		t.Fatal("took a connection for an endpoint that has none")
 	}
 	if idleFor("old") != 0 {
@@ -644,5 +644,68 @@ func TestExchangeSharedEndpointRace(t *testing.T) {
 	}
 	if n := idleFor(sock); n < 1 || n > maxIdlePerEndpoint {
 		t.Errorf("%d connections parked, want 1..%d", n, maxIdlePerEndpoint)
+	}
+}
+
+// armCounter is a client connection that counts deadline arms. It keeps
+// the unix conn's SyscallConn, so the liveness probe still reads it.
+type armCounter struct {
+	*net.UnixConn
+	arms atomic.Int32
+}
+
+func (c *armCounter) SetDeadline(t time.Time) error {
+	c.arms.Add(1)
+	return c.UnixConn.SetDeadline(t)
+}
+
+func (c *armCounter) SetReadDeadline(t time.Time) error {
+	c.arms.Add(1)
+	return c.UnixConn.SetReadDeadline(t)
+}
+
+func (c *armCounter) SetWriteDeadline(t time.Time) error {
+	c.arms.Add(1)
+	return c.UnixConn.SetWriteDeadline(t)
+}
+
+// TestExchangeArmsNoDeadline: the context's deadline bounds an exchange
+// through its expiry callback alone, so a deadline-context exchange over
+// a parked connection arms no connection deadline, take to park — and
+// the connection parks again for the next.
+func TestExchangeArmsNoDeadline(t *testing.T) {
+	leak.Check(t)
+	flushIdle()
+	defer flushIdle()
+	sock := filepath.Join(t.TempDir(), "rcrd.sock")
+	serveAt(t, sock, func(s *Server) {
+		s.Fence = NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
+	})
+	raw, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &armCounter{UnixConn: raw.(*net.UnixConn)}
+	keepIdle("unix", sock, newClientConn(conn))
+	for i := 1; i <= 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		w := CapWrite{Fence: 1, Leader: 1, Seq: uint64(i), Lease: time.Minute, HasCap: true, Cap: 80}
+		ack, err := WriteCap(ctx, "unix", sock, w)
+		if err == nil {
+			_, err = QueryContext(ctx, "unix", sock)
+		}
+		cancel()
+		if err != nil || ack.Status != CapApplied {
+			t.Fatalf("round %d: ack %+v, err %v", i, ack, err)
+		}
+	}
+	idleConns.Lock()
+	parked := len(idleConns.list) == 1 && idleConns.list[0].conn == net.Conn(conn)
+	idleConns.Unlock()
+	if !parked {
+		t.Fatal("the exchanges did not run on the parked connection and park it again")
+	}
+	if n := conn.arms.Load(); n != 0 {
+		t.Errorf("six deadline-context exchanges armed %d connection deadlines, want 0", n)
 	}
 }

@@ -159,6 +159,6 @@ func (g *FenceGuard) Membership() (fence, epoch uint64, frame []byte) {
 // rejection comes back in the ack. The ack's Frame is a copy
 // (readMemFrame): the response buffer is the connection's, reused.
 func WriteMem(ctx context.Context, network, addr string, w MemWrite) (MemAck, error) {
-	return exchange(ctx, network, addr, "MEM\n", func(b []byte) []byte { return AppendMemWrite(b, w) },
+	return exchange(ctx, network, addr, "MEM\n", &w,
 		capAckLen+20, capAckLen+20+MaxMemFrame, DecodeMemAck)
 }
