@@ -169,6 +169,11 @@ func (lab *Lab) DutyCycleSavings() (DutyCycleResult, error) {
 		var wg sync.WaitGroup
 		cores := mcfg.Cores()
 		stop := make(chan struct{})
+		// The clock stays parked until every core is enrolled and its
+		// goroutine started: an owner that blocked first would otherwise
+		// let the engine run ahead with the rest still unenrolled.
+		release := m.Hold()
+		defer release()
 		for id := 0; id < cores; id++ {
 			ctx, err := m.Enroll(id)
 			if err != nil {
@@ -196,6 +201,7 @@ func (lab *Lab) DutyCycleSavings() (DutyCycleResult, error) {
 				ctx.Compute(float64(mcfg.BaseFreq) * 0.1) // 100 ms active
 			}(ctx, spin)
 		}
+		release()
 		wg.Wait()
 		close(stop)
 		elapsed := m.Now() - start

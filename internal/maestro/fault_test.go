@@ -229,6 +229,10 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	// Parked until m.Stop below: with the workers idle, a running engine
+	// would step straight to the daemon's hourly ticker and poll an empty
+	// board before the test's first poll.
+	m.Hold()
 	bb, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)

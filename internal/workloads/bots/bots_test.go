@@ -2,6 +2,7 @@ package bots
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,6 +187,76 @@ func TestSortUnequalLeafBlocks(t *testing.T) {
 		if _, err := workloads.RunOnce(m, wl, workers); err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
+	}
+}
+
+// TestSortLeafReference: each leaf block of the reference is the
+// input's block sorted, at an element count the blocks do not divide
+// evenly.
+func TestSortLeafReference(t *testing.T) {
+	in := buildSortInput(sortKey{seed: 1, n: 100*sortBlocks + 37})
+	for b := 0; b < sortBlocks; b++ {
+		lo, hi := sortBlock(b, len(in.data))
+		want := slices.Clone(in.data[lo:hi])
+		slices.Sort(want)
+		if !slices.Equal(in.leaves[lo:hi], want) {
+			t.Fatalf("block %d [%d:%d) is not the input's block sorted", b, lo, hi)
+		}
+	}
+}
+
+// TestSortValidateCatchesLeafFaults: a run in which a leaf task was lost
+// or copied another block fails Validate. The reference is replaced by
+// a copy in which one block holds what that fault leaves in work: the
+// unsorted input (the root copies it into work before the leaves run),
+// or the sorted neighbouring block. The merge levels run as they do.
+func TestSortValidateCatchesLeafFaults(t *testing.T) {
+	s := mustPrepare(t, NewSort(), workloads.Params{Scale: 0.1}).(*Sort)
+	mustRun(t, s)
+	shared := s.leaves
+	n := len(s.data)
+	faults := map[string]func(leaves []int32, lo, hi int){
+		"lost": func(leaves []int32, lo, hi int) { copy(leaves[lo:hi], s.data[lo:hi]) },
+		"wrong block": func(leaves []int32, lo, hi int) {
+			nlo, nhi := sortBlock(1, n)
+			copy(leaves[lo:hi], shared[nlo:nhi])
+		},
+	}
+	m := newMachine(t)
+	for name, fault := range faults {
+		for _, b := range []int{0, sortBlocks - 1} {
+			lo, hi := sortBlock(b, n)
+			s.leaves = slices.Clone(shared)
+			fault(s.leaves, lo, hi)
+			if _, err := workloads.RunOnce(m, s, 16); err == nil {
+				t.Errorf("a run whose leaf %d was %s validates", b, name)
+			}
+		}
+	}
+	s.leaves = shared
+	if _, err := workloads.RunOnce(m, s, 16); err != nil {
+		t.Errorf("restored run: %v", err)
+	}
+}
+
+// TestFibValidateCountsLeaves: a run that lost one leaf task's charge,
+// or charged one twice, fails Validate although its value is right: the
+// tree has 2^9 = 512 leaves.
+func TestFibValidateCountsLeaves(t *testing.T) {
+	w := mustPrepare(t, NewFib(), workloads.Params{Scale: 0.1}).(*Fib)
+	mustRun(t, w)
+	if n := w.leaves.Load(); n != 512 {
+		t.Fatalf("%d leaves ran, want 512", n)
+	}
+	for _, times := range []int64{-1, 1} { // lost, repeated
+		w.leaves.Add(times)
+		if err := w.Validate(); err == nil {
+			t.Errorf("a run with a leaf counted %+d times extra validates", times)
+		}
+		w.leaves.Add(-times)
+	}
+	if err := w.Validate(); err != nil {
+		t.Errorf("restored run: %v", err)
 	}
 }
 

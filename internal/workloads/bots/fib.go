@@ -2,6 +2,7 @@ package bots
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/compiler"
 	"repro/internal/machine"
@@ -16,8 +17,9 @@ import (
 // sharply in power (GCC ~96 W — stall-heavy task code — versus ICC
 // ~157 W dense compute, Tables II/III).
 type Fib struct {
-	want uint64
-	got  uint64
+	want   uint64
+	got    uint64
+	leaves atomic.Int64 // leaf tasks the last run charged
 
 	perLeaf  float64
 	activity float64
@@ -58,21 +60,15 @@ func FibValue(n int) uint64 {
 	return a
 }
 
-func fibRec(n int) uint64 {
-	if n < 2 {
-		return uint64(n)
-	}
-	return fibRec(n-1) + fibRec(n-2)
-}
-
 // FibTree computes fib(n) as a task tree: it spawns the recursion down
-// to depth levels, computes each leaf's subtree serially on the host,
-// and calls leaf once in every leaf task to charge it.
+// to depth levels and calls leaf once in every leaf task to charge it.
+// A leaf's value is a pure function of its n, so it is FibValue(n), not
+// a serial recursion run again on the host (workloads package doc); the
+// inner tasks still add their children's results after Sync.
 func FibTree(tc *qthreads.TC, n, depth int, leaf qthreads.Task) uint64 {
 	if depth == 0 || n < 2 {
-		v := fibRec(n)
 		leaf(tc)
-		return v
+		return FibValue(n)
 	}
 	var a uint64
 	tc.Spawn(func(tc *qthreads.TC) { a = FibTree(tc, n-1, depth-1, leaf) })
@@ -84,16 +80,22 @@ func FibTree(tc *qthreads.TC, n, depth int, leaf qthreads.Task) uint64 {
 // Root returns the benchmark body.
 func (w *Fib) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
+		w.leaves.Store(0)
 		w.got = FibTree(tc, botsFibN, botsFibCutoff, func(tc *qthreads.TC) {
+			w.leaves.Add(1)
 			tc.Execute(machine.Work{Ops: w.perLeaf, Activity: w.activity})
 		})
 	}
 }
 
-// Validate checks the Fibonacci value.
+// Validate checks the Fibonacci value and that every leaf task ran
+// once: the tree has 2^cutoff leaves.
 func (w *Fib) Validate() error {
 	if w.got != w.want {
 		return fmt.Errorf("bots-fib: fib(%d) = %d, want %d", botsFibN, w.got, w.want)
+	}
+	if n := w.leaves.Load(); n != 1<<botsFibCutoff {
+		return fmt.Errorf("bots-fib: %d leaf tasks ran, want %d", n, 1<<botsFibCutoff)
 	}
 	return nil
 }

@@ -102,7 +102,10 @@ var memoCases = []memoCase{
 		a:       func() workloads.Workload { return NewSort() },
 		b:       func() workloads.Workload { return NewSort() },
 		targets: [2]compiler.Target{compiler.Baseline, gccO0},
-		shared:  func(w workloads.Workload) any { return &w.(*Sort).data[0] },
+		shared: func(w workloads.Workload) any {
+			s := w.(*Sort)
+			return [2]*int32{&s.data[0], &s.leaves[0]}
+		},
 		ref: func(w workloads.Workload) any {
 			s := w.(*Sort)
 			return [2]int64{s.wantSum, int64(len(s.data))}

@@ -16,21 +16,23 @@ import (
 // stays in the Medium band, so the MAESTRO daemon correctly leaves it
 // alone (§IV-B: only four programs throttle).
 //
-// On the host each leaf radix-sorts its block (workloads.SortInt32) and
-// each merge task runs the branch-free workloads.MergeInt32, where BOTS
-// itself uses quicksort leaves and a branchy merge. The model cannot
-// tell: a task is charged per element it touches (one leaf pass plus
-// one per merge level), never per comparison, so the host algorithm
-// changes the regeneration's CPU and no simulated number.
+// A leaf's sorted block is a pure function of the input, so the
+// memoized reference holds every block already sorted and a leaf task
+// copies its own over the unsorted copy the root made (workloads
+// package doc). The merge levels read leaf output and keep merging on
+// the host with the branch-free workloads.MergeInt32, where BOTS itself
+// uses quicksort leaves and a branchy merge. The model cannot tell: a
+// task is charged per element it touches (one leaf pass plus one per
+// merge level), never per comparison or per host instruction.
 type Sort struct {
-	data    []int32
+	data    []int32 // shared with other instances: read only
+	leaves  []int32 // shared with other instances: read only
 	buf     []int32
 	wantSum int64
 	ran     bool
 
 	prof          workloads.BWProfile
 	cyclesPerElem float64
-	leafBlocks    int
 }
 
 // Sort parameters: 1M elements in 64 leaf blocks; mechanism constants
@@ -48,11 +50,12 @@ func NewSort() *Sort { return &Sort{} }
 // Name returns the canonical app name.
 func (s *Sort) Name() string { return compiler.AppSortCutoff }
 
-// sortInput is the unsorted array and its checksum. Runs copy data
-// before sorting and never write it.
+// sortInput is the unsorted array, the same array with each of its
+// sortBlocks leaf blocks sorted in place, and the checksum. Runs copy
+// out of both and never write them.
 type sortInput struct {
-	data    []int32
-	wantSum int64
+	data, leaves []int32
+	wantSum      int64
 }
 
 // sortKey is what the array depends on: the seed and the element count
@@ -64,7 +67,8 @@ type sortKey struct {
 
 var sortInputs workloads.Memo[sortKey, sortInput]
 
-// buildSortInput draws the array for a seed and size and sums it.
+// buildSortInput draws the array for a seed and size, sums it, and
+// sorts a copy of it block by block.
 func buildSortInput(k sortKey) sortInput {
 	rng := rand.New(rand.NewSource(k.seed))
 	in := sortInput{data: make([]int32, k.n)}
@@ -72,7 +76,18 @@ func buildSortInput(k sortKey) sortInput {
 		in.data[i] = int32(rng.Uint32())
 		in.wantSum += int64(in.data[i])
 	}
+	in.leaves = append([]int32(nil), in.data...)
+	scratch := make([]int32, k.n/sortBlocks+1)
+	for b := 0; b < sortBlocks; b++ {
+		lo, hi := sortBlock(b, k.n)
+		workloads.SortInt32(in.leaves[lo:hi], scratch)
+	}
 	return in
+}
+
+// sortBlock returns the bounds of leaf block b of an n-element array.
+func sortBlock(b, n int) (lo, hi int) {
+	return b * n / sortBlocks, (b + 1) * n / sortBlocks
 }
 
 // Prepare generates data (once per seed and size) and calibrates
@@ -88,7 +103,7 @@ func (s *Sort) Prepare(p workloads.Params) error {
 		n = sortBlocks * 2
 	}
 	in := sortInputs.Get(sortKey{p.Seed, n}, buildSortInput)
-	s.data, s.wantSum = in.data, in.wantSum
+	s.data, s.leaves, s.wantSum = in.data, in.leaves, in.wantSum
 	s.buf = make([]int32, n)
 	s.prof = prof
 	// Work is spread over every element touch: one in the leaf sort pass
@@ -98,7 +113,6 @@ func (s *Sort) Prepare(p workloads.Params) error {
 		levels++
 	}
 	s.cyclesPerElem = prof.TotalCycles / float64(n*(1+levels))
-	s.leafBlocks = sortBlocks
 	return nil
 }
 
@@ -110,21 +124,19 @@ func (s *Sort) Root() qthreads.Task {
 		work := make([]int32, n)
 		copy(work, s.data)
 
-		// Leaf phase: sort each block in its own task. A leaf's radix
-		// scratch is its own range of s.buf: the ranges are disjoint, and
-		// nothing else uses s.buf until the first merge level writes it.
-		bounds := make([][2]int, 0, s.leafBlocks)
-		for b := 0; b < s.leafBlocks; b++ {
-			lo := b * n / s.leafBlocks
-			hi := (b + 1) * n / s.leafBlocks
+		// Leaf phase: each block in its own task, which copies the
+		// block sorted out of the reference. A leaf that is lost leaves
+		// its block of work unsorted.
+		bounds := make([][2]int, 0, sortBlocks)
+		for b := 0; b < sortBlocks; b++ {
+			lo, hi := sortBlock(b, n)
 			bounds = append(bounds, [2]int{lo, hi})
 		}
 		g := tc.NewGroup()
 		for _, bd := range bounds {
-			bd := bd
 			g.Spawn(tc, func(tc *qthreads.TC) {
 				block := work[bd[0]:bd[1]]
-				workloads.SortInt32(block, s.buf[bd[0]:bd[1]])
+				copy(block, s.leaves[bd[0]:bd[1]])
 				tc.Execute(s.prof.Work(s.cyclesPerElem * float64(len(block))))
 			})
 		}
@@ -134,7 +146,7 @@ func (s *Sort) Root() qthreads.Task {
 		// parallel (cilksort's trick — without it the top-level merges
 		// serialize and the program would scale like the untuned
 		// mergesort micro-benchmark instead of to ~12.6 threads).
-		grain := n / s.leafBlocks
+		grain := n / sortBlocks
 		src, dst := work, s.buf
 		for len(bounds) > 1 {
 			next := make([][2]int, 0, (len(bounds)+1)/2)

@@ -166,15 +166,19 @@ func bdiv(diag, b []float64, bs int) {
 	}
 }
 
+// bmod subtracts a×b from c. Each row is resliced once, so the inner
+// loop ranges over ci with no bounds check.
 func bmod(a, b, c []float64, bs int) {
 	for i := 0; i < bs; i++ {
-		for k := 0; k < bs; k++ {
-			f := a[i*bs+k]
+		ci := c[i*bs : i*bs+bs]
+		ai := a[i*bs : i*bs+bs]
+		for k, f := range ai {
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < bs; j++ {
-				c[i*bs+j] -= f * b[k*bs+j]
+			bk := b[k*bs : k*bs+bs][:len(ci)]
+			for j := range ci {
+				ci[j] -= f * bk[j]
 			}
 		}
 	}

@@ -96,13 +96,14 @@ func randomMatrix(rng *rand.Rand, n int) []float64 {
 func classicalMultiply(a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			f := a[i*n+k]
+		ci := c[i*n : i*n+n]
+		for k, f := range a[i*n : i*n+n] {
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				c[i*n+j] += f * b[k*n+j]
+			bk := b[k*n : k*n+n][:len(ci)]
+			for j := range ci {
+				ci[j] += f * bk[j]
 			}
 		}
 	}

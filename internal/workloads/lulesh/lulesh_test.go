@@ -112,3 +112,38 @@ func TestValidateWithoutRun(t *testing.T) {
 		t.Error("Validate passed without a run")
 	}
 }
+
+// TestReferenceMemoized: instances prepared for different targets and
+// scales share one serial reference, a run of one leaves the other
+// valid, and the shared reference is what a fresh serial run computes.
+func TestReferenceMemoized(t *testing.T) {
+	prepare := func(p workloads.Params) *LULESH {
+		wl := New()
+		if err := wl.Prepare(p); err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	a := prepare(workloads.Params{Scale: 0.1})
+	b := prepare(workloads.Params{Scale: 0.05, Target: compiler.Target{Compiler: compiler.ICC, Opt: compiler.O2}})
+	if &a.wantE[0] != &b.wantE[0] {
+		t.Fatal("two instances do not share the reference")
+	}
+	if a.parPerChunk == b.parPerChunk {
+		t.Error("calibration shared across scales and targets")
+	}
+	for _, wl := range []*LULESH{a, b, a} {
+		if _, err := workloads.RunOnce(newMachine(t), wl, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Validate(); err != nil {
+		t.Errorf("a's second run invalidated b: %v", err)
+	}
+	fresh := buildReference(refKey{meshEdge, timesteps})
+	for i := range fresh {
+		if a.wantE[i] != fresh[i] {
+			t.Fatalf("element %d: shared reference %g, fresh serial run %g", i, a.wantE[i], fresh[i])
+		}
+	}
+}

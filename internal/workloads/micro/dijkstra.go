@@ -22,9 +22,9 @@ import (
 // Table V).
 type Dijkstra struct {
 	vertices int
-	adj      [][]edge
+	adj      [][]edge // shared with other instances: read only
 	source   int
-	want     []int32
+	want     []int32 // shared with other instances: read only
 	got      []int32
 
 	rounds    int
@@ -57,26 +57,18 @@ func NewDijkstra() *Dijkstra { return &Dijkstra{} }
 // Name returns the canonical app name.
 func (d *Dijkstra) Name() string { return compiler.AppDijkstra }
 
-// Prepare builds the graph, solves it serially, and calibrates charges.
+// Prepare takes the graph and its serial solution (built once per seed)
+// and calibrates charges.
 func (d *Dijkstra) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	seconds, watts, err := workloads.Anchor(d.Name(), p.Target, p.Scale)
 	if err != nil {
 		return err
 	}
+	ref := dijkstraRefs.Get(p.Seed, buildDijkstraRef)
 	d.vertices = dijkstraVerts
-	rng := rand.New(rand.NewSource(p.Seed))
-	d.adj = make([][]edge, d.vertices)
-	// A ring plus random chords keeps the graph connected with a
-	// moderate diameter.
-	for v := 0; v < d.vertices; v++ {
-		d.adj[v] = append(d.adj[v], edge{to: int32((v + 1) % d.vertices), w: int32(1 + rng.Intn(9))})
-		for k := 1; k < dijkstraDegree; k++ {
-			d.adj[v] = append(d.adj[v], edge{to: int32(rng.Intn(d.vertices)), w: int32(1 + rng.Intn(99))})
-		}
-	}
+	d.adj, d.want, d.rounds = ref.adj, ref.want, ref.rounds
 	d.source = 0
-	d.want = serialDijkstra(d.adj, d.source)
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
@@ -88,11 +80,6 @@ func (d *Dijkstra) Prepare(p workloads.Params) error {
 	demand, _, _ := workloads.Knee(cfg, dijkstraSatShare)
 	bytesPerCycle := demand / f
 
-	// Synchronous Bellman-Ford needs a graph-dependent number of rounds;
-	// measure it once so the parallel run provably converges (racy
-	// relaxations only ever tighten bounds, so they converge at least as
-	// fast as the synchronous schedule).
-	d.rounds = syncRelaxationRounds(d.adj, d.source)
 	// Many more chunks than workers keeps the per-round barrier slack
 	// (the straggler tail) small.
 	d.chunk = d.vertices / 160
@@ -108,6 +95,40 @@ func (d *Dijkstra) Prepare(p workloads.Params) error {
 	d.activity = workloads.SolveActivity(cfg, watts,
 		cfg.CoresPerSocket, 0, 0, dijkstraAFBW16, d.overlap, util)
 	return nil
+}
+
+// dijkstraRef is the graph a seed draws, its serial shortest distances
+// from vertex 0, and the rounds the parallel relaxation runs.
+type dijkstraRef struct {
+	adj    [][]edge
+	want   []int32
+	rounds int
+}
+
+// dijkstraRefs is keyed by the seed: the graph does not depend on Scale.
+var dijkstraRefs workloads.Memo[int64, dijkstraRef]
+
+// buildDijkstraRef draws the graph for a seed and solves it serially.
+func buildDijkstraRef(seed int64) dijkstraRef {
+	rng := rand.New(rand.NewSource(seed))
+	adj := make([][]edge, dijkstraVerts)
+	// A ring plus random chords keeps the graph connected with a
+	// moderate diameter.
+	for v := range adj {
+		adj[v] = append(adj[v], edge{to: int32((v + 1) % dijkstraVerts), w: int32(1 + rng.Intn(9))})
+		for k := 1; k < dijkstraDegree; k++ {
+			adj[v] = append(adj[v], edge{to: int32(rng.Intn(dijkstraVerts)), w: int32(1 + rng.Intn(99))})
+		}
+	}
+	return dijkstraRef{
+		adj:  adj,
+		want: serialDijkstra(adj, 0),
+		// Synchronous Bellman-Ford needs a graph-dependent number of
+		// rounds; measure it once so the parallel run provably
+		// converges (racy relaxations only ever tighten bounds, so they
+		// converge at least as fast as the synchronous schedule).
+		rounds: syncRelaxationRounds(adj, 0),
+	}
 }
 
 // syncRelaxationRounds counts the synchronous Bellman-Ford rounds until

@@ -2,6 +2,7 @@ package micro
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/compiler"
 	"repro/internal/machine"
@@ -22,9 +23,10 @@ import (
 //   - ICC: the inliner collapses the recursion into coarse compute-bound
 //     work; 13.5 s at ~143 W regardless of optimization level.
 type Fibonacci struct {
-	p    workloads.Params
-	want uint64
-	got  uint64
+	p      workloads.Params
+	want   uint64
+	got    uint64
+	leaves atomic.Int64 // leaf tasks the last run charged
 
 	// GCC mechanism: contended allocator line.
 	virtPerLeaf  float64
@@ -101,23 +103,30 @@ func (w *Fibonacci) Prepare(p workloads.Params) error {
 func (w *Fibonacci) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
 		leaf := func(tc *qthreads.TC) {
+			w.leaves.Add(1)
 			tc.Execute(machine.Work{Ops: w.opsPerLeaf, Activity: w.activity})
 		}
 		if w.p.Target.Compiler == compiler.GCC {
 			line := tc.Machine().NewLine(fibLineCost, w.pingpong, w.lineActivity)
 			leaf = func(tc *qthreads.TC) {
+				w.leaves.Add(1)
 				tc.Atomic(line, w.virtPerLeaf)
 				tc.Compute(w.bodyPerLeaf)
 			}
 		}
+		w.leaves.Store(0)
 		w.got = bots.FibTree(tc, fibN, fibSpawnDepth, leaf)
 	}
 }
 
-// Validate checks the Fibonacci value.
+// Validate checks the Fibonacci value and that every leaf task ran
+// once: the tree has 2^fibSpawnDepth leaves.
 func (w *Fibonacci) Validate() error {
 	if w.got != w.want {
 		return fmt.Errorf("fibonacci: fib(%d) = %d, want %d", fibN, w.got, w.want)
+	}
+	if n := w.leaves.Load(); n != 1<<fibSpawnDepth {
+		return fmt.Errorf("fibonacci: %d leaf tasks ran, want %d", n, 1<<fibSpawnDepth)
 	}
 	return nil
 }

@@ -16,20 +16,23 @@ import (
 // scales to exactly 2 threads (paper §II-C.4) and, being memory-bound
 // with most threads parked, draws the study's lowest power (~60 W).
 //
-// The host really sorts: each section runs serialMergesort on its half
-// and the root merges the halves with workloads.MergeInt32. What is
-// simulated is the shape — two sections, then a serial merge — charged
-// from the element count alone (opsHalf/bytesHalf, opsMerge/bytesMerge),
-// so the model cannot see which algorithm the host uses to sort.
+// Each section's sorted half is a pure function of the input, so the
+// memoized reference holds both halves already sorted and a section
+// copies its own over the unsorted copy the root made (workloads package
+// doc). The root's final merge reads both sections' output and keeps
+// running on the host (workloads.MergeInt32). What is simulated is the
+// shape — two sections, then a serial merge — charged from the element
+// count alone (opsHalf/bytesHalf, opsMerge/bytesMerge), so the model
+// cannot see what the host does to produce a sorted half.
 type Mergesort struct {
 	data    []int32 // shared with other instances: read only
+	halves  []int32 // shared with other instances: read only
 	wantSum int64
 	out     []int32
 	sorted  bool
-	// Working storage of a run, allocated once in Prepare: the copy of
-	// data the halves are sorted in, and the merge sort's scratch. The
-	// two sections each use their own half of both.
-	work, scratch []int32
+	// A run's copy of data, which its sections overwrite with their
+	// sorted halves; allocated once in Prepare.
+	work []int32
 
 	// Charge model: each half-sort streams bytesHalf at opsHalf compute
 	// cycles (memory-bound); the final merge is charged on the root.
@@ -55,16 +58,18 @@ func NewMergesort() *Mergesort { return &Mergesort{} }
 // Name returns the canonical app name.
 func (s *Mergesort) Name() string { return compiler.AppMergesort }
 
-// mergesortInput is the unsorted array and its checksum. Runs copy data
-// before sorting and never write it.
+// mergesortInput is the unsorted array, the same array with each of
+// its two halves sorted, and the checksum. Runs copy out of both and
+// never write them.
 type mergesortInput struct {
-	data    []int32
-	wantSum int64
+	data, halves []int32
+	wantSum      int64
 }
 
 var mergesortInputs workloads.Memo[inputKey, mergesortInput]
 
-// buildMergesortInput draws the array for a seed and size and sums it.
+// buildMergesortInput draws the array for a seed and size, sums it, and
+// sorts a copy of each half.
 func buildMergesortInput(k inputKey) mergesortInput {
 	rng := rand.New(rand.NewSource(k.seed))
 	in := mergesortInput{data: make([]int32, k.n)}
@@ -72,6 +77,11 @@ func buildMergesortInput(k inputKey) mergesortInput {
 		in.data[i] = int32(rng.Uint32())
 		in.wantSum += int64(in.data[i])
 	}
+	in.halves = append([]int32(nil), in.data...)
+	mid := k.n / 2
+	scratch := make([]int32, k.n-mid)
+	workloads.SortInt32(in.halves[:mid], scratch)
+	workloads.SortInt32(in.halves[mid:], scratch)
 	return in
 }
 
@@ -88,10 +98,9 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 		n = 4
 	}
 	in := mergesortInputs.Get(inputKey{p.Seed, n}, buildMergesortInput)
-	s.data, s.wantSum = in.data, in.wantSum
+	s.data, s.halves, s.wantSum = in.data, in.halves, in.wantSum
 	s.out = make([]int32, n)
 	s.work = make([]int32, n)
-	s.scratch = make([]int32, n)
 
 	cfg := p.MachineConfig
 	f := float64(cfg.BaseFreq)
@@ -136,17 +145,19 @@ func (s *Mergesort) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
 		s.sorted = false
 		mid := len(s.data) / 2
+		// The unsorted input first, so that a section that is lost
+		// leaves its half of work unsorted.
+		copy(s.work, s.data)
 		left, right := s.work[:mid], s.work[mid:]
-		// The two "sections": each really sorts its half.
+		// The two "sections": each copies its half sorted out of the
+		// reference.
 		tc.Spawn(func(tc *qthreads.TC) {
-			copy(left, s.data[:mid])
-			serialMergesort(left, s.scratch[:mid])
+			copy(left, s.halves[:mid])
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 		})
 		tc.Spawn(func(tc *qthreads.TC) {
-			copy(right, s.data[mid:])
-			serialMergesort(right, s.scratch[mid:])
+			copy(right, s.halves[mid:])
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 		})
@@ -155,45 +166,6 @@ func (s *Mergesort) Root() qthreads.Task {
 		workloads.MergeInt32(s.out, left, right)
 		tc.Execute(machine.Work{Ops: s.opsMerge, Bytes: s.bytesMerge, Activity: s.activity})
 		s.sorted = true
-	}
-}
-
-// mergesortBaseRun is the length of the runs serialMergesort radix-sorts
-// before its first merge pass: a run and its scratch are 32 KiB together,
-// small enough for any core's L1d/L2 while the radix passes scatter
-// between them. Longer runs sort faster still on a host with a large L2,
-// but each doubling removes a merge pass, and merge passes are what
-// makes this the merge sort the workload models.
-const mergesortBaseRun = 4096
-
-// serialMergesort sorts a, with buf (len(buf) == len(a)) as its scratch:
-// a real bottom-up merge sort whose base runs of mergesortBaseRun
-// elements are radix-sorted (workloads.SortInt32, each run's scratch its
-// own range of buf) instead of being merged up from width 1. Each merge
-// pass then merges from one buffer into the other and the two swap
-// roles, so nothing is copied back until the end, and then only if the
-// last pass left the result in buf. The charges in Mergesort.Root are a
-// function of the element count alone, so how the host sorts changes
-// its CPU and no simulated number.
-func serialMergesort(a, buf []int32) {
-	n := len(a)
-	for lo := 0; lo < n; lo += mergesortBaseRun {
-		hi := min(lo+mergesortBaseRun, n)
-		workloads.SortInt32(a[lo:hi], buf[lo:hi])
-	}
-	src, dst := a, buf
-	inBuf := false
-	for width := mergesortBaseRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			workloads.MergeInt32(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		src, dst = dst, src
-		inBuf = !inBuf
-	}
-	if inBuf {
-		copy(a, src)
 	}
 }
 

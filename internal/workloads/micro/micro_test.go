@@ -2,7 +2,6 @@ package micro
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -225,19 +224,39 @@ func TestMicroValidationCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestMicroInputsMemoized: two reduction or mergesort instances prepared
-// for one seed and size share one read-only input, a run of one leaves
-// the other valid, and another seed or size gets its own input.
+// TestMicroInputsMemoized: two reduction, mergesort or dijkstra
+// instances prepared for one input share one read-only reference (the
+// array, mergesort's sorted halves, dijkstra's graph and distances), a
+// run of one leaves the other valid, and another input gets its own
+// reference.
 func TestMicroInputsMemoized(t *testing.T) {
+	reseed := workloads.Params{Scale: 0.01, Seed: 7}
+	resize := workloads.Params{Scale: 0.02}
 	cases := []struct {
 		name string
 		make func() workloads.Workload
-		data func(workloads.Workload) any // the input's first element's address
+		// shared returns the addresses of the reference's first
+		// elements.
+		shared func(workloads.Workload) any
+		// others are inputs that must not hit the entry; dijkstra's
+		// graph does not depend on Scale.
+		others []workloads.Params
 	}{
 		{"reduction", func() workloads.Workload { return NewReduction() },
-			func(w workloads.Workload) any { return &w.(*Reduction).data[0] }},
+			func(w workloads.Workload) any { return &w.(*Reduction).data[0] },
+			[]workloads.Params{reseed, resize}},
 		{"mergesort", func() workloads.Workload { return NewMergesort() },
-			func(w workloads.Workload) any { return &w.(*Mergesort).data[0] }},
+			func(w workloads.Workload) any {
+				s := w.(*Mergesort)
+				return [2]*int32{&s.data[0], &s.halves[0]}
+			},
+			[]workloads.Params{reseed, resize}},
+		{"dijkstra", func() workloads.Workload { return NewDijkstra() },
+			func(w workloads.Workload) any {
+				d := w.(*Dijkstra)
+				return [2]any{&d.adj[0], &d.want[0]}
+			},
+			[]workloads.Params{reseed}},
 	}
 	p := workloads.Params{Scale: 0.01}
 	for _, c := range cases {
@@ -250,8 +269,8 @@ func TestMicroInputsMemoized(t *testing.T) {
 				return wl
 			}
 			a, b := prepare(p), prepare(p)
-			if c.data(a) != c.data(b) {
-				t.Fatal("two instances prepared from one seed and size do not share the input")
+			if c.shared(a) != c.shared(b) {
+				t.Fatal("two instances prepared from one input do not share the reference")
 			}
 			for _, wl := range []workloads.Workload{a, b, a} {
 				if _, err := workloads.RunOnce(newMachine(t), wl, 16); err != nil {
@@ -261,12 +280,80 @@ func TestMicroInputsMemoized(t *testing.T) {
 			if err := b.Validate(); err != nil {
 				t.Errorf("a's second run invalidated b: %v", err)
 			}
-			for _, other := range []workloads.Params{{Scale: 0.01, Seed: 7}, {Scale: 0.02}} {
-				if c.data(prepare(other)) == c.data(a) {
+			for _, other := range c.others {
+				if c.shared(prepare(other)) == c.shared(a) {
 					t.Errorf("%+v hit the entry of %+v", other, p)
 				}
 			}
 		})
+	}
+}
+
+// TestMergesortHalvesReference: the reference's halves are the input's
+// halves, each sorted.
+func TestMergesortHalvesReference(t *testing.T) {
+	in := buildMergesortInput(inputKey{seed: 1, n: 1001})
+	mid := len(in.data) / 2
+	for _, h := range [][2]int{{0, mid}, {mid, len(in.data)}} {
+		want := slices.Clone(in.data[h[0]:h[1]])
+		slices.Sort(want)
+		if !slices.Equal(in.halves[h[0]:h[1]], want) {
+			t.Errorf("half [%d:%d) is not the input's half sorted", h[0], h[1])
+		}
+	}
+}
+
+// TestMergesortValidateCatchesLostSection: a run in which a section did
+// not copy its sorted half fails Validate, on a second run too (the
+// root copies the unsorted input into work before the sections run, so
+// a lost section cannot leave the previous run's half behind). The
+// reference is replaced by a copy whose half is unsorted, which is what
+// work holds where a section was lost.
+func TestMergesortValidateCatchesLostSection(t *testing.T) {
+	s := NewMergesort()
+	if err := s.Prepare(workloads.Params{Scale: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(t)
+	if _, err := workloads.RunOnce(m, s, 2); err != nil {
+		t.Fatal(err)
+	}
+	shared := s.halves
+	mid := len(s.data) / 2
+	for _, h := range [][2]int{{0, mid}, {mid, len(s.data)}} {
+		lost := slices.Clone(shared)
+		copy(lost[h[0]:h[1]], s.data[h[0]:h[1]])
+		s.halves = lost
+		if _, err := workloads.RunOnce(m, s, 2); err == nil {
+			t.Errorf("a run that lost the section of [%d:%d) validates", h[0], h[1])
+		}
+	}
+	s.halves = shared
+	if _, err := workloads.RunOnce(m, s, 2); err != nil {
+		t.Errorf("restored run: %v", err)
+	}
+}
+
+// TestFibonacciValidateCountsLeaves: a run that lost one leaf task's
+// charge, or charged one twice, fails Validate although its value is
+// right.
+func TestFibonacciValidateCountsLeaves(t *testing.T) {
+	w := NewFibonacci()
+	if err := w.Prepare(workloads.Params{Scale: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workloads.RunOnce(newMachine(t), w, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, times := range []int64{-1, 1} { // lost, repeated
+		w.leaves.Add(times)
+		if err := w.Validate(); err == nil {
+			t.Errorf("a run with a leaf counted %+d times extra validates", times)
+		}
+		w.leaves.Add(-times)
+	}
+	if err := w.Validate(); err != nil {
+		t.Errorf("restored run: %v", err)
 	}
 }
 
@@ -335,54 +422,5 @@ func TestBTValidatesAcrossThreadCounts(t *testing.T) {
 	}
 	if err := fresh.Validate(); err == nil {
 		t.Error("Validate passed without a run")
-	}
-}
-
-// TestSerialMergesort checks the base-run radix sort plus ping-pong merge
-// passes against the standard library: every short length (one partial
-// base run, no merge pass), and lengths on both sides of 1, 2, 3 and 5
-// base runs — 1 to 6 runs, so 0 to 3 merge passes, and both parities (an
-// odd number of passes leaves the result in the scratch buffer and it is
-// copied back).
-func TestSerialMergesort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var lengths []int
-	for n := 0; n <= 70; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, runs := range []int{1, 2, 3, 5} {
-		n := runs * mergesortBaseRun
-		lengths = append(lengths, n-1, n, n+1)
-	}
-	for _, n := range lengths {
-		a := make([]int32, n)
-		for i := range a {
-			a[i] = int32(rng.Intn(50) - 25)
-		}
-		want := slices.Clone(a)
-		slices.Sort(want)
-		serialMergesort(a, make([]int32, n))
-		if !slices.Equal(a, want) {
-			t.Fatalf("n=%d: result differs from slices.Sort", n)
-		}
-	}
-}
-
-// BenchmarkSerialMergesort sorts one million random elements, the size
-// of one Mergesort section at full scale; refilling the array from the
-// unsorted master is part of the run, as it is in Mergesort.Root.
-func BenchmarkSerialMergesort(b *testing.B) {
-	const n = 1_000_000
-	rng := rand.New(rand.NewSource(1))
-	master := make([]int32, n)
-	for i := range master {
-		master[i] = int32(rng.Uint32())
-	}
-	a, buf := make([]int32, n), make([]int32, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(a, master)
-		serialMergesort(a, buf)
 	}
 }

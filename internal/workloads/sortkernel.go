@@ -1,10 +1,12 @@
 package workloads
 
-// The int32 sort kernel every sorting workload runs on the host. No
-// charge reads it: the simulated cost of a sort is a function of element
-// counts alone, so the host algorithm is free to be whatever sorts
-// fastest, and a faster one buys regeneration CPU without moving a
-// modelled number.
+// The int32 kernels the sorting workloads run on the host: SortInt32
+// sorts their memoized references (the sort's leaf blocks, mergesort's
+// halves) and MergeInt32 runs in their merge tasks. No charge reads
+// them: the simulated cost of a sort is a function of element counts
+// alone, so the host algorithm is free to be whatever sorts fastest,
+// and a faster one buys regeneration CPU without moving a modelled
+// number.
 
 // SortInt32 sorts a in ascending order, using scratch (len(scratch) >=
 // len(a)) as the other buffer of four 8-bit LSD radix passes. Keys have

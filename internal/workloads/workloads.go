@@ -22,26 +22,32 @@
 // Prepare does two things of different cost. The input and its serial
 // reference are a pure function of what the input depends on (the seed,
 // for the sorts and the reduction also the element count) and may be
-// expensive: a real factorization, a real 13-queens count. The BOTS
-// programs and the micro n-queens, reduction and mergesort build them
-// once per distinct input through a Memo and share the result read-only
-// between instances; every run copies its working state out of it and
-// is still validated against it. The calibration (the paper anchor plus
-// the charge model) depends on the target and the machine, is cheap, and
-// is done by every Prepare for its own instance.
+// expensive: a real factorization, a real 13-queens count, 45 serial
+// lulesh steps. The BOTS n-queens, sparselu, strassen, alignment and
+// sort, the micro n-queens, reduction, mergesort and dijkstra, and
+// lulesh build them once per distinct input through a Memo and share
+// the result read-only between instances; every run copies its working
+// state out of it and is still validated against it. The calibration (the paper anchor plus the charge model) depends
+// on the target and the machine, is cheap, and is done by every Prepare
+// for its own instance.
 //
-// Two kernels' per-task results are part of the reference: n-queens
-// keeps each leaf task's search (solutions and nodes, keyed by the
-// leaf's board state) and alignment each pair's score. Their tasks are
-// pure functions of their own arguments, so a run that computed them
-// again would compare a function against itself: all such a check could
-// catch is a task tree that lost or repeated a task. Those tasks
-// therefore read their result from the reference and still charge their
-// simulated cost, and Validate counts what the tasks did (search nodes,
-// pairs) besides summing their answers, which catches a lost or repeated
-// task even when its answer is zero. Kernels whose tasks read other
-// tasks' output (the sorts, sparselu, strassen, health, lulesh) keep
-// computing on the host: their Validate is what checks Sync ordering.
+// The rule is per task: a task that is a pure function of its own
+// arguments reads its result from the reference, because a run that
+// computed it again would compare a function against itself, and all
+// such a check could catch is a task tree that lost or repeated a task.
+// Read from the reference: the n-queens leaves (solutions and nodes,
+// keyed by the leaf's board state), the alignment pairs (each pair's
+// score), the sort leaves (each block already sorted), the mergesort
+// sections (each half already sorted) and the fib leaves (FibValue).
+// Those tasks still charge their simulated cost, and Validate still
+// catches a lost or repeated one: it counts what the tasks did (search
+// nodes, pairs, fib leaves) besides summing their answers, and a sort
+// leaf or mergesort section that did not copy leaves its block unsorted,
+// since the root copies the unsorted input into the working array first.
+// Tasks that read other tasks' output keep computing on the host: the
+// sort merge levels, the mergesort root merge, sparselu, strassen,
+// health and the lulesh sweeps. Their Validate is what checks Sync
+// ordering.
 package workloads
 
 import (
