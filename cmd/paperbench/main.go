@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/compiler"
@@ -78,37 +79,105 @@ func main() {
 	}
 }
 
+// result is what every experiment returns: something that prints itself.
+type result interface{ Render(io.Writer) error }
+
+// experiment is one -experiment name and the Lab call that regenerates it.
+type experiment struct {
+	name string
+	run  func() (result, error)
+}
+
+// experimentTable lists every experiment in the order "all" runs them;
+// the command doc's Experiments list follows it.
+func experimentTable(lab *experiments.Lab) []experiment {
+	throttle := func(app string) func() (result, error) {
+		return func() (result, error) { return lab.ThrottleTable(app) }
+	}
+	return []experiment{
+		{"table1", func() (result, error) { return lab.TableI() }},
+		{"table2", func() (result, error) { return lab.TableII() }},
+		{"table3", func() (result, error) { return lab.TableIII() }},
+		{"fig1", func() (result, error) { return lab.Figure1() }},
+		{"fig2", func() (result, error) { return lab.Figure2() }},
+		{"fig3", func() (result, error) { return lab.Figure3() }},
+		{"fig4", func() (result, error) { return lab.Figure4() }},
+		{"table4", throttle(compiler.AppLULESH)},
+		{"table5", throttle(compiler.AppDijkstra)},
+		{"table6", throttle(compiler.AppHealth)},
+		{"table7", throttle(compiler.AppStrassen)},
+		{"coldstart", func() (result, error) {
+			r, err := lab.ColdStart()
+			return printed(fmt.Sprintf("Cold start (%s): cold %.0f J / %.1f W vs warm %.0f J / %.1f W — first run saves %.1f%% (paper: 3.2%%)\n",
+				r.App, r.ColdJoules, r.ColdWatts, r.WarmJoules, r.WarmWatts, r.SavingPct)), err
+		}},
+		{"overhead", func() (result, error) {
+			rows, err := lab.ThrottleOverhead()
+			out := "MAESTRO overhead on well-scaling applications (paper: never throttles, <= 0.6%):\n"
+			for _, r := range rows {
+				out += fmt.Sprintf("  %-24s fixed %6.2fs  dynamic %6.2fs  overhead %5.2f%%  activations %d\n",
+					r.App, r.FixedSec, r.DynamicSec, r.OverheadPct, r.Activations)
+			}
+			return printed(out), err
+		}},
+		{"dutycycle", func() (result, error) {
+			r, err := lab.DutyCycleSavings()
+			return printed(fmt.Sprintf("Duty-cycle savings: 16 active %.1f W vs 12 active + 4 throttled %.1f W — saves %.1f W (paper: >12 W)\n",
+				float64(r.FullPower), float64(r.ThrottledPower), float64(r.Saving))), err
+		}},
+		{"ablation-policy", func() (result, error) {
+			rows, err := lab.PolicyAblation()
+			out := "Policy ablation: dual-condition (paper) vs power-only gating (§IV-A) vs adaptive (phase model):\n"
+			for _, r := range rows {
+				out += fmt.Sprintf("  %-24s baseline %6.2fs/%6.0fJ  dual %6.2fs/%6.0fJ (%+5.1f%%)  power-only %6.2fs/%6.0fJ (%+5.1f%%)  adaptive %6.2fs/%6.0fJ (%+5.1f%%)\n",
+					r.App, r.Baseline.Seconds, r.Baseline.Joules,
+					r.Dual.Seconds, r.Dual.Joules, r.DualDeltaE,
+					r.PowerOnly.Seconds, r.PowerOnly.Joules, r.PowerDeltaE,
+					r.Adaptive.Seconds, r.Adaptive.Joules, r.AdaptiveDeltaE)
+			}
+			return printed(out), err
+		}},
+		{"ablation-mechanism", func() (result, error) {
+			rows, err := lab.MechanismAblation()
+			out := "Mechanism ablation: duty-cycle concurrency throttling vs socket-wide DVFS (§IV):\n"
+			for _, r := range rows {
+				out += fmt.Sprintf("  %-24s (gear %.2f) baseline %6.2fs/%6.0fJ  duty %6.2fs/%6.0fJ  dvfs %6.2fs/%6.0fJ\n",
+					r.App, r.Gear, r.Baseline.Seconds, r.Baseline.Joules,
+					r.DutyCycle.Seconds, r.DutyCycle.Joules,
+					r.DVFS.Seconds, r.DVFS.Joules)
+			}
+			return printed(out), err
+		}},
+		{"powercap", func() (result, error) {
+			r, err := lab.PowerCapStudy(120)
+			return printed(fmt.Sprintf("Power capping (%s): uncapped %.1f W / %.2f s -> capped@%.0f W %.1f W / %.2f s (tightenings %d, min limit %d)\n",
+				r.App, r.Uncapped.Watts, r.Uncapped.Seconds, float64(r.Cap),
+				r.Capped.Watts, r.Capped.Seconds, r.CapStats.Tightenings, r.CapStats.MinLimit)), err
+		}},
+		{"cluster", func() (result, error) { return lab.ClusterCapAblation(experiments.ClusterSpec{HAReplicas: 2}) }},
+		{"elasticity", func() (result, error) { return lab.ElasticityAblation(experiments.ElasticitySpec{}) }},
+	}
+}
+
+// printed is an experiment result already formatted as text.
+type printed string
+
+func (p printed) Render(w io.Writer) error {
+	_, err := io.WriteString(w, string(p))
+	return err
+}
+
+// run regenerates the named experiment, or every one for "all", printing
+// each result followed by a blank line. A single table or figure is also
+// written as CSV when csvPath is set.
 func run(lab *experiments.Lab, experiment, csvPath string) error {
-	all := experiment == "all"
 	matched := false
-	emitCSV := func(result interface{ WriteCSV(w *os.File) error }) error {
-		if csvPath == "" || all {
-			return nil
-		}
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return result.WriteCSV(f)
-	}
-
-	type tableFn func() (experiments.TableResult, error)
-	tables := []struct {
-		name string
-		fn   tableFn
-	}{
-		{"table1", lab.TableI},
-		{"table2", lab.TableII},
-		{"table3", lab.TableIII},
-	}
-	for _, tb := range tables {
-		name, fn := tb.name, tb.fn
-		if !all && experiment != name {
+	for _, e := range experimentTable(lab) {
+		if experiment != "all" && experiment != e.name {
 			continue
 		}
 		matched = true
-		res, err := fn()
+		res, err := e.run()
 		if err != nil {
 			return err
 		}
@@ -116,166 +185,28 @@ func run(lab *experiments.Lab, experiment, csvPath string) error {
 			return err
 		}
 		fmt.Println()
-		if err := emitCSV(csvAdapter{table: &res}); err != nil {
-			return err
+		if c, ok := res.(interface{ WriteCSV(io.Writer) error }); ok && csvPath != "" && experiment != "all" {
+			if err := writeCSV(csvPath, c.WriteCSV); err != nil {
+				return err
+			}
 		}
 	}
-
-	type figFn func() (experiments.FigureResult, error)
-	figures := []struct {
-		name string
-		fn   figFn
-	}{
-		{"fig1", lab.Figure1},
-		{"fig2", lab.Figure2},
-		{"fig3", lab.Figure3},
-		{"fig4", lab.Figure4},
-	}
-	for _, fg := range figures {
-		name, fn := fg.name, fg.fn
-		if !all && experiment != name {
-			continue
-		}
-		matched = true
-		res, err := fn()
-		if err != nil {
-			return err
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		if err := emitCSV(csvAdapter{fig: &res}); err != nil {
-			return err
-		}
-	}
-
-	throttleTables := []struct {
-		name string
-		app  string
-	}{
-		{"table4", compiler.AppLULESH},
-		{"table5", compiler.AppDijkstra},
-		{"table6", compiler.AppHealth},
-		{"table7", compiler.AppStrassen},
-	}
-	for _, tt := range throttleTables {
-		name, app := tt.name, tt.app
-		if !all && experiment != name {
-			continue
-		}
-		matched = true
-		res, err := lab.ThrottleTable(app)
-		if err != nil {
-			return err
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-
-	if all || experiment == "coldstart" {
-		matched = true
-		res, err := lab.ColdStart()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Cold start (%s): cold %.0f J / %.1f W vs warm %.0f J / %.1f W — first run saves %.1f%% (paper: 3.2%%)\n\n",
-			res.App, res.ColdJoules, res.ColdWatts, res.WarmJoules, res.WarmWatts, res.SavingPct)
-	}
-	if all || experiment == "overhead" {
-		matched = true
-		rows, err := lab.ThrottleOverhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println("MAESTRO overhead on well-scaling applications (paper: never throttles, <= 0.6%):")
-		for _, r := range rows {
-			fmt.Printf("  %-24s fixed %6.2fs  dynamic %6.2fs  overhead %5.2f%%  activations %d\n",
-				r.App, r.FixedSec, r.DynamicSec, r.OverheadPct, r.Activations)
-		}
-		fmt.Println()
-	}
-	if all || experiment == "dutycycle" {
-		matched = true
-		res, err := lab.DutyCycleSavings()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Duty-cycle savings: 16 active %.1f W vs 12 active + 4 throttled %.1f W — saves %.1f W (paper: >12 W)\n\n",
-			float64(res.FullPower), float64(res.ThrottledPower), float64(res.Saving))
-	}
-
-	if all || experiment == "ablation-policy" {
-		matched = true
-		rows, err := lab.PolicyAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Policy ablation: dual-condition (paper) vs power-only gating (§IV-A) vs adaptive (phase model):")
-		for _, r := range rows {
-			fmt.Printf("  %-24s baseline %6.2fs/%6.0fJ  dual %6.2fs/%6.0fJ (%+5.1f%%)  power-only %6.2fs/%6.0fJ (%+5.1f%%)  adaptive %6.2fs/%6.0fJ (%+5.1f%%)\n",
-				r.App, r.Baseline.Seconds, r.Baseline.Joules,
-				r.Dual.Seconds, r.Dual.Joules, r.DualDeltaE,
-				r.PowerOnly.Seconds, r.PowerOnly.Joules, r.PowerDeltaE,
-				r.Adaptive.Seconds, r.Adaptive.Joules, r.AdaptiveDeltaE)
-		}
-		fmt.Println()
-	}
-	if all || experiment == "ablation-mechanism" {
-		matched = true
-		rows, err := lab.MechanismAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Mechanism ablation: duty-cycle concurrency throttling vs socket-wide DVFS (§IV):")
-		for _, r := range rows {
-			fmt.Printf("  %-24s (gear %.2f) baseline %6.2fs/%6.0fJ  duty %6.2fs/%6.0fJ  dvfs %6.2fs/%6.0fJ\n",
-				r.App, r.Gear, r.Baseline.Seconds, r.Baseline.Joules,
-				r.DutyCycle.Seconds, r.DutyCycle.Joules,
-				r.DVFS.Seconds, r.DVFS.Joules)
-		}
-		fmt.Println()
-	}
-	if all || experiment == "powercap" {
-		matched = true
-		res, err := lab.PowerCapStudy(120)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Power capping (%s): uncapped %.1f W / %.2f s -> capped@%.0f W %.1f W / %.2f s (tightenings %d, min limit %d)\n\n",
-			res.App, res.Uncapped.Watts, res.Uncapped.Seconds, float64(res.Cap),
-			res.Capped.Watts, res.Capped.Seconds, res.CapStats.Tightenings, res.CapStats.MinLimit)
-	}
-
-	if all || experiment == "cluster" {
-		matched = true
-		res, err := lab.ClusterCapAblation(experiments.ClusterSpec{HAReplicas: 2})
-		if err != nil {
-			return err
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if all || experiment == "elasticity" {
-		matched = true
-		res, err := lab.ElasticityAblation(experiments.ElasticitySpec{})
-		if err != nil {
-			return err
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-
 	if !matched {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
 	return nil
+}
+
+func writeCSV(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // replayPhases runs a recorded sample stream through the offline phase
@@ -298,17 +229,4 @@ func replayPhases(path string) error {
 		fmt.Printf("  sample %6d: power %8.1f W  bw %12.3e B/s  conc %8.1f\n", i, s.Power, s.Bw, s.Conc)
 	}
 	return nil
-}
-
-// csvAdapter lets either result kind satisfy the emitCSV shape.
-type csvAdapter struct {
-	table *experiments.TableResult
-	fig   *experiments.FigureResult
-}
-
-func (a csvAdapter) WriteCSV(w *os.File) error {
-	if a.table != nil {
-		return a.table.WriteCSV(w)
-	}
-	return a.fig.WriteCSV(w)
 }

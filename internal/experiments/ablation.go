@@ -72,39 +72,26 @@ func policyAblationSpec(app string, variant int) RunSpec {
 // it on every poorly-scaling app without touching sparselu.
 func (lab *Lab) PolicyAblation() ([]PolicyAblationRow, error) {
 	apps := policyAblationApps()
-	rows := make([]PolicyAblationRow, len(apps))
-	for i, app := range apps {
-		rows[i].App = app
+	var specs []RunSpec
+	for _, app := range apps {
+		for v := 0; v < policyAblationVariants; v++ {
+			specs = append(specs, policyAblationSpec(app, v))
+		}
 	}
-	// Independent runs per app; every cell fills its own field of the
-	// app's row, deltas are derived once all cells are in.
-	err := lab.runCells(len(apps)*policyAblationVariants, func(i int) error {
-		app, variant := apps[i/policyAblationVariants], i%policyAblationVariants
-		meas, err := lab.Measure(policyAblationSpec(app, variant))
-		if err != nil {
-			return err
-		}
-		row := &rows[i/policyAblationVariants]
-		switch variant {
-		case 0:
-			row.Baseline = meas
-		case 1:
-			row.Dual = meas
-		case 2:
-			row.PowerOnly = meas
-		case 3:
-			row.Adaptive = meas
-		}
-		return nil
-	})
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		base := rows[i].Baseline.Joules
-		rows[i].DualDeltaE = (rows[i].Dual.Joules - base) / base * 100
-		rows[i].PowerDeltaE = (rows[i].PowerOnly.Joules - base) / base * 100
-		rows[i].AdaptiveDeltaE = (rows[i].Adaptive.Joules - base) / base * 100
+	rows := make([]PolicyAblationRow, len(apps))
+	for i, app := range apps {
+		m := meas[i*policyAblationVariants:]
+		base := m[0].Joules
+		rows[i] = PolicyAblationRow{
+			App: app, Baseline: m[0], Dual: m[1], PowerOnly: m[2], Adaptive: m[3],
+			DualDeltaE:     (m[1].Joules - base) / base * 100,
+			PowerDeltaE:    (m[2].Joules - base) / base * 100,
+			AdaptiveDeltaE: (m[3].Joules - base) / base * 100,
+		}
 	}
 	return rows, nil
 }
@@ -144,37 +131,22 @@ func (lab *Lab) MechanismAblation() ([]MechanismAblationRow, error) {
 		{compiler.AppDijkstra, 0.45},
 		{compiler.AppLULESH, 0.6},
 	}
-	rows := make([]MechanismAblationRow, len(cases))
-	for i, c := range cases {
-		rows[i].App, rows[i].Gear = c.app, c.gear
+	var specs []RunSpec
+	for _, c := range cases {
+		base := RunSpec{App: c.app, Target: target, Workers: FullThreads, Scale: throttleScale(c.app), SpinOnlyIdle: true}
+		duty, dvfs := base, base
+		duty.Throttle = ThrottleDynamic
+		dvfs.Throttle = ThrottleDynamic
+		dvfs.Maestro = maestro.Config{Mechanism: maestro.ScaleFrequency, FrequencyGear: c.gear}
+		specs = append(specs, base, duty, dvfs)
 	}
-	err := lab.runCells(len(cases)*3, func(i int) error {
-		c, variant := cases[i/3], i%3
-		spec := RunSpec{App: c.app, Target: target, Workers: FullThreads, Scale: throttleScale(c.app), SpinOnlyIdle: true}
-		switch variant {
-		case 1:
-			spec.Throttle = ThrottleDynamic
-		case 2:
-			spec.Throttle = ThrottleDynamic
-			spec.Maestro = maestro.Config{Mechanism: maestro.ScaleFrequency, FrequencyGear: c.gear}
-		}
-		meas, err := lab.Measure(spec)
-		if err != nil {
-			return err
-		}
-		row := &rows[i/3]
-		switch variant {
-		case 0:
-			row.Baseline = meas
-		case 1:
-			row.DutyCycle = meas
-		case 2:
-			row.DVFS = meas
-		}
-		return nil
-	})
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]MechanismAblationRow, len(cases))
+	for i, c := range cases {
+		rows[i] = MechanismAblationRow{App: c.app, Gear: c.gear, Baseline: meas[3*i], DutyCycle: meas[3*i+1], DVFS: meas[3*i+2]}
 	}
 	return rows, nil
 }
@@ -200,32 +172,18 @@ func (lab *Lab) PowerCapStudy(cap units.Watts) (PowerCapResult, error) {
 	target := compiler.Target{Compiler: compiler.GCC, Opt: compiler.O3}
 	// A longer run gives the controller time to converge.
 	base := RunSpec{App: app, Target: target, Workers: FullThreads, Scale: 3, SpinOnlyIdle: true}
-	var uncapped, capped Measurement
-	err := lab.runCells(2, func(i int) error {
-		spec := base
-		if i == 1 {
-			spec.PowerCap = cap
-		}
-		meas, err := lab.Measure(spec)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			uncapped = meas
-		} else {
-			capped = meas
-		}
-		return nil
-	})
+	capped := base
+	capped.PowerCap = cap
+	meas, err := lab.measureAll([]RunSpec{base, capped})
 	if err != nil {
 		return PowerCapResult{}, err
 	}
 	return PowerCapResult{
 		App:       app,
 		Cap:       cap,
-		Uncapped:  uncapped,
-		Capped:    capped,
-		CapStats:  capped.Cap,
-		AvgCapped: units.Watts(capped.Watts),
+		Uncapped:  meas[0],
+		Capped:    meas[1],
+		CapStats:  meas[1].Cap,
+		AvgCapped: units.Watts(meas[1].Watts),
 	}, nil
 }

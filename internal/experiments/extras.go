@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/compiler"
-	"repro/internal/machine"
+	"repro/internal/core"
+	"repro/internal/qthreads"
 	"repro/internal/units"
 	"repro/internal/workloads"
 	"repro/internal/workloads/micro"
@@ -31,45 +28,33 @@ type ColdStartResult struct {
 func (lab *Lab) ColdStart() (ColdStartResult, error) {
 	run := func(warm bool) (Measurement, error) {
 		wl := micro.NewBT()
-		mcfg := lab.Machine
-		if mcfg.Sockets == 0 {
-			mcfg = machine.M620()
-		}
-		if err := wl.Prepare(workloads.Params{MachineConfig: mcfg, Seed: lab.Seed}); err != nil {
+		if err := wl.Prepare(workloads.Params{MachineConfig: lab.Machine, Seed: lab.Seed}); err != nil {
 			return Measurement{}, err
 		}
-		m, err := machine.New(mcfg)
+		sys, err := core.New(core.Options{Machine: lab.Machine, Workers: FullThreads, Warm: warm})
 		if err != nil {
 			return Measurement{}, err
 		}
-		defer m.Stop()
-		if warm {
-			m.WarmAll(workloads.WarmTemp)
-		} else {
-			m.WarmAll(mcfg.Thermal.Ambient) // first run of the day
+		defer sys.Close()
+		if !warm {
+			m := sys.Machine()
+			m.WarmAll(m.Config().Thermal.Ambient) // first run of the day
 		}
-		rep, err := workloads.RunOnce(m, wl, FullThreads)
+		rep, err := sys.RunWorkload(wl)
 		if err != nil {
 			return Measurement{}, err
 		}
 		return Measurement{App: wl.Name(), Seconds: rep.Elapsed.Seconds(), Joules: float64(rep.Energy), Watts: float64(rep.AvgPower)}, nil
 	}
-	var cold, warm Measurement
-	err := lab.runCells(2, func(i int) error {
-		m, err := run(i == 1)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			cold = m
-		} else {
-			warm = m
-		}
-		return nil
+	var arms [2]Measurement // cold, warm
+	err := lab.runCells(len(arms), func(i int) (err error) {
+		arms[i], err = run(i == 1)
+		return err
 	})
 	if err != nil {
 		return ColdStartResult{}, err
 	}
+	cold, warm := arms[0], arms[1]
 	return ColdStartResult{
 		App:        cold.App,
 		ColdJoules: cold.Joules,
@@ -106,36 +91,27 @@ func WellScalingApps() []string {
 func (lab *Lab) ThrottleOverhead() ([]OverheadRow, error) {
 	target := compiler.Target{Compiler: compiler.GCC, Opt: compiler.O3}
 	apps := WellScalingApps()
-	rows := make([]OverheadRow, len(apps))
-	for i, app := range apps {
-		rows[i].App = app
+	var specs []RunSpec
+	for _, app := range apps {
+		fixed := RunSpec{App: app, Target: target, Workers: FullThreads, SpinOnlyIdle: true}
+		dynamic := fixed
+		dynamic.Throttle = ThrottleDynamic
+		specs = append(specs, fixed, dynamic)
 	}
-	// Fixed and dynamic runs of each app are independent cells; the
-	// percentages are derived once both of a row's cells are in.
-	err := lab.runCells(len(apps)*2, func(i int) error {
-		app, dynamic := apps[i/2], i%2 == 1
-		spec := RunSpec{App: app, Target: target, Workers: FullThreads, SpinOnlyIdle: true}
-		if dynamic {
-			spec.Throttle = ThrottleDynamic
-		}
-		meas, err := lab.Measure(spec)
-		if err != nil {
-			return err
-		}
-		row := &rows[i/2]
-		if dynamic {
-			row.DynamicSec = meas.Seconds
-			row.Activations = meas.Daemon.Activations
-		} else {
-			row.FixedSec = meas.Seconds
-		}
-		return nil
-	})
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		rows[i].OverheadPct = (rows[i].DynamicSec - rows[i].FixedSec) / rows[i].FixedSec * 100
+	rows := make([]OverheadRow, len(apps))
+	for i, app := range apps {
+		fixed, dynamic := meas[2*i], meas[2*i+1]
+		rows[i] = OverheadRow{
+			App:         app,
+			FixedSec:    fixed.Seconds,
+			DynamicSec:  dynamic.Seconds,
+			OverheadPct: (dynamic.Seconds - fixed.Seconds) / fixed.Seconds * 100,
+			Activations: dynamic.Daemon.Activations,
+		}
 	}
 	return rows, nil
 }
@@ -149,86 +125,48 @@ type DutyCycleResult struct {
 	Saving         units.Watts
 }
 
-// DutyCycleSavings measures steady-state node power directly on the
-// machine, with 16 fully active cores versus 12 active plus 4 spinning
-// at duty 1/32.
+// DutyCycleSavings measures steady-state node power with 16 fully
+// active cores versus 12 active plus 4 spinning at duty 1/32: the
+// throttled arm turns on the runtime's concurrency throttle with two
+// workers fewer per socket, and both arms run one 100 ms compute task
+// per active core.
 func (lab *Lab) DutyCycleSavings() (DutyCycleResult, error) {
-	mcfg := lab.Machine
-	if mcfg.Sockets == 0 {
-		mcfg = machine.M620()
-	}
-	measure := func(throttled int) (units.Watts, error) {
-		m, err := machine.New(mcfg)
+	const idled = 4
+	measure := func(throttled bool) (units.Watts, error) {
+		sys, err := core.New(core.Options{Machine: lab.Machine, Warm: true, Qthreads: qthreads.Config{SpinOnlyIdle: true}})
 		if err != nil {
 			return 0, err
 		}
-		defer m.Stop()
-		m.WarmAll(workloads.WarmTemp)
-		start := m.Now()
-		startE := m.TotalEnergy()
-		var wg sync.WaitGroup
-		cores := mcfg.Cores()
-		stop := make(chan struct{})
-		// The clock stays parked until every core is enrolled and its
-		// goroutine started: an owner that blocked first would otherwise
-		// let the engine run ahead with the rest still unenrolled.
-		release := m.Hold()
-		defer release()
-		for id := 0; id < cores; id++ {
-			ctx, err := m.Enroll(id)
-			if err != nil {
-				return 0, err
+		defer sys.Close()
+		mcfg := sys.Machine().Config()
+		active := mcfg.Cores()
+		if throttled {
+			perSocket := mcfg.CoresPerSocket - idled/mcfg.Sockets
+			sys.Runtime().SetThrottle(true, perSocket)
+			active = perSocket * mcfg.Sockets
+		}
+		rep, err := sys.Run("dutycycle", func(tc *qthreads.TC) {
+			for i := 0; i < active; i++ {
+				tc.Spawn(func(tc *qthreads.TC) { tc.Compute(float64(mcfg.BaseFreq) * 0.1) }) // 100 ms
 			}
-			wg.Add(1)
-			spin := id >= cores-throttled
-			go func(ctx *machine.CoreCtx, spin bool) {
-				defer wg.Done()
-				defer func() { recover() }() // tolerate machine teardown
-				defer ctx.Release()
-				if spin {
-					ctx.SetDutyLevel(1)
-					ctx.SpinFor(func() bool {
-						select {
-						case <-stop:
-							return true
-						default:
-							return false
-						}
-					}, 100*time.Millisecond)
-					ctx.FullDuty()
-					return
-				}
-				ctx.Compute(float64(mcfg.BaseFreq) * 0.1) // 100 ms active
-			}(ctx, spin)
-		}
-		release()
-		wg.Wait()
-		close(stop)
-		elapsed := m.Now() - start
-		if elapsed <= 0 {
-			return 0, fmt.Errorf("experiments: duty-cycle run advanced no time")
-		}
-		return units.PowerOver(m.TotalEnergy()-startE, elapsed), nil
-	}
-	var full, throttled units.Watts
-	err := lab.runCells(2, func(i int) error {
-		w, err := measure(i * 4)
+			tc.Sync()
+		})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if i == 0 {
-			full = w
-		} else {
-			throttled = w
-		}
-		return nil
+		return rep.AvgPower, nil
+	}
+	var arms [2]units.Watts // full, throttled
+	err := lab.runCells(len(arms), func(i int) (err error) {
+		arms[i], err = measure(i == 1)
+		return err
 	})
 	if err != nil {
 		return DutyCycleResult{}, err
 	}
 	return DutyCycleResult{
-		FullPower:      full,
-		ThrottledPower: throttled,
-		Saving:         full - throttled,
+		FullPower:      arms[0],
+		ThrottledPower: arms[1],
+		Saving:         arms[0] - arms[1],
 	}, nil
 }

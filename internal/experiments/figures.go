@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/compiler"
-)
+import "repro/internal/compiler"
 
 // Series is one application's thread sweep: the data behind one curve of
 // Figures 1–4 (speedup and normalized energy versus thread count).
@@ -66,55 +62,48 @@ func (lab *Lab) Figure4() (FigureResult, error) {
 
 // figure sweeps thread counts for each app at -O2 with the given
 // compiler. Apps the paper did not build with that compiler are skipped
-// (e.g. sparselu-for under GCC). Every (app, thread-count) point is an
-// independent run, so the whole figure fans out on the Lab's worker pool
-// rather than sweeping one curve at a time.
+// (e.g. sparselu-for under GCC). Every (app, thread-count) point is one
+// cell, so the whole figure is measured at once rather than one curve at
+// a time.
 func (lab *Lab) figure(title string, apps []string, c compiler.Compiler) (FigureResult, error) {
 	res := FigureResult{Title: title}
 	target := compiler.Target{Compiler: c, Opt: compiler.O2}
 	var supported []string
+	var specs []RunSpec
 	for _, app := range apps {
 		if compiler.Supported(app, c) {
 			supported = append(supported, app)
+			specs = append(specs, sweepSpecs(app, target, sweepThreads)...)
 		}
 	}
-	threads := sweepThreads
-	meas := make([]Measurement, len(supported)*len(threads))
-	err := lab.runCells(len(meas), func(i int) error {
-		app, k := supported[i/len(threads)], threads[i%len(threads)]
-		m, err := lab.Measure(RunSpec{App: app, Target: target, Workers: k})
-		if err != nil {
-			return fmt.Errorf("experiments: sweep %s %v @%d: %w", app, target, k, err)
-		}
-		meas[i] = m
-		return nil
-	})
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return FigureResult{}, err
 	}
+	n := len(sweepThreads)
 	for i, app := range supported {
-		res.Series = append(res.Series, deriveSeries(app, target, threads, meas[i*len(threads):(i+1)*len(threads)]))
+		res.Series = append(res.Series, deriveSeries(app, target, sweepThreads, meas[i*n:(i+1)*n]))
 	}
 	return res, nil
 }
 
 // Sweep measures one application across thread counts and derives the
-// figure quantities. The points are measured concurrently on the Lab's
-// worker pool.
+// figure quantities.
 func (lab *Lab) Sweep(app string, target compiler.Target, threads []int) (Series, error) {
-	meas := make([]Measurement, len(threads))
-	err := lab.runCells(len(threads), func(i int) error {
-		m, err := lab.Measure(RunSpec{App: app, Target: target, Workers: threads[i]})
-		if err != nil {
-			return fmt.Errorf("experiments: sweep %s %v @%d: %w", app, target, threads[i], err)
-		}
-		meas[i] = m
-		return nil
-	})
+	meas, err := lab.measureAll(sweepSpecs(app, target, threads))
 	if err != nil {
 		return Series{}, err
 	}
 	return deriveSeries(app, target, threads, meas), nil
+}
+
+// sweepSpecs is one application's thread sweep as specs.
+func sweepSpecs(app string, target compiler.Target, threads []int) []RunSpec {
+	specs := make([]RunSpec, len(threads))
+	for i, k := range threads {
+		specs[i] = RunSpec{App: app, Target: target, Workers: k}
+	}
+	return specs
 }
 
 // deriveSeries assembles a Series from per-thread-count measurements,

@@ -128,6 +128,27 @@ func (lab *Lab) Measure(spec RunSpec) (Measurement, error) {
 	return best, nil
 }
 
+// measureAll measures every spec on the Lab's worker pool and returns the
+// measurements in spec order. Every experiment grid goes through here:
+// its cells are independent runs, so a grid is a spec list, and the
+// lowest-index failure is the one reported.
+func (lab *Lab) measureAll(specs []RunSpec) ([]Measurement, error) {
+	meas := make([]Measurement, len(specs))
+	err := lab.runCells(len(specs), func(i int) error {
+		m, err := lab.Measure(specs[i])
+		if err != nil {
+			s := specs[i]
+			return fmt.Errorf("experiments: %s %v @%d: %w", s.App, s.Target, s.Workers, err)
+		}
+		meas[i] = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return meas, nil
+}
+
 // runOnceSeeded runs the workload once with the given input seed on a
 // fresh, warm full stack — core.New: machine, RAPL reader, RCR sampler,
 // runtime, optional MAESTRO daemon or power cap — and tears it down. The

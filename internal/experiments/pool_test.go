@@ -31,25 +31,57 @@ func TestRunCellsSerialFailsFast(t *testing.T) {
 	}
 }
 
+// TestRunCellsParallelReturnsLowestIndexError: cells 5 and 11 fail and
+// the lowest-index failure is reported, through runCells and through
+// measureAll, which wraps it once with its cell's spec.
 func TestRunCellsParallelReturnsLowestIndexError(t *testing.T) {
-	lab := NewLab()
-	lab.Parallel = 4
-	var calls atomic.Int64
-	err := lab.runCells(16, func(i int) error {
-		calls.Add(1)
-		if i == 11 || i == 5 {
-			return fmt.Errorf("cell %d broke", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "cell 5 broke" {
-		t.Fatalf("err = %v, want the lowest-index failure (cell 5)", err)
+	const n = 16
+	broken := func(i int) bool { return i == 5 || i == 11 }
+	cases := []struct {
+		name string
+		// run counts the cells that ran, of which at least min must:
+		// cells 0..5 can never be cancelled, as no failure below them
+		// exists, while cells above a registered failure may be skipped.
+		run  func(lab *Lab, calls *atomic.Int64) error
+		min  int64
+		want string
+	}{
+		{"runCells", func(lab *Lab, calls *atomic.Int64) error {
+			return lab.runCells(n, func(i int) error {
+				calls.Add(1)
+				if broken(i) {
+					return fmt.Errorf("cell %d broke", i)
+				}
+				return nil
+			})
+		}, 6, "cell 5 broke"},
+		{"measureAll", func(lab *Lab, calls *atomic.Int64) error {
+			specs := make([]RunSpec, n)
+			for i := range specs {
+				specs[i] = RunSpec{App: compiler.AppReduction, Target: compiler.Baseline, Workers: 2, Scale: 0.01}
+				if broken(i) {
+					specs[i].App = fmt.Sprintf("broken-%d", i)
+				}
+			}
+			// The sink counts the runs that completed: cells 0..4.
+			lab.Telemetry = func(RunTelemetry) { calls.Add(1) }
+			_, err := lab.measureAll(specs)
+			return err
+		}, 5, `experiments: broken-5 gcc -O2 @2: suite: unknown workload "broken-5" (see Names)`},
 	}
-	// Cells 0..5 can never be cancelled (no failure below them exists),
-	// so at least those six always run; cells above a registered failure
-	// may legitimately be skipped.
-	if got := calls.Load(); got < 6 || got > 16 {
-		t.Errorf("parallel runCells ran %d cells, want between 6 and 16", got)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lab := NewLab()
+			lab.Parallel = 4
+			var calls atomic.Int64
+			err := c.run(lab, &calls)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("err = %v, want the lowest-index failure: %s", err, c.want)
+			}
+			if got := calls.Load(); got < c.min || got > n {
+				t.Errorf("ran %d cells, want between %d and %d", got, c.min, n)
+			}
+		})
 	}
 }
 

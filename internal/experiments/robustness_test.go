@@ -32,20 +32,3 @@ func TestStepSizeInvariance(t *testing.T) {
 		t.Errorf("energy depends on step size: %.1f J vs %.1f J", coarse.Joules, fine.Joules)
 	}
 }
-
-// TestPinningPolicyPhysics verifies the bandwidth argument behind the
-// scatter default: 8 dijkstra threads packed onto one socket halve the
-// available bandwidth versus 4+4 across both.
-func TestPinningPolicyPhysics(t *testing.T) {
-	// The Lab always uses scatter; build the compact case directly.
-	lab := NewLab()
-	scatter, err := lab.Measure(RunSpec{App: compiler.AppDijkstra, Target: compiler.Baseline, Workers: 8, Scale: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact := measureCompactDijkstra(t, 0.5)
-	if compact <= scatter.Seconds*1.3 {
-		t.Errorf("compact pinning (%.3f s) not clearly slower than scatter (%.3f s) for a bandwidth-bound app",
-			compact, scatter.Seconds)
-	}
-}

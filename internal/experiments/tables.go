@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/compiler"
-)
+import "repro/internal/compiler"
 
 // TableCell pairs one measurement with the paper's value for the same
 // configuration.
@@ -58,39 +54,34 @@ func (lab *Lab) optTable(title string, c compiler.Compiler) (TableResult, error)
 	return lab.compilerTable(title, targets)
 }
 
-// compilerTable measures every suite application under each target. The
-// app × target cells are independent runs, so they fan out on the Lab's
-// worker pool; each cell writes its own slot, keeping the table identical
-// whatever the scheduling.
+// compilerTable measures every suite application under each target at
+// 16 threads. Configurations the paper did not measure are marked
+// skipped and not run.
 func (lab *Lab) compilerTable(title string, targets []compiler.Target) (TableResult, error) {
 	res := TableResult{Title: title}
 	for _, t := range targets {
 		res.Columns = append(res.Columns, t.String())
 	}
-	apps := compiler.Apps()
-	res.Rows = make([]TableRow, len(apps))
-	for i, app := range apps {
-		res.Rows[i] = TableRow{App: app, Cells: make([]TableCell, len(targets))}
+	var specs []RunSpec
+	var measured []*TableCell
+	for _, app := range compiler.Apps() {
+		row := TableRow{App: app, Cells: make([]TableCell, len(targets))}
+		for j, t := range targets {
+			paper, ok := compiler.PaperEntry(app, t)
+			row.Cells[j] = TableCell{Label: t.String(), Paper: paper, Skipped: !ok}
+			if ok {
+				specs = append(specs, RunSpec{App: app, Target: t, Workers: FullThreads})
+				measured = append(measured, &row.Cells[j])
+			}
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	err := lab.runCells(len(apps)*len(targets), func(i int) error {
-		app, t := apps[i/len(targets)], targets[i%len(targets)]
-		cell := &res.Rows[i/len(targets)].Cells[i%len(targets)]
-		cell.Label = t.String()
-		paper, ok := compiler.PaperEntry(app, t)
-		if !ok {
-			cell.Skipped = true
-			return nil
-		}
-		cell.Paper = paper
-		meas, err := lab.Measure(RunSpec{App: app, Target: t, Workers: FullThreads})
-		if err != nil {
-			return fmt.Errorf("experiments: %s %v: %w", app, t, err)
-		}
-		cell.Meas = meas
-		return nil
-	})
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return TableResult{}, err
+	}
+	for i, m := range meas {
+		measured[i].Meas = m
 	}
 	return res, nil
 }

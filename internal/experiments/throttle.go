@@ -114,26 +114,17 @@ func (lab *Lab) ThrottleTable(app string) (ThrottleResult, error) {
 		{Fixed16, FullThreads, ThrottleOff},
 		{Fixed12, ThrottledThreads, ThrottleOff},
 	}
-	res.Rows = make([]ThrottleRow, len(configs))
-	err := lab.runCells(len(configs), func(i int) error {
-		c := configs[i]
-		meas, err := lab.Measure(RunSpec{
-			App:          app,
-			Target:       target,
-			Workers:      c.workers,
-			Scale:        scale,
-			SpinOnlyIdle: true,
-			Throttle:     c.throttle,
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: %s %s: %w", app, c.cfg, err)
-		}
-		paper, _ := PaperThrottleEntry(app, c.cfg)
-		res.Rows[i] = ThrottleRow{Config: c.cfg, Meas: meas, Paper: paper}
-		return nil
-	})
+	specs := make([]RunSpec, len(configs))
+	for i, c := range configs {
+		specs[i] = RunSpec{App: app, Target: target, Workers: c.workers, Scale: scale, SpinOnlyIdle: true, Throttle: c.throttle}
+	}
+	meas, err := lab.measureAll(specs)
 	if err != nil {
 		return ThrottleResult{}, err
+	}
+	for i, c := range configs {
+		paper, _ := PaperThrottleEntry(app, c.cfg)
+		res.Rows = append(res.Rows, ThrottleRow{Config: c.cfg, Meas: meas[i], Paper: paper})
 	}
 	return res, nil
 }

@@ -49,12 +49,9 @@ const (
 
 // Config tunes the runtime.
 type Config struct {
-	// Workers is the number of worker threads; worker i is pinned to
-	// machine core i. Defaults to all cores.
+	// Workers is the number of worker threads. Defaults to all cores;
+	// fewer are spread across the sockets round-robin (see coreFor).
 	Workers int
-	// Pinning selects how workers map to cores when fewer workers than
-	// cores are requested.
-	Pinning Pinning
 	// SpinOnlyIdle keeps idle and waiting workers spinning instead of
 	// parking after idleSpinPeriod. The paper's Qthreads/MAESTRO runtime
 	// behaves this way — its fixed-16 runs draw ~10 W more than the same
@@ -69,18 +66,6 @@ type Config struct {
 	// time); see docs/observability.md. Recording is atomic-only.
 	Telemetry *telemetry.Registry
 }
-
-// Pinning is a worker→core placement policy.
-type Pinning int
-
-// Placement policies. Scatter (the default) round-robins workers across
-// sockets, matching how the Linux scheduler spreads unbound OpenMP
-// threads on a multi-socket node — with 8 of 16 threads, each socket runs
-// 4. Compact fills socket 0 first.
-const (
-	Scatter Pinning = iota
-	Compact
-)
 
 // Task is a unit of schedulable work. The TC gives it access to spawning,
 // synchronization and cost charging on its executing core.
@@ -141,7 +126,7 @@ func New(m *machine.Machine, cfg Config) (*Runtime, error) {
 	}
 	rt.workers = make([]*worker, cfg.Workers)
 	for i := range rt.workers {
-		ctx, err := m.Enroll(coreFor(i, cfg.Pinning, m.Config()))
+		ctx, err := m.Enroll(coreFor(i, m.Config()))
 		if err != nil {
 			// Unwind the workers already started.
 			rt.Shutdown()
@@ -281,11 +266,11 @@ func (rt *Runtime) workAvailable() bool {
 	return rt.queued.Load() > 0 || rt.shutdown.Load()
 }
 
-// coreFor maps a worker index to a machine core under a placement policy.
-func coreFor(i int, p Pinning, mc machine.Config) int {
-	if p == Compact {
-		return i
-	}
+// coreFor maps a worker index to a machine core. Workers round-robin
+// across sockets, matching how the Linux scheduler spreads unbound
+// OpenMP threads on a multi-socket node: with 8 of 16 threads, each
+// socket runs 4.
+func coreFor(i int, mc machine.Config) int {
 	socket := i % mc.Sockets
 	return socket*mc.CoresPerSocket + i/mc.Sockets
 }

@@ -283,17 +283,12 @@ func TestPartialWorkersEnrollment(t *testing.T) {
 }
 
 func TestScatterPinning(t *testing.T) {
-	// The default scatter policy round-robins workers across sockets:
-	// 8 workers occupy 4 cores on each socket.
+	// Workers round-robin across sockets: 8 workers occupy 4 cores on
+	// each socket.
 	mc := machine.M620()
 	for i, want := range map[int]int{0: 0, 1: 8, 2: 1, 3: 9, 7: 11} {
-		if got := coreFor(i, Scatter, mc); got != want {
-			t.Errorf("coreFor(%d, Scatter) = %d, want %d", i, got, want)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		if got := coreFor(i, Compact, mc); got != i {
-			t.Errorf("coreFor(%d, Compact) = %d, want %d", i, got, i)
+		if got := coreFor(i, mc); got != want {
+			t.Errorf("coreFor(%d) = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -418,8 +413,8 @@ func TestRunAbortedByWatchdog(t *testing.T) {
 
 func TestIdleRuntimeParksCheaply(t *testing.T) {
 	// With workers idle and one core driving time on socket 1, socket 0's
-	// power should be near the all-parked floor (workers park after their
-	// spin period).
+	// power should be near its parked floor: its four workers parked
+	// (after their spin period), its other four cores unowned.
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 10 * time.Minute
 	m, err := machine.New(cfg)
@@ -427,12 +422,12 @@ func TestIdleRuntimeParksCheaply(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	rt, err := New(m, Config{Workers: 8, Pinning: Compact}) // workers on socket 0 only
+	rt, err := New(m, Config{Workers: 8}) // cores 0-3 and 8-11
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Shutdown)
-	ctx, err := m.Enroll(8)
+	ctx, err := m.Enroll(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +440,7 @@ func TestIdleRuntimeParksCheaply(t *testing.T) {
 	<-done
 	snap := m.Snapshot()
 	p0 := float64(snap.Sockets[0].Power)
-	parked := float64(m.Config().Power.PredictSocketPower(0, 0, 0, 0, 8, 0, 0))
+	parked := float64(m.Config().Power.PredictSocketPower(0, 0, 0, 0, 4, 4, 0))
 	if math.Abs(p0-parked)/parked > 0.25 {
 		t.Errorf("idle worker socket draws %.1f W, want near parked %.1f W", p0, parked)
 	}

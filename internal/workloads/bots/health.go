@@ -24,7 +24,7 @@ type Health struct {
 	villages []*village
 	root     int
 	steps    int
-	want     healthTotals
+	want     *healthTotals // shared through healthRefs
 	got      healthTotals
 	ran      bool
 
@@ -81,8 +81,8 @@ func NewHealth() *Health { return &Health{} }
 // Name returns the canonical app name.
 func (h *Health) Name() string { return compiler.AppHealth }
 
-// Prepare builds the village tree, runs the serial reference, and
-// calibrates charges.
+// Prepare builds the village tree, takes the serial reference's totals
+// from the memo, and calibrates charges.
 func (h *Health) Prepare(p workloads.Params) error {
 	p = p.WithDefaults()
 	prof, err := workloads.BandwidthCalib(p.MachineConfig, h.Name(), p.Target, p.Scale, healthSatShare, healthOverlap)
@@ -96,8 +96,20 @@ func (h *Health) Prepare(p workloads.Params) error {
 	h.prof = prof
 	h.perTask = prof.TotalCycles / float64(h.steps*len(h.villages))
 
-	// Serial reference with the identical per-(village, step) RNG
-	// streams.
+	h.want = healthRefs.Get(p.Seed, buildHealthRef)
+	h.ran = false
+	return nil
+}
+
+// healthRefs holds the serial reference's totals, which depend on the
+// seed alone.
+var healthRefs workloads.Memo[int64, *healthTotals]
+
+// buildHealthRef runs the serial reference on a tree of its own, with
+// the identical per-(village, step) RNG streams a run draws.
+func buildHealthRef(seed int64) *healthTotals {
+	h := &Health{p: workloads.Params{Seed: seed}, steps: healthSteps}
+	h.root = h.buildTree(-1, 0)
 	h.resetState()
 	for s := 0; s < h.steps; s++ {
 		for _, v := range h.villages {
@@ -105,9 +117,8 @@ func (h *Health) Prepare(p workloads.Params) error {
 		}
 		h.deliverOutboxes()
 	}
-	h.want = h.totals()
-	h.ran = false
-	return nil
+	t := h.totals()
+	return &t
 }
 
 // buildTree creates the village tree depth-first and returns the root id.
@@ -229,8 +240,8 @@ func (h *Health) Validate() error {
 	if !h.ran {
 		return fmt.Errorf("health: run did not complete")
 	}
-	if h.got != h.want {
-		return fmt.Errorf("health: totals %+v, want %+v", h.got, h.want)
+	if h.got != *h.want {
+		return fmt.Errorf("health: totals %+v, want %+v", h.got, *h.want)
 	}
 	return nil
 }

@@ -40,8 +40,8 @@ func TestHealthStepVillageAllocs(t *testing.T) {
 // or spinning.
 func TestHealthTotalsGolden(t *testing.T) {
 	h := preparedHealth(t)
-	if h.want != healthGolden {
-		t.Fatalf("serial reference = %+v, golden %+v", h.want, healthGolden)
+	if *h.want != healthGolden {
+		t.Fatalf("serial reference = %+v, golden %+v", *h.want, healthGolden)
 	}
 	for _, workers := range []int{1, 12, 16} {
 		for _, spin := range []bool{false, true} {

@@ -88,6 +88,16 @@ var memoCases = []memoCase{
 		rekeys:  []func(workloads.Params) workloads.Params{reseed},
 	},
 	{
+		name:    "health",
+		a:       func() workloads.Workload { return NewHealth() },
+		b:       func() workloads.Workload { return NewHealth() },
+		targets: [2]compiler.Target{iccO2, iccO0}, // GCC's health times are all 1.6 s
+		shared:  func(w workloads.Workload) any { return w.(*Health).want },
+		ref:     func(w workloads.Workload) any { return *w.(*Health).want },
+		calib:   func(w workloads.Workload) float64 { return w.(*Health).perTask },
+		rekeys:  []func(workloads.Params) workloads.Params{reseed},
+	},
+	{
 		name:    "alignment",
 		a:       func() workloads.Workload { return NewAlignmentFor() },
 		b:       func() workloads.Workload { return NewAlignmentSingle() },

@@ -47,28 +47,41 @@ func NewBT() *BT { return &BT{} }
 // Name returns the benchmark name.
 func (b *BT) Name() string { return "nas-bt" }
 
-// Prepare builds the grid, computes the serial reference, and calibrates
-// charges.
-func (b *BT) Prepare(p workloads.Params) error {
-	p = p.WithDefaults()
-	b.n = btGridEdge
-	b.iters = btIters
+// btReference is the initial grid and the serial reference's checksum
+// after all sweeps. Both depend on constants only, so every instance
+// shares one; a run copies the grid before sweeping it.
+type btReference struct {
+	grid []float64
+	want float64
+}
 
-	cells := b.n * b.n * b.n
-	b.grid = make([]float64, cells*5)
-	for i := range b.grid {
+var btRef workloads.Memo[struct{}, btReference]
+
+func buildBTRef(struct{}) btReference {
+	b := &BT{n: btGridEdge, iters: btIters}
+	grid := make([]float64, b.n*b.n*b.n*5)
+	for i := range grid {
 		// A smooth deterministic field.
-		b.grid[i] = 1 + 0.01*math.Sin(float64(i)*0.001)
+		grid[i] = 1 + 0.01*math.Sin(float64(i)*0.001)
 	}
-
-	// Serial reference: the checksum after all sweeps.
-	ref := append([]float64(nil), b.grid...)
+	ref := append([]float64(nil), grid...)
 	for it := 0; it < b.iters; it++ {
 		for dim := 0; dim < 3; dim++ {
 			b.sweepRange(ref, dim, 0, b.lines(dim))
 		}
 	}
-	b.want = checksum(ref)
+	return btReference{grid: grid, want: checksum(ref)}
+}
+
+// Prepare takes the grid and the serial reference from the memo and
+// calibrates charges.
+func (b *BT) Prepare(p workloads.Params) error {
+	p = p.WithDefaults()
+	b.n = btGridEdge
+	b.iters = btIters
+
+	ref := btRef.Get(struct{}{}, buildBTRef)
+	b.grid, b.want = ref.grid, ref.want
 
 	cfg := p.MachineConfig
 	seconds := btWarmSeconds * p.Scale

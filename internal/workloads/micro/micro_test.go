@@ -224,11 +224,11 @@ func TestMicroValidationCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestMicroInputsMemoized: two reduction, mergesort or dijkstra
+// TestMicroInputsMemoized: two reduction, mergesort, dijkstra or BT
 // instances prepared for one input share one read-only reference (the
-// array, mergesort's sorted halves, dijkstra's graph and distances), a
-// run of one leaves the other valid, and another input gets its own
-// reference.
+// array, mergesort's sorted halves, dijkstra's graph and distances, BT's
+// initial grid), a run of one leaves the other valid, and another input
+// gets its own reference.
 func TestMicroInputsMemoized(t *testing.T) {
 	reseed := workloads.Params{Scale: 0.01, Seed: 7}
 	resize := workloads.Params{Scale: 0.02}
@@ -257,6 +257,10 @@ func TestMicroInputsMemoized(t *testing.T) {
 				return [2]any{&d.adj[0], &d.want[0]}
 			},
 			[]workloads.Params{reseed}},
+		// BT's grid and checksum depend on no parameter.
+		{"bt", func() workloads.Workload { return NewBT() },
+			func(w workloads.Workload) any { return &w.(*BT).grid[0] },
+			nil},
 	}
 	p := workloads.Params{Scale: 0.01}
 	for _, c := range cases {

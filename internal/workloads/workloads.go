@@ -21,15 +21,16 @@
 //
 // Prepare does two things of different cost. The input and its serial
 // reference are a pure function of what the input depends on (the seed,
-// for the sorts and the reduction also the element count) and may be
-// expensive: a real factorization, a real 13-queens count, 45 serial
-// lulesh steps. The BOTS n-queens, sparselu, strassen, alignment and
-// sort, the micro n-queens, reduction, mergesort and dijkstra, and
-// lulesh build them once per distinct input through a Memo and share
-// the result read-only between instances; every run copies its working
-// state out of it and is still validated against it. The calibration (the paper anchor plus the charge model) depends
-// on the target and the machine, is cheap, and is done by every Prepare
-// for its own instance.
+// for the sorts and the reduction also the element count, for the BT
+// proxy nothing) and may be expensive: a real factorization, a real
+// 13-queens count, 45 serial lulesh steps. The BOTS n-queens, sparselu,
+// strassen, alignment, sort and health, the micro n-queens, reduction,
+// mergesort and dijkstra, the NAS BT proxy and lulesh build them once
+// per distinct input through a Memo and share the result read-only
+// between instances; every run copies its working state out of it and
+// is still validated against it. The calibration (the paper anchor plus
+// the charge model) depends on the target and the machine, is cheap,
+// and is done by every Prepare for its own instance.
 //
 // The rule is per task: a task that is a pure function of its own
 // arguments reads its result from the reference, because a run that
