@@ -179,7 +179,7 @@ func (x *CoreCtx) SetDutyLevel(level int) {
 		panic(err)
 	}
 	x.c.duty = d
-	m.planValid = false
+	m.markPlanLocked(x.c.socket)
 }
 
 // FullDuty restores the core to full speed.
@@ -203,7 +203,7 @@ func (x *CoreCtx) Release() {
 	}
 	x.c.duty = 1
 	x.c.state = coreUnowned
-	m.planValid = false
+	m.markPlanLocked(x.c.socket)
 	m.running--
 	m.engCond.Broadcast()
 }

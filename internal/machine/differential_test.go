@@ -28,18 +28,44 @@ const (
 
 	longStretchSeeds      = 256
 	longStretchShortSeeds = 64
+
+	// Each corpus also plays its first seeds WithTrafficRunsOut, the
+	// plan edge that ends a run; these are extra seeds, so no plain
+	// seed is cut short.
+	differentialRunsOutSeeds      = 128
+	differentialRunsOutShortSeeds = 16
+	longStretchRunsOutSeeds       = 32
+	longStretchRunsOutShortSeeds  = 16
 )
+
+// differentialRunsOut plays seed's traffic-runs-out scenario through
+// both engines and fails unless it ends on the item's stall, so the
+// corpus keeps reaching that edge.
+func differentialRunsOut(t *testing.T, seed int64, gen func(int64) refmodel.Scenario) *refmodel.Result {
+	t.Helper()
+	got, err := refmodel.DifferentialTrajectory(gen(seed).WithTrafficRunsOut())
+	if err != nil {
+		t.Errorf("seed %d with a traffic-runs-out item: %v", seed, err)
+		return nil
+	}
+	if !got.Stalled {
+		t.Errorf("seed %d with a traffic-runs-out item: the run completed; the corpus no longer reaches the edge", seed)
+	}
+	return got
+}
 
 // TestDifferentialOracle sweeps a seeded scenario corpus through both
 // engines. Any divergence reports the first differing step and field;
 // rerun a single failure with -run 'TestDifferentialOracle/shard07' or
-// reproduce it directly via refmodel.Differential(refmodel.Generate(seed)).
+// reproduce it directly via refmodel.Differential(refmodel.Generate(seed)),
+// or refmodel.Differential(refmodel.Generate(seed).WithTrafficRunsOut())
+// for a seed the failure names "with a traffic-runs-out item".
 func TestDifferentialOracle(t *testing.T) {
-	seeds := differentialSeeds
+	seeds, runsOut := differentialSeeds, differentialRunsOutSeeds
 	if testing.Short() {
-		seeds = differentialShortSeeds
+		seeds, runsOut = differentialShortSeeds, differentialRunsOutShortSeeds
 	}
-	perShard := seeds / differentialShards
+	perShard, runsOutPerShard := seeds/differentialShards, runsOut/differentialShards
 	for shard := 0; shard < differentialShards; shard++ {
 		shard := shard
 		t.Run(fmt.Sprintf("shard%02d", shard), func(t *testing.T) {
@@ -49,6 +75,9 @@ func TestDifferentialOracle(t *testing.T) {
 				if err := refmodel.Differential(refmodel.Generate(seed)); err != nil {
 					t.Errorf("seed %d: %v", seed, err)
 				}
+			}
+			for i := 0; i < runsOutPerShard; i++ {
+				differentialRunsOut(t, int64(shard*runsOutPerShard+i), refmodel.Generate)
 			}
 		})
 	}
@@ -61,15 +90,15 @@ func TestDifferentialOracle(t *testing.T) {
 // invalidating (and non-invalidating) event landing mid-run. Reproduce a
 // failure with refmodel.Differential(refmodel.GenerateLongStretch(seed)).
 func TestDifferentialLongStretch(t *testing.T) {
-	seeds := longStretchSeeds
+	seeds, runsOut := longStretchSeeds, longStretchRunsOutSeeds
 	if testing.Short() {
-		seeds = longStretchShortSeeds
+		seeds, runsOut = longStretchShortSeeds, longStretchRunsOutShortSeeds
 	}
 	var (
 		mu                     sync.Mutex
 		steps, reused, longest int
 	)
-	perShard := seeds / differentialShards
+	perShard, runsOutPerShard := seeds/differentialShards, runsOut/differentialShards
 	t.Run("corpus", func(t *testing.T) {
 		for shard := 0; shard < differentialShards; shard++ {
 			shard := shard
@@ -92,13 +121,16 @@ func TestDifferentialLongStretch(t *testing.T) {
 					}
 					mu.Unlock()
 				}
+				for i := 0; i < runsOutPerShard; i++ {
+					differentialRunsOut(t, int64(shard*runsOutPerShard+i), refmodel.GenerateLongStretch)
+				}
 			})
 		}
 	})
 	// Vacuity guard: the corpus is only worth its time if most of its
 	// steps are the kind the plan cache serves.
-	t.Logf("%d seeds: %d steps, %d of them quiescent (%.0f%%), longest run %d",
-		seeds, steps, reused, 100*float64(reused)/float64(steps), longest)
+	t.Logf("%d seeds: %d steps, %d of them quiescent (%.0f%%), longest run %d; %d more with a traffic-runs-out item",
+		seeds, steps, reused, 100*float64(reused)/float64(steps), longest, runsOut)
 	if reused*2 < steps {
 		t.Errorf("only %d of %d steps are quiescent; the corpus no longer exercises plan reuse", reused, steps)
 	}
@@ -136,24 +168,33 @@ func quiescentSteps(steps []machine.StepRecord, maxStep time.Duration) (n, longe
 // FuzzDifferential lets the fuzzer hunt for scenario seeds where the
 // engines disagree or an invariant breaks. The corpus covers all
 // generator branches of both scenario shapes (topology, memory shape, RAPL preload, ticker churn; short items that replan every step
-// and long stretches that reuse the plan); the fuzzer then mutates the
-// seed and the shape freely. Run locally with:
+// and long stretches that reuse the plan; with and without a
+// traffic-runs-out item); the fuzzer then mutates the seed and the shape
+// freely. Run locally with:
 //
 //	go test ./internal/machine -run '^$' -fuzz FuzzDifferential -fuzztime 60s
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		f.Add(seed, false, false)
+		f.Add(seed, true, false)
 	}
-	f.Add(int64(-1), false)
-	f.Add(int64(1<<40), true)
-	f.Fuzz(func(t *testing.T, seed int64, longStretch bool) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed, false, true)
+		f.Add(seed, true, true)
+	}
+	f.Add(int64(-1), false, false)
+	f.Add(int64(1<<40), true, false)
+	f.Fuzz(func(t *testing.T, seed int64, longStretch, runsOut bool) {
 		gen := refmodel.Generate
 		if longStretch {
 			gen = refmodel.GenerateLongStretch
 		}
-		if err := refmodel.Differential(gen(seed)); err != nil {
-			t.Fatalf("seed %d (long stretch: %v): %v", seed, longStretch, err)
+		sc := gen(seed)
+		if runsOut {
+			sc = sc.WithTrafficRunsOut()
+		}
+		if err := refmodel.Differential(sc); err != nil {
+			t.Fatalf("seed %d (long stretch: %v, traffic runs out: %v): %v", seed, longStretch, runsOut, err)
 		}
 	})
 }

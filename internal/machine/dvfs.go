@@ -72,7 +72,7 @@ func (m *Machine) applyFrequencyRequestsLocked() {
 	for s := range m.freqScale {
 		if bits := m.freqScaleReq[s].Load(); bits != 0 && bits != math.Float64bits(m.freqScale[s]) {
 			m.freqScale[s] = math.Float64frombits(bits)
-			m.planValid = false
+			m.markPlanLocked(s)
 		}
 	}
 }

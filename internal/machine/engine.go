@@ -139,10 +139,10 @@ func (m *Machine) wakeLocked(c *core, msg wakeMsg) {
 //
 // Only the horizons are computed here, every step, from live values
 // (remaining work, the heap fronts, the clock). The rates they divide by
-// belong to the plan, which replanLocked recomputes only when m.planValid
+// belong to the plan, which replanLocked recomputes only when m.planDirty
 // says something it depends on changed (docs/engine.md §Plan reuse).
 func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
-	if !m.planValid && !m.replanLocked() {
+	if m.planDirty != 0 && !m.replanLocked() {
 		return 0, false
 	}
 	earliest := never
@@ -157,9 +157,8 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 				t = SecondsToDuration(c.remBytes / c.stepBytesRate)
 			}
 			if t == never {
-				// A busy core that can make no progress is a model bug
-				// (capacity is validated positive).
-				m.abortLocked(fmt.Errorf("machine: core %d stalled with no progress possible", c.id))
+				// A busy core that can make no progress (see StallError).
+				m.abortLocked(StallError{Core: c.id})
 				return 0, false
 			}
 			if t < earliest {
@@ -209,23 +208,43 @@ func (m *Machine) planStepLocked() (dt time.Duration, ok bool) {
 	return earliest, true
 }
 
+// allSockets marks every socket's part of the plan stale.
+const allSockets = ^uint64(0)
+
+// socketBit is socket sock's bit in Machine.planDirty. A node of more
+// than 64 sockets shares bits between sockets; a shared bit replans both,
+// and replanning a socket whose inputs did not change reproduces its plan
+// bit for bit, so sharing costs time and never changes a result.
+func socketBit(sock int) uint64 { return 1 << (uint(sock) % 64) }
+
+// markPlanLocked records that something socket sock's plan depends on
+// changed: the next step replans that socket. It is the one writer of
+// planDirty's bits besides New and replanLocked.
+func (m *Machine) markPlanLocked(sock int) { m.planDirty |= socketBit(sock) }
+
 // replanLocked recomputes the plan: everything a step needs that is a
 // pure function of core states, work items, duty cycles, line groups and
 // DVFS scales — every busy core's bandwidth grant and progress rates,
 // every atomic core's contended service rate, the list of the cores that
 // progress, and per socket the power sum before leakage and the
-// granted-bandwidth total. It sets m.planValid; the choke points that change any of those inputs
-// clear it. It reports false after aborting the machine on a zero atomic
-// rate.
+// granted-bandwidth total. The per-socket parts are recomputed only for
+// the sockets m.planDirty names: a socket's grants, rates and power read
+// nothing of another socket. The atomic rates (a line group may span
+// sockets) and the progress list are recomputed whole. It clears
+// m.planDirty, and reports false after aborting the machine on a zero
+// atomic rate.
 //
 // It reads the incremental indexes (busy lists, line groups) for the
-// rates and walks each socket's cores once for the power sum, as the
-// per-step integration used to.
+// rates and walks each socket's cores once for the power sum and the
+// progress list, as the per-step integration used to.
 func (m *Machine) replanLocked() bool {
 	// Memory-contended busy cores, socket by socket. The busy lists are
 	// id-ordered, so demand vectors match the order the old full scans
 	// produced and the allocator's arithmetic is unchanged.
 	for sock := range m.socks {
+		if m.planDirty&socketBit(sock) == 0 {
+			continue
+		}
 		busy := m.socks[sock].busy
 		m.stepBandwidth[sock] = 0
 		if len(busy) == 0 {
@@ -235,7 +254,7 @@ func (m *Machine) replanLocked() bool {
 		}
 		demands := m.demandScratch[:0]
 		for _, c := range busy {
-			demands = append(demands, c.bwDemand(m.cfg, m.freqScale[sock]))
+			demands = append(demands, c.bwDemand(&m.cfg, m.freqScale[sock]))
 		}
 		m.demandScratch = demands[:0]
 		grants, refs, util := m.cfg.Mem.allocateInto(demands, &m.allocScratch)
@@ -252,34 +271,44 @@ func (m *Machine) replanLocked() bool {
 	// serialized across the group and each operation's cost grows with
 	// the number of contenders (coherence ping-pong). The groups are
 	// maintained incrementally at state transitions.
-	for line, g := range m.lineGroups {
-		k := float64(len(g.members))
-		for _, c := range g.members {
-			c.stepOpsRate = AtomicRate(float64(m.cfg.BaseFreq)*c.duty*m.freqScale[c.socket], line.costCycles, line.pingpong, k)
-			if c.stepOpsRate <= 0 {
-				m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
-				return false
+	if m.totAtomic > 0 { // spare the common all-busy replan a map iteration
+		for line, g := range m.lineGroups {
+			k := float64(len(g.members))
+			for _, c := range g.members {
+				c.stepOpsRate = AtomicRate(float64(m.cfg.BaseFreq)*c.duty*m.freqScale[c.socket], line.costCycles, line.pingpong, k)
+				if c.stepOpsRate <= 0 {
+					m.abortLocked(fmt.Errorf("machine: core %d atomic rate is zero", c.id))
+					return false
+				}
 			}
 		}
 	}
 
 	// Socket power before the leakage factor. Every core contributes
 	// power whatever its state, so this walks each socket's contiguous
-	// core range once (in id order — the same summation order as ever).
+	// core range once (in id order — the same summation order as ever),
+	// collecting the cores that progress on every socket and summing
+	// power on the stale ones.
 	m.stepProgress = m.stepProgress[:0]
+	power := &m.cfg.Power
 	for sock := range m.socks {
+		stale := m.planDirty&socketBit(sock) != 0
 		fs := m.freqScale[sock]
-		p := m.cfg.Power.UncoreBase
+		p := power.UncoreBase
 		for _, c := range m.coresOf(sock) {
-			p += m.cfg.Power.corePower(c.state, c.duty, fs, c.effActiveFrac())
+			if stale {
+				p += power.corePower(c.state, c.duty, fs, c.effActiveFrac())
+			}
 			if c.state == coreBusy || c.state == coreAtomic {
 				m.stepProgress = append(m.stepProgress, c)
 			}
 		}
-		p += m.cfg.Power.BandwidthMax * units.Watts(m.stepUtil[sock])
-		m.stepBasePower[sock] = p
+		if stale {
+			p += power.BandwidthMax * units.Watts(m.stepUtil[sock])
+			m.stepBasePower[sock] = p
+		}
 	}
-	m.planValid = true
+	m.planDirty = 0
 	return true
 }
 
@@ -303,11 +332,14 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 		p := units.Watts(float64(m.stepBasePower[sock]) * m.cfg.Thermal.LeakageFactorAt(m.temp[sock]))
 		e := float64(p) * secs
 		m.energy[sock] += e
-		if err := m.msrFile.AddPackageEnergy(sock, units.Joules(e)); err != nil {
-			panic(err) // socket indices are internally consistent
-		}
+		m.stepEnergy[sock] = units.Joules(e)
 		m.temp[sock] = m.cfg.Thermal.relax(m.temp[sock], p, decay)
 		m.stepPower[sock] = p
+	}
+	// Every socket's RAPL counter under one acquisition of the register
+	// file's lock, socket by socket as the loop above computed them.
+	if err := m.msrFile.AddPackageEnergies(m.stepEnergy); err != nil {
+		panic(err) // one entry per socket by construction
 	}
 
 	// Progress work; wake completed cores. This walks the plan's own list
@@ -323,8 +355,9 @@ func (m *Machine) advanceLocked(dt time.Duration) {
 				m.completeLocked(c)
 			} else if hadBytes && c.remBytes <= 0 {
 				// The traffic ran out before the cycles did: the core's
-				// bandwidth demand drops to zero, so the plan is stale.
-				m.planValid = false
+				// bandwidth demand drops to zero, so its socket's plan is
+				// stale.
+				m.markPlanLocked(c.socket)
 			}
 		case coreAtomic:
 			c.remAtomics -= c.stepOpsRate * secs
@@ -411,10 +444,10 @@ func (m *Machine) updateSnapLocked() {
 	}
 	m.lastSnap.Now = m.now
 	for sock := 0; sock < m.cfg.Sockets; sock++ {
-		if !m.planValid {
-			// A busy list changed since the plan totalled the grants
-			// (typically a completion in the step just taken): total
-			// again over the cores still busy.
+		if m.planDirty&socketBit(sock) != 0 {
+			// The socket's busy list changed since the plan totalled its
+			// grants (typically a completion in the step just taken):
+			// total again over the cores still busy.
 			grantTotal := 0.0
 			for _, c := range m.socks[sock].busy {
 				grantTotal += c.stepBytesRate
@@ -430,6 +463,16 @@ func (m *Machine) updateSnapLocked() {
 			BandwidthUtilization: m.stepUtil[sock],
 		}
 	}
+}
+
+// StallError is the abort cause of a busy core that can make no
+// progress: capacity is validated positive, so only a work item whose
+// traffic ran out before its cycles gets here (docs/engine.md §Plan
+// reuse).
+type StallError struct{ Core int }
+
+func (e StallError) Error() string {
+	return fmt.Sprintf("machine: core %d stalled with no progress possible", e.Core)
 }
 
 // SecondsToDuration converts seconds to a duration, saturating at the

@@ -105,7 +105,7 @@ func TestPlanReusedAcrossQuiescentSteps(t *testing.T) {
 	var steps, valid int
 	m.SetStepHook(func(StepRecord) { // the stepper, lock held
 		steps++
-		if m.planValid {
+		if m.planDirty == 0 {
 			valid++
 		}
 	})
@@ -188,28 +188,59 @@ func TestTickerFiresAdvanceMonotonically(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineStep measures one engine quantum with a representative
-// background mix: the foreground work is sized so each step advances a
-// full MaxStep, making ns/op the cost of planning + advancing one step.
+// BenchmarkEngineStep measures one engine quantum in which some core
+// changes state, so the step replans. The foreground work is sized so
+// each step advances a full MaxStep, making ns/op the cost of planning +
+// advancing one step.
+//
+//   - mix: beside the background of steadyStateLoad, which completes
+//     something on every step (a busy core, an atomic pair, a spinner);
+//   - one-socket: beside fifteen long busy items that change nothing,
+//     the foreground charges one MaxStep item per op, so each step
+//     changes one core on socket 0 and socket 1's plan stands.
 func BenchmarkEngineStep(b *testing.B) {
-	cfg := testConfig()
-	cfg.VirtualTimeLimit = 0 // b.N steps of 1ms each can pass any fixed limit
-	m, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
+	for _, bg := range []struct {
+		name   string
+		load   func(testing.TB, *Machine, int) (stop func())
+		charge func(fg *CoreCtx, opsPerStep float64, steps int)
+	}{
+		{
+			"mix",
+			func(tb testing.TB, m *Machine, _ int) func() { return steadyStateLoad(tb, m) },
+			func(fg *CoreCtx, opsPerStep float64, steps int) { fg.Execute(Work{Ops: opsPerStep * float64(steps)}) },
+		},
+		{
+			"one-socket",
+			func(tb testing.TB, m *Machine, steps int) func() {
+				quiescentLoad(tb, m, 15, float64(steps))
+				return func() {} // ends with the machine
+			},
+			func(fg *CoreCtx, opsPerStep float64, steps int) {
+				for i := 0; i < steps; i++ {
+					fg.Execute(Work{Ops: opsPerStep})
+				}
+			},
+		},
+	} {
+		b.Run(bg.name, func(b *testing.B) {
+			cfg := testConfig()
+			cfg.VirtualTimeLimit = 0 // b.N steps of 1ms each can pass any fixed limit
+			m, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Stop()
+			fg, err := m.Enroll(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer bg.load(b, m, b.N)()
+			defer fg.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			bg.charge(fg, float64(cfg.BaseFreq)*cfg.MaxStep.Seconds(), b.N)
+		})
 	}
-	defer m.Stop()
-	stop := steadyStateLoad(b, m)
-	defer stop()
-	fg, err := m.Enroll(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fg.Release()
-	opsPerStep := float64(cfg.BaseFreq) * cfg.MaxStep.Seconds()
-	b.ReportAllocs()
-	b.ResetTimer()
-	fg.Execute(Work{Ops: opsPerStep * float64(b.N)})
 }
 
 // quiescentLoad enrolls cores 1..n, each charging one mixed

@@ -11,7 +11,7 @@ import (
 // lock held), it turns m into the engine as it was before plans
 // were reused: the referee for the edges internal/refmodel's scenario
 // language cannot express (see plan_reuse_test.go).
-func InvalidatePlan(m *Machine) { m.planValid = false }
+func InvalidatePlan(m *Machine) { m.planDirty = allSockets }
 
 // Charge runs body on a new goroutine as ctx's owner and releases the
 // core after it; wg counts the goroutine until it exits. Every test

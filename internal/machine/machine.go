@@ -257,22 +257,26 @@ type Machine struct {
 	temp     []units.Celsius
 	lastSnap Snapshot
 
-	// planValid says the plan replanLocked last computed still holds: no
-	// core changed state, duty or demand and no DVFS scale changed since.
-	// It is cleared at the choke points every such change passes through
-	// (docs/engine.md §Plan reuse) and set only by replanLocked. The plan
-	// is the per-core step* rates, the list of cores that progress during
-	// a step (busy and atomic, ascending id) and, per socket, stepRefs,
+	// planDirty names the sockets whose part of the plan is stale: a core
+	// of the socket changed state, duty or demand, or its DVFS scale
+	// changed, since replanLocked last computed it. Bits are set through
+	// markPlanLocked at the choke points every such change passes through
+	// (docs/engine.md §Plan reuse) and cleared only by replanLocked. The
+	// plan is, per socket, its busy cores' step* rates, stepRefs,
 	// stepUtil, stepBasePower (the power sum before leakage) and
-	// stepBandwidth (the granted-bandwidth total of the busy list).
-	planValid     bool
+	// stepBandwidth (the granted-bandwidth total of the busy list); and,
+	// for the whole machine, the atomic cores' rates and the list of
+	// cores that progress during a step (busy and atomic, ascending id).
+	planDirty     uint64
 	stepProgress  []*core
 	stepRefs      []float64
 	stepUtil      []float64
 	stepBasePower []units.Watts
 	stepBandwidth []float64
-	// stepPower is the socket power the most recent step integrated.
-	stepPower []units.Watts
+	// stepPower is the socket power the most recent step integrated,
+	// stepEnergy the energy it charged to each socket's RAPL counter.
+	stepPower  []units.Watts
+	stepEnergy []units.Joules
 	// Thermal.decay depends on nothing but the step length, so it is
 	// kept for MaxStep (every capped step) and for the last other length
 	// (a run of ticker-bounded steps): only a step of a new length
@@ -313,6 +317,8 @@ func New(cfg Config) (*Machine, error) {
 		stepBasePower: make([]units.Watts, cfg.Sockets),
 		stepBandwidth: make([]float64, cfg.Sockets),
 		stepPower:     make([]units.Watts, cfg.Sockets),
+		stepEnergy:    make([]units.Joules, cfg.Sockets),
+		planDirty:     allSockets,
 		maxStepDecay:  cfg.Thermal.decay(cfg.MaxStep),
 		engineDone:    make(chan struct{}),
 	}
@@ -608,7 +614,7 @@ func (m *Machine) Enroll(coreID int) (*CoreCtx, error) {
 	}
 	c.state = coreRunning
 	c.duty = 1
-	m.planValid = false
+	m.markPlanLocked(c.socket)
 	if err := m.msrFile.SetCoreDuty(coreID, false, 0); err != nil {
 		panic(err) // core id validated above
 	}
@@ -647,7 +653,7 @@ func (c *core) effActiveFrac() float64 {
 
 // bwDemand returns the bandwidth (bytes/s) this busy core wants at its
 // current duty cycle.
-func (c *core) bwDemand(cfg Config, fs float64) float64 {
+func (c *core) bwDemand(cfg *Config, fs float64) float64 {
 	if c.state != coreBusy || c.remBytes <= 0 {
 		return 0
 	}

@@ -16,7 +16,7 @@ import "repro/internal/units"
 // more peak power). fs is the socket's DVFS frequency scale; the dynamic
 // (above-floor) power scales with g(fs) = f·V(f)² while the static floor
 // does not.
-func (p PowerParams) corePower(st coreState, duty, fs, activeFrac float64) units.Watts {
+func (p *PowerParams) corePower(st coreState, duty, fs, activeFrac float64) units.Watts {
 	switch st {
 	case coreUnowned:
 		return p.CoreUnowned

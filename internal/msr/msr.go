@@ -215,14 +215,37 @@ func (f *File) AddPackageEnergy(socket int, e units.Joules) error {
 	if e <= 0 {
 		return nil
 	}
-	p := &f.pkgs[socket]
 	f.mu.Lock()
+	f.pkgs[socket].addEnergy(e)
+	f.mu.Unlock()
+	return nil
+}
+
+// AddPackageEnergies is AddPackageEnergy of e[s] to socket s for every
+// entry of e, in socket order, under one acquisition of the file's lock:
+// the engine's per-step update of every counter. The counters are exactly
+// those that one AddPackageEnergy call per socket would leave.
+func (f *File) AddPackageEnergies(e []units.Joules) error {
+	if len(e) > len(f.pkgs) {
+		return &RangeError{Kind: "socket", Index: len(e) - 1, Limit: len(f.pkgs)}
+	}
+	f.mu.Lock()
+	for s, j := range e {
+		if j > 0 {
+			f.pkgs[s].addEnergy(j)
+		}
+	}
+	f.mu.Unlock()
+	return nil
+}
+
+// addEnergy is the counter update of AddPackageEnergy for a positive e;
+// the caller holds the file's lock.
+func (p *pkgRegs) addEnergy(e units.Joules) {
 	p.energyRem += float64(e) / float64(units.RAPLUnit)
 	whole := uint64(p.energyRem)
 	p.energyRem -= float64(whole)
 	p.pkgEnergyStatus = (p.pkgEnergyStatus + whole) % units.RAPLCounterMod
-	f.mu.Unlock()
-	return nil
 }
 
 // PackageEnergyCounter returns the current raw 32-bit energy counter of a

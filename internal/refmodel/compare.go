@@ -1,6 +1,7 @@
 package refmodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -120,14 +121,19 @@ func Differential(sc Scenario) error {
 // DifferentialTrajectory is Differential that also returns the machine
 // engine's trajectory, for callers that go on to measure what the
 // scenario exercised.
+//
+// A scenario WithTrafficRunsOut drew ends on a stalled core. The engines
+// agree on it when both stop with RunsOutCore stalled on its worker's
+// last item, after the same trajectory; any other error, any other
+// stall, or an error on one side only, is a divergence.
 func DifferentialTrajectory(sc Scenario) (*Result, error) {
 	got, err := PlayMachine(sc)
-	if err != nil {
-		return nil, fmt.Errorf("machine engine: %w", err)
-	}
-	want, err := Run(sc)
-	if err != nil {
-		return nil, fmt.Errorf("reference engine: %w", err)
+	want, rerr := Run(sc)
+	if err != nil || rerr != nil {
+		if got == nil || want == nil || !sc.endsOnRunsOut(err, rerr) {
+			return nil, fmt.Errorf("machine engine: %s; reference engine: %s", runEnd(err), runEnd(rerr))
+		}
+		got.Stalled = true
 	}
 	if err := Audit(sc, got); err != nil {
 		return nil, fmt.Errorf("machine engine audit: %w", err)
@@ -136,4 +142,26 @@ func DifferentialTrajectory(sc Scenario) (*Result, error) {
 		return nil, fmt.Errorf("reference engine audit: %w", err)
 	}
 	return got, Compare(got, want)
+}
+
+// endsOnRunsOut reports whether both engines stopped on the stall that
+// sc's traffic-runs-out item causes: the machine with RunsOutCore
+// stalled, the reference with that core stalled on its worker's last
+// item.
+func (sc *Scenario) endsOnRunsOut(merr, rerr error) bool {
+	var ms machine.StallError
+	var rs itemStall
+	if sc.RunsOutCore == ControllerCore || !errors.As(merr, &ms) || !errors.As(rerr, &rs) {
+		return false
+	}
+	w := sc.Workers[rs.worker]
+	return ms.Core == sc.RunsOutCore && w.Core == sc.RunsOutCore && rs.op == len(w.Ops)-1
+}
+
+// runEnd says how an engine's run ended.
+func runEnd(err error) string {
+	if err == nil {
+		return "completed"
+	}
+	return err.Error()
 }

@@ -31,11 +31,15 @@ type Result struct {
 	// Final machine state: exact per-socket energy and raw RAPL counters.
 	Energy   []float64
 	Counters []uint32
+	// Stalled says the run ended on a stalled core, which
+	// DifferentialTrajectory found the same on both engines.
+	Stalled bool
 }
 
 // PlayMachine runs a scenario on the optimized machine engine and records
 // its full trajectory. It is the "device under test" half of the
-// differential harness; Run is the reference half.
+// differential harness; Run is the reference half. A run the machine
+// aborted returns its trajectory up to the abort along with the error.
 func PlayMachine(sc Scenario) (res *Result, err error) {
 	m, err := machine.New(sc.Cfg)
 	if err != nil {
@@ -71,13 +75,14 @@ func PlayMachine(sc Scenario) (res *Result, err error) {
 		if err == nil {
 			if merr := m.Err(); merr != nil {
 				err = fmt.Errorf("refmodel: machine error: %w", merr)
-			} else {
-				energy := make([]float64, sc.Cfg.Sockets)
-				for s := range energy {
-					energy[s] = float64(m.SocketEnergy(s))
-				}
-				collectFinal(m.MSR(), energy, res)
 			}
+		}
+		if res != nil {
+			energy := make([]float64, sc.Cfg.Sockets)
+			for s := range energy {
+				energy[s] = float64(m.SocketEnergy(s))
+			}
+			collectFinal(m.MSR(), energy, res)
 		}
 	}()
 
@@ -104,10 +109,13 @@ func PlayMachine(sc Scenario) (res *Result, err error) {
 					return fail(err)
 				}
 			case GlobalAddTicker:
-				slot, fires := op.Ticker, &res.Tickers[op.Ticker]
+				op, fires := op, &res.Tickers[op.Ticker]
 				id, err := m.AddTicker(op.Period, func(now time.Duration, s *machine.Snapshot) {
 					*fires = append(*fires, snapFire(now, s))
-					res.Order = append(res.Order, slot)
+					res.Order = append(res.Order, op.Ticker)
+					if op.Scale > 0 {
+						must(m.RequestFrequencyScale(op.Socket, op.tickerScale(len(*fires))))
+					}
 				})
 				if err != nil {
 					return fail(err)

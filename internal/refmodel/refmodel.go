@@ -70,6 +70,15 @@ type rcore struct {
 	pc     int
 }
 
+// itemStall is the reference engine's machine.StallError with the
+// script position of the item the stalled core was running.
+type itemStall struct {
+	machine.StallError
+	worker, op int // index into Scenario.Workers and into its Ops
+}
+
+func (e itemStall) Unwrap() error { return e.StallError }
+
 // ctlOp is one compiled controller step.
 type ctlOp struct {
 	global  *GlobalOp
@@ -81,6 +90,8 @@ type ctlOp struct {
 type rtick struct {
 	slot         int
 	period, next time.Duration
+	op           *GlobalOp // the registering op, for its DVFS requests
+	fires        int
 }
 
 // sim is the whole reference-engine state: plain slices, no indexes.
@@ -110,7 +121,9 @@ type sim struct {
 }
 
 // Run interprets a scenario on the naive reference engine and returns
-// the trajectory in the same shape PlayMachine produces.
+// the trajectory in the same shape PlayMachine produces. A run that
+// stops because no step can be planned (a stalled core) returns its
+// trajectory up to there along with the error.
 func Run(sc Scenario) (*Result, error) {
 	if err := sc.Cfg.Validate(); err != nil {
 		return nil, err
@@ -126,7 +139,8 @@ func Run(sc Scenario) (*Result, error) {
 		s.applyDVFS()
 		dt, err := s.plan()
 		if err != nil {
-			return nil, err
+			collectFinal(s.file, s.energy, s.res)
+			return s.res, err
 		}
 		s.advance(dt)
 		s.procAwake() // completions woke cores
@@ -251,7 +265,7 @@ func (s *sim) runGlobal(g *GlobalOp) {
 		// RequestFrequencyScale clamps at request time.
 		s.reqScale[g.Socket] = machine.ClampFrequencyScale(g.Scale)
 	case GlobalAddTicker:
-		s.tickers = append(s.tickers, &rtick{slot: g.Ticker, period: g.Period, next: s.now + g.Period})
+		s.tickers = append(s.tickers, &rtick{slot: g.Ticker, period: g.Period, next: s.now + g.Period, op: g})
 	case GlobalRemoveTicker:
 		for i, tk := range s.tickers {
 			if tk.slot == g.Ticker {
@@ -387,7 +401,7 @@ func (s *sim) plan() (time.Duration, error) {
 				t = machine.SecondsToDuration(c.remBytes / c.stepBytesRate)
 			}
 			if t == never {
-				return 0, fmt.Errorf("refmodel: core %d stalled with no progress possible", c.id)
+				return 0, fmt.Errorf("refmodel: %w", itemStall{machine.StallError{Core: c.id}, c.worker, c.pc - 1})
 			}
 			if t < earliest {
 				earliest = t
@@ -654,6 +668,9 @@ func (s *sim) fireTickers() {
 		}
 		s.res.Tickers[tk.slot] = append(s.res.Tickers[tk.slot], f)
 		s.res.Order = append(s.res.Order, tk.slot)
+		if tk.fires++; tk.op.Scale > 0 {
+			s.reqScale[tk.op.Socket] = machine.ClampFrequencyScale(tk.op.tickerScale(tk.fires))
+		}
 		tk.next += tk.period
 		if tk.next <= s.now {
 			n := (s.now-tk.next)/tk.period + 1

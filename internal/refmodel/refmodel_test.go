@@ -3,6 +3,8 @@ package refmodel
 import (
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,6 +265,62 @@ func TestDifferentialSmoke(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		if err := Differential(Generate(seed)); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestWithTrafficRunsOut checks the drawn scenario: deterministic, the
+// original left as it was, and one item more, at the end of RunsOutCore's
+// worker's script, with denormal bytes per op.
+func TestWithTrafficRunsOut(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		sc, plain := Generate(seed), Generate(seed)
+		ro := sc.WithTrafficRunsOut()
+		if !reflect.DeepEqual(sc, plain) {
+			t.Fatalf("seed %d: WithTrafficRunsOut changed the scenario it was called on", seed)
+		}
+		if !reflect.DeepEqual(ro, plain.WithTrafficRunsOut()) {
+			t.Fatalf("seed %d: two WithTrafficRunsOut calls disagree", seed)
+		}
+		added := 0
+		for i, w := range ro.Workers {
+			added += len(w.Ops) - len(sc.Workers[i].Ops)
+			if w.Core != ro.RunsOutCore {
+				continue
+			}
+			last := w.Ops[len(w.Ops)-1].Work
+			if per := last.Bytes / last.Ops; !(per > 0 && per < 0x1p-1022) {
+				t.Fatalf("seed %d: last item of core %d has %g bytes per op, want a denormal", seed, w.Core, per)
+			}
+		}
+		if added != 1 || ro.RunsOutCore == ControllerCore {
+			t.Fatalf("seed %d: %d items added, RunsOutCore %d", seed, added, ro.RunsOutCore)
+		}
+	}
+}
+
+// TestDifferentialTakesOnlyTheDrawnStall: a traffic-runs-out scenario
+// passes the differential on its stall, and the same stall fails it once
+// the scenario does not name it — no RunsOutCore, or the item no longer
+// its worker's last.
+func TestDifferentialTakesOnlyTheDrawnStall(t *testing.T) {
+	ro := Generate(3).WithTrafficRunsOut()
+	got, err := DifferentialTrajectory(ro)
+	if err != nil || !got.Stalled {
+		t.Fatalf("drawn stall: err = %v, want a pass that ends stalled", err)
+	}
+	unnamed := ro
+	unnamed.RunsOutCore = ControllerCore
+	notLast := ro
+	notLast.Workers = slices.Clone(ro.Workers)
+	for i := range notLast.Workers {
+		if w := &notLast.Workers[i]; w.Core == ro.RunsOutCore {
+			w.Ops = append(slices.Clip(w.Ops), Op{Kind: OpSleep, D: time.Millisecond})
+		}
+	}
+	for name, sc := range map[string]Scenario{"no RunsOutCore": unnamed, "item not last": notLast} {
+		if err := Differential(sc); err == nil || !strings.Contains(err.Error(), "stalled") {
+			t.Errorf("%s: err = %v, want the stall reported as a divergence", name, err)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package refmodel
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/machine"
@@ -62,13 +64,27 @@ const (
 )
 
 // GlobalOp is one controller operation, performed at a phase boundary.
+//
+// A GlobalAddTicker op with a positive Scale registers a ticker whose
+// callback requests DVFS for Socket, as the MAESTRO daemon does from its
+// ticker: Scale at its odd fires, 1 at its even ones. Such a request
+// lands at an instant the ticker chose, with every core blocked.
 type GlobalOp struct {
 	Kind   GlobalKind
-	Socket int           // GlobalDVFS
-	Scale  float64       // GlobalDVFS
+	Socket int           // GlobalDVFS; GlobalAddTicker with a Scale
+	Scale  float64       // GlobalDVFS; GlobalAddTicker: 0 for none
 	Ticker int           // ticker slot for Add/Remove
 	Period time.Duration // GlobalAddTicker
 	Worker int           // GlobalStartWorker: index into Scenario.Workers
+}
+
+// tickerScale is the scale a DVFS ticker requests at its fire-th fire
+// (from 1).
+func (g *GlobalOp) tickerScale(fire int) float64 {
+	if fire%2 == 1 {
+		return g.Scale
+	}
+	return 1
 }
 
 // Phase is one controller step: perform the global operations, then sleep
@@ -105,6 +121,12 @@ type Scenario struct {
 	// before the run. Seeding it near 2^32 makes the 32-bit wrap happen
 	// mid-scenario, so wrap handling is differentially tested too.
 	CounterStart uint32
+	// RunsOutCore, unless it is ControllerCore (which runs no work), is
+	// the core whose worker's last item has traffic that runs out before
+	// its cycles (WithTrafficRunsOut). Both engines end the run with that
+	// core stalled on that item; Differential accepts that end and no
+	// other stall.
+	RunsOutCore int
 }
 
 // Generate derives a random scenario from a seed. The same seed always
@@ -143,7 +165,59 @@ func Generate(seed int64) Scenario {
 	sc.TickerSlots = rng.Intn(3)
 	sc.churnTickers(rng, 50*time.Microsecond, time.Millisecond)
 	sc.flipDVFSAndSleep(rng, 50*time.Microsecond, 2*time.Millisecond)
+	sc.drawPlanEdges(rng, 50*time.Microsecond, time.Millisecond)
 	return sc
+}
+
+// drawPlanEdges draws, after every other draw of the scenario, the plan
+// invalidation no other draw reaches alone (docs/engine.md §Plan reuse):
+// one time in three, a ticker in a new slot that requests DVFS for a
+// random socket from its callback (see GlobalOp), with a period in
+// [min, min+spread). The request reaches a socket at an instant at which
+// none of its cores changes, so only the DVFS apply can mark the socket's
+// plan stale. The other such edge, traffic that runs out before the
+// cycles, ends the run, so it is drawn apart (WithTrafficRunsOut).
+func (sc *Scenario) drawPlanEdges(rng *rand.Rand, min, spread time.Duration) {
+	if rng.Intn(3) == 0 {
+		p := rng.Intn(len(sc.Phases))
+		sc.Phases[p].Ops = append(sc.Phases[p].Ops, GlobalOp{
+			Kind:   GlobalAddTicker,
+			Ticker: sc.TickerSlots,
+			Period: min + time.Duration(rng.Int63n(int64(spread))),
+			Socket: rng.Intn(sc.Cfg.Sockets),
+			Scale:  machine.MinFrequencyScale + rng.Float64()*(1-machine.MinFrequencyScale),
+		})
+		sc.TickerSlots++
+	}
+}
+
+// WithTrafficRunsOut returns sc with a traffic-runs-out item
+// (trafficRunsOut) appended to the script of a worker drawn from
+// sc.Seed, and RunsOutCore set to that worker's core. The item's core
+// stalls, so the run ends there on both engines and whatever else was
+// still running is not compared: the corpora play these scenarios as
+// extra ones beside the plain scenarios of the same seeds, so that no
+// plain scenario is cut short.
+func (sc Scenario) WithTrafficRunsOut() Scenario {
+	rng := rand.New(rand.NewSource(sc.Seed))
+	sc.Workers = slices.Clone(sc.Workers)
+	w := &sc.Workers[rng.Intn(len(sc.Workers))]
+	w.Ops = append(slices.Clip(w.Ops), Op{Kind: OpExecute, Work: trafficRunsOut(rng, sc.Cfg)})
+	sc.RunsOutCore = w.Core
+	return sc
+}
+
+// trafficRunsOut draws a work item whose traffic runs out before its
+// cycles do, so the item's core stalls and the run ends there on both
+// engines. Its bytes are Ops × q denormal units with q in [1.55, 1.7):
+// bytes per op round to 2 units, so the traffic is charged 2/q times too
+// fast and runs out at 78–85 % of the cycles. The item lasts 8–20 ms at
+// nominal speed, so at least one MaxStep boundary falls in the last
+// 15 %, between the traffic running out and the cycles doing so.
+func trafficRunsOut(rng *rand.Rand, cfg machine.Config) machine.Work {
+	ops := (8 + 12*rng.Float64()) * cfg.MaxStep.Seconds() * float64(cfg.BaseFreq)
+	q := 1.55 + 0.15*rng.Float64()
+	return machine.Work{Ops: ops, Bytes: ops * q * math.SmallestNonzeroFloat64}
 }
 
 // generateLines draws n contended cache lines.
@@ -307,6 +381,7 @@ func GenerateLongStretch(seed int64) Scenario {
 	sc.TickerSlots = 1 + rng.Intn(2)
 	sc.churnTickers(rng, 300*time.Microsecond, 20*time.Millisecond)
 	sc.flipDVFSAndSleep(rng, 5*time.Millisecond, 55*time.Millisecond)
+	sc.drawPlanEdges(rng, 5*time.Millisecond, 20*time.Millisecond)
 	return sc
 }
 

@@ -92,18 +92,42 @@ func randomMatrix(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
-// classicalMultiply is the O(n³) reference.
+// classicalMultiply is the O(n³) product, the reference and every
+// leaf's kernel. It is register-blocked as bmod is: eight elements of
+// row i stay in locals across the k loop, each adding its products in
+// ascending k with the zero entries of a skipped, so the result is bit
+// for bit that of the plain triple loop (TestBlockKernelsMatchPlainLoops).
 func classicalMultiply(a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		ci := c[i*n : i*n+n]
-		for k, f := range a[i*n : i*n+n] {
-			if f == 0 {
-				continue
+		ai := a[i*n : i*n+n]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			var c0, c1, c2, c3, c4, c5, c6, c7 float64
+			o := j // b[o:o+8] is row k of b, columns j to j+7
+			for _, f := range ai {
+				if f != 0 {
+					bk := b[o : o+8 : o+8]
+					c0 += f * bk[0]
+					c1 += f * bk[1]
+					c2 += f * bk[2]
+					c3 += f * bk[3]
+					c4 += f * bk[4]
+					c5 += f * bk[5]
+					c6 += f * bk[6]
+					c7 += f * bk[7]
+				}
+				o += n
 			}
-			bk := b[k*n : k*n+n][:len(ci)]
-			for j := range ci {
-				ci[j] += f * bk[j]
+			cj := ci[j : j+8 : j+8]
+			cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7] = c0, c1, c2, c3, c4, c5, c6, c7
+		}
+		for ; j < n; j++ {
+			for k, f := range ai {
+				if f != 0 {
+					ci[j] += f * b[k*n+j]
+				}
 			}
 		}
 	}

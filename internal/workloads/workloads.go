@@ -48,7 +48,11 @@
 // Tasks that read other tasks' output keep computing on the host: the
 // sort merge levels, the mergesort root merge, sparselu, strassen,
 // health and the lulesh sweeps. Their Validate is what checks Sync
-// ordering.
+// ordering. The two dense block kernels among them, sparselu's bmod and
+// strassen's leaf product, keep eight elements of an output row in
+// registers across the k loop; each element still adds its products in
+// the plain loop's order, so their results are bit for bit the plain
+// loops' (bots.TestBlockKernelsMatchPlainLoops, FuzzBlockKernels).
 package workloads
 
 import (
