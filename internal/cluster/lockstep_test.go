@@ -22,6 +22,7 @@ import (
 // made to block on gate or to fail.
 type testJob struct {
 	d        time.Duration
+	workers  int // the node's FleetConfig.Workers; zero means newTestLockstep's 4
 	memBound bool
 	gate     chan struct{}
 	fail     error
@@ -39,15 +40,27 @@ func (j *testJob) Validate() error {
 func (j *testJob) Root() qthreads.Task {
 	return func(tc *qthreads.TC) {
 		cfg := tc.Machine().Config()
-		n := tc.Runtime().Workers()
+		n := j.workers
+		if n == 0 {
+			n = 4
+		}
 		tc.ParallelFor(n, 1, func(tc *qthreads.TC, _, _ int) {
 			if j.memBound {
-				tc.Stream(j.d.Seconds() * float64(cfg.Mem.BandwidthPerSocket) * float64(cfg.Sockets) / float64(n))
+				tc.Execute(machine.Work{Bytes: j.d.Seconds() * float64(cfg.Mem.BandwidthPerSocket) * float64(cfg.Sockets) / float64(n)})
 			} else {
 				tc.Compute(j.d.Seconds() * float64(cfg.BaseFreq))
 			}
 		})
 	}
+}
+
+// nodeEnergy is the exact cumulative energy of every socket of m.
+func nodeEnergy(m *machine.Machine) units.Joules {
+	var e units.Joules
+	for s := 0; s < m.Config().Sockets; s++ {
+		e += m.SocketEnergy(s)
+	}
+	return e
 }
 
 func jobs(lists ...[]workloads.Workload) [][]workloads.Workload { return lists }
@@ -135,11 +148,11 @@ func TestLockstepBoundariesAndIdling(t *testing.T) {
 			if beat := heartbeat(t, f, 0); beat <= idleBeat {
 				t.Errorf("step %d: idle node 0's heartbeat stuck at %.0f", k, beat)
 			}
-			if e := f.System(0).Machine().TotalEnergy(); e <= idleEnergy {
+			if e := nodeEnergy(f.System(0).Machine()); e <= idleEnergy {
 				t.Errorf("step %d: idle node 0 stopped drawing power", k)
 			}
 		}
-		idleBeat, idleEnergy = heartbeat(t, f, 0), f.System(0).Machine().TotalEnergy()
+		idleBeat, idleEnergy = heartbeat(t, f, 0), nodeEnergy(f.System(0).Machine())
 	}
 	// 330 + 70 ms of work end a little after 400 ms (scheduling costs):
 	// the fleet is done at the 450 ms boundary.
@@ -306,7 +319,7 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Start(jobs(list(&testJob{d: 2 * time.Second, memBound: true}), list(&testJob{d: 2 * time.Second}))); err != nil {
+	if err := f.Start(jobs(list(&testJob{d: 2 * time.Second, workers: 8, memBound: true}), list(&testJob{d: 2 * time.Second, workers: 8}))); err != nil {
 		t.Fatal(err)
 	}
 	out := lockstepRun{}
@@ -331,13 +344,15 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 		}
 	}
 	if ha {
-		// The leader replicated its membership record to every guard.
+		// The leader replicated its membership record to every guard. A
+		// zero-fence probe is refused and changes nothing, but its MEMA
+		// ack carries the record the guard stores, as a replica reads it.
 		want := agg.core.members.Record().Members
 		for i, n := range f.nodes {
-			_, epoch, frame := n.fence.Membership()
+			ack := n.fence.OfferMem(rcr.MemWrite{})
 			var rec MembershipRecord
-			if err := DecodeMembership(frame, &rec); epoch < 1 || err != nil {
-				t.Fatalf("node %d guard holds membership epoch %d (%v)", i, epoch, err)
+			if err := DecodeMembership(ack.Frame, &rec); ack.MemEpoch < 1 || err != nil {
+				t.Fatalf("node %d guard holds membership epoch %d (%v)", i, ack.MemEpoch, err)
 			}
 			if !reflect.DeepEqual(rec.Members, want) {
 				t.Errorf("node %d guard holds members %+v, want the aggregator's %+v", i, rec.Members, want)

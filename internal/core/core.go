@@ -328,17 +328,6 @@ func (s *System) Idle(d time.Duration) error {
 	return nil
 }
 
-// Power returns the most recently sampled node power.
-func (s *System) Power() units.Watts {
-	total := 0.0
-	for d := 0; d < s.bb.Sockets(); d++ {
-		if m, ok := s.bb.Socket(d, rcr.MeterPower); ok {
-			total += m.Value
-		}
-	}
-	return units.Watts(total)
-}
-
 // Close tears the stack down in dependency order. It is idempotent.
 func (s *System) Close() {
 	if s.closed {

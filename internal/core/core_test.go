@@ -12,9 +12,40 @@ import (
 	"repro/internal/qthreads"
 	"repro/internal/rcr"
 	"repro/internal/replaytest"
+	"repro/internal/units"
 	"repro/internal/workloads"
 	"repro/internal/workloads/micro"
 )
+
+// nodePower is the node power the sampler last published, summed over
+// the sockets as maestro reads it.
+func nodePower(sys *System) float64 {
+	total := 0.0
+	for d := 0; d < sys.Blackboard().Sockets(); d++ {
+		if m, ok := sys.Blackboard().Socket(d, rcr.MeterPower); ok {
+			total += m.Value
+		}
+	}
+	return total
+}
+
+// nodeEnergy is the exact cumulative energy of every socket.
+func nodeEnergy(sys *System) units.Joules {
+	var e units.Joules
+	for s := 0; s < sys.Machine().Config().Sockets; s++ {
+		e += sys.Machine().SocketEnergy(s)
+	}
+	return e
+}
+
+// tally counts a recorder's scheduler events by kind.
+func tally(rec *qthreads.Recorder) map[qthreads.EventKind]int {
+	out := make(map[qthreads.EventKind]int)
+	for _, e := range rec.Events() {
+		out[e.Kind]++
+	}
+	return out
+}
 
 func newSystem(t *testing.T, opts Options) *System {
 	t.Helper()
@@ -114,7 +145,7 @@ func TestPowerMeter(t *testing.T) {
 		// Let the burners establish steady state, then read the meter
 		// from inside the region (the root's charge keeps time moving).
 		tc.Compute(1.35e8) // 50 ms
-		midRun = float64(sys.Power())
+		midRun = nodePower(sys)
 		g.Wait(tc)
 	}); err != nil {
 		t.Fatal(err)
@@ -123,7 +154,7 @@ func TestPowerMeter(t *testing.T) {
 	// compute-bound figure.
 	want := float64(sys.Machine().Config().Power.PredictSocketPower(8, 1, 0, 0, 0, 0, 0)) * 2
 	if math.Abs(midRun-want)/want > 0.15 {
-		t.Errorf("mid-run Power() = %.1f W, want ~%.1f W", midRun, want)
+		t.Errorf("mid-run power meters = %.1f W, want ~%.1f W", midRun, want)
 	}
 	// The clock is parked at the run's completion; a few sample periods
 	// of idle clock later the workers are parked and the meter reflects
@@ -131,9 +162,9 @@ func TestPowerMeter(t *testing.T) {
 	if err := sys.Idle(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	idle := float64(sys.Power())
+	idle := nodePower(sys)
 	if idle >= midRun {
-		t.Errorf("post-run Power() = %.1f W, want below mid-run %.1f W", idle, midRun)
+		t.Errorf("post-run power meters = %.1f W, want below mid-run %.1f W", idle, midRun)
 	}
 }
 
@@ -160,12 +191,23 @@ func TestCustomMachineConfig(t *testing.T) {
 }
 
 func TestWarmOption(t *testing.T) {
-	sys := newSystem(t, Options{Warm: true})
-	if got := sys.Machine().Temperature(0); math.Abs(float64(got-workloads.WarmTemp)) > 1 {
+	// The sampler publishes each socket's temperature from its first
+	// tick, 10 ms into an idle clock.
+	temperature := func(sys *System) units.Celsius {
+		t.Helper()
+		if err := sys.Idle(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		m, ok := sys.Blackboard().Socket(0, rcr.MeterTemperature)
+		if !ok {
+			t.Fatal("no temperature meter after the first sample")
+		}
+		return units.Celsius(m.Value)
+	}
+	if got := temperature(newSystem(t, Options{Warm: true})); math.Abs(float64(got-workloads.WarmTemp)) > 1 {
 		t.Errorf("temperature = %v, want warm (%v)", got, workloads.WarmTemp)
 	}
-	cold := newSystem(t, Options{})
-	if got := cold.Machine().Temperature(0); got >= workloads.WarmTemp {
+	if got := temperature(newSystem(t, Options{})); got >= workloads.WarmTemp {
 		t.Errorf("unwarmed machine already at %v", got)
 	}
 }
@@ -192,10 +234,10 @@ func TestPowerCapOption(t *testing.T) {
 	}
 	burn(2400) // settle: > 1 s even at full speed
 	start := sys.Machine().Now()
-	startE := sys.Machine().TotalEnergy()
+	startE := nodeEnergy(sys)
 	burn(2400)
 	elapsed := sys.Machine().Now() - start
-	avg := float64(sys.Machine().TotalEnergy()-startE) / elapsed.Seconds()
+	avg := float64(nodeEnergy(sys)-startE) / elapsed.Seconds()
 	stats, _ := sys.Capping()
 	if stats.Tightenings == 0 {
 		t.Error("cap controller never tightened")
@@ -319,7 +361,7 @@ func TestQthreadsOptionsSurviveDefaultCosts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counts()[qthreads.EvTaskStart] == 0 {
+	if tally(rec)[qthreads.EvTaskStart] == 0 {
 		t.Error("the tracer recorded no task: Options.Qthreads.Tracer was dropped")
 	}
 }

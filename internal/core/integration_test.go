@@ -97,7 +97,7 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Errorf("daemon stats = %+v, want an activation", stats)
 	}
 	// 3. The trace saw tasks, steals and throttle events.
-	counts := rec.Counts()
+	counts := tally(rec)
 	if counts[qthreads.EvTaskStart] == 0 || counts[qthreads.EvSteal] == 0 || counts[qthreads.EvThrottleEnter] == 0 {
 		t.Errorf("trace counts = %v, want tasks+steals+throttle", counts)
 	}

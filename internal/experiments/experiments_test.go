@@ -3,11 +3,21 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/compiler"
 )
+
+// at reads a series' speedup and normalized energy at a thread count.
+func at(s Series, threads int) (speedup, normEnergy float64, ok bool) {
+	i := slices.Index(s.Threads, threads)
+	if i < 0 {
+		return 0, 0, false
+	}
+	return s.Speedup[i], s.NormEnergy[i], true
+}
 
 func TestThrottleTableLULESH(t *testing.T) {
 	lab := NewLab()
@@ -280,21 +290,21 @@ func TestFigure1Shapes(t *testing.T) {
 	}
 	// nqueens scales to 16; dijkstra to ~8; mergesort to ~2; fibonacci
 	// and reduction anti-scale (paper §II-C.4).
-	if sp, _, _ := series[compiler.AppNQueens].At(16); sp < 11 {
+	if sp, _, _ := at(series[compiler.AppNQueens], 16); sp < 11 {
 		t.Errorf("nqueens speedup@16 = %.1f", sp)
 	}
-	s8, _, _ := series[compiler.AppDijkstra].At(8)
-	s16, _, _ := series[compiler.AppDijkstra].At(16)
+	s8, _, _ := at(series[compiler.AppDijkstra], 8)
+	s16, _, _ := at(series[compiler.AppDijkstra], 16)
 	if s8 < 5.5 || s16 > s8*1.15 {
 		t.Errorf("dijkstra speedups 8/16 = %.1f/%.1f, want knee at 8", s8, s16)
 	}
-	if sp, _, _ := series[compiler.AppMergesort].At(16); sp > 2.6 {
+	if sp, _, _ := at(series[compiler.AppMergesort], 16); sp > 2.6 {
 		t.Errorf("mergesort speedup@16 = %.1f, want ~2", sp)
 	}
-	if sp, _, _ := series[compiler.AppFibonacci].At(16); sp >= 1 {
+	if sp, _, _ := at(series[compiler.AppFibonacci], 16); sp >= 1 {
 		t.Errorf("GCC fibonacci speedup@16 = %.2f, want < 1 (slower than serial)", sp)
 	}
-	if sp, _, _ := series[compiler.AppReduction].At(16); sp >= 0.5 {
+	if sp, _, _ := at(series[compiler.AppReduction], 16); sp >= 0.5 {
 		t.Errorf("reduction speedup@16 = %.2f, paper ~0.31", sp)
 	}
 	// Energy minima: scaling programs bottom out at 16 threads; the
@@ -309,8 +319,8 @@ func TestFigure1Shapes(t *testing.T) {
 		}
 	}
 	// Dijkstra's energy rise from the knee to 16 threads is ~17-30%.
-	_, e8, _ := series[compiler.AppDijkstra].At(8)
-	_, e16, _ := series[compiler.AppDijkstra].At(16)
+	_, e8, _ := at(series[compiler.AppDijkstra], 8)
+	_, e16, _ := at(series[compiler.AppDijkstra], 16)
 	rise := (e16 - e8) / e8
 	if rise < 0.10 || rise > 0.45 {
 		t.Errorf("dijkstra energy rise 8->16 = %.0f%%, paper ~30%%", rise*100)
@@ -340,7 +350,7 @@ func TestFigure3Shapes(t *testing.T) {
 		compiler.AppStrassen:      {3.8, 6.2},
 	}
 	for app, bounds := range checks {
-		sp, _, ok := series[app].At(16)
+		sp, _, ok := at(series[app], 16)
 		if !ok {
 			t.Fatalf("%s missing from figure 3", app)
 		}

@@ -126,16 +126,6 @@ func deriveSeries(app string, target compiler.Target, threads []int, meas []Meas
 	return s
 }
 
-// At returns the series values at a thread count.
-func (s Series) At(threads int) (speedup, normEnergy float64, ok bool) {
-	for i, k := range s.Threads {
-		if k == threads {
-			return s.Speedup[i], s.NormEnergy[i], true
-		}
-	}
-	return 0, 0, false
-}
-
 // MinEnergyThreads returns the thread count with the lowest total energy
 // — the quantity the paper's Figures highlight: for poorly-scaling
 // programs it is below the maximum thread count.

@@ -59,26 +59,3 @@ func (sw *SidecarWriter) Flush() error {
 	}
 	return sw.w.Flush()
 }
-
-// ReadSidecar parses a JSONL sidecar stream back into records — the
-// inverse of SidecarWriter for analysis tooling and tests.
-func ReadSidecar(r io.Reader) ([]RunTelemetry, error) {
-	var out []RunTelemetry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rt RunTelemetry
-		if err := json.Unmarshal(line, &rt); err != nil {
-			return nil, fmt.Errorf("experiments: sidecar line %d: %w", len(out)+1, err)
-		}
-		out = append(out, rt)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

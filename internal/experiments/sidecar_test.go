@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -10,6 +12,20 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/telemetry"
 )
+
+// decodeSidecar reads a sidecar stream back, one JSON object a line, as
+// an analysis script would.
+func decodeSidecar(r io.Reader) ([]RunTelemetry, error) {
+	var out []RunTelemetry
+	for dec := json.NewDecoder(r); dec.More(); {
+		var rec RunTelemetry
+		if err := dec.Decode(&rec); err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
 
 // TestTelemetryOnlyObserves: instrumenting a cell must not change what
 // it measures. Telemetry on records through live instruments, off
@@ -72,7 +88,7 @@ func TestLabTelemetrySidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadSidecar(&buf)
+	recs, err := decodeSidecar(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +190,7 @@ func TestSidecarWriterConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.String()
-	recs, err := ReadSidecar(strings.NewReader(raw))
+	recs, err := decodeSidecar(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +199,5 @@ func TestSidecarWriterConcurrent(t *testing.T) {
 	}
 	if !strings.Contains(raw, "\"metrics\"") {
 		t.Error("records missing metrics field")
-	}
-}
-
-func TestReadSidecarRejectsGarbage(t *testing.T) {
-	if _, err := ReadSidecar(strings.NewReader("{\"app\":\"x\"}\nnope\n")); err == nil {
-		t.Error("ReadSidecar accepted a garbage line")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
 	"repro/internal/rcr"
+	"repro/internal/telemetry"
 )
 
 // eventually polls cond until it holds or the deadline passes.
@@ -45,11 +46,13 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
+	reg := telemetry.NewRegistry()
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 2, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
+	throttled := func() bool { return reg.Gauge("qthreads_throttled").Value() == 1 }
 
 	// Meter feeder: publishes fresh High/High rows while healthy, stops
 	// publishing (meters age past the horizon) while faulty.
@@ -110,11 +113,11 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		eventually(t, 10*time.Second, "daemon engages throttling on High/High", func() bool {
-			return rt.Throttled()
+			return throttled()
 		})
 		setHealthy(false)
 		eventually(t, 10*time.Second, "watchdog fires and throttle releases through the bypass", func() bool {
-			return daemon.Failsafe() && !rt.Throttled()
+			return daemon.Failsafe() && !throttled()
 		})
 		setHealthy(true)
 		eventually(t, 10*time.Second, "daemon recovers once data is fresh again", func() bool {

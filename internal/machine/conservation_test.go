@@ -61,7 +61,7 @@ func TestEnergyEqualsPowerIntegral(t *testing.T) {
 		for s := range before {
 			counted += units.RAPLDelta(before[s], m.MSR().PackageEnergyCounter(s))
 		}
-		exact := m.TotalEnergy()
+		exact := nodeEnergy(m)
 		if math.Abs(float64(counted-exact)) > 0.01*float64(exact)+0.001 {
 			t.Logf("seed %d: counters %v vs exact %v", seed, counted, exact)
 			return false
@@ -161,7 +161,7 @@ func TestBandwidthConservationUnderChurn(t *testing.T) {
 		i := i
 		bodies[i] = func(c *CoreCtx) {
 			c.Sleep(delay[i])
-			c.Stream(perCore[i])
+			c.Execute(Work{Bytes: perCore[i]})
 			mu.Lock()
 			totalBytes += perCore[i]
 			mu.Unlock()

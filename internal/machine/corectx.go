@@ -86,9 +86,6 @@ func (x *CoreCtx) Execute(w Work) {
 // Compute charges pure compute cycles.
 func (x *CoreCtx) Compute(ops float64) { x.Execute(Work{Ops: ops}) }
 
-// Stream charges pure memory traffic with no compute overlap.
-func (x *CoreCtx) Stream(bytes float64) { x.Execute(Work{Bytes: bytes}) }
-
 // Atomic charges n serialized operations on a contended cache line. Cost
 // per operation grows with the number of cores concurrently operating on
 // the same line (coherence ping-pong).

@@ -56,16 +56,6 @@ func ClampFrequencyScale(scale float64) float64 {
 	return scale
 }
 
-// FrequencyScale returns a socket's currently applied DVFS scale.
-func (m *Machine) FrequencyScale(socket int) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if socket < 0 || socket >= len(m.freqScale) {
-		return 1
-	}
-	return m.freqScale[socket]
-}
-
 // applyFrequencyRequestsLocked moves pending DVFS requests into effect;
 // called by the engine before planning each step.
 func (m *Machine) applyFrequencyRequestsLocked() {

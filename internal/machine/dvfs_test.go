@@ -53,11 +53,11 @@ func TestFrequencyScaleIsPerSocket(t *testing.T) {
 	if ratio := s0.Seconds() / s1.Seconds(); math.Abs(ratio-2) > 0.1 {
 		t.Errorf("socket isolation broken: s0/s1 = %.2f, want 2", ratio)
 	}
-	if got := m.FrequencyScale(0); got != 0.5 {
-		t.Errorf("FrequencyScale(0) = %g", got)
+	if got := locked(m, func() float64 { return m.freqScale[0] }); got != 0.5 {
+		t.Errorf("socket 0 scale = %g", got)
 	}
-	if got := m.FrequencyScale(1); got != 1 {
-		t.Errorf("FrequencyScale(1) = %g", got)
+	if got := locked(m, func() float64 { return m.freqScale[1] }); got != 1 {
+		t.Errorf("socket 1 scale = %g", got)
 	}
 }
 
@@ -68,14 +68,14 @@ func TestFrequencyScaleClamps(t *testing.T) {
 	}
 	// Force the engine to apply the request.
 	runOn(t, m, map[int]func(*CoreCtx){0: func(c *CoreCtx) { c.Compute(1e6) }})
-	if got := m.FrequencyScale(0); got != MinFrequencyScale {
+	if got := locked(m, func() float64 { return m.freqScale[0] }); got != MinFrequencyScale {
 		t.Errorf("scale clamped to %g, want %g", got, MinFrequencyScale)
 	}
 	if err := m.RequestFrequencyScale(0, 5); err != nil {
 		t.Fatal(err)
 	}
 	runOn(t, m, map[int]func(*CoreCtx){0: func(c *CoreCtx) { c.Compute(1e6) }})
-	if got := m.FrequencyScale(0); got != 1 {
+	if got := locked(m, func() float64 { return m.freqScale[0] }); got != 1 {
 		t.Errorf("scale clamped to %g, want 1", got)
 	}
 	if err := m.RequestFrequencyScale(9, 1); err == nil {
@@ -113,13 +113,13 @@ func TestDVFSSavesPowerButCostsTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := m.Now()
-		startE := m.TotalEnergy()
+		startE := nodeEnergy(m)
 		bodies := map[int]func(*CoreCtx){}
 		for i := 0; i < 8; i++ {
 			bodies[i] = func(c *CoreCtx) { c.Compute(2.7e8) }
 		}
 		runOn(t, m, bodies)
-		return float64(m.TotalEnergy() - startE), (m.Now() - start).Seconds()
+		return float64(nodeEnergy(m) - startE), (m.Now() - start).Seconds()
 	}
 	eFull, tFull := energyAt(1)
 	eHalf, tHalf := energyAt(0.5)

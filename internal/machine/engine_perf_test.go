@@ -37,8 +37,7 @@ func steadyStateLoad(tb testing.TB, m *Machine) (stop func()) {
 	bg(3, func(ctx *CoreCtx) { ctx.Atomic(line, 1000) })
 	bg(4, func(ctx *CoreCtx) { ctx.SpinFor(spinDone, time.Millisecond) })
 	return func() {
-		done.Store(true)
-		m.Kick()
+		m.WhenQuiescent(func() { done.Store(true) })
 		wg.Wait()
 	}
 }

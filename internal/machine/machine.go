@@ -178,12 +178,12 @@ type ticker struct {
 // the owner that blocked last, or the engine goroutine — with the machine
 // lock released, one callback at a time and never beside an owner's host
 // code. It must be fast and may call non-blocking Machine methods
-// (AddTicker, RemoveTicker — including on itself — Snapshot,
+// (AddTicker, RemoveTicker — including on itself — SocketEnergy,
 // RequestFrequencyScale, reading the MSR file), but must not block, make
 // CoreCtx charging calls or call Stop or WhenQuiescent (both wait for the
 // stepper, which is running the callback). The snapshot is only valid for
-// the duration of the call — the buffer is reused across fires; use
-// Snapshot.Clone to retain it.
+// the duration of the call — the buffer is reused across fires; copy
+// its Sockets to retain it.
 type TickerFunc func(now time.Duration, s *Snapshot)
 
 // SocketSnapshot is the instantaneous state of one socket.
@@ -210,9 +210,9 @@ type Machine struct {
 
 	mu sync.Mutex
 	// The engine goroutine, WhenQuiescent and Stop wait on engCond. It is
-	// broadcast by Kick, a Hold release, Release, AddTicker, an abort and
-	// a stepper that stops with nothing running — not by the charging
-	// calls, whose owner steps the clock itself.
+	// broadcast by WhenQuiescent, a Hold release, Release, AddTicker, an
+	// abort and a stepper that stops with nothing running — not by the
+	// charging calls, whose owner steps the clock itself.
 	engCond *sync.Cond
 	cores   []*core
 	running int // owners executing host code: time may not advance while > 0
@@ -381,19 +381,6 @@ func (m *Machine) Err() error {
 	return m.err
 }
 
-// TotalEnergy returns the exact cumulative energy of all sockets. Unlike
-// the RAPL counters this is neither quantized nor wrapping; it exists for
-// cross-checks. Measurements should flow through the rapl/rcr path.
-func (m *Machine) TotalEnergy() units.Joules {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := 0.0
-	for _, e := range m.energy {
-		t += e
-	}
-	return units.Joules(t)
-}
-
 // SocketEnergy returns the exact cumulative energy of one socket.
 func (m *Machine) SocketEnergy(socket int) units.Joules {
 	m.mu.Lock()
@@ -402,22 +389,6 @@ func (m *Machine) SocketEnergy(socket int) units.Joules {
 		return 0
 	}
 	return units.Joules(m.energy[socket])
-}
-
-// Snapshot returns the node state as of the last engine step.
-func (m *Machine) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastSnap.Clone()
-}
-
-// Clone returns a deep copy of the snapshot. Ticker callbacks that need
-// to retain their snapshot beyond the call must clone it: the engine
-// reuses the snapshot buffer it passes them.
-func (s Snapshot) Clone() Snapshot {
-	out := Snapshot{Now: s.Now, Sockets: make([]SocketSnapshot, len(s.Sockets))}
-	copy(out.Sockets, s.Sockets)
-	return out
 }
 
 // SetTemperature forces a socket's die temperature, e.g. to start an
@@ -441,16 +412,6 @@ func (m *Machine) WarmAll(t units.Celsius) {
 			panic(err) // socket indices come from our own config
 		}
 	}
-}
-
-// Temperature returns a socket's current die temperature.
-func (m *Machine) Temperature(socket int) units.Celsius {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if socket < 0 || socket >= len(m.temp) {
-		return 0
-	}
-	return m.temp[socket]
 }
 
 // AddTicker registers fn to run every period of virtual time, first firing
@@ -514,15 +475,6 @@ func (m *Machine) Hold() func() {
 			m.mu.Unlock()
 		})
 	}
-}
-
-// Kick asks the engine to re-evaluate wait conditions. Call it after a
-// host-side action (such as enqueueing work) that may satisfy a condition
-// some core is spinning or parked on.
-func (m *Machine) Kick() {
-	m.mu.Lock()
-	m.engCond.Broadcast()
-	m.mu.Unlock()
 }
 
 // WhenQuiescent is how a goroutine that owns no core changes state the
@@ -620,19 +572,6 @@ func (m *Machine) Enroll(coreID int) (*CoreCtx, error) {
 	}
 	m.running++
 	return &CoreCtx{m: m, c: c}, nil
-}
-
-// EnrolledCount returns the number of currently enrolled cores.
-func (m *Machine) EnrolledCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, c := range m.cores {
-		if c.state != coreUnowned {
-			n++
-		}
-	}
-	return n
 }
 
 // effActiveFrac returns the power-relevant activity fraction of a core:

@@ -19,6 +19,37 @@ func testConfig() Config {
 	return cfg
 }
 
+// nodeEnergy is the exact cumulative energy of every socket, read as
+// programs read it.
+func nodeEnergy(m *Machine) units.Joules {
+	var e units.Joules
+	for s := 0; s < m.Config().Sockets; s++ {
+		e += m.SocketEnergy(s)
+	}
+	return e
+}
+
+// locked reads engine state under the machine lock the engine writes it
+// under.
+func locked[T any](m *Machine, read func() T) T {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return read()
+}
+
+// enrolled counts the cores an owner holds.
+func enrolled(m *Machine) int {
+	return locked(m, func() int {
+		n := 0
+		for _, c := range m.cores {
+			if c.state != coreUnowned {
+				n++
+			}
+		}
+		return n
+	})
+}
+
 func newTestMachine(t *testing.T) *Machine {
 	t.Helper()
 	m, err := New(testConfig())
@@ -106,7 +137,7 @@ func TestComputeEnergy(t *testing.T) {
 	// no bandwidth, modest leakage.
 	want := float64(cfg.Power.PredictSocketPower(1, 1, 0, 0, 0, 7, 0) +
 		cfg.Power.PredictSocketPower(0, 0, 0, 0, 0, 8, 0))
-	got := float64(m.TotalEnergy())
+	got := float64(nodeEnergy(m))
 	if math.Abs(got-want)/want > 0.05 {
 		t.Errorf("energy = %.1f J, want ~%.1f J", got, want)
 	}
@@ -171,7 +202,7 @@ func TestStreamBandwidthSinglCore(t *testing.T) {
 	runOn(t, m, map[int]func(*CoreCtx){
 		0: func(c *CoreCtx) {
 			start := m.Now()
-			c.Stream(cap) // one second at the per-core cap
+			c.Execute(Work{Bytes: cap}) // one second at the per-core cap
 			elapsed = m.Now() - start
 		},
 	})
@@ -190,7 +221,7 @@ func TestStreamContentionSlowsCores(t *testing.T) {
 		i := i
 		bodies[i] = func(c *CoreCtx) {
 			start := m.Now()
-			c.Stream(bytes)
+			c.Execute(Work{Bytes: bytes})
 			perCore[i] = m.Now() - start
 		}
 	}
@@ -214,12 +245,12 @@ func TestSocketsIsolatedBandwidth(t *testing.T) {
 	runOn(t, m, map[int]func(*CoreCtx){
 		0: func(c *CoreCtx) { // socket 0
 			start := m.Now()
-			c.Stream(bytes)
+			c.Execute(Work{Bytes: bytes})
 			s0 = m.Now() - start
 		},
 		8: func(c *CoreCtx) { // socket 1
 			start := m.Now()
-			c.Stream(bytes)
+			c.Execute(Work{Bytes: bytes})
 			s1 = m.Now() - start
 		},
 	})
@@ -323,15 +354,14 @@ func TestSpinForDeadline(t *testing.T) {
 	}
 }
 
-func TestSpinUntilKick(t *testing.T) {
+func TestSpinUntilWhenQuiescent(t *testing.T) {
 	m := newTestMachine(t)
 	var flag atomic.Bool
 	started := make(chan struct{})
 	var woke atomic.Bool
 	go func() {
 		<-started
-		flag.Store(true)
-		m.Kick()
+		m.WhenQuiescent(func() { flag.Store(true) })
 	}()
 	runOn(t, m, map[int]func(*CoreCtx){
 		0: func(c *CoreCtx) {
@@ -341,7 +371,7 @@ func TestSpinUntilKick(t *testing.T) {
 		},
 	})
 	if !woke.Load() {
-		t.Error("SpinUntil never woke after Kick")
+		t.Error("SpinUntil never woke after WhenQuiescent set its flag")
 	}
 }
 
@@ -368,8 +398,7 @@ func TestIdleUntilDrawsLessThanSpin(t *testing.T) {
 		runOn(t, m, map[int]func(*CoreCtx){
 			8: func(c *CoreCtx) { // socket 1: drives time for 100 ms
 				c.Compute(2.7e8)
-				done.Store(true)
-				m.Kick()
+				done.Store(true) // seen when this core releases
 			},
 			0: func(c *CoreCtx) { // socket 0: waits
 				if spin {
@@ -444,12 +473,12 @@ func TestEnrollErrors(t *testing.T) {
 	if _, err := m.Enroll(5); err == nil {
 		t.Error("double Enroll succeeded")
 	}
-	if got := m.EnrolledCount(); got != 1 {
-		t.Errorf("EnrolledCount = %d, want 1", got)
+	if got := enrolled(m); got != 1 {
+		t.Errorf("enrolled cores = %d, want 1", got)
 	}
 	ctx.Release()
-	if got := m.EnrolledCount(); got != 0 {
-		t.Errorf("EnrolledCount after release = %d, want 0", got)
+	if got := enrolled(m); got != 0 {
+		t.Errorf("enrolled cores after release = %d, want 0", got)
 	}
 	// Re-enroll after release works.
 	ctx, err = m.Enroll(5)
@@ -545,7 +574,7 @@ func TestEnergyCounterMatchesExactEnergy(t *testing.T) {
 	})
 	counted := units.RAPLDelta(before0, m.MSR().PackageEnergyCounter(0)) +
 		units.RAPLDelta(before1, m.MSR().PackageEnergyCounter(1))
-	exact := m.TotalEnergy()
+	exact := nodeEnergy(m)
 	if math.Abs(float64(counted-exact)) > 0.001*float64(exact) {
 		t.Errorf("RAPL counters say %v, exact accounting says %v", counted, exact)
 	}
@@ -553,13 +582,13 @@ func TestEnergyCounterMatchesExactEnergy(t *testing.T) {
 
 func TestTemperatureRisesUnderLoad(t *testing.T) {
 	m := newTestMachine(t)
-	t0 := m.Temperature(0)
+	t0 := locked(m, func() units.Celsius { return m.temp[0] })
 	bodies := map[int]func(*CoreCtx){}
 	for i := 0; i < 8; i++ {
 		bodies[i] = func(c *CoreCtx) { c.Compute(2.7e9 * 20) } // 20 s full load
 	}
 	runOn(t, m, bodies)
-	t1 := m.Temperature(0)
+	t1 := locked(m, func() units.Celsius { return m.temp[0] })
 	if t1 <= t0+5 {
 		t.Errorf("socket 0 temperature %v -> %v, want a clear rise", t0, t1)
 	}
@@ -569,7 +598,7 @@ func TestWarmAllSetsTemperature(t *testing.T) {
 	m := newTestMachine(t)
 	m.WarmAll(70)
 	for s := 0; s < 2; s++ {
-		if got := m.Temperature(s); got != 70 {
+		if got := locked(m, func() units.Celsius { return m.temp[s] }); got != 70 {
 			t.Errorf("socket %d temperature = %v, want 70", s, got)
 		}
 	}
@@ -584,7 +613,7 @@ func TestHotMachineUsesMoreEnergy(t *testing.T) {
 		runOn(t, m, map[int]func(*CoreCtx){
 			0: func(c *CoreCtx) { c.Compute(2.7e9) },
 		})
-		return m.TotalEnergy()
+		return nodeEnergy(m)
 	}
 	cold := float64(run(40))
 	hot := float64(run(75))
@@ -627,7 +656,7 @@ func TestExecuteZeroWork(t *testing.T) {
 			before := m.Now()
 			c.Execute(Work{})
 			c.Compute(0)
-			c.Stream(-5)
+			c.Execute(Work{Bytes: -5})
 			c.Atomic(m.NewLine(10, 0, 0.85), 0)
 			if m.Now() != before {
 				t.Error("zero work advanced time")

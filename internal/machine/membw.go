@@ -7,8 +7,10 @@ package machine
 // the effective capacity degrades slightly, modeling worsening latency
 // (Mandel et al., ISPASS 2010).
 
-// MaxMinFair allocates capacity among the given demands using the
-// water-filling algorithm. The returned slice is aligned with demands.
+// maxMinFairInto allocates capacity among the given demands using the
+// water-filling algorithm, writing into caller-owned buffers: alloc and
+// satisfied must be len(demands), and alloc ends aligned with demands.
+// It is the engine's allocation-free hot path.
 //
 // Invariants (enforced by property tests):
 //   - alloc[i] <= demands[i]
@@ -17,15 +19,6 @@ package machine
 //   - unsatisfied demands all receive the same share
 //
 // Negative demands are treated as zero.
-func MaxMinFair(demands []float64, capacity float64) []float64 {
-	alloc := make([]float64, len(demands))
-	maxMinFairInto(demands, alloc, make([]bool, len(demands)), capacity)
-	return alloc
-}
-
-// maxMinFairInto is MaxMinFair writing into caller-owned buffers: alloc
-// and satisfied must be len(demands). It is the engine's allocation-free
-// hot path; the arithmetic (and its order) is exactly MaxMinFair's.
 func maxMinFairInto(demands, alloc []float64, satisfied []bool, capacity float64) {
 	for i := range alloc {
 		alloc[i] = 0
@@ -136,10 +129,11 @@ func (s *allocScratch) grow(n int) {
 	s.satisfied = s.satisfied[:n]
 }
 
-// allocateInto is allocate writing into reusable scratch buffers: the
-// engine's zero-allocation hot path. The returned grants slice aliases
-// the scratch and is only valid until the next call with the same
-// scratch.
+// allocateInto splits a socket's effective bandwidth among its cores'
+// demands, each capped at the per-core bandwidth, writing into reusable
+// scratch buffers: the engine's zero-allocation hot path. The returned
+// grants slice aliases the scratch and is only valid until the next
+// call with the same scratch.
 func (m MemParams) allocateInto(demands []float64, s *allocScratch) (grants []float64, refs float64, utilization float64) {
 	s.grow(len(demands))
 	coreCap := float64(m.MaxCoreBandwidth())

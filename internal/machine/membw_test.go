@@ -7,8 +7,15 @@ import (
 	"testing/quick"
 )
 
+// maxMinFair runs the engine's allocator on fresh buffers.
+func maxMinFair(demands []float64, capacity float64) []float64 {
+	alloc := make([]float64, len(demands))
+	maxMinFairInto(demands, alloc, make([]bool, len(demands)), capacity)
+	return alloc
+}
+
 func TestMaxMinFairAllSatisfied(t *testing.T) {
-	got := MaxMinFair([]float64{10, 20, 30}, 100)
+	got := maxMinFair([]float64{10, 20, 30}, 100)
 	want := []float64{10, 20, 30}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -18,7 +25,7 @@ func TestMaxMinFairAllSatisfied(t *testing.T) {
 }
 
 func TestMaxMinFairEvenSplit(t *testing.T) {
-	got := MaxMinFair([]float64{100, 100, 100, 100}, 100)
+	got := maxMinFair([]float64{100, 100, 100, 100}, 100)
 	for i, g := range got {
 		if math.Abs(g-25) > 1e-9 {
 			t.Errorf("alloc[%d] = %g, want 25", i, g)
@@ -28,7 +35,7 @@ func TestMaxMinFairEvenSplit(t *testing.T) {
 
 func TestMaxMinFairWaterFilling(t *testing.T) {
 	// Small demand fully satisfied; the two big ones split the rest.
-	got := MaxMinFair([]float64{10, 100, 100}, 100)
+	got := maxMinFair([]float64{10, 100, 100}, 100)
 	if math.Abs(got[0]-10) > 1e-9 {
 		t.Errorf("small demand alloc = %g, want 10", got[0])
 	}
@@ -38,7 +45,7 @@ func TestMaxMinFairWaterFilling(t *testing.T) {
 }
 
 func TestMaxMinFairZeroCapacity(t *testing.T) {
-	got := MaxMinFair([]float64{5, 10}, 0)
+	got := maxMinFair([]float64{5, 10}, 0)
 	for i, g := range got {
 		if g != 0 {
 			t.Errorf("alloc[%d] = %g, want 0", i, g)
@@ -47,7 +54,7 @@ func TestMaxMinFairZeroCapacity(t *testing.T) {
 }
 
 func TestMaxMinFairNegativeDemand(t *testing.T) {
-	got := MaxMinFair([]float64{-5, 10}, 100)
+	got := maxMinFair([]float64{-5, 10}, 100)
 	if got[0] != 0 {
 		t.Errorf("negative demand alloc = %g, want 0", got[0])
 	}
@@ -57,8 +64,8 @@ func TestMaxMinFairNegativeDemand(t *testing.T) {
 }
 
 func TestMaxMinFairEmpty(t *testing.T) {
-	if got := MaxMinFair(nil, 100); len(got) != 0 {
-		t.Errorf("MaxMinFair(nil) = %v, want empty", got)
+	if got := maxMinFair(nil, 100); len(got) != 0 {
+		t.Errorf("maxMinFair(nil) = %v, want empty", got)
 	}
 }
 
@@ -73,7 +80,7 @@ func TestMaxMinFairProperties(t *testing.T) {
 			demands[i] = rng.Float64() * 100
 		}
 		capacity := rng.Float64() * 300
-		alloc := MaxMinFair(demands, capacity)
+		alloc := maxMinFair(demands, capacity)
 		total := 0.0
 		minUnsat := math.Inf(1)
 		for i := range alloc {

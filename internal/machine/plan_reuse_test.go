@@ -281,8 +281,8 @@ func TestPlanReuseMachineOnlyEdges(t *testing.T) {
 		},
 		{
 			// Not an invalidation, and invisible in the records: a hold
-			// parks the clock, its release and a Kick restart it.
-			name: "Hold, release and Kick",
+			// parks the clock and its release restarts it.
+			name: "Hold and release",
 			edge: func(m *machine.Machine, _ *sync.WaitGroup) {
 				release := m.Hold()
 				go func() {
@@ -292,7 +292,6 @@ func TestPlanReuseMachineOnlyEdges(t *testing.T) {
 						t.Errorf("virtual time moved %v -> %v under a hold", frozen, now)
 					}
 					release()
-					m.Kick()
 				}()
 			},
 			check: func(t *testing.T, recs []machine.StepRecord) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/qthreads"
 	"repro/internal/rcr"
 	"repro/internal/resilience/leak"
 	"repro/internal/telemetry"
@@ -31,16 +30,11 @@ func faultStack(t *testing.T, dcfg Config) (d *Daemon, setHealthy func(bool), aw
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	release := m.Hold()
+	rt := startRuntime(t, m, 2, m.Hold())
 	bb, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
 
 	var mu sync.Mutex
 	healthy := true
@@ -70,7 +64,7 @@ func faultStack(t *testing.T, dcfg Config) (d *Daemon, setHealthy func(bool), aw
 			if cond() {
 				return
 			}
-			release = idleFor(t, m, release, feed)
+			idle(t, rt, feed)
 		}
 		t.Fatalf("condition never held within 10 s of virtual time: %s", what)
 	}
@@ -168,7 +162,7 @@ func TestDaemonCadenceUnderActuationDelay(t *testing.T) {
 	// The engage actuation is deferred 2.5 periods: the polls inside the
 	// busy window must be missed (counted), not shifted.
 	await("first activation", func() bool { return d.Stats().Activations > 0 })
-	await("delayed actuation applies", func() bool { return d.rt.Throttled() })
+	await("delayed actuation applies", func() bool { return throttled(d.rt) })
 	await("missed polls accumulate", func() bool { return d.Stats().MissedPolls > 0 })
 	await("several more polls land", func() bool { return d.Stats().Samples > 40 })
 
@@ -232,16 +226,11 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 	// Parked until m.Stop below: with the workers idle, a running engine
 	// would step straight to the daemon's hourly ticker and poll an empty
 	// board before the test's first poll.
-	m.Hold()
+	rt := startRuntime(t, m, 2, m.Hold())
 	bb, err := rcr.NewBlackboard(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
 
 	hooks := 0
 	d, err := Start(rt, bb, Config{
@@ -277,7 +266,7 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 	if d.pendingID < 0 {
 		t.Fatal("no pending actuation registered")
 	}
-	if rt.Throttled() {
+	if throttled(rt) {
 		t.Fatal("throttle applied before the deferred actuation fired")
 	}
 	if want := period + 250*time.Millisecond; d.busyUntil != want {
@@ -311,7 +300,7 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 	if d.pendingID >= 0 {
 		t.Fatal("pending actuation still registered after firing")
 	}
-	if rt.Throttled() {
+	if throttled(rt) {
 		t.Fatal("fire applied the stale engage payload over the newer release decision")
 	}
 
@@ -326,7 +315,7 @@ func TestPendingActuationTracksLatestDesired(t *testing.T) {
 		t.Fatalf("re-engage busyUntil = %v, want %v (anchored at the poll, on-grid)", d.busyUntil, want)
 	}
 	d.firePending(4*period, nil)
-	if !rt.Throttled() {
+	if !throttled(rt) {
 		t.Fatal("re-engage never applied")
 	}
 	st := d.Stats()

@@ -3,6 +3,7 @@ package maestro
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/rapl"
 	"repro/internal/rcr"
 	"repro/internal/resilience/leak"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -118,10 +120,74 @@ func TestDecideDualCondition(t *testing.T) {
 	}
 }
 
-// stackOn builds sampler + blackboard + runtime on an existing machine.
+// rig is what a test stack keeps beside its runtime: the release of the
+// machine's parked clock, handed from one run to the next, and the
+// registry the runtime publishes its qthreads_* metrics into.
+type rig struct {
+	clock chan func()
+	reg   *telemetry.Registry
+}
+
+var rigs sync.Map // *qthreads.Runtime → rig
+
+// startRuntime starts a runtime of the given width on m, whose clock the
+// caller parked, as core.New does, before anything that ticks was added;
+// release lets it go. The clock then moves only inside run and idle.
+func startRuntime(t *testing.T, m *machine.Machine, workers int, release func()) *qthreads.Runtime {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	rt, err := qthreads.New(m, qthreads.Config{Workers: workers, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Shutdown)
+	clock := make(chan func(), 1)
+	clock <- release
+	rigs.Store(rt, rig{clock, reg})
+	return rt
+}
+
+func rigOf(rt *qthreads.Runtime) rig {
+	r, _ := rigs.Load(rt)
+	return r.(rig)
+}
+
+// run runs fn as a root task of a runtime from startRuntime. It starts
+// at the instant the clock is parked on and returns with the clock
+// parked at its completion, so runs chain back to back and a test reads
+// time, energy and the daemon's state as the model left them.
+func run(rt *qthreads.Runtime, fn qthreads.Task) error {
+	clock := rigOf(rt).clock
+	end, err := rt.RunHeld(fn, <-clock)
+	clock <- end
+	return err
+}
+
+// idle lets the parked clock of a runtime from startRuntime run for d
+// with nothing scheduled, and parks it there again.
+func idle(t *testing.T, rt *qthreads.Runtime, d time.Duration) {
+	t.Helper()
+	clock := rigOf(rt).clock
+	clock <- idleFor(t, rt.Machine(), <-clock, d)
+}
+
+// throttled reports whether the runtime's throttle gate is shut, as its
+// qthreads_throttled gauge publishes it.
+func throttled(rt *qthreads.Runtime) bool {
+	return rigOf(rt).reg.Gauge("qthreads_throttled").Value() == 1
+}
+
+// throttleStops is the runtime's qthreads_throttle_stops_total.
+func throttleStops(rt *qthreads.Runtime) uint64 {
+	return rigOf(rt).reg.Counter("qthreads_throttle_stops_total").Value()
+}
+
+// stackOn builds sampler + blackboard + runtime on an existing machine,
+// its clock parked from before the sampler's ticker registers.
 func stackOn(t *testing.T, m *machine.Machine, workers int) (*rcr.Blackboard, *qthreads.Runtime) {
 	t.Helper()
 	mcfg := m.Config()
+	release := m.Hold()
 	reader, err := rapl.NewMSRReader(m.MSR())
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +201,7 @@ func stackOn(t *testing.T, m *machine.Machine, workers int) (*rcr.Blackboard, *q
 		t.Fatal(err)
 	}
 	t.Cleanup(sampler.Stop)
-	rt, err := qthreads.New(m, qthreads.Config{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
-	return bb, rt
+	return bb, startRuntime(t, m, workers, release)
 }
 
 // fullStack builds machine + sampler + runtime + daemon.
@@ -169,7 +230,7 @@ func fullStack(t *testing.T, workers int, dcfg Config) (*machine.Machine, *qthre
 func hotMemoryLoad(rt *qthreads.Runtime, d time.Duration) error {
 	cycles := float64(rt.Machine().Config().BaseFreq) * d.Seconds()
 	perCoreBW := float64(rt.Machine().Config().Mem.MaxCoreBandwidth())
-	return rt.Run(func(tc *qthreads.TC) {
+	return run(rt, func(tc *qthreads.TC) {
 		g := tc.NewGroup()
 		for i := 0; i < rt.Workers(); i++ {
 			g.Spawn(tc, func(tc *qthreads.TC) {
@@ -199,11 +260,7 @@ func TestDaemonActivatesOnHotMemoryLoad(t *testing.T) {
 	if st.ThrottledTime == 0 {
 		t.Error("no throttled time accumulated")
 	}
-	stops := uint64(0)
-	for _, s := range rt.Stats() {
-		stops += s.ThrottleStops
-	}
-	if stops == 0 {
+	if throttleStops(rt) == 0 {
 		t.Error("no worker ever hit the throttle gate")
 	}
 }
@@ -215,7 +272,7 @@ func TestDaemonStaysOffForComputeOnly(t *testing.T) {
 	// alone would throttle efficient programs and waste energy).
 	_, rt, d := fullStack(t, 16, Config{})
 	cycles := 2.7e9 * 0.8 // 800 ms
-	err := rt.Run(func(tc *qthreads.TC) {
+	err := run(rt, func(tc *qthreads.TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 16; i++ {
 			g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(cycles) })
@@ -229,14 +286,14 @@ func TestDaemonStaysOffForComputeOnly(t *testing.T) {
 	if st.Activations != 0 {
 		t.Errorf("daemon activated on compute-only load: %+v", st)
 	}
-	if rt.Throttled() {
+	if throttled(rt) {
 		t.Error("throttle left on")
 	}
 }
 
 func TestDaemonDeactivatesWhenLoadDrops(t *testing.T) {
 	leak.Check(t)
-	m, rt, d := fullStack(t, 16, Config{})
+	_, rt, d := fullStack(t, 16, Config{})
 	if err := hotMemoryLoad(rt, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +302,8 @@ func TestDaemonDeactivatesWhenLoadDrops(t *testing.T) {
 	}
 	// With the load gone, both metrics fall to Low. A second of idle
 	// clock — ten polls over parked workers — must see the daemon release.
-	release := idleFor(t, m, m.Hold(), time.Second)
-	defer release()
-	if rt.Throttled() {
+	idle(t, rt, time.Second)
+	if throttled(rt) {
 		t.Error("throttle still on after load dropped")
 	}
 	if d.Stats().Deactivations == 0 {
@@ -287,17 +343,12 @@ func TestDaemonDefaultConfig(t *testing.T) {
 }
 
 func TestStartValidation(t *testing.T) {
-	mcfg := machine.M620()
-	m, err := machine.New(mcfg)
+	m, err := machine.New(machine.M620())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Stop()
-	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	t.Cleanup(m.Stop)
+	rt := startRuntime(t, m, 2, m.Hold())
 	bb, _ := rcr.NewBlackboard(2, 8)
 	if _, err := Start(nil, bb, Config{}); err == nil {
 		t.Error("Start(nil runtime) succeeded")
@@ -315,7 +366,7 @@ func TestStopReleasesThrottle(t *testing.T) {
 	_, rt, d := fullStack(t, 16, Config{})
 	rt.SetThrottle(true, 6)
 	d.Stop()
-	if rt.Throttled() {
+	if throttled(rt) {
 		t.Error("Stop left throttle on")
 	}
 }

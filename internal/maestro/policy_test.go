@@ -1,11 +1,14 @@
 package maestro
 
 import (
+	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
 	"repro/internal/qthreads"
+	"repro/internal/replaytest"
 	"repro/internal/units"
 )
 
@@ -17,11 +20,7 @@ func TestScaleFrequencyMechanismEngages(t *testing.T) {
 	// The DVFS mechanism must have pulled the clocks down at some point;
 	// since the load just ended the daemon may not have released yet, but
 	// the runtime's concurrency throttle must never have been touched.
-	stops := uint64(0)
-	for _, s := range rt.Stats() {
-		stops += s.ThrottleStops
-	}
-	if stops != 0 {
+	if stops := throttleStops(rt); stops != 0 {
 		t.Errorf("frequency mechanism used the concurrency throttle (%d stops)", stops)
 	}
 	_ = m
@@ -36,14 +35,27 @@ func TestScaleFrequencyStopRestoresClock(t *testing.T) {
 		t.Skip("mechanism never engaged")
 	}
 	d.Stop()
-	// Force an engine step so pending requests apply.
-	if err := rt.Run(func(tc *qthreads.TC) { tc.Compute(1e6) }); err != nil {
+	// Force an engine step so pending requests apply, and read the scale
+	// it applied.
+	var mu sync.Mutex
+	var last machine.StepRecord
+	m.SetStepHook(func(r machine.StepRecord) {
+		mu.Lock()
+		last = r
+		mu.Unlock()
+	})
+	if err := run(rt, func(tc *qthreads.TC) { tc.Compute(1e6) }); err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < 2; s++ {
-		if got := m.FrequencyScale(s); got != 1 {
-			t.Errorf("socket %d scale after Stop = %g, want 1", s, got)
+	mu.Lock()
+	defer mu.Unlock()
+	for s, sock := range last.Sockets {
+		if sock.FreqScale != 1 {
+			t.Errorf("socket %d scale after Stop = %g, want 1", s, sock.FreqScale)
 		}
+	}
+	if len(last.Sockets) != 2 {
+		t.Errorf("no step after Stop: %+v", last)
 	}
 }
 
@@ -55,7 +67,7 @@ func TestPowerOnlyPolicyOverThrottles(t *testing.T) {
 	run := func(policy Policy) uint64 {
 		_, rt, d := fullStack(t, 16, Config{Policy: policy})
 		cycles := 2.7e9 * 0.8
-		err := rt.Run(func(tc *qthreads.TC) {
+		err := run(rt, func(tc *qthreads.TC) {
 			g := tc.NewGroup()
 			for i := 0; i < 16; i++ {
 				g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(cycles) })
@@ -75,7 +87,28 @@ func TestPowerOnlyPolicyOverThrottles(t *testing.T) {
 	}
 }
 
-func TestPowerCapHoldsBudget(t *testing.T) {
+// nodeEnergy is the exact cumulative energy of every socket.
+func nodeEnergy(m *machine.Machine) units.Joules {
+	var e units.Joules
+	for s := 0; s < m.Config().Sockets; s++ {
+		e += m.SocketEnergy(s)
+	}
+	return e
+}
+
+// capSteadyState is what TestPowerCapHoldsBudget measures.
+type capSteadyState struct {
+	elapsed time.Duration
+	joules  units.Joules
+	stats   CapStats
+}
+
+// measureCapSteadyState runs full-node compute, which would draw ~150 W
+// uncapped, under a power cap: a settle burn for the controller to
+// converge, then the measured steady state, back to back on the parked
+// clock. The measurement is therefore a pure function of the model.
+func measureCapSteadyState(t *testing.T, cap units.Watts) capSteadyState {
+	t.Helper()
 	mcfg := machine.M620()
 	mcfg.VirtualTimeLimit = 10 * time.Minute
 	m, err := machine.New(mcfg)
@@ -85,20 +118,14 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 	t.Cleanup(m.Stop)
 	m.WarmAll(68)
 	bb, rt := stackOn(t, m, 16)
-
-	const cap = units.Watts(120)
 	pc, err := StartPowerCap(rt, bb, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pc.Stop)
-
-	// Sustained full-node compute would draw ~150 W uncapped. Run a
-	// settle phase for the controller to converge, then measure the
-	// steady state.
 	burn := func(tasks int) {
 		t.Helper()
-		err := rt.Run(func(tc *qthreads.TC) {
+		err := run(rt, func(tc *qthreads.TC) {
 			g := tc.NewGroup()
 			for i := 0; i < tasks; i++ {
 				g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(2e7) })
@@ -110,14 +137,18 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 		}
 	}
 	burn(640) // settle (~300+ ms)
-	start := m.Now()
-	startE := m.TotalEnergy()
+	start, startE := m.Now(), nodeEnergy(m)
 	burn(1280) // measured steady state
-	elapsed := m.Now() - start
-	avg := float64(m.TotalEnergy()-startE) / elapsed.Seconds()
-	st := pc.Stats()
-	t.Logf("capped steady state: avg %.1f W under cap %.0f W (tightenings %d, min limit %d, over-budget samples %d/%d)",
-		avg, float64(cap), st.Tightenings, st.MinLimit, st.OverBudget, st.Samples)
+	return capSteadyState{m.Now() - start, nodeEnergy(m) - startE, pc.Stats()}
+}
+
+func TestPowerCapHoldsBudget(t *testing.T) {
+	const cap = units.Watts(120)
+	ss := measureCapSteadyState(t, cap)
+	avg := float64(ss.joules) / ss.elapsed.Seconds()
+	st := ss.stats
+	t.Logf("capped steady state: %v, %.6f J, avg %.4f W under cap %.0f W (tightenings %d, min limit %d, over-budget samples %d/%d)",
+		ss.elapsed, float64(ss.joules), avg, float64(cap), st.Tightenings, st.MinLimit, st.OverBudget, st.Samples)
 	if st.Tightenings == 0 {
 		t.Error("controller never tightened under a 120 W cap")
 	}
@@ -126,6 +157,26 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 	}
 	if st.MinLimit >= 8 {
 		t.Errorf("min limit %d: throttle never actually reduced concurrency", st.MinLimit)
+	}
+}
+
+// TestPowerCapReplay measures TestPowerCapHoldsBudget's steady state
+// under every replaytest.Hosts setting: elapsed time, joules and the
+// controller's counters must agree to the bit.
+func TestPowerCapReplay(t *testing.T) {
+	var first capSteadyState
+	for i, h := range replaytest.Hosts {
+		restore := h.Set()
+		ss := measureCapSteadyState(t, 120)
+		restore()
+		if i == 0 {
+			first = ss
+			continue
+		}
+		if ss.elapsed != first.elapsed || math.Float64bits(float64(ss.joules)) != math.Float64bits(float64(first.joules)) || ss.stats != first.stats {
+			t.Errorf("%s: %v, %v J, %+v; %s: %v, %v J, %+v",
+				h.Name, ss.elapsed, float64(ss.joules), ss.stats, replaytest.Hosts[0].Name, first.elapsed, float64(first.joules), first.stats)
+		}
 	}
 }
 
@@ -184,7 +235,7 @@ func TestPowerCapSetCap(t *testing.T) {
 
 	burn := func(tasks int) {
 		t.Helper()
-		err := rt.Run(func(tc *qthreads.TC) {
+		err := run(rt, func(tc *qthreads.TC) {
 			g := tc.NewGroup()
 			for i := 0; i < tasks; i++ {
 				g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(2e7) })

@@ -16,16 +16,7 @@ import (
 func TestRandomTaskDAGsComputeCorrectSums(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStackOn(t, cfg, Config{Workers: 16})
 
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -57,7 +48,7 @@ func TestRandomTaskDAGsComputeCorrectSums(t *testing.T) {
 			}
 			tc.Sync()
 		}
-		if err := rt.Run(func(tc *TC) { build(tc, 0) }); err != nil {
+		if err := run(rt, func(tc *TC) { build(tc, 0) }); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -77,22 +68,13 @@ func TestRandomTaskDAGsComputeCorrectSums(t *testing.T) {
 func TestParallelForRandomShapes(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStackOn(t, cfg, Config{})
 
 	f := func(nRaw uint16, chunkRaw uint8) bool {
 		n := int(nRaw%3000) + 1
 		chunk := int(chunkRaw) % (n + 10) // may exceed n; 0 means auto
 		var sum atomic.Int64
-		err := rt.Run(func(tc *TC) {
+		err := run(rt, func(tc *TC) {
 			tc.ParallelFor(n, chunk, func(tc *TC, lo, hi int) {
 				tc.Compute(float64(hi-lo) * 10)
 				for i := lo; i < hi; i++ {
@@ -121,19 +103,10 @@ func TestParallelForRandomShapes(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStackOn(t, cfg, Config{})
 
 	const tasks = 500
-	err = rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < tasks; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e5) })
@@ -143,11 +116,8 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var executed, popsPlusSteals uint64
-	for _, s := range rt.Stats() {
-		executed += s.TasksExecuted
-		popsPlusSteals += s.LocalPops + s.Steals
-	}
+	executed := rt.met.tasks.Value()
+	popsPlusSteals := rt.met.localPops.Value() + rt.met.steals.Value()
 	// tasks + the root itself.
 	if executed != tasks+1 {
 		t.Errorf("executed = %d, want %d", executed, tasks+1)
@@ -163,19 +133,10 @@ func TestStatsAccounting(t *testing.T) {
 func TestEpochWakesThrottledSpinners(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStackOn(t, cfg, Config{})
 
 	rt.SetThrottle(true, 2) // 4 of 16 workers active
-	err = rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		// Two phases; each bumps the epoch at its group Wait.
 		for phase := 0; phase < 2; phase++ {
 			g := tc.NewGroup()
@@ -188,11 +149,7 @@ func TestEpochWakesThrottledSpinners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stops := uint64(0)
-	for _, s := range rt.Stats() {
-		stops += s.ThrottleStops
-	}
-	if stops == 0 {
+	if stops := rt.met.throttleStops.Value(); stops == 0 {
 		t.Error("no throttle stops despite limit 2")
 	}
 	rt.SetThrottle(false, 8)

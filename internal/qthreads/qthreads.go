@@ -71,17 +71,8 @@ type Config struct {
 // synchronization and cost charging on its executing core.
 type Task func(tc *TC)
 
-// WorkerStats counts one worker's scheduler activity.
-type WorkerStats struct {
-	TasksExecuted uint64
-	LocalPops     uint64
-	Steals        uint64
-	StealMisses   uint64
-	ThrottleStops uint64
-}
-
 // Runtime is one instantiation of the task runtime over a machine. Create
-// with New, run root tasks with Run, tear down with Shutdown.
+// with New, run root tasks with RunHeld, tear down with Shutdown.
 type Runtime struct {
 	m   *machine.Machine
 	cfg Config
@@ -102,7 +93,7 @@ type Runtime struct {
 
 	met *qtMetrics // fixed at New; its instruments are nil when Config.Telemetry is nil
 
-	runMu sync.Mutex // serializes Run calls
+	runMu sync.Mutex // serializes RunHeld calls
 }
 
 // New builds a runtime, enrolls its workers on machine cores 0..Workers-1
@@ -151,24 +142,16 @@ func (rt *Runtime) Machine() *machine.Machine { return rt.m }
 // Workers returns the number of worker threads.
 func (rt *Runtime) Workers() int { return len(rt.workers) }
 
-// ErrAborted is returned by Run when the machine aborted (stopped or hit
-// its watchdog) while the root task was in flight.
+// ErrAborted is returned by RunHeld when the machine aborted (stopped or
+// hit its watchdog) while the root task was in flight.
 var ErrAborted = errors.New("qthreads: machine aborted during run")
 
-// Run executes fn as the root task and blocks until it and all tasks it
-// transitively spawned have completed. Calls are serialized; each Run is
-// one "application" execution, and its completion is a parallel-phase
-// boundary for throttled workers. Run is RunHeld on a clock the caller
-// did not park: the run starts wherever the clock stands, and the clock
-// is let go again on return.
-func (rt *Runtime) Run(fn Task) error {
-	end, err := rt.RunHeld(fn, func() {})
-	end()
-	return err
-}
-
-// RunHeld is Run for a machine whose clock the caller parked with
-// Machine.Hold. It pins both ends of the run to the virtual timeline:
+// RunHeld executes fn as the root task and blocks until it and all tasks
+// it transitively spawned have completed. Calls are serialized; each run
+// is one "application" execution, and its completion is a parallel-phase
+// boundary for throttled workers. The caller parks the machine's clock
+// with Machine.Hold before the runtime starts and passes the hold's
+// release; RunHeld pins both ends of the run to the virtual timeline:
 //
 //   - release is invoked as soon as the root task is enqueued, so the
 //     engine's next pass wakes the idle workers on the queued-work
@@ -228,29 +211,16 @@ func (rt *Runtime) SetThrottle(enabled bool, perShepherdLimit int) {
 	}
 	rt.throttleLimit.Store(int32(perShepherdLimit))
 	rt.throttleOn.Store(enabled)
+	if enabled {
+		rt.met.throttled.Set(1)
+	} else {
+		rt.met.throttled.Set(0)
+	}
 }
-
-// Throttled reports whether concurrency throttling is currently active.
-func (rt *Runtime) Throttled() bool { return rt.throttleOn.Load() }
 
 // BumpEpoch marks a parallel-phase boundary, releasing throttled spinners
 // so they can re-evaluate. ParallelFor and Group.Wait call it internally.
 func (rt *Runtime) BumpEpoch() { rt.epoch.Add(1) }
-
-// Stats returns a copy of each worker's scheduler counters.
-func (rt *Runtime) Stats() []WorkerStats {
-	out := make([]WorkerStats, len(rt.workers))
-	for i, w := range rt.workers {
-		out[i] = WorkerStats{
-			TasksExecuted: w.tasksExecuted.Load(),
-			LocalPops:     w.localPops.Load(),
-			Steals:        w.steals.Load(),
-			StealMisses:   w.stealMisses.Load(),
-			ThrottleStops: w.throttleStops.Load(),
-		}
-	}
-	return out
-}
 
 // Shutdown stops all workers and releases their cores. It must be called
 // before machine.Stop for a clean teardown; calling it twice is safe. The

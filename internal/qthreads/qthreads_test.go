@@ -10,29 +10,84 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
+// newStack starts a runtime of the given width on an M620 with a
+// ten-minute watchdog.
 func newStack(t *testing.T, workers int) (*machine.Machine, *Runtime) {
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 10 * time.Minute
-	m, err := machine.New(cfg)
+	return newStackOn(t, cfg, Config{Workers: workers})
+}
+
+// clocks holds, for each runtime newStackOn started, the release of its
+// machine's parked clock, handed from one run to the next.
+var clocks sync.Map // *Runtime → chan func()
+
+// newStackOn builds a machine, parks its clock as core.New does, and
+// starts a runtime on it that publishes its qthreads_* metrics (into a
+// registry of its own unless cfg names one). The clock moves only
+// inside run.
+func newStackOn(t *testing.T, mcfg machine.Config, cfg Config) (*machine.Machine, *Runtime) {
+	t.Helper()
+	m, err := machine.New(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
-	rt, err := New(m, Config{Workers: workers})
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
+	clock := make(chan func(), 1)
+	clock <- m.Hold()
+	rt, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Shutdown)
+	clocks.Store(rt, clock)
 	return m, rt
+}
+
+// run runs fn as a root task of a runtime from newStackOn. It starts at
+// the instant the clock is parked on and returns with the clock parked
+// at its completion, so a test reads time and energy that only the model
+// decided. Runs from several goroutines chain too: RunHeld serializes
+// them, and each takes the clock from the one before.
+func run(rt *Runtime, fn Task) error {
+	c, _ := clocks.Load(rt)
+	clock := c.(chan func())
+	taken := false
+	end, err := rt.RunHeld(fn, func() { taken = true; (<-clock)() })
+	if taken { // else the runtime was shut down and left the clock alone
+		clock <- end
+	}
+	return err
+}
+
+// nodeEnergy is the exact cumulative energy of every socket.
+func nodeEnergy(m *machine.Machine) units.Joules {
+	var e units.Joules
+	for s := 0; s < m.Config().Sockets; s++ {
+		e += m.SocketEnergy(s)
+	}
+	return e
+}
+
+// counters reads the runtime's scheduler counters: tasks executed, local
+// pops, steals, steal misses and throttle stops.
+func counters(rt *Runtime) [5]uint64 {
+	met := rt.met
+	return [5]uint64{met.tasks.Value(), met.localPops.Value(), met.steals.Value(), met.stealMisses.Value(), met.throttleStops.Value()}
 }
 
 func TestRunSimpleTask(t *testing.T) {
 	_, rt := newStack(t, 4)
 	var ran atomic.Bool
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		tc.Compute(1000)
 		ran.Store(true)
 	})
@@ -47,7 +102,7 @@ func TestRunSimpleTask(t *testing.T) {
 func TestRunAdvancesVirtualTime(t *testing.T) {
 	m, rt := newStack(t, 2)
 	before := m.Now()
-	if err := rt.Run(func(tc *TC) { tc.Compute(2.7e8) }); err != nil { // 100 ms
+	if err := run(rt, func(tc *TC) { tc.Compute(2.7e8) }); err != nil { // 100 ms
 		t.Fatal(err)
 	}
 	elapsed := m.Now() - before
@@ -74,7 +129,7 @@ func TestSpawnSyncFibonacci(t *testing.T) {
 		*out = a + b
 	}
 	var result int64
-	if err := rt.Run(func(tc *TC) { fib(tc, 18, &result) }); err != nil {
+	if err := run(rt, func(tc *TC) { fib(tc, 18, &result) }); err != nil {
 		t.Fatal(err)
 	}
 	if result != 2584 {
@@ -86,7 +141,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	_, rt := newStack(t, 16)
 	const n = 10_000
 	hits := make([]atomic.Int32, n)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		tc.ParallelFor(n, 64, func(tc *TC, lo, hi int) {
 			tc.Compute(float64(hi-lo) * 10)
 			for i := lo; i < hi; i++ {
@@ -107,7 +162,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 func TestParallelForDefaultChunk(t *testing.T) {
 	_, rt := newStack(t, 8)
 	var total atomic.Int64
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		tc.ParallelFor(1000, 0, func(tc *TC, lo, hi int) {
 			total.Add(int64(hi - lo))
 		})
@@ -122,7 +177,7 @@ func TestParallelForDefaultChunk(t *testing.T) {
 
 func TestParallelForEmpty(t *testing.T) {
 	_, rt := newStack(t, 2)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		tc.ParallelFor(0, 10, func(tc *TC, lo, hi int) {
 			t.Error("body ran for empty range")
 		})
@@ -133,8 +188,11 @@ func TestParallelForEmpty(t *testing.T) {
 }
 
 func TestWorkStealingAcrossShepherds(t *testing.T) {
-	_, rt := newStack(t, 16)
-	err := rt.Run(func(tc *TC) {
+	rec := NewRecorder(0)
+	cfg := machine.M620()
+	cfg.VirtualTimeLimit = 10 * time.Minute
+	_, rt := newStackOn(t, cfg, Config{Workers: 16, Tracer: rec})
+	err := run(rt, func(tc *TC) {
 		// Spawn many tasks from one worker (all land on shepherd 0);
 		// socket-1 workers can only get them by stealing.
 		for i := 0; i < 200; i++ {
@@ -145,13 +203,11 @@ func TestWorkStealingAcrossShepherds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := rt.Stats()
-	steals := uint64(0)
-	executedOnSocket1 := uint64(0)
-	for i, s := range stats {
-		steals += s.Steals
-		if i >= 8 {
-			executedOnSocket1 += s.TasksExecuted
+	steals := rt.met.steals.Value()
+	executedOnSocket1 := 0
+	for _, e := range rec.Events() {
+		if e.Kind == EvTaskStart && e.Worker >= 8 {
+			executedOnSocket1++
 		}
 	}
 	if steals == 0 {
@@ -165,7 +221,7 @@ func TestWorkStealingAcrossShepherds(t *testing.T) {
 func TestGroupWait(t *testing.T) {
 	_, rt := newStack(t, 8)
 	var sum atomic.Int64
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 1; i <= 100; i++ {
 			i := i
@@ -192,7 +248,7 @@ func TestRegionEndJoinsStragglers(t *testing.T) {
 	// (implicit join at region end).
 	_, rt := newStack(t, 8)
 	var done atomic.Int64
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		for i := 0; i < 50; i++ {
 			tc.Spawn(func(tc *TC) {
 				tc.Compute(5e5)
@@ -212,7 +268,7 @@ func TestRegionEndJoinsStragglers(t *testing.T) {
 func TestNestedSpawns(t *testing.T) {
 	_, rt := newStack(t, 16)
 	var leaves atomic.Int64
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		for i := 0; i < 8; i++ {
 			tc.Spawn(func(tc *TC) {
 				for j := 0; j < 8; j++ {
@@ -237,7 +293,7 @@ func TestNestedSpawns(t *testing.T) {
 func TestRunSequentialReuse(t *testing.T) {
 	m, rt := newStack(t, 4)
 	for i := 0; i < 3; i++ {
-		if err := rt.Run(func(tc *TC) { tc.Compute(1e6) }); err != nil {
+		if err := run(rt, func(tc *TC) { tc.Compute(1e6) }); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -277,8 +333,18 @@ func TestPartialWorkersEnrollment(t *testing.T) {
 	if rt.Workers() != 12 {
 		t.Fatalf("Workers = %d", rt.Workers())
 	}
-	if got := m.EnrolledCount(); got != 12 {
-		t.Errorf("EnrolledCount = %d, want 12", got)
+	// An enrolled core refuses a second owner; the other four take one.
+	enrolled := 0
+	for id := 0; id < m.Config().Cores(); id++ {
+		ctx, err := m.Enroll(id)
+		if err != nil {
+			enrolled++
+			continue
+		}
+		ctx.Release()
+	}
+	if enrolled != 12 {
+		t.Errorf("enrolled cores = %d, want 12", enrolled)
 	}
 }
 
@@ -297,7 +363,7 @@ func TestShutdownIdempotentAndRunAfterShutdown(t *testing.T) {
 	_, rt := newStack(t, 2)
 	rt.Shutdown()
 	rt.Shutdown()
-	if err := rt.Run(func(tc *TC) {}); err == nil {
+	if err := run(rt, func(tc *TC) {}); err == nil {
 		t.Error("Run after Shutdown succeeded")
 	}
 }
@@ -306,11 +372,11 @@ func TestThrottleLimitsActiveWorkers(t *testing.T) {
 	_, rt := newStack(t, 16)
 	rt.SetThrottle(true, 6) // 12 active node-wide
 	maxSeen := make([]int32, 2)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 400; i++ {
 			g.Spawn(tc, func(tc *TC) {
-				for s, sh := range tc.Runtime().shepherds {
+				for s, sh := range rt.shepherds {
 					if a := sh.active.Load(); a > atomic.LoadInt32(&maxSeen[s]) {
 						atomic.StoreInt32(&maxSeen[s], a)
 					}
@@ -323,12 +389,7 @@ func TestThrottleLimitsActiveWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := rt.Stats()
-	stops := uint64(0)
-	for _, s := range stats {
-		stops += s.ThrottleStops
-	}
-	if stops == 0 {
+	if stops := rt.met.throttleStops.Value(); stops == 0 {
 		t.Error("throttling never engaged")
 	}
 	// The gate races allow brief overshoot; it must stay well below the
@@ -348,9 +409,9 @@ func TestThrottleReducesPower(t *testing.T) {
 		if throttle {
 			rt.SetThrottle(true, 6)
 		}
-		before := m.TotalEnergy()
+		before := nodeEnergy(m)
 		t0 := m.Now()
-		err := rt.Run(func(tc *TC) {
+		err := run(rt, func(tc *TC) {
 			g := tc.NewGroup()
 			for i := 0; i < 320; i++ {
 				g.Spawn(tc, func(tc *TC) { tc.Compute(5e6) })
@@ -361,7 +422,7 @@ func TestThrottleReducesPower(t *testing.T) {
 			t.Fatal(err)
 		}
 		dt := (m.Now() - t0).Seconds()
-		return float64(m.TotalEnergy()-before) / dt
+		return float64(nodeEnergy(m)-before) / dt
 	}
 	full := runPower(false)
 	throttled := runPower(true)
@@ -377,7 +438,7 @@ func TestThrottleReducesPower(t *testing.T) {
 
 func TestThrottleDisabledNoStops(t *testing.T) {
 	_, rt := newStack(t, 16)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		tc.ParallelFor(1000, 10, func(tc *TC, lo, hi int) {
 			tc.Compute(float64(hi-lo) * 1e4)
 		})
@@ -385,27 +446,16 @@ func TestThrottleDisabledNoStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range rt.Stats() {
-		if s.ThrottleStops != 0 {
-			t.Errorf("worker %d recorded %d throttle stops with throttling off", i, s.ThrottleStops)
-		}
+	if stops := rt.met.throttleStops.Value(); stops != 0 {
+		t.Errorf("workers recorded %d throttle stops with throttling off", stops)
 	}
 }
 
 func TestRunAbortedByWatchdog(t *testing.T) {
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 20 * time.Millisecond
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	err = rt.Run(func(tc *TC) { tc.Compute(2.7e9) }) // 1 s >> 20 ms limit
+	_, rt := newStackOn(t, cfg, Config{Workers: 2})
+	err := run(rt, func(tc *TC) { tc.Compute(2.7e9) }) // 1 s >> 20 ms limit
 	if !errors.Is(err, ErrAborted) {
 		t.Errorf("Run = %v, want ErrAborted", err)
 	}
@@ -415,18 +465,14 @@ func TestIdleRuntimeParksCheaply(t *testing.T) {
 	// With workers idle and one core driving time on socket 1, socket 0's
 	// power should be near its parked floor: its four workers parked
 	// (after their spin period), its other four cores unowned.
-	cfg := machine.M620()
-	cfg.VirtualTimeLimit = 10 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-	rt, err := New(m, Config{Workers: 8}) // cores 0-3 and 8-11
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
+	m, rt := newStack(t, 8) // cores 0-3 and 8-11
+	var mu sync.Mutex
+	var p0 float64 // socket 0's power in the last step
+	m.SetStepHook(func(r machine.StepRecord) {
+		mu.Lock()
+		p0 = r.Sockets[0].Power
+		mu.Unlock()
+	})
 	ctx, err := m.Enroll(12)
 	if err != nil {
 		t.Fatal(err)
@@ -437,9 +483,13 @@ func TestIdleRuntimeParksCheaply(t *testing.T) {
 		defer ctx.Release()
 		ctx.Compute(2.7e8) // 100 ms on socket 1
 	}()
+	// Core 12's load alone moves the clock, and the clock stops when
+	// that core is released: nothing else has a deadline.
+	c, _ := clocks.Load(rt)
+	(<-c.(chan func()))()
 	<-done
-	snap := m.Snapshot()
-	p0 := float64(snap.Sockets[0].Power)
+	mu.Lock()
+	defer mu.Unlock()
 	parked := float64(m.Config().Power.PredictSocketPower(0, 0, 0, 0, 4, 4, 0))
 	if math.Abs(p0-parked)/parked > 0.25 {
 		t.Errorf("idle worker socket draws %.1f W, want near parked %.1f W", p0, parked)
@@ -454,7 +504,7 @@ func TestConcurrentRunsSerialize(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := rt.Run(func(tc *TC) {
+			err := run(rt, func(tc *TC) {
 				c := inFlight.Add(1)
 				for {
 					m := maxInFlight.Load()
@@ -479,20 +529,9 @@ func TestConcurrentRunsSerialize(t *testing.T) {
 func TestZeroCostConfig(t *testing.T) {
 	// A runtime with all scheduler costs zero is legal (pure algorithmic
 	// accounting) and must still run correctly.
-	cfg := machine.M620()
-	cfg.VirtualTimeLimit = 10 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStack(t, 8)
 	var n atomic.Int64
-	err = rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 100; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e5); n.Add(1) })
@@ -515,7 +554,7 @@ func TestThrottleLimitFloor(t *testing.T) {
 	}
 	// Work must still complete with the tightest limit.
 	var n atomic.Int64
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 20; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e5); n.Add(1) })
@@ -535,14 +574,19 @@ func TestThrottleLimitFloor(t *testing.T) {
 // and runs the same spawning root on it: the root lands while all sixteen
 // workers are blocked, every one of them is woken, and the baton's core-id
 // order — not whichever goroutine the host scheduled first — decides that
-// worker 0 takes it. The per-worker counters, which record every pop and
-// steal that followed, must then repeat exactly as well.
+// worker 0 takes it. The scheduler trace (every task start and end, steal
+// and park, by worker and virtual time) and the scheduler counters, which
+// also count every local pop and steal miss, must then repeat exactly.
 func TestRootAlwaysDequeuedBySameWorker(t *testing.T) {
-	var first []WorkerStats
-	for run := 0; run < 20; run++ {
-		_, rt := newStack(t, 16)
+	cfg := machine.M620()
+	cfg.VirtualTimeLimit = 10 * time.Minute
+	var first []Event
+	var firstCounts [5]uint64
+	for n := 0; n < 20; n++ {
+		rec := NewRecorder(0)
+		_, rt := newStackOn(t, cfg, Config{Workers: 16, Tracer: rec})
 		rootWorker := -1
-		err := rt.Run(func(tc *TC) {
+		err := run(rt, func(tc *TC) {
 			rootWorker = tc.w.id
 			for i := 0; i < 64; i++ {
 				tc.Spawn(func(tc *TC) { tc.Compute(2.7e5) })
@@ -553,14 +597,19 @@ func TestRootAlwaysDequeuedBySameWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rootWorker != 0 {
-			t.Fatalf("run %d: root dequeued by worker %d, want 0", run, rootWorker)
+			t.Fatalf("run %d: root dequeued by worker %d, want 0", n, rootWorker)
 		}
 		rt.Shutdown() // the root's own worker is still counting it as executed
-		stats := rt.Stats()
+		events, counts := rec.Events(), counters(rt)
 		if first == nil {
-			first = stats
-		} else if !slices.Equal(stats, first) {
-			t.Fatalf("run %d: worker counters\n%+v, first run\n%+v", run, stats, first)
+			first, firstCounts = events, counts
+			continue
+		}
+		if counts != firstCounts {
+			t.Fatalf("run %d: scheduler counters %v, first run %v", n, counts, firstCounts)
+		}
+		if !slices.Equal(events, first) {
+			t.Fatalf("run %d: scheduler trace of %d events differs from the first run's %d", n, len(events), len(first))
 		}
 	}
 }
@@ -573,7 +622,7 @@ func TestShutdownDuringRunReturns(t *testing.T) {
 	started := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() {
-		runDone <- rt.Run(func(tc *TC) {
+		runDone <- run(rt, func(tc *TC) {
 			close(started)
 			for i := 0; i < 4096; i++ {
 				tc.Spawn(func(tc *TC) { tc.Compute(2.7e7) })

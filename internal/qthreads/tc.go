@@ -21,17 +21,11 @@ type Group struct {
 	n  atomic.Int64
 }
 
-// Runtime returns the runtime executing this task.
-func (tc *TC) Runtime() *Runtime { return tc.w.rt }
-
 // Machine returns the underlying simulated machine.
 func (tc *TC) Machine() *machine.Machine { return tc.w.rt.m }
 
 // Compute charges pure compute cycles to the executing core.
 func (tc *TC) Compute(ops float64) { tc.w.ctx.Compute(ops) }
-
-// Stream charges pure memory traffic to the executing core.
-func (tc *TC) Stream(bytes float64) { tc.w.ctx.Stream(bytes) }
 
 // Execute charges a mixed work item to the executing core.
 func (tc *TC) Execute(w machine.Work) { tc.w.ctx.Execute(w) }

@@ -110,15 +110,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Counts tallies events by kind.
-func (r *Recorder) Counts() map[EventKind]int {
-	out := make(map[EventKind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // WriteCSV dumps the trace as CSV.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

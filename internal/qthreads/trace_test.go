@@ -14,27 +14,27 @@ func newTracedStack(t *testing.T, rec *Recorder, workers int, throttle bool) (*m
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 10 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-	rt, err := New(m, Config{Workers: workers, Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
+	m, rt := newStackOn(t, cfg, Config{Workers: workers, Tracer: rec})
 	if throttle {
 		rt.SetThrottle(true, 2)
 	}
 	return m, rt
 }
 
+// tally counts the recorded events by kind.
+func tally(rec *Recorder) map[EventKind]int {
+	out := make(map[EventKind]int)
+	for _, e := range rec.Events() {
+		out[e.Kind]++
+	}
+	return out
+}
+
 func TestRecorderCapturesTaskLifecycle(t *testing.T) {
 	rec := NewRecorder(0)
 	_, rt := newTracedStack(t, rec, 8, false)
 	const tasks = 40
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < tasks; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e6) })
@@ -44,7 +44,7 @@ func TestRecorderCapturesTaskLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := rec.Counts()
+	counts := tally(rec)
 	// tasks + root.
 	if counts[EvTaskStart] != tasks+1 || counts[EvTaskEnd] != tasks+1 {
 		t.Errorf("task events = %d/%d, want %d", counts[EvTaskStart], counts[EvTaskEnd], tasks+1)
@@ -64,7 +64,7 @@ func TestRecorderCapturesTaskLifecycle(t *testing.T) {
 func TestRecorderCapturesThrottleEvents(t *testing.T) {
 	rec := NewRecorder(0)
 	_, rt := newTracedStack(t, rec, 16, true)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 200; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(2e6) })
@@ -75,7 +75,7 @@ func TestRecorderCapturesThrottleEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.SetThrottle(false, 8)
-	counts := rec.Counts()
+	counts := tally(rec)
 	if counts[EvThrottleEnter] == 0 {
 		t.Fatal("no throttle-enter events under an active throttle")
 	}
@@ -88,7 +88,7 @@ func TestRecorderCapturesThrottleEvents(t *testing.T) {
 func TestRecorderRingWraps(t *testing.T) {
 	rec := NewRecorder(16)
 	_, rt := newTracedStack(t, rec, 4, false)
-	err := rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 100; i++ { // far more events than 16 slots
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e5) })
@@ -112,7 +112,7 @@ func TestRecorderRingWraps(t *testing.T) {
 func TestRecorderWriteCSV(t *testing.T) {
 	rec := NewRecorder(0)
 	_, rt := newTracedStack(t, rec, 4, false)
-	if err := rt.Run(func(tc *TC) { tc.Compute(1e6) }); err != nil {
+	if err := run(rt, func(tc *TC) { tc.Compute(1e6) }); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -145,20 +145,9 @@ func TestEventKindStrings(t *testing.T) {
 
 func TestTracingOffByDefault(t *testing.T) {
 	// Just exercising the nil-tracer fast path under load.
-	cfg := machine.M620()
-	cfg.VirtualTimeLimit = 10 * time.Minute
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Stop()
-	rt, err := New(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
+	_, rt := newStack(t, 0)
 	var n atomic.Int64
-	err = rt.Run(func(tc *TC) {
+	err := run(rt, func(tc *TC) {
 		g := tc.NewGroup()
 		for i := 0; i < 50; i++ {
 			g.Spawn(tc, func(tc *TC) { tc.Compute(1e5); n.Add(1) })

@@ -1,7 +1,6 @@
 package qthreads
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -13,12 +12,6 @@ type worker struct {
 	rt       *Runtime
 	ctx      *machine.CoreCtx
 	shepherd *shepherd
-
-	tasksExecuted atomic.Uint64
-	localPops     atomic.Uint64
-	steals        atomic.Uint64
-	stealMisses   atomic.Uint64
-	throttleStops atomic.Uint64
 }
 
 // run is the worker main loop: gate on the throttle, find work, execute,
@@ -93,7 +86,6 @@ func (w *worker) acquireSlot() bool {
 			}
 			continue // lost the race; retry
 		}
-		w.throttleStops.Add(1)
 		met := rt.met
 		met.throttleStops.Inc()
 		w.trace(EvThrottleEnter)
@@ -132,7 +124,6 @@ func (w *worker) findWork() *taskItem {
 	met := rt.met
 	if t := w.shepherd.pop(); t != nil {
 		rt.queued.Add(-1)
-		w.localPops.Add(1)
 		met.localPops.Inc()
 		w.chargeSched(dequeueCost)
 		return t
@@ -142,13 +133,11 @@ func (w *worker) findWork() *taskItem {
 		sh := rt.shepherds[(w.shepherd.id+i)%n]
 		if t := sh.stealFrom(); t != nil {
 			rt.queued.Add(-1)
-			w.steals.Add(1)
 			met.steals.Inc()
 			w.trace(EvSteal)
 			w.chargeSched(stealCost)
 			return t
 		}
-		w.stealMisses.Add(1)
 		met.stealMisses.Inc()
 	}
 	return nil
@@ -166,7 +155,6 @@ func (w *worker) execute(t *taskItem) {
 	if t.counted {
 		w.rt.pending.Add(-1)
 	}
-	w.tasksExecuted.Add(1)
 	w.rt.met.tasks.Inc()
 	w.trace(EvTaskEnd)
 }

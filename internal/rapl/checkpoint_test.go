@@ -34,7 +34,7 @@ func quarantinedGuard(t *testing.T, clk *settableClock, reg *telemetry.Registry)
 		}
 	}
 	fake.SetError(nil)
-	if s := g.State(0); s != GuardQuarantined {
+	if s := stateOf(g, 0); s != GuardQuarantined {
 		t.Fatalf("setup state %v, want quarantined", s)
 	}
 	return g, fake
@@ -74,7 +74,7 @@ func TestGuardCheckpointRestore(t *testing.T) {
 	g2.Restore(cp)
 
 	// Quarantine survived the restart, re-anchored to the new clock.
-	if s := g2.State(0); s != GuardQuarantined {
+	if s := stateOf(g2, 0); s != GuardQuarantined {
 		t.Fatalf("restored state %v, want quarantined", s)
 	}
 	if got := reg.Gauge("rapl_guard_quarantined").Value(); got != 1 {
@@ -107,7 +107,7 @@ func TestGuardCheckpointRestore(t *testing.T) {
 	if _, err := g2.Energy(0); err != nil {
 		t.Fatalf("retry after restored backoff: %v", err)
 	}
-	if s := g2.State(0); s != GuardRecovered {
+	if s := stateOf(g2, 0); s != GuardRecovered {
 		t.Errorf("state after successful retry %v, want recovered", s)
 	}
 }
@@ -125,7 +125,7 @@ func TestGuardRestoreRejectsGarbage(t *testing.T) {
 		{State: GuardState(99), Faults: -3, Acc: 12, Backoff: -time.Second, RetryIn: -time.Hour},
 		{State: GuardQuarantined}, // beyond the reader's domains: ignored
 	})
-	if s := g.State(0); s != GuardSensing {
+	if s := stateOf(g, 0); s != GuardSensing {
 		t.Errorf("garbage state restored as %v, want sensing", s)
 	}
 	if e, err := g.Energy(0); err != nil || float64(e) != 12 {

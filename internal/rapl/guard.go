@@ -167,16 +167,6 @@ func NewGuard(reader Reader, cfg GuardConfig) (*Guard, error) {
 // Domains returns the wrapped reader's domain count.
 func (g *Guard) Domains() int { return g.inner.Domains() }
 
-// State returns a domain's current health state.
-func (g *Guard) State(domain int) GuardState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if domain < 0 || domain >= len(g.doms) {
-		return GuardSensing
-	}
-	return g.doms[domain].state
-}
-
 // Quarantined returns how many domains are currently quarantined.
 func (g *Guard) Quarantined() int {
 	g.mu.Lock()

@@ -10,6 +10,13 @@ import (
 	"repro/internal/units"
 )
 
+// stateOf reads a domain's health state under the guard's lock.
+func stateOf(g *Guard, domain int) GuardState {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.doms[domain].state
+}
+
 // settableClock is a manual time source for backoff-deadline tests.
 type settableClock struct{ at time.Duration }
 
@@ -135,7 +142,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if err != nil || e != 5 {
 		t.Fatalf("healthy read: %v, %v; want 5 J", e, err)
 	}
-	if s := g.State(0); s != GuardSensing {
+	if s := stateOf(g, 0); s != GuardSensing {
 		t.Fatalf("state %v, want sensing", s)
 	}
 
@@ -145,7 +152,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if _, err := g.Energy(0); !errors.Is(err, injected) {
 		t.Fatalf("fault not propagated: %v", err)
 	}
-	if s := g.State(0); s != GuardSuspect {
+	if s := stateOf(g, 0); s != GuardSuspect {
 		t.Fatalf("state after 1 fault: %v, want suspect", s)
 	}
 
@@ -153,7 +160,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if _, err := g.Energy(0); !errors.Is(err, injected) {
 		t.Fatalf("second fault: %v", err)
 	}
-	if s := g.State(0); s != GuardSuspect {
+	if s := stateOf(g, 0); s != GuardSuspect {
 		t.Fatalf("state after 2 faults: %v, want suspect", s)
 	}
 
@@ -161,7 +168,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if _, err := g.Energy(0); !errors.Is(err, injected) {
 		t.Fatalf("third fault: %v", err)
 	}
-	if s := g.State(0); s != GuardQuarantined {
+	if s := stateOf(g, 0); s != GuardQuarantined {
 		t.Fatalf("state after 3 faults: %v, want quarantined", s)
 	}
 	if g.Quarantined() != 1 {
@@ -204,7 +211,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if err != nil || e != 5 {
 		t.Fatalf("recovery read: %v, %v; want 5 J (no cross-outage booking)", e, err)
 	}
-	if s := g.State(0); s != GuardRecovered {
+	if s := stateOf(g, 0); s != GuardRecovered {
 		t.Fatalf("state after recovery: %v, want recovered", s)
 	}
 	if g.Quarantined() != 0 {
@@ -217,7 +224,7 @@ func TestGuardStateMachine(t *testing.T) {
 	if err != nil || e != 12 {
 		t.Fatalf("post-recovery read: %v, %v; want 12 J", e, err)
 	}
-	if s := g.State(0); s != GuardSensing {
+	if s := stateOf(g, 0); s != GuardSensing {
 		t.Fatalf("state after clean read: %v, want sensing", s)
 	}
 

@@ -114,8 +114,8 @@ func TestServerShedsWhenSaturated(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
 		s.MaxConns = 1
-		s.AcceptQueue = 1
-		s.ReadTimeout = 2 * time.Second
+		s.acceptQueue = 1
+		s.readTimeout = 2 * time.Second
 		s.Instrument(reg)
 	})
 
@@ -363,7 +363,7 @@ func BenchmarkWriteMem(b *testing.B) {
 func BenchmarkDecodeSnapshot(b *testing.B) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
-	p := AppendSnapshot(nil, bb.Snapshot(time.Second))
+	p := AppendSnapshot(nil, snapshotOf(bb, time.Second))
 	b.SetBytes(int64(len(p)))
 	b.ReportAllocs()
 	b.ResetTimer()

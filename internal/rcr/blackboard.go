@@ -331,15 +331,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Snapshot copies the blackboard. Each call allocates a fresh Snapshot;
-// hot paths (the IPC server's per-connection workers) use SnapshotInto
-// with a reused scratch instead.
-func (bb *Blackboard) Snapshot(now time.Duration) Snapshot {
-	var s Snapshot
-	bb.SnapshotInto(&s, now)
-	return s
-}
-
 // SnapshotInto fills s from the blackboard, reusing s's backing arrays:
 // a scratch Snapshot refilled every cycle reaches zero allocations per
 // call once its slices have grown to the board's meter population. Meter

@@ -11,6 +11,14 @@ import (
 	"time"
 )
 
+// snapshotOf copies bb into a fresh Snapshot, as SnapshotInto's callers
+// do with their first scratch.
+func snapshotOf(bb *Blackboard, now time.Duration) Snapshot {
+	var s Snapshot
+	bb.SnapshotInto(&s, now)
+	return s
+}
+
 func TestNewBlackboardTopology(t *testing.T) {
 	bb, err := NewBlackboard(2, 8)
 	if err != nil {
@@ -67,7 +75,7 @@ func TestSnapshotSortedAndDeep(t *testing.T) {
 	bb.SetSocket(0, MeterPower, 70, time.Second)
 	bb.SetCore(1, MeterDutyCycle, 0.25, time.Second)
 
-	s := bb.Snapshot(5 * time.Second)
+	s := snapshotOf(bb, 5*time.Second)
 	if s.Now != 5*time.Second {
 		t.Errorf("snapshot Now = %v", s.Now)
 	}
@@ -98,7 +106,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for c := 0; c < 8; c++ {
 		bb.SetCore(c, MeterDutyCycle, 1.0/32, 3*time.Second)
 	}
-	s := bb.Snapshot(3 * time.Second)
+	s := snapshotOf(bb, 3*time.Second)
 	got, err := DecodeSnapshot(AppendSnapshot(nil, s))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +133,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	bb, _ := NewBlackboard(1, 1)
-	data := AppendSnapshot(nil, bb.Snapshot(0))
+	data := AppendSnapshot(nil, snapshotOf(bb, 0))
 	data = append(data, 0xFF)
 	if _, err := DecodeSnapshot(data); err == nil {
 		t.Error("DecodeSnapshot accepted trailing bytes")
@@ -135,7 +143,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 func TestDecodeRejectsTruncation(t *testing.T) {
 	bb, _ := NewBlackboard(2, 4)
 	bb.SetSystem(MeterEnergy, 1, 0)
-	data := AppendSnapshot(nil, bb.Snapshot(time.Second))
+	data := AppendSnapshot(nil, snapshotOf(bb, time.Second))
 	for cut := 1; cut < len(data); cut += 3 {
 		if _, err := DecodeSnapshot(data[:cut]); err == nil {
 			t.Errorf("DecodeSnapshot accepted truncation at %d", cut)
@@ -162,7 +170,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 				bb.SetCore(rng.Intn(bb.Cores()), name, v, ts)
 			}
 		}
-		s := bb.Snapshot(time.Duration(rng.Int63n(1e12)))
+		s := snapshotOf(bb, time.Duration(rng.Int63n(1e12)))
 		got, err := DecodeSnapshot(AppendSnapshot(nil, s))
 		if err != nil {
 			t.Logf("decode error: %v", err)
@@ -180,14 +188,14 @@ func TestWriteJSON(t *testing.T) {
 	bb.SetSystem(MeterPower, 141.7, 3*time.Second)
 	bb.SetSocket(0, MeterEnergy, 6860, 3*time.Second)
 	var buf bytes.Buffer
-	if err := bb.Snapshot(3 * time.Second).WriteJSON(&buf); err != nil {
+	if err := snapshotOf(bb, 3*time.Second).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, bb.Snapshot(3*time.Second)) {
+	if !reflect.DeepEqual(back, snapshotOf(bb, 3*time.Second)) {
 		t.Errorf("JSON round trip mismatch:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), `"power"`) {

@@ -149,7 +149,7 @@ func TestSubStateFollowsBoard(t *testing.T) {
 	if err := st.ApplyFull(&full); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Snapshot(), bb.Snapshot(time.Second); !reflect.DeepEqual(got, want) {
+	if got, want := st.Snapshot(), snapshotOf(bb, time.Second); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after full frame:\n got  %+v\n want %+v", got, want)
 	}
 
@@ -165,7 +165,7 @@ func TestSubStateFollowsBoard(t *testing.T) {
 		if err := st.ApplyDelta(&delta); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if got, want := st.Snapshot(), bb.Snapshot(now); !reflect.DeepEqual(got, want) {
+		if got, want := st.Snapshot(), snapshotOf(bb, now); !reflect.DeepEqual(got, want) {
 			t.Fatalf("tick %d:\n got  %+v\n want %+v", tick, got, want)
 		}
 	}

@@ -20,7 +20,7 @@ func encTestSnapshot() Snapshot {
 	bb.SetSocket(1, MeterMemConcurrency, 17, 2*time.Second)
 	bb.SetCore(0, MeterDutyCycle, 0.25, time.Second)
 	bb.SetCore(3, MeterTemperature, 55, time.Second)
-	return bb.Snapshot(3 * time.Second)
+	return snapshotOf(bb, 3*time.Second)
 }
 
 // TestDecodeSnapshotTruncatedNeverPanics: every proper prefix of a valid
@@ -180,7 +180,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 func TestDecodeSnapshotAllocs(t *testing.T) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
-	p := AppendSnapshot(nil, bb.Snapshot(time.Second))
+	p := AppendSnapshot(nil, snapshotOf(bb, time.Second))
 	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeSnapshot(p) }); n != 3 {
 		t.Errorf("DecodeSnapshot of a 2×8 board allocates %.0f/op, want 3", n)
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestHistoryRecordsSeries(t *testing.T) {
 	m, s := startSimStack(t)
-	h, err := StartHistory(m, s.Blackboard())
+	h, err := StartHistory(m, s.bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestHistoryRecordsSeries(t *testing.T) {
 
 func TestHistoryRingWraps(t *testing.T) {
 	m, s := startSimStack(t)
-	h, err := StartHistory(m, s.Blackboard())
+	h, err := StartHistory(m, s.bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHistoryRingWraps(t *testing.T) {
 
 func TestHistoryWriteCSV(t *testing.T) {
 	m, s := startSimStack(t)
-	h, err := StartHistory(m, s.Blackboard())
+	h, err := StartHistory(m, s.bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHistoryRestoreDeepCopy(t *testing.T) {
 
 func TestHistoryConcurrentReaders(t *testing.T) {
 	m, s := startSimStack(t)
-	h, err := StartHistory(m, s.Blackboard())
+	h, err := StartHistory(m, s.bb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ import (
 // Connection reuse. GET, MET and MEM may follow one another on one
 // connection, each request with its own counters and size bounds. The
 // server arms two deadlines per request, each one SetDeadline: when the
-// connection parks (and before the first request), ReadTimeout for the
-// wait and the whole request read; once the request is read,
+// connection parks (and before the first request), the read timeout
+// (DefaultIPCTimeout) for the wait and the whole request read; once the request is read,
 // DefaultIPCTimeout for the response write. The client arms none: the
 // exchange's context reaches the connection only through one AfterFunc
 // that expires it, so a parked connection carries no timer. The server
@@ -115,19 +115,21 @@ type Server struct {
 	clock Clock
 	ln    net.Listener
 
-	// ReadTimeout bounds the wait for and the read of each request, and
-	// DefaultIPCTimeout its response write. Zero selects
-	// DefaultIPCTimeout; a stalled or malicious client can hold a handler
-	// (and one connection slot) no longer than their sum.
-	ReadTimeout time.Duration
+	// readTimeout bounds the wait for and the read of each request, and
+	// DefaultIPCTimeout its response write. Zero, as every program
+	// leaves it, selects DefaultIPCTimeout; a stalled or malicious client
+	// can hold a handler (and one connection slot) no longer than their
+	// sum. Tests shorten it.
+	readTimeout time.Duration
 	// MaxConns caps concurrently served connections (the handler worker
 	// pool size). Zero selects DefaultMaxConns.
 	MaxConns int
-	// AcceptQueue bounds how many accepted connections may wait for a
-	// free handler. Zero selects DefaultAcceptQueue. Once it is full,
-	// further clients get a cheap BUSY response and are closed (load
-	// shedding — clients fail fast and retry).
-	AcceptQueue int
+	// acceptQueue bounds how many accepted connections may wait for a
+	// free handler. Zero, as every program leaves it, selects
+	// DefaultAcceptQueue; tests shrink it. Once it is full, further
+	// clients get a cheap BUSY response and are closed (load shedding —
+	// clients fail fast and retry).
+	acceptQueue int
 	// DrainTimeout is how long Close lets in-flight and queued handlers
 	// finish naturally before expiring their deadlines. Zero expires
 	// immediately (fastest shutdown; handlers unwind via I/O errors).
@@ -203,12 +205,12 @@ func transientAcceptError(err error) bool {
 // Serve accepts connections until Close. It returns nil after Close.
 //
 // Admission control: accepted connections are handed to a fixed pool of
-// MaxConns handler workers through a bounded queue of AcceptQueue; when
+// MaxConns handler workers through a bounded queue of acceptQueue; when
 // both are full the server sheds (BUSY response). Transient Accept
 // errors back off exponentially and continue — they never kill the
 // daemon.
 func (s *Server) Serve() error {
-	readTO := s.ReadTimeout
+	readTO := s.readTimeout
 	if readTO <= 0 {
 		readTO = DefaultIPCTimeout
 	}
@@ -216,7 +218,7 @@ func (s *Server) Serve() error {
 	if maxConns <= 0 {
 		maxConns = DefaultMaxConns
 	}
-	queueCap := s.AcceptQueue
+	queueCap := s.acceptQueue
 	if queueCap <= 0 {
 		queueCap = DefaultAcceptQueue
 	}

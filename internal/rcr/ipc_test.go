@@ -44,7 +44,7 @@ func TestServerQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bb.Snapshot(3 * time.Second)
+	want := snapshotOf(bb, 3*time.Second)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Query mismatch:\ngot  %+v\nwant %+v", got, want)
 	}

@@ -344,8 +344,8 @@ func TestShedWriteReportsBusy(t *testing.T) {
 	guard := NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
 	reg := telemetry.NewRegistry()
 	serveAt(t, sock, func(s *Server) {
-		s.MaxConns, s.AcceptQueue = 1, 1
-		s.ReadTimeout = 10 * time.Second
+		s.MaxConns, s.acceptQueue = 1, 1
+		s.readTimeout = 10 * time.Second
 		s.Fence = guard
 		s.Instrument(reg)
 	})
@@ -386,14 +386,14 @@ func rawGet(conn net.Conn) error {
 
 // TestIdleConnYieldsItsWorker: with MaxConns = 1 and the only worker
 // held by an idle kept-alive peer, a second client is served at once —
-// the idle peer is shed, and nobody waits out ReadTimeout.
+// the idle peer is shed, and nobody waits out the read timeout.
 func TestIdleConnYieldsItsWorker(t *testing.T) {
 	leak.Check(t)
 	flushIdle()
 	sock := filepath.Join(t.TempDir(), "rcrd.sock")
 	srv, _ := serveAt(t, sock, func(s *Server) {
 		s.MaxConns = 1
-		s.ReadTimeout = 10 * time.Second
+		s.readTimeout = 10 * time.Second
 	})
 	keeper, err := net.Dial("unix", sock)
 	if err != nil {
@@ -410,7 +410,7 @@ func TestIdleConnYieldsItsWorker(t *testing.T) {
 		t.Fatalf("query behind an idle connection: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("second client waited %v behind an idle connection (ReadTimeout 10s)", elapsed)
+		t.Errorf("second client waited %v behind an idle connection (read timeout 10s)", elapsed)
 	}
 	keeper.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if n, err := keeper.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
@@ -420,14 +420,14 @@ func TestIdleConnYieldsItsWorker(t *testing.T) {
 
 // TestServerCloseDropsIdleConns is TestServerCloseDrains' kept-alive
 // twin: with only idle connections open, Close waits out neither
-// DrainTimeout nor ReadTimeout.
+// DrainTimeout nor the read timeout.
 func TestServerCloseDropsIdleConns(t *testing.T) {
 	leak.Check(t)
 	flushIdle()
 	sock := filepath.Join(t.TempDir(), "rcrd.sock")
 	srv, stop := serveAt(t, sock, func(s *Server) {
 		s.DrainTimeout = 10 * time.Second
-		s.ReadTimeout = 10 * time.Second
+		s.readTimeout = 10 * time.Second
 	})
 	for i := 0; i < 3; i++ {
 		if _, err := Query("unix", sock); err != nil {
@@ -460,7 +460,7 @@ func TestServerCloseDropsIdleConns(t *testing.T) {
 // TestServerRequestFraming: the server reads requests through a
 // per-connection buffered reader, however the peer splits them. A MEM
 // request written a byte at a time is answered; a body that stalls past
-// ReadTimeout is cut and counted as an error; SUB with bytes behind it
+// the read timeout is cut and counted as an error; SUB with bytes behind it
 // is refused as a bad request — the publisher's writer takes the bare
 // connection, and those bytes would be left behind in the reader.
 func TestServerRequestFraming(t *testing.T) {
@@ -482,7 +482,7 @@ func TestServerRequestFraming(t *testing.T) {
 			sock := filepath.Join(t.TempDir(), "rcrd.sock")
 			reg := telemetry.NewRegistry()
 			srv, _ := serveAt(t, sock, func(s *Server) {
-				s.ReadTimeout = tc.readTO
+				s.readTimeout = tc.readTO
 				s.Fence = NewFenceGuard((&fenceTestClock{}).Now, func(float64, uint64) error { return nil })
 				s.Pub = NewPublisher(s.bb)
 				s.Instrument(reg)

@@ -145,15 +145,6 @@ func (g *FenceGuard) OfferMem(w MemWrite) MemAck {
 		Frame: append([]byte(nil), g.memFrame...)}
 }
 
-// Membership returns the guard's stored membership record: the fence
-// it was committed under, its epoch, and a copy of the frame bytes.
-// Zero values when nothing has been committed.
-func (g *FenceGuard) Membership() (fence, epoch uint64, frame []byte) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.memFence, g.memEpoch, append([]byte(nil), g.memFrame...)
-}
-
 // WriteMem performs one fenced membership write ("MEM\n" op) against
 // addr. Like WriteCap, a transport failure is an error while a fence
 // rejection comes back in the ack. The ack's Frame is a copy

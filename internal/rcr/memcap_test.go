@@ -138,9 +138,8 @@ func TestOfferMemStoresUnderFenceRules(t *testing.T) {
 	if ack.Ack.Status != CapApplied || ack.MemFence != 5 || ack.MemEpoch != 2 || string(ack.Frame) != "successor" {
 		t.Fatalf("successor commit: %+v", ack)
 	}
-	fence, epoch, frame := g.Membership()
-	if fence != 5 || epoch != 2 || string(frame) != "successor" {
-		t.Fatalf("Membership() = (%d, %d, %q)", fence, epoch, frame)
+	if g.memFence != 5 || g.memEpoch != 2 || string(g.memFrame) != "successor" {
+		t.Fatalf("stored membership = (%d, %d, %q)", g.memFence, g.memEpoch, g.memFrame)
 	}
 }
 
@@ -172,9 +171,8 @@ func TestPowerCyclePreservesRatchetClearsCap(t *testing.T) {
 	if st.Fence != 4 {
 		t.Fatalf("fence ratchet lost: %+v", st)
 	}
-	fence, epoch, frame := g.Membership()
-	if fence != 4 || epoch != 7 || string(frame) != "committed" {
-		t.Fatalf("membership lost in power cycle: (%d, %d, %q)", fence, epoch, frame)
+	if g.memFence != 4 || g.memEpoch != 7 || string(g.memFrame) != "committed" {
+		t.Fatalf("membership lost in power cycle: (%d, %d, %q)", g.memFence, g.memEpoch, g.memFrame)
 	}
 	// The ratchet still fences: a lower fence stays rejected after the
 	// cycle, even with the lease long expired.

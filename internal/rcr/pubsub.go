@@ -39,7 +39,7 @@ import (
 // the tick never pays one syscall per subscriber.
 //
 // Slow subscribers never stall the tick: each backlog holds at most
-// QueueDepth frames; on overflow the oldest is dropped and the
+// DefaultSubQueueDepth frames; on overflow the oldest is dropped and the
 // subscriber is marked for resync, receiving a fresh full frame
 // (FlagResync) on the next tick instead of a broken delta chain. A frame
 // whose start is already on the wire is never dropped.
@@ -57,10 +57,11 @@ const fullFlagsAt = 4 + 4 + 4 + 8 + 8
 type Publisher struct {
 	bb *Blackboard
 
-	// QueueDepth bounds each subscriber's pending-frame queue; zero
-	// selects DefaultSubQueueDepth. When a queue is full the oldest frame
-	// is dropped and the subscriber resyncs from a full frame.
-	QueueDepth int
+	// queueDepth bounds each subscriber's pending-frame queue; zero, as
+	// every program leaves it, selects DefaultSubQueueDepth, and tests
+	// set other depths. When a queue is full the oldest frame is dropped
+	// and the subscriber resyncs from a full frame.
+	queueDepth int
 
 	tmu      sync.Mutex // serializes Tick with itself; guards the tick scratch
 	delta    DeltaFrame
@@ -174,9 +175,9 @@ func (p *Publisher) attach(conn net.Conn, onExit func()) (*subscriber, error) {
 	return sub, nil
 }
 
-func (p *Publisher) queueDepth() int {
-	if p.QueueDepth > 0 {
-		return p.QueueDepth
+func (p *Publisher) depth() int {
+	if p.queueDepth > 0 {
+		return p.queueDepth
 	}
 	return DefaultSubQueueDepth
 }
@@ -352,7 +353,7 @@ func (p *Publisher) deliver(sub *subscriber, frame []byte, sole bool) bool {
 			frame = frame[n:]
 		}
 	}
-	if len(sub.ends) >= p.queueDepth() {
+	if len(sub.ends) >= p.depth() {
 		// Drop the oldest frame, or this one while the oldest is the
 		// rest of a frame begun on the wire.
 		p.dropped.Inc()

@@ -84,7 +84,7 @@ func TestSubscribeStream(t *testing.T) {
 	if !sub.State().ready {
 		t.Fatal("state not ready after first frame")
 	}
-	if got, want := sub.Snapshot(), bb.Snapshot(time.Second); !reflect.DeepEqual(got, want) {
+	if got, want := sub.Snapshot(), snapshotOf(bb, time.Second); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after full frame:\n got  %+v\n want %+v", got, want)
 	}
 
@@ -95,7 +95,7 @@ func TestSubscribeStream(t *testing.T) {
 		if err := sub.Next(ctx); err != nil {
 			t.Fatalf("delta %d: %v", tick, err)
 		}
-		if got, want := sub.Snapshot(), bb.Snapshot(now); !reflect.DeepEqual(got, want) {
+		if got, want := sub.Snapshot(), snapshotOf(bb, now); !reflect.DeepEqual(got, want) {
 			t.Fatalf("delta %d:\n got  %+v\n want %+v", tick, got, want)
 		}
 	}
@@ -142,7 +142,7 @@ func TestSubscribeSchemaChange(t *testing.T) {
 		t.Fatalf("post-schema-change frame: %v", err)
 	}
 	got := sub.Snapshot()
-	want := bb.Snapshot(2 * time.Second)
+	want := snapshotOf(bb, 2*time.Second)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after schema change:\n got  %+v\n want %+v", got, want)
 	}
@@ -158,7 +158,7 @@ func TestSlowSubscriberResync(t *testing.T) {
 	clock := &fakeClock{now: time.Second}
 	reg := telemetry.NewRegistry()
 	_, pub, sock := startPubServer(t, bb, clock, func(s *Server) {
-		s.Pub.QueueDepth = 2
+		s.Pub.queueDepth = 2
 		s.Pub.Instrument(reg)
 	})
 
@@ -200,7 +200,7 @@ func TestSlowSubscriberResync(t *testing.T) {
 		}
 		pub.Tick(now) // resyncs any subscriber marked by the overflow
 	}
-	if got, want := sub.Snapshot(), bb.Snapshot(now); !reflect.DeepEqual(got, want) {
+	if got, want := sub.Snapshot(), snapshotOf(bb, now); !reflect.DeepEqual(got, want) {
 		t.Fatalf("slow subscriber never converged:\n got  %+v\n want %+v", got, want)
 	}
 	if reg.Counter("rcr_sub_dropped_frames_total").Value() == 0 {
@@ -219,7 +219,7 @@ func TestSubscribersSlowBesideFast(t *testing.T) {
 	populate(bb, time.Second)
 	reg := telemetry.NewRegistry()
 	_, pub, sock := startPubServer(t, bb, &fakeClock{now: time.Second}, func(s *Server) {
-		s.Pub.QueueDepth = 2
+		s.Pub.queueDepth = 2
 		s.Pub.Instrument(reg)
 	})
 
@@ -286,7 +286,7 @@ func TestSubscribersSlowBesideFast(t *testing.T) {
 		pub.Tick(now)
 		readFast(i)
 	}
-	want := bb.Snapshot(now)
+	want := snapshotOf(bb, now)
 	if got := stalled.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("stalled subscriber never converged:\n got  %+v\n want %+v", got, want)
 	}
@@ -320,7 +320,7 @@ func subscribeWide(t *testing.T, depth int) (*Blackboard, *Publisher, *Subscript
 	populate(bb, time.Second)
 	reg := telemetry.NewRegistry()
 	_, pub, sock := startPubServer(t, bb, &fakeClock{now: time.Second}, func(s *Server) {
-		s.Pub.QueueDepth = depth
+		s.Pub.queueDepth = depth
 		s.Pub.Instrument(reg)
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -456,7 +456,7 @@ func TestWriteThroughPartialFrameSurvivesOverflow(t *testing.T) {
 	populate(bb, time.Second)
 	reg := telemetry.NewRegistry()
 	pub := NewPublisher(bb)
-	pub.QueueDepth = 2
+	pub.queueDepth = 2
 	pub.Instrument(reg)
 	defer pub.DetachAll()
 
@@ -521,7 +521,7 @@ func TestWriteThroughPartialFrameSurvivesOverflow(t *testing.T) {
 		}
 		pub.Tick(now)
 	}
-	if got, want := sub.Snapshot(), bb.Snapshot(now); !reflect.DeepEqual(got, want) {
+	if got, want := sub.Snapshot(), snapshotOf(bb, now); !reflect.DeepEqual(got, want) {
 		t.Fatal("subscriber never converged to the live state")
 	}
 }
@@ -604,7 +604,7 @@ func TestWriteThroughStaleDeadline(t *testing.T) {
 	if err := sub.Next(ctx); err != nil {
 		t.Fatalf("frame after a stale deadline: %v", err)
 	}
-	if got, want := sub.Snapshot(), bb.Snapshot(2*time.Second); !reflect.DeepEqual(got, want) {
+	if got, want := sub.Snapshot(), snapshotOf(bb, 2*time.Second); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a stale deadline:\n got  %+v\n want %+v", got, want)
 	}
 	if n := pub.Subscribers(); n != 1 {
@@ -745,7 +745,7 @@ func BenchmarkSnapshotFanout(b *testing.B) {
 			populate(bb, time.Second)
 			clock := &fakeClock{now: time.Second}
 			_, pub, sock := startPubServer(b, bb, clock, func(s *Server) {
-				s.Pub.QueueDepth = 64
+				s.Pub.queueDepth = 64
 			})
 
 			ctx, cancel := context.WithCancel(context.Background())

@@ -220,9 +220,6 @@ func (s *Sampler) Alive() bool { return !s.dead.Load() }
 // incarnation.
 func (s *Sampler) Restarts() uint64 { return s.restarts.Load() }
 
-// Blackboard returns the blackboard this sampler writes.
-func (s *Sampler) Blackboard() *Blackboard { return s.bb }
-
 // Stop unregisters the watchdog and the sampler's ticker.
 func (s *Sampler) Stop() {
 	s.mu.Lock()

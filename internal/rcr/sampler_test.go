@@ -101,7 +101,7 @@ func TestSamplerWritesEnergyAndPower(t *testing.T) {
 	m, s := startSimStack(t)
 	burn(t, m, []int{0, 1, 2, 3, 4, 5, 6, 7}, 200*time.Millisecond)
 
-	bb := s.Blackboard()
+	bb := s.bb
 	e, ok := bb.Socket(0, MeterEnergy)
 	if !ok || e.Value <= 0 {
 		t.Fatalf("socket 0 energy meter = %+v, %v", e, ok)
@@ -131,9 +131,9 @@ func TestSamplerTracksTemperatureAndConcurrency(t *testing.T) {
 	m.WarmAll(66)
 	// Memory-heavy load on socket 0.
 	bytes := float64(m.Config().Mem.MaxCoreBandwidth())
-	load(t, m, []int{0, 1, 2, 3}, func(ctx *machine.CoreCtx) { ctx.Stream(bytes / 2) })
+	load(t, m, []int{0, 1, 2, 3}, func(ctx *machine.CoreCtx) { ctx.Execute(machine.Work{Bytes: bytes / 2}) })
 
-	bb := s.Blackboard()
+	bb := s.bb
 	temp, ok := bb.Socket(0, MeterTemperature)
 	if !ok || math.Abs(temp.Value-66) > 2 {
 		t.Errorf("temperature meter = %+v, want ~66", temp)
@@ -156,7 +156,7 @@ func TestSamplerIdlePowerLow(t *testing.T) {
 	m, s := startSimStack(t)
 	// Drive time with a single tiny-power parked core.
 	load(t, m, []int{0}, func(ctx *machine.CoreCtx) { ctx.Sleep(100 * time.Millisecond) })
-	p, ok := s.Blackboard().Socket(1, MeterPower)
+	p, ok := s.bb.Socket(1, MeterPower)
 	if !ok {
 		t.Fatal("socket 1 power missing")
 	}

@@ -58,7 +58,7 @@ func TestSeqlockReadAllocs(t *testing.T) {
 func TestAppendSnapshotAllocs(t *testing.T) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
-	snap := bb.Snapshot(time.Second)
+	snap := snapshotOf(bb, time.Second)
 	buf := AppendSnapshot(nil, snap)
 	if n := testing.AllocsPerRun(1000, func() {
 		buf = AppendSnapshot(buf[:0], snap)
@@ -143,7 +143,7 @@ func TestDeltaDecodeAllocs(t *testing.T) {
 func TestSnapshotMaterializeAllocs(t *testing.T) {
 	bb, _ := NewBlackboard(2, 8)
 	populate(bb, time.Second)
-	want := bb.Snapshot(time.Second)
+	want := snapshotOf(bb, time.Second)
 	enc := AppendSnapshot(nil, want)
 	var got Snapshot
 	if n := testing.AllocsPerRun(1000, func() {
@@ -184,12 +184,12 @@ func TestSnapshotListsCapped(t *testing.T) {
 	if err := st.ApplyFull(&full); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(AppendSnapshot(nil, bb.Snapshot(0)))
+	decoded, err := DecodeSnapshot(AppendSnapshot(nil, snapshotOf(bb, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]Snapshot{"decoded": decoded, "materialized": st.Snapshot()} {
-		want := bb.Snapshot(s.Now)
+		want := snapshotOf(bb, s.Now)
 		_ = append(s.System, MeterValue{Name: "x"})
 		for i := range s.Sockets {
 			_ = append(s.Sockets[i].Meters, MeterValue{Name: "x"})
@@ -229,12 +229,12 @@ func TestSnapshotEncodeDeterministic(t *testing.T) {
 	for i := len(writes) - 1; i >= 0; i-- {
 		writes[i].set(backward)
 	}
-	a := AppendSnapshot(nil, forward.Snapshot(3*time.Second))
-	b := AppendSnapshot(nil, backward.Snapshot(3*time.Second))
+	a := AppendSnapshot(nil, snapshotOf(forward, 3*time.Second))
+	b := AppendSnapshot(nil, snapshotOf(backward, 3*time.Second))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("write order changed the encoding:\n fwd %x\n rev %x", a, b)
 	}
-	if again := AppendSnapshot(nil, forward.Snapshot(3*time.Second)); !bytes.Equal(a, again) {
+	if again := AppendSnapshot(nil, snapshotOf(forward, 3*time.Second)); !bytes.Equal(a, again) {
 		t.Fatal("re-encoding identical state is not bit-stable")
 	}
 }

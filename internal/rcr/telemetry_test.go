@@ -47,7 +47,7 @@ func TestServerDropsStalledClient(t *testing.T) {
 	bb, _ := NewBlackboard(1, 1)
 	bb.SetSystem(MeterEnergy, 9, 0)
 	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
-		s.ReadTimeout = 100 * time.Millisecond
+		s.readTimeout = 100 * time.Millisecond
 	})
 
 	stalled, err := net.Dial("unix", sock)
@@ -158,7 +158,7 @@ func TestServerConnCap(t *testing.T) {
 	bb, _ := NewBlackboard(1, 1)
 	bb.SetSystem(MeterEnergy, 3, 0)
 	_, sock := startServerWith(t, bb, &fakeClock{}, func(s *Server) {
-		s.ReadTimeout = 100 * time.Millisecond
+		s.readTimeout = 100 * time.Millisecond
 		s.MaxConns = 1
 	})
 	stalled, err := net.Dial("unix", sock)
@@ -187,7 +187,7 @@ func TestServerCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(bb, &fakeClock{}, ln)
-	srv.ReadTimeout = 10 * time.Second // Close must not wait this out
+	srv.readTimeout = 10 * time.Second // Close must not wait this out
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
@@ -257,7 +257,7 @@ func TestSamplerFirstWindowPublishesPower(t *testing.T) {
 	m, s := startSimStack(t)
 	// Run just past ONE sampling period; the old sampler needed two.
 	burn(t, m, []int{0, 1, 2, 3}, 12*time.Millisecond)
-	p, ok := s.Blackboard().Socket(0, MeterPower)
+	p, ok := s.bb.Socket(0, MeterPower)
 	if !ok {
 		t.Fatal("no power meter after the first sample window")
 	}
@@ -267,7 +267,7 @@ func TestSamplerFirstWindowPublishesPower(t *testing.T) {
 	if p.Updated != 10*time.Millisecond {
 		t.Errorf("first power sample at %v, want 10ms", p.Updated)
 	}
-	if sys, ok := s.Blackboard().System(MeterPower); !ok || sys.Value <= 0 {
+	if sys, ok := s.bb.System(MeterPower); !ok || sys.Value <= 0 {
 		t.Errorf("system power after first window = %+v, %v", sys, ok)
 	}
 }
@@ -278,7 +278,7 @@ func TestSamplerInstrumented(t *testing.T) {
 	m, s := startSimStack(t)
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
-	s.Blackboard().Instrument(reg)
+	s.bb.Instrument(reg)
 	burn(t, m, []int{0, 1}, 100*time.Millisecond)
 	ticks := reg.Counter("rcr_sampler_ticks_total").Value()
 	if ticks < 8 {

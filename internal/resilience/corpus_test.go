@@ -50,7 +50,7 @@ const (
 	corpusBudget    = 300 * time.Millisecond // each client's run, leaving a ≥ 108 ms convergence tail
 	corpusFeed      = 2 * time.Millisecond   // the daemon's feed and publisher tick
 	corpusPoll      = 2 * time.Millisecond   // a poller's cadence
-	corpusReadLimit = 100 * time.Millisecond // the daemon's rcr.Server.ReadTimeout
+	corpusReadLimit = 100 * time.Millisecond // the daemon server's per-request read bound (rcr.Server.readTimeout in its tests)
 	corpusJournal   = 256                    // records a seed's journal holds
 )
 

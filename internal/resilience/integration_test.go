@@ -50,7 +50,8 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := qthreads.New(m, qthreads.Config{Workers: 2})
+	qreg := telemetry.NewRegistry()
+	rt, err := qthreads.New(m, qthreads.Config{Workers: 2, Telemetry: qreg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	stopServer()
 	await("watchdog enters fail-safe", d.Failsafe)
 	await("outage spans three stale polls", func() bool { return d.Stats().FaultsSeen >= 3 })
-	if rt.Throttled() {
+	if qreg.Gauge("qthreads_throttled").Value() == 1 {
 		t.Error("throttle still applied during fail-safe")
 	}
 

@@ -7,21 +7,24 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
-func newMachine(t *testing.T) *machine.Machine {
+// newNode builds a warm M620 node with the given worker count and a
+// generous watchdog, as the Lab builds a cell's node. It closes when the
+// test ends.
+func newNode(t *testing.T, workers int) *core.System {
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
+	sys, err := core.New(core.Options{Machine: cfg, Workers: workers, Warm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
-	m.WarmAll(workloads.WarmTemp)
-	return m
+	t.Cleanup(sys.Close)
+	return sys
 }
 
 // checkTarget runs a workload at 16 threads and compares against the
@@ -31,8 +34,7 @@ func checkTarget(t *testing.T, wl workloads.Workload, target compiler.Target, ti
 	if err := wl.Prepare(workloads.Params{Target: target}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +136,11 @@ func TestStrassenBaseline(t *testing.T) {
 // speedup16 measures T(1)/T(16) for a prepared workload.
 func speedup16(t *testing.T, wl workloads.Workload) float64 {
 	t.Helper()
-	m := newMachine(t)
-	r1, err := workloads.RunOnce(m, wl, 1)
+	r1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := workloads.RunOnce(m, wl, 16)
+	r16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +183,8 @@ func TestSortUnequalLeafBlocks(t *testing.T) {
 	if n := len(wl.data); n%sortBlocks == 0 {
 		t.Fatalf("%d elements split evenly into %d blocks", n, sortBlocks)
 	}
-	m := newMachine(t)
 	for _, workers := range []int{1, 16} {
-		if _, err := workloads.RunOnce(m, wl, workers); err != nil {
+		if _, err := newNode(t, workers).RunWorkload(wl); err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
 	}
@@ -222,19 +222,18 @@ func TestSortValidateCatchesLeafFaults(t *testing.T) {
 			copy(leaves[lo:hi], shared[nlo:nhi])
 		},
 	}
-	m := newMachine(t)
 	for name, fault := range faults {
 		for _, b := range []int{0, sortBlocks - 1} {
 			lo, hi := sortBlock(b, n)
 			s.leaves = slices.Clone(shared)
 			fault(s.leaves, lo, hi)
-			if _, err := workloads.RunOnce(m, s, 16); err == nil {
+			if _, err := newNode(t, 16).RunWorkload(s); err == nil {
 				t.Errorf("a run whose leaf %d was %s validates", b, name)
 			}
 		}
 	}
 	s.leaves = shared
-	if _, err := workloads.RunOnce(m, s, 16); err != nil {
+	if _, err := newNode(t, 16).RunWorkload(s); err != nil {
 		t.Errorf("restored run: %v", err)
 	}
 }
@@ -288,13 +287,12 @@ func TestFibCutoffScalesUnlikeMicroFib(t *testing.T) {
 func TestAlignmentVariantsAgree(t *testing.T) {
 	// Both task-generation patterns compute the same answer in similar
 	// time (paper: 1.5 s for both at GCC -O2).
-	m := newMachine(t)
 	times := map[string]float64{}
 	for _, wl := range []workloads.Workload{NewAlignmentFor(), NewAlignmentSingle()} {
 		if err := wl.Prepare(workloads.Params{}); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := workloads.RunOnce(m, wl, 16)
+		rep, err := newNode(t, 16).RunWorkload(wl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,11 @@ package bots
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/qthreads"
-	"repro/internal/rapl"
 	"repro/internal/workloads"
 )
 
@@ -46,19 +48,14 @@ func TestHealthTotalsGolden(t *testing.T) {
 	for _, workers := range []int{1, 12, 16} {
 		for _, spin := range []bool{false, true} {
 			t.Run(fmt.Sprintf("workers=%d/spin=%v", workers, spin), func(t *testing.T) {
-				m := newMachine(t)
-				reader, err := rapl.NewMSRReader(m.MSR())
+				cfg := machine.M620()
+				cfg.VirtualTimeLimit = 30 * time.Minute
+				sys, err := core.New(core.Options{Machine: cfg, Workers: workers, Qthreads: qthreads.Config{SpinOnlyIdle: spin}, Warm: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rt, err := qthreads.New(m, qthreads.Config{Workers: workers, SpinOnlyIdle: spin})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rt.Shutdown()
-				_, end, err := workloads.RunOnRuntimeHeld(rt, reader, nil, h, m.Hold())
-				defer end()
-				if err != nil {
+				defer sys.Close()
+				if _, err := sys.RunWorkload(h); err != nil {
 					t.Fatal(err)
 				}
 				if h.got != healthGolden {

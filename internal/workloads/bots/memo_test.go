@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/machine"
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -141,7 +141,7 @@ func mustPrepare(t *testing.T, wl workloads.Workload, p workloads.Params) worklo
 
 func mustRun(t *testing.T, wl workloads.Workload) {
 	t.Helper()
-	if _, err := workloads.RunOnce(newMachine(t), wl, 16); err != nil {
+	if _, err := newNode(t, 16).RunWorkload(wl); err != nil {
 		t.Errorf("%s: %v", wl.Name(), err)
 	}
 }
@@ -154,15 +154,15 @@ func TestMemoConcurrentRunsValidate(t *testing.T) {
 			if c.shared != nil && c.shared(wls[0]) != c.shared(wls[1]) {
 				t.Fatal("two instances prepared from one key do not share the reference")
 			}
-			// newMachine registers cleanups, so machines are made here
-			// and only the runs overlap.
-			machines := []*machine.Machine{newMachine(t), newMachine(t)}
+			// newNode registers cleanups, so the nodes are made here and
+			// only the runs overlap.
+			nodes := []*core.System{newNode(t, 16), newNode(t, 16)}
 			var wg sync.WaitGroup
 			for i, wl := range wls {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := workloads.RunOnce(machines[i], wl, 16); err != nil {
+					if _, err := nodes[i].RunWorkload(wl); err != nil {
 						t.Errorf("%s: %v", wl.Name(), err)
 					}
 				}()

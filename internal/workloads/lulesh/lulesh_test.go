@@ -6,21 +6,24 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
-func newMachine(t *testing.T) *machine.Machine {
+// newNode builds a warm M620 node with the given worker count and a
+// generous watchdog, as the Lab builds a cell's node. It closes when the
+// test ends.
+func newNode(t *testing.T, workers int) *core.System {
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 60 * time.Minute
-	m, err := machine.New(cfg)
+	sys, err := core.New(core.Options{Machine: cfg, Workers: workers, Warm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
-	m.WarmAll(workloads.WarmTemp)
-	return m
+	t.Cleanup(sys.Close)
+	return sys
 }
 
 func TestBaselineGCC(t *testing.T) {
@@ -28,8 +31,7 @@ func TestBaselineGCC(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +53,7 @@ func TestICCMuchFaster(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Target: target}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,11 @@ func TestSpeedupSaturates(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	r1, err := workloads.RunOnce(m, wl, 1)
+	r1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := workloads.RunOnce(m, wl, 16)
+	r16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,7 @@ func TestBlastWavePropagates(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	if _, err := workloads.RunOnce(m, wl, 8); err != nil {
+	if _, err := newNode(t, 8).RunWorkload(wl); err != nil {
 		t.Fatal(err)
 	}
 	if wl.gotE[0] >= wl.gotE[1]*1e6 {
@@ -133,7 +132,7 @@ func TestReferenceMemoized(t *testing.T) {
 		t.Error("calibration shared across scales and targets")
 	}
 	for _, wl := range []*LULESH{a, b, a} {
-		if _, err := workloads.RunOnce(newMachine(t), wl, 8); err != nil {
+		if _, err := newNode(t, 8).RunWorkload(wl); err != nil {
 			t.Fatal(err)
 		}
 	}

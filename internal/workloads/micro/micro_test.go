@@ -7,22 +7,24 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
-// newMachine builds a warm M620 with a generous watchdog.
-func newMachine(t *testing.T) *machine.Machine {
+// newNode builds a warm M620 node with the given worker count and a
+// generous watchdog, as the Lab builds a cell's node. It closes when the
+// test ends.
+func newNode(t *testing.T, workers int) *core.System {
 	t.Helper()
 	cfg := machine.M620()
 	cfg.VirtualTimeLimit = 30 * time.Minute
-	m, err := machine.New(cfg)
+	sys, err := core.New(core.Options{Machine: cfg, Workers: workers, Warm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
-	m.WarmAll(workloads.WarmTemp)
-	return m
+	t.Cleanup(sys.Close)
+	return sys
 }
 
 // checkBaseline runs a workload at 16 threads / GCC -O2 and compares the
@@ -32,8 +34,7 @@ func checkBaseline(t *testing.T, wl workloads.Workload, timeTol, powerTol float6
 	if err := wl.Prepare(workloads.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +67,11 @@ func TestReductionAntiScales(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	t1, err := workloads.RunOnce(m, wl, 1)
+	t1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := workloads.RunOnce(m, wl, 16)
+	t16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,11 @@ func TestNQueensScalesTo16(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	t1, err := workloads.RunOnce(m, wl, 1)
+	t1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := workloads.RunOnce(m, wl, 16)
+	t16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +113,15 @@ func TestMergesortScalesToTwo(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	t1, err := workloads.RunOnce(m, wl, 1)
+	t1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := workloads.RunOnce(m, wl, 2)
+	t2, err := newNode(t, 2).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := workloads.RunOnce(m, wl, 16)
+	t16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +144,11 @@ func TestFibonacciGCCSlowerThanSerial(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	t1, err := workloads.RunOnce(m, wl, 1)
+	t1, err := newNode(t, 1).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := workloads.RunOnce(m, wl, 16)
+	t16, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +164,7 @@ func TestFibonacciICC(t *testing.T) {
 	if err := wl.Prepare(p); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +186,9 @@ func TestDijkstraScalesToEight(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
 	times := map[int]float64{}
 	for _, k := range []int{1, 8, 16} {
-		rep, err := workloads.RunOnce(m, wl, k)
+		rep, err := newNode(t, k).RunWorkload(wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +272,7 @@ func TestMicroInputsMemoized(t *testing.T) {
 				t.Fatal("two instances prepared from one input do not share the reference")
 			}
 			for _, wl := range []workloads.Workload{a, b, a} {
-				if _, err := workloads.RunOnce(newMachine(t), wl, 16); err != nil {
+				if _, err := newNode(t, 16).RunWorkload(wl); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -318,8 +313,7 @@ func TestMergesortValidateCatchesLostSection(t *testing.T) {
 	if err := s.Prepare(workloads.Params{Scale: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	if _, err := workloads.RunOnce(m, s, 2); err != nil {
+	if _, err := newNode(t, 2).RunWorkload(s); err != nil {
 		t.Fatal(err)
 	}
 	shared := s.halves
@@ -328,12 +322,12 @@ func TestMergesortValidateCatchesLostSection(t *testing.T) {
 		lost := slices.Clone(shared)
 		copy(lost[h[0]:h[1]], s.data[h[0]:h[1]])
 		s.halves = lost
-		if _, err := workloads.RunOnce(m, s, 2); err == nil {
+		if _, err := newNode(t, 2).RunWorkload(s); err == nil {
 			t.Errorf("a run that lost the section of [%d:%d) validates", h[0], h[1])
 		}
 	}
 	s.halves = shared
-	if _, err := workloads.RunOnce(m, s, 2); err != nil {
+	if _, err := newNode(t, 2).RunWorkload(s); err != nil {
 		t.Errorf("restored run: %v", err)
 	}
 }
@@ -346,7 +340,7 @@ func TestFibonacciValidateCountsLeaves(t *testing.T) {
 	if err := w.Prepare(workloads.Params{Scale: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workloads.RunOnce(newMachine(t), w, 16); err != nil {
+	if _, err := newNode(t, 16).RunWorkload(w); err != nil {
 		t.Fatal(err)
 	}
 	for _, times := range []int64{-1, 1} { // lost, repeated
@@ -370,8 +364,7 @@ func TestMicroOptLevelOrdering(t *testing.T) {
 		if err := wl.Prepare(p); err != nil {
 			t.Fatal(err)
 		}
-		m := newMachine(t)
-		rep, err := workloads.RunOnce(m, wl, 16)
+		rep, err := newNode(t, 16).RunWorkload(wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,8 +385,7 @@ func TestBTMatchesFootnoteWarmFigures(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
-	rep, err := workloads.RunOnce(m, wl, 16)
+	rep, err := newNode(t, 16).RunWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,9 +405,8 @@ func TestBTValidatesAcrossThreadCounts(t *testing.T) {
 	if err := wl.Prepare(workloads.Params{Scale: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	m := newMachine(t)
 	for _, k := range []int{1, 16} {
-		if _, err := workloads.RunOnce(m, wl, k); err != nil {
+		if _, err := newNode(t, k).RunWorkload(wl); err != nil {
 			t.Fatalf("%d threads: %v", k, err)
 		}
 	}

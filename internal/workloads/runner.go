@@ -3,35 +3,10 @@ package workloads
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/qthreads"
 	"repro/internal/rapl"
 	"repro/internal/rcr"
 )
-
-// RunOnce executes a prepared workload on a fresh qthreads runtime with
-// the given worker count, bracketing it in an RCR region exactly as the
-// paper instruments its benchmarks (§II-B), and validates the result.
-// The clock is parked while the runtime is built and released once it
-// has shut down, so the region opens at the instant RunOnce was called.
-// The machine keeps accumulating energy and temperature across calls;
-// callers control warm-up via machine.WarmAll.
-func RunOnce(m *machine.Machine, wl Workload, workers int) (rcr.RegionReport, error) {
-	release := m.Hold()
-	defer func() { release() }()
-	reader, err := rapl.NewMSRReader(m.MSR())
-	if err != nil {
-		return rcr.RegionReport{}, err
-	}
-	rt, err := qthreads.New(m, qthreads.Config{Workers: workers})
-	if err != nil {
-		return rcr.RegionReport{}, err
-	}
-	defer rt.Shutdown()
-	var rep rcr.RegionReport
-	rep, release, err = RunOnRuntimeHeld(rt, reader, nil, wl, release)
-	return rep, err
-}
 
 // RunOnRuntimeHeld executes one measured run of a workload on an
 // existing runtime whose machine clock the caller parked with

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
@@ -65,13 +66,12 @@ func TestEveryWorkloadRunsAndValidates(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			m, err := machine.New(cfg)
+			sys, err := core.New(core.Options{Machine: cfg, Workers: 16, Warm: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer m.Stop()
-			m.WarmAll(workloads.WarmTemp)
-			rep, err := workloads.RunOnce(m, wl, 16)
+			defer sys.Close()
+			rep, err := sys.RunWorkload(wl)
 			if err != nil {
 				t.Fatal(err)
 			}

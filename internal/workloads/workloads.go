@@ -105,9 +105,9 @@ type Workload interface {
 type Prepared interface {
 	// Name returns the canonical application name (compiler.App*).
 	Name() string
-	// Root returns the task to hand to qthreads.Runtime.Run. Root may be
-	// run multiple times after one Prepare; each run recomputes from the
-	// prepared input.
+	// Root returns the task to hand to qthreads.Runtime.RunHeld. Root
+	// may be run multiple times after one Prepare; each run recomputes
+	// from the prepared input.
 	Root() qthreads.Task
 	// Validate checks the most recent run's answer against an
 	// independently computed reference, so scheduling bugs surface as

@@ -9,7 +9,10 @@
 // call leaves an edge, and lists each non-test function outside package
 // main whose symbol no link reached. A listed function missing from the
 // allowlist fails, and so does an allowlist line that names no listed
-// function, so the list cannot outlive what it excuses.
+// function, so the list cannot outlive what it excuses. It then links,
+// the same way, the test binaries of the packages that hold allowlisted
+// functions, and fails on a line whose function no test reaches either:
+// a harness nothing runs is dead code with an excuse.
 package main
 
 import (
@@ -43,10 +46,19 @@ var auxRE = regexp.MustCompile(`\.(arginfo\d|argliveinfo|stkobj|opendefer|wrapin
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reach: ")
-	unreached := declared(linked())
+	tmp, err := os.MkdirTemp("", "reach")
+	check(err)
+	defer os.RemoveAll(tmp)
+	// link runs a go build or go test -c that writes into tmp with
+	// inlining off and the linker's dependency dump on.
+	link := func(dir, cmd string, pkgs ...string) string {
+		args := append(strings.Fields(cmd), "-o", tmp+string(filepath.Separator), "-gcflags=all=-l", "-ldflags=-dumpdep")
+		return run(dir, append(args, pkgs...)...)
+	}
+	unreached := declared(reachedBy(link(".", "build", "./cmd/...", "./examples/...") + link("bench", "build", ".")))
 	data, err := os.ReadFile(allowlist)
 	check(err)
-	bad, allowed := 0, map[string]int{}
+	bad, allowed, pkgs := 0, map[string]int{}, map[string]bool{}
 	for n, line := range strings.Split(string(data), "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
@@ -61,9 +73,28 @@ func main() {
 			fmt.Printf("%s:%d: stale: a program links %s, or it is gone\n", allowlist, n+1, m[1])
 		default:
 			allowed[m[1]] = n + 1
+			pkgs["./"+pkgOf(m[1])] = true
 			continue
 		}
 		bad++
+	}
+	if len(pkgs) > 0 {
+		paths, syms := make([]string, 0, len(pkgs)), make([]string, 0, len(allowed))
+		for p := range pkgs {
+			paths = append(paths, p)
+		}
+		for sym := range allowed {
+			syms = append(syms, sym)
+		}
+		sort.Strings(paths)
+		sort.Slice(syms, func(i, j int) bool { return allowed[syms[i]] < allowed[syms[j]] })
+		tested := reachedBy(link(".", "test -c", paths...))
+		for _, sym := range syms {
+			if !tested[sym] {
+				fmt.Printf("%s:%d: %s is reached by no program and no test binary of the packages listed\n", allowlist, allowed[sym], sym)
+				bad++
+			}
+		}
 	}
 	keys := make([]string, 0, len(unreached))
 	for k := range unreached {
@@ -82,15 +113,10 @@ func main() {
 	}
 }
 
-// linked builds the programs and returns every module symbol they link,
-// without type arguments or method-value suffix, and with every dotted
-// prefix of each, so that a reached closure marks its function.
-func linked() map[string]bool {
-	tmp, err := os.MkdirTemp("", "reach")
-	check(err)
-	defer os.RemoveAll(tmp)
-	build := []string{"build", "-o", tmp + string(filepath.Separator), "-gcflags=all=-l", "-ldflags=-dumpdep"}
-	dump := run(".", append(build, "./cmd/...", "./examples/...")...) + run("bench", append(build, ".")...)
+// reachedBy returns every module symbol a linker dependency dump
+// reaches, without type arguments or method-value suffix, and with every
+// dotted prefix of each, so that a reached closure marks its function.
+func reachedBy(dump string) map[string]bool {
 	reached := map[string]bool{}
 	for _, line := range strings.Split(dump, "\n") {
 		for _, s := range strings.Split(line, " -> ") {
@@ -142,6 +168,13 @@ func declared(reached map[string]bool) map[string]string {
 		}
 	}
 	return unreached
+}
+
+// pkgOf returns the package part of a symbol: everything before the
+// first dot after the last slash.
+func pkgOf(sym string) string {
+	i := strings.LastIndexByte(sym, '/')
+	return sym[:i+strings.IndexByte(sym[i:], '.')]
 }
 
 // receiver spells a method's receiver as the linker does, "T." or
