@@ -152,7 +152,7 @@ func experimentTable(lab *experiments.Lab) []experiment {
 			r, err := lab.PowerCapStudy(120)
 			return printed(fmt.Sprintf("Power capping (%s): uncapped %.1f W / %.2f s -> capped@%.0f W %.1f W / %.2f s (tightenings %d, min limit %d)\n",
 				r.App, r.Uncapped.Watts, r.Uncapped.Seconds, float64(r.Cap),
-				r.Capped.Watts, r.Capped.Seconds, r.CapStats.Tightenings, r.CapStats.MinLimit)), err
+				r.Capped.Watts, r.Capped.Seconds, r.Capped.Daemon.Tightenings, r.Capped.Daemon.MinLimit)), err
 		}},
 		{"cluster", func() (result, error) { return lab.ClusterCapAblation(experiments.ClusterSpec{HAReplicas: 2}) }},
 		{"elasticity", func() (result, error) { return lab.ElasticityAblation(experiments.ElasticitySpec{}) }},

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/maestro"
 	"repro/internal/qthreads"
 	"repro/internal/units"
 )
@@ -23,9 +24,10 @@ func main() {
 	flag.Parse()
 
 	sys, err := core.New(core.Options{
-		Warm:          true,
-		PowerCap:      units.Watts(*capW),
-		RecordHistory: true,
+		Warm:               true,
+		AdaptiveThrottling: *capW > 0,
+		Maestro:            maestro.Config{Policy: maestro.PowerCapped, Cap: units.Watts(*capW)},
+		RecordHistory:      true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(report)
-	if stats, ok := sys.Capping(); ok {
+	if stats, ok := sys.Throttling(); ok {
 		fmt.Printf("cap %.0f W: %d tightenings, %d relaxations, tightest limit %d workers/socket, %d/%d samples over budget\n",
 			*capW, stats.Tightenings, stats.Relaxations, stats.MinLimit, stats.OverBudget, stats.Samples)
 	}

@@ -57,7 +57,7 @@ type AggregatorConfig struct {
 	// comparing snapshot timestamps across timebases.
 	Clock func() time.Duration
 	// SetCap pushes an assignment down into one shard's enforcement
-	// loop (maestro.PowerCap.SetCap behind the fleet seam). Required
+	// loop (maestro.Daemon.SetCap behind the fleet seam). Required
 	// unless HA is set — the HA control plane writes caps through the
 	// fenced HA.WriteMem seam instead.
 	SetCap func(shard int, cap units.Watts) error

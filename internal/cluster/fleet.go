@@ -11,18 +11,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/maestro"
 	"repro/internal/rcr"
 	"repro/internal/units"
 )
 
 // Fleet is the full-stack counterpart of the soak's synthetic shards: N
 // independent core.System instances — each a complete simulated node
-// with its own sampler, blackboard, task runtime and power-cap
-// controller — served over per-shard unix sockets exactly like the
-// standalone rcrd daemon. An Aggregator pointed at Endpoints() closes
-// the loop: shard meters flow up through the delta streams, per-shard
-// budget shares flow back down through SetCap into each node's
-// maestro.PowerCap.
+// with its own sampler, blackboard, task runtime and MAESTRO daemon
+// under the PowerCapped policy — served over per-shard unix sockets
+// exactly like the standalone rcrd daemon. An Aggregator pointed at
+// Endpoints() closes the loop: shard meters flow up through the delta
+// streams, per-shard budget shares flow back down through SetCap into
+// each node's daemon.
 //
 // In this socket fleet the shards run on their own virtual clocks (time
 // advances as their workloads execute), so cross-shard coordination — the
@@ -67,10 +68,10 @@ type FleetConfig struct {
 	Workers int
 }
 
-// initialCap is each node's starting power bound. The cap controller is
-// the aggregator's actuator, so every node runs one from the start; the
-// bound is high enough to be non-binding until the aggregator assigns a
-// real share.
+// initialCap is each node's starting power bound. The node's capped
+// daemon is the aggregator's actuator, so every node runs one from the
+// start; the bound is high enough to be non-binding until the aggregator
+// assigns a real share.
 const initialCap units.Watts = 1000
 
 // NewFleet builds and starts every shard; on any failure the shards
@@ -101,29 +102,30 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 }
 
 // newFleetNode assembles one node with its clock parked: the full stack
-// under a power-cap controller, and the guard through which fenced cap
-// writes land in that controller. clock is the guard's lease timebase;
-// applied, when non-nil, sees every fenced cap the controller accepted.
+// under a power-capped daemon, and the guard through which fenced cap
+// writes land in that daemon. clock is the guard's lease timebase;
+// applied, when non-nil, sees every fenced cap the daemon accepted.
 // The node's clock moves only while a job runs on it (or Idle lets it).
 func newFleetNode(cfg FleetConfig, clock func() time.Duration, applied func(cap float64, fence uint64)) (*fleetNode, error) {
 	sys, err := core.New(core.Options{
-		Machine:   cfg.Machine,
-		Workers:   cfg.Workers,
-		PowerCap:  initialCap,
-		Warm:      true,
-		Telemetry: true,
+		Machine:            cfg.Machine,
+		Workers:            cfg.Workers,
+		AdaptiveThrottling: true,
+		Maestro:            maestro.Config{Policy: maestro.PowerCapped, Cap: initialCap},
+		Warm:               true,
+		Telemetry:          true,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// The node's fencing authority: the guard lands the writes its fence
-	// rules accept in the node's own controller, journals the ones it
+	// rules accept in the node's own daemon, journals the ones it
 	// refuses, and mirrors the lease state into the blackboard so standby
 	// aggregators track it passively through whatever carries the
 	// blackboard to them.
-	pc := sys.PowerCapController()
+	d := sys.Daemon()
 	guard := rcr.NewFenceGuard(clock, func(cap float64, fence uint64) error {
-		err := pc.SetCap(units.Watts(cap))
+		err := d.SetCap(units.Watts(cap))
 		if err == nil && applied != nil {
 			applied(cap, fence)
 		}
@@ -176,12 +178,12 @@ func (f *Fleet) Endpoints() []ShardEndpoint {
 
 // SetCap retunes shard i's power bound — the seam handed to
 // AggregatorConfig.SetCap so the hierarchical controller enforces its
-// partition through each node's own cap controller.
+// partition through each node's own daemon.
 func (f *Fleet) SetCap(i int, cap units.Watts) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("cluster: no shard %d", i)
 	}
-	return f.shards[i].sys.PowerCapController().SetCap(cap)
+	return f.shards[i].sys.Daemon().SetCap(cap)
 }
 
 // WriteMem sends a fenced write to shard i over its real daemon socket

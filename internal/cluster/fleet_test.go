@@ -18,7 +18,7 @@ import (
 // end: shard heartbeats reach the aggregator through the real wire,
 // both shards are judged healthy while their workloads run, the
 // partition skews watts toward the compute-bound shard's headroom, and
-// the pushed caps land in each node's own PowerCap controller.
+// the pushed caps land in each node's own capped daemon.
 func TestFleetClosedLoop(t *testing.T) {
 	leak.Check(t)
 	fleet, err := NewFleet(FleetConfig{Shards: 2, Workers: 8})
@@ -118,8 +118,8 @@ func TestFleetClosedLoop(t *testing.T) {
 	// compared — the aggregator kept repartitioning after it was taken.)
 	final := agg.Status()
 	for i := 0; i < len(fleet.shards); i++ {
-		if got := fleet.System(i).PowerCapController().Cap(); got != final.Caps[i] {
-			t.Errorf("shard %d PowerCap holds %.1f W, aggregator applied %.1f W",
+		if got := fleet.System(i).Daemon().Cap(); got != final.Caps[i] {
+			t.Errorf("shard %d daemon holds %.1f W, aggregator applied %.1f W",
 				i, float64(got), float64(final.Caps[i]))
 		}
 	}

@@ -239,7 +239,7 @@ func (f *LockstepFleet) Source(mb Member) (SnapshotSource, error) {
 
 // SetCap is the unfenced actuation seam (AggregatorConfig.SetCap).
 func (f *LockstepFleet) SetCap(i int, cap units.Watts) error {
-	err := f.nodes[i].sys.PowerCapController().SetCap(cap)
+	err := f.nodes[i].sys.Daemon().SetCap(cap)
 	if err == nil {
 		f.auditor.apply(i, float64(cap), 0)
 	}

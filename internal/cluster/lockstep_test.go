@@ -336,11 +336,11 @@ func runLockstepLoop(t *testing.T, ha bool) lockstepRun {
 		}
 	}
 	for i := 0; i < len(f.nodes); i++ {
-		out.Caps = append(out.Caps, f.System(i).PowerCapController().Cap())
+		out.Caps = append(out.Caps, f.System(i).Daemon().Cap())
 		j, _ := f.Usage(i)
 		out.Usage = append(out.Usage, j)
 		if got, want := out.Caps[i], agg.Status().Caps[i]; got != want {
-			t.Errorf("node %d PowerCap holds %.1f W, aggregator applied %.1f W", i, float64(got), float64(want))
+			t.Errorf("node %d daemon holds %.1f W, aggregator applied %.1f W", i, float64(got), float64(want))
 		}
 	}
 	if ha {
@@ -387,4 +387,120 @@ func TestLockstepClosedLoop(t *testing.T) {
 			t.Errorf("ha=%v: two runs differ:\n%+v\n%+v", ha, run, again)
 		}
 	}
+}
+
+// TestLockstepHALeaderKillMidRepartition is the acceptance test for the
+// HA control plane over full-stack nodes on one clock: two stepped
+// replicas share the fleet, the elected leader is killed while it is
+// actively repartitioning a binding budget, and
+//   - Σ node caps stays within the budget through the hand-off: the
+//     fleet's auditor checks every apply, and the caps the nodes hold
+//     are summed between Steps;
+//   - no node's cap rises above its pre-kill value while no replica
+//     leads, read between Steps;
+//   - the standby takes over under a higher fence, with an election on
+//     record, and the caps it assigns land in the nodes.
+func TestLockstepHALeaderKillMidRepartition(t *testing.T) {
+	leak.Check(t)
+	const global = 120
+	f := newTestLockstep(t, FleetConfig{Shards: 2, Workers: 8}, global)
+	reps := make([]*Aggregator, 2)
+	for r := range reps {
+		agg, err := NewSteppedAggregator(AggregatorConfig{
+			Shards: f.Endpoints(), Global: global, Floor: 10, Max: 300,
+			Period: testPeriod, Clock: f.Now, Telemetry: telemetry.NewRegistry(),
+			HA: &HAConfig{ID: uint32(r + 1), LeaseTTL: 8 * testPeriod, JitterSeed: uint64(77 * (r + 1)), WriteMem: f.WriteMem},
+		}, f.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[r] = agg
+	}
+	// Both nodes stay hot past the hand-off, so the budget binds.
+	if err := f.Start(jobs(list(&testJob{d: 3 * time.Second, workers: 8, memBound: true}), list(&testJob{d: 3 * time.Second, workers: 8}))); err != nil {
+		t.Fatal(err)
+	}
+	step := func(live []*Aggregator) {
+		t.Helper()
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for _, agg := range live {
+			agg.Poll()
+		}
+	}
+	nodeCaps := func() ([]units.Watts, float64) {
+		caps, sum := make([]units.Watts, len(f.nodes)), 0.0
+		for i := range caps {
+			caps[i] = f.System(i).Daemon().Cap()
+			sum += float64(caps[i])
+		}
+		return caps, sum
+	}
+
+	// A leader emerges and actively partitions the fleet.
+	leader := -1
+	for leader < 0 && f.Now() < 2*time.Second {
+		step(reps)
+		for r, agg := range reps {
+			if st := agg.Status(); st.Leader && st.Healthy == 2 && st.LastChange > 0 && st.Caps[0] > 0 && st.Caps[1] > 0 {
+				leader = r
+			}
+		}
+	}
+	if leader < 0 {
+		t.Fatalf("no replica led and repartitioned by %v: %+v / %+v", f.Now(), reps[0].Status(), reps[1].Status())
+	}
+	killed, standby, killedAt := reps[leader].Status(), reps[1-leader], f.Now()
+	f.MarkKill()
+	preKill, _ := nodeCaps()
+
+	// Only the standby polls from here on.
+	promoted := false
+	for deadline := f.Now() + 2*time.Second; f.Now() < deadline; {
+		step([]*Aggregator{standby})
+		caps, sum := nodeCaps()
+		if sum > global+sumEps {
+			t.Fatalf("nodes hold Σ %.3f W > %d W at %v during hand-off", sum, global, f.Now())
+		}
+		st := standby.Status()
+		if !st.Leader {
+			for i := range caps {
+				if caps[i] > preKill[i] {
+					t.Fatalf("node %d rose to %.1f W above its pre-kill %.1f W at %v with no leader in charge",
+						i, float64(caps[i]), float64(preKill[i]), f.Now())
+				}
+			}
+			continue
+		}
+		promoted = true
+		if st.Healthy == 2 && st.LastChange > 0 {
+			break // promoted and driving: hand-off complete
+		}
+	}
+	if !promoted {
+		t.Fatalf("standby never promoted by %v: %+v", f.Now(), standby.Status())
+	}
+	final := standby.Status()
+	if final.Fence <= killed.Fence {
+		t.Errorf("promoted fence %d not above the killed leader's %d", final.Fence, killed.Fence)
+	}
+	if final.Elections == 0 {
+		t.Error("promotion without an election on the record")
+	}
+	if float64(final.CapsSum) > global+sumEps {
+		t.Errorf("Σcaps %.3f exceeds the %d W budget after hand-off", float64(final.CapsSum), global)
+	}
+	caps, _ := nodeCaps()
+	for i := range caps {
+		if caps[i] != final.Caps[i] {
+			t.Errorf("node %d daemon holds %.1f W, promoted leader applied %.1f W", i, float64(caps[i]), float64(final.Caps[i]))
+		}
+	}
+	violations, handoffs := f.Audit()
+	if violations != 0 || len(handoffs) != 1 {
+		t.Errorf("auditor: %d applies broke an invariant, hand-offs %v, want 0 and one", violations, handoffs)
+	}
+	t.Logf("killed replica %d (fence %d) at %v → replica %d (fence %d) driving at %v, caps %.1f/%.1f of %d W, hand-off gap %v",
+		leader+1, killed.Fence, killedAt, 2-leader, final.Fence, f.Now(), float64(final.Caps[0]), float64(final.Caps[1]), global, handoffs)
 }

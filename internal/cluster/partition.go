@@ -6,8 +6,8 @@
 // the shards — the multi-node power-clamping environment the paper's §VI
 // outlook sketches around Rountree et al.'s hierarchical power
 // allocation. Per-node enforcement stays where it already lives: each
-// shard's maestro.PowerCap receives its share via SetCap and walks its
-// own throttle toward it.
+// shard's MAESTRO daemon, under the maestro.PowerCapped policy, receives
+// its share via SetCap and walks its own throttle toward it.
 //
 // The partitioner in this file is deliberately a pure function so its
 // invariants can be property-tested in isolation:
@@ -39,7 +39,7 @@ type NodeReport struct {
 	// outside [0,1] are clamped.
 	Headroom float64
 	// Floor is the smallest cap the shard may be assigned. It must stay
-	// positive: maestro.PowerCap rejects non-positive bounds, and a
+	// positive: maestro.Daemon.SetCap rejects non-positive bounds, and a
 	// shard starved to zero watts could never report back. Non-positive
 	// floors are clamped to a minimal positive floor.
 	Floor units.Watts

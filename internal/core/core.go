@@ -37,7 +37,6 @@ import (
 	"repro/internal/rcr"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
@@ -54,13 +53,9 @@ type Options struct {
 	Qthreads qthreads.Config
 	// AdaptiveThrottling starts the MAESTRO daemon (paper §IV).
 	AdaptiveThrottling bool
-	// Maestro tunes the daemon when AdaptiveThrottling is set.
+	// Maestro tunes the daemon when AdaptiveThrottling is set; a
+	// power-capped node is its maestro.PowerCapped policy.
 	Maestro maestro.Config
-	// PowerCap, when positive, starts a power-capping controller holding
-	// node power at or below the bound (the §V/§VI outlook: concurrency
-	// throttling under a power budget). Mutually exclusive with
-	// AdaptiveThrottling — both would fight over the throttle limit.
-	PowerCap units.Watts
 	// RecordHistory keeps a time series of power / memory-concurrency /
 	// temperature samples, readable via History.
 	RecordHistory bool
@@ -69,7 +64,7 @@ type Options struct {
 	// false and manage temperature explicitly.
 	Warm bool
 	// Telemetry instruments the whole stack — blackboard, sampler, task
-	// runtime, and the MAESTRO daemon or power-cap controller — into one
+	// runtime and the MAESTRO daemon — into one
 	// registry, and attaches a decision journal to the daemon. True
 	// creates the registry and journal internally (read them back via
 	// Telemetry/Journal); to publish into an existing registry set
@@ -88,7 +83,6 @@ type System struct {
 	sampler *rcr.Sampler
 	rt      *qthreads.Runtime
 	daemon  *maestro.Daemon
-	cap     *maestro.PowerCap
 	history *rcr.History
 	reg     *telemetry.Registry
 	journal *telemetry.Journal
@@ -154,19 +148,10 @@ func New(opts Options) (*System, error) {
 	if sys.rt, err = qthreads.New(m, qcfg); err != nil {
 		return fail(err)
 	}
-	if opts.AdaptiveThrottling && opts.PowerCap > 0 {
-		return fail(errors.New("core: AdaptiveThrottling and PowerCap are mutually exclusive"))
-	}
 	if opts.AdaptiveThrottling {
 		if sys.daemon, err = maestro.Start(sys.rt, sys.bb, opts.Maestro); err != nil {
 			return fail(err)
 		}
-	}
-	if opts.PowerCap > 0 {
-		if sys.cap, err = maestro.StartPowerCap(sys.rt, sys.bb, opts.PowerCap); err != nil {
-			return fail(err)
-		}
-		sys.cap.Instrument(sys.reg)
 	}
 	if opts.RecordHistory {
 		if sys.history, err = rcr.StartHistory(m, sys.bb); err != nil {
@@ -203,20 +188,6 @@ func (s *System) Throttling() (maestro.Stats, bool) {
 		return maestro.Stats{}, false
 	}
 	return s.daemon.Stats(), true
-}
-
-// PowerCapController returns the power-capping controller, or nil when
-// Options.PowerCap was not set. Cluster-tier budget partitioners
-// (internal/cluster) use it to retune the node's bound live via SetCap.
-func (s *System) PowerCapController() *maestro.PowerCap { return s.cap }
-
-// Capping reports whether a power cap is installed and its statistics so
-// far.
-func (s *System) Capping() (maestro.CapStats, bool) {
-	if s.cap == nil {
-		return maestro.CapStats{}, false
-	}
-	return s.cap.Stats(), true
 }
 
 // History returns the recorded measurement time series, or nil when
@@ -295,13 +266,13 @@ func (r rootTask) Root() qthreads.Task { return r.fn }
 func (rootTask) Validate() error       { return nil }
 
 // Idle lets the parked clock run with nothing scheduled: the workers stay
-// idle while the sampler, the daemon or cap controller and the history
-// keep ticking. With d > 0 it returns once d of virtual time has passed,
-// with the clock parked there again; the machine must not be stopped
-// meanwhile, and a d that would pass Machine.VirtualTimeLimit is an
-// error. With d <= 0 it returns at once and leaves the clock running,
-// as fast as the host steps it, until the next Run or Idle parks it —
-// wherever it has got to by then.
+// idle while the sampler, the daemon and the history keep ticking. With
+// d > 0 it returns once d of virtual time has passed, with the clock
+// parked there again; the machine must not be stopped meanwhile, and a d
+// that would pass Machine.VirtualTimeLimit is an error. With d <= 0 it
+// returns at once and leaves the clock running, as fast as the host
+// steps it, until the next Run or Idle parks it — wherever it has got to
+// by then.
 func (s *System) Idle(d time.Duration) error {
 	if s.closed {
 		return errors.New("core: system is closed")
@@ -336,9 +307,6 @@ func (s *System) Close() {
 	s.closed = true
 	if s.history != nil {
 		s.history.Stop()
-	}
-	if s.cap != nil {
-		s.cap.Stop()
 	}
 	if s.daemon != nil {
 		s.daemon.Stop()

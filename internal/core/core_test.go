@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/maestro"
 	"repro/internal/qthreads"
 	"repro/internal/rcr"
 	"repro/internal/replaytest"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workloads"
 	"repro/internal/workloads/micro"
@@ -212,45 +214,116 @@ func TestWarmOption(t *testing.T) {
 	}
 }
 
+// capped is a node that holds its power at or below cap.
+func capped(cap units.Watts) Options {
+	return Options{
+		Warm:               true,
+		AdaptiveThrottling: true,
+		Maestro:            maestro.Config{Policy: maestro.PowerCapped, Cap: cap},
+	}
+}
+
+// burn runs tasks full-node compute tasks of 2e7 cycles each: ~150 W
+// uncapped.
+func burn(t *testing.T, sys *System, tasks int) {
+	t.Helper()
+	if _, err := sys.Run("burn", func(tc *qthreads.TC) {
+		g := tc.NewGroup()
+		for i := 0; i < tasks; i++ {
+			g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(2e7) })
+		}
+		g.Wait(tc)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPowerCapOption(t *testing.T) {
-	sys := newSystem(t, Options{Warm: true, PowerCap: 110})
-	if _, ok := sys.Capping(); !ok {
+	sys := newSystem(t, capped(110))
+	if _, ok := sys.Throttling(); !ok {
 		t.Fatal("power cap not installed")
 	}
 	// A sustained full-node burn must be held near the cap. The
-	// controller adjusts once per 100 ms: give it a settle phase, then
+	// daemon adjusts once per 100 ms: give it a settle phase, then
 	// measure the steady state.
-	burn := func(tasks int) {
-		t.Helper()
-		if _, err := sys.Run("burn", func(tc *qthreads.TC) {
-			g := tc.NewGroup()
-			for i := 0; i < tasks; i++ {
-				g.Spawn(tc, func(tc *qthreads.TC) { tc.Compute(2e7) })
-			}
-			g.Wait(tc)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	burn(2400) // settle: > 1 s even at full speed
+	burn(t, sys, 2400) // settle: > 1 s even at full speed
 	start := sys.Machine().Now()
 	startE := nodeEnergy(sys)
-	burn(2400)
+	burn(t, sys, 2400)
 	elapsed := sys.Machine().Now() - start
 	avg := float64(nodeEnergy(sys)-startE) / elapsed.Seconds()
-	stats, _ := sys.Capping()
+	stats, _ := sys.Throttling()
 	if stats.Tightenings == 0 {
-		t.Error("cap controller never tightened")
+		t.Error("power cap never tightened")
 	}
 	if avg > 110*1.08 {
 		t.Errorf("steady-state power %.1f W above the 110 W cap", avg)
 	}
 }
 
-func TestPowerCapExclusiveWithThrottling(t *testing.T) {
-	_, err := New(Options{AdaptiveThrottling: true, PowerCap: 100})
-	if err == nil {
-		t.Fatal("conflicting options accepted")
+// TestPowerCapFailsafeOnStalledSampler: the staleness watchdog covers
+// the cap as it covers every policy. A capped node over budget is
+// throttled; when its sampler stalls, the throttle is released within
+// the horizon and failsafe_entered is journaled, however over budget
+// the last readings were. Once samples flow again, the cap restarts
+// from full concurrency and tightens on the poll that recovers, two
+// fresh polls after the stall ends.
+func TestPowerCapFailsafeOnStalledSampler(t *testing.T) {
+	opts := capped(110)
+	opts.Telemetry = true
+	sys := newSystem(t, opts)
+	throttled := func() bool { return sys.Telemetry().Gauge("qthreads_throttled").Value() == 1 }
+	burn(t, sys, 2400)
+	if st, _ := sys.Throttling(); !throttled() || st.Tightenings == 0 {
+		t.Fatalf("a 110 W cap left a full-node burn unthrottled: %+v", st)
+	}
+	d := sys.Daemon()
+	period := maestro.DefaultPeriod
+
+	stalled := sys.Machine().Now()
+	sys.Sampler().SetFaultGates(func(time.Duration) rcr.TickAction { return rcr.TickSkip }, nil)
+	if err := sys.Idle(d.Horizon() + period); err != nil {
+		t.Fatal(err)
+	}
+	if throttled() {
+		t.Errorf("throttle still on %v after the sampler stalled", sys.Machine().Now()-stalled)
+	}
+	var entered []time.Duration
+	for _, e := range sys.Journal().Entries() {
+		if e.Kind == telemetry.KindFailsafeEntered {
+			entered = append(entered, e.T)
+		}
+	}
+	if len(entered) != 1 || entered[0] <= stalled || entered[0] > stalled+d.Horizon()+period {
+		t.Errorf("failsafe_entered at %v, want once within %v of the stall at %v", entered, d.Horizon()+period, stalled)
+	}
+
+	resumed := sys.Machine().Now()
+	sys.Sampler().SetFaultGates(nil, nil)
+	burn(t, sys, 2400)
+	st, _ := sys.Throttling()
+	if st.FailsafeEntries != 1 || st.Recoveries != 1 || st.Failsafe {
+		t.Fatalf("stats %+v: want one fail-safe window, recovered", st)
+	}
+	full := sys.Machine().Config().CoresPerSocket
+	var recovered time.Duration
+	tightened := false
+	for _, e := range sys.Journal().Entries() {
+		switch {
+		case e.Kind == telemetry.KindRecovered:
+			recovered = e.T
+		case recovered > 0 && e.Kind == telemetry.KindDecision && e.T == recovered:
+			tightened = e.Engaged && e.Limit == full-1
+		}
+	}
+	if recovered <= resumed || recovered > resumed+2*period {
+		t.Errorf("recovered at %v, want within two polls of the sampler resuming at %v", recovered, resumed)
+	}
+	if !tightened {
+		t.Errorf("the recovering poll did not tighten from %d workers per socket", full)
+	}
+	if !throttled() {
+		t.Error("the cap never re-engaged after recovery")
 	}
 }
 

@@ -137,7 +137,7 @@ func (lab *Lab) MechanismAblation() ([]MechanismAblationRow, error) {
 		duty, dvfs := base, base
 		duty.Throttle = ThrottleDynamic
 		dvfs.Throttle = ThrottleDynamic
-		dvfs.Maestro = maestro.Config{Mechanism: maestro.ScaleFrequency, FrequencyGear: c.gear}
+		dvfs.Maestro = maestro.Config{Policy: maestro.ScaleFrequency, FrequencyGear: c.gear}
 		specs = append(specs, base, duty, dvfs)
 	}
 	meas, err := lab.measureAll(specs)
@@ -154,16 +154,14 @@ func (lab *Lab) MechanismAblation() ([]MechanismAblationRow, error) {
 // PowerCapResult is the outcome of running a workload under a node power
 // bound.
 type PowerCapResult struct {
-	App       string
-	Cap       units.Watts
-	Uncapped  Measurement
-	Capped    Measurement
-	CapStats  maestro.CapStats
-	AvgCapped units.Watts
+	App      string
+	Cap      units.Watts
+	Uncapped Measurement
+	Capped   Measurement // Capped.Daemon carries the cap's counters
 }
 
-// PowerCapStudy runs a sustained high-power program with and without a
-// power-capping controller driving the concurrency throttle.
+// PowerCapStudy runs a sustained high-power program with and without the
+// daemon's PowerCapped policy driving the concurrency throttle.
 func (lab *Lab) PowerCapStudy(cap units.Watts) (PowerCapResult, error) {
 	if cap <= 0 {
 		return PowerCapResult{}, fmt.Errorf("experiments: power cap %v must be positive", cap)
@@ -173,17 +171,16 @@ func (lab *Lab) PowerCapStudy(cap units.Watts) (PowerCapResult, error) {
 	// A longer run gives the controller time to converge.
 	base := RunSpec{App: app, Target: target, Workers: FullThreads, Scale: 3, SpinOnlyIdle: true}
 	capped := base
-	capped.PowerCap = cap
+	capped.Throttle = ThrottleDynamic
+	capped.Maestro = maestro.Config{Policy: maestro.PowerCapped, Cap: cap}
 	meas, err := lab.measureAll([]RunSpec{base, capped})
 	if err != nil {
 		return PowerCapResult{}, err
 	}
 	return PowerCapResult{
-		App:       app,
-		Cap:       cap,
-		Uncapped:  meas[0],
-		Capped:    meas[1],
-		CapStats:  meas[1].Cap,
-		AvgCapped: units.Watts(meas[1].Watts),
+		App:      app,
+		Cap:      cap,
+		Uncapped: meas[0],
+		Capped:   meas[1],
 	}, nil
 }

@@ -102,7 +102,7 @@ func TestPowerCapStudy(t *testing.T) {
 	t.Logf("%s uncapped %.1f W / %.2f s; capped@%v %.1f W / %.2f s (tightenings %d, min limit %d)",
 		res.App, res.Uncapped.Watts, res.Uncapped.Seconds,
 		res.Cap, res.Capped.Watts, res.Capped.Seconds,
-		res.CapStats.Tightenings, res.CapStats.MinLimit)
+		res.Capped.Daemon.Tightenings, res.Capped.Daemon.MinLimit)
 	if res.Uncapped.Watts <= 130 {
 		t.Fatalf("uncapped power only %.1f W; the study needs a high-power load", res.Uncapped.Watts)
 	}
@@ -112,7 +112,7 @@ func TestPowerCapStudy(t *testing.T) {
 	if res.Capped.Watts > float64(res.Cap)*1.10 {
 		t.Errorf("capped average %.1f W far above the %.0f W bound", res.Capped.Watts, float64(res.Cap))
 	}
-	if res.CapStats.Tightenings == 0 {
+	if res.Capped.Daemon.Tightenings == 0 {
 		t.Error("controller never tightened")
 	}
 	// Capping costs time; it must not cost correctness or hang.

@@ -297,7 +297,7 @@ func (lab *Lab) runClusterArm(spec ClusterSpec, apps []string, replicas int) (_ 
 	for i := 0; i < spec.Shards; i++ {
 		joules, busy := fleet.Usage(i)
 		meas.ShardJoules[i], meas.ShardSeconds[i] = float64(joules), busy.Seconds()
-		meas.FinalCaps[i] = fleet.System(i).PowerCapController().Cap()
+		meas.FinalCaps[i] = fleet.System(i).Daemon().Cap()
 		meas.TotalJoules += meas.ShardJoules[i]
 		meas.MakespanSec = max(meas.MakespanSec, meas.ShardSeconds[i])
 	}

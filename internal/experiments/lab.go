@@ -16,7 +16,6 @@ import (
 	"repro/internal/maestro"
 	"repro/internal/qthreads"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
@@ -45,12 +44,9 @@ type RunSpec struct {
 	SpinOnlyIdle bool
 	Throttle     ThrottleMode
 	// Maestro tunes the daemon when Throttle is ThrottleDynamic (zero
-	// value selects the paper's defaults); the ablations use it to flip
-	// the policy and mechanism.
+	// value selects the paper's defaults); the ablations and the power
+	// cap study use it to pick the policy.
 	Maestro maestro.Config
-	// PowerCap, when positive, attaches a power-capping controller
-	// holding node power at or below the bound (instead of the Daemon).
-	PowerCap units.Watts
 }
 
 // Measurement is one run's outcome.
@@ -63,8 +59,6 @@ type Measurement struct {
 	Watts   float64
 	// Daemon statistics (zero unless ThrottleDynamic).
 	Daemon maestro.Stats
-	// Cap statistics (zero unless PowerCap was set).
-	Cap maestro.CapStats
 }
 
 // Lab runs specs on fresh, warm simulated machines.
@@ -84,7 +78,7 @@ type Lab struct {
 	// index order, and none starts after the first cell error.
 	Parallel int
 	// Telemetry, when non-nil, instruments every cell's stack (sampler,
-	// blackboard, runtime, daemon/cap) and receives one RunTelemetry per
+	// blackboard, runtime, daemon) and receives one RunTelemetry per
 	// completed run. With Parallel > 1 the sink is called from multiple
 	// goroutines; SidecarWriter is a ready-made concurrency-safe sink.
 	Telemetry func(RunTelemetry)
@@ -151,7 +145,7 @@ func (lab *Lab) measureAll(specs []RunSpec) ([]Measurement, error) {
 
 // runOnceSeeded runs the workload once with the given input seed on a
 // fresh, warm full stack — core.New: machine, RAPL reader, RCR sampler,
-// runtime, optional MAESTRO daemon or power cap — and tears it down. The
+// runtime, optional MAESTRO daemon — and tears it down. The
 // stack is assembled with its clock parked and the run starts on that
 // instant, so every ticker phase the daemon sees is the same from run to
 // run and arm to arm. A non-nil tracer observes the runtime's scheduler
@@ -182,7 +176,6 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 		Qthreads:           qthreads.Config{SpinOnlyIdle: spec.SpinOnlyIdle, Tracer: tracer},
 		AdaptiveThrottling: spec.Throttle == ThrottleDynamic,
 		Maestro:            spec.Maestro,
-		PowerCap:           spec.PowerCap,
 		Warm:               true,
 		Telemetry:          lab.Telemetry != nil,
 	})
@@ -203,7 +196,6 @@ func (lab *Lab) runOnceSeeded(spec RunSpec, seed int64, tracer qthreads.Tracer) 
 		Watts:   float64(rep.AvgPower),
 	}
 	meas.Daemon, _ = sys.Throttling()
-	meas.Cap, _ = sys.Capping()
 	if lab.Telemetry != nil {
 		lab.Telemetry(RunTelemetry{
 			App:     spec.App,

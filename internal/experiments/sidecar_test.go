@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/maestro"
 	"repro/internal/telemetry"
 )
 
@@ -29,13 +30,14 @@ func decodeSidecar(r io.Reader) ([]RunTelemetry, error) {
 
 // TestTelemetryOnlyObserves: instrumenting a cell must not change what
 // it measures. Telemetry on records through live instruments, off
-// through nil ones; either way the run's seconds, joules, daemon and
-// cap statistics agree bit for bit.
+// through nil ones; either way the run's seconds, joules and daemon
+// statistics (the power cap's counters among them) agree bit for bit.
 func TestTelemetryOnlyObserves(t *testing.T) {
 	throttled := RunSpec{Workers: FullThreads, SpinOnlyIdle: true, Throttle: ThrottleDynamic}
 	health, lulesh := throttled, throttled
 	health.App, lulesh.App = compiler.AppHealth, compiler.AppLULESH
-	capped := RunSpec{App: compiler.AppHealth, Workers: FullThreads, SpinOnlyIdle: true, PowerCap: 120}
+	capped := throttled
+	capped.App, capped.Maestro = compiler.AppHealth, maestro.Config{Policy: maestro.PowerCapped, Cap: 120}
 	for _, spec := range []RunSpec{health, lulesh, capped} {
 		off, err := NewLab().Measure(spec)
 		if err != nil {
@@ -54,14 +56,14 @@ func TestTelemetryOnlyObserves(t *testing.T) {
 		if math.Float64bits(on.Seconds) != math.Float64bits(off.Seconds) ||
 			math.Float64bits(on.Joules) != math.Float64bits(off.Joules) {
 			t.Errorf("%s (cap %v): telemetry on %v s / %v J, off %v s / %v J",
-				spec.App, spec.PowerCap, on.Seconds, on.Joules, off.Seconds, off.Joules)
+				spec.App, spec.Maestro.Cap, on.Seconds, on.Joules, off.Seconds, off.Joules)
 		}
-		if off.Daemon.Samples+off.Cap.Samples == 0 {
-			t.Errorf("%s (cap %v): no daemon or cap poll ran", spec.App, spec.PowerCap)
+		if off.Daemon.Samples == 0 {
+			t.Errorf("%s (cap %v): no daemon poll ran", spec.App, spec.Maestro.Cap)
 		}
-		if on.Daemon != off.Daemon || on.Cap != off.Cap {
-			t.Errorf("%s (cap %v): telemetry on %+v / %+v, off %+v / %+v",
-				spec.App, spec.PowerCap, on.Daemon, on.Cap, off.Daemon, off.Cap)
+		if on.Daemon != off.Daemon {
+			t.Errorf("%s (cap %v): telemetry on %+v, off %+v",
+				spec.App, spec.Maestro.Cap, on.Daemon, off.Daemon)
 		}
 	}
 }

@@ -124,7 +124,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// the workload below crosses them and the throttle path (and its
 	// injected actuation faults) gets exercised: High at half of the
 	// all-cores-active socket power, concurrency High at a handful of
-	// outstanding references.
+	// outstanding references. PowerCapped binds at the same half.
 	est := float64(mcfg.Power.UncoreBase) + float64(mcfg.CoresPerSocket)*float64(mcfg.Power.CoreActive)
 	knee := float64(mcfg.Mem.KneeRefs)
 	sys, err := core.New(core.Options{
@@ -139,6 +139,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				LowConcurrency:  0.02 * knee,
 			},
 			Policy:        cfg.Policy,
+			Cap:           units.Watts(0.50 * est * float64(mcfg.Sockets)),
 			ActuationHook: inj.Actuation(),
 		},
 		Telemetry: true,
@@ -194,7 +195,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Convergence: all fault windows are closed, the tail has passed —
 	// the stack must be back to normal operation.
 	daemon, sampler := sys.Daemon(), sys.Sampler()
-	if daemon.Failsafe() {
+	rep.Daemon = daemon.Stats()
+	if rep.Daemon.Failsafe {
 		rep.violate("daemon still in fail-safe at end of run (clear was t=%v)", rep.ClearTime)
 	}
 	if !sampler.Alive() {
@@ -204,7 +206,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		rep.violate("%d RAPL domain(s) still quarantined at end of run", q)
 	}
 
-	rep.Daemon = daemon.Stats()
 	rep.SamplerRestarts = sampler.Restarts()
 	reg := sys.Telemetry()
 	rep.Quarantines = reg.Counter("rapl_guard_quarantines_total").Value()

@@ -107,13 +107,15 @@ func TestChaosCorpus(t *testing.T) {
 // fault schedules. The invariant under test: no policy, whatever its
 // internal model, can cause a throttle decision on data older than the
 // staleness horizon, because the daemon's watchdog gates the policy's
-// inputs rather than trusting the policy to check.
+// inputs rather than trusting the policy to check. The power cap binds
+// in these runs, so it is held to the invariant while it tightens.
 func TestChaosEveryPolicy(t *testing.T) {
 	seeds := []uint64{3, 11, 42}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, policy := range []maestro.Policy{maestro.DualCondition, maestro.PowerOnly, maestro.Adaptive} {
+	var capTightenings, capFailsafes uint64
+	for _, policy := range []maestro.Policy{maestro.DualCondition, maestro.PowerOnly, maestro.Adaptive, maestro.ScaleFrequency, maestro.PowerCapped} {
 		for _, seed := range seeds {
 			rep, err := RunChaos(ChaosConfig{Seed: seed, Policy: policy})
 			if err != nil {
@@ -125,7 +127,15 @@ func TestChaosEveryPolicy(t *testing.T) {
 			for _, v := range rep.Violations {
 				t.Errorf("policy %d seed %d: %s", policy, seed, v)
 			}
+			if policy == maestro.PowerCapped {
+				capTightenings += rep.Daemon.Tightenings
+				capFailsafes += rep.Daemon.FailsafeEntries
+			}
 		}
+	}
+	t.Logf("power cap over seeds %v: %d tightenings, %d fail-safe entries", seeds, capTightenings, capFailsafes)
+	if capTightenings == 0 || capFailsafes == 0 {
+		t.Errorf("power cap: %d tightenings and %d fail-safe entries over seeds %v: the cap was tested vacuously", capTightenings, capFailsafes, seeds)
 	}
 }
 

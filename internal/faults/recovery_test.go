@@ -117,11 +117,11 @@ func TestQthreadsFailsafeRecovery(t *testing.T) {
 		})
 		setHealthy(false)
 		eventually(t, 10*time.Second, "watchdog fires and throttle releases through the bypass", func() bool {
-			return daemon.Failsafe() && !throttled()
+			return daemon.Stats().Failsafe && !throttled()
 		})
 		setHealthy(true)
 		eventually(t, 10*time.Second, "daemon recovers once data is fresh again", func() bool {
-			return !daemon.Failsafe()
+			return !daemon.Stats().Failsafe
 		})
 	}
 	st := daemon.Stats()

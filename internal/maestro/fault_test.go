@@ -87,12 +87,12 @@ func TestDaemonFailsafeJournalAndCounters(t *testing.T) {
 
 	await("daemon engages on High/High", func() bool { return d.Stats().Activations > 0 })
 	setHealthy(false)
-	await("watchdog enters fail-safe", d.Failsafe)
+	await("watchdog enters fail-safe", func() bool { return d.Stats().Failsafe })
 	if v := reg.Gauge("maestro_failsafe").Value(); v != 1 {
 		t.Errorf("maestro_failsafe gauge = %v during outage, want 1", v)
 	}
 	setHealthy(true)
-	await("daemon recovers", func() bool { return !d.Failsafe() })
+	await("daemon recovers", func() bool { return !d.Stats().Failsafe })
 
 	st := d.Stats()
 	if st.FaultsSeen == 0 || st.FailsafeEntries != 1 || st.Recoveries != 1 {

@@ -25,7 +25,7 @@ const journalGoldenScale = 0.2
 
 // TestJournalGolden pins the daemon's whole decision trail — every
 // journal record and the final Stats — for one reduced-scale lulesh run
-// under each policy and mechanism, against testdata/journal.golden. A
+// under each policy, against testdata/journal.golden. A
 // run is a pure function of its options, so any difference is a change
 // in what the daemon decided. The file was generated by an earlier
 // commit; regenerating it from the code under test defeats it.
@@ -69,7 +69,7 @@ func journalTrail(t *testing.T) []byte {
 		{"dual-condition", maestro.Config{}},
 		{"power-only", maestro.Config{Policy: maestro.PowerOnly}},
 		{"adaptive", maestro.Config{Policy: maestro.Adaptive}},
-		{"scale-frequency", maestro.Config{Mechanism: maestro.ScaleFrequency}},
+		{"scale-frequency", maestro.Config{Policy: maestro.ScaleFrequency}},
 	} {
 		wl, err := suite.New(compiler.AppLULESH)
 		if err != nil {

@@ -155,29 +155,15 @@ func (th Thresholds) decide(power, conc []float64, powerLv, concLv []int8) (Deci
 	return Hold, powerLv, concLv
 }
 
-// Mechanism selects how the daemon reduces power when its policy says
-// High.
-type Mechanism int
-
-// Mechanisms.
-const (
-	// ThrottleConcurrency parks surplus workers in duty-cycle-throttled
-	// spin loops — the paper's mechanism: per-core and fast.
-	ThrottleConcurrency Mechanism = iota
-	// ScaleFrequency lowers the whole socket's clock instead (DVFS), the
-	// mechanism most prior work uses. The paper argues against it (§IV:
-	// it affects all cores and transitions are slow); it is implemented
-	// here so the two can be compared (experiments.MechanismAblation).
-	ScaleFrequency
-)
-
-// Policy selects which metrics gate the mechanism.
+// Policy selects the daemon's control rule: which inputs gate it and
+// which operating point it asks for.
 type Policy int
 
 // Policies.
 const (
 	// DualCondition requires both power and memory concurrency High —
-	// the paper's policy (§IV-A).
+	// the paper's policy (§IV-A) — and parks surplus workers, the
+	// paper's mechanism: per-core and fast.
 	DualCondition Policy = iota
 	// PowerOnly gates on power alone. The paper rejects it: "it often
 	// limits thread count for programs running at high efficiency and
@@ -189,6 +175,18 @@ const (
 	// workload phase, engaging and releasing on the dual-condition
 	// rule's verdict. See adaptive.go and DESIGN.md §Adaptive.
 	Adaptive
+	// ScaleFrequency acts on the dual-condition verdict by lowering the
+	// whole socket's clock to FrequencyGear (DVFS) instead of parking
+	// workers — the mechanism most prior work uses. The paper argues
+	// against it (§IV: it affects all cores and transitions are slow);
+	// it is implemented here so the two can be compared
+	// (experiments.MechanismAblation).
+	ScaleFrequency
+	// PowerCapped holds node power at or below Cap, the paper's §V/§VI
+	// outlook of concurrency throttling under a power clamp (cf.
+	// Rountree et al. [25]): where the other policies minimize energy,
+	// it respects a budget (see stepCap).
+	PowerCapped
 )
 
 // Config tunes the daemon.
@@ -204,17 +202,17 @@ type Config struct {
 	// while throttled. Zero selects 3/4 of the cores per socket (12 of
 	// 16 on the paper's machine, matching its 12-thread comparisons).
 	ThrottleLimit int
-	// Mechanism selects concurrency throttling (default, the paper's
-	// choice) or socket-wide frequency scaling.
-	Mechanism Mechanism
-	// Policy selects the gating condition (default: the paper's dual
-	// condition). Adaptive hands every healthy poll to the adaptive
-	// controller; the staleness watchdog, fail-safe latch and actuation
-	// reconciliation stay daemon-owned under every policy.
+	// Policy selects the control rule (default: the paper's dual
+	// condition). Adaptive and PowerCapped pick their own operating
+	// points each healthy poll; the staleness watchdog, fail-safe latch
+	// and actuation reconciliation stay daemon-owned under every policy.
 	Policy Policy
 	// FrequencyGear is the DVFS scale applied while ScaleFrequency is
 	// engaged; zero selects 0.6.
 	FrequencyGear float64
+	// Cap is the node power bound PowerCapped holds, required positive
+	// under it and ignored by the others; SetCap retunes it live.
+	Cap units.Watts
 	// ActuationHook, when non-nil, intercepts mechanism actuation: it
 	// may return a delay to defer the actuation by (the daemon's control
 	// thread is busy for that long and misses overlapped polls, though
@@ -285,12 +283,14 @@ type Daemon struct {
 	applied OperatingPoint
 	engaged bool
 	// fullPoint is the released state: throttle off at the configured
-	// limit, full clock. engagedPoint is the static policies' single
-	// throttled state (the Adaptive policy picks its own points).
+	// limit (at full concurrency under PowerCapped), full clock.
+	// engagedPoint is the static policies' single engaged state
+	// (Adaptive and PowerCapped pick their own points).
 	fullPoint    OperatingPoint
 	engagedPoint OperatingPoint
-	// adaptive is the Adaptive policy's controller (nil for the static
-	// policies).
+	// adaptive is the Adaptive policy's controller (nil for the others).
+	// PowerCapped keeps no state beyond desired: its limit is
+	// desired.Limit.
 	adaptive *adaptive
 	// failsafe is the watchdog latch: while set, classification is
 	// suspended and the throttle is released. freshPolls counts
@@ -321,6 +321,7 @@ type Daemon struct {
 	// reused every poll (the machine's stepper only) so classification and
 	// journaling never allocate on the hot path.
 	met     *daemonMetrics
+	capMet  *capMetrics // PowerCapped only
 	journal *telemetry.Journal
 	power   []float64
 	conc    []float64
@@ -334,6 +335,14 @@ type Daemon struct {
 	samples       atomic.Uint64
 	throttledTime atomic.Int64 // ns spent with throttling active
 	lastSample    atomic.Int64 // ns timestamp of previous sample
+
+	// PowerCapped's bound as math.Float64bits (SetCap retunes it) and
+	// its Stats counters.
+	capBits     atomic.Uint64
+	tightenings atomic.Uint64
+	relaxations atomic.Uint64
+	overBudget  atomic.Uint64
+	minLimit    atomic.Int64
 }
 
 // Start launches the daemon on the runtime's machine.
@@ -360,17 +369,25 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 	if cfg.FrequencyGear <= 0 || cfg.FrequencyGear > 1 {
 		cfg.FrequencyGear = 0.6
 	}
+	if cfg.Policy == PowerCapped && cfg.Cap <= 0 {
+		return nil, fmt.Errorf("maestro: power cap %v must be positive", cfg.Cap)
+	}
 	d := &Daemon{rt: rt, bb: bb, cfg: cfg, journal: cfg.Journal, pendingID: -1, horizon: horizonPeriods * cfg.Period}
 	d.fullPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: 1}
-	if cfg.Mechanism == ScaleFrequency {
+	switch cfg.Policy {
+	case Adaptive:
+		d.adaptive = newAdaptive(mcfg, cfg.ThrottleLimit, cfg.Telemetry, cfg.Journal)
+	case ScaleFrequency:
 		d.engagedPoint = OperatingPoint{Throttled: false, Limit: cfg.ThrottleLimit, FreqScale: cfg.FrequencyGear}
-	} else {
+	case PowerCapped:
+		d.fullPoint.Limit = mcfg.CoresPerSocket
+		d.minLimit.Store(int64(mcfg.CoresPerSocket))
+		d.capBits.Store(math.Float64bits(float64(cfg.Cap)))
+		d.capMet = newCapMetrics(cfg.Telemetry, mcfg.CoresPerSocket, cfg.Cap)
+	default:
 		d.engagedPoint = OperatingPoint{Throttled: true, Limit: cfg.ThrottleLimit, FreqScale: 1}
 	}
 	d.desired, d.applied = d.fullPoint, d.fullPoint
-	if cfg.Policy == Adaptive {
-		d.adaptive = newAdaptive(mcfg, cfg.ThrottleLimit, cfg.Telemetry, cfg.Journal)
-	}
 	d.met = newDaemonMetrics(cfg.Telemetry)
 	nSock := bb.Sockets()
 	d.power = make([]float64, 0, nSock)
@@ -392,13 +409,29 @@ func Start(rt *qthreads.Runtime, bb *rcr.Blackboard, cfg Config) (*Daemon, error
 func (d *Daemon) Stop() {
 	d.stopped.Store(true)
 	d.rt.Machine().RemoveTicker(d.tickerID)
-	d.rt.SetThrottle(false, d.cfg.ThrottleLimit)
-	// adaptive is written once before Start returns, so this read is
-	// safe from the stopping goroutine. The Adaptive policy may have
-	// engaged either mechanism, so both are released.
-	if d.cfg.Mechanism == ScaleFrequency || d.adaptive != nil {
-		d.setFrequency(1)
+	d.release()
+}
+
+// Cap returns the bound PowerCapped holds (zero under the other
+// policies).
+func (d *Daemon) Cap() units.Watts {
+	return units.Watts(math.Float64frombits(d.capBits.Load()))
+}
+
+// SetCap retunes PowerCapped's bound while the daemon runs: the seam
+// through which a cluster budget partitioner (internal/cluster) pushes a
+// node's share down. It takes effect on the next poll. A non-positive
+// cap, or any cap under another policy, is rejected.
+func (d *Daemon) SetCap(cap units.Watts) error {
+	if d.cfg.Policy != PowerCapped {
+		return errors.New("maestro: SetCap needs the PowerCapped policy")
 	}
+	if cap <= 0 {
+		return fmt.Errorf("maestro: power cap %v must be positive", cap)
+	}
+	d.capBits.Store(math.Float64bits(float64(cap)))
+	d.capMet.capW.Set(float64(cap))
+	return nil
 }
 
 // Stats describe the daemon's activity so far.
@@ -420,6 +453,12 @@ type Stats struct {
 	Recoveries      uint64
 	MissedPolls     uint64
 	Failsafe        bool
+	// PowerCapped's limit steps down and up, polls over the cap, and the
+	// tightest limit reached; zero and left out of JSON otherwise.
+	Tightenings uint64 `json:",omitempty"`
+	Relaxations uint64 `json:",omitempty"`
+	OverBudget  uint64 `json:",omitempty"`
+	MinLimit    int    `json:",omitempty"`
 }
 
 // Stats returns a snapshot of the daemon counters.
@@ -435,17 +474,17 @@ func (d *Daemon) Stats() Stats {
 		Recoveries:      d.recoveries.Load(),
 		MissedPolls:     d.missedPolls.Load(),
 		Failsafe:        d.failsafeA.Load(),
+		Tightenings:     d.tightenings.Load(),
+		Relaxations:     d.relaxations.Load(),
+		OverBudget:      d.overBudget.Load(),
+		MinLimit:        int(d.minLimit.Load()),
 	}
 }
 
-// Failsafe reports whether the staleness watchdog currently holds the
-// daemon in fail-safe (throttle released, classification suspended).
-func (d *Daemon) Failsafe() bool { return d.failsafeA.Load() }
-
 // Horizon returns the staleness bound of the watchdog, horizonPeriods ×
-// Period. faults.RunChaos, its only caller, counts the journal's
-// decisions on data older than this. The field is set once at Start and
-// never written again, so the read is safe from any goroutine.
+// Period: faults.RunChaos counts the journal's decisions on data older
+// than this. The field is set once at Start and never written again, so
+// the read is safe from any goroutine.
 func (d *Daemon) Horizon() time.Duration { return d.horizon }
 
 // poll runs on the machine's stepper every Period (machine.TickerFunc):
@@ -538,7 +577,18 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 	outcome := "hold" // hysteresis band: leave the mechanism as-is
 	switch {
 	case d.adaptive != nil:
-		outcome = d.stepAdaptive(now, verdict, staleness)
+		// The controller only picks the point; the daemon owns the
+		// engaged bookkeeping and the actuation.
+		outcome = d.moveTo(now, d.adaptive.step(PolicyInput{
+			Now:       now,
+			Power:     d.power,
+			Conc:      d.conc,
+			Membw:     d.membw,
+			Verdict:   verdict,
+			Staleness: staleness,
+		}), staleness)
+	case d.cfg.Policy == PowerCapped:
+		outcome = d.moveTo(now, d.stepCap(), staleness)
 	case verdict == Enable:
 		outcome = "enable"
 		d.setDesired(now, d.engagedPoint, staleness)
@@ -592,9 +642,10 @@ func (d *Daemon) poll(now time.Duration, _ *machine.Snapshot) {
 
 // setDesired records a new desired operating point, maintaining the
 // engaged view and, under the Adaptive policy, the op-change count and
-// the operating_point_changed journal trail. Static policies move only
-// between fullPoint and engagedPoint, which the activation and
-// deactivation counters already tell apart.
+// the operating_point_changed journal trail. The static policies move
+// only between fullPoint and engagedPoint, which the activation and
+// deactivation counters already tell apart, and PowerCapped's moves are
+// its tightenings and relaxations.
 func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time.Duration) {
 	if pt == d.desired {
 		return
@@ -628,19 +679,46 @@ func (d *Daemon) setDesired(now time.Duration, pt OperatingPoint, staleness time
 	}
 }
 
-// stepAdaptive hands one healthy poll to the adaptive controller and
-// makes the point it asks for the desired one. The daemon still owns
-// the engaged bookkeeping and actuation; the controller only picks the
-// point.
-func (d *Daemon) stepAdaptive(now time.Duration, verdict Decision, staleness time.Duration) string {
-	pt := d.adaptive.step(PolicyInput{
-		Now:       now,
-		Power:     d.power,
-		Conc:      d.conc,
-		Membw:     d.membw,
-		Verdict:   verdict,
-		Staleness: staleness,
-	})
+// capMargin is PowerCapped's relax hysteresis band, a fraction of the
+// cap, so the limit does not oscillate at the boundary.
+const capMargin = 0.05
+
+// stepCap is PowerCapped's rule on one healthy poll, returning the point
+// it asks for: node power (the sum of the socket readings) above the cap
+// tightens the per-shepherd limit by one worker, down to 1; power below
+// (1 − capMargin) × cap relaxes it by one, up to full concurrency, where
+// the throttle is released.
+func (d *Daemon) stepCap() OperatingPoint {
+	node := 0.0
+	for _, p := range d.power {
+		node += p
+	}
+	cap := math.Float64frombits(d.capBits.Load())
+	limit, full := d.desired.Limit, d.fullPoint.Limit
+	switch {
+	case node > cap:
+		d.overBudget.Add(1)
+		d.capMet.overBudget.Inc()
+		if limit > 1 {
+			limit--
+			d.tightenings.Add(1)
+			d.capMet.tightenings.Inc()
+			if int64(limit) < d.minLimit.Load() {
+				d.minLimit.Store(int64(limit))
+			}
+		}
+	case node < cap*(1-capMargin) && limit < full:
+		limit++
+		d.relaxations.Add(1)
+		d.capMet.relaxations.Inc()
+	}
+	d.capMet.limit.Set(float64(limit))
+	return OperatingPoint{Throttled: limit < full, Limit: limit, FreqScale: 1}
+}
+
+// moveTo makes pt the desired point and names the move for the journal
+// and the decision counters.
+func (d *Daemon) moveTo(now time.Duration, pt OperatingPoint, staleness time.Duration) string {
 	outcome := "retune" // a move between two throttled points
 	switch {
 	case pt == d.desired:
@@ -693,12 +771,17 @@ func (d *Daemon) noteFault(now, staleness time.Duration, missing bool) {
 		}
 		d.cancelPending()
 		d.forceRelease()
-		if d.adaptive != nil {
+		switch {
+		case d.adaptive != nil:
 			// The controller's model was fed by the sensors that just
 			// went dark; whatever it learned during the outage window is
 			// not trustworthy. Reset so recovery restarts exploration from
 			// scratch rather than resuming a possibly-poisoned climb.
 			d.adaptive.reset()
+		case d.cfg.Policy == PowerCapped:
+			// desired is fullPoint now, so the cap restarts from full
+			// concurrency on fresh data and tightens again, as at Start.
+			d.capMet.limit.Set(float64(d.fullPoint.Limit))
 		}
 		d.recordEvent(now, telemetry.KindFailsafeEntered, detail, staleness)
 		return
@@ -807,20 +890,24 @@ func (d *Daemon) applyNow(pt OperatingPoint) {
 	}
 }
 
-// forceRelease unconditionally re-asserts the released state through
-// the mechanism the active policy can have engaged, bypassing the
-// change-detection in applyNow — the fail-safe path must work even if
-// some fault desynchronized the bookkeeping from the hardware.
+// forceRelease unconditionally re-asserts the released state, bypassing
+// the change-detection in applyNow — the fail-safe path must work even
+// if some fault desynchronized the bookkeeping from the hardware.
 func (d *Daemon) forceRelease() {
 	d.applied = d.fullPoint
-	switch {
-	case d.adaptive != nil:
-		d.rt.SetThrottle(false, d.cfg.ThrottleLimit)
+	d.release()
+}
+
+// release actuates the released state through every mechanism the policy
+// can engage: the DVFS gear under ScaleFrequency, both it and the
+// throttle under Adaptive, the throttle otherwise. It reads only what
+// Start fixed, so Stop may call it from any goroutine.
+func (d *Daemon) release() {
+	if d.cfg.Policy != ScaleFrequency {
+		d.rt.SetThrottle(false, d.fullPoint.Limit)
+	}
+	if d.cfg.Policy == ScaleFrequency || d.cfg.Policy == Adaptive {
 		d.setFrequency(1)
-	case d.cfg.Mechanism == ScaleFrequency:
-		d.setFrequency(1)
-	default:
-		d.rt.SetThrottle(false, d.cfg.ThrottleLimit)
 	}
 }
 

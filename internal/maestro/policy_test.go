@@ -13,7 +13,7 @@ import (
 )
 
 func TestScaleFrequencyMechanismEngages(t *testing.T) {
-	m, rt, _ := fullStack(t, 16, Config{Mechanism: ScaleFrequency, FrequencyGear: 0.5})
+	m, rt, _ := fullStack(t, 16, Config{Policy: ScaleFrequency, FrequencyGear: 0.5})
 	if err := hotMemoryLoad(rt, 1200*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestScaleFrequencyMechanismEngages(t *testing.T) {
 }
 
 func TestScaleFrequencyStopRestoresClock(t *testing.T) {
-	m, rt, d := fullStack(t, 16, Config{Mechanism: ScaleFrequency})
+	m, rt, d := fullStack(t, 16, Config{Policy: ScaleFrequency})
 	if err := hotMemoryLoad(rt, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func nodeEnergy(m *machine.Machine) units.Joules {
 type capSteadyState struct {
 	elapsed time.Duration
 	joules  units.Joules
-	stats   CapStats
+	stats   Stats
 }
 
 // measureCapSteadyState runs full-node compute, which would draw ~150 W
@@ -118,11 +118,11 @@ func measureCapSteadyState(t *testing.T, cap units.Watts) capSteadyState {
 	t.Cleanup(m.Stop)
 	m.WarmAll(68)
 	bb, rt := stackOn(t, m, 16)
-	pc, err := StartPowerCap(rt, bb, cap)
+	d, err := Start(rt, bb, Config{Policy: PowerCapped, Cap: cap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pc.Stop)
+	t.Cleanup(d.Stop)
 	burn := func(tasks int) {
 		t.Helper()
 		err := run(rt, func(tc *qthreads.TC) {
@@ -139,7 +139,7 @@ func measureCapSteadyState(t *testing.T, cap units.Watts) capSteadyState {
 	burn(640) // settle (~300+ ms)
 	start, startE := m.Now(), nodeEnergy(m)
 	burn(1280) // measured steady state
-	return capSteadyState{m.Now() - start, nodeEnergy(m) - startE, pc.Stats()}
+	return capSteadyState{m.Now() - start, nodeEnergy(m) - startE, d.Stats()}
 }
 
 func TestPowerCapHoldsBudget(t *testing.T) {
@@ -162,7 +162,7 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 
 // TestPowerCapReplay measures TestPowerCapHoldsBudget's steady state
 // under every replaytest.Hosts setting: elapsed time, joules and the
-// controller's counters must agree to the bit.
+// daemon's counters must agree to the bit.
 func TestPowerCapReplay(t *testing.T) {
 	var first capSteadyState
 	for i, h := range replaytest.Hosts {
@@ -188,22 +188,31 @@ func TestPowerCapValidation(t *testing.T) {
 	}
 	defer m.Stop()
 	bb, rt := stackOn(t, m, 4)
-	if _, err := StartPowerCap(nil, bb, 100); err == nil {
+	capped := func(cap units.Watts) Config { return Config{Policy: PowerCapped, Cap: cap} }
+	if _, err := Start(nil, bb, capped(100)); err == nil {
 		t.Error("nil runtime accepted")
 	}
-	if _, err := StartPowerCap(rt, nil, 100); err == nil {
+	if _, err := Start(rt, nil, capped(100)); err == nil {
 		t.Error("nil blackboard accepted")
 	}
-	if _, err := StartPowerCap(rt, bb, 0); err == nil {
+	if _, err := Start(rt, bb, capped(0)); err == nil {
 		t.Error("zero cap accepted")
 	}
-	pc, err := StartPowerCap(rt, bb, 140)
+	dual, err := Start(rt, bb, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pc.Stop()
-	if pc.Cap() != 140 {
-		t.Errorf("Cap() = %v", pc.Cap())
+	if err := dual.SetCap(100); err == nil {
+		t.Error("SetCap accepted under the dual-condition policy")
+	}
+	dual.Stop()
+	d, err := Start(rt, bb, capped(140))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	if d.Cap() != 140 {
+		t.Errorf("Cap() = %v", d.Cap())
 	}
 }
 
@@ -218,7 +227,7 @@ func TestPowerCapSetCap(t *testing.T) {
 	m.WarmAll(68)
 	bb, rt := stackOn(t, m, 16)
 
-	pc, err := StartPowerCap(rt, bb, 200)
+	pc, err := Start(rt, bb, Config{Policy: PowerCapped, Cap: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

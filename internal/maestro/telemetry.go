@@ -2,6 +2,7 @@ package maestro
 
 import (
 	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
 // daemonMetrics is the throttle daemon's instrument set. All instruments
@@ -92,12 +93,9 @@ func newAdaptiveMetrics(reg *telemetry.Registry) *adaptiveMetrics {
 	}
 }
 
-// capMetrics is the PowerCap controller's instrument set, installed
-// atomically by Instrument so it can be attached after StartPowerCap.
-// StartPowerCap seeds an empty set, so a loaded set is never nil.
+// capMetrics is the PowerCapped policy's instrument set, registered at
+// Start under that policy only.
 type capMetrics struct {
-	samples     *telemetry.Counter
-	incomplete  *telemetry.Counter
 	tightenings *telemetry.Counter
 	relaxations *telemetry.Counter
 	overBudget  *telemetry.Counter
@@ -105,19 +103,15 @@ type capMetrics struct {
 	capW        *telemetry.Gauge // current bound in Watts (SetCap retunes it)
 }
 
-// Instrument registers the controller's counters in reg. Safe to call
-// while the controller is polling.
-func (pc *PowerCap) Instrument(reg *telemetry.Registry) {
+func newCapMetrics(reg *telemetry.Registry, limit int, cap units.Watts) *capMetrics {
 	m := &capMetrics{
-		samples:     reg.Counter("maestro_powercap_samples_total"),
-		incomplete:  reg.Counter("maestro_powercap_incomplete_reads_total"),
 		tightenings: reg.Counter("maestro_powercap_tightenings_total"),
 		relaxations: reg.Counter("maestro_powercap_relaxations_total"),
 		overBudget:  reg.Counter("maestro_powercap_over_budget_total"),
 		limit:       reg.Gauge("maestro_powercap_limit"),
 		capW:        reg.Gauge("maestro_powercap_watts"),
 	}
-	m.limit.Set(float64(pc.maxLimit))
-	m.capW.Set(float64(pc.Cap()))
-	pc.met.Store(m)
+	m.limit.Set(float64(limit))
+	m.capW.Set(float64(cap))
+	return m
 }

@@ -199,7 +199,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	// past the horizon, and the daemon must ride out at least a 3-poll
 	// outage in fail-safe.
 	stopServer()
-	await("watchdog enters fail-safe", d.Failsafe)
+	await("watchdog enters fail-safe", func() bool { return d.Stats().Failsafe })
 	await("outage spans three stale polls", func() bool { return d.Stats().FaultsSeen >= 3 })
 	if qreg.Gauge("qthreads_throttled").Value() == 1 {
 		t.Error("throttle still applied during fail-safe")
@@ -208,7 +208,7 @@ func TestClientBridgesMaestroThroughOutage(t *testing.T) {
 	// Restart: the next query answers live, fresh meters flow, and the
 	// daemon leaves fail-safe.
 	startServer()
-	await("daemon recovers", func() bool { return !d.Failsafe() })
+	await("daemon recovers", func() bool { return !d.Stats().Failsafe })
 	await("daemon re-engages after recovery", func() bool { return d.Stats().Activations > 1 })
 
 	st := d.Stats()
