@@ -69,15 +69,19 @@ type Clock interface {
 //
 // One writer (the sampler) and many readers are the intended pattern;
 // concurrent writers are nevertheless safe (a mutex serializes them —
-// uncontended in the single-writer case). Consistency is per meter: a
-// reader always sees a (Value, Updated) pair from one publish, but a
-// multi-meter snapshot may interleave with a concurrent write burst,
-// exactly as the previous per-call-locked implementation allowed.
+// uncontended in the single-writer case). The sampler publishes a whole
+// tick as one write: it resolves its meters to slots once, and each tick
+// stores them all under one acquisition of the mutex with one publish
+// version. Consistency is per meter: a reader always sees a (Value,
+// Updated) pair from one publish, but a multi-meter snapshot may
+// interleave with a write in progress and see some of its meters new
+// and others old.
 //
 // Every write also advances a monotonic publish version recorded in the
-// written slot, which is what the delta encoder (delta.go) diffs
+// written slots, which is what the delta encoder (delta.go) diffs
 // against: encoding "what changed since version V" is a scan, not a
-// serialization of the whole board.
+// serialization of the whole board. All meters of one write carry the
+// same version.
 type Blackboard struct {
 	nSock   int
 	perSock int
@@ -104,26 +108,28 @@ type bbSchema struct {
 	sorted []int
 }
 
-// slot is one (meter, scope) cell. The seqlock makes the three-field
-// publish atomic to readers; the fields themselves are atomics so the
-// retry loop is race-detector-clean.
+// slot is one (meter, scope) cell. The seqlock makes the publish of
+// value, stamp and version atomic to readers; the fields themselves are
+// atomics so the retry loop is race-detector-clean. The sequence word
+// carries the version: it is twice the version of the last write when
+// stable, odd while a write is in progress, and 0 before the first
+// write. Versions only grow, so a sequence value never repeats.
 type slot struct {
-	seq  atomic.Uint32 // even = stable, odd = write in progress
+	seq  atomic.Uint64 // 2 × publish version of the last write; odd = write in progress
 	bits atomic.Uint64 // math.Float64bits of the value
 	upd  atomic.Int64  // Updated, ns
-	ver  atomic.Uint64 // publish version of the last write; 0 = never written
 }
 
-// load copies the slot under the seqlock retry loop.
+// load copies the slot under the seqlock retry loop. ver is 0 for a
+// slot never written.
 func (sl *slot) load() (bits uint64, upd int64, ver uint64) {
 	for {
 		s1 := sl.seq.Load()
 		if s1&1 == 0 {
 			bits = sl.bits.Load()
 			upd = sl.upd.Load()
-			ver = sl.ver.Load()
 			if sl.seq.Load() == s1 {
-				return
+				return bits, upd, s1 / 2
 			}
 		}
 		// A write is in flight; it holds the odd state for a handful of
@@ -132,13 +138,13 @@ func (sl *slot) load() (bits uint64, upd int64, ver uint64) {
 	}
 }
 
-// store publishes the slot (writer side; callers hold bb.wmu).
+// store publishes the slot at version ver, which is above any version
+// it held before (writer side; callers hold bb.wmu).
 func (sl *slot) store(bits uint64, upd int64, ver uint64) {
-	sl.seq.Add(1) // odd: readers retry
+	sl.seq.Store(2*ver - 1) // odd: readers retry
 	sl.bits.Store(bits)
 	sl.upd.Store(upd)
-	sl.ver.Store(ver)
-	sl.seq.Add(1) // even: stable
+	sl.seq.Store(2 * ver) // even: stable at ver
 }
 
 // bbMetrics counts blackboard traffic; installed by Instrument over the
@@ -175,7 +181,7 @@ func (bb *Blackboard) Instrument(reg *telemetry.Registry) {
 	})
 }
 
-func (bb *Blackboard) countWrite() { bb.met.Load().writes.Inc() }
+func (bb *Blackboard) countWrites(n int) { bb.met.Load().writes.Add(uint64(n)) }
 
 func (bb *Blackboard) countRead() { bb.met.Load().reads.Inc() }
 
@@ -234,19 +240,65 @@ func (bb *Blackboard) register(sc *bbSchema, name string) int {
 	return id
 }
 
-// set publishes one meter (any scope).
-func (bb *Blackboard) set(scope int, name string, v float64, now time.Duration) {
-	bb.countWrite()
-	bb.wmu.Lock()
+// slotLocked returns the slot of a meter in a scope, registering the
+// name on its first use; bb.wmu must be held. The slot stays valid for
+// the life of the board: registration only appends.
+func (bb *Blackboard) slotLocked(scope int, name string) *slot {
 	sc := bb.schema.Load()
 	id, ok := sc.ids[name]
 	if !ok {
 		id = bb.register(sc, name)
 	}
-	sl := (*bb.slots.Load())[id*bb.nScopes+scope]
+	return (*bb.slots.Load())[id*bb.nScopes+scope]
+}
+
+// handle resolves a meter in a scope to its slot once, so that a writer
+// that publishes it every tick skips the name lookup (Sampler).
+func (bb *Blackboard) handle(scope int, name string) *slot {
+	bb.wmu.Lock()
+	defer bb.wmu.Unlock()
+	return bb.slotLocked(scope, name)
+}
+
+// meterWrite is one meter of a write by name.
+type meterWrite struct {
+	scope int
+	name  string
+	v     float64
+}
+
+// write publishes meters by name as one write: one acquisition of the
+// writers' mutex and one publish version for all of them.
+func (bb *Blackboard) write(now time.Duration, ws ...meterWrite) {
+	bb.countWrites(len(ws))
+	bb.wmu.Lock()
 	ver := bb.pub.Add(1)
-	sl.store(math.Float64bits(v), int64(now), ver)
+	for _, w := range ws {
+		bb.slotLocked(w.scope, w.name).store(math.Float64bits(w.v), int64(now), ver)
+	}
 	bb.wmu.Unlock()
+}
+
+// slotWrite is one meter of a write through a resolved slot.
+type slotWrite struct {
+	sl *slot
+	v  float64
+}
+
+// publish is write for resolved slots.
+func (bb *Blackboard) publish(now time.Duration, ws []slotWrite) {
+	bb.countWrites(len(ws))
+	bb.wmu.Lock()
+	ver := bb.pub.Add(1)
+	for _, w := range ws {
+		w.sl.store(math.Float64bits(w.v), int64(now), ver)
+	}
+	bb.wmu.Unlock()
+}
+
+// set publishes one meter (any scope) as a write of its own.
+func (bb *Blackboard) set(scope int, name string, v float64, now time.Duration) {
+	bb.write(now, meterWrite{scope, name, v})
 }
 
 // get reads one meter (any scope); zero allocations.

@@ -284,20 +284,28 @@ func (g *FenceGuard) Bind(bb *Blackboard) {
 	g.mirrorLocked()
 }
 
+// mirrorLocked publishes the lease state to the bound blackboard as one
+// write: one publish version for all of its meters.
 func (g *FenceGuard) mirrorLocked() {
 	if g.bb == nil {
 		return
 	}
-	now := g.clock()
-	g.bb.SetSystem(MeterFence, float64(g.fence), now)
-	g.bb.SetSystem(MeterLeaseHolder, float64(g.holder), now)
-	g.bb.SetSystem(MeterLeaseExpiry, g.expiry.Seconds(), now)
+	sys := g.bb.systemScope()
+	ws := [5]meterWrite{
+		{sys, MeterFence, float64(g.fence)},
+		{sys, MeterLeaseHolder, float64(g.holder)},
+		{sys, MeterLeaseExpiry, g.expiry.Seconds()},
+	}
+	n := 3
 	if g.hasApplied {
-		g.bb.SetSystem(MeterFencedCap, g.applied, now)
+		ws[n] = meterWrite{sys, MeterFencedCap, g.applied}
+		n++
 	}
 	if g.memEpoch > 0 {
-		g.bb.SetSystem(MeterMemberEpoch, float64(g.memEpoch), now)
+		ws[n] = meterWrite{sys, MeterMemberEpoch, float64(g.memEpoch)}
+		n++
 	}
+	g.bb.write(g.clock(), ws[:n]...)
 }
 
 // PowerCycle clears the guard's applied-cap ledger while keeping the

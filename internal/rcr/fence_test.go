@@ -201,6 +201,28 @@ func TestFenceGuardMirrorsLeaseMeters(t *testing.T) {
 	}
 }
 
+// TestFenceGuardMirrorIsOneWrite: the guard mirrors its lease state as
+// one write, all of its meters at one publish version.
+func TestFenceGuardMirrorIsOneWrite(t *testing.T) {
+	clk := &fenceTestClock{now: time.Second}
+	g := NewFenceGuard(clk.Now, func(float64, uint64) error { return nil })
+	bb, err := NewBlackboard(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Bind(bb)
+	g.Offer(CapWrite{Fence: 5, Leader: 2, Seq: 1, Lease: time.Second, HasCap: true, Cap: 72})
+	ver := bb.pub.Load()
+	if ver != 2 {
+		t.Fatalf("bind and one accepted cap published %d versions, want 2", ver)
+	}
+	for _, name := range []string{MeterFence, MeterLeaseHolder, MeterLeaseExpiry, MeterFencedCap} {
+		if _, _, v := bb.handle(bb.systemScope(), name).load(); v != ver {
+			t.Errorf("meter %s at version %d, want %d", name, v, ver)
+		}
+	}
+}
+
 // TestWriteCapOverWire drives a cap write end-to-end over the MEM op:
 // client → server → guard → ack.
 func TestWriteCapOverWire(t *testing.T) {

@@ -68,7 +68,10 @@ type samplerGates struct {
 
 // Sampler periodically reads the RAPL counters and the machine's uncore
 // metrics into a blackboard. It is driven by the simulated machine's
-// virtual-time ticker, so samples land at exact virtual instants.
+// virtual-time ticker, so samples land at exact virtual instants. A tick
+// is one write on the blackboard: the sampler looks its meters up once,
+// at its first tick, and publishes each tick's meters under one lock
+// with one publish version.
 //
 // A watchdog ticker, standing in for the init system that keeps the real
 // rcrd running, replaces the sampling incarnation when it has crashed or
@@ -104,7 +107,30 @@ type Sampler struct {
 	lastEnergy []float64
 	lastTime   []time.Duration
 	haveBase   []bool
+
+	// The sampler's slots on bb, resolved at its first tick, and the
+	// writes of the tick in progress; touched only on the stepper.
+	sockSlots [][len(socketMeters)]*slot
+	sysSlots  [len(systemMeters)]*slot
+	writes    []slotWrite
 }
+
+// The meters a tick writes, per socket and at system scope. The index
+// constants name their places; resolving socket meters before system
+// ones registers the names in the order the first tick writes them.
+var (
+	socketMeters = [...]string{MeterEnergy, MeterPower, MeterMemBandwidth, MeterMemConcurrency, MeterTemperature}
+	systemMeters = [...]string{MeterEnergy, MeterPower, MeterHeartbeat}
+)
+
+const (
+	meterEnergy = iota // socket and system
+	meterPower         // socket and system
+	meterMemBandwidth
+	meterMemConcurrency
+	meterTemperature
+	meterHeartbeat = 2 // system
+)
 
 // Watchdog multiples of the sample period: the check cadence, and the
 // heartbeat age (or, before the first heartbeat, the time since zero)
@@ -280,9 +306,13 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 	if met.tickNS != nil {
 		t0 = time.Now()
 	}
+	if s.sockSlots == nil {
+		s.resolve()
+	}
+	s.writes = s.writes[:0]
 	totalE, totalP := 0.0, 0.0
 	havePower := false
-	for d := 0; d < s.reader.Domains(); d++ {
+	for d := range s.lastEnergy { // one per reader domain
 		e, err := s.reader.Energy(d)
 		if err != nil {
 			// Counter read failures are recorded as a stale meter rather
@@ -290,11 +320,11 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 			met.readErrors.Inc()
 			continue
 		}
-		s.putSocket(gates, met, d, MeterEnergy, float64(e), now)
+		s.putSocket(gates, met, d, meterEnergy, float64(e), now)
 		totalE += float64(e)
 		if dt := now - s.lastTime[d]; s.haveBase[d] && dt > 0 {
 			p := (float64(e) - s.lastEnergy[d]) / dt.Seconds()
-			s.putSocket(gates, met, d, MeterPower, p, now)
+			s.putSocket(gates, met, d, meterPower, p, now)
 			totalP += p
 			havePower = true
 		}
@@ -303,15 +333,16 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 		s.haveBase[d] = true
 	}
 	for d, sock := range snap.Sockets {
-		s.putSocket(gates, met, d, MeterMemBandwidth, float64(sock.Bandwidth), now)
-		s.putSocket(gates, met, d, MeterMemConcurrency, sock.OutstandingRefs, now)
-		s.putSocket(gates, met, d, MeterTemperature, float64(sock.Temperature), now)
+		s.putSocket(gates, met, d, meterMemBandwidth, float64(sock.Bandwidth), now)
+		s.putSocket(gates, met, d, meterMemConcurrency, sock.OutstandingRefs, now)
+		s.putSocket(gates, met, d, meterTemperature, float64(sock.Temperature), now)
 	}
-	s.bb.SetSystem(MeterEnergy, totalE, now)
+	s.writes = append(s.writes, slotWrite{s.sysSlots[meterEnergy], totalE})
 	if havePower {
-		s.bb.SetSystem(MeterPower, totalP, now)
+		s.writes = append(s.writes, slotWrite{s.sysSlots[meterPower], totalP})
 	}
-	s.bb.SetSystem(MeterHeartbeat, float64(s.ticks.Add(1)), now)
+	s.writes = append(s.writes, slotWrite{s.sysSlots[meterHeartbeat], float64(s.ticks.Add(1))})
+	s.bb.publish(now, s.writes)
 	if p := s.pub.Load(); p != nil {
 		p.Tick(now)
 	}
@@ -320,13 +351,27 @@ func (s *Sampler) sample(now time.Duration, snap *machine.Snapshot) {
 	}
 }
 
-// putSocket publishes one socket meter unless a meter gate suppresses it
-// (a torn row: some meters of the socket land, others keep their old
-// stamp).
-func (s *Sampler) putSocket(gates *samplerGates, met *samplerMetrics, socket int, meter string, v float64, now time.Duration) {
-	if gates != nil && gates.meter != nil && !gates.meter(now, socket, meter) {
+// resolve looks the sampler's meters up on its blackboard once.
+func (s *Sampler) resolve() {
+	s.sockSlots = make([][len(socketMeters)]*slot, s.bb.Sockets())
+	for d := range s.sockSlots {
+		for i, name := range socketMeters {
+			s.sockSlots[d][i] = s.bb.handle(s.bb.socketScope(d), name)
+		}
+	}
+	for i, name := range systemMeters {
+		s.sysSlots[i] = s.bb.handle(s.bb.systemScope(), name)
+	}
+	s.writes = make([]slotWrite, 0, len(s.sockSlots)*len(socketMeters)+len(systemMeters))
+}
+
+// putSocket adds one socket meter to the tick's write unless a meter
+// gate suppresses it (a torn row: some meters of the socket land, others
+// keep their old stamp and version).
+func (s *Sampler) putSocket(gates *samplerGates, met *samplerMetrics, socket, meter int, v float64, now time.Duration) {
+	if gates != nil && gates.meter != nil && !gates.meter(now, socket, socketMeters[meter]) {
 		met.drops.Inc()
 		return
 	}
-	s.bb.SetSocket(socket, meter, v, now)
+	s.writes = append(s.writes, slotWrite{s.sockSlots[socket][meter], v})
 }

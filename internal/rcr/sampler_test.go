@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/rapl"
+	"repro/internal/telemetry"
 )
 
 // parked keeps each test machine's clock parked between loads: a
@@ -239,3 +240,61 @@ func TestSamplerSurvivesReaderErrors(t *testing.T) {
 }
 
 var errBoom = errors.New("boom")
+
+// TestSamplerTickIsOneWrite: a tick publishes its meters as one write.
+// Every meter of the tick carries the tick's publish version, the
+// blackboard's write counter still counts meters, and a meter the gate
+// drops keeps the stamp and version of the tick before.
+func TestSamplerTickIsOneWrite(t *testing.T) {
+	s, snap := benchSampler(t, 2)
+	reg := telemetry.NewRegistry()
+	s.bb.Instrument(reg)
+	const ms = time.Millisecond
+	// The first tick has no power baseline: two socket energies, six
+	// socket uncore meters, system energy and heartbeat. The second has
+	// all thirteen.
+	s.sample(10*ms, snap)
+	s.sample(20*ms, snap)
+	if v := s.bb.pub.Load(); v != 2 {
+		t.Fatalf("two ticks published %d versions, want 2", v)
+	}
+	if n := reg.Counter("rcr_blackboard_writes_total").Value(); n != 10+13 {
+		t.Errorf("writes counter %d after two ticks, want 23", n)
+	}
+	type stamp struct {
+		upd time.Duration
+		ver uint64
+	}
+	read := func(sl *slot) stamp {
+		_, upd, ver := sl.load()
+		return stamp{time.Duration(upd), ver}
+	}
+	var all []*slot
+	for d := range s.sockSlots {
+		all = append(all, s.sockSlots[d][:]...)
+	}
+	all = append(all, s.sysSlots[:]...)
+	for i, sl := range all {
+		if got := read(sl); got != (stamp{20 * ms, 2}) {
+			t.Errorf("meter %d after the second tick: %+v, want stamp 20ms at version 2", i, got)
+		}
+	}
+
+	s.SetFaultGates(nil, func(_ time.Duration, socket int, meter string) bool {
+		return socket != 1 || meter != MeterTemperature
+	})
+	s.sample(30*ms, snap)
+	dropped := s.sockSlots[1][meterTemperature]
+	for i, sl := range all {
+		want := stamp{30 * ms, 3}
+		if sl == dropped {
+			want = stamp{20 * ms, 2}
+		}
+		if got := read(sl); got != want {
+			t.Errorf("meter %d after the gated tick: %+v, want %+v", i, got, want)
+		}
+	}
+	if n := reg.Counter("rcr_blackboard_writes_total").Value(); n != 23+12 {
+		t.Errorf("writes counter %d after the gated tick, want 35", n)
+	}
+}

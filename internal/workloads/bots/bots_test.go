@@ -205,6 +205,175 @@ func TestSortLeafReference(t *testing.T) {
 	}
 }
 
+// TestSortLevelReference: each run of every level of the reference is
+// the input's range sorted, and level 0 is the leaf blocks, at an
+// element count the blocks do not divide evenly.
+func TestSortLevelReference(t *testing.T) {
+	in := buildSortInput(sortKey{seed: 1, n: 100*sortBlocks + 37})
+	runs := sortLevels(len(in.data))
+	if len(in.levels) != len(runs) || len(runs) != 7 {
+		t.Fatalf("%d reference levels for %d levels of runs, want 7", len(in.levels), len(runs))
+	}
+	if &in.levels[0][0] != &in.leaves[0] {
+		t.Error("level 0 is not the leaf blocks")
+	}
+	for l, level := range runs {
+		for _, r := range level {
+			want := slices.Clone(in.data[r[0]:r[1]])
+			slices.Sort(want)
+			if !slices.Equal(in.levels[l][r[0]:r[1]], want) {
+				t.Fatalf("level %d run [%d:%d) is not the input's range sorted", l, r[0], r[1])
+			}
+		}
+	}
+}
+
+// TestSortCleanRunCopiesEveryMerge: in a run whose leaves copied the
+// reference, every merge task finds its inputs in the reference and
+// copies its output from it.
+func TestSortCleanRunCopiesEveryMerge(t *testing.T) {
+	s := mustPrepare(t, NewSort(), workloads.Params{Scale: 0.1}).(*Sort)
+	mustRun(t, s)
+	if m := s.merged.Load(); m != 0 {
+		t.Errorf("%d merge tasks of a clean run merged on the host, want 0", m)
+	}
+}
+
+// TestSortLeafFaultMerges: a run whose leaf left its block unsorted
+// merges on the host where that block's elements flow, and no run
+// leaves the previous run's count behind.
+func TestSortLeafFaultMerges(t *testing.T) {
+	s := mustPrepare(t, NewSort(), workloads.Params{Scale: 0.1}).(*Sort)
+	shared := s.leaves
+	s.leaves = slices.Clone(shared)
+	lo, hi := sortBlock(3, len(s.data))
+	copy(s.leaves[lo:hi], s.data[lo:hi])
+	if _, err := newNode(t, 16).RunWorkload(s); err == nil {
+		t.Error("a run whose leaf 3 was lost validates")
+	}
+	if s.merged.Load() == 0 {
+		t.Error("no merge task of a run with a lost leaf merged on the host")
+	}
+	s.leaves = shared
+	mustRun(t, s)
+	if m := s.merged.Load(); m != 0 {
+		t.Errorf("restored run: %d merge tasks merged on the host", m)
+	}
+}
+
+// TestSortMergeSpansSplitAsCilksort: the merge tasks of every pair of
+// every level are the ones cilksort's parMerge spawns, in its order:
+// it swaps its two pieces so that the longer one comes first, splits
+// that one at its midpoint, and recurses on the halves. The task tree
+// is what the run charges, so a different one would move simulated
+// numbers.
+func TestSortMergeSpansSplitAsCilksort(t *testing.T) {
+	n := 100*sortBlocks + 37
+	in := buildSortInput(sortKey{seed: 1, n: n})
+	grain := n / sortBlocks
+	type task struct{ d0, na, nb int }
+	var cilk func(tasks []task, d0 int, a, b []int32) []task
+	cilk = func(tasks []task, d0 int, a, b []int32) []task {
+		if len(a)+len(b) <= grain || len(a) == 0 || len(b) == 0 {
+			return append(tasks, task{d0, len(a), len(b)})
+		}
+		if len(a) < len(b) {
+			a, b = b, a
+		}
+		mid, cut := splitRun(a, b)
+		tasks = cilk(tasks, d0, a[:mid], b[:cut])
+		return cilk(tasks, d0+mid+cut, a[mid:], b[cut:])
+	}
+	runs := sortLevels(n)
+	for l := 1; l < len(runs); l++ {
+		src := in.levels[l-1]
+		for _, p := range mergePairs(l, runs[l-1]) {
+			want := cilk(nil, p.lo, src[p.lo:p.mid], src[p.mid:p.hi])
+			var got []task
+			for _, sp := range mergeSpans(nil, src, mergeSpan{p.lo, p.mid, p.mid, p.hi, false}, grain) {
+				na, nb := sp.x1-sp.x0, sp.y1-sp.y0
+				if sp.yLead {
+					na, nb = nb, na
+				}
+				got = append(got, task{sp.x0 + sp.y0 - p.mid, na, nb})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("level %d pair [%d:%d): tasks %v, cilksort's %v", l, p.lo, p.hi, got, want)
+			}
+		}
+	}
+}
+
+// TestSortMergeFallsBack: merge tasks of level 2 whose inputs are not
+// the reference's merge them on the host, and every task's output is
+// MergeInt32 of its own inputs. The inputs are level 1 of the
+// reference with one element changed: to its neighbour's value, which
+// keeps the run sorted, so that the whole pair's output is MergeInt32 of
+// the changed runs; or to a large value, which leaves it unsorted. A
+// task whose inputs are the reference's but whose span cuts the pair
+// elsewhere than the reference merge does falls back too.
+func TestSortMergeFallsBack(t *testing.T) {
+	n := 100*sortBlocks + 37
+	s := &Sort{levels: buildSortInput(sortKey{seed: 1, n: n}).levels}
+	p := mergePairs(2, sortLevels(n)[1])[0]
+	grain := n / sortBlocks
+	run := func(src []int32) (dst []int32, merged int) {
+		dst = make([]int32, n)
+		spans := mergeSpans(nil, src, mergeSpan{p.lo, p.mid, p.mid, p.hi, false}, grain)
+		if len(spans) < 3 {
+			t.Fatalf("the pair splits into %d tasks, want several", len(spans))
+		}
+		for _, sp := range spans {
+			if !s.merge(src, dst, p, sp) {
+				merged++
+			}
+			want := make([]int32, sp.x1-sp.x0+sp.y1-sp.y0)
+			workloads.MergeInt32(want, src[sp.x0:sp.x1], src[sp.y0:sp.y1])
+			if d0 := sp.x0 + sp.y0 - p.mid; !slices.Equal(dst[d0:d0+len(want)], want) {
+				t.Fatalf("task %+v did not write MergeInt32 of its inputs", sp)
+			}
+		}
+		return dst, merged
+	}
+	if _, merged := run(s.levels[1]); merged != 0 {
+		t.Fatalf("%d tasks on the reference's inputs merged on the host", merged)
+	}
+	at := p.lo + (p.mid-p.lo)/3
+	for name, v := range map[string]int32{"sorted": s.levels[1][at-1], "unsorted": math.MaxInt32} {
+		src := slices.Clone(s.levels[1])
+		src[at] = v
+		if src[at] == s.levels[1][at] {
+			t.Fatalf("%s: the change leaves the element as it was", name)
+		}
+		dst, merged := run(src)
+		if merged == 0 {
+			t.Errorf("%s: no task merged on the host", name)
+		}
+		if name == "sorted" {
+			want := make([]int32, p.hi-p.lo)
+			workloads.MergeInt32(want, src[p.lo:p.mid], src[p.mid:p.hi])
+			if !slices.Equal(dst[p.lo:p.hi], want) {
+				t.Errorf("%s: the pair's output is not MergeInt32 of its changed runs", name)
+			}
+		}
+	}
+	// The reference's inputs, cut where the reference merge does not cut
+	// the pair: one element of the first run against the whole second.
+	ref := s.levels[1]
+	sp := mergeSpan{p.lo, p.lo + 1, p.mid, p.hi, false}
+	if p.cuts(ref, sp.x1, sp.y1) {
+		t.Fatalf("span %+v cuts the pair where the reference merge does", sp)
+	}
+	dst, want := make([]int32, n), make([]int32, 1+p.hi-p.mid)
+	if s.merge(ref, dst, p, sp) {
+		t.Errorf("span %+v copied the reference", sp)
+	}
+	workloads.MergeInt32(want, ref[sp.x0:sp.x1], ref[sp.y0:sp.y1])
+	if !slices.Equal(dst[p.lo:p.lo+len(want)], want) {
+		t.Errorf("span %+v did not write MergeInt32 of its inputs", sp)
+	}
+}
+
 // TestSortValidateCatchesLeafFaults: a run in which a leaf task was lost
 // or copied another block fails Validate. The reference is replaced by
 // a copy in which one block holds what that fault leaves in work: the

@@ -114,7 +114,12 @@ var memoCases = []memoCase{
 		targets: [2]compiler.Target{compiler.Baseline, gccO0},
 		shared: func(w workloads.Workload) any {
 			s := w.(*Sort)
-			return [2]*int32{&s.data[0], &s.leaves[0]}
+			// The input, the leaf blocks and the six merge levels.
+			refs := [2 + 6]*int32{&s.data[0], &s.leaves[0]}
+			for l := 1; l < len(s.levels); l++ {
+				refs[1+l] = &s.levels[l][0]
+			}
+			return refs
 		},
 		ref: func(w workloads.Workload) any {
 			s := w.(*Sort)

@@ -173,6 +173,13 @@ func bdiv(diag, b []float64, bs int) {
 // result is bit for bit that of the plain triple loop
 // (TestBlockKernelsMatchPlainLoops). Columns past the last multiple of
 // eight take the plain loop.
+//
+// The eight lanes are updated four at a time, each four under its own
+// test of the factor. The compiler issues all of a block's multiplies
+// before its first add or subtract, and eight products beside eight
+// accumulators and the factor need seventeen XMM registers where fifteen
+// are free, so with one block of eight two values went through the
+// stack on every k. Two blocks of four need thirteen.
 func bmod(a, b, c []float64, bs int) {
 	for i := 0; i < bs; i++ {
 		ci := c[i*bs : i*bs+bs]
@@ -183,12 +190,14 @@ func bmod(a, b, c []float64, bs int) {
 			c0, c1, c2, c3, c4, c5, c6, c7 := cj[0], cj[1], cj[2], cj[3], cj[4], cj[5], cj[6], cj[7]
 			o := j // b[o:o+8] is row k of b, columns j to j+7
 			for _, f := range ai {
+				bk := b[o : o+8 : o+8]
 				if f != 0 {
-					bk := b[o : o+8 : o+8]
 					c0 -= f * bk[0]
 					c1 -= f * bk[1]
 					c2 -= f * bk[2]
 					c3 -= f * bk[3]
+				}
+				if f != 0 {
 					c4 -= f * bk[4]
 					c5 -= f * bk[5]
 					c6 -= f * bk[6]

@@ -93,10 +93,11 @@ func randomMatrix(rng *rand.Rand, n int) []float64 {
 }
 
 // classicalMultiply is the O(n³) product, the reference and every
-// leaf's kernel. It is register-blocked as bmod is: eight elements of
-// row i stay in locals across the k loop, each adding its products in
-// ascending k with the zero entries of a skipped, so the result is bit
-// for bit that of the plain triple loop (TestBlockKernelsMatchPlainLoops).
+// leaf's kernel. It is register-blocked as bmod is, four lanes to a
+// test of the factor as there: eight elements of row i stay in locals
+// across the k loop, each adding its products in ascending k with the
+// zero entries of a skipped, so the result is bit for bit that of the
+// plain triple loop (TestBlockKernelsMatchPlainLoops).
 func classicalMultiply(a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -107,12 +108,14 @@ func classicalMultiply(a, b []float64, n int) []float64 {
 			var c0, c1, c2, c3, c4, c5, c6, c7 float64
 			o := j // b[o:o+8] is row k of b, columns j to j+7
 			for _, f := range ai {
+				bk := b[o : o+8 : o+8]
 				if f != 0 {
-					bk := b[o : o+8 : o+8]
 					c0 += f * bk[0]
 					c1 += f * bk[1]
 					c2 += f * bk[2]
 					c3 += f * bk[3]
+				}
+				if f != 0 {
 					c4 += f * bk[4]
 					c5 += f * bk[5]
 					c6 += f * bk[6]

@@ -16,17 +16,23 @@ import (
 // scales to exactly 2 threads (paper §II-C.4) and, being memory-bound
 // with most threads parked, draws the study's lowest power (~60 W).
 //
-// Each section's sorted half is a pure function of the input, so the
-// memoized reference holds both halves already sorted and a section
-// copies its own over the unsorted copy the root made (workloads package
-// doc). The root's final merge reads both sections' output and keeps
-// running on the host (workloads.MergeInt32). What is simulated is the
-// shape — two sections, then a serial merge — charged from the element
-// count alone (opsHalf/bytesHalf, opsMerge/bytesMerge), so the model
-// cannot see what the host does to produce a sorted half.
+// Each section's sorted half is a pure function of the input, and so is
+// the merged whole, so the memoized reference holds both halves already
+// sorted and the array sorted (workloads package doc). A section copies
+// its half over the unsorted copy the root made. The root's final merge
+// copies the sorted array when both sections' output is the reference's
+// halves, and merges what they left on the host (workloads.MergeInt32)
+// when it is not, so a lost section still reaches Validate. What is
+// simulated is the shape — two sections, then a serial merge — charged
+// from the element count alone (opsHalf/bytesHalf, opsMerge/bytesMerge),
+// so the model cannot see what the host does to produce a sorted half.
 type Mergesort struct {
-	data    []int32 // shared with other instances: read only
-	halves  []int32 // shared with other instances: read only
+	data   []int32 // shared with other instances: read only
+	halves []int32 // shared with other instances: read only
+	// merge is the reference the root's merge checks the sections'
+	// output against (merge.halves, which halves is) and copies from
+	// (merge.full). Shared with other instances: read only.
+	merge   mergesortInput
 	wantSum int64
 	out     []int32
 	sorted  bool
@@ -59,17 +65,17 @@ func NewMergesort() *Mergesort { return &Mergesort{} }
 func (s *Mergesort) Name() string { return compiler.AppMergesort }
 
 // mergesortInput is the unsorted array, the same array with each of
-// its two halves sorted, and the checksum. Runs copy out of both and
-// never write them.
+// its two halves sorted and with the whole sorted, and the checksum.
+// Runs copy out of them and never write them.
 type mergesortInput struct {
-	data, halves []int32
-	wantSum      int64
+	data, halves, full []int32
+	wantSum            int64
 }
 
 var mergesortInputs workloads.Memo[inputKey, mergesortInput]
 
-// buildMergesortInput draws the array for a seed and size, sums it, and
-// sorts a copy of each half.
+// buildMergesortInput draws the array for a seed and size, sums it,
+// sorts a copy of each half, and merges the two.
 func buildMergesortInput(k inputKey) mergesortInput {
 	rng := rand.New(rand.NewSource(k.seed))
 	in := mergesortInput{data: make([]int32, k.n)}
@@ -82,6 +88,8 @@ func buildMergesortInput(k inputKey) mergesortInput {
 	scratch := make([]int32, k.n-mid)
 	workloads.SortInt32(in.halves[:mid], scratch)
 	workloads.SortInt32(in.halves[mid:], scratch)
+	in.full = make([]int32, k.n)
+	workloads.MergeInt32(in.full, in.halves[:mid], in.halves[mid:])
 	return in
 }
 
@@ -98,7 +106,7 @@ func (s *Mergesort) Prepare(p workloads.Params) error {
 		n = 4
 	}
 	in := mergesortInputs.Get(inputKey{p.Seed, n}, buildMergesortInput)
-	s.data, s.halves, s.wantSum = in.data, in.halves, in.wantSum
+	s.data, s.halves, s.merge, s.wantSum = in.data, in.halves, in, in.wantSum
 	s.out = make([]int32, n)
 	s.work = make([]int32, n)
 
@@ -162,8 +170,13 @@ func (s *Mergesort) Root() qthreads.Task {
 			tc.Execute(machine.Work{Ops: s.opsHalf / 2, Bytes: s.bytesHalf / 2, Activity: s.activity})
 		})
 		tc.Sync()
-		// Sequential final merge on the root.
-		workloads.MergeInt32(s.out, left, right)
+		// Sequential final merge on the root: the reference's when the
+		// sections left the reference's halves.
+		if workloads.EqualInt32(s.work, s.merge.halves) {
+			copy(s.out, s.merge.full)
+		} else {
+			workloads.MergeInt32(s.out, left, right)
+		}
 		tc.Execute(machine.Work{Ops: s.opsMerge, Bytes: s.bytesMerge, Activity: s.activity})
 		s.sorted = true
 	}

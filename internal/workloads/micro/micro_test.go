@@ -243,7 +243,7 @@ func TestMicroInputsMemoized(t *testing.T) {
 		{"mergesort", func() workloads.Workload { return NewMergesort() },
 			func(w workloads.Workload) any {
 				s := w.(*Mergesort)
-				return [2]*int32{&s.data[0], &s.halves[0]}
+				return [3]*int32{&s.data[0], &s.halves[0], &s.merge.full[0]}
 			},
 			[]workloads.Params{reseed, resize}},
 		{"dijkstra", func() workloads.Workload { return NewDijkstra() },
@@ -299,6 +299,42 @@ func TestMergesortHalvesReference(t *testing.T) {
 		if !slices.Equal(in.halves[h[0]:h[1]], want) {
 			t.Errorf("half [%d:%d) is not the input's half sorted", h[0], h[1])
 		}
+	}
+}
+
+// TestMergesortFullReference: the reference's sorted array is the
+// input sorted, and the root's merge copies it only when the sections
+// left the reference's halves: a run whose section was lost merges what
+// it left, as MergeInt32 makes it.
+func TestMergesortFullReference(t *testing.T) {
+	in := buildMergesortInput(inputKey{seed: 1, n: 1001})
+	want := slices.Clone(in.data)
+	slices.Sort(want)
+	if !slices.Equal(in.full, want) {
+		t.Error("the reference's sorted array is not the input sorted")
+	}
+	s := NewMergesort()
+	if err := s.Prepare(workloads.Params{Scale: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	shared := s.halves
+	mid := len(s.data) / 2
+	s.halves = slices.Clone(shared)
+	copy(s.halves[:mid], s.data[:mid])
+	if _, err := newNode(t, 2).RunWorkload(s); err == nil {
+		t.Error("a run that lost a section validates")
+	}
+	merged := make([]int32, len(s.data))
+	workloads.MergeInt32(merged, s.halves[:mid], s.halves[mid:])
+	if !slices.Equal(s.out, merged) {
+		t.Error("the root of a run that lost a section did not merge what the sections left")
+	}
+	s.halves = shared
+	if _, err := newNode(t, 2).RunWorkload(s); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.out, s.merge.full) {
+		t.Error("a clean run's output is not the reference's sorted array")
 	}
 }
 

@@ -1,12 +1,19 @@
 package workloads
 
+import (
+	"bytes"
+	"unsafe"
+)
+
 // The int32 kernels the sorting workloads run on the host: SortInt32
-// sorts their memoized references (the sort's leaf blocks, mergesort's
-// halves) and MergeInt32 runs in their merge tasks. No charge reads
-// them: the simulated cost of a sort is a function of element counts
-// alone, so the host algorithm is free to be whatever sorts fastest,
-// and a faster one buys regeneration CPU without moving a modelled
-// number.
+// and MergeInt32 build their memoized references (the sort's leaf
+// blocks and merge levels, mergesort's halves and sorted array),
+// EqualInt32 lets a merge task tell whether its inputs are the
+// reference's, and MergeInt32 runs in the merge tasks whose inputs are
+// not. No charge reads them: the simulated cost of a sort is a function
+// of element counts alone, so the host algorithm is free to be whatever
+// sorts fastest, and a faster one buys regeneration CPU without moving
+// a modelled number.
 
 // SortInt32 sorts a in ascending order, using scratch (len(scratch) >=
 // len(a)) as the other buffer of four 8-bit LSD radix passes. Keys have
@@ -68,4 +75,19 @@ func MergeInt32(dst, a, b []int32) {
 	}
 	copy(dst[k:], a[i:])
 	copy(dst[k+len(a)-i:], b[j:])
+}
+
+// EqualInt32 reports whether a and b hold the same elements. It
+// compares their bytes with the runtime's vectorized memory compare,
+// which reads several elements per instruction where slices.Equal reads
+// one.
+func EqualInt32(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 {
+		return true
+	}
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 4*len(a)),
+		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 4*len(b)))
 }

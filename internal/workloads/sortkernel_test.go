@@ -104,6 +104,36 @@ func TestMergeInt32(t *testing.T) {
 	}
 }
 
+// TestEqualInt32 holds EqualInt32 to slices.Equal: on equal slices of
+// every length up to 40, on each of them with one element changed (the
+// change at every position, in every byte of the element), and on
+// slices of unequal length.
+func TestEqualInt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = int32(rng.Uint32())
+		}
+		b := slices.Clone(a)
+		if !EqualInt32(a, b) {
+			t.Fatalf("n=%d: equal slices differ", n)
+		}
+		for i := range b {
+			for shift := 0; shift < 32; shift += 8 {
+				b[i] ^= 1 << shift
+				if EqualInt32(a, b) {
+					t.Fatalf("n=%d: slices differing in byte %d of element %d are equal", n, shift/8, i)
+				}
+				b[i] = a[i]
+			}
+		}
+		if n > 0 && (EqualInt32(a, b[:n-1]) || EqualInt32(a[:n-1], b)) {
+			t.Fatalf("n=%d: slices of unequal length are equal", n)
+		}
+	}
+}
+
 func TestSortKernelAllocs(t *testing.T) {
 	const n = 4096
 	master := make([]int32, n)

@@ -45,14 +45,24 @@
 // nodes, pairs, fib leaves) besides summing their answers, and a sort
 // leaf or mergesort section that did not copy leaves its block unsorted,
 // since the root copies the unsorted input into the working array first.
-// Tasks that read other tasks' output keep computing on the host: the
-// sort merge levels, the mergesort root merge, sparselu, strassen,
-// health and the lulesh sweeps. Their Validate is what checks Sync
-// ordering. The two dense block kernels among them, sparselu's bmod and
-// strassen's leaf product, keep eight elements of an output row in
-// registers across the k loop; each element still adds its products in
-// the plain loop's order, so their results are bit for bit the plain
-// loops' (bots.TestBlockKernelsMatchPlainLoops, FuzzBlockKernels).
+//
+// The sorts' merges read other tasks' output, but a merge of given runs
+// is a pure function of them, so those read the reference too, checked:
+// each sort merge task and mergesort's root merge compares its inputs
+// with the reference's (EqualInt32) and copies its output from the
+// reference when they match, which on a clean run is every time. When
+// they do not, the task merges what it was given with MergeInt32, so a
+// lost or wrong leaf or section still flows through every level to
+// Validate, and the output is the same as if every merge had computed.
+// Tasks that read other tasks' output and still compute on the host:
+// sparselu, strassen, health and the lulesh sweeps. Their Validate is
+// what checks Sync ordering. The two dense block kernels among them,
+// sparselu's bmod and strassen's leaf product, keep eight elements of an
+// output row in registers across the k loop, updated four at a time so
+// that the products fit in registers too; each element still adds its
+// products in the plain loop's order, so their results are bit for bit
+// the plain loops' (bots.TestBlockKernelsMatchPlainLoops,
+// FuzzBlockKernels).
 package workloads
 
 import (
