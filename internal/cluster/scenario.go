@@ -166,18 +166,16 @@ func planScenario(cfg Scenario) (*scenarioPlan, error) {
 				p.pool = ev.Shard + 1
 			}
 		}
-		p.final, p.clear = p.members.FinalFleet(), p.members.ClearTime()
+		p.final, p.clear = p.members.FinalFleet(), faults.ClearTime(p.members.Events)
 		p.global = units.Watts(60 * float64(cfg.Peak))
 	} else {
 		p.fleet = faults.GenerateFleetSchedule(cfg.Seed, cfg.Shards, horizon)
-		p.clear = p.fleet.ClearTime()
+		p.clear = faults.ClearTime(p.fleet.Events)
 		p.global = units.Watts(60 * float64(cfg.Shards))
 	}
 	if p.ha {
 		p.wan = faults.GenerateWANSchedule(cfg.Seed, cfg.Replicas, p.pool, horizon)
-		if wc := p.wan.ClearTime(); wc > p.clear {
-			p.clear = wc
-		}
+		p.clear = max(p.clear, faults.ClearTime(p.wan.Events))
 	}
 	return p, nil
 }
@@ -549,7 +547,7 @@ func (r *scenarioRun) source(idx int, sh *scenarioShard) SnapshotSource {
 	delivered := false
 	return func() (rcr.Snapshot, error) {
 		suppressed := !sh.up || (r.ha && r.inj.SubBlocked(idx, sh.id, r.now)) ||
-			slices.Contains(r.fleet.ActiveOn(sh.id, r.now), faults.ConnReset)
+			r.fleet.ActiveOn(sh.id, faults.ConnReset, r.now)
 		if !suppressed {
 			sh.snapshotInto(&last, r.now, r.auditor.caps[sh.id])
 			delivered = true
@@ -679,16 +677,16 @@ func (r *scenarioRun) startFaultTiers() {
 		// shard dies at a window's start and a fresh incarnation comes
 		// back at its end. (ConnReset windows act inside source.)
 		for _, sh := range r.shards {
-			var wins []faults.ServiceEvent
+			var wins []faults.Window
 			for _, ev := range r.fleet.Events {
 				if ev.Shard == sh.id && ev.Kind == faults.ServerRestart {
-					wins = append(wins, ev.ServiceEvent)
+					wins = append(wins, ev.Window)
 				}
 			}
 			if len(wins) == 0 {
 				continue
 			}
-			slices.SortStableFunc(wins, func(a, b faults.ServiceEvent) int { return cmp.Compare(a.Start, b.Start) })
+			slices.SortStableFunc(wins, func(a, b faults.Window) int { return cmp.Compare(a.Start, b.Start) })
 			r.drive(func() {
 				for _, w := range wins {
 					r.sleepUntil(w.Start)

@@ -203,10 +203,13 @@ func (s *System) AttachPublisher(p *rcr.Publisher) { s.sampler.AttachPublisher(p
 // Options.Telemetry was not set.
 func (s *System) Telemetry() *telemetry.Registry { return s.reg }
 
-// Journal returns the MAESTRO decision journal, or nil when
-// Options.Telemetry was not set. It only fills while AdaptiveThrottling
-// is enabled — the journal records classifications, and only the daemon
-// classifies.
+// Journal returns the node's decision journal, or nil when
+// Options.Telemetry was not set. The MAESTRO daemon records its
+// classifications and fail-safe events into it while AdaptiveThrottling
+// is enabled; whoever else is handed it records too, with or without the
+// daemon: rcrd's state restore and its Keeper (state restored, rejected
+// or failed to save) and a fleet node's fence guard (stale-fence caps
+// rejected).
 func (s *System) Journal() *telemetry.Journal { return s.journal }
 
 // Checkpoint captures the crash-safe daemon state (internal/resilience):

@@ -118,7 +118,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	sched := GenerateSchedule(cfg.Seed, chaosHorizon, mcfg.Sockets)
 	inj := NewInjector(sched, clock)
 	rep.Events = len(inj.Schedule().Events)
-	rep.ClearTime = inj.Schedule().ClearTime()
+	rep.ClearTime = ClearTime(inj.Schedule().Events)
 
 	// Thresholds scaled to what this topology can actually draw, so
 	// the workload below crosses them and the throttle path (and its

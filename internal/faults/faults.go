@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -76,38 +77,45 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one fault window: Kind is active on Domain (a socket index,
-// or negative for every domain) for virtual times in [Start, End).
-// Delay is only meaningful for ActuationDelay.
-type Event struct {
-	Kind       Kind
-	Domain     int
+// Window is the span a fault is active for: [Start, End), in virtual
+// time or in elapsed time from a run's beginning. Every tier's events
+// carry one, and every generator draws it the same way (stream.window).
+type Window struct {
 	Start, End time.Duration
-	Delay      time.Duration
 }
 
-// covers reports whether the event is active at now for domain.
-func (e *Event) covers(now time.Duration, domain int) bool {
-	return now >= e.Start && now < e.End && (e.Domain < 0 || e.Domain == domain)
+// Covers reports whether the window is active at now.
+func (w Window) Covers(now time.Duration) bool { return now >= w.Start && now < w.End }
+
+// span is the window ClearTime reads; an event that embeds a Window
+// inherits it.
+func (w Window) span() Window { return w }
+
+// ClearTime returns the instant the last of events' windows closes, zero
+// when there are none: after it the layer under test must converge back
+// to normal operation.
+func ClearTime[E interface{ span() Window }](events []E) time.Duration {
+	var t time.Duration
+	for i := range events {
+		t = max(t, events[i].span().End)
+	}
+	return t
+}
+
+// Event is one fault window: Kind is active on Domain (a socket index,
+// or negative for every domain). Delay is only meaningful for
+// ActuationDelay.
+type Event struct {
+	Kind   Kind
+	Domain int
+	Window
+	Delay time.Duration
 }
 
 // Schedule is a seeded set of fault windows.
 type Schedule struct {
 	Seed   uint64
 	Events []Event
-}
-
-// ClearTime returns the instant the last fault window closes — after
-// it the pipeline must converge back to normal operation. Zero for an
-// empty schedule.
-func (s Schedule) ClearTime() time.Duration {
-	var t time.Duration
-	for i := range s.Events {
-		if s.Events[i].End > t {
-			t = s.Events[i].End
-		}
-	}
-	return t
 }
 
 // splitmix64 is the stateless PRNG behind schedule generation and
@@ -120,50 +128,57 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// stream is the seeded splitmix64 sequence a generator draws from.
+type stream struct{ state uint64 }
+
+func (s *stream) next() uint64 {
+	s.state = splitmix64(s.state)
+	return s.state
+}
+
+// window draws the envelope every tier shares: a start in the first 3/5
+// of horizon, then a length of horizon/50 plus less than maxDur, cut to
+// close by 4/5 of horizon, so a run always ends with a convergence tail.
+// On a horizon tierHorizon admits, the window is never empty.
+func (s *stream) window(horizon, maxDur time.Duration) Window {
+	w := Window{Start: time.Duration(s.next() % uint64(horizon*3/5))}
+	w.End = min(w.Start+horizon/50+time.Duration(s.next()%uint64(maxDur)), horizon*4/5)
+	return w
+}
+
+// tierHorizon returns horizon, or the tier's default def for a horizon
+// the envelope cannot be drawn in: one that is not positive, one under
+// 200 ns (the finest draw, horizon/200, would be empty and some modulus
+// zero), or one too long to scale by 4/5 without overflow.
+func tierHorizon(horizon, def time.Duration) time.Duration {
+	if horizon < 200 || horizon > math.MaxInt64/4 {
+		return def
+	}
+	return horizon
+}
+
 // GenerateSchedule derives a deterministic fault schedule from a seed:
-// 3–8 events of mixed kinds, each starting in the first 60% of horizon
-// and lasting between horizon/50 and horizon/4, all closed by 80% of
-// horizon so a run always has a convergence window. Domains beyond the
-// given count never appear; about a quarter of events hit every domain.
+// 3–8 events of mixed kinds in the shared envelope (stream.window), each
+// lasting less than horizon/50 + horizon/4. Domains beyond the given count
+// never appear; about a quarter of events hit every domain.
 func GenerateSchedule(seed uint64, horizon time.Duration, domains int) Schedule {
-	if domains < 1 {
-		domains = 1
-	}
-	if horizon <= 0 {
-		horizon = 400 * time.Millisecond
-	}
-	state := seed
-	next := func() uint64 {
-		state = splitmix64(state)
-		return state
-	}
-	n := 3 + int(next()%6)
-	sched := Schedule{Seed: seed, Events: make([]Event, 0, n)}
-	latest := horizon * 4 / 5
-	for i := 0; i < n; i++ {
-		ev := Event{
-			Kind:   Kind(next() % uint64(NumKinds)),
-			Domain: int(next() % uint64(domains)),
-		}
-		if next()%4 == 0 {
+	domains = max(domains, 1)
+	horizon = tierHorizon(horizon, 400*time.Millisecond)
+	s := &stream{seed}
+	sched := Schedule{Seed: seed, Events: make([]Event, 3+s.next()%6)}
+	for i := range sched.Events {
+		ev := &sched.Events[i]
+		ev.Kind = Kind(s.next() % uint64(NumKinds))
+		ev.Domain = int(s.next() % uint64(domains))
+		if s.next()%4 == 0 {
 			ev.Domain = -1 // node-wide fault
 		}
-		ev.Start = time.Duration(next() % uint64(horizon*3/5))
-		dur := horizon/50 + time.Duration(next()%uint64(horizon/4))
-		ev.End = ev.Start + dur
-		if ev.End > latest {
-			ev.End = latest
-		}
-		if ev.End <= ev.Start {
-			ev.Start = latest - horizon/50
-			ev.End = latest
-		}
+		ev.Window = s.window(horizon, horizon/4)
 		if ev.Kind == ActuationDelay {
 			// Between one and four daemon poll periods at the chaos
 			// harness's 10 ms cadence.
-			ev.Delay = time.Duration(10e6 + next()%uint64(30e6))
+			ev.Delay = 10*time.Millisecond + time.Duration(s.next()%uint64(30*time.Millisecond))
 		}
-		sched.Events = append(sched.Events, ev)
 	}
 	return sched
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ func fixedClock(at time.Duration) func() time.Duration {
 }
 
 func TestGenerateScheduleShape(t *testing.T) {
+	horizon := 400 * time.Millisecond
 	for seed := uint64(0); seed < 200; seed++ {
-		sched := GenerateSchedule(seed, 400*time.Millisecond, 2)
+		sched := GenerateSchedule(seed, horizon, 2)
 		if len(sched.Events) < 3 || len(sched.Events) > 8 {
 			t.Fatalf("seed %d: %d events, want 3..8", seed, len(sched.Events))
 		}
-		latest := 400 * time.Millisecond * 4 / 5
+		checkEnvelope(t, horizon, sched.Events)
 		for i, ev := range sched.Events {
 			if ev.Kind < 0 || ev.Kind >= NumKinds {
 				t.Errorf("seed %d event %d: kind %v out of range", seed, i, ev.Kind)
@@ -26,23 +28,62 @@ func TestGenerateScheduleShape(t *testing.T) {
 			if ev.Domain < -1 || ev.Domain >= 2 {
 				t.Errorf("seed %d event %d: domain %d out of range", seed, i, ev.Domain)
 			}
-			if ev.Start < 0 || ev.End <= ev.Start || ev.End > latest {
-				t.Errorf("seed %d event %d: window [%v, %v) outside (0, %v]", seed, i, ev.Start, ev.End, latest)
-			}
 			if ev.Kind == ActuationDelay && ev.Delay <= 0 {
 				t.Errorf("seed %d event %d: ActuationDelay without a delay", seed, i)
 			}
 		}
-		if sched.ClearTime() > latest {
-			t.Errorf("seed %d: ClearTime %v past %v", seed, sched.ClearTime(), latest)
+	}
+}
+
+// checkEnvelope checks the envelope every tier's plan keeps
+// (stream.window): each window starts in the first 3/5 of the horizon it
+// was drawn on, is not empty and closes by 4/5 of it, and ClearTime is at
+// or after every close. A churn op is an instant, [At, At+Dwell) with
+// Dwell possibly zero, that may be pushed past 3/5 to follow its
+// target's join, so for churn plans only the close is bounded.
+func checkEnvelope[E interface{ span() Window }](t *testing.T, horizon time.Duration, events []E) {
+	t.Helper()
+	clear := ClearTime(events)
+	for i := range events {
+		w := events[i].span()
+		_, churn := any(events[i]).(MembershipEvent)
+		switch {
+		case w.Start < 0 || w.End > horizon*4/5 || w.End > clear:
+			t.Fatalf("event %d of %d: window [%v, %v) outside [0, %v] or past ClearTime %v", i, len(events), w.Start, w.End, horizon*4/5, clear)
+		case churn && w.End < w.Start:
+			t.Fatalf("event %d of %d: churn op at %v ends before it fires, at %v", i, len(events), w.Start, w.End)
+		case !churn && (w.Start >= horizon*3/5 || w.End <= w.Start):
+			t.Fatalf("event %d of %d: window [%v, %v) empty or starting past %v", i, len(events), w.Start, w.End, horizon*3/5)
 		}
 	}
 }
 
+// FuzzGenerators runs all five schedule generators on arbitrary seeds,
+// horizons and sizes: none may panic, and every plan keeps the shared
+// envelope on the horizon it was drawn on — the one given, or its tier's
+// default when that one cannot hold the envelope (tierHorizon).
+func FuzzGenerators(f *testing.F) {
+	f.Add(uint64(0), int64(400*time.Millisecond), int8(2), int8(0))
+	f.Add(uint64(1), int64(1), int8(1), int8(1)) // a few nanoseconds
+	f.Add(uint64(2), int64(49), int8(2), int8(4))
+	f.Add(uint64(3), int64(2*time.Second), int8(4), int8(16))
+	f.Add(uint64(4), int64(-1), int8(-3), int8(-7))
+	f.Add(uint64(5), int64(math.MaxInt64), int8(64), int8(127))
+	f.Fuzz(func(t *testing.T, seed uint64, h int64, a, b int8) {
+		horizon := time.Duration(h)
+		checkEnvelope(t, tierHorizon(horizon, 400*time.Millisecond), GenerateSchedule(seed, horizon, int(a)).Events)
+		def := tierHorizon(horizon, 2*time.Second)
+		checkEnvelope(t, def, GenerateServiceSchedule(seed, horizon).Events)
+		checkEnvelope(t, def, GenerateFleetSchedule(seed, int(a), horizon).Events)
+		checkEnvelope(t, def, GenerateWANSchedule(seed, int(a), int(b), horizon).Events)
+		checkEnvelope(t, def, GenerateMembershipSchedule(seed, int(a), int(b), horizon).Events)
+	})
+}
+
 func TestInjectorNormalizesHostileEvents(t *testing.T) {
 	in := NewInjector(Schedule{Events: []Event{
-		{Kind: Kind(999), Domain: -7, Start: -time.Second, End: -2 * time.Second, Delay: -time.Minute},
-		{Kind: ActuationDelay, Start: 0, End: time.Second, Delay: time.Hour},
+		{Kind: Kind(999), Domain: -7, Window: Window{-time.Second, -2 * time.Second}, Delay: -time.Minute},
+		{Kind: ActuationDelay, Window: Window{0, time.Second}, Delay: time.Hour},
 	}}, fixedClock(0))
 	ev := in.Schedule().Events
 	if ev[0].Kind < 0 || ev[0].Kind >= NumKinds {
@@ -57,7 +98,7 @@ func TestInjectorNormalizesHostileEvents(t *testing.T) {
 }
 
 func TestMSRReadHookFaults(t *testing.T) {
-	window := Event{Start: 10 * time.Millisecond, End: 20 * time.Millisecond, Domain: 0}
+	window := Event{Window: Window{10 * time.Millisecond, 20 * time.Millisecond}, Domain: 0}
 	read := func(kind Kind, at time.Duration, val uint64) (uint64, error) {
 		ev := window
 		ev.Kind = kind
@@ -69,7 +110,7 @@ func TestMSRReadHookFaults(t *testing.T) {
 	if v, err := read(MSRReadError, 5*time.Millisecond, 42); err != nil || v != 42 {
 		t.Errorf("outside window: got %d, %v", v, err)
 	}
-	in := NewInjector(Schedule{Events: []Event{{Kind: MSRReadError, Domain: 1, End: time.Second}}}, fixedClock(0))
+	in := NewInjector(Schedule{Events: []Event{{Kind: MSRReadError, Domain: 1, Window: Window{End: time.Second}}}}, fixedClock(0))
 	if v, err := in.MSRReadHook()(msr.Access{Index: 0, Addr: msr.MSRPkgEnergyStatus, Value: 42}); err != nil || v != 42 {
 		t.Errorf("wrong domain: got %d, %v", v, err)
 	}
@@ -103,9 +144,9 @@ func TestMSRReadHookFaults(t *testing.T) {
 
 func TestSamplerGates(t *testing.T) {
 	sched := Schedule{Events: []Event{
-		{Kind: SamplerStall, Start: 0, End: 10 * time.Millisecond},
-		{Kind: SamplerCrash, Start: 20 * time.Millisecond, End: 30 * time.Millisecond},
-		{Kind: MeterDrop, Domain: 1, Start: 0, End: 50 * time.Millisecond},
+		{Kind: SamplerStall, Window: Window{0, 10 * time.Millisecond}},
+		{Kind: SamplerCrash, Window: Window{20 * time.Millisecond, 30 * time.Millisecond}},
+		{Kind: MeterDrop, Domain: 1, Window: Window{0, 50 * time.Millisecond}},
 	}}
 	in := NewInjector(sched, fixedClock(0))
 	tick, meter := in.SamplerTick(), in.MeterGate()
@@ -128,8 +169,8 @@ func TestSamplerGates(t *testing.T) {
 
 func TestActuationHook(t *testing.T) {
 	sched := Schedule{Events: []Event{
-		{Kind: ActuationDelay, Start: 0, End: 10 * time.Millisecond, Delay: 7 * time.Millisecond},
-		{Kind: ActuationDrop, Start: 20 * time.Millisecond, End: 30 * time.Millisecond},
+		{Kind: ActuationDelay, Window: Window{0, 10 * time.Millisecond}, Delay: 7 * time.Millisecond},
+		{Kind: ActuationDrop, Window: Window{20 * time.Millisecond, 30 * time.Millisecond}},
 	}}
 	in := NewInjector(sched, fixedClock(0))
 	act := in.Actuation()
@@ -155,8 +196,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		sched := Schedule{Seed: seed, Events: []Event{{
 			Kind:   Kind(kind),
 			Domain: domain,
-			Start:  time.Duration(start),
-			End:    time.Duration(end),
+			Window: Window{time.Duration(start), time.Duration(end)},
 			Delay:  time.Duration(end - start),
 		}}}
 		in := NewInjector(sched, fixedClock(time.Duration(at)))

@@ -83,7 +83,7 @@ func (in *Injector) MSRReadHook() msr.ReadHook {
 		now := in.clock()
 		for i := range in.sched.Events {
 			ev := &in.sched.Events[i]
-			if !ev.covers(now, a.Index) {
+			if !ev.Covers(now) || (ev.Domain >= 0 && ev.Domain != a.Index) {
 				continue
 			}
 			switch ev.Kind {
@@ -118,7 +118,7 @@ func (in *Injector) SamplerTick() rcr.TickGate {
 	return func(now time.Duration) rcr.TickAction {
 		for i := range in.sched.Events {
 			ev := &in.sched.Events[i]
-			if now < ev.Start || now >= ev.End {
+			if !ev.Covers(now) {
 				continue
 			}
 			switch ev.Kind {
@@ -140,7 +140,7 @@ func (in *Injector) MeterGate() rcr.MeterGate {
 	return func(now time.Duration, socket int, meter string) bool {
 		for i := range in.sched.Events {
 			ev := &in.sched.Events[i]
-			if ev.Kind == MeterDrop && ev.covers(now, socket) {
+			if ev.Kind == MeterDrop && ev.Covers(now) && (ev.Domain < 0 || ev.Domain == socket) {
 				in.counts[MeterDrop].Add(1)
 				return false
 			}
@@ -156,7 +156,7 @@ func (in *Injector) Actuation() func(now time.Duration, engage bool) (time.Durat
 	return func(now time.Duration, engage bool) (time.Duration, bool) {
 		for i := range in.sched.Events {
 			ev := &in.sched.Events[i]
-			if now < ev.Start || now >= ev.End {
+			if !ev.Covers(now) {
 				continue
 			}
 			switch ev.Kind {

@@ -80,6 +80,11 @@ type MembershipEvent struct {
 	Dwell time.Duration
 }
 
+// span is the op's window, [At, At+Dwell): ClearTime of a churn plan is
+// the instant its last op, follow-ups included, has fired, after which
+// the fleet must converge to its final composition.
+func (e MembershipEvent) span() Window { return Window{e.At, e.At + e.Dwell} }
+
 // MembershipSchedule is a seeded, deterministic churn plan: the fleet
 // grows from Base members to Peak through join storms, churns through
 // crashes, drains and re-joins, then drains back down toward Base.
@@ -91,18 +96,6 @@ type MembershipSchedule struct {
 	Peak int
 	// Events in firing order (ties broken by generation order).
 	Events []MembershipEvent
-}
-
-// ClearTime returns the instant the last op (follow-ups included) has
-// fired; after it the fleet must converge to its final composition.
-func (s MembershipSchedule) ClearTime() time.Duration {
-	var t time.Duration
-	for i := range s.Events {
-		if end := s.Events[i].At + s.Events[i].Dwell; end > t {
-			t = end
-		}
-	}
-	return t
 }
 
 // FinalFleet replays the schedule and returns the IDs expected in the
@@ -136,27 +129,18 @@ func (s MembershipSchedule) FinalFleet() []int {
 const minChurnFleet = 2
 
 // GenerateMembershipSchedule derives a deterministic churn plan from a
-// seed. The envelope mirrors the other fault tiers: every op fires in
-// the first 60% of horizon and resolves (Dwell included) by 80% of it,
-// leaving a convergence window. Generation is stateful — it tracks the
+// seed. Every op resolves, Dwell included, by 4/5 of horizon, leaving a
+// convergence tail as the other tiers do; it fires in the first 3/5 of
+// horizon unless it must follow its target's join, which can push it up
+// to horizon/50 past that. Generation is stateful — it tracks the
 // fleet it is mutating — so drains and decommissions always target
 // members that are actually present, joins always use fresh
 // identities, and the fleet never shrinks below minChurnFleet.
 func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Duration) MembershipSchedule {
-	if base < minChurnFleet {
-		base = minChurnFleet
-	}
-	if peak < base {
-		peak = base
-	}
-	if horizon <= 0 {
-		horizon = 2 * time.Second
-	}
-	state := splitmix64(seed ^ 0x3e1b5a7c9d2f481) // distinct stream from the other tiers
-	next := func() uint64 {
-		state = splitmix64(state)
-		return state
-	}
+	base = max(base, minChurnFleet)
+	peak = max(peak, base)
+	horizon = tierHorizon(horizon, 2*time.Second)
+	s := &stream{splitmix64(seed ^ 0x3e1b5a7c9d2f481)} // distinct stream from the other tiers
 	sched := MembershipSchedule{Seed: seed, Base: base, Peak: peak}
 	latest := horizon * 3 / 5
 	resolve := horizon * 4 / 5
@@ -173,7 +157,7 @@ func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Durati
 		if len(fleet) <= minChurnFleet {
 			return 0, false
 		}
-		i := int(next() % uint64(len(fleet)))
+		i := int(s.next() % uint64(len(fleet)))
 		id := fleet[i]
 		fleet = append(fleet[:i], fleet[i+1:]...)
 		return id, true
@@ -182,7 +166,7 @@ func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Durati
 		if hi <= lo {
 			return lo
 		}
-		return lo + time.Duration(next()%uint64(hi-lo))
+		return lo + time.Duration(s.next()%uint64(hi-lo))
 	}
 	// afterJoin pushes an op past its target's join, with headroom for
 	// the join to have actually been admitted.
@@ -193,7 +177,7 @@ func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Durati
 		return t
 	}
 	dwell := func(end time.Duration) time.Duration {
-		d := horizon/100 + time.Duration(next()%uint64(horizon/20))
+		d := horizon/100 + time.Duration(s.next()%uint64(horizon/20))
 		if end+d > resolve {
 			d = resolve - end
 		}
@@ -207,7 +191,7 @@ func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Durati
 	growLo, growHi := horizon/20, horizon*2/5
 	for nextID < peak {
 		t := at(growLo, growHi)
-		burst := 1 + int(next()%4)
+		burst := 1 + int(s.next()%4)
 		for b := 0; b < burst && nextID < peak; b++ {
 			sched.Events = append(sched.Events, MembershipEvent{Shard: nextID, Op: OpJoin, At: t})
 			fleet = append(fleet, nextID)
@@ -218,10 +202,10 @@ func GenerateMembershipSchedule(seed uint64, base, peak int, horizon time.Durati
 	// Phase 2 — churn in the middle of the run, overlapping the WAN
 	// tier's kills and partitions: dead-on-arrival joins, forced
 	// removals, re-joins under prior identity, early drains.
-	churn := 2 + int(next()%4)
+	churn := 2 + int(s.next()%4)
 	for i := 0; i < churn; i++ {
 		t := at(horizon*3/10, latest)
-		switch MembershipOp(next() % uint64(NumMembershipOps)) {
+		switch MembershipOp(s.next() % uint64(NumMembershipOps)) {
 		case OpJoin:
 			sched.Events = append(sched.Events, MembershipEvent{Shard: nextID, Op: OpJoin, At: t})
 			fleet = append(fleet, nextID)

@@ -25,14 +25,9 @@ func TestGenerateMembershipScheduleEnvelope(t *testing.T) {
 		if len(a.Events) == 0 {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}
-		if got := a.ClearTime(); got > horizon*4/5 {
-			t.Fatalf("seed %d: clear time %v past the 80%% envelope", seed, got)
-		}
+		checkEnvelope(t, horizon, a.Events)
 		joins := 0
 		for _, ev := range a.Events {
-			if ev.At < 0 || ev.At > horizon {
-				t.Fatalf("seed %d: op %s at %v outside horizon", seed, ev.Op, ev.At)
-			}
 			if ev.Op == OpJoin {
 				joins++
 			}

@@ -13,19 +13,15 @@ func TestGenerateServiceScheduleShape(t *testing.T) {
 		if len(s.Events) < 2 || len(s.Events) > 5 {
 			t.Fatalf("seed %d: %d events outside [2,5]", seed, len(s.Events))
 		}
-		for i, ev := range s.Events {
-			if ev.Kind < 0 || ev.Kind >= NumServiceKinds {
-				t.Fatalf("seed %d event %d: bad kind %d", seed, i, ev.Kind)
-			}
-			if ev.Start < 0 || ev.End <= ev.Start {
-				t.Fatalf("seed %d event %d: bad window [%v, %v)", seed, i, ev.Start, ev.End)
-			}
-			if ev.End > horizon*4/5 {
-				t.Fatalf("seed %d event %d: closes at %v, past the convergence cutoff", seed, i, ev.End)
-			}
+		if s.Shards != 1 {
+			t.Fatalf("seed %d: a service schedule over %d shards", seed, s.Shards)
 		}
-		if s.ClearTime() > horizon*4/5 {
-			t.Fatalf("seed %d: clear time %v leaves no convergence window", seed, s.ClearTime())
+		checkEnvelope(t, horizon, s.Events)
+		for i, ev := range s.Events {
+			if ev.Shard != 0 || ev.Kind < 0 || ev.Kind >= NumServiceKinds {
+				t.Fatalf("seed %d event %d: bad shard %d or kind %d", seed, i, ev.Shard, ev.Kind)
+			}
+			checkRestart(t, horizon, ev)
 		}
 	}
 	// Same seed, same schedule: what makes a failing corpus seed replayable.
@@ -45,6 +41,7 @@ func TestGenerateFleetScheduleShape(t *testing.T) {
 			if len(s.Events) < 3 {
 				t.Fatalf("shards %d seed %d: only %d events", shards, seed, len(s.Events))
 			}
+			checkEnvelope(t, horizon, s.Events)
 			for i, ev := range s.Events {
 				if ev.Shard < 0 || ev.Shard >= shards {
 					t.Fatalf("shards %d seed %d event %d: shard %d out of range", shards, seed, i, ev.Shard)
@@ -52,9 +49,7 @@ func TestGenerateFleetScheduleShape(t *testing.T) {
 				if ev.Kind < 0 || ev.Kind >= NumServiceKinds {
 					t.Fatalf("shards %d seed %d event %d: bad kind %d", shards, seed, i, ev.Kind)
 				}
-				if ev.Start < 0 || ev.End <= ev.Start || ev.End > horizon*4/5 {
-					t.Fatalf("shards %d seed %d event %d: bad window [%v, %v)", shards, seed, i, ev.Start, ev.End)
-				}
+				checkRestart(t, horizon, ev)
 			}
 		}
 	}
@@ -80,20 +75,29 @@ func TestFleetScheduleDeterministicAndScoped(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different fleet schedules")
 	}
-	s := FleetSchedule{Shards: 2, Events: []FleetEvent{
-		{Shard: 0, ServiceEvent: ServiceEvent{Kind: ConnReset, Start: 0, End: 100 * time.Millisecond}},
-		{Shard: 1, ServiceEvent: ServiceEvent{Kind: SlowLoris, Start: 50 * time.Millisecond, End: 200 * time.Millisecond}},
+	s := FleetSchedule{Shards: 2, Events: []ServiceEvent{
+		{Shard: 0, Kind: ConnReset, Window: Window{0, 100 * time.Millisecond}},
+		{Shard: 1, Kind: SlowLoris, Window: Window{50 * time.Millisecond, 200 * time.Millisecond}},
 	}}
-	if got := s.ActiveOn(0, 10*time.Millisecond); len(got) != 1 || got[0] != ConnReset {
-		t.Errorf("shard 0 active = %v", got)
+	if !s.ActiveOn(0, ConnReset, 10*time.Millisecond) || s.ActiveOn(0, SlowLoris, 10*time.Millisecond) {
+		t.Error("shard 0 at 10ms: want ConnReset alone")
 	}
-	if got := s.ActiveOn(1, 10*time.Millisecond); len(got) != 0 {
-		t.Errorf("shard 1 should be quiet at 10ms, got %v", got)
+	if s.ActiveOn(1, SlowLoris, 10*time.Millisecond) || s.ActiveOn(1, ConnReset, 10*time.Millisecond) {
+		t.Error("shard 1 should be quiet at 10ms")
 	}
-	if got := s.ActiveOn(1, 150*time.Millisecond); len(got) != 1 || got[0] != SlowLoris {
-		t.Errorf("shard 1 active = %v", got)
+	if !s.ActiveOn(1, SlowLoris, 150*time.Millisecond) || s.ActiveOn(0, ConnReset, 150*time.Millisecond) {
+		t.Error("at 150ms: want SlowLoris on shard 1 alone")
 	}
-	if s.ClearTime() != 200*time.Millisecond {
-		t.Errorf("clear time %v", s.ClearTime())
+	if ClearTime(s.Events) != 200*time.Millisecond {
+		t.Errorf("clear time %v", ClearTime(s.Events))
+	}
+}
+
+// checkRestart checks that a ServerRestart window is short enough for the
+// restarted daemon to come back: under horizon/50 + horizon/5.
+func checkRestart(t *testing.T, horizon time.Duration, ev ServiceEvent) {
+	t.Helper()
+	if ev.Kind == ServerRestart && ev.End-ev.Start >= horizon/50+horizon/5 {
+		t.Fatalf("restart window [%v, %v) on shard %d longer than %v", ev.Start, ev.End, ev.Shard, horizon/50+horizon/5)
 	}
 }

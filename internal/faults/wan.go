@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -91,8 +93,8 @@ func (d PartitionDir) String() string {
 	}
 }
 
-// WANEvent is one WAN-tier fault window, active for host times in
-// [Start, End) from the run's beginning.
+// WANEvent is one WAN-tier fault window, in host time from the run's
+// beginning.
 type WANEvent struct {
 	// Agg indexes the target aggregator replica. For LeaderKill it is
 	// advisory only — the harness resolves the kill against whichever
@@ -105,13 +107,8 @@ type WANEvent struct {
 	Dir PartitionDir
 	// Delay is the added write latency for NetLatency; ignored for
 	// other kinds.
-	Delay      time.Duration
-	Start, End time.Duration
-}
-
-// Covers reports whether the event is active at elapsed host time now.
-func (e *WANEvent) Covers(now time.Duration) bool {
-	return now >= e.Start && now < e.End
+	Delay time.Duration
+	Window
 }
 
 // hits reports whether the event targets the given aggregator and shard.
@@ -128,104 +125,53 @@ type WANSchedule struct {
 	Events   []WANEvent
 }
 
-// ClearTime returns the instant the last window closes (zero when
-// empty); after it the control plane must converge back to exactly one
-// leader driving the fleet.
-func (s WANSchedule) ClearTime() time.Duration {
-	var t time.Duration
-	for i := range s.Events {
-		if s.Events[i].End > t {
-			t = s.Events[i].End
-		}
-	}
-	return t
-}
-
 // Kills returns the LeaderKill windows in start order.
 func (s WANSchedule) Kills() []WANEvent {
 	var out []WANEvent
-	for i := range s.Events {
-		if s.Events[i].Kind == LeaderKill {
-			out = append(out, s.Events[i])
+	for _, ev := range s.Events {
+		if ev.Kind == LeaderKill {
+			out = append(out, ev)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start < out[j-1].Start; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b WANEvent) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
 
 // GenerateWANSchedule derives a deterministic WAN fault schedule from a
-// seed, mirroring GenerateFleetSchedule's envelope: every window starts
-// in the first 60% of horizon and closes by 80% of it, so the run ends
-// with a convergence window. Two extra rules keep the schedule
-// survivable: LeaderKill windows never overlap each other (there is
-// always a live standby to promote — with a two-replica control plane
-// overlapping kills would leave nobody to elect), and every schedule
-// contains at least one LeaderKill so the hand-off path is always
-// exercised.
+// seed, in the shared envelope (stream.window). Two extra rules keep the
+// schedule survivable: LeaderKill windows never overlap each other
+// (there is always a live standby to promote — with a two-replica
+// control plane overlapping kills would leave nobody to elect), and
+// every schedule contains at least one LeaderKill so the hand-off path
+// is always exercised.
 func GenerateWANSchedule(seed uint64, replicas, shards int, horizon time.Duration) WANSchedule {
-	if replicas < 2 {
-		replicas = 2
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if horizon <= 0 {
-		horizon = 2 * time.Second
-	}
-	state := splitmix64(seed ^ 0x57a1e1eade5) // distinct stream from the fleet tier
-	next := func() uint64 {
-		state = splitmix64(state)
-		return state
-	}
-	n := 3 + int(next()%uint64(replicas+shards/8+2))
+	replicas, shards = max(replicas, 2), max(shards, 1)
+	horizon = tierHorizon(horizon, 2*time.Second)
+	s := &stream{splitmix64(seed ^ 0x57a1e1eade5)} // distinct stream from the fleet tier
+	n := 3 + int(s.next()%uint64(replicas+shards/8+2))
 	sched := WANSchedule{Seed: seed, Replicas: replicas, Shards: shards, Events: make([]WANEvent, 0, n+1)}
-	latest := horizon * 4 / 5
-	clampWindow := func(ev *WANEvent, maxDur time.Duration) {
-		ev.Start = time.Duration(next() % uint64(horizon*3/5))
-		dur := horizon/50 + time.Duration(next()%uint64(maxDur))
-		ev.End = ev.Start + dur
-		if ev.End > latest {
-			ev.End = latest
-		}
-		if ev.End <= ev.Start {
-			ev.Start = latest - horizon/50
-			ev.End = latest
-		}
-	}
-	var kills []WANEvent
-	overlapsKill := func(ev WANEvent) bool {
-		for i := range kills {
-			if ev.Start < kills[i].End && kills[i].Start < ev.End {
-				return true
-			}
-		}
-		return false
-	}
+	var kills []Window
 	for i := 0; i < n; i++ {
 		ev := WANEvent{
-			Agg:   int(next() % uint64(replicas)),
-			Shard: int(next()%uint64(shards+1)) - 1, // -1 = whole fleet
-			Kind:  WANKind(next() % uint64(NumWANKinds)),
+			Agg:   int(s.next() % uint64(replicas)),
+			Shard: int(s.next()%uint64(shards+1)) - 1, // -1 = whole fleet
+			Kind:  WANKind(s.next() % uint64(NumWANKinds)),
 		}
 		maxDur := horizon / 4
 		if ev.Kind == LeaderKill {
 			maxDur = horizon / 5
 		}
-		clampWindow(&ev, maxDur)
+		ev.Window = s.window(horizon, maxDur)
 		switch ev.Kind {
 		case LeaderKill:
 			ev.Shard = -1 // kills are replica-wide by definition
-			if overlapsKill(ev) {
+			if slices.ContainsFunc(kills, func(k Window) bool { return ev.Start < k.End && k.Start < ev.End }) {
 				// Re-draw as a partition instead of risking a leaderless
 				// fleet; determinism is preserved (same draw sequence).
 				ev.Kind = NetPartition
-				ev.Dir = PartitionDir(next() % uint64(NumPartitionDirs))
+				ev.Dir = PartitionDir(s.next() % uint64(NumPartitionDirs))
 			} else {
-				kills = append(kills, ev)
+				kills = append(kills, ev.Window)
 			}
 		case SplitBrain:
 			// Generated split-brain windows sever the whole replica: a
@@ -235,17 +181,17 @@ func GenerateWANSchedule(seed uint64, replicas, shards int, horizon time.Duratio
 			// are the classic scenario and always resolve through fences.
 			ev.Shard = -1
 		case NetPartition:
-			ev.Dir = PartitionDir(next() % uint64(NumPartitionDirs))
+			ev.Dir = PartitionDir(s.next() % uint64(NumPartitionDirs))
 		case NetLatency:
-			ev.Delay = horizon/200 + time.Duration(next()%uint64(horizon/50))
+			ev.Delay = horizon/200 + time.Duration(s.next()%uint64(horizon/50))
 		}
 		sched.Events = append(sched.Events, ev)
 	}
 	if len(kills) == 0 {
 		// Every WAN schedule must exercise the hand-off path at least
 		// once: synthesize a short early kill.
-		ev := WANEvent{Agg: int(next() % uint64(replicas)), Shard: -1, Kind: LeaderKill}
-		clampWindow(&ev, horizon/5)
+		ev := WANEvent{Agg: int(s.next() % uint64(replicas)), Shard: -1, Kind: LeaderKill}
+		ev.Window = s.window(horizon, horizon/5)
 		sched.Events = append(sched.Events, ev)
 	}
 	return sched

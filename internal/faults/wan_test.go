@@ -35,14 +35,8 @@ func TestGenerateWANScheduleEnvelope(t *testing.T) {
 				t.Fatalf("seed %d: overlapping kills %+v / %+v", seed, kills[i-1], kills[i])
 			}
 		}
-		latest := horizon * 4 / 5
+		checkEnvelope(t, horizon, a.Events)
 		for i, ev := range a.Events {
-			if ev.Start < 0 || ev.Start >= horizon*3/5 {
-				t.Fatalf("seed %d event %d: start %v outside first 60%% of horizon", seed, i, ev.Start)
-			}
-			if ev.End <= ev.Start || ev.End > latest {
-				t.Fatalf("seed %d event %d: window [%v,%v) breaches envelope", seed, i, ev.Start, ev.End)
-			}
 			if ev.Agg < 0 || ev.Agg >= a.Replicas {
 				t.Fatalf("seed %d event %d: replica %d out of range", seed, i, ev.Agg)
 			}
@@ -58,9 +52,6 @@ func TestGenerateWANScheduleEnvelope(t *testing.T) {
 				if ev.Delay <= 0 {
 					t.Fatalf("seed %d event %d: NetLatency without delay", seed, i)
 				}
-			}
-			if ev.End > a.ClearTime() {
-				t.Fatalf("seed %d event %d: past ClearTime", seed, i)
 			}
 		}
 	}
@@ -88,10 +79,10 @@ func TestWANInjectorGateWrite(t *testing.T) {
 	sched := WANSchedule{
 		Replicas: 2, Shards: 4,
 		Events: []WANEvent{
-			{Agg: 0, Shard: 1, Kind: NetPartition, Dir: DirWrite, Start: 0, End: 100 * time.Millisecond},
-			{Agg: 0, Shard: 2, Kind: NetPartition, Dir: DirSub, Start: 0, End: 100 * time.Millisecond},
-			{Agg: 1, Shard: -1, Kind: SplitBrain, Start: 0, End: 200 * time.Millisecond},
-			{Agg: 0, Shard: 3, Kind: NetLatency, Delay: 5 * time.Millisecond, Start: 0, End: 100 * time.Millisecond},
+			{Agg: 0, Shard: 1, Kind: NetPartition, Dir: DirWrite, Window: Window{0, 100 * time.Millisecond}},
+			{Agg: 0, Shard: 2, Kind: NetPartition, Dir: DirSub, Window: Window{0, 100 * time.Millisecond}},
+			{Agg: 1, Shard: -1, Kind: SplitBrain, Window: Window{0, 200 * time.Millisecond}},
+			{Agg: 0, Shard: 3, Kind: NetLatency, Delay: 5 * time.Millisecond, Window: Window{0, 100 * time.Millisecond}},
 		},
 	}
 	var slept time.Duration
@@ -159,8 +150,8 @@ func TestWANInjectorPrecedence(t *testing.T) {
 	inj := NewWANInjector(WANSchedule{
 		Replicas: 2, Shards: 1,
 		Events: []WANEvent{
-			{Agg: 0, Shard: 0, Kind: NetPartition, Dir: DirBoth, Start: 0, End: time.Second},
-			{Agg: 0, Shard: 0, Kind: SplitBrain, Start: 0, End: time.Second},
+			{Agg: 0, Shard: 0, Kind: NetPartition, Dir: DirBoth, Window: Window{0, time.Second}},
+			{Agg: 0, Shard: 0, Kind: SplitBrain, Window: Window{0, time.Second}},
 		},
 	}, nil)
 	err := inj.GateWrite(0, 0, time.Millisecond, func() error { return nil })

@@ -751,7 +751,6 @@ func (d *Daemon) noteFault(now, staleness time.Duration, missing bool) {
 	d.freshPolls = 0
 	met := d.met
 	met.faultDetected.Inc()
-	met.stalePolls.Inc()
 	detail := "stale"
 	if missing {
 		detail = "missing"

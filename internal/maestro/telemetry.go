@@ -25,7 +25,6 @@ type daemonMetrics struct {
 	faultDetected   *telemetry.Counter // stale or missing inputs noticed
 	failsafeEntered *telemetry.Counter // fail-safe latch engagements
 	recovered       *telemetry.Counter // fail-safe releases after fresh data
-	stalePolls      *telemetry.Counter // polls refused on stale/missing data
 	missedPolls     *telemetry.Counter // polls swallowed by a busy actuator
 	actDelayed      *telemetry.Counter // actuations deferred by the hook
 	actDropped      *telemetry.Counter // actuations lost by the hook
@@ -63,7 +62,6 @@ func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 		faultDetected:   reg.Counter("maestro_fault_detected_total"),
 		failsafeEntered: reg.Counter("maestro_failsafe_entered_total"),
 		recovered:       reg.Counter("maestro_recovered_total"),
-		stalePolls:      reg.Counter("maestro_stale_polls_total"),
 		missedPolls:     reg.Counter("maestro_missed_polls_total"),
 		actDelayed:      reg.Counter("maestro_actuation_delayed_total"),
 		actDropped:      reg.Counter("maestro_actuation_dropped_total"),

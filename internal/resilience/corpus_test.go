@@ -82,15 +82,10 @@ func (c *vclock) sleep(d time.Duration) {
 }
 
 // vdaemon is one rcrd replica as a pure function of virtual time.
-type vdaemon struct{ sched faults.ServiceSchedule }
+type vdaemon struct{ sched faults.FleetSchedule }
 
 func (d vdaemon) active(now time.Duration, kind faults.ServiceKind) bool {
-	for _, ev := range d.sched.Events {
-		if ev.Kind == kind && ev.Covers(now) {
-			return true
-		}
-	}
-	return false
+	return d.sched.ActiveOn(0, kind, now)
 }
 
 func (d vdaemon) up(now time.Duration) bool { return !d.active(now, faults.ServerRestart) }
@@ -168,7 +163,7 @@ func runClientCorpusSeed(seed uint64) (*corpusReport, *telemetry.Journal) {
 		reg:     telemetry.NewRegistry(),
 	}
 	for _, d := range r.replicas {
-		r.clear = max(r.clear, d.sched.ClearTime())
+		r.clear = max(r.clear, faults.ClearTime(d.sched.Events))
 	}
 	for id, addrs := range [][]string{{"primary"}, {"primary", "replica"}} {
 		r.poller(id, addrs)
