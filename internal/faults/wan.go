@@ -166,8 +166,10 @@ func GenerateWANSchedule(seed uint64, replicas, shards int, horizon time.Duratio
 		case LeaderKill:
 			ev.Shard = -1 // kills are replica-wide by definition
 			if slices.ContainsFunc(kills, func(k Window) bool { return ev.Start < k.End && k.Start < ev.End }) {
-				// Re-draw as a partition instead of risking a leaderless
-				// fleet; determinism is preserved (same draw sequence).
+				// Re-draw as a partition of the same replica from the whole
+				// fleet (Shard stays -1), so kills never overlap. It may lie
+				// over the other replica's kill window; determinism is
+				// preserved (same draw sequence).
 				ev.Kind = NetPartition
 				ev.Dir = PartitionDir(s.next() % uint64(NumPartitionDirs))
 			} else {
@@ -235,10 +237,10 @@ func NewWANInjector(sched WANSchedule, sleep func(time.Duration)) *WANInjector {
 
 // GateWrite passes a cap write destined for shard from aggregator agg
 // through the active WAN faults at elapsed time now: partitions drop it
-// (ErrPartitioned), latency windows delay it, split-brain windows
-// capture it for late delivery (ErrHeld) — in that precedence order, so
-// a write both partitioned and held is simply dropped. Otherwise do()
-// runs inline and its error is returned.
+// (ErrPartitioned), split-brain windows capture it for late delivery
+// (ErrHeld), latency windows delay it — in that precedence order, so a
+// write both partitioned and held is simply dropped, and a held write is
+// never delayed. Otherwise do() runs inline and its error is returned.
 func (inj *WANInjector) GateWrite(agg, shard int, now time.Duration, do func() error) error {
 	var delay time.Duration
 	var holdUntil time.Duration

@@ -144,21 +144,40 @@ func TestWANInjectorGateWrite(t *testing.T) {
 	}
 }
 
-// TestWANInjectorPrecedence: a write both partitioned and inside a
-// split-brain window is dropped, not held — the partition wins.
+// TestWANInjectorPrecedence: GateWrite applies partition, then
+// split-brain hold, then latency. A write both partitioned and inside a
+// split-brain window is dropped, not held; a write inside both a latency
+// and a split-brain window is held, not delayed.
 func TestWANInjectorPrecedence(t *testing.T) {
-	inj := NewWANInjector(WANSchedule{
-		Replicas: 2, Shards: 1,
-		Events: []WANEvent{
-			{Agg: 0, Shard: 0, Kind: NetPartition, Dir: DirBoth, Window: Window{0, time.Second}},
-			{Agg: 0, Shard: 0, Kind: SplitBrain, Window: Window{0, time.Second}},
-		},
-	}, nil)
-	err := inj.GateWrite(0, 0, time.Millisecond, func() error { return nil })
-	if !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("err %v, want ErrPartitioned", err)
-	}
-	if n := inj.Flush(2 * time.Second); n != 0 {
-		t.Fatalf("partitioned write was also held (%d flushed)", n)
+	window := Window{0, time.Second}
+	for _, tc := range []struct {
+		name    string
+		kind    WANKind // the event beside the split-brain window
+		want    error
+		flushed int
+	}{
+		{"partition over hold", NetPartition, ErrPartitioned, 0},
+		{"hold over latency", NetLatency, ErrHeld, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slept := false
+			inj := NewWANInjector(WANSchedule{
+				Replicas: 2, Shards: 1,
+				Events: []WANEvent{
+					{Agg: 0, Shard: 0, Kind: tc.kind, Dir: DirBoth, Delay: time.Millisecond, Window: window},
+					{Agg: 0, Shard: 0, Kind: SplitBrain, Window: window},
+				},
+			}, func(time.Duration) { slept = true })
+			err := inj.GateWrite(0, 0, time.Millisecond, func() error { return nil })
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+			if st := inj.Stats(); st.Delayed != 0 || slept {
+				t.Fatalf("write delayed (Delayed %d, slept %v)", st.Delayed, slept)
+			}
+			if n := inj.Flush(2 * time.Second); n != tc.flushed {
+				t.Fatalf("%d writes flushed, want %d", n, tc.flushed)
+			}
+		})
 	}
 }

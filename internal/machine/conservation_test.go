@@ -59,7 +59,7 @@ func TestEnergyEqualsPowerIntegral(t *testing.T) {
 		}
 		var counted units.Joules
 		for s := range before {
-			counted += units.RAPLDelta(before[s], m.MSR().PackageEnergyCounter(s))
+			counted += counterJoules(before[s], m.MSR().PackageEnergyCounter(s))
 		}
 		exact := nodeEnergy(m)
 		if math.Abs(float64(counted-exact)) > 0.01*float64(exact)+0.001 {

@@ -153,7 +153,7 @@ func TestEnergyCounterWrapMidRun(t *testing.T) {
 	runOn(t, m, bodies)
 	var counted units.Joules
 	for s := 0; s < 2; s++ {
-		counted += units.RAPLDelta(before[s], m.MSR().PackageEnergyCounter(s))
+		counted += counterJoules(before[s], m.MSR().PackageEnergyCounter(s))
 	}
 	exact := nodeEnergy(m) - exactBefore
 	if d := float64(counted - exact); d > 0.01 || d < -0.01 {

@@ -565,6 +565,13 @@ func TestStopAbortsBlockedWorkers(t *testing.T) {
 	m.Stop()
 }
 
+// counterJoules is the energy a 32-bit RAPL counter booked moving from
+// before to after; the unsigned subtraction wraps at most once, as a
+// reader that polls often enough does.
+func counterJoules(before, after uint32) units.Joules {
+	return units.Joules(float64(after-before) * float64(units.RAPLUnit))
+}
+
 func TestEnergyCounterMatchesExactEnergy(t *testing.T) {
 	m := newTestMachine(t)
 	before0 := m.MSR().PackageEnergyCounter(0)
@@ -572,8 +579,8 @@ func TestEnergyCounterMatchesExactEnergy(t *testing.T) {
 	runOn(t, m, map[int]func(*CoreCtx){
 		0: func(c *CoreCtx) { c.Compute(2.7e9) },
 	})
-	counted := units.RAPLDelta(before0, m.MSR().PackageEnergyCounter(0)) +
-		units.RAPLDelta(before1, m.MSR().PackageEnergyCounter(1))
+	counted := counterJoules(before0, m.MSR().PackageEnergyCounter(0)) +
+		counterJoules(before1, m.MSR().PackageEnergyCounter(1))
 	exact := nodeEnergy(m)
 	if math.Abs(float64(counted-exact)) > 0.001*float64(exact) {
 		t.Errorf("RAPL counters say %v, exact accounting says %v", counted, exact)

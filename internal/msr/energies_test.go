@@ -15,7 +15,7 @@ import (
 )
 
 // TestAddPackageEnergiesMatchesPerSocket holds the engine's one-lock
-// update to one AddPackageEnergy call per socket: over a run of steps
+// update of every socket to one call per socket: over a run of steps
 // with fractional counts, zero and negative entries, both files carry
 // the same counters (remainders included, as the next step shows) and a
 // slice longer than the socket count is a range error.
@@ -38,13 +38,15 @@ func TestAddPackageEnergiesMatchesPerSocket(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, e := range step {
-			if err := single.AddPackageEnergy(s, e); err != nil {
+			one := make([]units.Joules, s+1)
+			one[s] = e
+			if err := single.AddPackageEnergies(one); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for s := range step {
 			if b, o := batch.PackageEnergyCounter(s), single.PackageEnergyCounter(s); b != o {
-				t.Fatalf("step %d socket %d: counter %d after AddPackageEnergies, %d after AddPackageEnergy", k, s, b, o)
+				t.Fatalf("step %d socket %d: counter %d charged with every socket, %d charged alone", k, s, b, o)
 			}
 		}
 	}

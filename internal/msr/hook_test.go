@@ -7,12 +7,15 @@ import (
 	"repro/internal/units"
 )
 
+// counts is the energy of n whole RAPL counts.
+func counts(n float64) units.Joules { return units.Joules(n * float64(units.RAPLUnit)) }
+
 // TestReadHookInterceptsArchitecturalReads: a read hook sees every
 // ReadPackage/ReadCore access with the true value, and its result (value
 // or substituted error) is what the caller observes.
 func TestReadHookInterceptsArchitecturalReads(t *testing.T) {
 	f := NewFile(2, 2)
-	if err := f.AddPackageEnergy(1, units.FromRAPLCounts(500)); err != nil {
+	if err := addTo(f, 1, counts(500)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +64,7 @@ func TestReadHookInterceptsArchitecturalReads(t *testing.T) {
 // machine's physics.
 func TestDiagnosticAccessorsBypassHooks(t *testing.T) {
 	f := NewFile(1, 1)
-	if err := f.AddPackageEnergy(0, units.FromRAPLCounts(123)); err != nil {
+	if err := addTo(f, 0, counts(123)); err != nil {
 		t.Fatal(err)
 	}
 	f.SetReadHook(func(Access) (uint64, error) { return 0, errors.New("injected") })
@@ -69,8 +72,8 @@ func TestDiagnosticAccessorsBypassHooks(t *testing.T) {
 	if got := f.PackageEnergyCounter(0); got != 123 {
 		t.Errorf("PackageEnergyCounter through a faulting hook = %d, want 123", got)
 	}
-	// AddPackageEnergy's internal read-modify-write is equally immune.
-	if err := f.AddPackageEnergy(0, units.FromRAPLCounts(7)); err != nil {
+	// AddPackageEnergies' internal read-modify-write is equally immune.
+	if err := addTo(f, 0, counts(7)); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 130 {

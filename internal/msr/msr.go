@@ -204,27 +204,12 @@ func (f *File) WriteCore(core int, addr uint32, v uint64) error {
 	return nil
 }
 
-// AddPackageEnergy accumulates energy into a socket's
-// MSR_PKG_ENERGY_STATUS counter, quantized to units.RAPLUnit, carrying the
-// sub-unit remainder so no energy is ever lost, and wrapping modulo 2^32
-// exactly like the hardware counter. Negative energy is ignored.
-func (f *File) AddPackageEnergy(socket int, e units.Joules) error {
-	if socket < 0 || socket >= len(f.pkgs) {
-		return &RangeError{Kind: "socket", Index: socket, Limit: len(f.pkgs)}
-	}
-	if e <= 0 {
-		return nil
-	}
-	f.mu.Lock()
-	f.pkgs[socket].addEnergy(e)
-	f.mu.Unlock()
-	return nil
-}
-
-// AddPackageEnergies is AddPackageEnergy of e[s] to socket s for every
-// entry of e, in socket order, under one acquisition of the file's lock:
-// the engine's per-step update of every counter. The counters are exactly
-// those that one AddPackageEnergy call per socket would leave.
+// AddPackageEnergies accumulates e[s] into socket s's
+// MSR_PKG_ENERGY_STATUS counter for every entry of e, in socket order,
+// under one acquisition of the file's lock: the engine's per-step update
+// of every counter. Each counter is quantized to units.RAPLUnit, carries
+// its sub-unit remainder so no energy is ever lost, and wraps modulo 2^32
+// exactly like the hardware counter. Non-positive entries are ignored.
 func (f *File) AddPackageEnergies(e []units.Joules) error {
 	if len(e) > len(f.pkgs) {
 		return &RangeError{Kind: "socket", Index: len(e) - 1, Limit: len(f.pkgs)}
@@ -239,8 +224,8 @@ func (f *File) AddPackageEnergies(e []units.Joules) error {
 	return nil
 }
 
-// addEnergy is the counter update of AddPackageEnergy for a positive e;
-// the caller holds the file's lock.
+// addEnergy is the counter update of AddPackageEnergies for a positive
+// e; the caller holds the file's lock.
 func (p *pkgRegs) addEnergy(e units.Joules) {
 	p.energyRem += float64(e) / float64(units.RAPLUnit)
 	whole := uint64(p.energyRem)

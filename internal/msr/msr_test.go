@@ -14,6 +14,14 @@ func newTestFile(t *testing.T) *File {
 	return NewFile(2, 8)
 }
 
+// addTo charges e to one socket through AddPackageEnergies, the file's
+// one way to charge energy; the other sockets' entries are zero.
+func addTo(f *File, socket int, e units.Joules) error {
+	step := make([]units.Joules, socket+1)
+	step[socket] = e
+	return f.AddPackageEnergies(step)
+}
+
 func TestNewFileTopology(t *testing.T) {
 	f := newTestFile(t)
 	if f.Sockets() != 2 {
@@ -48,7 +56,7 @@ func TestEnergyCounterStartsAtZero(t *testing.T) {
 
 func TestAddPackageEnergyQuantizes(t *testing.T) {
 	f := newTestFile(t)
-	if err := f.AddPackageEnergy(0, units.RAPLUnit*10); err != nil {
+	if err := addTo(f, 0, units.RAPLUnit*10); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 10 {
@@ -65,13 +73,13 @@ func TestAddPackageEnergyCarriesRemainder(t *testing.T) {
 	// Add half a unit twice: first add leaves counter unchanged, second
 	// completes one whole count.
 	half := units.RAPLUnit / 2
-	if err := f.AddPackageEnergy(0, half); err != nil {
+	if err := addTo(f, 0, half); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 0 {
 		t.Errorf("counter after half unit = %d, want 0", got)
 	}
-	if err := f.AddPackageEnergy(0, half); err != nil {
+	if err := addTo(f, 0, half); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 1 {
@@ -86,7 +94,7 @@ func TestAddPackageEnergyNeverLosesEnergy(t *testing.T) {
 	total := 0.0
 	add := 0.37e-6 // much smaller than one 15.3 µJ unit
 	for i := 0; i < 10000; i++ {
-		if err := f.AddPackageEnergy(0, units.Joules(add)); err != nil {
+		if err := addTo(f, 0, units.Joules(add)); err != nil {
 			t.Fatal(err)
 		}
 		total += add
@@ -104,7 +112,7 @@ func TestAddPackageEnergyWraps(t *testing.T) {
 	if err := f.WritePackage(0, MSRPkgEnergyStatus, uint64(units.RAPLCounterMod-5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddPackageEnergy(0, units.RAPLUnit*12); err != nil {
+	if err := addTo(f, 0, units.RAPLUnit*12); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 7 {
@@ -114,7 +122,7 @@ func TestAddPackageEnergyWraps(t *testing.T) {
 
 func TestAddPackageEnergyIgnoresNegative(t *testing.T) {
 	f := newTestFile(t)
-	if err := f.AddPackageEnergy(0, -1); err != nil {
+	if err := addTo(f, 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PackageEnergyCounter(0); got != 0 {
@@ -124,10 +132,10 @@ func TestAddPackageEnergyIgnoresNegative(t *testing.T) {
 
 func TestAddPackageEnergyRangeError(t *testing.T) {
 	f := newTestFile(t)
-	err := f.AddPackageEnergy(5, 1)
+	err := addTo(f, 5, 1)
 	var re *RangeError
 	if !errors.As(err, &re) {
-		t.Fatalf("AddPackageEnergy(5, 1) error = %v, want RangeError", err)
+		t.Fatalf("charging socket 5 of 2: error = %v, want RangeError", err)
 	}
 	if re.Kind != "socket" || re.Index != 5 {
 		t.Errorf("RangeError = %+v, want socket/5", re)
@@ -265,7 +273,7 @@ func TestConcurrentEnergyAccumulation(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < perG; i++ {
-				if err := f.AddPackageEnergy(0, units.RAPLUnit); err != nil {
+				if err := addTo(f, 0, units.RAPLUnit); err != nil {
 					t.Error(err)
 					return
 				}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/msr"
 	"repro/internal/units"
@@ -20,12 +19,8 @@ import (
 // to the device nodes (root, or CAP_SYS_RAWIO); NewDevMSRReader returns
 // an error otherwise. The path layout is injectable for tests.
 type DevMSRReader struct {
+	counter
 	files []*os.File
-	unit  []units.Joules
-
-	mu   sync.Mutex
-	last []uint32
-	acc  []float64
 }
 
 // DefaultDevMSRPattern formats the device path for a CPU number.
@@ -42,11 +37,8 @@ func NewDevMSRReader(pattern string, cpus []int) (*DevMSRReader, error) {
 	if len(cpus) == 0 {
 		return nil, fmt.Errorf("rapl: no CPUs given")
 	}
-	r := &DevMSRReader{
-		unit: make([]units.Joules, len(cpus)),
-		last: make([]uint32, len(cpus)),
-		acc:  make([]float64, len(cpus)),
-	}
+	r := &DevMSRReader{}
+	r.read = func(d int) (uint64, error) { return readMSR(r.files[d], msr.MSRPkgEnergyStatus) }
 	for _, cpu := range cpus {
 		f, err := os.Open(fmt.Sprintf(pattern, cpu))
 		if err != nil {
@@ -54,21 +46,16 @@ func NewDevMSRReader(pattern string, cpus []int) (*DevMSRReader, error) {
 			return nil, fmt.Errorf("rapl: opening msr device: %w", err)
 		}
 		r.files = append(r.files, f)
-	}
-	for d, f := range r.files {
 		unitReg, err := readMSR(f, msr.MSRRAPLPowerUnit)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("rapl: reading MSR_RAPL_POWER_UNIT: %w", err)
 		}
 		esu := (unitReg >> 8) & 0x1F
-		r.unit[d] = units.Joules(1.0 / float64(uint64(1)<<esu))
-		v, err := readMSR(f, msr.MSRPkgEnergyStatus)
-		if err != nil {
+		if err := r.addDomain(units.RAPLCounterMod, 1.0/float64(uint64(1)<<esu)); err != nil {
 			r.Close()
 			return nil, fmt.Errorf("rapl: reading MSR_PKG_ENERGY_STATUS: %w", err)
 		}
-		r.last[d] = uint32(v)
 	}
 	return r, nil
 }
@@ -82,29 +69,7 @@ func readMSR(f *os.File, addr uint32) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// Domains returns the number of packages.
-func (r *DevMSRReader) Domains() int { return len(r.files) }
-
-// Energy returns the wrap-corrected cumulative energy of a package since
-// the reader was created.
-func (r *DevMSRReader) Energy(domain int) (units.Joules, error) {
-	if domain < 0 || domain >= len(r.files) {
-		return 0, domainError(domain, len(r.files))
-	}
-	v, err := readMSR(r.files[domain], msr.MSRPkgEnergyStatus)
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := uint32(v)
-	delta := units.RAPLCountDelta(r.last[domain], cur)
-	r.last[domain] = cur
-	r.acc[domain] += float64(delta) * float64(r.unit[domain])
-	return units.Joules(r.acc[domain]), nil
-}
-
-// Close releases the device files.
+// Close releases the device files; reads after Close fail.
 func (r *DevMSRReader) Close() error {
 	var first error
 	for _, f := range r.files {
@@ -112,6 +77,5 @@ func (r *DevMSRReader) Close() error {
 			first = err
 		}
 	}
-	r.files = nil
 	return first
 }

@@ -73,7 +73,10 @@ func (e *ImplausibleError) Error() string {
 type GuardConfig struct {
 	// Clock supplies the current time for backoff deadlines — virtual
 	// time (machine.Now) in the simulator, wall time on a real host.
-	// Required.
+	// Required. Energy reads it only to check or set a quarantine
+	// deadline, with the guard's lock held, so it must not call into the
+	// Guard. machine.Now takes only the machine's lock, which nothing
+	// holds while reading a Guard (ticker callbacks run with it released).
 	Clock func() time.Duration
 	// Telemetry, when non-nil, receives the guard's rapl_guard_*
 	// counters and quarantined-domain gauge (docs/observability.md).
@@ -188,27 +191,28 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 	if domain < 0 || domain >= len(g.doms) {
 		return 0, domainError(domain, len(g.doms))
 	}
-	now := g.clock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	d := &g.doms[domain]
-	if d.state == GuardQuarantined && now < d.retryAt {
+	if d.state == GuardQuarantined && g.clock() < d.retryAt {
 		return 0, &QuarantineError{Domain: domain, RetryAt: d.retryAt}
 	}
 	e, err := g.inner.Energy(domain)
 	if err != nil {
-		g.faultLocked(d, now)
+		g.faultLocked(d)
 		g.met.faults.Inc()
 		return 0, err
 	}
 	cur := float64(e)
-	if !d.haveBase {
+	if faulted := d.faults > 0 || d.state == GuardQuarantined; faulted || !d.haveBase {
+		// First read, or first success after a fault window: seed or
+		// resynchronize the baseline without booking the cross-outage
+		// delta (see counter for why trusting it risks a phantom counter
+		// lap). A restored checkpoint (Restore clears the baseline) can
+		// be both at once.
 		d.haveBase = true
 		d.last = cur
-		if d.faults > 0 || d.state == GuardQuarantined {
-			// A restored checkpoint (Restore clears the baseline) can put a
-			// faulted domain here: this successful read both seeds the
-			// baseline and completes the recovery transition.
+		if faulted {
 			if d.state == GuardQuarantined {
 				g.met.quarantined.Add(-1)
 			}
@@ -220,27 +224,13 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		return units.Joules(d.acc), nil
 	}
 	delta := cur - d.last
-	if d.faults > 0 || d.state == GuardQuarantined {
-		// First success after a fault window: resynchronize the baseline
-		// without booking the cross-outage delta (see MSRReader.Energy
-		// for why trusting it risks a phantom counter lap).
-		if d.state == GuardQuarantined {
-			g.met.quarantined.Add(-1)
-		}
-		d.state = GuardRecovered
-		d.faults = 0
-		d.zeroRuns = 0
-		d.last = cur
-		g.met.recoveries.Inc()
-		return units.Joules(d.acc), nil
-	}
 	if delta < 0 || delta > guardMaxWindowJoules {
 		// Garbage: the inner reader's accumulator moved implausibly far
 		// (a mis-read counter booked as a wrap). Absorb it — resync the
 		// baseline so the phantom energy never reaches the caller — and
 		// report the window as faulty.
 		d.last = cur
-		g.faultLocked(d, now)
+		g.faultLocked(d)
 		g.met.faults.Inc()
 		g.met.implausible.Inc()
 		return 0, &ImplausibleError{Domain: domain, Delta: units.Joules(delta)}
@@ -249,7 +239,7 @@ func (g *Guard) Energy(domain int) (units.Joules, error) {
 		d.zeroRuns++
 		if d.zeroRuns >= guardStuckAfter {
 			// Frozen counter: fresh-looking zero-power windows forever.
-			g.faultLocked(d, now)
+			g.faultLocked(d)
 			g.met.faults.Inc()
 			g.met.stuck.Inc()
 			return 0, fmt.Errorf("rapl: domain %d counter stuck for %d windows", domain, d.zeroRuns)
@@ -366,8 +356,9 @@ func (g *Guard) Restore(doms []DomainCheckpoint) {
 	g.met.quarantined.Set(float64(q))
 }
 
-// faultLocked advances the state machine on a fault at time now.
-func (g *Guard) faultLocked(d *guardDomain, now time.Duration) {
+// faultLocked advances the state machine on a fault, reading the clock
+// only when it sets a quarantine deadline.
+func (g *Guard) faultLocked(d *guardDomain) {
 	d.faults++
 	switch d.state {
 	case GuardQuarantined:
@@ -376,12 +367,12 @@ func (g *Guard) faultLocked(d *guardDomain, now time.Duration) {
 		if d.backoff > guardBackoffMax {
 			d.backoff = guardBackoffMax
 		}
-		d.retryAt = now + d.backoff
+		d.retryAt = g.clock() + d.backoff
 	default:
 		if d.faults >= guardSuspectAfter {
 			d.state = GuardQuarantined
 			d.backoff = guardBackoff
-			d.retryAt = now + d.backoff
+			d.retryAt = g.clock() + d.backoff
 			g.met.quarantines.Inc()
 			g.met.quarantined.Add(1)
 		} else {

@@ -23,7 +23,7 @@ type settableClock struct{ at time.Duration }
 func (c *settableClock) now() time.Duration { return c.at }
 
 // TestMSRReaderFaultSpansWrap is the regression test for the 32-bit wrap
-// handling across read faults (ISSUE satellite #1): when an outage spans
+// handling across read faults: when an outage spans
 // a counter wrap, the reader must resynchronize on recovery instead of
 // booking the cross-outage difference — which, taken as a wrap-corrected
 // delta, would be a near-full phantom 2^32 lap (~65.7 kJ).
@@ -46,7 +46,7 @@ func TestMSRReaderFaultSpansWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := units.FromRAPLCounts(50); e != want {
+	if want := counts(50); e != want {
 		t.Fatalf("pre-outage energy %v, want %v", e, want)
 	}
 
@@ -77,7 +77,7 @@ func TestMSRReaderFaultSpansWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := units.FromRAPLCounts(50); e != want {
+	if want := counts(50); e != want {
 		t.Fatalf("post-outage energy %v, want %v (no cross-outage booking)", e, want)
 	}
 
@@ -89,7 +89,7 @@ func TestMSRReaderFaultSpansWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := units.FromRAPLCounts(150); e != want {
+	if want := counts(150); e != want {
 		t.Fatalf("post-recovery energy %v, want %v", e, want)
 	}
 }
@@ -118,6 +118,32 @@ func TestMSRReaderFaultWithoutWrap(t *testing.T) {
 	}
 	if e != 0 {
 		t.Fatalf("post-outage energy %v, want 0 (resync only)", e)
+	}
+}
+
+// TestGuardReadsClockOnlyForDeadlines: a healthy read and a suspect
+// fault leave the clock alone; it is read when a fault sets a quarantine
+// deadline and when a quarantined read checks it. The simulator's clock
+// takes the machine's lock, and the sampler reads every domain each tick.
+func TestGuardReadsClockOnlyForDeadlines(t *testing.T) {
+	fake := NewFake(1)
+	reads := 0
+	g, err := NewGuard(fake, GuardConfig{Clock: func() time.Duration { reads++; return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		fake.Add(0, 1)
+		if _, err := g.Energy(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fake.SetError(errors.New("injected"))
+	for i, want := range []int{0, 0, 1, 2} { // suspect, suspect, quarantined, refused
+		g.Energy(0)
+		if reads != want {
+			t.Fatalf("after fault %d: %d clock reads, want %d", i+1, reads, want)
+		}
 	}
 }
 
@@ -257,7 +283,7 @@ func TestGuardPlausibilityClamp(t *testing.T) {
 
 	// Phantom lap: the inner accumulator jumps by a near-full 32-bit
 	// revolution's worth of energy.
-	fake.Add(0, units.FromRAPLCounts(units.RAPLCounterMod-1))
+	fake.Add(0, counts(units.RAPLCounterMod-1))
 	var ie *ImplausibleError
 	if _, err := g.Energy(0); !errors.As(err, &ie) {
 		t.Fatalf("phantom lap accepted: %v", err)

@@ -2,14 +2,16 @@
 //
 // The paper (§II-A) uses the Sandybridge MSR_PKG_ENERGY_STATUS counter:
 // 32 bits wide, counting in 15.3 µJ units, wrapping every few minutes at
-// typical power draw. This package provides that counter behind a Reader
-// interface with three implementations:
+// typical power draw. This package reads it behind a Reader interface
+// from three sources over one wrap-counting counter, which also owns the
+// resync rule after a failed read (docs/robustness.md):
 //
-//   - MSRReader: reads the simulated machine's MSR file, handling
-//     wraparound exactly as a real MSR-based tool must.
-//   - SysfsReader: reads the Linux powercap interface
+//   - MSRReader: the simulated machine's MSR file.
+//   - DevMSRReader: /dev/cpu/N/msr on a real host, the paper's path.
+//   - SysfsReader: the Linux powercap interface
 //     (/sys/class/powercap/intel-rapl*) on a real host.
-//   - Fake: a settable reader for tests.
+//
+// Fake is a settable reader for tests.
 //
 // Guard wraps any Reader in the fail-safe state machine of
 // docs/robustness.md. Its tuning is fixed and sized to the RCR sampler's

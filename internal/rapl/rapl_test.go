@@ -10,6 +10,9 @@ import (
 	"repro/internal/units"
 )
 
+// counts is the energy of n whole RAPL counts, as the reader books it.
+func counts(n uint64) units.Joules { return units.Joules(float64(n) * float64(units.RAPLUnit)) }
+
 func TestMSRReaderBasic(t *testing.T) {
 	file := msr.NewFile(2, 8)
 	r, err := NewMSRReader(file)
@@ -26,7 +29,7 @@ func TestMSRReaderBasic(t *testing.T) {
 	if e != 0 {
 		t.Errorf("initial energy = %v, want 0", e)
 	}
-	if err := file.AddPackageEnergy(0, 100); err != nil {
+	if err := file.AddPackageEnergies([]units.Joules{100}); err != nil {
 		t.Fatal(err)
 	}
 	e, err = r.Energy(0)
@@ -48,7 +51,7 @@ func TestMSRReaderBasic(t *testing.T) {
 
 func TestMSRReaderZeroesAtCreation(t *testing.T) {
 	file := msr.NewFile(1, 1)
-	if err := file.AddPackageEnergy(0, 500); err != nil {
+	if err := file.AddPackageEnergies([]units.Joules{500}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewMSRReader(file)
@@ -76,14 +79,14 @@ func TestMSRReaderWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Add enough to wrap: 300 counts from (mod-100).
-	if err := file.AddPackageEnergy(0, units.FromRAPLCounts(300)); err != nil {
+	if err := file.AddPackageEnergies([]units.Joules{counts(300)}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := r.Energy(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := units.FromRAPLCounts(300)
+	want := counts(300)
 	if math.Abs(float64(e-want)) > 1e-9 {
 		t.Errorf("wrapped energy = %v, want %v", e, want)
 	}
@@ -97,10 +100,10 @@ func TestMSRReaderMonotonicAcrossManyWraps(t *testing.T) {
 	}
 	// Simulate a long run with polling between wraps: each chunk is less
 	// than one full counter range.
-	chunk := units.FromRAPLCounts(units.RAPLCounterMod / 2)
+	chunk := counts(units.RAPLCounterMod / 2)
 	var prev units.Joules
 	for i := 0; i < 6; i++ {
-		if err := file.AddPackageEnergy(0, chunk); err != nil {
+		if err := file.AddPackageEnergies([]units.Joules{chunk}); err != nil {
 			t.Fatal(err)
 		}
 		e, err := r.Energy(0)

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-
-	"repro/internal/units"
 )
 
 // DefaultPowercapPath is where Linux exposes the RAPL powercap interface.
@@ -20,17 +16,8 @@ const DefaultPowercapPath = "/sys/class/powercap"
 // energy_uj holds cumulative microjoules which wrap at
 // max_energy_range_uj.
 type SysfsReader struct {
-	domains []sysfsDomain
-
-	mu   sync.Mutex
-	last []uint64
-	acc  []float64
-}
-
-type sysfsDomain struct {
-	name     string
-	path     string // directory containing energy_uj
-	maxRange uint64 // wrap modulus in µJ
+	counter
+	names []string // kernel-reported domain names
 }
 
 // NewSysfsReader scans root (typically DefaultPowercapPath) for
@@ -38,11 +25,15 @@ type sysfsDomain struct {
 // they are unreadable (e.g. not an Intel host, or insufficient
 // privileges).
 func NewSysfsReader(root string) (*SysfsReader, error) {
-	entries, err := os.ReadDir(root)
+	entries, err := os.ReadDir(root) // sorted by name, so domains are in path order
 	if err != nil {
 		return nil, fmt.Errorf("rapl: reading powercap root: %w", err)
 	}
-	var domains []sysfsDomain
+	type zone struct {
+		name, energy string // energy: path of energy_uj
+		maxRange     uint64 // wrap modulus in µJ
+	}
+	var zones []zone
 	for _, e := range entries {
 		// Top-level package domains are "intel-rapl:N" (no sub-zone
 		// suffix such as "intel-rapl:0:1").
@@ -61,62 +52,33 @@ func NewSysfsReader(root string) (*SysfsReader, error) {
 		if err != nil || maxRange == 0 {
 			continue
 		}
-		if _, err := readUint(filepath.Join(dir, "energy_uj")); err != nil {
+		energy := filepath.Join(dir, "energy_uj")
+		if _, err := readUint(energy); err != nil {
 			// Commonly EACCES without root.
 			return nil, fmt.Errorf("rapl: %s unreadable (need root?): %w", dir, err)
 		}
-		domains = append(domains, sysfsDomain{name: name, path: dir, maxRange: maxRange})
+		zones = append(zones, zone{name: name, energy: energy, maxRange: maxRange})
 	}
-	if len(domains) == 0 {
+	if len(zones) == 0 {
 		return nil, fmt.Errorf("rapl: no package domains under %s", root)
 	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i].path < domains[j].path })
-	r := &SysfsReader{
-		domains: domains,
-		last:    make([]uint64, len(domains)),
-		acc:     make([]float64, len(domains)),
-	}
-	for i, d := range domains {
-		v, err := readUint(filepath.Join(d.path, "energy_uj"))
-		if err != nil {
+	r := &SysfsReader{}
+	r.read = func(d int) (uint64, error) { return readUint(zones[d].energy) }
+	for _, z := range zones {
+		if err := r.addDomain(z.maxRange, 1e-6); err != nil {
 			return nil, err
 		}
-		r.last[i] = v
+		r.names = append(r.names, z.name)
 	}
 	return r, nil
 }
 
-// Domains returns the number of package domains found.
-func (r *SysfsReader) Domains() int { return len(r.domains) }
-
 // Name returns the kernel-reported domain name.
 func (r *SysfsReader) Name(domain int) string {
-	if domain < 0 || domain >= len(r.domains) {
+	if domain < 0 || domain >= len(r.names) {
 		return ""
 	}
-	return r.domains[domain].name
-}
-
-// Energy returns the wrap-corrected cumulative energy of a domain since
-// the reader was created.
-func (r *SysfsReader) Energy(domain int) (units.Joules, error) {
-	if domain < 0 || domain >= len(r.domains) {
-		return 0, domainError(domain, len(r.domains))
-	}
-	d := r.domains[domain]
-	cur, err := readUint(filepath.Join(d.path, "energy_uj"))
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delta := cur - r.last[domain]
-	if cur < r.last[domain] {
-		delta = d.maxRange - r.last[domain] + cur
-	}
-	r.last[domain] = cur
-	r.acc[domain] += float64(delta) * 1e-6
-	return units.Joules(r.acc[domain]), nil
+	return r.names[domain]
 }
 
 func readTrimmed(path string) (string, error) {

@@ -11,8 +11,8 @@ import (
 // TestMSRReaderWrapBoundaries drives the raw MSR_PKG_ENERGY_STATUS
 // register through exact 32-bit wrap boundaries and checks the reader's
 // wrap-corrected accumulation count by count, and the same sums of
-// units.RAPLCountDelta. Counter values are written directly (not via
-// AddPackageEnergy) so expectations are exact integers with no float
+// WrapDelta. Counter values are written directly (not via
+// AddPackageEnergies) so expectations are exact integers with no float
 // quantization in the way.
 func TestMSRReaderWrapBoundaries(t *testing.T) {
 	mod := units.RAPLCounterMod
@@ -46,10 +46,10 @@ func TestMSRReaderWrapBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got units.Joules
-			prev, counts := uint32(tc.start), uint64(0)
+			prev, sum := tc.start, uint64(0)
 			for _, raw := range tc.samples {
-				counts += units.RAPLCountDelta(prev, uint32(raw))
-				prev = uint32(raw)
+				sum += WrapDelta(prev, raw, mod)
+				prev = raw
 				if err := file.WritePackage(0, msr.MSRPkgEnergyStatus, raw); err != nil {
 					t.Fatal(err)
 				}
@@ -57,10 +57,10 @@ func TestMSRReaderWrapBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if counts != tc.want {
-				t.Errorf("RAPLCountDelta summed to %d counts, want %d", counts, tc.want)
+			if sum != tc.want {
+				t.Errorf("WrapDelta summed to %d counts, want %d", sum, tc.want)
 			}
-			want := units.FromRAPLCounts(tc.want)
+			want := counts(tc.want)
 			if got != want {
 				t.Errorf("accumulated %v (%v counts), want %v (%d counts)",
 					got, float64(got)/float64(units.RAPLUnit), want, tc.want)
@@ -95,7 +95,7 @@ func TestAddPackageEnergyUnitRounding(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			file := msr.NewFile(1, 1)
 			for i, e := range tc.adds {
-				if err := file.AddPackageEnergy(0, e); err != nil {
+				if err := file.AddPackageEnergies([]units.Joules{e}); err != nil {
 					t.Fatal(err)
 				}
 				got, err := file.ReadPackage(0, msr.MSRPkgEnergyStatus)
@@ -122,7 +122,7 @@ func TestUnitRoundingAcrossWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1.5 units: one whole count wraps the counter to 0, half a unit stays.
-	if err := file.AddPackageEnergy(0, units.RAPLUnit*1.5); err != nil {
+	if err := file.AddPackageEnergies([]units.Joules{units.RAPLUnit * 1.5}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := file.ReadPackage(0, msr.MSRPkgEnergyStatus)
@@ -133,14 +133,14 @@ func TestUnitRoundingAcrossWrap(t *testing.T) {
 		t.Fatalf("counter after wrap = %d, want 0", raw)
 	}
 	// The carried half unit completes with another half.
-	if err := file.AddPackageEnergy(0, units.RAPLUnit/2); err != nil {
+	if err := file.AddPackageEnergies([]units.Joules{units.RAPLUnit / 2}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := r.Energy(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := units.FromRAPLCounts(2); math.Abs(float64(e-want)) > 1e-18 {
+	if want := counts(2); math.Abs(float64(e-want)) > 1e-18 {
 		t.Errorf("energy across wrap = %v, want %v", e, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/machine"
+	"repro/internal/rapl"
 	"repro/internal/units"
 )
 
@@ -87,7 +88,7 @@ func Audit(sc Scenario, res *Result) error {
 			// carry bounds the divergence to under two counts. A counter
 			// that ever moved backwards (modulo wrap) shows up here as a
 			// near-2^32-count delta.
-			delta := float64(units.RAPLCountDelta(prevCounter[s], ss.RAPLCounter))
+			delta := float64(rapl.WrapDelta(uint64(prevCounter[s]), uint64(ss.RAPLCounter), units.RAPLCounterMod))
 			counts := (ss.Energy - prevEnergy[s]) / float64(units.RAPLUnit)
 			if math.Abs(delta-counts) > 2 {
 				return fmt.Errorf("step %d socket %d: RAPL counter moved %v counts, step energy is %v counts",

@@ -108,6 +108,9 @@ type sim struct {
 	stepRefs  []float64
 	stepUtil  []float64
 	stepPower []float64
+	// stepEnergy is each socket's energy of the step, charged to the
+	// RAPL counters in one call.
+	stepEnergy []units.Joules
 
 	energy []float64
 	temp   []units.Celsius
@@ -168,6 +171,7 @@ func newSim(sc Scenario) *sim {
 		file:      msr.NewFile(cfg.Sockets, cfg.CoresPerSocket),
 		res:       &Result{Tickers: make([][]TickerFire, sc.TickerSlots)},
 	}
+	s.stepEnergy = make([]units.Joules, cfg.Sockets)
 	for i := range s.freqScale {
 		s.freqScale[i] = 1
 		s.reqScale[i] = 1
@@ -554,10 +558,11 @@ func (s *sim) advance(dt time.Duration) {
 		p = p * s.cfg.Thermal.LeakageFactorAt(s.temp[sock])
 		e := p * secs
 		s.energy[sock] += e
-		must(s.file.AddPackageEnergy(sock, units.Joules(e)))
+		s.stepEnergy[sock] = units.Joules(e)
 		s.temp[sock] = s.cfg.Thermal.Step(s.temp[sock], units.Watts(p), dt)
 		s.stepPower[sock] = p
 	}
+	must(s.file.AddPackageEnergies(s.stepEnergy))
 	for _, c := range s.cores {
 		switch c.state {
 		case stBusy:

@@ -4,8 +4,8 @@
 // the RAPL fixed-point energy unit used by MSR_PKG_ENERGY_STATUS.
 //
 // All quantities are float64 wrappers. Arithmetic between them is done by
-// explicit conversion helpers (PowerOver, FromRAPLCounts, ...) so that unit
-// errors surface at compile time rather than as silently wrong numbers.
+// explicit conversion helpers such as PowerOver, so that unit errors
+// surface at compile time rather than as silently wrong numbers.
 //
 // Virtual time in the simulator is represented by time.Duration: one
 // virtual nanosecond is one time.Duration tick. No wall-clock meaning is
@@ -59,28 +59,6 @@ func PowerOver(e Joules, d time.Duration) Watts {
 		return 0
 	}
 	return Watts(float64(e) / d.Seconds())
-}
-
-// FromRAPLCounts converts a raw count delta back to energy.
-func FromRAPLCounts(c uint64) Joules {
-	return Joules(float64(c) * float64(RAPLUnit))
-}
-
-// RAPLDelta returns the energy represented by advancing a 32-bit RAPL
-// counter from old to new, accounting for at most one wraparound. Callers
-// must sample often enough that at most one wrap can occur between reads
-// (paper §II-A: "the measurement tools monitor the number of wraps").
-func RAPLDelta(old, new uint32) Joules {
-	return FromRAPLCounts(RAPLCountDelta(old, new))
-}
-
-// RAPLCountDelta is RAPLDelta in raw counts, for callers that scale by
-// their own unit.
-func RAPLCountDelta(old, new uint32) uint64 {
-	if new < old {
-		return RAPLCounterMod - uint64(old) + uint64(new)
-	}
-	return uint64(new - old)
 }
 
 // String formats the energy with an adaptive unit (µJ, mJ, J, kJ).

@@ -49,54 +49,6 @@ func TestEnergyPowerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromRAPLCountsInverse(t *testing.T) {
-	f := func(c uint32) bool {
-		e := FromRAPLCounts(uint64(c))
-		return uint64((e+RAPLUnit/2)/RAPLUnit) == uint64(c) // re-quantize at midpoint
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRAPLDeltaNoWrap(t *testing.T) {
-	got := RAPLDelta(100, 350)
-	want := FromRAPLCounts(250)
-	if math.Abs(float64(got-want)) > 1e-12 {
-		t.Errorf("RAPLDelta(100, 350) = %v, want %v", got, want)
-	}
-}
-
-func TestRAPLDeltaWrap(t *testing.T) {
-	// old near the top, new small: exactly one wrap.
-	old := uint32(RAPLCounterMod - 10)
-	got := RAPLDelta(old, 5)
-	want := FromRAPLCounts(15)
-	if math.Abs(float64(got-want)) > 1e-12 {
-		t.Errorf("RAPLDelta(wrap) = %v, want %v", got, want)
-	}
-}
-
-func TestRAPLDeltaZero(t *testing.T) {
-	if got := RAPLDelta(42, 42); got != 0 {
-		t.Errorf("RAPLDelta(42, 42) = %v, want 0", got)
-	}
-}
-
-func TestRAPLDeltaProperty(t *testing.T) {
-	// For any start value and any non-negative advance < 2^32, the decoded
-	// delta equals the advance.
-	f := func(start uint32, adv uint32) bool {
-		next := uint32(uint64(start) + uint64(adv)) // wraps naturally
-		got := RAPLDelta(start, next)
-		want := FromRAPLCounts(uint64(adv))
-		return math.Abs(float64(got-want)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJoulesString(t *testing.T) {
 	cases := []struct {
 		j    Joules
